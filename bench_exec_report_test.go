@@ -1,8 +1,9 @@
 package cgdqp
 
 // A committable execution-engine report: `make bench` runs this harness
-// with -bench-report, which measures the seqVsParFixture plan under both
-// engines with observability off and on, and rewrites BENCH_exec.json.
+// with -bench-report, which measures the seqVsParFixture plan in both
+// exchange modes ("sequential" = inline, "parallel" = goroutine) with
+// observability off and on, and rewrites BENCH_exec.json.
 // It also enforces the zero-cost-when-off contract: the extrapolated
 // cost of the disabled observability hooks must stay under 2% of one
 // execution.

@@ -199,7 +199,7 @@ func TestSchedBenchReport(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			rows, _, err := executor.RunParallelObserved(context.Background(), res.Plan, cl, nil)
+			rows, _, err := executor.RunParallel(res.Plan, cl)
 			if err != nil {
 				return nil, err
 			}

@@ -212,7 +212,7 @@ func TestStoreBenchReport(t *testing.T) {
 		for r := 0; r <= warmReps; r++ {
 			runtime.GC()
 			t0 := time.Now()
-			rows, _, err := executor.RunObserved(path.root, cl, nil)
+			rows, _, err := executor.Run(path.root, cl)
 			d := time.Since(t0)
 			if err != nil {
 				t.Fatalf("%s: %v", path.name, err)

@@ -128,10 +128,12 @@ type Options struct {
 	// MaxAlts / MaxExprs bound the optimizer's search (0 = defaults).
 	MaxAlts  int
 	MaxExprs int
-	// Parallel executes plans with the batch-parallel engine: per-site
-	// plan fragments run on their own goroutines and exchange batches
-	// at SHIP boundaries. Results and shipping statistics are identical
-	// to the sequential engine; only wall-clock time differs.
+	// Parallel selects the exchange mode: true runs every SHIP's
+	// producing fragment on its own goroutine behind a bounded channel,
+	// so per-site fragments overlap; false runs it inline when the
+	// consumer opens, on the calling goroutine. Operators, results,
+	// shipping statistics and audit log are identical either way; only
+	// wall-clock time differs.
 	Parallel bool
 	// Faults installs a deterministic fault plan on the simulated WAN:
 	// shipments may be dropped, delayed, rejected or partitioned per
@@ -162,8 +164,7 @@ type Options struct {
 	Audit bool
 	// NoVectorKernels disables the compiled columnar expression kernels
 	// and runs every expression through the row interpreter. Results
-	// are identical either way; only speed differs. (The build tag
-	// cgdqp_interp flips the default for A/B benchmarking.)
+	// are identical either way; only speed differs.
 	NoVectorKernels bool
 	// WireCompress enables block compression of the serialized batch
 	// frames shipped between sites; the ledger, β·bytes costs and
@@ -651,8 +652,8 @@ func (s *System) resCacheView() rescache.View {
 }
 
 // execFP fingerprints the execution options that change observable
-// statistics; engine choice and kernel mode are deliberately excluded
-// because both engines and both expression paths produce identical
+// statistics; exchange mode and kernel mode are deliberately excluded
+// because both modes and both expression paths produce identical
 // rows, RunStats and audit logs (the conformance suite pins this), so
 // their executions share cache entries.
 func (s *System) execFP() string {
@@ -1010,7 +1011,7 @@ var (
 // queries submitted through the returned Server are admission-controlled
 // (bounded queue, typed rejections under overload), scheduled
 // weighted-fairly onto bounded per-site execution slots, executed with
-// the batch-parallel engine, and identical in-flight optimizations are
+// goroutine-mode exchanges, and identical in-flight optimizations are
 // coalesced. The server shares the system's observability sinks (queue
 // gauges, admission/rejection counters, latency histograms land in
 // System.Metrics()). Close the server before discarding it:

@@ -1,7 +1,6 @@
 package cgdqp
 
 import (
-	"context"
 	"errors"
 	"sort"
 	"testing"
@@ -136,7 +135,7 @@ func TestChaosTPCHSweep(t *testing.T) {
 				if seed%4 == 0 {
 					rows, stats, err = executor.Run(ref.root, cl)
 				} else {
-					rows, stats, err = executor.RunParallelContext(context.Background(), ref.root, cl)
+					rows, stats, err = executor.RunParallel(ref.root, cl)
 				}
 				if err != nil {
 					return nil, nil, nil, err

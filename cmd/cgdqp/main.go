@@ -103,7 +103,7 @@ func main() {
 	query := flag.String("q", "", "run one query and exit")
 	explainOnly := flag.Bool("explain", false, "print the plan without executing")
 	resultLoc := flag.String("at", "", "pin the result location (L1..L5)")
-	parallel := flag.Bool("parallel", false, "execute with the batch-parallel engine")
+	parallel := flag.Bool("parallel", false, "run each SHIP's producing fragment on its own goroutine")
 	chaosSeed := flag.Int64("chaos-seed", 0, "inject deterministic WAN faults under this seed (0 = off); the same seed replays the same failures")
 	chaosDrop := flag.Float64("chaos-drop", 0.05, "per-batch drop probability under -chaos-seed")
 	chaosError := flag.Float64("chaos-error", 0.05, "per-send transient-error probability under -chaos-seed")
@@ -362,9 +362,9 @@ func main() {
 		var stats *executor.RunStats
 		execStart := time.Now()
 		if *parallel {
-			rows, stats, err = executor.RunParallelObserved(context.Background(), res.Plan, cl, qo)
+			rows, stats, err = executor.RunParallelOpts(context.Background(), res.Plan, cl, qo, executor.ExecOptions{})
 		} else {
-			rows, stats, err = executor.RunObserved(res.Plan, cl, qo)
+			rows, stats, err = executor.RunObservedOpts(context.Background(), res.Plan, cl, qo, executor.ExecOptions{})
 		}
 		execLat := time.Since(execStart)
 		if *explainAnalyze {

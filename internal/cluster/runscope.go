@@ -74,19 +74,3 @@ func (r *RunScope) ShipBatch(ctx context.Context, ship *RunShipment, from, to st
 	r.c.finishShip(sp, from, to, rows, bytes, err)
 	return err
 }
-
-// ShipWhole is Cluster.ShipWhole under this scope.
-func (r *RunScope) ShipWhole(ctx context.Context, from, to string, rows, bytes int64) error {
-	sp := r.c.obs.StartSpan("ship.whole").
-		Tag("from", from).Tag("to", to).TagInt("rows", rows)
-	err := r.c.send(ctx, r, from, to, 0, bytes, func(extraMS float64) {
-		cost := r.c.Ledger.Record(from, to, rows, bytes)
-		r.ledger.Record(from, to, rows, bytes)
-		if r.c.cal != nil {
-			r.c.cal.ObserveShip(from, to, bytes, cost)
-		}
-		r.c.SleepWire(cost + extraMS)
-	})
-	r.c.finishShip(sp, from, to, rows, bytes, err)
-	return err
-}

@@ -9,16 +9,15 @@ import (
 	"cgdqp/internal/obs"
 )
 
-// This file is the cluster's resilient shipping path: both executors
-// move rows between sites through it. Without a fault plan it degrades
-// to the original behaviour (account the transfer, sleep the simulated
-// wire time). With one, every send attempt consults the plan, failed
-// attempts are retried under the cluster's RetryPolicy (capped
+// This file is the cluster's resilient shipping path: the executor's
+// exchanges move frames between sites through it. Without a fault plan
+// it degrades to the original behaviour (account the transfer, sleep
+// the simulated wire time). With one, every send attempt consults the
+// plan, failed attempts are retried under the cluster's RetryPolicy (capped
 // exponential backoff with deterministic jitter, per-attempt simulated
 // timeout), and the transfer ledger is charged only when a batch
 // actually arrives — so a run that succeeds after retries accounts
-// exactly what a fault-free run would, and stats parity between the
-// engines is preserved.
+// exactly what a fault-free run would.
 
 // SetFaults installs a fault plan on the WAN (nil removes it). If no
 // retry policy was set yet, the default one is installed alongside.
@@ -54,23 +53,6 @@ func (c *Cluster) ShipBatch(ctx context.Context, ship *network.Shipment, from, t
 	err := c.send(ctx, nil, from, to, batch, bytes, func(extraMS float64) {
 		delta := ship.Add(rows, bytes)
 		c.SleepWire(delta + extraMS)
-	})
-	c.finishShip(sp, from, to, rows, bytes, err)
-	return err
-}
-
-// ShipWhole delivers a full materialized transfer (the sequential
-// engine's SHIP) across the edge with the same fault/retry semantics as
-// ShipBatch, recording it as one ledger entry on success.
-func (c *Cluster) ShipWhole(ctx context.Context, from, to string, rows, bytes int64) error {
-	sp := c.obs.StartSpan("ship.whole").
-		Tag("from", from).Tag("to", to).TagInt("rows", rows)
-	err := c.send(ctx, nil, from, to, 0, bytes, func(extraMS float64) {
-		cost := c.Ledger.Record(from, to, rows, bytes)
-		if c.cal != nil {
-			c.cal.ObserveShip(from, to, bytes, cost)
-		}
-		c.SleepWire(cost + extraMS)
 	})
 	c.finishShip(sp, from, to, rows, bytes, err)
 	return err

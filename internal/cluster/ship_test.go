@@ -22,6 +22,11 @@ func shipTestCluster(t *testing.T) *Cluster {
 	return New(cat, network.UniformWAN(10, 0.001))
 }
 
+// shipOne opens a shipment on the edge and sends its only batch.
+func shipOne(ctx context.Context, c *Cluster, from, to string, rows, bytes int64) error {
+	return c.ShipBatch(ctx, c.Ledger.OpenShipment(from, to), from, to, 0, rows, bytes)
+}
+
 func fastRetry(attempts int) network.RetryPolicy {
 	return network.RetryPolicy{
 		MaxAttempts: attempts,
@@ -80,13 +85,13 @@ func TestShipBatchExhaustsRetries(t *testing.T) {
 	}
 }
 
-// TestShipWholePartitionFailsFast: partitions are terminal on the first
-// attempt — no retry budget is burned, nothing is recorded.
-func TestShipWholePartitionFailsFast(t *testing.T) {
+// TestShipBatchPartitionFailsFast: partitions are terminal on the first
+// attempt — no retry budget is burned, nothing is charged.
+func TestShipBatchPartitionFailsFast(t *testing.T) {
 	c := shipTestCluster(t)
 	c.SetFaults(network.NewFaultPlan(5).SetEdge("EU", "AS", network.EdgeFaults{Partitioned: true}))
 	c.SetRetry(fastRetry(10))
-	err := c.ShipWhole(context.Background(), "EU", "AS", 10, 80)
+	err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
 	var se *network.ShipError
 	if !errors.As(err, &se) || !errors.Is(err, network.ErrPartitioned) {
 		t.Fatalf("error %v, want ShipError wrapping ErrPartitioned", err)
@@ -94,11 +99,11 @@ func TestShipWholePartitionFailsFast(t *testing.T) {
 	if se.Attempts != 1 {
 		t.Errorf("partition burned %d attempts, want 1", se.Attempts)
 	}
-	if n := len(c.Ledger.Transfers()); n != 0 {
-		t.Errorf("partitioned transfer recorded %d ledger entries", n)
+	if rows, bytes := c.Ledger.TotalRows(), c.Ledger.TotalBytes(); rows != 0 || bytes != 0 {
+		t.Errorf("partitioned transfer charged %d rows / %d bytes", rows, bytes)
 	}
 	// The unpartitioned reverse edge still works.
-	if err := c.ShipWhole(context.Background(), "AS", "EU", 10, 80); err != nil {
+	if err := shipOne(context.Background(), c, "AS", "EU", 10, 80); err != nil {
 		t.Errorf("reverse edge: %v", err)
 	}
 }
@@ -111,7 +116,7 @@ func TestShipTimeout(t *testing.T) {
 	retry := fastRetry(2)
 	retry.TimeoutMS = 50 // β·bytes is 0.8ms; the injected 1000ms delay blows the budget
 	c.SetRetry(retry)
-	err := c.ShipWhole(context.Background(), "EU", "AS", 10, 800)
+	err := shipOne(context.Background(), c, "EU", "AS", 10, 800)
 	if !errors.Is(err, network.ErrShipTimeout) {
 		t.Fatalf("error %v, want ErrShipTimeout", err)
 	}
@@ -121,7 +126,7 @@ func TestShipTimeout(t *testing.T) {
 // returns immediately — no retries, identical to the pre-fault engine.
 func TestShipNoFaultsFastPath(t *testing.T) {
 	c := shipTestCluster(t)
-	if err := c.ShipWhole(context.Background(), "EU", "AS", 10, 80); err != nil {
+	if err := shipOne(context.Background(), c, "EU", "AS", 10, 80); err != nil {
 		t.Fatal(err)
 	}
 	if c.TotalRetries() != 0 {
@@ -140,7 +145,7 @@ func TestShipCancellation(t *testing.T) {
 	c.SetRetry(network.RetryPolicy{MaxAttempts: 1000, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 10 * time.Millisecond, Multiplier: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- c.ShipWhole(ctx, "EU", "AS", 10, 80) }()
+	go func() { done <- shipOne(ctx, c, "EU", "AS", 10, 80) }()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	select {

@@ -40,6 +40,20 @@ func allocSource(tb testing.TB, n int) (*expr.Batch, []expr.Type) {
 	return b, types
 }
 
+// selectRows runs the compiled predicate over a dense source the way
+// filterOp does, into a scratch that stands in for the batch-owned
+// selection storage.
+func (p *vecPred) selectRows(src expr.VecSource) ([]int32, bool) {
+	sel, err := p.kern.Select(src, nil, selScratch[:0])
+	if err != nil {
+		return nil, false
+	}
+	selScratch = sel
+	return sel, true
+}
+
+var selScratch []int32
+
 // TestFilterProjectZeroAlloc pins the filter→project columnar path:
 // kernel selection into the operator-owned selection scratch, then a
 // fully columnar projection (kernel + passthrough + constant columns)

@@ -11,7 +11,7 @@ import (
 // ~1k rows, small enough to stay cache- and memory-friendly.
 const BatchSize = 1024
 
-// Batch is the unit of data flow in the parallel engine: an expr.Batch
+// Batch is the unit of data flow between operators: an expr.Batch
 // (column vectors with a lazily materialized row view) plus an optional
 // selection vector. Filters narrow a batch by writing its selection —
 // no rows move — and downstream kernels evaluate only the selected
@@ -31,7 +31,7 @@ type Batch struct {
 	sel    []int32
 	selBuf []int32
 	// rowBuf is batch-owned row-header storage for operators that
-	// assemble a row-backed batch (interpreter fallbacks, row adapters).
+	// assemble a row-backed batch (interpreter fallbacks, rowOut).
 	rowBuf []expr.Row
 	// gathered caches the selection-applied row view.
 	gathered []expr.Row
@@ -169,11 +169,11 @@ func (b *Batch) Bytes() int64 {
 	return n
 }
 
-// BatchOperator is the batch-at-a-time iterator contract of the parallel
-// engine: Open prepares the operator, NextBatch returns the next row
-// vector (nil at end of stream), Close releases resources. Ownership of
-// a returned batch transfers to the caller, which must Release it (or
-// hand it on) exactly once.
+// BatchOperator is the iterator contract of the operator tree: Open
+// prepares the operator, NextBatch returns the next row vector (nil at
+// end of stream), Close releases resources. Ownership of a returned
+// batch transfers to the caller, which must Release it (or hand it on)
+// exactly once.
 type BatchOperator interface {
 	Open() error
 	NextBatch() (*Batch, error)

@@ -126,8 +126,11 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 	t.Logf("chaos sweep: %d recovered runs, %d typed failures", okRuns, failRuns)
 }
 
-// TestChaosSequentialEngine drives the same sweep through the
-// sequential engine: the resilient path is engine-independent.
+// TestChaosSequentialEngine drives the same sweep through inline
+// exchanges, then repeats every seed in goroutine mode: fault verdicts
+// are a pure function of (seed, edge, frame, attempt) and both modes
+// send the same frames, so they recover or fail alike and report the
+// same RunStats, Retries included.
 func TestChaosSequentialEngine(t *testing.T) {
 	root, cl := chaosPlan(t)
 	cl.Ledger.Reset()
@@ -137,7 +140,7 @@ func TestChaosSequentialEngine(t *testing.T) {
 	}
 	want := canon(wantRows)
 	wantTransfers := sortedTransfers(cl.Ledger)
-	okRuns := 0
+	okRuns, retried := 0, false
 	for seed := int64(1); seed <= 10; seed++ {
 		cl.SetFaults(network.NewFaultPlan(seed).SetDefault(network.EdgeFaults{
 			DropProb: 0.2, TransientProb: 0.1,
@@ -145,6 +148,12 @@ func TestChaosSequentialEngine(t *testing.T) {
 		cl.SetRetry(chaosRetry())
 		cl.Ledger.Reset()
 		rows, stats, err := Run(root, cl)
+		gotTransfers := sortedTransfers(cl.Ledger)
+		cl.Ledger.Reset()
+		_, parStats, parErr := RunParallel(root, cl)
+		if (err == nil) != (parErr == nil) {
+			t.Fatalf("seed %d: inline error %v, goroutine-mode error %v", seed, err, parErr)
+		}
 		if err != nil {
 			var se *network.ShipError
 			if !errors.As(err, &se) {
@@ -153,13 +162,16 @@ func TestChaosSequentialEngine(t *testing.T) {
 			continue
 		}
 		okRuns++
+		if *stats != *parStats {
+			t.Fatalf("seed %d: stats differ across exchange modes:\ninline    %+v\ngoroutine %+v", seed, stats, parStats)
+		}
+		retried = retried || stats.Retries > 0
 		got := canon(rows)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: row %d differs", seed, i)
 			}
 		}
-		gotTransfers := sortedTransfers(cl.Ledger)
 		for i := range wantTransfers {
 			if gotTransfers[i] != wantTransfers[i] {
 				t.Fatalf("seed %d: ledger entry %d differs", seed, i)
@@ -173,11 +185,15 @@ func TestChaosSequentialEngine(t *testing.T) {
 	if okRuns == 0 {
 		t.Error("no sequential chaos run succeeded")
 	}
+	if !retried {
+		t.Error("no recovered run retried a send; the Retries parity check is vacuous")
+	}
 }
 
 // TestChaosPartitionTearsDownCleanly: with a partitioned edge on the
-// plan's path, both engines fail fast with ErrPartitioned — no hang, no
-// goroutine leak (RunParallel returns only after all producers exit).
+// plan's path, both exchange modes fail fast with ErrPartitioned — no
+// hang, no goroutine leak (RunParallel returns only after all producers
+// exit).
 func TestChaosPartitionTearsDownCleanly(t *testing.T) {
 	root, cl := chaosPlan(t)
 	cl.SetFaults(network.NewFaultPlan(3).SetEdge("A", "E", network.EdgeFaults{Partitioned: true}))
@@ -215,7 +231,7 @@ func TestChaosContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunParallelContext(ctx, root, cl)
+		_, _, err := RunParallelOpts(ctx, root, cl, nil, ExecOptions{})
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)

@@ -1,30 +1,28 @@
-// Package executor runs physical query execution plans over the
-// simulated geo-distributed cluster using the Volcano iterator model
-// (Open / Next / Close). SHIP operators move rows through the simulated
-// WAN and charge the message cost model via the cluster's ledger, which
-// is how the plan-quality experiments (Figures 6g/6h) measure execution
-// cost.
+// Package executor runs located physical query execution plans over the
+// simulated geo-distributed cluster. One operator tree serves every
+// execution: BatchOperators (Open / NextBatch / Close) exchanging
+// columnar batches. SHIP operators are exchanges that serialize the
+// stream into wire frames, move them through the simulated WAN and
+// charge the message cost model via the cluster's ledger, which is how
+// the plan-quality experiments (Figures 6g/6h) measure execution cost.
+// "Sequential" and "parallel" execution differ only in how an exchange
+// runs its producer: inline at the consumer's Open, or on its own
+// goroutine behind a bounded channel.
 package executor
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
+	"time"
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
-	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
 )
-
-// Operator is the Volcano iterator interface.
-type Operator interface {
-	Open() error
-	// Next returns the next row; ok is false at end of stream.
-	Next() (row expr.Row, ok bool, err error)
-	Close() error
-}
 
 // RunStats summarizes one execution.
 type RunStats struct {
@@ -40,102 +38,191 @@ type RunStats struct {
 	Retries int64
 }
 
-// Run executes a located physical plan sequentially (one goroutine,
-// row at a time) and materializes its result. RunParallel is the
-// batch-parallel equivalent with identical results and statistics;
-// RunObserved additionally reports into an observer.
+// Run executes a located physical plan on the calling goroutine —
+// every exchange runs its producer inline — and materializes the
+// result. RunParallel overlaps the plan's fragments instead; rows,
+// their order and the statistics are identical.
 func Run(p *plan.Node, c *cluster.Cluster) ([]expr.Row, *RunStats, error) {
-	return RunObserved(p, c, nil)
+	return run(context.Background(), p, c, nil, ExecOptions{}, true)
 }
 
-// RunContext is Run under a caller context: cancelling it makes the
-// next SHIP boundary (including its in-flight retry backoff) return
-// the context error instead of starting new work.
-func RunContext(ctx context.Context, p *plan.Node, c *cluster.Cluster) ([]expr.Row, *RunStats, error) {
-	return RunObservedContext(ctx, p, c, nil)
+// RunParallel is Run with every exchange producer on its own goroutine.
+func RunParallel(p *plan.Node, c *cluster.Cluster) ([]expr.Row, *RunStats, error) {
+	return run(context.Background(), p, c, nil, ExecOptions{}, false)
 }
 
-// Collect drains an operator into a slice.
-func Collect(op Operator) ([]expr.Row, error) {
+// RunObservedOpts is Run under a caller context, an observer (nil
+// disables reporting) and explicit execution options. Cancelling the
+// context makes the next scan batch or SHIP boundary (including its
+// in-flight retry backoff) return the context error. The observer
+// receives an execution span and latency histogram around the run, a
+// fragment span plus compliance audit record per exchange, and
+// per-operator actuals when it carries a PlanProfile.
+func RunObservedOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions) ([]expr.Row, *RunStats, error) {
+	return run(ctx, p, c, o, opt, true)
+}
+
+// RunParallelOpts is RunObservedOpts with every exchange producer on
+// its own goroutine. Cancellation additionally tears the producers
+// down — they observe it at their next channel send — and the call
+// returns only after all of them have exited, so no goroutine or
+// ledger entry is left dangling.
+func RunParallelOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions) ([]expr.Row, *RunStats, error) {
+	return run(ctx, p, c, o, opt, false)
+}
+
+// run builds the operator tree, drains it and reads the run's shipping
+// statistics from its private ledger scope, so concurrent executions
+// over one Cluster each report exactly their own transfers. inline
+// selects the exchange mode; nothing else depends on it.
+func run(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions, inline bool) ([]expr.Row, *RunStats, error) {
+	span, engine := "execute.parallel", "parallel"
+	if inline {
+		span, engine = "execute.sequential", "seq"
+	}
+	sp := o.StartSpan(span)
+	m := o.Reg()
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
+	parent := ctx
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	env := &execEnv{c: c, scope: c.NewRun(), ctx: ctx, obsv: o, opt: opt, inline: inline}
+	root, err := build(p, env)
+	if err != nil {
+		finishExec(sp, m, engine, t0, 0, err)
+		return nil, nil, err
+	}
+	env.start()
+	rows, err := collect(root)
+	// Closing the root drained every exchange, so producers have either
+	// finished or (on error) are observing the cancelled context.
+	cancel()
+	env.wg.Wait()
+	if err == nil {
+		// The caller cancelled (or timed out) while producers were
+		// winding down: their closed exchanges look like clean ends of
+		// stream, so guard against returning a partial result as
+		// success.
+		err = parent.Err()
+	}
+	if err != nil {
+		finishExec(sp, m, engine, t0, 0, err)
+		return nil, nil, err
+	}
+	stats := scopeStats(env.scope, int64(len(rows)))
+	finishExec(sp, m, engine, t0, stats.RowsOut, nil)
+	return rows, stats, nil
+}
+
+// collect drains an operator into a row slice.
+func collect(op BatchOperator) ([]expr.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 	var out []expr.Row
 	for {
-		row, ok, err := op.Next()
+		b, err := op.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if b == nil {
 			return out, nil
 		}
-		out = append(out, row)
+		out = append(out, b.Rows()...)
+		b.Release()
 	}
 }
 
-// Build compiles a physical plan node into an operator tree.
-func Build(n *plan.Node, c *cluster.Cluster) (Operator, error) {
-	return buildObs(n, buildEnv{c: c, ctx: context.Background(), opt: defaultExecOptions()})
+// execEnv is the per-execution state an operator tree is built under
+// and its exchanges share: the cluster, the per-run accounting scope,
+// the cancellation context scans and exchanges honor, the observer,
+// the execution options and the exchange mode.
+type execEnv struct {
+	c      *cluster.Cluster
+	scope  *cluster.RunScope
+	ctx    context.Context
+	obsv   *obs.Observer
+	opt    ExecOptions
+	inline bool
+	// Goroutine mode only: the registered exchange producers and the
+	// group run waits on before returning.
+	producers []*exchangeProducer
+	wg        sync.WaitGroup
 }
 
-// buildEnv bundles the per-execution context an operator tree is built
-// under: the cluster, an optional per-run accounting scope (nil charges
-// the shared ledger only, as Build always did), the cancellation
-// context Ship boundaries honor, the observer, and the execution
-// options (kernel gate, wire encoding).
-type buildEnv struct {
-	c     *cluster.Cluster
-	scope *cluster.RunScope
-	ctx   context.Context
-	obsv  *obs.Observer
-	opt   ExecOptions
+// start launches every exchange producer (none are registered in
+// inline mode). Every fragment runs exactly once and to completion in
+// either mode, so eager start changes overlap, not semantics.
+func (e *execEnv) start() {
+	for _, p := range e.producers {
+		e.wg.Add(1)
+		go func(p *exchangeProducer) {
+			defer e.wg.Done()
+			defer close(p.ch)
+			if err := p.run(); err != nil {
+				select {
+				case p.ch <- exchangeMsg{err: err}:
+				case <-e.ctx.Done():
+				}
+			}
+		}(p)
+	}
 }
 
-// buildObs is Build threading a build environment: Ship operators
-// report audit records into its observer, honor its context and charge
-// its run scope; when the observer carries a PlanProfile every operator
-// is wrapped to collect per-node actuals.
-func buildObs(n *plan.Node, env buildEnv) (Operator, error) {
-	children := make([]Operator, len(n.Children))
-	for i, ch := range n.Children {
-		op, err := buildObs(ch, env)
+// build compiles a plan node into an operator tree. Expression binding
+// happens here, on the building goroutine, before any producer starts —
+// bound expressions are only read during execution. When the observer
+// carries a PlanProfile every operator is wrapped to collect per-node
+// actuals.
+func build(n *plan.Node, env *execEnv) (BatchOperator, error) {
+	kids := n.Children
+	if n.Kind == plan.IndexLookupJoin && len(kids) == 2 {
+		// The inner scan is reached through the index probes, never
+		// executed as an operator.
+		kids = kids[:1]
+	}
+	children := make([]BatchOperator, len(kids))
+	for i, ch := range kids {
+		op, err := build(ch, env)
 		if err != nil {
 			return nil, err
 		}
 		children[i] = op
 	}
-	var op Operator
+	vec := env.opt.kernels()
+	var op BatchOperator
 	var err error
 	switch n.Kind {
 	case plan.TableScan, plan.Scan:
-		op, err = newScan(n, env.c)
+		op, err = newScan(n, env)
 	case plan.IndexScan:
-		op, err = newIndexScan(n, env.c)
+		op, err = newIndexScan(n, env)
 	case plan.IndexLookupJoin:
-		// The inner scan child (children[1]) is reached through the index
-		// probes, never executed as an operator.
-		op, err = newIndexLookupJoin(n, children[0], env.c)
+		op, err = newIndexLookupJoin(n, children, env.c)
 	case plan.FilterExec, plan.Filter:
-		op, err = newFilter(n, children[0], env.opt.kernels())
+		op, err = newFilter(n, children[0], vec)
 	case plan.ProjectExec, plan.Project:
-		op, err = newProject(n, children[0], env.opt.kernels())
+		op, err = newProject(n, children[0], vec)
 	case plan.HashJoin:
-		op, err = newHashJoin(n, children[0], children[1], env.opt.kernels())
+		op, err = newHashJoin(n, children[0], children[1], vec)
 	case plan.MergeJoin:
 		op, err = newMergeJoin(n, children[0], children[1])
 	case plan.NLJoin, plan.Join:
 		op, err = newNLJoin(n, children[0], children[1])
 	case plan.HashAgg, plan.Aggregate:
-		op, err = newHashAgg(n, children[0], env.opt.kernels())
+		op, err = newHashAgg(n, children[0], vec)
 	case plan.SortExec, plan.Sort:
-		op, err = newSort(n, children[0])
+		op, err = newSort(n, children[0], vec)
 	case plan.LimitExec, plan.Limit:
-		op = newLimit(n, children[0])
+		op = &limitOp{src: children[0], n: n.LimitN}
 	case plan.UnionAll, plan.Union:
-		op = newUnion(children)
+		op = &unionOp{children: children}
 	case plan.Ship:
-		op = newShip(n, children[0], env)
+		op = newExchange(n, children[0], env)
 	default:
 		return nil, fmt.Errorf("executor: unsupported operator %s", n.Kind)
 	}
@@ -143,7 +230,7 @@ func buildObs(n *plan.Node, env buildEnv) (Operator, error) {
 		return nil, err
 	}
 	if prof := env.obsv.Prof(); prof != nil {
-		op = &profOp{op: op, stats: prof.Stats(n)}
+		op = &profiledOp{op: op, stats: prof.Stats(n)}
 	}
 	return op, nil
 }
@@ -157,403 +244,110 @@ func resolver(n *plan.Node) expr.Resolver {
 	return expr.SliceResolver(keys)
 }
 
-// --- scan ---------------------------------------------------------------
-
-type scanOp struct {
-	node *plan.Node
-	c    *cluster.Cluster
-	rows []expr.Row
-	pos  int
-}
-
-func newScan(n *plan.Node, c *cluster.Cluster) (Operator, error) {
-	if n.Table == nil {
-		return nil, fmt.Errorf("executor: scan without table")
-	}
-	return &scanOp{node: n, c: c}, nil
-}
-
-func (s *scanOp) Open() error {
-	var err error
-	if s.node.FragIdx < 0 && s.node.Table.Fragmented() {
-		s.rows, err = s.c.AllRows(s.node.Table)
-	} else {
-		s.rows, err = s.c.FragmentRows(s.node.Table, s.node.FragIdx)
-	}
-	s.pos = 0
-	return err
-}
-
-func (s *scanOp) Next() (expr.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
-func (s *scanOp) Close() error {
-	s.rows = nil
-	return nil
-}
-
-// --- filter -------------------------------------------------------------
-
-type filterOp struct {
-	child Operator
-	pred  expr.Expr
-}
-
-func newFilter(n *plan.Node, child Operator, vec bool) (Operator, error) {
-	bound, err := expr.Bind(n.Pred, resolver(n.Children[0]))
-	if err != nil {
-		return nil, fmt.Errorf("executor: filter bind: %w", err)
-	}
-	if p := compilePred(bound, colTypes(n.Children[0]), vec); p != nil {
-		f := &vecFilterOp{child: child, pred: bound, kern: p, types: colTypes(n.Children[0])}
-		f.data.Bind(f.types)
-		return f, nil
-	}
-	return &filterOp{child: child, pred: bound}, nil
-}
-
-func (f *filterOp) Open() error { return f.child.Open() }
-
-func (f *filterOp) Next() (expr.Row, bool, error) {
-	for {
-		row, ok, err := f.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep, err := expr.EvalBool(f.pred, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return row, true, nil
-		}
-	}
-}
-
-func (f *filterOp) Close() error { return f.child.Close() }
-
-// vecFilterOp is filterOp over micro-batches: it pulls vecChunk rows,
-// runs the compiled predicate over the columnar view, and replays the
-// survivors. A batch the kernel cannot handle is re-run row by row, so
-// results and error behavior match the interpreter.
-type vecFilterOp struct {
-	child Operator
-	pred  expr.Expr
-	kern  *vecPred
-	types []expr.Type
-	data  expr.Batch
-	buf   []expr.Row
-	out   []expr.Row
-	pos   int
-	done  bool
-	// pendErr is an interpreter error found mid-chunk: survivors before
-	// the failing row drain first, exactly like the row-at-a-time path.
-	pendErr error
-}
-
-func (f *vecFilterOp) Open() error {
-	f.out, f.pos, f.done, f.pendErr = nil, 0, false, nil
-	return f.child.Open()
-}
-
-// fillChunk pulls up to vecChunk rows from op into buf.
-func fillChunk(op Operator, buf []expr.Row) ([]expr.Row, bool, error) {
-	buf = buf[:0]
-	for len(buf) < vecChunk {
-		row, ok, err := op.Next()
-		if err != nil {
-			return buf, false, err
-		}
-		if !ok {
-			return buf, true, nil
-		}
-		buf = append(buf, row)
-	}
-	return buf, false, nil
-}
-
-func (f *vecFilterOp) Next() (expr.Row, bool, error) {
-	for {
-		if f.pos < len(f.out) {
-			row := f.out[f.pos]
-			f.pos++
-			return row, true, nil
-		}
-		if f.pendErr != nil {
-			return nil, false, f.pendErr
-		}
-		if f.done {
-			return nil, false, nil
-		}
-		var eos bool
-		var err error
-		f.buf, eos, err = fillChunk(f.child, f.buf)
-		if err != nil {
-			return nil, false, err
-		}
-		f.done = eos
-		f.out, f.pos = f.out[:0], 0
-		if len(f.buf) == 0 {
-			continue
-		}
-		f.data.SetRows(f.buf)
-		if sel, ok := f.kern.selectRows(&f.data); ok {
-			for _, si := range sel {
-				f.out = append(f.out, f.buf[si])
-			}
-			continue
-		}
-		// Interpreter re-run: keep survivors up to the failing row.
-		for _, row := range f.buf {
-			keep, err := expr.EvalBool(f.pred, row)
-			if err != nil {
-				f.pendErr = err
-				break
-			}
-			if keep {
-				f.out = append(f.out, row)
-			}
-		}
-	}
-}
-
-func (f *vecFilterOp) Close() error { return f.child.Close() }
-
-// --- project ------------------------------------------------------------
-
-type projectOp struct {
-	child Operator
-	exprs []expr.Expr
-}
-
-func newProject(n *plan.Node, child Operator, vec bool) (Operator, error) {
-	res := resolver(n.Children[0])
-	exprs := make([]expr.Expr, len(n.Projs))
-	for i, p := range n.Projs {
-		bound, err := expr.Bind(p.E, res)
-		if err != nil {
-			return nil, fmt.Errorf("executor: project bind %s: %w", p.E, err)
-		}
-		exprs[i] = bound
-	}
-	types := colTypes(n.Children[0])
-	// Fuse with a vectorized filter child: the filter's surviving
-	// selection vector drives the projection kernels directly, and both
-	// share one columnar view of the batch. (Profiling wraps operators,
-	// so the assertion fails and fusion is skipped under EXPLAIN
-	// ANALYZE, keeping per-node actuals intact.)
-	if f, ok := child.(*vecFilterOp); ok && vec {
-		fp := &vecFilterProjectOp{
-			child: f.child, pred: f.pred, kern: f.kern, types: types,
-			exprs: exprs, proj: compileProj(exprs, types, true),
-		}
-		fp.data.Bind(types)
-		return fp, nil
-	}
-	if p := compileProj(exprs, types, vec); p != nil {
-		vp := &vecProjectOp{child: child, exprs: exprs, proj: p, types: types}
-		vp.data.Bind(types)
-		return vp, nil
-	}
-	return &projectOp{child: child, exprs: exprs}, nil
-}
-
-func (p *projectOp) Open() error { return p.child.Open() }
-
-func (p *projectOp) Next() (expr.Row, bool, error) {
-	row, ok, err := p.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(expr.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := expr.Eval(e, row)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
-func (p *projectOp) Close() error { return p.child.Close() }
-
-// vecProjectOp is projectOp over micro-batches with compiled kernels.
-type vecProjectOp struct {
-	child   Operator
-	exprs   []expr.Expr
-	proj    *vecProj
-	types   []expr.Type
-	data    expr.Batch
-	buf     []expr.Row
-	out     []expr.Row
-	pos     int
-	done    bool
-	pendErr error
-}
-
-func (p *vecProjectOp) Open() error {
-	p.out, p.pos, p.done, p.pendErr = nil, 0, false, nil
-	return p.child.Open()
-}
-
-func (p *vecProjectOp) Next() (expr.Row, bool, error) {
-	for {
-		if p.pos < len(p.out) {
-			row := p.out[p.pos]
-			p.pos++
-			return row, true, nil
-		}
-		if p.pendErr != nil {
-			return nil, false, p.pendErr
-		}
-		if p.done {
-			return nil, false, nil
-		}
-		var eos bool
-		var err error
-		p.buf, eos, err = fillChunk(p.child, p.buf)
-		if err != nil {
-			return nil, false, err
-		}
-		p.done = eos
-		p.out, p.pos = p.out[:0], 0
-		if len(p.buf) == 0 {
-			continue
-		}
-		p.data.SetRows(p.buf)
-		if out, ok := p.proj.apply(&p.data, nil, p.out); ok {
-			p.out = out
-			continue
-		}
-		for _, row := range p.buf {
-			proj, err := projectRow(p.exprs, row)
-			if err != nil {
-				p.pendErr = err
-				break
-			}
-			p.out = append(p.out, proj)
-		}
-	}
-}
-
-func (p *vecProjectOp) Close() error { return p.child.Close() }
-
-// vecFilterProjectOp is the fused filter+projection: one columnar view
-// per chunk, the predicate's selection vector fed straight into the
-// projection kernels. A chunk either path cannot handle is re-run row
-// by row — filter then project, in row order — matching the
-// interpreter's error timing.
-type vecFilterProjectOp struct {
-	child   Operator
-	pred    expr.Expr
-	kern    *vecPred
-	types   []expr.Type
-	data    expr.Batch
-	exprs   []expr.Expr
-	proj    *vecProj // nil: passthrough/interpreted outputs only
-	buf     []expr.Row
-	out     []expr.Row
-	pos     int
-	done    bool
-	pendErr error
-}
-
-func (p *vecFilterProjectOp) Open() error {
-	p.out, p.pos, p.done, p.pendErr = nil, 0, false, nil
-	return p.child.Open()
-}
-
-func (p *vecFilterProjectOp) Next() (expr.Row, bool, error) {
-	for {
-		if p.pos < len(p.out) {
-			row := p.out[p.pos]
-			p.pos++
-			return row, true, nil
-		}
-		if p.pendErr != nil {
-			return nil, false, p.pendErr
-		}
-		if p.done {
-			return nil, false, nil
-		}
-		var eos bool
-		var err error
-		p.buf, eos, err = fillChunk(p.child, p.buf)
-		if err != nil {
-			return nil, false, err
-		}
-		p.done = eos
-		p.out, p.pos = p.out[:0], 0
-		if len(p.buf) == 0 {
-			continue
-		}
-		p.data.SetRows(p.buf)
-		if sel, ok := p.kern.selectRows(&p.data); ok {
-			if p.proj != nil {
-				if out, applied := p.proj.apply(&p.data, sel, p.out); applied {
-					p.out = out
-					continue
-				}
-			} else {
-				rowsOK := true
-				for _, si := range sel {
-					proj, err := projectRow(p.exprs, p.buf[si])
-					if err != nil {
-						rowsOK = false
-						break
+// equiKeys splits a join predicate into its column = column conjuncts,
+// bound per side (either operand order), and the residual conjuncts
+// bound against the concatenated schema.
+func equiKeys(n *plan.Node, what string) (lk, rk []expr.Expr, residual expr.Expr, err error) {
+	lres := resolver(n.Children[0])
+	rres := resolver(n.Children[1])
+	var rest []expr.Expr
+	for _, c := range expr.Conjuncts(n.Pred) {
+		if cmp, ok := c.(*expr.Cmp); ok && cmp.Op == expr.EQ {
+			lc, lok := cmp.L.(*expr.Col)
+			rc, rok := cmp.R.(*expr.Col)
+			if lok && rok {
+				if bl, err := expr.Bind(lc, lres); err == nil {
+					if br, err := expr.Bind(rc, rres); err == nil {
+						lk = append(lk, bl)
+						rk = append(rk, br)
+						continue
 					}
-					p.out = append(p.out, proj)
 				}
-				if rowsOK {
-					continue
+				// Reversed sides.
+				if bl, err := expr.Bind(rc, lres); err == nil {
+					if br, err := expr.Bind(lc, rres); err == nil {
+						lk = append(lk, bl)
+						rk = append(rk, br)
+						continue
+					}
 				}
-				p.out = p.out[:0]
 			}
 		}
-		// Full interpreter re-run of the chunk, in row order.
-		for _, row := range p.buf {
-			keep, err := expr.EvalBool(p.pred, row)
-			if err != nil {
-				p.pendErr = err
-				break
-			}
-			if !keep {
-				continue
-			}
-			proj, err := projectRow(p.exprs, row)
-			if err != nil {
-				p.pendErr = err
-				break
-			}
-			p.out = append(p.out, proj)
+		rest = append(rest, c)
+	}
+	if len(lk) == 0 {
+		return nil, nil, nil, fmt.Errorf("executor: %s without equi-key: %v", what, n.Pred)
+	}
+	if len(rest) > 0 {
+		residual, err = expr.Bind(expr.AndAll(rest...), resolver(n))
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("executor: %s residual bind: %w", what, err)
 		}
 	}
+	return lk, rk, residual, nil
 }
 
-func (p *vecFilterProjectOp) Close() error { return p.child.Close() }
+// rowOut is the output side of the operators that produce rows rather
+// than columns (joins, aggregate, sort, index access): it hands the
+// rows in buf out BatchSize at a time, copying their headers into the
+// pooled batch's own storage so buf can be reused.
+type rowOut struct {
+	buf []expr.Row
+	pos int
+}
+
+func (o *rowOut) reset() { o.buf, o.pos = o.buf[:0], 0 }
+
+// nextBatch fills one batch from buf, calling refill for more rows
+// whenever buf runs dry. refill resets and repopulates buf and reports
+// false at end of stream (nil: buf is the whole result).
+func (o *rowOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
+	b := NewBatch()
+	rows := b.rowBuf[:0]
+	for len(rows) < BatchSize {
+		if o.pos == len(o.buf) {
+			if refill == nil {
+				break
+			}
+			more, err := refill()
+			if err != nil {
+				b.rowBuf = rows
+				b.Release()
+				return nil, err
+			}
+			if !more {
+				break
+			}
+			continue
+		}
+		end := o.pos + BatchSize - len(rows)
+		if end > len(o.buf) {
+			end = len(o.buf)
+		}
+		rows = append(rows, o.buf[o.pos:end]...)
+		o.pos = end
+	}
+	b.rowBuf = rows
+	if len(rows) == 0 {
+		b.Release()
+		return nil, nil
+	}
+	b.SetRows(rows)
+	return b, nil
+}
 
 // --- hash join ----------------------------------------------------------
 
 // hashJoinOp joins a probe stream (left) against a hash table built from
-// the right child. Both sides are consumed a chunk at a time through a
-// chunkFeed, so the operator is engine-agnostic: the sequential engine
-// feeds it row-operator chunks, the parallel engine its columnar batches
-// with no row round trip. With kernels on and every equi-key a bare
-// column, hashing reads the key columns directly (bit-identical to
-// hashKey), build rows link into per-hash chains alongside typed key
-// copies, and hash-collision rechecks compare typed lanes; any chunk
-// that does not vectorize falls back to the row path with identical
-// results and error timing.
+// the right child, both consumed a batch at a time. With kernels on
+// and every equi-key a bare column, hashing reads the key columns
+// directly (bit-identical to hashKey), build rows link into per-hash
+// chains alongside typed key copies, and hash-collision rechecks
+// compare typed lanes; any chunk that does not vectorize falls back to
+// the row path with identical results and error timing.
 type hashJoinOp struct {
 	node         *plan.Node
-	probe, build chunkFeed
+	probe, build feed
 	leftKeys     []expr.Expr // bound against left schema
 	rightKeys    []expr.Expr // bound against right schema
 	residual     expr.Expr   // bound against concatenated schema
@@ -580,14 +374,12 @@ type hashJoinOp struct {
 
 	// Probe state: the first probe chunk is peeked at Open (to skip the
 	// hash-table build when the probe side is provably empty) and
-	// replayed on the first Next.
+	// replayed on the first NextBatch.
 	pending *Batch
 	peeked  bool
-	out     []expr.Row
-	pos     int
-	done    bool
-	// pendErr is an error found mid-chunk: matches emitted before the
-	// failing row drain first, exactly like the row-at-a-time path.
+	out     rowOut
+	// pendErr is an error found mid-chunk: matches found before the
+	// failing row are handed out first.
 	pendErr error
 
 	keyVecs []*expr.Vec // scratch: key vectors of the current chunk
@@ -744,59 +536,13 @@ func (t *chainTable) grow() {
 	}
 }
 
-func newHashJoin(n *plan.Node, left, right Operator, vec bool) (Operator, error) {
-	return makeHashJoin(n, &opFeed{op: left}, &opFeed{op: right}, vec)
-}
-
-// newHashJoinBatch is newHashJoin consuming the parallel engine's
-// columnar batches directly — no row adapter on the inputs.
-func newHashJoinBatch(n *plan.Node, left, right BatchOperator, vec bool) (Operator, error) {
-	return makeHashJoin(n, &batchFeed{src: left}, &batchFeed{src: right}, vec)
-}
-
-func makeHashJoin(n *plan.Node, probe, build chunkFeed, vec bool) (Operator, error) {
-	lres := resolver(n.Children[0])
-	rres := resolver(n.Children[1])
-	var lk, rk []expr.Expr
-	var residual []expr.Expr
-	for _, c := range expr.Conjuncts(n.Pred) {
-		cmp, ok := c.(*expr.Cmp)
-		if ok && cmp.Op == expr.EQ {
-			lc, lok := cmp.L.(*expr.Col)
-			rc, rok := cmp.R.(*expr.Col)
-			if lok && rok {
-				if bl, err := expr.Bind(lc, lres); err == nil {
-					if br, err := expr.Bind(rc, rres); err == nil {
-						lk = append(lk, bl)
-						rk = append(rk, br)
-						continue
-					}
-				}
-				// Reversed sides.
-				if bl, err := expr.Bind(rc, lres); err == nil {
-					if br, err := expr.Bind(lc, rres); err == nil {
-						lk = append(lk, bl)
-						rk = append(rk, br)
-						continue
-					}
-				}
-			}
-		}
-		residual = append(residual, c)
-	}
-	if len(lk) == 0 {
-		return nil, fmt.Errorf("executor: hash join without equi-key: %v", n.Pred)
-	}
-	var res expr.Expr
-	if len(residual) > 0 {
-		bound, err := expr.Bind(expr.AndAll(residual...), resolver(n))
-		if err != nil {
-			return nil, fmt.Errorf("executor: join residual bind: %w", err)
-		}
-		res = bound
+func newHashJoin(n *plan.Node, left, right BatchOperator, vec bool) (BatchOperator, error) {
+	lk, rk, res, err := equiKeys(n, "hash join")
+	if err != nil {
+		return nil, err
 	}
 	j := &hashJoinOp{
-		node: n, probe: probe, build: build,
+		node: n, probe: feed{src: left}, build: feed{src: right},
 		leftKeys: lk, rightKeys: rk, residual: res,
 		lTypes: colTypes(n.Children[0]), rTypes: colTypes(n.Children[1]),
 	}
@@ -846,7 +592,8 @@ func hashKey(keys []expr.Expr, row expr.Row) (uint64, bool, error) {
 }
 
 func (j *hashJoinOp) Open() error {
-	j.out, j.pos, j.done, j.pendErr = j.out[:0], 0, false, nil
+	j.out.reset()
+	j.pendErr = nil
 	// Peek the first probe chunk before building: when the probe side is
 	// provably empty, the join produces nothing and the hash-table build
 	// is wasted work. The build side is still opened and closed (Ship
@@ -1019,33 +766,22 @@ func (j *hashJoinOp) buildSizeHint() int {
 	return int(card)
 }
 
-func (j *hashJoinOp) Next() (expr.Row, bool, error) {
-	for {
-		if j.pos < len(j.out) {
-			row := j.out[j.pos]
-			j.pos++
-			return row, true, nil
-		}
-		if j.pendErr != nil {
-			return nil, false, j.pendErr
-		}
-		if j.done {
-			return nil, false, nil
-		}
-		chunk, err := j.nextProbeChunk()
-		if err != nil {
-			return nil, false, err
-		}
-		if chunk == nil {
-			j.done = true
-			continue
-		}
-		j.out, j.pos = j.out[:0], 0
-		if chunk.Len() == 0 {
-			continue
-		}
+func (j *hashJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.probeNext) }
+
+// probeNext refills out with the matches of the next probe chunk.
+func (j *hashJoinOp) probeNext() (bool, error) {
+	if j.pendErr != nil {
+		return false, j.pendErr
+	}
+	chunk, err := j.nextProbeChunk()
+	if err != nil || chunk == nil {
+		return false, err
+	}
+	j.out.reset()
+	if chunk.Len() > 0 {
 		j.probeChunk(chunk)
 	}
+	return true, nil
 }
 
 // nextProbeChunk honors the chunk peeked at Open.
@@ -1057,9 +793,9 @@ func (j *hashJoinOp) nextProbeChunk() (*Batch, error) {
 	return j.probe.nextChunk()
 }
 
-// probeChunk matches one probe chunk against the table into j.out.
-// Errors land in pendErr so matches emitted before the failing row
-// drain first, like the row-at-a-time path.
+// probeChunk matches one probe chunk against the table into out.
+// Errors land in pendErr so matches found before the failing row are
+// handed out first.
 func (j *hashJoinOp) probeChunk(chunk *Batch) {
 	rows := chunk.Rows()
 	if !j.vec {
@@ -1104,7 +840,7 @@ probeLoop:
 					break probeLoop
 				}
 				if eq {
-					j.out = append(j.out, out)
+					j.out.buf = append(j.out.buf, out)
 				}
 				continue
 			}
@@ -1143,7 +879,7 @@ probeLoop:
 				break probeLoop
 			}
 			if keep {
-				j.out = append(j.out, out)
+				j.out.buf = append(j.out.buf, out)
 			}
 		}
 	}
@@ -1170,7 +906,7 @@ probeLoop:
 				break probeLoop
 			}
 			if keep {
-				j.out = append(j.out, out)
+				j.out.buf = append(j.out.buf, out)
 			}
 		}
 	}
@@ -1178,8 +914,7 @@ probeLoop:
 
 // matchRow applies the residual and the key recheck to one candidate
 // pair, returning the joined row on a match. The residual runs before
-// the key recheck (its errors surface first), matching the original
-// row-at-a-time order of evaluation.
+// the key recheck (its errors surface first).
 func (j *hashJoinOp) matchRow(probeRow, buildRow expr.Row) (bool, expr.Row, error) {
 	if j.residual != nil {
 		out := concatRow(probeRow, buildRow)
@@ -1238,7 +973,7 @@ func (j *hashJoinOp) recheck(typed bool, si int, bi int32, probeRow expr.Row) (b
 }
 
 // emitPairs materializes the chunk's matches into one output slab: each
-// joined row is a sub-slice, so the headers in j.out stay valid without
+// joined row is a sub-slice, so the headers in out stay valid without
 // a per-row allocation.
 func (j *hashJoinOp) emitPairs(rows []expr.Row) {
 	if len(j.pairs) == 0 {
@@ -1253,7 +988,7 @@ func (j *hashJoinOp) emitPairs(rows []expr.Row) {
 		start := len(slab)
 		slab = append(slab, rows[pr[0]]...)
 		slab = append(slab, j.buildRows[pr[1]]...)
-		j.out = append(j.out, expr.Row(slab[start:len(slab):len(slab)]))
+		j.out.buf = append(j.out.buf, expr.Row(slab[start:len(slab):len(slab)]))
 	}
 }
 
@@ -1289,24 +1024,25 @@ func (j *hashJoinOp) Close() error {
 	j.table = chainTable{}
 	j.next = nil
 	j.rowBuckets = nil
-	j.out = nil
+	j.out = rowOut{}
 	j.pending = nil
 	return j.probe.close()
 }
 
 // --- nested-loop join ---------------------------------------------------
 
+// nlJoinOp materializes its right input at Open and streams the left:
+// each left row is paired with every right row and kept when the join
+// condition holds.
 type nlJoinOp struct {
-	node        *plan.Node
-	left, right Operator
-	cond        expr.Expr
-	rightRows   []expr.Row
-	current     expr.Row
-	ri          int
-	done        bool
+	left      feed
+	right     BatchOperator
+	cond      expr.Expr
+	rightRows []expr.Row
+	out       rowOut
 }
 
-func newNLJoin(n *plan.Node, left, right Operator) (Operator, error) {
+func newNLJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 	var cond expr.Expr
 	if n.Pred != nil {
 		bound, err := expr.Bind(n.Pred, resolver(n))
@@ -1315,65 +1051,57 @@ func newNLJoin(n *plan.Node, left, right Operator) (Operator, error) {
 		}
 		cond = bound
 	}
-	return &nlJoinOp{node: n, left: left, right: right, cond: cond}, nil
+	return &nlJoinOp{left: feed{src: left}, right: right, cond: cond}, nil
 }
 
 func (j *nlJoinOp) Open() error {
-	rows, err := Collect(j.right)
+	rows, err := collect(j.right)
 	if err != nil {
 		return err
 	}
 	j.rightRows = rows
-	j.ri = 0
-	j.current = nil
-	return j.left.Open()
+	j.out.reset()
+	return j.left.open()
 }
 
-func (j *nlJoinOp) Next() (expr.Row, bool, error) {
-	for {
-		if j.current == nil {
-			row, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.current = row
-			j.ri = 0
-		}
-		for j.ri < len(j.rightRows) {
-			r := j.rightRows[j.ri]
-			j.ri++
-			out := make(expr.Row, 0, len(j.current)+len(r))
-			out = append(out, j.current...)
-			out = append(out, r...)
-			keep, err := expr.EvalBool(j.cond, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
-			}
-		}
-		j.current = nil
+func (j *nlJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.joinNext) }
+
+// joinNext joins the next left row against the right side into out —
+// one left row per call bounds the buffered output by the right side.
+func (j *nlJoinOp) joinNext() (bool, error) {
+	l, ok, err := j.left.nextRow()
+	if err != nil || !ok {
+		return false, err
 	}
+	j.out.reset()
+	for _, r := range j.rightRows {
+		row := concatRow(l, r)
+		keep, err := expr.EvalBool(j.cond, row)
+		if err != nil {
+			return false, err
+		}
+		if keep {
+			j.out.buf = append(j.out.buf, row)
+		}
+	}
+	return true, nil
 }
 
 func (j *nlJoinOp) Close() error {
 	j.rightRows = nil
-	return j.left.Close()
+	return j.left.close()
 }
 
 // --- hash aggregate -----------------------------------------------------
 
 // hashAggOp groups its input and folds each row into per-group
-// accumulator lanes. The input is consumed a chunk at a time through a
-// chunkFeed (row-operator chunks in the sequential engine, native
-// columnar batches in the parallel one). Group identity is the binary
-// expr.AppendKey encoding and groups are numbered densely in
-// first-appearance order, so the output rows (and their order) are
-// independent of the evaluation path.
+// accumulator lanes, consuming its input a batch at a time. Group
+// identity is the binary expr.AppendKey encoding and groups are
+// numbered densely in first-appearance order, so the output rows (and
+// their order) are independent of the evaluation path.
 type hashAggOp struct {
 	node    *plan.Node
-	feed    chunkFeed
+	feed    feed
 	keys    []expr.Expr // bound group-by columns
 	args    []expr.Expr // bound aggregate arguments (nil for COUNT(*))
 	fns     []expr.AggFn
@@ -1382,7 +1110,8 @@ type hashAggOp struct {
 	lookup    map[string]int32 // AppendKey encoding -> dense group id
 	groupVals []expr.Row       // per group id, in first-appearance order
 	accs      []*accCol        // per aggregate: typed group-slot lanes
-	pos       int
+	pos       int              // next group to hand out
+	out       rowOut
 
 	// Vectorized absorption (vec true): group keys and aggregate
 	// arguments are evaluated column-at-a-time per input chunk, each a
@@ -1404,17 +1133,7 @@ type hashAggOp struct {
 	keyBuf             []byte
 }
 
-func newHashAgg(n *plan.Node, child Operator, vec bool) (Operator, error) {
-	return makeHashAgg(n, &opFeed{op: child}, vec)
-}
-
-// newHashAggBatch is newHashAgg consuming the parallel engine's
-// columnar batches directly — no row adapter on the input.
-func newHashAggBatch(n *plan.Node, src BatchOperator, vec bool) (Operator, error) {
-	return makeHashAgg(n, &batchFeed{src: src}, vec)
-}
-
-func makeHashAgg(n *plan.Node, feed chunkFeed, vec bool) (Operator, error) {
+func newHashAgg(n *plan.Node, src BatchOperator, vec bool) (BatchOperator, error) {
 	res := resolver(n.Children[0])
 	keys := make([]expr.Expr, len(n.GroupBy))
 	for i, g := range n.GroupBy {
@@ -1437,7 +1156,7 @@ func makeHashAgg(n *plan.Node, feed chunkFeed, vec bool) (Operator, error) {
 		}
 	}
 	op := &hashAggOp{
-		node: n, feed: feed, keys: keys, args: args, fns: fns,
+		node: n, feed: feed{src: src}, keys: keys, args: args, fns: fns,
 		inTypes: colTypes(n.Children[0]),
 	}
 	op.accs = make([]*accCol, len(fns))
@@ -1492,6 +1211,7 @@ func (a *hashAggOp) Open() error {
 		acc.reset()
 	}
 	a.pos = 0
+	a.out.reset()
 	for {
 		chunk, err := a.feed.nextChunk()
 		if err != nil {
@@ -1665,19 +1385,25 @@ func (a *hashAggOp) absorbRow(row expr.Row) error {
 	return nil
 }
 
-func (a *hashAggOp) Next() (expr.Row, bool, error) {
+func (a *hashAggOp) NextBatch() (*Batch, error) { return a.out.nextBatch(a.emitGroups) }
+
+// emitGroups refills out with the result rows of the next BatchSize
+// groups.
+func (a *hashAggOp) emitGroups() (bool, error) {
 	if a.pos >= len(a.groupVals) {
-		return nil, false, nil
+		return false, nil
 	}
-	gid := int32(a.pos)
-	vals := a.groupVals[a.pos]
-	a.pos++
-	out := make(expr.Row, 0, len(vals)+len(a.accs))
-	out = append(out, vals...)
-	for _, acc := range a.accs {
-		out = append(out, acc.result(gid))
+	a.out.reset()
+	for ; a.pos < len(a.groupVals) && len(a.out.buf) < BatchSize; a.pos++ {
+		vals := a.groupVals[a.pos]
+		row := make(expr.Row, 0, len(vals)+len(a.accs))
+		row = append(row, vals...)
+		for _, acc := range a.accs {
+			row = append(row, acc.result(int32(a.pos)))
+		}
+		a.out.buf = append(a.out.buf, row)
 	}
-	return out, true, nil
+	return true, nil
 }
 
 func (a *hashAggOp) Close() error {
@@ -1959,266 +1685,151 @@ func (a *accCol) result(g int32) expr.Value {
 	return expr.NullValue()
 }
 
-// --- sort / limit / union ----------------------------------------------
+// --- sort ---------------------------------------------------------------
 
+// sortOp materializes its input, evaluates every sort key once per row
+// — through the key's compiled kernel when kernels are on, the
+// interpreter otherwise — and stably sorts a permutation over the key
+// values. NULLs sort first ascending, last descending.
 type sortOp struct {
-	child Operator
+	child BatchOperator
 	keys  []expr.Expr
 	descs []bool
-	rows  []expr.Row
-	pos   int
+	kerns []*expr.Kernel // per key; nil: interpreter
+	types []expr.Type
+	out   rowOut
 }
 
-func newSort(n *plan.Node, child Operator) (Operator, error) {
+func newSort(n *plan.Node, child BatchOperator, vec bool) (BatchOperator, error) {
 	res := resolver(n.Children[0])
-	keys := make([]expr.Expr, len(n.SortKeys))
-	descs := make([]bool, len(n.SortKeys))
+	s := &sortOp{
+		child: child,
+		keys:  make([]expr.Expr, len(n.SortKeys)),
+		descs: make([]bool, len(n.SortKeys)),
+		kerns: make([]*expr.Kernel, len(n.SortKeys)),
+		types: colTypes(n.Children[0]),
+	}
 	for i, k := range n.SortKeys {
 		bound, err := expr.Bind(k.E, res)
 		if err != nil {
 			return nil, fmt.Errorf("executor: sort bind %s: %w", k.E, err)
 		}
-		keys[i] = bound
-		descs[i] = k.Desc
+		s.keys[i], s.descs[i] = bound, k.Desc
+		if _, bare := bound.(*expr.Col); vec && !bare {
+			if kern, ok := expr.Compile(bound, s.types); ok {
+				s.kerns[i] = kern
+			}
+		}
 	}
-	return &sortOp{child: child, keys: keys, descs: descs}, nil
+	return s, nil
 }
 
 func (s *sortOp) Open() error {
-	rows, err := Collect(s.child)
-	if err != nil {
+	if err := s.child.Open(); err != nil {
 		return err
 	}
+	defer s.child.Close()
+	nk := len(s.keys)
+	var rows []expr.Row
+	var vals []expr.Value // key k of row r at vals[r*nk+k]
+	for {
+		b, err := s.child.NextBatch()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			break
+		}
+		rows = append(rows, b.Rows()...)
+		vals, err = s.appendKeys(vals, b)
+		b.Release()
+		if err != nil {
+			return err
+		}
+	}
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
 	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, key := range s.keys {
-			vi, err1 := expr.Eval(key, rows[i])
-			vj, err2 := expr.Eval(key, rows[j])
-			if err1 != nil || err2 != nil {
-				if sortErr == nil {
-					sortErr = fmt.Errorf("executor: sort eval: %v %v", err1, err2)
-				}
-				return false
-			}
-			// NULLs sort first ascending, last descending.
+	sort.SliceStable(perm, func(i, j int) bool {
+		a, b := vals[int(perm[i])*nk:], vals[int(perm[j])*nk:]
+		for k := 0; k < nk; k++ {
 			switch {
-			case vi.IsNull() && vj.IsNull():
+			case a[k].IsNull() && b[k].IsNull():
 				continue
-			case vi.IsNull():
+			case a[k].IsNull():
 				return !s.descs[k]
-			case vj.IsNull():
+			case b[k].IsNull():
 				return s.descs[k]
 			}
-			c, err := vi.Compare(vj)
+			c, err := a[k].Compare(b[k])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err
 				}
 				return false
 			}
-			if c == 0 {
-				continue
+			if c != 0 {
+				return (c > 0) == s.descs[k]
 			}
-			if s.descs[k] {
-				return c > 0
-			}
-			return c < 0
 		}
 		return false
 	})
 	if sortErr != nil {
 		return sortErr
 	}
-	s.rows = rows
-	s.pos = 0
+	sorted := make([]expr.Row, len(rows))
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	s.out = rowOut{buf: sorted}
 	return nil
 }
 
-func (s *sortOp) Next() (expr.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
+// appendKeys evaluates the sort keys over one input batch. A batch a
+// kernel cannot handle is re-run through the interpreter, so key values
+// and error behavior match it exactly.
+func (s *sortOp) appendKeys(vals []expr.Value, b *Batch) ([]expr.Value, error) {
+	rows := b.Rows()
+	nk := len(s.keys)
+	base := len(vals)
+	vals = slices.Grow(vals, len(rows)*nk)[:base+len(rows)*nk]
+	for k, key := range s.keys {
+		if kern := s.kerns[k]; kern != nil {
+			d := b.Data()
+			d.Bind(s.types)
+			if v, err := kern.EvalVec(d, b.Sel()); err == nil {
+				for r := range rows {
+					vals[base+r*nk+k] = v.Value(r)
+				}
+				continue
+			}
+		}
+		for r, row := range rows {
+			v, err := expr.Eval(key, row)
+			if err != nil {
+				return vals, fmt.Errorf("executor: sort eval: %w", err)
+			}
+			vals[base+r*nk+k] = v
+		}
 	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
+	return vals, nil
 }
+
+func (s *sortOp) NextBatch() (*Batch, error) { return s.out.nextBatch(nil) }
 
 func (s *sortOp) Close() error {
-	s.rows = nil
+	s.out = rowOut{}
 	return nil
 }
 
-type limitOp struct {
-	child Operator
-	n     int64
-	seen  int64
-}
-
-func newLimit(n *plan.Node, child Operator) Operator {
-	return &limitOp{child: child, n: n.LimitN}
-}
-
-func (l *limitOp) Open() error {
-	l.seen = 0
-	return l.child.Open()
-}
-
-func (l *limitOp) Next() (expr.Row, bool, error) {
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	row, ok, err := l.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
-
-func (l *limitOp) Close() error { return l.child.Close() }
-
-type unionOp struct {
-	children []Operator
-	idx      int
-}
-
-func newUnion(children []Operator) Operator { return &unionOp{children: children} }
-
-func (u *unionOp) Open() error {
-	u.idx = 0
-	for _, c := range u.children {
-		if err := c.Open(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (u *unionOp) Next() (expr.Row, bool, error) {
-	for u.idx < len(u.children) {
-		row, ok, err := u.children[u.idx].Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-		u.idx++
-	}
-	return nil, false, nil
-}
-
-func (u *unionOp) Close() error {
-	for _, c := range u.children {
-		if err := c.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- ship ---------------------------------------------------------------
-
-// shipOp simulates moving the child's entire output between sites: it
-// materializes the stream, serializes it into BatchSize-row wire frames
-// (see internal/network's wire format), accounts rows and the encoded
-// frame bytes in the cluster ledger (priced with the message cost
-// model), and replays the decoded rows at the destination. The parallel
-// engine frames the same stream identically, so both engines charge the
-// ledger the same encoded bytes.
-type shipOp struct {
-	node  *plan.Node
-	child Operator
-	env   buildEnv
-	rows  []expr.Row
-	pos   int
-}
-
-func newShip(n *plan.Node, child Operator, env buildEnv) Operator {
-	return &shipOp{node: n, child: child, env: env}
-}
-
-// widthSum is the schema-estimate size of a row slice — the quantity the
-// pre-wire accounting used to bill, now only fed to the calibrator as
-// the estimated side of the encoding ratio.
+// widthSum is the schema-estimate size of a row slice, fed to the
+// calibrator as the estimated side of the encoding ratio.
 func widthSum(rows []expr.Row) int64 {
 	var n int64
 	for _, r := range rows {
 		n += int64(r.Width())
 	}
 	return n
-}
-
-func (s *shipOp) Open() error {
-	if err := s.env.ctx.Err(); err != nil {
-		// Cancelled before this boundary: don't start materializing.
-		return err
-	}
-	rows, err := Collect(s.child)
-	if err != nil {
-		return err
-	}
-	// Serialize the stream into wire frames; what the ledger bills is
-	// the encoded size, and what the destination replays is the decoded
-	// rows — an actual round trip through the wire format.
-	enc := network.WireEncoder{Opt: s.env.opt.Wire}
-	cal := s.env.c.Calibrator()
-	var bytes, frames int64
-	replay := make([]expr.Row, 0, len(rows))
-	for start := 0; start < len(rows); start += BatchSize {
-		end := start + BatchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		frame := enc.Encode(rows[start:end])
-		bytes += int64(len(frame))
-		frames++
-		if cal != nil {
-			cal.ObserveEncoding(widthSum(rows[start:end]), int64(len(frame)))
-		}
-		dec, err := network.DecodeBatch(frame)
-		if err != nil {
-			return fmt.Errorf("executor: ship frame decode: %w", err)
-		}
-		replay = append(replay, dec...)
-	}
-	// The resilient shipping path records the transfer and sleeps the
-	// wire time on success; under an installed fault plan it may retry
-	// with backoff or fail with a typed *network.ShipError. The run
-	// scope (when present) additionally charges the per-run ledger the
-	// engine reads its RunStats from.
-	if s.env.scope != nil {
-		err = s.env.scope.ShipWhole(s.env.ctx, s.node.FromLoc, s.node.ToLoc, int64(len(rows)), bytes)
-	} else {
-		err = s.env.c.ShipWhole(s.env.ctx, s.node.FromLoc, s.node.ToLoc, int64(len(rows)), bytes)
-	}
-	if err != nil {
-		return err
-	}
-	if a := s.env.obsv.AuditSink(); a != nil {
-		rec := auditRecFor(s.node)
-		rec.Rows, rec.Bytes, rec.Batches = int64(len(rows)), bytes, frames
-		a.Record(rec)
-	}
-	if prof := s.env.obsv.Prof(); prof != nil {
-		// One profiled batch per wire frame, matching the parallel engine.
-		prof.Stats(s.node).Batches.Add(frames)
-	}
-	s.rows = replay
-	s.pos = 0
-	return nil
-}
-
-func (s *shipOp) Next() (expr.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-func (s *shipOp) Close() error {
-	s.rows = nil
-	return nil
 }

@@ -23,16 +23,18 @@ import (
 // indexScanOp implements plan.IndexScan. Should the backend report the
 // index unusable at runtime (ok=false — a plan carried across a schema
 // change), it degrades to the full fragment scan the plan replaced:
-// same surviving rows, insertion order instead of key order.
+// same surviving rows, insertion order instead of key order. Like the
+// table scan, every batch first consults the run's context.
 type indexScanOp struct {
 	node *plan.Node
-	c    *cluster.Cluster
+	env  *execEnv
 	pred expr.Expr
-	rows []expr.Row
+	rows []expr.Row // index range, residual not yet applied
 	pos  int
+	out  rowOut
 }
 
-func newIndexScan(n *plan.Node, c *cluster.Cluster) (Operator, error) {
+func newIndexScan(n *plan.Node, env *execEnv) (BatchOperator, error) {
 	if n.Table == nil {
 		return nil, fmt.Errorf("executor: index scan without table")
 	}
@@ -44,42 +46,60 @@ func newIndexScan(n *plan.Node, c *cluster.Cluster) (Operator, error) {
 		}
 		pred = bound
 	}
-	return &indexScanOp{node: n, c: c, pred: pred}, nil
+	return &indexScanOp{node: n, env: env, pred: pred}, nil
 }
 
 func (s *indexScanOp) Open() error {
-	n := s.node
-	rows, ok, err := s.c.IndexRangeRows(n.Table, n.FragIdx, n.IdxCol, n.IdxLo, n.IdxHi, n.IdxLoInc, n.IdxHiInc)
+	n, c := s.node, s.env.c
+	rows, ok, err := c.IndexRangeRows(n.Table, n.FragIdx, n.IdxCol, n.IdxLo, n.IdxHi, n.IdxLoInc, n.IdxHiInc)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		rows, err = s.c.FragmentRows(n.Table, n.FragIdx)
+		rows, err = c.FragmentRows(n.Table, n.FragIdx)
 		if err != nil {
 			return err
 		}
 	}
 	s.rows, s.pos = rows, 0
+	s.out.reset()
 	return nil
 }
 
-func (s *indexScanOp) Next() (expr.Row, bool, error) {
-	for s.pos < len(s.rows) {
-		row := s.rows[s.pos]
-		s.pos++
+func (s *indexScanOp) NextBatch() (*Batch, error) {
+	if err := s.env.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.out.nextBatch(s.filterNext)
+}
+
+// filterNext refills out with the residual's survivors among the next
+// BatchSize index rows.
+func (s *indexScanOp) filterNext() (bool, error) {
+	if s.pos >= len(s.rows) {
+		return false, nil
+	}
+	end := s.pos + BatchSize
+	if end > len(s.rows) {
+		end = len(s.rows)
+	}
+	s.out.reset()
+	for _, row := range s.rows[s.pos:end] {
 		keep, err := expr.EvalBool(s.pred, row)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if keep {
-			return row, true, nil
+			s.out.buf = append(s.out.buf, row)
 		}
 	}
-	return nil, false, nil
+	s.pos = end
+	return true, nil
 }
 
 func (s *indexScanOp) Close() error {
 	s.rows = nil
+	s.out = rowOut{}
 	return nil
 }
 
@@ -94,14 +114,12 @@ func (s *indexScanOp) Close() error {
 type indexLookupJoinOp struct {
 	node  *plan.Node
 	c     *cluster.Cluster
-	outer Operator
+	outer feed
 	inner *plan.Node
 	key   expr.Expr // probe key, bound against the outer schema
 	pred  expr.Expr // full join predicate over the concatenated schema
 
-	cur     expr.Row
-	matches []expr.Row
-	mi      int
+	out rowOut
 
 	// Degraded path (index unusable at runtime): the inner fragment is
 	// materialized once and probed by value comparison.
@@ -110,7 +128,7 @@ type indexLookupJoinOp struct {
 	innerLoaded bool
 }
 
-func newIndexLookupJoin(n *plan.Node, outer Operator, c *cluster.Cluster) (Operator, error) {
+func newIndexLookupJoin(n *plan.Node, children []BatchOperator, c *cluster.Cluster) (BatchOperator, error) {
 	if len(n.Children) != 2 || n.Children[1].Table == nil {
 		return nil, fmt.Errorf("executor: index lookup join without inner scan")
 	}
@@ -126,54 +144,53 @@ func newIndexLookupJoin(n *plan.Node, outer Operator, c *cluster.Cluster) (Opera
 		}
 		pred = bound
 	}
-	return &indexLookupJoinOp{node: n, c: c, outer: outer, inner: n.Children[1], key: key, pred: pred}, nil
+	return &indexLookupJoinOp{node: n, c: c, outer: feed{src: children[0]}, inner: n.Children[1], key: key, pred: pred}, nil
 }
 
 func (j *indexLookupJoinOp) Open() error {
-	j.cur, j.matches, j.mi = nil, nil, 0
+	j.out.reset()
 	j.innerRows, j.innerLoaded = nil, false
-	return j.outer.Open()
+	return j.outer.open()
 }
 
-func (j *indexLookupJoinOp) Next() (expr.Row, bool, error) {
-	for {
-		for j.mi < len(j.matches) {
-			r := j.matches[j.mi]
-			j.mi++
-			out := concatRow(j.cur, r)
-			keep, err := expr.EvalBool(j.pred, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
-			}
-		}
-		row, ok, err := j.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.cur = row
-		j.matches, j.mi = nil, 0
-		k, err := expr.Eval(j.key, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if k.IsNull() {
-			continue // NULL keys never match
-		}
-		matches, idxOK, err := j.c.IndexLookupRows(j.inner.Table, j.inner.FragIdx, j.node.IdxCol, k)
-		if err != nil {
-			return nil, false, err
-		}
-		if !idxOK {
-			matches, err = j.probeFallback(k)
-			if err != nil {
-				return nil, false, err
-			}
-		}
-		j.matches = matches
+func (j *indexLookupJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.probeNext) }
+
+// probeNext probes the index with the next outer row and refills out
+// with the candidate pairs the join predicate keeps.
+func (j *indexLookupJoinOp) probeNext() (bool, error) {
+	row, ok, err := j.outer.nextRow()
+	if err != nil || !ok {
+		return false, err
 	}
+	j.out.reset()
+	k, err := expr.Eval(j.key, row)
+	if err != nil {
+		return false, err
+	}
+	if k.IsNull() {
+		return true, nil // NULL keys never match
+	}
+	matches, idxOK, err := j.c.IndexLookupRows(j.inner.Table, j.inner.FragIdx, j.node.IdxCol, k)
+	if err != nil {
+		return false, err
+	}
+	if !idxOK {
+		matches, err = j.probeFallback(k)
+		if err != nil {
+			return false, err
+		}
+	}
+	for _, r := range matches {
+		out := concatRow(row, r)
+		keep, err := expr.EvalBool(j.pred, out)
+		if err != nil {
+			return false, err
+		}
+		if keep {
+			j.out.buf = append(j.out.buf, out)
+		}
+	}
+	return true, nil
 }
 
 // probeFallback answers one probe without the index: the inner fragment
@@ -211,6 +228,7 @@ func (j *indexLookupJoinOp) probeFallback(k expr.Value) ([]expr.Row, error) {
 }
 
 func (j *indexLookupJoinOp) Close() error {
-	j.matches, j.innerRows = nil, nil
-	return j.outer.Close()
+	j.innerRows = nil
+	j.out = rowOut{}
+	return j.outer.close()
 }

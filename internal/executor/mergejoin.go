@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"fmt"
 	"sort"
 
 	"cgdqp/internal/expr"
@@ -15,56 +14,19 @@ import (
 // (ascending), which is the property the optimizer's sort-elision relies
 // on.
 type mergeJoinOp struct {
-	node        *plan.Node
-	left, right Operator
+	left, right BatchOperator
 	leftKeys    []expr.Expr
 	rightKeys   []expr.Expr
 	residual    expr.Expr
-
-	out []expr.Row
-	pos int
+	out         rowOut
 }
 
-func newMergeJoin(n *plan.Node, left, right Operator) (Operator, error) {
-	lres := resolver(n.Children[0])
-	rres := resolver(n.Children[1])
-	var lk, rk []expr.Expr
-	var residual []expr.Expr
-	for _, c := range expr.Conjuncts(n.Pred) {
-		if cmp, ok := c.(*expr.Cmp); ok && cmp.Op == expr.EQ {
-			lc, lok := cmp.L.(*expr.Col)
-			rc, rok := cmp.R.(*expr.Col)
-			if lok && rok {
-				if bl, err := expr.Bind(lc, lres); err == nil {
-					if br, err := expr.Bind(rc, rres); err == nil {
-						lk = append(lk, bl)
-						rk = append(rk, br)
-						continue
-					}
-				}
-				if bl, err := expr.Bind(rc, lres); err == nil {
-					if br, err := expr.Bind(lc, rres); err == nil {
-						lk = append(lk, bl)
-						rk = append(rk, br)
-						continue
-					}
-				}
-			}
-		}
-		residual = append(residual, c)
+func newMergeJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
+	lk, rk, res, err := equiKeys(n, "merge join")
+	if err != nil {
+		return nil, err
 	}
-	if len(lk) == 0 {
-		return nil, fmt.Errorf("executor: merge join without equi-key: %v", n.Pred)
-	}
-	var res expr.Expr
-	if len(residual) > 0 {
-		bound, err := expr.Bind(expr.AndAll(residual...), resolver(n))
-		if err != nil {
-			return nil, fmt.Errorf("executor: merge join residual bind: %w", err)
-		}
-		res = bound
-	}
-	return &mergeJoinOp{node: n, left: left, right: right, leftKeys: lk, rightKeys: rk, residual: res}, nil
+	return &mergeJoinOp{left: left, right: right, leftKeys: lk, rightKeys: rk, residual: res}, nil
 }
 
 // keyOf evaluates the join key tuple; ok=false when any component is
@@ -103,8 +65,8 @@ type keyedRow struct {
 	row expr.Row
 }
 
-func collectKeyed(op Operator, keys []expr.Expr) ([]keyedRow, error) {
-	rows, err := Collect(op)
+func collectKeyed(op BatchOperator, keys []expr.Expr) ([]keyedRow, error) {
+	rows, err := collect(op)
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +100,7 @@ func (m *mergeJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
-	m.out = nil
-	m.pos = 0
+	m.out.reset()
 	li, ri := 0, 0
 	for li < len(lrows) && ri < len(rrows) {
 		c, err := compareKeys(lrows[li].key, rrows[ri].key)
@@ -186,7 +147,7 @@ func (m *mergeJoinOp) Open() error {
 							continue
 						}
 					}
-					m.out = append(m.out, row)
+					m.out.buf = append(m.out.buf, row)
 				}
 			}
 			ri = rEnd
@@ -195,16 +156,9 @@ func (m *mergeJoinOp) Open() error {
 	return nil
 }
 
-func (m *mergeJoinOp) Next() (expr.Row, bool, error) {
-	if m.pos >= len(m.out) {
-		return nil, false, nil
-	}
-	r := m.out[m.pos]
-	m.pos++
-	return r, true, nil
-}
+func (m *mergeJoinOp) NextBatch() (*Batch, error) { return m.out.nextBatch(nil) }
 
 func (m *mergeJoinOp) Close() error {
-	m.out = nil
+	m.out = rowOut{}
 	return nil
 }

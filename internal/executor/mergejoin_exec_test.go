@@ -61,7 +61,7 @@ func TestMergeJoinOperator(t *testing.T) {
 	bad := plan.NewJoin(plan.NewScan(l, "a", -1), plan.NewScan(r, "b", -1),
 		expr.NewCmp(expr.LT, expr.NewCol("a", "k"), expr.NewCol("b", "k")))
 	bad.Kind = plan.MergeJoin
-	if _, err := Build(bad, cl); err == nil {
+	if _, _, err := Run(bad, cl); err == nil {
 		t.Error("merge join without equi key must fail to build")
 	}
 }

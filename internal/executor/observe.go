@@ -1,61 +1,20 @@
 package executor
 
 import (
-	"context"
 	"sort"
 	"time"
 
 	"cgdqp/internal/cluster"
-	"cgdqp/internal/expr"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
 )
 
-// This file is the executor's observability layer: Run/RunParallel
-// variants that report into an obs.Observer (execution spans, latency
-// histograms, ledger-derived shipping stats from one consistent
-// snapshot), per-operator profiling wrappers behind EXPLAIN ANALYZE,
-// and the compliance audit record each Ship boundary emits. Every hook
-// is nil-guarded so the unobserved paths keep their old cost.
-
-// RunObserved is Run reporting into an observer (nil behaves like Run).
-// When the observer carries a PlanProfile, every operator is wrapped to
-// collect actual rows/batches/time for EXPLAIN ANALYZE.
-func RunObserved(p *plan.Node, c *cluster.Cluster, o *obs.Observer) ([]expr.Row, *RunStats, error) {
-	return RunObservedContext(context.Background(), p, c, o)
-}
-
-// RunObservedContext is RunObserved under a caller context. The run's
-// shipping statistics come from a per-run ledger scope, so concurrent
-// executions over one Cluster each report exactly their own transfers.
-func RunObservedContext(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer) ([]expr.Row, *RunStats, error) {
-	return RunObservedOpts(ctx, p, c, o, defaultExecOptions())
-}
-
-// RunObservedOpts is RunObservedContext under explicit execution
-// options (kernel gate, wire encoding).
-func RunObservedOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions) ([]expr.Row, *RunStats, error) {
-	sp := o.StartSpan("execute.sequential")
-	m := o.Reg()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	scope := c.NewRun()
-	op, err := buildObs(p, buildEnv{c: c, scope: scope, ctx: ctx, obsv: o, opt: opt})
-	if err != nil {
-		finishExec(sp, m, "seq", t0, 0, err)
-		return nil, nil, err
-	}
-	rows, err := Collect(op)
-	if err != nil {
-		finishExec(sp, m, "seq", t0, 0, err)
-		return nil, nil, err
-	}
-	stats := scopeStats(scope, int64(len(rows)))
-	finishExec(sp, m, "seq", t0, stats.RowsOut, nil)
-	return rows, stats, nil
-}
+// This file is the executor's observability layer: ledger-derived
+// shipping stats from one consistent snapshot, the execution span and
+// metrics around a run, the per-operator profiling wrapper behind
+// EXPLAIN ANALYZE, and the compliance audit record each Ship boundary
+// emits. Every hook is nil-guarded so the unobserved paths keep their
+// old cost.
 
 // scopeStats derives a run's statistics from its private ledger scope.
 func scopeStats(scope *cluster.RunScope, rowsOut int64) *RunStats {
@@ -124,45 +83,18 @@ func auditRecFor(n *plan.Node) obs.AuditRecord {
 	}
 }
 
-// --- profiling wrappers --------------------------------------------------
+// --- profiling wrapper ----------------------------------------------------
 
-// profOp wraps a row operator with actual-stats collection. Time is
-// inclusive of children (like EXPLAIN ANALYZE's actual time): the
-// wrapper measures the full Open/Next call, and nested operators are
-// wrapped too.
-type profOp struct {
-	op    Operator
-	stats *obs.OpStats
-}
-
-func (p *profOp) Open() error {
-	t0 := time.Now()
-	err := p.op.Open()
-	p.stats.AddTime(time.Since(t0))
-	p.stats.Opens.Add(1)
-	return err
-}
-
-func (p *profOp) Next() (expr.Row, bool, error) {
-	t0 := time.Now()
-	row, ok, err := p.op.Next()
-	p.stats.AddTime(time.Since(t0))
-	if ok {
-		p.stats.Rows.Add(1)
-	}
-	return row, ok, err
-}
-
-func (p *profOp) Close() error { return p.op.Close() }
-
-// batchProfOp is profOp for the batch engine: rows and batches are
-// counted per delivered batch.
-type batchProfOp struct {
+// profiledOp wraps an operator with actual-stats collection: rows and
+// batches are counted per delivered batch. Time is inclusive of
+// children (like EXPLAIN ANALYZE's actual time): the wrapper measures
+// the full Open/NextBatch call, and nested operators are wrapped too.
+type profiledOp struct {
 	op    BatchOperator
 	stats *obs.OpStats
 }
 
-func (p *batchProfOp) Open() error {
+func (p *profiledOp) Open() error {
 	t0 := time.Now()
 	err := p.op.Open()
 	p.stats.AddTime(time.Since(t0))
@@ -170,7 +102,7 @@ func (p *batchProfOp) Open() error {
 	return err
 }
 
-func (p *batchProfOp) NextBatch() (*Batch, error) {
+func (p *profiledOp) NextBatch() (*Batch, error) {
 	t0 := time.Now()
 	b, err := p.op.NextBatch()
 	p.stats.AddTime(time.Since(t0))
@@ -181,4 +113,4 @@ func (p *batchProfOp) NextBatch() (*Batch, error) {
 	return b, err
 }
 
-func (p *batchProfOp) Close() error { return p.op.Close() }
+func (p *profiledOp) Close() error { return p.op.Close() }

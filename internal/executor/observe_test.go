@@ -14,7 +14,7 @@ import (
 
 // observedCluster attaches a fully-enabled observer to the cluster and
 // returns both. The cluster observer feeds the shipping-layer hooks;
-// the same observer is passed to the Run*Observed entry points.
+// the same observer is passed to the Run*Opts entry points.
 func observedCluster(cl *cluster.Cluster) *obs.Observer {
 	o := &obs.Observer{
 		Tracer:  obs.NewTracer(),
@@ -26,9 +26,7 @@ func observedCluster(cl *cluster.Cluster) *obs.Observer {
 }
 
 // edgeVolume aggregates an audit log's delivered volume per
-// (edge, relations, columns, justification) — the engine-independent
-// shape of the log (the parallel engine splits the same stream into
-// more batches, so raw records differ in Batches).
+// (edge, relations, columns, justification).
 func edgeVolume(a *obs.AuditLog) map[string][2]int64 {
 	out := map[string][2]int64{}
 	for _, r := range a.Records() {
@@ -47,7 +45,7 @@ func TestObservedAuditParitySeqVsParallel(t *testing.T) {
 	o := observedCluster(cl)
 
 	cl.Ledger.Reset()
-	_, seqStats, err := RunObserved(p, cl, o)
+	_, seqStats, err := RunObservedOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -56,7 +54,7 @@ func TestObservedAuditParitySeqVsParallel(t *testing.T) {
 
 	o.Audit.Reset()
 	cl.Ledger.Reset()
-	_, parStats, err := RunParallelObserved(context.Background(), p, cl, o)
+	_, parStats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -100,7 +98,7 @@ func TestObservedAuditDeterministicReplay(t *testing.T) {
 		o.Audit.Reset()
 		cl.Ledger.Reset()
 		cl.SetFaults(faults())
-		if _, _, err := RunParallelObserved(context.Background(), p, cl, o); err != nil {
+		if _, _, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{}); err != nil {
 			t.Fatalf("chaos run: %v", err)
 		}
 		return o.Audit.String()
@@ -126,7 +124,7 @@ func TestObservedSpansAndMetrics(t *testing.T) {
 	p, cl := chaosPlan(t)
 	o := observedCluster(cl)
 	cl.Ledger.Reset()
-	_, stats, err := RunParallelObserved(context.Background(), p, cl, o)
+	_, stats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestObservedSpansAndMetrics(t *testing.T) {
 
 	// Sequential engine reports under its own labels.
 	cl.Ledger.Reset()
-	if _, _, err := RunObserved(p, cl, o); err != nil {
+	if _, _, err := RunObservedOpts(context.Background(), p, cl, o, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if o.Metrics.CounterValue("cgdqp_executions_total", "engine", "seq", "status", "ok") != 1 {
@@ -178,7 +176,7 @@ func TestObservedRetryMetrics(t *testing.T) {
 		DropProb:      0.25,
 		TransientProb: 0.25,
 	}))
-	if _, stats, err := RunParallelObserved(context.Background(), p, cl, o); err != nil {
+	if _, stats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	} else if stats.Retries == 0 {
 		t.Skip("seed produced no retries")
@@ -223,9 +221,9 @@ func TestObservedProfileActuals(t *testing.T) {
 		var rows []expr.Row
 		var err error
 		if engine == "seq" {
-			rows, _, err = RunObserved(p, cl, o)
+			rows, _, err = RunObservedOpts(context.Background(), p, cl, o, ExecOptions{})
 		} else {
-			rows, _, err = RunParallelObserved(context.Background(), p, cl, o)
+			rows, _, err = RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)

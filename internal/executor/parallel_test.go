@@ -12,10 +12,10 @@ import (
 	"cgdqp/internal/policy"
 )
 
-// runBoth executes the plan with the sequential and the parallel engine
-// (resetting the ledger in between) and checks rows and shipping stats
-// are identical. The parallel engine must preserve order, so rows are
-// compared positionally, not as multisets.
+// runBoth executes the plan in both exchange modes (resetting the
+// ledger in between) and checks rows and shipping stats are identical.
+// Hand-built plans are compared cell by cell, order included, in
+// TestExchangeModeParity; this helper serves the optimizer-built ones.
 func runBoth(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]expr.Row, *RunStats) {
 	t.Helper()
 	cl.Ledger.Reset()
@@ -41,122 +41,6 @@ func runBoth(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]e
 		t.Fatalf("%s: stats differ:\nsequential %+v\nparallel   %+v", label, seqStats, parStats)
 	}
 	return parRows, parStats
-}
-
-func TestParallelMatchesSequentialOperators(t *testing.T) {
-	cat, cl := carco(t)
-	c := scanNode(t, cat, "Customer", "C")
-	o := scanNode(t, cat, "Orders", "O")
-	s := scanNode(t, cat, "Supply", "S")
-
-	filter := plan.NewFilter(c, expr.NewCmp(expr.GE, expr.NewCol("C", "acctbal"), expr.NewConst(expr.NewFloat(200))))
-	project := plan.NewProject(filter, []plan.NamedExpr{
-		{E: expr.NewCol("C", "name")},
-		{E: expr.NewArith(expr.Mul, expr.NewCol("C", "acctbal"), expr.NewConst(expr.NewInt(3))), Name: "tri"},
-	})
-	join := plan.NewJoin(c, o, expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("O", "custkey")))
-	join.Kind = plan.HashJoin
-	agg := plan.NewAggregate(o,
-		[]*expr.Col{expr.NewCol("O", "custkey")},
-		[]plan.NamedAgg{{Fn: expr.AggSum, Arg: expr.NewCol("O", "totprice"), Name: "total"}})
-	agg.Kind = plan.HashAgg
-	sorted := plan.NewSort(s, []plan.SortKey{{E: expr.NewCol("S", "ordkey"), Desc: true}})
-	limited := plan.NewLimit(sorted, 7)
-	union := plan.NewUnion(c, c)
-
-	cases := []struct {
-		label string
-		root  *plan.Node
-	}{
-		{"scan", c},
-		{"filter", filter},
-		{"project", project},
-		{"hash join", join},
-		{"hash agg", agg},
-		{"sort+limit", limited},
-		{"union", union},
-	}
-	for _, tc := range cases {
-		runBoth(t, tc.root, cl, tc.label)
-	}
-}
-
-func TestParallelMatchesSequentialWithShips(t *testing.T) {
-	cat, cl := carco(t)
-	c := scanNode(t, cat, "Customer", "C")
-	o := scanNode(t, cat, "Orders", "O")
-	s := scanNode(t, cat, "Supply", "S")
-
-	// Two independent leaf fragments (Customer at N, the Supply
-	// aggregation at A) ship into the join fragment at E; the joined
-	// result ships onward to N: three SHIP boundaries, four fragments.
-	shipC := plan.NewShip(c, "N", "E")
-	sAgg := plan.NewAggregate(s,
-		[]*expr.Col{expr.NewCol("S", "ordkey")},
-		[]plan.NamedAgg{{Fn: expr.AggSum, Arg: expr.NewCol("S", "quantity"), Name: "qty"}})
-	sAgg.Kind = plan.HashAgg
-	shipS := plan.NewShip(sAgg, "A", "E")
-
-	join1 := plan.NewJoin(shipC, o, expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("O", "custkey")))
-	join1.Kind = plan.HashJoin
-	join2 := plan.NewJoin(join1, shipS, expr.NewCmp(expr.EQ, expr.NewCol("O", "ordkey"), expr.NewCol("S", "ordkey")))
-	join2.Kind = plan.HashJoin
-	root := plan.NewShip(join2, "E", "N")
-
-	frags := plan.SplitFragments(root)
-	if len(frags) != 4 {
-		t.Fatalf("fragments: got %d, want 4\n%s", len(frags), root.Format(true))
-	}
-	leaves := 0
-	for _, f := range frags {
-		if f.Leaf() {
-			leaves++
-		}
-	}
-	if leaves != 2 {
-		t.Fatalf("leaf fragments: got %d, want 2", leaves)
-	}
-	rows, stats := runBoth(t, root, cl, "multi-ship join")
-	if len(rows) != 200 {
-		t.Errorf("rows: %d, want 200", len(rows))
-	}
-	if stats.ShippedRows == 0 || stats.ShipCost <= 0 {
-		t.Errorf("ship stats not recorded: %+v", stats)
-	}
-}
-
-// TestParallelLimitOverShip checks the accounting-parity corner: a LIMIT
-// above an exchange abandons the stream early, but the producer must
-// still run to completion (the sequential engine materializes Ship
-// inputs fully at Open), so shipped rows/bytes/cost stay identical.
-func TestParallelLimitOverShip(t *testing.T) {
-	cat, cl := carco(t)
-	o := scanNode(t, cat, "Orders", "O")
-	ship := plan.NewShip(o, "E", "N")
-	root := plan.NewLimit(ship, 5)
-	rows, stats := runBoth(t, root, cl, "limit over ship")
-	if len(rows) != 5 {
-		t.Errorf("rows: %d, want 5", len(rows))
-	}
-	if stats.ShippedRows != 200 {
-		t.Errorf("producer must ship all 200 rows despite the limit, got %d", stats.ShippedRows)
-	}
-}
-
-// TestParallelEmptyShip checks a producer with zero rows still records
-// its (start-up-priced) transfer, like the sequential engine.
-func TestParallelEmptyShip(t *testing.T) {
-	cat, cl := carco(t)
-	c := scanNode(t, cat, "Customer", "C")
-	empty := plan.NewFilter(c, expr.NewCmp(expr.LT, expr.NewCol("C", "acctbal"), expr.NewConst(expr.NewFloat(-10))))
-	root := plan.NewShip(empty, "N", "E")
-	rows, stats := runBoth(t, root, cl, "empty ship")
-	if len(rows) != 0 {
-		t.Errorf("rows: %d, want 0", len(rows))
-	}
-	if stats.ShipCost <= 0 {
-		t.Errorf("empty inter-site ship must still pay the start-up cost, got %+v", stats)
-	}
 }
 
 // TestParallelOptimizedPlansAgree runs the optimizer end-to-end (the

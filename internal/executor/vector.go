@@ -5,19 +5,13 @@ import (
 	"cgdqp/internal/plan"
 )
 
-// This file is the glue between the batch engines and the compiled
-// columnar kernels of internal/expr: the filter/projection evaluators
-// both engines share, and the chunk feeds that let blocking operators
-// (hash join, hash aggregate) consume either engine's stream a chunk at
-// a time. Every helper falls back to the row interpreter — per chunk —
-// whenever a column is not lane-pure or a kernel reports an error, so
-// results (and error behavior) match the interpreter exactly.
-
-// vecChunk is the micro-batch size of the sequential engine's
-// vectorized operators: large enough to amortize the row-to-column
-// conversion, small enough that eager evaluation under a LIMIT stays
-// cheap. The parallel engine vectorizes whole BatchSize batches.
-const vecChunk = 1024
+// This file is the glue between the operators and the compiled columnar
+// kernels of internal/expr: the filter/projection evaluators and the
+// feed that lets blocking operators (hash join, hash aggregate, NL and
+// index-lookup join) consume their input a batch at a time. Every
+// helper falls back to the row interpreter — per batch — whenever a
+// column is not lane-pure or a kernel reports an error, so results (and
+// error behavior) match the interpreter exactly.
 
 // colTypes returns the static lane types of a node's output columns,
 // indexed the way bound Col.Index values address them.
@@ -29,61 +23,22 @@ func colTypes(n *plan.Node) []expr.Type {
 	return out
 }
 
-// --- chunk feeds -----------------------------------------------------------
+// --- feed ------------------------------------------------------------------
 
-// chunkFeed delivers an operator's stream as a sequence of batches to a
-// blocking consumer. The returned batch stays valid until the next
-// nextChunk or close call; the feed owns its lifecycle, the consumer
-// must not release it.
-type chunkFeed interface {
-	open() error
-	nextChunk() (*Batch, error) // nil at end of stream
-	close() error
+// feed delivers an operator's stream to a blocking consumer one batch
+// at a time. The returned batch stays valid until the next nextChunk or
+// close call; the feed owns its lifecycle, the consumer must not
+// release it.
+type feed struct {
+	src  BatchOperator
+	cur  *Batch
+	rows []expr.Row // nextRow's cursor into cur
 }
 
-// opFeed chunks a row operator's stream into an owned, non-pooled
-// batch of up to vecChunk rows.
-type opFeed struct {
-	op  Operator
-	buf []expr.Row
-	b   Batch
-	eos bool
-}
+func (f *feed) open() error { return f.src.Open() }
 
-func (f *opFeed) open() error {
-	f.eos = false
-	return f.op.Open()
-}
-
-func (f *opFeed) nextChunk() (*Batch, error) {
-	if f.eos {
-		return nil, nil
-	}
-	var err error
-	f.buf, f.eos, err = fillChunk(f.op, f.buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(f.buf) == 0 {
-		return nil, nil
-	}
-	f.b.SetRows(f.buf)
-	return &f.b, nil
-}
-
-func (f *opFeed) close() error { return f.op.Close() }
-
-// batchFeed passes a batch operator's stream through natively — the
-// parallel engine's joins and aggregates consume columnar batches with
-// no row round trip.
-type batchFeed struct {
-	src BatchOperator
-	cur *Batch
-}
-
-func (f *batchFeed) open() error { return f.src.Open() }
-
-func (f *batchFeed) nextChunk() (*Batch, error) {
+// nextChunk returns the next batch, nil at end of stream.
+func (f *feed) nextChunk() (*Batch, error) {
 	f.cur.Release()
 	f.cur = nil
 	b, err := f.src.NextBatch()
@@ -94,18 +49,31 @@ func (f *batchFeed) nextChunk() (*Batch, error) {
 	return b, nil
 }
 
-func (f *batchFeed) close() error {
+// nextRow walks the stream row by row (do not mix with nextChunk); ok
+// is false at end of stream.
+func (f *feed) nextRow() (row expr.Row, ok bool, err error) {
+	for len(f.rows) == 0 {
+		chunk, err := f.nextChunk()
+		if err != nil || chunk == nil {
+			return nil, false, err
+		}
+		f.rows = chunk.Rows()
+	}
+	row, f.rows = f.rows[0], f.rows[1:]
+	return row, true, nil
+}
+
+func (f *feed) close() error {
 	f.cur.Release()
-	f.cur = nil
+	f.cur, f.rows = nil, nil
 	return f.src.Close()
 }
 
 // --- predicate evaluation -------------------------------------------------
 
-// vecPred wraps a compiled filter predicate with its selection scratch.
+// vecPred is a compiled filter predicate.
 type vecPred struct {
 	kern *expr.PredKernel
-	sel  []int32
 }
 
 // compilePred compiles a predicate when kernels are enabled; nil means
@@ -119,23 +87,6 @@ func compilePred(pred expr.Expr, types []expr.Type, vec bool) *vecPred {
 		return nil
 	}
 	return &vecPred{kern: k}
-}
-
-// selectRows runs the predicate over src and returns the surviving row
-// indexes (in row order) in the operator-owned scratch — callers must
-// consume the selection before the next call. ok is false when the
-// chunk must be re-run through the row interpreter — a column failed to
-// vectorize or a fallback conjunct errored — so error timing stays the
-// interpreter's.
-func (p *vecPred) selectRows(src expr.VecSource) ([]int32, bool) {
-	if cap(p.sel) < src.Len() {
-		p.sel = make([]int32, src.Len())
-	}
-	sel, err := p.kern.Select(src, nil, p.sel[:0])
-	if err != nil {
-		return nil, false
-	}
-	return sel, true
 }
 
 // --- projection evaluation ------------------------------------------------

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Binary grouping keys. Hash aggregation (in both engines) identifies a
-// group by the concatenated AppendKey encodings of its key values. The
+// Binary grouping keys. Hash aggregation identifies a group by the
+// concatenated AppendKey encodings of its key values. The
 // encoding is type-tagged and length-prefixed, so distinct value lists
 // can never collide, and the vectorized AppendKeyAt produces byte-for-
 // byte the same encoding from a column vector that AppendKey produces

@@ -43,8 +43,8 @@ import (
 //
 // Decoding reconstructs each expr.Value exactly — type, NULL-ness and
 // payload — so a decoded batch is indistinguishable from the encoded
-// one; both engines rely on that for bit-identical results and ledger
-// parity.
+// one; the exchange modes rely on that for bit-identical results and
+// ledger parity.
 
 const (
 	wireMagic   = 0xC6
@@ -414,6 +414,21 @@ func decodeBody(frame []byte) ([]byte, error) {
 	return body, nil
 }
 
+// wireMaxCells caps rows × columns of one frame. The header is outside
+// input: without the cap a few corrupt bytes make the decoder allocate
+// terabytes before it notices the body is short.
+const wireMaxCells = 1 << 22
+
+// dims reads and validates the frame's row and column counts. Every
+// column occupies at least its two header bytes.
+func (r *wireReader) dims() (nRows, nCols int, err error) {
+	rows, cols := r.uvarint(), r.uvarint()
+	if r.err != nil || rows > 1<<24 || cols > uint64(len(r.b)-r.pos)/2 || rows*cols > wireMaxCells {
+		return 0, 0, ErrWireCorrupt
+	}
+	return int(rows), int(cols), nil
+}
+
 // DecodeBatch parses one frame produced by Encode and returns the rows.
 func DecodeBatch(frame []byte) ([]expr.Row, error) {
 	body, err := decodeBody(frame)
@@ -421,10 +436,9 @@ func DecodeBatch(frame []byte) ([]expr.Row, error) {
 		return nil, err
 	}
 	r := &wireReader{b: body}
-	nRows := int(r.uvarint())
-	nCols := int(r.uvarint())
-	if r.err != nil || nRows < 0 || nCols < 0 || nRows > 1<<24 || nCols > 1<<16 {
-		return nil, ErrWireCorrupt
+	nRows, nCols, err := r.dims()
+	if err != nil {
+		return nil, err
 	}
 	cells := make([]expr.Value, nRows*nCols)
 	rows := make([]expr.Row, nRows)
@@ -458,10 +472,9 @@ func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
 		return err
 	}
 	r := &wireReader{b: body}
-	nRows := int(r.uvarint())
-	nCols := int(r.uvarint())
-	if r.err != nil || nRows < 0 || nCols < 0 || nRows > 1<<24 || nCols > 1<<16 {
-		return ErrWireCorrupt
+	nRows, nCols, err := r.dims()
+	if err != nil {
+		return err
 	}
 	dst.StartCols(nCols, nRows)
 	for c := 0; c < nCols; c++ {

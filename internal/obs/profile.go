@@ -11,13 +11,13 @@ import (
 )
 
 // OpStats accumulates per-operator actuals for EXPLAIN ANALYZE. Fields
-// are atomics because the parallel engine updates an operator's stats
-// from its fragment goroutine while other fragments run.
+// are atomics because goroutine-mode exchanges update an operator's
+// stats from its fragment goroutine while other fragments run.
 type OpStats struct {
 	// Rows is the number of rows the operator produced.
 	Rows atomic.Int64
-	// Batches is the number of batches produced (0 in the row-at-a-time
-	// engine for all but Ship, which moves one materialized batch).
+	// Batches is the number of batches produced (wire frames decoded,
+	// for a Ship).
 	Batches atomic.Int64
 	// Opens counts Open calls (re-opened inner sides exceed 1).
 	Opens atomic.Int64

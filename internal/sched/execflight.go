@@ -178,11 +178,12 @@ func (s *Server) execute(t *task, located *plan.Node) ([]expr.Row, []string, *ex
 	return rows, cols, stats, recs, nil
 }
 
-// runPlan executes a located plan with the parallel engine under the
-// server's execution options (nil Exec = the build default).
+// runPlan executes a located plan with goroutine-mode exchanges under
+// the server's execution options (nil Exec = the defaults).
 func (s *Server) runPlan(ctx context.Context, located *plan.Node, o *obs.Observer) ([]expr.Row, *executor.RunStats, error) {
+	var eo executor.ExecOptions
 	if s.opts.Exec != nil {
-		return executor.RunParallelOpts(ctx, located, s.cl, o, *s.opts.Exec)
+		eo = *s.opts.Exec
 	}
-	return executor.RunParallelObserved(ctx, located, s.cl, o)
+	return executor.RunParallelOpts(ctx, located, s.cl, o, eo)
 }

@@ -83,7 +83,7 @@ type Options struct {
 	// under these options reports.
 	CacheOptsFP string
 	// Exec overrides the execution options served queries run under
-	// (nil = the build default).
+	// (nil = the defaults: kernels on, plain wire encoding).
 	Exec *executor.ExecOptions
 
 	// SLOTarget, when set, turns MaxConcurrent/QueueDepth into adaptive
@@ -583,7 +583,7 @@ func (s *Server) abandon(t *task) {
 
 // serve runs one admitted query: optimize (coalescing identical
 // in-flight optimizations), gang-acquire per-site execution slots, and
-// execute with the parallel engine under the query's context.
+// execute with goroutine-mode exchanges under the query's context.
 func (s *Server) serve(t *task) {
 	t.queueWait = time.Since(t.enq)
 	s.running.Add(1)

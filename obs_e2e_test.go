@@ -25,7 +25,7 @@ func TestSystemObservabilityEndToEnd(t *testing.T) {
 		names[s.Name] = true
 	}
 	for _, want := range []string{"sql.parse_bind", "optimize", "optimize.site_select",
-		"execute.sequential", "ship.whole"} {
+		"execute.sequential", "exec.fragment", "ship.batch"} {
 		if !names[want] {
 			t.Fatalf("missing %q span; got %v", want, names)
 		}
