@@ -2,11 +2,10 @@ GO ?= go
 
 .PHONY: verify build lint test vet race bench benchsmoke benchcheck fuzz
 
-# Tier-1 verification gate: build, lint (vet + gofmt), full test suite,
-# the race detector over the concurrent packages (executor + cluster +
-# the concurrent optimizer front-end + the observability sinks), a
-# 1-iteration pass over the optimizer benchmarks so they cannot rot, and
-# the nested benchmark module, which compiles against the engine.
+# Tier-1 verification gate: build, lint (vet + gofmt), full test suite
+# (cmd/cgdqp included), the race detector over every internal package,
+# a 1-iteration pass over the optimizer benchmarks so they cannot rot,
+# and the nested benchmark module, which compiles against the engine.
 verify: build lint test race benchsmoke benchcheck
 
 build:
@@ -24,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/executor ./internal/cluster ./internal/network ./internal/plan ./internal/policy ./internal/optimizer ./internal/obs ./internal/sched ./internal/expr ./internal/rescache ./internal/feedback ./internal/store
+	$(GO) test -race ./internal/...
 
 benchsmoke:
 	$(GO) test -run NONE -bench Optimize -benchtime 1x .

@@ -235,18 +235,13 @@ type System struct {
 	Net      *network.CostModel
 	opts     Options
 
-	cl  *cluster.Cluster
-	opt *optimizer.Optimizer
-	// obsv bundles the sinks enabled by Options.Trace/Metrics/Audit
-	// (nil when all are off, which keeps execution hooks free).
-	obsv *obs.Observer
-
-	// rcache is the result-set cache (nil unless Options.ResultCacheBytes).
-	rcache *rescache.Cache
-	// fb is the execution-feedback store (nil unless Options.Feedback);
-	// slow is the slow-query log (nil unless Options.SlowQueryLog).
-	fb   *feedback.Store
-	slow *feedback.SlowQueryLog
+	// lc is the query lifecycle and the system's one copy of its parts:
+	// the optimizer (nil until built, and again after invalidate), the
+	// cluster (nil until opened), the sinks enabled by
+	// Options.Trace/Metrics/Audit (a nil Obs keeps execution hooks free),
+	// the result cache with its view, the feedback store and the
+	// slow-query log (each nil unless its option is set).
+	lc sched.Lifecycle
 	// policyEpoch counts policy-catalog changes (grants added or
 	// removed); the result cache rechecks provenance whenever it moves.
 	policyEpoch atomic.Uint64
@@ -265,32 +260,45 @@ func NewSystemWith(opts Options) *System {
 		Policies: policy.NewCatalog(),
 		opts:     opts,
 	}
+	lc := &s.lc
+	lc.Parallel = opts.Parallel
+	lc.Exec = executor.ExecOptions{
+		NoKernels: opts.NoVectorKernels,
+		Wire:      network.WireOptions{Compress: opts.WireCompress},
+	}
 	if opts.Trace || opts.Metrics || opts.Audit {
-		s.obsv = &obs.Observer{}
+		lc.Obs = &obs.Observer{}
 		if opts.Trace {
-			s.obsv.Tracer = obs.NewTracer()
+			lc.Obs.Tracer = obs.NewTracer()
 		}
 		if opts.Metrics {
-			s.obsv.Metrics = obs.NewRegistry()
+			lc.Obs.Metrics = obs.NewRegistry()
 		}
 		if opts.Audit {
-			s.obsv.Audit = obs.NewAuditLog()
+			lc.Obs.Audit = obs.NewAuditLog()
 		}
 	}
 	if opts.ResultCacheBytes > 0 {
-		s.rcache = rescache.New(opts.ResultCacheBytes)
-		if s.obsv != nil {
-			s.rcache.SetMetrics(s.obsv.Metrics)
+		lc.Cache = rescache.New(opts.ResultCacheBytes)
+		lc.Cache.SetMetrics(lc.Obs.Reg())
+		// The validity oracles the result cache consults: cluster data
+		// epochs, the system policy epoch, and a provenance recheck that
+		// re-validates a cached plan against Definition 1 under the
+		// current policy catalog.
+		lc.View = rescache.View{
+			DataEpoch:   func(table string) uint64 { return s.Cluster().DataEpoch(table) },
+			PolicyEpoch: s.policyEpoch.Load,
+			Recheck: func(located *plan.Node) bool {
+				return len(s.Optimizer().Check(located)) == 0
+			},
 		}
 	}
 	if opts.Feedback {
-		s.fb = feedback.NewStore(feedback.Options{})
-		if s.obsv != nil {
-			s.fb.SetMetrics(s.obsv.Metrics)
-		}
+		lc.Feedback = feedback.NewStore(feedback.Options{})
+		lc.Feedback.SetMetrics(lc.Obs.Reg())
 	}
 	if opts.SlowQueryLog != nil {
-		s.slow = feedback.NewSlowQueryLog(opts.SlowQueryLog, opts.SlowQueryThreshold)
+		lc.SlowLog = feedback.NewSlowQueryLog(opts.SlowQueryLog, opts.SlowQueryThreshold)
 	}
 	return s
 }
@@ -298,31 +306,21 @@ func NewSystemWith(opts Options) *System {
 // Feedback returns the execution-feedback store (nil unless
 // Options.Feedback). Use it to inspect tracked subplans, active
 // cardinality hints and observed latency quantiles.
-func (s *System) Feedback() *feedback.Store { return s.fb }
+func (s *System) Feedback() *feedback.Store { return s.lc.Feedback }
 
 // Tracer returns the span tracer (nil unless Options.Trace).
 func (s *System) Tracer() *Tracer {
-	if s.obsv == nil {
+	if s.lc.Obs == nil {
 		return nil
 	}
-	return s.obsv.Tracer
+	return s.lc.Obs.Tracer
 }
 
 // Metrics returns the metrics registry (nil unless Options.Metrics).
-func (s *System) Metrics() *MetricsRegistry {
-	if s.obsv == nil {
-		return nil
-	}
-	return s.obsv.Metrics
-}
+func (s *System) Metrics() *MetricsRegistry { return s.lc.Obs.Reg() }
 
 // AuditLog returns the compliance audit log (nil unless Options.Audit).
-func (s *System) AuditLog() *AuditLog {
-	if s.obsv == nil {
-		return nil
-	}
-	return s.obsv.Audit
-}
+func (s *System) AuditLog() *AuditLog { return s.lc.Obs.AuditSink() }
 
 // DefineTable registers a single-site table: db names the database at
 // the location; rows is the expected cardinality used by the optimizer's
@@ -356,7 +354,7 @@ func (s *System) DefineIndex(table string, columns ...string) error {
 	if !ok {
 		return fmt.Errorf("cgdqp: unknown table %q", table)
 	}
-	if s.cl != nil {
+	if s.lc.Cluster != nil {
 		return fmt.Errorf("cgdqp: DefineIndex(%s) after the cluster was created; declare indexes before loading", table)
 	}
 	for _, col := range columns {
@@ -484,8 +482,8 @@ func (s *System) PolicyIDs() []string { return s.Policies.IDs() }
 // entry provenance against the new catalog on next use.
 func (s *System) policiesChanged() {
 	s.policyEpoch.Add(1)
-	if s.opt != nil {
-		s.opt.Evaluator.ResetCache()
+	if s.lc.Opt != nil {
+		s.lc.Opt.Evaluator.ResetCache()
 	}
 }
 
@@ -538,14 +536,14 @@ func (s *System) Analyze() error {
 // surfacing persistent-store open errors that Cluster would panic on.
 // Optional: every entry point opens the cluster lazily on first use.
 func (s *System) Open() error {
-	if s.cl != nil {
+	if s.lc.Cluster != nil {
 		return nil
 	}
 	cl, err := s.newCluster()
 	if err != nil {
 		return err
 	}
-	s.cl = cl
+	s.lc.Cluster = cl
 	return nil
 }
 
@@ -553,10 +551,10 @@ func (s *System) Open() error {
 // plus WAL truncation); a no-op for in-memory systems. The system must
 // not be used afterwards.
 func (s *System) Close() error {
-	if s.cl == nil {
+	if s.lc.Cluster == nil {
 		return nil
 	}
-	return s.cl.Close()
+	return s.lc.Cluster.Close()
 }
 
 // Loaded reports whether every fragment of a table already holds rows —
@@ -575,6 +573,8 @@ func (s *System) Loaded(table string) bool {
 	return len(t.Fragments) > 0
 }
 
+// newCluster creates the cluster and installs what the options ask of
+// it: fault plan, retry policy, observer and wire calibrator.
 func (s *System) newCluster() (*cluster.Cluster, error) {
 	var cfg *cluster.StoreConfig
 	if s.opts.DataDir != "" {
@@ -584,7 +584,26 @@ func (s *System) newCluster() (*cluster.Cluster, error) {
 			Fsync:           s.opts.Fsync,
 		}
 	}
-	return cluster.NewWithStore(s.Schema, s.network(), cfg)
+	cl, err := cluster.NewWithStore(s.Schema, s.network(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.opts.Faults != nil {
+		cl.SetFaults(s.opts.Faults)
+	}
+	if s.opts.Retry != nil {
+		cl.SetRetry(*s.opts.Retry)
+	}
+	cl.SetObserver(s.lc.Obs)
+	if s.lc.Feedback != nil {
+		// Feedback folds wire calibration into the loop: the store's
+		// calibrator observes every shipped frame and continuously
+		// re-fits the cost model's byte scale, bumping the feedback
+		// epoch when the scale drifts enough to matter.
+		cl.SetCalibrator(s.lc.Feedback.Calibrator())
+		s.lc.Feedback.ArmCalibration(s.network(), 0)
+	}
+	return cl, nil
 }
 
 // Cluster returns the simulated geo-distributed cluster, creating it on
@@ -592,29 +611,10 @@ func (s *System) newCluster() (*cluster.Cluster, error) {
 // persistent store cannot be opened — call Open first to handle that
 // error gracefully.
 func (s *System) Cluster() *cluster.Cluster {
-	if s.cl == nil {
-		cl, err := s.newCluster()
-		if err != nil {
-			panic(fmt.Sprintf("cgdqp: open persistent store: %v", err))
-		}
-		s.cl = cl
-		if s.opts.Faults != nil {
-			s.cl.SetFaults(s.opts.Faults)
-		}
-		if s.opts.Retry != nil {
-			s.cl.SetRetry(*s.opts.Retry)
-		}
-		s.cl.SetObserver(s.obsv)
-		if s.fb != nil {
-			// Feedback folds wire calibration into the loop: the store's
-			// calibrator observes every shipped frame and continuously
-			// re-fits the cost model's byte scale, bumping the feedback
-			// epoch when the scale drifts enough to matter.
-			s.cl.SetCalibrator(s.fb.Calibrator())
-			s.fb.ArmCalibration(s.network(), 0)
-		}
+	if err := s.Open(); err != nil {
+		panic(fmt.Sprintf("cgdqp: open persistent store: %v", err))
 	}
-	return s.cl
+	return s.lc.Cluster
 }
 
 func (s *System) network() *network.CostModel {
@@ -635,93 +635,48 @@ func (s *System) network() *network.CostModel {
 // nil-ing the optimizer would strand servers holding the old one with a
 // stale evaluator, the missed-invalidation gap the epoch regression
 // tests pin down.
-func (s *System) invalidate() { s.opt = nil }
-
-// resCacheView builds the validity oracles the result cache consults:
-// cluster data epochs, the system policy epoch, and a provenance
-// recheck that re-validates a cached plan against Definition 1 under
-// the current policy catalog.
-func (s *System) resCacheView() rescache.View {
-	return rescache.View{
-		DataEpoch:   s.Cluster().DataEpoch,
-		PolicyEpoch: s.policyEpoch.Load,
-		Recheck: func(located *plan.Node) bool {
-			return len(s.Optimizer().Check(located)) == 0
-		},
-	}
-}
-
-// execFP fingerprints the execution options that change observable
-// statistics; exchange mode and kernel mode are deliberately excluded
-// because both modes and both expression paths produce identical
-// rows, RunStats and audit logs (the conformance suite pins this), so
-// their executions share cache entries.
-func (s *System) execFP() string {
-	if s.opts.WireCompress {
-		return "wc"
-	}
-	return ""
-}
+func (s *System) invalidate() { s.lc.Opt = nil }
 
 // ResultCacheStats reports the result cache's effectiveness. Always
 // safe to call: with the cache disabled it returns the zero value.
 func (s *System) ResultCacheStats() rescache.Stats {
-	if s.rcache == nil {
+	if s.lc.Cache == nil {
 		return rescache.Stats{}
 	}
-	return s.rcache.Stats()
+	return s.lc.Cache.Stats()
 }
 
 // ResultCache exposes the result cache (nil unless
 // Options.ResultCacheBytes), e.g. to share it with a hand-built
 // sched.Server or purge it.
-func (s *System) ResultCache() *rescache.Cache { return s.rcache }
+func (s *System) ResultCache() *rescache.Cache { return s.lc.Cache }
 
 // Calibrator accumulates wire-encoding and shipment samples during
 // execution and back-fits the cost model (re-exported from network).
 type Calibrator = network.Calibrator
 
-// EnableCalibration installs (and returns) a calibrator on the cluster:
-// every subsequent query feeds it encoding samples (estimated vs. actual
-// wire bytes per shipped frame) and per-shipment α+β·bytes cost samples.
-// Calling it again returns the same calibrator.
-func (s *System) EnableCalibration() *Calibrator {
-	cl := s.Cluster()
-	if cl.Calibrator() == nil {
-		cl.SetCalibrator(network.NewCalibrator())
-	}
-	return cl.Calibrator()
-}
-
-// ApplyCalibration back-fits the optimizer's cost model from the
-// samples collected since EnableCalibration: the observed
-// wire-bytes-per-estimated-byte ratio becomes the model's byte scale
-// (so EstShipCost prices width estimates the way the wire actually
-// encodes them), cached plans are invalidated, and the applied ratio is
-// returned (1 when no calibrator or no samples).
-func (s *System) ApplyCalibration() float64 {
-	cal := s.Cluster().Calibrator()
-	if cal == nil {
-		return 1
-	}
-	cal.Apply(s.network())
-	s.invalidate()
-	return s.network().ByteScale()
-}
-
-// EnableAutoCalibration is EnableCalibration with continuous
-// application: every everyN observed frames (<=0 = a sensible default)
-// the calibrator re-fits the cost model's byte scale in place — no
-// ApplyCalibration calls needed — and cached plans are invalidated via
-// the feedback epoch (or the optimizer's cost epoch when feedback is
-// off) whenever the scale moves enough to change costing.
+// EnableAutoCalibration installs (and returns) a calibrator on the
+// cluster: every subsequent query feeds it encoding samples (estimated
+// vs. actual wire bytes per shipped frame) and per-shipment α+β·bytes
+// cost samples, and every everyN observed frames (<=0 = a sensible
+// default) it re-fits the cost model's byte scale in place — the
+// observed wire-bytes-per-estimated-byte ratio becomes the scale, so
+// EstShipCost prices width estimates the way the wire actually encodes
+// them. Cached plans are invalidated via the feedback epoch (or the
+// optimizer's cost epoch when feedback is off) whenever the scale moves
+// enough to change costing. Calling it again returns the same
+// calibrator.
 func (s *System) EnableAutoCalibration(everyN int) *Calibrator {
 	if everyN <= 0 {
 		everyN = feedback.DefaultAutoApplyFrames
 	}
-	cal := s.EnableCalibration()
-	if s.fb != nil && cal == s.fb.Calibrator() {
-		s.fb.ArmCalibration(s.network(), everyN)
+	cl := s.Cluster()
+	if cl.Calibrator() == nil {
+		cl.SetCalibrator(network.NewCalibrator())
+	}
+	cal := cl.Calibrator()
+	if s.lc.Feedback != nil && cal == s.lc.Feedback.Calibrator() {
+		s.lc.Feedback.ArmCalibration(s.network(), everyN)
 		return cal
 	}
 	opt := s.Optimizer()
@@ -732,7 +687,7 @@ func (s *System) EnableAutoCalibration(everyN int) *Calibrator {
 // Optimizer returns the compliance-based optimizer over the current
 // catalogs.
 func (s *System) Optimizer() *optimizer.Optimizer {
-	if s.opt == nil {
+	if s.lc.Opt == nil {
 		pcs := s.opts.PlanCacheSize
 		switch {
 		case pcs == 0:
@@ -740,7 +695,7 @@ func (s *System) Optimizer() *optimizer.Optimizer {
 		case pcs < 0:
 			pcs = 0
 		}
-		s.opt = optimizer.New(s.Schema, s.Policies, s.network(), optimizer.Options{
+		s.lc.Opt = optimizer.New(s.Schema, s.Policies, s.network(), optimizer.Options{
 			Compliant:      true,
 			ResultLocation: s.opts.ResultLocation,
 			MaxAlts:        s.opts.MaxAlts,
@@ -748,14 +703,14 @@ func (s *System) Optimizer() *optimizer.Optimizer {
 			PlanCacheSize:  pcs,
 			PoolBytes:      s.opts.BufferPoolBytes,
 		})
-		s.opt.SetObserver(s.obsv)
-		if s.fb != nil {
+		s.lc.Opt.SetObserver(s.lc.Obs)
+		if s.lc.Feedback != nil {
 			// Installed on every (re)build, so feedback survives the
 			// optimizer teardown that schema changes trigger.
-			s.opt.SetFeedback(s.fb)
+			s.lc.Opt.SetFeedback(s.lc.Feedback)
 		}
 	}
-	return s.opt
+	return s.lc.Opt
 }
 
 // PlanCacheStats reports the optimizer's plan-cache effectiveness. It
@@ -772,7 +727,9 @@ type Plan struct {
 	Columns []string
 	// EstShipCost is the optimizer's estimated communication cost.
 	EstShipCost float64
-	res         *optimizer.Result
+	// Stats describes the optimization that produced the plan: phase
+	// times, memo size, η, policy-evaluator calls, plan-cache hit.
+	Stats optimizer.Stats
 }
 
 // String pretty-prints the plan with locations and traits.
@@ -788,15 +745,17 @@ func (p *Plan) JSON() (string, error) { return p.Root.JSON() }
 // plan without executing it. It returns ErrNoCompliantPlan when the
 // query is illegal under the policies.
 func (s *System) Explain(sql string) (*Plan, error) {
-	res, err := s.Optimizer().OptimizeSQL(sql)
+	// Planning needs only the optimizer; the cluster stays unopened.
+	lc := sched.Lifecycle{Opt: s.Optimizer()}
+	return explain(&lc, sql)
+}
+
+func explain(lc *sched.Lifecycle, sql string) (*Plan, error) {
+	res, cols, err := lc.Plan(sql)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(res.Plan.Cols))
-	for i, c := range res.Plan.Cols {
-		cols[i] = c.Name
-	}
-	return &Plan{Root: res.Plan, Columns: cols, EstShipCost: res.ShipCost, res: res}, nil
+	return &Plan{Root: res.Plan, Columns: cols, EstShipCost: res.ShipCost, Stats: res.Stats}, nil
 }
 
 // Result is the outcome of an executed query.
@@ -821,169 +780,64 @@ type Result struct {
 // Query optimizes and executes a SQL query over the loaded data,
 // guaranteeing the executed plan is compliant.
 func (s *System) Query(sql string) (*Result, error) {
-	res, _, err := s.query(context.Background(), sql, s.obsv)
-	return res, err
+	return s.query(context.Background(), sql, nil)
 }
 
 // QueryContext is Query under a caller context: cancelling ctx tears
 // down the execution (fragment pipelines, in-flight shipment retries)
 // and returns the context's error.
 func (s *System) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	res, _, err := s.query(ctx, sql, s.obsv)
-	return res, err
+	return s.query(ctx, sql, nil)
 }
 
 // ExplainAnalyze executes the query like Query and additionally returns
 // the plan annotated with per-operator actual rows, batches and wall
-// time (inclusive of children, in the style of EXPLAIN ANALYZE).
+// time (inclusive of children, in the style of EXPLAIN ANALYZE). It
+// bypasses the result cache: its point is per-operator actuals from a
+// real execution.
 func (s *System) ExplainAnalyze(sql string) (*Result, string, error) {
-	o := s.obsv.WithProfile(obs.NewPlanProfile())
-	res, prof, err := s.query(context.Background(), sql, o)
+	prof := obs.NewPlanProfile()
+	res, err := s.query(context.Background(), sql, prof)
 	if err != nil {
 		return nil, "", err
 	}
 	return res, prof.Format(res.Plan.Root), nil
 }
 
-func (s *System) query(ctx context.Context, sql string, o *obs.Observer) (*Result, *obs.PlanProfile, error) {
-	qstart := time.Now()
-	p, err := s.Explain(sql)
+// query runs the lifecycle's steps back to back; a non-nil prof
+// (EXPLAIN ANALYZE) skips the result-cache probe.
+func (s *System) query(ctx context.Context, sql string, prof *obs.PlanProfile) (*Result, error) {
+	s.Optimizer() // the lifecycle runs on a built optimizer
+	s.Cluster()   // and an open cluster
+	lc := s.lc
+	q := &sched.Query{SQL: sql, Start: time.Now()}
+	p, err := explain(&lc, sql)
 	if err != nil {
-		s.countQuery("error")
-		return nil, nil, err
+		lc.Note(q, nil, false, err)
+		return nil, err
 	}
-	// The result cache sits between optimize and execute. EXPLAIN
-	// ANALYZE runs bypass it: their point is per-operator actuals from a
-	// real execution.
-	var fill *rescache.Fill
-	var view rescache.View
-	useCache := s.rcache != nil && o.Prof() == nil
-	if useCache {
-		view = s.resCacheView()
-		fill = rescache.Prepare(p.Root, s.execFP(), view)
-		if r, ok := s.rcache.Get(fill.Key, view); ok {
-			if sink := o.AuditSink(); sink != nil {
-				for _, rec := range r.Audit {
-					sink.Record(rec)
-				}
-			}
-			s.countQuery("ok")
-			s.noteQuery(time.Since(qstart), sql, p, &r.Stats, feedback.CacheHit, nil)
-			return &Result{
-				Plan:         p,
-				Rows:         r.Rows,
-				Columns:      p.Columns,
-				ShippedBytes: r.Stats.ShippedBytes,
-				ShipCost:     r.Stats.ShipCost,
-				Retries:      r.Stats.Retries,
-				Cached:       true,
-			}, o.Prof(), nil
+	q.Root, q.Columns, q.EstShipCost = p.Root, p.Columns, p.EstShipCost
+	var r *rescache.Result
+	hit := false
+	if prof == nil {
+		r, hit = lc.Probe(q)
+	}
+	if !hit {
+		if r, err = lc.Execute(ctx, q, prof); err != nil {
+			lc.Note(q, nil, false, err)
+			return nil, err
 		}
 	}
-	runObs := o
-	var capture *obs.AuditLog
-	if useCache && o.AuditSink() != nil {
-		capture = obs.NewAuditLog()
-		runObs = o.WithAudit(capture)
-	}
-	// Telemetry needs per-operator actuals: install a profile when the
-	// feedback loop or slow-query log is on and the caller did not bring
-	// one (EXPLAIN ANALYZE does). Installed after the cache gate so
-	// cache-served queries keep bypassing profiling.
-	prof := o.Prof()
-	if prof == nil && (s.fb != nil || s.slow != nil) {
-		prof = obs.NewPlanProfile()
-		runObs = runObs.WithProfile(prof)
-	}
-	var rows []Row
-	var stats *executor.RunStats
-	eo := executor.ExecOptions{
-		NoKernels: s.opts.NoVectorKernels,
-		Wire:      network.WireOptions{Compress: s.opts.WireCompress},
-	}
-	if s.opts.Parallel {
-		rows, stats, err = executor.RunParallelOpts(ctx, p.Root, s.Cluster(), runObs, eo)
-	} else {
-		rows, stats, err = executor.RunObservedOpts(ctx, p.Root, s.Cluster(), runObs, eo)
-	}
-	if err != nil {
-		s.countQuery("error")
-		return nil, nil, err
-	}
-	if useCache {
-		var recs []AuditRecord
-		if capture != nil {
-			recs = capture.Records()
-			sink := o.AuditSink()
-			for _, rec := range recs {
-				sink.Record(rec)
-			}
-		}
-		s.rcache.Put(fill, rows, p.Columns, *stats, recs, p.EstShipCost)
-	}
-	s.countQuery("ok")
-	var qerrs []feedback.OpQError
-	if prof != nil && (s.fb != nil || s.slow != nil) {
-		qerrs = feedback.RecordExecution(s.fb, p.Root, prof)
-	}
-	disp := feedback.CacheOff
-	if useCache {
-		disp = feedback.CacheMiss
-	}
-	s.noteQuery(time.Since(qstart), sql, p, stats, disp, qerrs)
+	lc.Note(q, r, hit, nil)
 	return &Result{
 		Plan:         p,
-		Rows:         rows,
+		Rows:         r.Rows,
 		Columns:      p.Columns,
-		ShippedBytes: stats.ShippedBytes,
-		ShipCost:     stats.ShipCost,
-		Retries:      stats.Retries,
-	}, o.Prof(), nil
-}
-
-func (s *System) countQuery(status string) {
-	if m := s.obsv.Reg(); m != nil {
-		m.Counter("cgdqp_queries_total", "status", status).Inc()
-		s.publishStoreStats(m)
-	}
-}
-
-// publishStoreStats refreshes the cgdqp_store_* gauges from the shared
-// buffer pool (no-op unless the persistent engine is running).
-func (s *System) publishStoreStats(m *MetricsRegistry) {
-	if s.cl == nil || !s.cl.Persistent() {
-		return
-	}
-	st := s.cl.StoreStats()
-	m.Gauge("cgdqp_store_pool_hits").Set(float64(st.Hits))
-	m.Gauge("cgdqp_store_pool_misses").Set(float64(st.Misses))
-	m.Gauge("cgdqp_store_pool_evictions").Set(float64(st.Evictions))
-	m.Gauge("cgdqp_store_pool_writebacks").Set(float64(st.Writebacks))
-	m.Gauge("cgdqp_store_pool_resident").Set(float64(st.Resident))
-}
-
-// noteQuery feeds a successful query's end-to-end outcome to the
-// feedback store and the slow-query log (both nil-safe).
-func (s *System) noteQuery(lat time.Duration, sql string, p *Plan, stats *executor.RunStats, disp string, qerrs []feedback.OpQError) {
-	s.fb.ObserveQuery(lat.Seconds())
-	if s.slow == nil {
-		return
-	}
-	engine := "seq"
-	if s.opts.Parallel {
-		engine = "par"
-	}
-	s.slow.Maybe(lat, feedback.QueryRecord{
-		SQLDigest:  feedback.SQLDigest(sql),
-		PlanDigest: feedback.ShortDigest(p.Root.Digest()),
-		RowsOut:    stats.RowsOut,
-		ShipBytes:  stats.ShippedBytes,
-		ShipCostMS: stats.ShipCost,
-		Retries:    stats.Retries,
-		Cache:      disp,
-		Engine:     engine,
-		QErrors:    qerrs,
-	})
+		ShippedBytes: r.Stats.ShippedBytes,
+		ShipCost:     r.Stats.ShipCost,
+		Retries:      r.Stats.Retries,
+		Cached:       hit,
+	}, nil
 }
 
 // --- concurrent query serving -------------------------------------------
@@ -1007,6 +861,14 @@ var (
 	ErrServerClosed = sched.ErrServerClosed
 )
 
+// Defaults behind the zero Options / ServeOptions values, for front
+// ends that display them.
+const (
+	DefaultPlanCacheSize = optimizer.DefaultPlanCacheSize
+	DefaultMaxConcurrent = sched.DefaultMaxConcurrent
+	DefaultQueueDepth    = sched.DefaultQueueDepth
+)
+
 // Serve starts a concurrent query-serving front end over the system:
 // queries submitted through the returned Server are admission-controlled
 // (bounded queue, typed rejections under overload), scheduled
@@ -1021,24 +883,18 @@ var (
 //	resp, err := srv.Do(ctx, "SELECT ...")
 func (s *System) Serve(opts ServeOptions) *Server {
 	if opts.Exec == nil {
-		eo := executor.ExecOptions{
-			NoKernels: s.opts.NoVectorKernels,
-			Wire:      network.WireOptions{Compress: s.opts.WireCompress},
-		}
-		opts.Exec = &eo
+		opts.Exec = &s.lc.Exec
 	}
-	if opts.ResultCache == nil && s.rcache != nil {
-		opts.ResultCache = s.rcache
-		opts.CacheView = s.resCacheView()
-		opts.CacheOptsFP = s.execFP()
+	if opts.ResultCache == nil {
+		opts.ResultCache, opts.CacheView = s.lc.Cache, s.lc.View
 	}
 	if opts.Feedback == nil {
-		opts.Feedback = s.fb
+		opts.Feedback = s.lc.Feedback
 	}
 	if opts.SlowLog == nil {
-		opts.SlowLog = s.slow
+		opts.SlowLog = s.lc.SlowLog
 	}
-	return sched.NewServer(s.Optimizer(), s.Cluster(), s.obsv, opts)
+	return sched.NewServer(s.Optimizer(), s.Cluster(), s.lc.Obs, opts)
 }
 
 // Legal reports whether a query has at least one compliant execution

@@ -22,6 +22,10 @@
 //
 //	cgdqp -serve -clients 16 -duration 10s            # closed loop
 //	cgdqp -serve -qps 50 -workload Q3,Q5 -queue-depth 32
+//
+// The command is a client of the public cgdqp facade: every statement
+// runs through System.Query / Explain / ExplainAnalyze or a Server from
+// System.Serve, exactly as an embedding application's would.
 package main
 
 import (
@@ -38,120 +42,133 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cgdqp/internal/cluster"
-	"cgdqp/internal/executor"
-	"cgdqp/internal/expr"
-	"cgdqp/internal/feedback"
-	"cgdqp/internal/network"
+	"cgdqp"
 	"cgdqp/internal/obs"
-	"cgdqp/internal/optimizer"
-	"cgdqp/internal/plan"
-	"cgdqp/internal/policy"
-	"cgdqp/internal/rescache"
-	"cgdqp/internal/sched"
-	"cgdqp/internal/schema"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
 
-// preloaded reports whether a persistent cluster reopened a data
-// directory that already holds every fragment of every catalog table —
-// in that case the TPC-H load is skipped (reloading would append
-// duplicate rows).
-func preloaded(cat *schema.Catalog, cl *cluster.Cluster) bool {
-	if !cl.Persistent() {
-		return false
-	}
-	for _, t := range cat.Tables() {
-		n := len(t.Fragments)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			if !cl.FragmentLoaded(t, i) {
-				return false
-			}
-		}
-	}
-	return true
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// shell is one CLI session over a loaded TPC-H system.
+type shell struct {
+	sys            *cgdqp.System
+	out, errw      io.Writer
+	explainAnalyze bool
 }
 
 // writeOut renders one observability artefact to path ("-" = stdout,
-// "" = skip) at process exit.
-func writeOut(path, what string, render func(io.Writer) error) {
+// "" = skip) at exit.
+func (sh *shell) writeOut(path, what string, render func(io.Writer) error) {
 	if path == "" {
 		return
 	}
-	var w io.Writer = os.Stdout
+	w := sh.out
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+			fmt.Fprintf(sh.errw, "%s: %v\n", what, err)
 			return
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := render(w); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+		fmt.Fprintf(sh.errw, "%s: %v\n", what, err)
 	}
 }
 
-func main() {
-	setName := flag.String("set", "CR", "policy set: T, C, CR, CR+A, open (unrestricted)")
-	sf := flag.Float64("sf", 0.001, "TPC-H scale factor for loaded data")
-	query := flag.String("q", "", "run one query and exit")
-	explainOnly := flag.Bool("explain", false, "print the plan without executing")
-	resultLoc := flag.String("at", "", "pin the result location (L1..L5)")
-	parallel := flag.Bool("parallel", false, "run each SHIP's producing fragment on its own goroutine")
-	chaosSeed := flag.Int64("chaos-seed", 0, "inject deterministic WAN faults under this seed (0 = off); the same seed replays the same failures")
-	chaosDrop := flag.Float64("chaos-drop", 0.05, "per-batch drop probability under -chaos-seed")
-	chaosError := flag.Float64("chaos-error", 0.05, "per-send transient-error probability under -chaos-seed")
-	chaosDelay := flag.Float64("chaos-delay", 0.10, "per-send delay probability under -chaos-seed")
-	planCache := flag.Int("plan-cache", optimizer.DefaultPlanCacheSize, "optimized-plan LRU cache size (0 = off); repeated queries skip optimization")
-	resultCache := flag.Int64("result-cache", 64<<20, "result-set cache budget in bytes (0 = off); repeated queries are served from cached results while their tables and policies are unchanged")
-	explainAnalyze := flag.Bool("explain-analyze", false, "execute and print the plan annotated with per-operator actual rows/batches/time")
-	metricsOut := flag.String("metrics-out", "", "write Prometheus-text metrics to this file at exit (- for stdout)")
-	traceOut := flag.String("trace-out", "", "write query-lifecycle spans as JSON to this file at exit (- for stdout)")
-	auditOut := flag.String("audit-out", "", "write the compliance audit log of cross-site shipments to this file at exit (- for stdout)")
-	serve := flag.Bool("serve", false, "replay a TPC-H workload through the concurrent query scheduler and report throughput/latency")
-	workloadMix := flag.String("workload", "mixed", "serving mode query mix: comma-separated TPC-H names (Q3,Q5,...) or 'mixed' for all")
-	qps := flag.Float64("qps", 0, "serving mode target submission rate across all clients (0 = closed loop)")
-	clients := flag.Int("clients", 8, "serving mode concurrent client goroutines")
-	duration := flag.Duration("duration", 10*time.Second, "serving mode run length")
-	maxConcurrent := flag.Int("max-concurrent", sched.DefaultMaxConcurrent, "serving mode: queries executing simultaneously")
-	queueDepth := flag.Int("queue-depth", sched.DefaultQueueDepth, "serving mode: admission queue bound (overload beyond it is rejected)")
-	siteSlots := flag.Int("site-slots", 0, "serving mode: per-site fragment-pipeline slots (0 = 2x max-concurrent)")
-	queryTimeout := flag.Duration("query-timeout", 0, "serving mode: per-query deadline from admission (0 = none)")
-	feedbackOn := flag.Bool("feedback", false, "record per-operator actuals from every execution and let the optimizer cost with observed cardinalities (continuous wire calibration included)")
-	slowLogPath := flag.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
-	slowThreshold := flag.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
-	sloTarget := flag.Duration("slo-target", 0, "serving mode: adaptively tune max-concurrent/queue-depth against this e2e p99 target (0 = static limits)")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-	dataDir := flag.String("data-dir", "", "persist per-site table data under this directory with the paged storage engine (empty = in-memory); reopening a populated directory recovers from the WAL and skips the TPC-H load")
-	bufferPool := flag.Int64("buffer-pool", 0, "persistent-store buffer pool budget in bytes (0 = 64 MiB default); also feeds the optimizer's index access-path costing")
-	flag.Parse()
-
-	var obsv *obs.Observer
-	if *metricsOut != "" || *traceOut != "" || *auditOut != "" || *explainAnalyze || *obsAddr != "" {
-		obsv = &obs.Observer{}
-		if *traceOut != "" {
-			obsv.Tracer = obs.NewTracer()
+// run is the whole command: it parses args, loads (or reopens) the
+// TPC-H deployment and runs the one-shot query, the serving replay or
+// the interactive shell, returning the process exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cgdqp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	setName := fs.String("set", "CR", "policy set: T, C, CR, CR+A, open (unrestricted)")
+	sf := fs.Float64("sf", 0.001, "TPC-H scale factor for loaded data")
+	query := fs.String("q", "", "run one query and exit")
+	explainOnly := fs.Bool("explain", false, "print the plan without executing")
+	resultLoc := fs.String("at", "", "pin the result location (L1..L5)")
+	parallel := fs.Bool("parallel", false, "run each SHIP's producing fragment on its own goroutine")
+	chaosSeed := fs.Int64("chaos-seed", 0, "inject deterministic WAN faults under this seed (0 = off); the same seed replays the same failures")
+	chaosDrop := fs.Float64("chaos-drop", 0.05, "per-batch drop probability under -chaos-seed")
+	chaosError := fs.Float64("chaos-error", 0.05, "per-send transient-error probability under -chaos-seed")
+	chaosDelay := fs.Float64("chaos-delay", 0.10, "per-send delay probability under -chaos-seed")
+	planCache := fs.Int("plan-cache", cgdqp.DefaultPlanCacheSize, "optimized-plan LRU cache size (0 = off); repeated queries skip optimization")
+	resultCache := fs.Int64("result-cache", 64<<20, "result-set cache budget in bytes (0 = off); repeated queries are served from cached results while their tables and policies are unchanged")
+	explainAnalyze := fs.Bool("explain-analyze", false, "execute and print the plan annotated with per-operator actual rows/batches/time")
+	metricsOut := fs.String("metrics-out", "", "write Prometheus-text metrics to this file at exit (- for stdout)")
+	traceOut := fs.String("trace-out", "", "write query-lifecycle spans as JSON to this file at exit (- for stdout)")
+	auditOut := fs.String("audit-out", "", "write the compliance audit log of cross-site shipments to this file at exit (- for stdout)")
+	serve := fs.Bool("serve", false, "replay a TPC-H workload through the concurrent query scheduler and report throughput/latency")
+	workloadMix := fs.String("workload", "mixed", "serving mode query mix: comma-separated TPC-H names (Q3,Q5,...) or 'mixed' for all")
+	qps := fs.Float64("qps", 0, "serving mode target submission rate across all clients (0 = closed loop)")
+	clients := fs.Int("clients", 8, "serving mode concurrent client goroutines")
+	duration := fs.Duration("duration", 10*time.Second, "serving mode run length")
+	maxConcurrent := fs.Int("max-concurrent", cgdqp.DefaultMaxConcurrent, "serving mode: queries executing simultaneously")
+	queueDepth := fs.Int("queue-depth", cgdqp.DefaultQueueDepth, "serving mode: admission queue bound (overload beyond it is rejected)")
+	siteSlots := fs.Int("site-slots", 0, "serving mode: per-site fragment-pipeline slots (0 = 2x max-concurrent)")
+	queryTimeout := fs.Duration("query-timeout", 0, "serving mode: per-query deadline from admission (0 = none)")
+	feedbackOn := fs.Bool("feedback", false, "record per-operator actuals from every execution and let the optimizer cost with observed cardinalities (continuous wire calibration included)")
+	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
+	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
+	sloTarget := fs.Duration("slo-target", 0, "serving mode: adaptively tune max-concurrent/queue-depth against this e2e p99 target (0 = static limits)")
+	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
+	dataDir := fs.String("data-dir", "", "persist per-site table data under this directory with the paged storage engine (empty = in-memory); reopening a populated directory recovers from the WAL and skips the TPC-H load")
+	bufferPool := fs.Int64("buffer-pool", 0, "persistent-store buffer pool budget in bytes (0 = 64 MiB default); also feeds the optimizer's index access-path costing")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if *metricsOut != "" || *obsAddr != "" {
-			obsv.Metrics = obs.NewRegistry()
-		}
-		if *auditOut != "" {
-			obsv.Audit = obs.NewAuditLog()
-		}
+		return 2
 	}
-	if *obsAddr != "" {
-		hs, err := obs.ServeHTTP(*obsAddr, obsv.Metrics)
+
+	opts := cgdqp.Options{
+		ResultLocation:     *resultLoc,
+		Parallel:           *parallel,
+		PlanCacheSize:      *planCache,
+		ResultCacheBytes:   *resultCache,
+		Trace:              *traceOut != "",
+		Metrics:            *metricsOut != "" || *obsAddr != "",
+		Audit:              *auditOut != "",
+		Feedback:           *feedbackOn,
+		SlowQueryThreshold: *slowThreshold,
+		DataDir:            *dataDir,
+		BufferPoolBytes:    *bufferPool,
+		Fsync:              true,
+	}
+	if *planCache <= 0 {
+		opts.PlanCacheSize = -1 // the flag's 0 means off; the option's 0 means default
+	}
+	if *chaosSeed != 0 {
+		opts.Faults = cgdqp.NewFaultPlan(*chaosSeed).SetDefault(cgdqp.EdgeFaults{
+			DropProb:      *chaosDrop,
+			TransientProb: *chaosError,
+			DelayProb:     *chaosDelay,
+			DelayMS:       50,
+		})
+	}
+	if *slowLogPath == "-" {
+		opts.SlowQueryLog = stdout
+	} else if *slowLogPath != "" {
+		f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs-addr: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "slow-query-log: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "observability listener on http://%s (/metrics, /debug/vars, /debug/pprof)\n", hs.Addr())
+		defer f.Close()
+		opts.SlowQueryLog = f
+	}
+
+	sys := cgdqp.NewSystemWith(opts)
+	sh := &shell{sys: sys, out: stdout, errw: stderr, explainAnalyze: *explainAnalyze}
+	if *obsAddr != "" {
+		hs, err := obs.ServeHTTP(*obsAddr, sys.Metrics())
+		if err != nil {
+			fmt.Fprintf(stderr, "obs-addr: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "observability listener on http://%s (/metrics, /debug/vars, /debug/pprof)\n", hs.Addr())
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
@@ -159,360 +176,182 @@ func main() {
 		}()
 	}
 	defer func() {
-		writeOut(*metricsOut, "metrics", func(w io.Writer) error { return obsv.Metrics.WritePrometheus(w) })
-		writeOut(*traceOut, "trace", func(w io.Writer) error { return obsv.Tracer.WriteJSON(w) })
-		writeOut(*auditOut, "audit", func(w io.Writer) error { return obsv.Audit.WriteText(w) })
+		sh.writeOut(*metricsOut, "metrics", sys.Metrics().WritePrometheus)
+		sh.writeOut(*traceOut, "trace", sys.Tracer().WriteJSON)
+		sh.writeOut(*auditOut, "audit", sys.AuditLog().WriteText)
 	}()
 
-	var pc *policy.Catalog
-	switch strings.ToUpper(*setName) {
-	case "T":
-		pc = workload.TPCHSet(workload.SetT)
-	case "C":
-		pc = workload.TPCHSet(workload.SetC)
-	case "CR":
-		pc = workload.TPCHSet(workload.SetCR)
-	case "CR+A", "CRA":
-		pc = workload.TPCHSet(workload.SetCRA)
+	switch set := strings.ToUpper(*setName); set {
+	case "T", "C", "CR", "CR+A":
+		sys.Policies = workload.TPCHSet(workload.SetName(set))
+	case "CRA":
+		sys.Policies = workload.TPCHSet(workload.SetCRA)
 	case "OPEN":
-		pc = workload.UnrestrictedSet()
+		sys.Policies = workload.UnrestrictedSet()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown policy set %q\n", *setName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown policy set %q\n", *setName)
+		return 2
 	}
 
-	cat := tpch.NewCatalog(*sf)
-	net := network.FiveRegionWAN(cat.Locations())
-	var cl *cluster.Cluster
-	if *dataDir != "" {
-		var err error
-		cl, err = cluster.NewWithStore(cat, net, &cluster.StoreConfig{
-			DataDir:         *dataDir,
-			BufferPoolBytes: *bufferPool,
-			Fsync:           true,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "data-dir: %v\n", err)
-			os.Exit(1)
-		}
-		defer cl.Close()
-	} else {
-		cl = cluster.New(cat, net)
+	sys.Schema = tpch.NewCatalog(*sf)
+	if err := sys.Open(); err != nil {
+		fmt.Fprintf(stderr, "data-dir: %v\n", err)
+		return 1
 	}
-	if preloaded(cat, cl) {
-		fmt.Fprintf(os.Stderr, "reopened persistent TPC-H data in %s (load skipped)\n", *dataDir)
+	defer func() {
+		if err := sys.Close(); err != nil {
+			fmt.Fprintf(stderr, "close: %v\n", err)
+		}
+	}()
+	// A reopened data directory that already holds every table skips the
+	// load (reloading would append duplicate rows).
+	preloaded := true
+	for _, t := range sys.Schema.Tables() {
+		preloaded = preloaded && sys.Loaded(t.Name)
+	}
+	if preloaded {
+		fmt.Fprintf(stderr, "reopened persistent TPC-H data in %s (load skipped)\n", *dataDir)
 	} else {
-		fmt.Fprintf(os.Stderr, "loading TPC-H data at SF %g over L1..L5 ...\n", *sf)
-		if err := tpch.Generate(cat, cl); err != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", err)
-			os.Exit(1)
+		fmt.Fprintf(stderr, "loading TPC-H data at SF %g over L1..L5 ...\n", *sf)
+		if err := tpch.Generate(sys.Schema, sys.Cluster()); err != nil {
+			fmt.Fprintf(stderr, "load: %v\n", err)
+			return 1
 		}
 	}
 	if *chaosSeed != 0 {
-		faults := network.NewFaultPlan(*chaosSeed).SetDefault(network.EdgeFaults{
-			DropProb:      *chaosDrop,
-			TransientProb: *chaosError,
-			DelayProb:     *chaosDelay,
-			DelayMS:       50,
-		})
-		cl.SetFaults(faults)
-		fmt.Fprintf(os.Stderr, "chaos: injecting WAN faults (seed %d, drop %.0f%%, error %.0f%%, delay %.0f%%; retry %d attempts)\n",
-			*chaosSeed, *chaosDrop*100, *chaosError*100, *chaosDelay*100, cl.Retry().Attempts())
-	}
-	cl.SetObserver(obsv)
-	opt := optimizer.New(cat, pc, net, optimizer.Options{
-		Compliant:      true,
-		ResultLocation: *resultLoc,
-		PlanCacheSize:  *planCache,
-		PoolBytes:      *bufferPool,
-	})
-	opt.SetObserver(obsv)
-
-	var fb *feedback.Store
-	if *feedbackOn {
-		fb = feedback.NewStore(feedback.Options{})
-		if obsv != nil {
-			fb.SetMetrics(obsv.Metrics)
-		}
-		opt.SetFeedback(fb)
-		cl.SetCalibrator(fb.Calibrator())
-		fb.ArmCalibration(net, 0)
-	}
-	var slowLog *feedback.SlowQueryLog
-	if *slowLogPath != "" {
-		w := io.Writer(os.Stdout)
-		if *slowLogPath != "-" {
-			f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "slow-query-log: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		slowLog = feedback.NewSlowQueryLog(w, *slowThreshold)
-	}
-
-	// Result-set cache: repeated queries are served from whole cached
-	// results while every consumed table's data epoch is unchanged (the
-	// CLI policy set is fixed, so the policy epoch never moves; Recheck
-	// still guards against stale provenance defensively).
-	var rcache *rescache.Cache
-	var rcView rescache.View
-	if *resultCache > 0 {
-		rcache = rescache.New(*resultCache)
-		if obsv != nil {
-			rcache.SetMetrics(obsv.Metrics)
-		}
-		rcView = rescache.View{
-			DataEpoch:   cl.DataEpoch,
-			PolicyEpoch: func() uint64 { return 0 },
-			Recheck:     func(p *plan.Node) bool { return len(opt.Check(p)) == 0 },
-		}
-	}
-
-	runOne := func(sql string) {
-		res, err := opt.OptimizeSQL(sql)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return
-		}
-		if !*explainAnalyze {
-			fmt.Println(res.Plan.Format(true))
-		}
-		if *explainOnly {
-			cacheNote := ""
-			if res.Stats.PlanCacheHit {
-				cacheNote = " [plan cache hit]"
-			} else if pcs := opt.PlanCacheStats(); pcs.Hits+pcs.Misses > 0 {
-				cacheNote = fmt.Sprintf(" [plan cache %d/%d hits]", pcs.Hits, pcs.Hits+pcs.Misses)
-			}
-			fmt.Printf("-- optimization: %v, estimated ship cost: %.2f ms; η=%d, 𝒜 calls=%d (cache hits %d)%s\n",
-				res.Stats.TotalTime, res.ShipCost,
-				res.Stats.Eta, res.Stats.ACalls, res.Stats.AHits, cacheNote)
-			return
-		}
-		printResult := func(rows []expr.Row, stats executor.RunStats, cached bool) {
-			for i, r := range rows {
-				if i >= 25 {
-					fmt.Printf("... (%d rows total)\n", len(rows))
-					break
-				}
-				parts := make([]string, len(r))
-				for j, v := range r {
-					parts[j] = v.String()
-				}
-				fmt.Println(strings.Join(parts, " | "))
-			}
-			retryNote := ""
-			if stats.Retries > 0 {
-				retryNote = fmt.Sprintf("; %d send attempt(s) retried", stats.Retries)
-			}
-			cacheNote := ""
-			if cached {
-				cacheNote = " [result cache hit]"
-			}
-			fmt.Printf("-- %d rows; shipped %d bytes across borders (%.2f ms simulated)%s%s\n",
-				stats.RowsOut, stats.ShippedBytes, stats.ShipCost, retryNote, cacheNote)
-		}
-		var fill *rescache.Fill
-		if rcache != nil && !*explainAnalyze {
-			hitStart := time.Now()
-			fill = rescache.Prepare(res.Plan, "", rcView)
-			if r, ok := rcache.Get(fill.Key, rcView); ok {
-				if sink := obsv.AuditSink(); sink != nil {
-					for _, rec := range r.Audit {
-						sink.Record(rec)
-					}
-				}
-				if fb != nil || slowLog != nil {
-					// Hits replay the filling run's statistics; there is no
-					// execution, so no per-operator q-errors.
-					lat := time.Since(hitStart)
-					fb.ObserveQuery(lat.Seconds())
-					engine := "seq"
-					if *parallel {
-						engine = "par"
-					}
-					slowLog.Maybe(lat, feedback.QueryRecord{
-						SQLDigest:  feedback.SQLDigest(sql),
-						PlanDigest: feedback.ShortDigest(res.Plan.Digest()),
-						RowsOut:    r.Stats.RowsOut,
-						ShipBytes:  r.Stats.ShippedBytes,
-						ShipCostMS: r.Stats.ShipCost,
-						Retries:    r.Stats.Retries,
-						Cache:      feedback.CacheHit,
-						Engine:     engine,
-					})
-				}
-				printResult(r.Rows, r.Stats, true)
-				return
-			}
-		}
-		qo := obsv
-		if *explainAnalyze || fb != nil || slowLog != nil {
-			qo = qo.WithProfile(obs.NewPlanProfile())
-		}
-		var capture *obs.AuditLog
-		if fill != nil && obsv.AuditSink() != nil {
-			capture = obs.NewAuditLog()
-			qo = qo.WithAudit(capture)
-		}
-		var rows []expr.Row
-		var stats *executor.RunStats
-		execStart := time.Now()
-		if *parallel {
-			rows, stats, err = executor.RunParallelOpts(context.Background(), res.Plan, cl, qo, executor.ExecOptions{})
-		} else {
-			rows, stats, err = executor.RunObservedOpts(context.Background(), res.Plan, cl, qo, executor.ExecOptions{})
-		}
-		execLat := time.Since(execStart)
-		if *explainAnalyze {
-			fmt.Println(qo.Prof().Format(res.Plan))
-		}
-		if err == nil && (fb != nil || slowLog != nil) {
-			qerrs := feedback.RecordExecution(fb, res.Plan, qo.Prof())
-			fb.ObserveQuery(execLat.Seconds())
-			engine := "seq"
-			if *parallel {
-				engine = "par"
-			}
-			disp := feedback.CacheOff
-			if fill != nil {
-				disp = feedback.CacheMiss
-			}
-			slowLog.Maybe(execLat, feedback.QueryRecord{
-				SQLDigest:  feedback.SQLDigest(sql),
-				PlanDigest: feedback.ShortDigest(res.Plan.Digest()),
-				RowsOut:    stats.RowsOut,
-				ShipBytes:  stats.ShippedBytes,
-				ShipCostMS: stats.ShipCost,
-				Retries:    stats.Retries,
-				Cache:      disp,
-				Engine:     engine,
-				QErrors:    qerrs,
-			})
-		}
-		if err != nil {
-			var shipErr *network.ShipError
-			if errors.As(err, &shipErr) {
-				fmt.Fprintf(os.Stderr, "shipping failure: %v\n", shipErr)
-			} else {
-				fmt.Fprintf(os.Stderr, "execution error: %v\n", err)
-			}
-			return
-		}
-		if fill != nil {
-			var recs []obs.AuditRecord
-			if capture != nil {
-				recs = capture.Records()
-				sink := obsv.AuditSink()
-				for _, rec := range recs {
-					sink.Record(rec)
-				}
-			}
-			cols := make([]string, len(res.Plan.Cols))
-			for i, c := range res.Plan.Cols {
-				cols[i] = c.Name
-			}
-			rcache.Put(fill, rows, cols, *stats, recs, res.ShipCost)
-		}
-		printResult(rows, *stats, false)
+		fmt.Fprintf(stderr, "chaos: injecting WAN faults (seed %d, drop %.0f%%, error %.0f%%, delay %.0f%%; retry %d attempts)\n",
+			*chaosSeed, *chaosDrop*100, *chaosError*100, *chaosDelay*100, sys.Cluster().Retry().Attempts())
 	}
 
 	if *serve {
-		runServe(opt, cl, obsv, serveConfig{
-			mix:      *workloadMix,
-			qps:      *qps,
-			clients:  *clients,
-			duration: *duration,
-			opts: sched.Options{
-				MaxConcurrent: *maxConcurrent, QueueDepth: *queueDepth,
-				SiteSlots: *siteSlots, QueryTimeout: *queryTimeout,
-				ResultCache: rcache, CacheView: rcView,
-				SLOTarget: *sloTarget, Feedback: fb, SlowLog: slowLog,
-			},
+		return sh.runServe(*workloadMix, *qps, *clients, *duration, cgdqp.ServeOptions{
+			MaxConcurrent: *maxConcurrent, QueueDepth: *queueDepth,
+			SiteSlots: *siteSlots, QueryTimeout: *queryTimeout,
+			SLOTarget: *sloTarget,
 		})
-		return
 	}
 
 	if *query != "" {
-		runOne(*query)
-		return
+		sh.runOne(*query, *explainOnly)
+		return 0
 	}
 
-	fmt.Println("compliant geo-distributed SQL shell — \\policies, \\explain <sql>, \\quit")
-	scanner := bufio.NewScanner(os.Stdin)
+	fmt.Fprintln(stdout, "compliant geo-distributed SQL shell — \\policies, \\explain <sql>, \\quit")
+	scanner := bufio.NewScanner(stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	prompt := func() { fmt.Print("> ") }
+	prompt := func() { fmt.Fprint(stdout, "> ") }
 	prompt()
 	for scanner.Scan() {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		switch {
 		case trimmed == `\quit` || trimmed == `\q`:
-			return
+			return 0
 		case trimmed == `\policies`:
-			for _, db := range pc.Databases() {
-				for _, e := range pc.ForDB(db) {
-					fmt.Printf("  [%s] %s\n", e.ID, e)
+			for _, db := range sys.Policies.Databases() {
+				for _, e := range sys.Policies.ForDB(db) {
+					fmt.Fprintf(stdout, "  [%s] %s\n", e.ID, e)
 				}
 			}
-			prompt()
-			continue
 		case strings.HasPrefix(trimmed, `\explain `):
-			was := *explainOnly
-			*explainOnly = true
-			runOne(strings.TrimSuffix(strings.TrimPrefix(trimmed, `\explain `), ";"))
-			*explainOnly = was
-			prompt()
-			continue
+			sh.runOne(strings.TrimSuffix(strings.TrimPrefix(trimmed, `\explain `), ";"), true)
 		case strings.HasPrefix(trimmed, `\dot `):
 			sql := strings.TrimSuffix(strings.TrimPrefix(trimmed, `\dot `), ";")
-			if res, err := opt.OptimizeSQL(sql); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			if p, err := sys.Explain(sql); err != nil {
+				fmt.Fprintf(stderr, "error: %v\n", err)
 			} else {
-				fmt.Println(res.Plan.Dot())
+				fmt.Fprintln(stdout, p.Dot())
 			}
-			prompt()
-			continue
 		case trimmed == `\analyze`:
-			if err := cl.AnalyzeAll(cat); err != nil {
-				fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
+			if err := sys.Analyze(); err != nil {
+				fmt.Fprintf(stderr, "analyze: %v\n", err)
 			} else {
-				fmt.Println("statistics recomputed from loaded data")
-				opt = optimizer.New(cat, pc, net, optimizer.Options{
-					Compliant:      true,
-					ResultLocation: *resultLoc,
-					PlanCacheSize:  *planCache,
-					PoolBytes:      *bufferPool,
-				})
-				opt.SetObserver(obsv)
+				fmt.Fprintln(stdout, "statistics recomputed from loaded data")
 			}
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if strings.Contains(line, ";") {
+		default:
+			buf.WriteString(line)
+			buf.WriteByte('\n')
+			if !strings.Contains(line, ";") {
+				continue // statement still open: no prompt
+			}
 			sql := strings.TrimSuffix(strings.TrimSpace(buf.String()), ";")
 			buf.Reset()
 			if sql != "" {
-				runOne(sql)
+				sh.runOne(sql, *explainOnly)
 			}
-			prompt()
 		}
+		prompt()
 	}
+	return 0
 }
 
-// serveConfig parameterizes the serving-mode workload driver.
-type serveConfig struct {
-	mix      string
-	qps      float64
-	clients  int
-	duration time.Duration
-	opts     sched.Options
+// runOne plans (and, unless explainOnly, executes) one statement and
+// prints the plan, the rows and the shipping footer.
+func (sh *shell) runOne(sql string, explainOnly bool) {
+	if explainOnly {
+		p, err := sh.sys.Explain(sql)
+		if err != nil {
+			fmt.Fprintf(sh.errw, "error: %v\n", err)
+			return
+		}
+		if !sh.explainAnalyze {
+			fmt.Fprintln(sh.out, p)
+		}
+		cacheNote := ""
+		if p.Stats.PlanCacheHit {
+			cacheNote = " [plan cache hit]"
+		} else if pcs := sh.sys.PlanCacheStats(); pcs.Hits+pcs.Misses > 0 {
+			cacheNote = fmt.Sprintf(" [plan cache %d/%d hits]", pcs.Hits, pcs.Hits+pcs.Misses)
+		}
+		fmt.Fprintf(sh.out, "-- optimization: %v, estimated ship cost: %.2f ms; η=%d, 𝒜 calls=%d (cache hits %d)%s\n",
+			p.Stats.TotalTime, p.EstShipCost,
+			p.Stats.Eta, p.Stats.ACalls, p.Stats.AHits, cacheNote)
+		return
+	}
+	var res *cgdqp.Result
+	var analyzed string
+	var err error
+	if sh.explainAnalyze {
+		res, analyzed, err = sh.sys.ExplainAnalyze(sql)
+	} else {
+		res, err = sh.sys.Query(sql)
+	}
+	if err != nil {
+		var shipErr *cgdqp.ShipError
+		if errors.As(err, &shipErr) {
+			fmt.Fprintf(sh.errw, "shipping failure: %v\n", shipErr)
+		} else {
+			fmt.Fprintf(sh.errw, "error: %v\n", err)
+		}
+		return
+	}
+	if sh.explainAnalyze {
+		fmt.Fprintln(sh.out, analyzed)
+	} else {
+		fmt.Fprintln(sh.out, res.Plan)
+	}
+	for i, r := range res.Rows {
+		if i >= 25 {
+			fmt.Fprintf(sh.out, "... (%d rows total)\n", len(res.Rows))
+			break
+		}
+		parts := make([]string, len(r))
+		for j, v := range r {
+			parts[j] = v.String()
+		}
+		fmt.Fprintln(sh.out, strings.Join(parts, " | "))
+	}
+	retryNote := ""
+	if res.Retries > 0 {
+		retryNote = fmt.Sprintf("; %d send attempt(s) retried", res.Retries)
+	}
+	cacheNote := ""
+	if res.Cached {
+		cacheNote = " [result cache hit]"
+	}
+	fmt.Fprintf(sh.out, "-- %d rows; shipped %d bytes across borders (%.2f ms simulated)%s%s\n",
+		len(res.Rows), res.ShippedBytes, res.ShipCost, retryNote, cacheNote)
 }
 
 // runServe replays a mixed TPC-H workload through the concurrent query
@@ -520,49 +359,48 @@ type serveConfig struct {
 // mix — paced at an aggregate `qps` when set, back-to-back otherwise —
 // for `duration`, then the admission counters and the completed-query
 // latency distribution are reported.
-func runServe(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer, cfg serveConfig) {
+func (sh *shell) runServe(mix string, qps float64, clients int, duration time.Duration, opts cgdqp.ServeOptions) int {
 	var names []string
-	if strings.EqualFold(cfg.mix, "mixed") || cfg.mix == "" {
+	if strings.EqualFold(mix, "mixed") || mix == "" {
 		names = tpch.QueryNames()
 	} else {
-		for _, n := range strings.Split(cfg.mix, ",") {
+		for _, n := range strings.Split(mix, ",") {
 			n = strings.TrimSpace(strings.ToUpper(n))
 			if _, ok := tpch.Queries[n]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown workload query %q (have %s)\n", n, strings.Join(tpch.QueryNames(), ", "))
-				os.Exit(2)
+				fmt.Fprintf(sh.errw, "unknown workload query %q (have %s)\n", n, strings.Join(tpch.QueryNames(), ", "))
+				return 2
 			}
 			names = append(names, n)
 		}
 	}
-	if cfg.clients <= 0 {
-		cfg.clients = 1
+	if clients <= 0 {
+		clients = 1
 	}
 
-	srv := sched.NewServer(opt, cl, obsv, cfg.opts)
+	srv := sh.sys.Serve(opts)
 	pace := ""
-	if cfg.qps > 0 {
-		pace = fmt.Sprintf(" at %.0f qps", cfg.qps)
+	if qps > 0 {
+		pace = fmt.Sprintf(" at %.0f qps", qps)
 	}
-	fmt.Fprintf(os.Stderr, "serving mix [%s] with %d clients%s for %v (max-concurrent %d, queue-depth %d)\n",
-		strings.Join(names, " "), cfg.clients, pace, cfg.duration,
-		cfg.opts.MaxConcurrent, cfg.opts.QueueDepth)
+	fmt.Fprintf(sh.errw, "serving mix [%s] with %d clients%s for %v (max-concurrent %d, queue-depth %d)\n",
+		strings.Join(names, " "), clients, pace, duration,
+		opts.MaxConcurrent, opts.QueueDepth)
 
 	var (
 		mu        sync.Mutex
 		lats      []time.Duration
 		nextQuery atomic.Int64
-		rejected  atomic.Int64
 		failed    atomic.Int64
 	)
 	// Open-loop pacing: one shared ticker feeds submission slots so the
 	// aggregate rate holds regardless of client count.
 	var slots chan struct{}
-	deadline := time.Now().Add(cfg.duration)
+	deadline := time.Now().Add(duration)
 	stop := make(chan struct{})
-	if cfg.qps > 0 {
-		slots = make(chan struct{}, cfg.clients)
+	if qps > 0 {
+		slots = make(chan struct{}, clients)
 		go func() {
-			tick := time.NewTicker(time.Duration(float64(time.Second) / cfg.qps))
+			tick := time.NewTicker(time.Duration(float64(time.Second) / qps))
 			defer tick.Stop()
 			for {
 				select {
@@ -579,7 +417,7 @@ func runServe(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer,
 	}
 
 	var wg sync.WaitGroup
-	for c := 0; c < cfg.clients; c++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -598,11 +436,10 @@ func runServe(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer,
 					mu.Lock()
 					lats = append(lats, resp.Total)
 					mu.Unlock()
-				case errors.Is(err, sched.ErrQueueFull):
-					rejected.Add(1)
+				case errors.Is(err, cgdqp.ErrQueueFull): // counted by the server
 				default:
 					failed.Add(1)
-					fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+					fmt.Fprintf(sh.errw, "%s: %v\n", name, err)
 				}
 			}
 		}()
@@ -622,15 +459,16 @@ func runServe(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer,
 		return lats[i]
 	}
 	c := srv.Counters()
-	fmt.Printf("completed %d queries in %v (%.1f q/s); rejected %d (queue full), failed %d, cancelled %d, coalesced %d; executed %d, result-cache hits %d (+%d coalesced executions)\n",
+	fmt.Fprintf(sh.out, "completed %d queries in %v (%.1f q/s); rejected %d (queue full), failed %d, cancelled %d, coalesced %d; executed %d, result-cache hits %d (+%d coalesced executions)\n",
 		len(lats), elapsed.Round(time.Millisecond), float64(len(lats))/elapsed.Seconds(),
-		rejected.Load(), failed.Load(), c.Cancelled, c.Coalesced,
+		c.RejectedQueueFull, failed.Load(), c.Cancelled, c.Coalesced,
 		c.Executed, c.ResultCacheHits, c.ExecCoalesced)
-	fmt.Printf("latency p50 %v  p99 %v  max %v\n",
+	fmt.Fprintf(sh.out, "latency p50 %v  p99 %v  max %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
-	if cfg.opts.SLOTarget > 0 {
+	if opts.SLOTarget > 0 {
 		em, eq := srv.Tuning()
-		fmt.Printf("adaptive admission: effective max-concurrent %d, queue-depth %d (SLO target %v)\n",
-			em, eq, cfg.opts.SLOTarget)
+		fmt.Fprintf(sh.out, "adaptive admission: effective max-concurrent %d, queue-depth %d (SLO target %v)\n",
+			em, eq, opts.SLOTarget)
 	}
+	return 0
 }

@@ -81,8 +81,8 @@ func TestLoadAndReadFragments(t *testing.T) {
 		t.Error("bad index read must fail")
 	}
 	// The ledger prices through the cluster's model.
-	c := cl.Ledger.Record("L1", "L2", 1, 1000)
-	if c != 1+1 {
+	cl.Ledger.OpenShipment("L1", "L2").Add(1, 1000)
+	if c := cl.Ledger.TotalCost(); c != 1+1 {
 		t.Errorf("ledger cost: %v", c)
 	}
 }

@@ -46,8 +46,8 @@ func (r *RunScope) Retries() int64 { return r.retries.Load() }
 
 // RunShipment pairs the two ledger entries of one incremental transfer:
 // the cumulative cluster entry and the run-private one. Batches are
-// added to both, so the shared ledger stays bit-identical to what the
-// unscoped path records while the run ledger sees only its own bytes.
+// added to both, so the shared ledger accumulates every run while the
+// run ledger sees only its own bytes.
 type RunShipment struct {
 	main, run *network.Shipment
 }
@@ -60,9 +60,12 @@ func (r *RunScope) OpenShipment(from, to string) *RunShipment {
 	}
 }
 
-// ShipBatch is Cluster.ShipBatch under this scope: identical fault,
-// retry and observability semantics, with the delivered batch charged
-// to the run ledger as well.
+// ShipBatch delivers one batch of an open shipment across the edge,
+// injecting faults and retrying under the cluster's retry policy. The
+// shipment is charged — to the cumulative and the run ledger alike —
+// only when the batch arrives, so both end bit-identical to a
+// fault-free run. The returned error is nil, ctx.Err(), or a typed
+// *network.ShipError.
 func (r *RunScope) ShipBatch(ctx context.Context, ship *RunShipment, from, to string, batch int, rows, bytes int64) error {
 	sp := r.c.obs.StartSpan("ship.batch").
 		Tag("from", from).Tag("to", to).TagInt("batch", int64(batch)).TagInt("rows", rows)

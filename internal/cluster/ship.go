@@ -42,22 +42,6 @@ func (c *Cluster) Retry() network.RetryPolicy { return c.retry }
 // diff it around an execution, like the ledger totals.
 func (c *Cluster) TotalRetries() int64 { return c.retries.Load() }
 
-// ShipBatch delivers one batch of an open shipment across the edge,
-// injecting faults and retrying under the cluster's retry policy. The
-// shipment is charged only when the batch arrives, so the ledger ends
-// bit-identical to a fault-free run. The returned error is nil,
-// ctx.Err(), or a typed *network.ShipError.
-func (c *Cluster) ShipBatch(ctx context.Context, ship *network.Shipment, from, to string, batch int, rows, bytes int64) error {
-	sp := c.obs.StartSpan("ship.batch").
-		Tag("from", from).Tag("to", to).TagInt("batch", int64(batch)).TagInt("rows", rows)
-	err := c.send(ctx, nil, from, to, batch, bytes, func(extraMS float64) {
-		delta := ship.Add(rows, bytes)
-		c.SleepWire(delta + extraMS)
-	})
-	c.finishShip(sp, from, to, rows, bytes, err)
-	return err
-}
-
 // finishShip closes the shipment span with its outcome and, on success,
 // bumps the per-edge shipping counters. Every step is guarded so a
 // disabled observer costs pointer checks only.
@@ -121,8 +105,7 @@ func (c *Cluster) countFault(err error) {
 // send runs the attempt loop: decide the fault verdict, model the wire
 // time of failed attempts, back off, and invoke deliver exactly once on
 // success. bytes only sizes the simulated attempt cost; accounting is
-// deliver's job. A non-nil scope additionally receives the run-local
-// retry count.
+// deliver's job. The scope receives the run-local retry count.
 func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, batch int, bytes int64, deliver func(extraMS float64)) error {
 	faults := c.faults
 	if faults == nil || from == to {
@@ -161,9 +144,7 @@ func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, ba
 			return nil
 		}
 		c.retries.Add(1)
-		if scope != nil {
-			scope.retries.Add(1)
-		}
+		scope.retries.Add(1)
 		c.countFault(lastErr)
 		if m := c.obs.Reg(); m != nil {
 			m.Counter("cgdqp_ship_retries_total", "from", from, "to", to).Inc()

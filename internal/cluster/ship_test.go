@@ -24,7 +24,8 @@ func shipTestCluster(t *testing.T) *Cluster {
 
 // shipOne opens a shipment on the edge and sends its only batch.
 func shipOne(ctx context.Context, c *Cluster, from, to string, rows, bytes int64) error {
-	return c.ShipBatch(ctx, c.Ledger.OpenShipment(from, to), from, to, 0, rows, bytes)
+	run := c.NewRun()
+	return run.ShipBatch(ctx, run.OpenShipment(from, to), from, to, 0, rows, bytes)
 }
 
 func fastRetry(attempts int) network.RetryPolicy {
@@ -44,8 +45,7 @@ func TestShipBatchRetriesToSuccess(t *testing.T) {
 	c := shipTestCluster(t)
 	c.SetFaults(network.NewFaultPlan(11).SetDefault(EdgeFaultsWithDrop(0.9)))
 	c.SetRetry(fastRetry(100))
-	ship := c.Ledger.OpenShipment("EU", "AS")
-	if err := c.ShipBatch(context.Background(), ship, "EU", "AS", 0, 100, 800); err != nil {
+	if err := shipOne(context.Background(), c, "EU", "AS", 100, 800); err != nil {
 		t.Fatalf("ShipBatch: %v", err)
 	}
 	if got := c.Ledger.TotalBytes(); got != 800 {
@@ -71,8 +71,7 @@ func TestShipBatchExhaustsRetries(t *testing.T) {
 	c := shipTestCluster(t)
 	c.SetFaults(network.NewFaultPlan(5).SetDefault(network.EdgeFaults{TransientProb: 1}))
 	c.SetRetry(fastRetry(3))
-	ship := c.Ledger.OpenShipment("EU", "AS")
-	err := c.ShipBatch(context.Background(), ship, "EU", "AS", 0, 10, 80)
+	err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
 	var se *network.ShipError
 	if !errors.As(err, &se) {
 		t.Fatalf("error %v, want *network.ShipError", err)

@@ -192,23 +192,12 @@ func NewLedger(model *CostModel) *Ledger {
 	return &Ledger{model: model}
 }
 
-// Record adds one shipment (rows/bytes moved from -> to) and returns its
-// cost.
-func (l *Ledger) Record(from, to string, rows, bytes int64) float64 {
-	cost := l.model.ShipCost(from, to, float64(bytes))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.transfers = append(l.transfers, Transfer{From: from, To: to, Rows: rows, Bytes: bytes, Cost: cost})
-	return cost
-}
-
 // Shipment is an in-progress transfer recorded incrementally, batch by
 // batch, by the parallel executor's exchange operators. All batches of
 // one shipment accumulate into a single Transfer entry, and the cost is
 // kept equal to ShipCost(from, to, totalBytes) — affine in bytes — so a
 // shipment split into N batches prices identically to the same bytes
-// recorded in one Record call (the start-up cost α is paid once, not N
-// times). Safe for concurrent use with all other ledger methods.
+// added in one batch (the start-up cost α is paid once, not N times). Safe for concurrent use with all other ledger methods.
 type Shipment struct {
 	l        *Ledger
 	idx      int
@@ -216,8 +205,7 @@ type Shipment struct {
 }
 
 // OpenShipment starts an incremental transfer and returns its handle.
-// The entry is recorded immediately with zero rows/bytes (cost α, as an
-// empty Record would be).
+// The entry is recorded immediately with zero rows/bytes (cost α).
 func (l *Ledger) OpenShipment(from, to string) *Shipment {
 	cost := l.model.ShipCost(from, to, 0)
 	l.mu.Lock()

@@ -64,12 +64,12 @@ func TestFiveRegionWAN(t *testing.T) {
 func TestLedger(t *testing.T) {
 	m := UniformWAN(10, 0.5)
 	l := NewLedger(m)
-	c1 := l.Record("A", "B", 10, 100)
-	if c1 != 10+50 {
+	l.OpenShipment("A", "B").Add(10, 100)
+	if c1 := l.TotalCost(); c1 != 10+50 {
 		t.Errorf("record cost: %v", c1)
 	}
-	l.Record("A", "B", 5, 20)
-	l.Record("B", "C", 1, 8)
+	l.OpenShipment("A", "B").Add(5, 20)
+	l.OpenShipment("B", "C").Add(1, 8)
 	if l.TotalBytes() != 128 {
 		t.Errorf("total bytes: %d", l.TotalBytes())
 	}
@@ -95,12 +95,12 @@ func TestLedger(t *testing.T) {
 }
 
 // TestShipmentMatchesRecord: a shipment split into batches must price
-// and account identically to one Record of the same totals — the parity
-// the parallel executor's per-batch exchange accounting depends on.
+// and account identically to one batch of the same totals — the parity
+// the executor's per-batch exchange accounting depends on.
 func TestShipmentMatchesRecord(t *testing.T) {
 	m := UniformWAN(10, 0.5)
 	one := NewLedger(m)
-	one.Record("A", "B", 30, 300)
+	one.OpenShipment("A", "B").Add(30, 300)
 
 	batched := NewLedger(m)
 	s := batched.OpenShipment("A", "B")
@@ -123,7 +123,7 @@ func TestShipmentMatchesRecord(t *testing.T) {
 	if got := len(batched.Transfers()); got != 1 {
 		t.Errorf("transfers: %d, want 1", got)
 	}
-	// An empty shipment still pays the start-up cost, like Record.
+	// An empty shipment still pays the start-up cost.
 	empty := NewLedger(m)
 	empty.OpenShipment("A", "B")
 	if empty.TotalCost() != 10 {

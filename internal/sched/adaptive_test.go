@@ -166,23 +166,23 @@ func TestWeightedCensus(t *testing.T) {
 
 	// Without feedback: one slot per fragment regardless of size.
 	small, big := mk(50), mk(5_000_000)
-	plain := siteCensus(big, 8)
+	plain := siteCensus(big, 8, nil)
 	if plain["L1"] != 1 || plain["L2"] != 1 {
 		t.Fatalf("plain census = %v", plain)
 	}
 
 	fb := feedback.NewStore(feedback.Options{})
-	wSmall := siteCensusWeighted(small, 8, fb)
+	wSmall := siteCensus(small, 8, fb)
 	if wSmall["L1"] != 1 || wSmall["L2"] != 1 {
 		t.Fatalf("small weighted census = %v, want 1 per site", wSmall)
 	}
 	// 5M rows: capped at 4 slots for the producing fragment.
-	wBig := siteCensusWeighted(big, 8, fb)
+	wBig := siteCensus(big, 8, fb)
 	if wBig["L1"] != 4 {
 		t.Fatalf("big weighted census = %v, want 4 at L1", wBig)
 	}
 	// Per-site clamp still applies with a small site bound.
-	if c := siteCensusWeighted(big, 2, fb); c["L1"] != 2 {
+	if c := siteCensus(big, 2, fb); c["L1"] != 2 {
 		t.Fatalf("clamped census = %v, want 2 at L1", c)
 	}
 
@@ -196,7 +196,7 @@ func TestWeightedCensus(t *testing.T) {
 	if _, ok := fb.CardHint(digest); !ok {
 		t.Fatal("hint did not activate")
 	}
-	wLiar := siteCensusWeighted(liar, 8, fb)
+	wLiar := siteCensus(liar, 8, fb)
 	if wLiar["L1"] != 4 {
 		t.Fatalf("hinted census = %v, want 4 at L1", wLiar)
 	}

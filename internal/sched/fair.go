@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"cgdqp/internal/feedback"
 )
 
 // task is one admitted query moving through the scheduler.
@@ -29,10 +27,6 @@ type task struct {
 	done chan struct{}
 	resp *Response
 	err  error
-
-	// Slow-query-log context, filled by serve paths when logging is on.
-	planDigest string
-	qerrors    []feedback.OpQError
 }
 
 // taskHeap is the wait queue, a min-heap on (vft, seq).

@@ -1,15 +1,19 @@
 package sched
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
+	"cgdqp/internal/feedback"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/rescache"
@@ -30,15 +34,17 @@ func cacheView(cl *cluster.Cluster) rescache.View {
 // N concurrent submissions of one query through a cache-backed server
 // run the executor exactly once — every other submission is served from
 // the in-flight execution or the cache — and all callers get the same
-// result.
+// result, accounted in the slow-query log under the plan that ran.
 func TestSubmitSameQuerySingleExecution(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
+	var slow bytes.Buffer
 	srv := NewServer(opt, cl, nil, Options{
 		MaxConcurrent: 4,
 		ResultCache:   rescache.New(8 << 20),
 		CacheView:     cacheView(cl),
+		SlowLog:       feedback.NewSlowQueryLog(&slow, 0),
 	})
 	defer srv.Close()
 
@@ -80,6 +86,28 @@ func TestSubmitSameQuerySingleExecution(t *testing.T) {
 	if c.Completed != n {
 		t.Fatalf("completed %d of %d", c.Completed, n)
 	}
+	// Cache hits and coalesced followers log the digest of the plan whose
+	// execution answered them.
+	digests := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
+		var rec feedback.QueryRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("slow-query line: %v\n%s", err, line)
+		}
+		digests[rec.PlanDigest]++
+	}
+	if len(digests) != 1 || digests[""] != 0 || digests[feedback.ShortDigest(mustPlanDigest(t, opt))] != n {
+		t.Fatalf("plan digests logged for %d submissions of one query: %v", n, digests)
+	}
+}
+
+func mustPlanDigest(t *testing.T, opt *optimizer.Optimizer) string {
+	t.Helper()
+	res, err := opt.OptimizeSQL(joinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Plan.Digest()
 }
 
 // TestCachedResultsAreIsolated: followers and later hits get deep

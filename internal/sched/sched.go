@@ -39,7 +39,6 @@ import (
 	"cgdqp/internal/feedback"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
-	"cgdqp/internal/plan"
 	"cgdqp/internal/rescache"
 )
 
@@ -77,13 +76,10 @@ type Options struct {
 	// epoch and the provenance recheck; see package rescache.
 	ResultCache *rescache.Cache
 	CacheView   rescache.View
-	// CacheOptsFP distinguishes cache entries whose execution options
-	// change observable statistics (e.g. wire compression). It must
-	// agree with Exec so replayed statistics match what an execution
-	// under these options reports.
-	CacheOptsFP string
 	// Exec overrides the execution options served queries run under
-	// (nil = the defaults: kernels on, plain wire encoding).
+	// (nil = the defaults: kernels on, plain wire encoding). Options that
+	// change observable statistics (wire compression) key their own
+	// cache entries.
 	Exec *executor.ExecOptions
 
 	// SLOTarget, when set, turns MaxConcurrent/QueueDepth into adaptive
@@ -187,9 +183,9 @@ type Counters struct {
 // NewServer, submit with Submit/Do, and Close when done (Close drains
 // admitted queries and stops the workers).
 type Server struct {
-	opt  *optimizer.Optimizer
-	cl   *cluster.Cluster
-	obsv *obs.Observer
+	// lc is the query lifecycle every served query runs (goroutine-mode
+	// exchanges); the rest of the server is what surrounds its steps.
+	lc   Lifecycle
 	opts Options
 
 	mu     sync.Mutex
@@ -233,15 +229,21 @@ type Server struct {
 // the optimizer and cluster should share it so spans line up.
 func NewServer(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer, opts Options) *Server {
 	s := &Server{
-		opt:         opt,
-		cl:          cl,
-		obsv:        obsv,
+		lc: Lifecycle{
+			Opt: opt, Cluster: cl, Obs: obsv,
+			Cache: opts.ResultCache, View: opts.CacheView,
+			Parallel: true,
+			Feedback: opts.Feedback, SlowLog: opts.SlowLog,
+		},
 		opts:        opts,
 		slots:       newSlotTable(opts.siteSlots()),
 		flights:     flightGroup{m: map[string]*flight{}},
 		execFlights: map[string]*execFlight{},
 		e2eHist:     obs.NewLatencyHistogram(),
 		ctrlStop:    make(chan struct{}),
+	}
+	if opts.Exec != nil {
+		s.lc.Exec = *opts.Exec
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.effMax.Store(int64(opts.maxConcurrent()))
@@ -320,7 +322,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	s.gaugeQueueLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
-	if m := s.obsv.Reg(); m != nil {
+	if m := s.lc.Obs.Reg(); m != nil {
 		m.Counter("cgdqp_sched_admitted_total").Inc()
 	}
 	return &Ticket{t: t}, nil
@@ -502,7 +504,7 @@ func (s *Server) adjust(p99 float64) {
 			s.mu.Unlock()
 		}
 	}
-	if m := s.obsv.Reg(); m != nil {
+	if m := s.lc.Obs.Reg(); m != nil {
 		m.Gauge("cgdqp_sched_eff_max_concurrent").Set(float64(s.effMax.Load()))
 		m.Gauge("cgdqp_sched_eff_queue_depth").Set(float64(s.effQueue.Load()))
 		m.Gauge("cgdqp_sched_window_p99_seconds").Set(p99)
@@ -581,83 +583,56 @@ func (s *Server) abandon(t *task) {
 	s.finish(t, nil, t.ctx.Err())
 }
 
-// serve runs one admitted query: optimize (coalescing identical
-// in-flight optimizations), gang-acquire per-site execution slots, and
-// execute with goroutine-mode exchanges under the query's context.
+// serve runs one admitted query through the lifecycle and delivers its
+// outcome.
 func (s *Server) serve(t *task) {
 	t.queueWait = time.Since(t.enq)
 	s.running.Add(1)
 	defer s.running.Add(-1)
-	if m := s.obsv.Reg(); m != nil {
+	if m := s.lc.Obs.Reg(); m != nil {
 		m.Gauge("cgdqp_sched_running").Set(float64(s.running.Load()))
 		m.Histogram("cgdqp_sched_queue_wait_seconds").Observe(t.queueWait.Seconds())
 	}
-	sp := s.obsv.StartSpan("sched.serve")
-
-	res, shared, err := s.optimizeShared(t.ctx, t.req.SQL)
+	sp := s.lc.Obs.StartSpan("sched.serve")
+	q := &Query{SQL: t.req.SQL, Start: t.enq}
+	r, how, err := s.run(t, q)
 	if err != nil {
-		sp.Tag("outcome", "optimize_error").End()
+		how = "exec_error"
+		switch {
+		case isCancellation(err):
+			how = "cancelled"
+		case q.Root == nil: // never got a plan
+			how = "optimize_error"
+		}
+		sp.Tag("outcome", how).End()
+		s.lc.Note(q, nil, false, err)
 		s.finish(t, nil, err)
 		return
 	}
-	located := res.Plan
-	if shared {
-		// Followers of a coalesced optimization share the leader's
-		// Result; execution needs a private tree.
-		located = located.Clone()
-	}
-
-	if s.opts.ResultCache != nil {
-		s.serveCached(t, res, located, shared, sp)
-		return
-	}
-
-	need := s.census(located)
-	if err := s.slots.acquire(t.ctx, need); err != nil {
-		sp.Tag("outcome", "cancelled").End()
-		s.finish(t, nil, err)
-		return
-	}
-	s.nExecuted.Add(1)
-	rows, stats, err := s.runPlanFeedback(t, located, s.obsv)
-	s.slots.release(need)
-	if err != nil {
-		sp.Tag("outcome", "exec_error").End()
-		s.finish(t, nil, err)
-		return
-	}
-	cols := make([]string, len(located.Cols))
-	for i, c := range located.Cols {
-		cols[i] = c.Name
-	}
-	if sp.Enabled() {
-		sp.TagInt("rows", stats.RowsOut).Tag("outcome", "ok").End()
-	}
+	sp.TagInt("rows", r.Stats.RowsOut).Tag("outcome", how).End()
+	hit := how != "ok"
+	s.lc.Note(q, r, hit, nil)
 	s.finish(t, &Response{
-		Rows:        rows,
-		Columns:     cols,
-		Stats:       *stats,
-		EstShipCost: res.ShipCost,
-		Coalesced:   shared,
+		Rows:        r.Rows,
+		Columns:     r.Columns,
+		Stats:       r.Stats,
+		EstShipCost: r.ShipCost,
+		Coalesced:   q.Coalesced,
+		CacheHit:    hit,
 		QueueWait:   t.queueWait,
 	}, nil)
 }
 
-// finish records the task's outcome exactly once and releases its
-// context resources.
+// finish records the task's outcome exactly once — counters first, so
+// a waiter that wakes on done already sees itself counted — and
+// releases its context resources.
 func (s *Server) finish(t *task, resp *Response, err error) {
 	t.once.Do(func() {
-		if resp != nil {
-			resp.Total = time.Since(t.enq)
-		}
-		t.resp, t.err = resp, err
-		t.cancel()
-		close(t.done)
 		status := "ok"
 		switch {
 		case err == nil:
 			s.nCompleted.Add(1)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		case isCancellation(err):
 			s.nCancelled.Add(1)
 			status = "cancelled"
 		default:
@@ -665,80 +640,33 @@ func (s *Server) finish(t *task, resp *Response, err error) {
 			status = "error"
 		}
 		lat := time.Since(t.enq)
-		if m := s.obsv.Reg(); m != nil {
+		if m := s.lc.Obs.Reg(); m != nil {
 			m.Counter("cgdqp_sched_queries_total", "status", status).Inc()
 			m.Histogram("cgdqp_sched_e2e_seconds").Observe(lat.Seconds())
 		}
 		s.e2eHist.Observe(lat.Seconds())
-		if err == nil && resp != nil {
-			s.opts.Feedback.ObserveQuery(lat.Seconds())
-			if s.opts.SlowLog != nil {
-				cacheDisp := feedback.CacheOff
-				if s.opts.ResultCache != nil {
-					cacheDisp = feedback.CacheMiss
-				}
-				if resp.CacheHit {
-					cacheDisp = feedback.CacheHit
-				}
-				s.opts.SlowLog.Maybe(lat, feedback.QueryRecord{
-					SQLDigest:  feedback.SQLDigest(t.req.SQL),
-					PlanDigest: t.planDigest,
-					RowsOut:    resp.Stats.RowsOut,
-					ShipBytes:  resp.Stats.ShippedBytes,
-					ShipCostMS: resp.Stats.ShipCost,
-					Retries:    resp.Stats.Retries,
-					Cache:      cacheDisp,
-					Engine:     "par",
-					Coalesced:  resp.Coalesced,
-					QErrors:    t.qerrors,
-				})
-			}
+		if resp != nil {
+			resp.Total = lat
 		}
+		t.resp, t.err = resp, err
+		t.cancel()
+		close(t.done)
 	})
 }
 
-// census picks the gang site-slot demand for a located plan: plain
-// fragment counting, or — with a feedback store — counts weighted by
-// observed fragment cardinality, so heavy fragments claim more of a
-// site's capacity than trivial ones.
-func (s *Server) census(located *plan.Node) map[string]int {
-	if s.opts.Feedback != nil {
-		return siteCensusWeighted(located, s.opts.siteSlots(), s.opts.Feedback)
-	}
-	return siteCensus(located, s.opts.siteSlots())
-}
-
-// runPlanFeedback executes the located plan, installing a plan profile
-// when telemetry is on so per-operator actuals flow into the feedback
-// store and the task's slow-log context after a successful run.
-func (s *Server) runPlanFeedback(t *task, located *plan.Node, o *obs.Observer) ([]expr.Row, *executor.RunStats, error) {
-	runObs := o
-	var prof *obs.PlanProfile
-	if s.opts.Feedback != nil || s.opts.SlowLog != nil {
-		if prof = o.Prof(); prof == nil {
-			prof = obs.NewPlanProfile()
-			runObs = o.WithProfile(prof)
-		}
-		if s.opts.SlowLog != nil {
-			t.planDigest = feedback.ShortDigest(located.Digest())
-		}
-	}
-	rows, stats, err := s.runPlan(t.ctx, located, runObs)
-	if err == nil && prof != nil {
-		t.qerrors = feedback.RecordExecution(s.opts.Feedback, located, prof)
-	}
-	return rows, stats, err
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // gaugeQueueLocked refreshes the queue-depth gauge (caller holds mu).
 func (s *Server) gaugeQueueLocked() {
-	if m := s.obsv.Reg(); m != nil {
+	if m := s.lc.Obs.Reg(); m != nil {
 		m.Gauge("cgdqp_sched_queue_depth").Set(float64(len(s.queue)))
 	}
 }
 
 func (s *Server) countRejected(reason string) {
-	if m := s.obsv.Reg(); m != nil {
+	if m := s.lc.Obs.Reg(); m != nil {
 		m.Counter("cgdqp_sched_rejected_total", "reason", reason).Inc()
 	}
 }

@@ -411,7 +411,7 @@ func TestOptimizeSharedCoalesces(t *testing.T) {
 	}
 	ch := make(chan out, 1)
 	go func() {
-		r, sh, err := s.optimizeShared(context.Background(), joinQuery)
+		r, _, sh, err := s.optimizeShared(context.Background(), joinQuery)
 		ch <- out{r, sh, err}
 	}()
 	select {
@@ -443,7 +443,7 @@ func TestOptimizeSharedCoalesces(t *testing.T) {
 	s.flights.mu.Unlock()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.optimizeShared(ctx, joinQuery); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := s.optimizeShared(ctx, joinQuery); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled follower: got %v, want context.Canceled", err)
 	}
 	s.flights.mu.Lock()
@@ -604,7 +604,7 @@ func TestSiteCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := siteCensus(res.Plan, 16)
+	need := siteCensus(res.Plan, 16, nil)
 	// One slot per fragment: every Ship source plus the root site.
 	ships := 0
 	res.Plan.Walk(func(n *plan.Node) bool {
@@ -621,7 +621,7 @@ func TestSiteCensus(t *testing.T) {
 		t.Errorf("census total %d, want %d (ships %d + root)", total, ships+1, ships)
 	}
 	// Clamping: with cap 1 no site may need more than 1.
-	for site, n := range siteCensus(res.Plan, 1) {
+	for site, n := range siteCensus(res.Plan, 1, nil) {
 		if n > 1 {
 			t.Errorf("site %s need %d exceeds cap 1", site, n)
 		}

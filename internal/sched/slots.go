@@ -40,49 +40,25 @@ func newSlotTable(cap int) *slotTable {
 	return &slotTable{cap: cap, used: map[string]int{}}
 }
 
-// siteCensus counts the execution slots a plan needs per site: one for
-// each fragment pipeline, i.e. one per Ship producer on its source site
-// plus one for the root fragment on the final site. Each site's count
-// is clamped to cap so every plan stays schedulable (its own fragments
-// then multiplex the site's slots... which is fine: fragment pipelines
-// are goroutines, the slot bound is about limiting cross-query load,
-// not about 1:1 thread mapping).
-func siteCensus(p *plan.Node, cap int) map[string]int {
-	need := map[string]int{}
-	p.Walk(func(n *plan.Node) bool {
-		if n.Kind == plan.Ship && n.FromLoc != "" {
-			need[n.FromLoc]++
-		}
-		return true
-	})
-	if p.Loc != "" {
-		need[p.Loc]++
-	}
-	for site, n := range need {
-		if n > cap {
-			need[site] = cap
-		}
-	}
-	return need
-}
-
-// siteCensusWeighted is siteCensus informed by the feedback store: a
-// fragment's slot demand grows with its observed (or, absent actuals,
-// estimated) output cardinality — one slot for the first 10k rows and
-// one more per decade above it, capped at 4 — so a site hosting one
+// siteCensus is a plan's gang site-slot demand: one fragment pipeline
+// per Ship producer on its source site, plus the root fragment on the
+// final site. Without a feedback store every fragment counts 1; with
+// one, a fragment's demand grows with its observed (or, absent actuals,
+// estimated) output cardinality — see fragSlots — so a site hosting one
 // huge fragment and one trivial one is charged accordingly instead of
-// 1+1. Per-site totals are still clamped to cap, preserving the
-// invariant that every plan is schedulable.
-func siteCensusWeighted(p *plan.Node, cap int, fb *feedback.Store) map[string]int {
+// 1+1. Each site's total is clamped to cap so every plan stays
+// schedulable (a query's own fragments then multiplex the site's slots:
+// the bound limits cross-query load, it is not a 1:1 thread mapping).
+func siteCensus(p *plan.Node, cap int, fb *feedback.Store) map[string]int {
 	need := map[string]int{}
 	p.Walk(func(n *plan.Node) bool {
 		if n.Kind == plan.Ship && n.FromLoc != "" && len(n.Children) == 1 {
-			need[n.FromLoc] += fragSlots(observedRows(n.Children[0], fb), cap)
+			need[n.FromLoc] += fragSlots(n.Children[0], cap, fb)
 		}
 		return true
 	})
 	if p.Loc != "" {
-		need[p.Loc] += fragSlots(observedRows(p, fb), cap)
+		need[p.Loc] += fragSlots(p, cap, fb)
 	}
 	for site, n := range need {
 		if n > cap {
@@ -102,11 +78,14 @@ func observedRows(n *plan.Node, fb *feedback.Store) float64 {
 	return n.Card
 }
 
-// fragSlots converts a fragment cardinality into a slot demand: 1 for
-// anything up to 10k rows, +1 per decade beyond, capped at 4 and at the
-// per-site bound.
-func fragSlots(rows float64, cap int) int {
-	w := 1
+// fragSlots is one fragment's slot demand: 1 without a feedback store;
+// with one, 1 for anything up to 10k observed rows, +1 per decade
+// beyond, capped at 4 and at the per-site bound.
+func fragSlots(frag *plan.Node, cap int, fb *feedback.Store) int {
+	if fb == nil {
+		return 1
+	}
+	rows, w := observedRows(frag, fb), 1
 	for rows > 10000 && w < 4 {
 		rows /= 10
 		w++

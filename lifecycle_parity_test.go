@@ -1,0 +1,180 @@
+package cgdqp
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+
+	"cgdqp/internal/executor"
+	"cgdqp/internal/network"
+)
+
+// lifecycleRun is what one front end observed for a statement sequence.
+type lifecycleRun struct {
+	answers []string // per statement: rows, shipping statistics, cache disposition
+	audit   string
+	slow    []string // slow-query lines minus the front-end-specific fields
+	queries int64    // cgdqp_queries_total{status="ok"}
+	pool    float64  // cgdqp_store_pool_hits + misses
+}
+
+// normalizeSlowLine drops the fields of a slow-query line that
+// legitimately differ between front ends or runs.
+func normalizeSlowLine(t *testing.T, line string) string {
+	t.Helper()
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("slow-query line is not JSON: %v\n%s", err, line)
+	}
+	for _, k := range []string{"ts", "latency_ms", "engine", "coalesced"} {
+		delete(rec, k)
+	}
+	out, err := json.Marshal(rec) // map keys marshal sorted
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+func renderAnswer(rows []Row, bytes int64, cost float64, retries int64, cached bool) string {
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintln(&b, r)
+	}
+	fmt.Fprintf(&b, "shipped=%d cost=%v retries=%d cached=%v", bytes, cost, retries, cached)
+	return b.String()
+}
+
+// TestLifecycleParity pins that System.Query and a Server from
+// System.Serve run one lifecycle: the same statements leave the same
+// rows, statistics, cache dispositions, audit log, slow-query records
+// and query/store metrics behind, with the result cache off, cold and
+// warm, with and without the feedback loop.
+func TestLifecycleParity(t *testing.T) {
+	stmts := []string{rcJoinQuery, rcAggQuery, rcJoinQuery, rcLocalQuery, rcAggQuery, rcJoinQuery}
+	observe := func(t *testing.T, opts Options, served bool) lifecycleRun {
+		var slow bytes.Buffer
+		opts.Audit, opts.Metrics, opts.SlowQueryLog = true, true, &slow
+		opts.DataDir = t.TempDir()
+		sys := rcFixture(t, opts)
+		defer sys.Close()
+		var run lifecycleRun
+		if served {
+			srv := sys.Serve(ServeOptions{MaxConcurrent: 1})
+			defer srv.Close()
+			for _, sql := range stmts {
+				resp, err := srv.Do(context.Background(), sql)
+				if err != nil {
+					t.Fatalf("Do(%s): %v", sql, err)
+				}
+				if resp.Stats.RowsOut != int64(len(resp.Rows)) {
+					t.Errorf("RowsOut %d for %d rows", resp.Stats.RowsOut, len(resp.Rows))
+				}
+				run.answers = append(run.answers, renderAnswer(resp.Rows,
+					resp.Stats.ShippedBytes, resp.Stats.ShipCost, resp.Stats.Retries, resp.CacheHit))
+			}
+		} else {
+			for _, sql := range stmts {
+				res, err := sys.Query(sql)
+				if err != nil {
+					t.Fatalf("Query(%s): %v", sql, err)
+				}
+				run.answers = append(run.answers, renderAnswer(res.Rows,
+					res.ShippedBytes, res.ShipCost, res.Retries, res.Cached))
+			}
+		}
+		run.audit = sys.AuditLog().String()
+		for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
+			run.slow = append(run.slow, normalizeSlowLine(t, line))
+		}
+		m := sys.Metrics()
+		run.queries = m.CounterValue("cgdqp_queries_total", "status", "ok")
+		run.pool = m.Gauge("cgdqp_store_pool_hits").Value() + m.Gauge("cgdqp_store_pool_misses").Value()
+		return run
+	}
+
+	for _, cache := range []int64{0, 1 << 20} {
+		for _, fb := range []bool{false, true} {
+			t.Run(fmt.Sprintf("cache=%d/feedback=%v", cache, fb), func(t *testing.T) {
+				opts := Options{ResultCacheBytes: cache, Feedback: fb}
+				direct, served := observe(t, opts, false), observe(t, opts, true)
+				for i := range stmts {
+					if direct.answers[i] != served.answers[i] {
+						t.Errorf("statement %d (%s):\nQuery:\n%s\nServe:\n%s", i, stmts[i], direct.answers[i], served.answers[i])
+					}
+				}
+				if direct.audit == "" || direct.audit != served.audit {
+					t.Errorf("audit logs differ:\nQuery:\n%s\nServe:\n%s", direct.audit, served.audit)
+				}
+				if len(direct.slow) != len(stmts) || len(served.slow) != len(stmts) {
+					t.Fatalf("slow-query lines: Query %d, Serve %d, want %d", len(direct.slow), len(served.slow), len(stmts))
+				}
+				for i := range stmts {
+					if direct.slow[i] != served.slow[i] {
+						t.Errorf("slow-query record %d:\nQuery: %s\nServe: %s", i, direct.slow[i], served.slow[i])
+					}
+					if strings.Contains(served.slow[i], `"plan_digest":""`) {
+						t.Errorf("served record %d has no plan digest: %s", i, served.slow[i])
+					}
+				}
+				if direct.queries != int64(len(stmts)) || served.queries != direct.queries {
+					t.Errorf("cgdqp_queries_total{ok}: Query %d, Serve %d, want %d", direct.queries, served.queries, len(stmts))
+				}
+				if direct.pool == 0 || served.pool == 0 {
+					t.Errorf("store-pool gauges not published: Query %v, Serve %v", direct.pool, served.pool)
+				}
+				// The sequence repeats statements, so without feedback
+				// re-planning the repeats are exactly the cache hits.
+				if !fb {
+					want := 0
+					if cache > 0 {
+						want = 3
+					}
+					if hits := strings.Count(strings.Join(served.answers, "\n"), "cached=true"); hits != want {
+						t.Errorf("%d cache hits, want %d", hits, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestServeExecOptionsKeyTheCache: a server whose execution options
+// change observable statistics must not be served entries filled under
+// other options — the fingerprint follows ServeOptions.Exec itself.
+func TestServeExecOptionsKeyTheCache(t *testing.T) {
+	sys := rcFixture(t, Options{ResultCacheBytes: 1 << 20})
+	plain, err := sys.Query(rcJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := sys.Serve(ServeOptions{Exec: &executor.ExecOptions{Wire: network.WireOptions{Compress: true}}})
+	defer srv.Close()
+	first, err := srv.Do(context.Background(), rcJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit {
+		t.Fatal("compressed-wire server was served the uncompressed execution's entry")
+	}
+	if first.Stats.ShippedBytes >= plain.ShippedBytes {
+		t.Errorf("compression did not shrink the shipment: %d vs %d bytes", first.Stats.ShippedBytes, plain.ShippedBytes)
+	}
+	second, err := srv.Do(context.Background(), rcJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.CacheHit || second.Stats != first.Stats {
+		t.Errorf("repeat under the same options: hit=%v stats %+v, want a hit replaying %+v", second.CacheHit, second.Stats, first.Stats)
+	}
+	again, err := sys.Query(rcJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.ShippedBytes != plain.ShippedBytes {
+		t.Errorf("uncompressed entry lost: cached=%v, %d bytes, want a hit with %d", again.Cached, again.ShippedBytes, plain.ShippedBytes)
+	}
+}

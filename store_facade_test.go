@@ -211,3 +211,33 @@ func TestPersistentReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenConfiguresCluster: a cluster created by an explicit Open is
+// wired to the system's sinks and fault plan exactly as a lazily
+// created one is.
+func TestOpenConfiguresCluster(t *testing.T) {
+	faults := NewFaultPlan(7)
+	sys := NewSystemWith(Options{Metrics: true, Faults: faults})
+	sys.MustDefineTable("a", "db-e", "Europe", 2, Col("k", TInt))
+	sys.MustDefineTable("b", "db-a", "Asia", 2, Col("k", TInt))
+	sys.MustAddPolicy("ship * from a to *")
+	sys.MustAddPolicy("ship * from b to *")
+	if err := sys.Open(); err != nil {
+		t.Fatal(err)
+	}
+	sys.MustLoad("a", []Row{{Int(1)}, {Int(2)}})
+	sys.MustLoad("b", []Row{{Int(2)}, {Int(3)}})
+	if _, err := sys.Query("SELECT a.k FROM a, b WHERE a.k = b.k"); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Cluster().Faults() != faults {
+		t.Error("fault plan not installed on an explicitly opened cluster")
+	}
+	var metrics bytes.Buffer
+	if err := sys.Metrics().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "cgdqp_ship_batches_total") {
+		t.Error("shipments of an explicitly opened cluster were not counted")
+	}
+}
