@@ -119,17 +119,14 @@ func (b *Batch) compactSel(sel []int32) {
 // Rows returns the selection-applied row view. Dense batches hand out
 // the underlying rows directly (aliased for row-backed batches, a
 // stable arena for column-backed ones); a selected view is gathered
-// into batch-owned header storage and cached.
+// into batch-owned header storage and cached, and a column-backed batch
+// materializes only the selected rows for it.
 func (b *Batch) Rows() []expr.Row {
 	if b.sel == nil {
 		return b.data.Rows()
 	}
 	if !b.rowsOK {
-		src := b.data.Rows()
-		b.gathered = b.gathered[:0]
-		for _, si := range b.sel {
-			b.gathered = append(b.gathered, src[si])
-		}
+		b.gathered = b.data.GatherRows(b.sel, b.gathered[:0])
 		b.rowsOK = true
 	}
 	return b.gathered

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
@@ -111,25 +112,26 @@ func (p *exchangeProducer) produce() error {
 	// opens; per-frame sends below pay the bandwidth part.
 	c.SleepWire(c.Net.Alpha(from, to))
 	cal := c.Calibrator()
-	pending := make([]expr.Row, 0, BatchSize)
+	var pend framePacker
 	frameIdx := 0
-	flush := func(rows []expr.Row) error {
+	flush := func() error {
 		// The encoder reuses its buffer; the delivered frame must own
 		// its bytes.
-		buf := append([]byte(nil), p.enc.Encode(rows)...)
+		buf := append([]byte(nil), pend.encode(&p.enc)...)
 		if cal != nil {
-			cal.ObserveEncoding(widthSum(rows), int64(len(buf)))
+			cal.ObserveEncoding(pend.width(), int64(len(buf)))
 		}
 		// The resilient shipping path injects faults, retries with
 		// backoff, and charges the shipment only when the frame lands,
 		// so retried runs keep ledger parity with a fault-free one.
-		if err := p.env.scope.ShipBatch(p.env.ctx, ship, from, to, frameIdx, int64(len(rows)), int64(len(buf))); err != nil {
+		if err := p.env.scope.ShipBatch(p.env.ctx, ship, from, to, frameIdx, int64(pend.n), int64(len(buf))); err != nil {
 			return err
 		}
 		frameIdx++
-		p.sentRows += int64(len(rows))
+		p.sentRows += int64(pend.n)
 		p.sentBytes += int64(len(buf))
 		p.sentBatches++
+		pend.n, pend.asRows = 0, false
 		return p.deliver(buf)
 	}
 	for {
@@ -138,8 +140,8 @@ func (p *exchangeProducer) produce() error {
 			return err
 		}
 		if b == nil {
-			if len(pending) > 0 {
-				if err := flush(pending); err != nil {
+			if pend.n > 0 {
+				if err := flush(); err != nil {
 					return err
 				}
 			}
@@ -150,24 +152,117 @@ func (p *exchangeProducer) produce() error {
 			}
 			return nil
 		}
-		rows := b.Rows()
-		for len(rows) > 0 {
-			take := BatchSize - len(pending)
-			if take > len(rows) {
-				take = len(rows)
-			}
-			pending = append(pending, rows[:take]...)
-			rows = rows[take:]
-			if len(pending) == BatchSize {
-				if err := flush(pending); err != nil {
+		for off, n := 0, b.Len(); off < n; {
+			take := min(BatchSize-pend.n, n-off)
+			pend.add(b, off, take)
+			off += take
+			if pend.n == BatchSize {
+				if err := flush(); err != nil {
 					b.Release()
 					return err
 				}
-				pending = pending[:0]
 			}
 		}
 		b.Release()
 	}
+}
+
+// framePacker holds the frame an exchange producer is filling from its
+// fragment's batches, BatchSize rows to the frame whatever sizes they
+// arrive in. Column-backed batches append column-wise to cols and the
+// frame is encoded from those vectors — no row is built to ship it. A
+// batch that cannot join them (row-backed, or a lane or NULL type the
+// vectors so far do not have) turns the frame into rows, until it is
+// flushed.
+type framePacker struct {
+	n      int
+	cols   []expr.Vec
+	asRows bool
+	rows   []expr.Row
+	src    []*expr.Vec // scratch: the arriving batch's columns
+	iota   []int32     // scratch: 0, 1, 2, … for ranges of a dense batch
+}
+
+// add appends rows [off, off+take) of b's selection to the frame.
+func (f *framePacker) add(b *Batch, off, take int) {
+	if !f.asRows && !f.addCols(b, off, take) {
+		f.asRows = true
+		f.rows = append(f.rows[:0], colRows(f.cols, f.n)...)
+	}
+	if f.asRows {
+		f.rows = append(f.rows, b.Rows()[off:off+take]...)
+	}
+	f.n += take
+}
+
+func (f *framePacker) addCols(b *Batch, off, take int) bool {
+	d := b.Data()
+	w := d.Width()
+	if d.RowBacked() || f.n > 0 && w != len(f.cols) {
+		return false
+	}
+	if f.n == 0 {
+		f.cols = slices.Grow(f.cols[:0], w)[:w]
+		f.src = slices.Grow(f.src[:0], w)[:w]
+	}
+	for c := range f.src {
+		v, ok := d.ColVec(c)
+		if p := &f.cols[c]; !ok || f.n > 0 && (p.T != v.T || p.Null != nil && v.Null != nil && p.NullT != v.NullT) {
+			return false
+		}
+		f.src[c] = v
+	}
+	sel := b.Sel()
+	if sel == nil && take < d.Len() {
+		for len(f.iota) < off+take {
+			f.iota = append(f.iota, int32(len(f.iota)))
+		}
+		sel = f.iota
+	}
+	if sel != nil {
+		sel = sel[off : off+take]
+	}
+	for c, v := range f.src {
+		p := &f.cols[c]
+		if f.n == 0 {
+			p.Reset(v.T, 0)
+		}
+		if p.Null == nil {
+			p.NullT = v.NullT
+		}
+		p.AppendGather(v, sel)
+	}
+	return true
+}
+
+func (f *framePacker) encode(enc *network.WireEncoder) []byte {
+	if f.asRows {
+		return enc.Encode(f.rows)
+	}
+	return enc.EncodeCols(f.cols, f.n)
+}
+
+// width is the schema-estimate size of the frame's rows, fed to the
+// calibrator as the estimated side of the encoding ratio.
+func (f *framePacker) width() int64 {
+	if f.asRows {
+		return widthSum(f.rows)
+	}
+	var n int64
+	for c := range f.cols {
+		for i := 0; i < f.n; i++ {
+			n += int64(f.cols[c].Value(i).Width())
+		}
+	}
+	return n
+}
+
+func widthSum(rows []expr.Row) int64 {
+	var n int64
+	for _, r := range rows {
+		n += int64(r.Width())
+	}
+	return n
 }
 
 // deliver hands one landed frame to the consumer; both modes stop at a

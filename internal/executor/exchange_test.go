@@ -124,7 +124,7 @@ func runCell(t *testing.T, root *plan.Node, cl *cluster.Cluster, inline, noKerne
 	prof := obs.NewPlanProfile()
 	o := (&obs.Observer{Audit: obs.NewAuditLog()}).WithProfile(prof)
 	env := &execEnv{inline: inline}
-	if _, err := build(root, env); err != nil {
+	if _, err := build(root, env, nil); err != nil {
 		t.Fatalf("%s: build: %v", label, err)
 	}
 	if inline && len(env.producers) != 0 {

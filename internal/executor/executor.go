@@ -90,7 +90,7 @@ func run(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	env := &execEnv{c: c, scope: c.NewRun(), ctx: ctx, obsv: o, opt: opt, inline: inline}
-	root, err := build(p, env)
+	root, err := build(p, env, nil)
 	if err != nil {
 		finishExec(sp, m, engine, t0, 0, err)
 		return nil, nil, err
@@ -175,19 +175,24 @@ func (e *execEnv) start() {
 
 // build compiles a plan node into an operator tree. Expression binding
 // happens here, on the building goroutine, before any producer starts —
-// bound expressions are only read during execution. When the observer
-// carries a PlanProfile every operator is wrapped to collect per-node
-// actuals.
-func build(n *plan.Node, env *execEnv) (BatchOperator, error) {
+// bound expressions are only read during execution. need marks the
+// output columns of n its consumers read (nil: all of them); only a
+// table scan acts on it. When the observer carries a PlanProfile every
+// operator is wrapped to collect per-node actuals.
+func build(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 	kids := n.Children
 	if n.Kind == plan.IndexLookupJoin && len(kids) == 2 {
 		// The inner scan is reached through the index probes, never
 		// executed as an operator.
 		kids = kids[:1]
 	}
+	bound, err := boundExprs(n)
+	if err != nil {
+		return nil, err
+	}
 	children := make([]BatchOperator, len(kids))
 	for i, ch := range kids {
-		op, err := build(ch, env)
+		op, err := build(ch, env, childNeed(n, bound, need))
 		if err != nil {
 			return nil, err
 		}
@@ -195,24 +200,23 @@ func build(n *plan.Node, env *execEnv) (BatchOperator, error) {
 	}
 	vec := env.opt.kernels()
 	var op BatchOperator
-	var err error
 	switch n.Kind {
 	case plan.TableScan, plan.Scan:
-		op, err = newScan(n, env)
+		op, err = newScan(n, env, need)
 	case plan.IndexScan:
 		op, err = newIndexScan(n, env)
 	case plan.IndexLookupJoin:
 		op, err = newIndexLookupJoin(n, children, env.c)
 	case plan.FilterExec, plan.Filter:
-		op, err = newFilter(n, children[0], vec)
+		op = newFilter(n, children[0], bound[0], vec)
 	case plan.ProjectExec, plan.Project:
-		op, err = newProject(n, children[0], vec)
+		op = newProject(n, children[0], bound, vec)
 	case plan.HashJoin:
 		op, err = newHashJoin(n, children[0], children[1], vec)
 	case plan.MergeJoin:
 		op, err = newMergeJoin(n, children[0], children[1])
 	case plan.NLJoin, plan.Join:
-		op, err = newNLJoin(n, children[0], children[1])
+		op, err = newNLJoin(n, children[0], children[1], vec)
 	case plan.HashAgg, plan.Aggregate:
 		op, err = newHashAgg(n, children[0], vec)
 	case plan.SortExec, plan.Sort:
@@ -233,6 +237,61 @@ func build(n *plan.Node, env *execEnv) (BatchOperator, error) {
 		op = &profiledOp{op: op, stats: prof.Stats(n)}
 	}
 	return op, nil
+}
+
+// boundExprs binds what a filter (its predicate) or a projection (its
+// list) evaluates against the child's schema; other nodes bind in their
+// constructors.
+func boundExprs(n *plan.Node) ([]expr.Expr, error) {
+	switch n.Kind {
+	case plan.FilterExec, plan.Filter:
+		pred, err := expr.Bind(n.Pred, resolver(n.Children[0]))
+		if err != nil {
+			return nil, fmt.Errorf("executor: filter bind: %w", err)
+		}
+		return []expr.Expr{pred}, nil
+	case plan.ProjectExec, plan.Project:
+		res := resolver(n.Children[0])
+		exprs := make([]expr.Expr, len(n.Projs))
+		for i, p := range n.Projs {
+			var err error
+			if exprs[i], err = expr.Bind(p.E, res); err != nil {
+				return nil, fmt.Errorf("executor: project bind %s: %w", p.E, err)
+			}
+		}
+		return exprs, nil
+	}
+	return nil, nil
+}
+
+// childNeed derives which output columns of n's child are read above
+// it, given the ones read of n itself (nil: all). The answer comes from
+// the plan alone — a projection reads the columns its bound expressions
+// name, a filter its predicate's plus whatever is read of the batch it
+// forwards, any other operator its whole input — so a profiled run,
+// which wraps every operator, scans exactly what a plain run scans.
+func childNeed(n *plan.Node, bound []expr.Expr, need []bool) []bool {
+	switch n.Kind {
+	case plan.ProjectExec, plan.Project:
+		need = nil
+	case plan.FilterExec, plan.Filter:
+		if len(need) != len(n.Children[0].Cols) {
+			return nil
+		}
+	default:
+		return nil
+	}
+	out := make([]bool, len(n.Children[0].Cols))
+	copy(out, need)
+	for _, e := range bound {
+		expr.Walk(e, func(x expr.Expr) bool {
+			if c, ok := x.(*expr.Col); ok {
+				out[c.Index] = true
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // resolver builds a column resolver over a plan node's output schema.
@@ -336,15 +395,285 @@ func (o *rowOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
 	return b, nil
 }
 
+// --- join output ----------------------------------------------------------
+
+// pairOut is the output side hashJoinOp and nlJoinOp share, and the only
+// place a join builds rows: the operator appends its build side chunk by
+// chunk, reports matches against the current probe chunk as (probe row,
+// build row) index pairs, and nextBatch materializes them BatchSize at a
+// time. It runs in the strongest mode every chunk so far allowed:
+//
+//   - cols: both sides arrive column-backed and exact; pairs gather
+//     column-wise into the pooled output batch's own vectors and no row
+//     is built at all;
+//   - keys: a chunk was row-backed (its rows are there for the taking)
+//     or inexact outside the columns the operator matches on; those
+//     columns stay vectors, the rest is rows — the build side
+//     materialized once if it was columnar — and each run of output
+//     rows is one value slab;
+//   - neither: rows only, what a kernels-off join starts in and the
+//     interpreter reads.
+type pairOut struct {
+	types          []expr.Type // output schema: lTypes then rTypes
+	lTypes, rTypes []expr.Type
+	lkeys, rkeys   []int // columns the operator matches on
+	lall, rall     []int // every column
+	cols, keys     bool
+	bcols          []expr.Vec  // build side vectors, in arrival order
+	brows          []expr.Row  // build side rows (!cols)
+	bn             int32       // build rows
+	chunk          *Batch      // current probe chunk
+	vecs           []*expr.Vec // column scratch; the probe chunk's vectors
+	prows          []expr.Row  // the probe chunk's rows (!cols)
+	pi, bi         []int32     // matches; pi is pre-selection while cols
+	pos            int         // next pair to hand out
+
+	// scratch is the one concatenated row a join predicate is evaluated
+	// over: load* fill the columns the predicate reads (lneed, rneed)
+	// from the vectors, or copy whole rows once there are rows.
+	scratch      expr.Row
+	plen         int
+	lneed, rneed []int
+}
+
+// newPairOut sizes the emitter for join node n. The operator matches on
+// columns lkeys and rkeys of the two sides; pred is the bound predicate
+// it evaluates over loadBuild's row (nil: none).
+func newPairOut(n *plan.Node, lkeys, rkeys []int, pred expr.Expr) pairOut {
+	lw, rw := len(n.Children[0].Cols), len(n.Children[1].Cols)
+	o := pairOut{types: append(colTypes(n.Children[0]), colTypes(n.Children[1])...), lkeys: lkeys, rkeys: rkeys}
+	o.lTypes, o.rTypes = o.types[:lw:lw], o.types[lw:]
+	o.bcols = make([]expr.Vec, rw)
+	o.vecs = make([]*expr.Vec, max(lw, rw))
+	o.scratch = make(expr.Row, lw+rw)
+	for c := 0; c < max(lw, rw); c++ {
+		o.lall = append(o.lall, c)
+	}
+	o.lall, o.rall = o.lall[:lw], o.lall[:rw]
+	for _, c := range expr.Columns(pred) {
+		if c.Index < lw {
+			o.lneed = append(o.lneed, c.Index)
+		} else {
+			o.rneed = append(o.rneed, c.Index-lw)
+		}
+	}
+	return o
+}
+
+// reset empties both sides; vec false starts the join in rows only.
+func (o *pairOut) reset(vec bool) {
+	o.cols, o.keys, o.bn, o.brows = vec, vec, 0, nil
+	for c := range o.bcols {
+		o.bcols[c].Reset(o.rTypes[c], 0)
+	}
+	o.chunk, o.prows = nil, nil
+	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
+}
+
+// exactCols resolves the listed columns of chunk into vecs. It reports
+// false unless each is an exact vector whose NULLs carry the lane's own
+// type: only then do appended copies materialize the chunk's values
+// verbatim.
+func (o *pairOut) exactCols(chunk *Batch, types []expr.Type, which []int) bool {
+	d := chunk.Data()
+	d.Bind(types)
+	for _, c := range which {
+		v, ok := d.ColVec(c)
+		if !ok || !v.Exact || v.Null != nil && v.NullT != v.T {
+			return false
+		}
+		o.vecs[c] = v
+	}
+	return true
+}
+
+// resolve settles the mode a chunk of one side allows and leaves its
+// vectors — all of them, or the key columns — in vecs. It reports the
+// columns to take as vectors and whether to take the chunk's rows.
+func (o *pairOut) resolve(chunk *Batch, types []expr.Type, all, keys []int) (vecs []int, rows bool) {
+	if o.cols && (chunk.Data().RowBacked() || !o.exactCols(chunk, types, all)) {
+		// The build side so far is exact vectors: these are its rows.
+		o.cols, o.brows = false, colRows(o.bcols, int(o.bn))
+	}
+	if o.cols {
+		return all, false
+	}
+	if o.keys = o.keys && o.exactCols(chunk, types, keys); o.keys {
+		return keys, true
+	}
+	return nil, true
+}
+
+// colRows materializes the first n rows of column vectors.
+func colRows(cols []expr.Vec, n int) []expr.Row {
+	var d expr.Batch
+	d.StartCols(len(cols), n)
+	for c := range cols {
+		*d.OwnCol(c) = cols[c]
+	}
+	d.FinishCols()
+	return d.Rows()
+}
+
+// addBuild appends the chunk's (selected) rows to the build side.
+func (o *pairOut) addBuild(chunk *Batch) {
+	vecs, rows := o.resolve(chunk, o.rTypes, o.rall, o.rkeys)
+	for _, c := range vecs {
+		o.bcols[c].AppendGather(o.vecs[c], chunk.Sel())
+	}
+	if rows {
+		o.brows = append(o.brows, chunk.Rows()...)
+	}
+	o.bn += int32(chunk.Len())
+}
+
+// setProbe makes chunk the one new pairs refer to; the previous chunk's
+// pairs have all been handed out.
+func (o *pairOut) setProbe(chunk *Batch) {
+	o.chunk = chunk
+	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
+	if _, rows := o.resolve(chunk, o.lTypes, o.lall, o.lkeys); rows {
+		o.prows = chunk.Rows()
+	}
+}
+
+// probeAt maps position r of the probe chunk to v, its index in the
+// chunk's vectors (pre-selection), and p, the index pairs and loadProbe
+// take: v while cols, r itself over rows.
+func (o *pairOut) probeAt(r int) (v int, p int32) {
+	v = r
+	if sel := o.chunk.Sel(); sel != nil {
+		v = int(sel[r])
+	}
+	if o.cols {
+		return v, int32(v)
+	}
+	return v, int32(r)
+}
+
+func (o *pairOut) add(p, b int32) {
+	o.pi = append(o.pi, p)
+	o.bi = append(o.bi, b)
+}
+
+// loadProbe puts probe row p into the scratch row.
+func (o *pairOut) loadProbe(p int32) {
+	if !o.cols {
+		o.scratch = append(o.scratch[:0], o.prows[p]...)
+		o.plen = len(o.scratch)
+		return
+	}
+	for _, c := range o.lneed {
+		o.scratch[c] = o.vecs[c].Value(int(p))
+	}
+}
+
+// loadBuild puts build row b behind the loaded probe row and returns
+// the scratch row, valid until the next load.
+func (o *pairOut) loadBuild(b int32) expr.Row {
+	if !o.cols {
+		o.scratch = append(o.scratch[:o.plen], o.brows[b]...)
+		return o.scratch
+	}
+	lw := len(o.lTypes)
+	o.scratch = o.scratch[:len(o.types)]
+	for _, c := range o.rneed {
+		o.scratch[lw+c] = o.bcols[c].Value(int(b))
+	}
+	return o.scratch
+}
+
+// nextBatch fills one batch with the next BatchSize pairs, calling
+// refill for the next probe chunk's worth whenever the pairs run dry;
+// refill reports false at end of stream. An error discards the rows
+// gathered so far, so what a consumer saw before it is whole batches.
+func (o *pairOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
+	b := NewBatch()
+	d := b.Data()
+	lw := len(o.lTypes)
+	cols, n := o.cols, 0
+	rows := b.rowBuf[:0]
+	if cols {
+		d.StartCols(len(o.types), 0)
+		for c, t := range o.types {
+			d.OwnCol(c).Reset(t, 0)
+		}
+	}
+	for n < BatchSize {
+		if o.pos == len(o.pi) {
+			more, err := refill()
+			if err != nil {
+				b.rowBuf = rows
+				b.Release()
+				return nil, err
+			}
+			if !more {
+				break
+			}
+			if cols && !o.cols {
+				// Demoted under a part-filled batch: it continues as rows.
+				cols = false
+				d.SetLen(n)
+				d.FinishCols()
+				rows = append(rows, d.Rows()...)
+			}
+			continue
+		}
+		k := min(BatchSize-n, len(o.pi)-o.pos)
+		pi, bi := o.pi[o.pos:o.pos+k], o.bi[o.pos:o.pos+k]
+		o.pos += k
+		n += k
+		if cols {
+			for c := 0; c < lw; c++ {
+				d.OwnCol(c).AppendGather(o.vecs[c], pi)
+			}
+			for c := range o.bcols {
+				d.OwnCol(lw+c).AppendGather(&o.bcols[c], bi)
+			}
+			continue
+		}
+		if !o.keys {
+			// The reference: one materialized row per match.
+			for i := range pi {
+				rows = append(rows, concatRow(o.prows[pi[i]], o.brows[bi[i]]))
+			}
+			continue
+		}
+		need := 0
+		for i := range pi {
+			need += len(o.prows[pi[i]]) + len(o.brows[bi[i]])
+		}
+		slab := make([]expr.Value, 0, need)
+		for i := range pi {
+			start := len(slab)
+			slab = append(append(slab, o.prows[pi[i]]...), o.brows[bi[i]]...)
+			rows = append(rows, slab[start:len(slab):len(slab)])
+		}
+	}
+	b.rowBuf = rows
+	switch {
+	case n == 0:
+		b.Release()
+		return nil, nil
+	case cols:
+		d.SetLen(n)
+		d.FinishCols()
+	default:
+		b.SetRows(rows)
+	}
+	return b, nil
+}
+
 // --- hash join ----------------------------------------------------------
 
 // hashJoinOp joins a probe stream (left) against a hash table built from
-// the right child, both consumed a batch at a time. With kernels on
-// and every equi-key a bare column, hashing reads the key columns
-// directly (bit-identical to hashKey), build rows link into per-hash
-// chains alongside typed key copies, and hash-collision rechecks
-// compare typed lanes; any chunk that does not vectorize falls back to
-// the row path with identical results and error timing.
+// the right child, both consumed a batch at a time. With kernels on and
+// every equi-key a bare column it works on key vectors while pairOut
+// keeps them (out.keys): hashing reads the key columns directly
+// (bit-identical to hashKey), build rows link into per-hash chains by
+// index, and hash-collision rechecks compare lanes. Otherwise — kernels
+// off, computed keys, or from the first chunk with an inexact key
+// column — it is the row reference.
 type hashJoinOp struct {
 	node         *plan.Node
 	probe, build feed
@@ -352,51 +681,40 @@ type hashJoinOp struct {
 	rightKeys    []expr.Expr // bound against right schema
 	residual     expr.Expr   // bound against concatenated schema
 
-	vec            bool  // kernels on and all equi-keys are bare columns
-	lCols, rCols   []int // key column indexes per side
-	lTypes, rTypes []expr.Type
-	eqMode         []keyEqMode
-	typedEq        bool // every key pair rechecks through typed lanes
+	vec    bool        // kernels on and all equi-keys are bare columns
+	bKeys  []*expr.Vec // build key columns (into out.bcols)
+	pKeys  []*expr.Vec // probe key columns of the current chunk
+	eqMode []keyEqMode
 
-	// Build side, vectorized mode: rows in arrival order, with per-hash
-	// chains. table maps a key hash to its chain's first and last row;
-	// next links rows within one, so chain iteration order matches the
-	// row path's per-hash append order.
-	buildRows   []expr.Row
-	table       chainTable
-	next        []int32
-	keyArrs     []joinKeyArr // typed build keys, valid while buildKeysOK
-	buildKeysOK bool
-	// Build side, row mode: the reference hash table, one row slice per
-	// key hash in arrival order. Kept deliberately simple — it is the
-	// baseline the vectorized mode is measured and checked against.
-	rowBuckets map[uint64][]expr.Row
+	// Key-vector mode: table maps a key hash to its chain's first and
+	// last build row; next links rows within one, so chain iteration
+	// order is arrival order, as in the reference's buckets.
+	table chainTable
+	next  []int32
+	// Row mode: the reference hash table, the build rows of one key hash
+	// in arrival order. Kept deliberately simple — it is the baseline the
+	// vector mode is measured and checked against.
+	rowBuckets map[uint64][]int32
 
-	// Probe state: the first probe chunk is peeked at Open (to skip the
+	// pending is the first probe chunk, peeked at Open (to skip the
 	// hash-table build when the probe side is provably empty) and
 	// replayed on the first NextBatch.
 	pending *Batch
-	peeked  bool
-	out     rowOut
+	out     pairOut
 	// pendErr is an error found mid-chunk: matches found before the
-	// failing row are handed out first.
+	// failing pair are handed out first.
 	pendErr error
-
-	keyVecs []*expr.Vec // scratch: key vectors of the current chunk
-	pairs   [][2]int32  // scratch: (probe row, build row) matches
 }
 
-// keyEqMode is the typed recheck strategy for one equi-key pair, fixed
-// from the static lane types of both sides. Any eqSlow key makes the
-// whole recheck go through the row path's Value.Compare, preserving its
-// error and coercion behavior for lane combinations it would reject.
+// keyEqMode is the recheck strategy for one equi-key pair, fixed from
+// the static lane types of both sides.
 type keyEqMode uint8
 
 const (
 	eqInt   keyEqMode = iota // both integer-class: int64 equality
 	eqFloat                  // numeric with a float side: Compare's <//> over Float()
 	eqStr                    // both strings
-	eqSlow                   // anything else: row-path Compare
+	eqSlow                   // anything else: Value.Compare, errors included
 )
 
 func keyMode(lt, rt expr.Type) keyEqMode {
@@ -413,42 +731,7 @@ func keyMode(lt, rt expr.Type) keyEqMode {
 	return eqSlow
 }
 
-// joinKeyArr stores one build-side key column as a typed array parallel
-// to buildRows — the target of the typed collision recheck.
-type joinKeyArr struct {
-	t expr.Type
-	i []int64
-	f []float64
-	s []string
-}
-
-func (a *joinKeyArr) reset() { a.i, a.f, a.s = a.i[:0], a.f[:0], a.s[:0] }
-
-func (a *joinKeyArr) appendFrom(v *expr.Vec, i int) {
-	switch a.t {
-	case expr.TInt, expr.TDate:
-		a.i = append(a.i, v.I[i])
-	case expr.TFloat:
-		a.f = append(a.f, v.F[i])
-	case expr.TString:
-		a.s = append(a.s, v.S[i])
-	case expr.TBool:
-		var x int64
-		if v.B.Get(i) {
-			x = 1
-		}
-		a.i = append(a.i, x)
-	}
-}
-
-func (a *joinKeyArr) float(i int32) float64 {
-	if a.t == expr.TFloat {
-		return a.f[i]
-	}
-	return float64(a.i[i])
-}
-
-// chainTable is the vectorized join's hash index: an open-addressed
+// chainTable is the columnar join's hash index: an open-addressed
 // (linear probing) table from a 64-bit key hash to that hash's chain of
 // build rows. The chain's first and last row indexes live in the slot
 // itself, so a probe hit resolves in one 16-byte slot read — no chain-id
@@ -543,35 +826,23 @@ func newHashJoin(n *plan.Node, left, right BatchOperator, vec bool) (BatchOperat
 	}
 	j := &hashJoinOp{
 		node: n, probe: feed{src: left}, build: feed{src: right},
-		leftKeys: lk, rightKeys: rk, residual: res,
-		lTypes: colTypes(n.Children[0]), rTypes: colTypes(n.Children[1]),
+		leftKeys: lk, rightKeys: rk, residual: res, vec: vec,
 	}
-	if vec {
-		j.vec = true
-		j.lCols = make([]int, len(lk))
-		j.rCols = make([]int, len(lk))
-		for i := range lk {
-			lc, lok := lk[i].(*expr.Col)
-			rc, rok := rk[i].(*expr.Col)
-			if !lok || !rok {
-				j.vec = false
-				break
-			}
-			j.lCols[i], j.rCols[i] = lc.Index, rc.Index
+	var lCols, rCols []int
+	for i := range lk {
+		lc, lok := lk[i].(*expr.Col)
+		rc, rok := rk[i].(*expr.Col)
+		if !j.vec || !lok || !rok {
+			j.vec = false
+			break
 		}
+		lCols, rCols = append(lCols, lc.Index), append(rCols, rc.Index)
 	}
-	if j.vec {
-		j.keyVecs = make([]*expr.Vec, len(lk))
-		j.keyArrs = make([]joinKeyArr, len(lk))
-		j.eqMode = make([]keyEqMode, len(lk))
-		j.typedEq = true
-		for i := range lk {
-			j.keyArrs[i].t = j.rTypes[j.rCols[i]]
-			j.eqMode[i] = keyMode(j.lTypes[j.lCols[i]], j.rTypes[j.rCols[i]])
-			if j.eqMode[i] == eqSlow {
-				j.typedEq = false
-			}
-		}
+	j.out = newPairOut(n, lCols, rCols, res)
+	j.pKeys = make([]*expr.Vec, len(lCols))
+	for i := range j.pKeys {
+		j.bKeys = append(j.bKeys, &j.out.bcols[rCols[i]])
+		j.eqMode = append(j.eqMode, keyMode(j.out.lTypes[lCols[i]], j.out.rTypes[rCols[i]]))
 	}
 	return j, nil
 }
@@ -591,8 +862,21 @@ func hashKey(keys []expr.Expr, row expr.Row) (uint64, bool, error) {
 	return h, true, nil
 }
 
+// hashVecKeys combines the key hashes of row i of the key columns,
+// bit-identical to hashKey over the row.
+func hashVecKeys(keys []*expr.Vec, i int) (uint64, bool) {
+	var h uint64 = 1469598103934665603
+	for _, v := range keys {
+		if v.IsNullAt(i) {
+			return 0, false
+		}
+		h = h*1099511628211 ^ v.HashAt(i)
+	}
+	return h, true
+}
+
 func (j *hashJoinOp) Open() error {
-	j.out.reset()
+	j.out.reset(j.vec)
 	j.pendErr = nil
 	// Peek the first probe chunk before building: when the probe side is
 	// provably empty, the join produces nothing and the hash-table build
@@ -602,26 +886,18 @@ func (j *hashJoinOp) Open() error {
 	if err := j.probe.open(); err != nil {
 		return err
 	}
-	first, err := j.probe.nextChunk()
-	if err != nil {
+	var err error
+	if j.pending, err = j.probe.nextChunk(); err != nil {
 		return err
 	}
-	j.pending, j.peeked = first, first != nil
 	if err := j.build.open(); err != nil {
 		return err
 	}
+	j.next, j.rowBuckets = j.next[:0], nil
 	if j.vec {
-		j.buildRows = j.buildRows[:0]
 		j.table.reset(j.buildSizeHint())
-		j.next = j.next[:0]
-		j.buildKeysOK = true
-		for i := range j.keyArrs {
-			j.keyArrs[i].reset()
-		}
-	} else {
-		j.rowBuckets = make(map[uint64][]expr.Row, j.buildSizeHint())
 	}
-	if j.peeked {
+	if j.pending != nil {
 		if err := j.buildTable(); err != nil {
 			return err
 		}
@@ -629,7 +905,7 @@ func (j *hashJoinOp) Open() error {
 	return j.build.close()
 }
 
-// buildTable drains the build feed into the chained hash table.
+// buildTable drains the build feed into the hash table.
 func (j *hashJoinOp) buildTable() error {
 	for {
 		chunk, err := j.build.nextChunk()
@@ -642,100 +918,41 @@ func (j *hashJoinOp) buildTable() error {
 		if chunk.Len() == 0 {
 			continue
 		}
-		if err := j.insertChunk(chunk); err != nil {
+		from, hadKeys := j.out.bn, j.out.keys
+		j.out.addBuild(chunk)
+		if err := j.index(from, hadKeys); err != nil {
 			return err
 		}
 	}
 }
 
-// insertChunk hashes one build chunk. In row mode the rows append into
-// the reference bucket map. In vectorized mode valid rows link into the
-// chains, reading the key columns directly when the chunk vectorizes
-// and row by row otherwise; one impure chunk disables the typed recheck
-// for the whole build (the key arrays stop tracking buildRows).
-func (j *hashJoinOp) insertChunk(chunk *Batch) error {
-	rows := chunk.Rows()
-	if !j.vec {
-		for _, row := range rows {
-			h, valid, err := hashKey(j.rightKeys, row)
-			if err != nil {
-				return err
-			}
-			if !valid {
-				continue
-			}
-			j.rowBuckets[h] = append(j.rowBuckets[h], row)
-		}
-		return nil
-	}
-	if j.chunkKeyVecs(chunk, j.rCols, j.rTypes) {
-		sel := chunk.Sel()
-		for r := range rows {
-			si := r
-			if sel != nil {
-				si = int(sel[r])
-			}
-			h, valid := j.hashVecKeys(si)
-			if !valid {
-				continue // NULL keys never match
-			}
-			idx := int32(len(j.buildRows))
-			j.buildRows = append(j.buildRows, rows[r])
+// index enters build rows [from, bn) into the hash table: the chains
+// while out keeps key vectors, the reference map over rows — every row
+// so far, if out had key vectors until the last chunk. NULL keys never
+// match and are left out.
+func (j *hashJoinOp) index(from int32, hadKeys bool) error {
+	if j.out.keys {
+		for i := from; i < j.out.bn; i++ {
 			j.next = append(j.next, -1)
-			if j.buildKeysOK {
-				for k := range j.keyArrs {
-					j.keyArrs[k].appendFrom(j.keyVecs[k], si)
-				}
+			if h, valid := hashVecKeys(j.bKeys, int(i)); valid {
+				j.link(h, i)
 			}
-			j.link(h, idx)
 		}
 		return nil
 	}
-	j.buildKeysOK = false
-	for _, row := range rows {
+	if hadKeys || j.rowBuckets == nil {
+		from, j.rowBuckets = 0, make(map[uint64][]int32, j.buildSizeHint())
+	}
+	for i, row := range j.out.brows[from:] {
 		h, valid, err := hashKey(j.rightKeys, row)
 		if err != nil {
 			return err
 		}
-		if !valid {
-			continue
+		if valid {
+			j.rowBuckets[h] = append(j.rowBuckets[h], from+int32(i))
 		}
-		idx := int32(len(j.buildRows))
-		j.buildRows = append(j.buildRows, row)
-		j.next = append(j.next, -1)
-		j.link(h, idx)
 	}
 	return nil
-}
-
-// chunkKeyVecs resolves one side's key columns over a chunk into
-// keyVecs. Every vector must be exact: an inexact vector canonicalizes
-// payloads the row path hashes and compares verbatim, so such chunks
-// take the row path instead.
-func (j *hashJoinOp) chunkKeyVecs(chunk *Batch, cols []int, types []expr.Type) bool {
-	d := chunk.Data()
-	d.Bind(types)
-	for k, c := range cols {
-		v, ok := d.ColVec(c)
-		if !ok || !v.Exact {
-			return false
-		}
-		j.keyVecs[k] = v
-	}
-	return true
-}
-
-// hashVecKeys combines the key hashes of (pre-selection) row si,
-// bit-identical to hashKey over the row.
-func (j *hashJoinOp) hashVecKeys(si int) (uint64, bool) {
-	var h uint64 = 1469598103934665603
-	for _, v := range j.keyVecs {
-		if v.IsNullAt(si) {
-			return 0, false
-		}
-		h = h*1099511628211 ^ v.HashAt(si)
-	}
-	return h, true
 }
 
 // link appends build row idx to hash h's chain.
@@ -768,234 +985,148 @@ func (j *hashJoinOp) buildSizeHint() int {
 
 func (j *hashJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.probeNext) }
 
-// probeNext refills out with the matches of the next probe chunk.
+// probeNext reports the matches of the next probe chunk to out. Errors
+// found mid-chunk land in pendErr so matches found before the failing
+// pair are handed out first.
 func (j *hashJoinOp) probeNext() (bool, error) {
 	if j.pendErr != nil {
 		return false, j.pendErr
 	}
-	chunk, err := j.nextProbeChunk()
+	chunk, err := j.pending, error(nil)
+	if j.pending = nil; chunk == nil {
+		chunk, err = j.probe.nextChunk()
+	}
 	if err != nil || chunk == nil {
 		return false, err
 	}
-	j.out.reset()
-	if chunk.Len() > 0 {
-		j.probeChunk(chunk)
+	hadKeys := j.out.keys
+	if j.out.setProbe(chunk); hadKeys && !j.out.keys {
+		if err := j.index(0, true); err != nil {
+			return false, err
+		}
+	}
+	if j.out.keys {
+		j.pendErr = j.probeVecs(chunk.Len())
+	} else {
+		j.pendErr = j.probeRows()
 	}
 	return true, nil
 }
 
-// nextProbeChunk honors the chunk peeked at Open.
-func (j *hashJoinOp) nextProbeChunk() (*Batch, error) {
-	if j.peeked {
-		j.peeked = false
-		return j.pending, nil
+// probeVecs matches the n (selected) rows of the probe chunk against
+// the chains, reading keys from the two sides' key vectors.
+func (j *hashJoinOp) probeVecs(n int) error {
+	o := &j.out
+	for k, c := range o.lkeys {
+		j.pKeys[k] = o.vecs[c]
 	}
-	return j.probe.nextChunk()
-}
-
-// probeChunk matches one probe chunk against the table into out.
-// Errors land in pendErr so matches found before the failing row are
-// handed out first.
-func (j *hashJoinOp) probeChunk(chunk *Batch) {
-	rows := chunk.Rows()
-	if !j.vec {
-		j.probeChunkMap(rows)
-		return
-	}
-	if j.chunkKeyVecs(chunk, j.lCols, j.lTypes) {
-		j.probeChunkVec(chunk, rows)
-		return
-	}
-	j.probeChunkRows(rows)
-}
-
-func (j *hashJoinOp) probeChunkVec(chunk *Batch, rows []expr.Row) {
-	typed := j.typedEq && j.buildKeysOK
-	sel := chunk.Sel()
-	j.pairs = j.pairs[:0]
-probeLoop:
-	for r := range rows {
-		si := r
-		if sel != nil {
-			si = int(sel[r])
-		}
-		h, valid := j.hashVecKeys(si)
+	for r := 0; r < n; r++ {
+		v, p := o.probeAt(r)
+		h, valid := hashVecKeys(j.pKeys, v)
 		if !valid {
 			continue
 		}
-		for bi := j.table.lookup(h); bi >= 0; bi = j.next[bi] {
+		if j.residual != nil {
+			o.loadProbe(p)
+		}
+		for b := j.table.lookup(h); b >= 0; b = j.next[b] {
 			if j.residual != nil {
-				out := concatRow(rows[r], j.buildRows[bi])
-				keep, err := expr.EvalBool(j.residual, out)
+				keep, err := expr.EvalBool(j.residual, o.loadBuild(b))
 				if err != nil {
-					j.pendErr = err
-					break probeLoop
+					return err
 				}
 				if !keep {
 					continue
 				}
-				eq, err := j.recheck(typed, si, bi, rows[r])
-				if err != nil {
-					j.pendErr = err
-					break probeLoop
-				}
-				if eq {
-					j.out.buf = append(j.out.buf, out)
-				}
-				continue
 			}
-			eq, err := j.recheck(typed, si, bi, rows[r])
+			eq, err := j.recheck(v, int(b))
 			if err != nil {
-				j.pendErr = err
-				break probeLoop
+				return err
 			}
 			if eq {
-				j.pairs = append(j.pairs, [2]int32{int32(r), bi})
+				o.add(p, b)
 			}
 		}
 	}
-	j.emitPairs(rows)
+	return nil
 }
 
-// probeChunkMap is the row-mode reference probe: per-row hashing
-// through the interpreter, bucket-map candidates, and one materialized
-// row per match. The vectorized mode must be value- and order-identical
-// to this path.
-func (j *hashJoinOp) probeChunkMap(rows []expr.Row) {
-probeLoop:
-	for _, row := range rows {
+// probeRows is the row-mode reference probe: per-row hashing through
+// the interpreter, bucket-map candidates, interpreted residual and key
+// comparison. The vector mode must be value- and order-identical to
+// this path. The residual runs before the key recheck (its errors
+// surface first).
+func (j *hashJoinOp) probeRows() error {
+	o := &j.out
+	for r, row := range o.prows {
 		h, valid, err := hashKey(j.leftKeys, row)
 		if err != nil {
-			j.pendErr = err
-			break probeLoop
+			return err
 		}
 		if !valid {
 			continue
 		}
-		for _, bRow := range j.rowBuckets[h] {
-			keep, out, err := j.matchRow(row, bRow)
+		if j.residual != nil {
+			o.loadProbe(int32(r))
+		}
+		for _, b := range j.rowBuckets[h] {
+			if j.residual != nil {
+				keep, err := expr.EvalBool(j.residual, o.loadBuild(b))
+				if err != nil {
+					return err
+				}
+				if !keep {
+					continue
+				}
+			}
+			eq, err := j.keysEqual(row, o.brows[b])
 			if err != nil {
-				j.pendErr = err
-				break probeLoop
+				return err
 			}
-			if keep {
-				j.out.buf = append(j.out.buf, out)
+			if eq {
+				o.add(int32(r), b)
 			}
 		}
 	}
+	return nil
 }
 
-// probeChunkRows handles a probe chunk that did not vectorize while the
-// operator is in vectorized mode: per-row hashing, but candidates come
-// from the same chains the columnar probe walks.
-func (j *hashJoinOp) probeChunkRows(rows []expr.Row) {
-probeLoop:
-	for _, row := range rows {
-		h, valid, err := hashKey(j.leftKeys, row)
-		if err != nil {
-			j.pendErr = err
-			break probeLoop
-		}
-		if !valid {
-			continue
-		}
-		for bi := j.table.lookup(h); bi >= 0; bi = j.next[bi] {
-			keep, out, err := j.matchRow(row, j.buildRows[bi])
-			if err != nil {
-				j.pendErr = err
-				break probeLoop
-			}
-			if keep {
-				j.out.buf = append(j.out.buf, out)
-			}
-		}
-	}
-}
-
-// matchRow applies the residual and the key recheck to one candidate
-// pair, returning the joined row on a match. The residual runs before
-// the key recheck (its errors surface first).
-func (j *hashJoinOp) matchRow(probeRow, buildRow expr.Row) (bool, expr.Row, error) {
-	if j.residual != nil {
-		out := concatRow(probeRow, buildRow)
-		keep, err := expr.EvalBool(j.residual, out)
-		if err != nil || !keep {
-			return false, nil, err
-		}
-		eq, err := j.keysEqual(probeRow, buildRow)
-		if err != nil || !eq {
-			return false, nil, err
-		}
-		return true, out, nil
-	}
-	eq, err := j.keysEqual(probeRow, buildRow)
-	if err != nil || !eq {
-		return false, nil, err
-	}
-	return true, concatRow(probeRow, buildRow), nil
-}
-
-// recheck verifies key equality behind a hash hit (collisions). typed
-// compares lanes directly; otherwise the row path's Compare runs, with
-// its exact error behavior.
-func (j *hashJoinOp) recheck(typed bool, si int, bi int32, probeRow expr.Row) (bool, error) {
-	if !typed {
-		return j.keysEqual(probeRow, j.buildRows[bi])
-	}
-	for k := range j.eqMode {
-		pv := j.keyVecs[k]
-		arr := &j.keyArrs[k]
-		switch j.eqMode[k] {
+// recheck verifies key equality of probe row p and build row b behind a
+// hash hit (collisions), lane against lane; key pairs whose lanes
+// Compare may reject go through it, with its exact error behavior.
+func (j *hashJoinOp) recheck(p, b int) (bool, error) {
+	for k, mode := range j.eqMode {
+		pv, bv := j.pKeys[k], j.bKeys[k]
+		switch mode {
 		case eqInt:
-			if pv.I[si] != arr.i[bi] {
+			if pv.I[p] != bv.I[b] {
 				return false, nil
 			}
 		case eqFloat:
-			var a float64
-			if pv.T == expr.TFloat {
-				a = pv.F[si]
-			} else {
-				a = float64(pv.I[si])
-			}
-			b := arr.float(bi)
-			// Compare's float equality is !(a < b) && !(a > b), which is
+			x, y := vecFloat(pv, p), vecFloat(bv, b)
+			// Compare's float equality is !(x < y) && !(x > y), which is
 			// not the same as == when NaN is involved.
-			if a < b || a > b {
+			if x < y || x > y {
 				return false, nil
 			}
 		case eqStr:
-			if pv.S[si] != arr.s[bi] {
+			if pv.S[p] != bv.S[b] {
 				return false, nil
+			}
+		default:
+			if c, err := pv.Value(p).Compare(bv.Value(b)); err != nil || c != 0 {
+				return false, err
 			}
 		}
 	}
 	return true, nil
 }
 
-// emitPairs materializes the chunk's matches into one output slab: each
-// joined row is a sub-slice, so the headers in out stay valid without
-// a per-row allocation.
-func (j *hashJoinOp) emitPairs(rows []expr.Row) {
-	if len(j.pairs) == 0 {
-		return
+func vecFloat(v *expr.Vec, i int) float64 {
+	if v.T == expr.TFloat {
+		return v.F[i]
 	}
-	need := 0
-	for _, pr := range j.pairs {
-		need += len(rows[pr[0]]) + len(j.buildRows[pr[1]])
-	}
-	slab := make([]expr.Value, 0, need)
-	for _, pr := range j.pairs {
-		start := len(slab)
-		slab = append(slab, rows[pr[0]]...)
-		slab = append(slab, j.buildRows[pr[1]]...)
-		j.out.buf = append(j.out.buf, expr.Row(slab[start:len(slab):len(slab)]))
-	}
-}
-
-func concatRow(l, r expr.Row) expr.Row {
-	out := make(expr.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
+	return float64(v.I[i])
 }
 
 func (j *hashJoinOp) keysEqual(l, r expr.Row) (bool, error) {
@@ -1020,29 +1151,44 @@ func (j *hashJoinOp) keysEqual(l, r expr.Row) (bool, error) {
 }
 
 func (j *hashJoinOp) Close() error {
-	j.buildRows = nil
+	j.out.reset(false)
 	j.table = chainTable{}
-	j.next = nil
-	j.rowBuckets = nil
-	j.out = rowOut{}
-	j.pending = nil
+	j.next, j.rowBuckets, j.pending = nil, nil, nil
 	return j.probe.close()
+}
+
+func concatRow(l, r expr.Row) expr.Row {
+	out := make(expr.Row, 0, len(l)+len(r))
+	out = append(out, l...)
+	return append(out, r...)
 }
 
 // --- nested-loop join ---------------------------------------------------
 
 // nlJoinOp materializes its right input at Open and streams the left:
 // each left row is paired with every right row and kept when the join
-// condition holds.
+// condition holds. No candidate pair is built to find that out: a
+// condition that is all typed column equalities (eq) compares the two
+// sides' lanes directly while pairOut keeps those columns as vectors,
+// and anything else is evaluated over pairOut's one scratch row.
 type nlJoinOp struct {
-	left      feed
-	right     BatchOperator
-	cond      expr.Expr
-	rightRows []expr.Row
-	out       rowOut
+	left, right feed
+	cond        expr.Expr
+	vec         bool
+	eq          []eqCols // nil: cond needs the interpreter
+	out         pairOut
+	li, ln      int // next row and row count of the current left chunk
+	pendErr     error
 }
 
-func newNLJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
+// eqCols is one leftCol = rightCol conjunct over lanes on which = cannot
+// fail: both integer-class, or (str) both strings.
+type eqCols struct {
+	l, r int
+	str  bool
+}
+
+func newNLJoin(n *plan.Node, left, right BatchOperator, vec bool) (BatchOperator, error) {
 	var cond expr.Expr
 	if n.Pred != nil {
 		bound, err := expr.Bind(n.Pred, resolver(n))
@@ -1051,44 +1197,135 @@ func newNLJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 		}
 		cond = bound
 	}
-	return &nlJoinOp{left: feed{src: left}, right: right, cond: cond}, nil
+	j := &nlJoinOp{left: feed{src: left}, right: feed{src: right}, cond: cond, vec: vec}
+	var lkeys, rkeys []int
+	if vec && cond != nil {
+		j.eq = typedEq(cond, colTypes(n.Children[0]), colTypes(n.Children[1]))
+		for _, e := range j.eq {
+			lkeys, rkeys = append(lkeys, e.l), append(rkeys, e.r)
+		}
+	}
+	j.out = newPairOut(n, lkeys, rkeys, cond)
+	return j, nil
+}
+
+// typedEq reads cond as a conjunction of eqCols, or returns nil.
+func typedEq(cond expr.Expr, lTypes, rTypes []expr.Type) []eqCols {
+	var eq []eqCols
+	lw := len(lTypes)
+	for _, c := range expr.Conjuncts(cond) {
+		cmp, ok := c.(*expr.Cmp)
+		if !ok || cmp.Op != expr.EQ {
+			return nil
+		}
+		lc, lok := cmp.L.(*expr.Col)
+		rc, rok := cmp.R.(*expr.Col)
+		if !lok || !rok {
+			return nil
+		}
+		l, r := lc.Index, rc.Index
+		if l > r {
+			l, r = r, l
+		}
+		if l >= lw || r < lw {
+			return nil // both columns on one side
+		}
+		mode := keyMode(lTypes[l], rTypes[r-lw])
+		if mode != eqInt && mode != eqStr {
+			return nil
+		}
+		eq = append(eq, eqCols{l: l, r: r - lw, str: mode == eqStr})
+	}
+	return eq
 }
 
 func (j *nlJoinOp) Open() error {
-	rows, err := collect(j.right)
-	if err != nil {
+	j.out.reset(j.vec)
+	j.li, j.ln, j.pendErr = 0, 0, nil
+	if err := j.right.open(); err != nil {
 		return err
 	}
-	j.rightRows = rows
-	j.out.reset()
+	for {
+		chunk, err := j.right.nextChunk()
+		if err != nil {
+			j.right.close()
+			return err
+		}
+		if chunk == nil {
+			break
+		}
+		j.out.addBuild(chunk)
+	}
+	if err := j.right.close(); err != nil {
+		return err
+	}
 	return j.left.open()
 }
 
 func (j *nlJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.joinNext) }
 
-// joinNext joins the next left row against the right side into out —
-// one left row per call bounds the buffered output by the right side.
+// joinNext reports the matches of the next left rows to out, stopping
+// at the first row that takes them past BatchSize — that bounds the
+// buffered pairs by one batch plus the right side. A failing left row
+// keeps none of its matches; the error waits in pendErr until the rows
+// before it have been handed out.
 func (j *nlJoinOp) joinNext() (bool, error) {
-	l, ok, err := j.left.nextRow()
-	if err != nil || !ok {
-		return false, err
+	if j.pendErr != nil {
+		return false, j.pendErr
 	}
-	j.out.reset()
-	for _, r := range j.rightRows {
-		row := concatRow(l, r)
-		keep, err := expr.EvalBool(j.cond, row)
-		if err != nil {
+	o := &j.out
+	chunk := o.chunk
+	if j.li == j.ln {
+		var err error
+		if chunk, err = j.left.nextChunk(); err != nil || chunk == nil {
 			return false, err
 		}
-		if keep {
-			j.out.buf = append(j.out.buf, row)
+		j.li, j.ln = 0, chunk.Len()
+	}
+	// The last refill's pairs are all handed out: start over, on the
+	// same chunk while it has rows left.
+	o.setProbe(chunk)
+	for ; j.li < j.ln && len(o.pi) < BatchSize; j.li++ {
+		v, p := o.probeAt(j.li)
+		if j.eq != nil && o.keys {
+			j.matchLanes(v, p)
+			continue
+		}
+		mark := len(o.pi)
+		o.loadProbe(p)
+		for b := int32(0); b < o.bn; b++ {
+			keep, err := expr.EvalBool(j.cond, o.loadBuild(b))
+			if err != nil {
+				o.pi, o.bi = o.pi[:mark], o.bi[:mark]
+				j.pendErr = err
+				return true, nil
+			}
+			if keep {
+				o.add(p, b)
+			}
 		}
 	}
 	return true, nil
 }
 
+// matchLanes pairs the left row at v (p to out) with every right row
+// equal on all eq columns; NULLs equal nothing.
+func (j *nlJoinOp) matchLanes(v int, p int32) {
+	o := &j.out
+build:
+	for b := 0; b < int(o.bn); b++ {
+		for _, e := range j.eq {
+			lv, rv := o.vecs[e.l], &o.bcols[e.r]
+			if lv.IsNullAt(v) || rv.IsNullAt(b) || e.str && lv.S[v] != rv.S[b] || !e.str && lv.I[v] != rv.I[b] {
+				continue build
+			}
+		}
+		o.add(p, int32(b))
+	}
+}
+
 func (j *nlJoinOp) Close() error {
-	j.rightRows = nil
+	j.out.reset(false)
 	return j.left.close()
 }
 
@@ -1822,14 +2059,4 @@ func (s *sortOp) NextBatch() (*Batch, error) { return s.out.nextBatch(nil) }
 func (s *sortOp) Close() error {
 	s.out = rowOut{}
 	return nil
-}
-
-// widthSum is the schema-estimate size of a row slice, fed to the
-// calibrator as the estimated side of the encoding ratio.
-func widthSum(rows []expr.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		n += int64(r.Width())
-	}
-	return n
 }

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
+	"cgdqp/internal/optimizer"
+	"cgdqp/internal/tpch"
+	"cgdqp/internal/workload"
 )
 
 // observedCluster attaches a fully-enabled observer to the cluster and
@@ -239,5 +243,96 @@ func TestObservedProfileActuals(t *testing.T) {
 		if !strings.Contains(out, "actual rows=") || strings.Contains(out, "(never executed)") {
 			t.Fatalf("%s: profile rendering incomplete:\n%s", engine, out)
 		}
+	}
+}
+
+// scanNeeds walks an operator tree — through profiling wrappers, feeds
+// and exchange producers — and lists every table scan's need set in
+// tree order.
+func scanNeeds(v reflect.Value, out *[]string) {
+	opType := reflect.TypeOf((*BatchOperator)(nil)).Elem()
+	switch v.Kind() {
+	case reflect.Interface, reflect.Pointer:
+		if !v.IsNil() {
+			scanNeeds(v.Elem(), out)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scanNeeds(v.Index(i), out)
+		}
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(scanOp{}) {
+			need := v.FieldByName("need")
+			cols := make([]bool, need.Len())
+			for i := range cols {
+				cols[i] = need.Index(i).Bool()
+			}
+			*out = append(*out, fmt.Sprintf("%s%v", v.FieldByName("node").Elem().FieldByName("Alias"), cols))
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			switch ft := v.Field(i).Type(); {
+			case ft == opType, ft == reflect.TypeOf(feed{}), ft == reflect.TypeOf([]BatchOperator(nil)),
+				ft == reflect.TypeOf((*exchangeProducer)(nil)):
+				scanNeeds(v.Field(i), out)
+			}
+		}
+	}
+}
+
+// TestProfiledRunTakesThePlainPath holds EXPLAIN ANALYZE to running the
+// query it explains: wrapping every operator in profiledOp must change
+// neither which columns a scan decodes (the need sets are derived from
+// plan nodes, not from operator types a wrapper would hide) nor the
+// rows, their order or the RunStats — for every golden TPC-H query
+// over the persistent store, under T and CR+A, in both exchange modes.
+func TestProfiledRunTakesThePlainPath(t *testing.T) {
+	cat := tpch.NewCatalog(0.001)
+	net := network.FiveRegionWAN(cat.Locations())
+	cl, err := cluster.NewWithStore(cat, net, &cluster.StoreConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := tpch.Generate(cat, cl); err != nil {
+		t.Fatal(err)
+	}
+	masked := 0
+	for _, set := range []workload.SetName{workload.SetT, workload.SetCRA} {
+		opt := optimizer.New(cat, workload.TPCHSet(set), net, optimizer.Options{Compliant: true})
+		for _, name := range tpch.QueryNames() {
+			res, err := opt.OptimizeSQL(tpch.Queries[name])
+			if err != nil {
+				t.Fatalf("%s/%s: %v", set, name, err)
+			}
+			for _, inline := range []bool{true, false} {
+				label := fmt.Sprintf("%s/%s/inline=%v", set, name, inline)
+				var needs [2][]string
+				var rows [2][]expr.Row
+				var stats [2]*RunStats
+				for i, o := range []*obs.Observer{nil, (&obs.Observer{}).WithProfile(obs.NewPlanProfile())} {
+					env := &execEnv{c: cl, scope: cl.NewRun(), ctx: context.Background(), obsv: o, inline: inline}
+					root, err := build(res.Plan, env, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					scanNeeds(reflect.ValueOf(root), &needs[i])
+					if rows[i], stats[i], err = run(context.Background(), res.Plan, cl, o, ExecOptions{}, inline); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+				}
+				if len(needs[0]) == 0 || fmt.Sprint(needs[0]) != fmt.Sprint(needs[1]) {
+					t.Errorf("%s: scans decode %v plain, %v profiled", label, needs[0], needs[1])
+				}
+				masked += strings.Count(fmt.Sprint(needs[0]), "false")
+				sameRows(t, label, rows[1], rows[0])
+				if *stats[0] != *stats[1] {
+					t.Errorf("%s: stats %+v plain, %+v profiled", label, *stats[0], *stats[1])
+				}
+			}
+		}
+	}
+	if masked == 0 {
+		t.Error("no scan left a column out: the check is vacuous")
 	}
 }

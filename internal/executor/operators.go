@@ -8,30 +8,32 @@ import (
 	"cgdqp/internal/store"
 )
 
-// This file holds the streaming operators: scan, filter, project, the
-// fused filter+project, limit and union. They pass batches through (or
-// build new ones) without materializing their input.
+// This file holds the streaming operators: scan, filter, project, limit
+// and union. They pass batches through (or build new ones) without
+// materializing their input.
 
 // scanOp emits a table fragment's rows as batches. Persistent fragments
 // stream page by page through a store.Iterator, each page decoding
-// straight into the batch's column vectors — no row materialization
-// between disk and the kernels; the in-memory backend (and the global
+// straight into the batch's column vectors — only the columns the plan
+// reads above the scan, and no row materialization between disk and
+// the kernels; the in-memory backend (and the global
 // view of a fragmented table) aliases the stored rows, zero-copy. Every
 // batch first consults the run's context, so a cancelled execution
 // stops scanning within BatchSize rows.
 type scanOp struct {
 	node *plan.Node
 	env  *execEnv
+	need []bool // columns read above the scan (nil: all)
 	it   *store.Iterator
 	rows []expr.Row
 	pos  int
 }
 
-func newScan(n *plan.Node, env *execEnv) (BatchOperator, error) {
+func newScan(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 	if n.Table == nil {
 		return nil, fmt.Errorf("executor: scan without table")
 	}
-	return &scanOp{node: n, env: env}, nil
+	return &scanOp{node: n, env: env, need: need}, nil
 }
 
 func (s *scanOp) Open() error {
@@ -47,6 +49,7 @@ func (s *scanOp) Open() error {
 		return err
 	}
 	if ok {
+		it.SetNeeded(s.need)
 		s.it = it
 		return nil
 	}
@@ -128,13 +131,9 @@ type filterOp struct {
 	selCopy []int32
 }
 
-func newFilter(n *plan.Node, src BatchOperator, vec bool) (BatchOperator, error) {
-	pred, err := expr.Bind(n.Pred, resolver(n.Children[0]))
-	if err != nil {
-		return nil, fmt.Errorf("executor: filter bind: %w", err)
-	}
+func newFilter(n *plan.Node, src BatchOperator, pred expr.Expr, vec bool) BatchOperator {
 	types := colTypes(n.Children[0])
-	return &filterOp{src: src, pred: pred, kern: compilePred(pred, types, vec), types: types}, nil
+	return &filterOp{src: src, pred: pred, kern: compilePred(pred, types, vec), types: types}
 }
 
 func (f *filterOp) Open() error { return f.src.Open() }
@@ -184,8 +183,9 @@ func (f *filterOp) Close() error { return f.src.Close() }
 // projectOp evaluates the projection over each input batch. The fast
 // path is fully columnar: kernel outputs, gathered passthroughs and
 // broadcast constants land in the output batch's own vectors, and no
-// row materializes. Batches that path cannot handle exactly fall back
-// to kernel-assisted row assembly, then to the interpreter.
+// row materializes — a filter below it only narrowed the batch's
+// selection, which drives the kernels over the same columnar view.
+// Batches that path cannot handle exactly fall back to the interpreter.
 type projectOp struct {
 	src   BatchOperator
 	exprs []expr.Expr
@@ -193,29 +193,9 @@ type projectOp struct {
 	types []expr.Type
 }
 
-func newProject(n *plan.Node, src BatchOperator, vec bool) (BatchOperator, error) {
-	res := resolver(n.Children[0])
-	exprs := make([]expr.Expr, len(n.Projs))
-	for i, p := range n.Projs {
-		bound, err := expr.Bind(p.E, res)
-		if err != nil {
-			return nil, fmt.Errorf("executor: project bind %s: %w", p.E, err)
-		}
-		exprs[i] = bound
-	}
+func newProject(n *plan.Node, src BatchOperator, exprs []expr.Expr, vec bool) BatchOperator {
 	types := colTypes(n.Children[0])
-	// Fuse with a vectorized filter child: the filter's surviving
-	// selection vector drives the projection kernels over a shared
-	// columnar view. Profiling wraps operators, so the assertion fails
-	// and fusion is skipped under EXPLAIN ANALYZE, keeping per-node
-	// actuals intact.
-	if f, ok := src.(*filterOp); ok && f.kern != nil {
-		return &filterProjectOp{
-			src: f.src, pred: f.pred, kern: f.kern, types: types,
-			exprs: exprs, proj: compileProj(exprs, types, true),
-		}, nil
-	}
-	return &projectOp{src: src, exprs: exprs, proj: compileProj(exprs, types, vec), types: types}, nil
+	return &projectOp{src: src, exprs: exprs, proj: compileProj(exprs, types, vec), types: types}
 }
 
 func (p *projectOp) Open() error { return p.src.Open() }
@@ -230,12 +210,6 @@ func (p *projectOp) NextBatch() (*Batch, error) {
 		d := in.Data()
 		d.Bind(p.types)
 		if p.proj.applyCols(d, in.Sel(), out.Data()) {
-			in.Release()
-			return out, nil
-		}
-		if rows, ok := p.proj.apply(d, in.Sel(), out.rowBuf[:0]); ok {
-			out.rowBuf = rows
-			out.SetRows(rows)
 			in.Release()
 			return out, nil
 		}
@@ -258,121 +232,6 @@ func (p *projectOp) NextBatch() (*Batch, error) {
 }
 
 func (p *projectOp) Close() error { return p.src.Close() }
-
-// filterProjectOp is the fused filter+projection: the predicate narrows
-// the batch's selection vector, which drives the projection kernels
-// directly over the same columnar view — surviving rows are never
-// materialized between the two. Batches either kernel cannot handle
-// re-run row by row — filter then project, in row order — matching the
-// interpreter.
-type filterProjectOp struct {
-	src     BatchOperator
-	pred    expr.Expr
-	kern    *vecPred
-	types   []expr.Type
-	exprs   []expr.Expr
-	proj    *vecProj // nil: passthrough/interpreted outputs only
-	selCopy []int32
-}
-
-func (p *filterProjectOp) Open() error { return p.src.Open() }
-
-func (p *filterProjectOp) NextBatch() (*Batch, error) {
-	for {
-		in, err := p.src.NextBatch()
-		if err != nil || in == nil {
-			return nil, err
-		}
-		out, done, err := p.processBatch(in)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			if out != nil {
-				return out, nil
-			}
-			continue
-		}
-		// Full interpreter re-run of the batch, in row order.
-		out = NewBatch()
-		buf := out.rowBuf[:0]
-		for _, row := range in.Rows() {
-			keep, err := expr.EvalBool(p.pred, row)
-			if err != nil {
-				in.Release()
-				out.rowBuf = buf
-				out.Release()
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
-			proj, err := projectRow(p.exprs, row)
-			if err != nil {
-				in.Release()
-				out.rowBuf = buf
-				out.Release()
-				return nil, err
-			}
-			buf = append(buf, proj)
-		}
-		out.rowBuf = buf
-		out.SetRows(buf)
-		in.Release()
-		if out.Len() > 0 {
-			return out, nil
-		}
-		out.Release()
-	}
-}
-
-// processBatch runs the kernel path over one batch: predicate selection
-// plus the columnar (or kernel-assisted row) projection. done is false
-// when the batch must be re-run through the interpreter; in is NOT
-// released then and its selection is unchanged.
-func (p *filterProjectOp) processBatch(in *Batch) (*Batch, bool, error) {
-	d := in.Data()
-	d.Bind(p.types)
-	sel, ok := runSelect(p.kern.kern, in, d, &p.selCopy)
-	if !ok {
-		return nil, false, nil
-	}
-	if len(sel) == 0 {
-		in.Release()
-		return nil, true, nil
-	}
-	out := NewBatch()
-	if p.proj != nil {
-		if p.proj.applyCols(d, sel, out.Data()) {
-			in.Release()
-			return out, true, nil
-		}
-		if rows, applied := p.proj.apply(d, sel, out.rowBuf[:0]); applied {
-			out.rowBuf = rows
-			out.SetRows(rows)
-			in.Release()
-			return out, true, nil
-		}
-		out.Release()
-		return nil, false, nil
-	}
-	buf := out.rowBuf[:0]
-	for _, si := range sel {
-		proj, err := projectRow(p.exprs, d.Row(int(si)))
-		if err != nil {
-			out.rowBuf = buf
-			out.Release()
-			return nil, false, nil
-		}
-		buf = append(buf, proj)
-	}
-	out.rowBuf = buf
-	out.SetRows(buf)
-	in.Release()
-	return out, true, nil
-}
-
-func (p *filterProjectOp) Close() error { return p.src.Close() }
 
 // limitOp truncates the stream after n rows.
 type limitOp struct {

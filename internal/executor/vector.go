@@ -91,43 +91,34 @@ func compilePred(pred expr.Expr, types []expr.Type, vec bool) *vecPred {
 
 // --- projection evaluation ------------------------------------------------
 
-// vecProj evaluates one projection list over a columnar batch. Each
-// output column is a bare-column passthrough, a constant, a compiled
-// kernel, or a per-row interpreted expression; any kernel error demotes
-// the whole batch to the interpreter.
+// vecProj evaluates one projection list over a columnar batch, every
+// output column a bare-column passthrough, a constant or a compiled
+// kernel.
 type vecProj struct {
-	exprs  []expr.Expr    // bound originals, for the interpreter path
 	colIdx []int          // >= 0: bare column passthrough
 	consts []*expr.Value  // non-nil: constant output
 	kerns  []*expr.Kernel // non-nil: compiled kernel
 	outs   []*expr.Vec    // kernel results for the current batch
 	pass   []*expr.Vec    // passthrough sources for the current batch
-
-	// fallback: some column needs the row interpreter per value.
-	// constsExact: every constant reproduces itself through a vector
-	// (no payload residue), so a columnar broadcast is value-identical
-	// to the row path. Both gate the fully columnar applyCols output.
-	fallback    bool
-	constsExact bool
 }
 
-// compileProj compiles a projection list. It reports nil when kernels
-// are disabled or nothing vectorizes beyond passthroughs (the plain
-// row projector is just as fast then and keeps lazy error timing).
+// compileProj compiles a projection list. It reports nil — the caller
+// keeps the row interpreter — when kernels are disabled, an expression
+// does not compile, or a constant does not reproduce itself through a
+// vector (payload residue a columnar broadcast would drop). A list of
+// nothing but passthroughs does compile: it gathers columns and never
+// builds an input row.
 func compileProj(exprs []expr.Expr, types []expr.Type, vec bool) *vecProj {
 	if !vec {
 		return nil
 	}
 	p := &vecProj{
-		exprs:       exprs,
-		colIdx:      make([]int, len(exprs)),
-		consts:      make([]*expr.Value, len(exprs)),
-		kerns:       make([]*expr.Kernel, len(exprs)),
-		outs:        make([]*expr.Vec, len(exprs)),
-		pass:        make([]*expr.Vec, len(exprs)),
-		constsExact: true,
+		colIdx: make([]int, len(exprs)),
+		consts: make([]*expr.Value, len(exprs)),
+		kerns:  make([]*expr.Kernel, len(exprs)),
+		outs:   make([]*expr.Vec, len(exprs)),
+		pass:   make([]*expr.Vec, len(exprs)),
 	}
-	compiled := false
 	var probe expr.Vec
 	for i, e := range exprs {
 		p.colIdx[i] = -1
@@ -137,86 +128,28 @@ func compileProj(exprs []expr.Expr, types []expr.Type, vec bool) *vecProj {
 		case *expr.Const:
 			v := n.Val
 			p.consts[i] = &v
-			probe.Broadcast(v, 1)
-			if !probe.Exact {
-				p.constsExact = false
+			if probe.Broadcast(v, 1); !probe.Exact {
+				return nil
 			}
 		default:
-			if k, ok := expr.Compile(e, types); ok {
-				p.kerns[i] = k
-				compiled = true
-			} else {
-				p.fallback = true
+			k, ok := expr.Compile(e, types)
+			if !ok {
+				return nil
 			}
+			p.kerns[i] = k
 		}
-	}
-	if !compiled {
-		return nil
 	}
 	return p
-}
-
-// apply projects the selected rows of src (all rows when sel is nil)
-// and appends the output rows to out. ok is false when the batch must
-// be re-run through the row interpreter; out is untouched then.
-func (p *vecProj) apply(src expr.VecSource, sel []int32, out []expr.Row) ([]expr.Row, bool) {
-	for i, k := range p.kerns {
-		if k == nil {
-			continue
-		}
-		v, err := k.EvalVec(src, sel)
-		if err != nil {
-			return out, false
-		}
-		p.outs[i] = v
-	}
-	n := src.Len()
-	if sel != nil {
-		n = len(sel)
-	}
-	for j := 0; j < n; j++ {
-		ri := j
-		if sel != nil {
-			ri = int(sel[j])
-		}
-		row := make(expr.Row, len(p.exprs))
-		for i := range p.exprs {
-			switch {
-			case p.colIdx[i] >= 0:
-				r := src.Row(ri)
-				if p.colIdx[i] >= len(r) {
-					return out, false
-				}
-				row[i] = r[p.colIdx[i]]
-			case p.consts[i] != nil:
-				row[i] = *p.consts[i]
-			case p.kerns[i] != nil:
-				row[i] = p.outs[i].Value(j)
-			default:
-				v, err := expr.Eval(p.exprs[i], src.Row(ri))
-				if err != nil {
-					return out, false
-				}
-				row[i] = v
-			}
-		}
-		out = append(out, row)
-	}
-	return out, true
 }
 
 // applyCols projects the selected rows of in fully columnar: kernel
 // outputs are copied, passthrough columns gathered, and constants
 // broadcast into out's owned vectors — no row is materialized. ok is
 // false when the batch cannot be projected columnar with row-identical
-// results: a fallback or non-round-tripping constant column, a kernel
-// error, or a passthrough column that is unavailable or not exact
-// (its vector would canonicalize values the row path passes through
-// verbatim). The caller then tries apply and the interpreter, in order.
+// results: a kernel error, or a passthrough column that is unavailable
+// or not exact (its vector would canonicalize values the row path
+// passes through verbatim). The caller then runs the interpreter.
 func (p *vecProj) applyCols(in *expr.Batch, sel []int32, out *expr.Batch) bool {
-	if p.fallback || !p.constsExact {
-		return false
-	}
 	for i, k := range p.kerns {
 		if k == nil {
 			continue
@@ -241,8 +174,8 @@ func (p *vecProj) applyCols(in *expr.Batch, sel []int32, out *expr.Batch) bool {
 	if sel != nil {
 		n = len(sel)
 	}
-	out.StartCols(len(p.exprs), n)
-	for i := range p.exprs {
+	out.StartCols(len(p.colIdx), n)
+	for i := range p.colIdx {
 		dst := out.OwnCol(i)
 		switch {
 		case p.colIdx[i] >= 0:

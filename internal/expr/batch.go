@@ -104,6 +104,10 @@ func (b *Batch) OwnCol(idx int) *Vec {
 	return &b.cols[idx]
 }
 
+// SetLen sets the row count of a batch whose producer grows its owned
+// columns by appending (StartCols with zero rows, then Vec.AppendGather).
+func (b *Batch) SetLen(n int) { b.n = n }
+
 // FinishCols records each owned column's lane type as the batch's
 // column type. Producers call it once after filling every column.
 func (b *Batch) FinishCols() {
@@ -192,26 +196,55 @@ func (b *Batch) Reset() {
 	}
 }
 
-// ensureRows materializes the row view from owned column vectors into
-// a fresh arena (one value slab + one header slice; neither is ever
-// pooled, so extracted rows stay valid after the container recycles).
+// ensureRows materializes the row view from owned column vectors.
 func (b *Batch) ensureRows() {
 	if b.rowsValid {
 		return
 	}
-	w := len(b.types)
-	arena := make([]Value, b.n*w)
-	rows := make([]Row, b.n)
-	for i := 0; i < b.n; i++ {
-		r := arena[:w:w]
-		arena = arena[w:]
-		for c := 0; c < w; c++ {
-			r[c] = b.cols[c].Value(i)
-		}
-		rows[i] = r
-	}
-	b.rows = rows
+	b.rows = b.GatherRows(nil, make([]Row, 0, b.n))
 	b.rowsValid = true
+}
+
+// GatherRows appends the rows at sel (every row when sel is nil) to
+// dst. Row-backed batches hand out their rows; a column-backed batch
+// materializes just those rows into a fresh arena (one value slab,
+// never pooled, so the rows stay valid after the container recycles).
+// A column its producer left unset — a scan told that no consumer
+// reads it — materializes as the zero Value.
+func (b *Batch) GatherRows(sel []int32, dst []Row) []Row {
+	n := len(sel)
+	if sel == nil {
+		n = b.n
+	}
+	if b.rowsValid {
+		if sel == nil {
+			return append(dst, b.rows...)
+		}
+		for _, si := range sel {
+			dst = append(dst, b.rows[si])
+		}
+		return dst
+	}
+	w := len(b.types)
+	arena := make([]Value, n*w)
+	for j := 0; j < n; j++ {
+		dst = append(dst, arena[j*w:(j+1)*w:(j+1)*w])
+	}
+	out := dst[len(dst)-n:]
+	for c := 0; c < w; c++ {
+		if b.state[c] != colOwned {
+			continue
+		}
+		v := &b.cols[c]
+		for j, r := range out {
+			i := j
+			if sel != nil {
+				i = int(sel[j])
+			}
+			r[c] = v.Value(i)
+		}
+	}
+	return dst
 }
 
 // ensureWidth sizes the column and state slices to the bound width.

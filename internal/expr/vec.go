@@ -1,5 +1,7 @@
 package expr
 
+import "slices"
+
 // Columnar value vectors. A Vec is the column-at-a-time counterpart of a
 // Row slice: one typed lane (int64/float64/string/bool) plus a null
 // bitmap. Vectors are the currency of the compiled expression kernels
@@ -30,6 +32,14 @@ func (b Bitmap) grow(n int) Bitmap {
 	b = b[:w]
 	for i := range b {
 		b[i] = 0
+	}
+	return b
+}
+
+// extend lengthens the bitmap to hold n bits, the new words zeroed.
+func (b Bitmap) extend(n int) Bitmap {
+	for w := bitmapWords(n); len(b) < w; {
+		b = append(b, 0)
 	}
 	return b
 }
@@ -231,40 +241,66 @@ func (v *Vec) GatherFrom(src *Vec, sel []int32) {
 		v.CopyFrom(src)
 		return
 	}
-	v.reset(src.T, len(sel))
+	v.reset(src.T, 0)
 	v.NullT = src.NullT
 	v.Exact = src.Exact
+	v.AppendGather(src, sel)
+}
+
+// AppendGather appends element sel[j] of src — every element, in
+// order, when sel is nil — to v, which must hold src's lane type (and
+// materialize NULLs as src does, if src has any). It is how the joins
+// grow a build side chunk by chunk and fill an output batch from
+// several probe chunks.
+func (v *Vec) AppendGather(src *Vec, sel []int32) {
+	base, k := v.N, len(sel)
+	if sel == nil {
+		k = src.N
+	}
+	at := func(j int) int {
+		if sel == nil {
+			return j
+		}
+		return int(sel[j])
+	}
+	v.N = base + k
 	switch src.T {
 	case TInt, TDate:
-		for j, si := range sel {
-			v.I[j] = src.I[si]
-		}
+		v.I = appendLane(v.I, src.I[:src.N], sel)
 	case TFloat:
-		for j, si := range sel {
-			v.F[j] = src.F[si]
-		}
+		v.F = appendLane(v.F, src.F[:src.N], sel)
 	case TString:
-		for j, si := range sel {
-			v.S[j] = src.S[si]
-		}
+		v.S = appendLane(v.S, src.S[:src.N], sel)
 	case TBool:
-		for j, si := range sel {
-			if src.B.Get(int(si)) {
-				v.B.Set(j)
+		v.B = v.B.extend(v.N)
+		for j := 0; j < k; j++ {
+			if src.B.Get(at(j)) {
+				v.B.Set(base + j)
 			}
 		}
+	}
+	if v.Null != nil {
+		v.Null = v.Null.extend(v.N)
 	}
 	if src.Null != nil {
-		var nulls Bitmap
-		for j, si := range sel {
-			if src.Null.Get(int(si)) {
-				if nulls == nil {
-					nulls = v.ensureNull()
-				}
-				nulls.Set(j)
+		for j := 0; j < k; j++ {
+			if src.Null.Get(at(j)) {
+				v.ensureNull().Set(base + j)
 			}
 		}
 	}
+}
+
+func appendLane[T any](dst, src []T, sel []int32) []T {
+	if sel == nil {
+		return append(dst, src...)
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(sel))[:base+len(sel)]
+	for j, si := range sel {
+		dst[base+j] = src[si]
+	}
+	return dst
 }
 
 // Broadcast fills v with n copies of val. Exactness is computed from

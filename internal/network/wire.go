@@ -86,13 +86,64 @@ type WireEncoder struct {
 	Opt  WireOptions
 	buf  []byte
 	body []byte
+	col  []expr.Value // the column being encoded
 	dict map[string]int
+}
+
+// frameSrc is what one frame is encoded from: rows, or the vectors of a
+// column-backed batch. The rows of such a batch are by definition its
+// vectors' Value(i), which is what column hands the encoder, so either
+// form of the same batch encodes to the same bytes.
+type frameSrc struct {
+	rows []expr.Row
+	cols []expr.Vec
+	n    int
+}
+
+// column appends the n values of column c to dst; a row too short to
+// reach the column contributes an untyped NULL.
+func (s *frameSrc) column(dst []expr.Value, c int) []expr.Value {
+	if s.cols != nil {
+		for i := 0; i < s.n; i++ {
+			dst = append(dst, s.cols[c].Value(i))
+		}
+		return dst
+	}
+	for _, r := range s.rows {
+		if c < len(r) {
+			dst = append(dst, r[c])
+		} else {
+			dst = append(dst, expr.NullValue())
+		}
+	}
+	return dst
 }
 
 // Encode serializes the batch into a frame. The returned slice is valid
 // until the next Encode call on this encoder.
 func (e *WireEncoder) Encode(rows []expr.Row) []byte {
-	e.body = appendBody(e.body[:0], rows, e)
+	nCols := 0
+	for _, r := range rows {
+		if len(r) > nCols {
+			nCols = len(r)
+		}
+	}
+	return e.encode(&frameSrc{rows: rows, n: len(rows)}, nCols)
+}
+
+// EncodeCols is Encode over the first n rows of column vectors: the
+// bytes Encode would produce from the rows they materialize.
+func (e *WireEncoder) EncodeCols(cols []expr.Vec, n int) []byte {
+	return e.encode(&frameSrc{cols: cols, n: n}, len(cols))
+}
+
+func (e *WireEncoder) encode(src *frameSrc, nCols int) []byte {
+	e.body = binary.AppendUvarint(e.body[:0], uint64(src.n))
+	e.body = binary.AppendUvarint(e.body, uint64(nCols))
+	for c := 0; c < nCols; c++ {
+		e.col = src.column(e.col[:0], c)
+		e.body = appendColumn(e.body, e.col, e)
+	}
 	e.buf = append(e.buf[:0], wireMagic, wireVersion)
 	if e.Opt.Compress {
 		compressed := lzCompress(nil, e.body)
@@ -114,35 +165,13 @@ func EncodeBatch(rows []expr.Row, opt WireOptions) []byte {
 	return append([]byte(nil), e.Encode(rows)...)
 }
 
-// appendBody appends the uncompressed columnar body.
-func appendBody(dst []byte, rows []expr.Row, e *WireEncoder) []byte {
-	nCols := 0
-	for _, r := range rows {
-		if len(r) > nCols {
-			nCols = len(r)
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	dst = binary.AppendUvarint(dst, uint64(nCols))
-	for c := 0; c < nCols; c++ {
-		dst = appendColumn(dst, rows, c, e)
-	}
-	return dst
-}
-
 // colShape classifies column c: the shared lane of the non-NULL values
 // (0 if there are none), the shared type tag of the NULLs, and whether
 // the column is lane-pure at all. A row too short to reach the column
 // contributes an untyped NULL.
-func colShape(rows []expr.Row, c int) (lane, nullT byte, hasNulls, pure bool) {
+func colShape(col []expr.Value) (lane, nullT byte, hasNulls, pure bool) {
 	nullT = 0xFF // unset
-	for _, r := range rows {
-		var v expr.Value
-		if c < len(r) {
-			v = r[c]
-		} else {
-			v = expr.NullValue()
-		}
+	for _, v := range col {
 		if v.IsNull() {
 			hasNulls = true
 			if nullT == 0xFF {
@@ -164,17 +193,10 @@ func colShape(rows []expr.Row, c int) (lane, nullT byte, hasNulls, pure bool) {
 	return lane, nullT, hasNulls, true
 }
 
-func colValue(rows []expr.Row, i, c int) expr.Value {
-	if c < len(rows[i]) {
-		return rows[i][c]
-	}
-	return expr.NullValue()
-}
-
-func appendColumn(dst []byte, rows []expr.Row, c int, e *WireEncoder) []byte {
-	lane, nullT, hasNulls, pure := colShape(rows, c)
+func appendColumn(dst []byte, col []expr.Value, e *WireEncoder) []byte {
+	lane, nullT, hasNulls, pure := colShape(col)
 	if !pure {
-		return appendMixedColumn(dst, rows, c)
+		return appendMixedColumn(dst, col)
 	}
 	tag := lane
 	if lane == 0 {
@@ -187,7 +209,7 @@ func appendColumn(dst []byte, rows []expr.Row, c int, e *WireEncoder) []byte {
 	var dict []string
 	var dictIdx []int
 	if lane == colString {
-		dict, dictIdx = buildDict(rows, c, e)
+		dict, dictIdx = buildDict(col, e)
 		if dict != nil {
 			flags |= colFlagDict
 		}
@@ -195,25 +217,25 @@ func appendColumn(dst []byte, rows []expr.Row, c int, e *WireEncoder) []byte {
 	dst = append(dst, tag, flags)
 	if hasNulls {
 		dst = append(dst, nullT)
-		dst = appendNullBitmap(dst, rows, c)
+		dst = appendNullBitmap(dst, col)
 	}
 	switch lane {
 	case 0:
 		// All-NULL: the bitmap says it all.
 	case colInt, colDate:
-		for i := range rows {
-			if v := colValue(rows, i, c); !v.IsNull() {
+		for _, v := range col {
+			if !v.IsNull() {
 				dst = appendZigzag(dst, v.I)
 			}
 		}
 	case colFloat:
-		for i := range rows {
-			if v := colValue(rows, i, c); !v.IsNull() {
+		for _, v := range col {
+			if !v.IsNull() {
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 			}
 		}
 	case colBool:
-		dst = appendBoolBits(dst, rows, c)
+		dst = appendBoolBits(dst, col)
 	case colString:
 		if dict != nil {
 			dst = binary.AppendUvarint(dst, uint64(len(dict)))
@@ -225,8 +247,8 @@ func appendColumn(dst []byte, rows []expr.Row, c int, e *WireEncoder) []byte {
 				dst = binary.AppendUvarint(dst, uint64(ix))
 			}
 		} else {
-			for i := range rows {
-				if v := colValue(rows, i, c); !v.IsNull() {
+			for _, v := range col {
+				if !v.IsNull() {
 					dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 					dst = append(dst, v.S...)
 				}
@@ -240,7 +262,7 @@ func appendColumn(dst []byte, rows []expr.Row, c int, e *WireEncoder) []byte {
 // order and the per-value indexes. It returns (nil, nil) when the
 // dictionary overflows wireDictMax or exceeds 3/4 of the value count —
 // then plain encoding is cheaper.
-func buildDict(rows []expr.Row, c int, e *WireEncoder) ([]string, []int) {
+func buildDict(col []expr.Value, e *WireEncoder) ([]string, []int) {
 	if e.dict == nil {
 		e.dict = make(map[string]int)
 	} else {
@@ -248,8 +270,7 @@ func buildDict(rows []expr.Row, c int, e *WireEncoder) ([]string, []int) {
 	}
 	var dict []string
 	var idx []int
-	for i := range rows {
-		v := colValue(rows, i, c)
+	for _, v := range col {
 		if v.IsNull() {
 			continue
 		}
@@ -270,24 +291,24 @@ func buildDict(rows []expr.Row, c int, e *WireEncoder) ([]string, []int) {
 	return dict, idx
 }
 
-func appendNullBitmap(dst []byte, rows []expr.Row, c int) []byte {
-	n := len(rows)
+func appendNullBitmap(dst []byte, col []expr.Value) []byte {
+	n := len(col)
 	start := len(dst)
 	dst = append(dst, make([]byte, (n+7)/8)...)
-	for i := range rows {
-		if colValue(rows, i, c).IsNull() {
+	for i, v := range col {
+		if v.IsNull() {
 			dst[start+i/8] |= 1 << uint(i%8)
 		}
 	}
 	return dst
 }
 
-func appendBoolBits(dst []byte, rows []expr.Row, c int) []byte {
-	n := len(rows)
+func appendBoolBits(dst []byte, col []expr.Value) []byte {
+	n := len(col)
 	start := len(dst)
 	dst = append(dst, make([]byte, (n+7)/8)...)
-	for i := range rows {
-		if v := colValue(rows, i, c); !v.IsNull() && v.I != 0 {
+	for i, v := range col {
+		if !v.IsNull() && v.I != 0 {
 			dst[start+i/8] |= 1 << uint(i%8)
 		}
 	}
@@ -297,10 +318,9 @@ func appendBoolBits(dst []byte, rows []expr.Row, c int) []byte {
 // appendMixedColumn writes one self-describing value per row:
 // byte (0x80|typeTag for NULL of that type, plain tag otherwise), then
 // the payload for non-NULLs.
-func appendMixedColumn(dst []byte, rows []expr.Row, c int) []byte {
+func appendMixedColumn(dst []byte, col []expr.Value) []byte {
 	dst = append(dst, colMixed, 0)
-	for i := range rows {
-		v := colValue(rows, i, c)
+	for _, v := range col {
 		if v.IsNull() {
 			dst = append(dst, 0x80|byte(v.T))
 			continue

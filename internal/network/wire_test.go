@@ -194,6 +194,40 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// checkEncodeCols decodes a frame into column vectors and, when it has
+// a vector form, requires encoding those vectors to produce the bytes
+// that encoding the batch's rows does — shipped bytes are billed by
+// frame length, so the columnar encoder may not differ by a byte.
+func checkEncodeCols(t *testing.T, frame []byte, opt WireOptions) {
+	t.Helper()
+	var b expr.Batch
+	if err := DecodeBatchCols(frame, &b); err != nil || b.RowBacked() {
+		return
+	}
+	cols := make([]expr.Vec, b.Width())
+	for c := range cols {
+		v, ok := b.ColVec(c)
+		if !ok {
+			t.Fatalf("decoded column %d is not served columnar", c)
+		}
+		cols[c] = *v
+	}
+	colEnc, rowEnc := WireEncoder{Opt: opt}, WireEncoder{Opt: opt}
+	got := colEnc.EncodeCols(cols, b.Len())
+	if want := rowEnc.Encode(b.Rows()); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeCols wrote %d bytes, Encode of the same batch's rows %d:\n%x\n%x", len(got), len(want), got, want)
+	}
+}
+
+// TestWireEncodeColsMatchesRows runs checkEncodeCols over every fixture.
+func TestWireEncodeColsMatchesRows(t *testing.T) {
+	for _, name := range []string{"typical", "dict_overflow", "mixed", "empty", "all_null"} {
+		for _, opt := range []WireOptions{{}, {Compress: true}} {
+			checkEncodeCols(t, EncodeBatch(fixtureRows(name), opt), opt)
+		}
+	}
+}
+
 // FuzzWireDecode throws arbitrary bytes at the decoder.
 func FuzzWireDecode(f *testing.F) {
 	for _, name := range []string{"empty", "typical", "mixed"} {
@@ -208,6 +242,7 @@ func FuzzWireDecode(f *testing.F) {
 			if err2 != nil || len(again) != len(rows) {
 				t.Fatalf("re-encode of decoded rows failed: %v", err2)
 			}
+			checkEncodeCols(t, data, WireOptions{})
 		}
 	})
 }

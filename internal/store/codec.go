@@ -54,7 +54,20 @@ func appendValue(buf []byte, v expr.Value) []byte {
 
 // decodeValue decodes one value from buf, returning the value and the
 // number of bytes consumed.
-func decodeValue(buf []byte) (expr.Value, int, error) {
+func decodeValue(buf []byte) (expr.Value, int, error) { return decodeCell(buf, true) }
+
+// skipValue returns the encoded length of the value at the head of buf,
+// rejecting exactly what decodeValue rejects — a scan skips the columns
+// no consumer reads, and must fail on a corrupt page whether or not it
+// reads the corrupt cell — but allocating no string for it.
+func skipValue(buf []byte) (int, error) {
+	_, n, err := decodeCell(buf, false)
+	return n, err
+}
+
+// decodeCell is decodeValue; with str false a string's bytes are
+// checked but not copied out (S stays empty).
+func decodeCell(buf []byte, str bool) (expr.Value, int, error) {
 	if len(buf) == 0 {
 		return expr.Value{}, 0, fmt.Errorf("store: truncated value")
 	}
@@ -86,8 +99,11 @@ func decodeValue(buf []byte) (expr.Value, int, error) {
 		if n <= 0 || l > uint64(len(buf)-1-n) {
 			return expr.Value{}, 0, fmt.Errorf("store: bad string payload")
 		}
-		s := string(buf[1+n : 1+n+int(l)])
-		return expr.Value{T: t, S: s}, 1 + n + int(l), nil
+		v := expr.Value{T: t}
+		if str {
+			v.S = string(buf[1+n : 1+n+int(l)])
+		}
+		return v, 1 + n + int(l), nil
 	}
 	return expr.Value{}, 0, fmt.Errorf("store: unreachable type tag %d", t)
 }

@@ -7,11 +7,13 @@ import (
 	"cgdqp/internal/expr"
 )
 
-// FuzzPageDecode throws arbitrary bytes at the page validator and both
+// FuzzPageDecode throws arbitrary bytes at the page validator and the
 // decoders: no input may panic, and a page that passes validation must
 // decode without error through the row path; when the lane bytes claim
 // purity, the columnar decode must materialize the same values as the
-// row decode.
+// row decode. A masked decode (the fuzzed bit set picks the needed
+// columns) must fail exactly when the full decode of the same bytes
+// fails and agree with it on every needed column.
 func FuzzPageDecode(f *testing.F) {
 	// Seed with a genuine page.
 	seed := make([]byte, PageSize)
@@ -22,11 +24,12 @@ func FuzzPageDecode(f *testing.F) {
 		pageAppend(seed, enc, row)
 	}
 	sealPage(seed)
-	f.Add(seed, uint8(3))
-	f.Add(make([]byte, PageSize), uint8(1))
-	f.Add([]byte{1, 2, 3}, uint8(2))
+	f.Add(seed, uint8(3), uint8(0b101))
+	f.Add(seed, uint8(3), uint8(0))
+	f.Add(make([]byte, PageSize), uint8(1), uint8(1))
+	f.Add([]byte{1, 2, 3}, uint8(2), uint8(2))
 
-	f.Fuzz(func(t *testing.T, data []byte, nColsRaw uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, nColsRaw, mask uint8) {
 		nCols := int(nColsRaw%8) + 1
 		buf := make([]byte, PageSize)
 		copy(buf, data)
@@ -37,22 +40,34 @@ func FuzzPageDecode(f *testing.F) {
 		if n > maxRowsPerPage {
 			return
 		}
+		need := make([]bool, nCols)
+		for c := range need {
+			need[c] = mask>>c&1 != 0
+		}
+		lanes := make([]expr.Type, nCols)
 		rows, rowErr := decodePageRows(buf, n, nCols, nil)
-		var b expr.Batch
-		colErr := decodePageInto(buf, n, nCols, &b)
+		var b, m expr.Batch
+		colErr := decodePageInto(buf, n, lanes, nil, &b)
+		maskErr := decodePageInto(buf, n, lanes, need, &m)
+		if (maskErr != nil) != (colErr != nil) {
+			t.Fatalf("masked decode error %v, full decode error %v", maskErr, colErr)
+		}
 		if rowErr != nil || colErr != nil {
 			// Corrupt row payloads behind a forged checksum are allowed
 			// to error — but both paths must agree that they error.
 			return
 		}
-		if b.Len() != len(rows) {
-			t.Fatalf("decoders disagree on row count: %d vs %d", b.Len(), len(rows))
+		if b.Len() != len(rows) || m.Len() != len(rows) {
+			t.Fatalf("decoders disagree on row count: %d / %d masked vs %d", b.Len(), m.Len(), len(rows))
 		}
 		for i, r := range rows {
-			got := b.Row(i)
+			got, masked := b.Row(i), m.Row(i)
 			for c := range r {
 				if got[c] != r[c] {
 					t.Fatalf("row %d col %d: columnar %+v vs row %+v", i, c, got[c], r[c])
+				}
+				if need[c] && masked[c] != r[c] {
+					t.Fatalf("row %d col %d: masked %+v vs row %+v", i, c, masked[c], r[c])
 				}
 			}
 		}

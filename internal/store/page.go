@@ -139,34 +139,36 @@ func decodePageRows(buf []byte, limit, nCols int, out []expr.Row) ([]expr.Row, e
 }
 
 // pagePure reports whether every column of the page is lane-pure for
-// the first limit rows, returning the lane types. Purity is recorded
-// cumulatively at append time, so a page that later turned impure
-// conservatively reports impure for earlier rows too — the row path is
-// always correct, just not columnar.
-func pagePure(buf []byte, nCols int) ([]expr.Type, bool) {
-	lanes := make([]expr.Type, nCols)
-	for c := 0; c < nCols; c++ {
+// the first limit rows, filling lanes with the lane types. Purity is
+// recorded cumulatively at append time, so a page that later turned
+// impure conservatively reports impure for earlier rows too — the row
+// path is always correct, just not columnar.
+func pagePure(buf []byte, lanes []expr.Type) bool {
+	for c := range lanes {
 		b := buf[pageHdrSize+c]
 		if b == laneImpure || b == laneUnset || expr.Type(b) == expr.TNull || expr.Type(b) > expr.TDate {
-			return nil, false
+			return false
 		}
 		lanes[c] = expr.Type(b)
 	}
-	return lanes, true
+	return true
 }
 
 // decodePageCols decodes the first limit rows of a lane-pure page
 // column-wise into the batch via the producer protocol, yielding exact
-// owned vectors (same exactness contract as expr.BuildColVec).
-func decodePageCols(buf []byte, limit, nCols int, lanes []expr.Type, b *expr.Batch) error {
+// owned vectors (same exactness contract as expr.BuildColVec). A
+// non-nil need masks the decode: column c is filled only when need[c],
+// the others are validated and skipped and stay unset in the batch.
+func decodePageCols(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
+	nCols := len(lanes)
 	b.StartCols(nCols, limit)
-	vecs := make([]*expr.Vec, nCols)
 	for c := 0; c < nCols; c++ {
-		v := b.OwnCol(c)
-		v.Reset(lanes[c], limit)
-		v.NullT = lanes[c]
-		v.Exact = true
-		vecs[c] = v
+		if need == nil || need[c] {
+			v := b.OwnCol(c)
+			v.Reset(lanes[c], limit)
+			v.NullT = lanes[c]
+			v.Exact = true
+		}
 	}
 	for i := 0; i < limit; i++ {
 		off := pageSlot(buf, i)
@@ -176,12 +178,20 @@ func decodePageCols(buf []byte, limit, nCols int, lanes []expr.Type, b *expr.Bat
 		rowBuf := buf[off:]
 		pos := 0
 		for c := 0; c < nCols; c++ {
+			if need != nil && !need[c] {
+				n, err := skipValue(rowBuf[pos:])
+				if err != nil {
+					return err
+				}
+				pos += n
+				continue
+			}
 			val, n, err := decodeValue(rowBuf[pos:])
 			if err != nil {
 				return err
 			}
 			pos += n
-			v := vecs[c]
+			v := b.OwnCol(c)
 			if val.Null {
 				v.EnsureNull().Set(i)
 				continue

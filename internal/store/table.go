@@ -361,9 +361,11 @@ func (t *Table) buildIndexes() error {
 // time, decoding each page straight into the column vectors of an
 // expr.Batch when the page is lane-pure (the row path covers the rest).
 type Iterator struct {
-	t    *Table
-	page int
-	snap int64
+	t     *Table
+	page  int
+	snap  int64
+	need  []bool      // nil: every column
+	lanes []expr.Type // per-page scratch
 }
 
 // NewIterator opens a snapshot scan.
@@ -371,8 +373,15 @@ func (t *Table) NewIterator() *Iterator {
 	t.mu.RLock()
 	snap := t.nRows
 	t.mu.RUnlock()
-	return &Iterator{t: t, snap: snap}
+	return &Iterator{t: t, snap: snap, lanes: make([]expr.Type, len(t.cols))}
 }
+
+// SetNeeded restricts the scan to the columns a consumer reads:
+// need[c] false leaves column c of every lane-pure page's batch unset
+// (its cells are validated, not decoded). The consumer must then not
+// touch those columns; a page decoded through the row path carries
+// them regardless. nil restores the full decode.
+func (it *Iterator) SetNeeded(need []bool) { it.need = need }
 
 // NextBatch fills b with the next page's rows; it reports false at the
 // end of the snapshot.
@@ -393,7 +402,7 @@ func (it *Iterator) NextBatch(b *expr.Batch) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		err = decodePageInto(fr.buf, n, len(t.cols), b)
+		err = decodePageInto(fr.buf, n, it.lanes, it.need, b)
 		t.eng.pool.Unpin(fr, false)
 		if err != nil {
 			return false, err
@@ -404,12 +413,13 @@ func (it *Iterator) NextBatch(b *expr.Batch) (bool, error) {
 }
 
 // decodePageInto decodes the first limit rows of a page into the batch:
-// columnar for lane-pure pages, row-backed otherwise.
-func decodePageInto(buf []byte, limit, nCols int, b *expr.Batch) error {
-	if lanes, pure := pagePure(buf, nCols); pure {
-		return decodePageCols(buf, limit, nCols, lanes, b)
+// columnar (masked by need) for lane-pure pages, row-backed otherwise.
+// lanes is scratch, one entry per table column.
+func decodePageInto(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
+	if pagePure(buf, lanes) {
+		return decodePageCols(buf, limit, lanes, need, b)
 	}
-	rows, err := decodePageRows(buf, limit, nCols, make([]expr.Row, 0, limit))
+	rows, err := decodePageRows(buf, limit, len(lanes), make([]expr.Row, 0, limit))
 	if err != nil {
 		return err
 	}
