@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: verify build lint test vet race bench benchsmoke benchcheck fuzz
 
 # Tier-1 verification gate: build, lint (vet + gofmt), full test suite
-# (cmd/cgdqp included), the race detector over every internal package,
+# (cmd/cgdqp included), the race detector over every internal package
+# and the root package's concurrency and invalidation tests,
 # a 1-iteration pass over the optimizer benchmarks so they cannot rot,
 # and the nested benchmark module, which compiles against the engine.
 verify: build lint test race benchsmoke benchcheck
@@ -22,8 +23,11 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# The second step race-checks policy-catalog churn against a live Server
+# (seconds); the rest of the root package runs unraced in `test`.
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -run 'Epoch|Revocation|Interleavings|Concurrent' .
 
 benchsmoke:
 	$(GO) test -run NONE -bench Optimize -benchtime 1x .

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"cgdqp/internal/cluster"
@@ -146,7 +145,9 @@ type Options struct {
 	Retry *RetryPolicy
 	// PlanCacheSize bounds the optimizer's whole-plan LRU cache (entries).
 	// 0 uses optimizer.DefaultPlanCacheSize; negative disables caching.
-	// Schema or policy changes invalidate cached plans automatically.
+	// Cached plans are keyed on the versions of the policy catalog, cost
+	// model and feedback hints, so a change to any of them is never
+	// answered from the cache.
 	PlanCacheSize int
 	// Trace records query-lifecycle spans (parse/bind, optimizer phases,
 	// fragment pipelines, every shipment attempt with retries) into the
@@ -184,8 +185,8 @@ type Options struct {
 	// records per-operator observed-vs-estimated cardinalities (keyed by
 	// normalized subplan digest) and e2e latency into System.Feedback();
 	// once a subplan's actuals reach activation confidence the optimizer
-	// costs with the observed cardinality instead of the stale estimate,
-	// and the feedback epoch bump invalidates affected cached plans.
+	// costs with the observed cardinality instead of the stale estimate
+	// (cached plans are keyed on the store's epoch).
 	// Compliance is unaffected: feedback only changes cardinalities, and
 	// site selection still filters candidate sites by Definition 1 before
 	// comparing costs. Off by default — disabled, planning and costing
@@ -229,6 +230,13 @@ type (
 // System is a compliant geo-distributed query processing session: a
 // geo-distributed catalog, a policy catalog, a simulated cluster holding
 // data, and the compliance-based optimizer.
+//
+// Policies may be mutated directly (Add, AddAll, Remove) at any time,
+// also while servers from Serve run: the catalog versions itself and
+// every cache reads that version. Assigning a different catalog to
+// Schema or Policies makes the next Optimizer call build a new
+// optimizer over it; like a schema or statistics change, that is not
+// seen by a Server started earlier.
 type System struct {
 	Schema   *schema.Catalog
 	Policies *policy.Catalog
@@ -242,9 +250,6 @@ type System struct {
 	// the result cache with its view, the feedback store and the
 	// slow-query log (each nil unless its option is set).
 	lc sched.Lifecycle
-	// policyEpoch counts policy-catalog changes (grants added or
-	// removed); the result cache rechecks provenance whenever it moves.
-	policyEpoch atomic.Uint64
 	// policySeq issues unique policy IDs; it never decreases, so a
 	// removed policy's ID is not reissued.
 	policySeq int
@@ -282,12 +287,12 @@ func NewSystemWith(opts Options) *System {
 		lc.Cache = rescache.New(opts.ResultCacheBytes)
 		lc.Cache.SetMetrics(lc.Obs.Reg())
 		// The validity oracles the result cache consults: cluster data
-		// epochs, the system policy epoch, and a provenance recheck that
-		// re-validates a cached plan against Definition 1 under the
+		// epochs, the policy catalog's version, and a provenance recheck
+		// that re-validates a cached plan against Definition 1 under the
 		// current policy catalog.
 		lc.View = rescache.View{
 			DataEpoch:   func(table string) uint64 { return s.Cluster().DataEpoch(table) },
-			PolicyEpoch: s.policyEpoch.Load,
+			PolicyEpoch: s.PolicyEpoch,
 			Recheck: func(located *plan.Node) bool {
 				return len(s.Optimizer().Check(located)) == 0
 			},
@@ -382,6 +387,7 @@ func (s *System) SetColumnStats(table, column string, distinct int64, min, max V
 	if !ok {
 		return fmt.Errorf("cgdqp: unknown table %q", table)
 	}
+	s.invalidate()
 	t.SetColStats(column, schema.ColStats{Distinct: distinct, Min: min, Max: max})
 	return nil
 }
@@ -411,7 +417,6 @@ func (s *System) AddPolicy(expression string) error {
 	}
 	s.policySeq++
 	s.Policies.Add(e)
-	s.policiesChanged()
 	return nil
 }
 
@@ -451,7 +456,6 @@ func (s *System) AddDenyPolicies(table string, expressions ...string) error {
 		return err
 	}
 	s.Policies.AddAll(grants...)
-	s.policiesChanged()
 	return nil
 }
 
@@ -462,33 +466,17 @@ func (s *System) AddDenyPolicies(table string, expressions ...string) error {
 // while the grant was in force are invalidated, and a query whose only
 // compliant plan depended on it fails with ErrNoCompliantPlan
 // afterwards.
-func (s *System) RemovePolicy(id string) bool {
-	ok := s.Policies.Remove(id)
-	if ok {
-		s.policiesChanged()
-	}
-	return ok
-}
+func (s *System) RemovePolicy(id string) bool { return s.Policies.Remove(id) }
 
 // PolicyIDs returns the IDs of the registered policy expressions,
 // sorted (use with RemovePolicy).
 func (s *System) PolicyIDs() []string { return s.Policies.IDs() }
 
-// policiesChanged invalidates policy-derived caches after a catalog
-// change. The optimizer itself is kept — its evaluator's epoch bump
-// flushes the policy memoization and makes every cached plan's key
-// stale in O(1) — so servers started by Serve (which hold the
-// optimizer) observe the change immediately. The result cache rechecks
-// entry provenance against the new catalog on next use.
-func (s *System) policiesChanged() {
-	s.policyEpoch.Add(1)
-	if s.lc.Opt != nil {
-		s.lc.Opt.Evaluator.ResetCache()
-	}
-}
-
-// PolicyEpoch returns the number of policy-catalog changes so far.
-func (s *System) PolicyEpoch() uint64 { return s.policyEpoch.Load() }
+// PolicyEpoch returns the policy catalog's version: the number of
+// changes made to it so far, through the system or directly. Every
+// cache of policy-derived state reads it, so servers started by Serve
+// observe a change immediately.
+func (s *System) PolicyEpoch() uint64 { return s.Policies.Version() }
 
 // PolicyList returns the registered policy expressions in surface
 // syntax, grouped by database.
@@ -596,12 +584,12 @@ func (s *System) newCluster() (*cluster.Cluster, error) {
 	}
 	cl.SetObserver(s.lc.Obs)
 	if s.lc.Feedback != nil {
-		// Feedback folds wire calibration into the loop: the store's
-		// calibrator observes every shipped frame and continuously
-		// re-fits the cost model's byte scale, bumping the feedback
-		// epoch when the scale drifts enough to matter.
-		cl.SetCalibrator(s.lc.Feedback.Calibrator())
-		s.lc.Feedback.ArmCalibration(s.network(), 0)
+		// Feedback folds wire calibration into the loop: a calibrator
+		// observes every shipped frame and continuously re-fits the cost
+		// model's byte scale.
+		cal := network.NewCalibrator()
+		cal.SetAutoApply(s.network(), network.DefaultAutoApplyFrames)
+		cl.SetCalibrator(cal)
 	}
 	return cl, nil
 }
@@ -631,10 +619,9 @@ func (s *System) network() *network.CostModel {
 // invalidate drops the optimizer after schema or statistics changes —
 // those can alter locations, descriptors and costs, so the memo,
 // evaluator universe and plan cache are rebuilt from scratch. Policy
-// changes deliberately do NOT come through here (see policiesChanged):
-// nil-ing the optimizer would strand servers holding the old one with a
-// stale evaluator, the missed-invalidation gap the epoch regression
-// tests pin down.
+// and price changes never come through here: their owners version them
+// (policy.Catalog.Version, network.CostModel.Version) and the caches
+// read those versions, so servers holding the optimizer see them too.
 func (s *System) invalidate() { s.lc.Opt = nil }
 
 // ResultCacheStats reports the result cache's effectiveness. Always
@@ -662,32 +649,28 @@ type Calibrator = network.Calibrator
 // default) it re-fits the cost model's byte scale in place — the
 // observed wire-bytes-per-estimated-byte ratio becomes the scale, so
 // EstShipCost prices width estimates the way the wire actually encodes
-// them. Cached plans are invalidated via the feedback epoch (or the
-// optimizer's cost epoch when feedback is off) whenever the scale moves
-// enough to change costing. Calling it again returns the same
+// them. The scale is only moved when it has drifted enough to change
+// costing (~5%), and moving it moves the cost model's version, which
+// cached plans are keyed on. Calling it again returns the same
 // calibrator.
 func (s *System) EnableAutoCalibration(everyN int) *Calibrator {
 	if everyN <= 0 {
-		everyN = feedback.DefaultAutoApplyFrames
+		everyN = network.DefaultAutoApplyFrames
 	}
 	cl := s.Cluster()
 	if cl.Calibrator() == nil {
 		cl.SetCalibrator(network.NewCalibrator())
 	}
 	cal := cl.Calibrator()
-	if s.lc.Feedback != nil && cal == s.lc.Feedback.Calibrator() {
-		s.lc.Feedback.ArmCalibration(s.network(), everyN)
-		return cal
-	}
-	opt := s.Optimizer()
-	cal.SetAutoApply(s.network(), everyN, func(float64) { opt.InvalidatePlans() })
+	cal.SetAutoApply(s.network(), everyN)
 	return cal
 }
 
 // Optimizer returns the compliance-based optimizer over the current
-// catalogs.
+// catalogs, building one when there is none or when Schema or Policies
+// no longer point at the catalogs the held one was built over.
 func (s *System) Optimizer() *optimizer.Optimizer {
-	if s.lc.Opt == nil {
+	if o := s.lc.Opt; o == nil || o.Schema != s.Schema || o.Policies != s.Policies {
 		pcs := s.opts.PlanCacheSize
 		switch {
 		case pcs == 0:

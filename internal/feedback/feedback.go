@@ -1,15 +1,13 @@
 // Package feedback closes the loop between execution telemetry and the
 // planner: a concurrent, bounded store of per-operator observed
 // cardinalities (keyed by canonical subplan digest, with q-error
-// tracking), per-edge wire observations (the PR 6 calibrator, folded
-// into a continuously applied model), and per-query end-to-end latency
-// samples. Consumers: the optimizer overrides stale statistics with
-// high-confidence actuals (guarded by a feedback epoch so plan caches
-// invalidate safely), the scheduler adapts admission limits to an SLO
-// and weights gang site slots by observed fragment cost, and a
-// structured slow-query log explains outliers. Everything is nil-safe:
-// a nil *Store ignores writes and returns no hints, so disabled paths
-// stay deterministic.
+// tracking) and per-query end-to-end latency samples. Consumers: the
+// optimizer overrides stale statistics with high-confidence actuals
+// (guarded by a feedback epoch so plan caches invalidate safely), the
+// scheduler adapts admission limits to an SLO and weights gang site
+// slots by observed fragment cost, and a structured slow-query log
+// explains outliers. Everything is nil-safe: a nil *Store ignores
+// writes and returns no hints, so disabled paths stay deterministic.
 package feedback
 
 import (
@@ -18,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 )
 
@@ -38,13 +35,6 @@ const (
 	DefaultEWMAAlpha = 0.25
 	// DefaultLatencyWindow is the e2e latency ring size.
 	DefaultLatencyWindow = 512
-	// DefaultAutoApplyFrames is the calibrator auto-apply cadence used
-	// by ArmCalibration when everyN <= 0.
-	DefaultAutoApplyFrames = 256
-	// calibrationDrift is the relative byte-scale movement below which
-	// an auto-applied calibration does not bump the epoch (re-pricing
-	// every cached plan for a 1% ratio wiggle is all cost, no benefit).
-	calibrationDrift = 0.05
 )
 
 // Options bound and tune a Store. The zero value uses the defaults.
@@ -121,9 +111,6 @@ type Store struct {
 	latIdx   int
 	latCount int64
 
-	cal       *network.Calibrator
-	lastRatio atomic.Uint64 // last auto-applied byte scale (float bits)
-
 	reg *obs.Registry // optional metrics sink
 }
 
@@ -134,7 +121,6 @@ func NewStore(o Options) *Store {
 		opts:  o,
 		cards: make(map[string]*cardStat),
 		lat:   make([]float64, o.LatencyWindow),
-		cal:   network.NewCalibrator(),
 	}
 }
 
@@ -147,11 +133,10 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// Epoch returns the feedback epoch: it moves when a hint activates,
-// when an active hint drifts past HintDrift, or when auto-calibration
-// materially changes the byte scale. Plan caches keyed on it invalidate
-// exactly when re-optimization could produce a different plan. Nil
-// stores are frozen at 0.
+// Epoch returns the feedback epoch, the version of the hint set: it
+// moves when a hint activates or an active hint drifts past HintDrift.
+// Plan caches keyed on it invalidate exactly when re-optimization could
+// see a different cardinality. Nil stores are frozen at 0.
 func (s *Store) Epoch() uint64 {
 	if s == nil {
 		return 0
@@ -159,7 +144,7 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch.Load()
 }
 
-// BumpEpoch forces an epoch move (exposed for calibration and tests).
+// BumpEpoch forces an epoch move (exposed for tests).
 func (s *Store) BumpEpoch() {
 	if s == nil {
 		return
@@ -282,41 +267,6 @@ func (s *Store) LatencyQuantile(q float64) (float64, bool) {
 		idx = len(samples) - 1
 	}
 	return samples[idx], true
-}
-
-// Calibrator returns the store's wire calibrator; install it on the
-// cluster so every shipment feeds the continuous model.
-func (s *Store) Calibrator() *network.Calibrator {
-	if s == nil {
-		return nil
-	}
-	return s.cal
-}
-
-// ArmCalibration folds the calibrator into the loop: every everyN
-// encoding observations (DefaultAutoApplyFrames when <= 0) the observed
-// encoding ratio is applied to m's byte scale, and the feedback epoch
-// is bumped when the applied scale moved by more than ~5% — so cached
-// plans re-price against the calibrated model without per-frame churn.
-func (s *Store) ArmCalibration(m *network.CostModel, everyN int) {
-	if s == nil {
-		return
-	}
-	if everyN <= 0 {
-		everyN = DefaultAutoApplyFrames
-	}
-	s.lastRatio.Store(math.Float64bits(1))
-	s.cal.SetAutoApply(m, everyN, func(ratio float64) {
-		last := math.Float64frombits(s.lastRatio.Load())
-		if QError(last, ratio) < 1+calibrationDrift {
-			return
-		}
-		s.lastRatio.Store(math.Float64bits(ratio))
-		s.BumpEpoch()
-		if s.reg != nil {
-			s.reg.Gauge("cgdqp_feedback_byte_scale").Set(ratio)
-		}
-	})
 }
 
 // Summary is a point-in-time view of the store.

@@ -158,7 +158,6 @@ func TestNilStoreIsSafe(t *testing.T) {
 	s.ObserveOperator("d", 1, 2)
 	s.ObserveQuery(0.5)
 	s.BumpEpoch()
-	s.ArmCalibration(nil, 0)
 	s.SetMetrics(nil)
 	if _, ok := s.CardHint("d"); ok {
 		t.Fatal("nil store returned a hint")
@@ -168,9 +167,6 @@ func TestNilStoreIsSafe(t *testing.T) {
 	}
 	if s.Epoch() != 0 {
 		t.Fatal("nil store epoch moved")
-	}
-	if s.Calibrator() != nil {
-		t.Fatal("nil store returned a calibrator")
 	}
 	if s.Summary() != (Summary{}) {
 		t.Fatal("nil store summary not zero")

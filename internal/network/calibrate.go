@@ -31,8 +31,17 @@ type Calibrator struct {
 	frames    int64
 	autoEvery int64
 	autoModel *CostModel
-	onApply   func(ratio float64)
 }
+
+const (
+	// DefaultAutoApplyFrames is the auto-apply cadence front ends arm
+	// when they are not given one.
+	DefaultAutoApplyFrames = 256
+	// autoApplyDrift is the relative byte-scale movement below which an
+	// auto-apply leaves the model alone: re-pricing every cached plan
+	// for a 1% ratio wiggle is all cost, no benefit.
+	autoApplyDrift = 0.05
+)
 
 type edgeFit struct {
 	n, sumB, sumMS, sumBB, sumBMS float64
@@ -52,7 +61,6 @@ func (c *Calibrator) ObserveEncoding(estimated, encoded int64) {
 	var (
 		ratio float64
 		model *CostModel
-		cb    func(float64)
 	)
 	c.mu.Lock()
 	c.estBytes += float64(estimated)
@@ -61,35 +69,34 @@ func (c *Calibrator) ObserveEncoding(estimated, encoded int64) {
 		c.frames++
 		if c.frames%c.autoEvery == 0 {
 			ratio = c.wireBytes / c.estBytes
-			model, cb = c.autoModel, c.onApply
+			model = c.autoModel
 		}
 	}
 	c.mu.Unlock()
-	// Apply outside c.mu: SetByteScale takes the model's own lock, and
-	// the callback may fan out (epoch bumps, metrics).
-	if model != nil {
+	// Apply outside c.mu: the model has its own lock.
+	if model == nil {
+		return
+	}
+	if rel := ratio / model.ByteScale(); rel > 1+autoApplyDrift || rel < 1/(1+autoApplyDrift) {
 		model.SetByteScale(ratio)
-		if cb != nil {
-			cb(ratio)
-		}
 	}
 }
 
 // SetAutoApply arms continuous calibration: after every everyN encoding
 // observations the accumulated encoding ratio is installed into m's
-// byte scale (as Apply would) and onApply, if non-nil, is invoked with
-// the applied ratio — callers use it to bump a feedback epoch so cached
-// plans re-price. everyN <= 0 disarms. The cost model's getters are
-// mutex-guarded, so concurrent EstShipCost readers stay race-free while
-// applies land.
-func (c *Calibrator) SetAutoApply(m *CostModel, everyN int, onApply func(ratio float64)) {
+// byte scale (as Apply would) when it has drifted more than ~5% from
+// the scale m prices with — so the scale changes, m.Version() moves and
+// cached plans re-price as one event, without per-frame churn.
+// everyN <= 0 disarms. The cost model's getters are mutex-guarded, so
+// concurrent EstShipCost readers stay race-free while applies land.
+func (c *Calibrator) SetAutoApply(m *CostModel, everyN int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if everyN <= 0 || m == nil {
-		c.autoModel, c.autoEvery, c.onApply = nil, 0, nil
+		c.autoModel, c.autoEvery = nil, 0
 		return
 	}
-	c.autoModel, c.autoEvery, c.onApply = m, int64(everyN), onApply
+	c.autoModel, c.autoEvery = m, int64(everyN)
 	c.frames = 0
 }
 

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // CostModel prices inter-site transfers. Costs are in milliseconds.
@@ -24,8 +25,10 @@ type CostModel struct {
 	beta  map[string]float64 // "from>to" -> ms per byte
 
 	// byteScale converts optimizer size estimates into expected wire
-	// bytes (see EstShipCost); 0 means the neutral 1.
+	// bytes (see EstShipCost); 1 is neutral.
 	byteScale float64
+	// version counts price changes; plan caches key on it.
+	version atomic.Uint64
 
 	// Defaults apply to unknown edges. Single-writer: assign them
 	// before the model is shared across goroutines.
@@ -38,6 +41,7 @@ func NewCostModel(defaultAlpha, defaultBeta float64) *CostModel {
 	return &CostModel{
 		alpha:        map[string]float64{},
 		beta:         map[string]float64{},
+		byteScale:    1,
 		DefaultAlpha: defaultAlpha,
 		DefaultBeta:  defaultBeta,
 	}
@@ -45,12 +49,23 @@ func NewCostModel(defaultAlpha, defaultBeta float64) *CostModel {
 
 func edgeKey(from, to string) string { return from + ">" + to }
 
+// Version returns the number of price changes so far: it moves exactly
+// when SetEdge or SetByteScale changes what ShipCost or EstShipCost
+// returns, so a plan priced under version v is still priced right while
+// Version() == v. It is an atomic load.
+func (m *CostModel) Version() uint64 { return m.version.Load() }
+
 // SetEdge records α and β for a directed edge.
 func (m *CostModel) SetEdge(from, to string, alpha, beta float64) {
+	k := edgeKey(from, to)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.alpha[edgeKey(from, to)] = alpha
-	m.beta[edgeKey(from, to)] = beta
+	if a, ok := m.alpha[k]; ok && a == alpha && m.beta[k] == beta {
+		return
+	}
+	m.alpha[k] = alpha
+	m.beta[k] = beta
+	m.version.Add(1)
 }
 
 // Alpha returns the startup cost of the edge.
@@ -96,16 +111,17 @@ func (m *CostModel) SetByteScale(s float64) {
 	if s <= 0 {
 		s = 1
 	}
+	if s == m.byteScale {
+		return // same price: the version must not move
+	}
 	m.byteScale = s
+	m.version.Add(1)
 }
 
 // ByteScale returns the calibrated estimate scale (1 when never set).
 func (m *CostModel) ByteScale() float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.byteScale == 0 {
-		return 1
-	}
 	return m.byteScale
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cgdqp/internal/network"
+	"cgdqp/internal/policy"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
@@ -64,10 +65,11 @@ func TestConcurrentOptimizeSQL(t *testing.T) {
 						return
 					}
 				}
-				// One worker invalidates mid-flight: epoch-keyed caches
-				// must serve only same-epoch entries, never torn state.
+				// One worker changes the catalog mid-flight (a decoy grant
+				// no query reads): version-stamped caches must serve only
+				// same-version entries, never torn state.
 				if w == 0 && round == 0 {
-					opt.Evaluator.ResetCache()
+					pc.Add(policy.MustParse("ship k from decoy to *", "decoy", "db-decoy"))
 				}
 			}
 		}(w)

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"cgdqp/internal/cost"
@@ -59,7 +58,7 @@ type Options struct {
 	// paper's evaluator re-ran per operator; see Figure 6(c–f)).
 	NoPolicyCache bool
 	// PlanCacheSize enables a whole-plan LRU cache holding that many
-	// optimized plans, keyed by (normalized-plan digest, policy epoch,
+	// optimized plans, keyed by (normalized-plan digest, state versions,
 	// options). 0 disables it — the default, so the paper's
 	// optimization-time experiments measure real optimizer work.
 	PlanCacheSize int
@@ -108,17 +107,12 @@ type Optimizer struct {
 	// (nil = feedback off; estimates come from statistics alone). Set it
 	// before sharing the optimizer.
 	fb FeedbackSource
-	// costEpoch versions cost-model state changes that arrive outside a
-	// feedback source (e.g. auto-applied calibration without a store);
-	// it folds into the plan-cache key alongside the feedback epoch.
-	costEpoch atomic.Uint64
 }
 
 // FeedbackSource supplies the optimizer's consumption of the feedback
 // telemetry store: observed-cardinality overrides for canonical subplan
 // digests, and an epoch whose movement means re-optimization could
-// produce a different plan (a hint activated/drifted, or the calibrated
-// byte scale moved).
+// produce a different plan (a hint activated or drifted).
 type FeedbackSource interface {
 	cost.CardHints
 	Epoch() uint64
@@ -134,21 +128,22 @@ func (o *Optimizer) SetObserver(obsv *obs.Observer) { o.obsv = obsv }
 // starts.
 func (o *Optimizer) SetFeedback(fb FeedbackSource) { o.fb = fb }
 
-// InvalidatePlans bumps the cost epoch, fencing every cached plan off
-// so the next optimization re-prices against current cost-model state.
-// Used by continuous calibration when no feedback store carries the
-// epoch.
-func (o *Optimizer) InvalidatePlans() { o.costEpoch.Add(1) }
-
-// feedbackEpoch is the fbEpoch plan-cache key component: the feedback
-// source's epoch (0 when feedback is off) folded with the local cost
-// epoch. Both only ever grow, so the sum moves whenever either does.
-func (o *Optimizer) feedbackEpoch() uint64 {
-	e := o.costEpoch.Load()
-	if o.fb != nil {
-		e += o.fb.Epoch()
+// cacheKey builds the plan-cache key of a normalized-plan digest — the
+// only place one is built. Each version is an atomic load from the
+// state's owner, so a change made through any handle on the policy
+// catalog, the cost model or the feedback store is observed here
+// without anyone having to tell the optimizer.
+func (o *Optimizer) cacheKey(planDigest string) planCacheKey {
+	k := planCacheKey{
+		planDigest: planDigest,
+		policyVer:  o.Policies.Version(),
+		costVer:    o.Net.Version(),
+		optsFP:     o.optsFP,
 	}
-	return e
+	if o.fb != nil {
+		k.fbEpoch = o.fb.Epoch()
+	}
+	return k
 }
 
 // New builds an optimizer over the given catalogs and network model.
@@ -190,6 +185,11 @@ type Stats struct {
 	ACalls int64 // policy evaluator invocations
 	AHits  int64 // policy evaluator cache hits
 
+	// Truncated marks a search that Options.MaxExprs cut short. The
+	// plan is compliant (annotation and site selection ran in full over
+	// what was explored) but possibly not the cheapest.
+	Truncated bool
+
 	// PlanCacheHit marks a result served from the whole-plan cache; the
 	// counts above then describe the original (cached) optimization.
 	PlanCacheHit bool
@@ -223,6 +223,7 @@ func cachedResult(e *planCacheEntry, normTime time.Duration, start time.Time) *R
 			Exprs:         e.exprs,
 			Eta:           e.eta,
 			ACalls:        e.aCalls,
+			Truncated:     e.truncated,
 			PlanCacheHit:  true,
 		},
 	}
@@ -250,14 +251,9 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 
 	var cacheKey planCacheKey
 	if o.planCache != nil {
-		cacheKey = planCacheKey{
-			planDigest: norm.Digest(),
-			epoch:      o.Evaluator.Epoch(),
-			fbEpoch:    o.feedbackEpoch(),
-			optsFP:     o.optsFP,
-		}
+		cacheKey = o.cacheKey(norm.Digest())
 		if e, ok := o.planCache.get(cacheKey); ok {
-			o.finishOptimize(osp, start, "hit", nil)
+			o.finishOptimize(osp, start, "hit", false, nil)
 			return cachedResult(e, normTime, start), cacheKey.planDigest, nil
 		}
 	}
@@ -278,6 +274,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 	}
 	root := m.InsertTree(norm)
 	m.Explore(o.ruleSet())
+	truncated := m.Budget()
 	esp.End()
 	exploreTime := time.Since(t1)
 
@@ -309,7 +306,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 	isp.End()
 	implementTime := time.Since(t2)
 	if best == nil {
-		o.finishOptimize(osp, start, "miss", ErrNoCompliantPlan)
+		o.finishOptimize(osp, start, "miss", truncated, ErrNoCompliantPlan)
 		return nil, "", ErrNoCompliantPlan
 	}
 	annotated := best.Tree
@@ -336,7 +333,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 		if o.Opts.Compliant {
 			err = fmt.Errorf("%w: %v", ErrNoCompliantPlan, err)
 		}
-		o.finishOptimize(osp, start, "miss", err)
+		o.finishOptimize(osp, start, "miss", truncated, err)
 		return nil, "", err
 	}
 
@@ -350,10 +347,11 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			exprs:     m.ExprCount(),
 			eta:       evStats.Eta,
 			aCalls:    evStats.Calls,
+			truncated: truncated,
 		})
 	}
 
-	o.finishOptimize(osp, start, "miss", nil)
+	o.finishOptimize(osp, start, "miss", truncated, nil)
 	return &Result{
 		Plan:      located,
 		Annotated: annotated,
@@ -370,15 +368,19 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			Eta:           evStats.Eta,
 			ACalls:        evStats.Calls,
 			AHits:         evStats.Hits,
+			Truncated:     truncated,
 		},
 	}, cacheKey.planDigest, nil
 }
 
 // finishOptimize closes the optimization span and refreshes the
-// optimizer metrics: the latency histogram, the outcome counter, and
-// the plan-cache / policy-evaluator gauges (cumulative values sampled
-// at each optimization, so exports always reflect the latest state).
-func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, err error) {
+// optimizer metrics: the latency histogram, the outcome counter, the
+// plan-cache / policy-evaluator gauges (cumulative values sampled at
+// each optimization, so exports always reflect the latest state) and
+// the versions the plan cache keys on, so a flush can be attributed to
+// the one that moved. truncated marks a search the memo budget cut
+// short.
+func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, truncated bool, err error) {
 	if o.planCache == nil {
 		cache = "off"
 	}
@@ -387,6 +389,9 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, e
 		status = "error"
 	}
 	if sp.Enabled() {
+		if truncated {
+			sp.Tag("truncated", "true")
+		}
 		sp.Tag("cache", cache).Tag("outcome", status).End()
 	}
 	m := o.obsv.Reg()
@@ -394,6 +399,9 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, e
 		return
 	}
 	m.Counter("cgdqp_optimizations_total", "cache", cache, "status", status).Inc()
+	if truncated {
+		m.Counter("cgdqp_optimizer_budget_truncated_total").Inc()
+	}
 	if err == nil {
 		m.Histogram("cgdqp_optimize_seconds").Observe(time.Since(start).Seconds())
 	}
@@ -405,21 +413,22 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, e
 	m.Gauge("cgdqp_policy_eval_calls").Set(float64(o.Evaluator.Calls()))
 	m.Gauge("cgdqp_policy_eval_cache_hits").Set(float64(o.Evaluator.Hits()))
 	m.Gauge("cgdqp_policy_eval_eta").Set(float64(o.Evaluator.Eta()))
+	m.Gauge("cgdqp_policy_version").Set(float64(o.Policies.Version()))
+	m.Gauge("cgdqp_costmodel_version").Set(float64(o.Net.Version()))
 }
 
 // OptimizeSQL parses, binds and optimizes a SQL string. With the plan
 // cache on, query text seen before skips parsing, binding and
 // normalization entirely: the remembered normalized-plan digest reaches
-// straight into the plan cache (the epoch in the key still fences off
-// stale policy state).
+// straight into the plan cache (the versions in the key still fence
+// off stale policy and price state).
 func (o *Optimizer) OptimizeSQL(sql string) (*Result, error) {
 	if o.planCache != nil {
 		start := time.Now()
 		sp := o.obsv.StartSpan("optimize.sql_fast_path")
 		if d, ok := o.sqlDigests.get(sql); ok {
-			key := planCacheKey{planDigest: d, epoch: o.Evaluator.Epoch(), fbEpoch: o.feedbackEpoch(), optsFP: o.optsFP}
-			if e, ok := o.planCache.get(key); ok {
-				o.finishOptimize(sp, start, "hit", nil)
+			if e, ok := o.planCache.get(o.cacheKey(d)); ok {
+				o.finishOptimize(sp, start, "hit", false, nil)
 				return cachedResult(e, 0, start), nil
 			}
 		}

@@ -10,14 +10,15 @@ import (
 
 // planCacheKey identifies one optimization outcome: the normalized
 // logical plan (its digest covers operators, predicates, projections and
-// fragment bindings), the policy-catalog epoch (a policy change bumps the
-// evaluator epoch, so stale plans can never be replayed), the feedback
-// epoch (movement means observed actuals or a recalibrated byte scale
-// could price a different plan), and the optimizer options that shape
-// the output.
+// fragment bindings), the version of each piece of state a plan is
+// derived from — policy catalog, cost model, feedback hints — each read
+// from its owner (see Optimizer.cacheKey), and the optimizer options
+// that shape the output. A plan cached under other versions is simply
+// unreachable; nobody has to flush it.
 type planCacheKey struct {
 	planDigest string
-	epoch      uint64
+	policyVer  uint64
+	costVer    uint64
 	fbEpoch    uint64
 	optsFP     string
 }
@@ -34,6 +35,7 @@ type planCacheEntry struct {
 	exprs     int
 	eta       int64
 	aCalls    int64
+	truncated bool
 }
 
 // PlanCacheStats is a snapshot of plan-cache effectiveness counters.
@@ -46,8 +48,8 @@ type PlanCacheStats struct {
 
 // planCache is a mutex-guarded LRU over optimization results. One cache
 // belongs to one Optimizer, which is in turn bound to fixed schema and
-// policy catalogs; policy changes are versioned by the evaluator epoch
-// inside the key, and schema changes must drop the optimizer (as
+// policy catalogs; policy and price changes are versioned inside the
+// key, and schema or statistics changes must drop the optimizer (as
 // cgdqp.System does).
 type planCache struct {
 	mu      sync.Mutex
@@ -119,7 +121,7 @@ func (c *planCache) put(key planCacheKey, e *planCacheEntry) {
 // re-binding and re-normalizing. Valid because an Optimizer is bound to
 // a fixed schema catalog: the same SQL always binds to the same logical
 // plan. Policy changes are handled downstream (the digest is only a key
-// component; the epoch still gates the plan-cache entry). The map is
+// component; the versions still gate the plan-cache entry). The map is
 // cleared wholesale when full — repeated workloads refill it in one
 // pass, and ad-hoc floods cannot grow it without bound.
 type sqlDigestCache struct {

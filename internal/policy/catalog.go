@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Catalog is the policy catalog of Figure 2: the set of all registered
@@ -11,12 +12,18 @@ import (
 // expressions offline; the optimizer consults the catalog through the
 // Evaluator at query time. The catalog is safe for concurrent use, so
 // policies may churn (grants added or revoked) while a serving tier
-// evaluates queries against it — callers that cache evaluation results
-// must still bump their epoch on every change.
+// evaluates queries against it, and it versions itself: every cache of
+// policy-derived state stamps what it stores with Version and treats a
+// stamp from another version as a miss.
 type Catalog struct {
 	mu   sync.RWMutex
 	byDB map[string][]*Expression
 	n    int
+	// version counts changes. It is stored under mu after the contents
+	// change, so a reader that loads version v and then reads the
+	// contents sees at least v's grants: a result stamped v is never
+	// older than v.
+	version atomic.Uint64
 }
 
 // NewCatalog returns an empty policy catalog.
@@ -24,27 +31,32 @@ func NewCatalog() *Catalog {
 	return &Catalog{byDB: map[string][]*Expression{}}
 }
 
-// Add registers an expression.
-func (c *Catalog) Add(e *Expression) {
-	db := strings.ToLower(e.DB)
-	c.mu.Lock()
-	c.byDB[db] = append(c.byDB[db], e)
-	c.n++
-	c.mu.Unlock()
-}
+// Version returns the number of changes made to the catalog so far (one
+// per Add, AddAll or successful Remove). It is an atomic load.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
-// AddAll registers several expressions.
+// Add registers an expression.
+func (c *Catalog) Add(e *Expression) { c.AddAll(e) }
+
+// AddAll registers several expressions as one change.
 func (c *Catalog) AddAll(es ...*Expression) {
-	for _, e := range es {
-		c.Add(e)
+	if len(es) == 0 {
+		return
 	}
+	c.mu.Lock()
+	for _, e := range es {
+		db := strings.ToLower(e.DB)
+		c.byDB[db] = append(c.byDB[db], e)
+		c.n++
+	}
+	c.version.Add(1)
+	c.mu.Unlock()
 }
 
 // Remove deletes the expression with the given ID (case-insensitive),
 // reporting whether one was removed. Revoking a grant tightens the
 // catalog: plans and cached results derived while it was in force may
-// no longer be compliant, so callers must invalidate them (bump the
-// evaluator's epoch and any result-cache policy epoch).
+// no longer be compliant, which is why they are stamped with Version.
 func (c *Catalog) Remove(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,6 +74,7 @@ func (c *Catalog) Remove(id string) bool {
 					c.byDB[db] = next
 				}
 				c.n--
+				c.version.Add(1)
 				return true
 			}
 		}
@@ -111,8 +124,7 @@ func (c *Catalog) IDs() []string {
 	return out
 }
 
-// Fingerprint returns a digest of the catalog contents; the evaluator
-// uses it to invalidate caches when policies change.
+// Fingerprint returns a digest of the catalog contents.
 func (c *Catalog) Fingerprint() string {
 	c.mu.RLock()
 	var parts []string

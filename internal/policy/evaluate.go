@@ -25,9 +25,11 @@ type EvalStats struct {
 	Hits  int64 // cache hits
 }
 
+// evalEntry is one memoized result, stamped with the catalog version it
+// was computed under.
 type evalEntry struct {
-	epoch uint64
-	set   plan.SiteSet
+	version uint64
+	set     plan.SiteSet
 }
 
 type evalShard struct {
@@ -41,10 +43,12 @@ type evalShard struct {
 //
 // One evaluator is safely shareable across goroutines: results are
 // memoized by query digest in a sharded, RWMutex-guarded cache, the
-// cumulative η/call/hit counters are atomics, and ResetCache is an
-// epoch bump (entries from older epochs read as misses), so a policy
-// change never races in-flight evaluations. Per-caller statistics are
-// attributed through an EvalStats handle passed to EvaluateWith.
+// cumulative η/call/hit counters are atomics, and every entry carries
+// the Policies.Version() it was computed under (entries from another
+// version read as misses), so a catalog change — through any caller —
+// invalidates the memo without racing in-flight evaluations. Per-caller
+// statistics are attributed through an EvalStats handle passed to
+// EvaluateWith.
 //
 // The configuration fields (Policies, AllLocations, Mode, NoCache) must
 // be set before the evaluator is shared; they are read without locks.
@@ -64,9 +68,6 @@ type Evaluator struct {
 	calls atomic.Int64
 	hits  atomic.Int64
 
-	// epoch versions the policy catalog; cache entries written under an
-	// older epoch are treated as absent.
-	epoch  atomic.Uint64
 	shards [evalShards]evalShard
 }
 
@@ -98,16 +99,6 @@ func (ev *Evaluator) ResetStats() {
 	ev.hits.Store(0)
 }
 
-// Epoch returns the current policy-catalog epoch. It changes exactly
-// when ResetCache is called; plan caches key on it so cached plans from
-// before a policy change are never replayed.
-func (ev *Evaluator) Epoch() uint64 { return ev.epoch.Load() }
-
-// ResetCache invalidates the memoization cache (for use after policy
-// changes). It is an O(1) epoch bump: stale entries are ignored on read
-// and overwritten on the next write of their key.
-func (ev *Evaluator) ResetCache() { ev.epoch.Add(1) }
-
 // shardOf picks the cache shard for a key (FNV-1a).
 func shardOf(key string) uint32 {
 	h := uint32(2166136261)
@@ -136,12 +127,13 @@ func (ev *Evaluator) EvaluateWith(q *Query, st *EvalStats) plan.SiteSet {
 		return ev.evaluate(q, st)
 	}
 	key := q.Digest()
-	epoch := ev.epoch.Load()
+	// Loaded before the catalog is read: see Catalog.version.
+	version := ev.Policies.Version()
 	sh := &ev.shards[shardOf(key)]
 	sh.mu.RLock()
 	e, ok := sh.m[key]
 	sh.mu.RUnlock()
-	if ok && e.epoch == epoch {
+	if ok && e.version == version {
 		ev.hits.Add(1)
 		if st != nil {
 			st.Hits++
@@ -150,7 +142,7 @@ func (ev *Evaluator) EvaluateWith(q *Query, st *EvalStats) plan.SiteSet {
 	}
 	res := ev.evaluate(q, st)
 	sh.mu.Lock()
-	sh.m[key] = evalEntry{epoch: epoch, set: res}
+	sh.m[key] = evalEntry{version: version, set: res}
 	sh.mu.Unlock()
 	return res
 }

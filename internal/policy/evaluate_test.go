@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"sync"
 	"testing"
 
 	"cgdqp/internal/expr"
@@ -231,14 +232,14 @@ func TestEvaluatorCacheAndEta(t *testing.T) {
 	if ev.Eta() != 0 || ev.Calls() != 0 {
 		t.Error("ResetStats")
 	}
-	epoch := ev.Epoch()
-	ev.ResetCache()
-	if ev.Epoch() == epoch {
-		t.Error("ResetCache must bump the epoch")
+	// Any catalog change — here a decoy grant for another database —
+	// makes every memoized result a miss.
+	ev.Policies.Add(MustParse("ship k from decoy to *", "decoy", "other-db"))
+	if got := ev.Evaluate(q); !got.Equal(first) {
+		t.Errorf("decoy grant changed the result: %s vs %s", got, first)
 	}
-	ev.Evaluate(q)
-	if ev.Eta() == 0 {
-		t.Error("after cache reset, η grows again")
+	if ev.Eta() == 0 || ev.Hits() != 0 {
+		t.Errorf("after a catalog change the memo must miss: η=%d hits=%d", ev.Eta(), ev.Hits())
 	}
 }
 
@@ -340,4 +341,57 @@ func TestFromStmtValidation(t *testing.T) {
 	if e, err := Parse("ship a from db-1.t to *", "x", "DB-1"); err != nil || e.DB != "db-1" {
 		t.Errorf("case-insensitive db match: %v %v", e, err)
 	}
+}
+
+// TestEvaluatorMemoUnderCatalogChurn: the memo is invalidated by the
+// catalog's own version, with no call from whoever changed it, and a
+// result can never be stamped newer than the grants it was computed
+// from — while other goroutines evaluate (and memoize) concurrently, an
+// evaluation that starts after Remove returned never sees the revoked
+// grant, and one that starts after Add returned always sees it (run
+// under -race).
+func TestEvaluatorMemoUnderCatalogChurn(t *testing.T) {
+	cat := table1Catalog()
+	ev := NewEvaluator(cat, table1Locs)
+	// E is shippable raw only through the grant that churns. A Query
+	// caches its digest, so every goroutine describes its own.
+	newQuery := func() *Query { return &Query{DB: "d", OutAttrs: rawOut("e")} }
+	q := newQuery()
+	grant := MustParse("ship E from T to l4", "churn", "d")
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			q := newQuery()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					ev.Evaluate(q)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		v := cat.Version()
+		cat.Add(grant)
+		if got := ev.Evaluate(q); !got.Contains("l4") {
+			t.Fatalf("round %d: evaluation after Add misses the grant: %s", i, got)
+		}
+		if !cat.Remove("churn") {
+			t.Fatalf("round %d: Remove found nothing", i)
+		}
+		if got := ev.Evaluate(q); got.Contains("l4") {
+			t.Fatalf("round %d: evaluation after Remove still ships to l4: %s", i, got)
+		}
+		if got := cat.Version(); got != v+2 {
+			t.Fatalf("round %d: version moved by %d, want 2", i, got-v)
+		}
+	}
+	close(stop)
+	readers.Wait()
 }

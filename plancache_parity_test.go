@@ -7,6 +7,7 @@ import (
 
 	"cgdqp/internal/network"
 	"cgdqp/internal/optimizer"
+	"cgdqp/internal/policy"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
@@ -14,14 +15,16 @@ import (
 // TestPlanCacheParity checks the whole-plan cache against the golden
 // snapshots: for every TPC-H evaluation query, a warm cache hit must
 // render the byte-identical plan the cold optimization produced (and
-// that testdata/plans records), a policy-epoch bump must invalidate the
-// entry, and mutating a returned plan must not corrupt the cached copy.
+// that testdata/plans records), a policy-catalog change must invalidate
+// the entry, and mutating a returned plan must not corrupt the cached
+// copy.
 func TestPlanCacheParity(t *testing.T) {
 	cat := tpch.NewCatalog(0.01)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCR)
 	opt := optimizer.New(cat, pc, net, optimizer.Options{Compliant: true, PlanCacheSize: 16})
 
+	coldPlans := map[string]string{}
 	for _, name := range tpch.QueryNames() {
 		sql := tpch.Queries[name]
 
@@ -33,6 +36,7 @@ func TestPlanCacheParity(t *testing.T) {
 			t.Fatalf("%s: first optimization reported a plan-cache hit", name)
 		}
 		coldPlan := cold.Plan.Format(true)
+		coldPlans[name] = coldPlan
 
 		warm, err := opt.OptimizeSQL(sql)
 		if err != nil {
@@ -74,16 +78,21 @@ func TestPlanCacheParity(t *testing.T) {
 		}
 	}
 
-	// A policy change bumps the evaluator epoch; every cached plan keyed
-	// on the old epoch must be invisible afterwards.
-	opt.Evaluator.ResetCache()
+	// A policy change — here a decoy grant over a database no query
+	// reads — moves the catalog version; every cached plan keyed on the
+	// old version must be invisible afterwards, and re-optimizing must
+	// find the same plans.
+	pc.Add(policy.MustParse("ship k from decoy to *", "decoy", "db-decoy"))
 	for _, name := range tpch.QueryNames() {
 		res, err := opt.OptimizeSQL(tpch.Queries[name])
 		if err != nil {
-			t.Fatalf("%s: post-epoch optimize: %v", name, err)
+			t.Fatalf("%s: post-change optimize: %v", name, err)
 		}
 		if res.Stats.PlanCacheHit {
-			t.Errorf("%s: plan-cache hit across a policy-epoch bump", name)
+			t.Errorf("%s: plan-cache hit across a policy-catalog change", name)
+		}
+		if res.Plan.Format(true) != coldPlans[name] {
+			t.Errorf("%s: a decoy grant changed the plan", name)
 		}
 	}
 }

@@ -7,14 +7,16 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"cgdqp/internal/policy"
 )
 
 // End-to-end contracts of the result-set cache through the public API:
-// the three invalidation mechanisms (per-table data epochs, the policy
-// epoch with provenance recheck, and the evaluator epoch behind the
-// plan cache) flush exactly the caches they own and nothing else, and
-// no interleaving of loads, policy changes and queries can make a
-// cached result diverge from a fresh execution.
+// each versioned state (per-table data epochs, the policy catalog's
+// version) flushes exactly the caches that read it and nothing else
+// (DESIGN.md, "What invalidates what"), and no interleaving of loads,
+// policy changes and queries can make a cached result diverge from a
+// fresh execution.
 
 // rcFixture builds a three-table geo-distributed system. Misc is an
 // unused decoy table: grants added for it move the policy epoch without
@@ -56,19 +58,20 @@ const (
 //
 //   - a load into one table re-executes only the queries that consume
 //     it (data epoch; plan cache untouched),
-//   - an added grant flushes the plan cache (evaluator epoch) and
-//     rechecks cached results, which survive when their provenance is
-//     still compliant (policy epoch; no re-execution),
+//   - an added grant flushes the plan cache and rechecks cached
+//     results, which survive when their provenance is still compliant
+//     (policy-catalog version; no re-execution),
 //   - a revoked load-bearing grant makes the dependent query fail with
 //     ErrNoCompliantPlan while independent queries keep their cached
 //     results.
 //
-// The middle case is the regression for a latent missed-invalidation
-// bug: policy changes used to drop the whole optimizer, which flushed
+// The middle case is the regression for a missed-invalidation bug:
+// policy changes used to drop the whole optimizer, which flushed
 // correctly here but left any server holding the old optimizer with a
-// stale evaluator. Policy changes now keep the optimizer and bump its
-// evaluator epoch instead (see TestServeObservesPolicyRevocation for
-// the serving half).
+// stale evaluator. Policy changes keep the optimizer; its caches read
+// the catalog's version (see TestServeObservesPolicyRevocation for the
+// serving half, TestDirectCatalogRevocation for changes made behind
+// the facade's back).
 func TestEpochIndependence(t *testing.T) {
 	sys := rcFixture(t, Options{ResultCacheBytes: 16 << 20})
 	run := func(sql string) *Result {
@@ -125,9 +128,9 @@ func TestEpochIndependence(t *testing.T) {
 		t.Fatalf("load flushed the plan cache: %+v (base %+v)", ps, basePlan)
 	}
 
-	// 2. Policy epoch: a grant on the decoy table cannot change any
-	// plan, so the plan cache re-optimizes (evaluator epoch moved) while
-	// cached results survive via provenance recheck — no re-execution.
+	// 2. Policy version: a grant on the decoy table cannot change any
+	// plan, so the plan cache re-optimizes (its key moved) while cached
+	// results survive via provenance recheck — no re-execution.
 	base = sys.ResultCacheStats()
 	basePlan = sys.PlanCacheStats()
 	epoch := sys.PolicyEpoch()
@@ -206,8 +209,9 @@ func TestServeObservesPolicyRevocation(t *testing.T) {
 }
 
 // TestResultCachePropertyInterleavings drives random seeded
-// interleavings of loads, policy grants, revocations and queries
-// against a lockstep pair of systems — one with the result cache, one
+// interleavings of loads, policy grants, revocations (through the
+// facade and directly on the exported catalog) and queries against a
+// lockstep pair of systems — one with the result cache, one
 // without — over identical data. After every query both must agree on
 // the error class and, on success, on rows and shipping statistics:
 // the uncached system is the oracle, so any divergence means the cache
@@ -219,6 +223,7 @@ func TestResultCachePropertyInterleavings(t *testing.T) {
 		"ship custkey, ordkey, totprice from Orders to *",
 		"ship k, v from Misc to *",
 	}
+	grantDBs := []string{"db-n", "db-e", "db-a"}
 	seeds := 8
 	opsPerSeed := 60
 	if testing.Short() {
@@ -233,6 +238,7 @@ func TestResultCachePropertyInterleavings(t *testing.T) {
 			both := []*System{cached, plain}
 
 			nextRow := 1000
+			direct := 0
 			queried := false
 			for op := 0; op < opsPerSeed; op++ {
 				switch rng.Intn(10) {
@@ -270,6 +276,19 @@ func TestResultCachePropertyInterleavings(t *testing.T) {
 					rc, rp := cached.RemovePolicy(id), plain.RemovePolicy(id)
 					if rc != rp {
 						t.Fatalf("op %d: removal of %s diverged: cached=%v plain=%v", op, id, rc, rp)
+					}
+				case 4: // mutate sys.Policies directly, behind the facade's back
+					if ids := cached.PolicyIDs(); len(ids) > 0 && rng.Intn(2) == 0 {
+						id := ids[rng.Intn(len(ids))]
+						for _, sys := range both {
+							sys.Policies.Remove(id)
+						}
+						continue
+					}
+					direct++
+					g := rng.Intn(len(grants))
+					for _, sys := range both {
+						sys.Policies.Add(policy.MustParse(grants[g], fmt.Sprintf("direct-%d", direct), grantDBs[g]))
 					}
 				default: // query both and compare against the oracle
 					q := queries[rng.Intn(len(queries))]
