@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"cgdqp/internal/network"
+	"cgdqp/internal/optimizer"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
@@ -66,6 +68,46 @@ func TestWarmExecAllocBudget(t *testing.T) {
 		t.Logf("%s: %d allocs, %.2f MB per query", set, allocs, float64(bytes)/(1<<20))
 		if allocs > maxAllocs || bytes > maxAllocBytes {
 			t.Errorf("%s: %d allocs / %d bytes per query, budget %d / %d", set, allocs, bytes, maxAllocs, maxAllocBytes)
+		}
+	}
+}
+
+// TestColdPlanSearchBudget is the tier-1 tripwire behind the benchmark's
+// cold_plan numbers: Q5 and Q8 — the two searches that are its tail —
+// optimized cold by a fresh optimizer under T and CR+A. The memo counts
+// are exact and the allocation counts repeat to a fraction of a percent,
+// so bounds a little above today's values (520 groups / 3,053
+// expressions / ~182k allocations for Q5, 62 / 282 / ~19k for Q8; 3,906 /
+// 14,933 / 795k and 610 / 2,890 / 300k when a group was one join tree
+// rather than one relation) catch the next rule that re-fragments the
+// memo, and the next alternative built only to be thrown away, in
+// seconds.
+func TestColdPlanSearchBudget(t *testing.T) {
+	cat := tpch.NewCatalog(0.01)
+	net := network.FiveRegionWAN(cat.Locations())
+	for _, c := range []struct {
+		query                 string
+		groups, exprs, allocs int
+	}{
+		{"Q5", 540, 3_150, 250_000},
+		{"Q8", 65, 295, 30_000},
+	} {
+		for _, set := range []workload.SetName{workload.SetT, workload.SetCRA} {
+			pc := workload.TPCHSet(set)
+			var res *optimizer.Result
+			allocs := testing.AllocsPerRun(2, func() {
+				var err error
+				res, err = optimizer.New(cat, pc, net, optimizer.Options{Compliant: true}).OptimizeSQL(tpch.Queries[c.query])
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			st := res.Stats
+			t.Logf("%s under %s: %d groups, %d exprs, %.0f allocs", c.query, set, st.Groups, st.Exprs, allocs)
+			if st.Groups > c.groups || st.Exprs > c.exprs || int(allocs) > c.allocs {
+				t.Errorf("%s under %s: %d groups / %d exprs / %.0f allocs, budget %d / %d / %d",
+					c.query, set, st.Groups, st.Exprs, allocs, c.groups, c.exprs, c.allocs)
+			}
 		}
 	}
 }

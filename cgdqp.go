@@ -715,8 +715,9 @@ type Plan struct {
 	Stats optimizer.Stats
 }
 
-// String pretty-prints the plan with locations and traits.
-func (p *Plan) String() string { return p.Root.Format(true) }
+// String pretty-prints the plan with locations and traits, plus one
+// line when the search that found it was cut short by MaxExprs.
+func (p *Plan) String() string { return p.Root.Format(true) + p.Stats.SearchNote() }
 
 // Dot renders the plan as a Graphviz digraph clustered by site.
 func (p *Plan) Dot() string { return p.Root.Dot() }
@@ -784,7 +785,7 @@ func (s *System) ExplainAnalyze(sql string) (*Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return res, prof.Format(res.Plan.Root), nil
+	return res, prof.Format(res.Plan.Root) + res.Plan.Stats.SearchNote(), nil
 }
 
 // query runs the lifecycle's steps back to back; a non-nil prof

@@ -129,18 +129,19 @@ func (m *Memo) Implement(g *Group, cfg *ImplConfig) []*Alt {
 		// child alternative is canonicalized to its group's schema, so
 		// resolving the equi keys against the group columns once is
 		// equivalent to resolving them per combination.
-		eCols := outputCols(e.Op, e.Children)
+		x := exprImpl{e: e, cols: outputCols(e.Op, e.Children)}
 		kinds := physicalKinds(e.Op, cfg)
-		var mjLk, mjRk []string
 		for _, phys := range kinds {
-			if phys == plan.MergeJoin {
-				mjLk, mjRk = equiKeyCols(cfg.equiCmps(e.Op.Pred), e.Children[0].Cols, e.Children[1].Cols)
+			switch phys {
+			case plan.MergeJoin:
+				x.mjLk, x.mjRk = equiKeyCols(cfg.equiCmps(e.Op.Pred), e.Children[0].Cols, e.Children[1].Cols)
+			case plan.HashJoin:
+				x.hashable = true
 			}
 		}
 		for _, phys := range kinds {
 			forEachCombo(childAlts, func(combo []*Alt) {
-				alt := m.buildAlt(e, phys, eCols, mjLk, mjRk, combo, cfg)
-				if alt != nil {
+				if alt := m.buildAlt(&x, phys, combo, alts, cfg); alt != nil {
 					alts = insertAlt(alts, alt, maxAlts, cfg)
 				}
 			})
@@ -149,13 +150,13 @@ func (m *Memo) Implement(g *Group, cfg *ImplConfig) []*Alt {
 		// Filter over a bare Scan; IndexLookupJoin implements a Join whose
 		// inner side is a bare Scan with an index on the join key.
 		if e.Op.Kind == plan.Filter && len(e.Children) == 1 {
-			for _, alt := range m.indexScanAlts(e, eCols, cfg) {
+			for _, alt := range m.indexScanAlts(e, x.cols, cfg) {
 				alts = insertAlt(alts, alt, maxAlts, cfg)
 			}
 		}
 		if e.Op.Kind == plan.Join && len(e.Children) == 2 {
 			for _, left := range childAlts[0] {
-				if alt := m.indexLookupJoinAlt(e, left, eCols, cfg); alt != nil {
+				if alt := m.indexLookupJoinAlt(e, left, x.cols, cfg); alt != nil {
 					alts = insertAlt(alts, alt, maxAlts, cfg)
 				}
 			}
@@ -225,20 +226,32 @@ type altBlock struct {
 	kids [2]*plan.Node
 }
 
+// exprImpl carries what every alternative of one memo expression shares.
+type exprImpl struct {
+	e          *MExpr
+	cols       []plan.ColRef
+	mjLk, mjRk []string // merge-join key columns (nil without usable equi keys)
+	hashable   bool     // HashJoin is among the physical kinds
+}
+
 // buildAlt constructs one physical alternative and derives its traits.
 // It returns nil when the alternative is infeasible (empty execution
-// trait in compliant mode — the infinite-cost rule).
-func (m *Memo) buildAlt(e *MExpr, phys plan.Kind, eCols []plan.ColRef, mjLk, mjRk []string, combo []*Alt, cfg *ImplConfig) *Alt {
+// trait in compliant mode — the infinite-cost rule) or when front already
+// holds an alternative that dominates it: cost and traits are computed on
+// the stack first, and nothing is allocated for an alternative insertAlt
+// would throw away.
+func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt, cfg *ImplConfig) *Alt {
+	e := x.e
 	// Merge join is only worth enumerating with usable equi keys and when
 	// at least one input already delivers its key order (otherwise two
 	// sorts never beat a hash join); check before building anything.
 	lOrdered, rOrdered := false, false
 	if phys == plan.MergeJoin {
-		if len(mjLk) == 0 {
+		if len(x.mjLk) == 0 {
 			return nil // no usable equi keys after child resolution
 		}
-		lOrdered = prefixCovered(combo[0].Order, mjLk)
-		rOrdered = prefixCovered(combo[1].Order, mjRk)
+		lOrdered = prefixCovered(combo[0].Order, x.mjLk)
+		rOrdered = prefixCovered(combo[1].Order, x.mjRk)
 		if !lOrdered && !rOrdered {
 			return nil
 		}
@@ -266,20 +279,6 @@ func (m *Memo) buildAlt(e *MExpr, phys plan.Kind, eCols []plan.ColRef, mjLk, mjR
 		}
 	}
 
-	blk := &altBlock{node: *e.Op}
-	node := &blk.node
-	node.Kind = phys
-	// Schema comes from this expression's own children (a commuted join
-	// orders its output columns differently from the group canon; upstream
-	// operators resolve columns by name, so order is a per-tree detail).
-	node.Cols = eCols
-	node.Card = e.Group.Card
-	node.Exec = exec
-	if len(combo) <= len(blk.kids) {
-		node.Children = blk.kids[:len(combo):len(combo)]
-	} else {
-		node.Children = make([]*plan.Node, len(combo))
-	}
 	// Input cardinalities stay on the stack for the common arities.
 	var inCardsBuf [2]float64
 	inCards := inCardsBuf[:]
@@ -288,13 +287,19 @@ func (m *Memo) buildAlt(e *MExpr, phys plan.Kind, eCols []plan.ColRef, mjLk, mjR
 	} else {
 		inCards = inCards[:len(combo)]
 	}
+	// Only a subtree whose inputs are all local queries can be one itself
+	// (AR4); otherwise Describe cannot succeed and 𝒮 = ℰ is final.
+	describable := cfg.Compliant
 	childCost := 0.0
 	for i, c := range combo {
-		node.Children[i] = c.Tree
 		inCards[i] = c.Tree.Card
 		childCost += c.Cost
+		if c.DescKey == "" {
+			describable = false
+		}
 	}
-	opCost := cost.OperatorCost(phys, node.Card, inCards...)
+	card := e.Group.Card
+	opCost := cost.OperatorCost(phys, card, inCards...)
 	// Merge join pays to sort any input that is not already ordered on
 	// its join keys; its output provides the left-key ordering.
 	var order []string
@@ -306,22 +311,22 @@ func (m *Memo) buildAlt(e *MExpr, phys plan.Kind, eCols []plan.ColRef, mjLk, mjR
 		if !rOrdered {
 			opCost += cost.SortCost(inCards[1])
 		}
-		order = mjLk
+		order = x.mjLk
 	case plan.TableScan:
 		// Scans of physically sorted tables deliver that order.
-		if node.Table != nil {
-			for _, name := range node.Table.SortedBy {
-				order = append(order, node.Alias+"."+name)
+		if e.Op.Table != nil {
+			for _, name := range e.Op.Table.SortedBy {
+				order = append(order, e.Op.Alias+"."+name)
 			}
 		}
 	case plan.HashAgg, plan.UnionAll:
 		// unordered
 	case plan.SortExec:
-		if keys, ok := ascColKeys(node.SortKeys); ok {
+		if keys, ok := ascColKeys(e.Op.SortKeys); ok {
 			order = keys
 		}
 	case plan.ProjectExec:
-		order = orderThroughSchema(combo[0].Order, node.Cols)
+		order = orderThroughSchema(combo[0].Order, x.cols)
 	default:
 		// Filters, limits, hash/NL joins (which stream their left input)
 		// preserve the left child's ordering.
@@ -330,7 +335,42 @@ func (m *Memo) buildAlt(e *MExpr, phys plan.Kind, eCols []plan.ColRef, mjLk, mjR
 		}
 	}
 	total := childCost + opCost
+
+	if !describable {
+		// Hash and nested-loop joins of one combination differ in cost
+		// alone, so the dearer twin is dominated: never price it.
+		switch {
+		case phys == plan.HashJoin && cost.OperatorCost(plan.NLJoin, card, inCards...) < opCost,
+			phys == plan.NLJoin && x.hashable && cost.OperatorCost(plan.HashJoin, card, inCards...) <= opCost:
+			return nil
+		}
+		probe := Alt{Cost: total, Ship: exec, Order: order}
+		if !sameColKeys(x.cols, e.Group.Cols) {
+			probe.Cost += cost.OperatorCost(plan.ProjectExec, card, card) // canonicalizeAlt's reorder
+		}
+		if dominated(front, &probe, cfg) {
+			return nil
+		}
+	}
+
+	blk := &altBlock{node: *e.Op}
+	node := &blk.node
+	node.Kind = phys
+	// Schema comes from this expression's own children (a commuted join
+	// orders its output columns differently from the group canon; upstream
+	// operators resolve columns by name, so order is a per-tree detail).
+	node.Cols = x.cols
+	node.Card = card
+	node.Exec = exec
 	node.Cost = total
+	if len(combo) <= len(blk.kids) {
+		node.Children = blk.kids[:len(combo):len(combo)]
+	} else {
+		node.Children = make([]*plan.Node, len(combo))
+	}
+	for i, c := range combo {
+		node.Children[i] = c.Tree
+	}
 
 	alt := &blk.alt
 	alt.Tree = node
@@ -345,9 +385,11 @@ func (m *Memo) buildAlt(e *MExpr, phys plan.Kind, eCols []plan.ColRef, mjLk, mjR
 	ship := exec
 	// AR4: when the subtree is a local query over a single database,
 	// the policy evaluator contributes destinations.
-	if q, ok := cfg.analyzer.Describe(node); ok {
-		ship = ship.Union(cfg.Evaluator.EvaluateWith(q, cfg.Stats))
-		alt.DescKey = q.Digest()
+	if describable {
+		if q, ok := cfg.analyzer.Describe(node); ok {
+			ship = ship.Union(cfg.Evaluator.EvaluateWith(q, cfg.Stats))
+			alt.DescKey = q.Digest()
+		}
 	}
 	node.ShipT = ship
 	alt.Ship = ship
@@ -424,19 +466,8 @@ func scanLocation(n *plan.Node) string {
 // descriptor guard keeps alternatives whose different masking shapes
 // could yield different AR4 results upstream.
 func insertAlt(alts []*Alt, alt *Alt, maxAlts int, cfg *ImplConfig) []*Alt {
-	if !cfg.Compliant && !cfg.TrackOrder {
-		if len(alts) == 0 {
-			return []*Alt{alt}
-		}
-		if alt.Cost < alts[0].Cost {
-			alts[0] = alt
-		}
+	if dominated(alts, alt, cfg) {
 		return alts
-	}
-	for _, other := range alts {
-		if dominates(other, alt, cfg) {
-			return alts
-		}
 	}
 	kept := alts[:0]
 	for _, other := range alts {
@@ -450,6 +481,17 @@ func insertAlt(alts []*Alt, alt *Alt, maxAlts int, cfg *ImplConfig) []*Alt {
 		kept = kept[:maxAlts]
 	}
 	return kept
+}
+
+// dominated reports whether the front already holds an alternative that
+// makes alt redundant.
+func dominated(front []*Alt, alt *Alt, cfg *ImplConfig) bool {
+	for _, other := range front {
+		if dominates(other, alt, cfg) {
+			return true
+		}
+	}
+	return false
 }
 
 func dominates(b, a *Alt, cfg *ImplConfig) bool {

@@ -9,6 +9,7 @@ package memo
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -22,7 +23,10 @@ type Memo struct {
 	Groups []*Group
 
 	byDigest map[string]*MExpr // expression digest -> canonical expression
-	est      *cost.Estimator
+	// bySig maps a join's logical signature (see joinSig) to its group:
+	// every join tree computing the same relation lands in one group.
+	bySig map[string]*Group
+	est   *cost.Estimator
 	// predStrs caches predicate renderings by pointer: rules share
 	// predicate expressions across the alternatives they derive, and the
 	// recursive String() inside OpDigest dominates digest cost.
@@ -38,8 +42,10 @@ type Memo struct {
 	MaxExprs int
 	// exprCount counts inserted expressions.
 	exprCount int
-	// DigestConflicts counts expressions whose digest already existed in
-	// a different group (the insert is skipped; see Insert).
+	// DigestConflicts counts rule outputs that proved two distinct groups
+	// equal: the expression's digest, or a join's signature, already
+	// belonged to a group other than the rule's target. Groups are never
+	// merged after the fact, so each one is a lost equivalence link.
 	DigestConflicts int
 }
 
@@ -52,11 +58,20 @@ type Group struct {
 	Cols  []plan.ColRef
 	Card  float64
 
+	// leaves and conjs are a join group's logical signature: the sorted
+	// IDs of its non-join input groups and the sorted renderings of every
+	// conjunct applied beneath it. Joins are inner, so the group is
+	// σ_{∧conjs}(× leaves) whatever tree reached it first. Both are nil
+	// for groups not created by a join.
+	leaves []int
+	conjs  []string
+
 	// fbDigest is the canonical feedback digest of the group (the
 	// creating expression's canonical op digest composed over child
-	// group digests — equal to plan.SubplanDigest of a tree extracted
-	// from the group). Only built when the estimator carries a hint
-	// source; empty otherwise.
+	// group digests — equal to plan.SubplanDigest of the creating tree;
+	// the digest is tree-shaped, so an actual observed under another join
+	// order of the same relation does not reach the group). Only built
+	// when the estimator carries a hint source; empty otherwise.
 	fbDigest string
 
 	// Implementation results (set by Implement).
@@ -73,37 +88,24 @@ type MExpr struct {
 	Children []*Group
 	Group    *Group
 
-	// ruleState remembers, per rule, the total number of child-group
-	// expressions seen at the last application. Rules enumerate all
-	// bindings on every call, so re-application is only needed when a
-	// child group has gained expressions since.
-	ruleState map[string]int
+	// ruleState remembers, per rule position, how many expressions of the
+	// first two child groups the rule has been bound against. Group
+	// expression lists are append-only, so a re-application only has to
+	// bind what was appended since.
+	ruleState [maxRules]struct {
+		applied bool
+		bound   [2]int
+	}
 }
 
-// childExprCount sums the sizes of the child groups (the rule-binding
-// universe for this expression).
-func (e *MExpr) childExprCount() int {
-	n := 0
-	for _, c := range e.Children {
-		n += len(c.Exprs)
-	}
-	return n
-}
-
-// Digest returns the canonical identity of the expression.
-func (e *MExpr) Digest() string {
-	var b strings.Builder
-	b.WriteString(e.Op.OpDigest())
-	for _, c := range e.Children {
-		fmt.Fprintf(&b, "[%d]", c.ID)
-	}
-	return b.String()
-}
+// maxRules bounds the rule list one memo can be explored with.
+const maxRules = 4
 
 // New creates an empty memo using the estimator for group cardinalities.
 func New(est *cost.Estimator) *Memo {
 	return &Memo{
 		byDigest: map[string]*MExpr{},
+		bySig:    map[string]*Group{},
 		predStrs: map[expr.Expr]string{},
 		conjs:    map[expr.Expr][]expr.Expr{},
 		exprCols: map[expr.Expr][]*expr.Col{},
@@ -150,24 +152,25 @@ func (m *Memo) ColsOf(e expr.Expr) []*expr.Col {
 	return cols
 }
 
-// exprDigest is MExpr.Digest with the predicate renderings memoized on
-// the memo (predicates are shared by pointer across derived expressions,
-// and rule re-application recomputes digests of mostly-known
-// expressions, so the rendering dominates insert cost).
-func (m *Memo) exprDigest(e *MExpr) string {
+// exprDigest is the identity of an expression: operator digest plus
+// child group IDs, with the predicate renderings memoized on the memo
+// (predicates are shared by pointer across derived expressions, and rule
+// re-application recomputes digests of mostly-known expressions, so the
+// rendering dominates insert cost).
+func (m *Memo) exprDigest(op *plan.Node, children []*Group) string {
 	var b strings.Builder
 	b.Grow(64)
-	switch e.Op.Kind {
+	switch op.Kind {
 	case plan.Filter, plan.FilterExec, plan.Join, plan.HashJoin, plan.NLJoin, plan.MergeJoin:
-		b.WriteString(e.Op.Kind.String())
+		b.WriteString(op.Kind.String())
 		b.WriteByte(':')
-		if e.Op.Pred != nil {
-			b.WriteString(m.predString(e.Op.Pred))
+		if op.Pred != nil {
+			b.WriteString(m.predString(op.Pred))
 		}
 	default:
-		b.WriteString(e.Op.OpDigest())
+		b.WriteString(op.OpDigest())
 	}
-	for _, c := range e.Children {
+	for _, c := range children {
 		b.WriteByte('[')
 		b.WriteString(strconv.Itoa(c.ID))
 		b.WriteByte(']')
@@ -221,30 +224,73 @@ func stripChildren(n *plan.Node) *plan.Node {
 	return &cp
 }
 
-// InsertExpr inserts an expression into the memo. When target is nil the
-// expression lands in the group matching its digest, or a fresh group.
-// When target is given, the expression joins that group — unless an
-// expression with the same digest already lives in a different group, in
-// which case the insert is skipped (no group merging; the plan space
-// loses one equivalence link but stays correct). The bool reports whether
-// a new expression was created.
+// InsertExpr inserts an expression into the memo. A known digest returns
+// the existing expression. Otherwise a join lands in the group owning its
+// signature — whatever tree reached that relation first — and any other
+// operator in target, or in a fresh group when target is nil. The bool
+// reports whether a new expression was created.
 func (m *Memo) InsertExpr(op *plan.Node, children []*Group, target *Group) (*MExpr, bool) {
-	e := &MExpr{Op: op, Children: children}
-	d := m.exprDigest(e)
+	d := m.exprDigest(op, children)
 	if existing, ok := m.byDigest[d]; ok {
 		if target != nil && existing.Group != target {
 			m.DigestConflicts++
 		}
 		return existing, false
 	}
-	if target == nil {
+	if op.Kind == plan.Join {
+		leaves, conjs := m.joinSig(op, children)
+		key := sigKey(leaves, conjs)
+		g := m.bySig[key]
+		if g == nil {
+			g = m.newGroup(op, children)
+			g.leaves, g.conjs = leaves, conjs
+			m.bySig[key] = g
+		}
+		if target != nil && g != target {
+			m.DigestConflicts++
+		}
+		target = g
+	} else if target == nil {
 		target = m.newGroup(op, children)
 	}
-	e.Group = target
+	e := &MExpr{Op: op, Children: children, Group: target}
 	target.Exprs = append(target.Exprs, e)
 	m.byDigest[d] = e
 	m.exprCount++
 	return e, true
+}
+
+// joinSig computes the logical signature of a join over the given child
+// groups: a child that is itself a join group contributes its own leaves
+// and conjuncts, any other child is a leaf.
+func (m *Memo) joinSig(op *plan.Node, children []*Group) (leaves []int, conjs []string) {
+	for _, c := range children {
+		if c.leaves == nil {
+			leaves = append(leaves, c.ID)
+			continue
+		}
+		leaves = append(leaves, c.leaves...)
+		conjs = append(conjs, c.conjs...)
+	}
+	for _, c := range m.Conjuncts(op.Pred) {
+		conjs = append(conjs, m.predString(c))
+	}
+	sort.Ints(leaves)
+	sort.Strings(conjs)
+	return leaves, conjs
+}
+
+func sigKey(leaves []int, conjs []string) string {
+	var b strings.Builder
+	for _, id := range leaves {
+		b.WriteString(strconv.Itoa(id))
+		b.WriteByte(',')
+	}
+	for _, c := range conjs {
+		b.WriteByte('|')
+		b.WriteString(c)
+	}
+	return b.String()
 }
 
 // newGroup creates a group, deriving schema and cardinality from the
@@ -332,18 +378,26 @@ func (m *Memo) InsertNew(ne *NewExpr, target *Group) (*MExpr, bool) {
 
 // Rule is a transformation rule: given a logical expression (with access
 // to the memo for matching child-group expressions), it produces zero or
-// more equivalent expressions for the same group.
+// more equivalent expressions for the same group. The engine re-applies a
+// rule to an expression whenever one of its first two child groups has
+// gained expressions; from[i] is how many of child i's expressions
+// earlier applications already saw, so a rule that binds child
+// expressions enumerates Children[i].Exprs[from[i]:] only.
 type Rule interface {
 	Name() string
-	Apply(m *Memo, e *MExpr) []*NewExpr
+	Apply(m *Memo, e *MExpr, from [2]int) []*NewExpr
 }
 
 // Explore applies the rules to fixpoint (or until the expression budget
 // is exhausted). Rules are re-applied across passes because a rule's
-// bindings may grow as child groups gain expressions; digest-based
-// deduplication keeps re-application cheap and guarantees termination
-// (the space of derivable expressions is finite).
+// bindings grow as child groups gain expressions; digest-based
+// deduplication guarantees termination (the space of derivable
+// expressions is finite). A memo is explored with one rule list: the
+// per-expression binding state is indexed by rule position.
 func (m *Memo) Explore(rules []Rule) {
+	if len(rules) > maxRules {
+		panic(fmt.Sprintf("memo: %d rules, at most %d supported", len(rules), maxRules))
+	}
 	for {
 		changed := false
 		// Iterate with growing bounds: rules may append groups/exprs.
@@ -351,21 +405,23 @@ func (m *Memo) Explore(rules []Rule) {
 			g := m.Groups[gi]
 			for ei := 0; ei < len(g.Exprs); ei++ {
 				e := g.Exprs[ei]
-				for _, r := range rules {
+				for ri, r := range rules {
 					if m.Budget() {
 						return
 					}
-					// Skip when neither this expression nor its binding
-					// universe changed since the last application.
-					universe := e.childExprCount()
-					if e.ruleState == nil {
-						e.ruleState = map[string]int{}
+					var now [2]int // re-read per rule: the previous one may have grown a child
+					for i := 0; i < len(now) && i < len(e.Children); i++ {
+						now[i] = len(e.Children[i].Exprs)
 					}
-					if seen, ok := e.ruleState[r.Name()]; ok && seen == universe {
+					// Skip when the binding universe has not grown since
+					// the last application.
+					st := &e.ruleState[ri]
+					if st.applied && st.bound == now {
 						continue
 					}
-					e.ruleState[r.Name()] = universe
-					for _, ne := range r.Apply(m, e) {
+					from := st.bound
+					st.applied, st.bound = true, now
+					for _, ne := range r.Apply(m, e, from) {
 						if _, fresh := m.InsertNew(ne, g); fresh {
 							changed = true
 						}

@@ -60,7 +60,7 @@ func TestInsertTreeDedup(t *testing.T) {
 type commuteRule struct{}
 
 func (commuteRule) Name() string { return "commute" }
-func (commuteRule) Apply(m *Memo, e *MExpr) []*NewExpr {
+func (commuteRule) Apply(m *Memo, e *MExpr, _ [2]int) []*NewExpr {
 	if e.Op.Kind != plan.Join {
 		return nil
 	}

@@ -101,7 +101,14 @@ func TestBudgetTruncationIsReported(t *testing.T) {
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCR)
 	const counter = "cgdqp_optimizer_budget_truncated_total"
-	for _, maxExprs := range []int{1, 40, 400, 4000, 0} {
+	// The ladder follows the untruncated search's size, so it keeps
+	// testing truncation when the memo gets smaller.
+	full, err := New(cat, pc, net, Options{Compliant: true}).OptimizeSQL(tpch.Queries["Q5"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.Stats.Exprs
+	for _, maxExprs := range []int{1, n / 100, n / 10, n / 2, 0} {
 		opt := New(cat, pc, net, Options{Compliant: true, MaxExprs: maxExprs, PlanCacheSize: 4})
 		o := &obs.Observer{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
 		opt.SetObserver(o)

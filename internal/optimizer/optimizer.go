@@ -185,14 +185,25 @@ type Stats struct {
 	ACalls int64 // policy evaluator invocations
 	AHits  int64 // policy evaluator cache hits
 
-	// Truncated marks a search that Options.MaxExprs cut short. The
+	// Truncated marks a search that the MaxExprs budget cut short. The
 	// plan is compliant (annotation and site selection ran in full over
 	// what was explored) but possibly not the cheapest.
 	Truncated bool
+	MaxExprs  int
 
 	// PlanCacheHit marks a result served from the whole-plan cache; the
 	// counts above then describe the original (cached) optimization.
 	PlanCacheHit bool
+}
+
+// SearchNote is the line EXPLAIN prints under a plan whose search hit
+// the budget ("" otherwise).
+func (st Stats) SearchNote() string {
+	if !st.Truncated {
+		return ""
+	}
+	return fmt.Sprintf("search: truncated at MaxExprs=%d — groups %d, exprs %d; plan is compliant but may not be cheapest\n",
+		st.MaxExprs, st.Groups, st.Exprs)
 }
 
 // Result is the outcome of one optimization.
@@ -224,6 +235,7 @@ func cachedResult(e *planCacheEntry, normTime time.Duration, start time.Time) *R
 			Eta:           e.eta,
 			ACalls:        e.aCalls,
 			Truncated:     e.truncated,
+			MaxExprs:      e.maxExprs,
 			PlanCacheHit:  true,
 		},
 	}
@@ -348,6 +360,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			eta:       evStats.Eta,
 			aCalls:    evStats.Calls,
 			truncated: truncated,
+			maxExprs:  m.MaxExprs,
 		})
 	}
 
@@ -369,6 +382,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			ACalls:        evStats.Calls,
 			AHits:         evStats.Hits,
 			Truncated:     truncated,
+			MaxExprs:      m.MaxExprs,
 		},
 	}, cacheKey.planDigest, nil
 }

@@ -36,6 +36,7 @@ type planCacheEntry struct {
 	eta       int64
 	aCalls    int64
 	truncated bool
+	maxExprs  int
 }
 
 // PlanCacheStats is a snapshot of plan-cache effectiveness counters.

@@ -14,11 +14,6 @@ import (
 	"cgdqp/internal/plan"
 )
 
-// Default returns the standard rule set.
-func Default() []memo.Rule {
-	return []memo.Rule{JoinCommute{}, JoinAssoc{}, JoinUnionDistribute{}, AggPushdown{}}
-}
-
 // JoinUnionDistribute implements Join(Union(f1..fk), R) →
 // Union(Join(f1,R), ..., Join(fk,R)) (and symmetrically on the right).
 // It lets queries over horizontally fragmented tables (Section 7.5's GAV
@@ -29,16 +24,16 @@ type JoinUnionDistribute struct{}
 // Name identifies the rule.
 func (JoinUnionDistribute) Name() string { return "JoinUnionDistribute" }
 
-// Apply distributes the join over every Union expression found in either
-// child group.
-func (JoinUnionDistribute) Apply(m *memo.Memo, e *memo.MExpr) []*memo.NewExpr {
+// Apply distributes the join over every Union expression newly found in
+// either child group.
+func (JoinUnionDistribute) Apply(m *memo.Memo, e *memo.MExpr, from [2]int) []*memo.NewExpr {
 	if e.Op.Kind != plan.Join {
 		return nil
 	}
 	var out []*memo.NewExpr
 	for side := 0; side < 2; side++ {
 		other := e.Children[1-side]
-		for _, u := range e.Children[side].Exprs {
+		for _, u := range e.Children[side].Exprs[from[side]:] {
 			if u.Op.Kind != plan.Union {
 				continue
 			}
@@ -98,9 +93,10 @@ type JoinCommute struct{}
 // Name identifies the rule.
 func (JoinCommute) Name() string { return "JoinCommute" }
 
-// Apply produces the commuted join.
-func (JoinCommute) Apply(m *memo.Memo, e *memo.MExpr) []*memo.NewExpr {
-	if e.Op.Kind != plan.Join {
+// Apply produces the commuted join. It binds no child expression, so the
+// first application is the only one that yields anything.
+func (JoinCommute) Apply(m *memo.Memo, e *memo.MExpr, from [2]int) []*memo.NewExpr {
+	if e.Op.Kind != plan.Join || from[0] > 0 {
 		return nil
 	}
 	return []*memo.NewExpr{{
@@ -119,16 +115,16 @@ type JoinAssoc struct{}
 // Name identifies the rule.
 func (JoinAssoc) Name() string { return "JoinAssoc" }
 
-// Apply produces the re-associated join for every Join expression in the
-// left child group.
-func (JoinAssoc) Apply(m *memo.Memo, e *memo.MExpr) []*memo.NewExpr {
+// Apply produces the re-associated join for every Join expression new in
+// the left child group.
+func (JoinAssoc) Apply(m *memo.Memo, e *memo.MExpr, from [2]int) []*memo.NewExpr {
 	if e.Op.Kind != plan.Join {
 		return nil
 	}
 	var out []*memo.NewExpr
 	left := e.Children[0]
 	gC := e.Children[1]
-	for _, inner := range left.Exprs {
+	for _, inner := range left.Exprs[from[0]:] {
 		if inner.Op.Kind != plan.Join {
 			continue
 		}
@@ -184,8 +180,8 @@ func (AggPushdown) Name() string { return "AggPushdown" }
 const partialPrefix = "_p_"
 
 // Apply produces the eager-aggregation rewrite for every Join expression
-// in the child group.
-func (AggPushdown) Apply(m *memo.Memo, e *memo.MExpr) []*memo.NewExpr {
+// new in the child group.
+func (AggPushdown) Apply(m *memo.Memo, e *memo.MExpr, from [2]int) []*memo.NewExpr {
 	if e.Op.Kind != plan.Aggregate || len(e.Children) != 1 {
 		return nil
 	}
@@ -198,7 +194,7 @@ func (AggPushdown) Apply(m *memo.Memo, e *memo.MExpr) []*memo.NewExpr {
 		}
 	}
 	var out []*memo.NewExpr
-	for _, join := range e.Children[0].Exprs {
+	for _, join := range e.Children[0].Exprs[from[0]:] {
 		if join.Op.Kind != plan.Join {
 			continue
 		}

@@ -2,6 +2,7 @@ package cgdqp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,39 @@ func TestSystemExplainAnalyze(t *testing.T) {
 	}
 	if len(plain.Rows) != len(res.Rows) {
 		t.Fatalf("ExplainAnalyze rows %d != Query rows %d", len(res.Rows), len(plain.Rows))
+	}
+}
+
+// TestExplainReportsTruncatedSearch: a search cut short by MaxExprs says
+// so in one line under the EXPLAIN and EXPLAIN ANALYZE text — also when
+// the plan comes from the plan cache — and an exhaustive search prints
+// nothing extra.
+func TestExplainReportsTruncatedSearch(t *testing.T) {
+	full, err := demoSystem(t).Explain(demoQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.Truncated || strings.Contains(full.String(), "search:") {
+		t.Fatalf("exhaustive search reported as truncated:\n%s", full)
+	}
+	budget := full.Stats.Exprs / 2
+	sys := demoSystemWith(t, Options{MaxExprs: budget})
+	for _, cached := range []bool{false, true} {
+		p, err := sys.Explain(demoQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Stats.PlanCacheHit != cached {
+			t.Fatalf("plan-cache hit = %v, want %v", p.Stats.PlanCacheHit, cached)
+		}
+		want := fmt.Sprintf("search: truncated at MaxExprs=%d — groups %d, exprs %d; plan is compliant but may not be cheapest\n",
+			budget, p.Stats.Groups, p.Stats.Exprs)
+		if !strings.HasSuffix(p.String(), want) {
+			t.Fatalf("EXPLAIN lacks %q:\n%s", want, p)
+		}
+		if _, annotated, err := sys.ExplainAnalyze(demoQuery); err != nil || !strings.HasSuffix(annotated, want) {
+			t.Fatalf("EXPLAIN ANALYZE lacks %q (%v):\n%s", want, err, annotated)
+		}
 	}
 }
 
