@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: verify build lint test vet race bench benchsmoke benchcheck fuzz
+.PHONY: verify build lint test vet race bench benchsmoke benchcheck fuzz loc
 
 # Tier-1 verification gate: build, lint (vet + gofmt), full test suite
 # (cmd/cgdqp included), the race detector over every internal package
 # and the root package's concurrency and invalidation tests,
 # a 1-iteration pass over the optimizer benchmarks so they cannot rot,
-# and the nested benchmark module, which compiles against the engine.
-verify: build lint test race benchsmoke benchcheck
+# the nested benchmark module, which compiles against the engine, and
+# last the line count ROADMAP item 6 tracks.
+verify: build lint test race benchsmoke benchcheck loc
 
 build:
 	$(GO) build ./...
@@ -36,6 +37,11 @@ benchsmoke:
 # and run its smoke tests (15-20 s) against this checkout's engine.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# loc: tracked non-test Go outside benchmark/, in lines — the number a
+# simplicity PR quotes.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
 # Optimizer + engine benchmarks. The first step measures every golden
 # TPC-H query (cold, warm-policy-cache and plan-cache-hit paths, η,

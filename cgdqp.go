@@ -122,8 +122,6 @@ type Options struct {
 	// ResultLocation pins where query results must be delivered
 	// ("" = wherever is cheapest among legal sites).
 	ResultLocation string
-	// Network overrides the default five-region WAN profile.
-	Network *network.CostModel
 	// MaxAlts / MaxExprs bound the optimizer's search (0 = defaults).
 	MaxAlts  int
 	MaxExprs int
@@ -167,10 +165,6 @@ type Options struct {
 	// and runs every expression through the row interpreter. Results
 	// are identical either way; only speed differs.
 	NoVectorKernels bool
-	// WireCompress enables block compression of the serialized batch
-	// frames shipped between sites; the ledger, β·bytes costs and
-	// shipping metrics then price the compressed bytes.
-	WireCompress bool
 	// ResultCacheBytes enables the compliance-aware result-set cache,
 	// bounded to this many bytes of estimated result payload (LRU).
 	// Repeated queries whose consumed tables have not been reloaded and
@@ -240,8 +234,10 @@ type (
 type System struct {
 	Schema   *schema.Catalog
 	Policies *policy.Catalog
-	Net      *network.CostModel
-	opts     Options
+	// Net is the WAN cost model; left nil, the first query installs the
+	// five-region profile over the schema's locations.
+	Net  *network.CostModel
+	opts Options
 
 	// lc is the query lifecycle and the system's one copy of its parts:
 	// the optimizer (nil until built, and again after invalidate), the
@@ -267,10 +263,7 @@ func NewSystemWith(opts Options) *System {
 	}
 	lc := &s.lc
 	lc.Parallel = opts.Parallel
-	lc.Exec = executor.ExecOptions{
-		NoKernels: opts.NoVectorKernels,
-		Wire:      network.WireOptions{Compress: opts.WireCompress},
-	}
+	lc.Exec = executor.ExecOptions{NoKernels: opts.NoVectorKernels}
 	if opts.Trace || opts.Metrics || opts.Audit {
 		lc.Obs = &obs.Observer{}
 		if opts.Trace {
@@ -607,11 +600,7 @@ func (s *System) Cluster() *cluster.Cluster {
 
 func (s *System) network() *network.CostModel {
 	if s.Net == nil {
-		if s.opts.Network != nil {
-			s.Net = s.opts.Network
-		} else {
-			s.Net = network.FiveRegionWAN(s.Schema.Locations())
-		}
+		s.Net = network.FiveRegionWAN(s.Schema.Locations())
 	}
 	return s.Net
 }

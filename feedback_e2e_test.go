@@ -8,6 +8,7 @@ package cgdqp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -27,10 +28,8 @@ func misestimatedSystem(t *testing.T, opts Options) *System {
 	// then driven by shipped volume, which is what the cardinality
 	// feedback corrects. (Under the default five-region WAN the per-
 	// shipment latencies dwarf the byte costs at this data scale.)
-	if opts.Network == nil {
-		opts.Network = network.UniformWAN(1, 0.01)
-	}
 	sys := NewSystemWith(opts)
+	sys.Net = network.UniformWAN(1, 0.01)
 	sys.MustDefineTable("bigfact", "db-e", "Europe", 20000,
 		Col("k", TInt), Col("status", TString), Col("v", TFloat))
 	sys.MustDefineTable("dim", "db-a", "Asia", 200,
@@ -147,6 +146,118 @@ func TestFeedbackCorrectsMisestimate(t *testing.T) {
 	}
 	if third.ShippedBytes != second.ShippedBytes {
 		t.Fatalf("plan oscillated: %d then %d bytes", second.ShippedBytes, third.ShippedBytes)
+	}
+}
+
+// skewedChainSystem builds pick ⋈ mid ⋈ wide ⋈ tail over three sites
+// with honest per-column statistics and a correlation they cannot see:
+// every mid row that joins pick carries y = 0, and a fifth of wide does
+// too. Each two-table join is estimated about right; pick ⋈ mid ⋈ wide
+// is estimated at 1000 rows and is 40000.
+func skewedChainSystem(t *testing.T, opts Options) *System {
+	t.Helper()
+	sys := NewSystemWith(opts)
+	sys.Net = network.UniformWAN(1, 0.01)
+	sys.MustDefineTable("pick", "db-e", "Europe", 10, Col("x", TInt))
+	sys.MustDefineTable("mid", "db-e", "Europe", 2000, Col("x", TInt), Col("y", TInt), Col("v", TFloat))
+	sys.MustDefineTable("wide", "db-a", "Asia", 2000, Col("y", TInt), Col("w", TInt), Col("note", TString))
+	sys.MustDefineTable("tail", "db-n", "NorthAmerica", 5000, Col("w", TInt), Col("tag", TString))
+	var pick, mid, wide, tail []Row
+	for i := int64(0); i < 10; i++ {
+		pick = append(pick, Row{Int(i)})
+	}
+	for i := int64(0); i < 2000; i++ {
+		x, my, wy := i%200, 1+i%199, 1+i%199
+		if x < 10 {
+			my = 0
+		}
+		if i < 400 {
+			wy = 0
+		}
+		mid = append(mid, Row{Int(x), Int(my), Float(float64(i))})
+		wide = append(wide, Row{Int(wy), Int(i), String(fmt.Sprintf("note-%04d-%s", i, strings.Repeat("0123456789", 4)))})
+	}
+	for i := int64(0); i < 5000; i++ {
+		tail = append(tail, Row{Int(i), String(fmt.Sprintf("t%d", i%7))})
+	}
+	for i, name := range []string{"pick", "mid", "wide", "tail"} {
+		sys.MustAddPolicy("ship * from " + name + " to *")
+		sys.MustLoad(name, [][]Row{pick, mid, wide, tail}[i])
+	}
+	for _, st := range []struct {
+		table, col string
+		distinct   int64
+	}{{"pick", "x", 10}, {"mid", "x", 200}, {"mid", "y", 200}, {"wide", "y", 200}, {"wide", "w", 2000}, {"tail", "w", 5000}} {
+		if err := sys.SetColumnStats(st.table, st.col, st.distinct, Int(0), Int(st.distinct-1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// TestFeedbackCorrectsReassociatedJoin: the misestimated subplan is a
+// three-table join, and the FROM order is not the order that runs. The
+// first plan builds pick ⋈ mid ⋈ wide in Asia and ships what it takes
+// for 1000 rows to tail; the actual is filed under the join's identity,
+// not its tree, so the memo group finds it whichever tree created the
+// group, and the second plan joins wide with tail first.
+func TestFeedbackCorrectsReassociatedJoin(t *testing.T) {
+	const query = `
+		SELECT T.tag, W.note, M.v
+		FROM tail T, wide W, mid M, pick P
+		WHERE P.x = M.x AND M.y = W.y AND W.w = T.w`
+	sys := skewedChainSystem(t, Options{Feedback: true})
+	before, err := sys.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sys.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := sys.Explain(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ShippedBytes < 2*second.ShippedBytes {
+		t.Fatalf("shipped %d then %d bytes, want >= 2x fewer once the join's actual is known\nfirst plan:\n%s\nsecond plan:\n%s",
+			first.ShippedBytes, second.ShippedBytes, before, after)
+	}
+	a, b := renderRows(first.Rows), renderRows(second.Rows)
+	sort.Strings(a)
+	sort.Strings(b)
+	if len(a) != 40000 || strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("rows diverged across join orders: %d then %d rows", len(a), len(b))
+	}
+}
+
+// TestEmptyIntermediateKeepsPlanCache: a filter that matches nothing
+// against an estimate of thousands activates one hint on the first run;
+// the re-planned second run and every run after it change nothing, so
+// the third is a plan-cache hit.
+func TestEmptyIntermediateKeepsPlanCache(t *testing.T) {
+	const query = `SELECT D.name, B.v FROM bigfact B, dim D WHERE B.k = D.k AND B.v < 0`
+	sys := misestimatedSystem(t, Options{Feedback: true})
+	var hints [3]int
+	for i := range hints {
+		res, err := sys.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Fatalf("run %d returned %d rows, the fixture should match none", i, len(res.Rows))
+		}
+		hints[i] = sys.Feedback().Summary().ActiveHints
+	}
+	if hints[0] == 0 || hints[2] != hints[1] {
+		t.Fatalf("active hints after each run: %v, want some after the first and no growth after the second", hints)
+	}
+	if hits := sys.PlanCacheStats().Hits; hits == 0 {
+		t.Fatalf("third run re-planned: %+v, epoch %d", sys.PlanCacheStats(), sys.Feedback().Epoch())
 	}
 }
 

@@ -53,7 +53,7 @@ const (
 )
 
 // CardHints supplies observed output cardinalities keyed by canonical
-// subplan digest (plan.Node.SubplanDigest); the feedback store
+// subplan digest (plan.SubplanOf); the feedback store
 // implements it. A hint overrides the statistics-derived estimate —
 // "actuals beat estimates" — for digests the source has high-confidence
 // observations of.
@@ -435,78 +435,6 @@ func (e *Estimator) CardHint(digest string) (float64, bool) {
 		return 0, false
 	}
 	return e.hints.CardHint(digest)
-}
-
-// EstimateTree fills Card and Cost bottom-up for a complete plan tree.
-// The memo performs the same computation incrementally; this helper
-// serves the baseline paths, tests and the executor's accounting. With
-// a hint source attached, each subtree's statistics estimate is
-// overridden by the observed actual when one is active.
-func (e *Estimator) EstimateTree(n *plan.Node) {
-	if e.hints != nil {
-		e.estimateHinted(n)
-		return
-	}
-	inCards := make([]float64, len(n.Children))
-	childCost := 0.0
-	for i, c := range n.Children {
-		e.EstimateTree(c)
-		inCards[i] = c.Card
-		// An IndexLookupJoin's inner TableScan child is never executed
-		// (the index is probed instead), so its cost does not accrue.
-		if n.Kind == plan.IndexLookupJoin && i == 1 {
-			continue
-		}
-		childCost += c.Cost
-	}
-	n.Card = e.NodeCard(n, inCards)
-	n.Cost = childCost + e.CostFor(n, n.Card, inCards...)
-}
-
-// estimateHinted is EstimateTree building canonical subplan digests
-// alongside the bottom-up pass (mirroring plan.SubplanDigest, Ship
-// skipped) so each node's estimate can be corrected from observations.
-func (e *Estimator) estimateHinted(n *plan.Node) string {
-	inCards := make([]float64, len(n.Children))
-	childCost := 0.0
-	kids := make([]string, len(n.Children))
-	for i, c := range n.Children {
-		kids[i] = e.estimateHinted(c)
-		inCards[i] = c.Card
-		if n.Kind == plan.IndexLookupJoin && i == 1 {
-			continue
-		}
-		childCost += c.Cost
-	}
-	n.Card = e.NodeCard(n, inCards)
-	var digest string
-	if n.Kind == plan.Ship && len(n.Children) == 1 {
-		digest = kids[0]
-	} else if n.Kind == plan.IndexScan {
-		// Mirror plan.SubplanDigest: an IndexScan digests as the
-		// Filter(Scan) it implements.
-		digest = plan.IndexScanFilterDigest(n)
-		if card, ok := e.hints.CardHint(digest); ok {
-			n.Card = card
-		}
-	} else {
-		var b strings.Builder
-		b.WriteString(n.CanonOpDigest())
-		b.WriteByte('(')
-		for i, d := range kids {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(d)
-		}
-		b.WriteByte(')')
-		digest = b.String()
-		if card, ok := e.hints.CardHint(digest); ok {
-			n.Card = card
-		}
-	}
-	n.Cost = childCost + e.CostFor(n, n.Card, inCards...)
-	return digest
 }
 
 // NodeCard estimates one operator's output cardinality from its input

@@ -94,13 +94,14 @@ func TestJoinSelAndCard(t *testing.T) {
 	c := plan.NewScan(custStatsTable(), "C", -1)
 	j := plan.NewJoin(c, o, expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("O", "custkey")))
 	est := NewEstimator(j)
-	est.EstimateTree(j)
+	in := []float64{est.NodeCard(c, nil), est.NodeCard(o, nil)}
 	// FK join: |C ⋈ O| = 1000 * 10000 / max(1000,1000) = 10000.
-	if j.Card != 10000 {
-		t.Errorf("join card = %v, want 10000", j.Card)
+	card := est.NodeCard(j, in)
+	if card != 10000 {
+		t.Errorf("join card = %v, want 10000", card)
 	}
-	if j.Cost <= o.Cost+c.Cost {
-		t.Error("join cost must exceed input costs")
+	if est.CostFor(j, card, in...) <= 0 {
+		t.Error("join must cost something on top of its inputs")
 	}
 }
 
@@ -121,24 +122,30 @@ func TestGroupCard(t *testing.T) {
 	}
 }
 
+// TestEstimateTreeFull estimates a Scan → Filter → Aggregate chain bottom-up
+// with NodeCard, the way the memo does per group.
 func TestEstimateTreeFull(t *testing.T) {
 	o := plan.NewScan(statsTable(), "O", -1)
 	f := plan.NewFilter(o, expr.NewCmp(expr.EQ, expr.NewCol("O", "status"), expr.NewConst(expr.NewString("F"))))
 	g := plan.NewAggregate(f, []*expr.Col{expr.NewCol("O", "custkey")},
 		[]plan.NamedAgg{{Fn: expr.AggSum, Arg: expr.NewCol("O", "price"), Name: "total"}})
 	est := NewEstimator(g)
-	est.EstimateTree(g)
-	if o.Card != 10000 {
-		t.Errorf("scan card: %v", o.Card)
+	oCard := est.NodeCard(o, nil)
+	fCard := est.NodeCard(f, []float64{oCard})
+	gCard := est.NodeCard(g, []float64{fCard})
+	if oCard != 10000 {
+		t.Errorf("scan card: %v", oCard)
 	}
-	if f.Card < 3300 || f.Card > 3400 {
-		t.Errorf("filter card: %v", f.Card)
+	if fCard < 3300 || fCard > 3400 {
+		t.Errorf("filter card: %v", fCard)
 	}
-	if g.Card > f.Card || g.Card < 1 {
-		t.Errorf("agg card: %v", g.Card)
+	if gCard > fCard || gCard < 1 {
+		t.Errorf("agg card: %v", gCard)
 	}
-	if !(g.Cost > f.Cost && f.Cost > o.Cost) {
-		t.Errorf("costs must accumulate: %v %v %v", o.Cost, f.Cost, g.Cost)
+	for _, c := range []float64{est.CostFor(o, oCard), est.CostFor(f, fCard, oCard), est.CostFor(g, gCard, fCard)} {
+		if c <= 0 {
+			t.Errorf("every operator of the chain must add cost, got %v", c)
+		}
 	}
 }
 

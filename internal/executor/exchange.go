@@ -44,7 +44,7 @@ type exchangeMsg struct {
 // newExchange builds the Ship operator over src, registering its
 // producer with the environment in goroutine mode.
 func newExchange(n *plan.Node, src BatchOperator, env *execEnv) BatchOperator {
-	p := &exchangeProducer{node: n, src: src, env: env, enc: network.WireEncoder{Opt: env.opt.Wire}}
+	p := &exchangeProducer{node: n, src: src, env: env}
 	if !env.inline {
 		p.ch = make(chan exchangeMsg, exchangeDepth)
 		env.producers = append(env.producers, p)

@@ -15,14 +15,14 @@ import (
 // encodedStreamBytes recomputes, independently of the executors, the
 // wire bytes of shipping rows: the stream framed into BatchSize-row
 // batches, each serialized with the wire encoder.
-func encodedStreamBytes(rows []expr.Row, opt network.WireOptions) int64 {
+func encodedStreamBytes(rows []expr.Row) int64 {
 	var total int64
 	for start := 0; start < len(rows); start += BatchSize {
 		end := start + BatchSize
 		if end > len(rows) {
 			end = len(rows)
 		}
-		total += int64(len(network.EncodeBatch(rows[start:end], opt)))
+		total += int64(len(network.EncodeBatch(rows[start:end], network.WireOptions{})))
 	}
 	return total
 }
@@ -47,7 +47,7 @@ func TestShipAccountsEncodedBytes(t *testing.T) {
 	}
 	// The root SHIP moves exactly the result stream, so the expected
 	// wire bytes are recomputable from the rows alone.
-	want := encodedStreamBytes(rows, network.WireOptions{})
+	want := encodedStreamBytes(rows)
 	if stats.ShippedBytes != want {
 		t.Errorf("ShippedBytes = %d, want %d (encoded frame bytes)", stats.ShippedBytes, want)
 	}
@@ -93,7 +93,7 @@ func TestShipAccountsEncodedBytesMultiFrame(t *testing.T) {
 	if len(rows) <= BatchSize {
 		t.Fatalf("fixture too small: %d rows, need > %d for multi-frame", len(rows), BatchSize)
 	}
-	want := encodedStreamBytes(rows, network.WireOptions{})
+	want := encodedStreamBytes(rows)
 	if stats.ShippedBytes != want {
 		t.Errorf("ShippedBytes = %d, want %d over %d rows", stats.ShippedBytes, want, len(rows))
 	}
@@ -105,51 +105,6 @@ func TestShipAccountsEncodedBytesMultiFrame(t *testing.T) {
 	}
 	if pstats.ShippedBytes != want {
 		t.Errorf("parallel ShippedBytes = %d, want %d", pstats.ShippedBytes, want)
-	}
-}
-
-// TestWireCompressionReducesBytes: with compression on, the ledger
-// prices the compressed frames, results are unchanged, and both
-// engines agree.
-func TestWireCompressionReducesBytes(t *testing.T) {
-	cat, cl := carco(t)
-	c := scanNode(t, cat, "Customer", "C")
-	root := plan.NewShip(c, "N", "E")
-
-	cl.Ledger.Reset()
-	plainRows, plain, err := Run(root, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := ExecOptions{Wire: network.WireOptions{Compress: true}}
-	cl.Ledger.Reset()
-	compRows, compStats, err := RunObservedOpts(context.Background(), root, cl, nil, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc, pc := canon(compRows), canon(plainRows); len(cc) != len(pc) {
-		t.Fatalf("compressed run changed row count: %d vs %d", len(cc), len(pc))
-	} else {
-		for i := range pc {
-			if cc[i] != pc[i] {
-				t.Fatalf("compressed run changed row %d: %s vs %s", i, cc[i], pc[i])
-			}
-		}
-	}
-	// The customer rows carry repetitive strings; compression must win.
-	if compStats.ShippedBytes >= plain.ShippedBytes {
-		t.Errorf("compressed bytes %d >= plain bytes %d", compStats.ShippedBytes, plain.ShippedBytes)
-	}
-	if want := encodedStreamBytes(plainRows, network.WireOptions{Compress: true}); compStats.ShippedBytes != want {
-		t.Errorf("compressed ShippedBytes = %d, want %d", compStats.ShippedBytes, want)
-	}
-	cl.Ledger.Reset()
-	_, ppar, err := RunParallelOpts(context.Background(), root, cl, nil, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ppar.ShippedBytes != compStats.ShippedBytes {
-		t.Errorf("parallel compressed bytes %d != sequential %d", ppar.ShippedBytes, compStats.ShippedBytes)
 	}
 }
 

@@ -34,11 +34,6 @@ type Config struct {
 	NoPolicyCache bool
 }
 
-// Default returns the configuration used by the benchmark harness.
-func Default() Config {
-	return Config{SF: 0.01, ExecSF: 0.002, Repetitions: 3, Seed: 42}
-}
-
 func (c Config) reps() int {
 	if c.Repetitions < 1 {
 		return 1

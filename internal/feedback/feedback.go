@@ -86,7 +86,9 @@ type cardStat struct {
 	actual float64 // EWMA of observed rows
 	qerr   float64 // last q-error of est vs observed
 	maxQ   float64 // worst q-error seen
-	// hint is the active override (0 = inactive). Once active a hint
+	// hint is the active override: 0 = inactive, else ≥ 1 row — an empty
+	// result activates as 1, the floor QError puts under its inputs, so
+	// it reads as active and is not activated again. Once active a hint
 	// never deactivates — after re-optimization the recorded estimate
 	// IS the hint, so an "estimate now accurate" test would oscillate
 	// between activating and deactivating, invalidating the plan cache
@@ -188,15 +190,14 @@ func (s *Store) ObserveOperator(digest string, est, actual float64) {
 	switch {
 	case c.hint == 0:
 		if c.n >= int64(s.opts.MinSamples) && q >= s.opts.ActivateQError {
-			c.hint = c.actual
 			s.active++
 			bump = true
 		}
 	default:
-		if drift := QError(c.hint, c.actual); drift >= s.opts.HintDrift {
-			c.hint = c.actual
-			bump = true
-		}
+		bump = QError(c.hint, c.actual) >= s.opts.HintDrift
+	}
+	if bump {
+		c.hint = math.Max(c.actual, 1)
 	}
 	tracked, active := len(s.cards), s.active
 	s.mu.Unlock()

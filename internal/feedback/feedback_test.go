@@ -108,6 +108,22 @@ func TestHintDriftBumpsEpoch(t *testing.T) {
 	}
 }
 
+// TestEmptyResultHintIsStable: an operator that returns no rows against
+// a large estimate activates once, as a 1-row hint, and further empty
+// executions neither re-activate it nor move the epoch.
+func TestEmptyResultHintIsStable(t *testing.T) {
+	s := NewStore(Options{})
+	for i := 0; i < 5; i++ {
+		s.ObserveOperator("d", 1000, 0)
+	}
+	if sum := s.Summary(); sum.Epoch != 1 || sum.ActiveHints != 1 {
+		t.Fatalf("after 5 empty executions: epoch %d, active hints %d, want 1 and 1", sum.Epoch, sum.ActiveHints)
+	}
+	if hint, ok := s.CardHint("d"); !ok || hint != 1 {
+		t.Fatalf("hint = (%v, %v), want (1, true)", hint, ok)
+	}
+}
+
 func TestBoundedStoreDropsNewDigests(t *testing.T) {
 	s := NewStore(Options{MaxSubplans: 4})
 	for i := 0; i < 10; i++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 
 	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
@@ -25,72 +24,44 @@ type OpQError struct {
 }
 
 // RecordExecution walks an executed located plan with its profile,
-// feeds every operator's (estimate, actual) into the store under its
-// canonical subplan digest, and returns the per-operator q-errors
-// sorted worst-first (capped at maxReportedOps) for the slow-query log.
-// The store may be nil (slow-log-only mode); the q-errors are still
-// computed. Rules that keep the actuals trustworthy:
+// feeds every operator's (estimate, actual) into the store under the
+// digest of the subplan it roots (plan.WalkSubplans: one key per logical
+// subplan, whatever join order or physical operators ran it), and
+// returns the per-operator q-errors sorted worst-first (capped at
+// maxReportedOps) for the slow-query log. The store may be nil
+// (slow-log-only mode); the q-errors are still computed. Rules that keep
+// the actuals trustworthy:
 //
-//   - Ship nodes are digest-transparent and not recorded — a shipped
-//     stream has its producer's cardinality.
+//   - Ship and Project nodes carry their input's digest and cardinality
+//     and are not recorded a second time.
 //   - Subtrees under a Limit are skipped: early termination truncates
 //     their actuals below the true cardinality.
 //   - Re-opened operators (NL-join inner sides) accumulate rows across
 //     opens, so the actual is normalized per open.
-//   - Binary joins are recorded under both child orders; a join's
-//     output cardinality does not depend on which side builds.
 func RecordExecution(s *Store, root *plan.Node, prof *obs.PlanProfile) []OpQError {
 	if root == nil || prof == nil {
 		return nil
 	}
 	var out []OpQError
-	var rec func(n *plan.Node, underLimit bool) string
-	rec = func(n *plan.Node, underLimit bool) string {
-		if n.Kind == plan.Ship && len(n.Children) == 1 {
-			return rec(n.Children[0], underLimit)
-		}
-		below := underLimit || n.Kind.Canon() == plan.Limit
-		kids := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			kids[i] = rec(c, below)
-		}
-		var b strings.Builder
-		b.WriteString(n.CanonOpDigest())
-		b.WriteByte('(')
-		for i, d := range kids {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(d)
-		}
-		b.WriteByte(')')
-		digest := b.String()
-
-		if underLimit {
-			return digest
+	plan.WalkSubplans(root, func(n *plan.Node, digest string, underLimit bool) {
+		kind := n.Kind.Canon()
+		if underLimit || kind == plan.Ship || kind == plan.Project {
+			return
 		}
 		st := prof.Peek(n)
 		if st == nil || st.Opens.Load() == 0 {
-			return digest
+			return
 		}
-		opens := st.Opens.Load()
-		actual := float64(st.Rows.Load()) / float64(opens)
-		est := n.Card
-		s.ObserveOperator(digest, est, actual)
-		if n.Kind.Canon() == plan.Join && len(kids) == 2 {
-			swapped := n.CanonOpDigest() + "(" + kids[1] + "," + kids[0] + ")"
-			s.ObserveOperator(swapped, est, actual)
-		}
+		actual := float64(st.Rows.Load()) / float64(st.Opens.Load())
+		s.ObserveOperator(digest, n.Card, actual)
 		out = append(out, OpQError{
-			Op:     n.Kind.Canon().String(),
+			Op:     kind.String(),
 			Digest: ShortDigest(digest),
-			Est:    est,
+			Est:    n.Card,
 			Actual: actual,
-			QError: QError(est, actual),
+			QError: QError(n.Card, actual),
 		})
-		return digest
-	}
-	rec(root, false)
+	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].QError > out[j].QError })
 	if len(out) > maxReportedOps {
 		out = out[:maxReportedOps]

@@ -14,3 +14,7 @@ func (g *Group) Signature() string {
 func (m *Memo) ExprSignature(e *MExpr) string {
 	return sigKey(m.joinSig(e.Op, e.Children))
 }
+
+// FeedbackDigest exposes the digest the group looks observed actuals up
+// under ("" without a hint source).
+func (g *Group) FeedbackDigest() string { return g.fb.Digest }

@@ -66,13 +66,12 @@ type Group struct {
 	leaves []int
 	conjs  []string
 
-	// fbDigest is the canonical feedback digest of the group (the
-	// creating expression's canonical op digest composed over child
-	// group digests — equal to plan.SubplanDigest of the creating tree;
-	// the digest is tree-shaped, so an actual observed under another join
-	// order of the same relation does not reach the group). Only built
-	// when the estimator carries a hint source; empty otherwise.
-	fbDigest string
+	// fb is the group's subplan identity (plan.SubplanOf over the child
+	// groups' identities), the key observed actuals are looked up under.
+	// For a join group it is the signature above with leaf groups named
+	// by their own identities. Only built when the estimator carries a
+	// hint source.
+	fb plan.Subplan
 
 	// Implementation results (set by Implement).
 	Alts        []*Alt
@@ -305,25 +304,17 @@ func (m *Memo) newGroup(op *plan.Node, children []*Group) *Group {
 	probe := *op
 	probe.Cols = g.Cols
 	g.Card = m.est.NodeCard(&probe, cards)
-	// Feedback: when observed actuals are available, the group's
-	// canonical subplan digest is looked up and a high-confidence actual
-	// replaces the statistics estimate. Groups derive cardinality from
-	// their creating expression, so every downstream estimate (parent
-	// groups, implementation costs, phase-2 ship pricing) sees the
-	// corrected value.
+	// Feedback: a high-confidence observed actual replaces the statistics
+	// estimate. Groups derive cardinality from their creating expression,
+	// so every downstream estimate (parent groups, implementation costs,
+	// phase-2 ship pricing) sees the corrected value.
 	if m.est.HasHints() {
-		var b strings.Builder
-		b.WriteString(op.CanonOpDigest())
-		b.WriteByte('(')
+		kids := make([]plan.Subplan, len(children))
 		for i, c := range children {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c.fbDigest)
+			kids[i] = c.fb
 		}
-		b.WriteByte(')')
-		g.fbDigest = b.String()
-		if card, ok := m.est.CardHint(g.fbDigest); ok {
+		g.fb = plan.SubplanOf(op, kids)
+		if card, ok := m.est.CardHint(g.fb.Digest); ok {
 			g.Card = card
 		}
 	}

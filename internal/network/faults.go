@@ -117,9 +117,6 @@ func NewFaultPlan(seed int64) *FaultPlan {
 	return &FaultPlan{seed: uint64(seed), edges: map[string]EdgeFaults{}}
 }
 
-// Seed returns the plan's seed.
-func (p *FaultPlan) Seed() int64 { return int64(p.seed) }
-
 // SetEdge configures faults for one directed edge.
 func (p *FaultPlan) SetEdge(from, to string, f EdgeFaults) *FaultPlan {
 	p.mu.Lock()

@@ -13,11 +13,11 @@ import (
 //
 //	byte    magic (0xC6)
 //	byte    version (1)
-//	byte    flags (bit0: body is lz-compressed)
+//	byte    flags (0; bit0 is reserved for a compressed body and rejected)
 //	uvarint body length in bytes
 //	body
 //
-// The body (after decompression when flagged) is columnar:
+// The body is columnar:
 //
 //	uvarint row count
 //	uvarint column count
@@ -72,18 +72,14 @@ const (
 // ErrWireCorrupt reports a frame that does not parse.
 var ErrWireCorrupt = errors.New("network: corrupt wire frame")
 
-// WireOptions configures batch encoding.
-type WireOptions struct {
-	// Compress runs the frame body through the built-in LZ compressor
-	// when it shrinks the body.
-	Compress bool
-}
+// WireOptions configures batch encoding. It has no fields left; the type
+// and EncodeBatch's parameter stay for the benchmark module's call sites.
+type WireOptions struct{}
 
 // WireEncoder encodes row batches into wire frames, reusing its buffers
 // across calls. Not safe for concurrent use; each shipping operator
 // owns one.
 type WireEncoder struct {
-	Opt  WireOptions
 	buf  []byte
 	body []byte
 	col  []expr.Value // the column being encoded
@@ -144,24 +140,15 @@ func (e *WireEncoder) encode(src *frameSrc, nCols int) []byte {
 		e.col = src.column(e.col[:0], c)
 		e.body = appendColumn(e.body, e.col, e)
 	}
-	e.buf = append(e.buf[:0], wireMagic, wireVersion)
-	if e.Opt.Compress {
-		compressed := lzCompress(nil, e.body)
-		if len(compressed) < len(e.body) {
-			e.buf = append(e.buf, wireFlagCompressed)
-			e.buf = binary.AppendUvarint(e.buf, uint64(len(compressed)))
-			return append(e.buf, compressed...)
-		}
-	}
-	e.buf = append(e.buf, 0)
+	e.buf = append(e.buf[:0], wireMagic, wireVersion, 0)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(e.body)))
 	return append(e.buf, e.body...)
 }
 
 // EncodeBatch serializes one batch with a throwaway encoder and returns
 // a fresh buffer.
-func EncodeBatch(rows []expr.Row, opt WireOptions) []byte {
-	e := WireEncoder{Opt: opt}
+func EncodeBatch(rows []expr.Row, _ WireOptions) []byte {
+	var e WireEncoder
 	return append([]byte(nil), e.Encode(rows)...)
 }
 
@@ -409,13 +396,14 @@ func (r *wireReader) float() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// decodeBody validates the frame envelope and returns the decompressed
-// body.
+// decodeBody validates the frame envelope and returns the body.
 func decodeBody(frame []byte) ([]byte, error) {
 	if len(frame) < 3 || frame[0] != wireMagic || frame[1] != wireVersion {
 		return nil, ErrWireCorrupt
 	}
-	flags := frame[2]
+	if frame[2]&wireFlagCompressed != 0 {
+		return nil, ErrWireCorrupt // no encoder of this version compresses
+	}
 	bodyLen, n := binary.Uvarint(frame[3:])
 	if n <= 0 {
 		return nil, ErrWireCorrupt
@@ -423,13 +411,6 @@ func decodeBody(frame []byte) ([]byte, error) {
 	body := frame[3+n:]
 	if uint64(len(body)) != bodyLen {
 		return nil, ErrWireCorrupt
-	}
-	if flags&wireFlagCompressed != 0 {
-		raw, err := lzDecompress(body)
-		if err != nil {
-			return nil, err
-		}
-		body = raw
 	}
 	return body, nil
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -21,9 +22,9 @@ func sameValue(a, b expr.Value) bool {
 		math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
-func roundTrip(t *testing.T, name string, rows []expr.Row, opt WireOptions) []byte {
+func roundTrip(t *testing.T, name string, rows []expr.Row) []byte {
 	t.Helper()
-	frame := EncodeBatch(rows, opt)
+	frame := EncodeBatch(rows, WireOptions{})
 	got, err := DecodeBatch(frame)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
@@ -109,33 +110,7 @@ func fixtureRows(name string) []expr.Row {
 // encoded bytes under testdata/.
 func TestWireRoundTripGolden(t *testing.T) {
 	for _, name := range []string{"empty", "typical", "all_null", "dict_overflow", "mixed"} {
-		frame := roundTrip(t, name, fixtureRows(name), WireOptions{})
-		checkGolden(t, name, frame)
-		cframe := roundTrip(t, name+"_compressed", fixtureRows(name), WireOptions{Compress: true})
-		checkGolden(t, name+"_compressed", cframe)
-	}
-}
-
-// TestWireCompressionShrinksRepetitive: a repetitive batch must get
-// smaller under the compression option, and an incompressible tiny one
-// must fall back to the stored form (flag byte 0).
-func TestWireCompressionShrinksRepetitive(t *testing.T) {
-	rows := make([]expr.Row, 512)
-	for i := range rows {
-		rows[i] = expr.Row{expr.NewString("ABABABABABABABAB"), expr.NewInt(7)}
-	}
-	plain := EncodeBatch(rows, WireOptions{})
-	comp := EncodeBatch(rows, WireOptions{Compress: true})
-	if len(comp) >= len(plain) {
-		t.Fatalf("compressed %d >= plain %d", len(comp), len(plain))
-	}
-	tiny := []expr.Row{{expr.NewInt(1)}}
-	ct := EncodeBatch(tiny, WireOptions{Compress: true})
-	if ct[2]&wireFlagCompressed != 0 {
-		t.Fatalf("tiny incompressible frame was flagged compressed")
-	}
-	if _, err := DecodeBatch(ct); err != nil {
-		t.Fatalf("decode stored-mode frame: %v", err)
+		checkGolden(t, name, roundTrip(t, name, fixtureRows(name)))
 	}
 }
 
@@ -172,12 +147,24 @@ func TestWireEncoderReuse(t *testing.T) {
 	}
 }
 
-// TestWireDecodeCorrupt: truncations and bit flips must error, never
-// panic or return wrong rows silently.
+// compressedFlagged returns the frame with flags bit 0 set: what an
+// encoder with body compression would send, which this version has none
+// of and must refuse rather than parse the body as columns.
+func compressedFlagged(frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[2] |= wireFlagCompressed
+	return out
+}
+
+// TestWireDecodeCorrupt: truncations, bit flips and the reserved
+// compression flag must error, never panic or return wrong rows silently.
 func TestWireDecodeCorrupt(t *testing.T) {
-	frame := EncodeBatch(fixtureRows("typical"), WireOptions{Compress: true})
+	frame := EncodeBatch(fixtureRows("typical"), WireOptions{})
 	if _, err := DecodeBatch(nil); err == nil {
 		t.Fatal("nil frame decoded")
+	}
+	if _, err := DecodeBatch(compressedFlagged(frame)); !errors.Is(err, ErrWireCorrupt) {
+		t.Fatalf("frame flagged compressed: err = %v, want ErrWireCorrupt", err)
 	}
 	for cut := 0; cut < len(frame); cut += 7 {
 		if _, err := DecodeBatch(frame[:cut]); err == nil {
@@ -198,7 +185,7 @@ func TestWireDecodeCorrupt(t *testing.T) {
 // a vector form, requires encoding those vectors to produce the bytes
 // that encoding the batch's rows does — shipped bytes are billed by
 // frame length, so the columnar encoder may not differ by a byte.
-func checkEncodeCols(t *testing.T, frame []byte, opt WireOptions) {
+func checkEncodeCols(t *testing.T, frame []byte) {
 	t.Helper()
 	var b expr.Batch
 	if err := DecodeBatchCols(frame, &b); err != nil || b.RowBacked() {
@@ -212,7 +199,7 @@ func checkEncodeCols(t *testing.T, frame []byte, opt WireOptions) {
 		}
 		cols[c] = *v
 	}
-	colEnc, rowEnc := WireEncoder{Opt: opt}, WireEncoder{Opt: opt}
+	var colEnc, rowEnc WireEncoder
 	got := colEnc.EncodeCols(cols, b.Len())
 	if want := rowEnc.Encode(b.Rows()); !bytes.Equal(got, want) {
 		t.Fatalf("EncodeCols wrote %d bytes, Encode of the same batch's rows %d:\n%x\n%x", len(got), len(want), got, want)
@@ -222,17 +209,16 @@ func checkEncodeCols(t *testing.T, frame []byte, opt WireOptions) {
 // TestWireEncodeColsMatchesRows runs checkEncodeCols over every fixture.
 func TestWireEncodeColsMatchesRows(t *testing.T) {
 	for _, name := range []string{"typical", "dict_overflow", "mixed", "empty", "all_null"} {
-		for _, opt := range []WireOptions{{}, {Compress: true}} {
-			checkEncodeCols(t, EncodeBatch(fixtureRows(name), opt), opt)
-		}
+		checkEncodeCols(t, EncodeBatch(fixtureRows(name), WireOptions{}))
 	}
 }
 
 // FuzzWireDecode throws arbitrary bytes at the decoder.
 func FuzzWireDecode(f *testing.F) {
 	for _, name := range []string{"empty", "typical", "mixed"} {
-		f.Add(EncodeBatch(fixtureRows(name), WireOptions{}))
-		f.Add(EncodeBatch(fixtureRows(name), WireOptions{Compress: true}))
+		frame := EncodeBatch(fixtureRows(name), WireOptions{})
+		f.Add(frame)
+		f.Add(compressedFlagged(frame))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := DecodeBatch(data)
@@ -242,36 +228,9 @@ func FuzzWireDecode(f *testing.F) {
 			if err2 != nil || len(again) != len(rows) {
 				t.Fatalf("re-encode of decoded rows failed: %v", err2)
 			}
-			checkEncodeCols(t, data, WireOptions{})
+			checkEncodeCols(t, data)
 		}
 	})
-}
-
-// TestLZRoundTrip exercises the compressor on edge shapes directly.
-func TestLZRoundTrip(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{0},
-		[]byte("abc"),
-		bytes.Repeat([]byte("x"), 100000),
-		bytes.Repeat([]byte("abcd1234"), 997),
-		func() []byte {
-			b := make([]byte, 4096)
-			for i := range b {
-				b[i] = byte(i * 131)
-			}
-			return b
-		}(),
-	}
-	for i, c := range cases {
-		out, err := lzDecompress(lzCompress(nil, c))
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !bytes.Equal(out, c) {
-			t.Fatalf("case %d: round trip mismatch", i)
-		}
-	}
 }
 
 // TestCalibratorFit: the least-squares fit must recover an exact affine

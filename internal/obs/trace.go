@@ -26,12 +26,6 @@ type SpanRec struct {
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
 
-// Start returns the span's offset from the tracer epoch.
-func (r SpanRec) Start() time.Duration { return time.Duration(r.StartUS) * time.Microsecond }
-
-// Dur returns the span's duration.
-func (r SpanRec) Dur() time.Duration { return time.Duration(r.DurUS) * time.Microsecond }
-
 // Attr returns the value of the named annotation ("" when absent).
 func (r SpanRec) Attr(key string) string {
 	for _, a := range r.Attrs {

@@ -47,10 +47,6 @@ type Options struct {
 	// GreedySiteSelection replaces Algorithm 2 with a greedy
 	// cheapest-edge placement (ablation).
 	GreedySiteSelection bool
-	// ResponseTimeObjective makes the site selector minimize the
-	// critical transfer path instead of total communication cost (the
-	// Section 3.3 "query response time" cost model).
-	ResponseTimeObjective bool
 	// ResultLocation pins where the query result must be delivered
 	// ("" = wherever is cheapest).
 	ResultLocation string
@@ -72,10 +68,9 @@ type Options struct {
 // fingerprint renders every option that shapes the optimizer's output
 // (PlanCacheSize only changes caching, not plans) for plan-cache keys.
 func (o Options) fingerprint() string {
-	return fmt.Sprintf("c=%t;im=%d;ma=%d;me=%d;ap=%t;jr=%t;gs=%t;rt=%t;rl=%s;npc=%t;pb=%d",
+	return fmt.Sprintf("c=%t;im=%d;ma=%d;me=%d;ap=%t;jr=%t;gs=%t;rl=%s;npc=%t;pb=%d",
 		o.Compliant, o.ImplicationMode, o.MaxAlts, o.MaxExprs,
-		o.DisableAggPushdown, o.DisableJoinReorder,
-		o.GreedySiteSelection, o.ResponseTimeObjective,
+		o.DisableAggPushdown, o.DisableJoinReorder, o.GreedySiteSelection,
 		o.ResultLocation, o.NoPolicyCache, o.PoolBytes)
 }
 
@@ -331,12 +326,9 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 	located := o.mergeProjections(annotated.Clone(), &evStats)
 	var shipCost float64
 	var err error
-	switch {
-	case o.Opts.GreedySiteSelection:
+	if o.Opts.GreedySiteSelection {
 		located, shipCost, err = greedySelectSites(located, o.Net, o.Opts.ResultLocation)
-	case o.Opts.ResponseTimeObjective:
-		located, shipCost, err = SelectSitesObjective(located, o.Net, o.Opts.ResultLocation, ObjectiveResponseTime)
-	default:
+	} else {
 		located, shipCost, err = SelectSites(located, o.Net, o.Opts.ResultLocation)
 	}
 	ssp.End()

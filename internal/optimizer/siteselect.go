@@ -18,26 +18,7 @@ import (
 // the result); when empty, the cheapest legal root location wins. The
 // input tree is mutated (callers clone extracted plans first).
 func SelectSites(root *plan.Node, net *network.CostModel, resultLoc string) (*plan.Node, float64, error) {
-	return SelectSitesObjective(root, net, resultLoc, ObjectiveTotalCost)
-}
-
-// Objective selects what the site selector minimizes.
-type Objective int
-
-const (
-	// ObjectiveTotalCost minimizes the summed communication cost of all
-	// transfers (the paper's default total-cost model).
-	ObjectiveTotalCost Objective = iota
-	// ObjectiveResponseTime minimizes the critical path: transfers into
-	// an operator proceed in parallel, so an operator's communication
-	// latency is the maximum over its inputs (the "query response time"
-	// cost model of the Section 3.3 discussion).
-	ObjectiveResponseTime
-)
-
-// SelectSitesObjective is SelectSites with an explicit objective.
-func SelectSitesObjective(root *plan.Node, net *network.CostModel, resultLoc string, obj Objective) (*plan.Node, float64, error) {
-	ss := &siteSelector{net: net, obj: obj, cost: map[ssKey]float64{}, pick: map[ssKey][]string{}}
+	ss := &siteSelector{net: net, cost: map[ssKey]float64{}, pick: map[ssKey][]string{}}
 
 	candidates := root.Exec.Slice()
 	finalShip := false
@@ -89,7 +70,6 @@ type ssKey struct {
 
 type siteSelector struct {
 	net  *network.CostModel
-	obj  Objective
 	cost map[ssKey]float64
 	pick map[ssKey][]string // chosen child locations for (node, loc)
 }
@@ -121,13 +101,7 @@ func (ss *siteSelector) costOf(n *plan.Node, l string) float64 {
 					bestLoc = cl
 				}
 			}
-			if ss.obj == ObjectiveResponseTime {
-				// Inputs transfer in parallel: the operator waits for the
-				// slowest one.
-				total = math.Max(total, bestChild)
-			} else {
-				total += bestChild
-			}
+			total += bestChild
 			picks[i] = bestLoc
 		}
 		if !n.Exec.Contains(l) {

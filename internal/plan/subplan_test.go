@@ -88,8 +88,65 @@ func TestSubplanDigestDistinguishesOperators(t *testing.T) {
 func TestCanonOpDigestLeavesNodeIntact(t *testing.T) {
 	s := NewScan(custTable(), "C", -1)
 	s.Kind = TableScan
-	_ = s.CanonOpDigest()
+	_ = s.SubplanDigest()
 	if s.Kind != TableScan {
-		t.Error("CanonOpDigest mutated the node")
+		t.Error("digesting under the logical kind mutated the node")
+	}
+}
+
+// TestJoinDigestIgnoresJoinOrder: every commutation and re-association
+// of one three-way join — under any physical kind, with the reorder
+// projections and shipments a located plan carries — has one digest; a
+// different conjunct is a different subplan.
+func TestJoinDigestIgnoresJoinOrder(t *testing.T) {
+	c := func() *Node { return NewScan(custTable(), "C", -1) }
+	o := func() *Node { return NewScan(ordTable(), "O", -1) }
+	p := func() *Node { return NewScan(ordTable(), "P", -1) }
+	co := expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("O", "custkey"))
+	op := expr.NewCmp(expr.EQ, expr.NewCol("O", "ordkey"), expr.NewCol("P", "ordkey"))
+	cp := expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("P", "custkey"))
+
+	base := NewJoin(NewJoin(c(), o(), co), p(), op).SubplanDigest()
+	reorder := func(n *Node) *Node {
+		projs := make([]NamedExpr, len(n.Cols))
+		for i, cr := range n.Cols {
+			projs[i] = NamedExpr{E: cr.Col(), Name: cr.Name, Type: cr.Type}
+		}
+		pr := NewProject(n, projs)
+		pr.Kind = ProjectExec
+		return &Node{Kind: Ship, Children: []*Node{pr}, Cols: pr.Cols, FromLoc: "N", Loc: "E"}
+	}
+	inner := NewJoin(p(), o(), op)
+	inner.Kind = NLJoin
+	lookup := NewJoin(reorder(inner), c(), co)
+	lookup.Kind = IndexLookupJoin
+	same := map[string]*Node{
+		"commuted":            NewJoin(p(), NewJoin(o(), c(), co), op),
+		"re-associated":       NewJoin(c(), NewJoin(o(), p(), op), co),
+		"conjuncts in one":    NewJoin(c(), NewJoin(o(), p(), nil), expr.NewAnd(op, co)),
+		"physical + reorders": lookup,
+	}
+	for name, n := range same {
+		if got := n.SubplanDigest(); got != base {
+			t.Errorf("%s: digest %q, want %q", name, got, base)
+		}
+	}
+	if got := NewJoin(NewJoin(c(), o(), co), p(), cp).SubplanDigest(); got == base {
+		t.Errorf("a different conjunct kept the digest %q", got)
+	}
+	if a, b := JoinDigest([]string{"x", "y"}, []string{"p"}), JoinDigest([]string{"x"}, []string{"p", "y"}); a == b {
+		t.Errorf("leaves and conjuncts are not delimited: %q", a)
+	}
+}
+
+// TestIndexScanIsFilterOverScan: the access path shares the identity of
+// the logical operators it implements.
+func TestIndexScanIsFilterOverScan(t *testing.T) {
+	pred := expr.NewCmp(expr.LT, expr.NewCol("C", "custkey"), expr.NewConst(expr.NewInt(5)))
+	scan := NewScan(custTable(), "C", -1)
+	idx := *scan
+	idx.Kind, idx.Pred, idx.IdxCol = IndexScan, pred, "custkey"
+	if got, want := idx.SubplanDigest(), NewFilter(scan, pred).SubplanDigest(); got != want {
+		t.Errorf("IndexScan digest %q, Filter(Scan) digest %q", got, want)
 	}
 }

@@ -34,14 +34,6 @@ type Expression struct {
 	To       []string     // legal destinations L_e
 }
 
-// Table returns the expression's first (usually only) base table.
-func (e *Expression) Table() string {
-	if len(e.Tables) == 0 {
-		return ""
-	}
-	return e.Tables[0]
-}
-
 // OwnsTable reports whether the expression ranges over the base table.
 func (e *Expression) OwnsTable(table string) bool {
 	for _, t := range e.Tables {
@@ -259,18 +251,6 @@ func MustParse(src, id, db string) *Expression {
 		panic(err)
 	}
 	return e
-}
-
-// CanonicalizePred rewrites a predicate so every column is qualified with
-// the lowercase base table name and has a lowercase column name. This
-// puts policy predicates and query predicates in the same namespace for
-// the implication test.
-func CanonicalizePred(p expr.Expr, table string) expr.Expr {
-	if p == nil {
-		return nil
-	}
-	canon, _ := canonicalizePolicyPred(p, map[string]string{}, false, strings.ToLower(table))
-	return canon
 }
 
 // canonicalizePolicyPred maps aliases to base tables inside a policy

@@ -19,8 +19,8 @@
 //     plan still compliant under the *current* catalog (Definition 1);
 //     otherwise the entry is dropped and the query re-runs.
 //   - The execution options that shape observable statistics are the
-//     same. An options fingerprint is part of the key (e.g. wire
-//     compression changes shipped bytes).
+//     same. An options fingerprint is part of the key; no option shapes
+//     them today, so every caller passes "".
 //
 // A cache hit is byte-identical to a fresh run: rows are deep-copied on
 // every read (callers may mutate their copy freely), and the replayed
@@ -217,9 +217,6 @@ func New(maxBytes int64) *Cache {
 // SetMetrics installs a metrics registry the cache reports
 // cgdqp_rescache_* counters and gauges into (nil disables).
 func (c *Cache) SetMetrics(reg *obs.Registry) { c.reg = reg }
-
-// MaxBytes returns the configured budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
 // Stats returns a snapshot of the effectiveness counters.
 func (c *Cache) Stats() Stats {

@@ -73,18 +73,6 @@ func (lc *Lifecycle) Plan(sql string) (*optimizer.Result, []string, error) {
 	return res, cols, nil
 }
 
-// execFP fingerprints the execution options that change observable
-// statistics. Exchange mode and kernel mode are deliberately excluded:
-// both modes and both expression paths produce identical rows, RunStats
-// and audit logs (the conformance suite pins this), so their executions
-// share cache entries. The zero ExecOptions fingerprint is "".
-func execFP(eo executor.ExecOptions) string {
-	if eo.Wire.Compress {
-		return "wc"
-	}
-	return ""
-}
-
 // Probe snapshots the query's cache key and validity epochs — it must
 // run before the execution it describes — and looks the result up. On a
 // hit the stored audit records are replayed into the audit log, so a
@@ -95,7 +83,10 @@ func (lc *Lifecycle) Probe(q *Query) (*rescache.Result, bool) {
 	if lc.Cache == nil {
 		return nil, false
 	}
-	q.fill = rescache.Prepare(q.Root, execFP(lc.Exec), lc.View)
+	// No execution option changes rows, RunStats or audit log (the
+	// conformance suite pins this for exchange and kernel mode), so every
+	// execution of a plan shares one entry: the options fingerprint is "".
+	q.fill = rescache.Prepare(q.Root, "", lc.View)
 	r, ok := lc.Cache.Get(q.fill.Key, lc.View)
 	if ok {
 		lc.replay(r.Audit)

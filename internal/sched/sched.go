@@ -77,9 +77,7 @@ type Options struct {
 	ResultCache *rescache.Cache
 	CacheView   rescache.View
 	// Exec overrides the execution options served queries run under
-	// (nil = the defaults: kernels on, plain wire encoding). Options that
-	// change observable statistics (wire compression) key their own
-	// cache entries.
+	// (nil = the defaults: kernels on).
 	Exec *executor.ExecOptions
 
 	// SLOTarget, when set, turns MaxConcurrent/QueueDepth into adaptive
@@ -394,13 +392,6 @@ func (s *Server) Counters() Counters {
 		ResultCacheHits:   s.nResCacheHits.Load(),
 		ExecCoalesced:     s.nExecCoalesced.Load(),
 	}
-}
-
-// QueueDepth returns the current number of admitted-but-waiting queries.
-func (s *Server) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
 }
 
 // Running returns the number of queries currently being served.

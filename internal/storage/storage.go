@@ -32,9 +32,8 @@ type Table struct {
 	// (copy-on-write growth without per-scan copying).
 	rows []expr.Row
 
-	types   []expr.Type             // declared column types ("" untyped legacy tables)
-	idxCols []string                // indexed columns, declaration order
-	idx     map[string]*store.BTree // in-memory indexes (lowercase col)
+	types []expr.Type             // declared column types ("" untyped legacy tables)
+	idx   map[string]*store.BTree // in-memory indexes (lowercase col)
 
 	st *store.Table // persistent backend; nil = in-memory
 }
@@ -58,7 +57,6 @@ func newTableSpec(name string, columns []string, types []expr.Type, indexed []st
 		if t.idx == nil {
 			t.idx = map[string]*store.BTree{}
 		}
-		t.idxCols = append(t.idxCols, col)
 		t.idx[strings.ToLower(col)] = store.NewBTree(t.types[pos] == expr.TString)
 	}
 	return t
@@ -140,14 +138,6 @@ func (t *Table) Batches() (*store.Iterator, bool) {
 
 // Persistent reports whether the table is backed by the paged engine.
 func (t *Table) Persistent() bool { return t.st != nil }
-
-// IndexedColumns returns the indexed column names in declaration order.
-func (t *Table) IndexedColumns() []string {
-	if t.st != nil {
-		return t.st.IndexedColumns()
-	}
-	return t.idxCols
-}
 
 // IndexRangeRows returns rows whose indexed column lies in [lo, hi]
 // (nil bound = unbounded, inclusivity per flag) in (key, insertion)
@@ -240,12 +230,6 @@ func NewDB(name string) *DB {
 func NewPersistentDB(name string, eng *store.Engine) *DB {
 	return &DB{Name: name, tables: map[string]*Table{}, eng: eng}
 }
-
-// Persistent reports whether the database is backed by the paged engine.
-func (db *DB) Persistent() bool { return db.eng != nil }
-
-// Engine returns the persistent engine (nil for in-memory databases).
-func (db *DB) Engine() *store.Engine { return db.eng }
 
 // CreateTable registers an empty untyped table; it fails on duplicates.
 func (db *DB) CreateTable(name string, columns []string) (*Table, error) {

@@ -85,7 +85,6 @@ type BTree struct {
 	root  *bnode
 	first *bnode
 	keys  int               // distinct key count
-	rows  int64             // indexed (non-null) row count
 	dict  map[string]string // string-key dictionary: one canonical copy per distinct key
 }
 
@@ -101,9 +100,6 @@ func NewBTree(stringKeys bool) *BTree {
 
 // Len returns the number of distinct keys.
 func (t *BTree) Len() int { return t.keys }
-
-// Rows returns how many (non-null) rows the index covers.
-func (t *BTree) Rows() int64 { return t.rows }
 
 // InsertValue indexes row id under value v; NULLs and lane mismatches
 // are skipped.
@@ -124,7 +120,6 @@ func (t *BTree) Insert(k Key, id int32) {
 			t.dict[k.S] = k.S
 		}
 	}
-	t.rows++
 	midKey, right := t.insertInto(t.root, k, id)
 	if right != nil {
 		t.root = &bnode{keys: []Key{midKey}, kids: []*bnode{t.root, right}}

@@ -277,21 +277,6 @@ func (e *Engine) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Tables returns the sorted table names.
-func (e *Engine) Tables() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.tables))
-	for _, t := range e.tables {
-		out = append(out, t.name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Pool returns the engine's buffer pool.
-func (e *Engine) Pool() *Pool { return e.pool }
-
 // Stats snapshots the buffer-pool counters.
 func (e *Engine) Stats() PoolStats { return e.pool.Stats() }
 

@@ -24,21 +24,12 @@ type Table struct {
 	idx     map[string]*BTree // lowercase column -> index
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Columns returns the column names.
-func (t *Table) Columns() []string { return t.cols }
-
 // RowCount returns the number of stored rows.
 func (t *Table) RowCount() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.nRows
 }
-
-// IndexedColumns returns the indexed column names in declaration order.
-func (t *Table) IndexedColumns() []string { return t.idxCols }
 
 // file resolves the pager through the engine.
 func (t *Table) file() *tableFile { return t.eng.files[lower(t.name)] }
@@ -182,14 +173,6 @@ func (t *Table) ScanRows() ([]expr.Row, error) {
 		}
 	}
 	return out, nil
-}
-
-// RowsAt fetches the rows with the given ids (in the given order),
-// pinning each touched page once per run of consecutive ids.
-func (t *Table) RowsAt(ids []int32) ([]expr.Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rowsAtLocked(ids)
 }
 
 func (t *Table) rowsAtLocked(ids []int32) ([]expr.Row, error) {

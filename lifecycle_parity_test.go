@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cgdqp/internal/executor"
-	"cgdqp/internal/network"
 )
 
 // lifecycleRun is what one front end observed for a statement sequence.
@@ -142,39 +141,36 @@ func TestLifecycleParity(t *testing.T) {
 	}
 }
 
-// TestServeExecOptionsKeyTheCache: a server whose execution options
-// change observable statistics must not be served entries filled under
-// other options — the fingerprint follows ServeOptions.Exec itself.
+// TestServeExecOptionsKeyTheCache: ServeOptions.Exec replaces the
+// system's execution options, and no execution option changes rows,
+// RunStats or audit log — so none of them keys the cache: a server on
+// the row interpreter is served the entry a kernel execution filled, and
+// when it executes for itself it reports the very same statistics.
 func TestServeExecOptionsKeyTheCache(t *testing.T) {
+	interp := ServeOptions{Exec: &executor.ExecOptions{NoKernels: true}}
 	sys := rcFixture(t, Options{ResultCacheBytes: 1 << 20})
 	plain, err := sys.Query(rcJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := sys.Serve(ServeOptions{Exec: &executor.ExecOptions{Wire: network.WireOptions{Compress: true}}})
+	srv := sys.Serve(interp)
 	defer srv.Close()
-	first, err := srv.Do(context.Background(), rcJoinQuery)
+	served, err := srv.Do(context.Background(), rcJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.CacheHit {
-		t.Fatal("compressed-wire server was served the uncompressed execution's entry")
+	if !served.CacheHit || served.Stats.ShippedBytes != plain.ShippedBytes {
+		t.Errorf("interpreter server: hit=%v, %d bytes, want the kernel execution's entry with %d",
+			served.CacheHit, served.Stats.ShippedBytes, plain.ShippedBytes)
 	}
-	if first.Stats.ShippedBytes >= plain.ShippedBytes {
-		t.Errorf("compression did not shrink the shipment: %d vs %d bytes", first.Stats.ShippedBytes, plain.ShippedBytes)
-	}
-	second, err := srv.Do(context.Background(), rcJoinQuery)
+
+	uncached := rcFixture(t, Options{}).Serve(interp)
+	defer uncached.Close()
+	fresh, err := uncached.Do(context.Background(), rcJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.CacheHit || second.Stats != first.Stats {
-		t.Errorf("repeat under the same options: hit=%v stats %+v, want a hit replaying %+v", second.CacheHit, second.Stats, first.Stats)
-	}
-	again, err := sys.Query(rcJoinQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached || again.ShippedBytes != plain.ShippedBytes {
-		t.Errorf("uncompressed entry lost: cached=%v, %d bytes, want a hit with %d", again.Cached, again.ShippedBytes, plain.ShippedBytes)
+	if fresh.CacheHit || fresh.Stats != served.Stats {
+		t.Errorf("interpreter execution: hit=%v stats %+v, the shared entry replays %+v", fresh.CacheHit, fresh.Stats, served.Stats)
 	}
 }
