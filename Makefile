@@ -4,10 +4,10 @@ GO ?= go
 
 # Tier-1 verification gate: build, lint (vet + gofmt), full test suite
 # (cmd/cgdqp included), the race detector over every internal package
-# and the root package's concurrency and invalidation tests,
-# a 1-iteration pass over the optimizer benchmarks so they cannot rot,
-# the nested benchmark module, which compiles against the engine, and
-# last the line count ROADMAP item 6 tracks.
+# and the whole root package, a 1-iteration pass over the optimizer
+# benchmarks so they cannot rot, the nested benchmark module, which
+# compiles against the engine, and last the line count ROADMAP item 6
+# tracks.
 verify: build lint test race benchsmoke benchcheck loc
 
 build:
@@ -24,11 +24,9 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# The second step race-checks policy-catalog churn against a live Server
-# (seconds); the rest of the root package runs unraced in `test`.
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -run 'Epoch|Revocation|Interleavings|Concurrent' .
+	$(GO) test -race .
 
 benchsmoke:
 	$(GO) test -run NONE -bench Optimize -benchtime 1x .

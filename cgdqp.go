@@ -143,9 +143,9 @@ type Options struct {
 	Retry *RetryPolicy
 	// PlanCacheSize bounds the optimizer's whole-plan LRU cache (entries).
 	// 0 uses optimizer.DefaultPlanCacheSize; negative disables caching.
-	// Cached plans are keyed on the versions of the policy catalog, cost
-	// model and feedback hints, so a change to any of them is never
-	// answered from the cache.
+	// Cached plans are keyed on the versions of the schema and policy
+	// catalogs, cost model and feedback hints, so a change to any of them
+	// is never answered from the cache.
 	PlanCacheSize int
 	// Trace records query-lifecycle spans (parse/bind, optimizer phases,
 	// fragment pipelines, every shipment attempt with retries) into the
@@ -225,12 +225,10 @@ type (
 // geo-distributed catalog, a policy catalog, a simulated cluster holding
 // data, and the compliance-based optimizer.
 //
-// Policies may be mutated directly (Add, AddAll, Remove) at any time,
-// also while servers from Serve run: the catalog versions itself and
-// every cache reads that version. Assigning a different catalog to
-// Schema or Policies makes the next Optimizer call build a new
-// optimizer over it; like a schema or statistics change, that is not
-// seen by a Server started earlier.
+// Policies, statistics and indexes may be changed at any time — through
+// the system or directly on the exported catalogs — also while servers
+// from Serve run: both catalogs version themselves and every cache reads
+// those versions.
 type System struct {
 	Schema   *schema.Catalog
 	Policies *policy.Catalog
@@ -240,8 +238,8 @@ type System struct {
 	opts Options
 
 	// lc is the query lifecycle and the system's one copy of its parts:
-	// the optimizer (nil until built, and again after invalidate), the
-	// cluster (nil until opened), the sinks enabled by
+	// the optimizer (nil until built), the cluster (nil until opened),
+	// the sinks enabled by
 	// Options.Trace/Metrics/Audit (a nil Obs keeps execution hooks free),
 	// the result cache with its view, the feedback store and the
 	// slow-query log (each nil unless its option is set).
@@ -322,10 +320,18 @@ func (s *System) AuditLog() *AuditLog { return s.lc.Obs.AuditSink() }
 
 // DefineTable registers a single-site table: db names the database at
 // the location; rows is the expected cardinality used by the optimizer's
-// cost model (statistics can be refined with SetColumnStats).
+// cost model (statistics can be refined with SetColumnStats). Sites and
+// storage tables are created with the cluster, so define every table
+// before the first load or query.
 func (s *System) DefineTable(name, db, location string, rows int64, cols ...Column) error {
-	s.invalidate()
-	return s.Schema.AddTable(schema.NewTable(name, db, location, rows, cols...))
+	return s.defineTable(schema.NewTable(name, db, location, rows, cols...))
+}
+
+func (s *System) defineTable(t *schema.Table) error {
+	if s.lc.Cluster != nil {
+		return fmt.Errorf("cgdqp: table %s defined after the cluster was created; define tables before loading", t.Name)
+	}
+	return s.Schema.AddTable(t)
 }
 
 // MustDefineTable is DefineTable panicking on error.
@@ -338,8 +344,7 @@ func (s *System) MustDefineTable(name, db, location string, rows int64, cols ...
 // DefineFragmentedTable registers a horizontally fragmented table: one
 // fragment per (db, location, rowcount) triple.
 func (s *System) DefineFragmentedTable(name string, cols []Column, fragments []schema.Fragment) error {
-	s.invalidate()
-	return s.Schema.AddTable(&schema.Table{Name: name, Columns: cols, Fragments: fragments})
+	return s.defineTable(&schema.Table{Name: name, Columns: cols, Fragments: fragments})
 }
 
 // DefineIndex declares B+ tree secondary indexes over the named columns
@@ -348,23 +353,10 @@ func (s *System) DefineFragmentedTable(name string, cols []Column, fragments []s
 // IndexLookupJoin access paths for them. Indexes are created with the
 // storage tables, so declare them before the first load.
 func (s *System) DefineIndex(table string, columns ...string) error {
-	t, ok := s.Schema.Table(table)
-	if !ok {
-		return fmt.Errorf("cgdqp: unknown table %q", table)
-	}
 	if s.lc.Cluster != nil {
 		return fmt.Errorf("cgdqp: DefineIndex(%s) after the cluster was created; declare indexes before loading", table)
 	}
-	for _, col := range columns {
-		if _, ok := t.Column(col); !ok {
-			return fmt.Errorf("cgdqp: table %q has no column %q", table, col)
-		}
-		if !t.Indexed(col) {
-			t.Indexes = append(t.Indexes, col)
-		}
-	}
-	s.invalidate()
-	return nil
+	return s.Schema.AddIndex(table, columns...)
 }
 
 // MustDefineIndex is DefineIndex panicking on error.
@@ -376,13 +368,7 @@ func (s *System) MustDefineIndex(table string, columns ...string) {
 
 // SetColumnStats records optimizer statistics for a column.
 func (s *System) SetColumnStats(table, column string, distinct int64, min, max Value) error {
-	t, ok := s.Schema.Table(table)
-	if !ok {
-		return fmt.Errorf("cgdqp: unknown table %q", table)
-	}
-	s.invalidate()
-	t.SetColStats(column, schema.ColStats{Distinct: distinct, Min: min, Max: max})
-	return nil
+	return s.Schema.SetColStats(table, column, schema.ColStats{Distinct: distinct, Min: min, Max: max})
 }
 
 // AddPolicy registers a policy expression. The owning database is taken
@@ -509,7 +495,6 @@ func (s *System) LoadFragment(table string, fragIdx int, rows []Row) error {
 // engine's ANALYZE. Run it after loading so cardinality estimates match
 // reality.
 func (s *System) Analyze() error {
-	s.invalidate()
 	return s.Cluster().AnalyzeAll(s.Schema)
 }
 
@@ -605,14 +590,6 @@ func (s *System) network() *network.CostModel {
 	return s.Net
 }
 
-// invalidate drops the optimizer after schema or statistics changes —
-// those can alter locations, descriptors and costs, so the memo,
-// evaluator universe and plan cache are rebuilt from scratch. Policy
-// and price changes never come through here: their owners version them
-// (policy.Catalog.Version, network.CostModel.Version) and the caches
-// read those versions, so servers holding the optimizer see them too.
-func (s *System) invalidate() { s.lc.Opt = nil }
-
 // ResultCacheStats reports the result cache's effectiveness. Always
 // safe to call: with the cache disabled it returns the zero value.
 func (s *System) ResultCacheStats() rescache.Stats {
@@ -655,9 +632,11 @@ func (s *System) EnableAutoCalibration(everyN int) *Calibrator {
 	return cal
 }
 
-// Optimizer returns the compliance-based optimizer over the current
-// catalogs, building one when there is none or when Schema or Policies
-// no longer point at the catalogs the held one was built over.
+// Optimizer returns the compliance-based optimizer over the catalogs,
+// built on first use and again only when Schema or Policies has been
+// pointed at a different catalog (a Server started earlier keeps the old
+// one). Changes inside a catalog need no rebuild: the optimizer's caches
+// read the catalogs' versions.
 func (s *System) Optimizer() *optimizer.Optimizer {
 	if o := s.lc.Opt; o == nil || o.Schema != s.Schema || o.Policies != s.Policies {
 		pcs := s.opts.PlanCacheSize
@@ -677,8 +656,6 @@ func (s *System) Optimizer() *optimizer.Optimizer {
 		})
 		s.lc.Opt.SetObserver(s.lc.Obs)
 		if s.lc.Feedback != nil {
-			// Installed on every (re)build, so feedback survives the
-			// optimizer teardown that schema changes trigger.
 			s.lc.Opt.SetFeedback(s.lc.Feedback)
 		}
 	}

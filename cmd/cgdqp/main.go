@@ -112,7 +112,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	feedbackOn := fs.Bool("feedback", false, "record per-operator actuals from every execution and let the optimizer cost with observed cardinalities (continuous wire calibration included)")
 	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
-	sloTarget := fs.Duration("slo-target", 0, "serving mode: adaptively tune max-concurrent/queue-depth against this e2e p99 target (0 = static limits)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
 	dataDir := fs.String("data-dir", "", "persist per-site table data under this directory with the paged storage engine (empty = in-memory); reopening a populated directory recovers from the WAL and skips the TPC-H load")
 	bufferPool := fs.Int64("buffer-pool", 0, "persistent-store buffer pool budget in bytes (0 = 64 MiB default); also feeds the optimizer's index access-path costing")
@@ -227,7 +226,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return sh.runServe(*workloadMix, *qps, *clients, *duration, cgdqp.ServeOptions{
 			MaxConcurrent: *maxConcurrent, QueueDepth: *queueDepth,
 			SiteSlots: *siteSlots, QueryTimeout: *queryTimeout,
-			SLOTarget: *sloTarget,
 		})
 	}
 
@@ -465,10 +463,5 @@ func (sh *shell) runServe(mix string, qps float64, clients int, duration time.Du
 		c.Executed, c.ResultCacheHits, c.ExecCoalesced)
 	fmt.Fprintf(sh.out, "latency p50 %v  p99 %v  max %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
-	if opts.SLOTarget > 0 {
-		em, eq := srv.Tuning()
-		fmt.Fprintf(sh.out, "adaptive admission: effective max-concurrent %d, queue-depth %d (SLO target %v)\n",
-			em, eq, opts.SLOTarget)
-	}
 	return 0
 }

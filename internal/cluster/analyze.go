@@ -17,8 +17,10 @@ import (
 // count, min/max and distinct come straight from the B+ tree (exact,
 // and identical to what the row scan would compute) — a fully indexed
 // table is analyzed without decoding a single page. Fragmented tables
-// and unindexed columns fall back to the scanning path.
-func (c *Cluster) Analyze(t *schema.Table) error {
+// and unindexed columns fall back to the scanning path. The result is
+// published through the catalog in one step, so queries may be planned
+// meanwhile.
+func (c *Cluster) Analyze(cat *schema.Catalog, t *schema.Table) error {
 	type colAcc struct {
 		distinct map[uint64]struct{}
 		min, max expr.Value
@@ -26,9 +28,10 @@ func (c *Cluster) Analyze(t *schema.Table) error {
 	}
 	fromIndex := make([]bool, len(t.Columns))
 	idxStats := make([]schema.ColStats, len(t.Columns))
+	fragRows := make([]int64, len(t.Fragments))
 	if len(t.Fragments) == 1 {
 		if tab, err := c.fragmentTable(t, 0); err == nil {
-			t.Fragments[0].RowCount = int64(tab.RowCount())
+			fragRows[0] = int64(tab.RowCount())
 			for i, col := range t.Columns {
 				if min, max, distinct, ok := tab.IndexStats(col.Name); ok {
 					idxStats[i] = schema.ColStats{Distinct: int64(distinct), Min: min, Max: max}
@@ -53,7 +56,7 @@ func (c *Cluster) Analyze(t *schema.Table) error {
 			if err != nil {
 				return err
 			}
-			t.Fragments[fi].RowCount = int64(len(rows))
+			fragRows[fi] = int64(len(rows))
 			for _, row := range rows {
 				if len(row) != len(t.Columns) {
 					return fmt.Errorf("cluster: analyze %s: row width %d != %d columns", t.Name, len(row), len(t.Columns))
@@ -78,24 +81,25 @@ func (c *Cluster) Analyze(t *schema.Table) error {
 			}
 		}
 	}
+	stats := make(map[string]schema.ColStats, len(t.Columns))
 	for i, col := range t.Columns {
 		if fromIndex[i] {
-			t.SetColStats(col.Name, idxStats[i])
+			stats[col.Name] = idxStats[i]
 			continue
 		}
 		st := schema.ColStats{Distinct: int64(len(accs[i].distinct))}
 		if accs[i].seen {
 			st.Min, st.Max = accs[i].min, accs[i].max
 		}
-		t.SetColStats(col.Name, st)
+		stats[col.Name] = st
 	}
-	return nil
+	return cat.SetTableStats(t.Name, fragRows, stats)
 }
 
 // AnalyzeAll runs Analyze over every table of the catalog.
 func (c *Cluster) AnalyzeAll(cat *schema.Catalog) error {
 	for _, t := range cat.Tables() {
-		if err := c.Analyze(t); err != nil {
+		if err := c.Analyze(cat, t); err != nil {
 			return err
 		}
 	}

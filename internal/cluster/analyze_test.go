@@ -30,7 +30,7 @@ func TestAnalyze(t *testing.T) {
 	if err := cl.LoadFragment(tab, 0, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Analyze(tab); err != nil {
+	if err := cl.Analyze(cat, tab); err != nil {
 		t.Fatal(err)
 	}
 	// Row count corrected from the declared 999.
@@ -71,8 +71,8 @@ func TestAnalyzeAllFragmented(t *testing.T) {
 	if err := cl.AnalyzeAll(cat); err != nil {
 		t.Fatal(err)
 	}
-	if frag.Fragments[0].RowCount != 2 || frag.Fragments[1].RowCount != 3 {
-		t.Errorf("fragment counts: %+v", frag.Fragments)
+	if frag.FragmentRows(0) != 2 || frag.FragmentRows(1) != 3 {
+		t.Errorf("fragment counts: %d, %d", frag.FragmentRows(0), frag.FragmentRows(1))
 	}
 	if st := frag.Stats("a"); st.Distinct != 4 || st.Max.Int() != 4 {
 		t.Errorf("stats: %+v", st)

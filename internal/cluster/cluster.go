@@ -182,7 +182,7 @@ func NewWithStore(cat *schema.Catalog, net *network.CostModel, cfg *StoreConfig)
 			if site == nil {
 				continue
 			}
-			if _, err := site.DB.CreateTableSpec(fragName(t, i), t.ColumnNames(), types, t.Indexes); err != nil {
+			if _, err := site.DB.CreateTableSpec(fragName(t, i), t.ColumnNames(), types, t.IndexList()); err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: create %s at %s: %w", t.Name, t.Fragments[i].Location, err)
 			}

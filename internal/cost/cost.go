@@ -102,7 +102,7 @@ func (e *Estimator) Distinct(c *expr.Col, fallback float64) float64 {
 // fragment).
 func ScanCard(t *schema.Table, fragIdx int) float64 {
 	if fragIdx >= 0 && fragIdx < len(t.Fragments) {
-		return float64(t.Fragments[fragIdx].RowCount)
+		return float64(t.FragmentRows(fragIdx))
 	}
 	return float64(t.RowCount())
 }

@@ -321,7 +321,7 @@ func (e *exchangeOp) NextBatch() (*Batch, error) {
 	}
 	// Frames decode straight into column vectors: downstream kernels run
 	// on the decoded lanes with no row materialization, and the row view
-	// (when an operator does need it) reproduces DecodeBatch exactly.
+	// (when an operator does need it) reproduces the encoded tuples exactly.
 	b := NewBatch()
 	if err := network.DecodeBatchCols(frame, b.Data()); err != nil {
 		b.Release()

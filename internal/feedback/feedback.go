@@ -4,9 +4,8 @@
 // tracking) and per-query end-to-end latency samples. Consumers: the
 // optimizer overrides stale statistics with high-confidence actuals
 // (guarded by a feedback epoch so plan caches invalidate safely), the
-// scheduler adapts admission limits to an SLO and weights gang site
-// slots by observed fragment cost, and a structured slow-query log
-// explains outliers. Everything is nil-safe: a nil *Store ignores
+// scheduler weights gang site slots by observed fragment cost, and a
+// structured slow-query log explains outliers. Everything is nil-safe: a nil *Store ignores
 // writes and returns no hints, so disabled paths stay deterministic.
 package feedback
 

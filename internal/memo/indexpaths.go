@@ -182,11 +182,8 @@ func (m *Memo) indexScanAlts(e *MExpr, eCols []plan.ColRef, cfg *ImplConfig) []*
 		return nil
 	}
 	t := scanOp.Table
-	if len(t.Indexes) == 0 {
-		return nil
-	}
 	var out []*Alt
-	for _, idxName := range t.Indexes {
+	for _, idxName := range t.IndexList() {
 		col, ok := t.Column(idxName)
 		if !ok || !indexableType(col.Type) {
 			continue
@@ -243,7 +240,7 @@ func (m *Memo) indexLookupJoinAlt(e *MExpr, left *Alt, eCols []plan.ColRef, cfg 
 		return nil
 	}
 	t := scanOp.Table
-	if len(t.Indexes) == 0 {
+	if len(t.IndexList()) == 0 {
 		return nil
 	}
 	// Find an equi conjunct inner.idxCol = outer.col with lane-compatible

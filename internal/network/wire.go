@@ -430,34 +430,14 @@ func (r *wireReader) dims() (nRows, nCols int, err error) {
 	return int(rows), int(cols), nil
 }
 
-// DecodeBatch parses one frame produced by Encode and returns the rows.
+// DecodeBatch parses one frame produced by Encode and returns the rows:
+// the row view of the batch DecodeBatchCols decodes.
 func DecodeBatch(frame []byte) ([]expr.Row, error) {
-	body, err := decodeBody(frame)
-	if err != nil {
+	var b expr.Batch
+	if err := DecodeBatchCols(frame, &b); err != nil {
 		return nil, err
 	}
-	r := &wireReader{b: body}
-	nRows, nCols, err := r.dims()
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]expr.Value, nRows*nCols)
-	rows := make([]expr.Row, nRows)
-	for i := range rows {
-		rows[i] = cells[i*nCols : (i+1)*nCols : (i+1)*nCols]
-	}
-	for c := 0; c < nCols; c++ {
-		if err := decodeColumn(r, rows, c, nRows); err != nil {
-			return nil, err
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireCorrupt, len(r.b)-r.pos)
-	}
-	return rows, nil
+	return b.Rows(), nil
 }
 
 // DecodeBatchCols parses one frame directly into dst as owned column
@@ -465,8 +445,9 @@ func DecodeBatch(frame []byte) ([]expr.Row, error) {
 // exchange operators feed decoded SHIP frames straight into columnar
 // pipelines. Every decoded vector reproduces the encoded values exactly
 // (lane payloads, NULL type tags), so a consumer that does materialize
-// rows gets bit-identical tuples to DecodeBatch. A frame containing a
-// mixed (not lane-pure) column falls back to row decoding into dst.
+// rows gets the encoded tuples bit for bit. A mixed (not lane-pure)
+// column has no vector form: a frame containing one is decoded by
+// columns all the same and dst left row-backed over the result.
 func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
 	body, err := decodeBody(frame)
 	if err != nil {
@@ -478,19 +459,19 @@ func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
 		return err
 	}
 	dst.StartCols(nCols, nRows)
+	var mixed [][]expr.Value // per column; nil for a lane-pure one
 	for c := 0; c < nCols; c++ {
-		ok, err := decodeColumnVec(r, dst.OwnCol(c), nRows)
+		ok, err := decodeColumnVec(r, dst, c, nRows)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			// Mixed column: no single lane holds it. Decode row-wise.
-			rows, err := DecodeBatch(frame)
-			if err != nil {
+			if mixed == nil {
+				mixed = make([][]expr.Value, nCols)
+			}
+			if mixed[c], err = decodeMixedColumn(r, nRows); err != nil {
 				return err
 			}
-			dst.SetRows(rows)
-			return nil
 		}
 	}
 	if r.err != nil {
@@ -500,12 +481,22 @@ func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrWireCorrupt, len(r.b)-r.pos)
 	}
 	dst.FinishCols()
+	if mixed != nil {
+		rows := dst.Rows()
+		for c, vals := range mixed {
+			for i, v := range vals {
+				rows[i][c] = v
+			}
+		}
+		dst.SetRows(rows)
+	}
 	return nil
 }
 
-// decodeColumnVec decodes one lane-pure column into v. ok is false
-// (without error) for a colMixed tag, which has no vector form.
-func decodeColumnVec(r *wireReader, v *expr.Vec, n int) (bool, error) {
+// decodeColumnVec decodes one lane-pure column into dst's column c. ok
+// is false (without error) for a colMixed tag, which has no vector form:
+// the column stays unset and its values follow (decodeMixedColumn).
+func decodeColumnVec(r *wireReader, dst *expr.Batch, c, n int) (bool, error) {
 	tag := r.byte()
 	flags := r.byte()
 	if r.err != nil {
@@ -514,6 +505,7 @@ func decodeColumnVec(r *wireReader, v *expr.Vec, n int) (bool, error) {
 	if tag == colMixed {
 		return false, nil
 	}
+	v := dst.OwnCol(c)
 	var nullBytes []byte
 	nullT := expr.TNull
 	if flags&colFlagNulls != 0 {
@@ -610,133 +602,36 @@ func decodeColumnVec(r *wireReader, v *expr.Vec, n int) (bool, error) {
 	return true, r.err
 }
 
-func decodeColumn(r *wireReader, rows []expr.Row, c, n int) error {
-	tag := r.byte()
-	flags := r.byte()
-	if r.err != nil {
-		return r.err
-	}
-	if tag == colMixed {
-		return decodeMixedColumn(r, rows, c, n)
-	}
-	var nulls []byte
-	nullV := expr.NullValue()
-	if flags&colFlagNulls != 0 {
-		nt := r.byte()
-		if nt != 0 {
-			nullV = expr.TypedNull(expr.Type(nt))
-		}
-		nulls = r.bytes((n + 7) / 8)
-	}
-	isNull := func(i int) bool {
-		return nulls != nil && nulls[i/8]&(1<<uint(i%8)) != 0
-	}
-	switch tag {
-	case colAllNull:
-		for i := 0; i < n; i++ {
-			rows[i][c] = nullV
-		}
-	case colInt, colDate:
-		t := expr.Type(tag)
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				rows[i][c] = nullV
-				continue
-			}
-			v := r.zigzag()
-			if t == expr.TDate {
-				rows[i][c] = expr.NewDate(v)
-			} else {
-				rows[i][c] = expr.NewInt(v)
-			}
-		}
-	case colFloat:
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				rows[i][c] = nullV
-				continue
-			}
-			rows[i][c] = expr.NewFloat(r.float())
-		}
-	case colBool:
-		bits := r.bytes((n + 7) / 8)
-		if r.err != nil {
-			return r.err
-		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				rows[i][c] = nullV
-				continue
-			}
-			rows[i][c] = expr.NewBool(bits[i/8]&(1<<uint(i%8)) != 0)
-		}
-	case colString:
-		if flags&colFlagDict != 0 {
-			dn := int(r.uvarint())
-			if r.err != nil || dn < 0 || dn > wireDictMax {
-				r.fail()
-				return r.err
-			}
-			dict := make([]string, dn)
-			for j := range dict {
-				dict[j] = string(r.bytes(int(r.uvarint())))
-			}
-			for i := 0; i < n; i++ {
-				if isNull(i) {
-					rows[i][c] = nullV
-					continue
-				}
-				ix := int(r.uvarint())
-				if r.err != nil || ix >= dn {
-					r.fail()
-					return r.err
-				}
-				rows[i][c] = expr.NewString(dict[ix])
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if isNull(i) {
-					rows[i][c] = nullV
-					continue
-				}
-				rows[i][c] = expr.NewString(string(r.bytes(int(r.uvarint()))))
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown column tag %#x", ErrWireCorrupt, tag)
-	}
-	return r.err
-}
-
-func decodeMixedColumn(r *wireReader, rows []expr.Row, c, n int) error {
-	for i := 0; i < n; i++ {
+func decodeMixedColumn(r *wireReader, n int) ([]expr.Value, error) {
+	vals := make([]expr.Value, n)
+	for i := range vals {
 		vt := r.byte()
 		if r.err != nil {
-			return r.err
+			return nil, r.err
 		}
 		if vt&0x80 != 0 {
 			t := expr.Type(vt &^ 0x80)
 			if t == expr.TNull {
-				rows[i][c] = expr.NullValue()
+				vals[i] = expr.NullValue()
 			} else {
-				rows[i][c] = expr.TypedNull(t)
+				vals[i] = expr.TypedNull(t)
 			}
 			continue
 		}
 		switch expr.Type(vt) {
 		case expr.TInt:
-			rows[i][c] = expr.NewInt(r.zigzag())
+			vals[i] = expr.NewInt(r.zigzag())
 		case expr.TDate:
-			rows[i][c] = expr.NewDate(r.zigzag())
+			vals[i] = expr.NewDate(r.zigzag())
 		case expr.TFloat:
-			rows[i][c] = expr.NewFloat(r.float())
+			vals[i] = expr.NewFloat(r.float())
 		case expr.TString:
-			rows[i][c] = expr.NewString(string(r.bytes(int(r.uvarint()))))
+			vals[i] = expr.NewString(string(r.bytes(int(r.uvarint()))))
 		case expr.TBool:
-			rows[i][c] = expr.NewBool(r.byte() != 0)
+			vals[i] = expr.NewBool(r.byte() != 0)
 		default:
-			return fmt.Errorf("%w: unknown value tag %#x", ErrWireCorrupt, vt)
+			return nil, fmt.Errorf("%w: unknown value tag %#x", ErrWireCorrupt, vt)
 		}
 	}
-	return r.err
+	return vals, r.err
 }

@@ -102,6 +102,15 @@ func fixtureRows(name string) []expr.Row {
 			{expr.NewFloat(-0.0), expr.NewBool(true)},
 			{expr.NullValue(), expr.NewDate(-40000)},
 		}
+	case "mixed_between":
+		// A mixed column between two lane-pure ones, typed NULLs in all
+		// three: the frame decodes by columns and keeps every type tag.
+		return []expr.Row{
+			{expr.NewInt(7), expr.NewString("x"), expr.NewString("EU")},
+			{expr.TypedNull(expr.TInt), expr.TypedNull(expr.TDate), expr.NewString("AS")},
+			{expr.NewInt(-7), expr.NewFloat(2.5), expr.TypedNull(expr.TString)},
+			{expr.NewInt(0), expr.NullValue(), expr.NewString("EU")},
+		}
 	}
 	return nil
 }
@@ -109,7 +118,7 @@ func fixtureRows(name string) []expr.Row {
 // TestWireRoundTripGolden round-trips each fixture and pins its exact
 // encoded bytes under testdata/.
 func TestWireRoundTripGolden(t *testing.T) {
-	for _, name := range []string{"empty", "typical", "all_null", "dict_overflow", "mixed"} {
+	for _, name := range []string{"empty", "typical", "all_null", "dict_overflow", "mixed", "mixed_between"} {
 		checkGolden(t, name, roundTrip(t, name, fixtureRows(name)))
 	}
 }
@@ -137,7 +146,7 @@ func TestWireDictionaryChosen(t *testing.T) {
 // bytes as the one-shot helper for consecutive different batches.
 func TestWireEncoderReuse(t *testing.T) {
 	var enc WireEncoder
-	for _, name := range []string{"typical", "dict_overflow", "mixed", "empty", "all_null"} {
+	for _, name := range []string{"typical", "dict_overflow", "mixed", "mixed_between", "empty", "all_null"} {
 		rows := fixtureRows(name)
 		got := enc.Encode(rows)
 		want := EncodeBatch(rows, WireOptions{})
@@ -208,14 +217,14 @@ func checkEncodeCols(t *testing.T, frame []byte) {
 
 // TestWireEncodeColsMatchesRows runs checkEncodeCols over every fixture.
 func TestWireEncodeColsMatchesRows(t *testing.T) {
-	for _, name := range []string{"typical", "dict_overflow", "mixed", "empty", "all_null"} {
+	for _, name := range []string{"typical", "dict_overflow", "mixed", "mixed_between", "empty", "all_null"} {
 		checkEncodeCols(t, EncodeBatch(fixtureRows(name), WireOptions{}))
 	}
 }
 
 // FuzzWireDecode throws arbitrary bytes at the decoder.
 func FuzzWireDecode(f *testing.F) {
-	for _, name := range []string{"empty", "typical", "mixed"} {
+	for _, name := range []string{"empty", "typical", "mixed", "mixed_between"} {
 		frame := EncodeBatch(fixtureRows(name), WireOptions{})
 		f.Add(frame)
 		f.Add(compressedFlagged(frame))

@@ -3,15 +3,8 @@ package obs
 import "math"
 
 // This file adds quantile estimation over the fixed-bucket histograms:
-// a point-in-time bucket snapshot, snapshot subtraction (for windowed
-// quantiles — "the p99 of the last interval", which the scheduler's
-// adaptive admission loop uses), and linear interpolation inside the
+// a point-in-time bucket snapshot and linear interpolation inside the
 // located bucket.
-
-// NewLatencyHistogram returns a standalone histogram with the standard
-// LatencyBuckets layout, for embedders that need quantiles outside a
-// registry.
-func NewLatencyHistogram() *Histogram { return newHistogram(LatencyBuckets) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's per-bucket
 // counts. The zero value is a valid empty snapshot.
@@ -37,25 +30,6 @@ func (h *Histogram) Snap() HistogramSnapshot {
 
 // Count returns the number of observations in the snapshot.
 func (s HistogramSnapshot) Count() int64 { return s.total }
-
-// Sub returns the per-bucket difference s - prev: the observations that
-// arrived between the two snapshots. prev must come from the same
-// histogram (or be the zero value, which subtracts nothing).
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	if len(prev.counts) != len(s.counts) {
-		return s
-	}
-	d := HistogramSnapshot{bounds: s.bounds, counts: make([]int64, len(s.counts))}
-	for i, c := range s.counts {
-		dc := c - prev.counts[i]
-		if dc < 0 {
-			dc = 0
-		}
-		d.counts[i] = dc
-		d.total += dc
-	}
-	return d
-}
 
 // Quantile estimates the q-quantile (q in [0,1]) from the bucket
 // counts, interpolating linearly inside the located bucket. An empty

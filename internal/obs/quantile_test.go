@@ -7,7 +7,7 @@ import (
 )
 
 func TestQuantileEmptyHistogram(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newHistogram(LatencyBuckets)
 	if got := h.Quantile(0.99); got != 0 {
 		t.Fatalf("empty p99 = %v, want 0", got)
 	}
@@ -18,7 +18,7 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 }
 
 func TestQuantileSingleSample(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newHistogram(LatencyBuckets)
 	h.Observe(0.003) // falls in the (0.0025, 0.005] bucket
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		got := h.Quantile(q)
@@ -31,7 +31,7 @@ func TestQuantileSingleSample(t *testing.T) {
 func TestQuantileP99UnderHundredSamples(t *testing.T) {
 	// With fewer than 100 samples the p99 must be the maximum's bucket —
 	// coarse, monotone, never below lower observations.
-	h := NewLatencyHistogram()
+	h := newHistogram(LatencyBuckets)
 	for i := 0; i < 50; i++ {
 		h.Observe(0.001)
 	}
@@ -46,7 +46,7 @@ func TestQuantileP99UnderHundredSamples(t *testing.T) {
 }
 
 func TestQuantileOverflowBucket(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newHistogram(LatencyBuckets)
 	h.Observe(100) // beyond the last finite bound (10s)
 	if got := h.Quantile(0.99); got != 10 {
 		t.Fatalf("overflow quantile = %v, want last finite bound 10", got)
@@ -54,31 +54,10 @@ func TestQuantileOverflowBucket(t *testing.T) {
 }
 
 func TestQuantileClampsQ(t *testing.T) {
-	h := NewLatencyHistogram()
+	h := newHistogram(LatencyBuckets)
 	h.Observe(0.001)
 	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
 		t.Fatal("q not clamped to [0,1]")
-	}
-}
-
-func TestSnapshotSubWindows(t *testing.T) {
-	h := NewLatencyHistogram()
-	h.Observe(0.001)
-	h.Observe(0.001)
-	prev := h.Snap()
-	h.Observe(1.5)
-	delta := h.Snap().Sub(prev)
-	if delta.Count() != 1 {
-		t.Fatalf("window count = %d, want 1", delta.Count())
-	}
-	// The window holds only the new outlier; the old bulk is gone.
-	if p50 := delta.Quantile(0.5); p50 <= 1 || p50 > 2.5 {
-		t.Fatalf("window p50 = %v, want the outlier's bucket", p50)
-	}
-	// Subtracting a mismatched snapshot degrades to the full snapshot.
-	cur := h.Snap()
-	if got := cur.Sub(HistogramSnapshot{counts: []int64{1}}); got.Count() != cur.Count() {
-		t.Fatal("mismatched Sub did not return the full snapshot")
 	}
 }
 

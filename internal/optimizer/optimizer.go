@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"cgdqp/internal/cost"
@@ -93,6 +94,9 @@ type Optimizer struct {
 	sqlDigests *sqlDigestCache
 	optsFP     string
 
+	// locs is Schema.Locations() as of the version it was read at.
+	locs atomic.Pointer[locationList]
+
 	// obsv receives per-phase optimization spans and optimizer metrics
 	// (latency histogram, plan-cache and policy-cache gauges). nil
 	// disables observation. Set it before sharing the optimizer.
@@ -102,6 +106,11 @@ type Optimizer struct {
 	// (nil = feedback off; estimates come from statistics alone). Set it
 	// before sharing the optimizer.
 	fb FeedbackSource
+}
+
+type locationList struct {
+	schemaVer uint64
+	list      []string
 }
 
 // FeedbackSource supplies the optimizer's consumption of the feedback
@@ -125,12 +134,14 @@ func (o *Optimizer) SetFeedback(fb FeedbackSource) { o.fb = fb }
 
 // cacheKey builds the plan-cache key of a normalized-plan digest — the
 // only place one is built. Each version is an atomic load from the
-// state's owner, so a change made through any handle on the policy
-// catalog, the cost model or the feedback store is observed here
-// without anyone having to tell the optimizer.
+// state's owner, so a change made through any handle on the schema
+// catalog (tables, statistics, indexes), the policy catalog, the cost
+// model or the feedback store is observed here without anyone having to
+// tell the optimizer.
 func (o *Optimizer) cacheKey(planDigest string) planCacheKey {
 	k := planCacheKey{
 		planDigest: planDigest,
+		schemaVer:  o.Schema.Version(),
 		policyVer:  o.Policies.Version(),
 		costVer:    o.Net.Version(),
 		optsFP:     o.optsFP,
@@ -146,15 +157,29 @@ func New(sc *schema.Catalog, pc *policy.Catalog, net *network.CostModel, opts Op
 	// Pre-intern the location universe so SiteSet construction during
 	// optimization is pure bit-twiddling on a stable read-only snapshot.
 	plan.Universe().Intern(sc.Locations()...)
-	ev := policy.NewEvaluator(pc, sc.Locations())
+	ev := policy.NewEvaluator(pc, nil)
 	ev.Mode = opts.ImplicationMode
 	ev.NoCache = opts.NoPolicyCache
 	o := &Optimizer{Schema: sc, Policies: pc, Net: net, Opts: opts, Evaluator: ev, optsFP: opts.fingerprint()}
+	ev.Locations = o.locations // `to *` follows the catalog's location list
 	if opts.PlanCacheSize > 0 {
 		o.planCache = newPlanCache(opts.PlanCacheSize)
 		o.sqlDigests = newSQLDigestCache(4 * opts.PlanCacheSize)
 	}
 	return o
+}
+
+// locations returns the schema catalog's location list, copied out of
+// the catalog again only when its version has moved. The version is
+// loaded first, so a list remembered under v is never older than v.
+func (o *Optimizer) locations() []string {
+	v := o.Schema.Version()
+	if l := o.locs.Load(); l != nil && l.schemaVer == v {
+		return l.list
+	}
+	l := &locationList{schemaVer: v, list: o.Schema.Locations()}
+	o.locs.Store(l)
+	return l.list
 }
 
 // PlanCacheStats reports plan-cache effectiveness (zero value when the
@@ -263,6 +288,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			o.finishOptimize(osp, start, "hit", false, nil)
 			return cachedResult(e, normTime, start), cacheKey.planDigest, nil
 		}
+		o.planCache.misses.Add(1)
 	}
 
 	// Phase 1: plan annotator.
@@ -303,7 +329,7 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 		Est:          est,
 		Compliant:    o.Opts.Compliant,
 		Evaluator:    o.Evaluator,
-		AllLocations: o.Schema.Locations(),
+		AllLocations: o.locations(),
 		MaxAlts:      o.Opts.MaxAlts,
 		TrackOrder:   trackOrder,
 		Stats:        &evStats,
@@ -419,6 +445,7 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, t
 	m.Gauge("cgdqp_policy_eval_calls").Set(float64(o.Evaluator.Calls()))
 	m.Gauge("cgdqp_policy_eval_cache_hits").Set(float64(o.Evaluator.Hits()))
 	m.Gauge("cgdqp_policy_eval_eta").Set(float64(o.Evaluator.Eta()))
+	m.Gauge("cgdqp_schema_version").Set(float64(o.Schema.Version()))
 	m.Gauge("cgdqp_policy_version").Set(float64(o.Policies.Version()))
 	m.Gauge("cgdqp_costmodel_version").Set(float64(o.Net.Version()))
 }
@@ -426,8 +453,10 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, t
 // OptimizeSQL parses, binds and optimizes a SQL string. With the plan
 // cache on, query text seen before skips parsing, binding and
 // normalization entirely: the remembered normalized-plan digest reaches
-// straight into the plan cache (the versions in the key still fence
-// off stale policy and price state).
+// straight into the plan cache. The versions in the key still fence off
+// stale schema, policy and price state — also for the digest itself: a
+// remembered digest can only reach an entry filled under the current
+// schema version.
 func (o *Optimizer) OptimizeSQL(sql string) (*Result, error) {
 	if o.planCache != nil {
 		start := time.Now()

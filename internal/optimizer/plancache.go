@@ -11,12 +11,14 @@ import (
 // planCacheKey identifies one optimization outcome: the normalized
 // logical plan (its digest covers operators, predicates, projections and
 // fragment bindings), the version of each piece of state a plan is
-// derived from — policy catalog, cost model, feedback hints — each read
-// from its owner (see Optimizer.cacheKey), and the optimizer options
+// derived from — schema catalog (tables, statistics, indexes), policy
+// catalog, cost model, feedback hints — each read from its owner (see
+// Optimizer.cacheKey), and the optimizer options
 // that shape the output. A plan cached under other versions is simply
 // unreachable; nobody has to flush it.
 type planCacheKey struct {
 	planDigest string
+	schemaVer  uint64
 	policyVer  uint64
 	costVer    uint64
 	fbEpoch    uint64
@@ -48,10 +50,9 @@ type PlanCacheStats struct {
 }
 
 // planCache is a mutex-guarded LRU over optimization results. One cache
-// belongs to one Optimizer, which is in turn bound to fixed schema and
-// policy catalogs; policy and price changes are versioned inside the
-// key, and schema or statistics changes must drop the optimizer (as
-// cgdqp.System does).
+// belongs to one Optimizer, which is in turn bound to one schema and one
+// policy catalog; every change inside them, and every price change, is
+// versioned inside the key.
 type planCache struct {
 	mu      sync.Mutex
 	max     int
@@ -77,13 +78,14 @@ func newPlanCache(max int) *planCache {
 }
 
 // get returns a deep-cloned copy of the cached entry's trees so callers
-// may freely mutate (the executor rewrites locations in place).
+// may freely mutate (the executor rewrites locations in place). It counts
+// hits only: a miss is counted by the optimization that follows it, once,
+// however many lookups (query text, then normalized plan) led there.
 func (c *planCache) get(key planCacheKey) (*planCacheEntry, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
@@ -120,11 +122,11 @@ func (c *planCache) put(key planCacheKey, e *planCacheEntry) {
 // sqlDigestCache memoizes sql text → normalized-plan digest so repeated
 // OptimizeSQL calls can consult the plan cache without re-parsing,
 // re-binding and re-normalizing. Valid because an Optimizer is bound to
-// a fixed schema catalog: the same SQL always binds to the same logical
-// plan. Policy changes are handled downstream (the digest is only a key
-// component; the versions still gate the plan-cache entry). The map is
-// cleared wholesale when full — repeated workloads refill it in one
-// pass, and ad-hoc floods cannot grow it without bound.
+// one schema catalog, which only grows: the same SQL keeps binding to
+// the same logical plan. Everything else is handled downstream (the
+// digest is only a key component; the versions still gate the plan-cache
+// entry). The map is cleared wholesale when full — repeated workloads
+// refill it in one pass, and ad-hoc floods cannot grow it without bound.
 type sqlDigestCache struct {
 	mu  sync.RWMutex
 	max int

@@ -25,10 +25,12 @@ type EvalStats struct {
 	Hits  int64 // cache hits
 }
 
-// evalEntry is one memoized result, stamped with the catalog version it
-// was computed under.
+// evalEntry is one memoized result, stamped with the catalog version
+// and the number of locations (the list is append-only, so its length
+// identifies it) it was computed under.
 type evalEntry struct {
 	version uint64
+	nLocs   int
 	set     plan.SiteSet
 }
 
@@ -38,24 +40,27 @@ type evalShard struct {
 }
 
 // Evaluator implements the policy evaluation algorithm 𝒜 of Section 5
-// (Algorithm 1). It is configured with the policy catalog, the full list
-// of locations (for expanding `to *`), and the implication-test mode.
+// (Algorithm 1). It is configured with the policy catalog, the source of
+// the full list of locations (for expanding `to *`), and the
+// implication-test mode.
 //
 // One evaluator is safely shareable across goroutines: results are
 // memoized by query digest in a sharded, RWMutex-guarded cache, the
 // cumulative η/call/hit counters are atomics, and every entry carries
-// the Policies.Version() it was computed under (entries from another
-// version read as misses), so a catalog change — through any caller —
-// invalidates the memo without racing in-flight evaluations. Per-caller
-// statistics are attributed through an EvalStats handle passed to
-// EvaluateWith.
+// the Policies.Version() and location count it was computed under
+// (entries from another version read as misses), so a catalog change —
+// through any caller — invalidates the memo without racing in-flight
+// evaluations. Per-caller statistics are attributed through an EvalStats
+// handle passed to EvaluateWith.
 //
-// The configuration fields (Policies, AllLocations, Mode, NoCache) must
-// be set before the evaluator is shared; they are read without locks.
+// The configuration fields (Policies, Locations, Mode, NoCache) must be
+// set before the evaluator is shared; they are read without locks.
 type Evaluator struct {
-	Policies     *Catalog
-	AllLocations []string
-	Mode         expr.ImplicationMode
+	Policies *Catalog
+	// Locations returns the location universe: append-only, and safe to
+	// call concurrently (NewEvaluator installs a fixed list).
+	Locations func() []string
+	Mode      expr.ImplicationMode
 	// NoCache disables result memoization. The paper's evaluator re-runs
 	// per plan operator, which is what makes its C-type expression sets
 	// (whose implication tests always pass) measurably costlier than
@@ -73,9 +78,10 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator over the given policy catalog.
 func NewEvaluator(policies *Catalog, allLocations []string) *Evaluator {
+	fixed := append([]string(nil), allLocations...)
 	ev := &Evaluator{
-		Policies:     policies,
-		AllLocations: append([]string(nil), allLocations...),
+		Policies:  policies,
+		Locations: func() []string { return fixed },
 	}
 	for i := range ev.shards {
 		ev.shards[i].m = map[string]evalEntry{}
@@ -123,8 +129,9 @@ func (ev *Evaluator) EvaluateWith(q *Query, st *EvalStats) plan.SiteSet {
 	if st != nil {
 		st.Calls++
 	}
+	all := ev.Locations()
 	if ev.NoCache {
-		return ev.evaluate(q, st)
+		return ev.evaluate(q, all, st)
 	}
 	key := q.Digest()
 	// Loaded before the catalog is read: see Catalog.version.
@@ -133,21 +140,21 @@ func (ev *Evaluator) EvaluateWith(q *Query, st *EvalStats) plan.SiteSet {
 	sh.mu.RLock()
 	e, ok := sh.m[key]
 	sh.mu.RUnlock()
-	if ok && e.version == version {
+	if ok && e.version == version && e.nLocs == len(all) {
 		ev.hits.Add(1)
 		if st != nil {
 			st.Hits++
 		}
 		return e.set
 	}
-	res := ev.evaluate(q, st)
+	res := ev.evaluate(q, all, st)
 	sh.mu.Lock()
-	sh.m[key] = evalEntry{version: version, set: res}
+	sh.m[key] = evalEntry{version: version, nLocs: len(all), set: res}
 	sh.mu.Unlock()
 	return res
 }
 
-func (ev *Evaluator) evaluate(q *Query, st *EvalStats) plan.SiteSet {
+func (ev *Evaluator) evaluate(q *Query, all []string, st *EvalStats) plan.SiteSet {
 	// Shipping to the data's own location is always legal (Section 3.2
 	// evaluates 𝒜(C, D_N, P_N) = {N}): the home location joins the
 	// result regardless of policy coverage.
@@ -191,7 +198,7 @@ func (ev *Evaluator) evaluate(q *Query, st *EvalStats) plan.SiteSet {
 			// are covered.
 			for i, a := range q.OutAttrs {
 				if e.Covers(a.Attr) {
-					locs[i] = locs[i].Union(plan.NewSiteSet(e.Destinations(ev.AllLocations)...))
+					locs[i] = locs[i].Union(plan.NewSiteSet(e.Destinations(all)...))
 				}
 			}
 		case q.Aggregated:
@@ -208,9 +215,9 @@ func (ev *Evaluator) evaluate(q *Query, st *EvalStats) plan.SiteSet {
 				switch {
 				case !a.HasAgg && e.InGroupBy(a.Attr):
 					// Grouping attributes are implicitly shippable.
-					locs[i] = locs[i].Union(plan.NewSiteSet(e.Destinations(ev.AllLocations)...))
+					locs[i] = locs[i].Union(plan.NewSiteSet(e.Destinations(all)...))
 				case a.HasAgg && e.Covers(a.Attr) && e.AllowsFn(a.Agg):
-					locs[i] = locs[i].Union(plan.NewSiteSet(e.Destinations(ev.AllLocations)...))
+					locs[i] = locs[i].Union(plan.NewSiteSet(e.Destinations(all)...))
 				}
 			}
 		}

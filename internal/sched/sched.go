@@ -79,17 +79,6 @@ type Options struct {
 	// Exec overrides the execution options served queries run under
 	// (nil = the defaults: kernels on).
 	Exec *executor.ExecOptions
-
-	// SLOTarget, when set, turns MaxConcurrent/QueueDepth into adaptive
-	// ceilings: a controller watches the observed cgdqp_sched_e2e_seconds
-	// p99 over each AdaptInterval window and AIMD-adjusts the effective
-	// limits against the target — multiplicative decrease when the p99
-	// breaches it, additive recovery when latency clears 80% of it. Zero
-	// keeps the static limits (bit-identical scheduling to previous
-	// behavior).
-	SLOTarget time.Duration
-	// AdaptInterval is the controller cadence (default 200ms).
-	AdaptInterval time.Duration
 	// Feedback, when set, (a) weights gang site-slot needs by observed
 	// fragment cardinality instead of counting every fragment as 1, and
 	// (b) receives per-operator actuals and e2e latency samples from
@@ -198,19 +187,6 @@ type Server struct {
 	wg      sync.WaitGroup
 	running atomic.Int64
 
-	// Adaptive admission (Options.SLOTarget): effMax/effQueue are the
-	// effective limits within [1, configured]; active (guarded by mu)
-	// counts tasks between next() and taskDone(), gating dispatch below
-	// effMax even though the worker pool itself is fixed. e2eHist
-	// mirrors the cgdqp_sched_e2e_seconds histogram privately so the
-	// controller can take windowed p99s without a registry.
-	effMax   atomic.Int64
-	effQueue atomic.Int64
-	active   int
-	e2eHist  *obs.Histogram
-	ctrlStop chan struct{}
-	ctrlWG   sync.WaitGroup
-
 	// execFlights coalesces identical in-flight executions when a result
 	// cache is configured (see execflight.go).
 	exmu        sync.Mutex
@@ -237,19 +213,11 @@ func NewServer(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer
 		slots:       newSlotTable(opts.siteSlots()),
 		flights:     flightGroup{m: map[string]*flight{}},
 		execFlights: map[string]*execFlight{},
-		e2eHist:     obs.NewLatencyHistogram(),
-		ctrlStop:    make(chan struct{}),
 	}
 	if opts.Exec != nil {
 		s.lc.Exec = *opts.Exec
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.effMax.Store(int64(opts.maxConcurrent()))
-	s.effQueue.Store(int64(opts.queueDepth()))
-	if opts.SLOTarget > 0 {
-		s.ctrlWG.Add(1)
-		go s.controller()
-	}
 	for i := 0; i < opts.maxConcurrent(); i++ {
 		s.wg.Add(1)
 		go func() {
@@ -289,7 +257,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Ticket, error) {
 		s.countRejected("closed")
 		return nil, ErrServerClosed
 	}
-	if len(s.queue) >= s.effQueueDepth() {
+	if len(s.queue) >= s.opts.queueDepth() {
 		depth := len(s.queue)
 		s.mu.Unlock()
 		s.nRejFull.Add(1)
@@ -365,16 +333,13 @@ func (tk *Ticket) Wait(ctx context.Context) (*Response, error) {
 func (tk *Ticket) Done() <-chan struct{} { return tk.t.done }
 
 // Close stops admission, drains the queue (admitted queries still run),
-// waits for the workers and the adaptive controller to exit, and
-// returns. Safe to call once.
+// waits for the workers to exit, and returns.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	close(s.ctrlStop)
-	s.ctrlWG.Wait()
 }
 
 // Counters returns a snapshot of the server's lifetime counts.
@@ -397,111 +362,6 @@ func (s *Server) Counters() Counters {
 // Running returns the number of queries currently being served.
 func (s *Server) Running() int64 { return s.running.Load() }
 
-// effQueueDepth is the effective admission bound: the configured depth,
-// possibly lowered by the adaptive controller.
-func (s *Server) effQueueDepth() int { return int(s.effQueue.Load()) }
-
-// Tuning returns the current effective (MaxConcurrent, QueueDepth)
-// limits. Without an SLOTarget these are the configured values.
-func (s *Server) Tuning() (maxConcurrent, queueDepth int) {
-	return int(s.effMax.Load()), int(s.effQueue.Load())
-}
-
-// --- adaptive admission (Options.SLOTarget) ------------------------------
-
-// adaptMinSamples is the minimum number of completions in a controller
-// window before the p99 is considered meaningful; sparser windows are
-// accumulated into the next one instead of triggering adjustments.
-const adaptMinSamples = 8
-
-// DefaultAdaptInterval is the controller cadence when AdaptInterval is
-// zero.
-const DefaultAdaptInterval = 200 * time.Millisecond
-
-// controller is the AIMD admission loop: each interval it takes the
-// windowed p99 of end-to-end latency and adjusts the effective
-// MaxConcurrent/QueueDepth — halving on an SLO breach, creeping back up
-// when latency clears 80% of the target. It runs until Close.
-func (s *Server) controller() {
-	defer s.ctrlWG.Done()
-	interval := s.opts.AdaptInterval
-	if interval <= 0 {
-		interval = DefaultAdaptInterval
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	prev := s.e2eHist.Snap()
-	for {
-		select {
-		case <-s.ctrlStop:
-			return
-		case <-tick.C:
-			cur := s.e2eHist.Snap()
-			delta := cur.Sub(prev)
-			if delta.Count() < adaptMinSamples {
-				// Too sparse to judge: keep prev so the next window
-				// accumulates these observations instead of losing them.
-				continue
-			}
-			prev = cur
-			s.adjust(delta.Quantile(0.99))
-		}
-	}
-}
-
-// adjust applies one AIMD step against the SLO target given the last
-// window's observed p99 (seconds).
-func (s *Server) adjust(p99 float64) {
-	slo := s.opts.SLOTarget.Seconds()
-	cfgMax := int64(s.opts.maxConcurrent())
-	cfgQueue := int64(s.opts.queueDepth())
-	em, eq := s.effMax.Load(), s.effQueue.Load()
-	switch {
-	case p99 > slo:
-		// Multiplicative decrease: shed load quickly on a breach.
-		if em > 1 {
-			em /= 2
-			if em < 1 {
-				em = 1
-			}
-			s.effMax.Store(em)
-		}
-		if eq > 1 {
-			eq /= 2
-			if eq < 1 {
-				eq = 1
-			}
-			s.effQueue.Store(eq)
-		}
-	case p99 < 0.8*slo:
-		// Additive increase: probe capacity back toward the configured
-		// ceilings once latency has comfortably recovered.
-		raised := false
-		if em < cfgMax {
-			s.effMax.Store(em + 1)
-			raised = true
-		}
-		if eq < cfgQueue {
-			eq += cfgQueue/8 + 1
-			if eq > cfgQueue {
-				eq = cfgQueue
-			}
-			s.effQueue.Store(eq)
-		}
-		if raised {
-			// A raised concurrency limit may unblock queued dispatch.
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-	}
-	if m := s.lc.Obs.Reg(); m != nil {
-		m.Gauge("cgdqp_sched_eff_max_concurrent").Set(float64(s.effMax.Load()))
-		m.Gauge("cgdqp_sched_eff_queue_depth").Set(float64(s.effQueue.Load()))
-		m.Gauge("cgdqp_sched_window_p99_seconds").Set(p99)
-	}
-}
-
 // --- scheduling loop -----------------------------------------------------
 
 // worker serves queries one at a time, picking the next in
@@ -513,20 +373,18 @@ func (s *Server) worker() {
 			return
 		}
 		s.serve(t)
-		s.taskDone()
 	}
 }
 
 // next blocks until a task is schedulable (skipping tasks whose context
 // ended while queued — those never start) or the server is closed with
-// an empty queue. Dispatch additionally respects the effective
-// concurrency limit: with adaptive admission the controller may hold it
-// below the worker-pool size, idling workers until latency recovers.
+// an empty queue. The worker pool is MaxConcurrent goroutines, so
+// dispatch needs no limit of its own.
 func (s *Server) next() *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for len(s.queue) > 0 && s.active < int(s.effMax.Load()) {
+		for len(s.queue) > 0 {
 			t := heap.Pop(&s.queue).(*task)
 			s.gaugeQueueLocked()
 			if t.ctx.Err() != nil {
@@ -540,7 +398,6 @@ func (s *Server) next() *task {
 			if t.vft > s.vtime {
 				s.vtime = t.vft
 			}
-			s.active++
 			return t
 		}
 		if s.closed && len(s.queue) == 0 {
@@ -548,15 +405,6 @@ func (s *Server) next() *task {
 		}
 		s.cond.Wait()
 	}
-}
-
-// taskDone returns a dispatch slot after serve and wakes waiters (the
-// effective limit may have kept tasks queued behind the finished one).
-func (s *Server) taskDone() {
-	s.mu.Lock()
-	s.active--
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // abandon removes a still-queued task whose context ended and finishes
@@ -635,7 +483,6 @@ func (s *Server) finish(t *task, resp *Response, err error) {
 			m.Counter("cgdqp_sched_queries_total", "status", status).Inc()
 			m.Histogram("cgdqp_sched_e2e_seconds").Observe(lat.Seconds())
 		}
-		s.e2eHist.Observe(lat.Seconds())
 		if resp != nil {
 			resp.Total = lat
 		}

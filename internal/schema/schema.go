@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cgdqp/internal/expr"
 )
@@ -54,6 +56,16 @@ type Fragment struct {
 
 // Table is a global-schema table together with its GAV mapping onto
 // physical fragments and its statistics.
+//
+// Fragments[i].RowCount, ColStats and Indexes are how a table is built:
+// fill them in (SetColStats helps) and hand the table to Catalog.AddTable,
+// which snapshots them. From then on the catalog's SetColStats,
+// SetTableStats and AddIndex are the only writers — each publishes a new
+// immutable generation — and RowCount, FragmentRows, Stats, Indexed and
+// IndexList read the current one with a single atomic load, so planning
+// takes no lock and a planner racing an ANALYZE sees the old statistics
+// or the new ones, never a mix. The exported fields keep the values the
+// table was registered with.
 type Table struct {
 	Name      string
 	Columns   []Column
@@ -69,14 +81,45 @@ type Table struct {
 	// (int64-class or string key types only; others are ignored). Both
 	// storage backends maintain the declared indexes, and the optimizer
 	// considers IndexScan / IndexLookupJoin alternatives for them.
-	// Empty by default: existing catalogs plan exactly as before.
 	Indexes []string
+
+	// live is the current statistics generation (nil until AddTable).
+	live atomic.Pointer[tableStats]
 }
 
+// tableStats is one generation of what can change about a registered
+// table: per-fragment row counts, column statistics (keyed by lower-case
+// column name) and the index list. A published generation is never
+// written again; the catalog replaces it copy-on-write.
+type tableStats struct {
+	fragRows []int64
+	cols     map[string]ColStats
+	indexes  []string
+}
+
+// stats returns the current generation: the one the catalog published
+// last or, for a table still being built, a view of the exported fields.
+func (t *Table) stats() *tableStats {
+	if s := t.live.Load(); s != nil {
+		return s
+	}
+	s := &tableStats{fragRows: make([]int64, len(t.Fragments)), cols: t.ColStats, indexes: t.Indexes}
+	for i, f := range t.Fragments {
+		s.fragRows[i] = f.RowCount
+	}
+	return s
+}
+
+// IndexList returns the columns declared indexed. The slice must not be
+// mutated.
+func (t *Table) IndexList() []string { return t.stats().indexes }
+
 // Indexed reports whether the named column is declared indexed.
-func (t *Table) Indexed(col string) bool {
-	for _, c := range t.Indexes {
-		if strings.EqualFold(c, col) {
+func (t *Table) Indexed(col string) bool { return containsFold(t.IndexList(), col) }
+
+func containsFold(list []string, s string) bool {
+	for _, l := range list {
+		if strings.EqualFold(l, s) {
 			return true
 		}
 	}
@@ -96,11 +139,14 @@ func NewTable(name, db, location string, rows int64, cols ...Column) *Table {
 // RowCount returns the total number of rows across all fragments.
 func (t *Table) RowCount() int64 {
 	var n int64
-	for _, f := range t.Fragments {
-		n += f.RowCount
+	for _, r := range t.stats().fragRows {
+		n += r
 	}
 	return n
 }
+
+// FragmentRows returns the number of rows of one fragment.
+func (t *Table) FragmentRows(fragIdx int) int64 { return t.stats().fragRows[fragIdx] }
 
 // Column returns the named column, or false when absent. Lookup is
 // case-insensitive, matching the SQL front end.
@@ -152,8 +198,14 @@ func (t *Table) DB() string {
 // Fragmented reports whether the table spans more than one location.
 func (t *Table) Fragmented() bool { return len(t.Fragments) > 1 }
 
-// SetColStats records statistics for a column.
+// SetColStats records statistics for a column of a table that is still
+// being built. Once the table is registered the statistics belong to the
+// catalog (Catalog.SetColStats), which concurrent planners read; writing
+// here then is a bug and panics.
 func (t *Table) SetColStats(col string, s ColStats) {
+	if t.live.Load() != nil {
+		panic(fmt.Sprintf("schema: Table.SetColStats on registered table %q; use Catalog.SetColStats", t.Name))
+	}
 	if t.ColStats == nil {
 		t.ColStats = map[string]ColStats{}
 	}
@@ -162,17 +214,24 @@ func (t *Table) SetColStats(col string, s ColStats) {
 
 // Stats returns the recorded statistics for a column (zero value when
 // unknown).
-func (t *Table) Stats(col string) ColStats {
-	return t.ColStats[strings.ToLower(col)]
-}
+func (t *Table) Stats(col string) ColStats { return t.stats().cols[strings.ToLower(col)] }
 
 // Catalog is the global geo-distributed schema: the set of locations and
 // the union of all local schemas (Section 3 assumes the geo-distributed
-// schema is the union of local schemas).
+// schema is the union of local schemas). It is safe for concurrent use
+// and, like policy.Catalog, versions itself: whatever caches state
+// derived from tables, locations, statistics or indexes stamps it with
+// Version and treats a stamp from another version as a miss.
 type Catalog struct {
-	locations []string
+	mu        sync.RWMutex
+	locations []string // append-only
 	tables    map[string]*Table
 	dbAtLoc   map[string]string // location -> database name
+	// version counts changes. It moves under mu after the contents
+	// change, so a reader that loads version v and then reads the
+	// contents sees at least v's state: a plan stamped v is never older
+	// than v.
+	version atomic.Uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -180,35 +239,43 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: map[string]*Table{}, dbAtLoc: map[string]string{}}
 }
 
+// Version returns the number of changes made to the catalog so far: one
+// per AddTable, per AddLocation of a new location, and per statistics or
+// index change. It is an atomic load.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
+
 // AddLocation registers a location (idempotent). Locations keep
 // registration order, which experiments rely on for determinism.
 func (c *Catalog) AddLocation(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.addLocationLocked(name) {
+		c.version.Add(1)
+	}
+}
+
+func (c *Catalog) addLocationLocked(name string) bool {
 	for _, l := range c.locations {
 		if l == name {
-			return
+			return false
 		}
 	}
 	c.locations = append(c.locations, name)
+	return true
 }
 
 // Locations returns the registered locations in registration order.
 func (c *Catalog) Locations() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return append([]string(nil), c.locations...)
-}
-
-// HasLocation reports whether the location is registered.
-func (c *Catalog) HasLocation(name string) bool {
-	for _, l := range c.locations {
-		if l == name {
-			return true
-		}
-	}
-	return false
 }
 
 // AddTable registers a table. Each fragment's location is registered as a
 // side effect, and the location→database mapping is recorded.
 func (c *Catalog) AddTable(t *Table) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	key := strings.ToLower(t.Name)
 	if _, dup := c.tables[key]; dup {
 		return fmt.Errorf("schema: duplicate table %q", t.Name)
@@ -220,16 +287,84 @@ func (c *Catalog) AddTable(t *Table) error {
 		return fmt.Errorf("schema: table %q has no columns", t.Name)
 	}
 	for _, f := range t.Fragments {
-		c.AddLocation(f.Location)
+		c.addLocationLocked(f.Location)
 		if f.DB != "" {
 			c.dbAtLoc[f.Location] = f.DB
 		}
 	}
-	if t.ColStats == nil {
-		t.ColStats = map[string]ColStats{}
-	}
+	// A table another catalog already registered keeps its current
+	// generation rather than reverting to what it was built with.
+	t.live.Store(t.stats())
 	c.tables[key] = t
+	c.version.Add(1)
 	return nil
+}
+
+// publish installs the next statistics generation of a registered table
+// — edit receives a shallow copy of the current one and must replace,
+// not write into, whatever it changes — and moves the version.
+func (c *Catalog) publish(table string, edit func(t *Table, next *tableStats) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, ok := c.tables[strings.ToLower(table)]
+	if !ok {
+		return fmt.Errorf("schema: unknown table %q", table)
+	}
+	next := *t.live.Load()
+	if err := edit(t, &next); err != nil {
+		return err
+	}
+	t.live.Store(&next)
+	c.version.Add(1)
+	return nil
+}
+
+// SetColStats records statistics for one column of a registered table.
+func (c *Catalog) SetColStats(table, col string, s ColStats) error {
+	return c.publish(table, func(_ *Table, next *tableStats) error {
+		cols := make(map[string]ColStats, len(next.cols)+1)
+		for k, v := range next.cols {
+			cols[k] = v
+		}
+		cols[strings.ToLower(col)] = s
+		next.cols = cols
+		return nil
+	})
+}
+
+// SetTableStats replaces a registered table's fragment row counts and
+// column statistics (keyed by column name) in one step — ANALYZE's
+// publish: a concurrent planner sees both from the same generation.
+func (c *Catalog) SetTableStats(table string, fragRows []int64, stats map[string]ColStats) error {
+	return c.publish(table, func(t *Table, next *tableStats) error {
+		if len(fragRows) != len(t.Fragments) {
+			return fmt.Errorf("schema: %d row counts for the %d fragments of %q", len(fragRows), len(t.Fragments), t.Name)
+		}
+		cols := make(map[string]ColStats, len(stats))
+		for k, v := range stats {
+			cols[strings.ToLower(k)] = v
+		}
+		next.fragRows, next.cols = append([]int64(nil), fragRows...), cols
+		return nil
+	})
+}
+
+// AddIndex declares secondary indexes over columns of a registered table
+// (already indexed columns are skipped).
+func (c *Catalog) AddIndex(table string, cols ...string) error {
+	return c.publish(table, func(t *Table, next *tableStats) error {
+		indexes := next.indexes[:len(next.indexes):len(next.indexes)]
+		for _, col := range cols {
+			if _, ok := t.Column(col); !ok {
+				return fmt.Errorf("schema: table %q has no column %q", t.Name, col)
+			}
+			if !containsFold(indexes, col) {
+				indexes = append(indexes, col)
+			}
+		}
+		next.indexes = indexes
+		return nil
+	})
 }
 
 // MustAddTable registers a table and panics on error; for static schemas.
@@ -241,39 +376,28 @@ func (c *Catalog) MustAddTable(t *Table) {
 
 // Table resolves a table by name (case-insensitive).
 func (c *Catalog) Table(name string) (*Table, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	t, ok := c.tables[strings.ToLower(name)]
 	return t, ok
 }
 
 // Tables returns all tables sorted by name.
 func (c *Catalog) Tables() []*Table {
+	c.mu.RLock()
 	out := make([]*Table, 0, len(c.tables))
 	for _, t := range c.tables {
 		out = append(out, t)
 	}
+	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // DatabaseAt returns the database name gateway at a location ("" when the
 // location hosts no database).
-func (c *Catalog) DatabaseAt(location string) string { return c.dbAtLoc[location] }
-
-// ResolveColumn finds the unique table owning an unqualified column name.
-// It returns an error when the name is absent or ambiguous.
-func (c *Catalog) ResolveColumn(name string) (*Table, Column, error) {
-	var foundT *Table
-	var foundC Column
-	for _, t := range c.Tables() {
-		if col, ok := t.Column(name); ok {
-			if foundT != nil {
-				return nil, Column{}, fmt.Errorf("schema: ambiguous column %q (in %s and %s)", name, foundT.Name, t.Name)
-			}
-			foundT, foundC = t, col
-		}
-	}
-	if foundT == nil {
-		return nil, Column{}, fmt.Errorf("schema: unknown column %q", name)
-	}
-	return foundT, foundC, nil
+func (c *Catalog) DatabaseAt(location string) string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.dbAtLoc[location]
 }

@@ -1,7 +1,7 @@
 package schema
 
 import (
-	"strings"
+	"sync"
 	"testing"
 
 	"cgdqp/internal/expr"
@@ -80,9 +80,6 @@ func TestCatalogAddAndResolve(t *testing.T) {
 	if got := c.Locations(); len(got) != 2 || got[0] != "L1" || got[1] != "L2" {
 		t.Errorf("Locations: %v", got)
 	}
-	if !c.HasLocation("L1") || c.HasLocation("L9") {
-		t.Error("HasLocation")
-	}
 	if db := c.DatabaseAt("L2"); db != "db-2" {
 		t.Errorf("DatabaseAt: %s", db)
 	}
@@ -101,18 +98,6 @@ func TestCatalogAddAndResolve(t *testing.T) {
 	tabs := c.Tables()
 	if len(tabs) != 2 || tabs[0].Name != "Customer" || tabs[1].Name != "Orders" {
 		t.Errorf("Tables sorted: %v", tabs)
-	}
-
-	// Unqualified column resolution.
-	owner, col, err := c.ResolveColumn("totalprice")
-	if err != nil || owner.Name != "Orders" || col.Type != expr.TFloat {
-		t.Errorf("ResolveColumn: %v %v %v", owner, col, err)
-	}
-	if _, _, err := c.ResolveColumn("custkey"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
-		t.Errorf("ambiguous column should error, got %v", err)
-	}
-	if _, _, err := c.ResolveColumn("ghost"); err == nil {
-		t.Error("unknown column should error")
 	}
 }
 
@@ -167,4 +152,91 @@ func TestAddLocationIdempotent(t *testing.T) {
 	if c.Locations()[0] != "L1" {
 		t.Error("Locations leaked internal slice")
 	}
+}
+
+// TestCatalogVersion: the version moves once per change — also for an
+// AddTable that registers locations on the way — and not at all for a
+// call that changes nothing.
+func TestCatalogVersion(t *testing.T) {
+	c := NewCatalog()
+	step := func(what string, want uint64, f func() error) {
+		t.Helper()
+		before := c.Version()
+		err := f()
+		if got := c.Version() - before; got != want {
+			t.Errorf("%s (err=%v) moved the version by %d, want %d", what, err, got, want)
+		}
+	}
+	step("AddLocation", 1, func() error { c.AddLocation("L0"); return nil })
+	step("repeated AddLocation", 0, func() error { c.AddLocation("L0"); return nil })
+	step("AddTable at two new locations", 1, func() error {
+		return c.AddTable(&Table{Name: "F", Columns: []Column{{Name: "k", Type: expr.TInt}},
+			Fragments: []Fragment{{DB: "d1", Location: "L1", RowCount: 1}, {DB: "d2", Location: "L2", RowCount: 2}}})
+	})
+	step("duplicate AddTable", 0, func() error { return c.AddTable(NewTable("f", "d1", "L1", 1, Column{Name: "k"})) })
+	step("SetColStats", 1, func() error { return c.SetColStats("f", "K", ColStats{Distinct: 3}) })
+	step("SetColStats on an unknown table", 0, func() error { return c.SetColStats("nope", "k", ColStats{}) })
+	step("SetTableStats", 1, func() error { return c.SetTableStats("F", []int64{5, 6}, map[string]ColStats{"K": {Distinct: 9}}) })
+	step("SetTableStats with a missing fragment", 0, func() error { return c.SetTableStats("F", []int64{5}, nil) })
+	step("AddIndex", 1, func() error { return c.AddIndex("F", "k") })
+	step("AddIndex on an unknown column", 0, func() error { return c.AddIndex("F", "nope") })
+
+	f, _ := c.Table("F")
+	if f.RowCount() != 11 || f.FragmentRows(1) != 6 || f.Stats("k").Distinct != 9 || !f.Indexed("K") {
+		t.Errorf("published state: rows %d, stats %+v, indexes %v", f.RowCount(), f.Stats("k"), f.IndexList())
+	}
+	if f.Fragments[1].RowCount != 2 || len(f.Indexes) != 0 {
+		t.Errorf("publishing wrote into the fields the table was built with: %+v %v", f.Fragments, f.Indexes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Table.SetColStats on a registered table did not panic")
+		}
+	}()
+	f.SetColStats("k", ColStats{})
+}
+
+// TestConcurrentStatsPublish (run under -race): readers never see a torn
+// generation. Every publish keeps the fragment counts summing to 1000
+// and sets the distinct count to fragment 0's rows.
+func TestConcurrentStatsPublish(t *testing.T) {
+	c := NewCatalog()
+	tab := &Table{Name: "F", Columns: []Column{{Name: "k", Type: expr.TInt}},
+		Fragments: []Fragment{{DB: "d1", Location: "L1", RowCount: 1000}, {DB: "d2", Location: "L2"}},
+		ColStats:  map[string]ColStats{"k": {Distinct: 1000}}}
+	c.MustAddTable(tab)
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := tab.RowCount(); n != 1000 {
+					t.Errorf("RowCount %d summed over two generations", n)
+					return
+				}
+				if s := tab.live.Load(); s.fragRows[0] != s.cols["k"].Distinct {
+					t.Errorf("generation with %d rows and %d distinct", s.fragRows[0], s.cols["k"].Distinct)
+					return
+				}
+				_, _ = tab.Stats("k"), c.Tables()
+			}
+		}()
+	}
+	for g := int64(0); g < 500; g++ {
+		if err := c.SetTableStats("F", []int64{g, 1000 - g}, map[string]ColStats{"k": {Distinct: g}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetColStats("F", "k", ColStats{Distinct: g}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
 }

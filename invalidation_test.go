@@ -251,3 +251,174 @@ func TestConcurrentCatalogChurn(t *testing.T) {
 		t.Fatalf("join after the churn ended in a revocation: err=%v, want ErrNoCompliantPlan", err)
 	}
 }
+
+// TestServeObservesAnalyze is TestSetColumnStatsDropsCachedPlans with
+// the statistics flipped *after* Serve: the schema catalog versions
+// itself like the policy catalog, so the Server's optimizer — the same
+// one the system holds, never rebuilt — re-plans once under the new
+// statistics, keeps its counters, and keeps its evaluator memo
+// (statistics never change a policy verdict).
+func TestServeObservesAnalyze(t *testing.T) {
+	sys := NewSystem()
+	for _, tb := range []string{"R", "S", "T"} {
+		sys.MustDefineTable(tb, "db", "L", 1000, Col("a", TInt), Col("b", TInt))
+		sys.MustAddPolicy("ship a, b from " + tb + " to *")
+	}
+	const q = "SELECT r.a, t.b FROM R r, S s, T t WHERE r.a = s.a AND s.b = t.b"
+	stats := func(aDistinct, bDistinct int64) {
+		t.Helper()
+		for _, tb := range []string{"R", "S", "T"} {
+			if err := sys.SetColumnStats(tb, "a", aDistinct, Int(0), Int(aDistinct)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetColumnStats(tb, "b", bDistinct, Int(0), Int(bDistinct)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	explain := func() *Plan {
+		t.Helper()
+		p, err := sys.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stats(1000, 2)
+	srv := sys.Serve(ServeOptions{MaxConcurrent: 2})
+	defer srv.Close()
+	serve := func() {
+		t.Helper()
+		if _, err := srv.Do(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := sys.Optimizer()
+	serve()
+	serve()
+	first := explain()
+	if !first.Stats.PlanCacheHit {
+		t.Fatal("Explain of a query the server planned twice is not a plan-cache hit")
+	}
+	before := sys.PlanCacheStats()
+	if before.Hits < 2 {
+		t.Fatalf("plan-cache hits before the flip: %+v", before)
+	}
+
+	stats(2, 1000) // the Server is already running
+	serve()
+	after := sys.PlanCacheStats()
+	if after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("the server's submission after SetColumnStats: plan cache %+v, want the hits of %+v and one more miss", after, before)
+	}
+	second := explain()
+	if !second.Stats.PlanCacheHit {
+		t.Fatal("the server's re-optimisation did not fill the plan cache the system reads")
+	}
+	if second.String() == first.String() {
+		t.Fatalf("the server kept the pre-flip join order:\n%s", second)
+	}
+	if sys.Optimizer() != held {
+		t.Fatal("a statistics change rebuilt the optimizer")
+	}
+
+	stats(1000, 2) // and back: this re-optimisation is the test's own
+	third := explain()
+	if third.Stats.PlanCacheHit {
+		t.Fatal("Explain after SetColumnStats was served from the plan cache")
+	}
+	if third.Stats.AHits == 0 {
+		t.Fatalf("evaluator memo did not survive the statistics change: %d calls, 0 hits", third.Stats.ACalls)
+	}
+	if third.String() != first.String() {
+		t.Fatalf("restored statistics, different plan:\n%s\nwant\n%s", third, first)
+	}
+}
+
+// TestConcurrentAnalyze re-analyzes and re-declares statistics while
+// four clients plan through a Server with the plan cache off, so every
+// submission reads table statistics while they are being replaced (run
+// under `make race`). Statistics cannot change an answer: every
+// submission must succeed with the same rows.
+func TestConcurrentAnalyze(t *testing.T) {
+	sys := rcFixture(t, Options{PlanCacheSize: -1, Parallel: true})
+	srv := sys.Serve(ServeOptions{MaxConcurrent: 4})
+	defer srv.Close()
+	ctx := context.Background()
+	queries := []string{rcJoinQuery, rcAggQuery, rcLocalQuery}
+	want := map[string][]Row{}
+	for _, q := range queries {
+		resp, err := srv.Do(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = resp.Rows
+	}
+
+	stop := make(chan struct{})
+	var clients sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[(c+i)%len(queries)]
+				resp, err := srv.Do(ctx, q)
+				if err != nil {
+					t.Errorf("client %d: %q during ANALYZE: %v", c, q, err)
+					return
+				}
+				if d := rowsDiff(want[q], resp.Rows); d != "" {
+					t.Errorf("client %d: %q during ANALYZE: %s", c, q, d)
+					return
+				}
+			}
+		}(c)
+	}
+	for i := 0; i < 100; i++ {
+		if err := sys.Analyze(); err != nil {
+			t.Error(err)
+			break
+		}
+		// Wrong on purpose, so that ANALYZE has something to correct.
+		if err := sys.SetColumnStats("Orders", "custkey", int64(1+i%7), Int(0), Int(1000)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	clients.Wait()
+}
+
+// TestDefineAfterOpen: sites and storage tables are created with the
+// cluster, so a table (like an index) declared afterwards could never be
+// loaded or queried — it is refused and registers nothing.
+func TestDefineAfterOpen(t *testing.T) {
+	sys := NewSystem()
+	sys.MustDefineTable("a", "db-a", "LA", 1, Col("x", TInt))
+	sys.MustAddPolicy("ship x from a to *")
+	sys.MustLoad("a", []Row{{Int(1)}})
+	version := sys.Schema.Version()
+	for name, err := range map[string]error{
+		"DefineTable, known site": sys.DefineTable("b", "db-a", "LA", 1, Col("x", TInt)),
+		"DefineTable, new site":   sys.DefineTable("c", "db-c", "LC", 1, Col("x", TInt)),
+		"DefineFragmentedTable": sys.DefineFragmentedTable("d", []Column{Col("x", TInt)},
+			[]Fragment{{DB: "db-a", Location: "LA"}, {DB: "db-c", Location: "LC"}}),
+		"DefineIndex": sys.DefineIndex("a", "x"),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "after the cluster was created") {
+			t.Errorf("%s after the first load: err=%v, want a refusal", name, err)
+		}
+	}
+	if got := len(sys.Schema.Tables()); got != 1 || len(sys.Schema.Locations()) != 1 || sys.Schema.Version() != version {
+		t.Errorf("a refused definition changed the catalog: %d tables, locations %v", got, sys.Schema.Locations())
+	}
+	if res, err := sys.Query("SELECT x FROM a"); err != nil || len(res.Rows) != 1 {
+		t.Errorf("query after the refusals: %v", err)
+	}
+}
