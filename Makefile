@@ -45,19 +45,16 @@ loc:
 # TPC-H query (cold, warm-policy-cache and plan-cache-hit paths, η,
 # evaluator calls, allocs/op) and rewrites BENCH_optimizer.json; the
 # second rewrites BENCH_exec.json (inline vs goroutine exchanges,
-# tracing off vs on, asserting the tracing-off overhead stays under 2%); the third
-# rewrites BENCH_sched.json (scheduled vs unscheduled mixed-TPC-H
-# throughput and p50/p99 at 1/4/16 clients, typed admission rejections
-# at 2x overload); the fourth rewrites BENCH_feedback.json (the
-# misestimated workload with the feedback loop off vs on, enforcing the
-# ship-bytes improvement floor); the fifth rewrites BENCH_store.json
+# tracing off vs on, asserting the tracing-off overhead stays under 2%);
+# the third rewrites BENCH_feedback.json (the misestimated workload with
+# the feedback loop off vs on, enforcing the ship-bytes improvement
+# floor); the fourth rewrites BENCH_store.json
 # (persistent-store access paths at 1M rows/site — full scan vs index
 # range vs index-lookup join, cold vs warm buffer pool — enforcing the
 # >=10x index-range floor); the rest print per-query numbers.
 bench:
 	$(GO) test -run TestOptimizerBenchReport -bench-report .
 	$(GO) test -run TestExecBenchReport -bench-report .
-	$(GO) test -run TestSchedBenchReport -bench-report -timeout 20m .
 	$(GO) test -run TestFeedbackBenchReport -bench-report .
 	$(GO) test -run TestStoreBenchReport -bench-report .
 	$(GO) test -run NONE -bench BenchmarkOptimizeTPCH -benchtime 3x -benchmem .

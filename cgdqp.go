@@ -754,12 +754,18 @@ func (s *System) ExplainAnalyze(sql string) (*Result, string, error) {
 	return res, prof.Format(res.Plan.Root) + res.Plan.Stats.SearchNote(), nil
 }
 
+// lifecycle returns the system's query lifecycle, ready to run: on a
+// built optimizer and an open cluster.
+func (s *System) lifecycle() sched.Lifecycle {
+	s.Optimizer()
+	s.Cluster()
+	return s.lc
+}
+
 // query runs the lifecycle's steps back to back; a non-nil prof
 // (EXPLAIN ANALYZE) skips the result-cache probe.
 func (s *System) query(ctx context.Context, sql string, prof *obs.PlanProfile) (*Result, error) {
-	s.Optimizer() // the lifecycle runs on a built optimizer
-	s.Cluster()   // and an open cluster
-	lc := s.lc
+	lc := s.lifecycle()
 	q := &sched.Query{SQL: sql, Start: time.Now()}
 	p, err := explain(&lc, sql)
 	if err != nil {
@@ -793,13 +799,12 @@ func (s *System) query(ctx context.Context, sql string, prof *obs.PlanProfile) (
 // --- concurrent query serving -------------------------------------------
 
 // Query-serving types re-exported from the scheduler subsystem: a
-// Server is the concurrent front end (admission control, weighted-fair
-// scheduling with per-site execution slots, shared-work batching of
-// identical in-flight optimizations) over one System.
+// Server is the concurrent front end (admission control, a worker pool,
+// shared-work batching of identical in-flight optimizations and
+// executions) over one System.
 type (
 	Server        = sched.Server
 	ServeOptions  = sched.Options
-	ServeRequest  = sched.Request
 	ServeResponse = sched.Response
 	ServeCounters = sched.Counters
 	Ticket        = sched.Ticket
@@ -821,30 +826,20 @@ const (
 
 // Serve starts a concurrent query-serving front end over the system:
 // queries submitted through the returned Server are admission-controlled
-// (bounded queue, typed rejections under overload), scheduled
-// weighted-fairly onto bounded per-site execution slots, executed with
-// goroutine-mode exchanges, and identical in-flight optimizations are
-// coalesced. The server shares the system's observability sinks (queue
-// gauges, admission/rejection counters, latency histograms land in
+// (bounded FIFO queue, typed rejections under overload), taken by a pool
+// of MaxConcurrent workers, and run through the same lifecycle as Query
+// — the system's optimizer, cluster, result cache, feedback store,
+// slow-query log and execution options — with goroutine-mode exchanges;
+// identical in-flight optimizations and executions are coalesced. The
+// server shares the system's observability sinks (queue gauges,
+// admission/rejection counters, latency histograms land in
 // System.Metrics()). Close the server before discarding it:
 //
 //	srv := sys.Serve(cgdqp.ServeOptions{MaxConcurrent: 8})
 //	defer srv.Close()
 //	resp, err := srv.Do(ctx, "SELECT ...")
 func (s *System) Serve(opts ServeOptions) *Server {
-	if opts.Exec == nil {
-		opts.Exec = &s.lc.Exec
-	}
-	if opts.ResultCache == nil {
-		opts.ResultCache, opts.CacheView = s.lc.Cache, s.lc.View
-	}
-	if opts.Feedback == nil {
-		opts.Feedback = s.lc.Feedback
-	}
-	if opts.SlowLog == nil {
-		opts.SlowLog = s.lc.SlowLog
-	}
-	return sched.NewServer(s.Optimizer(), s.Cluster(), s.lc.Obs, opts)
+	return sched.NewServer(s.lifecycle(), opts)
 }
 
 // Legal reports whether a query has at least one compliant execution

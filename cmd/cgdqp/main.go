@@ -17,8 +17,8 @@
 //	> \quit
 //
 // Serving mode replays a mixed TPC-H workload through the concurrent
-// query scheduler (admission control, weighted-fair per-site slots,
-// shared-work batching) and reports throughput and latency:
+// query scheduler (admission control, a worker pool, shared-work
+// batching) and reports throughput and latency:
 //
 //	cgdqp -serve -clients 16 -duration 10s            # closed loop
 //	cgdqp -serve -qps 50 -workload Q3,Q5 -queue-depth 32
@@ -107,7 +107,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	duration := fs.Duration("duration", 10*time.Second, "serving mode run length")
 	maxConcurrent := fs.Int("max-concurrent", cgdqp.DefaultMaxConcurrent, "serving mode: queries executing simultaneously")
 	queueDepth := fs.Int("queue-depth", cgdqp.DefaultQueueDepth, "serving mode: admission queue bound (overload beyond it is rejected)")
-	siteSlots := fs.Int("site-slots", 0, "serving mode: per-site fragment-pipeline slots (0 = 2x max-concurrent)")
 	queryTimeout := fs.Duration("query-timeout", 0, "serving mode: per-query deadline from admission (0 = none)")
 	feedbackOn := fs.Bool("feedback", false, "record per-operator actuals from every execution and let the optimizer cost with observed cardinalities (continuous wire calibration included)")
 	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
@@ -224,8 +223,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	if *serve {
 		return sh.runServe(*workloadMix, *qps, *clients, *duration, cgdqp.ServeOptions{
-			MaxConcurrent: *maxConcurrent, QueueDepth: *queueDepth,
-			SiteSlots: *siteSlots, QueryTimeout: *queryTimeout,
+			MaxConcurrent: *maxConcurrent, QueueDepth: *queueDepth, QueryTimeout: *queryTimeout,
 		})
 	}
 

@@ -178,6 +178,7 @@ func TestBadArguments(t *testing.T) {
 		{"-set", "bogus"},
 		{"-serve", "-workload", "Q99"},
 		{"-no-such-flag"},
+		{"-serve", "-site-slots", "4"}, // removed with the slot table
 	} {
 		if code, _, errw := cli(t, "", args...); code != 2 || errw == "" {
 			t.Errorf("cgdqp %v: exit %d, stderr %q; want exit 2 with a message", args, code, errw)

@@ -21,10 +21,10 @@ type execFlight struct {
 // scheduler's own around them, and says how a successful query was
 // answered: "ok" (executed), "cache_hit" or "exec_coalesced". Plan runs
 // under the optimization singleflight. Without a result cache the query
-// then simply executes. With one: cache hit → respond without executing
-// (no slots taken); identical execution in flight → wait for its
-// leader; otherwise become the leader, execute (which fills the cache)
-// and publish the result to followers.
+// then simply executes. With one: cache hit → respond without
+// executing; identical execution in flight → wait for its leader;
+// otherwise become the leader, execute (which fills the cache) and
+// publish the result to followers.
 func (s *Server) run(t *task, q *Query) (*rescache.Result, string, error) {
 	res, cols, shared, err := s.optimizeShared(t.ctx, q.SQL)
 	if err != nil {
@@ -95,14 +95,9 @@ func (s *Server) run(t *task, q *Query) (*rescache.Result, string, error) {
 	}
 }
 
-// execute gang-acquires the plan's per-site slots and runs the
-// lifecycle's Execute step under the task's context.
+// execute counts and runs the lifecycle's Execute step under the task's
+// context.
 func (s *Server) execute(t *task, q *Query) (*rescache.Result, error) {
-	need := siteCensus(q.Root, s.opts.siteSlots(), s.lc.Feedback)
-	if err := s.slots.acquire(t.ctx, need); err != nil {
-		return nil, err
-	}
-	defer s.slots.release(need)
 	s.nExecuted.Add(1)
 	return s.lc.Execute(t.ctx, q, nil)
 }

@@ -18,9 +18,9 @@ import (
 // (which fills the result cache and records feedback) → note — and the
 // only code that performs those steps. System.Query and ExplainAnalyze
 // call the steps back to back; a Server calls the same steps and wraps
-// what is the scheduler's own around them: admission and the fair queue
+// what is the scheduler's own around them: admission and the worker pool
 // in front, the optimization singleflight around Plan, the execution
-// singleflight and gang site slots around Execute.
+// singleflight around Execute.
 type Lifecycle struct {
 	Opt     *optimizer.Optimizer
 	Cluster *cluster.Cluster

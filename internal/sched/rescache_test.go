@@ -40,11 +40,10 @@ func TestSubmitSameQuerySingleExecution(t *testing.T) {
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	var slow bytes.Buffer
-	srv := NewServer(opt, cl, nil, Options{
+	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl, SlowLog: feedback.NewSlowQueryLog(&slow, 0)}, Options{
 		MaxConcurrent: 4,
 		ResultCache:   rescache.New(8 << 20),
 		CacheView:     cacheView(cl),
-		SlowLog:       feedback.NewSlowQueryLog(&slow, 0),
 	})
 	defer srv.Close()
 
@@ -117,7 +116,7 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	srv := NewServer(opt, cl, nil, Options{
+	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{
 		MaxConcurrent: 2,
 		ResultCache:   rescache.New(8 << 20),
 		CacheView:     cacheView(cl),
@@ -175,7 +174,7 @@ func TestCancelMidFillNoLeak(t *testing.T) {
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	cl.SetWireDelay(0.5) // per-batch wire sleeps give the cancel a window
-	srv := NewServer(opt, cl, nil, Options{
+	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{
 		MaxConcurrent: 4,
 		ResultCache:   rescache.New(8 << 20),
 		CacheView:     cacheView(cl),
@@ -247,7 +246,7 @@ func TestDataEpochBumpForcesReexecution(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	srv := NewServer(opt, cl, nil, Options{
+	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{
 		MaxConcurrent: 2,
 		ResultCache:   rescache.New(8 << 20),
 		CacheView:     cacheView(cl),

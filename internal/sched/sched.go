@@ -1,44 +1,35 @@
-// Package sched is the concurrent query-serving front end layered over
-// the single-query optimizer and the parallel execution engine. It
-// provides what neither of those layers can on its own:
+// Package sched is the concurrent query-serving front end: the System's
+// own query Lifecycle (plan, probe, execute, note — see lifecycle.go)
+// with admission in front and two singleflights around it. What the
+// Server itself contributes:
 //
-//   - Admission control: a bounded submission queue with typed
+//   - Admission control: a bounded FIFO submission queue with typed
 //     rejections (ErrQueueFull, ErrServerClosed) so overload sheds load
 //     as backpressure instead of unbounded queueing.
-//   - Weighted-fair scheduling: queued queries start in weighted-fair
-//     order (virtual-finish-time queueing), and each query's fragment
-//     pipelines take per-site execution slots from a bounded pool, so
-//     concurrent queries share every site's worker capacity instead of
-//     stacking unbounded goroutines on it. Slots are gang-acquired —
-//     all of a query's sites at once — which rules out cross-query
-//     slot deadlocks by construction (no query ever waits for slots
-//     while holding some).
+//   - One concurrency limit: a pool of MaxConcurrent workers takes
+//     queries off the queue in admission order.
 //   - Per-query isolation: execution runs under the per-query context
 //     (cancelled queued queries never start; cancelled running queries
 //     tear down their fragment pipelines and in-flight retries), and
 //     per-run ledger scoping in the executor keeps each query's
 //     RunStats independent under concurrency.
 //   - Shared-work batching: identical in-flight optimizations coalesce
-//     (singleflight on the normalized-plan digest), so a thundering
-//     herd of one query optimizes once and the followers reuse the
-//     leader's plan.
+//     (singleflight on the normalized-plan digest), and with a result
+//     cache identical in-flight executions do too, so a thundering herd
+//     of one query optimizes and runs once.
 package sched
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
-	"cgdqp/internal/feedback"
-	"cgdqp/internal/obs"
-	"cgdqp/internal/optimizer"
 	"cgdqp/internal/rescache"
 )
 
@@ -60,33 +51,16 @@ type Options struct {
 	// QueueDepth bounds admitted-but-not-started queries; submissions
 	// beyond it fail with ErrQueueFull (<=0: DefaultQueueDepth).
 	QueueDepth int
-	// SiteSlots bounds, per site, the fragment pipelines concurrently
-	// executing there across all queries (<=0: 2×MaxConcurrent). A
-	// single query needing more slots at one site than the bound is
-	// clamped to it (its own fragments multiplex the site), so every
-	// plan stays schedulable.
-	SiteSlots int
 	// QueryTimeout, when set, bounds each query from admission to
-	// completion (a per-Request Timeout overrides it).
+	// completion (on top of the submission context's own deadline).
 	QueryTimeout time.Duration
-	// ResultCache, when set, serves repeated queries from whole cached
-	// result sets and coalesces concurrent identical executions onto one
-	// run (the execution extension of the optimization singleflight).
-	// CacheView supplies its validity oracles — data epochs, the policy
-	// epoch and the provenance recheck; see package rescache.
+	// ResultCache, when set, replaces the lifecycle's result cache and
+	// CacheView its validity oracles — data epochs, the policy epoch and
+	// the provenance recheck; see package rescache. With a cache (either
+	// one) repeated queries are served from whole cached result sets and
+	// concurrent identical executions coalesce onto one run.
 	ResultCache *rescache.Cache
 	CacheView   rescache.View
-	// Exec overrides the execution options served queries run under
-	// (nil = the defaults: kernels on).
-	Exec *executor.ExecOptions
-	// Feedback, when set, (a) weights gang site-slot needs by observed
-	// fragment cardinality instead of counting every fragment as 1, and
-	// (b) receives per-operator actuals and e2e latency samples from
-	// every execution. Nil keeps fragment counting and records nothing.
-	Feedback *feedback.Store
-	// SlowLog, when set, receives a structured JSON line for every
-	// served query at or above its latency threshold.
-	SlowLog *feedback.SlowQueryLog
 }
 
 // Defaults for the zero Options value.
@@ -107,24 +81,6 @@ func (o Options) queueDepth() int {
 		return o.QueueDepth
 	}
 	return DefaultQueueDepth
-}
-
-func (o Options) siteSlots() int {
-	if o.SiteSlots > 0 {
-		return o.SiteSlots
-	}
-	return 2 * o.maxConcurrent()
-}
-
-// Request is one query submission.
-type Request struct {
-	SQL string
-	// Weight is the fair-share weight (<=0 means 1): a weight-2 query
-	// waiting alongside weight-1 queries is scheduled as if it arrived
-	// half a virtual time unit earlier.
-	Weight float64
-	// Timeout overrides Options.QueryTimeout for this query.
-	Timeout time.Duration
 }
 
 // Response is the outcome of a served query.
@@ -175,17 +131,14 @@ type Server struct {
 	lc   Lifecycle
 	opts Options
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  taskHeap
-	vtime  float64 // weighted-fair virtual clock, advanced as tasks start
-	seq    uint64
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*task // admitted, not yet started; FIFO, at most QueueDepth
+	running int     // queries a worker is serving
+	closed  bool
 
-	slots   *slotTable
 	flights flightGroup
 	wg      sync.WaitGroup
-	running atomic.Int64
 
 	// execFlights coalesces identical in-flight executions when a result
 	// cache is configured (see execflight.go).
@@ -197,25 +150,20 @@ type Server struct {
 	nExecuted, nResCacheHits, nExecCoalesced    atomic.Int64
 }
 
-// NewServer starts a server over the given optimizer and cluster. The
+// NewServer starts a server that runs every admitted query through lc
+// (with goroutine-mode exchanges, whatever lc.Parallel says). lc's
 // observer (nil = unobserved) receives queue gauges, admission and
-// rejection counters, and queue-wait / end-to-end latency histograms;
-// the optimizer and cluster should share it so spans line up.
-func NewServer(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer, opts Options) *Server {
+// rejection counters, and queue-wait / end-to-end latency histograms.
+func NewServer(lc Lifecycle, opts Options) *Server {
+	lc.Parallel = true
+	if opts.ResultCache != nil {
+		lc.Cache, lc.View = opts.ResultCache, opts.CacheView
+	}
 	s := &Server{
-		lc: Lifecycle{
-			Opt: opt, Cluster: cl, Obs: obsv,
-			Cache: opts.ResultCache, View: opts.CacheView,
-			Parallel: true,
-			Feedback: opts.Feedback, SlowLog: opts.SlowLog,
-		},
+		lc:          lc,
 		opts:        opts,
-		slots:       newSlotTable(opts.siteSlots()),
 		flights:     flightGroup{m: map[string]*flight{}},
 		execFlights: map[string]*execFlight{},
-	}
-	if opts.Exec != nil {
-		s.lc.Exec = *opts.Exec
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < opts.maxConcurrent(); i++ {
@@ -228,6 +176,22 @@ func NewServer(opt *optimizer.Optimizer, cl *cluster.Cluster, obsv *obs.Observer
 	return s
 }
 
+// task is one admitted query moving through the scheduler.
+type task struct {
+	srv    *Server
+	sql    string
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	enq       time.Time
+	queueWait time.Duration
+
+	once sync.Once
+	done chan struct{}
+	resp *Response
+	err  error
+}
+
 // Ticket is a handle on an admitted query.
 type Ticket struct{ t *task }
 
@@ -236,19 +200,13 @@ type Ticket struct{ t *task }
 // query end to end: cancelling it while queued means the query never
 // starts; cancelling it mid-execution tears down its fragment pipelines
 // and in-flight shipment retries.
-func (s *Server) Submit(ctx context.Context, req Request) (*Ticket, error) {
-	s.nSubmitted.Add(1)
-	if req.SQL == "" {
+func (s *Server) Submit(ctx context.Context, sql string) (*Ticket, error) {
+	// Not a submission at all: Submitted counts what is then either
+	// admitted or rejected.
+	if sql == "" {
 		return nil, fmt.Errorf("sched: empty SQL")
 	}
-	weight := req.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.QueryTimeout
-	}
+	s.nSubmitted.Add(1)
 
 	s.mu.Lock()
 	if s.closed {
@@ -266,26 +224,22 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	}
 	var qctx context.Context
 	var cancel context.CancelFunc
-	if timeout > 0 {
-		qctx, cancel = context.WithTimeout(ctx, timeout)
+	if s.opts.QueryTimeout > 0 {
+		qctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
 	} else {
 		qctx, cancel = context.WithCancel(ctx)
 	}
 	t := &task{
-		srv:     s,
-		req:     req,
-		ctx:     qctx,
-		cancel:  cancel,
-		vft:     s.vtime + 1/weight,
-		seq:     s.seq,
-		enq:     time.Now(),
-		heapIdx: -1,
-		done:    make(chan struct{}),
+		srv:    s,
+		sql:    sql,
+		ctx:    qctx,
+		cancel: cancel,
+		enq:    time.Now(),
+		done:   make(chan struct{}),
 	}
-	s.seq++
-	heap.Push(&s.queue, t)
+	s.queue = append(s.queue, t)
 	s.nAdmitted.Add(1)
-	s.gaugeQueueLocked()
+	s.gaugesLocked()
 	s.cond.Signal()
 	s.mu.Unlock()
 	if m := s.lc.Obs.Reg(); m != nil {
@@ -294,14 +248,9 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Ticket, error) {
 	return &Ticket{t: t}, nil
 }
 
-// SubmitSQL is Submit with default weight and timeout.
-func (s *Server) SubmitSQL(ctx context.Context, sql string) (*Ticket, error) {
-	return s.Submit(ctx, Request{SQL: sql})
-}
-
 // Do submits a query and waits for its outcome.
 func (s *Server) Do(ctx context.Context, sql string) (*Response, error) {
-	tk, err := s.SubmitSQL(ctx, sql)
+	tk, err := s.Submit(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -360,12 +309,15 @@ func (s *Server) Counters() Counters {
 }
 
 // Running returns the number of queries currently being served.
-func (s *Server) Running() int64 { return s.running.Load() }
+func (s *Server) Running() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.running
+}
 
 // --- scheduling loop -----------------------------------------------------
 
-// worker serves queries one at a time, picking the next in
-// weighted-fair order.
+// worker serves queries one at a time, in admission order.
 func (s *Server) worker() {
 	for {
 		t := s.next()
@@ -385,19 +337,18 @@ func (s *Server) next() *task {
 	defer s.mu.Unlock()
 	for {
 		for len(s.queue) > 0 {
-			t := heap.Pop(&s.queue).(*task)
-			s.gaugeQueueLocked()
-			if t.ctx.Err() != nil {
+			t := s.queue[0]
+			s.queue = slices.Delete(s.queue, 0, 1)
+			if err := t.ctx.Err(); err != nil {
 				// Cancelled while queued: finish it without starting.
-				err := t.ctx.Err()
+				s.gaugesLocked()
 				s.mu.Unlock()
 				s.finish(t, nil, err)
 				s.mu.Lock()
 				continue
 			}
-			if t.vft > s.vtime {
-				s.vtime = t.vft
-			}
+			s.running++
+			s.gaugesLocked()
 			return t
 		}
 		if s.closed && len(s.queue) == 0 {
@@ -412,12 +363,13 @@ func (s *Server) next() *task {
 // to finish on its own.
 func (s *Server) abandon(t *task) {
 	s.mu.Lock()
-	if t.heapIdx < 0 {
+	i := slices.Index(s.queue, t)
+	if i < 0 {
 		s.mu.Unlock()
 		return
 	}
-	heap.Remove(&s.queue, t.heapIdx)
-	s.gaugeQueueLocked()
+	s.queue = slices.Delete(s.queue, i, i+1)
+	s.gaugesLocked()
 	s.mu.Unlock()
 	s.finish(t, nil, t.ctx.Err())
 }
@@ -426,14 +378,17 @@ func (s *Server) abandon(t *task) {
 // outcome.
 func (s *Server) serve(t *task) {
 	t.queueWait = time.Since(t.enq)
-	s.running.Add(1)
-	defer s.running.Add(-1)
+	defer func() {
+		s.mu.Lock()
+		s.running--
+		s.gaugesLocked()
+		s.mu.Unlock()
+	}()
 	if m := s.lc.Obs.Reg(); m != nil {
-		m.Gauge("cgdqp_sched_running").Set(float64(s.running.Load()))
 		m.Histogram("cgdqp_sched_queue_wait_seconds").Observe(t.queueWait.Seconds())
 	}
 	sp := s.lc.Obs.StartSpan("sched.serve")
-	q := &Query{SQL: t.req.SQL, Start: t.enq}
+	q := &Query{SQL: t.sql, Start: t.enq}
 	r, how, err := s.run(t, q)
 	if err != nil {
 		how = "exec_error"
@@ -496,10 +451,12 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// gaugeQueueLocked refreshes the queue-depth gauge (caller holds mu).
-func (s *Server) gaugeQueueLocked() {
+// gaugesLocked refreshes the queue-depth and running gauges (caller
+// holds mu, so the last write is the latest state).
+func (s *Server) gaugesLocked() {
 	if m := s.lc.Obs.Reg(); m != nil {
 		m.Gauge("cgdqp_sched_queue_depth").Set(float64(len(s.queue)))
+		m.Gauge("cgdqp_sched_running").Set(float64(s.running))
 	}
 }
 

@@ -1,10 +1,11 @@
 package sched
 
 import (
-	"container/heap"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,36 +16,54 @@ import (
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
+	"cgdqp/internal/feedback"
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
-	"cgdqp/internal/plan"
 	"cgdqp/internal/policy"
 	"cgdqp/internal/schema"
 )
 
-// leakCheck arms a goroutine-leak detector: the returned function (run
-// it deferred, after the server is closed) fails the test if the
-// goroutine count has not settled back to its starting level. The
-// settle loop tolerates runtime bookkeeping goroutines finishing late.
+// settle polls the goroutine count back down to base, tolerating runtime
+// bookkeeping goroutines that finish late, and returns where it ended up.
+func settle(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func allStacks() []byte {
+	buf := make([]byte, 1<<20)
+	return buf[:runtime.Stack(buf, true)]
+}
+
+// TestMain fails the package when goroutines outlive its tests: every
+// server a test starts must have been closed, every flight landed.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if after := settle(base); code == 0 && after > base {
+		fmt.Fprintf(os.Stderr, "goroutine leak after the package's tests: %d before, %d after\n%s", base, after, allStacks())
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// leakCheck arms the same detector for one test, so a leak is pinned on
+// the test that caused it: run the returned function deferred, after the
+// server is closed.
 func leakCheck(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	return func() {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		var after int
-		for {
-			after = runtime.NumGoroutine()
-			if after <= before || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if after > before {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Errorf("goroutine leak: %d before, %d after\n%s", before, after, buf[:n])
+		if after := settle(before); after > before {
+			t.Errorf("goroutine leak: %d before, %d after\n%s", before, after, allStacks())
 		}
 	}
 }
@@ -148,7 +167,7 @@ func canon(rows []expr.Row) []string {
 }
 
 // waitRunning polls until the server reports n running queries.
-func waitRunning(t *testing.T, s *Server, n int64) {
+func waitRunning(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Running() != n {
@@ -175,7 +194,7 @@ func TestServeMatchesDirectExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 2})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 2})
 	defer s.Close()
 	resp, err := s.Do(context.Background(), joinQuery)
 	if err != nil {
@@ -221,7 +240,7 @@ func TestConcurrentServingIsolatesStats(t *testing.T) {
 		want[q] = *st
 	}
 
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 8})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 8})
 	defer s.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -259,24 +278,24 @@ func TestQueueFullRejection(t *testing.T) {
 	cl.SetWireDelay(0.2) // make queries take real time so they stay running
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	reg := obs.NewRegistry()
-	s := NewServer(opt, cl, &obs.Observer{Metrics: reg}, Options{MaxConcurrent: 1, QueueDepth: 2})
-	defer s.Close()
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl, Obs: &obs.Observer{Metrics: reg}}, Options{MaxConcurrent: 1, QueueDepth: 2})
+	defer s.Close() // again, harmlessly, after the Close the gauge check needs
 
 	ctx := context.Background()
-	t1, err := s.SubmitSQL(ctx, joinQuery)
+	t1, err := s.Submit(ctx, joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1) // worker took t1; queue is empty
 	var tickets []*Ticket
 	for i := 0; i < 2; i++ {
-		tk, err := s.SubmitSQL(ctx, joinQuery)
+		tk, err := s.Submit(ctx, joinQuery)
 		if err != nil {
 			t.Fatalf("submission %d within depth rejected: %v", i, err)
 		}
 		tickets = append(tickets, tk)
 	}
-	if _, err := s.SubmitSQL(ctx, joinQuery); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(ctx, joinQuery); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-depth submission: got %v, want ErrQueueFull", err)
 	}
 	if c := s.Counters(); c.RejectedQueueFull != 1 {
@@ -290,15 +309,21 @@ func TestQueueFullRejection(t *testing.T) {
 			t.Errorf("admitted query failed: %v", err)
 		}
 	}
+	s.Close()
+	for _, g := range []string{"cgdqp_sched_running", "cgdqp_sched_queue_depth"} {
+		if v := reg.Gauge(g).Value(); v != 0 {
+			t.Errorf("%s = %v on an idle, closed server; want 0", g, v)
+		}
+	}
 }
 
 func TestServerClosedRejection(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
 	s.Close()
-	if _, err := s.SubmitSQL(context.Background(), joinQuery); !errors.Is(err, ErrServerClosed) {
+	if _, err := s.Submit(context.Background(), joinQuery); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("got %v, want ErrServerClosed", err)
 	}
 }
@@ -310,18 +335,18 @@ func TestQueuedCancelNeverStarts(t *testing.T) {
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.2)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1, QueueDepth: 4})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1, QueueDepth: 4})
 	defer s.Close()
 
 	bg := context.Background()
-	t1, err := s.SubmitSQL(bg, joinQuery)
+	t1, err := s.Submit(bg, joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
 
 	ctx, cancel := context.WithCancel(bg)
-	t2, err := s.Submit(ctx, Request{SQL: countQuery})
+	t2, err := s.Submit(ctx, countQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +372,11 @@ func TestMidExecutionCancelTearsDown(t *testing.T) {
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.5) // per-batch wire sleeps give the cancel a window
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	tk, err := s.Submit(ctx, Request{SQL: joinQuery})
+	tk, err := s.Submit(ctx, joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +401,9 @@ func TestQueryTimeout(t *testing.T) {
 	cat, cl := carco(t)
 	cl.SetWireDelay(1.0)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1, QueryTimeout: 30 * time.Millisecond})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1, QueryTimeout: 30 * time.Millisecond})
 	defer s.Close()
-	tk, err := s.SubmitSQL(context.Background(), joinQuery)
+	tk, err := s.Submit(context.Background(), joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +418,7 @@ func TestOptimizeSharedCoalesces(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
 	defer s.Close()
 
 	// Install an in-flight optimization by hand, then ask for the same
@@ -454,7 +479,7 @@ func TestOptimizeSharedCoalesces(t *testing.T) {
 func TestFlightKeyUsesDigestWhenMemoized(t *testing.T) {
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{PlanCacheSize: 8})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
 	defer s.Close()
 
 	k1 := s.flightKey(joinQuery)
@@ -483,7 +508,7 @@ func TestCoalescedFollowersExecuteCorrectly(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 8})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 8})
 	defer s.Close()
 
 	// Thundering herd of one statement: whether or not each submission
@@ -528,215 +553,83 @@ func TestCoalescedFollowersExecuteCorrectly(t *testing.T) {
 	}
 }
 
-// --- fair queue ----------------------------------------------------------
+// --- FIFO queue ----------------------------------------------------------
 
-func TestFairQueueOrdersByWeight(t *testing.T) {
-	var h taskHeap
-	mk := func(vft float64, seq uint64) *task {
-		return &task{vft: vft, seq: seq, heapIdx: -1}
-	}
-	// Virtual finish times as Submit computes them at one virtual clock:
-	// weight 4 → 0.25, weight 2 → 0.5, weight 1 → 1.0 (two of those,
-	// FIFO-tied by seq).
-	a, b, c, d := mk(1.0, 0), mk(0.25, 1), mk(0.5, 2), mk(1.0, 3)
-	for _, t0 := range []*task{a, b, c, d} {
-		heap.Push(&h, t0)
-	}
-	wantOrder := []*task{b, c, a, d}
-	for i, want := range wantOrder {
-		got := heap.Pop(&h).(*task)
-		if got != want {
-			t.Fatalf("pop %d: got vft=%v seq=%d, want vft=%v seq=%d", i, got.vft, got.seq, want.vft, want.seq)
-		}
-	}
-}
-
-func TestHeavyQueryJumpsQueue(t *testing.T) {
+// TestQueueIsFIFO: queued queries start in admission order, and one
+// cancelled while queued is skipped without disturbing its neighbours.
+func TestQueueIsFIFO(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.2)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 1, QueueDepth: 8})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1, QueueDepth: 8})
 	defer s.Close()
 
 	bg := context.Background()
-	first, err := s.SubmitSQL(bg, joinQuery)
+	first, err := s.Submit(bg, joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, 1)
-	// Queue a light query, then a heavy one: the heavy one (smaller
-	// virtual finish time) must start first once the worker frees.
-	light, err := s.Submit(bg, Request{SQL: countQuery, Weight: 1})
-	if err != nil {
-		t.Fatal(err)
+	// Four queries queue behind the running one; the second is cancelled
+	// before the worker frees.
+	cctx, cancel := context.WithCancel(bg)
+	var queued []*Ticket
+	for i, q := range []string{countQuery, joinQuery, joinQuery, countQuery} {
+		ctx := bg
+		if i == 1 {
+			ctx = cctx
+		}
+		tk, err := s.Submit(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, tk)
 	}
-	heavy, err := s.Submit(bg, Request{SQL: joinQuery, Weight: 8})
-	if err != nil {
-		t.Fatal(err)
+	cancel()
+	if _, err := queued[1].Wait(bg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled-while-queued query: got %v, want context.Canceled", err)
 	}
 	if _, err := first.Wait(bg); err != nil {
 		t.Fatal(err)
 	}
-	hr, err := heavy.Wait(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr, err := light.Wait(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The heavy query was scheduled before the light one even though it
-	// arrived later: with one worker, its queue wait is strictly
-	// shorter. (Both waited on `first`, so the gap is the heavy query's
-	// own service time — well above timer noise with wire delay on.)
-	if hr.QueueWait >= lr.QueueWait {
-		t.Errorf("heavy query did not jump the queue: heavy wait %v, light wait %v", hr.QueueWait, lr.QueueWait)
-	}
-}
-
-// --- slot table ----------------------------------------------------------
-
-func TestSiteCensus(t *testing.T) {
-	cat, cl := carco(t)
-	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	res, err := opt.OptimizeSQL(joinQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := siteCensus(res.Plan, 16, nil)
-	// One slot per fragment: every Ship source plus the root site.
-	ships := 0
-	res.Plan.Walk(func(n *plan.Node) bool {
-		if n.Kind == plan.Ship {
-			ships++
+	// One worker serves the survivors one after another, so each later
+	// arrival waited at least the service time of the one before it (well
+	// above timer noise with wire delay on).
+	var prev time.Duration
+	for _, i := range []int{0, 2, 3} {
+		r, err := queued[i].Wait(bg)
+		if err != nil {
+			t.Fatalf("queued query %d: %v", i, err)
 		}
-		return true
-	})
-	total := 0
-	for _, n := range need {
-		total += n
-	}
-	if total != ships+1 {
-		t.Errorf("census total %d, want %d (ships %d + root)", total, ships+1, ships)
-	}
-	// Clamping: with cap 1 no site may need more than 1.
-	for site, n := range siteCensus(res.Plan, 1, nil) {
-		if n > 1 {
-			t.Errorf("site %s need %d exceeds cap 1", site, n)
+		if r.QueueWait <= prev {
+			t.Errorf("queued query %d started out of admission order: waited %v, its predecessor %v", i, r.QueueWait, prev)
 		}
+		prev = r.QueueWait
+	}
+	if c := s.Counters(); c.Completed != 4 || c.Cancelled != 1 {
+		t.Errorf("Completed = %d, Cancelled = %d; want 4 and 1", c.Completed, c.Cancelled)
 	}
 }
 
-func TestSlotTableGangAcquire(t *testing.T) {
-	st := newSlotTable(2)
-	ctx := context.Background()
-	a := map[string]int{"N": 1, "E": 2}
-	if err := st.acquire(ctx, a); err != nil {
-		t.Fatal(err)
-	}
-	if st.inUse("E") != 2 || st.inUse("N") != 1 {
-		t.Fatalf("usage after acquire: N=%d E=%d", st.inUse("N"), st.inUse("E"))
-	}
-	// A gang needing E must block; one needing only N may bypass it.
-	blocked := make(chan error, 1)
-	go func() { blocked <- st.acquire(ctx, map[string]int{"E": 1}) }()
-	select {
-	case err := <-blocked:
-		t.Fatalf("over-capacity gang acquired: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := st.acquire(ctx, map[string]int{"N": 1}); err != nil {
-		t.Fatalf("fitting gang should bypass the blocked one: %v", err)
-	}
-	st.release(a)
-	if err := <-blocked; err != nil {
-		t.Fatalf("blocked gang after release: %v", err)
-	}
-	st.release(map[string]int{"E": 1})
-	st.release(map[string]int{"N": 1})
-	if st.inUse("N") != 0 || st.inUse("E") != 0 {
-		t.Fatalf("slots not returned: N=%d E=%d", st.inUse("N"), st.inUse("E"))
-	}
-}
-
-func TestSlotTableCancelWhileWaiting(t *testing.T) {
-	st := newSlotTable(1)
-	if err := st.acquire(context.Background(), map[string]int{"N": 1}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- st.acquire(ctx, map[string]int{"N": 1}) }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	st.release(map[string]int{"N": 1})
-	// The cancelled waiter must not have consumed the slot.
-	if err := st.acquire(context.Background(), map[string]int{"N": 1}); err != nil {
-		t.Fatalf("slot lost to a cancelled waiter: %v", err)
-	}
-	st.release(map[string]int{"N": 1})
-}
-
-func TestSlotTableAntiStarvation(t *testing.T) {
-	st := newSlotTable(2)
-	ctx := context.Background()
-	if err := st.acquire(ctx, map[string]int{"N": 1}); err != nil {
-		t.Fatal(err)
-	}
-	// A wide gang (needs both N slots) waits behind the held slot.
-	wide := make(chan error, 1)
-	go func() { wide <- st.acquire(ctx, map[string]int{"N": 2}) }()
-	time.Sleep(10 * time.Millisecond)
-	// Narrow gangs bypass it until its credit runs out; after that they
-	// must queue behind it even though they would fit.
-	for i := 0; i < bypassLimit; i++ {
-		if err := st.acquire(ctx, map[string]int{"N": 1}); err != nil {
-			t.Fatalf("bypass %d: %v", i, err)
-		}
-		st.release(map[string]int{"N": 1})
-	}
-	after := make(chan error, 1)
-	go func() { after <- st.acquire(ctx, map[string]int{"N": 1}) }()
-	select {
-	case err := <-after:
-		t.Fatalf("narrow gang bypassed an exhausted waiter: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// Releasing the held slot lets the wide gang (now at the head with
-	// exhausted credit) in first, then the narrow one after it.
-	st.release(map[string]int{"N": 1})
-	if err := <-wide; err != nil {
-		t.Fatalf("wide gang: %v", err)
-	}
-	select {
-	case err := <-after:
-		t.Fatalf("narrow gang ran while the wide gang holds both slots: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	st.release(map[string]int{"N": 2})
-	if err := <-after; err != nil {
-		t.Fatalf("narrow gang after wide release: %v", err)
-	}
-	st.release(map[string]int{"N": 1})
-}
-
-// TestCloseDrainsQueue checks Close waits for admitted queries.
+// TestCloseDrainsQueue checks Close waits for admitted queries, and that
+// the lifetime counters then add up.
 func TestCloseDrainsQueue(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(opt, cl, nil, Options{MaxConcurrent: 2, QueueDepth: 16})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 2, QueueDepth: 16})
+	bg := context.Background()
 	var tickets []*Ticket
 	for i := 0; i < 6; i++ {
-		tk, err := s.SubmitSQL(context.Background(), countQuery)
+		tk, err := s.Submit(bg, countQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tickets = append(tickets, tk)
+	}
+	if _, err := s.Submit(bg, ""); err == nil {
+		t.Error("empty SQL admitted")
 	}
 	s.Close()
 	for i, tk := range tickets {
@@ -745,8 +638,51 @@ func TestCloseDrainsQueue(t *testing.T) {
 		default:
 			t.Fatalf("query %d not finished after Close", i)
 		}
-		if _, err := tk.Wait(context.Background()); err != nil {
+		if _, err := tk.Wait(bg); err != nil {
 			t.Errorf("query %d: %v", i, err)
 		}
+	}
+	if _, err := s.Submit(bg, countQuery); !errors.Is(err, ErrServerClosed) {
+		t.Errorf("submission after Close: got %v, want ErrServerClosed", err)
+	}
+	c := s.Counters()
+	if c.Submitted != c.Admitted+c.RejectedQueueFull+c.RejectedClosed {
+		t.Errorf("Submitted != Admitted + Rejected*: %+v", c)
+	}
+	if c.Admitted != c.Completed+c.Failed+c.Cancelled {
+		t.Errorf("Admitted != Completed + Failed + Cancelled: %+v", c)
+	}
+	if c.Admitted != 6 || c.RejectedClosed != 1 {
+		t.Errorf("Admitted = %d, RejectedClosed = %d; want 6 and 1", c.Admitted, c.RejectedClosed)
+	}
+}
+
+// TestServerFeedbackTelemetry runs a server whose lifecycle has a
+// feedback store and a zero-threshold slow log: executions must feed
+// operator actuals, e2e samples, and emit parseable slow-log lines.
+func TestServerFeedbackTelemetry(t *testing.T) {
+	defer leakCheck(t)()
+	cat, cl := carco(t)
+	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
+	fb := feedback.NewStore(feedback.Options{})
+	var buf bytes.Buffer // writes serialized under the log's own mutex
+	slow := feedback.NewSlowQueryLog(&buf, 0)
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl, Feedback: fb, SlowLog: slow}, Options{MaxConcurrent: 2})
+	for i := 0; i < 3; i++ {
+		if _, err := s.Do(context.Background(), countQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	sum := fb.Summary()
+	if sum.Tracked == 0 {
+		t.Fatal("no operator actuals recorded")
+	}
+	if sum.Queries != 3 {
+		t.Fatalf("e2e samples = %d, want 3", sum.Queries)
+	}
+	if slow.Count() != 3 {
+		t.Fatalf("slow-log lines = %d, want 3", slow.Count())
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"cgdqp/internal/executor"
 )
 
 // lifecycleRun is what one front end observed for a statement sequence.
@@ -141,19 +139,19 @@ func TestLifecycleParity(t *testing.T) {
 	}
 }
 
-// TestServeExecOptionsKeyTheCache: ServeOptions.Exec replaces the
-// system's execution options, and no execution option changes rows,
-// RunStats or audit log — so none of them keys the cache: a server on
-// the row interpreter is served the entry a kernel execution filled, and
-// when it executes for itself it reports the very same statistics.
+// TestServeExecOptionsKeyTheCache: no execution option changes rows,
+// RunStats or audit log — so none of them keys the cache. Two lifecycles
+// share one cache: a server on the row interpreter is served the entry a
+// kernel execution filled, and when it executes for itself it reports
+// the very same statistics.
 func TestServeExecOptionsKeyTheCache(t *testing.T) {
-	interp := ServeOptions{Exec: &executor.ExecOptions{NoKernels: true}}
+	interp := Options{NoVectorKernels: true}
 	sys := rcFixture(t, Options{ResultCacheBytes: 1 << 20})
 	plain, err := sys.Query(rcJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := sys.Serve(interp)
+	srv := rcFixture(t, interp).Serve(ServeOptions{ResultCache: sys.lc.Cache, CacheView: sys.lc.View})
 	defer srv.Close()
 	served, err := srv.Do(context.Background(), rcJoinQuery)
 	if err != nil {
@@ -164,7 +162,7 @@ func TestServeExecOptionsKeyTheCache(t *testing.T) {
 			served.CacheHit, served.Stats.ShippedBytes, plain.ShippedBytes)
 	}
 
-	uncached := rcFixture(t, Options{}).Serve(interp)
+	uncached := rcFixture(t, interp).Serve(ServeOptions{})
 	defer uncached.Close()
 	fresh, err := uncached.Do(context.Background(), rcJoinQuery)
 	if err != nil {

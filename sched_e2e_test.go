@@ -119,7 +119,7 @@ func TestServeTPCHThroughSystem(t *testing.T) {
 		refs[name] = renderRows(rows)
 	}
 
-	srv := sched.NewServer(opt, cl, nil, sched.Options{MaxConcurrent: 6, QueueDepth: 64})
+	srv := sched.NewServer(sched.Lifecycle{Opt: opt, Cluster: cl}, sched.Options{MaxConcurrent: 6, QueueDepth: 64})
 	defer srv.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
@@ -219,7 +219,7 @@ func TestSchedChaosServing(t *testing.T) {
 			DelayProb:     0.10,
 			DelayMS:       5,
 		}))
-		srv := sched.NewServer(opt, cl, obsv, sched.Options{MaxConcurrent: 6, QueueDepth: 32})
+		srv := sched.NewServer(sched.Lifecycle{Opt: opt, Cluster: cl, Obs: obsv}, sched.Options{MaxConcurrent: 6, QueueDepth: 32})
 
 		type outcome struct {
 			name string
