@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build lint test vet race bench benchsmoke benchcheck fuzz loc
+.PHONY: verify build lint test vet race bench benchsmoke benchcheck fuzz loc golden
 
 # Tier-1 verification gate: build, lint (vet + gofmt), full test suite
 # (cmd/cgdqp included), the race detector over every internal package
@@ -41,19 +41,21 @@ benchcheck:
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
-# Optimizer + engine benchmarks. The first step measures every golden
-# TPC-H query (cold, warm-policy-cache and plan-cache-hit paths, η,
-# evaluator calls, allocs/op) and rewrites BENCH_optimizer.json; the
-# second rewrites BENCH_exec.json (inline vs goroutine exchanges,
-# tracing off vs on, asserting the tracing-off overhead stays under 2%);
-# the third rewrites BENCH_feedback.json (the misestimated workload with
-# the feedback loop off vs on, enforcing the ship-bytes improvement
-# floor); the fourth rewrites BENCH_store.json
+# golden: re-pin testdata/plans/*.golden from the optimizer's current
+# output. Not part of verify: a re-pin is always a stated, reviewed plan
+# change — say in the PR which plans moved and why.
+golden:
+	$(GO) test -run 'TestGoldenPlans' -update .
+
+# Engine benchmarks. The first step rewrites BENCH_exec.json (inline vs
+# goroutine exchanges, tracing off vs on, asserting the tracing-off
+# overhead stays under 2%); the second rewrites BENCH_feedback.json (the
+# misestimated workload with the feedback loop off vs on, enforcing the
+# ship-bytes improvement floor); the third rewrites BENCH_store.json
 # (persistent-store access paths at 1M rows/site — full scan vs index
 # range vs index-lookup join, cold vs warm buffer pool — enforcing the
 # >=10x index-range floor); the rest print per-query numbers.
 bench:
-	$(GO) test -run TestOptimizerBenchReport -bench-report .
 	$(GO) test -run TestExecBenchReport -bench-report .
 	$(GO) test -run TestFeedbackBenchReport -bench-report .
 	$(GO) test -run TestStoreBenchReport -bench-report .

@@ -77,7 +77,7 @@ func TestWarmExecAllocBudget(t *testing.T) {
 // optimized cold by a fresh optimizer under T and CR+A. The memo counts
 // are exact and the allocation counts repeat to a fraction of a percent,
 // so bounds a little above today's values (520 groups / 3,053
-// expressions / ~182k allocations for Q5, 62 / 282 / ~19k for Q8; 3,906 /
+// expressions / ~165k allocations for Q5, 62 / 282 / ~16k for Q8; 3,906 /
 // 14,933 / 795k and 610 / 2,890 / 300k when a group was one join tree
 // rather than one relation) catch the next rule that re-fragments the
 // memo, and the next alternative built only to be thrown away, in
@@ -89,8 +89,8 @@ func TestColdPlanSearchBudget(t *testing.T) {
 		query                 string
 		groups, exprs, allocs int
 	}{
-		{"Q5", 540, 3_150, 250_000},
-		{"Q8", 65, 295, 30_000},
+		{"Q5", 540, 3_150, 180_000},
+		{"Q8", 65, 295, 17_000},
 	} {
 		for _, set := range []workload.SetName{workload.SetT, workload.SetCRA} {
 			pc := workload.TPCHSet(set)

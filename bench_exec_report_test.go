@@ -11,9 +11,11 @@ package cgdqp
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -25,6 +27,15 @@ import (
 	"cgdqp/internal/plan"
 	"cgdqp/internal/schema"
 )
+
+// benchReport gates every bench_*_report_test.go harness: they are
+// measurement passes, not correctness tests.
+var benchReport = flag.Bool("bench-report", false, "run the measurement harnesses and rewrite their BENCH_*.json reports")
+
+func medianNS(samples []time.Duration) int64 {
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2].Nanoseconds()
+}
 
 type execBenchRow struct {
 	Engine string `json:"engine"`

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"cgdqp/internal/tpch"
 )
 
 // demoSystem builds the CarCo scenario of the paper's Section 2 through
@@ -191,5 +193,62 @@ func TestFragmentedSystem(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 10 {
 		t.Errorf("fragmented sum: %v", res.Rows)
+	}
+}
+
+// TestOrderByAfterSecondLoad: result order comes from a SortExec and
+// from nothing else. Each orders batch is in primary-key order, as the
+// generator would emit it, but the second sorts before the first, so the
+// stored table is not; ORDER BY must sort it all the same — alone, over
+// a join and under a LIMIT, in memory and on the persistent store.
+func TestOrderByAfterSecondLoad(t *testing.T) {
+	order := func(key int64) Row {
+		return Row{Int(key), Int(1 + key%2), String("O"), Float(float64(key)), Date("1995-01-01"),
+			String("1-URGENT"), String("Clerk#1"), Int(0), String("")}
+	}
+	customer := func(key int64) Row {
+		return Row{Int(key), String(fmt.Sprintf("Customer#%d", key)), String(""), Int(0), String(""),
+			Float(0), String("BUILDING"), String("")}
+	}
+	for _, mode := range []string{"memory", "datadir"} {
+		t.Run(mode, func(t *testing.T) {
+			var opts Options
+			if mode == "datadir" {
+				opts.DataDir = t.TempDir()
+			}
+			sys := NewSystemWith(opts)
+			defer sys.Close()
+			sys.Schema = tpch.NewCatalog(0.001)
+			for _, tab := range sys.Schema.Tables() {
+				sys.MustAddPolicy("ship * from " + tab.Name + " to *")
+			}
+			sys.MustLoad("customer", []Row{customer(1), customer(2)})
+			sys.MustLoad("orders", []Row{order(10), order(20)})
+			sys.MustLoad("orders", []Row{order(1), order(2)})
+
+			for _, tc := range []struct {
+				sql  string
+				want []int64
+			}{
+				{`SELECT o.orderkey FROM orders o ORDER BY o.orderkey`, []int64{1, 2, 10, 20}},
+				{`SELECT o.orderkey, c.name FROM customer c, orders o WHERE c.custkey = o.custkey ORDER BY o.orderkey`,
+					[]int64{1, 2, 10, 20}},
+				{`SELECT o.orderkey, c.name FROM customer c, orders o WHERE c.custkey = o.custkey ORDER BY o.orderkey LIMIT 3`,
+					[]int64{1, 2, 10}},
+			} {
+				res, err := sys.Query(tc.sql)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.sql, err)
+				}
+				wantSortsSurface(t, tc.sql, tc.sql, res.Plan.Root)
+				var got []int64
+				for _, r := range res.Rows {
+					got = append(got, r[0].Int())
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Errorf("%s: order keys %v, want %v", tc.sql, got, tc.want)
+				}
+			}
+		})
 	}
 }

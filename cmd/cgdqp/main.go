@@ -228,7 +228,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *query != "" {
-		sh.runOne(*query, *explainOnly)
+		if !sh.runOne(*query, *explainOnly) {
+			return 1
+		}
 		return 0
 	}
 
@@ -283,13 +285,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // runOne plans (and, unless explainOnly, executes) one statement and
-// prints the plan, the rows and the shipping footer.
-func (sh *shell) runOne(sql string, explainOnly bool) {
+// prints the plan, the rows and the shipping footer. It reports whether
+// the statement succeeded; a failure has been written to stderr.
+func (sh *shell) runOne(sql string, explainOnly bool) bool {
 	if explainOnly {
 		p, err := sh.sys.Explain(sql)
 		if err != nil {
 			fmt.Fprintf(sh.errw, "error: %v\n", err)
-			return
+			return false
 		}
 		if !sh.explainAnalyze {
 			fmt.Fprintln(sh.out, p)
@@ -303,7 +306,7 @@ func (sh *shell) runOne(sql string, explainOnly bool) {
 		fmt.Fprintf(sh.out, "-- optimization: %v, estimated ship cost: %.2f ms; η=%d, 𝒜 calls=%d (cache hits %d)%s\n",
 			p.Stats.TotalTime, p.EstShipCost,
 			p.Stats.Eta, p.Stats.ACalls, p.Stats.AHits, cacheNote)
-		return
+		return true
 	}
 	var res *cgdqp.Result
 	var analyzed string
@@ -320,7 +323,7 @@ func (sh *shell) runOne(sql string, explainOnly bool) {
 		} else {
 			fmt.Fprintf(sh.errw, "error: %v\n", err)
 		}
-		return
+		return false
 	}
 	if sh.explainAnalyze {
 		fmt.Fprintln(sh.out, analyzed)
@@ -348,6 +351,7 @@ func (sh *shell) runOne(sql string, explainOnly bool) {
 	}
 	fmt.Fprintf(sh.out, "-- %d rows; shipped %d bytes across borders (%.2f ms simulated)%s%s\n",
 		len(res.Rows), res.ShippedBytes, res.ShipCost, retryNote, cacheNote)
+	return true
 }
 
 // runServe replays a mixed TPC-H workload through the concurrent query

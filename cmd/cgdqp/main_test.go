@@ -65,6 +65,18 @@ func TestOneShotQuery(t *testing.T) {
 	if strings.Contains(out, "[result cache hit]") {
 		t.Errorf("first execution reported a cache hit:\n%s", out)
 	}
+	// A failed one-shot statement is a failed command (the interactive
+	// shell carries on: TestShellSession).
+	for _, tc := range []struct{ name, sql, want string }{
+		{"malformed", "SELEC 1", "error: sqlparse: "},
+		{"policy-rejected", "SELECT c.comment, l.comment FROM customer c, lineitem l WHERE c.custkey = l.orderkey",
+			"no compliant execution plan"},
+	} {
+		code, out, errw := cli(t, "", "-set", "CR", "-q", tc.sql)
+		if code != 1 || !strings.Contains(errw, tc.want) || footerRE.MatchString(out) {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 1, %q on stderr and no result", tc.name, code, errw, out, tc.want)
+		}
+	}
 }
 
 func TestExplain(t *testing.T) {

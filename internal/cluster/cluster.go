@@ -280,56 +280,12 @@ func (c *Cluster) LoadFragment(t *schema.Table, fragIdx int, rows []expr.Row) er
 	if !ok {
 		return fmt.Errorf("cluster: table %s missing at %s", t.Name, loc)
 	}
-	if err := validateSortedBy(t, rows); err != nil {
-		return err
-	}
 	if err := st.Insert(rows...); err != nil {
 		return err
 	}
 	c.epochMu.Lock()
 	c.epochs[strings.ToLower(t.Name)]++
 	c.epochMu.Unlock()
-	return nil
-}
-
-// validateSortedBy checks that rows respect the table's declared physical
-// sort order (the optimizer relies on it for merge joins).
-func validateSortedBy(t *schema.Table, rows []expr.Row) error {
-	if len(t.SortedBy) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(t.SortedBy))
-	for _, name := range t.SortedBy {
-		found := -1
-		for i, c := range t.Columns {
-			if strings.EqualFold(c.Name, name) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("cluster: table %s declares unknown sort column %q", t.Name, name)
-		}
-		idx = append(idx, found)
-	}
-	for i := 1; i < len(rows); i++ {
-		for _, j := range idx {
-			a, b := rows[i-1][j], rows[i][j]
-			if a.IsNull() || b.IsNull() {
-				break // NULL ordering unchecked
-			}
-			c, err := a.Compare(b)
-			if err != nil {
-				return fmt.Errorf("cluster: table %s sort validation: %v", t.Name, err)
-			}
-			if c < 0 {
-				break
-			}
-			if c > 0 {
-				return fmt.Errorf("cluster: table %s declared sorted by %v but row %d violates the order", t.Name, t.SortedBy, i)
-			}
-		}
-	}
 	return nil
 }
 

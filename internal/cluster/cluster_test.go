@@ -86,59 +86,3 @@ func TestLoadAndReadFragments(t *testing.T) {
 		t.Errorf("ledger cost: %v", c)
 	}
 }
-
-func TestLoadValidatesSortedBy(t *testing.T) {
-	cat := schema.NewCatalog()
-	tab := schema.NewTable("s", "db-1", "L1", 3,
-		schema.Column{Name: "k", Type: expr.TInt},
-		schema.Column{Name: "v", Type: expr.TString})
-	tab.SortedBy = []string{"k"}
-	cat.MustAddTable(tab)
-	cl := New(cat, network.UniformWAN(1, 1e-6))
-
-	// In-order rows load fine (duplicates and NULLs allowed).
-	ok := []expr.Row{
-		{expr.NewInt(1), expr.NewString("a")},
-		{expr.NewInt(1), expr.NewString("b")},
-		{expr.TypedNull(expr.TInt), expr.NewString("n")},
-		{expr.NewInt(3), expr.NewString("c")},
-	}
-	if err := cl.LoadFragment(tab, 0, ok); err != nil {
-		t.Fatalf("sorted load: %v", err)
-	}
-	// Out-of-order rows are rejected.
-	cat2 := schema.NewCatalog()
-	tab2 := schema.NewTable("s", "db-1", "L1", 2, schema.Column{Name: "k", Type: expr.TInt})
-	tab2.SortedBy = []string{"k"}
-	cat2.MustAddTable(tab2)
-	cl2 := New(cat2, network.UniformWAN(1, 1e-6))
-	bad := []expr.Row{{expr.NewInt(5)}, {expr.NewInt(2)}}
-	if err := cl2.LoadFragment(tab2, 0, bad); err == nil {
-		t.Error("unsorted load must fail")
-	}
-	// Unknown sort column is rejected.
-	cat3 := schema.NewCatalog()
-	tab3 := schema.NewTable("s", "db-1", "L1", 1, schema.Column{Name: "k", Type: expr.TInt})
-	tab3.SortedBy = []string{"ghost"}
-	cat3.MustAddTable(tab3)
-	cl3 := New(cat3, network.UniformWAN(1, 1e-6))
-	if err := cl3.LoadFragment(tab3, 0, []expr.Row{{expr.NewInt(1)}}); err == nil {
-		t.Error("unknown sort column must fail")
-	}
-	// Multi-column order: tie on the first column checks the second.
-	cat4 := schema.NewCatalog()
-	tab4 := schema.NewTable("s", "db-1", "L1", 3,
-		schema.Column{Name: "a", Type: expr.TInt},
-		schema.Column{Name: "b", Type: expr.TInt})
-	tab4.SortedBy = []string{"a", "b"}
-	cat4.MustAddTable(tab4)
-	cl4 := New(cat4, network.UniformWAN(1, 1e-6))
-	good := []expr.Row{{expr.NewInt(1), expr.NewInt(2)}, {expr.NewInt(1), expr.NewInt(3)}, {expr.NewInt(2), expr.NewInt(0)}}
-	if err := cl4.LoadFragment(tab4, 0, good); err != nil {
-		t.Fatalf("multi-column sorted load: %v", err)
-	}
-	bad4 := []expr.Row{{expr.NewInt(1), expr.NewInt(3)}, {expr.NewInt(1), expr.NewInt(2)}}
-	if err := cl4.LoadFragment(tab4, 0, bad4); err == nil {
-		t.Error("second-column violation must fail")
-	}
-}

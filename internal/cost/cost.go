@@ -226,13 +226,6 @@ func (e *Estimator) GroupCard(groupBy []*expr.Col, childCard float64) float64 {
 	return math.Max(1, math.Min(groups, childCard))
 }
 
-// SortCost prices sorting n rows (the memo charges it for merge-join
-// inputs that are not already ordered).
-func SortCost(card float64) float64 {
-	n := math.Max(card, 2)
-	return n * math.Log2(n) * sortRowLog
-}
-
 // clampSel keeps selectivities within (0, 1].
 func clampSel(s float64) float64 {
 	if s < 1e-9 {
@@ -267,10 +260,6 @@ func OperatorCost(kind plan.Kind, outCard float64, inCards ...float64) float64 {
 		return in(1)*hashBuildRow + in(0)*hashProbeRow + outCard*outputRow
 	case plan.NLJoin:
 		return in(0)*in(1)*cpuRow*0.01 + outCard*outputRow
-	case plan.MergeJoin:
-		// Merge phase only; the optimizer adds sorting costs for inputs
-		// that are not already ordered on the join keys.
-		return (in(0)+in(1))*cpuRow + outCard*outputRow
 	case plan.Aggregate, plan.HashAgg:
 		return in(0)*aggRow + outCard*outputRow
 	case plan.Sort, plan.SortExec:
@@ -457,7 +446,7 @@ func (e *Estimator) NodeCard(n *plan.Node, inCards []float64) float64 {
 		// Same estimate as the Filter(Scan) it implements: the index
 		// bounds are conjuncts of the residual predicate.
 		return math.Max(1, ScanCard(n.Table, n.FragIdx)*e.FilterSel(n.Pred))
-	case plan.Join, plan.HashJoin, plan.NLJoin, plan.MergeJoin, plan.IndexLookupJoin:
+	case plan.Join, plan.HashJoin, plan.NLJoin, plan.IndexLookupJoin:
 		return math.Max(1, in(0)*in(1)*e.JoinSel(n.Pred, in(0), in(1)))
 	case plan.Aggregate, plan.HashAgg:
 		return e.GroupCard(n.GroupBy, in(0))

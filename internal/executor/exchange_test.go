@@ -220,17 +220,6 @@ func TestExchangeModeParity(t *testing.T) {
 					t.Errorf("shipped rows %d, want 420", r.stats.ShippedRows)
 				}
 			}},
-		{"merge join", cl, as(plan.NewJoin(scan(a, "l"), scan(b, "r"), eqK("l", "r")), plan.MergeJoin),
-			func(t *testing.T, r cellResult) {
-				for i, row := range r.rows {
-					if row[0].IsNull() || row[0].Int() != row[5].Int() {
-						t.Fatalf("bad merge row %v", row)
-					}
-					if i > 0 && r.rows[i-1][0].Int() > row[0].Int() {
-						t.Fatalf("merge output not ordered by the left key at %d", i)
-					}
-				}
-			}},
 		{"nl join", cl, as(plan.NewJoin(scan(b, "l"), scan(c, "r"), expr.NewAnd(eqK("l", "r"),
 			expr.NewCmp(expr.LT, col("l", "w"), col("r", "w")))), plan.NLJoin), nil},
 		{"hash agg", cl, as(plan.NewAggregate(scan(a, "a"), []*expr.Col{col("a", "g")}, []plan.NamedAgg{
@@ -313,7 +302,6 @@ func TestExchangeModeParity(t *testing.T) {
 			}},
 		{"empty join sides", cl, plan.NewUnion(
 			as(plan.NewJoin(scan(e, "l"), scan(b, "r"), eqK("l", "r")), plan.HashJoin),
-			as(plan.NewJoin(scan(b, "l"), scan(e, "r"), eqK("l", "r")), plan.MergeJoin),
 			as(plan.NewJoin(scan(e, "l"), scan(e, "r"), eqK("l", "r")), plan.NLJoin)), wantRows(0)},
 		{"global agg over empty input", cl, as(plan.NewAggregate(scan(e, "e"), nil,
 			[]plan.NamedAgg{{Fn: expr.AggCount, Name: "n"}, {Fn: expr.AggSum, Arg: col("e", "w"), Name: "s"}}), plan.HashAgg), wantRows(1)},
@@ -357,7 +345,7 @@ func TestExchangeModeParity(t *testing.T) {
 		})
 	}
 	for _, k := range []plan.Kind{plan.Scan, plan.IndexScan, plan.IndexLookupJoin, plan.Filter, plan.Project,
-		plan.HashJoin, plan.MergeJoin, plan.NLJoin, plan.HashAgg, plan.Sort, plan.Limit, plan.Union, plan.Ship} {
+		plan.HashJoin, plan.NLJoin, plan.HashAgg, plan.Sort, plan.Limit, plan.Union, plan.Ship} {
 		if !covered[k] {
 			t.Errorf("no case covers %s", k)
 		}

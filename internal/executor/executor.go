@@ -213,8 +213,6 @@ func build(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 		op = newProject(n, children[0], bound, vec)
 	case plan.HashJoin:
 		op, err = newHashJoin(n, children[0], children[1], vec)
-	case plan.MergeJoin:
-		op, err = newMergeJoin(n, children[0], children[1])
 	case plan.NLJoin, plan.Join:
 		op, err = newNLJoin(n, children[0], children[1], vec)
 	case plan.HashAgg, plan.Aggregate:

@@ -191,6 +191,13 @@ func TestHashJoinMatchesNLJoin(t *testing.T) {
 		t.Errorf("join cardinality: %d, want 200", len(hjRows))
 	}
 	equalRows(t, hjRows, nlRows, "hash vs nested-loop")
+
+	// The retired kind is rejected, not run as some other join.
+	mj := plan.NewJoin(c, o, cond)
+	mj.Kind = plan.MergeJoin
+	if rows, _, err := Run(mj, cl); err == nil || !strings.Contains(err.Error(), "unsupported operator MergeJoin") || rows != nil {
+		t.Errorf("MergeJoin node: rows=%d err=%v, want the unsupported-operator error", len(rows), err)
+	}
 }
 
 func TestHashJoinResidualPredicate(t *testing.T) {

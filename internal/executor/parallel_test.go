@@ -68,7 +68,7 @@ func TestParallelOptimizedPlansAgree(t *testing.T) {
 }
 
 // TestParallelPermissivePlansAgree covers plans optimized under
-// permissive policies (wider operator variety: merge joins, sorts).
+// permissive policies (wider operator variety: hash joins, sorts).
 func TestParallelPermissivePlansAgree(t *testing.T) {
 	cat, cl := carco(t)
 	pc := policy.NewCatalog()

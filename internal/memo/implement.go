@@ -3,7 +3,6 @@ package memo
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"cgdqp/internal/cost"
 	"cgdqp/internal/expr"
@@ -22,10 +21,6 @@ type Alt struct {
 	// DescKey identifies the subtree as a local query for AR4 pruning
 	// purposes ("" when the subtree is not a local query).
 	DescKey string
-	// Order lists the column keys the output is sorted by (ascending) —
-	// the classic "interesting property" that merge joins provide and
-	// sort elision consumes.
-	Order []string
 }
 
 // ImplConfig configures the implementation pass.
@@ -43,10 +38,6 @@ type ImplConfig struct {
 	AllLocations []string
 	// MaxAlts caps the number of Pareto alternatives kept per group.
 	MaxAlts int
-	// TrackOrder enables sort-order as a Pareto dimension (set when the
-	// query contains an ORDER BY; otherwise orderings cannot pay off and
-	// tracking them would only widen the alternative fronts).
-	TrackOrder bool
 	// Stats receives per-optimization evaluator statistics (η, calls,
 	// hits). The evaluator itself may be shared across concurrent
 	// optimizations; this handle is owned by one Implement pass.
@@ -125,17 +116,11 @@ func (m *Memo) Implement(g *Group, cfg *ImplConfig) []*Alt {
 		// The output schema depends on the expression alone, not on the
 		// chosen physical kind or child combination; hoist it out of the
 		// per-alternative loop (alternatives share the slice, plans never
-		// mutate their Cols). The merge-join key columns likewise: every
-		// child alternative is canonicalized to its group's schema, so
-		// resolving the equi keys against the group columns once is
-		// equivalent to resolving them per combination.
+		// mutate their Cols).
 		x := exprImpl{e: e, cols: outputCols(e.Op, e.Children)}
 		kinds := physicalKinds(e.Op, cfg)
 		for _, phys := range kinds {
-			switch phys {
-			case plan.MergeJoin:
-				x.mjLk, x.mjRk = equiKeyCols(cfg.equiCmps(e.Op.Pred), e.Children[0].Cols, e.Children[1].Cols)
-			case plan.HashJoin:
+			if phys == plan.HashJoin {
 				x.hashable = true
 			}
 		}
@@ -161,17 +146,6 @@ func (m *Memo) Implement(g *Group, cfg *ImplConfig) []*Alt {
 				}
 			}
 		}
-		// Sort elision: when a child alternative already delivers the
-		// requested ordering, the Sort disappears entirely.
-		if e.Op.Kind == plan.Sort {
-			if want, ok := ascColKeys(e.Op.SortKeys); ok {
-				for _, child := range childAlts[0] {
-					if prefixCovered(child.Order, want) {
-						alts = insertAlt(alts, child, maxAlts, cfg)
-					}
-				}
-			}
-		}
 	}
 	g.Alts = alts
 	return alts
@@ -183,7 +157,7 @@ var (
 	kindsScan     = []plan.Kind{plan.TableScan}
 	kindsFilter   = []plan.Kind{plan.FilterExec}
 	kindsProject  = []plan.Kind{plan.ProjectExec}
-	kindsEquiJoin = []plan.Kind{plan.HashJoin, plan.MergeJoin, plan.NLJoin}
+	kindsEquiJoin = []plan.Kind{plan.HashJoin, plan.NLJoin}
 	kindsNLJoin   = []plan.Kind{plan.NLJoin}
 	kindsAgg      = []plan.Kind{plan.HashAgg}
 	kindsSort     = []plan.Kind{plan.SortExec}
@@ -228,10 +202,9 @@ type altBlock struct {
 
 // exprImpl carries what every alternative of one memo expression shares.
 type exprImpl struct {
-	e          *MExpr
-	cols       []plan.ColRef
-	mjLk, mjRk []string // merge-join key columns (nil without usable equi keys)
-	hashable   bool     // HashJoin is among the physical kinds
+	e        *MExpr
+	cols     []plan.ColRef
+	hashable bool // HashJoin is among the physical kinds
 }
 
 // buildAlt constructs one physical alternative and derives its traits.
@@ -242,20 +215,6 @@ type exprImpl struct {
 // would throw away.
 func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt, cfg *ImplConfig) *Alt {
 	e := x.e
-	// Merge join is only worth enumerating with usable equi keys and when
-	// at least one input already delivers its key order (otherwise two
-	// sorts never beat a hash join); check before building anything.
-	lOrdered, rOrdered := false, false
-	if phys == plan.MergeJoin {
-		if len(x.mjLk) == 0 {
-			return nil // no usable equi keys after child resolution
-		}
-		lOrdered = prefixCovered(combo[0].Order, x.mjLk)
-		rOrdered = prefixCovered(combo[1].Order, x.mjRk)
-		if !lOrdered && !rOrdered {
-			return nil
-		}
-	}
 	// Derive the execution trait up front (AR1/AR2): infeasible
 	// alternatives — empty trait, the infinite-cost rule — are discarded
 	// before anything is allocated. SiteSet algebra is allocation-free.
@@ -300,40 +259,6 @@ func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt,
 	}
 	card := e.Group.Card
 	opCost := cost.OperatorCost(phys, card, inCards...)
-	// Merge join pays to sort any input that is not already ordered on
-	// its join keys; its output provides the left-key ordering.
-	var order []string
-	switch phys {
-	case plan.MergeJoin:
-		if !lOrdered {
-			opCost += cost.SortCost(inCards[0])
-		}
-		if !rOrdered {
-			opCost += cost.SortCost(inCards[1])
-		}
-		order = x.mjLk
-	case plan.TableScan:
-		// Scans of physically sorted tables deliver that order.
-		if e.Op.Table != nil {
-			for _, name := range e.Op.Table.SortedBy {
-				order = append(order, e.Op.Alias+"."+name)
-			}
-		}
-	case plan.HashAgg, plan.UnionAll:
-		// unordered
-	case plan.SortExec:
-		if keys, ok := ascColKeys(e.Op.SortKeys); ok {
-			order = keys
-		}
-	case plan.ProjectExec:
-		order = orderThroughSchema(combo[0].Order, x.cols)
-	default:
-		// Filters, limits, hash/NL joins (which stream their left input)
-		// preserve the left child's ordering.
-		if len(combo) > 0 {
-			order = combo[0].Order
-		}
-	}
 	total := childCost + opCost
 
 	if !describable {
@@ -344,7 +269,7 @@ func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt,
 			phys == plan.NLJoin && x.hashable && cost.OperatorCost(plan.HashJoin, card, inCards...) <= opCost:
 			return nil
 		}
-		probe := Alt{Cost: total, Ship: exec, Order: order}
+		probe := Alt{Cost: total, Ship: exec}
 		if !sameColKeys(x.cols, e.Group.Cols) {
 			probe.Cost += cost.OperatorCost(plan.ProjectExec, card, card) // canonicalizeAlt's reorder
 		}
@@ -375,7 +300,6 @@ func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt,
 	alt := &blk.alt
 	alt.Tree = node
 	alt.Cost = total
-	alt.Order = order
 	if !cfg.Compliant {
 		// Traditional mode: traits carry only what the site selector needs.
 		return canonicalizeAlt(alt, e.Group)
@@ -432,7 +356,6 @@ func canonicalizeAlt(alt *Alt, g *Group) *Alt {
 	out := &blk.alt
 	out.Tree = &blk.node
 	out.Cost = blk.node.Cost
-	// A pure reorder keeps every column; the ordering property survives.
 	return out
 }
 
@@ -501,100 +424,10 @@ func dominates(b, a *Alt, cfg *ImplConfig) bool {
 	if cfg.Compliant && !b.Ship.SupersetOf(a.Ship) {
 		return false
 	}
-	if cfg.TrackOrder && !prefixCovered(b.Order, a.Order) {
-		return false // A is more interestingly ordered
-	}
 	if cfg.Compliant && a.DescKey != "" && a.DescKey != b.DescKey {
 		return false
 	}
 	return true
-}
-
-// SortKeysTrackable reports whether an ORDER BY could be satisfied by a
-// tracked ordering (all-ascending plain column keys).
-func SortKeysTrackable(keys []plan.SortKey) bool {
-	_, ok := ascColKeys(keys)
-	return ok
-}
-
-// ascColKeys extracts the column keys of sort keys when every key is a
-// plain ascending column reference (the only orderings tracked).
-func ascColKeys(keys []plan.SortKey) ([]string, bool) {
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		c, ok := k.E.(*expr.Col)
-		if !ok || k.Desc {
-			return nil, false
-		}
-		out = append(out, c.Key())
-	}
-	return out, true
-}
-
-// prefixCovered reports whether want is a prefix of have (an output
-// sorted by (a, b) satisfies a requirement for (a)).
-func prefixCovered(have, want []string) bool {
-	if len(want) > len(have) {
-		return false
-	}
-	for i := range want {
-		if have[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// orderThroughSchema truncates an ordering at the first column that does
-// not survive into the given output schema.
-func orderThroughSchema(order []string, cols []plan.ColRef) []string {
-	var out []string
-	for _, key := range order {
-		found := false
-		for _, c := range cols {
-			if c.Key() == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-		out = append(out, key)
-	}
-	return out
-}
-
-// equiKeyCols extracts, per equi-join conjunct, the (left, right) column
-// keys resolved against the child schemas; conjuncts whose sides do not
-// split cleanly are skipped.
-func equiKeyCols(cmps []*expr.Cmp, leftCols, rightCols []plan.ColRef) (lk, rk []string) {
-	inCols := func(c *expr.Col, cols []plan.ColRef) (string, bool) {
-		for _, cr := range cols {
-			if strings.EqualFold(cr.Name, c.Name) && (c.Table == "" || strings.EqualFold(cr.Table, c.Table)) {
-				return cr.Key(), true
-			}
-		}
-		return "", false
-	}
-	for _, cmp := range cmps {
-		a := cmp.L.(*expr.Col)
-		b := cmp.R.(*expr.Col)
-		if la, ok1 := inCols(a, leftCols); ok1 {
-			if rb, ok2 := inCols(b, rightCols); ok2 {
-				lk = append(lk, la)
-				rk = append(rk, rb)
-				continue
-			}
-		}
-		if lb, ok1 := inCols(b, leftCols); ok1 {
-			if ra, ok2 := inCols(a, rightCols); ok2 {
-				lk = append(lk, lb)
-				rk = append(rk, ra)
-			}
-		}
-	}
-	return lk, rk
 }
 
 // forEachCombo enumerates the cartesian product of child alternatives.

@@ -208,13 +208,6 @@ func (m *Memo) indexScanAlts(e *MExpr, eCols []plan.ColRef, cfg *ImplConfig) []*
 		alt := &blk.alt
 		alt.Tree = node
 		alt.Cost = node.Cost
-		// A range scan delivers rows in index-key order.
-		for _, cr := range eCols {
-			if strings.EqualFold(cr.Name, col.Name) {
-				alt.Order = []string{cr.Key()}
-				break
-			}
-		}
 		if cfg.Compliant {
 			ship := node.Exec
 			if q, ok := cfg.analyzer.Describe(node); ok {
@@ -313,7 +306,6 @@ func (m *Memo) indexLookupJoinAlt(e *MExpr, left *Alt, eCols []plan.ColRef, cfg 
 	alt := &blk.alt
 	alt.Tree = node
 	alt.Cost = node.Cost
-	alt.Order = left.Order // probes stream the outer input
 	if cfg.Compliant {
 		ship := exec
 		if q, ok := cfg.analyzer.Describe(node); ok {

@@ -160,7 +160,7 @@ func (m *Memo) exprDigest(op *plan.Node, children []*Group) string {
 	var b strings.Builder
 	b.Grow(64)
 	switch op.Kind {
-	case plan.Filter, plan.FilterExec, plan.Join, plan.HashJoin, plan.NLJoin, plan.MergeJoin:
+	case plan.Filter, plan.FilterExec, plan.Join, plan.HashJoin, plan.NLJoin:
 		b.WriteString(op.Kind.String())
 		b.WriteByte(':')
 		if op.Pred != nil {

@@ -239,62 +239,6 @@ func TestForEachCombo(t *testing.T) {
 	}
 }
 
-func TestOrderHelpers(t *testing.T) {
-	if !prefixCovered([]string{"a", "b"}, []string{"a"}) || prefixCovered([]string{"a"}, []string{"a", "b"}) {
-		t.Error("prefixCovered")
-	}
-	if !prefixCovered([]string{"a"}, nil) || prefixCovered([]string{"b"}, []string{"a"}) {
-		t.Error("prefixCovered edges")
-	}
-	keys, ok := ascColKeys([]plan.SortKey{{E: expr.NewCol("t", "a")}, {E: expr.NewCol("t", "b")}})
-	if !ok || len(keys) != 2 || keys[0] != "t.a" {
-		t.Errorf("ascColKeys: %v %v", keys, ok)
-	}
-	if _, ok := ascColKeys([]plan.SortKey{{E: expr.NewCol("t", "a"), Desc: true}}); ok {
-		t.Error("desc keys not trackable")
-	}
-	if _, ok := ascColKeys([]plan.SortKey{{E: expr.NewConst(expr.NewInt(1))}}); ok {
-		t.Error("non-col keys not trackable")
-	}
-	if SortKeysTrackable([]plan.SortKey{{E: expr.NewCol("t", "a")}}) != true {
-		t.Error("SortKeysTrackable")
-	}
-	cols := []plan.ColRef{{Table: "t", Name: "a"}, {Table: "t", Name: "c"}}
-	if got := orderThroughSchema([]string{"t.a", "t.b", "t.c"}, cols); len(got) != 1 || got[0] != "t.a" {
-		t.Errorf("orderThroughSchema: %v", got)
-	}
-	if got := orderThroughSchema(nil, cols); got != nil {
-		t.Errorf("empty order: %v", got)
-	}
-}
-
-func TestEquiKeyCols(t *testing.T) {
-	lcols := []plan.ColRef{{Table: "a", Name: "k"}, {Table: "a", Name: "j"}}
-	rcols := []plan.ColRef{{Table: "b", Name: "k"}}
-	pred := expr.NewAnd(
-		expr.NewCmp(expr.EQ, expr.NewCol("a", "k"), expr.NewCol("b", "k")),
-		expr.NewCmp(expr.GT, expr.NewCol("a", "j"), expr.NewConst(expr.NewInt(1))))
-	cfg := &ImplConfig{}
-	lk, rk := equiKeyCols(cfg.equiCmps(pred), lcols, rcols)
-	if len(lk) != 1 || lk[0] != "a.k" || rk[0] != "b.k" {
-		t.Errorf("keys: %v %v", lk, rk)
-	}
-	// The conjunct split is cached per predicate pointer.
-	if got := cfg.equiCmps(pred); len(got) != 1 || got[0].Op != expr.EQ {
-		t.Errorf("cached equi conjuncts: %v", got)
-	}
-	// Reversed sides resolve too.
-	lk2, rk2 := equiKeyCols(cfg.equiCmps(expr.NewCmp(expr.EQ, expr.NewCol("b", "k"), expr.NewCol("a", "k"))), lcols, rcols)
-	if len(lk2) != 1 || lk2[0] != "a.k" || rk2[0] != "b.k" {
-		t.Errorf("reversed keys: %v %v", lk2, rk2)
-	}
-	// Same-side equality still splits as Col=Col; key resolution rejects it.
-	lk3, _ := equiKeyCols(cfg.equiCmps(expr.NewCmp(expr.EQ, expr.NewCol("a", "k"), expr.NewCol("a", "j"))), lcols, rcols)
-	if len(lk3) != 0 {
-		t.Errorf("same-side keys: %v", lk3)
-	}
-}
-
 func TestCanonicalizeAltReorders(t *testing.T) {
 	g := &Group{Cols: []plan.ColRef{{Table: "b", Name: "x", Type: expr.TInt}, {Table: "a", Name: "y", Type: expr.TInt}}}
 	node := &plan.Node{
@@ -303,7 +247,7 @@ func TestCanonicalizeAltReorders(t *testing.T) {
 		Card: 10,
 		Cost: 100,
 	}
-	alt := &Alt{Tree: node, Cost: 100, Order: []string{"a.y"}}
+	alt := &Alt{Tree: node, Cost: 100}
 	out := canonicalizeAlt(alt, g)
 	if out.Tree.Kind != plan.ProjectExec {
 		t.Fatalf("expected reorder projection, got %v", out.Tree.Kind)

@@ -313,25 +313,12 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 
 	t2 := time.Now()
 	isp := o.obsv.StartSpan("optimize.implement")
-	// Track sort orders as a Pareto dimension only when some ORDER BY
-	// could actually consume one (all-ascending plain column keys — the
-	// only orderings the memo models); otherwise tracking would widen
-	// the alternative fronts for nothing.
-	trackOrder := false
-	norm.Walk(func(n *plan.Node) bool {
-		if n.Kind == plan.Sort && memo.SortKeysTrackable(n.SortKeys) {
-			trackOrder = true
-			return false
-		}
-		return true
-	})
 	cfg := &memo.ImplConfig{
 		Est:          est,
 		Compliant:    o.Opts.Compliant,
 		Evaluator:    o.Evaluator,
 		AllLocations: o.locations(),
 		MaxAlts:      o.Opts.MaxAlts,
-		TrackOrder:   trackOrder,
 		Stats:        &evStats,
 	}
 	m.Implement(root, cfg)

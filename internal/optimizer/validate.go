@@ -21,7 +21,7 @@ func ValidatePlan(root *plan.Node) error {
 	var errs []string
 	root.Walk(func(n *plan.Node) bool {
 		switch n.Kind {
-		case plan.HashJoin, plan.NLJoin, plan.MergeJoin, plan.Join, plan.IndexLookupJoin:
+		case plan.HashJoin, plan.NLJoin, plan.Join, plan.IndexLookupJoin:
 			var concat []string
 			for _, c := range n.Children {
 				for _, cr := range c.Cols {

@@ -39,6 +39,9 @@ const (
 	LimitExec
 	UnionAll
 	Ship
+	// MergeJoin is retired: no rule emits it and the executor rejects it.
+	// The constant keeps its slot because the fenced benchmark module
+	// spells it in a case list.
 	MergeJoin
 	// IndexScan is a physical access path: a B+ tree range scan on an
 	// indexed column (IdxCol, bounds IdxLo/IdxHi) with the full original
@@ -404,7 +407,7 @@ func (n *Node) OpString() string {
 			}
 		}
 		return fmt.Sprintf("%s[%s]", n.Kind, strings.Join(parts, ", "))
-	case Join, HashJoin, NLJoin, MergeJoin:
+	case Join, HashJoin, NLJoin:
 		if n.Pred == nil {
 			return fmt.Sprintf("%s[cross]", n.Kind)
 		}
@@ -557,7 +560,7 @@ func (n *Node) OpDigest() string {
 	switch n.Kind {
 	case Scan, TableScan:
 		return fmt.Sprintf("%s:%s:%s:%d", n.Kind, n.Table.Name, n.Alias, n.FragIdx)
-	case Filter, FilterExec, Join, HashJoin, NLJoin, MergeJoin:
+	case Filter, FilterExec, Join, HashJoin, NLJoin:
 		p := ""
 		if n.Pred != nil {
 			p = n.Pred.String()

@@ -16,9 +16,9 @@ import (
 // they agree by construction. The identity erases exactly what cannot
 // change a cardinality:
 //
-//   - the physical kind (Canon): HashJoin, NLJoin, MergeJoin and
-//     IndexLookupJoin are the Join whose conjuncts they carry, an
-//     IndexScan is the Filter over the Scan it implements;
+//   - the physical kind (Canon): HashJoin, NLJoin and IndexLookupJoin
+//     are the Join whose conjuncts they carry, an IndexScan is the
+//     Filter over the Scan it implements;
 //   - Ship and Project, which pass their input's rows through — so the
 //     site selector's shipments, the reorder projections the memo puts
 //     over commuted joins and the projection merging done after
@@ -37,7 +37,7 @@ func (k Kind) Canon() Kind {
 		return Filter
 	case ProjectExec:
 		return Project
-	case HashJoin, NLJoin, MergeJoin, IndexLookupJoin:
+	case HashJoin, NLJoin, IndexLookupJoin:
 		return Join
 	case HashAgg:
 		return Aggregate

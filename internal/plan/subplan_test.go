@@ -13,7 +13,6 @@ func TestCanonFoldsPhysicalKinds(t *testing.T) {
 		FilterExec: Filter,
 		HashJoin:   Join,
 		NLJoin:     Join,
-		MergeJoin:  Join,
 		HashAgg:    Aggregate,
 		SortExec:   Sort,
 		LimitExec:  Limit,
@@ -40,7 +39,7 @@ func TestSubplanDigestErasesPhysicalChoice(t *testing.T) {
 		return NewJoin(l, r, cond)
 	}
 	base := logical().SubplanDigest()
-	for _, k := range []Kind{HashJoin, NLJoin, MergeJoin} {
+	for _, k := range []Kind{HashJoin, NLJoin} {
 		p := logical()
 		p.Kind = k
 		p.Children[0].Kind = TableScan

@@ -71,12 +71,6 @@ type Table struct {
 	Columns   []Column
 	Fragments []Fragment
 	ColStats  map[string]ColStats
-	// SortedBy declares the physical sort order of the stored rows
-	// (ascending column names, e.g. the primary key for dbgen-style
-	// data). The optimizer uses it as an "interesting property": scans
-	// of sorted tables feed merge joins without re-sorting. Loading
-	// validates the declared order.
-	SortedBy []string
 	// Indexes declares which columns carry B+ tree secondary indexes
 	// (int64-class or string key types only; others are ignored). Both
 	// storage backends maintain the declared indexes, and the optimizer

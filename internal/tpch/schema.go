@@ -203,16 +203,6 @@ func NewCatalog(sf float64) *schema.Catalog {
 	lineitem.SetColStats("returnflag", schema.ColStats{Distinct: 3})
 	lineitem.SetColStats("quantity", schema.ColStats{Distinct: 50, Min: expr.NewInt(1), Max: expr.NewInt(50)})
 
-	// The generator emits most tables in primary-key order (as dbgen
-	// does); declare it so scans provide the ordering to merge joins.
-	// Lineitem is generated in random order and stays undeclared.
-	region.SortedBy = []string{"regionkey"}
-	nation.SortedBy = []string{"nationkey"}
-	supplier.SortedBy = []string{"suppkey"}
-	part.SortedBy = []string{"partkey"}
-	partsupp.SortedBy = []string{"partkey"}
-	customer.SortedBy = []string{"custkey"}
-	orders.SortedBy = []string{"orderkey"}
 	for _, t := range []*schema.Table{region, nation, supplier, part, partsupp, customer, orders, lineitem} {
 		cat.MustAddTable(t)
 	}

@@ -39,8 +39,8 @@ func TestTheorem1Property(t *testing.T) {
 	}
 
 	queries := workload.NewQueryGen(99).Generate(30)
-	// A few fixed ORDER BY queries exercise the merge-join / sort-elision
-	// paths (the generator itself emits no ORDER BY, mirroring §7.1).
+	// A few fixed ORDER BY queries over primary-key-ordered inputs (the
+	// generator itself emits no ORDER BY, mirroring §7.1).
 	queries = append(queries,
 		`SELECT o.orderkey, o.totalprice FROM orders o, lineitem l
 		 WHERE o.orderkey = l.orderkey AND l.quantity BETWEEN 5 AND 45
@@ -89,8 +89,10 @@ func TestTheorem1Property(t *testing.T) {
 					set, qi, diff, q, cres.Plan.Format(true), tres.Plan.Format(true))
 			}
 			// (3) Ordering: the fixed ORDER BY queries lead with their
-			// first sort key, so sort elision must still deliver a
-			// non-decreasing first column.
+			// first sort key, so the first column is non-decreasing —
+			// and it is a SortExec that makes it so.
+			wantSortsSurface(t, fmt.Sprintf("set %s q%d", set, qi), q, cres.Plan)
+			wantSortsSurface(t, fmt.Sprintf("set %s q%d (traditional)", set, qi), q, tres.Plan)
 			if strings.Contains(q, "ORDER BY") {
 				for i := 1; i < len(cRows); i++ {
 					if c, err := cRows[i][0].Compare(cRows[i-1][0]); err == nil && c < 0 {
