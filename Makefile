@@ -49,15 +49,12 @@ golden:
 
 # Engine benchmarks. The first step rewrites BENCH_exec.json (inline vs
 # goroutine exchanges, tracing off vs on, asserting the tracing-off
-# overhead stays under 2%); the second rewrites BENCH_feedback.json (the
-# misestimated workload with the feedback loop off vs on, enforcing the
-# ship-bytes improvement floor); the third rewrites BENCH_store.json
+# overhead stays under 2%); the second rewrites BENCH_store.json
 # (persistent-store access paths at 1M rows/site — full scan vs index
 # range vs index-lookup join, cold vs warm buffer pool — enforcing the
 # >=10x index-range floor); the rest print per-query numbers.
 bench:
 	$(GO) test -run TestExecBenchReport -bench-report .
-	$(GO) test -run TestFeedbackBenchReport -bench-report .
 	$(GO) test -run TestStoreBenchReport -bench-report .
 	$(GO) test -run NONE -bench BenchmarkOptimizeTPCH -benchtime 3x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkExecSeqVsParallel -benchtime 5x .

@@ -72,6 +72,47 @@ func TestWarmExecAllocBudget(t *testing.T) {
 	}
 }
 
+// TestServeRetainsNothingPerQuery is the leak tripwire beside the
+// allocation budgets: a System serving queries keeps no per-query state
+// once they have returned. demoQuery crosses three sites (two SHIP
+// edges) and is executed every time — no result cache — so each query
+// opens a run ledger with two shipments. A cumulative ledger that
+// nothing trims, as the cluster kept until every run accounted only in
+// its own scope, retains at least 2 × 56 B per query for the life of the
+// process.
+func TestServeRetainsNothingPerQuery(t *testing.T) {
+	const (
+		warmup, measured = 500, 4_000
+		maxBytesPerQuery = 16
+	)
+	sys := demoSystem(t)
+	srv := sys.Serve(ServeOptions{})
+	defer srv.Close()
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := srv.Do(context.Background(), demoQuery); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	serve(warmup) // plan cache, pools and lazily built state settle
+	h0 := heap()
+	serve(measured)
+	h1 := heap()
+	growth := (float64(h1) - float64(h0)) / measured
+	t.Logf("live heap %d -> %d bytes: %.1f B retained per query", h0, h1, growth)
+	if growth >= maxBytesPerQuery {
+		t.Errorf("%.1f B of live heap retained per served query, want < %d", growth, maxBytesPerQuery)
+	}
+}
+
 // TestColdPlanSearchBudget is the tier-1 tripwire behind the benchmark's
 // cold_plan numbers: Q5 and Q8 — the two searches that are its tail —
 // optimized cold by a fresh optimizer under T and CR+A. The memo counts

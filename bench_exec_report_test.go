@@ -123,7 +123,6 @@ func TestExecBenchReport(t *testing.T) {
 	// Hook volume of one run, counted with everything enabled.
 	on := &obs.Observer{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry(), Audit: obs.NewAuditLog()}
 	cl.SetObserver(on)
-	cl.Ledger.Reset()
 	if _, _, err := engines[1].run(cl, root, on, executor.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,6 @@ func TestExecBenchReport(t *testing.T) {
 					o = on
 				}
 				cl.SetObserver(o)
-				cl.Ledger.Reset()
 				t0 := time.Now()
 				rows, stats, err := eng.run(cl, root, o, eo)
 				d := time.Since(t0)
@@ -225,7 +223,7 @@ func kernelSpeedupRows(t *testing.T) []kernelBenchRow {
 		schema.Column{Name: "name", Type: expr.TString},
 		schema.Column{Name: "factor", Type: expr.TFloat})
 	cat.MustAddTable(dTab)
-	cl := cluster.New(cat, network.UniformWAN(100, 0.00001))
+	cl := cluster.New(cat, network.NewCostModel(100, 0.00001))
 	rows := make([]expr.Row, 0, n)
 	for i := 0; i < n; i++ {
 		rows = append(rows, expr.Row{
@@ -317,7 +315,6 @@ func kernelSpeedupRows(t *testing.T) []kernelBenchRow {
 		wantRows := -1
 		for r := 0; r < reps; r++ {
 			for _, interp := range []bool{false, true} {
-				cl.Ledger.Reset()
 				// Collect the previous configuration's garbage outside the
 				// timing window: each run pays for its own allocations, not
 				// for whatever the interleaved counterpart left behind.

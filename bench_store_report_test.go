@@ -88,7 +88,7 @@ func storeBenchCatalog() (*schema.Catalog, *schema.Table, *schema.Table) {
 func storeBenchOpen(t *testing.T, dir string) *cluster.Cluster {
 	t.Helper()
 	cat, _, _ := storeBenchCatalog()
-	cl, err := cluster.NewWithStore(cat, network.UniformWAN(100, 0.00001), &cluster.StoreConfig{
+	cl, err := cluster.NewWithStore(cat, network.NewCostModel(100, 0.00001), &cluster.StoreConfig{
 		DataDir:         dir,
 		BufferPoolBytes: storeBenchPool,
 	})

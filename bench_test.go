@@ -432,7 +432,7 @@ func seqVsParFixture(b testing.TB) (*cluster.Cluster, *plan.Node) {
 	// Flat WAN: every inter-site hop costs 100ms start-up plus a small
 	// per-byte charge. SetWireDelay(1) turns that accounted cost into
 	// simulated wall-clock wire time.
-	cl := cluster.New(cat, network.UniformWAN(100, 0.00001))
+	cl := cluster.New(cat, network.NewCostModel(100, 0.00001))
 	cl.SetWireDelay(1)
 
 	var cRows, oRows, sRows []expr.Row
@@ -511,7 +511,6 @@ func BenchmarkExecSeqVsParallel(b *testing.B) {
 			var rows int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cl.Ledger.Reset()
 				out, stats, err := eng.run(root, cl)
 				if err != nil {
 					b.Fatal(err)

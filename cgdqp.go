@@ -91,9 +91,8 @@ var ErrNoCompliantPlan = optimizer.ErrNoCompliantPlan
 
 // Fault-injection types re-exported for chaos configuration: a
 // FaultPlan (Options.Faults) makes the simulated WAN misbehave
-// deterministically under a seed, and a RetryPolicy (Options.Retry)
-// governs how the shipping layer retries. See package network for the
-// full semantics.
+// deterministically under a seed, and the shipping layer retries under
+// DefaultRetryPolicy. See package network for the full semantics.
 type (
 	FaultPlan   = network.FaultPlan
 	EdgeFaults  = network.EdgeFaults
@@ -120,10 +119,11 @@ var (
 // Options tune the system.
 type Options struct {
 	// ResultLocation pins where query results must be delivered
-	// ("" = wherever is cheapest among legal sites).
+	// ("" = wherever is cheapest among legal sites). A location the
+	// schema does not have fails every query with a configuration error,
+	// not ErrNoCompliantPlan.
 	ResultLocation string
-	// MaxAlts / MaxExprs bound the optimizer's search (0 = defaults).
-	MaxAlts  int
+	// MaxExprs bounds the optimizer's search (0 = default).
 	MaxExprs int
 	// Parallel selects the exchange mode: true runs every SHIP's
 	// producing fragment on its own goroutine behind a bounded channel,
@@ -134,13 +134,10 @@ type Options struct {
 	Parallel bool
 	// Faults installs a deterministic fault plan on the simulated WAN:
 	// shipments may be dropped, delayed, rejected or partitioned per
-	// the plan, and the shipping layer retries under Retry. A query
-	// either succeeds with results (and shipping statistics) identical
-	// to a fault-free run, or fails with a typed *ShipError.
+	// the plan, and the shipping layer retries under DefaultRetryPolicy.
+	// A query either succeeds with results (and shipping statistics)
+	// identical to a fault-free run, or fails with a typed *ShipError.
 	Faults *FaultPlan
-	// Retry overrides the shipment retry policy (nil with Faults set
-	// means DefaultRetryPolicy).
-	Retry *RetryPolicy
 	// PlanCacheSize bounds the optimizer's whole-plan LRU cache (entries).
 	// 0 uses optimizer.DefaultPlanCacheSize; negative disables caching.
 	// Cached plans are keyed on the versions of the schema and policy
@@ -177,14 +174,16 @@ type Options struct {
 	ResultCacheBytes int64
 	// Feedback enables the execution-feedback loop: every executed query
 	// records per-operator observed-vs-estimated cardinalities (keyed by
-	// normalized subplan digest) and e2e latency into System.Feedback();
+	// normalized subplan digest) into System.Feedback();
 	// once a subplan's actuals reach activation confidence the optimizer
 	// costs with the observed cardinality instead of the stale estimate
 	// (cached plans are keyed on the store's epoch).
-	// Compliance is unaffected: feedback only changes cardinalities, and
-	// site selection still filters candidate sites by Definition 1 before
-	// comparing costs. Off by default — disabled, planning and costing
-	// are byte-identical to previous behavior.
+	// A calibrator also re-fits the cost model's byte scale from the
+	// encoded size of every shipped frame. Compliance is unaffected:
+	// feedback only changes cardinalities and prices, and site selection
+	// still filters candidate sites by Definition 1 before comparing
+	// costs. Off by default — disabled, planning and costing are
+	// byte-identical to previous behavior.
 	Feedback bool
 	// SlowQueryLog, when set, receives one JSON line per query whose
 	// end-to-end latency is at or above SlowQueryThreshold: SQL and plan
@@ -290,7 +289,7 @@ func NewSystemWith(opts Options) *System {
 		}
 	}
 	if opts.Feedback {
-		lc.Feedback = feedback.NewStore(feedback.Options{})
+		lc.Feedback = feedback.NewStore()
 		lc.Feedback.SetMetrics(lc.Obs.Reg())
 	}
 	if opts.SlowQueryLog != nil {
@@ -300,8 +299,8 @@ func NewSystemWith(opts Options) *System {
 }
 
 // Feedback returns the execution-feedback store (nil unless
-// Options.Feedback). Use it to inspect tracked subplans, active
-// cardinality hints and observed latency quantiles.
+// Options.Feedback). Use it to inspect tracked subplans and active
+// cardinality hints.
 func (s *System) Feedback() *feedback.Store { return s.lc.Feedback }
 
 // Tracer returns the span tracer (nil unless Options.Trace).
@@ -540,7 +539,7 @@ func (s *System) Loaded(table string) bool {
 }
 
 // newCluster creates the cluster and installs what the options ask of
-// it: fault plan, retry policy, observer and wire calibrator.
+// it: fault plan, observer and wire calibrator.
 func (s *System) newCluster() (*cluster.Cluster, error) {
 	var cfg *cluster.StoreConfig
 	if s.opts.DataDir != "" {
@@ -557,17 +556,12 @@ func (s *System) newCluster() (*cluster.Cluster, error) {
 	if s.opts.Faults != nil {
 		cl.SetFaults(s.opts.Faults)
 	}
-	if s.opts.Retry != nil {
-		cl.SetRetry(*s.opts.Retry)
-	}
 	cl.SetObserver(s.lc.Obs)
 	if s.lc.Feedback != nil {
 		// Feedback folds wire calibration into the loop: a calibrator
 		// observes every shipped frame and continuously re-fits the cost
 		// model's byte scale.
-		cal := network.NewCalibrator()
-		cal.SetAutoApply(s.network(), network.DefaultAutoApplyFrames)
-		cl.SetCalibrator(cal)
+		cl.SetCalibrator(network.NewCalibrator(s.network(), network.DefaultAutoApplyFrames))
 	}
 	return cl, nil
 }
@@ -604,34 +598,6 @@ func (s *System) ResultCacheStats() rescache.Stats {
 // sched.Server or purge it.
 func (s *System) ResultCache() *rescache.Cache { return s.lc.Cache }
 
-// Calibrator accumulates wire-encoding and shipment samples during
-// execution and back-fits the cost model (re-exported from network).
-type Calibrator = network.Calibrator
-
-// EnableAutoCalibration installs (and returns) a calibrator on the
-// cluster: every subsequent query feeds it encoding samples (estimated
-// vs. actual wire bytes per shipped frame) and per-shipment α+β·bytes
-// cost samples, and every everyN observed frames (<=0 = a sensible
-// default) it re-fits the cost model's byte scale in place — the
-// observed wire-bytes-per-estimated-byte ratio becomes the scale, so
-// EstShipCost prices width estimates the way the wire actually encodes
-// them. The scale is only moved when it has drifted enough to change
-// costing (~5%), and moving it moves the cost model's version, which
-// cached plans are keyed on. Calling it again returns the same
-// calibrator.
-func (s *System) EnableAutoCalibration(everyN int) *Calibrator {
-	if everyN <= 0 {
-		everyN = network.DefaultAutoApplyFrames
-	}
-	cl := s.Cluster()
-	if cl.Calibrator() == nil {
-		cl.SetCalibrator(network.NewCalibrator())
-	}
-	cal := cl.Calibrator()
-	cal.SetAutoApply(s.network(), everyN)
-	return cal
-}
-
 // Optimizer returns the compliance-based optimizer over the catalogs,
 // built on first use and again only when Schema or Policies has been
 // pointed at a different catalog (a Server started earlier keeps the old
@@ -649,7 +615,6 @@ func (s *System) Optimizer() *optimizer.Optimizer {
 		s.lc.Opt = optimizer.New(s.Schema, s.Policies, s.network(), optimizer.Options{
 			Compliant:      true,
 			ResultLocation: s.opts.ResultLocation,
-			MaxAlts:        s.opts.MaxAlts,
 			MaxExprs:       s.opts.MaxExprs,
 			PlanCacheSize:  pcs,
 			PoolBytes:      s.opts.BufferPoolBytes,

@@ -144,6 +144,18 @@ func TestSystemResultLocationOption(t *testing.T) {
 	if p.Root.Loc != "Europe" {
 		t.Errorf("result location: %s", p.Root.Loc)
 	}
+
+	// A location the schema does not have is a configuration error, not
+	// a policy verdict: it must not read as "no compliant plan".
+	mars := NewSystemWith(Options{ResultLocation: "Mars"})
+	mars.Schema = sys.Schema
+	mars.Policies = sys.Policies
+	if _, err := mars.Explain(demoQuery); err == nil || errors.Is(err, ErrNoCompliantPlan) || !strings.Contains(err.Error(), `"Mars"`) {
+		t.Errorf("unknown result location: err = %v, want an error naming it, not ErrNoCompliantPlan", err)
+	}
+	if legal, err := mars.Legal(demoQuery); err == nil {
+		t.Errorf("Legal under an unknown result location = (%v, nil), want an error", legal)
+	}
 }
 
 func TestSystemErrors(t *testing.T) {

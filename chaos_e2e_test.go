@@ -1,14 +1,15 @@
 package cgdqp
 
 import (
+	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
 	"cgdqp/internal/network"
+	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/policy"
@@ -20,39 +21,39 @@ import (
 // never introduce.
 const chaosWatchdog = 60 * time.Second
 
-func chaosSortTransfers(ts []network.Transfer) []network.Transfer {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		if a.Bytes != b.Bytes {
-			return a.Bytes < b.Bytes
-		}
-		return a.Rows < b.Rows
-	})
-	return ts
-}
-
 type chaosOutcome struct {
 	rows  []string
 	stats *executor.RunStats
-	ts    []network.Transfer
+	audit []string // the run's audit records, canonically sorted
 	err   error
+}
+
+// chaosRun executes a plan once — inline exchanges or goroutine ones —
+// and returns its rows, statistics and rendered audit records: one per
+// shipment, with its edge, relations, columns, rows, bytes and batches.
+func chaosRun(root *plan.Node, cl *cluster.Cluster, inline bool) chaosOutcome {
+	audit := obs.NewAuditLog()
+	run := executor.RunParallelOpts
+	if inline {
+		run = executor.RunObservedOpts
+	}
+	rows, stats, err := run(context.Background(), root, cl, &obs.Observer{Audit: audit}, executor.ExecOptions{})
+	if err != nil {
+		return chaosOutcome{err: err}
+	}
+	var recs []string
+	for _, r := range audit.Records() {
+		recs = append(recs, r.String())
+	}
+	return chaosOutcome{rows: renderRows(rows), stats: stats, audit: recs}
 }
 
 // runWithWatchdog executes the plan on a goroutine and fails the test if
 // it hangs past the watchdog budget.
-func runWithWatchdog(t *testing.T, label string, run func() ([]string, *executor.RunStats, []network.Transfer, error)) chaosOutcome {
+func runWithWatchdog(t *testing.T, label string, run func() chaosOutcome) chaosOutcome {
 	t.Helper()
 	done := make(chan chaosOutcome, 1)
-	go func() {
-		rows, stats, ts, err := run()
-		done <- chaosOutcome{rows: rows, stats: stats, ts: ts, err: err}
-	}()
+	go func() { done <- run() }()
 	select {
 	case out := <-done:
 		return out
@@ -65,8 +66,9 @@ func runWithWatchdog(t *testing.T, label string, run func() ([]string, *executor
 // TestChaosTPCHSweep is the acceptance gate of the fault-injection
 // layer: 20+ seeds × every TPC-H evaluation query, under both engines.
 // Each run must end in one of exactly two states — (a) success with the
-// same rows and a bit-for-bit identical transfer ledger as the
-// fault-free sequential engine, or (b) a typed *network.ShipError.
+// same rows, the same per-shipment audit records and bit-identical
+// shipping statistics as the fault-free sequential engine, or (b) a
+// typed *network.ShipError.
 // Never a hang, a panic, an untyped error, or silently wrong rows.
 func TestChaosTPCHSweep(t *testing.T) {
 	cat := tpch.NewCatalog(0.002)
@@ -81,11 +83,11 @@ func TestChaosTPCHSweep(t *testing.T) {
 	}
 	opt := optimizer.New(cat, pc, net, optimizer.Options{Compliant: true})
 
-	// Fault-free sequential reference per query: rows and ledger.
+	// Fault-free sequential reference per query: rows, statistics and
+	// audit records.
 	type reference struct {
-		root      *plan.Node
-		rows      []string
-		transfers []network.Transfer
+		root *plan.Node
+		chaosOutcome
 	}
 	refs := map[string]*reference{}
 	for _, name := range tpch.QueryNames() {
@@ -93,16 +95,11 @@ func TestChaosTPCHSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", name, err)
 		}
-		cl.Ledger.Reset()
-		rows, _, err := executor.Run(res.Plan, cl)
-		if err != nil {
-			t.Fatalf("%s: reference run: %v", name, err)
+		out := chaosRun(res.Plan, cl, true)
+		if out.err != nil {
+			t.Fatalf("%s: reference run: %v", name, out.err)
 		}
-		refs[name] = &reference{
-			root:      res.Plan,
-			rows:      renderRows(rows),
-			transfers: chaosSortTransfers(cl.Ledger.Transfers()),
-		}
+		refs[name] = &reference{root: res.Plan, chaosOutcome: out}
 	}
 
 	retry := network.RetryPolicy{
@@ -127,20 +124,8 @@ func TestChaosTPCHSweep(t *testing.T) {
 		for _, name := range tpch.QueryNames() {
 			ref := refs[name]
 			label := name
-			cl.Ledger.Reset()
-			out := runWithWatchdog(t, label, func() ([]string, *executor.RunStats, []network.Transfer, error) {
-				var rows []Row
-				var stats *executor.RunStats
-				var err error
-				if seed%4 == 0 {
-					rows, stats, err = executor.Run(ref.root, cl)
-				} else {
-					rows, stats, err = executor.RunParallel(ref.root, cl)
-				}
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return renderRows(rows), stats, chaosSortTransfers(cl.Ledger.Transfers()), nil
+			out := runWithWatchdog(t, label, func() chaosOutcome {
+				return chaosRun(ref.root, cl, seed%4 == 0)
 			})
 			if out.err != nil {
 				var se *network.ShipError
@@ -164,14 +149,19 @@ func TestChaosTPCHSweep(t *testing.T) {
 						seed, label, i, out.rows[i], ref.rows[i])
 				}
 			}
-			if len(out.ts) != len(ref.transfers) {
-				t.Fatalf("seed %d %s: %d ledger entries, want %d", seed, label, len(out.ts), len(ref.transfers))
+			if len(out.audit) != len(ref.audit) {
+				t.Fatalf("seed %d %s: %d shipments, want %d", seed, label, len(out.audit), len(ref.audit))
 			}
-			for i := range ref.transfers {
-				if out.ts[i] != ref.transfers[i] {
-					t.Fatalf("seed %d %s: ledger entry %d differs after retries:\ngot  %+v\nwant %+v",
-						seed, label, i, out.ts[i], ref.transfers[i])
+			for i := range ref.audit {
+				if out.audit[i] != ref.audit[i] {
+					t.Fatalf("seed %d %s: shipment %d differs after retries:\ngot  %s\nwant %s",
+						seed, label, i, out.audit[i], ref.audit[i])
 				}
+			}
+			got := *out.stats
+			got.Retries = 0
+			if got != *ref.stats {
+				t.Fatalf("seed %d %s: stats %+v after retries, want %+v", seed, label, got, *ref.stats)
 			}
 		}
 	}
@@ -214,13 +204,8 @@ func TestChaosPartitionedWAN(t *testing.T) {
 			}
 			return true
 		})
-		cl.Ledger.Reset()
-		out := runWithWatchdog(t, name, func() ([]string, *executor.RunStats, []network.Transfer, error) {
-			rows, stats, err := executor.RunParallel(res.Plan, cl)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return renderRows(rows), stats, nil, nil
+		out := runWithWatchdog(t, name, func() chaosOutcome {
+			return chaosRun(res.Plan, cl, false)
 		})
 		if crossSite {
 			if !errors.Is(out.err, network.ErrPartitioned) {
@@ -234,9 +219,9 @@ func TestChaosPartitionedWAN(t *testing.T) {
 }
 
 // TestChaosOptionsEndToEnd drives the fault layer through the public
-// API: Options.Faults/Options.Retry on two identical systems; a chaos
-// system either agrees with the calm one or fails typed, and the chaos
-// seed replays to the same outcome.
+// API: Options.Faults on two identical systems, with a fast retry policy
+// on the chaos one; a chaos system either agrees with the calm one or
+// fails typed, and the chaos seed replays to the same outcome.
 func TestChaosOptionsEndToEnd(t *testing.T) {
 	build := func(opts Options) *System {
 		sys := NewSystemWith(opts)
@@ -268,7 +253,9 @@ func TestChaosOptionsEndToEnd(t *testing.T) {
 	retry.MaxBackoff = 400 * time.Microsecond
 	run := func(seed int64) (*Result, error) {
 		faults := NewFaultPlan(seed).SetDefault(EdgeFaults{DropProb: 0.3, TransientProb: 0.2})
-		return build(Options{Parallel: true, Faults: faults, Retry: &retry}).Query(q)
+		sys := build(Options{Parallel: true, Faults: faults})
+		sys.Cluster().SetRetry(retry)
+		return sys.Query(q)
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		a, errA := run(seed)

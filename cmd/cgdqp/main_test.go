@@ -67,12 +67,17 @@ func TestOneShotQuery(t *testing.T) {
 	}
 	// A failed one-shot statement is a failed command (the interactive
 	// shell carries on: TestShellSession).
-	for _, tc := range []struct{ name, sql, want string }{
-		{"malformed", "SELEC 1", "error: sqlparse: "},
-		{"policy-rejected", "SELECT c.comment, l.comment FROM customer c, lineitem l WHERE c.custkey = l.orderkey",
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"malformed", []string{"-q", "SELEC 1"}, "error: sqlparse: "},
+		{"policy-rejected", []string{"-q", "SELECT c.comment, l.comment FROM customer c, lineitem l WHERE c.custkey = l.orderkey"},
 			"no compliant execution plan"},
+		{"unknown-result-location", []string{"-at", "Mars", "-q", q3}, `unknown result location "Mars"`},
 	} {
-		code, out, errw := cli(t, "", "-set", "CR", "-q", tc.sql)
+		code, out, errw := cli(t, "", append([]string{"-set", "CR"}, tc.args...)...)
 		if code != 1 || !strings.Contains(errw, tc.want) || footerRE.MatchString(out) {
 			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 1, %q on stderr and no result", tc.name, code, errw, out, tc.want)
 		}

@@ -2,11 +2,13 @@
 // (Table 2), loaded with generated data, optimized under the CR+A policy
 // set, and executed. The example runs the six benchmark queries,
 // printing for each whether the traditional plan would have been
-// compliant, the compliant plan's crossings, and the measured transfer
-// ledger.
+// compliant, the measured shipping volume of the compliant plan, and
+// its run's audit log: one line per shipment with the shipping trait
+// that justifies it.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -14,8 +16,8 @@ import (
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
 	"cgdqp/internal/network"
+	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
-	"cgdqp/internal/plan"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
@@ -56,25 +58,18 @@ func main() {
 			log.Fatalf("%s compliant: %v", qn, err)
 		}
 
-		cl.Ledger.Reset()
-		rows, stats, err := executor.Run(cres.Plan, cl)
+		audit := obs.NewAuditLog()
+		rows, stats, err := executor.RunObservedOpts(context.Background(), cres.Plan, cl,
+			&obs.Observer{Audit: audit}, executor.ExecOptions{})
 		if err != nil {
 			log.Fatalf("%s execute: %v", qn, err)
 		}
 		fmt.Printf("\n--- %s --- traditional plan: %s; compliant plan optimized in %v\n",
 			qn, verdict(len(tviol)), cres.Stats.TotalTime)
-		var ships []string
-		cres.Plan.Walk(func(n *plan.Node) bool {
-			if n.Kind == plan.Ship {
-				ships = append(ships, n.FromLoc+"->"+n.ToLoc)
-			}
-			return true
-		})
-		fmt.Printf("    crossings: %v\n", ships)
 		fmt.Printf("    %d result rows; shipped %d rows / %d bytes (%.1f ms simulated)\n",
 			len(rows), stats.ShippedRows, stats.ShippedBytes, stats.ShipCost)
-		if sum := cl.Ledger.Summary(); sum != "" {
-			fmt.Print(indent(sum))
+		for _, rec := range audit.Records() {
+			fmt.Println("   ", rec)
 		}
 	}
 }
@@ -84,29 +79,4 @@ func verdict(violations int) string {
 		return "compliant"
 	}
 	return fmt.Sprintf("NON-COMPLIANT (%d violations)", violations)
-}
-
-func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		if line != "" {
-			out += "    " + line + "\n"
-		}
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

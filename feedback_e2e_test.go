@@ -3,7 +3,7 @@ package cgdqp
 // End-to-end tests of the execution-feedback loop through the public
 // API: a misestimated workload whose first execution corrects the
 // optimizer's cardinalities, the structured slow-query log, and the
-// auto-applied wire calibration.
+// wire calibration Options.Feedback arms.
 
 import (
 	"bytes"
@@ -29,7 +29,7 @@ func misestimatedSystem(t *testing.T, opts Options) *System {
 	// feedback corrects. (Under the default five-region WAN the per-
 	// shipment latencies dwarf the byte costs at this data scale.)
 	sys := NewSystemWith(opts)
-	sys.Net = network.UniformWAN(1, 0.01)
+	sys.Net = network.NewCostModel(1, 0.01)
 	sys.MustDefineTable("bigfact", "db-e", "Europe", 20000,
 		Col("k", TInt), Col("status", TString), Col("v", TFloat))
 	sys.MustDefineTable("dim", "db-a", "Asia", 200,
@@ -99,7 +99,7 @@ func TestFeedbackCorrectsMisestimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sys.Feedback().Summary()
-	if sum.Tracked == 0 || sum.Queries != 1 {
+	if sum.Tracked == 0 {
 		t.Fatalf("after one query: %+v", sum)
 	}
 	if sum.MaxQError < 100 {
@@ -157,7 +157,7 @@ func TestFeedbackCorrectsMisestimate(t *testing.T) {
 func skewedChainSystem(t *testing.T, opts Options) *System {
 	t.Helper()
 	sys := NewSystemWith(opts)
-	sys.Net = network.UniformWAN(1, 0.01)
+	sys.Net = network.NewCostModel(1, 0.01)
 	sys.MustDefineTable("pick", "db-e", "Europe", 10, Col("x", TInt))
 	sys.MustDefineTable("mid", "db-e", "Europe", 2000, Col("x", TInt), Col("y", TInt), Col("v", TFloat))
 	sys.MustDefineTable("wide", "db-a", "Asia", 2000, Col("y", TInt), Col("w", TInt), Col("note", TString))
@@ -342,19 +342,23 @@ func TestSlowQueryThresholdFilters(t *testing.T) {
 	}
 }
 
-// TestEnableAutoCalibrationE2E arms every-frame calibration through the
-// facade: after one executed query the calibrator has observed encoding
-// frames and folded the measured ratio into the cost model.
-func TestEnableAutoCalibrationE2E(t *testing.T) {
+// TestFeedbackArmsCalibration: Options.Feedback installs a calibrator
+// that re-fits the system's own cost model, once per
+// DefaultAutoApplyFrames observed frames.
+func TestFeedbackArmsCalibration(t *testing.T) {
 	sys := misestimatedSystem(t, Options{Feedback: true})
-	cal := sys.EnableAutoCalibration(1)
+	cal := sys.Cluster().Calibrator()
 	if cal == nil {
-		t.Fatal("EnableAutoCalibration returned nil")
+		t.Fatal("Options.Feedback installed no calibrator")
 	}
-	if _, err := sys.Query(misestimatedQuery); err != nil {
-		t.Fatal(err)
+	// Frames that encode to half their estimated width.
+	for i := 1; i <= network.DefaultAutoApplyFrames; i++ {
+		if s := sys.Net.ByteScale(); s != 1 {
+			t.Fatalf("byte scale %v after %d frames, want 1 until the cadence", s, i-1)
+		}
+		cal.ObserveEncoding(1000, 500)
 	}
-	if ratio := cal.EncodingRatio(); ratio <= 0 {
-		t.Fatalf("encoding ratio = %v, want frames observed and a positive ratio", ratio)
+	if s := sys.Net.ByteScale(); s != 0.5 {
+		t.Fatalf("byte scale %v after %d frames, want 0.5", s, network.DefaultAutoApplyFrames)
 	}
 }

@@ -15,7 +15,7 @@ func TestAnalyze(t *testing.T) {
 		schema.Column{Name: "s", Type: expr.TString},
 	)
 	cat.MustAddTable(tab)
-	cl := New(cat, network.UniformWAN(1, 1e-6))
+	cl := New(cat, network.NewCostModel(1, 1e-6))
 	var rows []expr.Row
 	for i := 0; i < 100; i++ {
 		v := expr.NewString("x")
@@ -61,7 +61,7 @@ func TestAnalyzeAllFragmented(t *testing.T) {
 		},
 	}
 	cat.MustAddTable(frag)
-	cl := New(cat, network.UniformWAN(1, 1e-6))
+	cl := New(cat, network.NewCostModel(1, 1e-6))
 	if err := cl.LoadFragment(frag, 0, []expr.Row{{expr.NewInt(1)}, {expr.NewInt(2)}}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package cluster simulates the geo-distributed deployment of Figure 2:
 // one database gateway per location, a WAN between them priced by the
-// message cost model, and a transfer ledger recording every cross-border
-// shipment a query performs.
+// message cost model, and a per-run transfer ledger (RunScope) recording
+// every cross-border shipment a query performs.
 package cluster
 
 import (
@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cgdqp/internal/expr"
@@ -29,12 +28,12 @@ type Site struct {
 // Cluster is the set of sites plus the network between them. After
 // construction and loading, a cluster is safe for concurrent reads: the
 // site map is immutable, storage tables guard their rows with RWMutexes,
-// and the ledger serializes transfer accounting — which is what lets the
-// parallel executor run per-site plan fragments on separate goroutines.
+// and each execution accounts its transfers in its own RunScope — which
+// is what lets the parallel executor run per-site plan fragments on
+// separate goroutines.
 type Cluster struct {
-	sites  map[string]*Site
-	Net    *network.CostModel
-	Ledger *network.Ledger
+	sites map[string]*Site
+	Net   *network.CostModel
 
 	// wireDelay scales simulated WAN cost (milliseconds, per the message
 	// cost model) into real wall-clock sleeps during execution. The
@@ -47,17 +46,15 @@ type Cluster struct {
 	// are set before execution and read concurrently by producers.
 	faults *network.FaultPlan
 	retry  network.RetryPolicy
-	// retries counts failed send attempts across all executions.
-	retries atomic.Int64
 
 	// obs receives shipping spans and per-edge metrics (see ship.go).
 	// nil disables observation; set before execution like the fields
 	// above (exchange producers read it without locks).
 	obs *obs.Observer
 
-	// cal receives wire-encoding and shipment samples from the
-	// executors (see network.Calibrator). nil disables calibration;
-	// set before execution like the fields above.
+	// cal receives wire-encoding samples from the executors (see
+	// network.Calibrator). nil disables calibration; set before
+	// execution like the fields above.
 	cal *network.Calibrator
 
 	// epochs tracks a per-table data epoch, bumped by every successful
@@ -94,9 +91,9 @@ func (c *Cluster) DataEpoch(table string) uint64 {
 	return c.epochs[strings.ToLower(table)]
 }
 
-// SetCalibrator installs the cost-model calibrator shipping and the
-// executors' wire encoders feed samples into (nil disables). Configure
-// before execution starts.
+// SetCalibrator installs the cost-model calibrator the executors' wire
+// encoders feed samples into (nil disables). Configure before execution
+// starts.
 func (c *Cluster) SetCalibrator(cal *network.Calibrator) { c.cal = cal }
 
 // Calibrator returns the installed calibrator (nil = none).
@@ -106,14 +103,11 @@ func (c *Cluster) Calibrator() *network.Calibrator { return c.cal }
 // (nil disables). Configure before execution starts.
 func (c *Cluster) SetObserver(o *obs.Observer) { c.obs = o }
 
-// Observer returns the installed observer (nil = none).
-func (c *Cluster) Observer() *obs.Observer { return c.obs }
-
 // SetWireDelay makes SHIP transfers take wall-clock time: every shipment
 // sleeps its modeled cost (ms) multiplied by scale. scale 0 disables the
 // delay. Set it before execution starts; the geo-distributed benchmarks
 // use it so that overlapping transfers (what a parallel executor buys)
-// shows up in measured time, not just in the ledger.
+// shows up in measured time, not just in the modeled cost.
 func (c *Cluster) SetWireDelay(scale float64) { c.wireDelay = scale }
 
 // WireDelay returns the current wire-delay scale.
@@ -145,7 +139,7 @@ func New(cat *schema.Catalog, net *network.CostModel) *Cluster {
 // created with their catalog-declared column types and indexes on both
 // backends, so plans and results do not depend on the backend choice.
 func NewWithStore(cat *schema.Catalog, net *network.CostModel, cfg *StoreConfig) (*Cluster, error) {
-	c := &Cluster{sites: map[string]*Site{}, Net: net, Ledger: network.NewLedger(net), epochs: map[string]uint64{}}
+	c := &Cluster{sites: map[string]*Site{}, Net: net, epochs: map[string]uint64{}}
 	if cfg != nil && cfg.DataDir != "" {
 		c.pool = store.NewPool(cfg.BufferPoolBytes)
 	}

@@ -25,7 +25,7 @@ func testCatalog() *schema.Catalog {
 
 func TestClusterSetup(t *testing.T) {
 	cat := testCatalog()
-	cl := New(cat, network.UniformWAN(1, 0.001))
+	cl := New(cat, network.NewCostModel(1, 0.001))
 	s1, ok := cl.Site("L1")
 	if !ok || s1.DB.Name != "db-1" {
 		t.Fatalf("site L1: %v %v", s1, ok)
@@ -52,7 +52,7 @@ func TestClusterSetup(t *testing.T) {
 
 func TestLoadAndReadFragments(t *testing.T) {
 	cat := testCatalog()
-	cl := New(cat, network.UniformWAN(1, 0.001))
+	cl := New(cat, network.NewCostModel(1, 0.001))
 	tab, _ := cat.Table("t1")
 	frag, _ := cat.Table("frag")
 
@@ -80,9 +80,10 @@ func TestLoadAndReadFragments(t *testing.T) {
 	if _, err := cl.FragmentRows(frag, 9); err == nil {
 		t.Error("bad index read must fail")
 	}
-	// The ledger prices through the cluster's model.
-	cl.Ledger.OpenShipment("L1", "L2").Add(1, 1000)
-	if c := cl.Ledger.TotalCost(); c != 1+1 {
+	// A run's ledger prices through the cluster's model.
+	run := cl.NewRun()
+	run.OpenShipment("L1", "L2").Add(1, 1000)
+	if c := run.Ledger().Snapshot().Cost; c != 1+1 {
 		t.Errorf("ledger cost: %v", c)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // the simulated wire time). With one, every send attempt consults the
 // plan, failed attempts are retried under the cluster's RetryPolicy (capped
 // exponential backoff with deterministic jitter, per-attempt simulated
-// timeout), and the transfer ledger is charged only when a batch
+// timeout), and the run's ledger is charged only when a batch
 // actually arrives — so a run that succeeds after retries accounts
 // exactly what a fault-free run would.
 
@@ -29,18 +29,11 @@ func (c *Cluster) SetFaults(p *network.FaultPlan) {
 	}
 }
 
-// Faults returns the installed fault plan (nil = none).
-func (c *Cluster) Faults() *network.FaultPlan { return c.faults }
-
 // SetRetry installs the shipment retry policy.
 func (c *Cluster) SetRetry(r network.RetryPolicy) { c.retry = r }
 
 // Retry returns the shipment retry policy in effect.
 func (c *Cluster) Retry() network.RetryPolicy { return c.retry }
-
-// TotalRetries returns the monotone count of re-sent attempts; callers
-// diff it around an execution, like the ledger totals.
-func (c *Cluster) TotalRetries() int64 { return c.retries.Load() }
 
 // finishShip closes the shipment span with its outcome and, on success,
 // bumps the per-edge shipping counters. Every step is guarded so a
@@ -143,7 +136,6 @@ func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, ba
 			deliver(v.ExtraDelayMS)
 			return nil
 		}
-		c.retries.Add(1)
 		scope.retries.Add(1)
 		c.countFault(lastErr)
 		if m := c.obs.Reg(); m != nil {

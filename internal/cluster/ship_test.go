@@ -19,13 +19,15 @@ func shipTestCluster(t *testing.T) *Cluster {
 	if err := cat.AddTable(schema.NewTable("u", "db-as", "AS", 10, schema.Column{Name: "a", Type: 0})); err != nil {
 		t.Fatal(err)
 	}
-	return New(cat, network.UniformWAN(10, 0.001))
+	return New(cat, network.NewCostModel(10, 0.001))
 }
 
-// shipOne opens a shipment on the edge and sends its only batch.
-func shipOne(ctx context.Context, c *Cluster, from, to string, rows, bytes int64) error {
+// shipOne opens a run and a shipment on the edge, sends its only batch,
+// and returns the run's ledger totals and retried-send count.
+func shipOne(ctx context.Context, c *Cluster, from, to string, rows, bytes int64) (network.LedgerSnapshot, int64, error) {
 	run := c.NewRun()
-	return run.ShipBatch(ctx, run.OpenShipment(from, to), from, to, 0, rows, bytes)
+	err := run.ShipBatch(ctx, run.OpenShipment(from, to), from, to, 0, rows, bytes)
+	return run.Ledger().Snapshot(), run.Retries(), err
 }
 
 func fastRetry(attempts int) network.RetryPolicy {
@@ -45,16 +47,17 @@ func TestShipBatchRetriesToSuccess(t *testing.T) {
 	c := shipTestCluster(t)
 	c.SetFaults(network.NewFaultPlan(11).SetDefault(EdgeFaultsWithDrop(0.9)))
 	c.SetRetry(fastRetry(100))
-	if err := shipOne(context.Background(), c, "EU", "AS", 100, 800); err != nil {
+	snap, retries, err := shipOne(context.Background(), c, "EU", "AS", 100, 800)
+	if err != nil {
 		t.Fatalf("ShipBatch: %v", err)
 	}
-	if got := c.Ledger.TotalBytes(); got != 800 {
-		t.Errorf("ledger bytes = %d, want 800 (charged once, not per attempt)", got)
+	if snap.Bytes != 800 {
+		t.Errorf("ledger bytes = %d, want 800 (charged once, not per attempt)", snap.Bytes)
 	}
-	if got := c.Ledger.TotalRows(); got != 100 {
-		t.Errorf("ledger rows = %d, want 100", got)
+	if snap.Rows != 100 {
+		t.Errorf("ledger rows = %d, want 100", snap.Rows)
 	}
-	if c.TotalRetries() == 0 {
+	if retries == 0 {
 		t.Error("drops at 90%% should have produced retries")
 	}
 }
@@ -71,7 +74,7 @@ func TestShipBatchExhaustsRetries(t *testing.T) {
 	c := shipTestCluster(t)
 	c.SetFaults(network.NewFaultPlan(5).SetDefault(network.EdgeFaults{TransientProb: 1}))
 	c.SetRetry(fastRetry(3))
-	err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
+	snap, _, err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
 	var se *network.ShipError
 	if !errors.As(err, &se) {
 		t.Fatalf("error %v, want *network.ShipError", err)
@@ -79,8 +82,8 @@ func TestShipBatchExhaustsRetries(t *testing.T) {
 	if se.Attempts != 3 || !errors.Is(err, network.ErrTransient) {
 		t.Errorf("ShipError = %+v, want 3 attempts wrapping ErrTransient", se)
 	}
-	if got := c.Ledger.TotalBytes(); got != 0 {
-		t.Errorf("failed shipment charged %d bytes", got)
+	if snap.Bytes != 0 {
+		t.Errorf("failed shipment charged %d bytes", snap.Bytes)
 	}
 }
 
@@ -90,7 +93,7 @@ func TestShipBatchPartitionFailsFast(t *testing.T) {
 	c := shipTestCluster(t)
 	c.SetFaults(network.NewFaultPlan(5).SetEdge("EU", "AS", network.EdgeFaults{Partitioned: true}))
 	c.SetRetry(fastRetry(10))
-	err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
+	snap, _, err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
 	var se *network.ShipError
 	if !errors.As(err, &se) || !errors.Is(err, network.ErrPartitioned) {
 		t.Fatalf("error %v, want ShipError wrapping ErrPartitioned", err)
@@ -98,11 +101,11 @@ func TestShipBatchPartitionFailsFast(t *testing.T) {
 	if se.Attempts != 1 {
 		t.Errorf("partition burned %d attempts, want 1", se.Attempts)
 	}
-	if rows, bytes := c.Ledger.TotalRows(), c.Ledger.TotalBytes(); rows != 0 || bytes != 0 {
-		t.Errorf("partitioned transfer charged %d rows / %d bytes", rows, bytes)
+	if snap.Rows != 0 || snap.Bytes != 0 {
+		t.Errorf("partitioned transfer charged %d rows / %d bytes", snap.Rows, snap.Bytes)
 	}
 	// The unpartitioned reverse edge still works.
-	if err := shipOne(context.Background(), c, "AS", "EU", 10, 80); err != nil {
+	if _, _, err := shipOne(context.Background(), c, "AS", "EU", 10, 80); err != nil {
 		t.Errorf("reverse edge: %v", err)
 	}
 }
@@ -115,7 +118,7 @@ func TestShipTimeout(t *testing.T) {
 	retry := fastRetry(2)
 	retry.TimeoutMS = 50 // β·bytes is 0.8ms; the injected 1000ms delay blows the budget
 	c.SetRetry(retry)
-	err := shipOne(context.Background(), c, "EU", "AS", 10, 800)
+	_, _, err := shipOne(context.Background(), c, "EU", "AS", 10, 800)
 	if !errors.Is(err, network.ErrShipTimeout) {
 		t.Fatalf("error %v, want ErrShipTimeout", err)
 	}
@@ -125,14 +128,15 @@ func TestShipTimeout(t *testing.T) {
 // returns immediately — no retries, identical to the pre-fault engine.
 func TestShipNoFaultsFastPath(t *testing.T) {
 	c := shipTestCluster(t)
-	if err := shipOne(context.Background(), c, "EU", "AS", 10, 80); err != nil {
+	snap, retries, err := shipOne(context.Background(), c, "EU", "AS", 10, 80)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalRetries() != 0 {
+	if retries != 0 {
 		t.Error("fault-free path counted retries")
 	}
-	if got := c.Ledger.TotalBytes(); got != 80 {
-		t.Errorf("ledger bytes = %d", got)
+	if snap.Bytes != 80 {
+		t.Errorf("ledger bytes = %d", snap.Bytes)
 	}
 }
 
@@ -144,7 +148,10 @@ func TestShipCancellation(t *testing.T) {
 	c.SetRetry(network.RetryPolicy{MaxAttempts: 1000, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 10 * time.Millisecond, Multiplier: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- shipOne(ctx, c, "EU", "AS", 10, 80) }()
+	go func() {
+		_, _, err := shipOne(ctx, c, "EU", "AS", 10, 80)
+		done <- err
+	}()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	select {

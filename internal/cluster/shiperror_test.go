@@ -66,7 +66,7 @@ func TestShipErrorWrappingChains(t *testing.T) {
 			c := shipTestCluster(t)
 			c.SetFaults(network.NewFaultPlan(7).SetDefault(tc.faults))
 			c.SetRetry(tc.retry)
-			err := shipOne(context.Background(), c, "EU", "AS", 10, 800)
+			_, _, err := shipOne(context.Background(), c, "EU", "AS", 10, 800)
 			if err == nil {
 				t.Fatal("shipment succeeded under certain faults")
 			}
@@ -119,7 +119,7 @@ func TestShipErrorNotConfusedWithContext(t *testing.T) {
 	c.SetRetry(fastRetry(5))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := shipOne(ctx, c, "EU", "AS", 10, 80)
+	_, _, err := shipOne(ctx, c, "EU", "AS", 10, 80)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}

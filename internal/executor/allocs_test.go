@@ -329,7 +329,7 @@ func TestMaskedScanAllocatesNoDroppedStrings(t *testing.T) {
 	tab := schema.NewTable("t", "d1", "L1", 2000,
 		schema.Column{Name: "k", Type: expr.TInt}, schema.Column{Name: "pad", Type: expr.TString}, schema.Column{Name: "v", Type: expr.TFloat})
 	cat.MustAddTable(tab)
-	cl, err := cluster.NewWithStore(cat, network.UniformWAN(1, 1e-6), &cluster.StoreConfig{DataDir: t.TempDir()})
+	cl, err := cluster.NewWithStore(cat, network.NewCostModel(1, 1e-6), &cluster.StoreConfig{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package executor
 import (
 	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
+	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
 )
 
@@ -45,36 +45,36 @@ func chaosRetry() network.RetryPolicy {
 	}
 }
 
-func sortedTransfers(l *network.Ledger) []network.Transfer {
-	ts := l.Transfers()
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		if a.Bytes != b.Bytes {
-			return a.Bytes < b.Bytes
-		}
-		return a.Rows < b.Rows
-	})
-	return ts
+// auditedRun executes root in one exchange mode and returns its rows,
+// statistics and rendered audit log: one record per shipment (edge,
+// relations, columns, rows, bytes, batches), canonically sorted.
+func auditedRun(root *plan.Node, cl *cluster.Cluster, inline bool) ([]expr.Row, *RunStats, string, error) {
+	o := &obs.Observer{Audit: obs.NewAuditLog()}
+	rows, stats, err := run(context.Background(), root, cl, o, ExecOptions{}, inline)
+	return rows, stats, o.Audit.String(), err
+}
+
+// sameShipping fails unless a recovered run's statistics equal the
+// fault-free ones bit for bit, Retries aside.
+func sameShipping(t *testing.T, seed int64, got, want *RunStats) {
+	t.Helper()
+	g := *got
+	g.Retries = want.Retries
+	if g != *want {
+		t.Fatalf("seed %d: stats differ after retries:\ngot  %+v\nwant %+v", seed, *got, *want)
+	}
 }
 
 // TestChaosParallelLedgerParity sweeps seeds over the multi-ship plan:
-// every run must either reproduce the fault-free rows AND the fault-free
-// ledger bit-for-bit (retries re-account cleanly), or fail with a typed
-// *network.ShipError. Runs under -race in tier-1.
+// every run must either reproduce the fault-free rows, per-shipment audit
+// records and RunStats bit-for-bit (retries re-account cleanly), or fail
+// with a typed *network.ShipError. Runs under -race in tier-1.
 func TestChaosParallelLedgerParity(t *testing.T) {
 	root, cl := chaosPlan(t)
-	cl.Ledger.Reset()
-	wantRows, _, err := Run(root, cl)
+	wantRows, wantStats, wantAudit, err := auditedRun(root, cl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTransfers := sortedTransfers(cl.Ledger)
 	want := canon(wantRows)
 
 	okRuns, failRuns := 0, 0
@@ -83,8 +83,7 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 			DropProb: 0.15, TransientProb: 0.1, DelayProb: 0.2, DelayMS: 10,
 		}))
 		cl.SetRetry(chaosRetry())
-		cl.Ledger.Reset()
-		rows, stats, err := RunParallel(root, cl)
+		rows, stats, audit, err := auditedRun(root, cl, false)
 		if err != nil {
 			var se *network.ShipError
 			if !errors.As(err, &se) {
@@ -103,16 +102,10 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 				t.Fatalf("seed %d: row %d differs: %s vs %s", seed, i, got[i], want[i])
 			}
 		}
-		gotTransfers := sortedTransfers(cl.Ledger)
-		if len(gotTransfers) != len(wantTransfers) {
-			t.Fatalf("seed %d: %d ledger entries, want %d", seed, len(gotTransfers), len(wantTransfers))
+		if audit != wantAudit {
+			t.Fatalf("seed %d: shipments differ after retries:\ngot\n%swant\n%s", seed, audit, wantAudit)
 		}
-		for i := range wantTransfers {
-			if gotTransfers[i] != wantTransfers[i] {
-				t.Fatalf("seed %d: ledger entry %d differs after retries:\ngot  %+v\nwant %+v",
-					seed, i, gotTransfers[i], wantTransfers[i])
-			}
-		}
+		sameShipping(t, seed, stats, wantStats)
 		if stats.Retries == 0 && seed == 1 {
 			// Not fatal for other seeds, but the sweep as a whole must
 			// exercise the retry path; checked below.
@@ -133,23 +126,18 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 // same RunStats, Retries included.
 func TestChaosSequentialEngine(t *testing.T) {
 	root, cl := chaosPlan(t)
-	cl.Ledger.Reset()
-	wantRows, _, err := Run(root, cl)
+	wantRows, wantStats, wantAudit, err := auditedRun(root, cl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := canon(wantRows)
-	wantTransfers := sortedTransfers(cl.Ledger)
 	okRuns, retried := 0, false
 	for seed := int64(1); seed <= 10; seed++ {
 		cl.SetFaults(network.NewFaultPlan(seed).SetDefault(network.EdgeFaults{
 			DropProb: 0.2, TransientProb: 0.1,
 		}))
 		cl.SetRetry(chaosRetry())
-		cl.Ledger.Reset()
-		rows, stats, err := Run(root, cl)
-		gotTransfers := sortedTransfers(cl.Ledger)
-		cl.Ledger.Reset()
+		rows, stats, audit, err := auditedRun(root, cl, true)
 		_, parStats, parErr := RunParallel(root, cl)
 		if (err == nil) != (parErr == nil) {
 			t.Fatalf("seed %d: inline error %v, goroutine-mode error %v", seed, err, parErr)
@@ -172,11 +160,10 @@ func TestChaosSequentialEngine(t *testing.T) {
 				t.Fatalf("seed %d: row %d differs", seed, i)
 			}
 		}
-		for i := range wantTransfers {
-			if gotTransfers[i] != wantTransfers[i] {
-				t.Fatalf("seed %d: ledger entry %d differs", seed, i)
-			}
+		if audit != wantAudit {
+			t.Fatalf("seed %d: shipments differ after retries:\ngot\n%swant\n%s", seed, audit, wantAudit)
 		}
+		sameShipping(t, seed, stats, wantStats)
 		if stats.ShippedBytes == 0 {
 			t.Fatalf("seed %d: no bytes accounted", seed)
 		}
@@ -202,7 +189,6 @@ func TestChaosPartitionTearsDownCleanly(t *testing.T) {
 		name string
 		run  func(*plan.Node, *cluster.Cluster) ([]expr.Row, *RunStats, error)
 	}{{"sequential", Run}, {"parallel", RunParallel}} {
-		cl.Ledger.Reset()
 		done := make(chan error, 1)
 		go func() {
 			_, _, err := eng.run(root, cl)

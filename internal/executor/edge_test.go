@@ -20,7 +20,7 @@ func TestHashJoinNullKeys(t *testing.T) {
 	r := schema.NewTable("r", "d2", "L2", 3, schema.Column{Name: "k", Type: expr.TInt})
 	cat.MustAddTable(l)
 	cat.MustAddTable(r)
-	cl := cluster.New(cat, network.UniformWAN(1, 1e-6))
+	cl := cluster.New(cat, network.NewCostModel(1, 1e-6))
 	if err := cl.LoadFragment(l, 0, []expr.Row{{expr.NewInt(1)}, {expr.TypedNull(expr.TInt)}, {expr.NewInt(2)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEmptyInputsThroughOperators(t *testing.T) {
 		schema.Column{Name: "a", Type: expr.TInt},
 		schema.Column{Name: "b", Type: expr.TString})
 	cat.MustAddTable(tab)
-	cl := cluster.New(cat, network.UniformWAN(1, 1e-6))
+	cl := cluster.New(cat, network.NewCostModel(1, 1e-6))
 
 	scan := plan.NewScan(tab, "t", -1)
 	f := plan.NewFilter(scan, expr.NewCmp(expr.GT, expr.NewCol("t", "a"), expr.NewConst(expr.NewInt(0))))

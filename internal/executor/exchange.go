@@ -25,9 +25,9 @@ import (
 // Determinism: every exchange has exactly one producer and preserves
 // its order, every fragment runs exactly once and to completion, and
 // fault verdicts are a pure function of (seed, edge, frame, attempt),
-// so both modes emit the same rows in the same order, charge the ledger
-// the same ShippedRows/ShippedBytes/ShipCost, retry the same sends and
-// record the same audit log. Only wall-clock time differs.
+// so both modes emit the same rows in the same order, charge the run's
+// ledger the same ShippedRows/ShippedBytes/ShipCost, retry the same
+// sends and record the same audit log. Only wall-clock time differs.
 
 // exchangeDepth bounds the frames buffered per goroutine-mode exchange;
 // producers run at most exchangeDepth×BatchSize rows ahead of their
@@ -54,7 +54,7 @@ func newExchange(n *plan.Node, src BatchOperator, env *execEnv) BatchOperator {
 
 // exchangeProducer runs one plan fragment, feeding its Ship boundary: it
 // drives the fragment's operator tree batch by batch, repacks the
-// stream into BatchSize-row wire frames, charges the cluster ledger the
+// stream into BatchSize-row wire frames, charges the run's ledger the
 // encoded size of each frame, applies the simulated wire delay, and
 // hands the frames downstream in order. The consuming exchangeOp
 // decodes them back into batches.
@@ -141,14 +141,7 @@ func (p *exchangeProducer) produce() error {
 		}
 		if b == nil {
 			if pend.n > 0 {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			if cal != nil {
-				// One affine sample per completed shipment: total
-				// encoded bytes against the modeled edge cost.
-				cal.ObserveShip(from, to, p.sentBytes, c.Net.ShipCost(from, to, float64(p.sentBytes)))
+				return flush()
 			}
 			return nil
 		}

@@ -368,7 +368,7 @@ func TestCancelShiplessPlan(t *testing.T) {
 	cat := schema.NewCatalog()
 	cat.MustAddTable(plain)
 	cat.MustAddTable(indexed)
-	cl := cluster.New(cat, network.UniformWAN(1, 1e-6))
+	cl := cluster.New(cat, network.NewCostModel(1, 1e-6))
 	row := expr.Row{expr.NewInt(1)}
 	rows := make([]expr.Row, nRows)
 	for i := range rows {

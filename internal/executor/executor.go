@@ -3,7 +3,7 @@
 // execution: BatchOperators (Open / NextBatch / Close) exchanging
 // columnar batches. SHIP operators are exchanges that serialize the
 // stream into wire frames, move them through the simulated WAN and
-// charge the message cost model via the cluster's ledger, which is how
+// charge the message cost model via the run's ledger, which is how
 // the plan-quality experiments (Figures 6g/6h) measure execution cost.
 // "Sequential" and "parallel" execution differ only in how an exchange
 // runs its producer: inline at the consumer's Open, or on its own

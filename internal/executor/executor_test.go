@@ -317,7 +317,6 @@ func TestShipAccounting(t *testing.T) {
 		t.Errorf("ship accounting: %+v", stats)
 	}
 	// Intra-site ship is free.
-	cl.Ledger.Reset()
 	ship2 := plan.NewShip(c, "N", "N")
 	_, stats2, err := Run(ship2, cl)
 	if err != nil {
@@ -354,7 +353,6 @@ func TestCompliantAndTraditionalPlansAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compliant run: %v\n%s", err, cres.Plan.Format(true))
 	}
-	cl.Ledger.Reset()
 	tRows, _, err := Run(tres.Plan, cl)
 	if err != nil {
 		t.Fatalf("traditional run: %v\n%s", err, tres.Plan.Format(true))

@@ -48,7 +48,6 @@ func TestObservedAuditParitySeqVsParallel(t *testing.T) {
 	p, cl := chaosPlan(t)
 	o := observedCluster(cl)
 
-	cl.Ledger.Reset()
 	_, seqStats, err := RunObservedOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
@@ -57,7 +56,6 @@ func TestObservedAuditParitySeqVsParallel(t *testing.T) {
 	seqLog := o.Audit.String()
 
 	o.Audit.Reset()
-	cl.Ledger.Reset()
 	_, parStats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
@@ -100,7 +98,6 @@ func TestObservedAuditDeterministicReplay(t *testing.T) {
 	}
 	run := func() string {
 		o.Audit.Reset()
-		cl.Ledger.Reset()
 		cl.SetFaults(faults())
 		if _, _, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{}); err != nil {
 			t.Fatalf("chaos run: %v", err)
@@ -127,7 +124,6 @@ func TestObservedAuditDeterministicReplay(t *testing.T) {
 func TestObservedSpansAndMetrics(t *testing.T) {
 	p, cl := chaosPlan(t)
 	o := observedCluster(cl)
-	cl.Ledger.Reset()
 	_, stats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +156,6 @@ func TestObservedSpansAndMetrics(t *testing.T) {
 	}
 
 	// Sequential engine reports under its own labels.
-	cl.Ledger.Reset()
 	if _, _, err := RunObservedOpts(context.Background(), p, cl, o, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +170,6 @@ func TestObservedRetryMetrics(t *testing.T) {
 	p, cl := chaosPlan(t)
 	cl.SetRetry(chaosRetry())
 	o := observedCluster(cl)
-	cl.Ledger.Reset()
 	cl.SetFaults(network.NewFaultPlan(7).SetDefault(network.EdgeFaults{
 		DropProb:      0.25,
 		TransientProb: 0.25,
@@ -221,7 +215,6 @@ func TestObservedProfileActuals(t *testing.T) {
 	for _, engine := range []string{"seq", "parallel"} {
 		prof := obs.NewPlanProfile()
 		o := (&obs.Observer{}).WithProfile(prof)
-		cl.Ledger.Reset()
 		var rows []expr.Row
 		var err error
 		if engine == "seq" {

@@ -12,18 +12,16 @@ import (
 	"cgdqp/internal/policy"
 )
 
-// runBoth executes the plan in both exchange modes (resetting the
-// ledger in between) and checks rows and shipping stats are identical.
+// runBoth executes the plan in both exchange modes and checks rows and
+// shipping stats are identical.
 // Hand-built plans are compared cell by cell, order included, in
 // TestExchangeModeParity; this helper serves the optimizer-built ones.
 func runBoth(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]expr.Row, *RunStats) {
 	t.Helper()
-	cl.Ledger.Reset()
 	seqRows, seqStats, err := Run(p, cl)
 	if err != nil {
 		t.Fatalf("%s: sequential run: %v\n%s", label, err, p.Format(true))
 	}
-	cl.Ledger.Reset()
 	parRows, parStats, err := RunParallel(p, cl)
 	if err != nil {
 		t.Fatalf("%s: parallel run: %v\n%s", label, err, p.Format(true))
@@ -96,7 +94,7 @@ func TestParallelPermissivePlansAgree(t *testing.T) {
 
 // TestParallelConcurrentExecutions is the race regression test: several
 // goroutines execute multi-SHIP plans against one shared cluster (one
-// ledger, one storage layer) concurrently. Run with -race.
+// storage layer, one run ledger each) concurrently. Run with -race.
 func TestParallelConcurrentExecutions(t *testing.T) {
 	cat, cl := carco(t)
 	query := `SELECT C.name, SUM(O.totprice) AS total, SUM(S.quantity) AS qty

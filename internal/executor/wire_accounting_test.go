@@ -37,7 +37,6 @@ func TestShipAccountsEncodedBytes(t *testing.T) {
 	c := scanNode(t, cat, "Customer", "C")
 	root := plan.NewShip(c, "N", "E")
 
-	cl.Ledger.Reset()
 	rows, stats, err := Run(root, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +53,9 @@ func TestShipAccountsEncodedBytes(t *testing.T) {
 	if old := widthSum(rows); stats.ShippedBytes == old {
 		t.Errorf("ShippedBytes = %d equals the old Σ-Width() accounting; wire encoding is not being priced", old)
 	}
-	snap := cl.Ledger.Snapshot()
-	if snap.Bytes != stats.ShippedBytes {
-		t.Errorf("cumulative ledger bytes %d != run stats bytes %d", snap.Bytes, stats.ShippedBytes)
-	}
 
 	// The parallel engine must account the identical figure (identical
 	// framing is what keeps seq/par stats parity with a real encoder).
-	cl.Ledger.Reset()
 	prows, pstats, err := RunParallel(root, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +79,6 @@ func TestShipAccountsEncodedBytesMultiFrame(t *testing.T) {
 	join.Kind = plan.HashJoin
 	root := plan.NewShip(plan.NewUnion(join, join), "E", "N")
 
-	cl.Ledger.Reset()
 	rows, stats, err := Run(root, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +91,6 @@ func TestShipAccountsEncodedBytesMultiFrame(t *testing.T) {
 		t.Errorf("ShippedBytes = %d, want %d over %d rows", stats.ShippedBytes, want, len(rows))
 	}
 
-	cl.Ledger.Reset()
 	_, pstats, err := RunParallel(root, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +121,6 @@ func runFourWays(t *testing.T, root *plan.Node, cl *cluster.Cluster, label strin
 	for i, m := range modes {
 		audit := obs.NewAuditLog()
 		o := &obs.Observer{Audit: audit}
-		cl.Ledger.Reset()
 		var rows []expr.Row
 		var stats *RunStats
 		var err error
@@ -201,7 +192,6 @@ func TestKernelInterpreterChaosParity(t *testing.T) {
 		}
 		run := func(opt ExecOptions) outcome {
 			audit := obs.NewAuditLog()
-			cl.Ledger.Reset()
 			rows, stats, err := RunParallelOpts(context.Background(), root, cl, &obs.Observer{Audit: audit}, opt)
 			if err != nil {
 				var se *network.ShipError
@@ -271,41 +261,35 @@ func TestFusedFilterRejectsAllRows(t *testing.T) {
 }
 
 // TestCalibratorObservesRealBytes: the calibration hook sees the actual
-// encoded frames and per-shipment costs, and its encoding ratio maps
-// width estimates to wire bytes.
+// encoded frames, and the byte scale it installs maps width estimates
+// to wire bytes.
 func TestCalibratorObservesRealBytes(t *testing.T) {
 	cat, cl := carco(t)
 	c := scanNode(t, cat, "Customer", "C")
 	root := plan.NewShip(c, "N", "E")
-
-	cal := network.NewCalibrator()
-	cl.SetCalibrator(cal)
 	defer cl.SetCalibrator(nil)
 
-	cl.Ledger.Reset()
+	model := network.NewCostModel(1, 0.001)
+	cl.SetCalibrator(network.NewCalibrator(model, 1))
 	rows, stats, err := Run(root, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := cal.EncodingRatio()
+	ratio := model.ByteScale()
 	if ratio == 1 {
 		t.Fatal("calibrator saw no encoding samples")
 	}
 	if got, want := int64(float64(widthSum(rows))*ratio+0.5), stats.ShippedBytes; got != want {
 		t.Errorf("ratio %.4f maps width %d to %d wire bytes, ledger says %d", ratio, widthSum(rows), got, want)
 	}
-	if edges := cal.Edges(); len(edges) != 1 {
-		t.Fatalf("ship edges observed: %v, want exactly N->E", edges)
-	}
 
 	// The parallel engine feeds the same hook.
-	cal2 := network.NewCalibrator()
-	cl.SetCalibrator(cal2)
-	cl.Ledger.Reset()
+	model2 := network.NewCostModel(1, 0.001)
+	cl.SetCalibrator(network.NewCalibrator(model2, 1))
 	if _, _, err := RunParallel(root, cl); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := cal2.EncodingRatio(); r2 != ratio {
+	if r2 := model2.ByteScale(); r2 != ratio {
 		t.Errorf("parallel encoding ratio %.6f != sequential %.6f", r2, ratio)
 	}
 }

@@ -57,13 +57,11 @@ func Fig6Quality(cfg Config, set workload.SetName) ([]QualityRow, error) {
 			TraditionalCompliant: len(copt.Check(tres.Plan)) == 0,
 			SamePlan:             tres.Plan.Digest() == cres.Plan.Digest(),
 		}
-		cl.Ledger.Reset()
 		tRows, tStats, err := executor.Run(tres.Plan, cl)
 		if err != nil {
 			return nil, fmt.Errorf("run traditional %s: %w", qn, err)
 		}
 		row.TraditionalCost = tStats.ShipCost
-		cl.Ledger.Reset()
 		cRows, cStats, err := executor.Run(cres.Plan, cl)
 		if err != nil {
 			return nil, fmt.Errorf("run compliant %s: %w", qn, err)

@@ -26,33 +26,29 @@ func TestQError(t *testing.T) {
 }
 
 func TestHintActivation(t *testing.T) {
-	s := NewStore(Options{MinSamples: 2, ActivateQError: 2, EWMAAlpha: 1})
+	s := NewStore()
 	if _, ok := s.CardHint("d"); ok {
 		t.Fatal("hint active before any observation")
-	}
-
-	// First observation: q-error 10 but MinSamples not reached.
-	s.ObserveOperator("d", 100, 1000)
-	if _, ok := s.CardHint("d"); ok {
-		t.Fatal("hint active below MinSamples")
 	}
 	if s.Epoch() != 0 {
 		t.Fatalf("epoch moved before activation: %d", s.Epoch())
 	}
 
-	// Second observation crosses both thresholds.
+	// The first observation past the q-error threshold activates.
 	s.ObserveOperator("d", 100, 1000)
 	hint, ok := s.CardHint("d")
 	if !ok || hint != 1000 {
 		t.Fatalf("CardHint = (%v, %v), want (1000, true)", hint, ok)
 	}
+	// A repeat neither re-activates nor moves the epoch.
+	s.ObserveOperator("d", 100, 1000)
 	if s.Epoch() != 1 {
 		t.Fatalf("activation should bump the epoch once, got %d", s.Epoch())
 	}
 }
 
 func TestAccurateEstimateNeverActivates(t *testing.T) {
-	s := NewStore(Options{})
+	s := NewStore()
 	for i := 0; i < 100; i++ {
 		s.ObserveOperator("d", 100, 110) // q-error 1.1, below threshold
 	}
@@ -69,7 +65,7 @@ func TestAccurateEstimateNeverActivates(t *testing.T) {
 // recorded q-error collapses to ~1 — and the hint must stay active (and
 // the epoch still) rather than deactivate and re-activate forever.
 func TestNoOscillationAfterReoptimization(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1})
+	s := NewStore()
 	s.ObserveOperator("d", 10, 1000) // activates (q=100)
 	if s.Epoch() != 1 {
 		t.Fatalf("epoch after activation = %d, want 1", s.Epoch())
@@ -88,12 +84,13 @@ func TestNoOscillationAfterReoptimization(t *testing.T) {
 }
 
 func TestHintDriftBumpsEpoch(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1, HintDrift: 1.5})
+	s := NewStore()
 	s.ObserveOperator("d", 10, 1000)
 	if s.Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", s.Epoch())
 	}
-	// Small movement: below drift, no bump.
+	// Small movement: the running actual (an EWMA) moves to 1025, below
+	// drift, no bump.
 	s.ObserveOperator("d", 1000, 1100)
 	if s.Epoch() != 1 {
 		t.Fatalf("sub-drift movement bumped the epoch: %d", s.Epoch())
@@ -103,8 +100,8 @@ func TestHintDriftBumpsEpoch(t *testing.T) {
 	if s.Epoch() != 2 {
 		t.Fatalf("drift did not bump the epoch: %d", s.Epoch())
 	}
-	if hint, _ := s.CardHint("d"); hint != 5000 {
-		t.Fatalf("drifted hint = %v, want 5000", hint)
+	if hint, _ := s.CardHint("d"); hint != 0.75*1025+0.25*5000 {
+		t.Fatalf("drifted hint = %v, want the running actual 2018.75", hint)
 	}
 }
 
@@ -112,7 +109,7 @@ func TestHintDriftBumpsEpoch(t *testing.T) {
 // a large estimate activates once, as a 1-row hint, and further empty
 // executions neither re-activate it nor move the epoch.
 func TestEmptyResultHintIsStable(t *testing.T) {
-	s := NewStore(Options{})
+	s := NewStore()
 	for i := 0; i < 5; i++ {
 		s.ObserveOperator("d", 1000, 0)
 	}
@@ -125,13 +122,13 @@ func TestEmptyResultHintIsStable(t *testing.T) {
 }
 
 func TestBoundedStoreDropsNewDigests(t *testing.T) {
-	s := NewStore(Options{MaxSubplans: 4})
-	for i := 0; i < 10; i++ {
+	s := NewStore()
+	for i := 0; i < maxSubplans+6; i++ {
 		s.ObserveOperator(fmt.Sprintf("d%d", i), 10, 1000)
 	}
 	sum := s.Summary()
-	if sum.Tracked != 4 {
-		t.Fatalf("tracked = %d, want 4", sum.Tracked)
+	if sum.Tracked != maxSubplans {
+		t.Fatalf("tracked = %d, want %d", sum.Tracked, maxSubplans)
 	}
 	if sum.Dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", sum.Dropped)
@@ -143,43 +140,13 @@ func TestBoundedStoreDropsNewDigests(t *testing.T) {
 	}
 }
 
-func TestLatencyQuantile(t *testing.T) {
-	s := NewStore(Options{LatencyWindow: 8})
-	if _, ok := s.LatencyQuantile(0.5); ok {
-		t.Fatal("quantile reported with no samples")
-	}
-	for _, v := range []float64{0.1, 0.2, 0.3, 0.4} {
-		s.ObserveQuery(v)
-	}
-	if p50, ok := s.LatencyQuantile(0.5); !ok || p50 != 0.2 {
-		t.Fatalf("p50 = (%v, %v), want (0.2, true)", p50, ok)
-	}
-	if p100, ok := s.LatencyQuantile(1); !ok || p100 != 0.4 {
-		t.Fatalf("p100 = (%v, %v), want (0.4, true)", p100, ok)
-	}
-	// Overflow the ring: old samples age out, the window stays bounded.
-	for i := 0; i < 20; i++ {
-		s.ObserveQuery(1.0)
-	}
-	if p50, _ := s.LatencyQuantile(0.5); p50 != 1.0 {
-		t.Fatalf("post-overflow p50 = %v, want 1.0", p50)
-	}
-	if got := s.Summary().Queries; got != 24 {
-		t.Fatalf("query count = %d, want 24", got)
-	}
-}
-
 func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
 	s.ObserveOperator("d", 1, 2)
-	s.ObserveQuery(0.5)
 	s.BumpEpoch()
 	s.SetMetrics(nil)
 	if _, ok := s.CardHint("d"); ok {
 		t.Fatal("nil store returned a hint")
-	}
-	if _, ok := s.LatencyQuantile(0.5); ok {
-		t.Fatal("nil store returned a quantile")
 	}
 	if s.Epoch() != 0 {
 		t.Fatal("nil store epoch moved")
@@ -190,27 +157,26 @@ func TestNilStoreIsSafe(t *testing.T) {
 }
 
 // TestConcurrentStore exercises the store under the race detector:
-// writers, hint readers and latency observers all at once.
+// writers and hint readers all at once, past the digest bound.
 func TestConcurrentStore(t *testing.T) {
-	s := NewStore(Options{MaxSubplans: 64})
+	const goroutines, perG = 8, 600
+	s := NewStore()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				d := fmt.Sprintf("d%d", i%100)
+			for i := 0; i < perG; i++ {
+				d := fmt.Sprintf("d%d", g*perG+i)
 				s.ObserveOperator(d, 10, float64(1000+i))
 				s.CardHint(d)
-				s.ObserveQuery(float64(i) / 1000)
-				s.LatencyQuantile(0.99)
 				s.Epoch()
 				s.Summary()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Summary().Tracked > 64 {
-		t.Fatalf("tracked %d exceeds bound", s.Summary().Tracked)
+	if sum := s.Summary(); sum.Tracked != maxSubplans || sum.Dropped != goroutines*perG-maxSubplans {
+		t.Fatalf("tracked %d, dropped %d: want the bound %d and the rest dropped", sum.Tracked, sum.Dropped, maxSubplans)
 	}
 }

@@ -69,18 +69,11 @@ func RecordExecution(s *Store, root *plan.Node, prof *obs.PlanProfile) []OpQErro
 	return out
 }
 
-// SQLDigest returns a short stable digest of a statement's text for log
-// correlation.
-func SQLDigest(sql string) string {
+// ShortDigest compresses a string — a statement's text, or a
+// (potentially long) plan or subplan digest — into a fixed-width stable
+// hash for log lines.
+func ShortDigest(s string) string {
 	h := fnv.New64a()
-	h.Write([]byte(sql))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// ShortDigest compresses a (potentially long) plan or subplan digest
-// string into a fixed-width hash for log lines.
-func ShortDigest(digest string) string {
-	h := fnv.New64a()
-	h.Write([]byte(digest))
+	h.Write([]byte(s))
 	return fmt.Sprintf("%016x", h.Sum64())
 }

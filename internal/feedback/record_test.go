@@ -25,7 +25,7 @@ func mark(prof *obs.PlanProfile, n *plan.Node, rows, opens int64) {
 }
 
 func TestRecordExecutionFeedsStore(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1})
+	s := NewStore()
 	scan := scanNode("t", "L1", 100) // estimate 100
 	prof := obs.NewPlanProfile()
 	mark(prof, scan, 5000, 1) // actual 5000
@@ -44,7 +44,7 @@ func TestRecordExecutionFeedsStore(t *testing.T) {
 }
 
 func TestRecordExecutionShipTransparent(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1})
+	s := NewStore()
 	scan := scanNode("t", "L1", 10)
 	ship := &plan.Node{Kind: plan.Ship, Children: []*plan.Node{scan},
 		Cols: scan.Cols, FromLoc: "L1", Loc: "L2"}
@@ -63,7 +63,7 @@ func TestRecordExecutionShipTransparent(t *testing.T) {
 }
 
 func TestRecordExecutionSkipsUnderLimit(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1})
+	s := NewStore()
 	scan := scanNode("t", "L1", 10)
 	limit := &plan.Node{Kind: plan.LimitExec, Children: []*plan.Node{scan},
 		Cols: scan.Cols, LimitN: 5}
@@ -84,7 +84,7 @@ func TestRecordExecutionSkipsUnderLimit(t *testing.T) {
 }
 
 func TestRecordExecutionNormalizesReopens(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1, ActivateQError: 1.5})
+	s := NewStore()
 	scan := scanNode("t", "L1", 10)
 	prof := obs.NewPlanProfile()
 	// NL inner side: opened 4 times, 100 rows per open accumulated.
@@ -97,7 +97,7 @@ func TestRecordExecutionNormalizesReopens(t *testing.T) {
 }
 
 func TestRecordExecutionJoinCommute(t *testing.T) {
-	s := NewStore(Options{EWMAAlpha: 1})
+	s := NewStore()
 	l := scanNode("a", "L1", 10)
 	r := scanNode("b", "L2", 10)
 	join := plan.NewJoin(l, r, expr.NewCmp(expr.EQ,
@@ -122,7 +122,7 @@ func TestRecordExecutionJoinCommute(t *testing.T) {
 }
 
 func TestRecordExecutionNeverExecutedAndNil(t *testing.T) {
-	s := NewStore(Options{})
+	s := NewStore()
 	scan := scanNode("t", "L1", 10)
 	prof := obs.NewPlanProfile() // no stats: operator never opened
 	if qerrs := RecordExecution(s, scan, prof); len(qerrs) != 0 {

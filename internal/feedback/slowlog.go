@@ -37,7 +37,6 @@ type SlowQueryLog struct {
 	mu        sync.Mutex
 	w         io.Writer
 	threshold time.Duration
-	emitted   int64
 	// now is swappable for deterministic tests; nil stamps wall time.
 	now func() time.Time
 }
@@ -46,14 +45,6 @@ type SlowQueryLog struct {
 // or above threshold.
 func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 	return &SlowQueryLog{w: w, threshold: threshold, now: time.Now}
-}
-
-// Threshold returns the log's latency threshold.
-func (l *SlowQueryLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
 }
 
 // Maybe emits rec when the query's latency meets the threshold. The
@@ -72,18 +63,7 @@ func (l *SlowQueryLog) Maybe(lat time.Duration, rec QueryRecord) {
 	if err != nil {
 		return
 	}
-	line = append(line, '\n')
-	if _, err := l.w.Write(line); err == nil {
-		l.emitted++
-	}
-}
-
-// Count returns the number of lines emitted.
-func (l *SlowQueryLog) Count() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.emitted
+	// A failed write loses one diagnostic line; the query it describes
+	// has already succeeded, so there is no one to report it to.
+	_, _ = l.w.Write(append(line, '\n'))
 }

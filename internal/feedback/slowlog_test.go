@@ -14,7 +14,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 	l.now = func() time.Time { return time.Date(2021, 6, 20, 12, 0, 0, 0, time.UTC) }
 
 	l.Maybe(50*time.Millisecond, QueryRecord{SQLDigest: "fast"})
-	if l.Count() != 0 || buf.Len() != 0 {
+	if buf.Len() != 0 {
 		t.Fatal("fast query logged below threshold")
 	}
 
@@ -30,9 +30,6 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 			{Op: "Join", Digest: "abc", Est: 10, Actual: 1000, QError: 100},
 		},
 	})
-	if l.Count() != 1 {
-		t.Fatalf("emitted = %d, want 1", l.Count())
-	}
 	line := buf.String()
 	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
 		t.Fatalf("want exactly one newline-terminated line, got %q", line)
@@ -61,28 +58,25 @@ func TestSlowQueryLogZeroThresholdLogsAll(t *testing.T) {
 	l := NewSlowQueryLog(&buf, 0)
 	l.Maybe(0, QueryRecord{SQLDigest: "a"})
 	l.Maybe(time.Nanosecond, QueryRecord{SQLDigest: "b"})
-	if l.Count() != 2 {
-		t.Fatalf("emitted = %d, want 2", l.Count())
+	if n := strings.Count(buf.String(), "\n"); n != 2 {
+		t.Fatalf("emitted = %d, want 2", n)
 	}
 }
 
 func TestSlowQueryLogNilSafe(t *testing.T) {
 	var l *SlowQueryLog
-	l.Maybe(time.Second, QueryRecord{})
-	if l.Count() != 0 || l.Threshold() != 0 {
-		t.Fatal("nil log misbehaved")
-	}
+	l.Maybe(time.Second, QueryRecord{}) // must not panic
 }
 
 func TestDigestHelpers(t *testing.T) {
-	a, b := SQLDigest("SELECT 1"), SQLDigest("SELECT 2")
+	a, b := ShortDigest("SELECT 1"), ShortDigest("SELECT 2")
 	if a == b {
-		t.Fatal("distinct statements share a SQL digest")
+		t.Fatal("distinct statements share a digest")
 	}
 	if len(a) != 16 || len(ShortDigest("x")) != 16 {
 		t.Fatal("digests are not fixed-width")
 	}
-	if SQLDigest("SELECT 1") != a {
-		t.Fatal("SQL digest not stable")
+	if ShortDigest("SELECT 1") != a {
+		t.Fatal("digest not stable")
 	}
 }

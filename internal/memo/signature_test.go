@@ -87,7 +87,7 @@ func TestFeedbackDigestAgreement(t *testing.T) {
 	cat := tpch.NewCatalog(0.01)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.NewPolicyGen(1002, cat.Locations()).Generate(workload.SetCRA, 25)
-	hints := feedback.NewStore(feedback.Options{}) // attached so digests are built; never fed
+	hints := feedback.NewStore() // attached so digests are built; never fed
 	opt := optimizer.New(cat, pc, net, optimizer.Options{Compliant: true})
 	opt.SetFeedback(hints)
 	joins := 0
@@ -106,7 +106,7 @@ func TestFeedbackDigestAgreement(t *testing.T) {
 			}
 			return true
 		})
-		filed := feedback.NewStore(feedback.Options{})
+		filed := feedback.NewStore()
 		feedback.RecordExecution(filed, res.Plan, prof)
 
 		logical, err := sqlparse.ParseAndBind(sql, cat)

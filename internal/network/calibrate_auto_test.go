@@ -7,8 +7,7 @@ import (
 
 func TestAutoApplyEveryN(t *testing.T) {
 	m := FiveRegionWAN([]string{"L1", "L2"})
-	c := NewCalibrator()
-	c.SetAutoApply(m, 3)
+	c := NewCalibrator(m, 3)
 	v0 := m.Version()
 
 	// Encoded is always 2x estimated: frame 3 applies the ratio, frame 6
@@ -25,15 +24,6 @@ func TestAutoApplyEveryN(t *testing.T) {
 	if got := m.Version(); got != v0+1 {
 		t.Fatalf("cost-model version moved %d times, want 1 (frame 3 only)", got-v0)
 	}
-
-	// Disarm: further frames never apply.
-	c.SetAutoApply(nil, 0)
-	for i := 0; i < 9; i++ {
-		c.ObserveEncoding(100, 400)
-	}
-	if m.ByteScale() != 2 || m.Version() != v0+1 {
-		t.Fatalf("applied after disarm: scale %v, version +%d", m.ByteScale(), m.Version()-v0)
-	}
 }
 
 // TestAutoApplyDriftHysteresis pins "scale changed" and "version moved"
@@ -42,8 +32,7 @@ func TestAutoApplyEveryN(t *testing.T) {
 // included — changes both.
 func TestAutoApplyDriftHysteresis(t *testing.T) {
 	m := FiveRegionWAN([]string{"L1", "L2"})
-	c := NewCalibrator()
-	c.SetAutoApply(m, 1)
+	c := NewCalibrator(m, 1)
 	v0 := m.Version()
 
 	c.ObserveEncoding(1000, 1030) // ratio 1.03: inside the band
@@ -101,8 +90,7 @@ func TestCostModelVersion(t *testing.T) {
 func TestAutoApplyConcurrentWithReaders(t *testing.T) {
 	locs := []string{"L1", "L2", "L3"}
 	m := FiveRegionWAN(locs)
-	c := NewCalibrator()
-	c.SetAutoApply(m, 1)
+	c := NewCalibrator(m, 1)
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -112,7 +100,6 @@ func TestAutoApplyConcurrentWithReaders(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
 				c.ObserveEncoding(100, int64(100+g*50+i%7))
-				c.ObserveShip("L1", "L2", 1024, 5)
 			}
 		}(g)
 	}
@@ -129,14 +116,8 @@ func TestAutoApplyConcurrentWithReaders(t *testing.T) {
 				m.EstShipCost("L1", "L2", 4096)
 				m.ByteScale()
 				m.Version()
-				c.EncodingRatio()
-				c.FitEdge("L1", "L2")
 			}
 		}()
-	}
-	// Re-arm concurrently too: SetAutoApply must not race with applies.
-	for i := 0; i < 50; i++ {
-		c.SetAutoApply(m, 1)
 	}
 	writers.Wait()
 	close(stop)

@@ -6,9 +6,7 @@
 package network
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -181,26 +179,20 @@ func FiveRegionWAN(locations []string) *CostModel {
 	return m
 }
 
-// UniformWAN builds a homogeneous profile: every inter-site edge has the
-// same α and β. Useful for tests and ablations.
-func UniformWAN(alpha, beta float64) *CostModel {
-	return NewCostModel(alpha, beta)
-}
-
-// Transfer is one recorded shipment.
-type Transfer struct {
+// transfer is one recorded shipment.
+type transfer struct {
 	From, To string
 	Rows     int64
 	Bytes    int64
 	Cost     float64 // priced by the ledger's cost model
 }
 
-// Ledger accumulates the transfers a query execution performs and prices
-// them with a cost model. It is safe for concurrent use.
+// Ledger accumulates the transfers one query execution performs and
+// prices them with a cost model. It is safe for concurrent use.
 type Ledger struct {
 	mu        sync.Mutex
 	model     *CostModel
-	transfers []Transfer
+	transfers []transfer
 }
 
 // NewLedger returns a ledger pricing transfers with the given model.
@@ -210,14 +202,14 @@ func NewLedger(model *CostModel) *Ledger {
 
 // Shipment is an in-progress transfer recorded incrementally, batch by
 // batch, by the parallel executor's exchange operators. All batches of
-// one shipment accumulate into a single Transfer entry, and the cost is
+// one shipment accumulate into a single transfer entry, and the cost is
 // kept equal to ShipCost(from, to, totalBytes) — affine in bytes — so a
 // shipment split into N batches prices identically to the same bytes
-// added in one batch (the start-up cost α is paid once, not N times). Safe for concurrent use with all other ledger methods.
+// added in one batch (the start-up cost α is paid once, not N times).
+// Safe for concurrent use with all other ledger methods.
 type Shipment struct {
-	l        *Ledger
-	idx      int
-	from, to string
+	l   *Ledger
+	idx int
 }
 
 // OpenShipment starts an incremental transfer and returns its handle.
@@ -226,8 +218,8 @@ func (l *Ledger) OpenShipment(from, to string) *Shipment {
 	cost := l.model.ShipCost(from, to, 0)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.transfers = append(l.transfers, Transfer{From: from, To: to, Cost: cost})
-	return &Shipment{l: l, idx: len(l.transfers) - 1, from: from, to: to}
+	l.transfers = append(l.transfers, transfer{From: from, To: to, Cost: cost})
+	return &Shipment{l: l, idx: len(l.transfers) - 1}
 }
 
 // Add accounts one batch of the shipment and returns the incremental
@@ -235,13 +227,6 @@ func (l *Ledger) OpenShipment(from, to string) *Shipment {
 func (s *Shipment) Add(rows, bytes int64) float64 {
 	s.l.mu.Lock()
 	defer s.l.mu.Unlock()
-	if s.idx >= len(s.l.transfers) {
-		// The ledger was Reset while this shipment was in flight:
-		// re-open an entry so the remaining batches are still recorded.
-		s.l.transfers = append(s.l.transfers, Transfer{From: s.from, To: s.to,
-			Cost: s.l.model.ShipCost(s.from, s.to, 0)})
-		s.idx = len(s.l.transfers) - 1
-	}
 	t := &s.l.transfers[s.idx]
 	t.Rows += rows
 	t.Bytes += bytes
@@ -251,52 +236,8 @@ func (s *Shipment) Add(rows, bytes int64) float64 {
 	return delta
 }
 
-// TotalCost returns the summed cost of all recorded transfers. The
-// per-transfer costs are summed in sorted order so the total depends
-// only on the multiset of transfers, not on the order they were
-// recorded in — concurrent executions that perform the same transfers
-// report bit-identical totals.
-func (l *Ledger) TotalCost() float64 {
-	l.mu.Lock()
-	costs := make([]float64, len(l.transfers))
-	for i, t := range l.transfers {
-		costs[i] = t.Cost
-	}
-	l.mu.Unlock()
-	sort.Float64s(costs)
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	return total
-}
-
-// TotalBytes returns the summed bytes of all recorded transfers.
-func (l *Ledger) TotalBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, t := range l.transfers {
-		total += t.Bytes
-	}
-	return total
-}
-
-// TotalRows returns the summed rows of all recorded transfers.
-func (l *Ledger) TotalRows() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, t := range l.transfers {
-		total += t.Rows
-	}
-	return total
-}
-
 // LedgerSnapshot is a consistent view of the ledger totals, taken under
-// one lock acquisition. TotalBytes/TotalRows/TotalCost each lock
-// separately, so reading them individually while shipments are in
-// flight can observe totals from different instants; Snapshot cannot.
+// one lock acquisition.
 type LedgerSnapshot struct {
 	Transfers int
 	Rows      int64
@@ -305,8 +246,10 @@ type LedgerSnapshot struct {
 }
 
 // Snapshot returns all ledger totals from a single consistent point in
-// time. The cost is summed in sorted order, exactly like TotalCost, so
-// a quiescent ledger's Snapshot().Cost equals TotalCost() bit-for-bit.
+// time. The per-transfer costs are summed in sorted order, so the total
+// depends only on the multiset of transfers, not on the order they were
+// recorded in — executions that perform the same transfers report
+// bit-identical costs.
 func (l *Ledger) Snapshot() LedgerSnapshot {
 	l.mu.Lock()
 	s := LedgerSnapshot{Transfers: len(l.transfers)}
@@ -322,47 +265,4 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 		s.Cost += c
 	}
 	return s
-}
-
-// Transfers returns a copy of the recorded transfers.
-func (l *Ledger) Transfers() []Transfer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Transfer(nil), l.transfers...)
-}
-
-// Reset clears the ledger.
-func (l *Ledger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.transfers = nil
-}
-
-// Summary renders per-edge totals, sorted by edge, for reports.
-func (l *Ledger) Summary() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	agg := map[string]*Transfer{}
-	for _, t := range l.transfers {
-		key := t.From + " -> " + t.To
-		if cur, ok := agg[key]; ok {
-			cur.Rows += t.Rows
-			cur.Bytes += t.Bytes
-			cur.Cost += t.Cost
-		} else {
-			cp := t
-			agg[key] = &cp
-		}
-	}
-	keys := make([]string, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		t := agg[k]
-		fmt.Fprintf(&b, "%-20s %10d rows %12d bytes %12.2f ms\n", k, t.Rows, t.Bytes, t.Cost)
-	}
-	return b.String()
 }

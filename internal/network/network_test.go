@@ -1,7 +1,6 @@
 package network
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -62,35 +61,21 @@ func TestFiveRegionWAN(t *testing.T) {
 }
 
 func TestLedger(t *testing.T) {
-	m := UniformWAN(10, 0.5)
+	m := NewCostModel(10, 0.5)
 	l := NewLedger(m)
 	l.OpenShipment("A", "B").Add(10, 100)
-	if c1 := l.TotalCost(); c1 != 10+50 {
+	if c1 := l.Snapshot().Cost; c1 != 10+50 {
 		t.Errorf("record cost: %v", c1)
 	}
 	l.OpenShipment("A", "B").Add(5, 20)
 	l.OpenShipment("B", "C").Add(1, 8)
-	if l.TotalBytes() != 128 {
-		t.Errorf("total bytes: %d", l.TotalBytes())
+	snap := l.Snapshot()
+	if snap.Bytes != 128 || snap.Rows != 16 || snap.Transfers != 3 {
+		t.Errorf("totals: %+v", snap)
 	}
-	want := (10 + 50.0) + (10 + 10.0) + (10 + 4.0)
-	if l.TotalCost() != want {
-		t.Errorf("total cost: %v want %v", l.TotalCost(), want)
-	}
-	if got := len(l.Transfers()); got != 3 {
-		t.Errorf("transfers: %d", got)
-	}
-	sum := l.Summary()
-	if !strings.Contains(sum, "A -> B") || !strings.Contains(sum, "B -> C") {
-		t.Errorf("summary:\n%s", sum)
-	}
-	// Summary aggregates per edge: A->B appears once.
-	if strings.Count(sum, "A -> B") != 1 {
-		t.Errorf("summary should aggregate edges:\n%s", sum)
-	}
-	l.Reset()
-	if l.TotalBytes() != 0 || len(l.Transfers()) != 0 {
-		t.Error("reset")
+	want := (10 + 4.0) + (10 + 10.0) + (10 + 50.0) // summed in sorted order
+	if snap.Cost != want {
+		t.Errorf("total cost: %v want %v", snap.Cost, want)
 	}
 }
 
@@ -98,7 +83,7 @@ func TestLedger(t *testing.T) {
 // and account identically to one batch of the same totals — the parity
 // the executor's per-batch exchange accounting depends on.
 func TestShipmentMatchesRecord(t *testing.T) {
-	m := UniformWAN(10, 0.5)
+	m := NewCostModel(10, 0.5)
 	one := NewLedger(m)
 	one.OpenShipment("A", "B").Add(30, 300)
 
@@ -108,33 +93,25 @@ func TestShipmentMatchesRecord(t *testing.T) {
 	incr += s.Add(10, 100)
 	incr += s.Add(15, 150)
 	incr += s.Add(5, 50)
-	if batched.TotalBytes() != one.TotalBytes() || batched.TotalRows() != one.TotalRows() {
-		t.Errorf("bytes/rows: batched %d/%d, one-shot %d/%d",
-			batched.TotalBytes(), batched.TotalRows(), one.TotalBytes(), one.TotalRows())
-	}
-	if batched.TotalCost() != one.TotalCost() {
-		t.Errorf("cost: batched %v, one-shot %v", batched.TotalCost(), one.TotalCost())
+	// All batches merged into a single transfer entry, priced alike.
+	if got, want := batched.Snapshot(), one.Snapshot(); got != want {
+		t.Errorf("batched %+v, one-shot %+v", got, want)
 	}
 	// α is paid once (at open), the increments carry only β·bytes.
-	if alpha := batched.TotalCost() - incr; alpha != 10 {
+	if alpha := batched.Snapshot().Cost - incr; alpha != 10 {
 		t.Errorf("start-up share: %v, want 10", alpha)
-	}
-	// All batches merged into a single transfer entry.
-	if got := len(batched.Transfers()); got != 1 {
-		t.Errorf("transfers: %d, want 1", got)
 	}
 	// An empty shipment still pays the start-up cost.
 	empty := NewLedger(m)
 	empty.OpenShipment("A", "B")
-	if empty.TotalCost() != 10 {
-		t.Errorf("empty shipment cost: %v, want 10", empty.TotalCost())
+	if c := empty.Snapshot().Cost; c != 10 {
+		t.Errorf("empty shipment cost: %v, want 10", c)
 	}
 	// Intra-site shipments stay free.
 	free := NewLedger(m)
-	fs := free.OpenShipment("A", "A")
-	fs.Add(10, 100)
-	if free.TotalCost() != 0 {
-		t.Errorf("intra-site shipment cost: %v", free.TotalCost())
+	free.OpenShipment("A", "A").Add(10, 100)
+	if c := free.Snapshot().Cost; c != 0 {
+		t.Errorf("intra-site shipment cost: %v", c)
 	}
 }
 

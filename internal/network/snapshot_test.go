@@ -19,7 +19,8 @@ func TestLedgerSnapshotConsistent(t *testing.T) {
 		rowsPerBatch = 10
 		bytesPerRow  = 8
 	)
-	l := NewLedger(UniformWAN(5, 0.001))
+	m := NewCostModel(5, 0.001)
+	l := NewLedger(m)
 
 	var wg sync.WaitGroup
 	var writing atomic.Int32
@@ -70,12 +71,13 @@ func TestLedgerSnapshotConsistent(t *testing.T) {
 	if final.Transfers != writers {
 		t.Fatalf("final snapshot transfers=%d, want %d", final.Transfers, writers)
 	}
-	// On a quiescent ledger Snapshot must agree bit-for-bit with the
-	// individual accessors (same sorted-sum algorithm for the cost).
-	if got, want := final.Cost, l.TotalCost(); got != want {
-		t.Fatalf("Snapshot().Cost=%v != TotalCost()=%v", got, want)
+	// The cost is summed in sorted order: writers identical shipments,
+	// priced by the model, added up.
+	var wantCost float64
+	for w := 0; w < writers; w++ {
+		wantCost += m.ShipCost("E", "N", float64(batches*rowsPerBatch*bytesPerRow))
 	}
-	if final.Rows != l.TotalRows() || final.Bytes != l.TotalBytes() {
-		t.Fatalf("Snapshot totals disagree with accessors: %+v", final)
+	if final.Cost != wantCost {
+		t.Fatalf("Snapshot().Cost=%v, want %v", final.Cost, wantCost)
 	}
 }

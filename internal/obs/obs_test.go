@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -275,6 +276,56 @@ func TestRegistryConcurrent(t *testing.T) {
 	if m.Histogram("h").Count() != 8*500 {
 		t.Fatalf("lost observations: %d", m.Histogram("h").Count())
 	}
+}
+
+// TestRegistrySnapshot: a disabled (nil) registry — what
+// System.Metrics() returns without Options.Metrics — exports an empty
+// document in both formats.
+func TestRegistrySnapshot(t *testing.T) {
+	var nilReg *Registry
+	var buf bytes.Buffer
+	if err := nilReg.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry Prometheus export: %q, %v", buf.String(), err)
+	}
+	if err := nilReg.WriteJSON(&buf); err != nil || buf.String() != "{}\n" {
+		t.Fatalf("nil registry JSON export: %q, %v", buf.String(), err)
+	}
+}
+
+// TestConcurrentSnapshotAndRecord renders both exports against live
+// recording under the race detector, as a /metrics scrape during
+// queries does: every series type is being created and written while
+// the snapshot is taken.
+func TestConcurrentSnapshotAndRecord(t *testing.T) {
+	m := NewRegistry()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m.Counter("c_total", "g", string(rune('a'+g)), "i", string(rune('a'+i%8))).Inc()
+				m.Gauge("g").Set(float64(i))
+				m.Histogram("h_seconds").Observe(float64(i%10) / 1000)
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		if err := m.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // --- audit log -----------------------------------------------------------

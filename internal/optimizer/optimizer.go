@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -289,6 +290,14 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			return cachedResult(e, normTime, start), cacheKey.planDigest, nil
 		}
 		o.planCache.misses.Add(1)
+	}
+	// An unknown result location is a configuration error, not a policy
+	// verdict: no plan could ever be delivered there. Failures are never
+	// cached, so the hit path above needs no check.
+	if loc := o.Opts.ResultLocation; loc != "" && !slices.Contains(o.locations(), loc) {
+		err := fmt.Errorf("optimizer: unknown result location %q", loc)
+		o.finishOptimize(osp, start, "miss", false, err)
+		return nil, "", err
 	}
 
 	// Phase 1: plan annotator.

@@ -33,7 +33,7 @@ func annotatedJoin(joinExec ...string) (*plan.Node, *plan.Node, *plan.Node) {
 func TestSelectSitesPrefersBigSide(t *testing.T) {
 	// Symmetric network: the join should run where the big table lives.
 	j, a, b := annotatedJoin("LA", "LB")
-	net := network.UniformWAN(10, 0.001)
+	net := network.NewCostModel(10, 0.001)
 	located, cost, err := SelectSites(j, net, "")
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestSelectSitesPrefersBigSide(t *testing.T) {
 func TestSelectSitesRestrictedExec(t *testing.T) {
 	// The join may only run at LA: both placements ship B.
 	j, _, _ := annotatedJoin("LA")
-	net := network.UniformWAN(10, 0.001)
+	net := network.NewCostModel(10, 0.001)
 	located, _, err := SelectSites(j, net, "")
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestSelectSitesRestrictedExec(t *testing.T) {
 
 func TestSelectSitesResultLocation(t *testing.T) {
 	j, _, _ := annotatedJoin("LA", "LB")
-	net := network.UniformWAN(10, 0.001)
+	net := network.NewCostModel(10, 0.001)
 	located, _, err := SelectSites(j, net, "LA")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestSelectSitesAsymmetricNetwork(t *testing.T) {
 
 func TestShippingCostAccounting(t *testing.T) {
 	j, _, _ := annotatedJoin("LA", "LB")
-	net := network.UniformWAN(10, 0.001)
+	net := network.NewCostModel(10, 0.001)
 	located, cost, err := SelectSites(j, net, "")
 	if err != nil {
 		t.Fatal(err)

@@ -395,34 +395,3 @@ func (c *Cache) gaugeLocked() {
 		c.reg.Gauge("cgdqp_rescache_entries").Set(float64(c.lru.Len()))
 	}
 }
-
-// Provenance renders the site provenance recorded for a located plan:
-// the root result site plus every cross-site SHIP edge with the base
-// relations whose data it moves. It is what the policy recheck defends
-// and what operators see in diagnostics.
-func Provenance(located *plan.Node) []string {
-	out := []string{"result@" + located.Loc}
-	located.Walk(func(n *plan.Node) bool {
-		if n.Kind != plan.Ship {
-			return true
-		}
-		src := n
-		if len(n.Children) > 0 {
-			src = n.Children[0]
-		}
-		seen := map[string]bool{}
-		var rels []string
-		for _, sc := range src.Tables() {
-			if sc.Table == nil || seen[sc.Table.Name] {
-				continue
-			}
-			seen[sc.Table.Name] = true
-			rels = append(rels, sc.Table.Name)
-		}
-		sort.Strings(rels)
-		out = append(out, strings.Join(rels, ",")+" "+n.FromLoc+"->"+n.ToLoc)
-		return true
-	})
-	sort.Strings(out[1:])
-	return out
-}

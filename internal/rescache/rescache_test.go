@@ -2,7 +2,6 @@ package rescache
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -237,15 +236,6 @@ func TestPurge(t *testing.T) {
 	}
 	if _, ok := c.Get(fill.Key, v.view()); ok {
 		t.Fatalf("hit after purge")
-	}
-}
-
-func TestProvenanceRendering(t *testing.T) {
-	p := fixturePlan(t, "t1")
-	got := Provenance(p)
-	want := []string{"result@B", "t1 A->B"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("provenance %v, want %v", got, want)
 	}
 }
 

@@ -34,8 +34,8 @@ type Lifecycle struct {
 	// exchanges over inline ones.
 	Exec     executor.ExecOptions
 	Parallel bool
-	// Feedback receives per-operator actuals and latency samples, SlowLog
-	// one JSON line per slow query (both may be nil).
+	// Feedback receives per-operator actuals, SlowLog one JSON line per
+	// slow query (both may be nil).
 	Feedback *feedback.Store
 	SlowLog  *feedback.SlowQueryLog
 }
@@ -151,8 +151,7 @@ func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfil
 }
 
 // Note closes a query's account: the query counter and store-pool
-// gauges, and — for a successful query — its end-to-end latency into the
-// feedback store and its slow-query record. hit marks a result that was
+// gauges, and — for a successful query — its slow-query record. hit marks a result that was
 // served (from the cache or a coalesced execution) rather than executed.
 func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 	if m := lc.Obs.Reg(); m != nil {
@@ -173,8 +172,6 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 	if err != nil {
 		return
 	}
-	lat := time.Since(q.Start)
-	lc.Feedback.ObserveQuery(lat.Seconds())
 	if lc.SlowLog == nil {
 		return
 	}
@@ -189,8 +186,8 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 	if lc.Parallel {
 		engine = "par"
 	}
-	lc.SlowLog.Maybe(lat, feedback.QueryRecord{
-		SQLDigest:  feedback.SQLDigest(q.SQL),
+	lc.SlowLog.Maybe(time.Since(q.Start), feedback.QueryRecord{
+		SQLDigest:  feedback.ShortDigest(q.SQL),
 		PlanDigest: feedback.ShortDigest(q.Root.Digest()),
 		RowsOut:    r.Stats.RowsOut,
 		ShipBytes:  r.Stats.ShippedBytes,

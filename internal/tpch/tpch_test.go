@@ -75,7 +75,7 @@ func TestFragmentedCatalog(t *testing.T) {
 
 func TestGenerateDeterministicAndConsistent(t *testing.T) {
 	cat := NewCatalog(0.001)
-	cl := cluster.New(cat, network.UniformWAN(10, 1e-6))
+	cl := cluster.New(cat, network.NewCostModel(10, 1e-6))
 	if err := Generate(cat, cl); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGenerateDeterministicAndConsistent(t *testing.T) {
 		}
 	}
 	// Determinism: regenerate and compare a sample row.
-	cl2 := cluster.New(cat, network.UniformWAN(10, 1e-6))
+	cl2 := cluster.New(cat, network.NewCostModel(10, 1e-6))
 	if err := Generate(cat, cl2); err != nil {
 		t.Fatal(err)
 	}

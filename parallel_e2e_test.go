@@ -57,12 +57,10 @@ func TestParallelEngineTPCHAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: optimize: %v", label, err)
 			}
-			cl.Ledger.Reset()
 			seqRows, seqStats, err := executor.Run(res.Plan, cl)
 			if err != nil {
 				t.Fatalf("%s: sequential run: %v", label, err)
 			}
-			cl.Ledger.Reset()
 			parRows, parStats, err := executor.RunParallel(res.Plan, cl)
 			if err != nil {
 				t.Fatalf("%s: parallel run: %v", label, err)

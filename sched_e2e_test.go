@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,9 +25,11 @@ import (
 // system must each report exactly the shipping statistics of their own
 // sequential runs. Before per-run ledger scoping, concurrent runs
 // absorbed each other's transfers through the shared cumulative ledger.
+// The metrics registry, now the only running per-edge total, must add up
+// to exactly what the queries reported.
 func TestConcurrentQueriesReportOwnStats(t *testing.T) {
-	build := func(parallel bool) *System {
-		sys := NewSystemWith(Options{Parallel: parallel})
+	build := func(opts Options) *System {
+		sys := NewSystemWith(opts)
 		sys.MustDefineTable("Customer", "db-n", "NorthAmerica", 40,
 			Col("custkey", TInt), Col("name", TString))
 		sys.MustDefineTable("Orders", "db-e", "Europe", 120,
@@ -49,8 +52,24 @@ func TestConcurrentQueriesReportOwnStats(t *testing.T) {
 		 FROM Customer C, Orders O WHERE C.custkey = O.custkey GROUP BY C.name`,
 		`SELECT O.custkey, COUNT(*) AS cnt FROM Orders O GROUP BY O.custkey`,
 	}
+	// Result carries no row count: read each query's shipped rows off an
+	// unobserved reference system's RunStats.
+	ref := build(Options{})
+	shippedRows := make([]int64, len(queries))
+	for i, q := range queries {
+		p, err := ref.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := executor.Run(p.Root, ref.Cluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shippedRows[i] = st.ShippedRows
+	}
 	for _, parallel := range []bool{false, true} {
-		sys := build(parallel)
+		sys := build(Options{Parallel: parallel, Metrics: true})
+		var sumBytes, sumRows atomic.Int64
 		// Sequential baselines, one query at a time.
 		want := make([]*Result, len(queries))
 		for i, q := range queries {
@@ -59,6 +78,8 @@ func TestConcurrentQueriesReportOwnStats(t *testing.T) {
 				t.Fatalf("parallel=%v baseline %d: %v", parallel, i, err)
 			}
 			want[i] = r
+			sumBytes.Add(r.ShippedBytes)
+			sumRows.Add(shippedRows[i])
 		}
 		// Now run both queries concurrently, repeatedly; each must match
 		// its own baseline exactly.
@@ -78,6 +99,8 @@ func TestConcurrentQueriesReportOwnStats(t *testing.T) {
 						errs <- fmt.Errorf("parallel=%v q%d: concurrent stats %d bytes/%.3f cost, sequential %d bytes/%.3f cost",
 							parallel, i, got.ShippedBytes, got.ShipCost, want[i].ShippedBytes, want[i].ShipCost)
 					}
+					sumBytes.Add(got.ShippedBytes)
+					sumRows.Add(shippedRows[i])
 				}()
 			}
 		}
@@ -85,6 +108,17 @@ func TestConcurrentQueriesReportOwnStats(t *testing.T) {
 		close(errs)
 		for err := range errs {
 			t.Error(err)
+		}
+		var edgeBytes, edgeRows int64
+		for _, from := range sys.Schema.Locations() {
+			for _, to := range sys.Schema.Locations() {
+				edgeBytes += sys.Metrics().CounterValue("cgdqp_ship_bytes_total", "from", from, "to", to)
+				edgeRows += sys.Metrics().CounterValue("cgdqp_ship_rows_total", "from", from, "to", to)
+			}
+		}
+		if edgeBytes != sumBytes.Load() || edgeRows != sumRows.Load() || edgeBytes == 0 {
+			t.Errorf("parallel=%v: per-edge metrics total %d bytes / %d rows, queries reported %d / %d",
+				parallel, edgeBytes, edgeRows, sumBytes.Load(), sumRows.Load())
 		}
 	}
 }

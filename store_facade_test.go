@@ -2,6 +2,7 @@ package cgdqp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -216,7 +217,7 @@ func TestPersistentReopen(t *testing.T) {
 // wired to the system's sinks and fault plan exactly as a lazily
 // created one is.
 func TestOpenConfiguresCluster(t *testing.T) {
-	faults := NewFaultPlan(7)
+	faults := NewFaultPlan(7).SetDefault(EdgeFaults{Partitioned: true})
 	sys := NewSystemWith(Options{Metrics: true, Faults: faults})
 	sys.MustDefineTable("a", "db-e", "Europe", 2, Col("k", TInt))
 	sys.MustDefineTable("b", "db-a", "Asia", 2, Col("k", TInt))
@@ -227,17 +228,14 @@ func TestOpenConfiguresCluster(t *testing.T) {
 	}
 	sys.MustLoad("a", []Row{{Int(1)}, {Int(2)}})
 	sys.MustLoad("b", []Row{{Int(2)}, {Int(3)}})
-	if _, err := sys.Query("SELECT a.k FROM a, b WHERE a.k = b.k"); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Cluster().Faults() != faults {
-		t.Error("fault plan not installed on an explicitly opened cluster")
+	if _, err := sys.Query("SELECT a.k FROM a, b WHERE a.k = b.k"); !errors.Is(err, ErrPartitioned) {
+		t.Errorf("query over a partitioned WAN: err = %v, want ErrPartitioned (fault plan not installed on an explicitly opened cluster)", err)
 	}
 	var metrics bytes.Buffer
 	if err := sys.Metrics().WritePrometheus(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(metrics.String(), "cgdqp_ship_batches_total") {
-		t.Error("shipments of an explicitly opened cluster were not counted")
+	if !strings.Contains(metrics.String(), "cgdqp_ship_faults_total") {
+		t.Error("faults of an explicitly opened cluster were not counted")
 	}
 }
