@@ -47,17 +47,12 @@ loc:
 golden:
 	$(GO) test -run 'TestGoldenPlans' -update .
 
-# Engine benchmarks. The first step rewrites BENCH_exec.json (inline vs
-# goroutine exchanges, tracing off vs on, asserting the tracing-off
-# overhead stays under 2%); the second rewrites BENCH_store.json
-# (persistent-store access paths at 1M rows/site — full scan vs index
-# range vs index-lookup join, cold vs warm buffer pool — enforcing the
-# >=10x index-range floor); the rest print per-query numbers.
+# The repository's benchmark: all four workloads, end to end, against
+# their oracles (see benchmark/README.md), then per-query optimization
+# time.
 bench:
-	$(GO) test -run TestExecBenchReport -bench-report .
-	$(GO) test -run TestStoreBenchReport -bench-report .
+	bash benchmark/run.sh --workload all
 	$(GO) test -run NONE -bench BenchmarkOptimizeTPCH -benchtime 3x -benchmem .
-	$(GO) test -run NONE -bench BenchmarkExecSeqVsParallel -benchtime 5x .
 
 # Short fuzzing pass over the SQL and policy parsers, the compiled
 # kernel / interpreter parity harness, the wire-format decoder, and the

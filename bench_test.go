@@ -1,236 +1,30 @@
 package cgdqp
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (Section 7). Each benchmark prints the reproduced
-// panel once (so `go test -bench=. -benchmem` doubles as the experiment
-// report) and then measures the underlying workload. EXPERIMENTS.md
-// records paper-vs-measured shapes.
+// Optimizer benchmarks: the design-choice ablations (DESIGN.md "Design
+// choices") and per-query optimization time. The paper's panels are
+// regenerated by cmd/experiments, end-to-end numbers by benchmark/.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
-	"cgdqp/internal/cluster"
-	"cgdqp/internal/executor"
-	"cgdqp/internal/experiments"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
 	"cgdqp/internal/optimizer"
-	"cgdqp/internal/plan"
 	"cgdqp/internal/policy"
 	"cgdqp/internal/schema"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
 
-var benchCfg = experiments.Config{SF: 0.01, ExecSF: 0.002, Repetitions: 1, Seed: 42}
-
-// printOnce guards each panel so repeated benchmark iterations do not
-// spam the output.
-var printOnce sync.Map
-
-func reportOnce(b *testing.B, key, panel string) {
-	b.Helper()
-	if _, done := printOnce.LoadOrStore(key, true); !done {
-		fmt.Println(panel)
-	}
-}
-
-// BenchmarkTable1PolicyEvaluation reproduces the Section 5 / Table 1
-// policy-evaluation walk-through and measures evaluator throughput.
-func BenchmarkTable1PolicyEvaluation(b *testing.B) {
-	reportOnce(b, "table1", experiments.RenderTable1())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1Evaluation()
-		if rows[0].Result != "{l3}" {
-			b.Fatalf("unexpected 𝒜(q1) = %s", rows[0].Result)
-		}
-	}
-}
-
-// BenchmarkFig5aTraditionalCompliance reproduces Figure 5(a): the
-// compliance matrix of the traditional optimizer across the six TPC-H
-// queries and four expression sets.
-func BenchmarkFig5aTraditionalCompliance(b *testing.B) {
-	cells, err := experiments.Fig5aEffectiveness(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig5a", experiments.RenderFig5a(cells))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5aEffectiveness(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5PlanExcerpts reproduces Figures 5(b)–(e): the Q2/Q3 plan
-// excerpts, traditional vs compliant.
-func BenchmarkFig5PlanExcerpts(b *testing.B) {
-	out, err := experiments.Fig5PlanExcerpts(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig5be", out)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5PlanExcerpts(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6aAdhocEffectiveness reproduces Figure 6(a): 400 ad-hoc
-// queries split over the four expression sets (100 per set under -bench
-// defaults; scale with -benchtime as desired).
-func BenchmarkFig6aAdhocEffectiveness(b *testing.B) {
-	rows, err := experiments.Fig6aAdhocEffectiveness(benchCfg, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig6a", experiments.RenderFig6a(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6aAdhocEffectiveness(benchCfg, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6bMinimalOverhead reproduces Figure 6(b): optimization
-// time under unrestricted policies — the framework's fixed overhead.
-func BenchmarkFig6bMinimalOverhead(b *testing.B) {
-	rows, err := experiments.Fig6bMinimalOverhead(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig6b", experiments.RenderOptTimes("Figure 6(b): minimal overhead (ship * from t to *)", rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6bMinimalOverhead(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchOptTime(b *testing.B, set workload.SetName, figure string) {
-	rows, err := experiments.Fig6OptTime(benchCfg, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, figure, experiments.RenderOptTimes(
-		fmt.Sprintf("Figure %s: optimization time under set %s", figure, set), rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6OptTime(benchCfg, set); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6cOptTimeT reproduces Figure 6(c) (set T).
-func BenchmarkFig6cOptTimeT(b *testing.B) { benchOptTime(b, workload.SetT, "6(c)") }
-
-// BenchmarkFig6dOptTimeC reproduces Figure 6(d) (set C).
-func BenchmarkFig6dOptTimeC(b *testing.B) { benchOptTime(b, workload.SetC, "6(d)") }
-
-// BenchmarkFig6eOptTimeCR reproduces Figure 6(e) (set CR).
-func BenchmarkFig6eOptTimeCR(b *testing.B) { benchOptTime(b, workload.SetCR, "6(e)") }
-
-// BenchmarkFig6fOptTimeCRA reproduces Figure 6(f) (set CR+A).
-func BenchmarkFig6fOptTimeCRA(b *testing.B) { benchOptTime(b, workload.SetCRA, "6(f)") }
-
-// BenchmarkFig6gQualityC reproduces Figure 6(g): scaled execution cost
-// under set C (plans are executed over generated data; SHIP operators
-// are priced by the message cost model).
-func BenchmarkFig6gQualityC(b *testing.B) {
-	rows, err := experiments.Fig6Quality(benchCfg, workload.SetC)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig6g", experiments.RenderQuality("Figure 6(g): scaled execution cost under C", rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6Quality(benchCfg, workload.SetC); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6hQualityCR reproduces Figure 6(h): scaled execution cost
-// under set CR, including the Q2 overhead case (shipping the bigger
-// compliant side instead of the restricted Part table).
-func BenchmarkFig6hQualityCR(b *testing.B) {
-	rows, err := experiments.Fig6Quality(benchCfg, workload.SetCR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig6h", experiments.RenderQuality("Figure 6(h): scaled execution cost under CR", rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6Quality(benchCfg, workload.SetCR); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7ScalabilityExpressions reproduces Figures 7(a)–(c):
-// optimization time and η for Q2/Q3/Q10 under CR+A sets of 12–100
-// expressions.
-func BenchmarkFig7ScalabilityExpressions(b *testing.B) {
-	rows, err := experiments.Fig7Expressions(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig7abc", experiments.RenderFig7(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7Expressions(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7deTableLocations reproduces Figures 7(d)/(e): Customer
-// and Orders fragmented over 1–5 locations (union rewrite).
-func BenchmarkFig7deTableLocations(b *testing.B) {
-	rows, err := experiments.Fig7deTableLocations(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig7de", experiments.RenderFig7de(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7deTableLocations(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8LocationsPerExpression reproduces Figure 8: the impact of
-// the number of `to` locations per policy expression (3–20 over a
-// 20-location deployment).
-func BenchmarkFig8LocationsPerExpression(b *testing.B) {
-	rows, err := experiments.Fig8Locations(benchCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reportOnce(b, "fig8", experiments.RenderFig8(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8Locations(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// benchSF is the TPC-H scale factor whose statistics the optimizer
+// benchmarks plan against (no data is generated).
+const benchSF = 0.01
 
 // --- ablation benchmarks (DESIGN.md "Design choices") --------------------
 
 func ablationOptimizer(opts optimizer.Options) (*optimizer.Optimizer, string) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCRA)
 	opts.Compliant = true
@@ -334,7 +128,7 @@ func BenchmarkAblationAggPushdown(b *testing.B) {
 // queries. Greedy placement pays ~25% more on the multi-join queries
 // (Q2, Q5, Q9).
 func BenchmarkAblationSiteSelector(b *testing.B) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetT)
 	for _, greedy := range []bool{false, true} {
@@ -367,7 +161,7 @@ func BenchmarkAblationSiteSelector(b *testing.B) {
 // not syntactically) must deliver its result at L1. The full test finds
 // the plan; the syntactic variant soundly-but-incompletely rejects it.
 func BenchmarkAblationImplication(b *testing.B) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := policy.NewCatalog()
 	pc.AddAll(
@@ -398,134 +192,6 @@ func BenchmarkAblationImplication(b *testing.B) {
 	}
 }
 
-// --- execution engine benchmarks -----------------------------------------
-
-// seqVsParFixture builds a three-site cluster (coordinator N, Customer
-// at E, Orders and Supply at A) with generated data and a TPC-H-shaped
-// join+aggregation plan whose three SHIP boundaries yield three
-// independent leaf fragments, all shipping into N.
-func seqVsParFixture(b testing.TB) (*cluster.Cluster, *plan.Node) {
-	b.Helper()
-	cat := schema.NewCatalog()
-	cTab := schema.NewTable("Customer", "db-e", "E", 1000,
-		schema.Column{Name: "custkey", Type: expr.TInt},
-		schema.Column{Name: "name", Type: expr.TString})
-	cTab.SetColStats("custkey", schema.ColStats{Distinct: 1000})
-	oTab := schema.NewTable("Orders", "db-a", "A", 10000,
-		schema.Column{Name: "custkey", Type: expr.TInt},
-		schema.Column{Name: "ordkey", Type: expr.TInt},
-		schema.Column{Name: "totprice", Type: expr.TFloat})
-	oTab.SetColStats("ordkey", schema.ColStats{Distinct: 10000})
-	sTab := schema.NewTable("Supply", "db-a2", "A", 20000,
-		schema.Column{Name: "ordkey", Type: expr.TInt},
-		schema.Column{Name: "quantity", Type: expr.TInt})
-	sTab.SetColStats("ordkey", schema.ColStats{Distinct: 10000})
-	cat.MustAddTable(cTab)
-	cat.MustAddTable(oTab)
-	cat.MustAddTable(sTab)
-	// A coordinator-only site N must exist in the cost model; register it
-	// through a placeholder table's location.
-	nTab := schema.NewTable("Coord", "db-n", "N", 0,
-		schema.Column{Name: "x", Type: expr.TInt})
-	cat.MustAddTable(nTab)
-
-	// Flat WAN: every inter-site hop costs 100ms start-up plus a small
-	// per-byte charge. SetWireDelay(1) turns that accounted cost into
-	// simulated wall-clock wire time.
-	cl := cluster.New(cat, network.NewCostModel(100, 0.00001))
-	cl.SetWireDelay(1)
-
-	var cRows, oRows, sRows []expr.Row
-	for i := 0; i < 1000; i++ {
-		cRows = append(cRows, expr.Row{
-			expr.NewInt(int64(i)), expr.NewString(fmt.Sprintf("cust-%04d", i))})
-	}
-	for i := 0; i < 10000; i++ {
-		oRows = append(oRows, expr.Row{
-			expr.NewInt(int64(i % 1000)), expr.NewInt(int64(i)), expr.NewFloat(float64(100 + i%97))})
-	}
-	for i := 0; i < 20000; i++ {
-		sRows = append(sRows, expr.Row{
-			expr.NewInt(int64(i % 10000)), expr.NewInt(int64(1 + i%7))})
-	}
-	for _, load := range []struct {
-		t    *schema.Table
-		rows []expr.Row
-	}{{cTab, cRows}, {oTab, oRows}, {sTab, sRows}} {
-		if err := cl.LoadFragment(load.t, 0, load.rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	// Three leaf producers ship into the coordinator: Customer from E,
-	// filtered Orders detail from A, and the Supply aggregate from A. N
-	// joins and aggregates locally.
-	shipC := plan.NewShip(plan.NewScan(cTab, "C", -1), "E", "N")
-	oFil := plan.NewFilter(plan.NewScan(oTab, "O", -1),
-		expr.NewCmp(expr.GE, expr.NewCol("O", "totprice"), expr.NewConst(expr.NewFloat(100))))
-	shipO := plan.NewShip(oFil, "A", "N")
-	sAgg := plan.NewAggregate(plan.NewScan(sTab, "S", -1),
-		[]*expr.Col{expr.NewCol("S", "ordkey")},
-		[]plan.NamedAgg{{Fn: expr.AggSum, Arg: expr.NewCol("S", "quantity"), Name: "quantity"}})
-	sAgg.Kind = plan.HashAgg
-	shipS := plan.NewShip(sAgg, "A", "N")
-
-	join1 := plan.NewJoin(shipO, shipC,
-		expr.NewCmp(expr.EQ, expr.NewCol("O", "custkey"), expr.NewCol("C", "custkey")))
-	join1.Kind = plan.HashJoin
-	join2 := plan.NewJoin(join1, shipS,
-		expr.NewCmp(expr.EQ, expr.NewCol("O", "ordkey"), expr.NewCol("S", "ordkey")))
-	join2.Kind = plan.HashJoin
-	root := plan.NewAggregate(join2,
-		[]*expr.Col{expr.NewCol("C", "name")},
-		[]plan.NamedAgg{
-			{Fn: expr.AggSum, Arg: expr.NewCol("O", "totprice"), Name: "total"},
-			{Fn: expr.AggSum, Arg: expr.NewCol("", "quantity"), Name: "qty"},
-		})
-	root.Kind = plan.HashAgg
-
-	if got := plan.CountLeafFragments(root); got < 2 {
-		b.Fatalf("benchmark plan must have >=2 independent leaf fragments, got %d", got)
-	}
-	return cl, root
-}
-
-// BenchmarkExecSeqVsParallel compares the sequential Volcano engine with
-// the batch-parallel engine on a three-site join+aggregation plan. The
-// cluster simulates WAN wire time (SetWireDelay), so the sequential
-// engine pays the three SHIP delays back to back while the parallel
-// engine overlaps its three producer fragments — the speedup measures
-// communication overlap, not CPU parallelism (the accounted shipping
-// stats are identical either way).
-func BenchmarkExecSeqVsParallel(b *testing.B) {
-	engines := []struct {
-		name string
-		run  func(*plan.Node, *cluster.Cluster) ([]expr.Row, *executor.RunStats, error)
-	}{
-		{"sequential", executor.Run},
-		{"parallel", executor.RunParallel},
-	}
-	for _, eng := range engines {
-		b.Run(eng.name, func(b *testing.B) {
-			cl, root := seqVsParFixture(b)
-			var rows int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, stats, err := eng.run(root, cl)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) != 1000 {
-					b.Fatalf("result rows: %d, want 1000", len(out))
-				}
-				rows += stats.ShippedRows
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
 // --- per-query optimization micro-benchmarks -----------------------------
 
 // BenchmarkOptimizeTPCH measures per-query compliant optimization time
@@ -533,7 +199,7 @@ func BenchmarkExecSeqVsParallel(b *testing.B) {
 // iteration builds a fresh optimizer, so this is the cold path: empty
 // policy cache, no plan cache.
 func BenchmarkOptimizeTPCH(b *testing.B) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCRA)
 	for _, qn := range tpch.QueryNames() {
@@ -555,7 +221,7 @@ func BenchmarkOptimizeTPCH(b *testing.B) {
 // cache). The gap to BenchmarkOptimizeTPCH is what policy memoization
 // buys; the gap to .../WarmPlan is what full optimization still costs.
 func BenchmarkOptimizeTPCHWarmPolicy(b *testing.B) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCRA)
 	for _, qn := range tpch.QueryNames() {
@@ -578,7 +244,7 @@ func BenchmarkOptimizeTPCHWarmPolicy(b *testing.B) {
 // BenchmarkOptimizeTPCHWarmPlan measures the whole-plan cache hit path:
 // normalize + digest + deep clone of the cached result.
 func BenchmarkOptimizeTPCHWarmPlan(b *testing.B) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCRA)
 	for _, qn := range tpch.QueryNames() {
@@ -607,7 +273,7 @@ func BenchmarkOptimizeTPCHWarmPlan(b *testing.B) {
 // GOMAXPROCS goroutines round-robining over all queries (plan cache on):
 // the concurrent front-end under contention.
 func BenchmarkOptimizeTPCHParallel(b *testing.B) {
-	cat := tpch.NewCatalog(benchCfg.SF)
+	cat := tpch.NewCatalog(benchSF)
 	net := network.FiveRegionWAN(cat.Locations())
 	pc := workload.TPCHSet(workload.SetCRA)
 	opt := optimizer.New(cat, pc, net, optimizer.Options{

@@ -199,6 +199,9 @@ func TestFragmentedSystem(t *testing.T) {
 	if err := sys.LoadFragment("Sales", 1, []Row{{String("e"), Float(3)}, {String("e"), Float(4)}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.LoadFragment("Sales", -1, []Row{{String("w"), Float(100)}}); err == nil {
+		t.Error("LoadFragment(-1) on a fragmented table must fail")
+	}
 	res, err := sys.Query("SELECT SUM(amt) AS total FROM Sales")
 	if err != nil {
 		t.Fatal(err)

@@ -16,16 +16,9 @@
 //	> \analyze          -- recompute statistics from loaded data
 //	> \quit
 //
-// Serving mode replays a mixed TPC-H workload through the concurrent
-// query scheduler (admission control, a worker pool, shared-work
-// batching) and reports throughput and latency:
-//
-//	cgdqp -serve -clients 16 -duration 10s            # closed loop
-//	cgdqp -serve -qps 50 -workload Q3,Q5 -queue-depth 32
-//
 // The command is a client of the public cgdqp facade: every statement
-// runs through System.Query / Explain / ExplainAnalyze or a Server from
-// System.Serve, exactly as an embedding application's would.
+// runs through System.Query / Explain / ExplainAnalyze, exactly as an
+// embedding application's would.
 package main
 
 import (
@@ -36,10 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cgdqp"
@@ -79,8 +69,8 @@ func (sh *shell) writeOut(path, what string, render func(io.Writer) error) {
 }
 
 // run is the whole command: it parses args, loads (or reopens) the
-// TPC-H deployment and runs the one-shot query, the serving replay or
-// the interactive shell, returning the process exit code.
+// TPC-H deployment and runs the one-shot query or the interactive
+// shell, returning the process exit code.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cgdqp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -100,14 +90,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics-out", "", "write Prometheus-text metrics to this file at exit (- for stdout)")
 	traceOut := fs.String("trace-out", "", "write query-lifecycle spans as JSON to this file at exit (- for stdout)")
 	auditOut := fs.String("audit-out", "", "write the compliance audit log of cross-site shipments to this file at exit (- for stdout)")
-	serve := fs.Bool("serve", false, "replay a TPC-H workload through the concurrent query scheduler and report throughput/latency")
-	workloadMix := fs.String("workload", "mixed", "serving mode query mix: comma-separated TPC-H names (Q3,Q5,...) or 'mixed' for all")
-	qps := fs.Float64("qps", 0, "serving mode target submission rate across all clients (0 = closed loop)")
-	clients := fs.Int("clients", 8, "serving mode concurrent client goroutines")
-	duration := fs.Duration("duration", 10*time.Second, "serving mode run length")
-	maxConcurrent := fs.Int("max-concurrent", cgdqp.DefaultMaxConcurrent, "serving mode: queries executing simultaneously")
-	queueDepth := fs.Int("queue-depth", cgdqp.DefaultQueueDepth, "serving mode: admission queue bound (overload beyond it is rejected)")
-	queryTimeout := fs.Duration("query-timeout", 0, "serving mode: per-query deadline from admission (0 = none)")
 	feedbackOn := fs.Bool("feedback", false, "record per-operator actuals from every execution and let the optimizer cost with observed cardinalities (continuous wire calibration included)")
 	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
@@ -221,12 +203,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			*chaosSeed, *chaosDrop*100, *chaosError*100, *chaosDelay*100, sys.Cluster().Retry().Attempts())
 	}
 
-	if *serve {
-		return sh.runServe(*workloadMix, *qps, *clients, *duration, cgdqp.ServeOptions{
-			MaxConcurrent: *maxConcurrent, QueueDepth: *queueDepth, QueryTimeout: *queryTimeout,
-		})
-	}
-
 	if *query != "" {
 		if !sh.runOne(*query, *explainOnly) {
 			return 1
@@ -294,9 +270,7 @@ func (sh *shell) runOne(sql string, explainOnly bool) bool {
 			fmt.Fprintf(sh.errw, "error: %v\n", err)
 			return false
 		}
-		if !sh.explainAnalyze {
-			fmt.Fprintln(sh.out, p)
-		}
+		fmt.Fprintln(sh.out, p)
 		cacheNote := ""
 		if p.Stats.PlanCacheHit {
 			cacheNote = " [plan cache hit]"
@@ -352,118 +326,4 @@ func (sh *shell) runOne(sql string, explainOnly bool) bool {
 	fmt.Fprintf(sh.out, "-- %d rows; shipped %d bytes across borders (%.2f ms simulated)%s%s\n",
 		len(res.Rows), res.ShippedBytes, res.ShipCost, retryNote, cacheNote)
 	return true
-}
-
-// runServe replays a mixed TPC-H workload through the concurrent query
-// scheduler: `clients` goroutines submit queries round-robin from the
-// mix — paced at an aggregate `qps` when set, back-to-back otherwise —
-// for `duration`, then the admission counters and the completed-query
-// latency distribution are reported.
-func (sh *shell) runServe(mix string, qps float64, clients int, duration time.Duration, opts cgdqp.ServeOptions) int {
-	var names []string
-	if strings.EqualFold(mix, "mixed") || mix == "" {
-		names = tpch.QueryNames()
-	} else {
-		for _, n := range strings.Split(mix, ",") {
-			n = strings.TrimSpace(strings.ToUpper(n))
-			if _, ok := tpch.Queries[n]; !ok {
-				fmt.Fprintf(sh.errw, "unknown workload query %q (have %s)\n", n, strings.Join(tpch.QueryNames(), ", "))
-				return 2
-			}
-			names = append(names, n)
-		}
-	}
-	if clients <= 0 {
-		clients = 1
-	}
-
-	srv := sh.sys.Serve(opts)
-	pace := ""
-	if qps > 0 {
-		pace = fmt.Sprintf(" at %.0f qps", qps)
-	}
-	fmt.Fprintf(sh.errw, "serving mix [%s] with %d clients%s for %v (max-concurrent %d, queue-depth %d)\n",
-		strings.Join(names, " "), clients, pace, duration,
-		opts.MaxConcurrent, opts.QueueDepth)
-
-	var (
-		mu        sync.Mutex
-		lats      []time.Duration
-		nextQuery atomic.Int64
-		failed    atomic.Int64
-	)
-	// Open-loop pacing: one shared ticker feeds submission slots so the
-	// aggregate rate holds regardless of client count.
-	var slots chan struct{}
-	deadline := time.Now().Add(duration)
-	stop := make(chan struct{})
-	if qps > 0 {
-		slots = make(chan struct{}, clients)
-		go func() {
-			tick := time.NewTicker(time.Duration(float64(time.Second) / qps))
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					select {
-					case slots <- struct{}{}:
-					default: // all clients busy: shed the slot
-					}
-				}
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				if slots != nil {
-					select {
-					case <-slots:
-					case <-stop:
-						return
-					}
-				}
-				name := names[int(nextQuery.Add(1)-1)%len(names)]
-				resp, err := srv.Do(context.Background(), tpch.Queries[name])
-				switch {
-				case err == nil:
-					mu.Lock()
-					lats = append(lats, resp.Total)
-					mu.Unlock()
-				case errors.Is(err, cgdqp.ErrQueueFull): // counted by the server
-				default:
-					failed.Add(1)
-					fmt.Fprintf(sh.errw, "%s: %v\n", name, err)
-				}
-			}
-		}()
-	}
-	start := time.Now()
-	wg.Wait()
-	close(stop)
-	srv.Close()
-	elapsed := time.Since(start)
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
-	c := srv.Counters()
-	fmt.Fprintf(sh.out, "completed %d queries in %v (%.1f q/s); rejected %d (queue full), failed %d, cancelled %d, coalesced %d; executed %d, result-cache hits %d (+%d coalesced executions)\n",
-		len(lats), elapsed.Round(time.Millisecond), float64(len(lats))/elapsed.Seconds(),
-		c.RejectedQueueFull, failed.Load(), c.Cancelled, c.Coalesced,
-		c.Executed, c.ResultCacheHits, c.ExecCoalesced)
-	fmt.Fprintf(sh.out, "latency p50 %v  p99 %v  max %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
-	return 0
 }

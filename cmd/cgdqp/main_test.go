@@ -104,6 +104,23 @@ func TestExplainAnalyze(t *testing.T) {
 	shippedBytes(t, out)
 }
 
+// Under -explain-analyze an explain-only statement still prints its plan.
+func TestExplainOnlyUnderExplainAnalyze(t *testing.T) {
+	for _, tc := range []struct {
+		stdin string
+		args  []string
+	}{
+		{"\\explain " + q3 + ";\n", []string{"-explain-analyze"}},
+		{"", []string{"-explain-analyze", "-explain", "-q", q3}},
+	} {
+		out, _ := mustRun(t, tc.stdin, tc.args...)
+		wantContains(t, "explain under -explain-analyze", out, "TableScan(lineitem AS l)", "-- optimization: ")
+		if strings.Contains(out, "actual rows=") || footerRE.MatchString(out) {
+			t.Errorf("%v: explain-only statement executed:\n%s", tc.args, out)
+		}
+	}
+}
+
 func TestShellSession(t *testing.T) {
 	stmt := "SELECT c.name, o.totalprice FROM customer c, orders o, lineitem l\n" +
 		"  WHERE c.custkey = o.custkey AND l.orderkey = o.orderkey LIMIT 3;\n"
@@ -177,25 +194,12 @@ func TestSlowQueryLogLine(t *testing.T) {
 	}
 }
 
-func TestServeMode(t *testing.T) {
-	out, errw := mustRun(t, "", "-serve", "-clients", "2", "-duration", "300ms", "-workload", "Q3,Q10")
-	wantContains(t, "stderr", errw, "serving mix [Q3 Q10] with 2 clients for 300ms (max-concurrent 4, queue-depth 64)")
-	m := regexp.MustCompile(`completed (\d+) queries in `).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no completion line in:\n%s", out)
-	}
-	if n, _ := strconv.Atoi(m[1]); n == 0 {
-		t.Errorf("served no queries:\n%s", out)
-	}
-	wantContains(t, "report", out, "failed 0,", "latency p50 ")
-}
-
 func TestBadArguments(t *testing.T) {
 	for _, args := range [][]string{
 		{"-set", "bogus"},
-		{"-serve", "-workload", "Q99"},
 		{"-no-such-flag"},
-		{"-serve", "-site-slots", "4"}, // removed with the slot table
+		{"-serve"},           // removed with the serving replay
+		{"-site-slots", "4"}, // removed with the slot table
 	} {
 		if code, _, errw := cli(t, "", args...); code != 2 || errw == "" {
 			t.Errorf("cgdqp %v: exit %d, stderr %q; want exit 2 with a message", args, code, errw)

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -17,15 +19,27 @@ import (
 	"cgdqp/internal/workload"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "panel to regenerate: table1, 5a, 5be, 6a, 6b, 6c, 6d, 6e, 6f, 6g, 6h, 7, 7de, 8, all")
-	format := flag.String("format", "text", "output format: text or csv")
-	sf := flag.Float64("sf", 0.01, "catalog scale factor for optimization experiments")
-	execSF := flag.Float64("exec-sf", 0.002, "scale factor for experiments that execute plans")
-	reps := flag.Int("reps", 3, "repetitions per timing measurement")
-	queries := flag.Int("adhoc", 100, "ad-hoc queries per expression set for figure 6a")
-	seed := flag.Uint64("seed", 42, "workload generator seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, regenerates the selected
+// panels to stdout and returns the process exit code (1 when a panel
+// failed, 2 on bad flags).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "panel to regenerate: table1, 5a, 5be, 6a, 6b, 6c, 6d, 6e, 6f, 6g, 6h, 7, 7de, 8, all")
+	format := fs.String("format", "text", "output format: text or csv")
+	sf := fs.Float64("sf", 0.01, "catalog scale factor for optimization experiments")
+	execSF := fs.Float64("exec-sf", 0.002, "scale factor for experiments that execute plans")
+	reps := fs.Int("reps", 3, "repetitions per timing measurement")
+	queries := fs.Int("adhoc", 100, "ad-hoc queries per expression set for figure 6a")
+	seed := fs.Uint64("seed", 42, "workload generator seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := experiments.Config{SF: *sf, ExecSF: *execSF, Repetitions: *reps, Seed: *seed}
 	csv := *format == "csv"
@@ -35,7 +49,7 @@ func main() {
 	}
 	all := want["all"]
 	failed := false
-	run := func(keys []string, fn func() (string, error)) {
+	panel := func(keys []string, fn func() (string, error)) {
 		selected := all
 		for _, k := range keys {
 			if want[k] {
@@ -47,17 +61,17 @@ func main() {
 		}
 		out, err := fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			failed = true
 			return
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
 
-	run([]string{"table1"}, func() (string, error) {
+	panel([]string{"table1"}, func() (string, error) {
 		return experiments.RenderTable1(), nil
 	})
-	run([]string{"5a"}, func() (string, error) {
+	panel([]string{"5a"}, func() (string, error) {
 		cells, err := experiments.Fig5aEffectiveness(cfg)
 		if err != nil {
 			return "", err
@@ -67,10 +81,10 @@ func main() {
 		}
 		return experiments.RenderFig5a(cells), nil
 	})
-	run([]string{"5be", "5b", "5c", "5d", "5e"}, func() (string, error) {
+	panel([]string{"5be", "5b", "5c", "5d", "5e"}, func() (string, error) {
 		return experiments.Fig5PlanExcerpts(cfg)
 	})
-	run([]string{"6a"}, func() (string, error) {
+	panel([]string{"6a"}, func() (string, error) {
 		rows, err := experiments.Fig6aAdhocEffectiveness(cfg, *queries)
 		if err != nil {
 			return "", err
@@ -80,7 +94,7 @@ func main() {
 		}
 		return experiments.RenderFig6a(rows), nil
 	})
-	run([]string{"6b"}, func() (string, error) {
+	panel([]string{"6b"}, func() (string, error) {
 		rows, err := experiments.Fig6bMinimalOverhead(cfg)
 		if err != nil {
 			return "", err
@@ -98,7 +112,7 @@ func main() {
 		{"6e", workload.SetCR}, {"6f", workload.SetCRA},
 	} {
 		p := p
-		run([]string{p.key}, func() (string, error) {
+		panel([]string{p.key}, func() (string, error) {
 			rows, err := experiments.Fig6OptTime(cfg, p.set)
 			if err != nil {
 				return "", err
@@ -110,7 +124,7 @@ func main() {
 				fmt.Sprintf("Figure %s: optimization time under set %s", p.key, p.set), rows), nil
 		})
 	}
-	run([]string{"6g"}, func() (string, error) {
+	panel([]string{"6g"}, func() (string, error) {
 		rows, err := experiments.Fig6Quality(cfg, workload.SetC)
 		if err != nil {
 			return "", err
@@ -120,7 +134,7 @@ func main() {
 		}
 		return experiments.RenderQuality("Figure 6(g): scaled execution cost under C", rows), nil
 	})
-	run([]string{"6h"}, func() (string, error) {
+	panel([]string{"6h"}, func() (string, error) {
 		rows, err := experiments.Fig6Quality(cfg, workload.SetCR)
 		if err != nil {
 			return "", err
@@ -130,7 +144,7 @@ func main() {
 		}
 		return experiments.RenderQuality("Figure 6(h): scaled execution cost under CR", rows), nil
 	})
-	run([]string{"7", "7abc"}, func() (string, error) {
+	panel([]string{"7", "7abc"}, func() (string, error) {
 		rows, err := experiments.Fig7Expressions(cfg)
 		if err != nil {
 			return "", err
@@ -140,7 +154,7 @@ func main() {
 		}
 		return experiments.RenderFig7(rows), nil
 	})
-	run([]string{"7de"}, func() (string, error) {
+	panel([]string{"7de"}, func() (string, error) {
 		rows, err := experiments.Fig7deTableLocations(cfg)
 		if err != nil {
 			return "", err
@@ -150,7 +164,7 @@ func main() {
 		}
 		return experiments.RenderFig7de(rows), nil
 	})
-	run([]string{"8"}, func() (string, error) {
+	panel([]string{"8"}, func() (string, error) {
 		rows, err := experiments.Fig8Locations(cfg)
 		if err != nil {
 			return "", err
@@ -161,6 +175,7 @@ func main() {
 		return experiments.RenderFig8(rows), nil
 	})
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -257,22 +257,16 @@ func (c *Cluster) Locations() []string {
 	return out
 }
 
-// LoadFragment stores rows into a table fragment at its location.
+// LoadFragment stores rows into a table fragment at its location. A
+// negative index names the sole fragment, as in a scan, so a fragmented
+// table rejects it.
 func (c *Cluster) LoadFragment(t *schema.Table, fragIdx int, rows []expr.Row) error {
-	if fragIdx < 0 {
-		fragIdx = 0
+	if fragIdx < 0 && t.Fragmented() {
+		return fmt.Errorf("cluster: table %s is fragmented: name the fragment to load", t.Name)
 	}
-	if fragIdx >= len(t.Fragments) {
-		return fmt.Errorf("cluster: table %s has no fragment %d", t.Name, fragIdx)
-	}
-	loc := t.Fragments[fragIdx].Location
-	site, ok := c.sites[loc]
-	if !ok {
-		return fmt.Errorf("cluster: no site at %s", loc)
-	}
-	st, ok := site.DB.Table(fragName(t, fragIdx))
-	if !ok {
-		return fmt.Errorf("cluster: table %s missing at %s", t.Name, loc)
+	st, err := c.fragmentTable(t, fragIdx)
+	if err != nil {
+		return err
 	}
 	if err := st.Insert(rows...); err != nil {
 		return err

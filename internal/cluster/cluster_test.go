@@ -68,6 +68,10 @@ func TestLoadAndReadFragments(t *testing.T) {
 	if err := cl.LoadFragment(frag, 5, nil); err == nil {
 		t.Error("bad fragment index must fail")
 	}
+	// -1 names the sole fragment: a fragmented table has none.
+	if err := cl.LoadFragment(frag, -1, []expr.Row{{expr.NewInt(30)}}); err == nil {
+		t.Error("-1 on a fragmented table must fail")
+	}
 
 	rows, err := cl.FragmentRows(frag, 0)
 	if err != nil || len(rows) != 2 {

@@ -44,8 +44,6 @@ type Options struct {
 	// DisableAggPushdown removes the aggregation-pushdown rule (the
 	// ablation of Section 6.4's completeness discussion).
 	DisableAggPushdown bool
-	// DisableJoinReorder removes join commutativity/associativity.
-	DisableJoinReorder bool
 	// GreedySiteSelection replaces Algorithm 2 with a greedy
 	// cheapest-edge placement (ablation).
 	GreedySiteSelection bool
@@ -70,9 +68,9 @@ type Options struct {
 // fingerprint renders every option that shapes the optimizer's output
 // (PlanCacheSize only changes caching, not plans) for plan-cache keys.
 func (o Options) fingerprint() string {
-	return fmt.Sprintf("c=%t;im=%d;ma=%d;me=%d;ap=%t;jr=%t;gs=%t;rl=%s;npc=%t;pb=%d",
+	return fmt.Sprintf("c=%t;im=%d;ma=%d;me=%d;ap=%t;gs=%t;rl=%s;npc=%t;pb=%d",
 		o.Compliant, o.ImplicationMode, o.MaxAlts, o.MaxExprs,
-		o.DisableAggPushdown, o.DisableJoinReorder, o.GreedySiteSelection,
+		o.DisableAggPushdown, o.GreedySiteSelection,
 		o.ResultLocation, o.NoPolicyCache, o.PoolBytes)
 }
 
@@ -499,11 +497,7 @@ func (o *Optimizer) Check(located *plan.Node) []Violation {
 }
 
 func (o *Optimizer) ruleSet() []memo.Rule {
-	var rs []memo.Rule
-	if !o.Opts.DisableJoinReorder {
-		rs = append(rs, rules.JoinCommute{}, rules.JoinAssoc{})
-	}
-	rs = append(rs, rules.JoinUnionDistribute{})
+	rs := []memo.Rule{rules.JoinCommute{}, rules.JoinAssoc{}, rules.JoinUnionDistribute{}}
 	// The traditional baseline mirrors "Calcite as-is" (Section 7.1):
 	// no eager-aggregation rule. The compliant optimizer needs it for
 	// completeness (Section 6.4).

@@ -22,10 +22,6 @@ type Fragment struct {
 	Loc string
 }
 
-// Leaf reports whether the fragment consumes no exchanges: its inputs
-// are all local scans, so it can start immediately and independently.
-func (f *Fragment) Leaf() bool { return len(f.Inputs) == 0 }
-
 // SplitFragments decomposes a located physical plan into its execution
 // fragments at Ship boundaries. The plan-root fragment is first; the
 // remaining fragments follow in pre-order of their exporting Ship
@@ -61,16 +57,4 @@ func fragLoc(fragRoot, output *Node) string {
 		return output.FromLoc
 	}
 	return fragRoot.Loc
-}
-
-// CountLeafFragments returns how many fragments of the plan are leaves —
-// the plan's degree of immediately available parallelism.
-func CountLeafFragments(root *Node) int {
-	n := 0
-	for _, f := range SplitFragments(root) {
-		if f.Leaf() {
-			n++
-		}
-	}
-	return n
 }

@@ -24,11 +24,8 @@ func TestSplitFragmentsSingle(t *testing.T) {
 		t.Fatalf("fragments: %d, want 1", len(frags))
 	}
 	f := frags[0]
-	if f.Root != c || f.Output != nil || len(f.Inputs) != 0 || !f.Leaf() {
+	if f.Root != c || f.Output != nil || len(f.Inputs) != 0 {
 		t.Errorf("unexpected fragment: %+v", f)
-	}
-	if CountLeafFragments(c) != 1 {
-		t.Errorf("leaf count: %d", CountLeafFragments(c))
 	}
 }
 
@@ -57,17 +54,11 @@ func TestSplitFragmentsMultiShip(t *testing.T) {
 		t.Errorf("join fragment: root=%v output=%v inputs=%d loc=%q",
 			jf.Root.Kind, jf.Output, len(jf.Inputs), jf.Loc)
 	}
-	if jf.Leaf() {
-		t.Error("join fragment must not be a leaf")
-	}
 	// The two producer fragments are leaves at their data's sites.
-	if frags[2].Root != c || frags[2].Output != shipC || !frags[2].Leaf() || frags[2].Loc != "N" {
+	if frags[2].Root != c || frags[2].Output != shipC || len(frags[2].Inputs) != 0 || frags[2].Loc != "N" {
 		t.Errorf("customer fragment: %+v", frags[2])
 	}
-	if frags[3].Root != s || frags[3].Output != shipS || !frags[3].Leaf() || frags[3].Loc != "A" {
+	if frags[3].Root != s || frags[3].Output != shipS || len(frags[3].Inputs) != 0 || frags[3].Loc != "A" {
 		t.Errorf("supply fragment: %+v", frags[3])
-	}
-	if CountLeafFragments(root) != 2 {
-		t.Errorf("leaf fragments: %d, want 2", CountLeafFragments(root))
 	}
 }

@@ -51,9 +51,6 @@ type Options struct {
 	// QueueDepth bounds admitted-but-not-started queries; submissions
 	// beyond it fail with ErrQueueFull (<=0: DefaultQueueDepth).
 	QueueDepth int
-	// QueryTimeout, when set, bounds each query from admission to
-	// completion (on top of the submission context's own deadline).
-	QueryTimeout time.Duration
 	// ResultCache, when set, replaces the lifecycle's result cache and
 	// CacheView its validity oracles — data epochs, the policy epoch and
 	// the provenance recheck; see package rescache. With a cache (either
@@ -197,9 +194,9 @@ type Ticket struct{ t *task }
 
 // Submit admits a query (or rejects it with a typed error) and returns
 // immediately; Wait on the ticket delivers the outcome. ctx governs the
-// query end to end: cancelling it while queued means the query never
-// starts; cancelling it mid-execution tears down its fragment pipelines
-// and in-flight shipment retries.
+// query end to end, deadline included: cancelling it while queued means
+// the query never starts; cancelling it mid-execution tears down its
+// fragment pipelines and in-flight shipment retries.
 func (s *Server) Submit(ctx context.Context, sql string) (*Ticket, error) {
 	// Not a submission at all: Submitted counts what is then either
 	// admitted or rejected.
@@ -222,13 +219,7 @@ func (s *Server) Submit(ctx context.Context, sql string) (*Ticket, error) {
 		s.countRejected("queue_full")
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, depth)
 	}
-	var qctx context.Context
-	var cancel context.CancelFunc
-	if s.opts.QueryTimeout > 0 {
-		qctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
-	} else {
-		qctx, cancel = context.WithCancel(ctx)
-	}
+	qctx, cancel := context.WithCancel(ctx)
 	t := &task{
 		srv:    s,
 		sql:    sql,

@@ -397,19 +397,26 @@ func TestMidExecutionCancelTearsDown(t *testing.T) {
 	}
 }
 
-func TestQueryTimeout(t *testing.T) {
+// A deadline on the submission context bounds the query from admission
+// to completion.
+func TestQueryDeadline(t *testing.T) {
 	defer leakCheck(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(1.0)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1, QueryTimeout: 30 * time.Millisecond})
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
 	defer s.Close()
-	tk, err := s.Submit(context.Background(), joinQuery)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	tk, err := s.Submit(ctx, joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tk.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	if c := s.Counters(); c.Cancelled != 1 {
+		t.Errorf("Cancelled = %d, want 1", c.Cancelled)
 	}
 }
 

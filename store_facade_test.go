@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"cgdqp/internal/executor"
+	"cgdqp/internal/expr"
+	"cgdqp/internal/plan"
 )
 
 // These tests pin the public surface of the persistent storage engine:
@@ -19,17 +23,7 @@ import (
 // either backend (dataDir "" = in-memory).
 func newIndexedSystem(t *testing.T, dataDir string) *System {
 	t.Helper()
-	sys := NewSystemWith(Options{DataDir: dataDir})
-	sys.MustDefineTable("fact", "db-e", "Europe", 50_000,
-		Col("key", TInt), Col("val", TFloat), Col("tag", TString))
-	sys.MustDefineTable("dim", "db-e", "Europe", 100,
-		Col("fk", TInt), Col("name", TString))
-	sys.MustDefineIndex("fact", "key")
-	sys.MustAddPolicy("ship * from fact to *")
-	sys.MustAddPolicy("ship * from dim to *")
-	if err := sys.SetColumnStats("fact", "key", 50_000, Int(0), Int(49_999)); err != nil {
-		t.Fatal(err)
-	}
+	sys := defineIndexed(t, dataDir)
 
 	facts := make([]Row, 0, 50_000)
 	for i := 0; i < 50_000; i++ {
@@ -46,6 +40,80 @@ func newIndexedSystem(t *testing.T, dataDir string) *System {
 	}
 	sys.MustLoad("dim", dims)
 	return sys
+}
+
+// defineIndexed declares newIndexedSystem's tables, index and policies
+// without loading any rows.
+func defineIndexed(t *testing.T, dataDir string) *System {
+	t.Helper()
+	sys := NewSystemWith(Options{DataDir: dataDir})
+	sys.MustDefineTable("fact", "db-e", "Europe", 50_000,
+		Col("key", TInt), Col("val", TFloat), Col("tag", TString))
+	sys.MustDefineTable("dim", "db-e", "Europe", 100,
+		Col("fk", TInt), Col("name", TString))
+	sys.MustDefineIndex("fact", "key")
+	sys.MustAddPolicy("ship * from fact to *")
+	sys.MustAddPolicy("ship * from dim to *")
+	if err := sys.SetColumnStats("fact", "key", 50_000, Int(0), Int(49_999)); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestIndexRangeReadsFewerPages is the index access path's floor,
+// counted rather than timed: on a reopened persistent store, a
+// 0.1%-selectivity range over the B+ tree key returns the same rows as
+// a filtered full scan with at least 10x fewer buffer-pool page
+// requests.
+func TestIndexRangeReadsFewerPages(t *testing.T) {
+	dir := t.TempDir()
+	if err := newIndexedSystem(t, dir).Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys := defineIndexed(t, dir)
+	if err := sys.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if !sys.Loaded("fact") {
+		t.Fatal("reopened store lost its rows")
+	}
+	cl := sys.Cluster()
+	fact, _ := sys.Schema.Table("fact")
+
+	lo, hi := Int(25_000), Int(25_050) // [lo, hi): 50 of 50k rows
+	rangePred := func() expr.Expr {
+		return expr.NewAnd(
+			expr.NewCmp(expr.GE, expr.NewCol("F", "key"), expr.NewConst(lo)),
+			expr.NewCmp(expr.LT, expr.NewCol("F", "key"), expr.NewConst(hi)))
+	}
+	fullScan := plan.NewFilter(plan.NewScan(fact, "F", 0), rangePred())
+	indexRange := plan.NewScan(fact, "F", 0)
+	indexRange.Kind = plan.IndexScan
+	indexRange.Pred = rangePred()
+	indexRange.IdxCol = "key"
+	indexRange.IdxLo, indexRange.IdxHi = &lo, &hi
+	indexRange.IdxLoInc = true
+
+	run := func(root *plan.Node) (pages int64, rows []string) {
+		t.Helper()
+		before := cl.StoreStats()
+		out, _, err := executor.Run(root, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := cl.StoreStats()
+		return after.Hits + after.Misses - before.Hits - before.Misses, renderRows(out)
+	}
+	scanPages, scanRows := run(fullScan)
+	idxPages, idxRows := run(indexRange)
+	if len(scanRows) != 50 || strings.Join(scanRows, "\n") != strings.Join(idxRows, "\n") {
+		t.Fatalf("index range returned %d rows, full scan %d; want the same 50", len(idxRows), len(scanRows))
+	}
+	if idxPages == 0 || scanPages < 10*idxPages {
+		t.Errorf("index range requested %d pages, full scan %d: want at least 10x fewer", idxPages, scanPages)
+	}
+	t.Logf("page requests: full scan %d, index range %d", scanPages, idxPages)
 }
 
 // TestIndexAccessPathsPlanned asserts the optimizer turns declared
