@@ -781,13 +781,9 @@ var (
 	ErrServerClosed = sched.ErrServerClosed
 )
 
-// Defaults behind the zero Options / ServeOptions values, for front
-// ends that display them.
-const (
-	DefaultPlanCacheSize = optimizer.DefaultPlanCacheSize
-	DefaultMaxConcurrent = sched.DefaultMaxConcurrent
-	DefaultQueueDepth    = sched.DefaultQueueDepth
-)
+// DefaultPlanCacheSize is the plan cache size behind the zero Options
+// value, for front ends that display it.
+const DefaultPlanCacheSize = optimizer.DefaultPlanCacheSize
 
 // Serve starts a concurrent query-serving front end over the system:
 // queries submitted through the returned Server are admission-controlled

@@ -321,26 +321,20 @@ func TestHashJoinAllocsNotPerMatch(t *testing.T) {
 
 // TestMaskedScanAllocatesNoDroppedStrings pins the scan's column mask
 // end to end: a projection of the numeric columns of a persistent table
-// makes the plan-derived need set leave the string column out, and the
-// pages then decode with no allocation at all, where the full decode
-// pays one per string cell.
+// makes the plan-derived need set leave the string column out. A page
+// decoded from bytes a pool miss just read in then allocates nothing
+// for the masked column, where the full decode pays one string per
+// cell; and a re-scan of resident pages copies the frames' cached
+// decode, allocating per page at most, never per cell.
 func TestMaskedScanAllocatesNoDroppedStrings(t *testing.T) {
+	const n = 2000
 	cat := schema.NewCatalog()
-	tab := schema.NewTable("t", "d1", "L1", 2000,
+	tab := schema.NewTable("t", "d1", "L1", n,
 		schema.Column{Name: "k", Type: expr.TInt}, schema.Column{Name: "pad", Type: expr.TString}, schema.Column{Name: "v", Type: expr.TFloat})
 	cat.MustAddTable(tab)
-	cl, err := cluster.NewWithStore(cat, network.NewCostModel(1, 1e-6), &cluster.StoreConfig{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	const n = 2000
 	rows := make([]expr.Row, n)
 	for i := range rows {
 		rows[i] = expr.Row{expr.NewInt(int64(i)), expr.NewString(fmt.Sprintf("padding-%06d", i)), expr.NewFloat(float64(i) / 2)}
-	}
-	if err := cl.LoadFragment(tab, 0, rows); err != nil {
-		t.Fatal(err)
 	}
 	scan := plan.NewScan(tab, "t", -1)
 	proj := plan.NewProject(scan, []plan.NamedExpr{
@@ -353,9 +347,19 @@ func TestMaskedScanAllocatesNoDroppedStrings(t *testing.T) {
 	if len(need) != 3 || !need[0] || need[1] || !need[2] {
 		t.Fatalf("need %v, want [true false true]", need)
 	}
-	var b expr.Batch
-	drainScan := func(need []bool) func() {
-		return func() {
+	// scans opens a cluster over a pool of poolBytes and returns the
+	// allocations of one scan under need and the pages it requested.
+	scans := func(poolBytes int64) func(need []bool) (allocs float64, pages int64) {
+		cl, err := cluster.NewWithStore(cat, network.NewCostModel(1, 1e-6), &cluster.StoreConfig{DataDir: t.TempDir(), BufferPoolBytes: poolBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		if err := cl.LoadFragment(tab, 0, rows); err != nil {
+			t.Fatal(err)
+		}
+		var b expr.Batch
+		drain := func(need []bool) {
 			it, ok, err := cl.FragmentBatches(tab, 0)
 			if err != nil || !ok {
 				t.Fatalf("no page iterator: %v", err)
@@ -377,15 +381,34 @@ func TestMaskedScanAllocatesNoDroppedStrings(t *testing.T) {
 				}
 			}
 		}
+		drain(nil) // vectors to size; with room, pages resident and decoded
+		return func(need []bool) (float64, int64) {
+			st0 := cl.StoreStats()
+			drain(need)
+			st1 := cl.StoreStats()
+			return testing.AllocsPerRun(5, func() { drain(need) }), st1.Hits + st1.Misses - st0.Hits - st0.Misses
+		}
 	}
-	drainScan(nil)() // pages into the pool, vectors to size
-	full := testing.AllocsPerRun(5, drainScan(nil))
-	masked := testing.AllocsPerRun(5, drainScan(need))
-	t.Logf("full scan %.0f allocs, masked %.0f", full, masked)
+
+	// One frame: every page request misses, so every scan decodes bytes
+	// just read from disk and caches nothing.
+	cold := scans(1)
+	full, pages := cold(nil)
+	masked, _ := cold(need)
+	t.Logf("pool misses: full scan %.0f allocs, masked %.0f, over %d pages", full, masked, pages)
 	if full < n {
-		t.Errorf("full decode of %d string cells allocated %.0f", n, full)
+		t.Errorf("full decode of %d string cells after pool misses allocated %.0f", n, full)
 	}
-	if masked > 4 { // the iterator and its lane scratch
-		t.Errorf("masked scan allocated %.0f for %d rows", masked, n)
+	if masked > float64(4+4*pages) { // the iterator, its lane scratch, each miss's disk read
+		t.Errorf("masked scan of %d pages after pool misses allocated %.0f for %d rows", pages, masked, n)
+	}
+
+	// Room for every page: a re-scan copies the resident frames' decode.
+	warm := scans(0)
+	full, pages = warm(nil)
+	masked, _ = warm(need)
+	t.Logf("resident pages: full scan %.0f allocs, masked %.0f, over %d pages", full, masked, pages)
+	if full > float64(4+pages) || masked > float64(4+pages) {
+		t.Errorf("re-scan of %d resident pages allocated %.0f (full) and %.0f (masked)", pages, full, masked)
 	}
 }

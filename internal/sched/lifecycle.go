@@ -167,6 +167,7 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 			m.Gauge("cgdqp_store_pool_evictions").Set(float64(st.Evictions))
 			m.Gauge("cgdqp_store_pool_writebacks").Set(float64(st.Writebacks))
 			m.Gauge("cgdqp_store_pool_resident").Set(float64(st.Resident))
+			m.Gauge("cgdqp_store_pool_decode_hits").Set(float64(st.DecodeHits))
 		}
 	}
 	if err != nil {

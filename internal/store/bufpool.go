@@ -15,6 +15,7 @@ type PoolStats struct {
 	Evictions  int64 // frames recycled to stay within budget
 	Writebacks int64 // dirty frames flushed on eviction or checkpoint
 	Resident   int64 // frames currently held
+	DecodeHits int64 // page scans served from a frame's cached decode
 }
 
 // frameKey addresses one page of one table file.
@@ -24,13 +25,17 @@ type frameKey struct {
 }
 
 // frame is one resident page: the buffer, a pin count that fences
-// eviction, and a dirty flag that forces a writeback before recycling.
+// eviction, a dirty flag that forces a writeback before recycling, and
+// the columnar decode its scans share (nil until a scan of the resident
+// page fills it; dropped whenever the bytes may change or the frame is
+// recycled).
 type frame struct {
 	key   frameKey
 	buf   []byte
 	pins  int
 	dirty bool
 	elem  *list.Element
+	dec   atomic.Pointer[pageDecode]
 }
 
 // Pool is the shared pin/unpin LRU buffer pool. One pool serves every
@@ -44,7 +49,7 @@ type Pool struct {
 	frames       map[frameKey]*frame
 	lru          *list.List // front = most recently used
 
-	hits, misses, evictions, writebacks atomic.Int64
+	hits, misses, evictions, writebacks, decodeHits atomic.Int64
 }
 
 // DefaultPoolBytes is the buffer budget used when none is configured.
@@ -64,20 +69,21 @@ func NewPool(budgetBytes int64) *Pool {
 
 // Pin returns the frame holding page pg of tf, reading it from disk on
 // a miss (or formatting a fresh page when create is set and the page is
-// not on disk yet). The frame stays resident until the matching Unpin.
-func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (*frame, error) {
+// not on disk yet); hit reports that the page was already resident. The
+// frame stays resident until the matching Unpin.
+func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fr, ok := p.frames[frameKey{tf, pg}]; ok {
 		p.hits.Add(1)
 		fr.pins++
 		p.lru.MoveToFront(fr.elem)
-		return fr, nil
+		return fr, true, nil
 	}
 	p.misses.Add(1)
-	fr, err := p.allocFrame(frameKey{tf, pg})
+	fr, err = p.allocFrame(frameKey{tf, pg})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	onDisk, err := tf.diskPages()
 	if err == nil && pg < onDisk {
@@ -91,10 +97,10 @@ func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (*frame, error) {
 	}
 	if err != nil {
 		p.dropFrame(fr)
-		return nil, err
+		return nil, false, err
 	}
 	fr.pins = 1
-	return fr, nil
+	return fr, false, nil
 }
 
 // allocFrame carves out a frame for key, evicting the least recently
@@ -126,6 +132,7 @@ func (p *Pool) allocFrame(key frameKey) (*frame, error) {
 	fr.key = key
 	fr.pins = 0
 	fr.dirty = false
+	fr.dec.Store(nil)
 	p.frames[key] = fr
 	fr.elem = p.lru.PushFront(fr)
 	return fr, nil
@@ -138,12 +145,14 @@ func (p *Pool) dropFrame(fr *frame) {
 }
 
 // Unpin releases a pinned frame, recording whether the caller dirtied
-// it.
+// it; a dirtied frame's cached decode no longer matches its bytes and
+// is dropped.
 func (p *Pool) Unpin(fr *frame, dirty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if dirty {
 		fr.dirty = true
+		fr.dec.Store(nil)
 	}
 	if fr.pins > 0 {
 		fr.pins--
@@ -206,5 +215,6 @@ func (p *Pool) Stats() PoolStats {
 		Evictions:  p.evictions.Load(),
 		Writebacks: p.writebacks.Load(),
 		Resident:   resident,
+		DecodeHits: p.decodeHits.Load(),
 	}
 }

@@ -1,0 +1,261 @@
+package store
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"cgdqp/internal/expr"
+)
+
+// The tests in this file pin the lifetime of a frame's cached decode:
+// every batch a scan returns must equal a direct decodePageInto of the
+// bytes the frame holds, whether the scan copied the cache or decoded.
+
+// scanChecked drains a scan of tab under need, checks every batch
+// against a direct decode of its page's current bytes, and returns the
+// number of rows scanned.
+func scanChecked(tab *Table, need []bool) (int, error) {
+	it := tab.NewIterator()
+	it.SetNeeded(need)
+	lanes := make([]expr.Type, len(tab.cols))
+	var b, want expr.Batch
+	total := 0
+	for {
+		more, err := it.NextBatch(&b)
+		if err != nil || !more {
+			return total, err
+		}
+		pg := it.page - 1
+		tab.mu.RLock()
+		fr, _, err := tab.eng.pool.Pin(tab.file(), uint32(pg), false)
+		if err == nil {
+			err = decodePageInto(fr.buf, b.Len(), lanes, need, &want)
+			tab.eng.pool.Unpin(fr, false)
+		}
+		tab.mu.RUnlock()
+		if err != nil {
+			return total, fmt.Errorf("direct decode of page %d: %v", pg, err)
+		}
+		if want.Len() != b.Len() {
+			return total, fmt.Errorf("page %d: scan returned %d rows, the page holds %d", pg, b.Len(), want.Len())
+		}
+		for i := 0; i < b.Len(); i++ {
+			for c := range tab.cols {
+				if need != nil && !need[c] {
+					continue
+				}
+				if got, w := b.RowValue(i, c), want.RowValue(i, c); got != w {
+					return total, fmt.Errorf("page %d row %d col %d: scan %+v, page bytes %+v", pg, i, c, got, w)
+				}
+			}
+		}
+		total += b.Len()
+	}
+}
+
+// cachedDecode returns page pg's frame's cached decode.
+func cachedDecode(t *testing.T, tab *Table, pg int) *pageDecode {
+	t.Helper()
+	fr, _, err := tab.eng.pool.Pin(tab.file(), uint32(pg), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.eng.pool.Unpin(fr, false)
+	return fr.dec.Load()
+}
+
+func mustScan(t *testing.T, tab *Table, need []bool, want int) {
+	t.Helper()
+	got, err := scanChecked(tab, need)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("scanned %d rows, want %d", got, want)
+	}
+}
+
+func TestDecodeCacheDroppedOnAppend(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := mixedRows(1510)
+	if err := tab.Append(rows[:1500]); err != nil {
+		t.Fatal(err)
+	}
+	mustScan(t, tab, nil, 1500) // resident pages: decoded and cached
+	h0 := e.Stats().DecodeHits
+	mustScan(t, tab, nil, 1500)
+	pages := len(tab.pageStart)
+	if got := e.Stats().DecodeHits - h0; got != int64(pages) {
+		t.Fatalf("re-scan of %d resident pages served %d from the cache", pages, got)
+	}
+	if err := tab.Append(rows[1500:]); err != nil {
+		t.Fatal(err)
+	}
+	if d := cachedDecode(t, tab, pages-1); d != nil {
+		t.Fatalf("tail page kept a decode of %d rows after an append", d.n)
+	}
+	mustScan(t, tab, nil, 1510)
+	mustScan(t, tab, []bool{true, false, true, false, false}, 1510)
+}
+
+func TestDecodeCacheDroppedOnRecycle(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), PageSize) // one frame
+	defer e.Close()
+	// Two one-page tables of the same shape and row count, different
+	// values: a decode that survived recycling would serve one table's
+	// values as the other's.
+	var tabs [2]*Table
+	for k := range tabs {
+		tab, err := e.CreateTable(fmt.Sprintf("t%d", k), []string{"a", "s"}, []expr.Type{expr.TInt, expr.TString}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]expr.Row, 100)
+		for i := range rows {
+			rows[i] = expr.Row{expr.NewInt(int64(k*1000 + i)), expr.NewString(fmt.Sprintf("%d-%d", k, i))}
+		}
+		if err := tab.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		tabs[k] = tab
+	}
+	h0 := e.Stats().DecodeHits
+	for _, k := range []int{0, 0, 0, 1, 1, 1, 0, 1, 0, 0} {
+		mustScan(t, tabs[k], nil, 100)
+	}
+	if e.Stats().DecodeHits == h0 {
+		t.Fatal("no scan was served from a cached decode")
+	}
+
+	// Two frames under a five-page table: every page request misses, so
+	// nothing is cached and every scan decodes.
+	e2 := openTestEngine(t, t.TempDir(), 2*PageSize)
+	defer e2.Close()
+	tab, err := e2.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(mixedRows(2000)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustScan(t, tab, nil, 2000)
+	}
+	if h := e2.Stats().DecodeHits; h != 0 {
+		t.Fatalf("%d scans served from the cache of a pool every page misses", h)
+	}
+}
+
+func TestDecodeCacheConcurrentMasksAndAppends(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := mixedRows(2000)
+	if err := tab.Append(rows[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var scans atomic.Int64
+	stop := make(chan struct{})
+	for _, need := range [][]bool{{true, false, true, false, false}, {false, true, false, true, true}, nil} {
+		wg.Add(1)
+		go func(need []bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := scanChecked(tab, need); err != nil {
+					t.Error(err)
+					return
+				}
+				scans.Add(1)
+			}
+		}(need)
+	}
+	for i := 1000; i < len(rows) && !t.Failed(); i += 50 {
+		// Let every mask scan the pages between two appends.
+		for s := scans.Load(); scans.Load() < s+3 && !t.Failed(); {
+			runtime.Gosched()
+		}
+		if err := tab.Append(rows[i : i+50]); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	mustScan(t, tab, nil, len(rows))
+}
+
+func TestDecodeCacheSkipsImpurePages(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", []string{"a"}, []expr.Type{expr.TInt}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append([]expr.Row{{expr.NewInt(1)}, {expr.NewString("x")}, {expr.NullValue()}}); err != nil {
+		t.Fatal(err)
+	}
+	h0 := e.Stats().DecodeHits
+	for i := 0; i < 3; i++ {
+		mustScan(t, tab, nil, 3)
+	}
+	if h := e.Stats().DecodeHits - h0; h != 0 || cachedDecode(t, tab, 0) != nil {
+		t.Fatalf("impure page: %d cache hits, decode cached: %v", h, cachedDecode(t, tab, 0) != nil)
+	}
+}
+
+func TestDecodeCacheNeverHoldsAFailedDecode(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(mixedRows(50)); err != nil {
+		t.Fatal(err)
+	}
+	mustScan(t, tab, nil, 50)
+	if cachedDecode(t, tab, 0) == nil {
+		t.Fatal("a scan of the resident page cached no decode")
+	}
+	// Corrupt the first cell's type tag in place, the way a write does:
+	// under the table lock, released dirty.
+	tab.mu.Lock()
+	fr, _, err := e.pool.Pin(tab.file(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.buf[pageSlot(fr.buf, 0)] = 0x7e
+	e.pool.Unpin(fr, true)
+	tab.mu.Unlock()
+
+	h0 := e.Stats().DecodeHits
+	for i := 0; i < 3; i++ {
+		for _, need := range [][]bool{nil, {false, true, false, false, false}} {
+			it := tab.NewIterator()
+			it.SetNeeded(need)
+			var b expr.Batch
+			if _, err := it.NextBatch(&b); err == nil {
+				t.Fatalf("scan %d (need %v) of a corrupt page succeeded", i, need)
+			}
+		}
+	}
+	if h := e.Stats().DecodeHits - h0; h != 0 || cachedDecode(t, tab, 0) != nil {
+		t.Fatalf("corrupt page: %d cache hits, decode cached: %v", h, cachedDecode(t, tab, 0) != nil)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"cgdqp/internal/expr"
 )
@@ -212,4 +213,68 @@ func decodePageCols(buf []byte, limit int, lanes []expr.Type, need []bool, b *ex
 	}
 	b.FinishCols()
 	return nil
+}
+
+// pageDecode is the columnar decode of a resident page's first n rows,
+// immutable once published on its frame: cols[c] is column c's vector,
+// nil while no scan of the page has decoded that column.
+type pageDecode struct {
+	n    int
+	cols []*expr.Vec
+}
+
+// covers reports whether d holds n rows of every column need selects.
+func (d *pageDecode) covers(n int, need []bool) bool {
+	if d == nil || d.n != n {
+		return false
+	}
+	for c, v := range d.cols {
+		if v == nil && (need == nil || need[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// copyInto fills b from d exactly as decodePageCols would from the page:
+// each selected column is copied into the batch's own vector (lanes
+// memmoved, string headers shared), the others stay unset.
+func (d *pageDecode) copyInto(b *expr.Batch, need []bool) {
+	b.StartCols(len(d.cols), d.n)
+	for c, v := range d.cols {
+		if need == nil || need[c] {
+			b.OwnCol(c).CopyFrom(v)
+		}
+	}
+	b.FinishCols()
+}
+
+// mergeDecode publishes the columns of b, just decoded from the frame's
+// first n rows under need, into the frame's cached decode. A concurrent
+// scan with another mask may publish at the same time; the CAS loop
+// keeps the union, and a decode of a different row count is replaced.
+func (fr *frame) mergeDecode(n int, b *expr.Batch, need []bool) {
+	fresh := make([]*expr.Vec, b.Width())
+	for c := range fresh {
+		if need == nil || need[c] {
+			src, _ := b.ColVec(c)
+			fresh[c] = new(expr.Vec)
+			fresh[c].CopyFrom(src)
+		}
+	}
+	for {
+		old := fr.dec.Load()
+		d := &pageDecode{n: n, cols: fresh}
+		if old != nil && old.n == n {
+			d.cols = slices.Clone(old.cols)
+			for c, v := range fresh {
+				if v != nil {
+					d.cols[c] = v
+				}
+			}
+		}
+		if fr.dec.CompareAndSwap(old, d) {
+			return
+		}
+	}
 }

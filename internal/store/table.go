@@ -101,7 +101,7 @@ func (t *Table) appendPages(rows []expr.Row) error {
 					t.pageStart = append(t.pageStart, 0)
 				}
 				var err error
-				fr, err = pool.Pin(tf, uint32(len(t.pageStart)-1), true)
+				fr, _, err = pool.Pin(tf, uint32(len(t.pageStart)-1), true)
 				if err != nil {
 					return err
 				}
@@ -162,7 +162,7 @@ func (t *Table) ScanRows() ([]expr.Row, error) {
 		if n == 0 {
 			continue
 		}
-		fr, err := pool.Pin(tf, uint32(pg), false)
+		fr, _, err := pool.Pin(tf, uint32(pg), false)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +197,7 @@ func (t *Table) rowsAtLocked(ids []int32) ([]expr.Row, error) {
 				fr = nil
 			}
 			var err error
-			fr, err = pool.Pin(tf, uint32(pg), false)
+			fr, _, err = pool.Pin(tf, uint32(pg), false)
 			if err != nil {
 				return nil, err
 			}
@@ -323,7 +323,7 @@ func (t *Table) buildIndexes() error {
 		if n == 0 {
 			continue
 		}
-		fr, err := pool.Pin(tf, uint32(pg), false)
+		fr, _, err := pool.Pin(tf, uint32(pg), false)
 		if err != nil {
 			return err
 		}
@@ -343,6 +343,9 @@ func (t *Table) buildIndexes() error {
 // Iterator streams a consistent snapshot of the table one page at a
 // time, decoding each page straight into the column vectors of an
 // expr.Batch when the page is lane-pure (the row path covers the rest).
+// A resident page is decoded once: its frame keeps the columns its
+// scans decoded, and a later scan copies them instead of re-parsing
+// every cell.
 type Iterator struct {
 	t     *Table
 	page  int
@@ -381,11 +384,11 @@ func (it *Iterator) NextBatch(b *expr.Batch) (bool, error) {
 			it.page++
 			continue
 		}
-		fr, err := t.eng.pool.Pin(t.file(), uint32(it.page), false)
+		fr, hit, err := t.eng.pool.Pin(t.file(), uint32(it.page), false)
 		if err != nil {
 			return false, err
 		}
-		err = decodePageInto(fr.buf, n, it.lanes, it.need, b)
+		err = it.decodeFrame(fr, hit, n, b)
 		t.eng.pool.Unpin(fr, false)
 		if err != nil {
 			return false, err
@@ -393,6 +396,32 @@ func (it *Iterator) NextBatch(b *expr.Batch) (bool, error) {
 		it.page++
 		return true, nil
 	}
+}
+
+// decodeFrame fills b with the first n rows of a pinned frame. A
+// lane-pure page whose cached decode covers (n, need) is copied from
+// it; otherwise the page bytes are decoded, and when the page was
+// already resident (hit) the decoded columns are merged into the
+// frame's cache. A page a scan just read in is not cached, so a
+// one-pass scan over a pool too small to keep it pays no more than the
+// decode. The caller holds t.mu, so the bytes cannot change under a
+// decode or its publication.
+func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error {
+	if !pagePure(fr.buf, it.lanes) {
+		return decodePageInto(fr.buf, n, it.lanes, it.need, b)
+	}
+	if d := fr.dec.Load(); d.covers(n, it.need) {
+		d.copyInto(b, it.need)
+		it.t.eng.pool.decodeHits.Add(1)
+		return nil
+	}
+	if err := decodePageCols(fr.buf, n, it.lanes, it.need, b); err != nil {
+		return err
+	}
+	if hit {
+		fr.mergeDecode(n, b, it.need)
+	}
+	return nil
 }
 
 // decodePageInto decodes the first limit rows of a page into the batch:

@@ -247,7 +247,7 @@ func TestPersistentReopen(t *testing.T) {
 	if err := sys2.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []string{"cgdqp_store_pool_hits", "cgdqp_store_pool_misses", "cgdqp_store_pool_resident"} {
+	for _, g := range []string{"cgdqp_store_pool_hits", "cgdqp_store_pool_misses", "cgdqp_store_pool_resident", "cgdqp_store_pool_decode_hits"} {
 		if !strings.Contains(buf.String(), g) {
 			t.Errorf("metrics: gauge %s missing after a persistent query", g)
 		}
