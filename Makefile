@@ -55,8 +55,9 @@ bench:
 	$(GO) test -run NONE -bench BenchmarkOptimizeTPCH -benchtime 3x -benchmem .
 
 # Short fuzzing pass over the SQL and policy parsers, the compiled
-# kernel / interpreter parity harness, the wire-format decoder, and the
-# storage engine's page decoder and B+ tree (10s per target).
+# kernel / interpreter parity harness, the wire-format decoder, the
+# storage engine's page decoder and B+ tree, and the LRU against its
+# reference model (10s per target).
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseSQL -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run NONE -fuzz FuzzParsePolicy -fuzztime 10s ./internal/sqlparse
@@ -64,3 +65,4 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzWireDecode -fuzztime 10s ./internal/network
 	$(GO) test -run NONE -fuzz FuzzPageDecode -fuzztime 10s ./internal/store
 	$(GO) test -run NONE -fuzz FuzzBTreeOps -fuzztime 10s ./internal/store
+	$(GO) test -run NONE -fuzz FuzzLRU -fuzztime 10s ./internal/lru

@@ -2,7 +2,9 @@ package cgdqp
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cgdqp/internal/network"
@@ -82,37 +84,57 @@ func TestWarmExecAllocBudget(t *testing.T) {
 // opens a run ledger with two shipments. A cumulative ledger that
 // nothing trims, as the cluster kept until every run accounted only in
 // its own scope, retains at least 2 × 56 B per query for the life of the
-// process.
+// process. In the ad-hoc case every query differs in one literal, so
+// each misses the plan cache and leaves two new local queries in the
+// policy evaluator's memo; warm-up runs past the bounds of the plan
+// cache, its query-text memo and the evaluator memo, after which an
+// unbounded memo would retain ~560 B per query.
 func TestServeRetainsNothingPerQuery(t *testing.T) {
-	const (
-		warmup, measured = 500, 4_000
-		maxBytesPerQuery = 16
-	)
-	sys := demoSystem(t)
-	srv := sys.Serve(ServeOptions{})
-	defer srv.Close()
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := srv.Do(context.Background(), demoQuery); err != nil {
-				t.Fatal(err)
+	const maxBytesPerQuery = 16
+	for _, c := range []struct {
+		name             string
+		warmup, measured int
+		query            func(i int) string
+	}{
+		{"repeated", 500, 4_000, func(int) string { return demoQuery }},
+		{"ad_hoc", 3_000, 4_000, func(i int) string {
+			return strings.Replace(demoQuery, "GROUP BY", fmt.Sprintf("AND O.totprice <> %d GROUP BY", 10_000+i), 1)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := demoSystem(t)
+			srv := sys.Serve(ServeOptions{})
+			defer srv.Close()
+			served := 0
+			serve := func(n int) {
+				for ; n > 0; n-- {
+					if _, err := srv.Do(context.Background(), c.query(served)); err != nil {
+						t.Fatal(err)
+					}
+					served++
+				}
 			}
-		}
-	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	serve(warmup) // plan cache, pools and lazily built state settle
-	h0 := heap()
-	serve(measured)
-	h1 := heap()
-	growth := (float64(h1) - float64(h0)) / measured
-	t.Logf("live heap %d -> %d bytes: %.1f B retained per query", h0, h1, growth)
-	if growth >= maxBytesPerQuery {
-		t.Errorf("%.1f B of live heap retained per served query, want < %d", growth, maxBytesPerQuery)
+			heap := func() uint64 {
+				runtime.GC()
+				runtime.GC()
+				var m runtime.MemStats
+				runtime.ReadMemStats(&m)
+				return m.HeapAlloc
+			}
+			serve(c.warmup) // caches fill, pools and lazily built state settle
+			h0 := heap()
+			serve(c.measured)
+			h1 := heap()
+			growth := (float64(h1) - float64(h0)) / float64(c.measured)
+			n, bound := sys.evalMemo()
+			t.Logf("live heap %d -> %d bytes: %.1f B retained per query; evaluator memo %d of %d", h0, h1, growth, n, bound)
+			if growth >= maxBytesPerQuery {
+				t.Errorf("%.1f B of live heap retained per served query, want < %d", growth, maxBytesPerQuery)
+			}
+			if n > bound {
+				t.Errorf("evaluator memo holds %d entries, bound %d", n, bound)
+			}
+		})
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestConcurrentOptimizeSQL drives one shared optimizer from eight
 // goroutines over all golden TPC-H queries (run under `make race`). The
-// shared surface under test: the interned SiteSet universe, the sharded
-// policy-evaluator cache with its per-Optimize EvalStats handles, and
+// shared surface under test: the interned SiteSet universe, the
+// policy-evaluator memo with its per-Optimize EvalStats handles, and
 // the whole-plan LRU cache. Every goroutine must observe the identical
 // rendered plan for every query, with or without a plan-cache hit.
 func TestConcurrentOptimizeSQL(t *testing.T) {

@@ -54,24 +54,15 @@ type Options struct {
 	// paper's evaluator re-ran per operator; see Figure 6(c–f)).
 	NoPolicyCache bool
 	// PlanCacheSize enables a whole-plan LRU cache holding that many
-	// optimized plans, keyed by (normalized-plan digest, state versions,
-	// options). 0 disables it — the default, so the paper's
-	// optimization-time experiments measure real optimizer work.
+	// optimized plans, keyed by (normalized-plan digest, state versions).
+	// 0 disables it — the default, so the paper's optimization-time
+	// experiments measure real optimizer work.
 	PlanCacheSize int
 	// PoolBytes is the configured buffer-pool budget fed to the cost
 	// model's index access-path pricing (0 = the model's default). It
 	// reflects the *configured* budget, never which storage backend
 	// runs, so plan choice stays backend-independent.
 	PoolBytes int64
-}
-
-// fingerprint renders every option that shapes the optimizer's output
-// (PlanCacheSize only changes caching, not plans) for plan-cache keys.
-func (o Options) fingerprint() string {
-	return fmt.Sprintf("c=%t;im=%d;ma=%d;me=%d;ap=%t;gs=%t;rl=%s;npc=%t;pb=%d",
-		o.Compliant, o.ImplicationMode, o.MaxAlts, o.MaxExprs,
-		o.DisableAggPushdown, o.GreedySiteSelection,
-		o.ResultLocation, o.NoPolicyCache, o.PoolBytes)
 }
 
 // Optimizer turns bound logical plans into located, compliant QEPs.
@@ -86,12 +77,9 @@ type Optimizer struct {
 	// policy.EvalStats handle, so concurrent optimizations do not race.
 	Evaluator *policy.Evaluator
 
-	// planCache (optional) memoizes whole optimization results; see
-	// Options.PlanCacheSize. sqlDigests lets OptimizeSQL reach it
-	// without re-parsing known query text.
-	planCache  *planCache
-	sqlDigests *sqlDigestCache
-	optsFP     string
+	// planCache (optional) memoizes whole optimization results and the
+	// plan digest of known query text; see Options.PlanCacheSize.
+	planCache *planCache
 
 	// locs is Schema.Locations() as of the version it was read at.
 	locs atomic.Pointer[locationList]
@@ -143,7 +131,6 @@ func (o *Optimizer) cacheKey(planDigest string) planCacheKey {
 		schemaVer:  o.Schema.Version(),
 		policyVer:  o.Policies.Version(),
 		costVer:    o.Net.Version(),
-		optsFP:     o.optsFP,
 	}
 	if o.fb != nil {
 		k.fbEpoch = o.fb.Epoch()
@@ -159,11 +146,10 @@ func New(sc *schema.Catalog, pc *policy.Catalog, net *network.CostModel, opts Op
 	ev := policy.NewEvaluator(pc, nil)
 	ev.Mode = opts.ImplicationMode
 	ev.NoCache = opts.NoPolicyCache
-	o := &Optimizer{Schema: sc, Policies: pc, Net: net, Opts: opts, Evaluator: ev, optsFP: opts.fingerprint()}
+	o := &Optimizer{Schema: sc, Policies: pc, Net: net, Opts: opts, Evaluator: ev}
 	ev.Locations = o.locations // `to *` follows the catalog's location list
 	if opts.PlanCacheSize > 0 {
 		o.planCache = newPlanCache(opts.PlanCacheSize)
-		o.sqlDigests = newSQLDigestCache(4 * opts.PlanCacheSize)
 	}
 	return o
 }
@@ -455,7 +441,7 @@ func (o *Optimizer) OptimizeSQL(sql string) (*Result, error) {
 	if o.planCache != nil {
 		start := time.Now()
 		sp := o.obsv.StartSpan("optimize.sql_fast_path")
-		if d, ok := o.sqlDigests.get(sql); ok {
+		if d, ok := o.planCache.digest(sql); ok {
 			if e, ok := o.planCache.get(o.cacheKey(d)); ok {
 				o.finishOptimize(sp, start, "hit", false, nil)
 				return cachedResult(e, 0, start), nil
@@ -473,7 +459,7 @@ func (o *Optimizer) OptimizeSQL(sql string) (*Result, error) {
 	}
 	res, digest, err := o.optimize(logical)
 	if err == nil && o.planCache != nil && digest != "" {
-		o.sqlDigests.put(sql, digest)
+		o.planCache.putDigest(sql, digest)
 	}
 	return res, err
 }
@@ -487,7 +473,7 @@ func (o *Optimizer) CachedDigest(sql string) (string, bool) {
 	if o.planCache == nil {
 		return "", false
 	}
-	return o.sqlDigests.get(sql)
+	return o.planCache.digest(sql)
 }
 
 // Check validates a located plan against Definition 1 using this

@@ -1,28 +1,28 @@
 package optimizer
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
+	"cgdqp/internal/lru"
 	"cgdqp/internal/plan"
 )
 
 // planCacheKey identifies one optimization outcome: the normalized
 // logical plan (its digest covers operators, predicates, projections and
-// fragment bindings), the version of each piece of state a plan is
+// fragment bindings) and the version of each piece of state a plan is
 // derived from — schema catalog (tables, statistics, indexes), policy
 // catalog, cost model, feedback hints — each read from its owner (see
-// Optimizer.cacheKey), and the optimizer options
-// that shape the output. A plan cached under other versions is simply
-// unreachable; nobody has to flush it.
+// Optimizer.cacheKey). The options that shape the output are not in it:
+// a cache belongs to one Optimizer, whose options never change. A plan
+// cached under other versions is simply unreachable; nobody has to
+// flush it.
 type planCacheKey struct {
 	planDigest string
 	schemaVer  uint64
 	policyVer  uint64
 	costVer    uint64
 	fbEpoch    uint64
-	optsFP     string
 }
 
 // planCacheEntry records everything Optimize would recompute. Trees are
@@ -49,31 +49,33 @@ type PlanCacheStats struct {
 	Len       int
 }
 
-// planCache is a mutex-guarded LRU over optimization results. One cache
-// belongs to one Optimizer, which is in turn bound to one schema and one
-// policy catalog; every change inside them, and every price change, is
-// versioned inside the key.
+// planCache holds optimization results and, beside them, the
+// normalized-plan digest of query text optimized before, each in an LRU
+// of one cost unit per entry, under one mutex. One cache belongs to one
+// Optimizer, which is in turn bound to one schema and one policy catalog;
+// every change inside them, and every price change, is versioned inside
+// the key.
+//
+// The digests let OptimizeSQL reach a plan without re-parsing,
+// re-binding and re-normalizing. That is valid because the schema
+// catalog only grows: the same SQL keeps binding to the same logical
+// plan. Everything else is handled downstream (the digest is only a key
+// component; the versions still gate the plan entry).
 type planCache struct {
 	mu      sync.Mutex
-	max     int
-	entries map[planCacheKey]*list.Element
-	lru     *list.List // front = most recent; values are *planCacheItem
+	plans   *lru.Cache[planCacheKey, *planCacheEntry]
+	digests *lru.Cache[string, string] // query text → normalized-plan digest
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
-type planCacheItem struct {
-	key   planCacheKey
-	entry *planCacheEntry
-}
-
-func newPlanCache(max int) *planCache {
+// newPlanCache holds size plans and the digests of 4 × size query texts.
+func newPlanCache(size int) *planCache {
 	return &planCache{
-		max:     max,
-		entries: map[planCacheKey]*list.Element{},
-		lru:     list.New(),
+		plans:   lru.New[planCacheKey, *planCacheEntry](int64(size)),
+		digests: lru.New[string, string](int64(4 * size)),
 	}
 }
 
@@ -83,16 +85,13 @@ func newPlanCache(max int) *planCache {
 // however many lookups (query text, then normalized plan) led there.
 func (c *planCache) get(key planCacheKey) (*planCacheEntry, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	e, ok := c.plans.Get(key)
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*planCacheItem).entry
-	out := *e
-	c.mu.Unlock()
 	c.hits.Add(1)
+	out := *e
 	out.located = e.located.Clone()
 	out.annotated = e.annotated.Clone()
 	return &out, true
@@ -104,58 +103,27 @@ func (c *planCache) put(key planCacheKey, e *planCacheEntry) {
 	stored.located = e.located.Clone()
 	stored.annotated = e.annotated.Clone()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*planCacheItem).entry = &stored
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&planCacheItem{key: key, entry: &stored})
-	for c.lru.Len() > c.max {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.entries, last.Value.(*planCacheItem).key)
-		c.evictions.Add(1)
-	}
+	n := c.plans.Put(key, &stored, 1)
+	c.mu.Unlock()
+	c.evictions.Add(int64(n))
 }
 
-// sqlDigestCache memoizes sql text → normalized-plan digest so repeated
-// OptimizeSQL calls can consult the plan cache without re-parsing,
-// re-binding and re-normalizing. Valid because an Optimizer is bound to
-// one schema catalog, which only grows: the same SQL keeps binding to
-// the same logical plan. Everything else is handled downstream (the
-// digest is only a key component; the versions still gate the plan-cache
-// entry). The map is cleared wholesale when full — repeated workloads
-// refill it in one pass, and ad-hoc floods cannot grow it without bound.
-type sqlDigestCache struct {
-	mu  sync.RWMutex
-	max int
-	m   map[string]string
-}
-
-func newSQLDigestCache(max int) *sqlDigestCache {
-	return &sqlDigestCache{max: max, m: map[string]string{}}
-}
-
-func (c *sqlDigestCache) get(sql string) (string, bool) {
-	c.mu.RLock()
-	d, ok := c.m[sql]
-	c.mu.RUnlock()
-	return d, ok
-}
-
-func (c *sqlDigestCache) put(sql, digest string) {
+// digest returns the normalized-plan digest remembered for query text.
+func (c *planCache) digest(sql string) (string, bool) {
 	c.mu.Lock()
-	if len(c.m) >= c.max {
-		c.m = map[string]string{}
-	}
-	c.m[sql] = digest
+	defer c.mu.Unlock()
+	return c.digests.Get(sql)
+}
+
+func (c *planCache) putDigest(sql, digest string) {
+	c.mu.Lock()
+	c.digests.Put(sql, digest, 1)
 	c.mu.Unlock()
 }
 
 func (c *planCache) stats() PlanCacheStats {
 	c.mu.Lock()
-	n := c.lru.Len()
+	n := c.plans.Len()
 	c.mu.Unlock()
 	return PlanCacheStats{
 		Hits:      c.hits.Load(),

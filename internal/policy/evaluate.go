@@ -5,13 +5,15 @@ import (
 	"sync/atomic"
 
 	"cgdqp/internal/expr"
+	"cgdqp/internal/lru"
 	"cgdqp/internal/plan"
 )
 
-// evalShards is the number of independently locked cache shards. Sixteen
-// keeps lock contention negligible for the 8–64 concurrent optimizations
-// a coordinator realistically runs while wasting no memory.
-const evalShards = 16
+// MemoSize bounds the evaluator's memo, in local queries. The largest
+// memo a benchmark workload builds holds under 250; the bound stops a
+// stream of ad-hoc queries, each adding a few local queries that differ
+// in a literal, from growing it for the life of the process.
+const MemoSize = 4096
 
 // EvalStats accumulates evaluator statistics for one caller (one
 // Optimize call). The struct is owned by a single goroutine and updated
@@ -34,18 +36,13 @@ type evalEntry struct {
 	set     plan.SiteSet
 }
 
-type evalShard struct {
-	mu sync.RWMutex
-	m  map[string]evalEntry
-}
-
 // Evaluator implements the policy evaluation algorithm 𝒜 of Section 5
 // (Algorithm 1). It is configured with the policy catalog, the source of
 // the full list of locations (for expanding `to *`), and the
 // implication-test mode.
 //
 // One evaluator is safely shareable across goroutines: results are
-// memoized by query digest in a sharded, RWMutex-guarded cache, the
+// memoized by query digest in a mutex-guarded LRU of MemoSize entries, the
 // cumulative η/call/hit counters are atomics, and every entry carries
 // the Policies.Version() and location count it was computed under
 // (entries from another version read as misses), so a catalog change —
@@ -73,20 +70,25 @@ type Evaluator struct {
 	calls atomic.Int64
 	hits  atomic.Int64
 
-	shards [evalShards]evalShard
+	mu   sync.Mutex
+	memo *lru.Cache[string, evalEntry]
 }
 
 // NewEvaluator builds an evaluator over the given policy catalog.
 func NewEvaluator(policies *Catalog, allLocations []string) *Evaluator {
 	fixed := append([]string(nil), allLocations...)
-	ev := &Evaluator{
+	return &Evaluator{
 		Policies:  policies,
 		Locations: func() []string { return fixed },
+		memo:      lru.New[string, evalEntry](MemoSize),
 	}
-	for i := range ev.shards {
-		ev.shards[i].m = map[string]evalEntry{}
-	}
-	return ev
+}
+
+// MemoLen returns the number of memoized results.
+func (ev *Evaluator) MemoLen() int {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	return ev.memo.Len()
 }
 
 // Eta returns the cumulative count of policy expressions considered.
@@ -103,15 +105,6 @@ func (ev *Evaluator) ResetStats() {
 	ev.eta.Store(0)
 	ev.calls.Store(0)
 	ev.hits.Store(0)
-}
-
-// shardOf picks the cache shard for a key (FNV-1a).
-func shardOf(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return h % evalShards
 }
 
 // Evaluate runs 𝒜(q, D, P_D): it returns the set of locations to which
@@ -136,10 +129,9 @@ func (ev *Evaluator) EvaluateWith(q *Query, st *EvalStats) plan.SiteSet {
 	key := q.Digest()
 	// Loaded before the catalog is read: see Catalog.version.
 	version := ev.Policies.Version()
-	sh := &ev.shards[shardOf(key)]
-	sh.mu.RLock()
-	e, ok := sh.m[key]
-	sh.mu.RUnlock()
+	ev.mu.Lock()
+	e, ok := ev.memo.Get(key)
+	ev.mu.Unlock()
 	if ok && e.version == version && e.nLocs == len(all) {
 		ev.hits.Add(1)
 		if st != nil {
@@ -148,9 +140,9 @@ func (ev *Evaluator) EvaluateWith(q *Query, st *EvalStats) plan.SiteSet {
 		return e.set
 	}
 	res := ev.evaluate(q, all, st)
-	sh.mu.Lock()
-	sh.m[key] = evalEntry{version: version, nLocs: len(all), set: res}
-	sh.mu.Unlock()
+	ev.mu.Lock()
+	ev.memo.Put(key, evalEntry{version: version, nLocs: len(all), set: res}, 1)
+	ev.mu.Unlock()
 	return res
 }
 

@@ -30,7 +30,6 @@
 package rescache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
@@ -39,6 +38,7 @@ import (
 
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
+	"cgdqp/internal/lru"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
 )
@@ -96,7 +96,7 @@ type Fill struct {
 // means a statistics or calibration change that alters plan choice
 // simply keys new entries, so replayed statistics always describe the
 // plan actually being executed.
-func Prepare(located *plan.Node, optsFP string, view View) *Fill {
+func Prepare(located *plan.Node, opts string, view View) *Fill {
 	f := &Fill{
 		located:     located.Clone(),
 		rootSite:    located.Loc,
@@ -118,7 +118,7 @@ func Prepare(located *plan.Node, optsFP string, view View) *Fill {
 	for _, tb := range f.tables {
 		f.epochs[tb] = view.dataEpoch(tb)
 	}
-	sum := sha256.Sum256([]byte(located.Digest() + "@" + located.Loc + "|" + optsFP))
+	sum := sha256.Sum256([]byte(located.Digest() + "@" + located.Loc + "|" + opts))
 	f.Key = hex.EncodeToString(sum[:])
 	return f
 }
@@ -163,7 +163,6 @@ func (r *Result) Copy() *Result {
 // entry is one cached result set. rows/audit are private master copies;
 // every reader copies out.
 type entry struct {
-	key         string
 	rows        []expr.Row
 	cols        []string
 	stats       executor.RunStats
@@ -173,7 +172,6 @@ type entry struct {
 	epochs      map[string]uint64
 	policyEpoch uint64
 	located     *plan.Node
-	size        int64
 }
 
 // Stats is a snapshot of cache effectiveness counters.
@@ -191,13 +189,11 @@ type Stats struct {
 }
 
 // Cache is a byte-bounded LRU of executed result sets. It is safe for
-// concurrent use.
+// concurrent use: one mutex makes every Get's validate-then-drop atomic.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recent; values are *entry
+	entries  *lru.Cache[string, *entry] // cost = estimated bytes
 
 	stats Stats
 	reg   *obs.Registry
@@ -207,11 +203,7 @@ type Cache struct {
 // (minimum one entry is always admitted if it fits the budget; an entry
 // larger than the whole budget is not stored).
 func New(maxBytes int64) *Cache {
-	return &Cache{
-		maxBytes: maxBytes,
-		entries:  map[string]*list.Element{},
-		lru:      list.New(),
-	}
+	return &Cache{maxBytes: maxBytes, entries: lru.New[string, *entry](maxBytes)}
 }
 
 // SetMetrics installs a metrics registry the cache reports
@@ -223,8 +215,8 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.Len()
-	s.Bytes = c.bytes
+	s.Entries = c.entries.Len()
+	s.Bytes = c.entries.Cost()
 	return s
 }
 
@@ -232,9 +224,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*list.Element{}
-	c.lru = list.New()
-	c.bytes = 0
+	c.entries = lru.New[string, *entry](c.maxBytes)
 	c.gaugeLocked()
 }
 
@@ -244,17 +234,16 @@ func (c *Cache) Purge() {
 // compliant under the current catalog. Invalid entries are dropped.
 func (c *Cache) Get(key string, view View) (*Result, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[key]
+	e, ok := c.entries.Get(key)
 	if !ok {
 		c.stats.Misses++
 		c.count("cgdqp_rescache_misses_total")
 		c.mu.Unlock()
 		return nil, false
 	}
-	e := el.Value.(*entry)
 	for _, tb := range e.tables {
 		if view.dataEpoch(tb) != e.epochs[tb] {
-			c.removeLocked(el, e)
+			c.entries.Remove(key)
 			c.stats.InvalidatedData++
 			c.stats.Misses++
 			c.countReason("cgdqp_rescache_invalidations_total", "data_epoch")
@@ -266,7 +255,7 @@ func (c *Cache) Get(key string, view View) (*Result, bool) {
 	}
 	if pe := view.policyEpoch(); pe != e.policyEpoch {
 		if view.Recheck == nil || !view.Recheck(e.located) {
-			c.removeLocked(el, e)
+			c.entries.Remove(key)
 			c.stats.InvalidatedPolicy++
 			c.stats.Misses++
 			c.countReason("cgdqp_rescache_invalidations_total", "policy")
@@ -281,7 +270,6 @@ func (c *Cache) Get(key string, view View) (*Result, bool) {
 		c.stats.Rechecked++
 		c.count("cgdqp_rescache_rechecks_total")
 	}
-	c.lru.MoveToFront(el)
 	c.stats.Hits++
 	c.count("cgdqp_rescache_hits_total")
 	out := materialize(e)
@@ -311,7 +299,6 @@ func materialize(e *entry) *Result {
 // caller). Results larger than the whole budget are not stored.
 func (c *Cache) Put(f *Fill, rows []expr.Row, cols []string, stats executor.RunStats, audit []obs.AuditRecord, shipCost float64) {
 	e := &entry{
-		key:         f.Key,
 		rows:        make([]expr.Row, len(rows)),
 		cols:        append([]string(nil), cols...),
 		stats:       stats,
@@ -325,37 +312,20 @@ func (c *Cache) Put(f *Fill, rows []expr.Row, cols []string, stats executor.RunS
 	for i, r := range rows {
 		e.rows[i] = append(expr.Row(nil), r...)
 	}
-	e.size = entrySize(e)
-	if e.size > c.maxBytes {
+	size := entrySize(e)
+	if size > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[f.Key]; ok {
-		old := el.Value.(*entry)
-		c.bytes += e.size - old.size
-		el.Value = e
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[f.Key] = c.lru.PushFront(e)
-		c.bytes += e.size
-	}
+	evicted := c.entries.Put(f.Key, e, size)
 	c.stats.Fills++
 	c.count("cgdqp_rescache_fills_total")
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
-		last := c.lru.Back()
-		c.removeLocked(last, last.Value.(*entry))
-		c.stats.Evictions++
+	c.stats.Evictions += int64(evicted)
+	for ; evicted > 0; evicted-- {
 		c.count("cgdqp_rescache_evictions_total")
 	}
 	c.gaugeLocked()
-}
-
-// removeLocked unlinks an entry (caller holds mu).
-func (c *Cache) removeLocked(el *list.Element, e *entry) {
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	c.bytes -= e.size
 }
 
 // entrySize estimates the retained payload of an entry: values by wire
@@ -391,7 +361,7 @@ func (c *Cache) countReason(name, reason string) {
 // gaugeLocked refreshes the size gauges (caller holds mu).
 func (c *Cache) gaugeLocked() {
 	if c.reg != nil {
-		c.reg.Gauge("cgdqp_rescache_bytes").Set(float64(c.bytes))
-		c.reg.Gauge("cgdqp_rescache_entries").Set(float64(c.lru.Len()))
+		c.reg.Gauge("cgdqp_rescache_bytes").Set(float64(c.entries.Cost()))
+		c.reg.Gauge("cgdqp_rescache_entries").Set(float64(c.entries.Len()))
 	}
 }

@@ -66,11 +66,16 @@ func (lc *Lifecycle) Plan(sql string) (*optimizer.Result, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cols := make([]string, len(res.Plan.Cols))
-	for i, c := range res.Plan.Cols {
+	return res, columnNames(res.Plan), nil
+}
+
+// columnNames returns a fresh slice of a plan's output column names.
+func columnNames(p *plan.Node) []string {
+	cols := make([]string, len(p.Cols))
+	for i, c := range p.Cols {
 		cols[i] = c.Name
 	}
-	return res, cols, nil
+	return cols
 }
 
 // Probe snapshots the query's cache key and validity epochs — it must

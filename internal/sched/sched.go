@@ -134,13 +134,17 @@ type Server struct {
 	running int     // queries a worker is serving
 	closed  bool
 
-	flights flightGroup
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 
-	// execFlights coalesces identical in-flight executions when a result
-	// cache is configured (see execflight.go).
+	// The tables of the two singleflights (see coalesce): optimizations
+	// by statement, and executions by result-cache key when a result
+	// cache is configured.
+	flights struct {
+		mu sync.Mutex
+		m  map[string]*flight
+	}
 	exmu        sync.Mutex
-	execFlights map[string]*execFlight
+	execFlights map[string]*call[*rescache.Result]
 
 	nSubmitted, nAdmitted, nRejFull, nRejClosed atomic.Int64
 	nCompleted, nFailed, nCancelled, nCoalesced atomic.Int64
@@ -156,12 +160,8 @@ func NewServer(lc Lifecycle, opts Options) *Server {
 	if opts.ResultCache != nil {
 		lc.Cache, lc.View = opts.ResultCache, opts.CacheView
 	}
-	s := &Server{
-		lc:          lc,
-		opts:        opts,
-		flights:     flightGroup{m: map[string]*flight{}},
-		execFlights: map[string]*execFlight{},
-	}
+	s := &Server{lc: lc, opts: opts, execFlights: map[string]*call[*rescache.Result]{}}
+	s.flights.m = map[string]*flight{}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < opts.maxConcurrent(); i++ {
 		s.wg.Add(1)
