@@ -6,7 +6,7 @@ GO ?= go
 # (cmd/cgdqp included), the race detector over every internal package
 # and the whole root package, a 1-iteration pass over the optimizer
 # benchmarks so they cannot rot, the nested benchmark module, which
-# compiles against the engine, and last the line count ROADMAP item 6
+# compiles against the engine, and last the line count ROADMAP item 12
 # tracks.
 verify: build lint test race benchsmoke benchcheck loc
 

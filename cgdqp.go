@@ -194,17 +194,16 @@ type Options struct {
 	// SlowQueryThreshold is the slow-query latency floor (0 logs every
 	// query).
 	SlowQueryThreshold time.Duration
-	// DataDir switches every site onto the persistent storage engine:
-	// paged table files, a redo WAL and B+ tree indexes live under
-	// DataDir/<site>. Reopening a system over an existing directory
-	// recovers the data (see System.Loaded to skip reloading). Empty —
-	// the default — keeps the in-memory backend; results, RunStats and
-	// audit logs are byte-identical either way.
+	// DataDir puts every site's pages on disk: page files and a redo WAL
+	// live under DataDir/<site>, and reopening a system over an existing
+	// directory recovers the data (see System.Loaded to skip
+	// reloading). Empty — the default — keeps the pages in memory; the
+	// engine above the pager is the same, so results, RunStats and audit
+	// logs are byte-identical either way.
 	DataDir string
-	// BufferPoolBytes bounds the shared page cache of the persistent
-	// engine (0 = store.DefaultPoolBytes) and, independently of backend,
-	// feeds the optimizer's index access-path costing — so a given
-	// budget yields the same plans whether or not DataDir is set.
+	// BufferPoolBytes bounds the page cache all sites share (0 =
+	// store.DefaultPoolBytes) and feeds the optimizer's index
+	// access-path costing.
 	BufferPoolBytes int64
 	// Fsync gates fsyncs on WAL appends and checkpoints (durability vs
 	// speed; meaningful only with DataDir).
@@ -347,9 +346,9 @@ func (s *System) DefineFragmentedTable(name string, cols []Column, fragments []s
 }
 
 // DefineIndex declares B+ tree secondary indexes over the named columns
-// (int64-class or string key types). Both storage backends maintain
-// declared indexes and the optimizer considers IndexScan and
-// IndexLookupJoin access paths for them. Indexes are created with the
+// (int64-class or string key types). The site stores maintain declared
+// indexes and the optimizer considers IndexScan and IndexLookupJoin
+// access paths for them. Indexes are created with the
 // storage tables, so declare them before the first load.
 func (s *System) DefineIndex(table string, columns ...string) error {
 	if s.lc.Cluster != nil {
@@ -512,9 +511,9 @@ func (s *System) Open() error {
 	return nil
 }
 
-// Close flushes and closes the persistent storage engines (checkpoint
-// plus WAL truncation); a no-op for in-memory systems. The system must
-// not be used afterwards.
+// Close closes the site storage engines: with a DataDir it checkpoints
+// (flushes pages, truncates the WAL); in memory it releases the pages.
+// The system must not be used afterwards.
 func (s *System) Close() error {
 	if s.lc.Cluster == nil {
 		return nil
@@ -541,15 +540,11 @@ func (s *System) Loaded(table string) bool {
 // newCluster creates the cluster and installs what the options ask of
 // it: fault plan, observer and wire calibrator.
 func (s *System) newCluster() (*cluster.Cluster, error) {
-	var cfg *cluster.StoreConfig
-	if s.opts.DataDir != "" {
-		cfg = &cluster.StoreConfig{
-			DataDir:         s.opts.DataDir,
-			BufferPoolBytes: s.opts.BufferPoolBytes,
-			Fsync:           s.opts.Fsync,
-		}
-	}
-	cl, err := cluster.NewWithStore(s.Schema, s.network(), cfg)
+	cl, err := cluster.NewWithStore(s.Schema, s.network(), &cluster.StoreConfig{
+		DataDir:         s.opts.DataDir,
+		BufferPoolBytes: s.opts.BufferPoolBytes,
+		Fsync:           s.opts.Fsync,
+	})
 	if err != nil {
 		return nil, err
 	}

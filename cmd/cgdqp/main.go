@@ -94,8 +94,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-	dataDir := fs.String("data-dir", "", "persist per-site table data under this directory with the paged storage engine (empty = in-memory); reopening a populated directory recovers from the WAL and skips the TPC-H load")
-	bufferPool := fs.Int64("buffer-pool", 0, "persistent-store buffer pool budget in bytes (0 = 64 MiB default); also feeds the optimizer's index access-path costing")
+	dataDir := fs.String("data-dir", "", "keep per-site table pages in files under this directory (empty = in memory); reopening a populated directory recovers from the WAL and skips the TPC-H load")
+	bufferPool := fs.Int64("buffer-pool", 0, "buffer pool budget in bytes shared by every site (0 = 64 MiB default); also feeds the optimizer's index access-path costing")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

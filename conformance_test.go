@@ -3,6 +3,7 @@ package cgdqp
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -264,11 +265,11 @@ func TestConformanceMatrix(t *testing.T) {
 }
 
 // newStoreConformSystem builds a fully loaded TPC-H system for one cell
-// of the store axis: dataDir "" keeps the in-memory backend, anything
-// else opens the persistent paged engine under that directory. Every
-// cell — including the in-memory reference — declares the same B+ tree
-// indexes so index access paths (IndexScan, IndexLookupJoin) are
-// planned identically on both backends.
+// of the pager axis: dataDir "" keeps the pages in memory, anything
+// else puts them in files under that directory. Every cell — including
+// the memory-pager reference — declares the same B+ tree indexes so
+// index access paths (IndexScan, IndexLookupJoin) are planned
+// identically on both pagers.
 func newStoreConformSystem(t *testing.T, parallel, interp bool, dataDir string) *System {
 	t.Helper()
 	opts := Options{Parallel: parallel, NoVectorKernels: interp, Audit: true, DataDir: dataDir}
@@ -287,11 +288,11 @@ func newStoreConformSystem(t *testing.T, parallel, interp bool, dataDir string) 
 }
 
 // TestConformanceStoreAxis extends the conformance matrix along the
-// storage axis: every golden TPC-H query runs on the persistent paged
-// engine across {seq, par} × {kernels, interp} × chaos seeds and must
-// be byte-identical — rows, shipping statistics, audit log — to an
-// in-memory sequential/interpreter reference over the same data and the
-// same declared indexes. The storage backend must be invisible to every
+// pager axis: every golden TPC-H query runs with its pages on the file
+// pager (a DataDir) across {seq, par} × {kernels, interp} × chaos seeds
+// and must be byte-identical — rows, shipping statistics, audit log —
+// to a memory-pager sequential/interpreter reference over the same data
+// and the same declared indexes. The pager must be invisible to every
 // layer above it: plan choice, shipping, compliance accounting.
 func TestConformanceStoreAxis(t *testing.T) {
 	names := tpch.QueryNames()
@@ -300,9 +301,9 @@ func TestConformanceStoreAxis(t *testing.T) {
 	goldens := map[string]*conformGolden{}
 	for _, name := range names {
 		ref.AuditLog().Reset()
-		out := runConform(t, "store-reference/"+name, ref, tpch.Queries[name])
+		out := runConform(t, "memory-pager reference/"+name, ref, tpch.Queries[name])
 		if out.err != nil {
-			t.Fatalf("store reference %s: %v", name, out.err)
+			t.Fatalf("memory-pager reference %s: %v", name, out.err)
 		}
 		goldens[name] = &conformGolden{
 			rows:  renderRows(out.res.Rows),
@@ -326,11 +327,12 @@ func TestConformanceStoreAxis(t *testing.T) {
 	compared := 0
 	for _, parallel := range []bool{false, true} {
 		for _, interp := range []bool{false, true} {
-			sys := newStoreConformSystem(t, parallel, interp, t.TempDir())
-			cl := sys.Cluster()
-			if !cl.Persistent() {
-				t.Fatal("store axis cell did not open the persistent backend")
+			dir := t.TempDir()
+			sys := newStoreConformSystem(t, parallel, interp, dir)
+			if pages, _ := filepath.Glob(filepath.Join(dir, "*", "*.tbl")); len(pages) == 0 {
+				t.Fatal("pager axis cell wrote no page files")
 			}
+			cl := sys.Cluster()
 			for _, seed := range seeds {
 				if seed == 0 {
 					cl.SetFaults(nil)
@@ -342,7 +344,7 @@ func TestConformanceStoreAxis(t *testing.T) {
 					cl.SetRetry(retry)
 				}
 				for _, name := range names {
-					label := fmt.Sprintf("store par=%v interp=%v seed=%d %s", parallel, interp, seed, name)
+					label := fmt.Sprintf("file pager par=%v interp=%v seed=%d %s", parallel, interp, seed, name)
 					sys.AuditLog().Reset()
 					out := runConform(t, label, sys, tpch.Queries[name])
 					if out.err != nil {
@@ -358,14 +360,14 @@ func TestConformanceStoreAxis(t *testing.T) {
 			}
 			cl.SetFaults(nil)
 			if err := sys.Close(); err != nil {
-				t.Fatalf("store axis close: %v", err)
+				t.Fatalf("pager axis close: %v", err)
 			}
 		}
 	}
 	if compared == 0 {
-		t.Error("no run exercised the store-axis parity comparison")
+		t.Error("no run exercised the pager-axis parity comparison")
 	}
-	t.Logf("store axis: %d compared runs", compared)
+	t.Logf("pager axis: %d compared runs", compared)
 }
 
 // newFallbackSystem builds a two-site system loaded with NULL-heavy,

@@ -15,24 +15,20 @@ import (
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/schema"
-	"cgdqp/internal/storage"
 	"cgdqp/internal/store"
 )
 
-// Site is one location: a gateway to its local database.
-type Site struct {
-	Location string
-	DB       *storage.DB
-}
-
-// Cluster is the set of sites plus the network between them. After
-// construction and loading, a cluster is safe for concurrent reads: the
-// site map is immutable, storage tables guard their rows with RWMutexes,
-// and each execution accounts its transfers in its own RunScope — which
-// is what lets the parallel executor run per-site plan fragments on
-// separate goroutines.
+// Cluster is the set of sites plus the network between them. Each
+// location is a gateway to one storage engine; every engine draws on
+// one shared buffer pool, so the configured byte budget is
+// cluster-global. After construction and loading, a cluster is safe for
+// concurrent reads: the site map is immutable, store tables guard their
+// pages with RWMutexes, and each execution accounts its transfers in
+// its own RunScope — which is what lets the parallel executor run
+// per-site plan fragments on separate goroutines.
 type Cluster struct {
-	sites map[string]*Site
+	sites map[string]*store.Engine
+	pool  *store.Pool
 	Net   *network.CostModel
 
 	// wireDelay scales simulated WAN cost (milliseconds, per the message
@@ -63,16 +59,10 @@ type Cluster struct {
 	// table it consumed still has the epoch observed before execution.
 	epochMu sync.RWMutex
 	epochs  map[string]uint64
-
-	// Persistent-store state (nil/empty for the in-memory default): one
-	// engine per site sharing a single buffer pool, so the configured
-	// byte budget is cluster-global.
-	pool    *store.Pool
-	engines []*store.Engine
 }
 
-// StoreConfig configures the persistent per-site storage engines. The
-// zero value (no DataDir) keeps the in-memory backend.
+// StoreConfig configures the per-site storage engines. The zero value
+// (no DataDir) keeps every site's pages in memory.
 type StoreConfig struct {
 	// DataDir is the root directory; each site gets a subdirectory.
 	DataDir string
@@ -121,50 +111,39 @@ func (c *Cluster) SleepWire(costMS float64) {
 	time.Sleep(time.Duration(costMS * c.wireDelay * float64(time.Millisecond)))
 }
 
-// New creates a cluster over the catalog's locations: each location gets
-// a site hosting its database (named per the catalog's location→database
-// mapping), with every table fragment placed at its location.
+// New creates an in-memory cluster over the catalog's locations: each
+// location gets a site engine, with every table fragment placed at its
+// location.
 func New(cat *schema.Catalog, net *network.CostModel) *Cluster {
 	c, err := NewWithStore(cat, net, nil)
 	if err != nil {
-		// Unreachable: only the persistent backend can fail to open.
+		// Unreachable: only a data directory can fail to open.
 		panic(err)
 	}
 	return c
 }
 
-// NewWithStore is New with an optional persistent storage backend: with
-// a StoreConfig, every site database runs on a paged engine under
-// DataDir/<location>, all sites sharing one buffer pool. Tables are
-// created with their catalog-declared column types and indexes on both
-// backends, so plans and results do not depend on the backend choice.
+// NewWithStore is New with a store configuration: with a DataDir, every
+// site engine keeps its pages under DataDir/<location>. All sites share
+// one buffer pool of cfg.BufferPoolBytes (nil cfg: the default budget).
+// Tables are created with their catalog-declared column types and
+// indexes.
 func NewWithStore(cat *schema.Catalog, net *network.CostModel, cfg *StoreConfig) (*Cluster, error) {
-	c := &Cluster{sites: map[string]*Site{}, Net: net, epochs: map[string]uint64{}}
-	if cfg != nil && cfg.DataDir != "" {
-		c.pool = store.NewPool(cfg.BufferPoolBytes)
+	if cfg == nil {
+		cfg = &StoreConfig{}
 	}
+	c := &Cluster{sites: map[string]*store.Engine{}, pool: store.NewPool(cfg.BufferPoolBytes), Net: net, epochs: map[string]uint64{}}
 	for _, loc := range cat.Locations() {
-		dbName := cat.DatabaseAt(loc)
-		if dbName == "" {
-			dbName = "db@" + loc
+		opts := store.Options{Pool: c.pool, Fsync: cfg.Fsync}
+		if cfg.DataDir != "" {
+			opts.Dir = filepath.Join(cfg.DataDir, siteDirName(loc))
 		}
-		var db *storage.DB
-		if c.pool != nil {
-			eng, err := store.Open(store.Options{
-				Dir:   filepath.Join(cfg.DataDir, siteDirName(loc)),
-				Pool:  c.pool,
-				Fsync: cfg.Fsync,
-			})
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("cluster: open store at %s: %w", loc, err)
-			}
-			c.engines = append(c.engines, eng)
-			db = storage.NewPersistentDB(dbName, eng)
-		} else {
-			db = storage.NewDB(dbName)
+		eng, err := store.Open(opts)
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster: open store at %s: %w", loc, err)
 		}
-		c.sites[loc] = &Site{Location: loc, DB: db}
+		c.sites[loc] = eng
 	}
 	for _, t := range cat.Tables() {
 		types := make([]expr.Type, len(t.Columns))
@@ -172,11 +151,11 @@ func NewWithStore(cat *schema.Catalog, net *network.CostModel, cfg *StoreConfig)
 			types[i] = col.Type
 		}
 		for i := range t.Fragments {
-			site := c.sites[t.Fragments[i].Location]
-			if site == nil {
+			eng := c.sites[t.Fragments[i].Location]
+			if eng == nil {
 				continue
 			}
-			if _, err := site.DB.CreateTableSpec(fragName(t, i), t.ColumnNames(), types, t.IndexList()); err != nil {
+			if _, err := eng.CreateTable(fragName(t, i), t.ColumnNames(), types, t.IndexList()); err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: create %s at %s: %w", t.Name, t.Fragments[i].Location, err)
 			}
@@ -197,29 +176,20 @@ func siteDirName(loc string) string {
 	}, loc)
 }
 
-// Close flushes and closes the persistent engines (no-op in-memory).
+// Close checkpoints and closes every site engine.
 func (c *Cluster) Close() error {
 	var firstErr error
-	for _, e := range c.engines {
+	for loc, e := range c.sites {
 		if err := e.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		delete(c.sites, loc)
 	}
-	c.engines = nil
 	return firstErr
 }
 
-// StoreStats snapshots the shared buffer-pool counters (zero when the
-// cluster runs in memory).
-func (c *Cluster) StoreStats() store.PoolStats {
-	if c.pool == nil {
-		return store.PoolStats{}
-	}
-	return c.pool.Stats()
-}
-
-// Persistent reports whether the cluster runs on the paged engine.
-func (c *Cluster) Persistent() bool { return c.pool != nil }
+// StoreStats snapshots the shared buffer-pool counters.
+func (c *Cluster) StoreStats() store.PoolStats { return c.pool.Stats() }
 
 // FragmentLoaded reports whether a fragment already holds rows — a
 // persistent cluster reopening its data directory skips reloading.
@@ -239,12 +209,6 @@ func fragName(t *schema.Table, idx int) string {
 		return t.Name
 	}
 	return fmt.Sprintf("%s#%d", t.Name, idx)
-}
-
-// Site returns the site at a location.
-func (c *Cluster) Site(loc string) (*Site, bool) {
-	s, ok := c.sites[loc]
-	return s, ok
 }
 
 // Locations returns the cluster's locations (unsorted map order is
@@ -268,7 +232,7 @@ func (c *Cluster) LoadFragment(t *schema.Table, fragIdx int, rows []expr.Row) er
 	if err != nil {
 		return err
 	}
-	if err := st.Insert(rows...); err != nil {
+	if err := st.Append(rows); err != nil {
 		return err
 	}
 	c.epochMu.Lock()
@@ -277,8 +241,8 @@ func (c *Cluster) LoadFragment(t *schema.Table, fragIdx int, rows []expr.Row) er
 	return nil
 }
 
-// fragmentTable resolves the storage table behind one fragment.
-func (c *Cluster) fragmentTable(t *schema.Table, fragIdx int) (*storage.Table, error) {
+// fragmentTable resolves the store table behind one fragment.
+func (c *Cluster) fragmentTable(t *schema.Table, fragIdx int) (*store.Table, error) {
 	if fragIdx < 0 {
 		fragIdx = 0
 	}
@@ -286,11 +250,11 @@ func (c *Cluster) fragmentTable(t *schema.Table, fragIdx int) (*storage.Table, e
 		return nil, fmt.Errorf("cluster: table %s has no fragment %d", t.Name, fragIdx)
 	}
 	loc := t.Fragments[fragIdx].Location
-	site, ok := c.sites[loc]
+	eng, ok := c.sites[loc]
 	if !ok {
 		return nil, fmt.Errorf("cluster: no site at %s", loc)
 	}
-	st, ok := site.DB.Table(fragName(t, fragIdx))
+	st, ok := eng.Table(fragName(t, fragIdx))
 	if !ok {
 		return nil, fmt.Errorf("cluster: table %s missing at %s", t.Name, loc)
 	}
@@ -303,32 +267,29 @@ func (c *Cluster) FragmentRows(t *schema.Table, fragIdx int) ([]expr.Row, error)
 	if err != nil {
 		return nil, err
 	}
-	return st.RowsChecked()
+	return st.ScanRows()
 }
 
-// FragmentBatches returns a page iterator over a persistent fragment
-// (decoding pages straight into column vectors); ok is false on the
-// in-memory backend, whose scans alias rows instead.
+// FragmentBatches returns a page iterator over a fragment (decoding
+// pages straight into column vectors); ok is always true.
 func (c *Cluster) FragmentBatches(t *schema.Table, fragIdx int) (*store.Iterator, bool, error) {
 	st, err := c.fragmentTable(t, fragIdx)
 	if err != nil {
 		return nil, false, err
 	}
-	it, ok := st.Batches()
-	return it, ok, nil
+	return st.NewIterator(), true, nil
 }
 
 // IndexRangeRows reads the rows of a fragment whose indexed column lies
 // in [lo, hi] via its B+ tree, in (key, insertion) order. ok is false
 // when the column carries no usable index — callers fall back to a full
-// scan plus filter.
+// scan plus filter; a page that cannot be read is an error.
 func (c *Cluster) IndexRangeRows(t *schema.Table, fragIdx int, col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool, error) {
 	st, err := c.fragmentTable(t, fragIdx)
 	if err != nil {
 		return nil, false, err
 	}
-	rows, ok := st.IndexRangeRows(col, lo, hi, loInc, hiInc)
-	return rows, ok, nil
+	return st.IndexRangeRows(col, lo, hi, loInc, hiInc)
 }
 
 // IndexLookupRows reads the rows of a fragment whose indexed column
@@ -338,8 +299,7 @@ func (c *Cluster) IndexLookupRows(t *schema.Table, fragIdx int, col string, key 
 	if err != nil {
 		return nil, false, err
 	}
-	rows, ok := st.IndexLookupRows(col, key)
-	return rows, ok, nil
+	return st.IndexLookupRows(col, key)
 }
 
 // AllRows concatenates the rows of every fragment of a table (global

@@ -39,9 +39,9 @@ const (
 // fetches against the plain per-row scan weights above; page fetches are
 // discounted by the fraction of the table the buffer pool can hold, so a
 // bigger pool makes index paths (which touch scattered pages) cheaper.
-// The model is deliberately backend-independent: it depends only on the
-// configured pool budget, never on which storage backend runs the plan,
-// so plan choice is identical across the in-memory / persistent axis.
+// The model is deliberately pager-independent: it depends only on the
+// configured pool budget, never on whether pages live in memory or in
+// files, so plan choice is identical across the pager axis.
 const (
 	pageSizeBytes    = 8192.0 // matches store.PageSize
 	pageFetchCost    = 4.0    // page read missing the buffer pool
@@ -283,8 +283,8 @@ func OperatorCost(kind plan.Kind, outCard float64, inCards ...float64) float64 {
 
 // SetPoolBytes configures the buffer-pool budget used to discount page
 // fetches in index access-path costs; 0 keeps the default (64 MiB). The
-// setting is applied identically whether or not the persistent backend
-// runs the plan, so the chosen plan never depends on the backend.
+// setting is applied identically on either pager, so the chosen plan
+// never depends on where the pages live.
 func (e *Estimator) SetPoolBytes(b int64) { e.poolBytes = b }
 
 // pagePrice returns the cost of touching one page of a table occupying

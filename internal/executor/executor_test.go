@@ -8,12 +8,17 @@ import (
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/network"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/policy"
 	"cgdqp/internal/schema"
 )
+
+// TestMain fails the package when goroutines outlive its tests: every
+// exchange producer a parallel run starts must have finished.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // --- fixtures ------------------------------------------------------------
 

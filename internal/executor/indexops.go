@@ -13,14 +13,13 @@ import (
 // through a B+ tree range on one indexed column, re-applying the full
 // predicate as a residual; an IndexLookupJoin replaces a join's inner
 // scan with one index probe per outer row. Both read through the
-// cluster's storage layer, which answers from the in-memory trees or
-// the persistent engine's pages identically — (key, insertion) order on
-// either backend — so plans keep byte-identical results across the
-// store axis.
+// cluster's store, in (key, insertion) order on either pager; a page
+// the index read cannot decode fails the run rather than degrading to
+// a scan.
 
 // --- index scan ---------------------------------------------------------
 
-// indexScanOp implements plan.IndexScan. Should the backend report the
+// indexScanOp implements plan.IndexScan. Should the store report the
 // index unusable at runtime (ok=false — a plan carried across a schema
 // change), it degrades to the full fragment scan the plan replaced:
 // same surviving rows, insertion order instead of key order. Like the

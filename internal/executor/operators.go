@@ -12,21 +12,20 @@ import (
 // and union. They pass batches through (or build new ones) without
 // materializing their input.
 
-// scanOp emits a table fragment's rows as batches. Persistent fragments
-// stream page by page through a store.Iterator, each page decoding
-// straight into the batch's column vectors — only the columns the plan
-// reads above the scan, and no row materialization between disk and
-// the kernels; the in-memory backend (and the global
-// view of a fragmented table) aliases the stored rows, zero-copy. Every
-// batch first consults the run's context, so a cancelled execution
-// stops scanning within BatchSize rows.
+// scanOp emits a table's rows as batches, streaming page by page
+// through store.Iterators: each page decodes straight into the batch's
+// column vectors — only the columns the plan reads above the scan, and
+// no row materialization between the pager and the kernels. The global
+// view of a fragmented table (FragIdx < 0) walks its fragments'
+// iterators in turn. Every batch first consults the run's context, so
+// a cancelled execution stops scanning within BatchSize rows.
 type scanOp struct {
 	node *plan.Node
 	env  *execEnv
 	need []bool // columns read above the scan (nil: all)
 	it   *store.Iterator
-	rows []expr.Row
-	pos  int
+	frag int // fragment it scans; the next one follows when it ends
+	last int // last fragment to scan
 }
 
 func newScan(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
@@ -37,56 +36,47 @@ func newScan(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 }
 
 func (s *scanOp) Open() error {
-	s.pos, s.it, s.rows = 0, nil, nil
-	n, c := s.node, s.env.c
-	if n.FragIdx < 0 && n.Table.Fragmented() {
-		rows, err := c.AllRows(n.Table)
-		s.rows = rows
-		return err
+	s.frag, s.last = s.node.FragIdx, s.node.FragIdx
+	if s.frag < 0 && s.node.Table.Fragmented() {
+		s.frag, s.last = 0, len(s.node.Table.Fragments)-1
 	}
-	it, ok, err := c.FragmentBatches(n.Table, n.FragIdx)
+	return s.openFragment()
+}
+
+func (s *scanOp) openFragment() error {
+	it, _, err := s.env.c.FragmentBatches(s.node.Table, s.frag)
 	if err != nil {
 		return err
 	}
-	if ok {
-		it.SetNeeded(s.need)
-		s.it = it
-		return nil
-	}
-	s.rows, err = c.FragmentRows(n.Table, n.FragIdx)
-	return err
+	it.SetNeeded(s.need)
+	s.it = it
+	return nil
 }
 
 func (s *scanOp) NextBatch() (*Batch, error) {
 	if err := s.env.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.it != nil {
-		b := NewBatch()
+	b := NewBatch()
+	for {
 		ok, err := s.it.NextBatch(b.Data())
-		if err != nil || !ok {
+		if err != nil || (!ok && s.frag >= s.last) {
 			b.Release()
 			return nil, err
 		}
-		return b, nil
+		if ok {
+			return b, nil
+		}
+		s.frag++
+		if err := s.openFragment(); err != nil {
+			b.Release()
+			return nil, err
+		}
 	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	end := s.pos + BatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	// The batch aliases the fragment's rows — no copy; columns are built
-	// lazily (and at most once) by the first kernel consumer.
-	b := NewBatch()
-	b.SetRows(s.rows[s.pos:end])
-	s.pos = end
-	return b, nil
 }
 
 func (s *scanOp) Close() error {
-	s.it, s.rows = nil, nil
+	s.it = nil
 	return nil
 }
 

@@ -29,7 +29,7 @@ func scanExpr(g *Group) *plan.Node {
 	return nil
 }
 
-// indexableType mirrors store.IndexableType: int64-class or string keys.
+// indexableType mirrors the store's rule: int64-class or string keys.
 func indexableType(t expr.Type) bool {
 	switch t {
 	case expr.TInt, expr.TDate, expr.TBool, expr.TString:

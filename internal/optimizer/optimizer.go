@@ -60,8 +60,8 @@ type Options struct {
 	PlanCacheSize int
 	// PoolBytes is the configured buffer-pool budget fed to the cost
 	// model's index access-path pricing (0 = the model's default). It
-	// reflects the *configured* budget, never which storage backend
-	// runs, so plan choice stays backend-independent.
+	// reflects the *configured* budget, never which pager runs, so
+	// plan choice stays pager-independent.
 	PoolBytes int64
 }
 

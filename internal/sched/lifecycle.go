@@ -165,15 +165,13 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 			status = "error"
 		}
 		m.Counter("cgdqp_queries_total", "status", status).Inc()
-		if lc.Cluster.Persistent() {
-			st := lc.Cluster.StoreStats()
-			m.Gauge("cgdqp_store_pool_hits").Set(float64(st.Hits))
-			m.Gauge("cgdqp_store_pool_misses").Set(float64(st.Misses))
-			m.Gauge("cgdqp_store_pool_evictions").Set(float64(st.Evictions))
-			m.Gauge("cgdqp_store_pool_writebacks").Set(float64(st.Writebacks))
-			m.Gauge("cgdqp_store_pool_resident").Set(float64(st.Resident))
-			m.Gauge("cgdqp_store_pool_decode_hits").Set(float64(st.DecodeHits))
-		}
+		st := lc.Cluster.StoreStats()
+		m.Gauge("cgdqp_store_pool_hits").Set(float64(st.Hits))
+		m.Gauge("cgdqp_store_pool_misses").Set(float64(st.Misses))
+		m.Gauge("cgdqp_store_pool_evictions").Set(float64(st.Evictions))
+		m.Gauge("cgdqp_store_pool_writebacks").Set(float64(st.Writebacks))
+		m.Gauge("cgdqp_store_pool_resident").Set(float64(st.Resident))
+		m.Gauge("cgdqp_store_pool_decode_hits").Set(float64(st.DecodeHits))
 	}
 	if err != nil {
 		return

@@ -14,6 +14,7 @@ import (
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/feedback"
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/rescache"
@@ -36,7 +37,7 @@ func cacheView(cl *cluster.Cluster) rescache.View {
 // the in-flight execution or the cache — and all callers get the same
 // result, accounted in the slow-query log under the plan that ran.
 func TestSubmitSameQuerySingleExecution(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	var slow bytes.Buffer
@@ -113,7 +114,7 @@ func mustPlanDigest(t *testing.T, opt *optimizer.Optimizer) string {
 // copies — mutating one response cannot corrupt the cache or any other
 // caller's rows.
 func TestCachedResultsAreIsolated(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{
@@ -170,7 +171,7 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 // and must not leak goroutines; an uncancelled later submission
 // succeeds and fills the cache.
 func TestCancelMidFillNoLeak(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	cl.SetWireDelay(0.5) // per-batch wire sleeps give the cancel a window
@@ -243,7 +244,7 @@ func TestCancelMidFillNoLeak(t *testing.T) {
 // between two identical submissions makes the second re-execute and see
 // the new data.
 func TestDataEpochBumpForcesReexecution(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{

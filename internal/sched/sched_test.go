@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +16,7 @@ import (
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/feedback"
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
@@ -25,49 +24,7 @@ import (
 	"cgdqp/internal/schema"
 )
 
-// settle polls the goroutine count back down to base, tolerating runtime
-// bookkeeping goroutines that finish late, and returns where it ended up.
-func settle(base int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func allStacks() []byte {
-	buf := make([]byte, 1<<20)
-	return buf[:runtime.Stack(buf, true)]
-}
-
-// TestMain fails the package when goroutines outlive its tests: every
-// server a test starts must have been closed, every flight landed.
-func TestMain(m *testing.M) {
-	base := runtime.NumGoroutine()
-	code := m.Run()
-	if after := settle(base); code == 0 && after > base {
-		fmt.Fprintf(os.Stderr, "goroutine leak after the package's tests: %d before, %d after\n%s", base, after, allStacks())
-		code = 1
-	}
-	os.Exit(code)
-}
-
-// leakCheck arms the same detector for one test, so a leak is pinned on
-// the test that caused it: run the returned function deferred, after the
-// server is closed.
-func leakCheck(t *testing.T) func() {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		if after := settle(before); after > before {
-			t.Errorf("goroutine leak: %d before, %d after\n%s", before, after, allStacks())
-		}
-	}
-}
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // carco builds the three-region fixture (Customer at N, Orders at E,
 // Supply at A) the executor tests use, plus its policy catalog.
@@ -182,7 +139,7 @@ func waitRunning(t *testing.T, s *Server, n int) {
 // --- server end-to-end ---------------------------------------------------
 
 func TestServeMatchesDirectExecution(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 
@@ -223,7 +180,7 @@ func TestServeMatchesDirectExecution(t *testing.T) {
 }
 
 func TestConcurrentServingIsolatesStats(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 
@@ -274,7 +231,7 @@ func TestConcurrentServingIsolatesStats(t *testing.T) {
 // --- admission -----------------------------------------------------------
 
 func TestQueueFullRejection(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.2) // make queries take real time so they stay running
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
@@ -319,7 +276,7 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestServerClosedRejection(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
@@ -332,7 +289,7 @@ func TestServerClosedRejection(t *testing.T) {
 // --- cancellation --------------------------------------------------------
 
 func TestQueuedCancelNeverStarts(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.2)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
@@ -369,7 +326,7 @@ func TestQueuedCancelNeverStarts(t *testing.T) {
 }
 
 func TestMidExecutionCancelTearsDown(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.5) // per-batch wire sleeps give the cancel a window
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
@@ -400,7 +357,7 @@ func TestMidExecutionCancelTearsDown(t *testing.T) {
 // A deadline on the submission context bounds the query from admission
 // to completion.
 func TestQueryDeadline(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(1.0)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
@@ -423,7 +380,7 @@ func TestQueryDeadline(t *testing.T) {
 // --- singleflight --------------------------------------------------------
 
 func TestOptimizeSharedCoalesces(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 1})
@@ -513,7 +470,7 @@ func TestFlightKeyUsesDigestWhenMemoized(t *testing.T) {
 }
 
 func TestCoalescedFollowersExecuteCorrectly(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 8})
@@ -566,7 +523,7 @@ func TestCoalescedFollowersExecuteCorrectly(t *testing.T) {
 // TestQueueIsFIFO: queued queries start in admission order, and one
 // cancelled while queued is skipped without disturbing its neighbours.
 func TestQueueIsFIFO(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	cl.SetWireDelay(0.2)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
@@ -623,7 +580,7 @@ func TestQueueIsFIFO(t *testing.T) {
 // TestCloseDrainsQueue checks Close waits for admitted queries, and that
 // the lifetime counters then add up.
 func TestCloseDrainsQueue(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	s := NewServer(Lifecycle{Opt: opt, Cluster: cl}, Options{MaxConcurrent: 2, QueueDepth: 16})
@@ -669,7 +626,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 // feedback store and a zero-threshold slow log: executions must feed
 // operator actuals and emit parseable slow-log lines.
 func TestServerFeedbackTelemetry(t *testing.T) {
-	defer leakCheck(t)()
+	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	fb := feedback.NewStore()

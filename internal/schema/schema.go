@@ -72,8 +72,8 @@ type Table struct {
 	Fragments []Fragment
 	ColStats  map[string]ColStats
 	// Indexes declares which columns carry B+ tree secondary indexes
-	// (int64-class or string key types only; others are ignored). Both
-	// storage backends maintain the declared indexes, and the optimizer
+	// (int64-class or string key types only; others are ignored). The
+	// site stores maintain the declared indexes, and the optimizer
 	// considers IndexScan / IndexLookupJoin alternatives for them.
 	Indexes []string
 
@@ -220,7 +220,6 @@ type Catalog struct {
 	mu        sync.RWMutex
 	locations []string // append-only
 	tables    map[string]*Table
-	dbAtLoc   map[string]string // location -> database name
 	// version counts changes. It moves under mu after the contents
 	// change, so a reader that loads version v and then reads the
 	// contents sees at least v's state: a plan stamped v is never older
@@ -230,7 +229,7 @@ type Catalog struct {
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: map[string]*Table{}, dbAtLoc: map[string]string{}}
+	return &Catalog{tables: map[string]*Table{}}
 }
 
 // Version returns the number of changes made to the catalog so far: one
@@ -282,9 +281,6 @@ func (c *Catalog) AddTable(t *Table) error {
 	}
 	for _, f := range t.Fragments {
 		c.addLocationLocked(f.Location)
-		if f.DB != "" {
-			c.dbAtLoc[f.Location] = f.DB
-		}
 	}
 	// A table another catalog already registered keeps its current
 	// generation rather than reverting to what it was built with.
@@ -386,12 +382,4 @@ func (c *Catalog) Tables() []*Table {
 	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// DatabaseAt returns the database name gateway at a location ("" when the
-// location hosts no database).
-func (c *Catalog) DatabaseAt(location string) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.dbAtLoc[location]
 }

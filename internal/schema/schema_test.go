@@ -80,12 +80,6 @@ func TestCatalogAddAndResolve(t *testing.T) {
 	if got := c.Locations(); len(got) != 2 || got[0] != "L1" || got[1] != "L2" {
 		t.Errorf("Locations: %v", got)
 	}
-	if db := c.DatabaseAt("L2"); db != "db-2" {
-		t.Errorf("DatabaseAt: %s", db)
-	}
-	if db := c.DatabaseAt("L9"); db != "" {
-		t.Errorf("DatabaseAt unknown: %q", db)
-	}
 
 	tab, ok := c.Table("customer") // case-insensitive
 	if !ok || tab.Name != "Customer" {

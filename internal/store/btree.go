@@ -9,31 +9,30 @@ import (
 // B+ tree secondary index. Keys are either int64 (TInt/TDate/TBool
 // payloads) or dictionary-interned strings; each key holds the row ids
 // of every matching row in insertion order, so a range scan yields rows
-// in (key, insertion) order — identically for the in-memory and the
-// persistent backend, which keeps plans and results byte-identical
-// across the store axis. NULLs are not indexed: no range or equality
-// predicate matches NULL, so the residual predicate never needs them.
+// in (key, insertion) order, whichever pager holds the pages. NULLs are
+// not indexed: no range or equality predicate matches NULL, so the
+// residual predicate never needs them.
 //
 // The tree is an in-memory structure rebuilt on open by scanning the
 // valid page prefix (the WAL recovers the pages first, the indexes
 // follow from them — they carry no separate durability).
 const btreeOrder = 64 // max children per interior node / keys per leaf
 
-// Key is one index key: the int64 lane or the interned string lane.
-type Key struct {
+// indexKey is one index key: the int64 lane or the interned string lane.
+type indexKey struct {
 	I   int64
 	S   string
 	Str bool
 }
 
-func keyLess(a, b Key) bool {
+func keyLess(a, b indexKey) bool {
 	if a.Str {
 		return a.S < b.S
 	}
 	return a.I < b.I
 }
 
-func keyEq(a, b Key) bool {
+func keyEq(a, b indexKey) bool {
 	if a.Str {
 		return a.S == b.S
 	}
@@ -42,26 +41,26 @@ func keyEq(a, b Key) bool {
 
 // valueKey converts a value into an index key; ok is false for NULLs
 // and non-indexable types (which are simply not indexed).
-func valueKey(v expr.Value, str bool) (Key, bool) {
+func valueKey(v expr.Value, str bool) (indexKey, bool) {
 	if v.IsNull() {
-		return Key{}, false
+		return indexKey{}, false
 	}
 	if str {
 		if v.T != expr.TString {
-			return Key{}, false
+			return indexKey{}, false
 		}
-		return Key{S: v.S, Str: true}, true
+		return indexKey{S: v.S, Str: true}, true
 	}
 	switch v.T {
 	case expr.TInt, expr.TDate, expr.TBool:
-		return Key{I: v.I}, true
+		return indexKey{I: v.I}, true
 	}
-	return Key{}, false
+	return indexKey{}, false
 }
 
-// IndexableType reports whether a column of type t can carry a B+ tree
+// indexableType reports whether a column of type t can carry a B+ tree
 // index (int64-class or string keys).
-func IndexableType(t expr.Type) bool {
+func indexableType(t expr.Type) bool {
 	switch t {
 	case expr.TInt, expr.TDate, expr.TBool, expr.TString:
 		return true
@@ -73,14 +72,14 @@ func IndexableType(t expr.Type) bool {
 // key in kids[i+1], leaves hold the per-key row-id postings.
 type bnode struct {
 	leaf bool
-	keys []Key
+	keys []indexKey
 	kids []*bnode  // interior
 	vals [][]int32 // leaf postings, insertion order
 	next *bnode    // leaf chain
 }
 
-// BTree is one secondary index over a single column.
-type BTree struct {
+// btree is one secondary index over a single column.
+type btree struct {
 	str   bool
 	root  *bnode
 	first *bnode
@@ -88,10 +87,10 @@ type BTree struct {
 	dict  map[string]string // string-key dictionary: one canonical copy per distinct key
 }
 
-// NewBTree creates an empty index with int64 or string keys.
-func NewBTree(stringKeys bool) *BTree {
+// newBTree creates an empty index with int64 or string keys.
+func newBTree(stringKeys bool) *btree {
 	leaf := &bnode{leaf: true}
-	t := &BTree{str: stringKeys, root: leaf, first: leaf}
+	t := &btree{str: stringKeys, root: leaf, first: leaf}
 	if stringKeys {
 		t.dict = map[string]string{}
 	}
@@ -99,11 +98,11 @@ func NewBTree(stringKeys bool) *BTree {
 }
 
 // Len returns the number of distinct keys.
-func (t *BTree) Len() int { return t.keys }
+func (t *btree) Len() int { return t.keys }
 
 // InsertValue indexes row id under value v; NULLs and lane mismatches
 // are skipped.
-func (t *BTree) InsertValue(v expr.Value, id int32) {
+func (t *btree) InsertValue(v expr.Value, id int32) {
 	k, ok := valueKey(v, t.str)
 	if !ok {
 		return
@@ -112,7 +111,7 @@ func (t *BTree) InsertValue(v expr.Value, id int32) {
 }
 
 // Insert indexes row id under key k.
-func (t *BTree) Insert(k Key, id int32) {
+func (t *btree) Insert(k indexKey, id int32) {
 	if t.str {
 		if s, ok := t.dict[k.S]; ok {
 			k.S = s
@@ -122,20 +121,20 @@ func (t *BTree) Insert(k Key, id int32) {
 	}
 	midKey, right := t.insertInto(t.root, k, id)
 	if right != nil {
-		t.root = &bnode{keys: []Key{midKey}, kids: []*bnode{t.root, right}}
+		t.root = &bnode{keys: []indexKey{midKey}, kids: []*bnode{t.root, right}}
 	}
 }
 
 // insertInto descends to the leaf for k; on overflow the node splits
 // and the separator plus new right sibling bubble up.
-func (t *BTree) insertInto(n *bnode, k Key, id int32) (Key, *bnode) {
+func (t *btree) insertInto(n *bnode, k indexKey, id int32) (indexKey, *bnode) {
 	if n.leaf {
 		i := sort.Search(len(n.keys), func(i int) bool { return !keyLess(n.keys[i], k) })
 		if i < len(n.keys) && keyEq(n.keys[i], k) {
 			n.vals[i] = append(n.vals[i], id)
-			return Key{}, nil
+			return indexKey{}, nil
 		}
-		n.keys = append(n.keys, Key{})
+		n.keys = append(n.keys, indexKey{})
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = k
 		n.vals = append(n.vals, nil)
@@ -143,32 +142,32 @@ func (t *BTree) insertInto(n *bnode, k Key, id int32) (Key, *bnode) {
 		n.vals[i] = []int32{id}
 		t.keys++
 		if len(n.keys) <= btreeOrder {
-			return Key{}, nil
+			return indexKey{}, nil
 		}
 		return t.splitLeaf(n)
 	}
 	i := sort.Search(len(n.keys), func(i int) bool { return keyLess(k, n.keys[i]) })
 	midKey, right := t.insertInto(n.kids[i], k, id)
 	if right == nil {
-		return Key{}, nil
+		return indexKey{}, nil
 	}
-	n.keys = append(n.keys, Key{})
+	n.keys = append(n.keys, indexKey{})
 	copy(n.keys[i+1:], n.keys[i:])
 	n.keys[i] = midKey
 	n.kids = append(n.kids, nil)
 	copy(n.kids[i+2:], n.kids[i+1:])
 	n.kids[i+1] = right
 	if len(n.kids) <= btreeOrder {
-		return Key{}, nil
+		return indexKey{}, nil
 	}
 	return t.splitInterior(n)
 }
 
-func (t *BTree) splitLeaf(n *bnode) (Key, *bnode) {
+func (t *btree) splitLeaf(n *bnode) (indexKey, *bnode) {
 	mid := len(n.keys) / 2
 	right := &bnode{
 		leaf: true,
-		keys: append([]Key(nil), n.keys[mid:]...),
+		keys: append([]indexKey(nil), n.keys[mid:]...),
 		vals: append([][]int32(nil), n.vals[mid:]...),
 		next: n.next,
 	}
@@ -178,11 +177,11 @@ func (t *BTree) splitLeaf(n *bnode) (Key, *bnode) {
 	return right.keys[0], right
 }
 
-func (t *BTree) splitInterior(n *bnode) (Key, *bnode) {
+func (t *btree) splitInterior(n *bnode) (indexKey, *bnode) {
 	mid := len(n.keys) / 2
 	sep := n.keys[mid]
 	right := &bnode{
-		keys: append([]Key(nil), n.keys[mid+1:]...),
+		keys: append([]indexKey(nil), n.keys[mid+1:]...),
 		kids: append([]*bnode(nil), n.kids[mid+1:]...),
 	}
 	n.keys = n.keys[:mid:mid]
@@ -193,7 +192,7 @@ func (t *BTree) splitInterior(n *bnode) (Key, *bnode) {
 // Range walks keys in [lo, hi] in order (nil bound = unbounded,
 // inclusivity per flag), calling fn with each key's postings until fn
 // returns false.
-func (t *BTree) Range(lo, hi *Key, loInc, hiInc bool, fn func(k Key, ids []int32) bool) {
+func (t *btree) Range(lo, hi *indexKey, loInc, hiInc bool, fn func(k indexKey, ids []int32) bool) {
 	n := t.root
 	for !n.leaf {
 		i := 0
@@ -227,7 +226,7 @@ func (t *BTree) Range(lo, hi *Key, loInc, hiInc bool, fn func(k Key, ids []int32
 }
 
 // Lookup returns the postings for key k (nil when absent).
-func (t *BTree) Lookup(k Key) []int32 {
+func (t *btree) Lookup(k indexKey) []int32 {
 	n := t.root
 	for !n.leaf {
 		i := sort.Search(len(n.keys), func(i int) bool { return keyLess(k, n.keys[i]) })
@@ -241,7 +240,7 @@ func (t *BTree) Lookup(k Key) []int32 {
 }
 
 // LookupValue returns the postings for value v.
-func (t *BTree) LookupValue(v expr.Value) []int32 {
+func (t *btree) LookupValue(v expr.Value) []int32 {
 	k, ok := valueKey(v, t.str)
 	if !ok {
 		return nil
@@ -251,16 +250,16 @@ func (t *BTree) LookupValue(v expr.Value) []int32 {
 
 // MinMax returns the smallest and largest key; ok is false on an empty
 // index.
-func (t *BTree) MinMax() (lo, hi Key, ok bool) {
+func (t *btree) MinMax() (lo, hi indexKey, ok bool) {
 	if t.keys == 0 {
-		return Key{}, Key{}, false
+		return indexKey{}, indexKey{}, false
 	}
 	n := t.first
 	for n != nil && len(n.keys) == 0 {
 		n = n.next
 	}
 	if n == nil {
-		return Key{}, Key{}, false
+		return indexKey{}, indexKey{}, false
 	}
 	lo = n.keys[0]
 	m := t.root
@@ -271,11 +270,11 @@ func (t *BTree) MinMax() (lo, hi Key, ok bool) {
 	return lo, hi, true
 }
 
-// RangeIDs collects the row ids of every key in [lo, hi] (nil bound =
+// rangeOf collects the row ids of every key in [lo, hi] (nil bound =
 // unbounded, inclusivity per flag) in (key, insertion) order; ok is
 // false when a bound's type does not fit the key lane.
-func RangeIDs(t *BTree, lo, hi *expr.Value, loInc, hiInc bool) ([]int32, bool) {
-	var loK, hiK *Key
+func (t *btree) rangeOf(lo, hi *expr.Value, loInc, hiInc bool) ([]int32, bool) {
+	var loK, hiK *indexKey
 	if lo != nil {
 		k, ok := valueKey(*lo, t.str)
 		if !ok {
@@ -291,15 +290,15 @@ func RangeIDs(t *BTree, lo, hi *expr.Value, loInc, hiInc bool) ([]int32, bool) {
 		hiK = &k
 	}
 	var ids []int32
-	t.Range(loK, hiK, loInc, hiInc, func(_ Key, post []int32) bool {
+	t.Range(loK, hiK, loInc, hiInc, func(_ indexKey, post []int32) bool {
 		ids = append(ids, post...)
 		return true
 	})
 	return ids, true
 }
 
-// KeyValue converts k back into an expr.Value of column type t.
-func KeyValue(k Key, colType expr.Type) expr.Value {
+// keyValue converts k back into an expr.Value of column type t.
+func keyValue(k indexKey, colType expr.Type) expr.Value {
 	if k.Str {
 		return expr.NewString(k.S)
 	}

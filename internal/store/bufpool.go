@@ -11,7 +11,7 @@ import (
 // exported as the cgdqp_store_* metrics.
 type PoolStats struct {
 	Hits       int64 // page requests served from memory
-	Misses     int64 // page requests that went to disk
+	Misses     int64 // page requests that went to the pager
 	Evictions  int64 // frames recycled to stay within budget
 	Writebacks int64 // dirty frames flushed on eviction or checkpoint
 	Resident   int64 // frames currently held
@@ -67,10 +67,10 @@ func NewPool(budgetBytes int64) *Pool {
 	return &Pool{budgetFrames: n, frames: map[frameKey]*frame{}, lru: list.New()}
 }
 
-// Pin returns the frame holding page pg of tf, reading it from disk on
-// a miss (or formatting a fresh page when create is set and the page is
-// not on disk yet); hit reports that the page was already resident. The
-// frame stays resident until the matching Unpin.
+// Pin returns the frame holding page pg of tf, reading it from the
+// pager on a miss (or formatting a fresh page when create is set and
+// the pager does not hold the page yet); hit reports that the page was
+// already resident. The frame stays resident until the matching Unpin.
 func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -85,15 +85,13 @@ func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	onDisk, err := tf.diskPages()
-	if err == nil && pg < onDisk {
+	switch {
+	case pg < tf.pages:
 		err = tf.readPage(pg, fr.buf)
-	} else if err == nil {
-		if !create {
-			err = fmt.Errorf("store: page %d of %s does not exist", pg, tf.path)
-		} else {
-			initPage(fr.buf, tf.nCols)
-		}
+	case !create:
+		err = fmt.Errorf("store: page %d of %s does not exist", pg, tf.path)
+	default:
+		initPage(fr.buf, tf.nCols)
 	}
 	if err != nil {
 		p.dropFrame(fr)

@@ -1,11 +1,11 @@
-// Package store implements the persistent per-site storage engine: a
-// slotted-page pager over one file per table, a pin/unpin LRU buffer
-// pool with a byte budget, a redo-only write-ahead log that makes loads
-// crash-recoverable, and B+ tree secondary indexes over int64 and
-// dictionary-interned string keys. The in-memory row store
-// (internal/storage) fronts this engine when a data directory is
-// configured; plans and results are byte-identical across the two
-// backends, so the in-memory store stays the parity oracle.
+// Package store implements the per-site storage engine: slotted,
+// checksummed pages behind one pager per table, a pin/unpin LRU buffer
+// pool with a byte budget, and B+ tree secondary indexes over int64 and
+// dictionary-interned string keys. With a data directory the pager is
+// one file per table and a redo-only write-ahead log makes loads
+// crash-recoverable; without one the pages live on a memory pager and
+// there is nothing to recover. Everything above the pager is shared, so
+// plans and results do not depend on which pager runs.
 package store
 
 import (

@@ -81,13 +81,13 @@ func FuzzBTreeOps(f *testing.F) {
 	f.Add([]byte("hello world btree fuzzing"), true)
 
 	f.Fuzz(func(t *testing.T, ops []byte, stringKeys bool) {
-		tree := NewBTree(stringKeys)
-		ref := map[Key][]int32{}
-		mkKey := func(b byte) Key {
+		tree := newBTree(stringKeys)
+		ref := map[indexKey][]int32{}
+		mkKey := func(b byte) indexKey {
 			if stringKeys {
-				return Key{S: string([]byte{'k', b}), Str: true}
+				return indexKey{S: string([]byte{'k', b}), Str: true}
 			}
-			return Key{I: int64(int8(b))}
+			return indexKey{I: int64(int8(b))}
 		}
 		var id int32
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -116,13 +116,13 @@ func FuzzBTreeOps(f *testing.F) {
 		}
 		// Full-range walk must visit every key in sorted order with the
 		// exact insertion-ordered postings.
-		keys := make([]Key, 0, len(ref))
+		keys := make([]indexKey, 0, len(ref))
 		for k := range ref {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 		i := 0
-		tree.Range(nil, nil, true, true, func(k Key, ids []int32) bool {
+		tree.Range(nil, nil, true, true, func(k indexKey, ids []int32) bool {
 			if i >= len(keys) || !keyEq(k, keys[i]) {
 				t.Fatalf("range walk out of order at %d: %v", i, k)
 			}
@@ -139,15 +139,15 @@ func FuzzBTreeOps(f *testing.F) {
 		// Bounded range against the reference.
 		if len(keys) > 2 {
 			lo, hi := keys[len(keys)/4], keys[3*len(keys)/4]
-			var want []Key
+			var want []indexKey
 			for _, k := range keys {
 				if keyLess(k, lo) || keyLess(hi, k) || keyEq(k, hi) {
 					continue
 				}
 				want = append(want, k)
 			}
-			var got []Key
-			tree.Range(&lo, &hi, true, false, func(k Key, _ []int32) bool {
+			var got []indexKey
+			tree.Range(&lo, &hi, true, false, func(k indexKey, _ []int32) bool {
 				got = append(got, k)
 				return true
 			})

@@ -2,18 +2,23 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strings"
 )
 
-// tableFile is the on-disk pager for one table: a flat file of
-// fixed-size checksummed pages, addressed by page number.
+// tableFile is the pager for one table: fixed-size checksummed pages
+// addressed by page number, kept in a flat file (the file pager) or,
+// when f is nil, in memory (the memory pager). Both count their pages:
+// the count is set at load, raised by writePage and cut by
+// truncatePages, so the buffer pool never asks the file system. Once
+// the engine is open, every call runs under the buffer pool's mutex.
 type tableFile struct {
-	path  string
-	f     *os.File
+	path  string   // the page file; the table name on the memory pager
+	f     *os.File // nil: memory pager
+	mem   [][]byte // memory pager: the sealed bytes of each written page
 	nCols int
 	fsync bool
+	pages uint32 // whole pages held
 }
 
 // safeFileName maps a table name (which may contain a '#fragment'
@@ -38,24 +43,24 @@ func openTableFile(path string, nCols int, fsync bool) (*tableFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open table file: %w", err)
 	}
-	return &tableFile{path: path, f: f, nCols: nCols, fsync: fsync}, nil
-}
-
-// diskPages returns how many whole pages the file currently holds.
-func (tf *tableFile) diskPages() (uint32, error) {
-	st, err := tf.f.Stat()
+	st, err := f.Stat()
 	if err != nil {
-		return 0, err
+		f.Close()
+		return nil, err
 	}
-	return uint32(st.Size() / PageSize), nil
+	return &tableFile{path: path, f: f, nCols: nCols, fsync: fsync, pages: uint32(st.Size() / PageSize)}, nil
 }
 
 // readPage reads page number pg into buf and validates its checksum.
 func (tf *tableFile) readPage(pg uint32, buf []byte) error {
-	if _, err := tf.f.ReadAt(buf[:PageSize], int64(pg)*PageSize); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("store: page %d of %s past end of file", pg, tf.path)
+	if pg >= tf.pages {
+		return fmt.Errorf("store: page %d of %s past end of file", pg, tf.path)
+	}
+	if tf.f == nil {
+		if copy(buf[:PageSize], tf.mem[pg]) == 0 {
+			clear(buf[:PageSize]) // a page never written reads as zeros, as in a sparse file
 		}
+	} else if _, err := tf.f.ReadAt(buf[:PageSize], int64(pg)*PageSize); err != nil {
 		return err
 	}
 	if !validPage(buf, tf.nCols) {
@@ -67,15 +72,26 @@ func (tf *tableFile) readPage(pg uint32, buf []byte) error {
 // writePage seals buf (checksum) and writes it as page number pg.
 func (tf *tableFile) writePage(pg uint32, buf []byte) error {
 	sealPage(buf)
-	if _, err := tf.f.WriteAt(buf[:PageSize], int64(pg)*PageSize); err != nil {
+	if tf.f == nil {
+		for uint32(len(tf.mem)) <= pg {
+			tf.mem = append(tf.mem, nil)
+		}
+		if tf.mem[pg] == nil {
+			tf.mem[pg] = make([]byte, PageSize)
+		}
+		copy(tf.mem[pg], buf[:PageSize])
+	} else if _, err := tf.f.WriteAt(buf[:PageSize], int64(pg)*PageSize); err != nil {
 		return err
+	}
+	if pg >= tf.pages {
+		tf.pages = pg + 1
 	}
 	return nil
 }
 
 // sync flushes the file to stable storage when fsync is enabled.
 func (tf *tableFile) sync() error {
-	if !tf.fsync {
+	if !tf.fsync || tf.f == nil {
 		return nil
 	}
 	return tf.f.Sync()
@@ -84,7 +100,18 @@ func (tf *tableFile) sync() error {
 // truncatePages drops every page from pg onward (recovery discards a
 // torn tail before replaying the WAL over it).
 func (tf *tableFile) truncatePages(pg uint32) error {
-	return tf.f.Truncate(int64(pg) * PageSize)
+	if tf.f == nil {
+		tf.mem = tf.mem[:min(int(pg), len(tf.mem))]
+	} else if err := tf.f.Truncate(int64(pg) * PageSize); err != nil {
+		return err
+	}
+	tf.pages = pg
+	return nil
 }
 
-func (tf *tableFile) close() error { return tf.f.Close() }
+func (tf *tableFile) close() error {
+	if tf.f == nil {
+		return nil
+	}
+	return tf.f.Close()
+}

@@ -12,25 +12,27 @@ import (
 	"cgdqp/internal/expr"
 )
 
-// Options configures one engine (one site's data directory).
+// Options configures one engine (one site's store).
 type Options struct {
-	Dir             string
-	BufferPoolBytes int64 // ignored when Pool is set
-	Pool            *Pool // optional shared pool (one budget across sites)
-	Fsync           bool  // gate fsyncs (off keeps tests fast; on for durability)
+	Dir             string // data directory; "" opens an in-memory engine
+	BufferPoolBytes int64  // ignored when Pool is set
+	Pool            *Pool  // optional shared pool (one budget across sites)
+	Fsync           bool   // gate fsyncs (off keeps tests fast; on for durability)
 }
 
 // walCheckpointBytes triggers an automatic checkpoint (flush pages,
 // sync, truncate the log) once the WAL grows past it.
 const walCheckpointBytes = 16 << 20
 
-// Engine is one site's storage engine: the table catalog, the pager
-// files, the WAL, and a (possibly shared) buffer pool.
+// Engine is one site's storage engine: the table catalog, the pagers,
+// the WAL, and a (possibly shared) buffer pool. An in-memory engine
+// (no data directory) keeps its pages on memory pagers and has neither
+// a catalog file nor a WAL: there is nothing to recover.
 type Engine struct {
 	dir   string
 	fsync bool
 	pool  *Pool
-	wal   *wal
+	wal   *wal // nil on an in-memory engine
 
 	// mu: read-held by appends, write-held by checkpoint/close so the
 	// WAL never truncates under a half-applied append.
@@ -56,14 +58,9 @@ func lower(s string) string { return strings.ToLower(s) }
 
 // Open opens (or initializes) the engine rooted at opts.Dir: it loads
 // the catalog, trusts each table's longest valid page prefix, replays
-// the WAL over it, and rebuilds the B+ tree indexes.
+// the WAL over it, and rebuilds the B+ tree indexes. An empty Dir opens
+// an empty in-memory engine.
 func Open(opts Options) (*Engine, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("store: Options.Dir is required")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	pool := opts.Pool
 	if pool == nil {
 		pool = NewPool(opts.BufferPoolBytes)
@@ -74,6 +71,12 @@ func Open(opts Options) (*Engine, error) {
 		pool:   pool,
 		tables: map[string]*Table{},
 		files:  map[string]*tableFile{},
+	}
+	if opts.Dir == "" {
+		return e, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
 	}
 	meta, err := e.readMeta()
 	if err != nil {
@@ -117,8 +120,12 @@ func (e *Engine) readMeta() (metaFile, error) {
 	return m, nil
 }
 
-// writeMeta persists the catalog atomically (write-temp + rename).
+// writeMeta persists the catalog atomically (write-temp + rename); an
+// in-memory engine has no catalog file.
 func (e *Engine) writeMeta() error {
+	if e.dir == "" {
+		return nil
+	}
 	var m metaFile
 	names := make([]string, 0, len(e.tables))
 	for n := range e.tables {
@@ -185,7 +192,7 @@ func (e *Engine) newTable(tm tableMeta) *Table {
 		name:  tm.Name,
 		cols:  append([]string(nil), tm.Columns...),
 		types: make([]expr.Type, len(tm.Types)),
-		idx:   map[string]*BTree{},
+		idx:   map[string]*btree{},
 	}
 	for i, tt := range tm.Types {
 		t.types[i] = expr.Type(tt)
@@ -199,11 +206,11 @@ func (e *Engine) newTable(tm tableMeta) *Table {
 		if pos < len(t.types) {
 			ct = t.types[pos]
 		}
-		if !IndexableType(ct) {
+		if !indexableType(ct) {
 			continue
 		}
 		t.idxCols = append(t.idxCols, col)
-		t.idx[lower(col)] = NewBTree(ct == expr.TString)
+		t.idx[lower(col)] = newBTree(ct == expr.TString)
 	}
 	return t
 }
@@ -254,9 +261,12 @@ func (e *Engine) CreateTable(name string, cols []string, types []expr.Type, inde
 		tm.Types[i] = int(tt)
 	}
 	t := e.newTable(tm)
-	tf, err := openTableFile(filepath.Join(e.dir, safeFileName(name)), len(cols), e.fsync)
-	if err != nil {
-		return nil, err
+	tf := &tableFile{path: name, nCols: len(cols)}
+	if e.dir != "" {
+		var err error
+		if tf, err = openTableFile(filepath.Join(e.dir, safeFileName(name)), len(cols), e.fsync); err != nil {
+			return nil, err
+		}
 	}
 	e.tables[key] = t
 	e.files[key] = tf
@@ -282,6 +292,9 @@ func (e *Engine) Stats() PoolStats { return e.pool.Stats() }
 
 // maybeCheckpoint checkpoints once the WAL passes its size threshold.
 func (e *Engine) maybeCheckpoint() error {
+	if e.wal == nil {
+		return nil
+	}
 	e.wal.mu.Lock()
 	big := e.wal.size > walCheckpointBytes
 	e.wal.mu.Unlock()
@@ -294,8 +307,11 @@ func (e *Engine) maybeCheckpoint() error {
 // Checkpoint makes every logged change durable in the pages (flush +
 // optional fsync) and truncates the WAL. If some dirty frame is pinned
 // by a concurrent reader, truncation is skipped this round and the next
-// checkpoint retries.
+// checkpoint retries. An in-memory engine has nothing to make durable.
 func (e *Engine) Checkpoint() error {
+	if e.wal == nil {
+		return nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	all := true
@@ -318,7 +334,7 @@ func (e *Engine) Checkpoint() error {
 	return e.wal.truncate()
 }
 
-// Close checkpoints and releases every file handle.
+// Close checkpoints and releases every pager and its frames.
 func (e *Engine) Close() error {
 	if err := e.Checkpoint(); err != nil {
 		return err
@@ -336,8 +352,10 @@ func (e *Engine) Close() error {
 	}
 	e.files = map[string]*tableFile{}
 	e.tables = map[string]*Table{}
-	if err := e.wal.close(); err != nil && firstErr == nil {
-		firstErr = err
+	if e.wal != nil {
+		if err := e.wal.close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }

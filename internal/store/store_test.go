@@ -158,7 +158,7 @@ func TestIndexRangeAndLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := expr.NewInt(10), expr.NewInt(12)
-	got, ok := tab.IndexRangeRows("k", &lo, &hi, true, false)
+	got, ok, _ := tab.IndexRangeRows("k", &lo, &hi, true, false)
 	if !ok {
 		t.Fatal("index range on k failed")
 	}
@@ -173,7 +173,7 @@ func TestIndexRangeAndLookup(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("range rows: got %d want %d", len(got), len(want))
 	}
-	sGot, ok := tab.IndexLookupRows("s", expr.NewString("c"))
+	sGot, ok, _ := tab.IndexLookupRows("s", expr.NewString("c"))
 	if !ok {
 		t.Fatal("index lookup on s failed")
 	}
@@ -186,7 +186,7 @@ func TestIndexRangeAndLookup(t *testing.T) {
 	if !reflect.DeepEqual(sGot, sWant) {
 		t.Fatalf("lookup rows: got %d want %d", len(sGot), len(sWant))
 	}
-	if _, ok := tab.IndexRangeRows("v", &lo, &hi, true, true); ok {
+	if _, ok, _ := tab.IndexRangeRows("v", &lo, &hi, true, true); ok {
 		t.Fatal("unindexed column must report no index")
 	}
 	min, max, distinct, ok := tab.IndexStats("k")
@@ -276,7 +276,7 @@ func TestReopenPersistence(t *testing.T) {
 		t.Fatal("rows lost on reopen")
 	}
 	lo := expr.NewInt(500)
-	rows, ok := tab2.IndexRangeRows("k", &lo, nil, true, true)
+	rows, ok, _ := tab2.IndexRangeRows("k", &lo, nil, true, true)
 	if !ok || len(rows) != 500 {
 		t.Fatalf("index rebuilt wrong: ok=%v n=%d", ok, len(rows))
 	}

@@ -8,8 +8,8 @@ import (
 	"cgdqp/internal/expr"
 )
 
-// Table is one persistent table: a page file, the page directory
-// (start row of every page), and the B+ tree secondary indexes.
+// Table is one table: its pager, the page directory (start row of
+// every page), and the B+ tree secondary indexes.
 type Table struct {
 	eng   *Engine
 	name  string
@@ -21,7 +21,7 @@ type Table struct {
 	pageStart []int64 // pageStart[i] = id of the first row on page i
 
 	idxCols []string          // indexed columns, declaration order
-	idx     map[string]*BTree // lowercase column -> index
+	idx     map[string]*btree // lowercase column -> index
 }
 
 // RowCount returns the number of stored rows.
@@ -35,8 +35,9 @@ func (t *Table) RowCount() int64 {
 func (t *Table) file() *tableFile { return t.eng.files[lower(t.name)] }
 
 // Append logs rows to the WAL, applies them to the pages through the
-// buffer pool, and maintains the indexes. The engine may checkpoint
-// afterwards when the WAL has grown past its threshold.
+// buffer pool, and maintains the indexes. A batch holding a row of the
+// wrong width or too wide for a page is refused whole. The engine may
+// checkpoint afterwards when the WAL has grown past its threshold.
 func (t *Table) Append(rows []expr.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -55,18 +56,17 @@ func (t *Table) Append(rows []expr.Row) error {
 func (t *Table) appendLocked(rows []expr.Row, logWAL bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range rows {
-		if len(r) != len(t.cols) {
-			return fmt.Errorf("store: row width %d does not match table %s (%d columns)", len(r), t.name, len(t.cols))
-		}
+	enc, ends, err := t.encodeRows(rows)
+	if err != nil {
+		return err
 	}
-	if logWAL {
-		if err := t.eng.wal.appendInsert(t.name, uint64(t.nRows)+uint64(len(rows)), rows); err != nil {
+	if logWAL && t.eng.wal != nil {
+		if err := t.eng.wal.appendInsert(t.name, uint64(t.nRows)+uint64(len(rows)), len(rows), enc); err != nil {
 			return err
 		}
 	}
 	startID := t.nRows
-	if err := t.appendPages(rows); err != nil {
+	if err := t.appendPages(rows, enc, ends); err != nil {
 		return err
 	}
 	for i, r := range rows {
@@ -75,10 +75,30 @@ func (t *Table) appendLocked(rows []expr.Row, logWAL bool) error {
 	return nil
 }
 
-// appendPages writes rows into the tail page (opening fresh pages as
-// they fill) through the buffer pool; frames stay pinned across rows of
-// the same batch.
-func (t *Table) appendPages(rows []expr.Row) error {
+// encodeRows encodes a whole batch before the WAL or any page sees it,
+// refusing it when a row has the wrong width or does not fit a page;
+// row i's encoding ends at enc[ends[i]].
+func (t *Table) encodeRows(rows []expr.Row) (enc []byte, ends []int, err error) {
+	maxRow := PageSize - pageDataStart(len(t.cols)) - 2
+	enc = make([]byte, 0, 32*len(rows))
+	ends = make([]int, len(rows))
+	for i, r := range rows {
+		if len(r) != len(t.cols) {
+			return nil, nil, fmt.Errorf("store: row width %d does not match table %s (%d columns)", len(r), t.name, len(t.cols))
+		}
+		start := len(enc)
+		if enc = appendRow(enc, r); len(enc)-start > maxRow {
+			return nil, nil, fmt.Errorf("store: row of %d bytes exceeds page capacity in table %s", len(enc)-start, t.name)
+		}
+		ends[i] = len(enc)
+	}
+	return enc, ends, nil
+}
+
+// appendPages writes the encoded rows into the tail page (opening fresh
+// pages as they fill) through the buffer pool; frames stay pinned
+// across rows of the same batch.
+func (t *Table) appendPages(rows []expr.Row, enc []byte, ends []int) error {
 	pool := t.eng.pool
 	tf := t.file()
 	var fr *frame
@@ -88,13 +108,10 @@ func (t *Table) appendPages(rows []expr.Row) error {
 			fr = nil
 		}
 	}
-	scratch := make([]byte, 0, 256)
-	for _, row := range rows {
-		scratch = appendRow(scratch[:0], row)
-		if len(scratch) > PageSize-pageDataStart(len(t.cols))-2 {
-			release()
-			return fmt.Errorf("store: row of %d bytes exceeds page capacity in table %s", len(scratch), t.name)
-		}
+	start := 0
+	for i, row := range rows {
+		rowEnc := enc[start:ends[i]]
+		start = ends[i]
 		for {
 			if fr == nil {
 				if len(t.pageStart) == 0 {
@@ -106,7 +123,7 @@ func (t *Table) appendPages(rows []expr.Row) error {
 					return err
 				}
 			}
-			if pageAppend(fr.buf, scratch, row) {
+			if pageAppend(fr.buf, rowEnc, row) {
 				t.nRows++
 				break
 			}
@@ -149,8 +166,8 @@ func (t *Table) pageRowCount(pg int, limit int64) int {
 	return int(end - start)
 }
 
-// ScanRows decodes every row (the row-path parity oracle; scans on the
-// hot path use Iterator batches instead).
+// ScanRows decodes every row, for whole-table reads (statistics, the
+// index fallback); scans use Iterator batches instead.
 func (t *Table) ScanRows() ([]expr.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -213,7 +230,7 @@ func (t *Table) rowsAtLocked(ids []int32) ([]expr.Row, error) {
 }
 
 // index returns the B+ tree for a column, if declared.
-func (t *Table) index(col string) (*BTree, int) {
+func (t *Table) index(col string) (*btree, int) {
 	tree, ok := t.idx[lower(col)]
 	if !ok {
 		return nil, -1
@@ -225,62 +242,40 @@ func (t *Table) index(col string) (*BTree, int) {
 // [lo, hi] (nil bound = unbounded, inclusivity per flag), in (key,
 // insertion) order. ok is false when the column has no usable index or
 // a bound's type does not match the key lane — callers fall back to a
-// full scan.
-func (t *Table) IndexRangeRows(col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool) {
+// full scan; a page that cannot be read is an error.
+func (t *Table) IndexRangeRows(col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	tree, _ := t.index(col)
 	if tree == nil {
-		return nil, false
+		return nil, false, nil
 	}
-	var loK, hiK *Key
-	if lo != nil {
-		k, ok := valueKey(*lo, tree.str)
-		if !ok {
-			return nil, false
-		}
-		loK = &k
+	ids, ok := tree.rangeOf(lo, hi, loInc, hiInc)
+	if !ok {
+		return nil, false, nil
 	}
-	if hi != nil {
-		k, ok := valueKey(*hi, tree.str)
-		if !ok {
-			return nil, false
-		}
-		hiK = &k
-	}
-	var ids []int32
-	tree.Range(loK, hiK, loInc, hiInc, func(_ Key, post []int32) bool {
-		ids = append(ids, post...)
-		return true
-	})
 	rows, err := t.rowsAtLocked(ids)
-	if err != nil {
-		return nil, false
-	}
-	return rows, true
+	return rows, err == nil, err
 }
 
 // IndexLookupRows returns the rows whose indexed column equals key, in
-// insertion order; ok is false when no usable index exists.
-func (t *Table) IndexLookupRows(col string, key expr.Value) ([]expr.Row, bool) {
+// insertion order; ok and the error as in IndexRangeRows.
+func (t *Table) IndexLookupRows(col string, key expr.Value) ([]expr.Row, bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	tree, _ := t.index(col)
 	if tree == nil {
-		return nil, false
+		return nil, false, nil
 	}
 	if key.IsNull() {
-		return nil, true // = NULL matches nothing
+		return nil, true, nil // = NULL matches nothing
 	}
 	ids := tree.LookupValue(key)
 	if len(ids) == 0 {
-		return nil, true
+		return nil, true, nil
 	}
 	rows, err := t.rowsAtLocked(ids)
-	if err != nil {
-		return nil, false
-	}
-	return rows, true
+	return rows, err == nil, err
 }
 
 // IndexStats returns the min/max key (as typed values) and distinct key
@@ -300,7 +295,7 @@ func (t *Table) IndexStats(col string) (min, max expr.Value, distinct int, ok bo
 	if pos < len(t.types) {
 		ct = t.types[pos]
 	}
-	return KeyValue(loK, ct), KeyValue(hiK, ct), tree.Len(), true
+	return keyValue(loK, ct), keyValue(hiK, ct), tree.Len(), true
 }
 
 // buildIndexes rebuilds every B+ tree by scanning the pages (called on
@@ -308,9 +303,8 @@ func (t *Table) IndexStats(col string) (min, max expr.Value, distinct int, ok bo
 func (t *Table) buildIndexes() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for col, tree := range t.idx {
-		_ = col
-		*tree = *NewBTree(tree.str)
+	for _, tree := range t.idx {
+		*tree = *newBTree(tree.str)
 	}
 	if len(t.idx) == 0 {
 		return nil

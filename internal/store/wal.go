@@ -58,20 +58,18 @@ func openWAL(path string, fsync bool) (*wal, error) {
 	return &wal{path: path, f: f, size: st.Size(), fsync: fsync}, nil
 }
 
-// appendInsert logs rows being appended to table, leaving the table at
-// afterRows total rows.
-func (w *wal) appendInsert(table string, afterRows uint64, rows []expr.Row) error {
+// appendInsert logs nRows rows, already encoded back to back in enc,
+// being appended to table, leaving the table at afterRows total rows.
+func (w *wal) appendInsert(table string, afterRows uint64, nRows int, enc []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	payload := make([]byte, 0, 64+len(rows)*32)
+	payload := make([]byte, 0, 17+len(table)+len(enc))
 	payload = append(payload, walOpInsert)
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(table)))
 	payload = append(payload, table...)
 	payload = binary.LittleEndian.AppendUint64(payload, afterRows)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rows)))
-	for _, r := range rows {
-		payload = appendRow(payload, r)
-	}
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(nRows))
+	payload = append(payload, enc...)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))

@@ -3,7 +3,6 @@ package tpch
 import (
 	"fmt"
 
-	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/schema"
 )
@@ -64,10 +63,16 @@ var (
 	dateHi = expr.MustDate("1998-08-02").Int()
 )
 
+// Loader receives generated rows, one fragment at a time; a
+// *cluster.Cluster is one.
+type Loader interface {
+	LoadFragment(t *schema.Table, fragIdx int, rows []expr.Row) error
+}
+
 // Generate populates the cluster with deterministic TPC-H-shaped data at
 // the catalog's recorded sizes. Fragmented tables are split evenly in key
 // order across their fragments.
-func Generate(cat *schema.Catalog, cl *cluster.Cluster) error {
+func Generate(cat *schema.Catalog, cl Loader) error {
 	sz := Sizes{}
 	get := func(name string) *schema.Table {
 		t, _ := cat.Table(name)
@@ -250,7 +255,7 @@ func Generate(cat *schema.Catalog, cl *cluster.Cluster) error {
 
 // loadSplit distributes rows across a table's fragments (evenly, in
 // order).
-func loadSplit(cl *cluster.Cluster, t *schema.Table, rows []expr.Row) error {
+func loadSplit(cl Loader, t *schema.Table, rows []expr.Row) error {
 	n := len(t.Fragments)
 	if n <= 1 {
 		return cl.LoadFragment(t, 0, rows)

@@ -4,23 +4,26 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/plan"
+	"cgdqp/internal/store"
 )
 
-// These tests pin the public surface of the persistent storage engine:
-// the optimizer plans B+ tree access paths (IndexScan, IndexLookupJoin)
+// These tests pin the public surface of the storage engine: the
+// optimizer plans B+ tree access paths (IndexScan, IndexLookupJoin)
 // from declared indexes, plan choice and results are identical across
-// the storage backends, and a persistent system reopened over its data
-// directory recovers every row without reloading.
+// the memory and file pagers, and a persistent system reopened over its
+// data directory recovers every row without reloading.
 
 // newIndexedSystem builds a single-site system with a 50k-row fact
 // table (B+ tree on key) and a 100-row dim table, identical data on
-// either backend (dataDir "" = in-memory).
+// either pager (dataDir "" = memory).
 func newIndexedSystem(t *testing.T, dataDir string) *System {
 	t.Helper()
 	sys := defineIndexed(t, dataDir)
@@ -120,8 +123,8 @@ func TestIndexRangeReadsFewerPages(t *testing.T) {
 // indexes into physical access paths — a range predicate on the indexed
 // column becomes an IndexScan, an equi-join into the indexed table
 // becomes an IndexLookupJoin — and that plan choice and results are
-// byte-identical across the in-memory and persistent backends (costing
-// depends on the configured pool budget, never on which backend runs).
+// byte-identical across the memory and file pagers (costing depends on
+// the configured pool budget, never on which pager runs).
 func TestIndexAccessPathsPlanned(t *testing.T) {
 	queries := []struct {
 		name, sql, operator string
@@ -305,5 +308,94 @@ func TestOpenConfiguresCluster(t *testing.T) {
 	}
 	if !strings.Contains(metrics.String(), "cgdqp_ship_faults_total") {
 		t.Error("faults of an explicitly opened cluster were not counted")
+	}
+}
+
+// TestIndexReadOfCorruptPageFails: a flipped byte in a page file under
+// an IndexScan and under an IndexLookupJoin fails the query with the
+// checksum error instead of reporting the index unusable and falling
+// back to a scan.
+func TestIndexReadOfCorruptPageFails(t *testing.T) {
+	dir := t.TempDir()
+	sys := NewSystemWith(Options{DataDir: dir, BufferPoolBytes: 2 * store.PageSize})
+	sys.MustDefineTable("fact", "db-e", "Europe", 5_000, Col("key", TInt), Col("val", TFloat), Col("tag", TString))
+	sys.MustDefineTable("dim", "db-e", "Europe", 100, Col("fk", TInt), Col("name", TString))
+	sys.MustDefineIndex("fact", "key")
+	sys.MustAddPolicy("ship * from fact to *")
+	sys.MustAddPolicy("ship * from dim to *")
+	if err := sys.SetColumnStats("fact", "key", 5_000, Int(0), Int(4_999)); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	facts := make([]Row, 0, 5_000)
+	for i := 0; i < 5_000; i++ {
+		facts = append(facts, Row{Int(int64(i)), Float(float64(i) / 4), String(fmt.Sprintf("t-%04d", i))})
+	}
+	sys.MustLoad("fact", facts)
+	dims := make([]Row, 0, 100)
+	for i := 0; i < 100; i++ {
+		dims = append(dims, Row{Int(int64(i * 50)), String(fmt.Sprintf("d-%03d", i))})
+	}
+	sys.MustLoad("dim", dims)
+
+	// The pool holds two frames, so all but the last pages the load
+	// touched are only on disk: flip one byte in every page.
+	path := filepath.Join(dir, "Europe", "fact.tbl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := store.PageSize / 2; off < len(data); off += store.PageSize {
+		data[off] ^= 0x5a
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fact, _ := sys.Schema.Table("fact")
+	lo, hi := Int(1000), Int(1100)
+	if _, _, err := sys.Cluster().IndexRangeRows(fact, 0, "key", &lo, &hi, true, false); err == nil {
+		t.Error("index range over a corrupt page: no error")
+	}
+	if _, _, err := sys.Cluster().IndexLookupRows(fact, 0, "key", Int(1000)); err == nil {
+		t.Error("index lookup on a corrupt page: no error")
+	}
+	for _, q := range []struct{ sql, operator string }{
+		{`SELECT F.key, F.val FROM fact F WHERE F.key >= 1000 AND F.key < 1100`, "IndexScan"},
+		{`SELECT D.name, F.key, F.val, F.tag FROM dim D, fact F WHERE D.fk = F.key`, "IndexLookupJoin"},
+	} {
+		p, err := sys.Explain(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(p.Root.Format(true), q.operator) {
+			t.Fatalf("%s not planned:\n%s", q.operator, p.Root.Format(true))
+		}
+		if res, err := sys.Query(q.sql); err == nil {
+			t.Errorf("%s over a corrupt page returned %d rows, want a checksum error", q.operator, len(res.Rows))
+		} else if !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("%s over a corrupt page: %v, want a checksum error", q.operator, err)
+		}
+	}
+}
+
+// TestLoadRefusesBadRows: a row of the wrong width, or one whose
+// encoding is wider than a page, is refused by Load with or without a
+// DataDir, and the table stays empty.
+func TestLoadRefusesBadRows(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		sys := NewSystemWith(Options{DataDir: dir})
+		sys.MustDefineTable("t", "db-e", "Europe", 1, Col("k", TInt), Col("s", TString))
+		for _, row := range []Row{{Int(1)}, {Int(1), String(strings.Repeat("x", store.PageSize))}} {
+			if err := sys.Load("t", []Row{row}); err == nil {
+				t.Errorf("DataDir %q: Load accepted a %d-column row of %d string bytes", dir, len(row), len(row[len(row)-1].S))
+			}
+		}
+		if sys.Loaded("t") {
+			t.Errorf("DataDir %q: a refused load left rows behind", dir)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
