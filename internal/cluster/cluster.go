@@ -280,26 +280,42 @@ func (c *Cluster) FragmentBatches(t *schema.Table, fragIdx int) (*store.Iterator
 	return st.NewIterator(), true, nil
 }
 
-// IndexRangeRows reads the rows of a fragment whose indexed column lies
-// in [lo, hi] via its B+ tree, in (key, insertion) order. ok is false
-// when the column carries no usable index — callers fall back to a full
-// scan plus filter; a page that cannot be read is an error.
-func (c *Cluster) IndexRangeRows(t *schema.Table, fragIdx int, col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool, error) {
+// FragmentGather returns an index read over a fragment that fills the
+// columns need selects (nil: all); see store.Gather.
+func (c *Cluster) FragmentGather(t *schema.Table, fragIdx int, need []bool) (*store.Gather, error) {
 	st, err := c.fragmentTable(t, fragIdx)
 	if err != nil {
+		return nil, err
+	}
+	return st.NewGather(need), nil
+}
+
+// IndexRangeRows reads the rows of a fragment whose indexed column lies
+// in [lo, hi]: the whole result of a FragmentGather range, in row-ID
+// order. ok is false when the column carries no usable index — callers
+// fall back to a full scan plus filter; a page that cannot be read is
+// an error.
+func (c *Cluster) IndexRangeRows(t *schema.Table, fragIdx int, col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool, error) {
+	g, err := c.FragmentGather(t, fragIdx, nil)
+	if err != nil || !g.Range(col, lo, hi, loInc, hiInc) {
 		return nil, false, err
 	}
-	return st.IndexRangeRows(col, lo, hi, loInc, hiInc)
+	rows, err := g.Rows()
+	return rows, err == nil, err
 }
 
 // IndexLookupRows reads the rows of a fragment whose indexed column
-// equals key, in insertion order; ok as in IndexRangeRows.
+// equals key, in row-ID order; ok as in IndexRangeRows.
 func (c *Cluster) IndexLookupRows(t *schema.Table, fragIdx int, col string, key expr.Value) ([]expr.Row, bool, error) {
-	st, err := c.fragmentTable(t, fragIdx)
+	g, err := c.FragmentGather(t, fragIdx, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	return st.IndexLookupRows(col, key)
+	if _, ok := g.Lookup(col, []expr.Value{key}); !ok {
+		return nil, false, nil
+	}
+	rows, err := g.Rows()
+	return rows, err == nil, err
 }
 
 // AllRows concatenates the rows of every fragment of a table (global

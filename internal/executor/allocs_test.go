@@ -412,3 +412,53 @@ func TestMaskedScanAllocatesNoDroppedStrings(t *testing.T) {
 		t.Errorf("re-scan of %d resident pages allocated %.0f (full) and %.0f (masked)", pages, full, masked)
 	}
 }
+
+// TestIndexScanAllocsPerBatch: an IndexScan under a SUM over a float
+// column allocates per run and per batch, never per row — the gather
+// decodes straight into pooled batches' vectors and the residual only
+// narrows their selection — so a range 20x larger costs at most a
+// per-batch constant more.
+func TestIndexScanAllocsPerBatch(t *testing.T) {
+	const n = 40 * BatchSize
+	tab := schema.NewTable("T", "d", "L", n,
+		schema.Column{Name: "k", Type: expr.TInt}, schema.Column{Name: "v", Type: expr.TFloat})
+	tab.Indexes = []string{"k"}
+	cat := schema.NewCatalog()
+	cat.MustAddTable(tab)
+	cl := cluster.New(cat, network.NewCostModel(1, 1e-6))
+	rows := make([]expr.Row, n)
+	for i := range rows {
+		rows[i] = expr.Row{expr.NewInt(int64(i)), expr.NewFloat(float64(i) / 2)}
+	}
+	if err := cl.LoadFragment(tab, 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(span int64) float64 {
+		idx := plan.NewScan(tab, "t", 0)
+		idx.Kind, idx.IdxCol = plan.IndexScan, "k"
+		lo, hi := expr.NewInt(100), expr.NewInt(100+span)
+		idx.IdxLo, idx.IdxHi, idx.IdxLoInc = &lo, &hi, true
+		idx.Pred = expr.NewAnd(
+			expr.NewCmp(expr.GE, expr.NewCol("t", "k"), expr.NewConst(lo)),
+			expr.NewCmp(expr.LT, expr.NewCol("t", "k"), expr.NewConst(hi)))
+		agg := plan.NewAggregate(idx, nil, []plan.NamedAgg{{Fn: expr.AggSum, Arg: expr.NewCol("t", "v"), Name: "s"}})
+		agg.Kind = plan.HashAgg
+		run := func() {
+			out, _, err := Run(agg, cl)
+			if err != nil || len(out) != 1 {
+				t.Fatalf("run: %d rows, %v", len(out), err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+	// Today about 2 per batch; the slack covers the race detector, under
+	// which the batch pool drops entries. One allocation per row would
+	// cost BatchSize per batch.
+	const perBatch = 16
+	small, large := allocs(BatchSize), allocs(20*BatchSize)
+	if large-small > perBatch*19 {
+		t.Errorf("SUM over an index range: %.0f allocations for 1 batch, %.0f for 20; want at most %d more per batch", small, large, perBatch)
+	}
+	t.Logf("allocations: 1 batch %.0f, 20 batches %.0f", small, large)
+}

@@ -176,9 +176,9 @@ func (e *execEnv) start() {
 // build compiles a plan node into an operator tree. Expression binding
 // happens here, on the building goroutine, before any producer starts —
 // bound expressions are only read during execution. need marks the
-// output columns of n its consumers read (nil: all of them); only a
-// table scan acts on it. When the observer carries a PlanProfile every
-// operator is wrapped to collect per-node actuals.
+// output columns of n its consumers read (nil: all of them); only the
+// table and index reads act on it. When the observer carries a
+// PlanProfile every operator is wrapped to collect per-node actuals.
 func build(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 	kids := n.Children
 	if n.Kind == plan.IndexLookupJoin && len(kids) == 2 {
@@ -204,11 +204,11 @@ func build(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 	case plan.TableScan, plan.Scan:
 		op, err = newScan(n, env, need)
 	case plan.IndexScan:
-		op, err = newIndexScan(n, env)
+		op, err = newIndexScan(n, env, need)
 	case plan.IndexLookupJoin:
-		op, err = newIndexLookupJoin(n, children, env.c)
+		op, err = newIndexLookupJoin(n, children[0], env, need)
 	case plan.FilterExec, plan.Filter:
-		op = newFilter(n, children[0], bound[0], vec)
+		op = newFilter(children[0], bound[0], colTypes(n.Children[0]), vec)
 	case plan.ProjectExec, plan.Project:
 		op = newProject(n, children[0], bound, vec)
 	case plan.HashJoin:
@@ -345,9 +345,9 @@ func equiKeys(n *plan.Node, what string) (lk, rk []expr.Expr, residual expr.Expr
 }
 
 // rowOut is the output side of the operators that produce rows rather
-// than columns (joins, aggregate, sort, index access): it hands the
-// rows in buf out BatchSize at a time, copying their headers into the
-// pooled batch's own storage so buf can be reused.
+// than columns (aggregate, sort): it hands the rows in buf out
+// BatchSize at a time, copying their headers into the pooled batch's
+// own storage so buf can be reused.
 type rowOut struct {
 	buf []expr.Row
 	pos int
@@ -468,11 +468,11 @@ func (o *pairOut) reset(vec bool) {
 	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
 }
 
-// exactCols resolves the listed columns of chunk into vecs. It reports
-// false unless each is an exact vector whose NULLs carry the lane's own
-// type: only then do appended copies materialize the chunk's values
-// verbatim.
-func (o *pairOut) exactCols(chunk *Batch, types []expr.Type, which []int) bool {
+// exactCols resolves the listed columns of chunk into vecs[c]. It
+// reports false unless each is an exact vector whose NULLs carry the
+// lane's own type: only then do appended copies materialize the chunk's
+// values verbatim.
+func exactCols(chunk *Batch, types []expr.Type, which []int, vecs []*expr.Vec) bool {
 	d := chunk.Data()
 	d.Bind(types)
 	for _, c := range which {
@@ -480,7 +480,7 @@ func (o *pairOut) exactCols(chunk *Batch, types []expr.Type, which []int) bool {
 		if !ok || !v.Exact || v.Null != nil && v.NullT != v.T {
 			return false
 		}
-		o.vecs[c] = v
+		vecs[c] = v
 	}
 	return true
 }
@@ -489,14 +489,14 @@ func (o *pairOut) exactCols(chunk *Batch, types []expr.Type, which []int) bool {
 // vectors — all of them, or the key columns — in vecs. It reports the
 // columns to take as vectors and whether to take the chunk's rows.
 func (o *pairOut) resolve(chunk *Batch, types []expr.Type, all, keys []int) (vecs []int, rows bool) {
-	if o.cols && (chunk.Data().RowBacked() || !o.exactCols(chunk, types, all)) {
+	if o.cols && (chunk.Data().RowBacked() || !exactCols(chunk, types, all, o.vecs)) {
 		// The build side so far is exact vectors: these are its rows.
 		o.cols, o.brows = false, colRows(o.bcols, int(o.bn))
 	}
 	if o.cols {
 		return all, false
 	}
-	if o.keys = o.keys && o.exactCols(chunk, types, keys); o.keys {
+	if o.keys = o.keys && exactCols(chunk, types, keys, o.vecs); o.keys {
 		return keys, true
 	}
 	return nil, true

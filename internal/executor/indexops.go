@@ -2,132 +2,128 @@ package executor
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
-	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/plan"
+	"cgdqp/internal/store"
 )
 
 // Index access-path operators. An IndexScan serves a Filter-over-Scan
-// through a B+ tree range on one indexed column, re-applying the full
-// predicate as a residual; an IndexLookupJoin replaces a join's inner
-// scan with one index probe per outer row. Both read through the
-// cluster's store, in (key, insertion) order on either pager; a page
-// the index read cannot decode fails the run rather than degrading to
-// a scan.
+// through a B+ tree range, re-applying the full predicate as a residual;
+// an IndexLookupJoin replaces a join's inner scan with one index lookup
+// per outer batch. Both read through a store.Gather, in row-ID order
+// (only a SortExec defines result order), and fail the run on a page
+// they cannot decode rather than degrading to a scan.
+
+// filtered runs n's predicate, if any, as a filter over src's batches
+// of n's output, after adding the columns it reads (from column off of
+// n's output on) to *need, the columns src fills (nil: all).
+func filtered(src BatchOperator, n *plan.Node, need *[]bool, off int, env *execEnv) (BatchOperator, error) {
+	if n.Pred == nil {
+		return src, nil
+	}
+	pred, err := expr.Bind(n.Pred, resolver(n))
+	if err != nil {
+		return nil, fmt.Errorf("executor: %s bind: %w", n.Kind, err)
+	}
+	if *need != nil {
+		*need = slices.Clone(*need)
+		for _, c := range expr.Columns(pred) {
+			if c.Index >= off {
+				(*need)[c.Index-off] = true
+			}
+		}
+	}
+	return newFilter(src, pred, colTypes(n), env.opt.kernels()), nil
+}
 
 // --- index scan ---------------------------------------------------------
 
-// indexScanOp implements plan.IndexScan. Should the store report the
-// index unusable at runtime (ok=false — a plan carried across a schema
-// change), it degrades to the full fragment scan the plan replaced:
-// same surviving rows, insertion order instead of key order. Like the
-// table scan, every batch first consults the run's context.
+// indexScanOp is plan.IndexScan's read: the range's rows, gathered with
+// the columns need selects, under newIndexScan's residual filter. With
+// the index unusable at runtime (a plan carried across a schema change)
+// it reads through the full fragment scan the plan replaced. Every
+// batch first consults the run's context.
 type indexScanOp struct {
 	node *plan.Node
 	env  *execEnv
-	pred expr.Expr
-	rows []expr.Row // index range, residual not yet applied
-	pos  int
-	out  rowOut
+	need []bool
+	g    *store.Gather
+	scan *scanOp // the fallback, when the index is unusable
 }
 
-func newIndexScan(n *plan.Node, env *execEnv) (BatchOperator, error) {
+func newIndexScan(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 	if n.Table == nil {
 		return nil, fmt.Errorf("executor: index scan without table")
 	}
-	var pred expr.Expr
-	if n.Pred != nil {
-		bound, err := expr.Bind(n.Pred, resolver(n))
-		if err != nil {
-			return nil, fmt.Errorf("executor: index scan bind: %w", err)
-		}
-		pred = bound
-	}
-	return &indexScanOp{node: n, env: env, pred: pred}, nil
+	src := &indexScanOp{node: n, env: env, need: need}
+	return filtered(src, n, &src.need, 0, env)
 }
 
 func (s *indexScanOp) Open() error {
-	n, c := s.node, s.env.c
-	rows, ok, err := c.IndexRangeRows(n.Table, n.FragIdx, n.IdxCol, n.IdxLo, n.IdxHi, n.IdxLoInc, n.IdxHiInc)
+	n := s.node
+	g, err := s.env.c.FragmentGather(n.Table, n.FragIdx, s.need)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		rows, err = c.FragmentRows(n.Table, n.FragIdx)
-		if err != nil {
-			return err
-		}
+	s.g, s.scan = g, nil
+	if !g.Range(n.IdxCol, n.IdxLo, n.IdxHi, n.IdxLoInc, n.IdxHiInc) {
+		s.g, s.scan = nil, &scanOp{node: n, env: s.env, need: s.need}
+		return s.scan.Open()
 	}
-	s.rows, s.pos = rows, 0
-	s.out.reset()
 	return nil
 }
 
 func (s *indexScanOp) NextBatch() (*Batch, error) {
+	if s.scan != nil {
+		return s.scan.NextBatch()
+	}
 	if err := s.env.ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.out.nextBatch(s.filterNext)
-}
-
-// filterNext refills out with the residual's survivors among the next
-// BatchSize index rows.
-func (s *indexScanOp) filterNext() (bool, error) {
-	if s.pos >= len(s.rows) {
-		return false, nil
+	b := NewBatch()
+	if more, err := s.g.NextBatch(b.Data(), BatchSize); err != nil || !more {
+		b.Release()
+		return nil, err
 	}
-	end := s.pos + BatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	s.out.reset()
-	for _, row := range s.rows[s.pos:end] {
-		keep, err := expr.EvalBool(s.pred, row)
-		if err != nil {
-			return false, err
-		}
-		if keep {
-			s.out.buf = append(s.out.buf, row)
-		}
-	}
-	s.pos = end
-	return true, nil
+	return b, nil
 }
 
 func (s *indexScanOp) Close() error {
-	s.rows = nil
-	s.out = rowOut{}
+	s.g, s.scan = nil, nil
 	return nil
 }
 
 // --- index lookup join --------------------------------------------------
 
-// indexLookupJoinOp implements plan.IndexLookupJoin: the outer child
-// streams; each outer row's key probes the inner table's index at the
-// inner site, and the full join predicate runs as a residual over each
-// candidate pair. The inner scan child is never executed — its rows are
-// reached through the index — but its node describes the probed
-// fragment and the concatenated output schema.
+// indexLookupJoinOp is plan.IndexLookupJoin's candidate stream: each
+// outer batch's keys go to the inner fragment's index as one lookup,
+// whose matches are gathered in row-ID order; each fetched batch is one
+// batch of pairs (outer columns gathered by pair, inner as fetched)
+// under newIndexLookupJoin's join-predicate filter. The inner scan
+// child never runs. With the index unusable at runtime the pairs come
+// from a nested-loop join with a scan of the inner fragment.
 type indexLookupJoinOp struct {
-	node  *plan.Node
-	c     *cluster.Cluster
-	outer feed
-	inner *plan.Node
-	key   expr.Expr // probe key, bound against the outer schema
-	pred  expr.Expr // full join predicate over the concatenated schema
+	node   *plan.Node
+	env    *execEnv
+	outer  feed
+	key    expr.Expr   // probe key, bound against the outer schema
+	oTypes []expr.Type // outer schema
+	oall   []int       // every outer column
+	need   []bool      // inner columns to fetch
 
-	out rowOut
-
-	// Degraded path (index unusable at runtime): the inner fragment is
-	// materialized once and probed by value comparison.
-	innerRows   []expr.Row
-	innerKeyIdx int
-	innerLoaded bool
+	g     *store.Gather
+	keys  []expr.Value // the outer batch's probe keys, by selected row
+	from  []int32      // per fetched row: its outer row
+	pos   int          // fetched rows handed out
+	inner expr.Batch   // the fetched batch
+	osel  []int32      // per pair: its outer row's vector index
+	ovecs []*expr.Vec  // the outer batch's vectors
+	nl    BatchOperator
 }
 
-func newIndexLookupJoin(n *plan.Node, children []BatchOperator, c *cluster.Cluster) (BatchOperator, error) {
+func newIndexLookupJoin(n *plan.Node, outer BatchOperator, env *execEnv, need []bool) (BatchOperator, error) {
 	if len(n.Children) != 2 || n.Children[1].Table == nil {
 		return nil, fmt.Errorf("executor: index lookup join without inner scan")
 	}
@@ -135,99 +131,119 @@ func newIndexLookupJoin(n *plan.Node, children []BatchOperator, c *cluster.Clust
 	if err != nil {
 		return nil, fmt.Errorf("executor: index lookup key bind: %w", err)
 	}
-	var pred expr.Expr
-	if n.Pred != nil {
-		bound, err := expr.Bind(n.Pred, resolver(n))
-		if err != nil {
-			return nil, fmt.Errorf("executor: index lookup join bind: %w", err)
-		}
-		pred = bound
+	lw := len(n.Children[0].Cols)
+	j := &indexLookupJoinOp{node: n, env: env, outer: feed{src: outer}, key: key,
+		oTypes: colTypes(n.Children[0]), ovecs: make([]*expr.Vec, lw)}
+	for c := range lw {
+		j.oall = append(j.oall, c)
 	}
-	return &indexLookupJoinOp{node: n, c: c, outer: feed{src: children[0]}, inner: n.Children[1], key: key, pred: pred}, nil
+	if need != nil {
+		j.need = need[lw:]
+	}
+	return filtered(j, n, &j.need, lw, env)
 }
 
 func (j *indexLookupJoinOp) Open() error {
-	j.out.reset()
-	j.innerRows, j.innerLoaded = nil, false
+	inner := j.node.Children[1]
+	g, err := j.env.c.FragmentGather(inner.Table, inner.FragIdx, j.need)
+	if err != nil {
+		return err
+	}
+	j.g, j.pos, j.nl = g, 0, nil
+	if _, ok := g.Lookup(j.node.IdxCol, nil); !ok {
+		if j.nl, err = newNLJoin(j.node, j.outer.src, &scanOp{node: inner, env: j.env}, j.env.opt.kernels()); err != nil {
+			return err
+		}
+		return j.nl.Open()
+	}
 	return j.outer.open()
 }
 
-func (j *indexLookupJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.probeNext) }
-
-// probeNext probes the index with the next outer row and refills out
-// with the candidate pairs the join predicate keeps.
-func (j *indexLookupJoinOp) probeNext() (bool, error) {
-	row, ok, err := j.outer.nextRow()
-	if err != nil || !ok {
-		return false, err
+func (j *indexLookupJoinOp) NextBatch() (*Batch, error) {
+	if j.nl != nil {
+		return j.nl.NextBatch()
 	}
-	j.out.reset()
-	k, err := expr.Eval(j.key, row)
-	if err != nil {
-		return false, err
-	}
-	if k.IsNull() {
-		return true, nil // NULL keys never match
-	}
-	matches, idxOK, err := j.c.IndexLookupRows(j.inner.Table, j.inner.FragIdx, j.node.IdxCol, k)
-	if err != nil {
-		return false, err
-	}
-	if !idxOK {
-		matches, err = j.probeFallback(k)
-		if err != nil {
-			return false, err
-		}
-	}
-	for _, r := range matches {
-		out := concatRow(row, r)
-		keep, err := expr.EvalBool(j.pred, out)
-		if err != nil {
-			return false, err
-		}
-		if keep {
-			j.out.buf = append(j.out.buf, out)
-		}
-	}
-	return true, nil
-}
-
-// probeFallback answers one probe without the index: the inner fragment
-// is scanned once into memory and filtered by key equality, preserving
-// the index path's insertion order among equal keys.
-func (j *indexLookupJoinOp) probeFallback(k expr.Value) ([]expr.Row, error) {
-	if !j.innerLoaded {
-		rows, err := j.c.FragmentRows(j.inner.Table, j.inner.FragIdx)
+	for {
+		more, err := j.g.NextBatch(&j.inner, BatchSize)
 		if err != nil {
 			return nil, err
 		}
-		idx := -1
-		for i, cr := range j.inner.Cols {
-			if strings.EqualFold(cr.Name, j.node.IdxCol) {
-				idx = i
-				break
-			}
+		if more {
+			return j.pairs(), nil
 		}
-		if idx < 0 {
-			return nil, fmt.Errorf("executor: index lookup join: inner column %s not in schema", j.node.IdxCol)
-		}
-		j.innerRows, j.innerKeyIdx, j.innerLoaded = rows, idx, true
-	}
-	var out []expr.Row
-	for _, r := range j.innerRows {
-		v := r[j.innerKeyIdx]
-		if v.IsNull() {
-			continue
-		}
-		if c, err := v.Compare(k); err == nil && c == 0 {
-			out = append(out, r)
+		if err = j.probe(); err != nil || j.outer.cur == nil {
+			return nil, err
 		}
 	}
-	return out, nil
+}
+
+// probe takes the next outer batch (none at the end of the stream) and
+// looks up all of its keys.
+func (j *indexLookupJoinOp) probe() error {
+	if err := j.env.ctx.Err(); err != nil {
+		return err
+	}
+	cur, err := j.outer.nextChunk()
+	if err != nil || cur == nil {
+		return err
+	}
+	j.keys = j.keys[:0]
+	col, bare := j.key.(*expr.Col)
+	for r := 0; r < cur.Len(); r++ {
+		k := expr.Value{}
+		if bare {
+			k = cur.RowValue(r, col.Index)
+		} else if k, err = expr.Eval(j.key, cur.Rows()[r]); err != nil {
+			return err
+		}
+		j.keys = append(j.keys, k)
+	}
+	j.from, _ = j.g.Lookup(j.node.IdxCol, j.keys)
+	j.pos = 0
+	return nil
+}
+
+// pairs builds the candidate batch of the fetched rows: column-backed
+// when the fetch is and the outer batch has exact vectors, otherwise
+// one concatenated row per pair.
+func (j *indexLookupJoinOp) pairs() *Batch {
+	cur, n, lw := j.outer.cur, j.inner.Len(), len(j.oTypes)
+	from := j.from[j.pos : j.pos+n]
+	j.pos += n
+	out := NewBatch()
+	if j.inner.RowBacked() || cur.Data().RowBacked() || !exactCols(cur, j.oTypes, j.oall, j.ovecs) {
+		orows, irows := cur.Rows(), j.inner.Rows()
+		for i, r := range from {
+			out.rowBuf = append(out.rowBuf, concatRow(orows[r], irows[i]))
+		}
+		out.SetRows(out.rowBuf)
+		return out
+	}
+	j.osel = j.osel[:0]
+	for _, r := range from {
+		if sel := cur.Sel(); sel != nil {
+			r = sel[r]
+		}
+		j.osel = append(j.osel, r)
+	}
+	d := out.Data()
+	d.StartCols(lw+j.inner.Width(), n)
+	for c, v := range j.ovecs {
+		d.OwnCol(c).GatherFrom(v, j.osel)
+	}
+	for c := range j.inner.Width() {
+		if v, ok := j.inner.ColVec(c); ok {
+			d.OwnCol(lw + c).CopyFrom(v)
+		}
+	}
+	d.FinishCols()
+	return out
 }
 
 func (j *indexLookupJoinOp) Close() error {
-	j.innerRows = nil
-	j.out = rowOut{}
+	j.g = nil
+	if j.nl != nil {
+		return j.nl.Close()
+	}
 	return j.outer.close()
 }

@@ -121,8 +121,7 @@ type filterOp struct {
 	selCopy []int32
 }
 
-func newFilter(n *plan.Node, src BatchOperator, pred expr.Expr, vec bool) BatchOperator {
-	types := colTypes(n.Children[0])
+func newFilter(src BatchOperator, pred expr.Expr, types []expr.Type, vec bool) BatchOperator {
 	return &filterOp{src: src, pred: pred, kern: compilePred(pred, types, vec), types: types}
 }
 

@@ -30,9 +30,8 @@ func colTypes(n *plan.Node) []expr.Type {
 // close call; the feed owns its lifecycle, the consumer must not
 // release it.
 type feed struct {
-	src  BatchOperator
-	cur  *Batch
-	rows []expr.Row // nextRow's cursor into cur
+	src BatchOperator
+	cur *Batch
 }
 
 func (f *feed) open() error { return f.src.Open() }
@@ -49,23 +48,9 @@ func (f *feed) nextChunk() (*Batch, error) {
 	return b, nil
 }
 
-// nextRow walks the stream row by row (do not mix with nextChunk); ok
-// is false at end of stream.
-func (f *feed) nextRow() (row expr.Row, ok bool, err error) {
-	for len(f.rows) == 0 {
-		chunk, err := f.nextChunk()
-		if err != nil || chunk == nil {
-			return nil, false, err
-		}
-		f.rows = chunk.Rows()
-	}
-	row, f.rows = f.rows[0], f.rows[1:]
-	return row, true, nil
-}
-
 func (f *feed) close() error {
 	f.cur.Release()
-	f.cur, f.rows = nil, nil
+	f.cur = nil
 	return f.src.Close()
 }
 

@@ -270,10 +270,10 @@ func (t *btree) MinMax() (lo, hi indexKey, ok bool) {
 	return lo, hi, true
 }
 
-// rangeOf collects the row ids of every key in [lo, hi] (nil bound =
-// unbounded, inclusivity per flag) in (key, insertion) order; ok is
-// false when a bound's type does not fit the key lane.
-func (t *btree) rangeOf(lo, hi *expr.Value, loInc, hiInc bool) ([]int32, bool) {
+// rangeOf appends to ids the row ids of every key in [lo, hi] (nil
+// bound = unbounded, inclusivity per flag) in (key, insertion) order; ok
+// is false when a bound's type does not fit the key lane.
+func (t *btree) rangeOf(lo, hi *expr.Value, loInc, hiInc bool, ids []int32) ([]int32, bool) {
 	var loK, hiK *indexKey
 	if lo != nil {
 		k, ok := valueKey(*lo, t.str)
@@ -289,7 +289,6 @@ func (t *btree) rangeOf(lo, hi *expr.Value, loInc, hiInc bool) ([]int32, bool) {
 		}
 		hiK = &k
 	}
-	var ids []int32
 	t.Range(loK, hiK, loInc, hiInc, func(_ indexKey, post []int32) bool {
 		ids = append(ids, post...)
 		return true

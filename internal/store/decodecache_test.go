@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -257,5 +258,108 @@ func TestDecodeCacheNeverHoldsAFailedDecode(t *testing.T) {
 	}
 	if h := e.Stats().DecodeHits - h0; h != 0 || cachedDecode(t, tab, 0) != nil {
 		t.Fatalf("corrupt page: %d cache hits, decode cached: %v", h, cachedDecode(t, tab, 0) != nil)
+	}
+}
+
+// TestGatherReadsDecodeCache: an index read yields the loaded values —
+// NULLs, bools, strings and dates included — of exactly the columns its
+// need mask selects, whether the cell walker decodes its slots or, once
+// a scan has cached the resident pages' decode, they are copied from
+// the cache.
+func TestGatherReadsDecodeCache(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := mixedRows(3000)
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := expr.NewInt(500), expr.NewInt(2500)
+	check := func(source string) {
+		t.Helper()
+		for _, need := range [][]bool{nil, {true, false, true, false, true}, {false, true, false, true, false}} {
+			g := tab.NewGather(need)
+			if !g.Range("id", &lo, &hi, true, false) {
+				t.Fatal("no usable index on id")
+			}
+			got, err := g.Rows()
+			if err != nil || len(got) != 2000 {
+				t.Fatalf("%s, need %v: %d rows, %v; want 2000", source, need, len(got), err)
+			}
+			for i, r := range got {
+				for c := range r {
+					if (need == nil || need[c]) && r[c] != rows[500+i][c] {
+						t.Fatalf("%s, need %v: row %d col %d = %+v, want %+v", source, need, 500+i, c, r[c], rows[500+i][c])
+					}
+				}
+			}
+		}
+	}
+	check("walker")
+	mustScan(t, tab, nil, 3000) // resident pages: decoded and cached
+	for pg := range tab.pageStart {
+		if cachedDecode(t, tab, pg) == nil {
+			t.Fatalf("page %d holds no cached decode after a scan", pg)
+		}
+	}
+	check("decode cache")
+}
+
+// TestGatherAcrossPageShapes: a gather whose batches span pages of
+// different lanes (an int run, then a float run of the same column) and
+// impure pages ends each batch where the shape changes, with vectors as
+// long as the batch, and still yields every loaded row once, in row-ID
+// order.
+func TestGatherAcrossPageShapes(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 0)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", []string{"k", "v"}, []expr.Type{expr.TInt, expr.TFloat}, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]expr.Row, 6000)
+	for i := range rows {
+		v := expr.NewFloat(float64(i) / 2)
+		switch {
+		case i < 2000:
+			v = expr.NewInt(int64(i))
+		case i >= 4000 && i%5 == 0:
+			v = expr.NullValue() // untyped: its pages are impure
+		}
+		rows[i] = expr.Row{expr.NewInt(int64(i)), v}
+	}
+	if err := tab.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	g := tab.NewGather(nil)
+	if !g.Range("k", nil, nil, true, true) {
+		t.Fatal("no usable index on k")
+	}
+	var b expr.Batch
+	for i := 0; ; {
+		more, err := g.NextBatch(&b, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			if i != len(rows) {
+				t.Fatalf("gathered %d rows, want %d", i, len(rows))
+			}
+			return
+		}
+		for c := 0; c < b.Width(); c++ {
+			if v, ok := b.ColVec(c); ok && !b.RowBacked() && v.N != b.Len() {
+				t.Fatalf("batch at row %d: column %d holds %d values for %d rows", i, c, v.N, b.Len())
+			}
+		}
+		for j, r := range b.Rows() {
+			if !reflect.DeepEqual(r, rows[i+j]) {
+				t.Fatalf("row %d = %v, want %v", i+j, r, rows[i+j])
+			}
+		}
+		i += b.Len()
 	}
 }

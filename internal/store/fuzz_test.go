@@ -26,6 +26,7 @@ func FuzzPageDecode(f *testing.F) {
 	sealPage(seed)
 	f.Add(seed, uint8(3), uint8(0b101))
 	f.Add(seed, uint8(3), uint8(0))
+	f.Add(retaggedPage(), uint8(2), uint8(0b001))
 	f.Add(make([]byte, PageSize), uint8(1), uint8(1))
 	f.Add([]byte{1, 2, 3}, uint8(2), uint8(2))
 
@@ -72,6 +73,62 @@ func FuzzPageDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodePageInto is the tests' reference decode of a page's first limit
+// rows into the batch, as a scan makes it: columnar (masked by need) for
+// lane-pure pages, row-backed otherwise. lanes is scratch, one entry per
+// table column.
+func decodePageInto(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
+	if pagePure(buf, lanes) {
+		return new(cellWalker).page(buf, limit, lanes, need, b)
+	}
+	rows, err := decodePageRows(buf, limit, len(lanes), make([]expr.Row, 0, limit))
+	if err != nil {
+		return err
+	}
+	b.SetRows(rows)
+	return nil
+}
+
+// retaggedPage is a checksummed page whose header declares column 0 an
+// int lane but whose row 8 tags that cell TBool over the same varint
+// payload: the row decoder reads TRUE where a lane-trusting columnar
+// decoder would read 8.
+func retaggedPage() []byte {
+	buf := make([]byte, PageSize)
+	initPage(buf, 3)
+	for i := 0; i < 16; i++ {
+		row := expr.Row{expr.NewInt(int64(i)), expr.NewString("seed"), expr.NewFloat(1.25)}
+		pageAppend(buf, appendRow(nil, row), row)
+	}
+	buf[pageSlot(buf, 8)] = byte(expr.TBool)
+	sealPage(buf)
+	return buf
+}
+
+// TestColumnarDecodeChecksCellTags: a cell whose tag disagrees with its
+// column's lane byte fails the columnar decode under every need mask,
+// including the ones that skip that column.
+func TestColumnarDecodeChecksCellTags(t *testing.T) {
+	buf := retaggedPage()
+	if !validPage(buf, 3) {
+		t.Fatal("retagged page does not validate")
+	}
+	lanes := make([]expr.Type, 3)
+	if !pagePure(buf, lanes) || lanes[0] != expr.TInt {
+		t.Fatalf("page lanes %v, want a pure int column 0", lanes)
+	}
+	masks := [][]bool{nil}
+	for m := 0; m < 8; m++ {
+		masks = append(masks, []bool{m&1 != 0, m&2 != 0, m&4 != 0})
+	}
+	for _, need := range masks {
+		var b expr.Batch
+		if err := decodePageInto(buf, pageNRows(buf), lanes, need, &b); err == nil {
+			t.Errorf("need %v: columnar decode accepted a TBool cell in an int lane", need)
+		}
+	}
 }
 
 // FuzzBTreeOps drives the B+ tree with a fuzz-derived op sequence and

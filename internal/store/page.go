@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 
 	"cgdqp/internal/expr"
@@ -155,63 +156,106 @@ func pagePure(buf []byte, lanes []expr.Type) bool {
 	return true
 }
 
-// decodePageCols decodes the first limit rows of a lane-pure page
-// column-wise into the batch via the producer protocol, yielding exact
-// owned vectors (same exactness contract as expr.BuildColVec). A
-// non-nil need masks the decode: column c is filled only when need[c],
-// the others are validated and skipped and stay unset in the batch.
-func decodePageCols(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
-	nCols := len(lanes)
-	b.StartCols(nCols, limit)
-	for c := 0; c < nCols; c++ {
-		if need == nil || need[c] {
-			v := b.OwnCol(c)
-			v.Reset(lanes[c], limit)
-			v.NullT = lanes[c]
-			v.Exact = true
-		}
-	}
+// cellWalker is the one reader of lane-pure pages. The header fixes
+// each column's lane: every cell's tag is checked against it and its
+// payload read by lane (a float is 9 bytes, an int, date or bool a
+// varint, a string a length and a jump) into the column's vector, or
+// bounds-checked and skipped when no vector wants it.
+type cellWalker struct {
+	lanes []expr.Type
+	vecs  []*expr.Vec // column c's destination; nil: validate and skip
+}
+
+// page fills b with the first limit rows of a lane-pure page: exact
+// owned vectors (same exactness contract as expr.BuildColVec) of the
+// columns need selects (nil: all), the others validated and left unset.
+func (w *cellWalker) page(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
+	w.start(b, lanes, need, limit)
 	for i := 0; i < limit; i++ {
-		off := pageSlot(buf, i)
-		if off < pageDataStart(nCols) || off >= PageSize {
-			return fmt.Errorf("store: corrupt slot offset %d", off)
-		}
-		rowBuf := buf[off:]
-		pos := 0
-		for c := 0; c < nCols; c++ {
-			if need != nil && !need[c] {
-				n, err := skipValue(rowBuf[pos:])
-				if err != nil {
-					return err
-				}
-				pos += n
-				continue
-			}
-			val, n, err := decodeValue(rowBuf[pos:])
-			if err != nil {
-				return err
-			}
-			pos += n
-			v := b.OwnCol(c)
-			if val.Null {
-				v.EnsureNull().Set(i)
-				continue
-			}
-			switch lanes[c] {
-			case expr.TInt, expr.TDate:
-				v.I[i] = val.I
-			case expr.TFloat:
-				v.F[i] = val.F
-			case expr.TString:
-				v.S[i] = val.S
-			case expr.TBool:
-				if val.I != 0 {
-					v.B.Set(i)
-				}
-			}
+		if err := w.row(buf, i, i); err != nil {
+			return err
 		}
 	}
 	b.FinishCols()
+	return nil
+}
+
+// start makes b a column-backed batch of n rows on lanes, every column
+// need selects reset for the walker to fill; the caller finishes b with
+// FinishCols.
+func (w *cellWalker) start(b *expr.Batch, lanes []expr.Type, need []bool, n int) {
+	b.StartCols(len(lanes), n)
+	w.lanes = lanes
+	w.vecs = slices.Grow(w.vecs[:0], len(lanes))[:len(lanes)]
+	for c, lane := range lanes {
+		w.vecs[c] = nil
+		if need == nil || need[c] {
+			w.vecs[c] = b.OwnCol(c)
+			w.vecs[c].Reset(lane, n)
+		}
+	}
+}
+
+// row decodes the row in slot s of page buf into row i of the vectors.
+func (w *cellWalker) row(buf []byte, s, i int) error {
+	if s >= pageNRows(buf) {
+		return fmt.Errorf("store: row %d out of range (page holds %d)", s, pageNRows(buf))
+	}
+	pos := pageSlot(buf, s)
+	if pos < pageDataStart(len(w.lanes)) || pos >= len(buf) {
+		return fmt.Errorf("store: corrupt slot offset %d", pos)
+	}
+	for c, lane := range w.lanes {
+		if pos >= len(buf) {
+			return fmt.Errorf("store: truncated value")
+		}
+		tag, v := buf[pos], w.vecs[c]
+		pos++
+		if tag != byte(lane) {
+			if tag != byte(lane)|nullBit {
+				return fmt.Errorf("store: cell tag %#x in a %s lane", tag, lane)
+			}
+			if v != nil {
+				v.EnsureNull().Set(i)
+			}
+			continue
+		}
+		switch lane {
+		case expr.TFloat:
+			if len(buf)-pos < 8 {
+				return fmt.Errorf("store: truncated float payload")
+			}
+			if v != nil {
+				v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
+			}
+			pos += 8
+		case expr.TString:
+			l, n := binary.Uvarint(buf[pos:])
+			if n <= 0 || l > uint64(len(buf)-pos-n) {
+				return fmt.Errorf("store: bad string payload")
+			}
+			pos += n
+			if v != nil {
+				v.S[i] = string(buf[pos : pos+int(l)])
+			}
+			pos += int(l)
+		default: // TInt, TDate, TBool
+			x, n := binary.Varint(buf[pos:])
+			if n <= 0 {
+				return fmt.Errorf("store: bad varint payload")
+			}
+			pos += n
+			switch {
+			case v == nil:
+			case lane == expr.TBool:
+				if x != 0 {
+					v.B.Set(i)
+				}
+			default:
+				v.I[i] = x
+			}
+		}
+	}
 	return nil
 }
 
@@ -236,7 +280,7 @@ func (d *pageDecode) covers(n int, need []bool) bool {
 	return true
 }
 
-// copyInto fills b from d exactly as decodePageCols would from the page:
+// copyInto fills b from d exactly as the cell walker would from the page:
 // each selected column is copied into the batch's own vector (lanes
 // memmoved, string headers shared), the others stay unset.
 func (d *pageDecode) copyInto(b *expr.Batch, need []bool) {

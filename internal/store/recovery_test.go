@@ -208,7 +208,7 @@ func TestTornPageRecovered(t *testing.T) {
 		t.Fatalf("torn page recovery: got %d rows, want %d", len(got), len(want))
 	}
 	lo := expr.NewInt(1500)
-	rows, ok, _ := tab2.IndexRangeRows("k", &lo, nil, true, true)
+	rows, ok, _ := indexRange(tab2, "k", &lo, nil, true, true)
 	if !ok || len(rows) != 500 {
 		t.Fatalf("index after torn-page recovery: ok=%v n=%d", ok, len(rows))
 	}

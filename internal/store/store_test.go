@@ -138,6 +138,27 @@ func TestIteratorImpurePageFallsBackToRows(t *testing.T) {
 	}
 }
 
+// indexRange reads the rows of tab whose indexed column falls in
+// [lo, hi] through a Gather; ok is false without a usable index.
+func indexRange(tab *Table, col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool, error) {
+	g := tab.NewGather(nil)
+	if !g.Range(col, lo, hi, loInc, hiInc) {
+		return nil, false, nil
+	}
+	rows, err := g.Rows()
+	return rows, err == nil, err
+}
+
+// indexLookup reads the rows of tab whose indexed column equals key.
+func indexLookup(tab *Table, col string, key expr.Value) ([]expr.Row, bool, error) {
+	g := tab.NewGather(nil)
+	if _, ok := g.Lookup(col, []expr.Value{key}); !ok {
+		return nil, false, nil
+	}
+	rows, err := g.Rows()
+	return rows, err == nil, err
+}
+
 func TestIndexRangeAndLookup(t *testing.T) {
 	e := openTestEngine(t, t.TempDir(), 0)
 	defer e.Close()
@@ -158,22 +179,20 @@ func TestIndexRangeAndLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := expr.NewInt(10), expr.NewInt(12)
-	got, ok, _ := tab.IndexRangeRows("k", &lo, &hi, true, false)
+	got, ok, _ := indexRange(tab, "k", &lo, &hi, true, false)
 	if !ok {
 		t.Fatal("index range on k failed")
 	}
-	var want []expr.Row
-	for key := 10; key < 12; key++ {
-		for _, r := range rows {
-			if r[0].I == int64(key) {
-				want = append(want, r)
-			}
+	var want []expr.Row // index reads come in row-ID (insertion) order
+	for _, r := range rows {
+		if r[0].I >= 10 && r[0].I < 12 {
+			want = append(want, r)
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("range rows: got %d want %d", len(got), len(want))
 	}
-	sGot, ok, _ := tab.IndexLookupRows("s", expr.NewString("c"))
+	sGot, ok, _ := indexLookup(tab, "s", expr.NewString("c"))
 	if !ok {
 		t.Fatal("index lookup on s failed")
 	}
@@ -186,7 +205,7 @@ func TestIndexRangeAndLookup(t *testing.T) {
 	if !reflect.DeepEqual(sGot, sWant) {
 		t.Fatalf("lookup rows: got %d want %d", len(sGot), len(sWant))
 	}
-	if _, ok, _ := tab.IndexRangeRows("v", &lo, &hi, true, true); ok {
+	if _, ok, _ := indexRange(tab, "v", &lo, &hi, true, true); ok {
 		t.Fatal("unindexed column must report no index")
 	}
 	min, max, distinct, ok := tab.IndexStats("k")
@@ -276,7 +295,7 @@ func TestReopenPersistence(t *testing.T) {
 		t.Fatal("rows lost on reopen")
 	}
 	lo := expr.NewInt(500)
-	rows, ok, _ := tab2.IndexRangeRows("k", &lo, nil, true, true)
+	rows, ok, _ := indexRange(tab2, "k", &lo, nil, true, true)
 	if !ok || len(rows) != 500 {
 		t.Fatalf("index rebuilt wrong: ok=%v n=%d", ok, len(rows))
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -192,43 +193,6 @@ func (t *Table) ScanRows() ([]expr.Row, error) {
 	return out, nil
 }
 
-func (t *Table) rowsAtLocked(ids []int32) ([]expr.Row, error) {
-	pool := t.eng.pool
-	tf := t.file()
-	out := make([]expr.Row, 0, len(ids))
-	var fr *frame
-	curPage := -1
-	defer func() {
-		if fr != nil {
-			pool.Unpin(fr, false)
-		}
-	}()
-	for _, id := range ids {
-		if int64(id) >= t.nRows || id < 0 {
-			return nil, fmt.Errorf("store: row id %d out of range in table %s", id, t.name)
-		}
-		pg := sort.Search(len(t.pageStart), func(i int) bool { return t.pageStart[i] > int64(id) }) - 1
-		if pg != curPage {
-			if fr != nil {
-				pool.Unpin(fr, false)
-				fr = nil
-			}
-			var err error
-			fr, _, err = pool.Pin(tf, uint32(pg), false)
-			if err != nil {
-				return nil, err
-			}
-			curPage = pg
-		}
-		row, err := decodePageRow(fr.buf, int(int64(id)-t.pageStart[pg]), len(t.cols))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // index returns the B+ tree for a column, if declared.
 func (t *Table) index(col string) (*btree, int) {
 	tree, ok := t.idx[lower(col)]
@@ -236,46 +200,6 @@ func (t *Table) index(col string) (*btree, int) {
 		return nil, -1
 	}
 	return tree, t.colPos(lower(col))
-}
-
-// IndexRangeRows returns the rows whose indexed column falls in
-// [lo, hi] (nil bound = unbounded, inclusivity per flag), in (key,
-// insertion) order. ok is false when the column has no usable index or
-// a bound's type does not match the key lane — callers fall back to a
-// full scan; a page that cannot be read is an error.
-func (t *Table) IndexRangeRows(col string, lo, hi *expr.Value, loInc, hiInc bool) ([]expr.Row, bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	tree, _ := t.index(col)
-	if tree == nil {
-		return nil, false, nil
-	}
-	ids, ok := tree.rangeOf(lo, hi, loInc, hiInc)
-	if !ok {
-		return nil, false, nil
-	}
-	rows, err := t.rowsAtLocked(ids)
-	return rows, err == nil, err
-}
-
-// IndexLookupRows returns the rows whose indexed column equals key, in
-// insertion order; ok and the error as in IndexRangeRows.
-func (t *Table) IndexLookupRows(col string, key expr.Value) ([]expr.Row, bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	tree, _ := t.index(col)
-	if tree == nil {
-		return nil, false, nil
-	}
-	if key.IsNull() {
-		return nil, true, nil // = NULL matches nothing
-	}
-	ids := tree.LookupValue(key)
-	if len(ids) == 0 {
-		return nil, true, nil
-	}
-	rows, err := t.rowsAtLocked(ids)
-	return rows, err == nil, err
 }
 
 // IndexStats returns the min/max key (as typed values) and distinct key
@@ -346,6 +270,7 @@ type Iterator struct {
 	snap  int64
 	need  []bool      // nil: every column
 	lanes []expr.Type // per-page scratch
+	w     cellWalker
 }
 
 // NewIterator opens a snapshot scan.
@@ -402,14 +327,16 @@ func (it *Iterator) NextBatch(b *expr.Batch) (bool, error) {
 // decode or its publication.
 func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error {
 	if !pagePure(fr.buf, it.lanes) {
-		return decodePageInto(fr.buf, n, it.lanes, it.need, b)
+		rows, err := decodePageRows(fr.buf, n, len(it.lanes), make([]expr.Row, 0, n))
+		b.SetRows(rows)
+		return err
 	}
 	if d := fr.dec.Load(); d.covers(n, it.need) {
 		d.copyInto(b, it.need)
 		it.t.eng.pool.decodeHits.Add(1)
 		return nil
 	}
-	if err := decodePageCols(fr.buf, n, it.lanes, it.need, b); err != nil {
+	if err := it.w.page(fr.buf, n, it.lanes, it.need, b); err != nil {
 		return err
 	}
 	if hit {
@@ -418,17 +345,195 @@ func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error
 	return nil
 }
 
-// decodePageInto decodes the first limit rows of a page into the batch:
-// columnar (masked by need) for lane-pure pages, row-backed otherwise.
-// lanes is scratch, one entry per table column.
-func decodePageInto(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
-	if pagePure(buf, lanes) {
-		return decodePageCols(buf, limit, lanes, need, b)
+// Gather is an index read, a bitmap heap scan: the B+ tree yields row
+// IDs (Range, Lookup), NextBatch fetches them in row-ID order, pinning
+// each page once per batch and copying its selected slots from the
+// frame's cached decode or walking them. A batch is column-backed over
+// pure pages of one lane set, row-backed over impure pages, and ends
+// early where that changes.
+type Gather struct {
+	t          *Table
+	need       []bool // nil: every column
+	ids, from  []int32
+	pairs      []uint64 // Lookup's sort scratch: id<<32 | key position
+	pos        int      // next of ids to fetch
+	w          cellWalker
+	lanes, cur []expr.Type // the batch's lanes, the pinned page's lanes
+}
+
+// NewGather returns an index read of t that fills the columns need
+// selects (nil: every column), as Iterator.SetNeeded.
+func (t *Table) NewGather(need []bool) *Gather {
+	return &Gather{t: t, need: need, lanes: make([]expr.Type, len(t.cols)), cur: make([]expr.Type, len(t.cols))}
+}
+
+// Range points g at the rows whose indexed column falls in [lo, hi]
+// (nil bound = unbounded, inclusivity per flag). It reports false when
+// the column has no usable index or a bound's type does not match the
+// key lane.
+func (g *Gather) Range(col string, lo, hi *expr.Value, loInc, hiInc bool) bool {
+	g.t.mu.RLock()
+	defer g.t.mu.RUnlock()
+	tree, _ := g.t.index(col)
+	if tree == nil {
+		return false
 	}
-	rows, err := decodePageRows(buf, limit, len(lanes), make([]expr.Row, 0, limit))
-	if err != nil {
-		return err
+	ids, ok := tree.rangeOf(lo, hi, loInc, hiInc, g.ids[:0])
+	slices.Sort(ids)
+	g.ids, g.pos = ids, 0
+	return ok
+}
+
+// Lookup points g at the rows whose indexed column equals one of keys
+// (a NULL key matches nothing), in (row ID, key position) order, and
+// returns the position in keys each of those rows matched. It reports
+// false when the column has no index: a lookup of no keys asks whether
+// one exists.
+func (g *Gather) Lookup(col string, keys []expr.Value) ([]int32, bool) {
+	g.t.mu.RLock()
+	defer g.t.mu.RUnlock()
+	tree, _ := g.t.index(col)
+	if tree == nil {
+		return nil, false
 	}
-	b.SetRows(rows)
+	g.pairs = g.pairs[:0]
+	for k, key := range keys {
+		if !key.IsNull() {
+			for _, id := range tree.LookupValue(key) {
+				g.pairs = append(g.pairs, uint64(id)<<32|uint64(k))
+			}
+		}
+	}
+	slices.Sort(g.pairs)
+	g.ids, g.from, g.pos = g.ids[:0], g.from[:0], 0
+	for _, p := range g.pairs {
+		g.ids, g.from = append(g.ids, int32(p>>32)), append(g.from, int32(uint32(p)))
+	}
+	return g.from, true
+}
+
+// NextBatch fills b with the rows of up to max next IDs; it reports
+// false once every ID has been fetched.
+func (g *Gather) NextBatch(b *expr.Batch, max int) (bool, error) {
+	if g.pos >= len(g.ids) {
+		return false, nil
+	}
+	t := g.t
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ids, tf := g.ids[g.pos:min(len(g.ids), g.pos+max)], t.file()
+	var rows []expr.Row
+	pure, k := false, 0
+	for k < len(ids) {
+		id := int64(ids[k])
+		if id < 0 || id >= t.nRows {
+			return false, fmt.Errorf("store: row id %d out of range in table %s", id, t.name)
+		}
+		pg := sort.Search(len(t.pageStart), func(i int) bool { return t.pageStart[i] > id }) - 1
+		end := k + 1
+		for end < len(ids) && (pg+1 == len(t.pageStart) || int64(ids[end]) < t.pageStart[pg+1]) {
+			end++
+		}
+		fr, _, err := t.eng.pool.Pin(tf, uint32(pg), false)
+		if err != nil {
+			return false, err
+		}
+		switch p := pagePure(fr.buf, g.cur); {
+		case k == 0 && p:
+			pure = true
+			copy(g.lanes, g.cur)
+			g.w.start(b, g.cur, g.need, len(ids))
+		case k == 0:
+			rows = make([]expr.Row, 0, len(ids))
+		case p != pure || p && !slices.Equal(g.lanes, g.cur):
+			t.eng.pool.Unpin(fr, false)
+			ids = ids[:k]
+			continue
+		}
+		for j, id := range ids[k:end] {
+			s := int(int64(id) - t.pageStart[pg])
+			if pure {
+				err = g.cell(fr, t.pageRowCount(pg, t.nRows), s, k+j)
+			} else {
+				var row expr.Row
+				row, err = decodePageRow(fr.buf, s, len(g.cur))
+				rows = append(rows, row)
+			}
+			if err != nil {
+				break
+			}
+		}
+		t.eng.pool.Unpin(fr, false)
+		if err != nil {
+			return false, err
+		}
+		k = end
+	}
+	g.pos += k
+	if !pure {
+		b.SetRows(rows)
+		return true, nil
+	}
+	for _, v := range g.w.vecs {
+		if v != nil && v.N > k { // the batch ended at a lane change
+			shrinkVec(v, k)
+		}
+	}
+	b.SetLen(k)
+	b.FinishCols()
+	return true, nil
+}
+
+// cell fills row i of the batch with slot s of a pinned lane-pure page
+// whose first n rows the table holds: from the frame's cached decode
+// when that covers the columns g fills, through the walker otherwise.
+func (g *Gather) cell(fr *frame, n, s, i int) error {
+	d := fr.dec.Load()
+	if !d.covers(n, g.need) {
+		return g.w.row(fr.buf, s, i)
+	}
+	for c, v := range g.w.vecs {
+		switch src := d.cols[c]; {
+		case v == nil:
+		case src.IsNullAt(s):
+			v.EnsureNull().Set(i)
+		case v.T == expr.TFloat:
+			v.F[i] = src.F[s]
+		case v.T == expr.TString:
+			v.S[i] = src.S[s]
+		case v.T == expr.TBool:
+			if src.B.Get(s) {
+				v.B.Set(i)
+			}
+		default:
+			v.I[i] = src.I[s]
+		}
+	}
 	return nil
+}
+
+// shrinkVec cuts v to its first n values (bitmap bits past n are never
+// read).
+func shrinkVec(v *expr.Vec, n int) {
+	v.N = n
+	switch v.T {
+	case expr.TInt, expr.TDate:
+		v.I = v.I[:n]
+	case expr.TFloat:
+		v.F = v.F[:n]
+	case expr.TString:
+		v.S = v.S[:n]
+	}
+}
+
+// Rows drains g into one row slice.
+func (g *Gather) Rows() ([]expr.Row, error) {
+	var out []expr.Row
+	for b := new(expr.Batch); ; {
+		more, err := g.NextBatch(b, maxRowsPerPage)
+		if err != nil || !more {
+			return out, err
+		}
+		out = append(out, b.Rows()...)
+	}
 }
