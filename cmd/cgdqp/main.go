@@ -277,6 +277,9 @@ func (sh *shell) runOne(sql string, explainOnly bool) bool {
 		} else if pcs := sh.sys.PlanCacheStats(); pcs.Hits+pcs.Misses > 0 {
 			cacheNote = fmt.Sprintf(" [plan cache %d/%d hits]", pcs.Hits, pcs.Hits+pcs.Misses)
 		}
+		if p.Stats.ExploreHit {
+			cacheNote += " [explore cached]"
+		}
 		fmt.Fprintf(sh.out, "-- optimization: %v, estimated ship cost: %.2f ms; η=%d, 𝒜 calls=%d (cache hits %d)%s\n",
 			p.Stats.TotalTime, p.EstShipCost,
 			p.Stats.Eta, p.Stats.ACalls, p.Stats.AHits, cacheNote)

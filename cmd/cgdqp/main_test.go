@@ -98,6 +98,22 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// A plan evicted from a one-plan cache is re-planned over the
+// exploration kept beside it.
+func TestExplainReportsExploreCache(t *testing.T) {
+	nation, region := "\\explain SELECT n.name FROM nation n;\n", "\\explain SELECT r.name FROM region r;\n"
+	out, _ := mustRun(t, nation+region+nation, "-plan-cache", "1")
+	notes := regexp.MustCompile(`(?m)^-- optimization: .*$`).FindAllString(out, -1)
+	if len(notes) != 3 {
+		t.Fatalf("want 3 optimization lines, got %d:\n%s", len(notes), out)
+	}
+	for i, n := range notes {
+		if got := strings.HasSuffix(n, " [explore cached]"); got != (i == 2) {
+			t.Errorf("optimization %d: %q", i, n)
+		}
+	}
+}
+
 func TestExplainAnalyze(t *testing.T) {
 	out, _ := mustRun(t, "", "-explain-analyze", "-q", q3)
 	wantContains(t, "explain analyze", out, "actual rows=", "TableScan(lineitem AS l)")

@@ -81,6 +81,10 @@ func (c *Cache[K, V]) Len() int { return len(c.m) }
 // Cost returns the total cost of the entries.
 func (c *Cache[K, V]) Cost() int64 { return c.cost }
 
+// Budget returns the cost the cache holds at most, but for a single entry
+// dearer than that.
+func (c *Cache[K, V]) Budget() int64 { return c.budget }
+
 func (c *Cache[K, V]) unlink(n *node[K, V]) {
 	n.prev.next, n.next.prev = n.next, n.prev
 }

@@ -1,7 +1,6 @@
 package memo
 
 import (
-	"math"
 	"sort"
 
 	"cgdqp/internal/cost"
@@ -51,6 +50,21 @@ type ImplConfig struct {
 	equiConds map[expr.Expr][]*expr.Cmp
 	// allSites is NewSiteSet(AllLocations...), built once per pass.
 	allSites plan.SiteSet
+	// memo and groups are the pass's results: groups[g.ID] holds group
+	// g's alternatives. The memo itself is only read, so passes over one
+	// explored memo do not see each other.
+	memo   *Memo
+	groups []groupImpl
+}
+
+// groupImpl is one group's share of an implementation pass.
+type groupImpl struct {
+	alts []*Alt
+	done bool
+	// canonProjs is the reorder projection list over the group's Cols,
+	// built on first use by canonicalizeAlt and shared by every
+	// reordered alternative.
+	canonProjs []plan.NamedExpr
 }
 
 // equiCmps returns the equi-join conjuncts (Col = Col) of a join
@@ -80,17 +94,23 @@ func (cfg *ImplConfig) equiCmps(pred expr.Expr) []*expr.Cmp {
 }
 
 // Implement computes the physical alternatives of a group bottom-up,
-// memoized. In compliant mode an alternative is discarded when its
+// memoized in cfg. In compliant mode an alternative is discarded when its
 // execution trait is empty (the infinite-cost adaptation of Section 6.1).
+// A config serves one memo, which must not grow while the pass runs.
 func (m *Memo) Implement(g *Group, cfg *ImplConfig) []*Alt {
-	if g.implemented {
-		return g.Alts
-	}
-	g.implemented = true // set first; the memo DAG is acyclic by construction
-	if cfg.analyzer == nil {
+	if cfg.memo == nil {
+		cfg.memo = m
+		cfg.groups = make([]groupImpl, len(m.Groups))
 		cfg.analyzer = policy.NewAnalyzer()
 		cfg.allSites = plan.NewSiteSet(cfg.AllLocations...)
+	} else if cfg.memo != m {
+		panic("memo: one ImplConfig implementing two memos")
 	}
+	gi := &cfg.groups[g.ID] // the table never grows during the pass
+	if gi.done {
+		return gi.alts
+	}
+	gi.done = true // set first; the memo DAG is acyclic by construction
 	maxAlts := cfg.MaxAlts
 	if maxAlts <= 0 {
 		maxAlts = 12
@@ -147,7 +167,7 @@ func (m *Memo) Implement(g *Group, cfg *ImplConfig) []*Alt {
 			}
 		}
 	}
-	g.Alts = alts
+	gi.alts = alts
 	return alts
 }
 
@@ -302,7 +322,7 @@ func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt,
 	alt.Cost = total
 	if !cfg.Compliant {
 		// Traditional mode: traits carry only what the site selector needs.
-		return canonicalizeAlt(alt, e.Group)
+		return cfg.canonicalizeAlt(alt, e.Group)
 	}
 
 	// AR3: output can ship wherever the operator can execute.
@@ -317,7 +337,7 @@ func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt,
 	}
 	node.ShipT = ship
 	alt.Ship = ship
-	return canonicalizeAlt(alt, e.Group)
+	return cfg.canonicalizeAlt(alt, e.Group)
 }
 
 // canonicalizeAlt makes the alternative's output schema match the group's
@@ -326,20 +346,21 @@ func (m *Memo) buildAlt(x *exprImpl, phys plan.Kind, combo []*Alt, front []*Alt,
 // round); parents resolve positions against the group schema, so every
 // alternative must deliver exactly that layout. A cheap reordering
 // projection is inserted when the orders differ.
-func canonicalizeAlt(alt *Alt, g *Group) *Alt {
+func (cfg *ImplConfig) canonicalizeAlt(alt *Alt, g *Group) *Alt {
 	node := alt.Tree
 	if sameColKeys(node.Cols, g.Cols) {
 		return alt
 	}
-	// The reorder projection list depends only on the group schema; cache
-	// it on the group — every mis-ordered alternative shares it (plan
-	// trees never mutate their Projs).
-	if g.canonProjs == nil {
+	// The reorder projection list depends only on the group schema; every
+	// mis-ordered alternative of the pass shares it (plan trees never
+	// mutate their Projs).
+	gi := &cfg.groups[g.ID]
+	if gi.canonProjs == nil {
 		projs := make([]plan.NamedExpr, len(g.Cols))
 		for i, c := range g.Cols {
 			projs[i] = plan.NamedExpr{E: c.Col(), Name: c.Name, Type: c.Type}
 		}
-		g.canonProjs = projs
+		gi.canonProjs = projs
 	}
 	blk := &altBlock{alt: *alt}
 	blk.kids[0] = node
@@ -347,7 +368,7 @@ func canonicalizeAlt(alt *Alt, g *Group) *Alt {
 		Kind:     plan.ProjectExec,
 		Children: blk.kids[:1:1],
 		Cols:     g.Cols,
-		Projs:    g.canonProjs,
+		Projs:    gi.canonProjs,
 		Card:     node.Card,
 		Cost:     node.Cost + cost.OperatorCost(plan.ProjectExec, node.Card, node.Card),
 		Exec:     node.Exec,
@@ -453,15 +474,15 @@ func forEachCombo(childAlts [][]*Alt, fn func([]*Alt)) {
 	rec(0)
 }
 
-// Best returns the cheapest alternative of a group satisfying the
-// compliance-based optimization goal (non-empty shipping trait in
-// compliant mode). When requiredLoc is non-empty, only alternatives
-// whose output may legally reach that location qualify (the result must
-// be deliverable there). It returns nil when the group has no feasible
-// alternative — the optimizer then rejects the query.
-func Best(g *Group, compliant bool, requiredLoc string) *Alt {
+// Best returns the cheapest of a group's alternatives (Implement's
+// result) satisfying the compliance-based optimization goal (non-empty
+// shipping trait in compliant mode). When requiredLoc is non-empty, only
+// alternatives whose output may legally reach that location qualify (the
+// result must be deliverable there). It returns nil when no alternative
+// is feasible — the optimizer then rejects the query.
+func Best(alts []*Alt, compliant bool, requiredLoc string) *Alt {
 	var best *Alt
-	for _, a := range g.Alts {
+	for _, a := range alts {
 		if compliant {
 			if a.Ship.Empty() {
 				continue
@@ -475,12 +496,4 @@ func Best(g *Group, compliant bool, requiredLoc string) *Alt {
 		}
 	}
 	return best
-}
-
-// BestCost returns the cost of the best alternative or +Inf.
-func BestCost(g *Group, compliant bool) float64 {
-	if b := Best(g, compliant, ""); b != nil {
-		return b.Cost
-	}
-	return math.Inf(1)
 }

@@ -119,7 +119,7 @@ func constVal(e expr.Expr) (expr.Value, bool) {
 // generated then.
 func (m *Memo) indexBounds(pred expr.Expr, alias, col string, colType expr.Type) idxBounds {
 	var b idxBounds
-	for _, c := range m.Conjuncts(pred) {
+	for _, c := range m.cachedConjuncts(pred) {
 		switch n := c.(type) {
 		case *expr.Cmp:
 			op := n.Op
@@ -217,7 +217,7 @@ func (m *Memo) indexScanAlts(e *MExpr, eCols []plan.ColRef, cfg *ImplConfig) []*
 			node.ShipT = ship
 			alt.Ship = ship
 		}
-		out = append(out, canonicalizeAlt(alt, e.Group))
+		out = append(out, cfg.canonicalizeAlt(alt, e.Group))
 	}
 	return out
 }
@@ -315,7 +315,7 @@ func (m *Memo) indexLookupJoinAlt(e *MExpr, left *Alt, eCols []plan.ColRef, cfg 
 		node.ShipT = ship
 		alt.Ship = ship
 	}
-	return canonicalizeAlt(alt, e.Group)
+	return cfg.canonicalizeAlt(alt, e.Group)
 }
 
 // colRefIndex resolves a column reference against a schema (the group

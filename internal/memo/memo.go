@@ -4,7 +4,9 @@
 // and a bottom-up implementation pass that produces physical alternatives
 // annotated with execution and shipping traits (annotation rules AR1–AR4)
 // using the compliance-based cost function (infinite cost — i.e.
-// discarded — when an operator's execution trait is empty).
+// discarded — when an operator's execution trait is empty). Explore is
+// the only writer: Implement keeps its results in its ImplConfig, so one
+// explored memo serves any number of concurrent implementation passes.
 package memo
 
 import (
@@ -72,13 +74,6 @@ type Group struct {
 	// by their own identities. Only built when the estimator carries a
 	// hint source.
 	fb plan.Subplan
-
-	// Implementation results (set by Implement).
-	Alts        []*Alt
-	implemented bool
-	// canonProjs caches the reorder projection list over Cols (built on
-	// first use by canonicalizeAlt; shared by every reordered alternative).
-	canonProjs []plan.NamedExpr
 }
 
 // MExpr is one logical expression: an operator whose children are groups.
@@ -115,6 +110,7 @@ func New(est *cost.Estimator) *Memo {
 
 // Conjuncts returns expr.Conjuncts(e) cached per expression pointer.
 // Callers must treat the result as read-only (copy before appending).
+// Exploration only: it fills the cache (see cachedConjuncts).
 func (m *Memo) Conjuncts(e expr.Expr) []expr.Expr {
 	if e == nil {
 		return nil
@@ -128,6 +124,16 @@ func (m *Memo) Conjuncts(e expr.Expr) []expr.Expr {
 	cs = cs[:len(cs):len(cs)]
 	m.conjs[e] = cs
 	return cs
+}
+
+// cachedConjuncts is Conjuncts for the implementation pass, which must
+// not write to the memo: a split exploration did not cache is computed
+// and dropped.
+func (m *Memo) cachedConjuncts(e expr.Expr) []expr.Expr {
+	if cs, ok := m.conjs[e]; ok {
+		return cs
+	}
+	return expr.Conjuncts(e)
 }
 
 // ColsOf returns the column references appearing in e, cached per
@@ -192,6 +198,13 @@ func (m *Memo) predString(e expr.Expr) string {
 	}
 	m.predStrs[e] = s
 	return s
+}
+
+// Seal drops what only exploration reads — the digest and signature
+// indexes, predicate renderings and column lists — and so ends it: an
+// insert or Explore after Seal panics. Implement reads none of them.
+func (m *Memo) Seal() {
+	m.byDigest, m.bySig, m.predStrs, m.exprCols = nil, nil, nil, nil
 }
 
 // Budget reports whether the exploration budget is exhausted.

@@ -1,6 +1,9 @@
 package memo
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"cgdqp/internal/cost"
@@ -153,15 +156,15 @@ func TestImplementCompliantTraits(t *testing.T) {
 			t.Errorf("root ship: %v", alt.Ship)
 		}
 	}
-	best := Best(g, true, "")
+	best := Best(alts, true, "")
 	if best == nil || best.Tree.Exec.Key() != "LC" {
 		t.Errorf("best exec: %+v", best)
 	}
 	// Requiring an unreachable location yields nil.
-	if Best(g, true, "LA") != nil {
+	if Best(alts, true, "LA") != nil {
 		t.Error("LA should be unreachable")
 	}
-	if BestCost(g, true) <= 0 {
+	if best != nil && best.Cost <= 0 {
 		t.Error("best cost")
 	}
 }
@@ -174,7 +177,7 @@ func TestImplementInfeasible(t *testing.T) {
 	if len(alts) != 0 {
 		t.Errorf("expected no feasible alternatives, got %d", len(alts))
 	}
-	if Best(g, true, "") != nil {
+	if Best(alts, true, "") != nil {
 		t.Error("best over empty alts")
 	}
 }
@@ -248,7 +251,8 @@ func TestCanonicalizeAltReorders(t *testing.T) {
 		Cost: 100,
 	}
 	alt := &Alt{Tree: node, Cost: 100}
-	out := canonicalizeAlt(alt, g)
+	cfg := &ImplConfig{groups: make([]groupImpl, 1)}
+	out := cfg.canonicalizeAlt(alt, g)
 	if out.Tree.Kind != plan.ProjectExec {
 		t.Fatalf("expected reorder projection, got %v", out.Tree.Kind)
 	}
@@ -260,7 +264,75 @@ func TestCanonicalizeAltReorders(t *testing.T) {
 	}
 	// Matching schemas pass through untouched.
 	same := &Alt{Tree: &plan.Node{Kind: plan.HashJoin, Cols: g.Cols}, Cost: 1}
-	if canonicalizeAlt(same, g) != same {
+	if cfg.canonicalizeAlt(same, g) != same {
 		t.Error("no-op canonicalization should return the alt unchanged")
+	}
+}
+
+// TestImplementPassesShareAMemo runs Implement passes with different
+// evaluators and modes over one explored memo: each sees only its own
+// alternatives, equal to a pass over a private memo, whether the passes
+// run one after another or at once (under -race: Implement never writes
+// to the memo). An indexed, filtered input adds the access paths.
+func TestImplementPassesShareAMemo(t *testing.T) {
+	ta, tb := tbl("A", "db-a", "LA", 100), tbl("B", "db-b", "LB", 200)
+	ta.Indexes, tb.Indexes = []string{"k"}, []string{"k"}
+	a := plan.NewFilter(plan.NewScan(ta, "a", -1), expr.NewCmp(expr.LT, expr.NewCol("a", "k"), expr.NewConst(expr.NewInt(50))))
+	ab := plan.NewJoin(a, plan.NewScan(tb, "b", -1), joinCond("a", "b"))
+	root := plan.NewJoin(ab, plan.NewScan(tbl("C", "db-c", "LC", 300), "c", -1), joinCond("b", "c"))
+	pa := policy.MustParse("ship * from A to *", "pa", "db-a")
+	pb := policy.MustParse("ship * from B to *", "pb", "db-b")
+	pc := policy.MustParse("ship * from C to *", "pc", "db-c")
+	configs := func() []*ImplConfig {
+		return []*ImplConfig{
+			implCfg(root, true, pa, pb),     // C stays home
+			implCfg(root, true, pa, pb, pc), // everything may ship
+			implCfg(root, true),             // nothing may ship
+			implCfg(root, false),
+			implCfg(root, false),
+		}
+	}
+	render := func(alts []*Alt) string {
+		var b strings.Builder
+		for _, a := range alts {
+			fmt.Fprintf(&b, "%v %v %s\n%s", a.Cost, a.Ship, a.DescKey, a.Tree.Format(true))
+		}
+		return b.String()
+	}
+	explored := func() (*Memo, *Group) {
+		m, g := newMemo(root)
+		m.Explore([]Rule{commuteRule{}})
+		return m, g
+	}
+	var want []string
+	for _, cfg := range configs() {
+		m, g := explored()
+		want = append(want, render(m.Implement(g, cfg)))
+	}
+	if want[0] == want[1] || want[1] == want[3] {
+		t.Fatal("the configurations do not tell passes apart")
+	}
+
+	// The concurrent passes come first, so that under -race any write a
+	// pass made to the shared memo would meet another pass's read.
+	shared, g := explored()
+	got := make([]string, len(want))
+	var wg sync.WaitGroup
+	for i, cfg := range configs() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = render(shared.Implement(g, cfg))
+		}()
+	}
+	wg.Wait()
+	cfgs := configs()
+	for i := len(cfgs) - 1; i >= 0; i-- {
+		if seq := render(shared.Implement(g, cfgs[i])); seq != want[i] {
+			t.Errorf("sequential pass %d over the shared memo:\n%s\nwant:\n%s", i, seq, want[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("concurrent pass %d:\n%s\nwant:\n%s", i, got[i], want[i])
+		}
 	}
 }

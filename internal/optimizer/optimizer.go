@@ -199,6 +199,9 @@ type Stats struct {
 	// PlanCacheHit marks a result served from the whole-plan cache; the
 	// counts above then describe the original (cached) optimization.
 	PlanCacheHit bool
+	// ExploreHit marks a plan-cache miss that reused a cached exploration
+	// of the same query shape: only annotation and site selection ran.
+	ExploreHit bool
 }
 
 // SearchNote is the line EXPLAIN prints under a plan whose search hit
@@ -239,6 +242,7 @@ func cachedResult(e *planCacheEntry, normTime time.Duration, start time.Time) *R
 			Exprs:         e.exprs,
 			Eta:           e.eta,
 			ACalls:        e.aCalls,
+			AHits:         e.aHits,
 			Truncated:     e.truncated,
 			MaxExprs:      e.maxExprs,
 			PlanCacheHit:  true,
@@ -284,40 +288,31 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 		return nil, "", err
 	}
 
-	// Phase 1: plan annotator.
+	// Phase 1: plan annotator. Exploration reads no policy and no price,
+	// so it is shared across their versions (see explore).
 	t1 := time.Now()
 	esp := o.obsv.StartSpan("optimize.explore")
-	est := cost.NewEstimator(norm)
-	if o.Opts.PoolBytes > 0 {
-		est.SetPoolBytes(o.Opts.PoolBytes)
+	x, exploreHit := o.explore(norm, cacheKey)
+	if exploreHit {
+		esp.Tag("cache", "hit")
 	}
-	if o.fb != nil {
-		est.SetHints(o.fb)
-	}
-	m := memo.New(est)
-	if o.Opts.MaxExprs > 0 {
-		m.MaxExprs = o.Opts.MaxExprs
-	}
-	root := m.InsertTree(norm)
-	m.Explore(o.ruleSet())
-	truncated := m.Budget()
 	esp.End()
 	exploreTime := time.Since(t1)
 
 	t2 := time.Now()
 	isp := o.obsv.StartSpan("optimize.implement")
 	cfg := &memo.ImplConfig{
-		Est:          est,
+		Est:          x.est,
 		Compliant:    o.Opts.Compliant,
 		Evaluator:    o.Evaluator,
 		AllLocations: o.locations(),
 		MaxAlts:      o.Opts.MaxAlts,
 		Stats:        &evStats,
 	}
-	m.Implement(root, cfg)
-	best := memo.Best(root, o.Opts.Compliant, o.Opts.ResultLocation)
+	best := memo.Best(x.m.Implement(x.root, cfg), o.Opts.Compliant, o.Opts.ResultLocation)
 	isp.End()
 	implementTime := time.Since(t2)
+	truncated := x.m.Budget()
 	if best == nil {
 		o.finishOptimize(osp, start, "miss", truncated, ErrNoCompliantPlan)
 		return nil, "", ErrNoCompliantPlan
@@ -353,12 +348,13 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			annotated: annotated,
 			planCost:  best.Cost,
 			shipCost:  shipCost,
-			groups:    len(m.Groups),
-			exprs:     m.ExprCount(),
+			groups:    len(x.m.Groups),
+			exprs:     x.m.ExprCount(),
 			eta:       evStats.Eta,
 			aCalls:    evStats.Calls,
+			aHits:     evStats.Hits,
 			truncated: truncated,
-			maxExprs:  m.MaxExprs,
+			maxExprs:  x.m.MaxExprs,
 		})
 	}
 
@@ -374,15 +370,49 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 			ImplementTime: implementTime,
 			SiteTime:      siteTime,
 			TotalTime:     time.Since(start),
-			Groups:        len(m.Groups),
-			Exprs:         m.ExprCount(),
+			Groups:        len(x.m.Groups),
+			Exprs:         x.m.ExprCount(),
 			Eta:           evStats.Eta,
 			ACalls:        evStats.Calls,
 			AHits:         evStats.Hits,
 			Truncated:     truncated,
-			MaxExprs:      m.MaxExprs,
+			MaxExprs:      x.m.MaxExprs,
+			ExploreHit:    exploreHit,
 		},
 	}, cacheKey.planDigest, nil
+}
+
+// explore returns the explored memo of a normalized plan: with the plan
+// cache on, the one stored under the key's digest, schema version and
+// feedback epoch when there is one (the bool reports that), otherwise a
+// fresh exploration, then stored. Two concurrent misses may both
+// explore; the scheduler already coalesces identical optimizations.
+func (o *Optimizer) explore(norm *plan.Node, key planCacheKey) (*explored, bool) {
+	ek := exploreKey{planDigest: key.planDigest, schemaVer: key.schemaVer, fbEpoch: key.fbEpoch}
+	if o.planCache != nil {
+		if x, ok := o.planCache.getExplored(ek); ok {
+			return x, true
+		}
+	}
+	est := cost.NewEstimator(norm)
+	if o.Opts.PoolBytes > 0 {
+		est.SetPoolBytes(o.Opts.PoolBytes)
+	}
+	if o.fb != nil {
+		est.SetHints(o.fb)
+	}
+	m := memo.New(est)
+	if o.Opts.MaxExprs > 0 {
+		m.MaxExprs = o.Opts.MaxExprs
+	}
+	root := m.InsertTree(norm)
+	m.Explore(o.ruleSet())
+	m.Seal()
+	x := &explored{m: m, root: root, est: est}
+	if o.planCache != nil {
+		o.planCache.putExplored(ek, x)
+	}
+	return x, false
 }
 
 // finishOptimize closes the optimization span and refreshes the
@@ -422,6 +452,9 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, t
 	m.Gauge("cgdqp_plan_cache_misses").Set(float64(pcs.Misses))
 	m.Gauge("cgdqp_plan_cache_evictions").Set(float64(pcs.Evictions))
 	m.Gauge("cgdqp_plan_cache_len").Set(float64(pcs.Len))
+	m.Gauge("cgdqp_explore_cache_hits").Set(float64(pcs.ExploreHits))
+	m.Gauge("cgdqp_explore_cache_misses").Set(float64(pcs.ExploreMisses))
+	m.Gauge("cgdqp_explore_cache_evictions").Set(float64(pcs.ExploreEvictions))
 	m.Gauge("cgdqp_policy_eval_calls").Set(float64(o.Evaluator.Calls()))
 	m.Gauge("cgdqp_policy_eval_cache_hits").Set(float64(o.Evaluator.Hits()))
 	m.Gauge("cgdqp_policy_eval_eta").Set(float64(o.Evaluator.Eta()))

@@ -4,7 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cgdqp/internal/cost"
 	"cgdqp/internal/lru"
+	"cgdqp/internal/memo"
 	"cgdqp/internal/plan"
 )
 
@@ -37,16 +39,45 @@ type planCacheEntry struct {
 	exprs     int
 	eta       int64
 	aCalls    int64
+	aHits     int64
 	truncated bool
 	maxExprs  int
 }
 
-// PlanCacheStats is a snapshot of plan-cache effectiveness counters.
+// exploreKey identifies one exploration: the normalized plan and the
+// state exploration reads — statistics (schema version) and feedback
+// hints (epoch). Policies and prices are not in it: only Implement and
+// site selection read them, so an explored memo outlives their changes.
+type exploreKey struct {
+	planDigest string
+	schemaVer  uint64
+	fbEpoch    uint64
+}
+
+// explored is one query shape's exploration: a sealed memo, which any
+// number of Implement passes may share, its root group and the estimator
+// it was explored with.
+type explored struct {
+	m    *memo.Memo
+	root *memo.Group
+	est  *cost.Estimator
+}
+
+// exprsPerPlan sizes the explore cache: it holds PlanCacheSize × 64
+// memo expressions.
+const exprsPerPlan = 64
+
+// PlanCacheStats is a snapshot of plan-cache effectiveness counters,
+// and of the explore cache beside it.
 type PlanCacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
 	Len       int
+
+	ExploreHits      int64
+	ExploreMisses    int64
+	ExploreEvictions int64
 }
 
 // planCache holds optimization results and, beside them, the
@@ -61,21 +92,30 @@ type PlanCacheStats struct {
 // catalog only grows: the same SQL keeps binding to the same logical
 // plan. Everything else is handled downstream (the digest is only a key
 // component; the versions still gate the plan entry).
+//
+// The third LRU holds explored memos costed by expression count, so a
+// plan miss after a policy or price change skips exploration.
 type planCache struct {
-	mu      sync.Mutex
-	plans   *lru.Cache[planCacheKey, *planCacheEntry]
-	digests *lru.Cache[string, string] // query text → normalized-plan digest
+	mu       sync.Mutex
+	plans    *lru.Cache[planCacheKey, *planCacheEntry]
+	digests  *lru.Cache[string, string] // query text → normalized-plan digest
+	explored *lru.Cache[exploreKey, *explored]
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	hits             atomic.Int64
+	misses           atomic.Int64
+	evictions        atomic.Int64
+	exploreHits      atomic.Int64
+	exploreMisses    atomic.Int64
+	exploreEvictions atomic.Int64
 }
 
-// newPlanCache holds size plans and the digests of 4 × size query texts.
+// newPlanCache holds size plans, the digests of 4 × size query texts and
+// explored memos of up to exprsPerPlan × size expressions in all.
 func newPlanCache(size int) *planCache {
 	return &planCache{
-		plans:   lru.New[planCacheKey, *planCacheEntry](int64(size)),
-		digests: lru.New[string, string](int64(4 * size)),
+		plans:    lru.New[planCacheKey, *planCacheEntry](int64(size)),
+		digests:  lru.New[string, string](int64(4 * size)),
+		explored: lru.New[exploreKey, *explored](int64(exprsPerPlan * size)),
 	}
 }
 
@@ -121,14 +161,43 @@ func (c *planCache) putDigest(sql, digest string) {
 	c.mu.Unlock()
 }
 
+// getExplored returns the exploration stored under key, counting a hit
+// or a miss.
+func (c *planCache) getExplored(key exploreKey) (*explored, bool) {
+	c.mu.Lock()
+	x, ok := c.explored.Get(key)
+	c.mu.Unlock()
+	if ok {
+		c.exploreHits.Add(1)
+	} else {
+		c.exploreMisses.Add(1)
+	}
+	return x, ok
+}
+
+// putExplored stores an exploration at its expression count. One larger
+// than the whole budget is not kept, so the cache never holds more than
+// its budget.
+func (c *planCache) putExplored(key exploreKey, x *explored) {
+	n := int64(x.m.ExprCount())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n <= c.explored.Budget() {
+		c.exploreEvictions.Add(int64(c.explored.Put(key, x, n)))
+	}
+}
+
 func (c *planCache) stats() PlanCacheStats {
 	c.mu.Lock()
 	n := c.plans.Len()
 	c.mu.Unlock()
 	return PlanCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Len:       n,
+		Hits:             c.hits.Load(),
+		Misses:           c.misses.Load(),
+		Evictions:        c.evictions.Load(),
+		Len:              n,
+		ExploreHits:      c.exploreHits.Load(),
+		ExploreMisses:    c.exploreMisses.Load(),
+		ExploreEvictions: c.exploreEvictions.Load(),
 	}
 }

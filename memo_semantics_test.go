@@ -107,8 +107,8 @@ func TestMergedGroupSemantics(t *testing.T) {
 				}
 				single := memo.New(cost.NewEstimator(tree))
 				sroot := single.InsertTree(tree)
-				single.Implement(sroot, &memo.ImplConfig{AllLocations: cat.Locations()})
-				best := memo.Best(sroot, false, "")
+				alts := single.Implement(sroot, &memo.ImplConfig{AllLocations: cat.Locations()})
+				best := memo.Best(alts, false, "")
 				if best == nil {
 					t.Fatalf("no traditional plan for\n%s", tree.Format(false))
 				}
