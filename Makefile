@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: verify build lint test vet race bench benchgate benchsmoke benchcheck fuzz loc golden
 
 # Tier-1 verification gate: build, lint (vet + gofmt), full test suite
-# (cmd/cgdqp included), the race detector over every internal package
-# and the whole root package, a 1-iteration pass over the optimizer
+# (cmd/cgdqp included), the race detector over every internal package,
+# the commands and the whole root package, a 1-iteration pass over the optimizer
 # benchmarks so they cannot rot, the nested benchmark module, which
 # compiles against the engine, and last the line count ROADMAP item 12
 # tracks.
@@ -25,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race .
 
 benchsmoke:

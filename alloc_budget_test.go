@@ -31,7 +31,7 @@ var raceAllocScale uint64 = 1
 func TestWarmExecAllocBudget(t *testing.T) {
 	const rounds = 3
 	maxAllocs, maxAllocBytes := 2_400*raceAllocScale, uint64(10<<20)*raceAllocScale
-	sys := NewSystemWith(Options{DataDir: t.TempDir(), Parallel: true})
+	sys := NewSystemWith(Options{DataDir: t.TempDir()})
 	sys.Schema = tpch.NewCatalog(0.003)
 	if err := sys.Open(); err != nil {
 		t.Fatal(err)

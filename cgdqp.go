@@ -125,12 +125,9 @@ type Options struct {
 	ResultLocation string
 	// MaxExprs bounds the optimizer's search (0 = default).
 	MaxExprs int
-	// Parallel selects the exchange mode: true runs every SHIP's
-	// producing fragment on its own goroutine behind a bounded channel,
-	// so per-site fragments overlap; false runs it inline when the
-	// consumer opens, on the calling goroutine. Operators, results,
-	// shipping statistics and audit log are identical either way; only
-	// wall-clock time differs.
+	// Parallel is ignored: every SHIP runs its producing fragment on
+	// its own goroutine. The field stays so that callers which set it
+	// still compile.
 	Parallel bool
 	// Faults installs a deterministic fault plan on the simulated WAN:
 	// shipments may be dropped, delayed, rejected or partitioned per
@@ -258,7 +255,6 @@ func NewSystemWith(opts Options) *System {
 		opts:     opts,
 	}
 	lc := &s.lc
-	lc.Parallel = opts.Parallel
 	lc.Exec = executor.ExecOptions{NoKernels: opts.NoVectorKernels}
 	if opts.Trace || opts.Metrics || opts.Audit {
 		lc.Obs = &obs.Observer{}
@@ -785,8 +781,7 @@ const DefaultPlanCacheSize = optimizer.DefaultPlanCacheSize
 // (bounded FIFO queue, typed rejections under overload), taken by a pool
 // of MaxConcurrent workers, and run through the same lifecycle as Query
 // — the system's optimizer, cluster, result cache, feedback store,
-// slow-query log and execution options — with goroutine-mode exchanges;
-// identical in-flight optimizations and executions are coalesced. The
+// slow-query log and execution options; identical in-flight optimizations and executions are coalesced. The
 // server shares the system's observability sinks (queue gauges,
 // admission/rejection counters, latency histograms land in
 // System.Metrics()). Close the server before discarding it:

@@ -6,8 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/tpch"
 )
+
+// Every SHIP runs its producer on a goroutine: no test may leave one
+// (or a server's workers) running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // demoSystem builds the CarCo scenario of the paper's Section 2 through
 // the public API.

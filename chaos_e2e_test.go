@@ -28,16 +28,12 @@ type chaosOutcome struct {
 	err   error
 }
 
-// chaosRun executes a plan once — inline exchanges or goroutine ones —
-// and returns its rows, statistics and rendered audit records: one per
-// shipment, with its edge, relations, columns, rows, bytes and batches.
-func chaosRun(root *plan.Node, cl *cluster.Cluster, inline bool) chaosOutcome {
+// chaosRun executes a plan once and returns its rows, statistics and
+// rendered audit records: one per shipment, with its edge, relations,
+// columns, rows, bytes and batches.
+func chaosRun(root *plan.Node, cl *cluster.Cluster) chaosOutcome {
 	audit := obs.NewAuditLog()
-	run := executor.RunParallelOpts
-	if inline {
-		run = executor.RunObservedOpts
-	}
-	rows, stats, err := run(context.Background(), root, cl, &obs.Observer{Audit: audit}, executor.ExecOptions{})
+	rows, stats, err := executor.RunParallelOpts(context.Background(), root, cl, &obs.Observer{Audit: audit}, executor.ExecOptions{})
 	if err != nil {
 		return chaosOutcome{err: err}
 	}
@@ -64,11 +60,10 @@ func runWithWatchdog(t *testing.T, label string, run func() chaosOutcome) chaosO
 }
 
 // TestChaosTPCHSweep is the acceptance gate of the fault-injection
-// layer: 20+ seeds × every TPC-H evaluation query, under both engines.
-// Each run must end in one of exactly two states — (a) success with the
-// same rows, the same per-shipment audit records and bit-identical
-// shipping statistics as the fault-free sequential engine, or (b) a
-// typed *network.ShipError.
+// layer: 20+ seeds × every TPC-H evaluation query. Each run must end in
+// one of exactly two states — (a) success with the same rows, the same
+// per-shipment audit records and bit-identical shipping statistics as
+// the fault-free run, or (b) a typed *network.ShipError.
 // Never a hang, a panic, an untyped error, or silently wrong rows.
 func TestChaosTPCHSweep(t *testing.T) {
 	cat := tpch.NewCatalog(0.002)
@@ -83,8 +78,8 @@ func TestChaosTPCHSweep(t *testing.T) {
 	}
 	opt := optimizer.New(cat, pc, net, optimizer.Options{Compliant: true})
 
-	// Fault-free sequential reference per query: rows, statistics and
-	// audit records.
+	// Fault-free reference per query: rows, statistics and audit
+	// records.
 	type reference struct {
 		root *plan.Node
 		chaosOutcome
@@ -95,7 +90,7 @@ func TestChaosTPCHSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", name, err)
 		}
-		out := chaosRun(res.Plan, cl, true)
+		out := chaosRun(res.Plan, cl)
 		if out.err != nil {
 			t.Fatalf("%s: reference run: %v", name, out.err)
 		}
@@ -118,14 +113,11 @@ func TestChaosTPCHSweep(t *testing.T) {
 			DelayMS:       25,
 		}))
 		cl.SetRetry(retry)
-		// Alternate engines across seeds; both must satisfy the same
-		// contract. The parallel engine also gets a cancellable context
-		// so a regression that ignores it would show up as a hang here.
 		for _, name := range tpch.QueryNames() {
 			ref := refs[name]
 			label := name
 			out := runWithWatchdog(t, label, func() chaosOutcome {
-				return chaosRun(ref.root, cl, seed%4 == 0)
+				return chaosRun(ref.root, cl)
 			})
 			if out.err != nil {
 				var se *network.ShipError
@@ -205,7 +197,7 @@ func TestChaosPartitionedWAN(t *testing.T) {
 			return true
 		})
 		out := runWithWatchdog(t, name, func() chaosOutcome {
-			return chaosRun(res.Plan, cl, false)
+			return chaosRun(res.Plan, cl)
 		})
 		if crossSite {
 			if !errors.Is(out.err, network.ErrPartitioned) {
@@ -253,7 +245,7 @@ func TestChaosOptionsEndToEnd(t *testing.T) {
 	retry.MaxBackoff = 400 * time.Microsecond
 	run := func(seed int64) (*Result, error) {
 		faults := NewFaultPlan(seed).SetDefault(EdgeFaults{DropProb: 0.3, TransientProb: 0.2})
-		sys := build(Options{Parallel: true, Faults: faults})
+		sys := build(Options{Faults: faults})
 		sys.Cluster().SetRetry(retry)
 		return sys.Query(q)
 	}

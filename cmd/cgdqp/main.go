@@ -79,7 +79,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	query := fs.String("q", "", "run one query and exit")
 	explainOnly := fs.Bool("explain", false, "print the plan without executing")
 	resultLoc := fs.String("at", "", "pin the result location (L1..L5)")
-	parallel := fs.Bool("parallel", false, "run each SHIP's producing fragment on its own goroutine")
 	chaosSeed := fs.Int64("chaos-seed", 0, "inject deterministic WAN faults under this seed (0 = off); the same seed replays the same failures")
 	chaosDrop := fs.Float64("chaos-drop", 0.05, "per-batch drop probability under -chaos-seed")
 	chaosError := fs.Float64("chaos-error", 0.05, "per-send transient-error probability under -chaos-seed")
@@ -105,7 +104,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	opts := cgdqp.Options{
 		ResultLocation:     *resultLoc,
-		Parallel:           *parallel,
 		PlanCacheSize:      *planCache,
 		ResultCacheBytes:   *resultCache,
 		Trace:              *traceOut != "",

@@ -170,12 +170,12 @@ func TestShellSession(t *testing.T) {
 
 func TestChaosParallel(t *testing.T) {
 	clean, _ := mustRun(t, "", "-q", q3)
-	out, errw := mustRun(t, "", "-chaos-seed", "42", "-parallel", "-q", q3)
+	out, errw := mustRun(t, "", "-chaos-seed", "42", "-q", q3)
 	wantContains(t, "stderr", errw, "chaos: injecting WAN faults (seed 42, drop 5%, error 5%, delay 10%; retry ")
 	if got, want := shippedBytes(t, out), shippedBytes(t, clean); got != want {
 		t.Errorf("chaos run shipped %d bytes, fault-free run %d (ledger parity)", got, want)
 	}
-	again, _ := mustRun(t, "", "-chaos-seed", "42", "-parallel", "-q", q3)
+	again, _ := mustRun(t, "", "-chaos-seed", "42", "-q", q3)
 	if again != out {
 		t.Errorf("same chaos seed, different output:\n%s\nvs\n%s", out, again)
 	}
@@ -204,7 +204,10 @@ func TestSlowQueryLogLine(t *testing.T) {
 	if line == "" {
 		t.Fatalf("no slow-query line in:\n%s", out)
 	}
-	wantContains(t, "slow-query line", line, `"cache":"miss"`, `"engine":"seq"`, `"qerrors":[`)
+	wantContains(t, "slow-query line", line, `"cache":"miss"`, `"qerrors":[`)
+	if strings.Contains(line, `"engine"`) {
+		t.Errorf("slow-query line still names an exchange engine: %s", line)
+	}
 	if regexp.MustCompile(`"plan_digest":"[0-9a-f]+"`).FindString(line) == "" {
 		t.Errorf("slow-query line without a plan digest: %s", line)
 	}
@@ -216,6 +219,7 @@ func TestBadArguments(t *testing.T) {
 		{"-no-such-flag"},
 		{"-serve"},           // removed with the serving replay
 		{"-site-slots", "4"}, // removed with the slot table
+		{"-parallel"},        // removed with the inline exchange mode
 	} {
 		if code, _, errw := cli(t, "", args...); code != 2 || errw == "" {
 			t.Errorf("cgdqp %v: exit %d, stderr %q; want exit 2 with a message", args, code, errw)

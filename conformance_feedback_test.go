@@ -28,10 +28,9 @@ func sortedRows(rows []Row) []string {
 // newFeedbackConformSystem is newConformSystem with the full telemetry
 // stack on: feedback store, slow-query log (zero threshold, discarded),
 // and wire calibration applied after every frame.
-func newFeedbackConformSystem(t *testing.T, parallel, interp bool) *System {
+func newFeedbackConformSystem(t *testing.T, interp bool) *System {
 	t.Helper()
 	sys := NewSystemWith(Options{
-		Parallel:        parallel,
 		NoVectorKernels: interp,
 		Feedback:        true,
 		SlowQueryLog:    io.Discard,
@@ -48,7 +47,7 @@ func newFeedbackConformSystem(t *testing.T, parallel, interp bool) *System {
 }
 
 // TestConformanceFeedbackParity runs every golden TPC-H query twice per
-// engine × expression-path cell with the feedback loop fully armed. The
+// expression-path cell with the feedback loop fully armed. The
 // second run executes after the first has recorded actuals (and
 // possibly bumped the feedback epoch, re-optimizing the plan); both
 // must return the reference row multiset. Chaos seeds additionally pin
@@ -56,8 +55,8 @@ func newFeedbackConformSystem(t *testing.T, parallel, interp bool) *System {
 func TestConformanceFeedbackParity(t *testing.T) {
 	names := tpch.QueryNames()
 
-	// Reference: feedback-free sequential interpreter, fault-free.
-	ref := newConformSystem(t, false, true, false)
+	// Reference: feedback-free interpreter, fault-free.
+	ref := newConformSystem(t, true, false)
 	goldens := map[string][]string{}
 	for _, name := range names {
 		out := runConform(t, "reference/"+name, ref, tpch.Queries[name])
@@ -80,56 +79,54 @@ func TestConformanceFeedbackParity(t *testing.T) {
 	}
 
 	compared, replans := 0, 0
-	for _, parallel := range []bool{false, true} {
-		for _, interp := range []bool{false, true} {
-			sys := newFeedbackConformSystem(t, parallel, interp)
-			cl := sys.Cluster()
-			for _, seed := range seeds {
-				if seed == 0 {
-					cl.SetFaults(nil)
-				} else {
-					cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
-						DropProb:      0.08,
-						TransientProb: 0.05,
-					}))
-					cl.SetRetry(retry)
+	for _, interp := range []bool{false, true} {
+		sys := newFeedbackConformSystem(t, interp)
+		cl := sys.Cluster()
+		for _, seed := range seeds {
+			if seed == 0 {
+				cl.SetFaults(nil)
+			} else {
+				cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
+					DropProb:      0.08,
+					TransientProb: 0.05,
+				}))
+				cl.SetRetry(retry)
+			}
+			for _, name := range names {
+				label := fmt.Sprintf("interp=%v seed=%d %s", interp, seed, name)
+				epochBefore := sys.Feedback().Epoch()
+				for run := 0; run < 2; run++ {
+					out := runConform(t, fmt.Sprintf("%s run=%d", label, run), sys, tpch.Queries[name])
+					if out.err != nil {
+						var se *network.ShipError
+						if !errors.As(out.err, &se) {
+							t.Fatalf("%s run=%d: untyped error: %v", label, run, out.err)
+						}
+						continue
+					}
+					got := sortedRows(out.res.Rows)
+					want := goldens[name]
+					if len(got) != len(want) {
+						t.Fatalf("%s run=%d: %d rows, want %d", label, run, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s run=%d: row %d differs:\ngot  %s\nwant %s",
+								label, run, i, got[i], want[i])
+						}
+					}
+					compared++
 				}
-				for _, name := range names {
-					label := fmt.Sprintf("par=%v interp=%v seed=%d %s", parallel, interp, seed, name)
-					epochBefore := sys.Feedback().Epoch()
-					for run := 0; run < 2; run++ {
-						out := runConform(t, fmt.Sprintf("%s run=%d", label, run), sys, tpch.Queries[name])
-						if out.err != nil {
-							var se *network.ShipError
-							if !errors.As(out.err, &se) {
-								t.Fatalf("%s run=%d: untyped error: %v", label, run, out.err)
-							}
-							continue
-						}
-						got := sortedRows(out.res.Rows)
-						want := goldens[name]
-						if len(got) != len(want) {
-							t.Fatalf("%s run=%d: %d rows, want %d", label, run, len(got), len(want))
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s run=%d: row %d differs:\ngot  %s\nwant %s",
-									label, run, i, got[i], want[i])
-							}
-						}
-						compared++
-					}
-					if sys.Feedback().Epoch() != epochBefore {
-						replans++
-					}
+				if sys.Feedback().Epoch() != epochBefore {
+					replans++
 				}
 			}
-			cl.SetFaults(nil)
+		}
+		cl.SetFaults(nil)
 
-			sum := sys.Feedback().Summary()
-			if sum.Tracked == 0 {
-				t.Fatalf("par=%v interp=%v: telemetry recorded nothing: %+v", parallel, interp, sum)
-			}
+		sum := sys.Feedback().Summary()
+		if sum.Tracked == 0 {
+			t.Fatalf("interp=%v: telemetry recorded nothing: %+v", interp, sum)
 		}
 	}
 	if compared == 0 {

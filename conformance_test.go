@@ -13,12 +13,12 @@ import (
 
 // This file is the cross-engine conformance oracle: one table-driven
 // suite that runs every golden TPC-H query across the full execution
-// matrix — {sequential, parallel} × {vector kernels, row interpreter} ×
-// {result cache cold, warm, disabled} — under a sweep of chaos seeds,
-// and requires byte-identical rows, shipping statistics and audit logs
-// against a single fault-free sequential/interpreter reference. Any
-// divergence between engines, expression paths, cache states or fault
-// recoveries is a conformance bug, not an acceptable variation.
+// matrix — {vector kernels, row interpreter} × {result cache cold,
+// warm, disabled} — under a sweep of chaos seeds, and requires
+// byte-identical rows, shipping statistics and audit logs against a
+// single fault-free interpreter reference. Any divergence between
+// expression paths, cache states or fault recoveries is a conformance
+// bug, not an acceptable variation.
 
 // conformOutcome is one observed query execution through the public API.
 type conformOutcome struct {
@@ -44,7 +44,7 @@ func runConform(t *testing.T, label string, sys *System, sql string) conformOutc
 	}
 }
 
-// conformGolden is the fault-free sequential/interpreter reference for
+// conformGolden is the fault-free interpreter reference for
 // one query: canonical rows, shipping statistics and the rendered audit
 // log.
 type conformGolden struct {
@@ -57,9 +57,9 @@ type conformGolden struct {
 // newConformSystem builds a fully loaded TPC-H system for one matrix
 // cell. Each cell gets its own system over identically generated data so
 // cells cannot contaminate each other through shared caches or epochs.
-func newConformSystem(t *testing.T, parallel, interp, cached bool) *System {
+func newConformSystem(t *testing.T, interp, cached bool) *System {
 	t.Helper()
-	opts := Options{Parallel: parallel, NoVectorKernels: interp, Audit: true}
+	opts := Options{NoVectorKernels: interp, Audit: true}
 	if cached {
 		opts.ResultCacheBytes = 32 << 20
 	}
@@ -102,7 +102,7 @@ func conformCompare(t *testing.T, label string, out conformOutcome, auditText st
 }
 
 // TestConformanceMatrix is the acceptance oracle of the execution
-// matrix. For every golden TPC-H query, every combination of engine,
+// matrix. For every golden TPC-H query, every combination of
 // expression path and cache state, and every chaos seed (seed 0 =
 // fault-free), each run must either succeed byte-identical to the
 // reference or fail with a typed *network.ShipError. Cache-enabled
@@ -112,9 +112,8 @@ func conformCompare(t *testing.T, label string, out conformOutcome, auditText st
 func TestConformanceMatrix(t *testing.T) {
 	names := tpch.QueryNames()
 
-	// Golden reference: sequential engine, row interpreter, no cache,
-	// fault-free.
-	ref := newConformSystem(t, false, true, false)
+	// Golden reference: row interpreter, no cache, fault-free.
+	ref := newConformSystem(t, true, false)
 	goldens := map[string]*conformGolden{}
 	for _, name := range names {
 		ref.AuditLog().Reset()
@@ -143,35 +142,29 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 
 	type combo struct {
-		name             string
-		parallel, interp bool
-		cached           bool
+		name           string
+		interp, cached bool
 	}
 	var combos []combo
-	for _, parallel := range []bool{false, true} {
-		for _, interp := range []bool{false, true} {
-			for _, cached := range []bool{false, true} {
-				engine, kern, cache := "seq", "kernels", "off"
-				if parallel {
-					engine = "par"
-				}
-				if interp {
-					kern = "interp"
-				}
-				if cached {
-					cache = "on"
-				}
-				combos = append(combos, combo{
-					name:     fmt.Sprintf("%s/%s/cache=%s", engine, kern, cache),
-					parallel: parallel, interp: interp, cached: cached,
-				})
+	for _, interp := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			kern, cache := "kernels", "off"
+			if interp {
+				kern = "interp"
 			}
+			if cached {
+				cache = "on"
+			}
+			combos = append(combos, combo{
+				name:   fmt.Sprintf("%s/cache=%s", kern, cache),
+				interp: interp, cached: cached,
+			})
 		}
 	}
 
 	recovered, failed, warmHits := 0, 0, 0
 	for _, c := range combos {
-		sys := newConformSystem(t, c.parallel, c.interp, c.cached)
+		sys := newConformSystem(t, c.interp, c.cached)
 		cl := sys.Cluster()
 		for _, seed := range seeds {
 			if seed == 0 {
@@ -270,9 +263,9 @@ func TestConformanceMatrix(t *testing.T) {
 // the memory-pager reference — declares the same B+ tree indexes so
 // index access paths (IndexScan, IndexLookupJoin) are planned
 // identically on both pagers.
-func newStoreConformSystem(t *testing.T, parallel, interp bool, dataDir string) *System {
+func newStoreConformSystem(t *testing.T, interp bool, dataDir string) *System {
 	t.Helper()
-	opts := Options{Parallel: parallel, NoVectorKernels: interp, Audit: true, DataDir: dataDir}
+	opts := Options{NoVectorKernels: interp, Audit: true, DataDir: dataDir}
 	sys := NewSystemWith(opts)
 	sys.Schema = tpch.NewCatalog(0.001)
 	for _, tab := range sys.Schema.Tables() {
@@ -289,15 +282,15 @@ func newStoreConformSystem(t *testing.T, parallel, interp bool, dataDir string) 
 
 // TestConformanceStoreAxis extends the conformance matrix along the
 // pager axis: every golden TPC-H query runs with its pages on the file
-// pager (a DataDir) across {seq, par} × {kernels, interp} × chaos seeds
-// and must be byte-identical — rows, shipping statistics, audit log —
-// to a memory-pager sequential/interpreter reference over the same data
+// pager (a DataDir) across {kernels, interp} × chaos seeds and must be
+// byte-identical — rows, shipping statistics, audit log — to a
+// memory-pager interpreter reference over the same data
 // and the same declared indexes. The pager must be invisible to every
 // layer above it: plan choice, shipping, compliance accounting.
 func TestConformanceStoreAxis(t *testing.T) {
 	names := tpch.QueryNames()
 
-	ref := newStoreConformSystem(t, false, true, "")
+	ref := newStoreConformSystem(t, true, "")
 	goldens := map[string]*conformGolden{}
 	for _, name := range names {
 		ref.AuditLog().Reset()
@@ -325,43 +318,41 @@ func TestConformanceStoreAxis(t *testing.T) {
 		JitterFrac:  0.2,
 	}
 	compared := 0
-	for _, parallel := range []bool{false, true} {
-		for _, interp := range []bool{false, true} {
-			dir := t.TempDir()
-			sys := newStoreConformSystem(t, parallel, interp, dir)
-			if pages, _ := filepath.Glob(filepath.Join(dir, "*", "*.tbl")); len(pages) == 0 {
-				t.Fatal("pager axis cell wrote no page files")
+	for _, interp := range []bool{false, true} {
+		dir := t.TempDir()
+		sys := newStoreConformSystem(t, interp, dir)
+		if pages, _ := filepath.Glob(filepath.Join(dir, "*", "*.tbl")); len(pages) == 0 {
+			t.Fatal("pager axis cell wrote no page files")
+		}
+		cl := sys.Cluster()
+		for _, seed := range seeds {
+			if seed == 0 {
+				cl.SetFaults(nil)
+			} else {
+				cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
+					DropProb:      0.08,
+					TransientProb: 0.05,
+				}))
+				cl.SetRetry(retry)
 			}
-			cl := sys.Cluster()
-			for _, seed := range seeds {
-				if seed == 0 {
-					cl.SetFaults(nil)
-				} else {
-					cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
-						DropProb:      0.08,
-						TransientProb: 0.05,
-					}))
-					cl.SetRetry(retry)
-				}
-				for _, name := range names {
-					label := fmt.Sprintf("file pager par=%v interp=%v seed=%d %s", parallel, interp, seed, name)
-					sys.AuditLog().Reset()
-					out := runConform(t, label, sys, tpch.Queries[name])
-					if out.err != nil {
-						var se *network.ShipError
-						if !errors.As(out.err, &se) {
-							t.Fatalf("%s: untyped error: %v", label, out.err)
-						}
-						continue
+			for _, name := range names {
+				label := fmt.Sprintf("file pager interp=%v seed=%d %s", interp, seed, name)
+				sys.AuditLog().Reset()
+				out := runConform(t, label, sys, tpch.Queries[name])
+				if out.err != nil {
+					var se *network.ShipError
+					if !errors.As(out.err, &se) {
+						t.Fatalf("%s: untyped error: %v", label, out.err)
 					}
-					conformCompare(t, label, out, sys.AuditLog().String(), goldens[name])
-					compared++
+					continue
 				}
+				conformCompare(t, label, out, sys.AuditLog().String(), goldens[name])
+				compared++
 			}
-			cl.SetFaults(nil)
-			if err := sys.Close(); err != nil {
-				t.Fatalf("pager axis close: %v", err)
-			}
+		}
+		cl.SetFaults(nil)
+		if err := sys.Close(); err != nil {
+			t.Fatalf("pager axis close: %v", err)
 		}
 	}
 	if compared == 0 {
@@ -377,8 +368,8 @@ func TestConformanceStoreAxis(t *testing.T) {
 // vectorized operators demote exactly those chunks to the row
 // interpreter while the surrounding chunks stay columnar — the
 // mixed-path regime the null-free, lane-pure TPC-H data never reaches.
-func newFallbackSystem(parallel, interp bool) *System {
-	sys := NewSystemWith(Options{Parallel: parallel, NoVectorKernels: interp, Audit: true})
+func newFallbackSystem(interp bool) *System {
+	sys := NewSystemWith(Options{NoVectorKernels: interp, Audit: true})
 	sys.MustDefineTable("Users", "db-n", "NorthAmerica", 150,
 		Col("id", TInt), Col("name", TString))
 	sys.MustDefineTable("Events", "db-e", "Europe", 2600,
@@ -442,9 +433,9 @@ func newFallbackSystem(parallel, interp bool) *System {
 // TestConformanceFallbackParity pins the columnar-vs-row axis where its
 // mechanisms actually diverge: chunks that demote to the interpreter
 // mid-stream (NULL-heavy and lane-impure data), NULL join keys and
-// group keys, and aggregates over mixed int/float lanes. Every engine ×
-// expression-path cell must match the sequential/interpreter reference
-// byte for byte — rows, shipping statistics and the audit log —
+// group keys, and aggregates over mixed int/float lanes. Both
+// expression-path cells must match the interpreter reference byte for
+// byte — rows, shipping statistics and the audit log —
 // fault-free and under chaos seeds.
 func TestConformanceFallbackParity(t *testing.T) {
 	queries := []struct{ name, sql string }{
@@ -459,8 +450,8 @@ func TestConformanceFallbackParity(t *testing.T) {
 			WHERE U.id = E.id GROUP BY U.name ORDER BY U.name LIMIT 40`},
 	}
 
-	// Golden reference: sequential engine, row interpreter, fault-free.
-	ref := newFallbackSystem(false, true)
+	// Golden reference: row interpreter, fault-free.
+	ref := newFallbackSystem(true)
 	goldens := map[string]*conformGolden{}
 	for _, q := range queries {
 		ref.AuditLog().Reset()
@@ -491,37 +482,35 @@ func TestConformanceFallbackParity(t *testing.T) {
 		JitterFrac:  0.2,
 	}
 	compared := 0
-	for _, parallel := range []bool{false, true} {
-		for _, interp := range []bool{false, true} {
-			sys := newFallbackSystem(parallel, interp)
-			cl := sys.Cluster()
-			for _, seed := range seeds {
-				if seed == 0 {
-					cl.SetFaults(nil)
-				} else {
-					cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
-						DropProb:      0.08,
-						TransientProb: 0.05,
-					}))
-					cl.SetRetry(retry)
-				}
-				for _, q := range queries {
-					label := fmt.Sprintf("par=%v interp=%v seed=%d %s", parallel, interp, seed, q.name)
-					sys.AuditLog().Reset()
-					out := runConform(t, label, sys, q.sql)
-					if out.err != nil {
-						var se *network.ShipError
-						if !errors.As(out.err, &se) {
-							t.Fatalf("%s: untyped error: %v", label, out.err)
-						}
-						continue
-					}
-					conformCompare(t, label, out, sys.AuditLog().String(), goldens[q.name])
-					compared++
-				}
+	for _, interp := range []bool{false, true} {
+		sys := newFallbackSystem(interp)
+		cl := sys.Cluster()
+		for _, seed := range seeds {
+			if seed == 0 {
+				cl.SetFaults(nil)
+			} else {
+				cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
+					DropProb:      0.08,
+					TransientProb: 0.05,
+				}))
+				cl.SetRetry(retry)
 			}
-			cl.SetFaults(nil)
+			for _, q := range queries {
+				label := fmt.Sprintf("interp=%v seed=%d %s", interp, seed, q.name)
+				sys.AuditLog().Reset()
+				out := runConform(t, label, sys, q.sql)
+				if out.err != nil {
+					var se *network.ShipError
+					if !errors.As(out.err, &se) {
+						t.Fatalf("%s: untyped error: %v", label, out.err)
+					}
+					continue
+				}
+				conformCompare(t, label, out, sys.AuditLog().String(), goldens[q.name])
+				compared++
+			}
 		}
+		cl.SetFaults(nil)
 	}
 	if compared == 0 {
 		t.Error("no run exercised the fallback parity comparison")

@@ -59,7 +59,7 @@ func main() {
 		}
 
 		audit := obs.NewAuditLog()
-		rows, stats, err := executor.RunObservedOpts(context.Background(), cres.Plan, cl,
+		rows, stats, err := executor.RunParallelOpts(context.Background(), cres.Plan, cl,
 			&obs.Observer{Audit: audit}, executor.ExecOptions{})
 		if err != nil {
 			log.Fatalf("%s execute: %v", qn, err)

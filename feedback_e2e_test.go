@@ -316,7 +316,7 @@ func TestSlowQueryLogE2E(t *testing.T) {
 	if worst < 100 {
 		t.Fatalf("worst q-error %v, want the misestimate visible", worst)
 	}
-	if first.ShipBytes == 0 || first.LatencyMS <= 0 || first.Engine != "seq" {
+	if first.ShipBytes == 0 || first.LatencyMS <= 0 {
 		t.Fatalf("record fields: %+v", first)
 	}
 	// Cache hits replay the filling run's shipping statistics.

@@ -5,6 +5,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -103,12 +104,14 @@ func (c *Cluster) SetWireDelay(scale float64) { c.wireDelay = scale }
 // WireDelay returns the current wire-delay scale.
 func (c *Cluster) WireDelay() float64 { return c.wireDelay }
 
-// SleepWire blocks for costMS (simulated ms) scaled by the wire delay.
-func (c *Cluster) SleepWire(costMS float64) {
+// SleepWire blocks for costMS (simulated ms) scaled by the wire delay,
+// or until ctx is cancelled, whose error it then returns: a failed or
+// cancelled run does not wait out its shipments' wire time.
+func (c *Cluster) SleepWire(ctx context.Context, costMS float64) error {
 	if c.wireDelay <= 0 || costMS <= 0 {
-		return
+		return nil
 	}
-	time.Sleep(time.Duration(costMS * c.wireDelay * float64(time.Millisecond)))
+	return sleepCtx(ctx, time.Duration(costMS*c.wireDelay*float64(time.Millisecond)))
 }
 
 // New creates an in-memory cluster over the catalog's locations: each

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"cgdqp/internal/network"
@@ -97,13 +98,13 @@ func (c *Cluster) countFault(err error) {
 
 // send runs the attempt loop: decide the fault verdict, model the wire
 // time of failed attempts, back off, and invoke deliver exactly once on
-// success. bytes only sizes the simulated attempt cost; accounting is
-// deliver's job. The scope receives the run-local retry count.
-func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, batch int, bytes int64, deliver func(extraMS float64)) error {
+// success, returning its error. bytes only sizes the simulated attempt
+// cost; accounting is deliver's job. The scope receives the run-local
+// retry count.
+func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, batch int, bytes int64, deliver func(extraMS float64) error) error {
 	faults := c.faults
 	if faults == nil || from == to {
-		deliver(0)
-		return nil
+		return deliver(0)
 	}
 	attempts := c.retry.Attempts()
 	var lastErr error
@@ -124,17 +125,20 @@ func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, ba
 		if timeout := c.retry.TimeoutMS; timeout > 0 && attemptMS > timeout {
 			// The receiver gives up at the budget; the time until then
 			// is still spent on the wire.
-			c.SleepWire(timeout)
+			if err := c.SleepWire(ctx, timeout); err != nil {
+				return err
+			}
 			lastErr = network.ErrShipTimeout
 		} else if err := v.Err(); err != nil {
 			if err == network.ErrBatchDropped {
 				// The batch travelled and was lost: wire time is spent.
-				c.SleepWire(attemptMS)
+				if err := c.SleepWire(ctx, attemptMS); err != nil {
+					return err
+				}
 			}
 			lastErr = err
 		} else {
-			deliver(v.ExtraDelayMS)
-			return nil
+			return deliver(v.ExtraDelayMS)
 		}
 		scope.retries.Add(1)
 		c.countFault(lastErr)
@@ -159,17 +163,29 @@ func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, ba
 	return &network.ShipError{From: from, To: to, Attempts: attempts, Err: lastErr}
 }
 
+// sleepTimers holds stopped, drained timers, so a wire sleep allocates
+// nothing once the pool is warm.
+var sleepTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 // sleepCtx waits for d or until the context is cancelled.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t := sleepTimers.Get().(*time.Timer)
+	t.Reset(d)
 	select {
 	case <-t.C:
+		sleepTimers.Put(t)
 		return nil
 	case <-ctx.Done():
+		// Not pooled: a timer stopped too late may still deliver its
+		// tick, which would cut a later sleep short.
+		t.Stop()
 		return ctx.Err()
 	}
 }

@@ -170,7 +170,9 @@ func (b *Batch) Bytes() int64 {
 // prepares the operator, NextBatch returns the next row vector (nil at
 // end of stream), Close releases resources. Ownership of a returned
 // batch transfers to the caller, which must Release it (or hand it on)
-// exactly once.
+// exactly once. An operator that fails does not close its inputs on
+// the way out: closing drains exchanges, and the run cancels its
+// producers before it closes the tree.
 type BatchOperator interface {
 	Open() error
 	NextBatch() (*Batch, error)

@@ -3,13 +3,14 @@ package executor
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
-	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
 )
 
@@ -45,15 +46,6 @@ func chaosRetry() network.RetryPolicy {
 	}
 }
 
-// auditedRun executes root in one exchange mode and returns its rows,
-// statistics and rendered audit log: one record per shipment (edge,
-// relations, columns, rows, bytes, batches), canonically sorted.
-func auditedRun(root *plan.Node, cl *cluster.Cluster, inline bool) ([]expr.Row, *RunStats, string, error) {
-	o := &obs.Observer{Audit: obs.NewAuditLog()}
-	rows, stats, err := run(context.Background(), root, cl, o, ExecOptions{}, inline)
-	return rows, stats, o.Audit.String(), err
-}
-
 // sameShipping fails unless a recovered run's statistics equal the
 // fault-free ones bit for bit, Retries aside.
 func sameShipping(t *testing.T, seed int64, got, want *RunStats) {
@@ -71,11 +63,11 @@ func sameShipping(t *testing.T, seed int64, got, want *RunStats) {
 // with a typed *network.ShipError. Runs under -race in tier-1.
 func TestChaosParallelLedgerParity(t *testing.T) {
 	root, cl := chaosPlan(t)
-	wantRows, wantStats, wantAudit, err := auditedRun(root, cl, true)
+	clean, err := observedRun(root, cl, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canon(wantRows)
+	want := canon(clean.rows)
 
 	okRuns, failRuns := 0, 0
 	for seed := int64(1); seed <= 25; seed++ {
@@ -83,7 +75,7 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 			DropProb: 0.15, TransientProb: 0.1, DelayProb: 0.2, DelayMS: 10,
 		}))
 		cl.SetRetry(chaosRetry())
-		rows, stats, audit, err := auditedRun(root, cl, false)
+		run, err := observedRun(root, cl, ExecOptions{})
 		if err != nil {
 			var se *network.ShipError
 			if !errors.As(err, &se) {
@@ -93,7 +85,7 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 			continue
 		}
 		okRuns++
-		got := canon(rows)
+		got := canon(run.rows)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d rows, want %d", seed, len(got), len(want))
 		}
@@ -102,11 +94,11 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 				t.Fatalf("seed %d: row %d differs: %s vs %s", seed, i, got[i], want[i])
 			}
 		}
-		if audit != wantAudit {
-			t.Fatalf("seed %d: shipments differ after retries:\ngot\n%swant\n%s", seed, audit, wantAudit)
+		if run.audit != clean.audit {
+			t.Fatalf("seed %d: shipments differ after retries:\ngot\n%swant\n%s", seed, run.audit, clean.audit)
 		}
-		sameShipping(t, seed, stats, wantStats)
-		if stats.Retries == 0 && seed == 1 {
+		sameShipping(t, seed, &run.stats, &clean.stats)
+		if run.stats.Retries == 0 && seed == 1 {
 			// Not fatal for other seeds, but the sweep as a whole must
 			// exercise the retry path; checked below.
 			t.Log("seed 1 had no retries")
@@ -119,91 +111,186 @@ func TestChaosParallelLedgerParity(t *testing.T) {
 	t.Logf("chaos sweep: %d recovered runs, %d typed failures", okRuns, failRuns)
 }
 
-// TestChaosSequentialEngine drives the same sweep through inline
-// exchanges, then repeats every seed in goroutine mode: fault verdicts
-// are a pure function of (seed, edge, frame, attempt) and both modes
-// send the same frames, so they recover or fail alike and report the
-// same RunStats, Retries included.
-func TestChaosSequentialEngine(t *testing.T) {
+// TestChaosRepeatDeterminism sweeps seeds over the multi-ship plan and
+// runs every seed parityRepeats times: fault verdicts are a pure
+// function of (seed, edge, frame, attempt), so the repeats recover or
+// fail alike whatever the goroutine interleaving, and a recovered seed
+// gives the same rows in the same order, the same RunStats (Retries
+// included), audit log and per-node profile counts every time, with
+// the fault-free run's rows, audit log and shipping statistics.
+func TestChaosRepeatDeterminism(t *testing.T) {
 	root, cl := chaosPlan(t)
-	wantRows, wantStats, wantAudit, err := auditedRun(root, cl, true)
+	clean, err := observedRun(root, cl, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canon(wantRows)
 	okRuns, retried := 0, false
 	for seed := int64(1); seed <= 10; seed++ {
 		cl.SetFaults(network.NewFaultPlan(seed).SetDefault(network.EdgeFaults{
 			DropProb: 0.2, TransientProb: 0.1,
 		}))
 		cl.SetRetry(chaosRetry())
-		rows, stats, audit, err := auditedRun(root, cl, true)
-		_, parStats, parErr := RunParallel(root, cl)
-		if (err == nil) != (parErr == nil) {
-			t.Fatalf("seed %d: inline error %v, goroutine-mode error %v", seed, err, parErr)
-		}
-		if err != nil {
-			var se *network.ShipError
-			if !errors.As(err, &se) {
-				t.Fatalf("seed %d: untyped chaos error: %v", seed, err)
+		var first cellResult
+		var firstErr error
+		for rep := 0; rep < parityRepeats; rep++ {
+			got, err := observedRun(root, cl, ExecOptions{})
+			if err != nil {
+				var se *network.ShipError
+				if !errors.As(err, &se) {
+					t.Fatalf("seed %d: untyped chaos error: %v", seed, err)
+				}
 			}
+			if rep == 0 {
+				first, firstErr = got, err
+				continue
+			}
+			if (err == nil) != (firstErr == nil) {
+				t.Fatalf("seed %d run %d: error %v, first run's %v", seed, rep, err, firstErr)
+			}
+			if err == nil {
+				sameCell(t, fmt.Sprintf("seed %d run %d", seed, rep), got, first)
+			}
+		}
+		if firstErr != nil {
 			continue
 		}
 		okRuns++
-		if *stats != *parStats {
-			t.Fatalf("seed %d: stats differ across exchange modes:\ninline    %+v\ngoroutine %+v", seed, stats, parStats)
+		retried = retried || first.stats.Retries > 0
+		if first.ordered != clean.ordered {
+			t.Fatalf("seed %d: rows or their order differ from the fault-free run", seed)
 		}
-		retried = retried || stats.Retries > 0
-		got := canon(rows)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: row %d differs", seed, i)
-			}
+		if first.audit != clean.audit {
+			t.Fatalf("seed %d: shipments differ after retries:\ngot\n%swant\n%s", seed, first.audit, clean.audit)
 		}
-		if audit != wantAudit {
-			t.Fatalf("seed %d: shipments differ after retries:\ngot\n%swant\n%s", seed, audit, wantAudit)
-		}
-		sameShipping(t, seed, stats, wantStats)
-		if stats.ShippedBytes == 0 {
-			t.Fatalf("seed %d: no bytes accounted", seed)
-		}
+		sameShipping(t, seed, &first.stats, &clean.stats)
 	}
 	cl.SetFaults(nil)
 	if okRuns == 0 {
-		t.Error("no sequential chaos run succeeded")
+		t.Error("no chaos run succeeded")
 	}
 	if !retried {
-		t.Error("no recovered run retried a send; the Retries parity check is vacuous")
+		t.Error("no recovered run retried a send; the Retries check is vacuous")
 	}
 }
 
 // TestChaosPartitionTearsDownCleanly: with a partitioned edge on the
-// plan's path, both exchange modes fail fast with ErrPartitioned — no
-// hang, no goroutine leak (RunParallel returns only after all producers
-// exit).
+// plan's path, the run fails fast with ErrPartitioned — no hang, no
+// goroutine leak (Run returns only after all producers exit).
 func TestChaosPartitionTearsDownCleanly(t *testing.T) {
 	root, cl := chaosPlan(t)
 	cl.SetFaults(network.NewFaultPlan(3).SetEdge("A", "E", network.EdgeFaults{Partitioned: true}))
 	cl.SetRetry(chaosRetry())
-	for _, eng := range []struct {
-		name string
-		run  func(*plan.Node, *cluster.Cluster) ([]expr.Row, *RunStats, error)
-	}{{"sequential", Run}, {"parallel", RunParallel}} {
-		done := make(chan error, 1)
-		go func() {
-			_, _, err := eng.run(root, cl)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if !errors.Is(err, network.ErrPartitioned) {
-				t.Fatalf("%s: error %v, want ErrPartitioned", eng.name, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: partitioned run hung", eng.name)
+	defer cl.SetFaults(nil)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Run(root, cl)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, network.ErrPartitioned) {
+			t.Fatalf("error %v, want ErrPartitioned", err)
 		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("partitioned run hung")
 	}
-	cl.SetFaults(nil)
+}
+
+// slowShipment is the wall-clock delay a DelayProb-1 fault adds to
+// every send over its edge at wire delay 1: far longer than anything
+// else the failure tests below do.
+const slowShipment = time.Second
+
+// delayedEdge slows every send from→to by slowShipment under wire
+// delay 1.
+func delayedEdge(fp *network.FaultPlan, from, to string) *network.FaultPlan {
+	return fp.SetEdge(from, to, network.EdgeFaults{DelayProb: 1, DelayMS: float64(slowShipment / time.Millisecond)})
+}
+
+// TestFailedRunCancelsSiblingShipments: when one part of a run fails,
+// the run fails at once instead of waiting out the wire time of the
+// shipments still in flight. Each plan fails early while another
+// shipment is delayed by a second: the first error must cancel the run
+// before any exchange is drained, and the delayed producer's wire sleep
+// must honour the cancellation.
+func TestFailedRunCancelsSiblingShipments(t *testing.T) {
+	cat, cl := carco(t)
+	cl.SetFaults(delayedEdge(network.NewFaultPlan(1).SetEdge("E", "N", network.EdgeFaults{Partitioned: true}), "A", "E"))
+	cl.SetRetry(chaosRetry())
+	cl.SetWireDelay(1)
+	defer func() { cl.SetFaults(nil); cl.SetWireDelay(0) }()
+	orders := func() *plan.Node { return scanNode(t, cat, "Orders", "O") }
+	slow := func() *plan.Node { return plan.NewShip(scanNode(t, cat, "Supply", "S"), "A", "E") }
+	// A fragment at E that ships a full frame over the partitioned edge
+	// before it reads its slow input.
+	bulk := orders()
+	for i := 1; i*200 < BatchSize; i++ {
+		bulk = plan.NewUnion(bulk, orders())
+	}
+	badProject := plan.NewProject(orders(), []plan.NamedExpr{
+		{E: expr.NewArith(expr.Mul, expr.NewCol("O", "custkey"), expr.NewConst(expr.NewString("x"))), Name: "bad"}})
+	partitioned := network.ErrPartitioned.Error()
+	for _, tc := range []struct {
+		name string
+		root *plan.Node
+		want string // in the error
+	}{
+		// The union reads the partitioned edge first.
+		{"partitioned union branch", plan.NewUnion(plan.NewShip(orders(), "E", "N"), slow()), partitioned},
+		// The consumer tree fails under a sort, which must not drain
+		// its input on the way out.
+		{"consumer error under a sort", plan.NewSort(plan.NewUnion(badProject, plan.NewProject(slow(),
+			[]plan.NamedExpr{{E: expr.NewCol("S", "ordkey"), Name: "bad"}})), []plan.SortKey{{E: expr.NewCol("", "bad")}}), "arithmetic on non-numeric"},
+		// ... or under a nested-loop join reading its inner side.
+		{"consumer error under a nested-loop join", func() *plan.Node {
+			j := plan.NewJoin(scanNode(t, cat, "Customer", "C"), plan.NewUnion(badProject, plan.NewProject(slow(),
+				[]plan.NamedExpr{{E: expr.NewCol("S", "ordkey"), Name: "bad"}})),
+				expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("", "bad")))
+			j.Kind = plan.NLJoin
+			return j
+		}(), "arithmetic on non-numeric"},
+		// A producer fails with its own slow input still open.
+		{"fragment over a slow input", plan.NewShip(plan.NewUnion(bulk, plan.NewProject(slow(), []plan.NamedExpr{
+			{E: expr.NewCol("S", "ordkey")}, {E: expr.NewCol("S", "ordkey")}, {E: expr.NewConst(expr.NewFloat(0))}})), "E", "N"),
+			partitioned},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			_, _, err := RunParallelOpts(context.Background(), tc.root, cl, nil, ExecOptions{})
+			took := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one with %q", err, tc.want)
+			}
+			if took > slowShipment/2 {
+				t.Fatalf("failed run took %v: it waited for the delayed shipment (%v)", took, slowShipment)
+			}
+		})
+	}
+}
+
+// TestCancelDuringWireSleep: a caller cancel while a producer sleeps
+// out a long simulated transfer returns promptly.
+func TestCancelDuringWireSleep(t *testing.T) {
+	cat, cl := carco(t)
+	// No start-up or bandwidth cost: the one wire sleep is the injected
+	// delay, so the cancel lands inside it.
+	cl.Net = network.NewCostModel(0, 0)
+	cl.SetFaults(delayedEdge(network.NewFaultPlan(1), "E", "N"))
+	cl.SetRetry(chaosRetry())
+	cl.SetWireDelay(1)
+	defer func() { cl.SetFaults(nil); cl.SetWireDelay(0) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	_, _, err := RunParallelOpts(ctx, plan.NewShip(scanNode(t, cat, "Orders", "O"), "E", "N"), cl, nil, ExecOptions{})
+	took := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if took > slowShipment/2 {
+		t.Fatalf("cancelled run took %v: the wire sleep ignored the cancellation", took)
+	}
 }
 
 // TestChaosContextCancellation: cancelling the caller's context tears

@@ -12,43 +12,27 @@ import (
 // This file implements SHIP. A located plan splits at Ship boundaries
 // into per-site fragments (see plan.SplitFragments); every Ship is an
 // exchange whose producer drives the fragment below it and whose
-// consumer is the operator the fragment above it reads. The exchange
-// mode decides where the producer runs:
-//
-//   - goroutine mode (RunParallel*): every producer starts on its own
-//     goroutine before the root is opened and sends its frames through a
-//     bounded channel, so independent fragments overlap;
-//   - inline mode (Run, RunObservedOpts): the producer runs to completion
-//     inside the consumer's Open, appending its frames to a slice the
-//     consumer then decodes — no goroutine is started.
+// consumer is the operator the fragment above it reads. Every producer
+// starts on its own goroutine before the root is opened and sends its
+// frames through a bounded channel, so independent fragments overlap.
 //
 // Determinism: every exchange has exactly one producer and preserves
-// its order, every fragment runs exactly once and to completion, and
-// fault verdicts are a pure function of (seed, edge, frame, attempt),
-// so both modes emit the same rows in the same order, charge the run's
-// ledger the same ShippedRows/ShippedBytes/ShipCost, retry the same
-// sends and record the same audit log. Only wall-clock time differs.
+// its order, every fragment of a successful run runs exactly once and
+// to completion, and fault verdicts are a pure function of (seed, edge,
+// frame, attempt), so repeated runs emit the same rows in the same
+// order, charge the run's ledger the same ShippedRows/ShippedBytes/
+// ShipCost, retry the same sends and record the same audit log. Only
+// wall-clock time differs.
 
-// exchangeDepth bounds the frames buffered per goroutine-mode exchange;
-// producers run at most exchangeDepth×BatchSize rows ahead of their
-// consumer.
+// exchangeDepth bounds the frames buffered per exchange; producers run
+// at most exchangeDepth×BatchSize rows ahead of their consumer.
 const exchangeDepth = 4
 
-// exchangeMsg is one hop over a goroutine-mode exchange: a serialized
-// wire frame or a terminal error.
-type exchangeMsg struct {
-	frame []byte
-	err   error
-}
-
-// newExchange builds the Ship operator over src, registering its
-// producer with the environment in goroutine mode.
+// newExchange builds the Ship operator over src and registers its
+// producer with the environment.
 func newExchange(n *plan.Node, src BatchOperator, env *execEnv) BatchOperator {
-	p := &exchangeProducer{node: n, src: src, env: env}
-	if !env.inline {
-		p.ch = make(chan exchangeMsg, exchangeDepth)
-		env.producers = append(env.producers, p)
-	}
+	p := &exchangeProducer{node: n, src: src, env: env, ch: make(chan []byte, exchangeDepth)}
+	env.producers = append(env.producers, p)
 	return &exchangeOp{prod: p}
 }
 
@@ -63,10 +47,10 @@ type exchangeProducer struct {
 	src  BatchOperator
 	env  *execEnv
 	enc  network.WireEncoder
-	// ch carries the frames in goroutine mode (nil in inline mode, where
-	// they collect in frames until the consumer decodes them).
-	ch     chan exchangeMsg
-	frames [][]byte
+	// ch carries the frames; the producer closes it when it exits,
+	// after setting err if it failed.
+	ch  chan []byte
+	err error
 	// sent* accumulate what the producer actually delivered; only the
 	// producer touches them. On a clean end of stream they become the
 	// fragment's compliance audit record — a producer that errors out
@@ -101,16 +85,25 @@ func (p *exchangeProducer) run() error {
 	return nil
 }
 
-func (p *exchangeProducer) produce() error {
+func (p *exchangeProducer) produce() (err error) {
 	if err := p.src.Open(); err != nil {
 		return err
 	}
-	defer p.src.Close()
+	defer func() {
+		// Closing drains the fragment's own input exchanges: after a
+		// failure, cancel the run first so they stop at once.
+		if err != nil {
+			err = p.env.fail(err)
+		}
+		p.src.Close()
+	}()
 	c, from, to := p.env.c, p.node.FromLoc, p.node.ToLoc
 	ship := p.env.scope.OpenShipment(from, to)
 	// The start-up cost α (one round trip) is paid when the connection
 	// opens; per-frame sends below pay the bandwidth part.
-	c.SleepWire(c.Net.Alpha(from, to))
+	if err := c.SleepWire(p.env.ctx, c.Net.Alpha(from, to)); err != nil {
+		return err
+	}
 	cal := c.Calibrator()
 	var pend framePacker
 	frameIdx := 0
@@ -258,16 +251,12 @@ func widthSum(rows []expr.Row) int64 {
 	return n
 }
 
-// deliver hands one landed frame to the consumer; both modes stop at a
+// deliver hands one landed frame to the consumer, stopping at a
 // cancelled context.
 func (p *exchangeProducer) deliver(frame []byte) error {
 	ctx := p.env.ctx
-	if p.ch == nil {
-		p.frames = append(p.frames, frame)
-		return ctx.Err()
-	}
 	select {
-	case p.ch <- exchangeMsg{frame: frame}:
+	case p.ch <- frame:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -279,38 +268,15 @@ func (p *exchangeProducer) deliver(frame []byte) error {
 // the destination site.
 type exchangeOp struct {
 	prod *exchangeProducer
-	next int // inline mode: the next frame to decode
-	done bool
 }
 
-// Open runs the producer in inline mode, materializing the whole
-// shipment; in goroutine mode the producer is already running.
-func (e *exchangeOp) Open() error {
-	if e.prod.ch != nil {
-		return nil
-	}
-	return e.prod.run()
-}
+// Open does nothing: the producer is already running.
+func (e *exchangeOp) Open() error { return nil }
 
 func (e *exchangeOp) NextBatch() (*Batch, error) {
-	if e.done {
-		return nil, nil
-	}
-	var frame []byte
-	if p := e.prod; p.ch == nil {
-		if e.next == len(p.frames) {
-			e.done = true
-			return nil, nil
-		}
-		frame, p.frames[e.next] = p.frames[e.next], nil
-		e.next++
-	} else {
-		msg, ok := <-p.ch
-		if !ok || msg.err != nil {
-			e.done = true
-			return nil, msg.err
-		}
-		frame = msg.frame
+	frame, ok := <-e.prod.ch
+	if !ok {
+		return nil, e.prod.err
 	}
 	// Frames decode straight into column vectors: downstream kernels run
 	// on the decoded lanes with no row materialization, and the row view
@@ -318,22 +284,17 @@ func (e *exchangeOp) NextBatch() (*Batch, error) {
 	b := NewBatch()
 	if err := network.DecodeBatchCols(frame, b.Data()); err != nil {
 		b.Release()
-		e.done = true
 		return nil, fmt.Errorf("executor: exchange frame decode: %w", err)
 	}
 	return b, nil
 }
 
-// Close drops what the consumer did not read. In goroutine mode that
-// means draining the channel, so an abandoned producer (e.g. under a
-// LIMIT) still runs to completion and ships exactly what the inline
-// mode, which materializes every shipment at Open, ships.
+// Close drains what the consumer did not read, so an abandoned producer
+// (e.g. under a LIMIT) still runs to completion and ships its whole
+// fragment. After a failure the run's context is already cancelled and
+// the producer stops at its next send or wire sleep.
 func (e *exchangeOp) Close() error {
-	if e.prod.ch != nil {
-		for range e.prod.ch {
-		}
+	for range e.prod.ch {
 	}
-	e.prod.frames = nil
-	e.done = true
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 	"cgdqp/internal/schema"
 )
 
-// parityCluster is the fixture of the exchange-mode parity table: A
+// parityCluster is the fixture of the repeat-parity table: A
 // (2,600 rows over three batches: NULL and duplicate keys, sort ties,
 // NULL strings, an index on k) and E (empty) at site SA, B (indexed k)
 // at SB, C (B's schema, no index, other NULL positions) at SC.
@@ -116,39 +116,64 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// runCell executes the plan in one (exchange mode, kernel gate) cell
-// under a full observer and checks it left no goroutine behind.
-func runCell(t *testing.T, root *plan.Node, cl *cluster.Cluster, inline, noKernels bool) cellResult {
-	t.Helper()
-	label := fmt.Sprintf("inline=%v interp=%v", inline, noKernels)
-	before := runtime.NumGoroutine()
+// observedRun executes the plan once under a full observer (audit log
+// and plan profile) and renders what it exposes.
+func observedRun(root *plan.Node, cl *cluster.Cluster, opt ExecOptions) (cellResult, error) {
 	prof := obs.NewPlanProfile()
 	o := (&obs.Observer{Audit: obs.NewAuditLog()}).WithProfile(prof)
-	env := &execEnv{inline: inline}
-	if _, err := build(root, env, nil); err != nil {
-		t.Fatalf("%s: build: %v", label, err)
-	}
-	if inline && len(env.producers) != 0 {
-		t.Fatalf("%s: %d exchange producers registered for goroutines", label, len(env.producers))
-	}
-	rows, stats, err := run(context.Background(), root, cl, o, ExecOptions{NoKernels: noKernels}, inline)
+	rows, stats, err := RunParallelOpts(context.Background(), root, cl, o, opt)
 	if err != nil {
-		t.Fatalf("%s: %v\n%s", label, err, root.Format(true))
+		return cellResult{}, err
 	}
-	settleGoroutines(t, before)
 	var ordered, pb strings.Builder
 	for _, r := range rows {
 		fmt.Fprintln(&ordered, r)
 	}
 	profileCounts(prof, root, 0, &pb)
-	return cellResult{rows: rows, stats: *stats, ordered: ordered.String(), audit: o.Audit.String(), profile: pb.String()}
+	return cellResult{rows: rows, stats: *stats, ordered: ordered.String(), audit: o.Audit.String(), profile: pb.String()}, nil
 }
 
+// runCell executes the plan once with kernels or the row interpreter
+// and checks it left no goroutine behind.
+func runCell(t *testing.T, root *plan.Node, cl *cluster.Cluster, noKernels bool) cellResult {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	r, err := observedRun(root, cl, ExecOptions{NoKernels: noKernels})
+	if err != nil {
+		t.Fatalf("interp=%v: %v\n%s", noKernels, err, root.Format(true))
+	}
+	settleGoroutines(t, before)
+	return r
+}
+
+// sameCell reports every way got differs from want: rows and their
+// order, RunStats, audit text, per-node profile counts.
+func sameCell(t *testing.T, label string, got, want cellResult) {
+	t.Helper()
+	if got.ordered != want.ordered {
+		t.Errorf("%s: rows or their order differ", label)
+	}
+	if got.stats != want.stats {
+		t.Errorf("%s: stats %+v, want %+v", label, got.stats, want.stats)
+	}
+	if got.audit != want.audit {
+		t.Errorf("%s: audit log differs:\n%s\nwant\n%s", label, got.audit, want.audit)
+	}
+	if got.profile != want.profile {
+		t.Errorf("%s: profile counts differ:\n%s\nwant\n%s", label, got.profile, want.profile)
+	}
+}
+
+// parityRepeats is how often each (case, kernel gate) cell of the
+// repeat-parity table runs.
+const parityRepeats = 3
+
 // TestExchangeModeParity runs hand-built plans covering every plan.Kind
-// the builder accepts through {inline, goroutine} × {kernels, interp}:
-// rows and their order, RunStats, the rendered audit log and the
-// per-node profile counts must be byte-identical in all four cells, and
-// the inline cells must register no goroutine producer.
+// the builder accepts, parityRepeats times each with kernels and with
+// the row interpreter. Every SHIP's producer runs on its own goroutine,
+// so the runs interleave differently, yet rows and their order,
+// RunStats, the rendered audit log and the per-node profile counts must
+// be byte-identical across all of them.
 func TestExchangeModeParity(t *testing.T) {
 	a, b, c, e, cl := parityCluster(t)
 	multiShip, multiShipCl := chaosPlan(t)
@@ -275,7 +300,7 @@ func TestExchangeModeParity(t *testing.T) {
 		{"index scan", cl, indexScan(a, "a", 10, 20), func(t *testing.T, r cellResult) {
 			// Index reads come in row-ID order: the filtered full scan's
 			// rows, in the same order.
-			want := runCell(t, plan.NewFilter(scan(a, "a"), indexScan(a, "a", 10, 20).Pred), cl, true, false)
+			want := runCell(t, plan.NewFilter(scan(a, "a"), indexScan(a, "a", 10, 20).Pred), cl, false)
 			if len(r.rows) == 0 || r.ordered != want.ordered {
 				t.Errorf("index scan returned %d rows, want the filtered scan's %d in its order", len(r.rows), len(want.rows))
 			}
@@ -290,7 +315,7 @@ func TestExchangeModeParity(t *testing.T) {
 			// The same multiset as the hash join of the filtered outer.
 			h := lookupJoin(a)
 			h.Kind, h.Children[0] = plan.HashJoin, plan.NewFilter(h.Children[0], expr.NewCmp(expr.GE, col("l", "w"), ci(100)))
-			got, want := strings.Split(r.ordered, "\n"), strings.Split(runCell(t, h, cl, true, false).ordered, "\n")
+			got, want := strings.Split(r.ordered, "\n"), strings.Split(runCell(t, h, cl, false).ordered, "\n")
 			slices.Sort(got)
 			slices.Sort(want)
 			if len(r.rows) == 0 || !slices.Equal(got, want) {
@@ -333,24 +358,17 @@ func TestExchangeModeParity(t *testing.T) {
 	for _, tc := range cases {
 		tc.root.Walk(func(n *plan.Node) bool { covered[n.Kind] = true; return true })
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runCell(t, tc.root, tc.cl, true, false)
+			ref := runCell(t, tc.root, tc.cl, false)
 			if tc.check != nil {
 				tc.check(t, ref)
 			}
-			for _, cell := range [][2]bool{{true, true}, {false, false}, {false, true}} {
-				got := runCell(t, tc.root, tc.cl, cell[0], cell[1])
-				label := fmt.Sprintf("inline=%v interp=%v", cell[0], cell[1])
-				if got.ordered != ref.ordered {
-					t.Errorf("%s: rows or their order differ from the inline/kernels cell", label)
-				}
-				if got.stats != ref.stats {
-					t.Errorf("%s: stats %+v, want %+v", label, got.stats, ref.stats)
-				}
-				if got.audit != ref.audit {
-					t.Errorf("%s: audit log differs:\n%s\nwant\n%s", label, got.audit, ref.audit)
-				}
-				if got.profile != ref.profile {
-					t.Errorf("%s: profile counts differ:\n%s\nwant\n%s", label, got.profile, ref.profile)
+			for _, interp := range []bool{false, true} {
+				for rep := 0; rep < parityRepeats; rep++ {
+					if !interp && rep == 0 {
+						continue // the reference run
+					}
+					got := runCell(t, tc.root, tc.cl, interp)
+					sameCell(t, fmt.Sprintf("interp=%v run %d", interp, rep), got, ref)
 				}
 			}
 		})
@@ -366,8 +384,9 @@ func TestExchangeModeParity(t *testing.T) {
 // TestCancelShiplessPlan: a plan without a Ship has no exchange to
 // observe cancellation at, so the scans do — once per batch. A context
 // cancelled before the run, or while the scan is underway, surfaces as
-// context.Canceled in both exchange modes without draining the table,
-// and no goroutine outlives the run.
+// context.Canceled without draining the table, and no goroutine
+// outlives the run. inline=true runs the scan as the plan's root, so
+// the run drains it in line; inline=false puts a Filter above it.
 func TestCancelShiplessPlan(t *testing.T) {
 	const nRows = 1024 * BatchSize
 	mk := func(name string, indexes ...string) *schema.Table {
@@ -398,14 +417,18 @@ func TestCancelShiplessPlan(t *testing.T) {
 	indexScan.Kind, indexScan.IdxCol, indexScan.Pred = plan.IndexScan, "k", pred("x")
 
 	for _, tc := range []struct {
-		name string
-		root *plan.Node
-		scan *plan.Node
+		name  string
+		scan  *plan.Node
+		alias string
 	}{
-		{"scan", plan.NewFilter(tableScan, pred("p")), tableScan},
-		{"index scan", indexScan, indexScan},
+		{"scan", tableScan, "p"},
+		{"index scan", indexScan, "x"},
 	} {
 		for _, inline := range []bool{true, false} {
+			root := tc.scan
+			if !inline {
+				root = plan.NewFilter(tc.scan, pred(tc.alias))
+			}
 			for _, pre := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/inline=%v/precancelled=%v", tc.name, inline, pre), func(t *testing.T) {
 					before := runtime.NumGoroutine()
@@ -427,7 +450,7 @@ func TestCancelShiplessPlan(t *testing.T) {
 							cancel()
 						}()
 					}
-					out, _, err := run(ctx, tc.root, cl, o, ExecOptions{NoKernels: true}, inline)
+					out, _, err := RunParallelOpts(ctx, root, cl, o, ExecOptions{NoKernels: true})
 					<-watcher
 					if !errors.Is(err, context.Canceled) || out != nil {
 						t.Fatalf("got %d rows, error %v; want context.Canceled", len(out), err)

@@ -5,9 +5,8 @@
 // stream into wire frames, move them through the simulated WAN and
 // charge the message cost model via the run's ledger, which is how
 // the plan-quality experiments (Figures 6g/6h) measure execution cost.
-// "Sequential" and "parallel" execution differ only in how an exchange
-// runs its producer: inline at the consumer's Open, or on its own
-// goroutine behind a bounded channel.
+// Every exchange runs its producing fragment on its own goroutine
+// behind a bounded channel, so a plan's per-site fragments overlap.
 package executor
 
 import (
@@ -38,125 +37,120 @@ type RunStats struct {
 	Retries int64
 }
 
-// Run executes a located physical plan on the calling goroutine —
-// every exchange runs its producer inline — and materializes the
-// result. RunParallel overlaps the plan's fragments instead; rows,
-// their order and the statistics are identical.
+// Run executes a located physical plan with no observer and the
+// default options, and materializes the result.
 func Run(p *plan.Node, c *cluster.Cluster) ([]expr.Row, *RunStats, error) {
-	return run(context.Background(), p, c, nil, ExecOptions{}, true)
+	return RunParallelOpts(context.Background(), p, c, nil, ExecOptions{})
 }
 
-// RunParallel is Run with every exchange producer on its own goroutine.
-func RunParallel(p *plan.Node, c *cluster.Cluster) ([]expr.Row, *RunStats, error) {
-	return run(context.Background(), p, c, nil, ExecOptions{}, false)
-}
-
-// RunObservedOpts is Run under a caller context, an observer (nil
-// disables reporting) and explicit execution options. Cancelling the
-// context makes the next scan batch or SHIP boundary (including its
-// in-flight retry backoff) return the context error. The observer
-// receives an execution span and latency histogram around the run, a
-// fragment span plus compliance audit record per exchange, and
-// per-operator actuals when it carries a PlanProfile.
-func RunObservedOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions) ([]expr.Row, *RunStats, error) {
-	return run(ctx, p, c, o, opt, true)
-}
-
-// RunParallelOpts is RunObservedOpts with every exchange producer on
-// its own goroutine. Cancellation additionally tears the producers
-// down — they observe it at their next channel send — and the call
-// returns only after all of them have exited, so no goroutine or
-// ledger entry is left dangling.
+// RunParallelOpts executes a located physical plan under a caller
+// context, an observer (nil disables reporting) and explicit execution
+// options, and materializes the result. Every exchange producer runs
+// on its own goroutine. The first error, a producer's or the consumer
+// tree's, cancels the run: the other producers stop at their next scan
+// batch, frame send, wire sleep or retry backoff, and the call returns
+// that error only after all of them have exited, so no goroutine or
+// ledger entry is left dangling. Cancelling ctx does the same. The
+// observer receives an execution span and latency histogram around the
+// run, a fragment span plus compliance audit record per exchange, and
+// per-operator actuals when it carries a PlanProfile. Run statistics
+// come from a private ledger scope, so concurrent executions over one
+// Cluster each report exactly their own transfers.
 func RunParallelOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions) ([]expr.Row, *RunStats, error) {
-	return run(ctx, p, c, o, opt, false)
-}
-
-// run builds the operator tree, drains it and reads the run's shipping
-// statistics from its private ledger scope, so concurrent executions
-// over one Cluster each report exactly their own transfers. inline
-// selects the exchange mode; nothing else depends on it.
-func run(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions, inline bool) ([]expr.Row, *RunStats, error) {
-	span, engine := "execute.parallel", "parallel"
-	if inline {
-		span, engine = "execute.sequential", "seq"
-	}
-	sp := o.StartSpan(span)
+	sp := o.StartSpan("execute")
 	m := o.Reg()
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
 	}
-	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	env := &execEnv{c: c, scope: c.NewRun(), ctx: ctx, obsv: o, opt: opt, inline: inline}
+	env := &execEnv{c: c, scope: c.NewRun(), ctx: ctx, cancel: cancel, obsv: o, opt: opt}
 	root, err := build(p, env, nil)
 	if err != nil {
-		finishExec(sp, m, engine, t0, 0, err)
+		finishExec(sp, m, t0, 0, err)
 		return nil, nil, err
 	}
 	env.start()
-	rows, err := collect(root)
-	// Closing the root drained every exchange, so producers have either
-	// finished or (on error) are observing the cancelled context.
+	rows, err := env.collect(root)
 	cancel()
 	env.wg.Wait()
-	if err == nil {
-		// The caller cancelled (or timed out) while producers were
-		// winding down: their closed exchanges look like clean ends of
-		// stream, so guard against returning a partial result as
-		// success.
-		err = parent.Err()
-	}
 	if err != nil {
-		finishExec(sp, m, engine, t0, 0, err)
+		finishExec(sp, m, t0, 0, err)
 		return nil, nil, err
 	}
 	stats := scopeStats(env.scope, int64(len(rows)))
-	finishExec(sp, m, engine, t0, stats.RowsOut, nil)
+	finishExec(sp, m, t0, stats.RowsOut, nil)
 	return rows, stats, nil
 }
 
-// collect drains an operator into a row slice.
-func collect(op BatchOperator) ([]expr.Row, error) {
+// collect drains the root operator into a row slice. An error cancels
+// the run before Close drains the exchanges, so no producer finishes
+// its shipment for a result nobody will read; after a clean end of
+// stream Close drains every exchange to completion, and a producer that
+// fails meanwhile fails the run. Either way the run's first error wins.
+func (e *execEnv) collect(op BatchOperator) ([]expr.Row, error) {
 	if err := op.Open(); err != nil {
-		return nil, err
+		return nil, e.fail(err)
 	}
-	defer op.Close()
 	var out []expr.Row
 	for {
 		b, err := op.NextBatch()
 		if err != nil {
+			err = e.fail(err)
+			op.Close()
 			return nil, err
 		}
 		if b == nil {
-			return out, nil
+			break
 		}
 		out = append(out, b.Rows()...)
 		b.Release()
 	}
+	op.Close()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.err != nil {
+		return nil, e.err
+	}
+	return out, nil
 }
 
 // execEnv is the per-execution state an operator tree is built under
 // and its exchanges share: the cluster, the per-run accounting scope,
-// the cancellation context scans and exchanges honor, the observer,
-// the execution options and the exchange mode.
+// the cancellation context scans and exchanges honor, the observer and
+// the execution options.
 type execEnv struct {
 	c      *cluster.Cluster
 	scope  *cluster.RunScope
 	ctx    context.Context
+	cancel context.CancelFunc
 	obsv   *obs.Observer
 	opt    ExecOptions
-	inline bool
-	// Goroutine mode only: the registered exchange producers and the
-	// group run waits on before returning.
+	// producers are the registered exchange producers, wg the group
+	// the run waits on before returning.
 	producers []*exchangeProducer
 	wg        sync.WaitGroup
+	mu        sync.Mutex
+	err       error // the run's first error
 }
 
-// start launches every exchange producer (none are registered in
-// inline mode). Every fragment runs exactly once and to completion in
-// either mode, so eager start changes overlap, not semantics.
+// fail records err unless an earlier error was recorded, cancels the
+// run and returns the first error.
+func (e *execEnv) fail(err error) error {
+	e.mu.Lock()
+	if e.err == nil {
+		e.err = err
+	}
+	err = e.err
+	e.mu.Unlock()
+	e.cancel()
+	return err
+}
+
+// start launches every exchange producer on its own goroutine. Every
+// fragment of a successful run runs exactly once and to completion, so
+// eager start changes overlap, not semantics.
 func (e *execEnv) start() {
 	for _, p := range e.producers {
 		e.wg.Add(1)
@@ -164,10 +158,7 @@ func (e *execEnv) start() {
 			defer e.wg.Done()
 			defer close(p.ch)
 			if err := p.run(); err != nil {
-				select {
-				case p.ch <- exchangeMsg{err: err}:
-				case <-e.ctx.Done():
-				}
+				p.err = e.fail(err)
 			}
 		}(p)
 	}
@@ -1246,7 +1237,6 @@ func (j *nlJoinOp) Open() error {
 	for {
 		chunk, err := j.right.nextChunk()
 		if err != nil {
-			j.right.close()
 			return err
 		}
 		if chunk == nil {
@@ -1963,7 +1953,6 @@ func (s *sortOp) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	defer s.child.Close()
 	nk := len(s.keys)
 	var rows []expr.Row
 	var vals []expr.Value // key k of row r at vals[r*nk+k]
@@ -1981,6 +1970,9 @@ func (s *sortOp) Open() error {
 		if err != nil {
 			return err
 		}
+	}
+	if err := s.child.Close(); err != nil {
+		return err
 	}
 	perm := make([]int32, len(rows))
 	for i := range perm {

@@ -28,9 +28,9 @@ func scopeStats(scope *cluster.RunScope, rowsOut int64) *RunStats {
 	}
 }
 
-// finishExec closes an execution span and records the per-engine
-// execution counter and latency histogram.
-func finishExec(sp obs.Span, m *obs.Registry, engine string, t0 time.Time, rowsOut int64, err error) {
+// finishExec closes an execution span and records the execution
+// counter and latency histogram.
+func finishExec(sp obs.Span, m *obs.Registry, t0 time.Time, rowsOut int64, err error) {
 	status := "ok"
 	if err != nil {
 		status = "error"
@@ -39,9 +39,9 @@ func finishExec(sp obs.Span, m *obs.Registry, engine string, t0 time.Time, rowsO
 		sp.TagInt("rows_out", rowsOut).Tag("outcome", status).End()
 	}
 	if m != nil {
-		m.Counter("cgdqp_executions_total", "engine", engine, "status", status).Inc()
+		m.Counter("cgdqp_executions_total", "status", status).Inc()
 		if err == nil {
-			m.Histogram("cgdqp_execute_seconds", "engine", engine).Observe(time.Since(t0).Seconds())
+			m.Histogram("cgdqp_execute_seconds").Observe(time.Since(t0).Seconds())
 		}
 	}
 }

@@ -42,50 +42,34 @@ func edgeVolume(a *obs.AuditLog) map[string][2]int64 {
 	return out
 }
 
-// TestObservedAuditParitySeqVsParallel: both engines must account the
-// same shipped volume per edge with the same justification.
-func TestObservedAuditParitySeqVsParallel(t *testing.T) {
+// TestObservedAuditMatchesStats: every Ship edge is audited once with
+// its justification, and the audited volume equals the run's own ledger
+// stats.
+func TestObservedAuditMatchesStats(t *testing.T) {
 	p, cl := chaosPlan(t)
 	o := observedCluster(cl)
 
-	_, seqStats, err := RunObservedOpts(context.Background(), p, cl, o, ExecOptions{})
+	_, stats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatal(err)
 	}
-	seqVol := edgeVolume(o.Audit)
-	seqLog := o.Audit.String()
-
-	o.Audit.Reset()
-	_, parStats, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
+	vol := edgeVolume(o.Audit)
+	if len(vol) != 3 {
+		t.Fatalf("expected 3 audited edges, got %d:\n%s", len(vol), o.Audit.String())
 	}
-	parVol := edgeVolume(o.Audit)
-
-	if len(seqVol) != 3 {
-		t.Fatalf("expected 3 audited edges, got %d:\n%s", len(seqVol), seqLog)
-	}
-	if len(seqVol) != len(parVol) {
-		t.Fatalf("edge sets differ: seq %v par %v", seqVol, parVol)
-	}
-	for k, sv := range seqVol {
-		if pv, ok := parVol[k]; !ok || pv != sv {
-			t.Fatalf("edge %q volume differs: seq %v par %v", k, sv, parVol[k])
-		}
-	}
-	// The audit totals must agree with the engines' own ledger stats.
-	var rows int64
-	for _, v := range seqVol {
+	var rows, bytes int64
+	for _, v := range vol {
 		rows += v[0]
+		bytes += v[1]
 	}
-	if rows != seqStats.ShippedRows || rows != parStats.ShippedRows {
-		t.Fatalf("audited rows %d vs stats seq %d par %d", rows, seqStats.ShippedRows, parStats.ShippedRows)
+	if rows != stats.ShippedRows || bytes != stats.ShippedBytes {
+		t.Fatalf("audited %d rows / %d bytes vs stats %d / %d", rows, bytes, stats.ShippedRows, stats.ShippedBytes)
 	}
 }
 
 // TestObservedAuditDeterministicReplay: replaying the same chaos seed
-// must render a byte-identical audit log, including under the parallel
-// engine's goroutine interleaving.
+// must render a byte-identical audit log whatever the goroutine
+// interleaving.
 func TestObservedAuditDeterministicReplay(t *testing.T) {
 	p, cl := chaosPlan(t)
 	cl.SetRetry(chaosRetry())
@@ -132,8 +116,8 @@ func TestObservedSpansAndMetrics(t *testing.T) {
 	for _, s := range o.Tracer.Spans() {
 		names[s.Name]++
 	}
-	if names["execute.parallel"] != 1 {
-		t.Fatalf("want one execute.parallel span, got %d (%v)", names["execute.parallel"], names)
+	if names["execute"] != 1 {
+		t.Fatalf("want one execute span, got %d (%v)", names["execute"], names)
 	}
 	if names["exec.fragment"] != 3 {
 		t.Fatalf("want 3 exec.fragment spans (one per Ship), got %d", names["exec.fragment"])
@@ -148,19 +132,11 @@ func TestObservedSpansAndMetrics(t *testing.T) {
 	if rows != stats.ShippedRows {
 		t.Fatalf("per-edge rows counters sum to %d, stats say %d", rows, stats.ShippedRows)
 	}
-	if o.Metrics.CounterValue("cgdqp_executions_total", "engine", "parallel", "status", "ok") != 1 {
+	if o.Metrics.CounterValue("cgdqp_executions_total", "status", "ok") != 1 {
 		t.Fatal("execution counter not bumped")
 	}
-	if o.Metrics.Histogram("cgdqp_execute_seconds", "engine", "parallel").Count() != 1 {
+	if o.Metrics.Histogram("cgdqp_execute_seconds").Count() != 1 {
 		t.Fatal("execute latency histogram not observed")
-	}
-
-	// Sequential engine reports under its own labels.
-	if _, _, err := RunObservedOpts(context.Background(), p, cl, o, ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if o.Metrics.CounterValue("cgdqp_executions_total", "engine", "seq", "status", "ok") != 1 {
-		t.Fatal("sequential execution counter not bumped")
 	}
 }
 
@@ -208,34 +184,26 @@ func TestObservedRetryMetrics(t *testing.T) {
 	cl.SetFaults(nil)
 }
 
-// TestObservedProfileActuals: EXPLAIN ANALYZE actuals match reality on
-// both engines — root rows equal the result, Ship nodes count batches.
+// TestObservedProfileActuals: EXPLAIN ANALYZE actuals match reality —
+// root rows equal the result, Ship nodes count batches.
 func TestObservedProfileActuals(t *testing.T) {
 	p, cl := chaosPlan(t)
-	for _, engine := range []string{"seq", "parallel"} {
-		prof := obs.NewPlanProfile()
-		o := (&obs.Observer{}).WithProfile(prof)
-		var rows []expr.Row
-		var err error
-		if engine == "seq" {
-			rows, _, err = RunObservedOpts(context.Background(), p, cl, o, ExecOptions{})
-		} else {
-			rows, _, err = RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		st := prof.Stats(p)
-		if st.Rows.Load() != int64(len(rows)) {
-			t.Fatalf("%s: root actual rows %d != result rows %d", engine, st.Rows.Load(), len(rows))
-		}
-		if st.Batches.Load() == 0 {
-			t.Fatalf("%s: root Ship should count delivered batches", engine)
-		}
-		out := prof.Format(p)
-		if !strings.Contains(out, "actual rows=") || strings.Contains(out, "(never executed)") {
-			t.Fatalf("%s: profile rendering incomplete:\n%s", engine, out)
-		}
+	prof := obs.NewPlanProfile()
+	o := (&obs.Observer{}).WithProfile(prof)
+	rows, _, err := RunParallelOpts(context.Background(), p, cl, o, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := prof.Stats(p)
+	if st.Rows.Load() != int64(len(rows)) {
+		t.Fatalf("root actual rows %d != result rows %d", st.Rows.Load(), len(rows))
+	}
+	if st.Batches.Load() == 0 {
+		t.Fatal("root Ship should count delivered batches")
+	}
+	out := prof.Format(p)
+	if !strings.Contains(out, "actual rows=") || strings.Contains(out, "(never executed)") {
+		t.Fatalf("profile rendering incomplete:\n%s", out)
 	}
 }
 
@@ -278,7 +246,7 @@ func scanNeeds(v reflect.Value, out *[]string) {
 // neither which columns a scan decodes (the need sets are derived from
 // plan nodes, not from operator types a wrapper would hide) nor the
 // rows, their order or the RunStats — for every golden TPC-H query
-// over the persistent store, under T and CR+A, in both exchange modes.
+// over the persistent store, under T and CR+A.
 func TestProfiledRunTakesThePlainPath(t *testing.T) {
 	cat := tpch.NewCatalog(0.001)
 	net := network.FiveRegionWAN(cat.Locations())
@@ -298,30 +266,28 @@ func TestProfiledRunTakesThePlainPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", set, name, err)
 			}
-			for _, inline := range []bool{true, false} {
-				label := fmt.Sprintf("%s/%s/inline=%v", set, name, inline)
-				var needs [2][]string
-				var rows [2][]expr.Row
-				var stats [2]*RunStats
-				for i, o := range []*obs.Observer{nil, (&obs.Observer{}).WithProfile(obs.NewPlanProfile())} {
-					env := &execEnv{c: cl, scope: cl.NewRun(), ctx: context.Background(), obsv: o, inline: inline}
-					root, err := build(res.Plan, env, nil)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					scanNeeds(reflect.ValueOf(root), &needs[i])
-					if rows[i], stats[i], err = run(context.Background(), res.Plan, cl, o, ExecOptions{}, inline); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
+			label := fmt.Sprintf("%s/%s", set, name)
+			var needs [2][]string
+			var rows [2][]expr.Row
+			var stats [2]*RunStats
+			for i, o := range []*obs.Observer{nil, (&obs.Observer{}).WithProfile(obs.NewPlanProfile())} {
+				env := &execEnv{c: cl, scope: cl.NewRun(), ctx: context.Background(), obsv: o}
+				root, err := build(res.Plan, env, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				if len(needs[0]) == 0 || fmt.Sprint(needs[0]) != fmt.Sprint(needs[1]) {
-					t.Errorf("%s: scans decode %v plain, %v profiled", label, needs[0], needs[1])
+				scanNeeds(reflect.ValueOf(root), &needs[i])
+				if rows[i], stats[i], err = RunParallelOpts(context.Background(), res.Plan, cl, o, ExecOptions{}); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
-				masked += strings.Count(fmt.Sprint(needs[0]), "false")
-				sameRows(t, label, rows[1], rows[0])
-				if *stats[0] != *stats[1] {
-					t.Errorf("%s: stats %+v plain, %+v profiled", label, *stats[0], *stats[1])
-				}
+			}
+			if len(needs[0]) == 0 || fmt.Sprint(needs[0]) != fmt.Sprint(needs[1]) {
+				t.Errorf("%s: scans decode %v plain, %v profiled", label, needs[0], needs[1])
+			}
+			masked += strings.Count(fmt.Sprint(needs[0]), "false")
+			sameRows(t, label, rows[1], rows[0])
+			if *stats[0] != *stats[1] {
+				t.Errorf("%s: stats %+v plain, %+v profiled", label, *stats[0], *stats[1])
 			}
 		}
 	}

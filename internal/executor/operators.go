@@ -252,8 +252,7 @@ func (l *limitOp) NextBatch() (*Batch, error) {
 func (l *limitOp) Close() error { return l.src.Close() }
 
 // unionOp concatenates its children's streams in order. All children
-// are opened up front, so goroutine-mode exchange inputs of later
-// branches fill their buffers while earlier branches drain.
+// are opened up front, so exchange inputs of later branches fill their buffers while earlier branches drain.
 type unionOp struct {
 	children []BatchOperator
 	idx      int

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,37 +13,37 @@ import (
 	"cgdqp/internal/policy"
 )
 
-// runBoth executes the plan in both exchange modes and checks rows and
-// shipping stats are identical.
-// Hand-built plans are compared cell by cell, order included, in
+// runTwice executes the plan twice, with kernels and with the row
+// interpreter, and checks rows and shipping stats are identical.
+// Hand-built plans are compared run by run, order included, in
 // TestExchangeModeParity; this helper serves the optimizer-built ones.
-func runBoth(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]expr.Row, *RunStats) {
+func runTwice(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]expr.Row, *RunStats) {
 	t.Helper()
-	seqRows, seqStats, err := Run(p, cl)
+	rows, stats, err := Run(p, cl)
 	if err != nil {
-		t.Fatalf("%s: sequential run: %v\n%s", label, err, p.Format(true))
+		t.Fatalf("%s: run: %v\n%s", label, err, p.Format(true))
 	}
-	parRows, parStats, err := RunParallel(p, cl)
+	iRows, iStats, err := RunParallelOpts(context.Background(), p, cl, nil, ExecOptions{NoKernels: true})
 	if err != nil {
-		t.Fatalf("%s: parallel run: %v\n%s", label, err, p.Format(true))
+		t.Fatalf("%s: interpreter run: %v\n%s", label, err, p.Format(true))
 	}
-	if len(seqRows) != len(parRows) {
-		t.Fatalf("%s: row counts differ: sequential %d, parallel %d", label, len(seqRows), len(parRows))
+	if len(rows) != len(iRows) {
+		t.Fatalf("%s: row counts differ: kernels %d, interpreter %d", label, len(rows), len(iRows))
 	}
-	sc, pc := canon(seqRows), canon(parRows)
-	for i := range sc {
-		if sc[i] != pc[i] {
-			t.Fatalf("%s: row %d differs:\nsequential %s\nparallel   %s", label, i, sc[i], pc[i])
+	kc, ic := canon(rows), canon(iRows)
+	for i := range kc {
+		if kc[i] != ic[i] {
+			t.Fatalf("%s: row %d differs:\nkernels     %s\ninterpreter %s", label, i, kc[i], ic[i])
 		}
 	}
-	if *seqStats != *parStats {
-		t.Fatalf("%s: stats differ:\nsequential %+v\nparallel   %+v", label, seqStats, parStats)
+	if *stats != *iStats {
+		t.Fatalf("%s: stats differ:\nkernels     %+v\ninterpreter %+v", label, stats, iStats)
 	}
-	return parRows, parStats
+	return rows, stats
 }
 
 // TestParallelOptimizedPlansAgree runs the optimizer end-to-end (the
-// executor package's e2e queries) under both engines.
+// executor package's e2e queries) with kernels and the interpreter.
 func TestParallelOptimizedPlansAgree(t *testing.T) {
 	cat, cl := carco(t)
 	queries := []string{
@@ -60,7 +61,7 @@ func TestParallelOptimizedPlansAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("optimize q%d (compliant=%v): %v", i, compliant, err)
 			}
-			runBoth(t, res.Plan, cl, fmt.Sprintf("optimized q%d compliant=%v", i, compliant))
+			runTwice(t, res.Plan, cl, fmt.Sprintf("optimized q%d compliant=%v", i, compliant))
 		}
 	}
 }
@@ -88,7 +89,7 @@ func TestParallelPermissivePlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("optimize q%d: %v", i, err)
 		}
-		runBoth(t, res.Plan, cl, fmt.Sprintf("permissive q%d", i))
+		runTwice(t, res.Plan, cl, fmt.Sprintf("permissive q%d", i))
 	}
 }
 
@@ -111,7 +112,7 @@ func TestParallelConcurrentExecutions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, _, err := RunParallel(res.Plan, cl)
+			rows, _, err := Run(res.Plan, cl)
 			if err != nil {
 				errs <- err
 				return
@@ -138,7 +139,7 @@ func TestHashJoinEmptyProbeShortCircuit(t *testing.T) {
 	buildShip := plan.NewShip(o, "E", "N")
 	join := plan.NewJoin(noC, buildShip, expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("O", "custkey")))
 	join.Kind = plan.HashJoin
-	rows, stats := runBoth(t, join, cl, "empty probe")
+	rows, stats := runTwice(t, join, cl, "empty probe")
 	if len(rows) != 0 {
 		t.Errorf("rows: %d, want 0", len(rows))
 	}

@@ -53,24 +53,11 @@ func TestShipAccountsEncodedBytes(t *testing.T) {
 	if old := widthSum(rows); stats.ShippedBytes == old {
 		t.Errorf("ShippedBytes = %d equals the old Σ-Width() accounting; wire encoding is not being priced", old)
 	}
-
-	// The parallel engine must account the identical figure (identical
-	// framing is what keeps seq/par stats parity with a real encoder).
-	prows, pstats, err := RunParallel(root, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prows) != len(rows) {
-		t.Fatalf("parallel rows: got %d, want %d", len(prows), len(rows))
-	}
-	if pstats.ShippedBytes != want {
-		t.Errorf("parallel ShippedBytes = %d, want %d", pstats.ShippedBytes, want)
-	}
 }
 
 // TestShipAccountsEncodedBytesMultiFrame covers the >BatchSize path:
 // a shipped stream longer than one batch is framed into multiple
-// serialized batches, and both engines charge the same total.
+// serialized batches, and the ledger charges their total.
 func TestShipAccountsEncodedBytesMultiFrame(t *testing.T) {
 	cat, cl := carco(t)
 	o := scanNode(t, cat, "Orders", "O")
@@ -90,30 +77,19 @@ func TestShipAccountsEncodedBytesMultiFrame(t *testing.T) {
 	if stats.ShippedBytes != want {
 		t.Errorf("ShippedBytes = %d, want %d over %d rows", stats.ShippedBytes, want, len(rows))
 	}
-
-	_, pstats, err := RunParallel(root, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pstats.ShippedBytes != want {
-		t.Errorf("parallel ShippedBytes = %d, want %d", pstats.ShippedBytes, want)
-	}
 }
 
-// runFourWays executes the plan under every engine × kernel-gate
-// combination and requires byte-identical rows, stats, and audit text.
-func runFourWays(t *testing.T, root *plan.Node, cl *cluster.Cluster, label string) {
+// runKernelModes executes the plan with kernels and with the row
+// interpreter and requires byte-identical rows, stats, and audit text.
+func runKernelModes(t *testing.T, root *plan.Node, cl *cluster.Cluster, label string) {
 	t.Helper()
 	type mode struct {
-		name     string
-		parallel bool
-		opt      ExecOptions
+		name string
+		opt  ExecOptions
 	}
 	modes := []mode{
-		{"seq/kernels", false, ExecOptions{}},
-		{"seq/interp", false, ExecOptions{NoKernels: true}},
-		{"par/kernels", true, ExecOptions{}},
-		{"par/interp", true, ExecOptions{NoKernels: true}},
+		{"kernels", ExecOptions{}},
+		{"interp", ExecOptions{NoKernels: true}},
 	}
 	var wantRows []string
 	var wantStats RunStats
@@ -121,14 +97,7 @@ func runFourWays(t *testing.T, root *plan.Node, cl *cluster.Cluster, label strin
 	for i, m := range modes {
 		audit := obs.NewAuditLog()
 		o := &obs.Observer{Audit: audit}
-		var rows []expr.Row
-		var stats *RunStats
-		var err error
-		if m.parallel {
-			rows, stats, err = RunParallelOpts(context.Background(), root, cl, o, m.opt)
-		} else {
-			rows, stats, err = RunObservedOpts(context.Background(), root, cl, o, m.opt)
-		}
+		rows, stats, err := RunParallelOpts(context.Background(), root, cl, o, m.opt)
 		if err != nil {
 			t.Fatalf("%s %s: %v", label, m.name, err)
 		}
@@ -158,11 +127,11 @@ func runFourWays(t *testing.T, root *plan.Node, cl *cluster.Cluster, label strin
 }
 
 // TestKernelInterpreterEngineParity: the golden cross-check of the
-// vectorized path — every engine × kernel-gate combination produces
+// vectorized path — kernels and the row interpreter produce
 // byte-identical rows, shipping statistics, and audit logs.
 func TestKernelInterpreterEngineParity(t *testing.T) {
 	root, cl := chaosPlan(t)
-	runFourWays(t, root, cl, "multi-ship join")
+	runKernelModes(t, root, cl, "multi-ship join")
 
 	cat, cl2 := carco(t)
 	c := scanNode(t, cat, "Customer", "C")
@@ -171,7 +140,7 @@ func TestKernelInterpreterEngineParity(t *testing.T) {
 		{E: expr.NewCol("C", "name")},
 		{E: expr.NewArith(expr.Mul, expr.NewCol("C", "acctbal"), expr.NewConst(expr.NewInt(3))), Name: "tri"},
 	})
-	runFourWays(t, plan.NewShip(project, "N", "E"), cl2, "filter+project")
+	runKernelModes(t, plan.NewShip(project, "N", "E"), cl2, "filter+project")
 }
 
 // TestKernelInterpreterChaosParity: under injected faults the kernel
@@ -249,14 +218,7 @@ func TestFusedFilterRejectsAllRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rows) != 0 {
-		t.Errorf("sequential: %d rows from an all-rejecting filter, want 0", len(rows))
-	}
-	prows, _, err := RunParallel(project, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prows) != 0 {
-		t.Errorf("parallel: %d rows from an all-rejecting filter, want 0", len(prows))
+		t.Errorf("%d rows from an all-rejecting filter, want 0", len(rows))
 	}
 }
 
@@ -281,15 +243,5 @@ func TestCalibratorObservesRealBytes(t *testing.T) {
 	}
 	if got, want := int64(float64(widthSum(rows))*ratio+0.5), stats.ShippedBytes; got != want {
 		t.Errorf("ratio %.4f maps width %d to %d wire bytes, ledger says %d", ratio, widthSum(rows), got, want)
-	}
-
-	// The parallel engine feeds the same hook.
-	model2 := network.NewCostModel(1, 0.001)
-	cl.SetCalibrator(network.NewCalibrator(model2, 1))
-	if _, _, err := RunParallel(root, cl); err != nil {
-		t.Fatal(err)
-	}
-	if r2 := model2.ByteScale(); r2 != ratio {
-		t.Errorf("parallel encoding ratio %.6f != sequential %.6f", r2, ratio)
 	}
 }

@@ -18,7 +18,6 @@ type QueryRecord struct {
 	ShipCostMS float64    `json:"ship_cost_ms"`
 	Retries    int64      `json:"retries"`
 	Cache      string     `json:"cache"` // hit | miss | off
-	Engine     string     `json:"engine,omitempty"`
 	Coalesced  bool       `json:"coalesced,omitempty"`
 	QErrors    []OpQError `json:"qerrors,omitempty"`
 }

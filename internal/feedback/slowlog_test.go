@@ -25,7 +25,6 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 		ShipBytes:  1234,
 		Retries:    2,
 		Cache:      CacheMiss,
-		Engine:     "par",
 		QErrors: []OpQError{
 			{Op: "Join", Digest: "abc", Est: 10, Actual: 1000, QError: 100},
 		},
@@ -39,7 +38,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 		t.Fatalf("line is not valid JSON: %v", err)
 	}
 	if rec.SQLDigest != "slow" || rec.PlanDigest != "plan" || rec.RowsOut != 7 ||
-		rec.ShipBytes != 1234 || rec.Retries != 2 || rec.Cache != CacheMiss || rec.Engine != "par" {
+		rec.ShipBytes != 1234 || rec.Retries != 2 || rec.Cache != CacheMiss {
 		t.Fatalf("round-tripped record mismatch: %+v", rec)
 	}
 	if rec.LatencyMS != 150 {

@@ -43,8 +43,8 @@ import (
 //
 // Decoding reconstructs each expr.Value exactly — type, NULL-ness and
 // payload — so a decoded batch is indistinguishable from the encoded
-// one; the exchange modes rely on that for bit-identical results and
-// ledger parity.
+// one; the executor relies on that for results identical to the
+// unshipped stream and for ledger parity.
 
 const (
 	wireMagic   = 0xC6

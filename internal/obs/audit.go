@@ -20,8 +20,8 @@ type AuditRecord struct {
 	Relations []string
 	// Columns are the shipped output columns (qualified keys, sorted).
 	Columns []string
-	// Rows/Bytes/Batches are the delivered volume. The sequential
-	// engine ships each boundary as one materialized batch.
+	// Rows/Bytes/Batches are the delivered volume; Batches counts wire
+	// frames of up to 1024 rows.
 	Rows, Bytes, Batches int64
 	// Justification states why the shipment was compliant: the shipping
 	// trait the optimizer proved for the stream, or "unchecked" when the

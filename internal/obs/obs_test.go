@@ -104,7 +104,7 @@ func TestTracerRecordsAndSorts(t *testing.T) {
 	tr := NewTracer()
 	s1 := tr.Start("optimize")
 	s1.Tag("cache", "miss").TagInt("eta", 14).End()
-	tr.Start("execute.sequential").End()
+	tr.Start("execute").End()
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))

@@ -11,7 +11,7 @@ import (
 )
 
 // OpStats accumulates per-operator actuals for EXPLAIN ANALYZE. Fields
-// are atomics because goroutine-mode exchanges update an operator's
+// are atomics because every exchange producer updates its operators'
 // stats from its fragment goroutine while other fragments run.
 type OpStats struct {
 	// Rows is the number of rows the operator produced.

@@ -7,10 +7,14 @@ import (
 
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/schema"
 )
+
+// The tests execute plans, and every SHIP starts a producer goroutine.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // fixture builds a two-site located plan: scan t1 at A, ship to B.
 func fixturePlan(tb testing.TB, table string) *plan.Node {

@@ -6,7 +6,6 @@ import (
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
-	"cgdqp/internal/expr"
 	"cgdqp/internal/feedback"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
@@ -30,10 +29,8 @@ type Lifecycle struct {
 	// nil Cache every Probe misses and Execute fills nothing.
 	Cache *rescache.Cache
 	View  rescache.View
-	// Exec are the execution options; Parallel picks goroutine-mode
-	// exchanges over inline ones.
-	Exec     executor.ExecOptions
-	Parallel bool
+	// Exec are the execution options.
+	Exec executor.ExecOptions
 	// Feedback receives per-operator actuals, SlowLog one JSON line per
 	// slow query (both may be nil).
 	Feedback *feedback.Store
@@ -89,7 +86,7 @@ func (lc *Lifecycle) Probe(q *Query) (*rescache.Result, bool) {
 		return nil, false
 	}
 	// No execution option changes rows, RunStats or audit log (the
-	// conformance suite pins this for exchange and kernel mode), so every
+	// conformance suite pins this for the kernel mode), so every
 	// execution of a plan shares one entry: the options fingerprint is "".
 	q.fill = rescache.Prepare(q.Root, "", lc.View)
 	r, ok := lc.Cache.Get(q.fill.Key, lc.View)
@@ -130,14 +127,7 @@ func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfil
 	if prof != nil {
 		runObs = runObs.WithProfile(prof)
 	}
-	var rows []expr.Row
-	var stats *executor.RunStats
-	var err error
-	if lc.Parallel {
-		rows, stats, err = executor.RunParallelOpts(ctx, q.Root, lc.Cluster, runObs, lc.Exec)
-	} else {
-		rows, stats, err = executor.RunObservedOpts(ctx, q.Root, lc.Cluster, runObs, lc.Exec)
-	}
+	rows, stats, err := executor.RunParallelOpts(ctx, q.Root, lc.Cluster, runObs, lc.Exec)
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +176,6 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 	case q.fill != nil:
 		disp = feedback.CacheMiss
 	}
-	engine := "seq"
-	if lc.Parallel {
-		engine = "par"
-	}
 	lc.SlowLog.Maybe(time.Since(q.Start), feedback.QueryRecord{
 		SQLDigest:  feedback.ShortDigest(q.SQL),
 		PlanDigest: feedback.ShortDigest(q.Root.Digest()),
@@ -198,7 +184,6 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 		ShipCostMS: r.Stats.ShipCost,
 		Retries:    r.Stats.Retries,
 		Cache:      disp,
-		Engine:     engine,
 		Coalesced:  q.Coalesced,
 		QErrors:    q.qerrs,
 	})

@@ -123,8 +123,8 @@ type Counters struct {
 // NewServer, submit with Submit/Do, and Close when done (Close drains
 // admitted queries and stops the workers).
 type Server struct {
-	// lc is the query lifecycle every served query runs (goroutine-mode
-	// exchanges); the rest of the server is what surrounds its steps.
+	// lc is the query lifecycle every served query runs; the rest of
+	// the server is what surrounds its steps.
 	lc   Lifecycle
 	opts Options
 
@@ -151,12 +151,10 @@ type Server struct {
 	nExecuted, nResCacheHits, nExecCoalesced    atomic.Int64
 }
 
-// NewServer starts a server that runs every admitted query through lc
-// (with goroutine-mode exchanges, whatever lc.Parallel says). lc's
-// observer (nil = unobserved) receives queue gauges, admission and
+// NewServer starts a server that runs every admitted query through lc.
+// lc's observer (nil = unobserved) receives queue gauges, admission and
 // rejection counters, and queue-wait / end-to-end latency histograms.
 func NewServer(lc Lifecycle, opts Options) *Server {
-	lc.Parallel = true
 	if opts.ResultCache != nil {
 		lc.Cache, lc.View = opts.ResultCache, opts.CacheView
 	}

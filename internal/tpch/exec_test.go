@@ -5,10 +5,14 @@ import (
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/network"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/policy"
 )
+
+// The tests execute plans, and every SHIP starts a producer goroutine.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // execFixture loads a small TPC-H database with unrestricted policies.
 func execFixture(t *testing.T, sf float64) (*cluster.Cluster, *optimizer.Optimizer) {

@@ -206,7 +206,7 @@ func TestCatalogPointerSwapRebuildsOptimizer(t *testing.T) {
 // it planned, rechecked or hit under; the revocation that ends the
 // churn must be seen by the very next submission.
 func TestConcurrentCatalogChurn(t *testing.T) {
-	sys := rcFixture(t, Options{ResultCacheBytes: 16 << 20, Parallel: true})
+	sys := rcFixture(t, Options{ResultCacheBytes: 16 << 20})
 	srv := sys.Serve(ServeOptions{MaxConcurrent: 4})
 	defer srv.Close()
 	ctx := context.Background()
@@ -341,7 +341,7 @@ func TestServeObservesAnalyze(t *testing.T) {
 // under `make race`). Statistics cannot change an answer: every
 // submission must succeed with the same rows.
 func TestConcurrentAnalyze(t *testing.T) {
-	sys := rcFixture(t, Options{PlanCacheSize: -1, Parallel: true})
+	sys := rcFixture(t, Options{PlanCacheSize: -1})
 	srv := sys.Serve(ServeOptions{MaxConcurrent: 4})
 	defer srv.Close()
 	ctx := context.Background()

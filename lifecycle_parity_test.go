@@ -26,7 +26,7 @@ func normalizeSlowLine(t *testing.T, line string) string {
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
 		t.Fatalf("slow-query line is not JSON: %v\n%s", err, line)
 	}
-	for _, k := range []string{"ts", "latency_ms", "engine", "coalesced"} {
+	for _, k := range []string{"ts", "latency_ms", "coalesced"} {
 		delete(rec, k)
 	}
 	out, err := json.Marshal(rec) // map keys marshal sorted

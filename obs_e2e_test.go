@@ -26,7 +26,7 @@ func TestSystemObservabilityEndToEnd(t *testing.T) {
 		names[s.Name] = true
 	}
 	for _, want := range []string{"sql.parse_bind", "optimize", "optimize.site_select",
-		"execute.sequential", "exec.fragment", "ship.batch"} {
+		"execute", "exec.fragment", "ship.batch"} {
 		if !names[want] {
 			t.Fatalf("missing %q span; got %v", want, names)
 		}
@@ -39,13 +39,13 @@ func TestSystemObservabilityEndToEnd(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		`cgdqp_queries_total{status="ok"} 1`,
-		`cgdqp_executions_total{engine="seq",status="ok"} 1`,
+		`cgdqp_executions_total{status="ok"} 1`,
 		"cgdqp_ship_rows_total{",
 		"cgdqp_ship_bytes_total{",
 		"cgdqp_plan_cache_misses 1",
 		"cgdqp_policy_eval_calls",
 		"cgdqp_optimize_seconds_count 1",
-		`cgdqp_execute_seconds_count{engine="seq"} 1`,
+		"cgdqp_execute_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics export missing %q:\n%s", want, text)
@@ -135,8 +135,7 @@ func TestExplainReportsTruncatedSearch(t *testing.T) {
 func TestSystemAuditReplayDeterministic(t *testing.T) {
 	run := func() string {
 		sys := demoSystemWith(t, Options{
-			Audit:    true,
-			Parallel: true,
+			Audit: true,
 			Faults: NewFaultPlan(99).SetDefault(EdgeFaults{
 				DropProb:      0.10,
 				TransientProb: 0.10,

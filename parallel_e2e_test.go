@@ -1,6 +1,7 @@
 package cgdqp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,9 +36,9 @@ func renderRows(rows []expr.Row) []string {
 }
 
 // TestParallelEngineTPCHAgreement executes every evaluation query under
-// both optimizers with the sequential and the parallel engine and
+// both optimizers with vector kernels and with the row interpreter and
 // requires identical result multisets and identical shipping statistics
-// (rows, bytes, cost) — the engine changes wall-clock behaviour only.
+// (rows, bytes, cost) — the expression path changes speed only.
 func TestParallelEngineTPCHAgreement(t *testing.T) {
 	cat := tpch.NewCatalog(0.002)
 	net := network.FiveRegionWAN(cat.Locations())
@@ -57,36 +58,37 @@ func TestParallelEngineTPCHAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: optimize: %v", label, err)
 			}
-			seqRows, seqStats, err := executor.Run(res.Plan, cl)
+			kRows, kStats, err := executor.Run(res.Plan, cl)
 			if err != nil {
-				t.Fatalf("%s: sequential run: %v", label, err)
+				t.Fatalf("%s: kernels run: %v", label, err)
 			}
-			parRows, parStats, err := executor.RunParallel(res.Plan, cl)
+			iRows, iStats, err := executor.RunParallelOpts(context.Background(), res.Plan, cl, nil, executor.ExecOptions{NoKernels: true})
 			if err != nil {
-				t.Fatalf("%s: parallel run: %v", label, err)
+				t.Fatalf("%s: interpreter run: %v", label, err)
 			}
-			if len(seqRows) != len(parRows) {
-				t.Fatalf("%s: row counts differ: sequential %d, parallel %d",
-					label, len(seqRows), len(parRows))
+			if len(kRows) != len(iRows) {
+				t.Fatalf("%s: row counts differ: kernels %d, interpreter %d",
+					label, len(kRows), len(iRows))
 			}
-			sc, pr := renderRows(seqRows), renderRows(parRows)
-			for i := range sc {
-				if sc[i] != pr[i] {
-					t.Fatalf("%s: row %d differs:\nsequential %s\nparallel   %s",
-						label, i, sc[i], pr[i])
+			kc, ic := renderRows(kRows), renderRows(iRows)
+			for i := range kc {
+				if kc[i] != ic[i] {
+					t.Fatalf("%s: row %d differs:\nkernels     %s\ninterpreter %s",
+						label, i, kc[i], ic[i])
 				}
 			}
-			if *seqStats != *parStats {
-				t.Fatalf("%s: stats differ:\nsequential %+v\nparallel   %+v",
-					label, seqStats, parStats)
+			if *kStats != *iStats {
+				t.Fatalf("%s: stats differ:\nkernels     %+v\ninterpreter %+v",
+					label, kStats, iStats)
 			}
 		}
 	}
 }
 
-// TestParallelOptionEndToEnd exercises Options.Parallel through the
-// public API: two systems over identical data, one per engine, must
-// agree on results and on the accounted communication.
+// TestParallelOptionEndToEnd pins that Options.Parallel, kept only so
+// that callers which set it still compile, is ignored: two systems over
+// identical data, one with it set, must agree on results and on the
+// accounted communication.
 func TestParallelOptionEndToEnd(t *testing.T) {
 	build := func(opts Options) *System {
 		sys := NewSystemWith(opts)
@@ -115,8 +117,8 @@ func TestParallelOptionEndToEnd(t *testing.T) {
 		sys.MustLoad("Supply", sRows)
 		return sys
 	}
-	seq := build(Options{})
-	par := build(Options{Parallel: true})
+	plain := build(Options{})
+	set := build(Options{Parallel: true})
 
 	queries := []string{
 		demoQuery,
@@ -127,13 +129,13 @@ func TestParallelOptionEndToEnd(t *testing.T) {
 		`SELECT DISTINCT C.name FROM Customer C, Orders O WHERE C.custkey = O.custkey`,
 	}
 	for i, q := range queries {
-		sres, err := seq.Query(q)
+		sres, err := plain.Query(q)
 		if err != nil {
-			t.Fatalf("q%d sequential: %v", i, err)
+			t.Fatalf("q%d: %v", i, err)
 		}
-		pres, err := par.Query(q)
+		pres, err := set.Query(q)
 		if err != nil {
-			t.Fatalf("q%d parallel: %v", i, err)
+			t.Fatalf("q%d with Parallel set: %v", i, err)
 		}
 		sr, pr := renderRows(sres.Rows), renderRows(pres.Rows)
 		if len(sr) != len(pr) {
@@ -141,11 +143,11 @@ func TestParallelOptionEndToEnd(t *testing.T) {
 		}
 		for j := range sr {
 			if sr[j] != pr[j] {
-				t.Fatalf("q%d row %d differs:\nsequential %s\nparallel   %s", i, j, sr[j], pr[j])
+				t.Fatalf("q%d row %d differs:\nplain    %s\nParallel %s", i, j, sr[j], pr[j])
 			}
 		}
 		if sres.ShippedBytes != pres.ShippedBytes || sres.ShipCost != pres.ShipCost {
-			t.Errorf("q%d: shipping stats differ: sequential %d/%v, parallel %d/%v",
+			t.Errorf("q%d: shipping stats differ: plain %d/%v, Parallel set %d/%v",
 				i, sres.ShippedBytes, sres.ShipCost, pres.ShippedBytes, pres.ShipCost)
 		}
 	}

@@ -176,7 +176,7 @@ func TestEpochIndependence(t *testing.T) {
 // plans (and cache hits) forever. Now a revocation made *after* the
 // server started must fail subsequent submissions.
 func TestServeObservesPolicyRevocation(t *testing.T) {
-	sys := rcFixture(t, Options{ResultCacheBytes: 16 << 20, Parallel: true})
+	sys := rcFixture(t, Options{ResultCacheBytes: 16 << 20})
 	srv := sys.Serve(ServeOptions{MaxConcurrent: 2})
 	defer srv.Close()
 

@@ -23,7 +23,7 @@ import (
 // TestConcurrentQueriesReportOwnStats is the per-query accounting
 // regression test: two different queries running concurrently over one
 // system must each report exactly the shipping statistics of their own
-// sequential runs. Before per-run ledger scoping, concurrent runs
+// one-at-a-time runs. Before per-run ledger scoping, concurrent runs
 // absorbed each other's transfers through the shared cumulative ledger.
 // The metrics registry, now the only running per-edge total, must add up
 // to exactly what the queries reported.
@@ -67,59 +67,57 @@ func TestConcurrentQueriesReportOwnStats(t *testing.T) {
 		}
 		shippedRows[i] = st.ShippedRows
 	}
-	for _, parallel := range []bool{false, true} {
-		sys := build(Options{Parallel: parallel, Metrics: true})
-		var sumBytes, sumRows atomic.Int64
-		// Sequential baselines, one query at a time.
-		want := make([]*Result, len(queries))
+	sys := build(Options{Metrics: true})
+	var sumBytes, sumRows atomic.Int64
+	// Baselines, one query at a time.
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		r, err := sys.Query(q)
+		if err != nil {
+			t.Fatalf("baseline %d: %v", i, err)
+		}
+		want[i] = r
+		sumBytes.Add(r.ShippedBytes)
+		sumRows.Add(shippedRows[i])
+	}
+	// Now run both queries concurrently, repeatedly; each must match
+	// its own baseline exactly.
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(queries)*4)
+	for round := 0; round < 4; round++ {
 		for i, q := range queries {
-			r, err := sys.Query(q)
-			if err != nil {
-				t.Fatalf("parallel=%v baseline %d: %v", parallel, i, err)
-			}
-			want[i] = r
-			sumBytes.Add(r.ShippedBytes)
-			sumRows.Add(shippedRows[i])
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := sys.QueryContext(context.Background(), q)
+				if err != nil {
+					errs <- fmt.Errorf("q%d: %v", i, err)
+					return
+				}
+				if got.ShippedBytes != want[i].ShippedBytes || got.ShipCost != want[i].ShipCost {
+					errs <- fmt.Errorf("q%d: concurrent stats %d bytes/%.3f cost, one-at-a-time %d bytes/%.3f cost",
+						i, got.ShippedBytes, got.ShipCost, want[i].ShippedBytes, want[i].ShipCost)
+				}
+				sumBytes.Add(got.ShippedBytes)
+				sumRows.Add(shippedRows[i])
+			}()
 		}
-		// Now run both queries concurrently, repeatedly; each must match
-		// its own baseline exactly.
-		var wg sync.WaitGroup
-		errs := make(chan error, 2*len(queries)*4)
-		for round := 0; round < 4; round++ {
-			for i, q := range queries {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					got, err := sys.QueryContext(context.Background(), q)
-					if err != nil {
-						errs <- fmt.Errorf("parallel=%v q%d: %v", parallel, i, err)
-						return
-					}
-					if got.ShippedBytes != want[i].ShippedBytes || got.ShipCost != want[i].ShipCost {
-						errs <- fmt.Errorf("parallel=%v q%d: concurrent stats %d bytes/%.3f cost, sequential %d bytes/%.3f cost",
-							parallel, i, got.ShippedBytes, got.ShipCost, want[i].ShippedBytes, want[i].ShipCost)
-					}
-					sumBytes.Add(got.ShippedBytes)
-					sumRows.Add(shippedRows[i])
-				}()
-			}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var edgeBytes, edgeRows int64
+	for _, from := range sys.Schema.Locations() {
+		for _, to := range sys.Schema.Locations() {
+			edgeBytes += sys.Metrics().CounterValue("cgdqp_ship_bytes_total", "from", from, "to", to)
+			edgeRows += sys.Metrics().CounterValue("cgdqp_ship_rows_total", "from", from, "to", to)
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-		var edgeBytes, edgeRows int64
-		for _, from := range sys.Schema.Locations() {
-			for _, to := range sys.Schema.Locations() {
-				edgeBytes += sys.Metrics().CounterValue("cgdqp_ship_bytes_total", "from", from, "to", to)
-				edgeRows += sys.Metrics().CounterValue("cgdqp_ship_rows_total", "from", from, "to", to)
-			}
-		}
-		if edgeBytes != sumBytes.Load() || edgeRows != sumRows.Load() || edgeBytes == 0 {
-			t.Errorf("parallel=%v: per-edge metrics total %d bytes / %d rows, queries reported %d / %d",
-				parallel, edgeBytes, edgeRows, sumBytes.Load(), sumRows.Load())
-		}
+	}
+	if edgeBytes != sumBytes.Load() || edgeRows != sumRows.Load() || edgeBytes == 0 {
+		t.Errorf("per-edge metrics total %d bytes / %d rows, queries reported %d / %d",
+			edgeBytes, edgeRows, sumBytes.Load(), sumRows.Load())
 	}
 }
 
