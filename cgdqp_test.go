@@ -3,6 +3,7 @@ package cgdqp
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -270,5 +271,49 @@ func TestOrderByAfterSecondLoad(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIdentitySelectKeepsEveryColumn pins that a SELECT list equal to
+// its scope's columns — a bare * or the same columns written out, over
+// one table or a join — returns every column with its values, not just
+// the columns the predicates read.
+func TestIdentitySelectKeepsEveryColumn(t *testing.T) {
+	sys := NewSystem()
+	sys.MustDefineTable("a", "db-1", "L1", 3, Col("k", TInt), Col("x", TString))
+	sys.MustDefineTable("b", "db-2", "L2", 3, Col("k", TInt), Col("y", TFloat))
+	sys.MustAddPolicy("ship * from a to *")
+	sys.MustAddPolicy("ship * from b to *")
+	sys.MustLoad("a", []Row{{Int(1), String("one")}, {Int(2), String("two")}, {Int(3), String("three")}})
+	sys.MustLoad("b", []Row{{Int(1), Float(1.5)}, {Int(3), Float(3.5)}})
+	for _, c := range []struct {
+		sql  string
+		cols []string
+		rows []string
+	}{
+		{"SELECT * FROM a", []string{"k", "x"}, []string{"1|'one'", "2|'two'", "3|'three'"}},
+		{"SELECT a.k, a.x FROM a WHERE a.k > 1", []string{"k", "x"}, []string{"2|'two'", "3|'three'"}},
+		{"SELECT * FROM a, b WHERE a.k = b.k", []string{"k", "x", "k", "y"}, []string{"1|'one'|1|1.5", "3|'three'|3|3.5"}},
+		{"SELECT a.k, a.x, b.k, b.y FROM a, b WHERE a.k = b.k", []string{"k", "x", "k", "y"}, []string{"1|'one'|1|1.5", "3|'three'|3|3.5"}},
+	} {
+		res, err := sys.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if fmt.Sprint(res.Columns) != fmt.Sprint(c.cols) {
+			t.Errorf("%s: columns %v, want %v", c.sql, res.Columns, c.cols)
+		}
+		got := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			parts := make([]string, len(r))
+			for j, v := range r {
+				parts[j] = v.String()
+			}
+			got[i] = strings.Join(parts, "|")
+		}
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(c.rows) {
+			t.Errorf("%s: rows %q, want %q", c.sql, got, c.rows)
+		}
 	}
 }

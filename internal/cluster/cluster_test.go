@@ -5,9 +5,13 @@ import (
 	"testing"
 
 	"cgdqp/internal/expr"
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/network"
 	"cgdqp/internal/schema"
 )
+
+// Shipping runs on goroutines: no test may leave one running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func testCatalog() *schema.Catalog {
 	cat := schema.NewCatalog()

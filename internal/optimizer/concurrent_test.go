@@ -4,11 +4,15 @@ import (
 	"sync"
 	"testing"
 
+	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/network"
 	"cgdqp/internal/policy"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
+
+// The tests optimize from many goroutines: none may outlive its test.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestConcurrentOptimizeSQL drives one shared optimizer from eight
 // goroutines over all golden TPC-H queries (run under `make race`). The

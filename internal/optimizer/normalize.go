@@ -7,6 +7,7 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 
 	"cgdqp/internal/expr"
@@ -18,7 +19,9 @@ import (
 //  1. scans of fragmented tables expand into unions of per-fragment scans
 //     (the GAV rewrite t = t1 ∪ ... ∪ tn of Section 7.5);
 //  2. filter predicates push down to the deepest operator that covers
-//     their columns, turning cross products into joins;
+//     their columns, turning cross products into joins; on the way, a
+//     join's column equalities carry each single-column comparison with
+//     a constant across to the columns it equates (predicate transfer);
 //  3. column pruning inserts projections above each leaf so that only
 //     attributes the query actually uses travel upward — this is the
 //     masking-via-projection the compliant plans of Figure 1(b) rely on.
@@ -54,6 +57,7 @@ func pushFilters(n *plan.Node, conjuncts []expr.Expr) *plan.Node {
 
 	case plan.Join:
 		pool := append(append([]expr.Expr{}, conjuncts...), expr.Conjuncts(n.Pred)...)
+		pool = transfer(n, pool)
 		var left, right, here []expr.Expr
 		l, r := n.Children[0], n.Children[1]
 		for _, c := range pool {
@@ -114,6 +118,129 @@ func pushFilters(n *plan.Node, conjuncts []expr.Expr) *plan.Node {
 		}
 		return wrapFilter(n, conjuncts)
 	}
+}
+
+// transfer appends to pool the conjuncts its column equalities imply.
+// Every join here is an inner join, so a row that survives c1 = c2 has
+// equal, non-NULL values in both columns: a comparison of c1 with a
+// constant (=, <, <=, >, >=), a BETWEEN or a non-negated IN holds for c2
+// as well, when the two have the same type. Equalities are closed
+// transitively over n's columns, and a copy already in the pool is not
+// added again, so the joins below, which see the copies, add nothing.
+// A pool where no such conjunct's column is equated to another is
+// returned untouched, without allocating.
+func transfer(n *plan.Node, pool []expr.Expr) []expr.Expr {
+	if !equated(pool) {
+		return pool
+	}
+	class := make([]int, len(n.Cols)) // union-find over n's columns
+	for i := range class {
+		class[i] = i
+	}
+	find := func(i int) int {
+		for class[i] != i {
+			class[i] = class[class[i]]
+			i = class[i]
+		}
+		return i
+	}
+	for _, c := range pool {
+		if l, r, ok := colEquality(c); ok {
+			if li, ri := n.ColIndex(l), n.ColIndex(r); li >= 0 && ri >= 0 {
+				class[find(li)] = find(ri)
+			}
+		}
+	}
+	for _, c := range pool { // copies appended below are not revisited
+		col := transferCol(c)
+		if col == nil {
+			continue
+		}
+		ci := n.ColIndex(col)
+		if ci < 0 {
+			continue
+		}
+		for j, cr := range n.Cols {
+			if j == ci || cr.Type != n.Cols[ci].Type || find(j) != find(ci) {
+				continue
+			}
+			cp := expr.Transform(c, func(x expr.Expr) expr.Expr {
+				if _, ok := x.(*expr.Col); ok {
+					return cr.Col()
+				}
+				return x
+			})
+			if !slices.ContainsFunc(pool, cp.Equal) {
+				pool = append(pool, cp)
+			}
+		}
+	}
+	return pool
+}
+
+// equated reports whether the column of some conjunct transfer may
+// copy is one side of a column equality in the pool.
+func equated(pool []expr.Expr) bool {
+	for _, c := range pool {
+		col := transferCol(c)
+		if col == nil {
+			continue
+		}
+		for _, e := range pool {
+			if l, r, ok := colEquality(e); ok && (sameCol(l, col) || sameCol(r, col)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameCol matches two column references by qualifier and name,
+// ignoring case.
+func sameCol(a, b *expr.Col) bool {
+	return strings.EqualFold(a.Name, b.Name) && strings.EqualFold(a.Table, b.Table)
+}
+
+// colEquality matches a conjunct of the form col = col.
+func colEquality(c expr.Expr) (l, r *expr.Col, ok bool) {
+	cmp, isCmp := c.(*expr.Cmp)
+	if !isCmp || cmp.Op != expr.EQ {
+		return nil, nil, false
+	}
+	l, lok := cmp.L.(*expr.Col)
+	r, rok := cmp.R.(*expr.Col)
+	return l, r, lok && rok
+}
+
+// transferCol returns the column of a conjunct predicate transfer may
+// copy — col op const (either order, op not <>), col BETWEEN lo AND hi,
+// col IN (list) — or nil.
+func transferCol(c expr.Expr) *expr.Col {
+	switch x := c.(type) {
+	case *expr.Cmp:
+		if x.Op == expr.NE {
+			return nil
+		}
+		if col, ok := x.L.(*expr.Col); ok {
+			if _, k := x.R.(*expr.Const); k {
+				return col
+			}
+		}
+		if col, ok := x.R.(*expr.Col); ok {
+			if _, k := x.L.(*expr.Const); k {
+				return col
+			}
+		}
+	case *expr.Between:
+		if col, ok := x.E.(*expr.Col); ok {
+			return col
+		}
+	case *expr.In:
+		if col, ok := x.E.(*expr.Col); ok && !x.Negated {
+			return col
+		}
+	}
+	return nil
 }
 
 func wrapFilter(n *plan.Node, conjuncts []expr.Expr) *plan.Node {
@@ -193,6 +320,11 @@ func pruneColumns(root *plan.Node) *plan.Node {
 		for _, c := range expr.Columns(e) {
 			addCol(c)
 		}
+	}
+	// The query's output columns are used: a SELECT list equal to its
+	// scope's columns binds without a top Project to count them.
+	for _, cr := range root.Cols {
+		addCol(cr.Col())
 	}
 	root.Walk(func(n *plan.Node) bool {
 		switch n.Kind {

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,6 +22,9 @@ func normCatalog() *schema.Catalog {
 		schema.Column{Name: "a", Type: expr.TInt},
 		schema.Column{Name: "c", Type: expr.TInt},
 		schema.Column{Name: "junk2", Type: expr.TString},
+	))
+	cat.MustAddTable(schema.NewTable("u", "db-2", "L2", 100,
+		schema.Column{Name: "a", Type: expr.TFloat},
 	))
 	cat.MustAddTable(&schema.Table{
 		Name:    "fr",
@@ -152,5 +156,102 @@ func TestNormalizeKeepsLimitSemantics(t *testing.T) {
 	})
 	if !ok || !sawFilter {
 		t.Errorf("filter pushed below LIMIT:\n%s", n)
+	}
+}
+
+// scanFilters maps each scan alias of a normalized plan to the
+// conjuncts of the filters directly above it, in order.
+func scanFilters(n *plan.Node) map[string][]string {
+	out := map[string][]string{}
+	n.Walk(func(x *plan.Node) bool {
+		if x.Kind == plan.Filter && x.Children[0].Kind == plan.Scan {
+			for _, c := range expr.Conjuncts(x.Pred) {
+				out[x.Children[0].Alias] = append(out[x.Children[0].Alias], c.String())
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func TestNormalizeTransfersAcrossEquiJoins(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		want map[string][]string
+	}{
+		// Equality to a constant, either operand order.
+		{`SELECT r.b FROM r, s WHERE r.a = s.a AND r.a = 5`,
+			map[string][]string{"r": {"r.a = 5"}, "s": {"s.a = 5"}}},
+		{`SELECT r.b FROM r, s WHERE r.a = s.a AND 5 > s.a`,
+			map[string][]string{"r": {"5 > r.a"}, "s": {"5 > s.a"}}},
+		{`SELECT r.b FROM r, s WHERE r.a = s.a AND s.a IN (1, 2)`,
+			map[string][]string{"r": {"r.a IN (1, 2)"}, "s": {"s.a IN (1, 2)"}}},
+		{`SELECT r.b FROM r, s WHERE s.a = r.a AND r.a BETWEEN 1 AND 9 AND r.b > 2`,
+			map[string][]string{"r": {"r.a BETWEEN 1 AND 9", "r.b > 2"}, "s": {"s.a BETWEEN 1 AND 9"}}},
+		// Transitive over two joins, and into every fragment of a union;
+		// each copy is added once, never again at the lower join.
+		{`SELECT r.b FROM r, s, fr WHERE r.a = s.a AND s.a = fr.x AND r.a < 7`,
+			map[string][]string{"r": {"r.a < 7"}, "s": {"s.a < 7"}, "fr": {"fr.x < 7", "fr.x < 7"}}},
+		// Not transferred: <>, NOT IN, a non-key column, an equality
+		// between columns of different types.
+		{`SELECT r.b FROM r, s WHERE r.a = s.a AND r.a <> 3 AND r.a NOT IN (4) AND r.b < 2`,
+			map[string][]string{"r": {"r.a <> 3", "r.a NOT IN (4)", "r.b < 2"}}},
+		{`SELECT r.b FROM r, u WHERE r.a = u.a AND r.a < 5`,
+			map[string][]string{"r": {"r.a < 5"}}},
+	} {
+		got := scanFilters(normalizeSQL(t, c.sql))
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s:\n got %v\nwant %v", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestNormalizeTransferStopsAtLimitAndAggregate: a conjunct transferred
+// onto a derived table's column passes its projection but stays above
+// its LIMIT or aggregate, as a stated conjunct on that column would.
+func TestNormalizeTransferStopsAtLimitAndAggregate(t *testing.T) {
+	for _, c := range []struct{ sql, blocker string }{
+		{`SELECT r.b FROM r, (SELECT s.a FROM s ORDER BY s.a LIMIT 5) x WHERE r.a = x.a AND r.a < 3`, "Limit"},
+		{`SELECT r.b FROM r, (SELECT s.a, SUM(s.c) AS t FROM s GROUP BY s.a) x WHERE r.a = x.a AND r.a < 3`, "Aggregate"},
+	} {
+		n := normalizeSQL(t, c.sql)
+		if got := scanFilters(n); fmt.Sprint(got) != fmt.Sprint(map[string][]string{"r": {"r.a < 3"}}) {
+			t.Errorf("%s: scan filters %v", c.sql, got)
+		}
+		var above bool
+		n.Walk(func(x *plan.Node) bool {
+			if x.Kind == plan.Filter && x.Children[0].Kind.String() == c.blocker {
+				above = x.Pred.String() == "s.a < 3"
+			}
+			return true
+		})
+		if !above {
+			t.Errorf("%s: s.a < 3 is not a filter right above the %s:\n%s", c.sql, c.blocker, n)
+		}
+	}
+}
+
+// TestTransferAllocatesNothingWithoutCandidates: a join pool where no
+// transferable conjunct's column is equated costs no allocation.
+func TestTransferAllocatesNothingWithoutCandidates(t *testing.T) {
+	n := normalizeSQL(t, `SELECT r.b FROM r, s WHERE r.a = s.a`)
+	var join *plan.Node
+	n.Walk(func(x *plan.Node) bool {
+		if x.Kind == plan.Join {
+			join = x
+		}
+		return join == nil
+	})
+	eq := expr.NewCmp(expr.EQ, expr.NewCol("r", "a"), expr.NewCol("s", "a"))
+	lt := expr.NewCmp(expr.LT, expr.NewCol("r", "a"), expr.NewConst(expr.NewInt(5)))
+	ne := expr.NewCmp(expr.NE, expr.NewCol("r", "a"), expr.NewConst(expr.NewInt(5)))
+	other := expr.NewCmp(expr.LT, expr.NewCol("r", "b"), expr.NewConst(expr.NewInt(5)))
+	for _, pool := range [][]expr.Expr{{eq, ne}, {lt}, {eq, eq}, {eq, other}} {
+		if a := testing.AllocsPerRun(100, func() { transfer(join, pool) }); a != 0 {
+			t.Errorf("transfer(%v) allocates %v times", pool, a)
+		}
+	}
+	if got := transfer(join, []expr.Expr{eq, lt}); len(got) != 3 || got[2].String() != "s.a < 5" {
+		t.Errorf("transfer = %v", got)
 	}
 }

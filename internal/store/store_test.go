@@ -7,7 +7,11 @@ import (
 	"testing"
 
 	"cgdqp/internal/expr"
+	"cgdqp/internal/leakcheck"
 )
+
+// No test may leave a goroutine of the engine running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func openTestEngine(t *testing.T, dir string, poolBytes int64) *Engine {
 	t.Helper()

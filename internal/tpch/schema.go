@@ -107,7 +107,7 @@ func NewCatalog(sf float64) *schema.Catalog {
 	)
 	nation.SetColStats("nationkey", schema.ColStats{Distinct: sz.Nation, Min: expr.NewInt(0), Max: expr.NewInt(sz.Nation - 1)})
 	nation.SetColStats("name", schema.ColStats{Distinct: sz.Nation})
-	nation.SetColStats("regionkey", schema.ColStats{Distinct: sz.Region})
+	nation.SetColStats("regionkey", schema.ColStats{Distinct: sz.Region, Min: expr.NewInt(0), Max: expr.NewInt(sz.Region - 1)})
 
 	supplier := schema.NewTable("supplier", "db-2", "L2", sz.Supplier,
 		schema.Column{Name: "suppkey", Type: expr.TInt},
@@ -119,7 +119,7 @@ func NewCatalog(sf float64) *schema.Catalog {
 		schema.Column{Name: "comment", Type: expr.TString, AvgWidth: 60},
 	)
 	supplier.SetColStats("suppkey", schema.ColStats{Distinct: sz.Supplier, Min: expr.NewInt(1), Max: expr.NewInt(sz.Supplier)})
-	supplier.SetColStats("nationkey", schema.ColStats{Distinct: sz.Nation})
+	supplier.SetColStats("nationkey", schema.ColStats{Distinct: sz.Nation, Min: expr.NewInt(0), Max: expr.NewInt(sz.Nation - 1)})
 
 	part := schema.NewTable("part", "db-3", "L3", sz.Part,
 		schema.Column{Name: "partkey", Type: expr.TInt},
@@ -145,8 +145,8 @@ func NewCatalog(sf float64) *schema.Catalog {
 		schema.Column{Name: "supplycost", Type: expr.TFloat},
 		schema.Column{Name: "comment", Type: expr.TString, AvgWidth: 80},
 	)
-	partsupp.SetColStats("partkey", schema.ColStats{Distinct: sz.Part})
-	partsupp.SetColStats("suppkey", schema.ColStats{Distinct: sz.Supplier})
+	partsupp.SetColStats("partkey", schema.ColStats{Distinct: sz.Part, Min: expr.NewInt(1), Max: expr.NewInt(sz.Part)})
+	partsupp.SetColStats("suppkey", schema.ColStats{Distinct: sz.Supplier, Min: expr.NewInt(1), Max: expr.NewInt(sz.Supplier)})
 
 	customer := schema.NewTable("customer", "db-1", "L1", sz.Customer,
 		schema.Column{Name: "custkey", Type: expr.TInt},
@@ -159,7 +159,7 @@ func NewCatalog(sf float64) *schema.Catalog {
 		schema.Column{Name: "comment", Type: expr.TString, AvgWidth: 70},
 	)
 	customer.SetColStats("custkey", schema.ColStats{Distinct: sz.Customer, Min: expr.NewInt(1), Max: expr.NewInt(sz.Customer)})
-	customer.SetColStats("nationkey", schema.ColStats{Distinct: sz.Nation})
+	customer.SetColStats("nationkey", schema.ColStats{Distinct: sz.Nation, Min: expr.NewInt(0), Max: expr.NewInt(sz.Nation - 1)})
 	customer.SetColStats("mktsegment", schema.ColStats{Distinct: 5})
 
 	orders := schema.NewTable("orders", "db-1", "L1", sz.Orders,
@@ -174,7 +174,7 @@ func NewCatalog(sf float64) *schema.Catalog {
 		schema.Column{Name: "comment", Type: expr.TString, AvgWidth: 45},
 	)
 	orders.SetColStats("orderkey", schema.ColStats{Distinct: sz.Orders, Min: expr.NewInt(1), Max: expr.NewInt(sz.Orders)})
-	orders.SetColStats("custkey", schema.ColStats{Distinct: sz.Customer})
+	orders.SetColStats("custkey", schema.ColStats{Distinct: sz.Customer, Min: expr.NewInt(1), Max: expr.NewInt(sz.Customer)})
 	orders.SetColStats("orderdate", schema.ColStats{Distinct: 2400, Min: expr.MustDate("1992-01-01"), Max: expr.MustDate("1998-08-02")})
 	orders.SetColStats("orderstatus", schema.ColStats{Distinct: 3})
 
@@ -196,9 +196,9 @@ func NewCatalog(sf float64) *schema.Catalog {
 		schema.Column{Name: "shipmode", Type: expr.TString, AvgWidth: 10},
 		schema.Column{Name: "comment", Type: expr.TString, AvgWidth: 27},
 	)
-	lineitem.SetColStats("orderkey", schema.ColStats{Distinct: sz.Orders})
-	lineitem.SetColStats("partkey", schema.ColStats{Distinct: sz.Part})
-	lineitem.SetColStats("suppkey", schema.ColStats{Distinct: sz.Supplier})
+	lineitem.SetColStats("orderkey", schema.ColStats{Distinct: sz.Orders, Min: expr.NewInt(1), Max: expr.NewInt(sz.Orders)})
+	lineitem.SetColStats("partkey", schema.ColStats{Distinct: sz.Part, Min: expr.NewInt(1), Max: expr.NewInt(sz.Part)})
+	lineitem.SetColStats("suppkey", schema.ColStats{Distinct: sz.Supplier, Min: expr.NewInt(1), Max: expr.NewInt(sz.Supplier)})
 	lineitem.SetColStats("shipdate", schema.ColStats{Distinct: 2520, Min: expr.MustDate("1992-01-02"), Max: expr.MustDate("1998-12-01")})
 	lineitem.SetColStats("returnflag", schema.ColStats{Distinct: 3})
 	lineitem.SetColStats("quantity", schema.ColStats{Distinct: 50, Min: expr.NewInt(1), Max: expr.NewInt(50)})

@@ -263,3 +263,31 @@ func TestGeneratedRowsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestIntKeyStatsHaveBounds: every int column with a distinct count
+// also carries its min and max (the index range estimate reads them),
+// and every generated value lies within them.
+func TestIntKeyStatsHaveBounds(t *testing.T) {
+	cat := NewCatalog(0.002)
+	rows := generated{}
+	if err := Generate(cat, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range cat.Tables() {
+		for i, col := range tab.Columns {
+			st := tab.Stats(col.Name)
+			if col.Type != expr.TInt || st.Distinct == 0 {
+				continue
+			}
+			if st.Min.IsNull() || st.Max.IsNull() {
+				t.Errorf("%s.%s: distinct %d without min/max", tab.Name, col.Name, st.Distinct)
+				continue
+			}
+			for _, r := range rows[tab.Name] {
+				if v := r[i].Int(); v < st.Min.Int() || v > st.Max.Int() {
+					t.Fatalf("%s.%s: generated %d outside [%v, %v]", tab.Name, col.Name, v, st.Min, st.Max)
+				}
+			}
+		}
+	}
+}
