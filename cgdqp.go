@@ -36,7 +36,6 @@ import (
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
-	"cgdqp/internal/feedback"
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
@@ -138,8 +137,8 @@ type Options struct {
 	// PlanCacheSize bounds the optimizer's whole-plan LRU cache (entries).
 	// 0 uses optimizer.DefaultPlanCacheSize; negative disables caching.
 	// Cached plans are keyed on the versions of the schema and policy
-	// catalogs, cost model and feedback hints, so a change to any of them
-	// is never answered from the cache.
+	// catalogs and the cost model, so a change to any of them is never
+	// answered from the cache.
 	PlanCacheSize int
 	// Trace records query-lifecycle spans (parse/bind, optimizer phases,
 	// fragment pipelines, every shipment attempt with retries) into the
@@ -169,24 +168,12 @@ type Options struct {
 	// package rescache). Servers from Serve share the cache and coalesce
 	// concurrent identical executions onto one run. 0 disables caching.
 	ResultCacheBytes int64
-	// Feedback enables the execution-feedback loop: every executed query
-	// records per-operator observed-vs-estimated cardinalities (keyed by
-	// normalized subplan digest) into System.Feedback();
-	// once a subplan's actuals reach activation confidence the optimizer
-	// costs with the observed cardinality instead of the stale estimate
-	// (cached plans are keyed on the store's epoch).
-	// A calibrator also re-fits the cost model's byte scale from the
-	// encoded size of every shipped frame. Compliance is unaffected:
-	// feedback only changes cardinalities and prices, and site selection
-	// still filters candidate sites by Definition 1 before comparing
-	// costs. Off by default — disabled, planning and costing are
-	// byte-identical to previous behavior.
-	Feedback bool
 	// SlowQueryLog, when set, receives one JSON line per query whose
 	// end-to-end latency is at or above SlowQueryThreshold: SQL and plan
 	// digests, latency, shipped bytes, retry count, cache disposition and
-	// the worst per-operator q-errors. Implies the per-query profiling
-	// that Feedback performs (but not cardinality feedback itself).
+	// the worst per-operator q-errors. Setting it profiles every
+	// executed query, to compare each operator's estimate with its
+	// actual rows.
 	SlowQueryLog io.Writer
 	// SlowQueryThreshold is the slow-query latency floor (0 logs every
 	// query).
@@ -236,8 +223,8 @@ type System struct {
 	// the optimizer (nil until built), the cluster (nil until opened),
 	// the sinks enabled by
 	// Options.Trace/Metrics/Audit (a nil Obs keeps execution hooks free),
-	// the result cache with its view, the feedback store and the
-	// slow-query log (each nil unless its option is set).
+	// the result cache with its view and the slow-query log (each nil
+	// unless its option is set).
 	lc sched.Lifecycle
 	// policySeq issues unique policy IDs; it never decreases, so a
 	// removed policy's ID is not reissued.
@@ -283,20 +270,11 @@ func NewSystemWith(opts Options) *System {
 			},
 		}
 	}
-	if opts.Feedback {
-		lc.Feedback = feedback.NewStore()
-		lc.Feedback.SetMetrics(lc.Obs.Reg())
-	}
 	if opts.SlowQueryLog != nil {
-		lc.SlowLog = feedback.NewSlowQueryLog(opts.SlowQueryLog, opts.SlowQueryThreshold)
+		lc.SlowLog = obs.NewSlowQueryLog(opts.SlowQueryLog, opts.SlowQueryThreshold)
 	}
 	return s
 }
-
-// Feedback returns the execution-feedback store (nil unless
-// Options.Feedback). Use it to inspect tracked subplans and active
-// cardinality hints.
-func (s *System) Feedback() *feedback.Store { return s.lc.Feedback }
 
 // Tracer returns the span tracer (nil unless Options.Trace).
 func (s *System) Tracer() *Tracer {
@@ -367,7 +345,10 @@ func (s *System) SetColumnStats(table, column string, distinct int64, min, max V
 
 // AddPolicy registers a policy expression. The owning database is taken
 // from the expression's qualified table ("db-1.customer") or, for
-// unqualified tables, from the schema catalog.
+// unqualified tables, from the schema catalog. A predicate comparing
+// values of types that cannot be ordered against each other (a VARCHAR
+// column with a number, say) is rejected, and the catalog is left as it
+// was.
 func (s *System) AddPolicy(expression string) error {
 	stmt, err := sqlparse.ParsePolicy(expression)
 	if err != nil {
@@ -388,9 +369,23 @@ func (s *System) AddPolicy(expression string) error {
 	if err != nil {
 		return err
 	}
+	if err := expr.CheckComparisons(e.Where, s.colType); err != nil {
+		return fmt.Errorf("cgdqp: policy %q: %w", expression, err)
+	}
 	s.policySeq++
 	s.Policies.Add(e)
 	return nil
+}
+
+// colType resolves a policy predicate's column — qualified by its base
+// table — against the schema catalog; TNull when either is unknown.
+func (s *System) colType(c *expr.Col) expr.Type {
+	if t, ok := s.Schema.Table(c.Table); ok {
+		if col, ok := t.Column(c.Name); ok {
+			return col.Type
+		}
+	}
+	return expr.TNull
 }
 
 // MustAddPolicy is AddPolicy panicking on error.
@@ -534,7 +529,7 @@ func (s *System) Loaded(table string) bool {
 }
 
 // newCluster creates the cluster and installs what the options ask of
-// it: fault plan, observer and wire calibrator.
+// it: fault plan and observer.
 func (s *System) newCluster() (*cluster.Cluster, error) {
 	cl, err := cluster.NewWithStore(s.Schema, s.network(), &cluster.StoreConfig{
 		DataDir:         s.opts.DataDir,
@@ -548,12 +543,6 @@ func (s *System) newCluster() (*cluster.Cluster, error) {
 		cl.SetFaults(s.opts.Faults)
 	}
 	cl.SetObserver(s.lc.Obs)
-	if s.lc.Feedback != nil {
-		// Feedback folds wire calibration into the loop: a calibrator
-		// observes every shipped frame and continuously re-fits the cost
-		// model's byte scale.
-		cl.SetCalibrator(network.NewCalibrator(s.network(), network.DefaultAutoApplyFrames))
-	}
 	return cl, nil
 }
 
@@ -611,9 +600,6 @@ func (s *System) Optimizer() *optimizer.Optimizer {
 			PoolBytes:      s.opts.BufferPoolBytes,
 		})
 		s.lc.Opt.SetObserver(s.lc.Obs)
-		if s.lc.Feedback != nil {
-			s.lc.Opt.SetFeedback(s.lc.Feedback)
-		}
 	}
 	return s.lc.Opt
 }
@@ -780,8 +766,8 @@ const DefaultPlanCacheSize = optimizer.DefaultPlanCacheSize
 // queries submitted through the returned Server are admission-controlled
 // (bounded FIFO queue, typed rejections under overload), taken by a pool
 // of MaxConcurrent workers, and run through the same lifecycle as Query
-// — the system's optimizer, cluster, result cache, feedback store,
-// slow-query log and execution options; identical in-flight optimizations and executions are coalesced. The
+// — the system's optimizer, cluster, result cache, slow-query log and
+// execution options; identical in-flight optimizations and executions are coalesced. The
 // server shares the system's observability sinks (queue gauges,
 // admission/rejection counters, latency histograms land in
 // System.Metrics()). Close the server before discarding it:

@@ -317,3 +317,42 @@ func TestIdentitySelectKeepsEveryColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestAddPolicyRejectsIllTypedPredicates: a policy predicate that
+// compares values Value.Compare cannot order is refused when the policy
+// is added, naming the column and both types, and the policy catalog
+// does not move. The same predicate in a query fails only at run time.
+func TestAddPolicyRejectsIllTypedPredicates(t *testing.T) {
+	sys := NewSystem()
+	sys.MustDefineTable("Orders", "db-1", "L1", 3,
+		Col("custkey", TInt), Col("status", TString), Col("odate", TDate), Col("price", TFloat))
+	sys.MustLoad("Orders", []Row{{Int(1), String("O"), Date("1995-01-01"), Float(1.5)}})
+	for _, c := range []struct{ pred, col, types string }{
+		{"status = 2.5", "status", "(VARCHAR) with 2.5 (DOUBLE)"},
+		{"custkey > 'abc'", "custkey", "(INTEGER) with 'abc' (VARCHAR)"},
+		{"'abc' <= custkey", "custkey", "'abc' (VARCHAR) with orders.custkey (INTEGER)"},
+		{"price BETWEEN 1 AND 'z'", "price", "(DOUBLE) with 'z' (VARCHAR)"},
+		{"odate > '1995-01-01'", "odate", "(DATE) with '1995-01-01' (VARCHAR)"},
+		{"custkey = 1 AND (status = 'F' OR status < 3)", "status", "(VARCHAR) with 3 (INTEGER)"},
+	} {
+		v := sys.Policies.Version()
+		err := sys.AddPolicy("ship * from Orders to * where " + c.pred)
+		if err == nil || !strings.Contains(err.Error(), c.col) || !strings.Contains(err.Error(), c.types) {
+			t.Errorf("%s: err = %v, want one naming %s and %s", c.pred, err, c.col, c.types)
+		}
+		if sys.Policies.Version() != v || sys.Policies.Len() != 0 {
+			t.Errorf("%s: a refused policy moved the catalog", c.pred)
+		}
+		if _, err := sys.Query("SELECT custkey FROM Orders WHERE " + c.pred); err == nil {
+			t.Errorf("%s: the query accepted a predicate the policy refused", c.pred)
+		}
+	}
+	for _, pred := range []string{
+		"status = 'F'", "custkey > 2.5", "odate > DATE '1994-12-31'",
+		"price BETWEEN 1 AND 2", "custkey IN (1, 2)", "status IS NULL",
+	} {
+		if err := sys.AddPolicy("ship * from Orders to * where " + pred); err != nil {
+			t.Errorf("%s: %v", pred, err)
+		}
+	}
+}

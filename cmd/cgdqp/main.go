@@ -89,7 +89,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics-out", "", "write Prometheus-text metrics to this file at exit (- for stdout)")
 	traceOut := fs.String("trace-out", "", "write query-lifecycle spans as JSON to this file at exit (- for stdout)")
 	auditOut := fs.String("audit-out", "", "write the compliance audit log of cross-site shipments to this file at exit (- for stdout)")
-	feedbackOn := fs.Bool("feedback", false, "record per-operator actuals from every execution and let the optimizer cost with observed cardinalities (continuous wire calibration included)")
 	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
@@ -109,7 +108,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Trace:              *traceOut != "",
 		Metrics:            *metricsOut != "" || *obsAddr != "",
 		Audit:              *auditOut != "",
-		Feedback:           *feedbackOn,
 		SlowQueryThreshold: *slowThreshold,
 		DataDir:            *dataDir,
 		BufferPoolBytes:    *bufferPool,

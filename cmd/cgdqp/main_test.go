@@ -147,7 +147,7 @@ func TestShellSession(t *testing.T) {
 		"\\explain SELECT n.name FROM nation n;\n"+
 		"SELECT nonsense FROM nowhere;\n"+
 		"\\quit\n"+stmt,
-		"-set", "CR", "-feedback")
+		"-set", "CR")
 	footers := footerRE.FindAllString(out, -1)
 	if len(footers) != 2 {
 		t.Fatalf("want 2 executed statements (\\quit ends the session), got %d:\n%s", len(footers), out)
@@ -220,6 +220,7 @@ func TestBadArguments(t *testing.T) {
 		{"-serve"},           // removed with the serving replay
 		{"-site-slots", "4"}, // removed with the slot table
 		{"-parallel"},        // removed with the inline exchange mode
+		{"-feedback"},        // removed with the execution-feedback loop
 	} {
 		if code, _, errw := cli(t, "", args...); code != 2 || errw == "" {
 			t.Errorf("cgdqp %v: exit %d, stderr %q; want exit 2 with a message", args, code, errw)

@@ -49,11 +49,6 @@ type Cluster struct {
 	// above (exchange producers read it without locks).
 	obs *obs.Observer
 
-	// cal receives wire-encoding samples from the executors (see
-	// network.Calibrator). nil disables calibration; set before
-	// execution like the fields above.
-	cal *network.Calibrator
-
 	// epochs tracks a per-table data epoch, bumped by every successful
 	// load into any fragment of the table. Result-set caching keys its
 	// validity on these: a cached result is reusable only while every
@@ -81,14 +76,6 @@ func (c *Cluster) DataEpoch(table string) uint64 {
 	defer c.epochMu.RUnlock()
 	return c.epochs[strings.ToLower(table)]
 }
-
-// SetCalibrator installs the cost-model calibrator the executors' wire
-// encoders feed samples into (nil disables). Configure before execution
-// starts.
-func (c *Cluster) SetCalibrator(cal *network.Calibrator) { c.cal = cal }
-
-// Calibrator returns the installed calibrator (nil = none).
-func (c *Cluster) Calibrator() *network.Calibrator { return c.cal }
 
 // SetObserver installs the observability sinks shipping reports into
 // (nil disables). Configure before execution starts.

@@ -52,22 +52,11 @@ const (
 	btreeFanout      = 64.0 // matches store.btreeOrder
 )
 
-// CardHints supplies observed output cardinalities keyed by canonical
-// subplan digest (plan.SubplanOf); the feedback store
-// implements it. A hint overrides the statistics-derived estimate —
-// "actuals beat estimates" — for digests the source has high-confidence
-// observations of.
-type CardHints interface {
-	CardHint(digest string) (float64, bool)
-}
-
 // Estimator estimates operator cardinalities using base-table statistics
-// resolved through query aliases, optionally corrected by observed
-// actuals from a CardHints source.
+// resolved through query aliases.
 type Estimator struct {
 	tables    map[string]*schema.Table // lowercase alias -> base table
-	hints     CardHints
-	poolBytes int64 // buffer-pool budget for page-fetch discounting; 0 = default
+	poolBytes int64                    // buffer-pool budget for page-fetch discounting; 0 = default
 }
 
 // NewEstimator builds an estimator for one query: it collects the base
@@ -408,22 +397,6 @@ func (e *Estimator) CostFor(n *plan.Node, outCard float64, inCards ...float64) f
 		return e.AccessPathCost(n, outCard, inCards...)
 	}
 	return OperatorCost(n.Kind, outCard, inCards...)
-}
-
-// SetHints attaches an observed-cardinality source. Call before use;
-// nil detaches (the pure-statistics paths then run unchanged).
-func (e *Estimator) SetHints(h CardHints) { e.hints = h }
-
-// HasHints reports whether a hint source is attached (callers skip
-// digest construction entirely without one).
-func (e *Estimator) HasHints() bool { return e.hints != nil }
-
-// CardHint consults the attached hint source; never matches without one.
-func (e *Estimator) CardHint(digest string) (float64, bool) {
-	if e.hints == nil {
-		return 0, false
-	}
-	return e.hints.CardHint(digest)
 }
 
 // NodeCard estimates one operator's output cardinality from its input

@@ -104,16 +104,12 @@ func (p *exchangeProducer) produce() (err error) {
 	if err := c.SleepWire(p.env.ctx, c.Net.Alpha(from, to)); err != nil {
 		return err
 	}
-	cal := c.Calibrator()
 	var pend framePacker
 	frameIdx := 0
 	flush := func() error {
 		// The encoder reuses its buffer; the delivered frame must own
 		// its bytes.
 		buf := append([]byte(nil), pend.encode(&p.enc)...)
-		if cal != nil {
-			cal.ObserveEncoding(pend.width(), int64(len(buf)))
-		}
 		// The resilient shipping path injects faults, retries with
 		// backoff, and charges the shipment only when the frame lands,
 		// so retried runs keep ledger parity with a fault-free one.
@@ -226,29 +222,6 @@ func (f *framePacker) encode(enc *network.WireEncoder) []byte {
 		return enc.Encode(f.rows)
 	}
 	return enc.EncodeCols(f.cols, f.n)
-}
-
-// width is the schema-estimate size of the frame's rows, fed to the
-// calibrator as the estimated side of the encoding ratio.
-func (f *framePacker) width() int64 {
-	if f.asRows {
-		return widthSum(f.rows)
-	}
-	var n int64
-	for c := range f.cols {
-		for i := 0; i < f.n; i++ {
-			n += int64(f.cols[c].Value(i).Width())
-		}
-	}
-	return n
-}
-
-func widthSum(rows []expr.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		n += int64(r.Width())
-	}
-	return n
 }
 
 // deliver hands one landed frame to the consumer, stopping at a

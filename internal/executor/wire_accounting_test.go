@@ -27,6 +27,15 @@ func encodedStreamBytes(rows []expr.Row) int64 {
 	return total
 }
 
+// widthSum is the old Σ-Width() estimate of shipping rows.
+func widthSum(rows []expr.Row) int64 {
+	var n int64
+	for _, r := range rows {
+		n += int64(r.Width())
+	}
+	return n
+}
+
 // TestShipAccountsEncodedBytes is the Width()-drift regression test:
 // the ledger must charge exactly the serialized frame bytes of the
 // shipped stream — recomputed here from the result rows — and that
@@ -219,29 +228,5 @@ func TestFusedFilterRejectsAllRows(t *testing.T) {
 	}
 	if len(rows) != 0 {
 		t.Errorf("%d rows from an all-rejecting filter, want 0", len(rows))
-	}
-}
-
-// TestCalibratorObservesRealBytes: the calibration hook sees the actual
-// encoded frames, and the byte scale it installs maps width estimates
-// to wire bytes.
-func TestCalibratorObservesRealBytes(t *testing.T) {
-	cat, cl := carco(t)
-	c := scanNode(t, cat, "Customer", "C")
-	root := plan.NewShip(c, "N", "E")
-	defer cl.SetCalibrator(nil)
-
-	model := network.NewCostModel(1, 0.001)
-	cl.SetCalibrator(network.NewCalibrator(model, 1))
-	rows, stats, err := Run(root, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := model.ByteScale()
-	if ratio == 1 {
-		t.Fatal("calibrator saw no encoding samples")
-	}
-	if got, want := int64(float64(widthSum(rows))*ratio+0.5), stats.ShippedBytes; got != want {
-		t.Errorf("ratio %.4f maps width %d to %d wire bytes, ledger says %d", ratio, widthSum(rows), got, want)
 	}
 }

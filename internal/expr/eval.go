@@ -377,6 +377,32 @@ func MatchLike(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
+// CheckComparisons type-checks every comparison and BETWEEN in e
+// against the rule Value.Compare applies at run time, with column types
+// from colType. The error names the first pair of operands Compare
+// would refuse and both their types. Operands of unknown type (TNull:
+// unresolved columns, NULL literals) pass.
+func CheckComparisons(e Expr, colType func(*Col) Type) error {
+	var err error
+	check := func(l Expr, r Expr) {
+		lt, rt := TypeOf(l, colType), TypeOf(r, colType)
+		if err == nil && lt != TNull && rt != TNull && !comparable(lt, rt) {
+			err = fmt.Errorf("expr: cannot compare %s (%s) with %s (%s)", l, lt, r, rt)
+		}
+	}
+	Walk(e, func(n Expr) bool {
+		switch n := n.(type) {
+		case *Cmp:
+			check(n.L, n.R)
+		case *Between:
+			check(n.E, NewConst(n.Lo))
+			check(n.E, NewConst(n.Hi))
+		}
+		return err == nil
+	})
+	return err
+}
+
 // TypeOf infers the result type of a bound or unbound expression given a
 // column-type resolver. Unresolvable columns yield TNull.
 func TypeOf(e Expr, colType func(*Col) Type) Type {

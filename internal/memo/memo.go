@@ -67,13 +67,6 @@ type Group struct {
 	// for groups not created by a join.
 	leaves []int
 	conjs  []string
-
-	// fb is the group's subplan identity (plan.SubplanOf over the child
-	// groups' identities), the key observed actuals are looked up under.
-	// For a join group it is the signature above with leaf groups named
-	// by their own identities. Only built when the estimator carries a
-	// hint source.
-	fb plan.Subplan
 }
 
 // MExpr is one logical expression: an operator whose children are groups.
@@ -317,20 +310,6 @@ func (m *Memo) newGroup(op *plan.Node, children []*Group) *Group {
 	probe := *op
 	probe.Cols = g.Cols
 	g.Card = m.est.NodeCard(&probe, cards)
-	// Feedback: a high-confidence observed actual replaces the statistics
-	// estimate. Groups derive cardinality from their creating expression,
-	// so every downstream estimate (parent groups, implementation costs,
-	// phase-2 ship pricing) sees the corrected value.
-	if m.est.HasHints() {
-		kids := make([]plan.Subplan, len(children))
-		for i, c := range children {
-			kids[i] = c.fb
-		}
-		g.fb = plan.SubplanOf(op, kids)
-		if card, ok := m.est.CardHint(g.fb.Digest); ok {
-			g.Card = card
-		}
-	}
 	m.Groups = append(m.Groups, g)
 	return g
 }

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"cgdqp/internal/cost"
-	"cgdqp/internal/feedback"
 	"cgdqp/internal/memo"
-	"cgdqp/internal/network"
-	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/rules"
@@ -73,64 +70,5 @@ func TestJoinSignatureInvariants(t *testing.T) {
 		if m.DigestConflicts != 0 {
 			t.Errorf("q%d: %d rule outputs landed outside their target group", qi, m.DigestConflicts)
 		}
-	}
-}
-
-// TestFeedbackDigestAgreement: whatever plan the optimizer picks — any
-// join order, index paths, reorder and merged projections, shipments —
-// every digest RecordExecution files for it is the feedback identity of
-// a group of that optimization's memo, so the next optimization finds
-// the actual. Every operator is given an actual far enough off its
-// estimate to activate a hint, which makes "filed" observable as
-// "CardHint answers".
-func TestFeedbackDigestAgreement(t *testing.T) {
-	cat := tpch.NewCatalog(0.01)
-	net := network.FiveRegionWAN(cat.Locations())
-	pc := workload.NewPolicyGen(1002, cat.Locations()).Generate(workload.SetCRA, 25)
-	hints := feedback.NewStore() // attached so digests are built; never fed
-	opt := optimizer.New(cat, pc, net, optimizer.Options{Compliant: true})
-	opt.SetFeedback(hints)
-	joins := 0
-	for qi, sql := range goldenAndGenerated() {
-		res, err := opt.OptimizeSQL(sql)
-		if err != nil {
-			t.Fatalf("q%d: %v", qi, err)
-		}
-		prof := obs.NewPlanProfile()
-		res.Plan.Walk(func(n *plan.Node) bool {
-			st := prof.Stats(n)
-			st.Opens.Store(1)
-			st.Rows.Store(int64(n.Card)*10 + 10)
-			if n.Kind.Canon() == plan.Join {
-				joins++
-			}
-			return true
-		})
-		filed := feedback.NewStore()
-		feedback.RecordExecution(filed, res.Plan, prof)
-
-		logical, err := sqlparse.ParseAndBind(sql, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		norm := optimizer.Normalize(logical)
-		est := cost.NewEstimator(norm)
-		est.SetHints(hints)
-		m := memo.New(est)
-		m.InsertTree(norm)
-		m.Explore(ruleSet)
-		known := map[string]bool{}
-		for _, g := range m.Groups {
-			if _, ok := filed.CardHint(g.FeedbackDigest()); ok {
-				known[g.FeedbackDigest()] = true
-			}
-		}
-		if sum := filed.Summary(); sum.Tracked == 0 || sum.ActiveHints != sum.Tracked || len(known) != sum.Tracked {
-			t.Errorf("q%d: %d digests filed, %d active, %d of them name a memo group\n%s\n%s",
-				qi, sum.Tracked, sum.ActiveHints, len(known), sql, res.Plan.Format(false))
-		}
-	}
-	if joins < 40 {
-		t.Fatalf("only %d joins executed: the workload no longer exercises join identities", joins)
 	}
 }

@@ -22,9 +22,6 @@ type CostModel struct {
 	alpha map[string]float64 // "from>to" -> startup ms
 	beta  map[string]float64 // "from>to" -> ms per byte
 
-	// byteScale converts optimizer size estimates into expected wire
-	// bytes (see EstShipCost); 1 is neutral.
-	byteScale float64
 	// version counts price changes; plan caches key on it.
 	version atomic.Uint64
 
@@ -39,7 +36,6 @@ func NewCostModel(defaultAlpha, defaultBeta float64) *CostModel {
 	return &CostModel{
 		alpha:        map[string]float64{},
 		beta:         map[string]float64{},
-		byteScale:    1,
 		DefaultAlpha: defaultAlpha,
 		DefaultBeta:  defaultBeta,
 	}
@@ -48,9 +44,9 @@ func NewCostModel(defaultAlpha, defaultBeta float64) *CostModel {
 func edgeKey(from, to string) string { return from + ">" + to }
 
 // Version returns the number of price changes so far: it moves exactly
-// when SetEdge or SetByteScale changes what ShipCost or EstShipCost
-// returns, so a plan priced under version v is still priced right while
-// Version() == v. It is an atomic load.
+// when SetEdge changes what ShipCost returns, so a plan priced under
+// version v is still priced right while Version() == v. It is an atomic
+// load.
 func (m *CostModel) Version() uint64 { return m.version.Load() }
 
 // SetEdge records α and β for a directed edge.
@@ -99,37 +95,6 @@ func (m *CostModel) ShipCost(from, to string, bytes float64) float64 {
 		return 0
 	}
 	return m.Alpha(from, to) + m.Beta(from, to)*bytes
-}
-
-// SetByteScale installs the calibrated wire-bytes-per-estimated-byte
-// ratio used by EstShipCost. Zero or negative resets to the neutral 1.
-func (m *CostModel) SetByteScale(s float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s <= 0 {
-		s = 1
-	}
-	if s == m.byteScale {
-		return // same price: the version must not move
-	}
-	m.byteScale = s
-	m.version.Add(1)
-}
-
-// ByteScale returns the calibrated estimate scale (1 when never set).
-func (m *CostModel) ByteScale() float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.byteScale
-}
-
-// EstShipCost prices a transfer whose size is an optimizer estimate
-// (rows × schema widths) rather than measured wire bytes: the estimate
-// is scaled by the calibrated encoding ratio first. With no calibration
-// applied this is exactly ShipCost, so plan choices (and their golden
-// snapshots) only move when a calibration is installed deliberately.
-func (m *CostModel) EstShipCost(from, to string, bytes float64) float64 {
-	return m.ShipCost(from, to, bytes*m.ByteScale())
 }
 
 // FiveRegionWAN builds a deterministic wide-area profile for up to five

@@ -126,3 +126,30 @@ func TestShipCostMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCostModelVersion: the version moves exactly when a price changes.
+func TestCostModelVersion(t *testing.T) {
+	m := NewCostModel(10, 0.001)
+	v := m.Version()
+	step := func(what string, moved bool) {
+		t.Helper()
+		want := v
+		if moved {
+			want++
+		}
+		if got := m.Version(); got != want {
+			t.Fatalf("%s: version %d, want %d", what, got, want)
+		}
+		v = want
+	}
+	m.SetEdge("A", "B", 5, 0.002)
+	step("new edge", true)
+	m.SetEdge("A", "B", 5, 0.002)
+	step("same edge again", false)
+	m.SetEdge("A", "B", 6, 0.002)
+	step("repriced edge", true)
+	m.SetEdge("A", "B", 6, 0.003)
+	step("new beta", true)
+	m.SetEdge("B", "A", 6, 0.003)
+	step("reverse edge", true)
+}

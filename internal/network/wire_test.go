@@ -241,22 +241,3 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	})
 }
-
-// TestCalibratorFit: the calibrator must install the observed encoding
-// ratio as its model's byte scale, which re-prices estimates but not
-// measured shipments.
-func TestCalibratorFit(t *testing.T) {
-	m := NewCostModel(10, 0.5)
-	cal := NewCalibrator(m, 2)
-	cal.ObserveEncoding(1000, 700)
-	cal.ObserveEncoding(1000, 500)
-	if r := m.ByteScale(); math.Abs(r-0.6) > 1e-9 {
-		t.Fatalf("ratio = %v, want 0.6", r)
-	}
-	if got := m.EstShipCost("EU", "AS", 1000); math.Abs(got-(10+0.5*600)) > 1e-9 {
-		t.Fatalf("EstShipCost = %v", got)
-	}
-	if got, want := m.ShipCost("EU", "AS", 1000), 10+0.5*1000.0; got != want {
-		t.Fatalf("ShipCost changed under calibration: %v want %v", got, want)
-	}
-}

@@ -70,9 +70,8 @@ func (p *PlanProfile) Stats(n *plan.Node) *OpStats {
 }
 
 // Peek reads a node's stats without creating them; nil means the
-// operator never ran (e.g. a pruned inner side). Consumers such as the
-// feedback recorder use it to distinguish "produced zero rows" from
-// "never executed".
+// operator never ran (e.g. a pruned inner side), as distinct from one
+// that produced zero rows.
 func (p *PlanProfile) Peek(n *plan.Node) *OpStats { return p.lookup(n) }
 
 // lookup reads a node's stats without creating them.

@@ -180,7 +180,9 @@ func TestVersionGauges(t *testing.T) {
 	}
 	optimize(false)
 	optimize(true)
-	net.SetByteScale(1.5) // a price change: cached plans are unreachable
+	locs := sc.Locations()
+	from, to := locs[0], locs[1]
+	net.SetEdge(from, to, net.Alpha(from, to)*2, net.Beta(from, to)) // a price change: cached plans are unreachable
 	optimize(false)
 	optimize(true)
 	pc.Add(policy.MustParse("ship k from decoy to *", "decoy", "db-decoy"))

@@ -88,11 +88,6 @@ type Optimizer struct {
 	// (latency histogram, plan-cache and policy-cache gauges). nil
 	// disables observation. Set it before sharing the optimizer.
 	obsv *obs.Observer
-
-	// fb supplies observed-cardinality hints and the feedback epoch
-	// (nil = feedback off; estimates come from statistics alone). Set it
-	// before sharing the optimizer.
-	fb FeedbackSource
 }
 
 type locationList struct {
@@ -100,42 +95,23 @@ type locationList struct {
 	list      []string
 }
 
-// FeedbackSource supplies the optimizer's consumption of the feedback
-// telemetry store: observed-cardinality overrides for canonical subplan
-// digests, and an epoch whose movement means re-optimization could
-// produce a different plan (a hint activated or drifted).
-type FeedbackSource interface {
-	cost.CardHints
-	Epoch() uint64
-}
-
 // SetObserver installs the observability sinks optimizations report
 // into (nil disables). Like the catalogs, configure before concurrent
 // use starts.
 func (o *Optimizer) SetObserver(obsv *obs.Observer) { o.obsv = obsv }
 
-// SetFeedback installs the feedback source consulted during costing
-// (nil disables). Like the catalogs, configure before concurrent use
-// starts.
-func (o *Optimizer) SetFeedback(fb FeedbackSource) { o.fb = fb }
-
 // cacheKey builds the plan-cache key of a normalized-plan digest — the
 // only place one is built. Each version is an atomic load from the
 // state's owner, so a change made through any handle on the schema
-// catalog (tables, statistics, indexes), the policy catalog, the cost
-// model or the feedback store is observed here without anyone having to
-// tell the optimizer.
+// catalog (tables, statistics, indexes), the policy catalog or the cost
+// model is observed here without anyone having to tell the optimizer.
 func (o *Optimizer) cacheKey(planDigest string) planCacheKey {
-	k := planCacheKey{
+	return planCacheKey{
 		planDigest: planDigest,
 		schemaVer:  o.Schema.Version(),
 		policyVer:  o.Policies.Version(),
 		costVer:    o.Net.Version(),
 	}
-	if o.fb != nil {
-		k.fbEpoch = o.fb.Epoch()
-	}
-	return k
 }
 
 // New builds an optimizer over the given catalogs and network model.
@@ -383,12 +359,12 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 }
 
 // explore returns the explored memo of a normalized plan: with the plan
-// cache on, the one stored under the key's digest, schema version and
-// feedback epoch when there is one (the bool reports that), otherwise a
-// fresh exploration, then stored. Two concurrent misses may both
-// explore; the scheduler already coalesces identical optimizations.
+// cache on, the one stored under the key's digest and schema version
+// when there is one (the bool reports that), otherwise a fresh
+// exploration, then stored. Two concurrent misses may both explore; the
+// scheduler already coalesces identical optimizations.
 func (o *Optimizer) explore(norm *plan.Node, key planCacheKey) (*explored, bool) {
-	ek := exploreKey{planDigest: key.planDigest, schemaVer: key.schemaVer, fbEpoch: key.fbEpoch}
+	ek := exploreKey{planDigest: key.planDigest, schemaVer: key.schemaVer}
 	if o.planCache != nil {
 		if x, ok := o.planCache.getExplored(ek); ok {
 			return x, true
@@ -397,9 +373,6 @@ func (o *Optimizer) explore(norm *plan.Node, key planCacheKey) (*explored, bool)
 	est := cost.NewEstimator(norm)
 	if o.Opts.PoolBytes > 0 {
 		est.SetPoolBytes(o.Opts.PoolBytes)
-	}
-	if o.fb != nil {
-		est.SetHints(o.fb)
 	}
 	m := memo.New(est)
 	if o.Opts.MaxExprs > 0 {
@@ -559,7 +532,7 @@ func greedySelectSites(root *plan.Node, net *network.CostModel, resultLoc string
 		for _, l := range cands {
 			c := 0.0
 			for i, child := range n.Children {
-				c += net.EstShipCost(childLocs[i], l, child.Card*child.RowWidth())
+				c += net.ShipCost(childLocs[i], l, child.Card*child.RowWidth())
 			}
 			if bestCost < 0 || c < bestCost {
 				bestCost, bestLoc = c, l

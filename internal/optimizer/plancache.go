@@ -14,7 +14,7 @@ import (
 // logical plan (its digest covers operators, predicates, projections and
 // fragment bindings) and the version of each piece of state a plan is
 // derived from — schema catalog (tables, statistics, indexes), policy
-// catalog, cost model, feedback hints — each read from its owner (see
+// catalog, cost model — each read from its owner (see
 // Optimizer.cacheKey). The options that shape the output are not in it:
 // a cache belongs to one Optimizer, whose options never change. A plan
 // cached under other versions is simply unreachable; nobody has to
@@ -24,7 +24,6 @@ type planCacheKey struct {
 	schemaVer  uint64
 	policyVer  uint64
 	costVer    uint64
-	fbEpoch    uint64
 }
 
 // planCacheEntry records everything Optimize would recompute. Trees are
@@ -45,13 +44,12 @@ type planCacheEntry struct {
 }
 
 // exploreKey identifies one exploration: the normalized plan and the
-// state exploration reads — statistics (schema version) and feedback
-// hints (epoch). Policies and prices are not in it: only Implement and
-// site selection read them, so an explored memo outlives their changes.
+// state exploration reads — statistics (schema version). Policies and
+// prices are not in it: only Implement and site selection read them, so
+// an explored memo outlives their changes.
 type exploreKey struct {
 	planDigest string
 	schemaVer  uint64
-	fbEpoch    uint64
 }
 
 // explored is one query shape's exploration: a sealed memo, which any

@@ -114,13 +114,12 @@ func (ss *siteSelector) costOf(n *plan.Node, l string) float64 {
 }
 
 // shipCost prices moving a node's output between sites using the message
-// cost model α + β·bytes with bytes = |rows| × row width, scaled by the
-// calibrated estimate-to-wire-bytes ratio when one is installed.
+// cost model α + β·bytes with bytes = |rows| × row width.
 func (ss *siteSelector) shipCost(n *plan.Node, from, to string) float64 {
 	if from == to {
 		return 0
 	}
-	return ss.net.EstShipCost(from, to, n.Card*n.RowWidth())
+	return ss.net.ShipCost(from, to, n.Card*n.RowWidth())
 }
 
 // assign walks the DP choices, sets Loc on every operator and inserts
@@ -150,7 +149,7 @@ func ShippingCost(root *plan.Node, net *network.CostModel) float64 {
 	root.Walk(func(n *plan.Node) bool {
 		if n.Kind == plan.Ship {
 			child := n.Children[0]
-			total += net.EstShipCost(n.FromLoc, n.ToLoc, child.Card*child.RowWidth())
+			total += net.ShipCost(n.FromLoc, n.ToLoc, child.Card*child.RowWidth())
 		}
 		return true
 	})

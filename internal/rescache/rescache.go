@@ -93,7 +93,7 @@ type Fill struct {
 // located physical plan — operators, predicates, fragment bindings and
 // every SHIP edge — plus the root execution site and the caller's
 // options fingerprint. Keying on the *physical* plan (not the SQL text)
-// means a statistics or calibration change that alters plan choice
+// means a statistics or price change that alters plan choice
 // simply keys new entries, so replayed statistics always describe the
 // plan actually being executed.
 func Prepare(located *plan.Node, opts string, view View) *Fill {

@@ -6,7 +6,6 @@ import (
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
-	"cgdqp/internal/feedback"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
@@ -14,12 +13,12 @@ import (
 )
 
 // Lifecycle is the system's one query path — plan → probe → execute
-// (which fills the result cache and records feedback) → note — and the
-// only code that performs those steps. System.Query and ExplainAnalyze
-// call the steps back to back; a Server calls the same steps and wraps
-// what is the scheduler's own around them: admission and the worker pool
-// in front, the optimization singleflight around Plan, the execution
-// singleflight around Execute.
+// (which fills the result cache) → note — and the only code that
+// performs those steps. System.Query and ExplainAnalyze call the steps
+// back to back; a Server calls the same steps and wraps what is the
+// scheduler's own around them: admission and the worker pool in front,
+// the optimization singleflight around Plan, the execution singleflight
+// around Execute.
 type Lifecycle struct {
 	Opt     *optimizer.Optimizer
 	Cluster *cluster.Cluster
@@ -31,10 +30,8 @@ type Lifecycle struct {
 	View  rescache.View
 	// Exec are the execution options.
 	Exec executor.ExecOptions
-	// Feedback receives per-operator actuals, SlowLog one JSON line per
-	// slow query (both may be nil).
-	Feedback *feedback.Store
-	SlowLog  *feedback.SlowQueryLog
+	// SlowLog receives one JSON line per slow query (nil = off).
+	SlowLog *obs.SlowQueryLog
 }
 
 // Query is one statement on its way through the lifecycle.
@@ -52,8 +49,8 @@ type Query struct {
 	// one.
 	Coalesced bool
 
-	fill  *rescache.Fill      // set by Probe: Execute fills the cache under it
-	qerrs []feedback.OpQError // set by Execute when telemetry is on
+	fill  *rescache.Fill // set by Probe: Execute fills the cache under it
+	qerrs []obs.OpQError // set by Execute when the slow-query log is on
 }
 
 // Plan parses, binds and optimizes a statement into a compliant located
@@ -111,8 +108,8 @@ func (lc *Lifecycle) replay(recs []obs.AuditRecord) {
 // audit records. A probed query captures its audit records privately
 // (replayed into the shared log on success) and fills the cache. A
 // per-operator profile is installed when the caller brings one (EXPLAIN
-// ANALYZE) or the feedback loop or slow-query log needs actuals — after
-// the cache gate, so cache-served queries never pay for profiling.
+// ANALYZE) or the slow-query log needs actuals — after the cache gate,
+// so cache-served queries never pay for profiling.
 func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfile) (*rescache.Result, error) {
 	runObs := lc.Obs
 	var capture *obs.AuditLog
@@ -120,8 +117,7 @@ func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfil
 		capture = obs.NewAuditLog()
 		runObs = runObs.WithAudit(capture)
 	}
-	telemetry := lc.Feedback != nil || lc.SlowLog != nil
-	if prof == nil && telemetry {
+	if prof == nil && lc.SlowLog != nil {
 		prof = obs.NewPlanProfile()
 	}
 	if prof != nil {
@@ -139,8 +135,8 @@ func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfil
 	if q.fill != nil {
 		lc.Cache.Put(q.fill, rows, q.Columns, *stats, r.Audit, q.EstShipCost)
 	}
-	if telemetry {
-		q.qerrs = feedback.RecordExecution(lc.Feedback, q.Root, prof)
+	if lc.SlowLog != nil {
+		q.qerrs = prof.QErrors(q.Root)
 	}
 	return r, nil
 }
@@ -169,16 +165,16 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 	if lc.SlowLog == nil {
 		return
 	}
-	disp := feedback.CacheOff
+	disp := obs.CacheOff
 	switch {
 	case hit:
-		disp = feedback.CacheHit
+		disp = obs.CacheHit
 	case q.fill != nil:
-		disp = feedback.CacheMiss
+		disp = obs.CacheMiss
 	}
-	lc.SlowLog.Maybe(time.Since(q.Start), feedback.QueryRecord{
-		SQLDigest:  feedback.ShortDigest(q.SQL),
-		PlanDigest: feedback.ShortDigest(q.Root.Digest()),
+	lc.SlowLog.Maybe(time.Since(q.Start), obs.QueryRecord{
+		SQLDigest:  obs.ShortDigest(q.SQL),
+		PlanDigest: obs.ShortDigest(q.Root.Digest()),
 		RowsOut:    r.Stats.RowsOut,
 		ShipBytes:  r.Stats.ShippedBytes,
 		ShipCostMS: r.Stats.ShipCost,

@@ -13,8 +13,8 @@ import (
 
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/expr"
-	"cgdqp/internal/feedback"
 	"cgdqp/internal/leakcheck"
+	"cgdqp/internal/obs"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/rescache"
@@ -41,7 +41,7 @@ func TestSubmitSameQuerySingleExecution(t *testing.T) {
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
 	var slow bytes.Buffer
-	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl, SlowLog: feedback.NewSlowQueryLog(&slow, 0)}, Options{
+	srv := NewServer(Lifecycle{Opt: opt, Cluster: cl, SlowLog: obs.NewSlowQueryLog(&slow, 0)}, Options{
 		MaxConcurrent: 4,
 		ResultCache:   rescache.New(8 << 20),
 		CacheView:     cacheView(cl),
@@ -90,13 +90,13 @@ func TestSubmitSameQuerySingleExecution(t *testing.T) {
 	// execution answered them.
 	digests := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
-		var rec feedback.QueryRecord
+		var rec obs.QueryRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("slow-query line: %v\n%s", err, line)
 		}
 		digests[rec.PlanDigest]++
 	}
-	if len(digests) != 1 || digests[""] != 0 || digests[feedback.ShortDigest(mustPlanDigest(t, opt))] != n {
+	if len(digests) != 1 || digests[""] != 0 || digests[obs.ShortDigest(mustPlanDigest(t, opt))] != n {
 		t.Fatalf("plan digests logged for %d submissions of one query: %v", n, digests)
 	}
 }

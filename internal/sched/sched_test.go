@@ -15,7 +15,6 @@ import (
 	"cgdqp/internal/cluster"
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
-	"cgdqp/internal/feedback"
 	"cgdqp/internal/leakcheck"
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
@@ -622,17 +621,16 @@ func TestCloseDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestServerFeedbackTelemetry runs a server whose lifecycle has a
-// feedback store and a zero-threshold slow log: executions must feed
-// operator actuals and emit parseable slow-log lines.
-func TestServerFeedbackTelemetry(t *testing.T) {
+// TestServerSlowQueryLog runs a server whose lifecycle has a
+// zero-threshold slow log: every execution must emit a parseable
+// slow-log line carrying its operators' q-errors.
+func TestServerSlowQueryLog(t *testing.T) {
 	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
 	opt := carcoOptimizer(t, cat, cl, optimizer.Options{})
-	fb := feedback.NewStore()
 	var buf bytes.Buffer // writes serialized under the log's own mutex
-	slow := feedback.NewSlowQueryLog(&buf, 0)
-	s := NewServer(Lifecycle{Opt: opt, Cluster: cl, Feedback: fb, SlowLog: slow}, Options{MaxConcurrent: 2})
+	slow := obs.NewSlowQueryLog(&buf, 0)
+	s := NewServer(Lifecycle{Opt: opt, Cluster: cl, SlowLog: slow}, Options{MaxConcurrent: 2})
 	for i := 0; i < 3; i++ {
 		if _, err := s.Do(context.Background(), countQuery); err != nil {
 			t.Fatal(err)
@@ -640,17 +638,17 @@ func TestServerFeedbackTelemetry(t *testing.T) {
 	}
 	s.Close()
 
-	if fb.Summary().Tracked == 0 {
-		t.Fatal("no operator actuals recorded")
-	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("slow-log lines = %d, want 3", len(lines))
 	}
 	for _, line := range lines {
-		var rec feedback.QueryRecord
+		var rec obs.QueryRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.SQLDigest == "" {
 			t.Fatalf("slow-log line %q: %v", line, err)
+		}
+		if len(rec.QErrors) == 0 {
+			t.Fatalf("slow-log line %q reports no operator actuals", line)
 		}
 	}
 }

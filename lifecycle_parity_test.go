@@ -49,7 +49,7 @@ func renderAnswer(rows []Row, bytes int64, cost float64, retries int64, cached b
 // System.Serve run one lifecycle: the same statements leave the same
 // rows, statistics, cache dispositions, audit log, slow-query records
 // and query/store metrics behind, with the result cache off, cold and
-// warm, with and without the feedback loop.
+// warm.
 func TestLifecycleParity(t *testing.T) {
 	stmts := []string{rcJoinQuery, rcAggQuery, rcJoinQuery, rcLocalQuery, rcAggQuery, rcJoinQuery}
 	observe := func(t *testing.T, opts Options, served bool) lifecycleRun {
@@ -94,48 +94,44 @@ func TestLifecycleParity(t *testing.T) {
 	}
 
 	for _, cache := range []int64{0, 1 << 20} {
-		for _, fb := range []bool{false, true} {
-			t.Run(fmt.Sprintf("cache=%d/feedback=%v", cache, fb), func(t *testing.T) {
-				opts := Options{ResultCacheBytes: cache, Feedback: fb}
-				direct, served := observe(t, opts, false), observe(t, opts, true)
-				for i := range stmts {
-					if direct.answers[i] != served.answers[i] {
-						t.Errorf("statement %d (%s):\nQuery:\n%s\nServe:\n%s", i, stmts[i], direct.answers[i], served.answers[i])
-					}
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			opts := Options{ResultCacheBytes: cache}
+			direct, served := observe(t, opts, false), observe(t, opts, true)
+			for i := range stmts {
+				if direct.answers[i] != served.answers[i] {
+					t.Errorf("statement %d (%s):\nQuery:\n%s\nServe:\n%s", i, stmts[i], direct.answers[i], served.answers[i])
 				}
-				if direct.audit == "" || direct.audit != served.audit {
-					t.Errorf("audit logs differ:\nQuery:\n%s\nServe:\n%s", direct.audit, served.audit)
+			}
+			if direct.audit == "" || direct.audit != served.audit {
+				t.Errorf("audit logs differ:\nQuery:\n%s\nServe:\n%s", direct.audit, served.audit)
+			}
+			if len(direct.slow) != len(stmts) || len(served.slow) != len(stmts) {
+				t.Fatalf("slow-query lines: Query %d, Serve %d, want %d", len(direct.slow), len(served.slow), len(stmts))
+			}
+			for i := range stmts {
+				if direct.slow[i] != served.slow[i] {
+					t.Errorf("slow-query record %d:\nQuery: %s\nServe: %s", i, direct.slow[i], served.slow[i])
 				}
-				if len(direct.slow) != len(stmts) || len(served.slow) != len(stmts) {
-					t.Fatalf("slow-query lines: Query %d, Serve %d, want %d", len(direct.slow), len(served.slow), len(stmts))
+				if strings.Contains(served.slow[i], `"plan_digest":""`) {
+					t.Errorf("served record %d has no plan digest: %s", i, served.slow[i])
 				}
-				for i := range stmts {
-					if direct.slow[i] != served.slow[i] {
-						t.Errorf("slow-query record %d:\nQuery: %s\nServe: %s", i, direct.slow[i], served.slow[i])
-					}
-					if strings.Contains(served.slow[i], `"plan_digest":""`) {
-						t.Errorf("served record %d has no plan digest: %s", i, served.slow[i])
-					}
-				}
-				if direct.queries != int64(len(stmts)) || served.queries != direct.queries {
-					t.Errorf("cgdqp_queries_total{ok}: Query %d, Serve %d, want %d", direct.queries, served.queries, len(stmts))
-				}
-				if direct.pool == 0 || served.pool == 0 {
-					t.Errorf("store-pool gauges not published: Query %v, Serve %v", direct.pool, served.pool)
-				}
-				// The sequence repeats statements, so without feedback
-				// re-planning the repeats are exactly the cache hits.
-				if !fb {
-					want := 0
-					if cache > 0 {
-						want = 3
-					}
-					if hits := strings.Count(strings.Join(served.answers, "\n"), "cached=true"); hits != want {
-						t.Errorf("%d cache hits, want %d", hits, want)
-					}
-				}
-			})
-		}
+			}
+			if direct.queries != int64(len(stmts)) || served.queries != direct.queries {
+				t.Errorf("cgdqp_queries_total{ok}: Query %d, Serve %d, want %d", direct.queries, served.queries, len(stmts))
+			}
+			if direct.pool == 0 || served.pool == 0 {
+				t.Errorf("store-pool gauges not published: Query %v, Serve %v", direct.pool, served.pool)
+			}
+			// The sequence repeats statements: the repeats are
+			// exactly the cache hits.
+			want := 0
+			if cache > 0 {
+				want = 3
+			}
+			if hits := strings.Count(strings.Join(served.answers, "\n"), "cached=true"); hits != want {
+				t.Errorf("%d cache hits, want %d", hits, want)
+			}
+		})
 	}
 }
 
