@@ -66,13 +66,15 @@ benchgate:
 	bash benchmark/run.sh compare testdata/bench/baseline.json .bench_build/gate.json
 
 # Short fuzzing pass over the SQL and policy parsers, the compiled
-# kernel / interpreter parity harness, the wire-format decoder, the
-# storage engine's page decoder and B+ tree, and the LRU against its
-# reference model (10s per target).
+# kernel / interpreter parity harness, the soundness of the predicate
+# implication test, the wire-format decoder, the storage engine's page
+# decoder and B+ tree, and the LRU against its reference model (10s
+# per target).
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseSQL -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run NONE -fuzz FuzzParsePolicy -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run NONE -fuzz FuzzKernelParity -fuzztime 10s ./internal/expr
+	$(GO) test -run NONE -fuzz FuzzImpliesSound -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz FuzzWireDecode -fuzztime 10s ./internal/network
 	$(GO) test -run NONE -fuzz FuzzPageDecode -fuzztime 10s ./internal/store
 	$(GO) test -run NONE -fuzz FuzzBTreeOps -fuzztime 10s ./internal/store

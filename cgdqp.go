@@ -45,6 +45,7 @@ import (
 	"cgdqp/internal/sched"
 	"cgdqp/internal/schema"
 	"cgdqp/internal/sqlparse"
+	"cgdqp/internal/store"
 )
 
 // Value is a scalar value; Row is one tuple.
@@ -88,6 +89,16 @@ func Col(name string, t Type) Column { return Column{Name: name, Type: t} }
 // under the registered policies.
 var ErrNoCompliantPlan = optimizer.ErrNoCompliantPlan
 
+// ErrColumnType is returned by Load when a row holds a non-NULL value
+// of another type than its column's: the whole batch is refused, and
+// the table and its data epoch stay as they were.
+var ErrColumnType = store.ErrColumnType
+
+// ErrIncomparable is returned by Explain, Legal, Query and AddPolicy
+// when a predicate compares values of types that cannot be ordered
+// against each other (an INT column with a VARCHAR literal, say).
+var ErrIncomparable = expr.ErrIncomparable
+
 // Fault-injection types re-exported for chaos configuration: a
 // FaultPlan (Options.Faults) makes the simulated WAN misbehave
 // deterministically under a seed, and the shipping layer retries under
@@ -122,8 +133,6 @@ type Options struct {
 	// schema does not have fails every query with a configuration error,
 	// not ErrNoCompliantPlan.
 	ResultLocation string
-	// MaxExprs bounds the optimizer's search (0 = default).
-	MaxExprs int
 	// Parallel is ignored: every SHIP runs its producing fragment on
 	// its own goroutine. The field stays so that callers which set it
 	// still compile.
@@ -458,7 +467,10 @@ func (s *System) PolicyList() []string {
 	return out
 }
 
-// Load inserts rows into a table (fragment 0).
+// Load inserts rows into a table (fragment 0). Every non-NULL value
+// must have its column's type — a DOUBLE is not an INT, nothing is
+// coerced — or the whole batch is refused with ErrColumnType; a NULL
+// is stored as a NULL of its column's type.
 func (s *System) Load(table string, rows []Row) error {
 	return s.LoadFragment(table, 0, rows)
 }
@@ -595,7 +607,6 @@ func (s *System) Optimizer() *optimizer.Optimizer {
 		s.lc.Opt = optimizer.New(s.Schema, s.Policies, s.network(), optimizer.Options{
 			Compliant:      true,
 			ResultLocation: s.opts.ResultLocation,
-			MaxExprs:       s.opts.MaxExprs,
 			PlanCacheSize:  pcs,
 			PoolBytes:      s.opts.BufferPoolBytes,
 		})

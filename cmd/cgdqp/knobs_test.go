@@ -14,7 +14,7 @@ import (
 // change shows up in review; ROADMAP item 12 quotes their lengths.
 var (
 	wantOptions = []string{
-		"ResultLocation", "MaxExprs", "Parallel", "Faults", "PlanCacheSize",
+		"ResultLocation", "Parallel", "Faults", "PlanCacheSize",
 		"Trace", "Metrics", "Audit", "NoVectorKernels", "ResultCacheBytes",
 		"SlowQueryLog", "SlowQueryThreshold", "DataDir", "BufferPoolBytes", "Fsync",
 	}

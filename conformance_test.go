@@ -361,59 +361,61 @@ func TestConformanceStoreAxis(t *testing.T) {
 	t.Logf("pager axis: %d compared runs", compared)
 }
 
-// newFallbackSystem builds a two-site system loaded with NULL-heavy,
-// lane-impure data: every column mixes in untyped NULLs, and a band in
-// the middle of Events plants values of the wrong type in the id and
-// val lanes. Batches from that band cannot build column vectors, so the
-// vectorized operators demote exactly those chunks to the row
-// interpreter while the surrounding chunks stay columnar — the
-// mixed-path regime the null-free, lane-pure TPC-H data never reaches.
+// newFallbackSystem builds a two-site system loaded with NULL-heavy
+// data of declared types: every column mixes in NULLs, and the idf and
+// vali columns, NULL outside a band in the middle of Events (and a few
+// Users rows), hold the other-lane values that fallbackViews swaps in —
+// a DOUBLE id, an INTEGER val. Batches from that band cannot build
+// column vectors, so the vectorized operators demote exactly those
+// chunks to the row interpreter while the surrounding chunks stay
+// columnar — the mixed-path regime the null-free TPC-H data never
+// reaches.
 func newFallbackSystem(interp bool) *System {
 	sys := NewSystemWith(Options{NoVectorKernels: interp, Audit: true})
 	sys.MustDefineTable("Users", "db-n", "NorthAmerica", 150,
-		Col("id", TInt), Col("name", TString))
+		Col("id", TInt), Col("name", TString), Col("idf", TFloat))
 	sys.MustDefineTable("Events", "db-e", "Europe", 2600,
 		Col("id", TInt), Col("grp", TString), Col("val", TFloat),
-		Col("qty", TInt), Col("note", TString))
+		Col("qty", TInt), Col("note", TString), Col("idf", TFloat), Col("vali", TInt))
 	sys.MustAddPolicy("ship * from Users to *")
 	sys.MustAddPolicy("ship * from Events to *")
 
 	var uRows []Row
 	for i := 0; i < 150; i++ {
-		id := Int(int64(i % 97))
+		id, idf := Int(int64(i%97)), Null()
 		switch {
 		case i%10 == 0:
 			id = Null()
 		case i%19 == 0:
-			id = Float(float64(i % 97)) // float in the int lane
+			idf = Float(float64(i % 97)) // float in the int lane
 		}
 		name := String(fmt.Sprintf("user-%03d", i%60))
 		if i%8 == 0 {
 			name = Null()
 		}
-		uRows = append(uRows, Row{id, name})
+		uRows = append(uRows, Row{id, name, idf})
 	}
 	notes := []string{"", "abc", "abcabc", "xbry", "zzz", "BRASS"}
 	var eRows []Row
 	for i := 0; i < 2600; i++ {
-		impure := i >= 900 && i < 1700 // middle chunks demote, outer ones stay columnar
-		id := Int(int64(i % 97))
+		mixed := i >= 900 && i < 1700 // middle chunks demote, outer ones stay columnar
+		id, idf := Int(int64(i%97)), Null()
 		switch {
 		case i%11 == 0:
 			id = Null()
-		case impure && i%13 == 0:
-			id = Float(float64(i % 97))
+		case mixed && i%13 == 0:
+			idf = Float(float64(i % 97))
 		}
 		grp := String(fmt.Sprintf("g-%02d", i%23))
 		if i%7 == 0 {
 			grp = Null()
 		}
-		val := Float(float64(i%50) / 4)
+		val, vali := Float(float64(i%50)/4), Null()
 		switch {
 		case i%5 == 0:
 			val = Null()
-		case impure && i%17 == 0:
-			val = Int(int64(i % 50)) // int in the float lane
+		case mixed && i%17 == 0:
+			vali = Int(int64(i % 50)) // int in the float lane
 		}
 		qty := Int(int64(i%9 - 4))
 		if i%6 == 0 {
@@ -423,30 +425,41 @@ func newFallbackSystem(interp bool) *System {
 		if i%9 == 0 {
 			note = Null()
 		}
-		eRows = append(eRows, Row{id, grp, val, qty, note})
+		eRows = append(eRows, Row{id, grp, val, qty, note, idf, vali})
 	}
 	sys.MustLoad("Users", uRows)
 	sys.MustLoad("Events", eRows)
 	return sys
 }
 
+// fallbackViews are the derived tables the fallback queries read: Users
+// and Events with the idf and vali values swapped in where they are
+// set, so the id and val columns mix lanes in the middle band.
+const (
+	fallbackUsers = `(SELECT CASE WHEN U0.idf IS NULL THEN U0.id ELSE U0.idf END AS id, U0.name AS name
+		FROM Users U0) U`
+	fallbackEvents = `(SELECT CASE WHEN E0.idf IS NULL THEN E0.id ELSE E0.idf END AS id, E0.grp AS grp,
+		CASE WHEN E0.vali IS NULL THEN E0.val ELSE E0.vali END AS val, E0.qty AS qty, E0.note AS note
+		FROM Events E0) E`
+)
+
 // TestConformanceFallbackParity pins the columnar-vs-row axis where its
 // mechanisms actually diverge: chunks that demote to the interpreter
-// mid-stream (NULL-heavy and lane-impure data), NULL join keys and
-// group keys, and aggregates over mixed int/float lanes. Both
-// expression-path cells must match the interpreter reference byte for
-// byte — rows, shipping statistics and the audit log —
-// fault-free and under chaos seeds.
+// mid-stream (NULL-heavy data, computed columns mixing lanes), NULL
+// join keys and group keys, and aggregates over mixed int/float lanes.
+// Both expression-path cells must match the interpreter reference byte
+// for byte — rows, shipping statistics and the audit log — fault-free
+// and under chaos seeds.
 func TestConformanceFallbackParity(t *testing.T) {
 	queries := []struct{ name, sql string }{
-		{"filter-project", `SELECT E.id, E.val * 2 + 1 AS v, E.note FROM Events E
+		{"filter-project", `SELECT E.id, E.val * 2 + 1 AS v, E.note FROM ` + fallbackEvents + `
 			WHERE E.val > 3 AND E.note LIKE '%b%' ORDER BY E.id, v, E.note`},
-		{"join-residual", `SELECT U.name, E.val FROM Users U, Events E
+		{"join-residual", `SELECT U.name, E.val FROM ` + fallbackUsers + `, ` + fallbackEvents + `
 			WHERE U.id = E.id AND U.name > E.note ORDER BY U.name, E.val`},
 		{"group-agg", `SELECT E.grp, SUM(E.val) AS s, COUNT(*) AS n, MIN(E.qty) AS lo,
 			MAX(E.note) AS hi, AVG(E.val) AS a
-			FROM Events E GROUP BY E.grp ORDER BY E.grp`},
-		{"join-agg-limit", `SELECT U.name, SUM(E.val) AS s, COUNT(*) AS n FROM Users U, Events E
+			FROM ` + fallbackEvents + ` GROUP BY E.grp ORDER BY E.grp`},
+		{"join-agg-limit", `SELECT U.name, SUM(E.val) AS s, COUNT(*) AS n FROM ` + fallbackUsers + `, ` + fallbackEvents + `
 			WHERE U.id = E.id GROUP BY U.name ORDER BY U.name LIMIT 40`},
 	}
 

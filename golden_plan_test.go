@@ -10,6 +10,7 @@ import (
 	"cgdqp/internal/network"
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
+	"cgdqp/internal/policy"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
 )
@@ -32,6 +33,7 @@ func TestGoldenPlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", name, err)
 		}
+		wantDigestsRecompute(t, name, res.Plan)
 		got := res.Plan.Format(true)
 		path := filepath.Join("testdata", "plans", name+".golden")
 		if *updateGolden {
@@ -61,6 +63,31 @@ func TestGoldenPlans(t *testing.T) {
 			}
 			wantSortsSurface(t, name+" under "+string(set), tpch.Queries[name], res.Plan)
 		}
+	}
+}
+
+// wantDigestsRecompute asserts that the digest Analyzer.Describe builds
+// from its cached renderings, for every local-query subtree of the
+// plan, equals Query.Digest computed afresh from the descriptor's
+// fields: the evaluator cache is keyed on it.
+func wantDigestsRecompute(t *testing.T, label string, root *plan.Node) {
+	t.Helper()
+	a := policy.NewAnalyzer()
+	described := 0
+	root.Walk(func(n *plan.Node) bool {
+		q, ok := a.Describe(n)
+		if !ok {
+			return true
+		}
+		described++
+		fresh := &policy.Query{DB: q.DB, Home: q.Home, OutAttrs: q.OutAttrs, GroupBy: q.GroupBy, Pred: q.Pred, Aggregated: q.Aggregated}
+		if got, want := q.Digest(), fresh.Digest(); got != want {
+			t.Errorf("%s: %s subtree: Describe digest\n  %s\nrecomputed\n  %s", label, n.Kind, got, want)
+		}
+		return true
+	})
+	if described == 0 {
+		t.Errorf("%s: no subtree is a local query", label)
 	}
 }
 

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -377,26 +378,34 @@ func MatchLike(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
-// CheckComparisons type-checks every comparison and BETWEEN in e
-// against the rule Value.Compare applies at run time, with column types
-// from colType. The error names the first pair of operands Compare
-// would refuse and both their types. Operands of unknown type (TNull:
-// unresolved columns, NULL literals) pass.
+// ErrIncomparable marks a predicate that compares values of types
+// Value.Compare cannot order against each other.
+var ErrIncomparable = errors.New("expr: incomparable types")
+
+// CheckComparisons type-checks every comparison, BETWEEN and IN item in
+// e against the rule Value.Compare applies at run time, with column
+// types from colType. The error wraps ErrIncomparable and names the
+// first pair of operands Compare would refuse and both their types.
+// Operands of unknown type (TNull: unresolved columns, NULL literals)
+// pass.
 func CheckComparisons(e Expr, colType func(*Col) Type) error {
 	var err error
-	check := func(l Expr, r Expr) {
-		lt, rt := TypeOf(l, colType), TypeOf(r, colType)
-		if err == nil && lt != TNull && rt != TNull && !comparable(lt, rt) {
-			err = fmt.Errorf("expr: cannot compare %s (%s) with %s (%s)", l, lt, r, rt)
+	check := func(l Expr, r fmt.Stringer, rt Type) {
+		if lt := TypeOf(l, colType); err == nil && lt != TNull && rt != TNull && !comparable(lt, rt) {
+			err = fmt.Errorf("%w: cannot compare %s (%s) with %s (%s)", ErrIncomparable, l, lt, r, rt)
 		}
 	}
 	Walk(e, func(n Expr) bool {
 		switch n := n.(type) {
 		case *Cmp:
-			check(n.L, n.R)
+			check(n.L, n.R, TypeOf(n.R, colType))
 		case *Between:
-			check(n.E, NewConst(n.Lo))
-			check(n.E, NewConst(n.Hi))
+			check(n.E, &n.Lo, n.Lo.T)
+			check(n.E, &n.Hi, n.Hi.T)
+		case *In:
+			for i := range n.List {
+				check(n.E, &n.List[i], n.List[i].T)
+			}
 		}
 		return err == nil
 	})

@@ -233,3 +233,150 @@ func TestImpliesMonotonicityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzImpliesSound: Implies must be sound. The fuzz input drives a
+// generator of predicate pairs (P, Q) over T(A INT, B VARCHAR, C
+// DOUBLE) — comparisons, BETWEEN, IN lists with NULL items, LIKE, IS
+// [NOT] NULL, nested under AND and OR — and whenever Implies(P, Q)
+// holds, the row evaluator must find no row of a grid finer than the
+// generator's constants, NULLs included, where P is TRUE and Q is not.
+// The seeds are TestImpliesSoundnessProperty's single-column integer
+// range pairs.
+func FuzzImpliesSound(f *testing.F) {
+	for _, s := range [][4]uint8{{0, 0, 0, 0}, {1, 3, 3, 1}, {2, 2, 1, 6}, {4, 5, 3, 5}, {3, 4, 4, 4}, {1, 0, 2, 8}} {
+		f.Add(impliesSeed(s[0], s[1], s[2], s[3]))
+	}
+	res := SliceResolver([]string{"T.A", "T.B", "T.C"})
+	grid := impliesGrid()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &predGen{data: data}
+		p, q := g.pred(2), g.pred(2)
+		if !Implies(p, q) {
+			return
+		}
+		bp, bq := MustBind(Clone(p), res), MustBind(Clone(q), res)
+		for _, row := range grid {
+			pOK, err := EvalBool(bp, row)
+			if err != nil {
+				t.Fatalf("eval %s on %v: %v", p, row, err)
+			}
+			qOK, err := EvalBool(bq, row)
+			if err != nil {
+				t.Fatalf("eval %s on %v: %v", q, row, err)
+			}
+			if pOK && !qOK {
+				t.Fatalf("Implies(%s, %s) is true, but row %v satisfies the first and not the second", p, q, row)
+			}
+		}
+	})
+}
+
+// impliesSeed encodes TestImpliesSoundnessProperty's pair
+// (A op1 v1, A op2 v2), ops indexed into {=, <, <=, >, >=}, as
+// generator input.
+func impliesSeed(op1, v1, op2, v2 uint8) []byte {
+	ops := []uint8{uint8(EQ), uint8(LT), uint8(LE), uint8(GT), uint8(GE)}
+	return []byte{0, 0, 0, ops[op1%5], v1, 0, 0, 0, ops[op2%5], v2}
+}
+
+// Generator domains: constants are drawn from these, and impliesGrid's
+// rows from a finer superset, so a wrong implication always has a
+// witness row.
+var (
+	genStrings = []string{"a", "ab", "b", "ba"}
+	genLikes   = []string{"a%", "%b", "a_", "_b%", "%", "ab", "%a%"}
+)
+
+// genConst returns constant b of column c's domain: an integer in
+// [-4, 4] for A (or a half-step DOUBLE, a mixed numeric comparison),
+// a half-step DOUBLE in [-4, 4] for C, a string for B.
+func genConst(c int, b byte) Value {
+	switch {
+	case c == 1:
+		return NewString(genStrings[int(b)%len(genStrings)])
+	case c == 0 && b&0x80 == 0:
+		return NewInt(int64(b%9) - 4)
+	}
+	return NewFloat(float64(int(b%17)-8) / 2)
+}
+
+// impliesGrid is every row of A in [-5, 5], B in a superset of
+// genStrings with the strings between them, C in quarter steps over
+// [-5, 5], each column also NULL.
+func impliesGrid() []Row {
+	as := []Value{NullValue()}
+	for a := -5; a <= 5; a++ {
+		as = append(as, NewInt(int64(a)))
+	}
+	bs := []Value{NullValue()}
+	for _, s := range []string{"", "a", "aa", "ab", "abc", "b", "ba", "bb", "c"} {
+		bs = append(bs, NewString(s))
+	}
+	cs := []Value{NullValue()}
+	for k := -20; k <= 20; k++ {
+		cs = append(cs, NewFloat(float64(k)/4))
+	}
+	var rows []Row
+	for _, a := range as {
+		for _, b := range bs {
+			for _, c := range cs {
+				rows = append(rows, Row{a, b, c})
+			}
+		}
+	}
+	return rows
+}
+
+// predGen builds a predicate from fuzz bytes (zeros once they run out).
+type predGen struct {
+	data []byte
+	pos  int
+}
+
+func (g *predGen) next() byte {
+	if g.pos >= len(g.data) {
+		return 0
+	}
+	g.pos++
+	return g.data[g.pos-1]
+}
+
+// pred returns an atom, or an AND / OR of two predicates while depth
+// allows.
+func (g *predGen) pred(depth int) Expr {
+	switch k := g.next() % 4; {
+	case depth > 0 && k == 2:
+		return NewAnd(g.pred(depth-1), g.pred(depth-1))
+	case depth > 0 && k == 3:
+		return NewOr(g.pred(depth-1), g.pred(depth-1))
+	}
+	c := int(g.next() % 3)
+	column := col([]string{"A", "B", "C"}[c])
+	switch g.next() % 7 {
+	case 0:
+		return NewCmp(CmpOp(g.next()%6), column, NewConst(genConst(c, g.next())))
+	case 1:
+		return NewBetween(column, genConst(c, g.next()), genConst(c, g.next()))
+	case 2:
+		list := []Value{genConst(c, g.next())}
+		for n := g.next() % 4; n > 0; n-- {
+			if v := g.next(); v%5 == 0 {
+				list = append(list, NullValue())
+			} else {
+				list = append(list, genConst(c, v))
+			}
+		}
+		in := NewIn(column, list)
+		in.Negated = g.next()%4 == 0
+		return in
+	case 3:
+		like := NewLike(col("B"), genLikes[int(g.next())%len(genLikes)])
+		like.Negated = g.next()%4 == 0
+		return like
+	case 4:
+		return NewIsNull(column)
+	case 5:
+		return &IsNull{E: column, Negated: true}
+	}
+	return NewNot(NewCmp(CmpOp(g.next()%6), column, NewConst(genConst(c, g.next()))))
+}

@@ -4,6 +4,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -34,6 +35,9 @@ func allStacks() []byte {
 func Main(m *testing.M) {
 	base := runtime.NumGoroutine()
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		os.Exit(code) // the fuzzing engine's own goroutines outlive m.Run
+	}
 	if after := settle(base); code == 0 && after > base {
 		fmt.Fprintf(os.Stderr, "goroutine leak after the package's tests: %d before, %d after\n%s", base, after, allStacks())
 		code = 1

@@ -56,33 +56,56 @@ func (q *Query) Digest() string {
 	if q.digest != "" {
 		return q.digest
 	}
-	var b strings.Builder
-	b.WriteString(q.DB)
-	b.WriteByte('@')
-	b.WriteString(q.Home)
-	b.WriteByte('|')
 	keys := make([]string, len(q.OutAttrs))
 	for i, a := range q.OutAttrs {
 		keys[i] = a.Key()
 	}
-	sort.Strings(keys)
-	b.WriteString(strings.Join(keys, ","))
-	b.WriteByte('|')
 	gb := make([]string, len(q.GroupBy))
 	for i, a := range q.GroupBy {
 		gb[i] = a.Key()
 	}
-	sort.Strings(gb)
-	b.WriteString(strings.Join(gb, ","))
-	b.WriteByte('|')
+	pred := ""
 	if q.Pred != nil {
-		b.WriteString(q.Pred.String())
+		pred = q.Pred.String()
 	}
-	if q.Aggregated {
+	q.digest = digestKey(q.DB, q.Home, keys, gb, pred, q.Aggregated)
+	return q.digest
+}
+
+// digestKey is the one builder of Digest's key format from a
+// descriptor's parts: the output and grouping attribute keys (sorted in
+// place) and the predicate's rendering. Analyzer.Describe passes its
+// cached renderings, Digest computes them, so the two agree byte for
+// byte (the evaluator cache is keyed on it).
+func digestKey(db, home string, outKeys, groupKeys []string, pred string, aggregated bool) string {
+	n := len(db) + len(home) + len(pred) + 8
+	for _, k := range outKeys {
+		n += len(k) + 1
+	}
+	for _, k := range groupKeys {
+		n += len(k) + 1
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(db)
+	b.WriteByte('@')
+	b.WriteString(home)
+	for _, keys := range [][]string{outKeys, groupKeys} {
+		b.WriteByte('|')
+		sort.Strings(keys)
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(k)
+		}
+	}
+	b.WriteByte('|')
+	b.WriteString(pred)
+	if aggregated {
 		b.WriteString("|agg")
 	}
-	q.digest = b.String()
-	return q.digest
+	return b.String()
 }
 
 // term is the lineage of one output column: the base attributes it
@@ -239,48 +262,21 @@ func (a *Analyzer) Describe(n *plan.Node) (*Query, bool) {
 			add(OutAttr{Attr: Attr{Table: col.Table, Name: col.Name}})
 		}
 	}
-	// Precompute the digest from the cached per-conjunct renderings; the
-	// output must stay byte-identical to Query.Digest (the evaluator cache
-	// is keyed on it). AndAll folds left-associatively, so the predicate
-	// part mirrors that shape.
-	var b strings.Builder
-	b.Grow(128)
-	b.WriteString(st.db)
-	b.WriteByte('@')
-	b.WriteString(st.home)
-	b.WriteByte('|')
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-	}
-	b.WriteByte('|')
+	// The digest from the cached renderings. AndAll folds
+	// left-associatively, so the predicate rendering mirrors that shape.
 	var gbBuf [8]string
 	gb := gbBuf[:0]
 	for _, at := range st.groupBy {
 		gb = append(gb, a.attrKey(at))
 	}
-	sort.Strings(gb)
-	for i, k := range gb {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-	}
-	b.WriteByte('|')
+	pred := ""
 	if len(st.conjuncts) > 0 {
-		ps := a.exprString(st.conjuncts[0])
+		pred = a.exprString(st.conjuncts[0])
 		for _, c := range st.conjuncts[1:] {
-			ps = "(" + ps + " AND " + a.exprString(c) + ")"
+			pred = "(" + pred + " AND " + a.exprString(c) + ")"
 		}
-		b.WriteString(ps)
 	}
-	if st.aggregated {
-		b.WriteString("|agg")
-	}
-	q.digest = b.String()
+	q.digest = digestKey(st.db, st.home, keys, gb, pred, st.aggregated)
 	return q, true
 }
 

@@ -56,10 +56,14 @@ func (b *binder) bindSelect(stmt *SelectStmt) (*plan.Node, error) {
 		}
 	}
 
-	// WHERE: resolve column qualifiers, then filter on top.
+	// WHERE (JOIN ON folded in): resolve column qualifiers, type-check
+	// the comparisons, then filter on top.
 	if stmt.Where != nil {
 		resolved, err := b.resolveColumns(stmt.Where, tree)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkComparisons(resolved, tree); err != nil {
 			return nil, err
 		}
 		tree = plan.NewFilter(tree, resolved)
@@ -374,7 +378,29 @@ func (b *binder) bindAggregate(stmt *SelectStmt, items []SelectItem, tree *plan.
 		}
 	}
 	agg := plan.NewAggregate(tree, groupBy, aggs)
+	if having != nil {
+		if err := checkComparisons(having, agg); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	return agg, outItems, having, nil
+}
+
+// checkComparisons refuses a predicate that compares values of types
+// Value.Compare cannot order (expr.ErrIncomparable), with column types
+// from the scope's schema, so a query fails at bind, before optimizing,
+// rather than at run time or on some data only.
+func checkComparisons(pred expr.Expr, scope *plan.Node) error {
+	err := expr.CheckComparisons(pred, func(c *expr.Col) expr.Type {
+		if i := scope.ColIndex(c); i >= 0 {
+			return scope.Cols[i].Type
+		}
+		return expr.TNull
+	})
+	if err != nil {
+		return fmt.Errorf("sqlparse: %w", err)
+	}
+	return nil
 }
 
 // extractAggs replaces aggregate calls inside an expression with

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -217,4 +218,26 @@ func TestBindNoFrom(t *testing.T) {
 	if _, err := ParseAndBind("SELECT 1 FROM", testCatalog()); err == nil {
 		t.Error("missing FROM must fail")
 	}
+}
+
+// TestBindRefusesIncomparablePredicates: a WHERE, JOIN ON or HAVING
+// predicate comparing values Value.Compare cannot order — an IN item
+// included — fails at bind with expr.ErrIncomparable, whatever the data
+// would have been, while numeric cross-type comparisons bind.
+func TestBindRefusesIncomparablePredicates(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT C.name FROM Customer C WHERE C.custkey > 'abc'",
+		"SELECT C.name FROM Customer C WHERE C.custkey > 5 AND C.custkey > 'abc'",
+		"SELECT C.name FROM Customer C WHERE C.custkey IN (1, 'x')",
+		"SELECT C.name FROM Customer C WHERE C.name BETWEEN 1 AND 2",
+		"SELECT C.name FROM Customer C JOIN Orders O ON C.custkey = O.custkey AND C.name = O.ordkey",
+		"SELECT C.mktseg, COUNT(*) AS n FROM Customer C GROUP BY C.mktseg HAVING COUNT(*) > 'many'",
+		"SELECT X.k FROM (SELECT C.name AS k FROM Customer C) X WHERE X.k < 3",
+	} {
+		if _, err := ParseAndBind(sql, testCatalog()); !errors.Is(err, expr.ErrIncomparable) {
+			t.Errorf("%s: %v, want ErrIncomparable", sql, err)
+		}
+	}
+	mustBind(t, "SELECT C.name FROM Customer C WHERE C.acctbal > 5 AND C.custkey IN (1, 2.5) AND C.mktseg IN ('a', NULL)")
+	mustBind(t, "SELECT C.mktseg, SUM(C.acctbal) AS s FROM Customer C GROUP BY C.mktseg HAVING SUM(C.acctbal) > 10")
 }

@@ -91,7 +91,7 @@ func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, 
 	case !create:
 		err = fmt.Errorf("store: page %d of %s does not exist", pg, tf.path)
 	default:
-		initPage(fr.buf, tf.nCols)
+		initPage(fr.buf, tf.types)
 	}
 	if err != nil {
 		p.dropFrame(fr)

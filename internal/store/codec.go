@@ -10,6 +10,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -19,10 +20,16 @@ import (
 // Value codec: each value is one tag byte (low bits: expr.Type, high
 // bit: NULL) followed by a type-dependent payload. The codec stores the
 // canonical representation of a value — the typed payload lane plus the
-// NULL flag — so every value produced by the loaders and parsers
-// round-trips exactly (cross-lane residue on hand-crafted Values is not
-// representable, matching the exactness rules of expr.BuildColVec).
+// NULL flag, a BOOL as 0 or 1 — so every value produced by the loaders
+// and parsers round-trips exactly (cross-lane residue on hand-crafted
+// Values is not representable, matching the exactness rules of
+// expr.BuildColVec). A table stores every value, NULLs included, under
+// its column's declared type.
 const nullBit = 0x80
+
+// ErrColumnType marks a value, a page or a cell whose type is not its
+// column's declared type: a refused load batch or an unreadable page.
+var ErrColumnType = errors.New("store: value does not match its column type")
 
 // appendValue encodes v onto buf and returns the extended slice.
 func appendValue(buf []byte, v expr.Value) []byte {
@@ -35,8 +42,14 @@ func appendValue(buf []byte, v expr.Value) []byte {
 	switch v.T {
 	case expr.TNull:
 		// No payload: TNull is NULL by definition.
-	case expr.TInt, expr.TDate, expr.TBool:
+	case expr.TInt, expr.TDate:
 		buf = binary.AppendVarint(buf, v.I)
+	case expr.TBool:
+		b := int64(0)
+		if v.I != 0 {
+			b = 1
+		}
+		buf = binary.AppendVarint(buf, b)
 	case expr.TFloat:
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F))
@@ -91,14 +104,6 @@ func decodeValue(buf []byte) (expr.Value, int, error) {
 	return expr.Value{}, 0, fmt.Errorf("store: unreachable type tag %d", t)
 }
 
-// appendRow encodes every value of the row back-to-back.
-func appendRow(buf []byte, row expr.Row) []byte {
-	for _, v := range row {
-		buf = appendValue(buf, v)
-	}
-	return buf
-}
-
 // decodeRow decodes nCols values from buf into a fresh row.
 func decodeRow(buf []byte, nCols int) (expr.Row, int, error) {
 	row := make(expr.Row, nCols)
@@ -112,58 +117,4 @@ func decodeRow(buf []byte, nCols int) (expr.Row, int, error) {
 		off += n
 	}
 	return row, off, nil
-}
-
-// laneOf classifies a value for per-page lane purity tracking. A column
-// is lane-pure when every value shares one concrete lane type, NULLs
-// are typed NULLs of that lane, and no value carries cross-lane residue
-// — exactly the conditions under which a column vector materializes
-// the identical values (see expr.BuildColVec). laneImpure poisons the
-// column; the decoder then takes the always-correct row path.
-const (
-	laneUnset  = 0xFE
-	laneImpure = 0xFF
-)
-
-// mergeLane folds value v into the column's current lane byte.
-func mergeLane(lane byte, v expr.Value) byte {
-	if lane == laneImpure {
-		return lane
-	}
-	t := v.T
-	if v.Null {
-		if lane == laneUnset {
-			// A typed NULL seeds the lane; an untyped NULL poisons it
-			// (TNull is not a vector lane).
-			if t == expr.TNull {
-				return laneImpure
-			}
-			return byte(t)
-		}
-		if byte(t) != lane {
-			return laneImpure
-		}
-		return lane
-	}
-	pure := false
-	switch t {
-	case expr.TInt, expr.TDate:
-		pure = v.F == 0 && v.S == ""
-	case expr.TFloat:
-		pure = v.I == 0 && v.S == ""
-	case expr.TString:
-		pure = v.I == 0 && v.F == 0
-	case expr.TBool:
-		pure = (v.I == 0 || v.I == 1) && v.F == 0 && v.S == ""
-	}
-	if !pure {
-		return laneImpure
-	}
-	if lane == laneUnset {
-		return byte(t)
-	}
-	if byte(t) != lane {
-		return laneImpure
-	}
-	return lane
 }

@@ -21,7 +21,6 @@ import (
 func scanChecked(tab *Table, need []bool) (int, error) {
 	it := tab.NewIterator()
 	it.SetNeeded(need)
-	lanes := make([]expr.Type, len(tab.cols))
 	var b, want expr.Batch
 	total := 0
 	for {
@@ -33,7 +32,7 @@ func scanChecked(tab *Table, need []bool) (int, error) {
 		tab.mu.RLock()
 		fr, _, err := tab.eng.pool.Pin(tab.file(), uint32(pg), false)
 		if err == nil {
-			err = decodePageInto(fr.buf, b.Len(), lanes, need, &want)
+			err = decodePageInto(fr.buf, b.Len(), tab.types, need, &want)
 			tab.eng.pool.Unpin(fr, false)
 		}
 		tab.mu.RUnlock()
@@ -201,25 +200,6 @@ func TestDecodeCacheConcurrentMasksAndAppends(t *testing.T) {
 	mustScan(t, tab, nil, len(rows))
 }
 
-func TestDecodeCacheSkipsImpurePages(t *testing.T) {
-	e := openTestEngine(t, t.TempDir(), 0)
-	defer e.Close()
-	tab, err := e.CreateTable("demo", []string{"a"}, []expr.Type{expr.TInt}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Append([]expr.Row{{expr.NewInt(1)}, {expr.NewString("x")}, {expr.NullValue()}}); err != nil {
-		t.Fatal(err)
-	}
-	h0 := e.Stats().DecodeHits
-	for i := 0; i < 3; i++ {
-		mustScan(t, tab, nil, 3)
-	}
-	if h := e.Stats().DecodeHits - h0; h != 0 || cachedDecode(t, tab, 0) != nil {
-		t.Fatalf("impure page: %d cache hits, decode cached: %v", h, cachedDecode(t, tab, 0) != nil)
-	}
-}
-
 func TestDecodeCacheNeverHoldsAFailedDecode(t *testing.T) {
 	e := openTestEngine(t, t.TempDir(), 0)
 	defer e.Close()
@@ -309,27 +289,30 @@ func TestGatherReadsDecodeCache(t *testing.T) {
 }
 
 // TestGatherAcrossPageShapes: a gather whose batches span pages of
-// different lanes (an int run, then a float run of the same column) and
-// impure pages ends each batch where the shape changes, with vectors as
-// long as the batch, and still yields every loaded row once, in row-ID
-// order.
+// different shapes (a run of short rows, then long ones, so pages hold
+// different row counts) over a column with NULLs yields column-backed
+// batches with vectors as long as the batch, and every loaded row
+// once, in row-ID order, each NULL back as a NULL of its column's type.
 func TestGatherAcrossPageShapes(t *testing.T) {
 	e := openTestEngine(t, t.TempDir(), 0)
 	defer e.Close()
-	tab, err := e.CreateTable("demo", []string{"k", "v"}, []expr.Type{expr.TInt, expr.TFloat}, []string{"k"})
+	tab, err := e.CreateTable("demo", []string{"k", "v", "s"}, []expr.Type{expr.TInt, expr.TFloat, expr.TString}, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := make([]expr.Row, 6000)
+	want := make([]expr.Row, len(rows))
 	for i := range rows {
-		v := expr.NewFloat(float64(i) / 2)
-		switch {
-		case i < 2000:
-			v = expr.NewInt(int64(i))
-		case i >= 4000 && i%5 == 0:
-			v = expr.NullValue() // untyped: its pages are impure
+		v, s := expr.NewFloat(float64(i)/2), expr.NewString("")
+		if i >= 2000 {
+			s = expr.NewString(fmt.Sprintf("%040d", i))
 		}
-		rows[i] = expr.Row{expr.NewInt(int64(i)), v}
+		rows[i] = expr.Row{expr.NewInt(int64(i)), v, s}
+		want[i] = rows[i]
+		if i >= 4000 && i%5 == 0 {
+			rows[i] = expr.Row{expr.NewInt(int64(i)), expr.NullValue(), s}
+			want[i] = expr.Row{expr.NewInt(int64(i)), expr.TypedNull(expr.TFloat), s}
+		}
 	}
 	if err := tab.Append(rows); err != nil {
 		t.Fatal(err)
@@ -350,14 +333,17 @@ func TestGatherAcrossPageShapes(t *testing.T) {
 			}
 			return
 		}
+		if b.RowBacked() {
+			t.Fatalf("batch at row %d is row-backed", i)
+		}
 		for c := 0; c < b.Width(); c++ {
-			if v, ok := b.ColVec(c); ok && !b.RowBacked() && v.N != b.Len() {
-				t.Fatalf("batch at row %d: column %d holds %d values for %d rows", i, c, v.N, b.Len())
+			if v, ok := b.ColVec(c); !ok || v.N != b.Len() {
+				t.Fatalf("batch at row %d: column %d is not a vector as long as the batch (%d rows)", i, c, b.Len())
 			}
 		}
 		for j, r := range b.Rows() {
-			if !reflect.DeepEqual(r, rows[i+j]) {
-				t.Fatalf("row %d = %v, want %v", i+j, r, rows[i+j])
+			if !reflect.DeepEqual(r, want[i+j]) {
+				t.Fatalf("row %d = %v, want %v", i+j, r, want[i+j])
 			}
 		}
 		i += b.Len()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -8,54 +9,61 @@ import (
 )
 
 // FuzzPageDecode throws arbitrary bytes at the page validator and the
-// decoders: no input may panic, and a page that passes validation must
-// decode without error through the row path; when the lane bytes claim
-// purity, the columnar decode must materialize the same values as the
-// row decode. A masked decode (the fuzzed bit set picks the needed
-// columns) must fail exactly when the full decode of the same bytes
-// fails and agree with it on every needed column.
+// decoders under fuzzed declared column types: no input may panic, a
+// page whose lane bytes are not the declared types is refused, and on a
+// page that passes validation the row decoder and the columnar decode
+// must fail together or materialize the same values. A masked decode
+// (the fuzzed bit set picks the needed columns) must fail exactly when
+// the full decode of the same bytes fails and agree with it on every
+// needed column.
 func FuzzPageDecode(f *testing.F) {
-	// Seed with a genuine page.
+	seedTypes := []expr.Type{expr.TInt, expr.TString, expr.TFloat}
+	seedLanes := []byte{byte(expr.TInt), byte(expr.TString), byte(expr.TFloat)}
 	seed := make([]byte, PageSize)
-	initPage(seed, 3)
+	initPage(seed, seedTypes)
 	for i := 0; i < 40; i++ {
-		row := expr.Row{expr.NewInt(int64(i)), expr.NewString("seed"), expr.NewFloat(1.25)}
-		enc := appendRow(nil, row)
-		pageAppend(seed, enc, row)
+		pageAppend(seed, encodeTyped(expr.Row{expr.NewInt(int64(i)), expr.NewString("seed"), expr.NewFloat(1.25)}, seedTypes))
 	}
 	sealPage(seed)
-	f.Add(seed, uint8(3), uint8(0b101))
-	f.Add(seed, uint8(3), uint8(0))
-	f.Add(retaggedPage(), uint8(2), uint8(0b001))
-	f.Add(make([]byte, PageSize), uint8(1), uint8(1))
-	f.Add([]byte{1, 2, 3}, uint8(2), uint8(2))
+	f.Add(seed, seedLanes, uint8(0b101))
+	f.Add(seed, []byte{byte(expr.TInt), byte(expr.TString), byte(expr.TInt)}, uint8(0))
+	f.Add(retaggedPage(), seedLanes, uint8(0b001))
+	f.Add(make([]byte, PageSize), []byte{byte(expr.TNull)}, uint8(1))
+	f.Add([]byte{1, 2, 3}, []byte{byte(expr.TBool), byte(expr.TDate)}, uint8(2))
 
-	f.Fuzz(func(t *testing.T, data []byte, nColsRaw, mask uint8) {
-		nCols := int(nColsRaw%8) + 1
+	f.Fuzz(func(t *testing.T, data, lanesRaw []byte, mask uint8) {
+		if len(lanesRaw) == 0 || len(lanesRaw) > 8 {
+			return
+		}
+		lanes := make([]expr.Type, len(lanesRaw))
+		for c, l := range lanesRaw {
+			if lanes[c] = expr.Type(l); lanes[c] > expr.TDate {
+				return
+			}
+		}
 		buf := make([]byte, PageSize)
 		copy(buf, data)
-		if !validPage(buf, nCols) {
+		if validPage(buf, lanes) != nil {
 			return
 		}
 		n := pageNRows(buf)
 		if n > maxRowsPerPage {
 			return
 		}
-		need := make([]bool, nCols)
+		need := make([]bool, len(lanes))
 		for c := range need {
 			need[c] = mask>>c&1 != 0
 		}
-		lanes := make([]expr.Type, nCols)
-		rows, rowErr := decodePageRows(buf, n, nCols, nil)
+		rows, rowErr := decodePageRows(buf, n, lanes, nil)
 		var b, m expr.Batch
 		colErr := decodePageInto(buf, n, lanes, nil, &b)
 		maskErr := decodePageInto(buf, n, lanes, need, &m)
-		if (maskErr != nil) != (colErr != nil) {
-			t.Fatalf("masked decode error %v, full decode error %v", maskErr, colErr)
+		if (maskErr != nil) != (colErr != nil) || (rowErr != nil) != (colErr != nil) {
+			t.Fatalf("row decode error %v, full decode error %v, masked decode error %v", rowErr, colErr, maskErr)
 		}
-		if rowErr != nil || colErr != nil {
-			// Corrupt row payloads behind a forged checksum are allowed
-			// to error — but both paths must agree that they error.
+		if rowErr != nil {
+			// Corrupt cells behind a forged checksum are allowed to
+			// error — but every path must agree that they error.
 			return
 		}
 		if b.Len() != len(rows) || m.Len() != len(rows) {
@@ -75,32 +83,36 @@ func FuzzPageDecode(f *testing.F) {
 	})
 }
 
-// decodePageInto is the tests' reference decode of a page's first limit
-// rows into the batch, as a scan makes it: columnar (masked by need) for
-// lane-pure pages, row-backed otherwise. lanes is scratch, one entry per
-// table column.
-func decodePageInto(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
-	if pagePure(buf, lanes) {
-		return new(cellWalker).page(buf, limit, lanes, need, b)
+// encodeTyped encodes a row the way a table of the given column types
+// stores it, NULLs under their column's type.
+func encodeTyped(row expr.Row, types []expr.Type) []byte {
+	var enc []byte
+	for c, v := range row {
+		if v.IsNull() {
+			v = expr.TypedNull(types[c])
+		}
+		enc = appendValue(enc, v)
 	}
-	rows, err := decodePageRows(buf, limit, len(lanes), make([]expr.Row, 0, limit))
-	if err != nil {
-		return err
-	}
-	b.SetRows(rows)
-	return nil
+	return enc
 }
 
-// retaggedPage is a checksummed page whose header declares column 0 an
-// int lane but whose row 8 tags that cell TBool over the same varint
-// payload: the row decoder reads TRUE where a lane-trusting columnar
-// decoder would read 8.
+// decodePageInto is the tests' reference decode of a page's first limit
+// rows into the batch, as a scan makes it: columnar on the table's
+// column types, masked by need.
+func decodePageInto(buf []byte, limit int, types []expr.Type, need []bool, b *expr.Batch) error {
+	return new(cellWalker).page(buf, limit, types, need, b)
+}
+
+// retaggedPage is a checksummed page of an (INT, VARCHAR, DOUBLE)
+// table whose row 8 tags its first cell TBool over the same varint
+// payload: a row decoder that trusted the tag would read TRUE where the
+// int lane holds 8.
 func retaggedPage() []byte {
+	types := []expr.Type{expr.TInt, expr.TString, expr.TFloat}
 	buf := make([]byte, PageSize)
-	initPage(buf, 3)
+	initPage(buf, types)
 	for i := 0; i < 16; i++ {
-		row := expr.Row{expr.NewInt(int64(i)), expr.NewString("seed"), expr.NewFloat(1.25)}
-		pageAppend(buf, appendRow(nil, row), row)
+		pageAppend(buf, encodeTyped(expr.Row{expr.NewInt(int64(i)), expr.NewString("seed"), expr.NewFloat(1.25)}, types))
 	}
 	buf[pageSlot(buf, 8)] = byte(expr.TBool)
 	sealPage(buf)
@@ -108,16 +120,14 @@ func retaggedPage() []byte {
 }
 
 // TestColumnarDecodeChecksCellTags: a cell whose tag disagrees with its
-// column's lane byte fails the columnar decode under every need mask,
-// including the ones that skip that column.
+// column's type fails the columnar decode under every need mask,
+// including the ones that skip that column, and the row decode, with
+// ErrColumnType.
 func TestColumnarDecodeChecksCellTags(t *testing.T) {
 	buf := retaggedPage()
-	if !validPage(buf, 3) {
-		t.Fatal("retagged page does not validate")
-	}
-	lanes := make([]expr.Type, 3)
-	if !pagePure(buf, lanes) || lanes[0] != expr.TInt {
-		t.Fatalf("page lanes %v, want a pure int column 0", lanes)
+	types := []expr.Type{expr.TInt, expr.TString, expr.TFloat}
+	if err := validPage(buf, types); err != nil {
+		t.Fatalf("retagged page does not validate: %v", err)
 	}
 	masks := [][]bool{nil}
 	for m := 0; m < 8; m++ {
@@ -125,9 +135,15 @@ func TestColumnarDecodeChecksCellTags(t *testing.T) {
 	}
 	for _, need := range masks {
 		var b expr.Batch
-		if err := decodePageInto(buf, pageNRows(buf), lanes, need, &b); err == nil {
-			t.Errorf("need %v: columnar decode accepted a TBool cell in an int lane", need)
+		if err := decodePageInto(buf, pageNRows(buf), types, need, &b); !errors.Is(err, ErrColumnType) {
+			t.Errorf("need %v: columnar decode of a TBool cell in an int lane: %v, want ErrColumnType", need, err)
 		}
+	}
+	if _, err := decodePageRows(buf, pageNRows(buf), types, nil); !errors.Is(err, ErrColumnType) {
+		t.Errorf("row decode of a TBool cell in an int column: %v, want ErrColumnType", err)
+	}
+	if err := validPage(buf, []expr.Type{expr.TInt, expr.TString, expr.TInt}); !errors.Is(err, ErrColumnType) {
+		t.Errorf("page validated under other declared types: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -18,9 +19,9 @@ import (
 //	[8:12)   freeOff — first free byte of the row-data heap
 //	[12:16)  crc32 (IEEE) over the whole page with this field zeroed
 //	[16:20)  reserved (LSN slot for a future undo/redo upgrade)
-//	[20:20+nCols) per-column lane byte: the concrete expr.Type every
-//	         value of that column on this page shares, or laneImpure —
-//	         pure columns decode straight into column vectors
+//	[20:20+nCols) per-column lane byte: the column's declared expr.Type,
+//	         written once by initPage; every cell of the column carries
+//	         that type's tag, so pages decode straight into column vectors
 //	[20+nCols:freeOff) row-data heap, rows encoded with the value codec
 //	[...:PageSize) slot directory growing down from the page end:
 //	         slot i is a u16 heap offset at PageSize-2(i+1)
@@ -34,17 +35,15 @@ const (
 // pageDataStart returns the offset of the row-data heap.
 func pageDataStart(nCols int) int { return pageHdrSize + nCols }
 
-// initPage formats buf as an empty page for a table with nCols columns.
-func initPage(buf []byte, nCols int) {
-	for i := range buf {
-		buf[i] = 0
-	}
+// initPage formats buf as an empty page for a table of the given
+// column types.
+func initPage(buf []byte, types []expr.Type) {
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:4], pageMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], pageVersion)
-	binary.LittleEndian.PutUint16(buf[6:8], 0)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(pageDataStart(nCols)))
-	for c := 0; c < nCols; c++ {
-		buf[pageHdrSize+c] = laneUnset
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(pageDataStart(len(types))))
+	for c, t := range types {
+		buf[pageHdrSize+c] = byte(t)
 	}
 }
 
@@ -69,33 +68,31 @@ func sealPage(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[12:16], pageChecksum(buf))
 }
 
-// validPage reports whether buf carries a well-formed, checksummed page
-// for a table with nCols columns.
-func validPage(buf []byte, nCols int) bool {
-	if len(buf) != PageSize {
-		return false
+// validPage checks that buf is a well-formed, checksummed page whose
+// lane bytes are the table's column types. A page of other lanes —
+// written before the store was typed, when an untyped NULL or an
+// off-type value could land in any column — fails with ErrColumnType.
+func validPage(buf []byte, types []expr.Type) error {
+	if len(buf) != PageSize || binary.LittleEndian.Uint32(buf[0:4]) != pageMagic ||
+		binary.LittleEndian.Uint16(buf[4:6]) != pageVersion ||
+		binary.LittleEndian.Uint32(buf[12:16]) != pageChecksum(buf) {
+		return errors.New("failed checksum")
 	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != pageMagic {
-		return false
+	if free := pageFreeOff(buf); free < pageDataStart(len(types)) || free > PageSize-2*pageNRows(buf) {
+		return errors.New("corrupt header")
 	}
-	if binary.LittleEndian.Uint16(buf[4:6]) != pageVersion {
-		return false
+	for c, t := range types {
+		if lane := buf[pageHdrSize+c]; lane != byte(t) {
+			return fmt.Errorf("%w: column %d has lane byte %#x, declared %s", ErrColumnType, c, lane, t)
+		}
 	}
-	if binary.LittleEndian.Uint32(buf[12:16]) != pageChecksum(buf) {
-		return false
-	}
-	n := pageNRows(buf)
-	free := pageFreeOff(buf)
-	if free < pageDataStart(nCols) || free > PageSize-2*n {
-		return false
-	}
-	return true
+	return nil
 }
 
 // pageAppend adds one encoded row to the page in place, updating the
-// slot directory and the per-column lane bytes. It reports false when
-// the row does not fit (the caller then opens a fresh page).
-func pageAppend(buf []byte, enc []byte, row expr.Row) bool {
+// slot directory. It reports false when the row does not fit (the
+// caller then opens a fresh page).
+func pageAppend(buf []byte, enc []byte) bool {
 	n := pageNRows(buf)
 	free := pageFreeOff(buf)
 	if free+len(enc) > PageSize-2*(n+1) || n == maxRowsPerPage {
@@ -105,33 +102,39 @@ func pageAppend(buf []byte, enc []byte, row expr.Row) bool {
 	binary.LittleEndian.PutUint16(buf[PageSize-2*(n+1):], uint16(free))
 	binary.LittleEndian.PutUint16(buf[6:8], uint16(n+1))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(free+len(enc)))
-	for c, v := range row {
-		buf[pageHdrSize+c] = mergeLane(buf[pageHdrSize+c], v)
-	}
 	return true
 }
 
 // maxRowsPerPage bounds the slot directory (u16 offsets, 2 bytes each).
 const maxRowsPerPage = 2048
 
-// decodePageRow decodes row i of the page.
-func decodePageRow(buf []byte, i, nCols int) (expr.Row, error) {
+// decodePageRow decodes row i of the page, whose cells must carry the
+// column types.
+func decodePageRow(buf []byte, i int, types []expr.Type) (expr.Row, error) {
 	n := pageNRows(buf)
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("store: row %d out of range (page holds %d)", i, n)
 	}
 	off := pageSlot(buf, i)
-	if off < pageDataStart(nCols) || off >= PageSize {
+	if off < pageDataStart(len(types)) || off >= PageSize {
 		return nil, fmt.Errorf("store: corrupt slot offset %d", off)
 	}
-	row, _, err := decodeRow(buf[off:], nCols)
-	return row, err
+	row, _, err := decodeRow(buf[off:], len(types))
+	if err != nil {
+		return nil, err
+	}
+	for c, v := range row {
+		if v.T != types[c] || v.T == expr.TNull && !v.Null {
+			return nil, fmt.Errorf("%w: row %d column %d holds %s, declared %s", ErrColumnType, i, c, v.T, types[c])
+		}
+	}
+	return row, nil
 }
 
 // decodePageRows decodes rows [0, limit) of the page into out.
-func decodePageRows(buf []byte, limit, nCols int, out []expr.Row) ([]expr.Row, error) {
+func decodePageRows(buf []byte, limit int, types []expr.Type, out []expr.Row) ([]expr.Row, error) {
 	for i := 0; i < limit; i++ {
-		row, err := decodePageRow(buf, i, nCols)
+		row, err := decodePageRow(buf, i, types)
 		if err != nil {
 			return nil, err
 		}
@@ -140,25 +143,9 @@ func decodePageRows(buf []byte, limit, nCols int, out []expr.Row) ([]expr.Row, e
 	return out, nil
 }
 
-// pagePure reports whether every column of the page is lane-pure for
-// the first limit rows, filling lanes with the lane types. Purity is
-// recorded cumulatively at append time, so a page that later turned
-// impure conservatively reports impure for earlier rows too — the row
-// path is always correct, just not columnar.
-func pagePure(buf []byte, lanes []expr.Type) bool {
-	for c := range lanes {
-		b := buf[pageHdrSize+c]
-		if b == laneImpure || b == laneUnset || expr.Type(b) == expr.TNull || expr.Type(b) > expr.TDate {
-			return false
-		}
-		lanes[c] = expr.Type(b)
-	}
-	return true
-}
-
-// cellWalker is the one reader of lane-pure pages. The header fixes
-// each column's lane: every cell's tag is checked against it and its
-// payload read by lane (a float is 9 bytes, an int, date or bool a
+// cellWalker is the columnar reader of pages. The table's column types
+// are the lanes: every cell's tag is checked against its lane (a TNull
+// lane holds NULL cells only) and its payload read by lane (a float is 9 bytes, an int, date or bool a
 // varint, a string a length and a jump) into the column's vector, or
 // bounds-checked and skipped when no vector wants it.
 type cellWalker struct {
@@ -166,7 +153,7 @@ type cellWalker struct {
 	vecs  []*expr.Vec // column c's destination; nil: validate and skip
 }
 
-// page fills b with the first limit rows of a lane-pure page: exact
+// page fills b with the first limit rows of a page: exact
 // owned vectors (same exactness contract as expr.BuildColVec) of the
 // columns need selects (nil: all), the others validated and left unset.
 func (w *cellWalker) page(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
@@ -211,9 +198,9 @@ func (w *cellWalker) row(buf []byte, s, i int) error {
 		}
 		tag, v := buf[pos], w.vecs[c]
 		pos++
-		if tag != byte(lane) {
+		if tag != byte(lane) || lane == expr.TNull {
 			if tag != byte(lane)|nullBit {
-				return fmt.Errorf("store: cell tag %#x in a %s lane", tag, lane)
+				return fmt.Errorf("%w: cell tag %#x in a %s lane", ErrColumnType, tag, lane)
 			}
 			if v != nil {
 				v.EnsureNull().Set(i)

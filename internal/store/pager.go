@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"cgdqp/internal/expr"
 )
 
 // tableFile is the pager for one table: fixed-size checksummed pages
@@ -13,10 +15,10 @@ import (
 // truncatePages, so the buffer pool never asks the file system. Once
 // the engine is open, every call runs under the buffer pool's mutex.
 type tableFile struct {
-	path  string   // the page file; the table name on the memory pager
-	f     *os.File // nil: memory pager
-	mem   [][]byte // memory pager: the sealed bytes of each written page
-	nCols int
+	path  string      // the page file; the table name on the memory pager
+	f     *os.File    // nil: memory pager
+	mem   [][]byte    // memory pager: the sealed bytes of each written page
+	types []expr.Type // the table's column types: every page's lanes
 	fsync bool
 	pages uint32 // whole pages held
 }
@@ -38,7 +40,7 @@ func safeFileName(table string) string {
 }
 
 // openTableFile opens (creating if needed) the page file for a table.
-func openTableFile(path string, nCols int, fsync bool) (*tableFile, error) {
+func openTableFile(path string, types []expr.Type, fsync bool) (*tableFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open table file: %w", err)
@@ -48,10 +50,10 @@ func openTableFile(path string, nCols int, fsync bool) (*tableFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &tableFile{path: path, f: f, nCols: nCols, fsync: fsync, pages: uint32(st.Size() / PageSize)}, nil
+	return &tableFile{path: path, f: f, types: types, fsync: fsync, pages: uint32(st.Size() / PageSize)}, nil
 }
 
-// readPage reads page number pg into buf and validates its checksum.
+// readPage reads page number pg into buf and validates it.
 func (tf *tableFile) readPage(pg uint32, buf []byte) error {
 	if pg >= tf.pages {
 		return fmt.Errorf("store: page %d of %s past end of file", pg, tf.path)
@@ -63,8 +65,8 @@ func (tf *tableFile) readPage(pg uint32, buf []byte) error {
 	} else if _, err := tf.f.ReadAt(buf[:PageSize], int64(pg)*PageSize); err != nil {
 		return err
 	}
-	if !validPage(buf, tf.nCols) {
-		return fmt.Errorf("store: page %d of %s failed checksum", pg, tf.path)
+	if err := validPage(buf, tf.types); err != nil {
+		return fmt.Errorf("store: page %d of %s: %w", pg, tf.path, err)
 	}
 	return nil
 }

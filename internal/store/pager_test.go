@@ -35,7 +35,7 @@ func TestIndexReadsMatchFilter(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		k := expr.NewInt(int64(i % 37)) // duplicates share keys
 		if i%23 == 0 {
-			k = expr.NullValue()
+			k = expr.TypedNull(expr.TInt) // as the store returns it
 		}
 		rows = append(rows, expr.Row{k, expr.NewString(fmt.Sprintf("n-%02d", i%41)), expr.NewFloat(float64(i) / 8)})
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,6 +85,9 @@ func Open(opts Options) (*Engine, error) {
 	}
 	for _, tm := range meta.Tables {
 		if err := e.loadTable(tm); err != nil {
+			for _, tf := range e.files {
+				tf.close()
+			}
 			return nil, err
 		}
 	}
@@ -158,17 +162,25 @@ func (e *Engine) writeMeta() error {
 
 // loadTable opens a known table's page file and trusts its longest
 // valid page prefix (a torn tail page fails its checksum and is cut
-// off; the WAL re-applies whatever the prefix is missing).
+// off; the WAL re-applies whatever the prefix is missing). A page of
+// other lanes than the declared column types is not torn: it fails the
+// open with ErrColumnType.
 func (e *Engine) loadTable(tm tableMeta) error {
+	if len(tm.Types) != len(tm.Columns) {
+		return fmt.Errorf("store: corrupt meta file: table %s has %d types for %d columns", tm.Name, len(tm.Types), len(tm.Columns))
+	}
 	t := e.newTable(tm)
-	tf, err := openTableFile(filepath.Join(e.dir, safeFileName(tm.Name)), len(tm.Columns), e.fsync)
+	tf, err := openTableFile(filepath.Join(e.dir, safeFileName(tm.Name)), t.types, e.fsync)
 	if err != nil {
 		return err
 	}
 	buf := make([]byte, PageSize)
 	var pg uint32
 	for {
-		if err := tf.readPage(pg, buf); err != nil {
+		if err := tf.readPage(pg, buf); errors.Is(err, ErrColumnType) {
+			tf.close()
+			return err
+		} else if err != nil {
 			break
 		}
 		t.pageStart = append(t.pageStart, t.nRows)
@@ -199,18 +211,11 @@ func (e *Engine) newTable(tm tableMeta) *Table {
 	}
 	for _, col := range tm.Indexed {
 		pos := t.colPos(lower(col))
-		if pos < 0 {
-			continue
-		}
-		ct := expr.TInt
-		if pos < len(t.types) {
-			ct = t.types[pos]
-		}
-		if !indexableType(ct) {
+		if pos < 0 || !indexableType(t.types[pos]) {
 			continue
 		}
 		t.idxCols = append(t.idxCols, col)
-		t.idx[lower(col)] = newBTree(ct == expr.TString)
+		t.idx[lower(col)] = newBTree(t.types[pos] == expr.TString)
 	}
 	return t
 }
@@ -244,8 +249,11 @@ func (e *Engine) recover() error {
 // CreateTable declares a table: column names, column types, and which
 // columns carry B+ tree indexes. Re-opening an existing table with the
 // same shape returns it (the catalog is persistent); a shape mismatch
-// is an error.
+// is an error. A column declared TNull holds only NULLs.
 func (e *Engine) CreateTable(name string, cols []string, types []expr.Type, indexed []string) (*Table, error) {
+	if len(types) != len(cols) {
+		return nil, fmt.Errorf("store: table %s declares %d types for %d columns", name, len(types), len(cols))
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := lower(name)
@@ -261,10 +269,10 @@ func (e *Engine) CreateTable(name string, cols []string, types []expr.Type, inde
 		tm.Types[i] = int(tt)
 	}
 	t := e.newTable(tm)
-	tf := &tableFile{path: name, nCols: len(cols)}
+	tf := &tableFile{path: name, types: t.types}
 	if e.dir != "" {
 		var err error
-		if tf, err = openTableFile(filepath.Join(e.dir, safeFileName(name)), len(cols), e.fsync); err != nil {
+		if tf, err = openTableFile(filepath.Join(e.dir, safeFileName(name)), t.types, e.fsync); err != nil {
 			return nil, err
 		}
 	}

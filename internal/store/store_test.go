@@ -1,9 +1,11 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cgdqp/internal/expr"
@@ -114,31 +116,6 @@ func TestIteratorColumnarDecode(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("iterator mismatch: got %d rows", len(got))
-	}
-}
-
-func TestIteratorImpurePageFallsBackToRows(t *testing.T) {
-	e := openTestEngine(t, t.TempDir(), 0)
-	defer e.Close()
-	tab, err := e.CreateTable("demo", []string{"a"}, []expr.Type{expr.TInt}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []expr.Row{{expr.NewInt(1)}, {expr.NewString("x")}, {expr.NullValue()}}
-	if err := tab.Append(want); err != nil {
-		t.Fatal(err)
-	}
-	it := tab.NewIterator()
-	var b expr.Batch
-	more, err := it.NextBatch(&b)
-	if err != nil || !more {
-		t.Fatalf("NextBatch = %v, %v", more, err)
-	}
-	if !b.RowBacked() {
-		t.Fatal("impure page should decode through the row path")
-	}
-	if !reflect.DeepEqual(b.Rows(), want) {
-		t.Fatalf("impure decode mismatch: %+v", b.Rows())
 	}
 }
 
@@ -334,5 +311,79 @@ func TestWALCheckpointThreshold(t *testing.T) {
 	}
 	if st.Size() != 0 {
 		t.Fatalf("checkpoint left %d WAL bytes", st.Size())
+	}
+}
+
+// TestAppendEnforcesColumnTypes: a batch holding a non-NULL value of
+// another type than its column's is refused whole with ErrColumnType —
+// no row reaches the WAL, the pages or the index — while an untyped
+// NULL is stored, and read back, as a NULL of its column's type. A
+// page whose lane bytes are not the declared types fails the reopen
+// with ErrColumnType instead of being cut off as a torn tail.
+func TestAppendEnforcesColumnTypes(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir, 0)
+	tab, err := e.CreateTable("demo", []string{"id", "v"}, []expr.Type{expr.TInt, expr.TString}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []expr.Row{{expr.NewInt(1), expr.NewString("a")}, {expr.NullValue(), expr.NewString("b")}}
+	if err := tab.Append(good); err != nil {
+		t.Fatal(err)
+	}
+	want := []expr.Row{good[0], {expr.TypedNull(expr.TInt), expr.NewString("b")}}
+	bad := []expr.Row{{expr.NewInt(2), expr.NewString("c")}, {expr.NewFloat(77), expr.NewString("d")}}
+	err = tab.Append(bad)
+	if !errors.Is(err, ErrColumnType) {
+		t.Fatalf("ill-typed append: %v, want ErrColumnType", err)
+	}
+	for _, part := range []string{"demo", "column id", "row 1", "DOUBLE", "INTEGER"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+	check := func(tab *Table) {
+		t.Helper()
+		if got, err := tab.ScanRows(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("rows after a refused batch: %v, %v; want %v", got, err, want)
+		}
+		for _, key := range []int64{2, 77} {
+			if got, _, err := indexLookup(tab, "id", expr.NewInt(key)); err != nil || len(got) != 0 {
+				t.Fatalf("index holds id %d of a refused batch: %v, %v", key, got, err)
+			}
+		}
+	}
+	check(tab)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e = openTestEngine(t, dir, 0) // the refused batch left nothing to replay
+	tab, _ = e.Table("demo")
+	check(tab)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Forge page 0 as an untyped store wrote it, an untyped NULL in
+	// column id: lane byte poisoned, checksum valid.
+	path := filepath.Join(dir, safeFileName("demo"))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[pageHdrSize] = 0xFF
+	sealPage(raw[:PageSize])
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := Open(Options{Dir: dir}); !errors.Is(err, ErrColumnType) {
+		if err == nil {
+			e.Close()
+		}
+		t.Fatalf("reopen over a page of other lanes: %v, want ErrColumnType", err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != int64(len(raw)) {
+		t.Fatalf("the refused page file was cut: %v, %v", st, err)
 	}
 }

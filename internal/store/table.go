@@ -37,8 +37,9 @@ func (t *Table) file() *tableFile { return t.eng.files[lower(t.name)] }
 
 // Append logs rows to the WAL, applies them to the pages through the
 // buffer pool, and maintains the indexes. A batch holding a row of the
-// wrong width or too wide for a page is refused whole. The engine may
-// checkpoint afterwards when the WAL has grown past its threshold.
+// wrong width, too wide for a page, or with a non-NULL value of another
+// type than its column's (ErrColumnType) is refused whole. The engine
+// may checkpoint afterwards when the WAL has grown past its threshold.
 func (t *Table) Append(rows []expr.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -67,7 +68,7 @@ func (t *Table) appendLocked(rows []expr.Row, logWAL bool) error {
 		}
 	}
 	startID := t.nRows
-	if err := t.appendPages(rows, enc, ends); err != nil {
+	if err := t.appendPages(enc, ends); err != nil {
 		return err
 	}
 	for i, r := range rows {
@@ -77,8 +78,10 @@ func (t *Table) appendLocked(rows []expr.Row, logWAL bool) error {
 }
 
 // encodeRows encodes a whole batch before the WAL or any page sees it,
-// refusing it when a row has the wrong width or does not fit a page;
-// row i's encoding ends at enc[ends[i]].
+// refusing it when a row has the wrong width, a non-NULL value of
+// another type than its column's, or does not fit a page. Every NULL is
+// encoded as a NULL of its column's type, so each page column holds one
+// lane. Row i's encoding ends at enc[ends[i]].
 func (t *Table) encodeRows(rows []expr.Row) (enc []byte, ends []int, err error) {
 	maxRow := PageSize - pageDataStart(len(t.cols)) - 2
 	enc = make([]byte, 0, 32*len(rows))
@@ -88,7 +91,16 @@ func (t *Table) encodeRows(rows []expr.Row) (enc []byte, ends []int, err error) 
 			return nil, nil, fmt.Errorf("store: row width %d does not match table %s (%d columns)", len(r), t.name, len(t.cols))
 		}
 		start := len(enc)
-		if enc = appendRow(enc, r); len(enc)-start > maxRow {
+		for c, v := range r {
+			switch ct := t.types[c]; {
+			case v.IsNull():
+				v = expr.TypedNull(ct)
+			case v.T != ct:
+				return nil, nil, fmt.Errorf("%w: table %s column %s row %d holds %s, declared %s", ErrColumnType, t.name, t.cols[c], i, v.T, ct)
+			}
+			enc = appendValue(enc, v)
+		}
+		if len(enc)-start > maxRow {
 			return nil, nil, fmt.Errorf("store: row of %d bytes exceeds page capacity in table %s", len(enc)-start, t.name)
 		}
 		ends[i] = len(enc)
@@ -99,7 +111,7 @@ func (t *Table) encodeRows(rows []expr.Row) (enc []byte, ends []int, err error) 
 // appendPages writes the encoded rows into the tail page (opening fresh
 // pages as they fill) through the buffer pool; frames stay pinned
 // across rows of the same batch.
-func (t *Table) appendPages(rows []expr.Row, enc []byte, ends []int) error {
+func (t *Table) appendPages(enc []byte, ends []int) error {
 	pool := t.eng.pool
 	tf := t.file()
 	var fr *frame
@@ -110,9 +122,9 @@ func (t *Table) appendPages(rows []expr.Row, enc []byte, ends []int) error {
 		}
 	}
 	start := 0
-	for i, row := range rows {
-		rowEnc := enc[start:ends[i]]
-		start = ends[i]
+	for _, end := range ends {
+		rowEnc := enc[start:end]
+		start = end
 		for {
 			if fr == nil {
 				if len(t.pageStart) == 0 {
@@ -124,7 +136,7 @@ func (t *Table) appendPages(rows []expr.Row, enc []byte, ends []int) error {
 					return err
 				}
 			}
-			if pageAppend(fr.buf, rowEnc, row) {
+			if pageAppend(fr.buf, rowEnc) {
 				t.nRows++
 				break
 			}
@@ -184,7 +196,7 @@ func (t *Table) ScanRows() ([]expr.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err = decodePageRows(fr.buf, n, len(t.cols), out)
+		out, err = decodePageRows(fr.buf, n, t.types, out)
 		pool.Unpin(fr, false)
 		if err != nil {
 			return nil, err
@@ -215,11 +227,7 @@ func (t *Table) IndexStats(col string) (min, max expr.Value, distinct int, ok bo
 	if !any {
 		return expr.Value{}, expr.Value{}, 0, false
 	}
-	ct := expr.TInt
-	if pos < len(t.types) {
-		ct = t.types[pos]
-	}
-	return keyValue(loK, ct), keyValue(hiK, ct), tree.Len(), true
+	return keyValue(loK, t.types[pos]), keyValue(hiK, t.types[pos]), tree.Len(), true
 }
 
 // buildIndexes rebuilds every B+ tree by scanning the pages (called on
@@ -245,7 +253,7 @@ func (t *Table) buildIndexes() error {
 		if err != nil {
 			return err
 		}
-		rows, err := decodePageRows(fr.buf, n, len(t.cols), nil)
+		rows, err := decodePageRows(fr.buf, n, t.types, nil)
 		pool.Unpin(fr, false)
 		if err != nil {
 			return err
@@ -260,17 +268,15 @@ func (t *Table) buildIndexes() error {
 
 // Iterator streams a consistent snapshot of the table one page at a
 // time, decoding each page straight into the column vectors of an
-// expr.Batch when the page is lane-pure (the row path covers the rest).
-// A resident page is decoded once: its frame keeps the columns its
-// scans decoded, and a later scan copies them instead of re-parsing
-// every cell.
+// expr.Batch, on the lanes of the table's column types. A resident page
+// is decoded once: its frame keeps the columns its scans decoded, and a
+// later scan copies them instead of re-parsing every cell.
 type Iterator struct {
-	t     *Table
-	page  int
-	snap  int64
-	need  []bool      // nil: every column
-	lanes []expr.Type // per-page scratch
-	w     cellWalker
+	t    *Table
+	page int
+	snap int64
+	need []bool // nil: every column
+	w    cellWalker
 }
 
 // NewIterator opens a snapshot scan.
@@ -278,14 +284,13 @@ func (t *Table) NewIterator() *Iterator {
 	t.mu.RLock()
 	snap := t.nRows
 	t.mu.RUnlock()
-	return &Iterator{t: t, snap: snap, lanes: make([]expr.Type, len(t.cols))}
+	return &Iterator{t: t, snap: snap}
 }
 
 // SetNeeded restricts the scan to the columns a consumer reads:
-// need[c] false leaves column c of every lane-pure page's batch unset
-// (its cells are validated, not decoded). The consumer must then not
-// touch those columns; a page decoded through the row path carries
-// them regardless. nil restores the full decode.
+// need[c] false leaves column c of every batch unset (its cells are
+// validated, not decoded). The consumer must then not touch those
+// columns. nil restores the full decode.
 func (it *Iterator) SetNeeded(need []bool) { it.need = need }
 
 // NextBatch fills b with the next page's rows; it reports false at the
@@ -317,26 +322,20 @@ func (it *Iterator) NextBatch(b *expr.Batch) (bool, error) {
 	}
 }
 
-// decodeFrame fills b with the first n rows of a pinned frame. A
-// lane-pure page whose cached decode covers (n, need) is copied from
-// it; otherwise the page bytes are decoded, and when the page was
-// already resident (hit) the decoded columns are merged into the
-// frame's cache. A page a scan just read in is not cached, so a
-// one-pass scan over a pool too small to keep it pays no more than the
-// decode. The caller holds t.mu, so the bytes cannot change under a
-// decode or its publication.
+// decodeFrame fills b with the first n rows of a pinned frame. When the
+// frame's cached decode covers (n, need) it is copied; otherwise the
+// page bytes are decoded, and when the page was already resident (hit)
+// the decoded columns are merged into the frame's cache. A page a scan
+// just read in is not cached, so a one-pass scan over a pool too small
+// to keep it pays no more than the decode. The caller holds t.mu, so
+// the bytes cannot change under a decode or its publication.
 func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error {
-	if !pagePure(fr.buf, it.lanes) {
-		rows, err := decodePageRows(fr.buf, n, len(it.lanes), make([]expr.Row, 0, n))
-		b.SetRows(rows)
-		return err
-	}
 	if d := fr.dec.Load(); d.covers(n, it.need) {
 		d.copyInto(b, it.need)
 		it.t.eng.pool.decodeHits.Add(1)
 		return nil
 	}
-	if err := it.w.page(fr.buf, n, it.lanes, it.need, b); err != nil {
+	if err := it.w.page(fr.buf, n, it.t.types, it.need, b); err != nil {
 		return err
 	}
 	if hit {
@@ -348,23 +347,20 @@ func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error
 // Gather is an index read, a bitmap heap scan: the B+ tree yields row
 // IDs (Range, Lookup), NextBatch fetches them in row-ID order, pinning
 // each page once per batch and copying its selected slots from the
-// frame's cached decode or walking them. A batch is column-backed over
-// pure pages of one lane set, row-backed over impure pages, and ends
-// early where that changes.
+// frame's cached decode or walking them into a column-backed batch.
 type Gather struct {
-	t          *Table
-	need       []bool // nil: every column
-	ids, from  []int32
-	pairs      []uint64 // Lookup's sort scratch: id<<32 | key position
-	pos        int      // next of ids to fetch
-	w          cellWalker
-	lanes, cur []expr.Type // the batch's lanes, the pinned page's lanes
+	t         *Table
+	need      []bool // nil: every column
+	ids, from []int32
+	pairs     []uint64 // Lookup's sort scratch: id<<32 | key position
+	pos       int      // next of ids to fetch
+	w         cellWalker
 }
 
 // NewGather returns an index read of t that fills the columns need
 // selects (nil: every column), as Iterator.SetNeeded.
 func (t *Table) NewGather(need []bool) *Gather {
-	return &Gather{t: t, need: need, lanes: make([]expr.Type, len(t.cols)), cur: make([]expr.Type, len(t.cols))}
+	return &Gather{t: t, need: need}
 }
 
 // Range points g at the rows whose indexed column falls in [lo, hi]
@@ -422,9 +418,8 @@ func (g *Gather) NextBatch(b *expr.Batch, max int) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ids, tf := g.ids[g.pos:min(len(g.ids), g.pos+max)], t.file()
-	var rows []expr.Row
-	pure, k := false, 0
-	for k < len(ids) {
+	g.w.start(b, t.types, g.need, len(ids))
+	for k := 0; k < len(ids); {
 		id := int64(ids[k])
 		if id < 0 || id >= t.nRows {
 			return false, fmt.Errorf("store: row id %d out of range in table %s", id, t.name)
@@ -438,28 +433,8 @@ func (g *Gather) NextBatch(b *expr.Batch, max int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		switch p := pagePure(fr.buf, g.cur); {
-		case k == 0 && p:
-			pure = true
-			copy(g.lanes, g.cur)
-			g.w.start(b, g.cur, g.need, len(ids))
-		case k == 0:
-			rows = make([]expr.Row, 0, len(ids))
-		case p != pure || p && !slices.Equal(g.lanes, g.cur):
-			t.eng.pool.Unpin(fr, false)
-			ids = ids[:k]
-			continue
-		}
 		for j, id := range ids[k:end] {
-			s := int(int64(id) - t.pageStart[pg])
-			if pure {
-				err = g.cell(fr, t.pageRowCount(pg, t.nRows), s, k+j)
-			} else {
-				var row expr.Row
-				row, err = decodePageRow(fr.buf, s, len(g.cur))
-				rows = append(rows, row)
-			}
-			if err != nil {
+			if err = g.cell(fr, t.pageRowCount(pg, t.nRows), int(int64(id)-t.pageStart[pg]), k+j); err != nil {
 				break
 			}
 		}
@@ -469,22 +444,12 @@ func (g *Gather) NextBatch(b *expr.Batch, max int) (bool, error) {
 		}
 		k = end
 	}
-	g.pos += k
-	if !pure {
-		b.SetRows(rows)
-		return true, nil
-	}
-	for _, v := range g.w.vecs {
-		if v != nil && v.N > k { // the batch ended at a lane change
-			shrinkVec(v, k)
-		}
-	}
-	b.SetLen(k)
+	g.pos += len(ids)
 	b.FinishCols()
 	return true, nil
 }
 
-// cell fills row i of the batch with slot s of a pinned lane-pure page
+// cell fills row i of the batch with slot s of a pinned page
 // whose first n rows the table holds: from the frame's cached decode
 // when that covers the columns g fills, through the walker otherwise.
 func (g *Gather) cell(fr *frame, n, s, i int) error {
@@ -510,20 +475,6 @@ func (g *Gather) cell(fr *frame, n, s, i int) error {
 		}
 	}
 	return nil
-}
-
-// shrinkVec cuts v to its first n values (bitmap bits past n are never
-// read).
-func shrinkVec(v *expr.Vec, n int) {
-	v.N = n
-	switch v.T {
-	case expr.TInt, expr.TDate:
-		v.I = v.I[:n]
-	case expr.TFloat:
-		v.F = v.F[:n]
-	case expr.TString:
-		v.S = v.S[:n]
-	}
 }
 
 // Rows drains g into one row slice.

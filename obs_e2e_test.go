@@ -109,7 +109,8 @@ func TestExplainReportsTruncatedSearch(t *testing.T) {
 		t.Fatalf("exhaustive search reported as truncated:\n%s", full)
 	}
 	budget := full.Stats.Exprs / 2
-	sys := demoSystemWith(t, Options{MaxExprs: budget})
+	sys := demoSystem(t)
+	sys.setMaxExprs(budget)
 	for _, cached := range []bool{false, true} {
 		p, err := sys.Explain(demoQuery)
 		if err != nil {
