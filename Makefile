@@ -68,8 +68,8 @@ benchgate:
 # Short fuzzing pass over the SQL and policy parsers, the compiled
 # kernel / interpreter parity harness, the soundness of the predicate
 # implication test, the wire-format decoder, the storage engine's page
-# decoder and B+ tree, and the LRU against its reference model (10s
-# per target).
+# and WAL-record decoders and B+ tree, and the LRU against its reference
+# model (10s per target).
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseSQL -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run NONE -fuzz FuzzParsePolicy -fuzztime 10s ./internal/sqlparse
@@ -77,5 +77,6 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzImpliesSound -fuzztime 10s ./internal/expr
 	$(GO) test -run NONE -fuzz FuzzWireDecode -fuzztime 10s ./internal/network
 	$(GO) test -run NONE -fuzz FuzzPageDecode -fuzztime 10s ./internal/store
+	$(GO) test -run NONE -fuzz FuzzWALRecord -fuzztime 10s ./internal/store
 	$(GO) test -run NONE -fuzz FuzzBTreeOps -fuzztime 10s ./internal/store
 	$(GO) test -run NONE -fuzz FuzzLRU -fuzztime 10s ./internal/lru

@@ -68,9 +68,9 @@ func NewPool(budgetBytes int64) *Pool {
 }
 
 // Pin returns the frame holding page pg of tf, reading it from the
-// pager on a miss (or formatting a fresh page when create is set and
-// the pager does not hold the page yet); hit reports that the page was
-// already resident. The frame stays resident until the matching Unpin.
+// pager on a miss (zeroed for the caller to fill when create is set and
+// the pager lacks the page); hit reports that the page was already
+// resident. The frame stays resident until the matching Unpin.
 func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -91,7 +91,7 @@ func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, 
 	case !create:
 		err = fmt.Errorf("store: page %d of %s does not exist", pg, tf.path)
 	default:
-		initPage(fr.buf, tf.types)
+		clear(fr.buf)
 	}
 	if err != nil {
 		p.dropFrame(fr)
@@ -181,16 +181,16 @@ func (p *Pool) FlushFile(tf *tableFile) (bool, error) {
 	return all, nil
 }
 
-// DropFile evicts every frame of tf (flushing dirty ones) — used when a
-// table file closes.
-func (p *Pool) DropFile(tf *tableFile) error {
+// DropFile evicts every frame of tf, flushing dirty ones when flush is
+// set — used when a table file closes.
+func (p *Pool) DropFile(tf *tableFile, flush bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for key, fr := range p.frames {
 		if key.file != tf {
 			continue
 		}
-		if fr.dirty {
+		if fr.dirty && flush {
 			if err := tf.writePage(key.page, fr.buf); err != nil {
 				return err
 			}

@@ -1,3 +1,13 @@
+// Package store implements the per-site storage engine: checksummed
+// PAX pages behind one pager per table, a pin/unpin LRU buffer pool with
+// a byte budget, and B+ tree secondary indexes over int64 and
+// dictionary-interned string keys. With a data directory the pager is
+// one file per table and a redo-only write-ahead log makes loads
+// crash-recoverable; without one the pages live on a memory pager and
+// there is nothing to recover. Everything above the pager is shared, so
+// plans and results do not depend on which pager runs. Pages and WAL
+// records store values in the column encoding of package colcodec, the
+// one wire frames use.
 package store
 
 import (
@@ -5,54 +15,114 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"slices"
 
+	"cgdqp/internal/colcodec"
 	"cgdqp/internal/expr"
 )
 
-// Slotted-page layout (fixed PageSize bytes):
+// PAX page layout (fixed PageSize bytes):
 //
 //	[0:4)    magic "CGSP"
 //	[4:6)    format version
 //	[6:8)    nRows
-//	[8:12)   freeOff — first free byte of the row-data heap
+//	[8:12)   end — first byte past the last minipage
 //	[12:16)  crc32 (IEEE) over the whole page with this field zeroed
-//	[16:20)  reserved (LSN slot for a future undo/redo upgrade)
-//	[20:20+nCols) per-column lane byte: the column's declared expr.Type,
-//	         written once by initPage; every cell of the column carries
-//	         that type's tag, so pages decode straight into column vectors
-//	[20+nCols:freeOff) row-data heap, rows encoded with the value codec
-//	[...:PageSize) slot directory growing down from the page end:
-//	         slot i is a u16 heap offset at PageSize-2(i+1)
+//	[16:18)  nCols
+//	[18:20)  reserved
+//	[20:20+nCols) per-column lane byte: the column's declared expr.Type
+//	[20+nCols:20+3nCols) offset table: u16 offset of each column's minipage
+//	[...:end) the minipages in column order, each the column encoding of
+//	         the column's nRows values, every NULL of the declared type
+//	[end:PageSize) zero
+//
+// A row is (page, slot): its values are at position slot of every
+// minipage. An append that extends the tail page rewrites it whole.
 const (
 	PageSize    = 8192
 	pageMagic   = 0x43475350 // "CGSP"
-	pageVersion = 1
+	pageVersion = 2
 	pageHdrSize = 20
+
+	// maxRowsPerPage bounds a page of very narrow rows.
+	maxRowsPerPage = 2048
 )
 
-// pageDataStart returns the offset of the row-data heap.
-func pageDataStart(nCols int) int { return pageHdrSize + nCols }
+var (
+	// ErrColumnType marks a value, a page or a column whose type is not
+	// its column's declared type: a refused load batch or an unreadable
+	// page.
+	ErrColumnType = errors.New("store: value does not match its column type")
+	// ErrCorrupt marks a page or a WAL record that passed its checksum
+	// but does not decode: written in another format version or damaged
+	// behind a valid CRC. Open fails with it and leaves the files as they
+	// are; only a checksum failure counts as a torn write.
+	ErrCorrupt = errors.New("store: unreadable page or log record")
+	// errChecksum marks a torn page.
+	errChecksum = errors.New("failed checksum")
+)
 
-// initPage formats buf as an empty page for a table of the given
-// column types.
-func initPage(buf []byte, types []expr.Type) {
-	clear(buf)
-	binary.LittleEndian.PutUint32(buf[0:4], pageMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], pageVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(pageDataStart(len(types))))
-	for c, t := range types {
-		buf[pageHdrSize+c] = byte(t)
+// pageDataStart returns the offset of the first minipage.
+func pageDataStart(nCols int) int { return pageHdrSize + 3*nCols }
+
+func pageNRows(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[6:8])) }
+func pageNCols(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[16:18])) }
+
+// pageSlot returns where column c's entry of the offset table lies.
+func pageSlot(buf []byte, c int) int { return pageHdrSize + pageNCols(buf) + 2*c }
+
+// pageOffset returns where column c's minipage starts; c = nCols gives
+// the end of the last one.
+func pageOffset(buf []byte, c int) int {
+	if c == pageNCols(buf) {
+		return int(binary.LittleEndian.Uint32(buf[8:12]))
 	}
+	return int(binary.LittleEndian.Uint16(buf[pageSlot(buf, c):]))
 }
 
-func pageNRows(buf []byte) int   { return int(binary.LittleEndian.Uint16(buf[6:8])) }
-func pageFreeOff(buf []byte) int { return int(binary.LittleEndian.Uint32(buf[8:12])) }
+// minipage returns column c's minipage of a page checkLayout accepted.
+func minipage(buf []byte, c int) []byte {
+	return buf[pageOffset(buf, c):pageOffset(buf, c+1)]
+}
 
-// pageSlot returns the heap offset of row i.
-func pageSlot(buf []byte, i int) int {
-	return int(binary.LittleEndian.Uint16(buf[PageSize-2*(i+1):]))
+// checkLayout checks the column and row counts and the offset table:
+// the minipages follow the table back to back, in column order, within
+// the page. Every decode checks it, since a resident page is not
+// re-checksummed.
+func checkLayout(buf []byte, nCols int) error {
+	if nc, n := pageNCols(buf), pageNRows(buf); nc != nCols || n > maxRowsPerPage {
+		return fmt.Errorf("%w: page of %d columns and %d rows in a table of %d columns", ErrCorrupt, nc, n, nCols)
+	}
+	prev := pageDataStart(nCols)
+	for c := 0; c <= nCols; c++ {
+		off := pageOffset(buf, c)
+		if off < prev || c == 0 && off != prev || off > PageSize {
+			return fmt.Errorf("%w: minipage %d at offset %d", ErrCorrupt, c, off)
+		}
+		prev = off
+	}
+	return nil
+}
+
+// writePage formats buf as a page of n rows of a table of the given
+// column types whose minipages are body, column c's at offs[c].
+func writePage(buf []byte, types []expr.Type, n int, offs []uint16, body []byte) {
+	nc := len(types)
+	start := pageDataStart(nc)
+	if start+len(body) > PageSize {
+		panic(fmt.Sprintf("store: %d bytes of minipages on a page", len(body)))
+	}
+	clear(buf[:pageHdrSize])
+	binary.LittleEndian.PutUint32(buf[0:4], pageMagic)
+	binary.LittleEndian.PutUint16(buf[4:6], pageVersion)
+	binary.LittleEndian.PutUint16(buf[6:8], uint16(n))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(start+len(body)))
+	binary.LittleEndian.PutUint16(buf[16:18], uint16(nc))
+	for c, t := range types {
+		buf[pageHdrSize+c] = byte(t)
+		binary.LittleEndian.PutUint16(buf[pageSlot(buf, c):], uint16(start)+offs[c])
+	}
+	clear(buf[start+copy(buf[start:], body) : PageSize])
 }
 
 // pageChecksum computes the page CRC with the crc field treated as zero.
@@ -68,179 +138,65 @@ func sealPage(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[12:16], pageChecksum(buf))
 }
 
-// validPage checks that buf is a well-formed, checksummed page whose
-// lane bytes are the table's column types. A page of other lanes —
-// written before the store was typed, when an untyped NULL or an
-// off-type value could land in any column — fails with ErrColumnType.
+// validPage checks a page read from its pager: a checksum failure is a
+// torn write (errChecksum); a checksummed page of another format
+// version or layout fails with ErrCorrupt, one whose lane bytes are not
+// the table's column types with ErrColumnType.
 func validPage(buf []byte, types []expr.Type) error {
-	if len(buf) != PageSize || binary.LittleEndian.Uint32(buf[0:4]) != pageMagic ||
-		binary.LittleEndian.Uint16(buf[4:6]) != pageVersion ||
-		binary.LittleEndian.Uint32(buf[12:16]) != pageChecksum(buf) {
-		return errors.New("failed checksum")
+	if binary.LittleEndian.Uint32(buf[12:16]) != pageChecksum(buf) {
+		return errChecksum
 	}
-	if free := pageFreeOff(buf); free < pageDataStart(len(types)) || free > PageSize-2*pageNRows(buf) {
-		return errors.New("corrupt header")
+	if magic, v := binary.LittleEndian.Uint32(buf[0:4]), binary.LittleEndian.Uint16(buf[4:6]); magic != pageMagic || v != pageVersion {
+		return fmt.Errorf("%w: magic %#x, format version %d; this store reads version %d", ErrCorrupt, magic, v, pageVersion)
 	}
 	for c, t := range types {
 		if lane := buf[pageHdrSize+c]; lane != byte(t) {
 			return fmt.Errorf("%w: column %d has lane byte %#x, declared %s", ErrColumnType, c, lane, t)
 		}
 	}
-	return nil
+	return checkLayout(buf, len(types))
 }
 
-// pageAppend adds one encoded row to the page in place, updating the
-// slot directory. It reports false when the row does not fit (the
-// caller then opens a fresh page).
-func pageAppend(buf []byte, enc []byte) bool {
-	n := pageNRows(buf)
-	free := pageFreeOff(buf)
-	if free+len(enc) > PageSize-2*(n+1) || n == maxRowsPerPage {
-		return false
+// columnErr types a minipage's decode failure.
+func columnErr(c int, err error) error {
+	if errors.Is(err, colcodec.ErrLane) {
+		return fmt.Errorf("%w: column %d: %v", ErrColumnType, c, err)
 	}
-	copy(buf[free:], enc)
-	binary.LittleEndian.PutUint16(buf[PageSize-2*(n+1):], uint16(free))
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(n+1))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(free+len(enc)))
-	return true
+	return fmt.Errorf("%w: column %d: %v", ErrCorrupt, c, err)
 }
 
-// maxRowsPerPage bounds the slot directory (u16 offsets, 2 bytes each).
-const maxRowsPerPage = 2048
-
-// decodePageRow decodes row i of the page, whose cells must carry the
-// column types.
-func decodePageRow(buf []byte, i int, types []expr.Type) (expr.Row, error) {
-	n := pageNRows(buf)
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("store: row %d out of range (page holds %d)", i, n)
-	}
-	off := pageSlot(buf, i)
-	if off < pageDataStart(len(types)) || off >= PageSize {
-		return nil, fmt.Errorf("store: corrupt slot offset %d", off)
-	}
-	row, _, err := decodeRow(buf[off:], len(types))
-	if err != nil {
-		return nil, err
-	}
-	for c, v := range row {
-		if v.T != types[c] || v.T == expr.TNull && !v.Null {
-			return nil, fmt.Errorf("%w: row %d column %d holds %s, declared %s", ErrColumnType, i, c, v.T, types[c])
-		}
-	}
-	return row, nil
-}
-
-// decodePageRows decodes rows [0, limit) of the page into out.
-func decodePageRows(buf []byte, limit int, types []expr.Type, out []expr.Row) ([]expr.Row, error) {
-	for i := 0; i < limit; i++ {
-		row, err := decodePageRow(buf, i, types)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// cellWalker is the columnar reader of pages. The table's column types
-// are the lanes: every cell's tag is checked against its lane (a TNull
-// lane holds NULL cells only) and its payload read by lane (a float is 9 bytes, an int, date or bool a
-// varint, a string a length and a jump) into the column's vector, or
-// bounds-checked and skipped when no vector wants it.
-type cellWalker struct {
-	lanes []expr.Type
-	vecs  []*expr.Vec // column c's destination; nil: validate and skip
-}
-
-// page fills b with the first limit rows of a page: exact
-// owned vectors (same exactness contract as expr.BuildColVec) of the
-// columns need selects (nil: all), the others validated and left unset.
-func (w *cellWalker) page(buf []byte, limit int, lanes []expr.Type, need []bool, b *expr.Batch) error {
-	w.start(b, lanes, need, limit)
-	for i := 0; i < limit; i++ {
-		if err := w.row(buf, i, i); err != nil {
-			return err
-		}
-	}
-	b.FinishCols()
-	return nil
-}
-
-// start makes b a column-backed batch of n rows on lanes, every column
-// need selects reset for the walker to fill; the caller finishes b with
-// FinishCols.
-func (w *cellWalker) start(b *expr.Batch, lanes []expr.Type, need []bool, n int) {
-	b.StartCols(len(lanes), n)
-	w.lanes = lanes
-	w.vecs = slices.Grow(w.vecs[:0], len(lanes))[:len(lanes)]
-	for c, lane := range lanes {
-		w.vecs[c] = nil
+// startBatch makes b a column-backed batch of n rows whose columns need
+// selects (nil: all) are reset to their types' lanes for decodePage to
+// fill; the others stay unset. The caller finishes b with FinishCols.
+func startBatch(b *expr.Batch, types []expr.Type, need []bool, n int) {
+	b.StartCols(len(types), n)
+	for c, t := range types {
 		if need == nil || need[c] {
-			w.vecs[c] = b.OwnCol(c)
-			w.vecs[c].Reset(lane, n)
+			b.OwnCol(c).Reset(t, n)
 		}
 	}
 }
 
-// row decodes the row in slot s of page buf into row i of the vectors.
-func (w *cellWalker) row(buf []byte, s, i int) error {
-	if s >= pageNRows(buf) {
-		return fmt.Errorf("store: row %d out of range (page holds %d)", s, pageNRows(buf))
+// decodePage fills rows base, base+1, ... of the vectors startBatch made
+// with a page's values at slots (non-decreasing), or, when slots is nil,
+// all rows with the page's first ones. Only the minipages need selects
+// are read, and of those only the values up to the last one taken.
+func decodePage(buf []byte, types []expr.Type, need []bool, slots []int32, b *expr.Batch, base int, d *colcodec.Decoder) error {
+	if err := checkLayout(buf, len(types)); err != nil {
+		return err
 	}
-	pos := pageSlot(buf, s)
-	if pos < pageDataStart(len(w.lanes)) || pos >= len(buf) {
-		return fmt.Errorf("store: corrupt slot offset %d", pos)
-	}
-	for c, lane := range w.lanes {
-		if pos >= len(buf) {
-			return fmt.Errorf("store: truncated value")
-		}
-		tag, v := buf[pos], w.vecs[c]
-		pos++
-		if tag != byte(lane) || lane == expr.TNull {
-			if tag != byte(lane)|nullBit {
-				return fmt.Errorf("%w: cell tag %#x in a %s lane", ErrColumnType, tag, lane)
-			}
-			if v != nil {
-				v.EnsureNull().Set(i)
-			}
+	n := pageNRows(buf)
+	for c := range types {
+		if need != nil && !need[c] {
 			continue
 		}
-		switch lane {
-		case expr.TFloat:
-			if len(buf)-pos < 8 {
-				return fmt.Errorf("store: truncated float payload")
-			}
-			if v != nil {
-				v.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-			}
-			pos += 8
-		case expr.TString:
-			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 || l > uint64(len(buf)-pos-n) {
-				return fmt.Errorf("store: bad string payload")
-			}
-			pos += n
-			if v != nil {
-				v.S[i] = string(buf[pos : pos+int(l)])
-			}
-			pos += int(l)
-		default: // TInt, TDate, TBool
-			x, n := binary.Varint(buf[pos:])
-			if n <= 0 {
-				return fmt.Errorf("store: bad varint payload")
-			}
-			pos += n
-			switch {
-			case v == nil:
-			case lane == expr.TBool:
-				if x != 0 {
-					v.B.Set(i)
-				}
-			default:
-				v.I[i] = x
-			}
+		v, mp := b.OwnCol(c), minipage(buf, c)
+		used, err := d.DecodeInto(mp, n, slots, v, base)
+		if err == nil && slots == nil && v.N == n && used != len(mp) {
+			err = fmt.Errorf("%d trailing bytes", len(mp)-used)
+		}
+		if err != nil {
+			return columnErr(c, err)
 		}
 	}
 	return nil
@@ -267,7 +223,7 @@ func (d *pageDecode) covers(n int, need []bool) bool {
 	return true
 }
 
-// copyInto fills b from d exactly as the cell walker would from the page:
+// copyInto fills b from d exactly as decodePage would from the page:
 // each selected column is copied into the batch's own vector (lanes
 // memmoved, string headers shared), the others stay unset.
 func (d *pageDecode) copyInto(b *expr.Batch, need []bool) {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -253,5 +255,165 @@ func TestCheckpointThenCrash(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint+WAL recovery: got %d rows, want %d", len(got), len(want))
+	}
+}
+
+// TestForeignPageFailsOpen: a checksummed page of another format
+// version is not a torn page — the reopen fails with ErrCorrupt and the
+// table file keeps every byte, where cutting it as a torn tail would
+// reopen the table empty.
+func TestForeignPageFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir, 0)
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(mixedRows(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, safeFileName("demo"))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[4:6], pageVersion-1)
+	sealPage(raw[:PageSize])
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			e.Close()
+		}
+		t.Fatalf("reopen over a page of format version %d: %v, want ErrCorrupt", pageVersion-1, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("the refused page file changed: %d bytes of %d, %v", len(got), len(raw), err)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// TestUndecodableWALRecordFailsOpen: a checksummed WAL record that does
+// not decode — one of the row codec (op 1), of an unknown table, or one
+// that leaves a gap after the rows before it — fails the reopen with
+// ErrCorrupt instead of being cut as a torn tail with every record after
+// it. The log keeps every byte, and the failed Open closes every file
+// it opened.
+func TestUndecodableWALRecordFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir, 0)
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(mixedRows(10)); err != nil {
+		t.Fatal(err)
+	}
+	walData, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(mixedRows(5)); err != nil { // a valid record after the bad one
+		t.Fatal(err)
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail = tail[len(walData):]
+	defer e.Close()
+
+	next, _ := walRecordOf("demo", 13, mixedRows(3))
+	op1 := append([]byte(nil), next...)
+	op1[8] = 1
+	gap, _ := walRecordOf("demo", 40, mixedRows(3))
+	for name, rec := range map[string][]byte{
+		"row codec":     restamp(op1),
+		"unknown table": restamp(bytes.Replace(next, []byte("demo"), []byte("gone"), 1)),
+		"gap":           gap,
+	} {
+		crash := copyDir(t, dir)
+		log := append(append(append([]byte(nil), walData...), rec...), tail...)
+		if err := os.WriteFile(filepath.Join(crash, "wal.log"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fds := openFDs(t)
+		if re, err := Open(Options{Dir: crash}); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				re.Close()
+			}
+			t.Errorf("%s: reopen: %v, want ErrCorrupt", name, err)
+			continue
+		}
+		if got := openFDs(t); got > fds {
+			t.Errorf("%s: the failed Open left %d file descriptors open", name, got-fds)
+		}
+		if got, err := os.ReadFile(filepath.Join(crash, "wal.log")); err != nil || !bytes.Equal(got, log) {
+			t.Errorf("%s: the log changed: %d bytes of %d, %v", name, len(got), len(log), err)
+		}
+	}
+}
+
+// TestCheckpointedPagesNeverRewritten: a checkpoint, and a reopen, seal
+// every table's tail page, so every page that existed at a checkpoint
+// keeps its bytes after more appends and a second checkpoint: a torn
+// writeback can then only hit pages whose rows the log still holds.
+func TestCheckpointedPagesNeverRewritten(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, safeFileName("demo"))
+	e := openTestEngine(t, dir, 0)
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := mixedRows(2000)
+	var durable []byte
+	for i, step := range []func() error{
+		func() error { return tab.Append(rows[:700]) },
+		func() error { return e.Checkpoint() },
+		func() error { return tab.Append(rows[700:1000]) },
+		func() error { return e.Checkpoint() },
+		func() error { return e.Close() },
+		func() error {
+			if e, err = Open(Options{Dir: dir}); err != nil {
+				return err
+			}
+			tab, _ = e.Table("demo")
+			return tab.Append(rows[1000:])
+		},
+		func() error { return e.Close() },
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:min(len(durable), len(got))], durable) {
+			t.Fatalf("step %d rewrote a page the last checkpoint made durable", i)
+		}
+		if i == 1 || i == 3 || i == 4 {
+			durable = got
+		}
+	}
+	e = openTestEngine(t, dir, 0)
+	defer e.Close()
+	tab, _ = e.Table("demo")
+	if got, err := tab.ScanRows(); err != nil || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("after the reopens: %d rows, %v", len(got), err)
 	}
 }

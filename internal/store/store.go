@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,7 +61,8 @@ func lower(s string) string { return strings.ToLower(s) }
 // Open opens (or initializes) the engine rooted at opts.Dir: it loads
 // the catalog, trusts each table's longest valid page prefix, replays
 // the WAL over it, and rebuilds the B+ tree indexes. An empty Dir opens
-// an empty in-memory engine.
+// an empty in-memory engine. On an error it closes every file it opened
+// and leaves the data directory as it found it, bar a torn tail.
 func Open(opts Options) (*Engine, error) {
 	pool := opts.Pool
 	if pool == nil {
@@ -76,35 +78,38 @@ func Open(opts Options) (*Engine, error) {
 	if opts.Dir == "" {
 		return e, nil
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := e.open(); err != nil {
+		e.release(false)
 		return nil, err
+	}
+	return e, nil
+}
+
+func (e *Engine) open() error {
+	if err := os.MkdirAll(e.dir, 0o755); err != nil {
+		return err
 	}
 	meta, err := e.readMeta()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, tm := range meta.Tables {
 		if err := e.loadTable(tm); err != nil {
-			for _, tf := range e.files {
-				tf.close()
-			}
-			return nil, err
+			return err
 		}
 	}
-	w, err := openWAL(filepath.Join(opts.Dir, "wal.log"), opts.Fsync)
-	if err != nil {
-		return nil, err
+	if e.wal, err = openWAL(filepath.Join(e.dir, "wal.log"), e.fsync); err != nil {
+		return err
 	}
-	e.wal = w
 	if err := e.recover(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, t := range e.tables {
 		if err := t.buildIndexes(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return e, nil
+	return nil
 }
 
 func (e *Engine) metaPath() string { return filepath.Join(e.dir, "meta.json") }
@@ -161,10 +166,11 @@ func (e *Engine) writeMeta() error {
 }
 
 // loadTable opens a known table's page file and trusts its longest
-// valid page prefix (a torn tail page fails its checksum and is cut
-// off; the WAL re-applies whatever the prefix is missing). A page of
-// other lanes than the declared column types is not torn: it fails the
-// open with ErrColumnType.
+// valid page prefix: the file ends, or a page fails its checksum, where
+// a torn write stopped, and the tail from there is cut off (the WAL
+// re-applies whatever the prefix is missing). Any other failure — an
+// I/O error, a checksummed page of another format, version or lanes —
+// fails the open and leaves the file as it is.
 func (e *Engine) loadTable(tm tableMeta) error {
 	if len(tm.Types) != len(tm.Columns) {
 		return fmt.Errorf("store: corrupt meta file: table %s has %d types for %d columns", tm.Name, len(tm.Types), len(tm.Columns))
@@ -174,27 +180,21 @@ func (e *Engine) loadTable(tm tableMeta) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, PageSize)
-	var pg uint32
-	for {
-		if err := tf.readPage(pg, buf); errors.Is(err, ErrColumnType) {
-			tf.close()
-			return err
-		} else if err != nil {
-			break
-		}
-		t.pageStart = append(t.pageStart, t.nRows)
-		t.nRows += int64(pageNRows(buf))
-		pg++
-	}
-	if err := tf.truncatePages(pg); err != nil {
-		tf.close()
-		return err
-	}
 	key := lower(tm.Name)
 	e.tables[key] = t
 	e.files[key] = tf
-	return nil
+	buf := make([]byte, PageSize)
+	var pg uint32
+	for ; pg < tf.pages; pg++ {
+		if err := tf.readPage(pg, buf); errors.Is(err, errChecksum) {
+			break
+		} else if err != nil {
+			return err
+		}
+		t.pageStart = append(t.pageStart, t.nRows)
+		t.nRows += int64(pageNRows(buf))
+	}
+	return tf.truncatePages(pg)
 }
 
 // newTable constructs the in-memory table shell from its catalog entry.
@@ -221,29 +221,43 @@ func (e *Engine) newTable(tm tableMeta) *Table {
 }
 
 // recover replays the WAL: each record whose afterRows is past the
-// table's durable row count re-applies exactly the missing suffix.
+// table's durable row count re-applies exactly the missing suffix. A
+// record that does not decode, or would leave a gap after the rows
+// before it, fails the open with the log as it is (Open then drops the
+// replayed pages unwritten); only a torn tail is cut.
 func (e *Engine) recover() error {
-	return e.wal.replay(
-		func(name string) (int, bool) {
-			t, ok := e.tables[lower(name)]
-			if !ok {
-				return 0, false
+	data, err := io.ReadAll(io.NewSectionReader(e.wal.f, 0, e.wal.size))
+	if err != nil {
+		return err
+	}
+	off := 0
+	for {
+		rec, n, err := decodeWALRecord(data[off:], func(name string) []expr.Type {
+			if t, ok := e.tables[lower(name)]; ok {
+				return t.types
 			}
-			return len(t.cols), true
-		},
-		func(rec walRecord) error {
-			t := e.tables[lower(rec.table)]
-			missing := int64(rec.afterRows) - t.nRows
-			if missing <= 0 {
-				return nil
-			}
-			if missing > int64(len(rec.rows)) {
-				// A gap means an earlier record was lost; trust only the
-				// pages (the record cannot be applied consistently).
-				return nil
-			}
-			return t.appendLocked(rec.rows[int64(len(rec.rows))-missing:], false)
+			return nil
 		})
+		if errors.Is(err, errTornRecord) {
+			break
+		} else if err != nil {
+			return fmt.Errorf("%w (at byte %d of the log)", err, off)
+		}
+		t := e.tables[lower(rec.table)]
+		if missing := int64(rec.afterRows) - t.nRows; missing > int64(len(rec.rows)) {
+			return fmt.Errorf("%w: wal record at byte %d starts table %s at row %d, past its %d rows: a record is missing",
+				ErrCorrupt, off, rec.table, rec.afterRows-uint64(len(rec.rows)), t.nRows)
+		} else if missing > 0 {
+			if err := t.appendLocked(rec.rows[int64(len(rec.rows))-missing:], false); err != nil {
+				return err
+			}
+		}
+		off += n
+	}
+	if off < len(data) {
+		return e.wal.truncate(int64(off))
+	}
+	return nil
 }
 
 // CreateTable declares a table: column names, column types, and which
@@ -322,6 +336,9 @@ func (e *Engine) Checkpoint() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for _, t := range e.tables {
+		t.tail = nil // durable now (appends hold e.mu): the next opens a fresh page
+	}
 	all := true
 	for _, tf := range e.files {
 		ok, err := e.pool.FlushFile(tf)
@@ -339,7 +356,7 @@ func (e *Engine) Checkpoint() error {
 	if !all {
 		return nil
 	}
-	return e.wal.truncate()
+	return e.wal.truncate(0)
 }
 
 // Close checkpoints and releases every pager and its frames.
@@ -349,9 +366,15 @@ func (e *Engine) Close() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.release(true)
+}
+
+// release drops every pager's frames, writing dirty ones back when
+// flush is set, and closes the pagers and the WAL.
+func (e *Engine) release(flush bool) error {
 	var firstErr error
 	for _, tf := range e.files {
-		if err := e.pool.DropFile(tf); err != nil && firstErr == nil {
+		if err := e.pool.DropFile(tf, flush); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if err := tf.close(); err != nil && firstErr == nil {

@@ -1,16 +1,19 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 
+	"cgdqp/internal/colcodec"
 	"cgdqp/internal/expr"
 )
 
 // Table is one table: its pager, the page directory (start row of
-// every page), and the B+ tree secondary indexes.
+// every page), the open tail page's columns, and the B+ tree secondary
+// indexes.
 type Table struct {
 	eng   *Engine
 	name  string
@@ -20,6 +23,18 @@ type Table struct {
 	mu        sync.RWMutex
 	nRows     int64
 	pageStart []int64 // pageStart[i] = id of the first row on page i
+	// tail builds the columns of the last page while appends may extend
+	// it; nil once it is sealed (by a checkpoint or a reopen, which made
+	// it durable, or a refused append): the next append then opens a
+	// fresh page.
+	tail []colcodec.Builder
+
+	// Append scratch, under mu: the builders of tail and of a chunk
+	// extending it, the chunks, and the minipages of the extended tail.
+	builders      []colcodec.Builder
+	chunks        []chunk
+	offs, imgOffs []uint16
+	img           []byte
 
 	idxCols []string          // indexed columns, declaration order
 	idx     map[string]*btree // lowercase column -> index
@@ -58,17 +73,16 @@ func (t *Table) Append(rows []expr.Row) error {
 func (t *Table) appendLocked(rows []expr.Row, logWAL bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	enc, ends, err := t.encodeRows(rows)
+	rec, err := t.layout(rows)
+	if err == nil && logWAL && t.eng.wal != nil {
+		err = t.eng.wal.append(rec)
+	}
 	if err != nil {
+		t.tail = nil // it may hold rows no page does
 		return err
 	}
-	if logWAL && t.eng.wal != nil {
-		if err := t.eng.wal.appendInsert(t.name, uint64(t.nRows)+uint64(len(rows)), len(rows), enc); err != nil {
-			return err
-		}
-	}
 	startID := t.nRows
-	if err := t.appendPages(enc, ends); err != nil {
+	if err := t.writePages(rec); err != nil {
 		return err
 	}
 	for i, r := range rows {
@@ -77,74 +91,135 @@ func (t *Table) appendLocked(rows []expr.Row, logWAL bool) error {
 	return nil
 }
 
-// encodeRows encodes a whole batch before the WAL or any page sees it,
-// refusing it when a row has the wrong width, a non-NULL value of
-// another type than its column's, or does not fit a page. Every NULL is
-// encoded as a NULL of its column's type, so each page column holds one
-// lane. Row i's encoding ends at enc[ends[i]].
-func (t *Table) encodeRows(rows []expr.Row) (enc []byte, ends []int, err error) {
-	maxRow := PageSize - pageDataStart(len(t.cols)) - 2
-	enc = make([]byte, 0, 32*len(rows))
-	ends = make([]int, len(rows))
-	for i, r := range rows {
-		if len(r) != len(t.cols) {
-			return nil, nil, fmt.Errorf("store: row width %d does not match table %s (%d columns)", len(r), t.name, len(t.cols))
-		}
-		start := len(enc)
-		for c, v := range r {
-			switch ct := t.types[c]; {
-			case v.IsNull():
-				v = expr.TypedNull(ct)
-			case v.T != ct:
-				return nil, nil, fmt.Errorf("%w: table %s column %s row %d holds %s, declared %s", ErrColumnType, t.name, t.cols[c], i, v.T, ct)
-			}
-			enc = appendValue(enc, v)
-		}
-		if len(enc)-start > maxRow {
-			return nil, nil, fmt.Errorf("store: row of %d bytes exceeds page capacity in table %s", len(enc)-start, t.name)
-		}
-		ends[i] = len(enc)
+// chunk is the share of an appended batch that lands on one page: m
+// rows after the k the page holds (k > 0 only on the open tail page),
+// column-encoded at rec[body:end].
+type chunk struct{ m, k, body, end int }
+
+// layout lays the batch out on pages before the WAL or any page sees
+// it, refusing it when a row has the wrong width, a non-NULL value of
+// another type than its column's, or does not fit a page; every NULL is
+// stored as a NULL of its column's type. It returns the batch's WAL
+// record, whose chunks are a fresh page's minipages as they are; it
+// leaves the chunks in t.chunks and t.offs, the extended tail page's
+// minipages in t.img and t.imgOffs, and the last page in t.tail.
+func (t *Table) layout(rows []expr.Row) ([]byte, error) {
+	nc := len(t.types)
+	t.chunks, t.offs = t.chunks[:0], t.offs[:0]
+	t.builders = slices.Grow(t.builders[:0], 2*nc)[:2*nc]
+	extra := t.builders[nc:]
+	rec := walHeader(t.name, uint64(t.nRows)+uint64(len(rows)), len(rows))
+	k := 0
+	if t.tail != nil {
+		k = int(t.nRows - t.pageStart[len(t.pageStart)-1])
 	}
-	return enc, ends, nil
+	for pos := 0; pos < len(rows); k = 0 {
+		fresh := extra
+		if k == 0 {
+			t.tail, fresh = t.builders[:nc], t.builders[:nc]
+		}
+		for c := range fresh {
+			fresh[c].Reset()
+		}
+		m, full, err := t.fit(rows, pos, k, extra)
+		if err != nil {
+			return nil, err
+		}
+		if m == 0 { // the tail page is full
+			continue
+		}
+		rec = binary.LittleEndian.AppendUint16(rec, uint16(m))
+		ch := chunk{m: m, k: k, body: len(rec)}
+		if k > 0 {
+			rec, t.offs = appendBuilt(rec, t.offs, extra)
+			t.img, t.imgOffs = appendBuilt(t.img[:0], t.imgOffs[:0], t.tail)
+		} else {
+			rec, t.offs = appendBuilt(rec, t.offs, t.tail)
+		}
+		ch.end = len(rec)
+		t.chunks = append(t.chunks, ch)
+		if pos += m; full {
+			t.tail = nil
+		}
+	}
+	return rec, nil
 }
 
-// appendPages writes the encoded rows into the tail page (opening fresh
-// pages as they fill) through the buffer pool; frames stay pinned
-// across rows of the same batch.
-func (t *Table) appendPages(enc []byte, ends []int) error {
-	pool := t.eng.pool
-	tf := t.file()
-	var fr *frame
-	release := func() {
-		if fr != nil {
-			pool.Unpin(fr, true)
-			fr = nil
+// fit adds as many rows from rows[pos] to the tail page's k rows in
+// t.tail, and to extra when k > 0, as fit the page, checking each, and
+// reports how many it added and whether the page is then full.
+func (t *Table) fit(rows []expr.Row, pos, k int, extra []colcodec.Builder) (m int, full bool, err error) {
+	nc := len(t.types)
+	for ; pos+m < len(rows); m++ {
+		if k+m == maxRowsPerPage {
+			return m, true, nil
+		}
+		r := rows[pos+m]
+		if len(r) != nc {
+			return 0, false, fmt.Errorf("store: row width %d does not match table %s (%d columns)", len(r), t.name, nc)
+		}
+		size := pageDataStart(nc)
+		for c, x := range r {
+			switch ct := t.types[c]; {
+			case x.IsNull():
+				x = expr.TypedNull(ct)
+			case x.T != ct:
+				return 0, false, fmt.Errorf("%w: table %s column %s row %d holds %s, declared %s", ErrColumnType, t.name, t.cols[c], pos+m, x.T, ct)
+			}
+			t.tail[c].Add(x)
+			if k > 0 {
+				extra[c].Add(x)
+			}
+			size += t.tail[c].Len()
+		}
+		if size > PageSize {
+			for c, x := range r {
+				t.tail[c].Undo(x)
+				if k > 0 {
+					extra[c].Undo(x)
+				}
+			}
+			if k+m == 0 {
+				return 0, false, fmt.Errorf("store: row of %d bytes exceeds page capacity in table %s", size, t.name)
+			}
+			return m, true, nil
 		}
 	}
-	start := 0
-	for _, end := range ends {
-		rowEnc := enc[start:end]
-		start = end
-		for {
-			if fr == nil {
-				if len(t.pageStart) == 0 {
-					t.pageStart = append(t.pageStart, 0)
-				}
-				var err error
-				fr, _, err = pool.Pin(tf, uint32(len(t.pageStart)-1), true)
-				if err != nil {
-					return err
-				}
-			}
-			if pageAppend(fr.buf, rowEnc) {
-				t.nRows++
-				break
-			}
-			release()
+	return m, false, nil
+}
+
+// appendBuilt appends the encodings of the columns bs built to dst,
+// and each one's offset past dst's end to offs.
+func appendBuilt(dst []byte, offs []uint16, bs []colcodec.Builder) ([]byte, []uint16) {
+	start := len(dst)
+	for c := range bs {
+		offs = append(offs, uint16(len(dst)-start))
+		dst = bs[c].Append(dst)
+	}
+	return dst, offs
+}
+
+// writePages applies the chunks layout left of the batch whose WAL
+// record is rec to the pages through the buffer pool: a fresh page
+// takes its chunk's encodings as they are, the tail page is rewritten
+// whole.
+func (t *Table) writePages(rec []byte) error {
+	nc := len(t.types)
+	for j, ch := range t.chunks {
+		body, offs := rec[ch.body:ch.end], t.offs[j*nc:(j+1)*nc]
+		if ch.k > 0 {
+			body, offs = t.img, t.imgOffs
+		} else {
 			t.pageStart = append(t.pageStart, t.nRows)
 		}
+		fr, _, err := t.eng.pool.Pin(t.file(), uint32(len(t.pageStart)-1), true)
+		if err != nil {
+			return err
+		}
+		writePage(fr.buf, t.types, ch.k+ch.m, offs, body)
+		t.eng.pool.Unpin(fr, true)
+		t.nRows += int64(ch.m)
 	}
-	release()
 	return nil
 }
 
@@ -182,27 +257,15 @@ func (t *Table) pageRowCount(pg int, limit int64) int {
 // ScanRows decodes every row, for whole-table reads (statistics, the
 // index fallback); scans use Iterator batches instead.
 func (t *Table) ScanRows() ([]expr.Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]expr.Row, 0, t.nRows)
-	pool := t.eng.pool
-	tf := t.file()
-	for pg := 0; pg < len(t.pageStart); pg++ {
-		n := t.pageRowCount(pg, t.nRows)
-		if n == 0 {
-			continue
+	var out []expr.Row
+	it := t.NewIterator()
+	for b := new(expr.Batch); ; {
+		more, err := it.NextBatch(b)
+		if err != nil || !more {
+			return out, err
 		}
-		fr, _, err := pool.Pin(tf, uint32(pg), false)
-		if err != nil {
-			return nil, err
-		}
-		out, err = decodePageRows(fr.buf, n, t.types, out)
-		pool.Unpin(fr, false)
-		if err != nil {
-			return nil, err
-		}
+		out = append(out, b.Rows()...)
 	}
-	return out, nil
 }
 
 // index returns the B+ tree for a column, if declared.
@@ -230,53 +293,46 @@ func (t *Table) IndexStats(col string) (min, max expr.Value, distinct int, ok bo
 	return keyValue(loK, t.types[pos]), keyValue(hiK, t.types[pos]), tree.Len(), true
 }
 
-// buildIndexes rebuilds every B+ tree by scanning the pages (called on
-// open, after WAL replay has settled the durable row set).
+// buildIndexes rebuilds every B+ tree from a scan of the indexed
+// columns. Open calls it, after WAL replay has settled the durable row
+// set and before the engine is shared.
 func (t *Table) buildIndexes() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, tree := range t.idx {
-		*tree = *newBTree(tree.str)
-	}
 	if len(t.idx) == 0 {
 		return nil
 	}
-	pool := t.eng.pool
-	tf := t.file()
-	id := int32(0)
-	for pg := 0; pg < len(t.pageStart); pg++ {
-		n := t.pageRowCount(pg, t.nRows)
-		if n == 0 {
-			continue
-		}
-		fr, _, err := pool.Pin(tf, uint32(pg), false)
-		if err != nil {
-			return err
-		}
-		rows, err := decodePageRows(fr.buf, n, t.types, nil)
-		pool.Unpin(fr, false)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			t.indexRow(r, id)
-			id++
-		}
+	need := make([]bool, len(t.cols))
+	for col, tree := range t.idx {
+		*tree = *newBTree(tree.str)
+		need[t.colPos(col)] = true
 	}
-	return nil
+	it := t.NewIterator()
+	it.SetNeeded(need)
+	for b, id := new(expr.Batch), int32(0); ; {
+		more, err := it.NextBatch(b)
+		if err != nil || !more {
+			return err
+		}
+		for c, tree := range t.idx {
+			pos := t.colPos(c)
+			for i := 0; i < b.Len(); i++ {
+				tree.InsertValue(b.RowValue(i, pos), id+int32(i))
+			}
+		}
+		id += int32(b.Len())
+	}
 }
 
 // Iterator streams a consistent snapshot of the table one page at a
 // time, decoding each page straight into the column vectors of an
 // expr.Batch, on the lanes of the table's column types. A resident page
 // is decoded once: its frame keeps the columns its scans decoded, and a
-// later scan copies them instead of re-parsing every cell.
+// later scan copies them instead of decoding the minipages again.
 type Iterator struct {
 	t    *Table
 	page int
 	snap int64
 	need []bool // nil: every column
-	w    cellWalker
+	d    colcodec.Decoder
 }
 
 // NewIterator opens a snapshot scan.
@@ -288,8 +344,8 @@ func (t *Table) NewIterator() *Iterator {
 }
 
 // SetNeeded restricts the scan to the columns a consumer reads:
-// need[c] false leaves column c of every batch unset (its cells are
-// validated, not decoded). The consumer must then not touch those
+// need[c] false leaves column c of every batch unset (its minipage is
+// not read). The consumer must then not touch those
 // columns. nil restores the full decode.
 func (it *Iterator) SetNeeded(need []bool) { it.need = need }
 
@@ -335,9 +391,11 @@ func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error
 		it.t.eng.pool.decodeHits.Add(1)
 		return nil
 	}
-	if err := it.w.page(fr.buf, n, it.t.types, it.need, b); err != nil {
-		return err
+	startBatch(b, it.t.types, it.need, n)
+	if err := decodePage(fr.buf, it.t.types, it.need, nil, b, 0, &it.d); err != nil {
+		return fmt.Errorf("store: page %d of %s: %w", it.page, it.t.name, err)
 	}
+	b.FinishCols()
 	if hit {
 		fr.mergeDecode(n, b, it.need)
 	}
@@ -346,15 +404,16 @@ func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error
 
 // Gather is an index read, a bitmap heap scan: the B+ tree yields row
 // IDs (Range, Lookup), NextBatch fetches them in row-ID order, pinning
-// each page once per batch and copying its selected slots from the
-// frame's cached decode or walking them into a column-backed batch.
+// each page once per batch and decoding just its selected slots from
+// the needed minipages into a column-backed batch.
 type Gather struct {
 	t         *Table
 	need      []bool // nil: every column
 	ids, from []int32
 	pairs     []uint64 // Lookup's sort scratch: id<<32 | key position
 	pos       int      // next of ids to fetch
-	w         cellWalker
+	slots     []int32  // NextBatch's scratch: one page's slots
+	d         colcodec.Decoder
 }
 
 // NewGather returns an index read of t that fills the columns need
@@ -418,63 +477,34 @@ func (g *Gather) NextBatch(b *expr.Batch, max int) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ids, tf := g.ids[g.pos:min(len(g.ids), g.pos+max)], t.file()
-	g.w.start(b, t.types, g.need, len(ids))
+	startBatch(b, t.types, g.need, len(ids))
 	for k := 0; k < len(ids); {
 		id := int64(ids[k])
 		if id < 0 || id >= t.nRows {
 			return false, fmt.Errorf("store: row id %d out of range in table %s", id, t.name)
 		}
 		pg := sort.Search(len(t.pageStart), func(i int) bool { return t.pageStart[i] > id }) - 1
-		end := k + 1
-		for end < len(ids) && (pg+1 == len(t.pageStart) || int64(ids[end]) < t.pageStart[pg+1]) {
-			end++
+		g.slots = g.slots[:0]
+		for _, id := range ids[k:] {
+			if pg+1 < len(t.pageStart) && int64(id) >= t.pageStart[pg+1] {
+				break
+			}
+			g.slots = append(g.slots, int32(int64(id)-t.pageStart[pg]))
 		}
 		fr, _, err := t.eng.pool.Pin(tf, uint32(pg), false)
 		if err != nil {
 			return false, err
 		}
-		for j, id := range ids[k:end] {
-			if err = g.cell(fr, t.pageRowCount(pg, t.nRows), int(int64(id)-t.pageStart[pg]), k+j); err != nil {
-				break
-			}
-		}
+		err = decodePage(fr.buf, t.types, g.need, g.slots, b, k, &g.d)
 		t.eng.pool.Unpin(fr, false)
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("store: page %d of %s: %w", pg, t.name, err)
 		}
-		k = end
+		k += len(g.slots)
 	}
 	g.pos += len(ids)
 	b.FinishCols()
 	return true, nil
-}
-
-// cell fills row i of the batch with slot s of a pinned page
-// whose first n rows the table holds: from the frame's cached decode
-// when that covers the columns g fills, through the walker otherwise.
-func (g *Gather) cell(fr *frame, n, s, i int) error {
-	d := fr.dec.Load()
-	if !d.covers(n, g.need) {
-		return g.w.row(fr.buf, s, i)
-	}
-	for c, v := range g.w.vecs {
-		switch src := d.cols[c]; {
-		case v == nil:
-		case src.IsNullAt(s):
-			v.EnsureNull().Set(i)
-		case v.T == expr.TFloat:
-			v.F[i] = src.F[s]
-		case v.T == expr.TString:
-			v.S[i] = src.S[s]
-		case v.T == expr.TBool:
-			if src.B.Get(s) {
-				v.B.Set(i)
-			}
-		default:
-			v.I[i] = src.I[s]
-		}
-	}
-	return nil
 }
 
 // Rows drains g into one row slice.
