@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cgdqp/internal/cluster"
@@ -461,4 +462,58 @@ func TestIndexScanAllocsPerBatch(t *testing.T) {
 		t.Errorf("SUM over an index range: %.0f allocations for 1 batch, %.0f for 20; want at most %d more per batch", small, large, perBatch)
 	}
 	t.Logf("allocations: 1 batch %.0f, 20 batches %.0f", small, large)
+}
+
+// TestGlobalAggVecMatchesRows: a global aggregation absorbed
+// vectorized (every row in group 0, no key lookup) yields the row
+// path's result row, over several column-backed chunks under a
+// selection vector, over zero rows, and over arguments that are all
+// NULL.
+func TestGlobalAggVecMatchesRows(t *testing.T) {
+	types := []expr.Type{expr.TInt, expr.TFloat}
+	child := &plan.Node{Cols: []plan.ColRef{{Table: "t", Name: "a", Type: expr.TInt}, {Table: "t", Name: "b", Type: expr.TFloat}}}
+	var aggs []plan.NamedAgg
+	for _, fn := range []expr.AggFn{expr.AggSum, expr.AggCount, expr.AggAvg, expr.AggMin, expr.AggMax} {
+		for _, col := range []string{"a", "b"} {
+			aggs = append(aggs, plan.NamedAgg{Fn: fn, Arg: expr.NewCol("t", col)})
+		}
+	}
+	aggs = append(aggs, plan.NamedAgg{Fn: expr.AggCount}) // COUNT(*)
+	node := &plan.Node{Children: []*plan.Node{child}, Aggs: aggs}
+
+	chunks := func(n int, val func(i int) expr.Row) [][]expr.Row {
+		out := make([][]expr.Row, n)
+		for c := range out {
+			for i := 0; i < 100; i++ {
+				out[c] = append(out[c], val(c*100+i))
+			}
+		}
+		return out
+	}
+	for name, in := range map[string][][]expr.Row{
+		"chunks under a selection": chunks(4, func(i int) expr.Row {
+			return expr.Row{expr.NewInt(int64(i%37 - 10)), expr.NewFloat(float64(i) / 8)}
+		}),
+		"zero rows": nil,
+		"all-NULL arguments": chunks(3, func(int) expr.Row {
+			return expr.Row{expr.TypedNull(expr.TInt), expr.TypedNull(expr.TFloat)}
+		}),
+	} {
+		var got [2][]expr.Row
+		for k, vec := range []bool{false, true} {
+			op, err := newHashAgg(node, &chunkSrc{chunks: in, types: types, cols: true, sel: true}, vec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vec != op.(*hashAggOp).vec {
+				t.Fatalf("%s: vectorized %v, want %v", name, op.(*hashAggOp).vec, vec)
+			}
+			if got[k], err = drain(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(got[0]) != 1 || !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%s: row path %v, vectorized %v", name, got[0], got[1])
+		}
+	}
 }

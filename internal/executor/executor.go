@@ -1521,7 +1521,33 @@ func (a *hashAggOp) absorbVecChunk(chunk *Batch) bool {
 		a.gids = make([]int32, n)
 	}
 	a.gids = a.gids[:n]
-	for r := 0; r < n; r++ {
+	if len(a.keys) == 0 {
+		// A global aggregation has one group: no key to encode or look up.
+		if len(a.groupVals) == 0 {
+			a.newGroup("", nil)
+		}
+		clear(a.gids)
+	} else {
+		a.assignGroups(chunk, sel)
+	}
+	for i, acc := range a.accs {
+		if a.args[i] == nil {
+			if len(acc.count) > 0 {
+				for _, g := range a.gids {
+					acc.count[g]++
+				}
+			}
+			continue
+		}
+		acc.addVec(a.gids, a.argVecs[i], sel, a.argDense[i], n)
+	}
+	return true
+}
+
+// assignGroups gives every row of the chunk its dense group id in
+// a.gids by its encoded key, registering groups on first appearance.
+func (a *hashAggOp) assignGroups(chunk *Batch, sel []int32) {
+	for r := range a.gids {
 		a.keyBuf = a.keyBuf[:0]
 		for i, v := range a.keyVecs {
 			vi := r
@@ -1547,18 +1573,6 @@ func (a *hashAggOp) absorbVecChunk(chunk *Batch) bool {
 		}
 		a.gids[r] = gid
 	}
-	for i, acc := range a.accs {
-		if a.args[i] == nil {
-			if len(acc.count) > 0 {
-				for _, g := range a.gids {
-					acc.count[g]++
-				}
-			}
-			continue
-		}
-		acc.addVec(a.gids, a.argVecs[i], sel, a.argDense[i], n)
-	}
-	return true
 }
 
 // evalVec resolves one classified expression over the chunk. dense

@@ -166,15 +166,19 @@ func TestFig7deShapes(t *testing.T) {
 	if len(rows) != 10 { // 2 queries × 5 location counts
 		t.Fatalf("rows: %d", len(rows))
 	}
-	// Optimization time grows (roughly) with fragmentation; check the
-	// endpoint ordering per query.
+	// The search space, and with it optimization time, grows with
+	// fragmentation: every added location adds memo groups and
+	// expressions.
 	byQuery := map[string][]FragRow{}
 	for _, r := range rows {
 		byQuery[r.Query] = append(byQuery[r.Query], r)
 	}
 	for q, rs := range byQuery {
-		if rs[len(rs)-1].Compliant <= rs[0].Compliant {
-			t.Errorf("%s: time did not grow with fragmentation (%v → %v)", q, rs[0].Compliant, rs[len(rs)-1].Compliant)
+		for i := 1; i < len(rs); i++ {
+			if rs[i].Groups <= rs[i-1].Groups || rs[i].Exprs <= rs[i-1].Exprs {
+				t.Errorf("%s: memo did not grow from %d to %d locations (groups %d → %d, exprs %d → %d)",
+					q, rs[i-1].NumLocs, rs[i].NumLocs, rs[i-1].Groups, rs[i].Groups, rs[i-1].Exprs, rs[i].Exprs)
+			}
 		}
 	}
 	_ = RenderFig7de(rows)

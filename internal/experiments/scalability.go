@@ -38,12 +38,14 @@ func Fig7Expressions(cfg Config) ([]ScaleRow, error) {
 
 // FragRow is one bar of Figures 7(d)/(e): optimization time against the
 // number of locations the Customer and Orders tables are fragmented
-// over.
+// over, with the size of the memo that search built.
 type FragRow struct {
 	Query     string
 	NumLocs   int
 	Compliant time.Duration
 	SiteTime  time.Duration
+	Groups    int
+	Exprs     int
 }
 
 // Fig7deTableLocations reproduces Figures 7(d)/(e): Customer and Orders
@@ -59,7 +61,8 @@ func Fig7deTableLocations(cfg Config) ([]FragRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s over %d locations: %w", qn, nLocs, err)
 			}
-			out = append(out, FragRow{Query: qn, NumLocs: nLocs, Compliant: dur, SiteTime: res.Stats.SiteTime})
+			out = append(out, FragRow{Query: qn, NumLocs: nLocs, Compliant: dur, SiteTime: res.Stats.SiteTime,
+				Groups: res.Stats.Groups, Exprs: res.Stats.Exprs})
 		}
 	}
 	return out, nil

@@ -71,17 +71,27 @@ func NewPool(budgetBytes int64) *Pool {
 // pager on a miss (zeroed for the caller to fill when create is set and
 // the pager lacks the page); hit reports that the page was already
 // resident. The frame stays resident until the matching Unpin.
+//
+// A read of a table with more pages than the pool has frames would
+// flush every other table through the LRU on each pass (sequential
+// flooding). Its misses enter at the cold end and its hits stay where
+// they are, so it cycles through the frames it already holds, and keeps
+// a fixed subset of itself resident, as MRU would. Appends and tables
+// that fit keep LRU placement.
 func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	cold := !create && tf.pages > uint32(p.budgetFrames)
 	if fr, ok := p.frames[frameKey{tf, pg}]; ok {
 		p.hits.Add(1)
 		fr.pins++
-		p.lru.MoveToFront(fr.elem)
+		if !cold {
+			p.lru.MoveToFront(fr.elem)
+		}
 		return fr, true, nil
 	}
 	p.misses.Add(1)
-	fr, err = p.allocFrame(frameKey{tf, pg})
+	fr, err = p.allocFrame(frameKey{tf, pg}, cold)
 	if err != nil {
 		return nil, false, err
 	}
@@ -101,38 +111,48 @@ func (p *Pool) Pin(tf *tableFile, pg uint32, create bool) (fr *frame, hit bool, 
 	return fr, false, nil
 }
 
-// allocFrame carves out a frame for key, evicting the least recently
-// used unpinned frame when the pool is at budget. Caller holds p.mu.
-func (p *Pool) allocFrame(key frameKey) (*frame, error) {
+// allocFrame carves out a frame for key at the LRU's front (its back
+// when cold), first evicting least recently used unpinned frames until
+// the pool is below budget; the last evicted frame, list element
+// included, is reused. Caller holds p.mu.
+func (p *Pool) allocFrame(key frameKey, cold bool) (*frame, error) {
 	var fr *frame
-	if len(p.frames) >= p.budgetFrames {
-		for e := p.lru.Back(); e != nil; e = e.Prev() {
-			cand := e.Value.(*frame)
-			if cand.pins > 0 {
-				continue
-			}
-			if cand.dirty {
-				if err := cand.key.file.writePage(cand.key.page, cand.buf); err != nil {
-					return nil, err
-				}
-				p.writebacks.Add(1)
-			}
-			p.evictions.Add(1)
-			delete(p.frames, cand.key)
-			p.lru.Remove(e)
-			fr = cand
-			break
+	for e := p.lru.Back(); e != nil && len(p.frames) >= p.budgetFrames; {
+		cand := e.Value.(*frame)
+		e = e.Prev()
+		if cand.pins > 0 {
+			continue
 		}
+		if cand.dirty {
+			if err := cand.key.file.writePage(cand.key.page, cand.buf); err != nil {
+				if fr != nil {
+					p.lru.Remove(fr.elem)
+				}
+				return nil, err
+			}
+			p.writebacks.Add(1)
+		}
+		p.evictions.Add(1)
+		delete(p.frames, cand.key)
+		if fr != nil {
+			p.lru.Remove(fr.elem)
+		}
+		fr = cand
 	}
 	if fr == nil {
 		fr = &frame{buf: make([]byte, PageSize)}
+		fr.elem = p.lru.PushFront(fr)
+	}
+	if cold {
+		p.lru.MoveToBack(fr.elem)
+	} else {
+		p.lru.MoveToFront(fr.elem)
 	}
 	fr.key = key
 	fr.pins = 0
 	fr.dirty = false
 	fr.dec.Store(nil)
 	p.frames[key] = fr
-	fr.elem = p.lru.PushFront(fr)
 	return fr, nil
 }
 

@@ -134,23 +134,58 @@ func TestDecodeCacheDroppedOnRecycle(t *testing.T) {
 	if e.Stats().DecodeHits == h0 {
 		t.Fatal("no scan was served from a cached decode")
 	}
+}
 
-	// Two frames under a five-page table: every page request misses, so
-	// nothing is cached and every scan decodes.
-	e2 := openTestEngine(t, t.TempDir(), 2*PageSize)
-	defer e2.Close()
-	tab, err := e2.CreateTable("demo", mixedCols, mixedTypes, nil)
+// TestOversizeReadKeepsHotPages: repeated scans and index reads of a
+// table with more pages than the pool has frames return the loaded
+// rows, never serve a decode cached for another page, and leave a small
+// table's resident pages resident: after its first scan, a scan of the
+// small table misses nothing.
+func TestOversizeReadKeepsHotPages(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 8*PageSize)
+	big, err := e.CreateTable("big", mixedCols, mixedTypes, []string{"id"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Append(mixedRows(2000)); err != nil {
+	rows := mixedRows(8000)
+	if err := big.Append(rows); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		mustScan(t, tab, nil, 2000)
+	small, err := e.CreateTable("small", []string{"a", "s"}, []expr.Type{expr.TInt, expr.TString}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h := e2.Stats().DecodeHits; h != 0 {
-		t.Fatalf("%d scans served from the cache of a pool every page misses", h)
+	smallRows := make([]expr.Row, 1200)
+	for i := range smallRows {
+		smallRows[i] = expr.Row{expr.NewInt(int64(-i)), expr.NewString(fmt.Sprintf("small-%d", i))}
+	}
+	if err := small.Append(smallRows); err != nil {
+		t.Fatal(err)
+	}
+	if pages, smallPages := len(big.pageStart), len(small.pageStart); pages <= 8 || smallPages < 2 || smallPages > 3 {
+		t.Fatalf("big table of %d pages, small of %d, under 8 frames", pages, smallPages)
+	}
+	mustScan(t, small, nil, len(smallRows))
+	h0 := e.Stats().DecodeHits
+	for pass := 0; pass < 4; pass++ {
+		mustScan(t, big, nil, len(rows))
+		mustScan(t, big, []bool{true, false, true, false, false}, len(rows))
+		lo, hi := expr.NewInt(int64(1000*pass)), expr.NewInt(int64(1000*pass+3500))
+		got, ok, err := indexRange(big, "id", &lo, &hi, true, false)
+		if !ok || err != nil || !reflect.DeepEqual(got, rows[1000*pass:1000*pass+3500]) {
+			t.Fatalf("pass %d: index range returned %d rows (%v), want rows %d..%d", pass, len(got), err, 1000*pass, 1000*pass+3500)
+		}
+		if got, err := big.ScanRows(); err != nil || !reflect.DeepEqual(got, rows) {
+			t.Fatalf("pass %d: scan returned %d rows (%v), want %d", pass, len(got), err, len(rows))
+		}
+		m0 := e.Stats().Misses
+		mustScan(t, small, nil, len(smallRows))
+		if m := e.Stats().Misses - m0; m != 0 {
+			t.Fatalf("pass %d: a scan of the small table missed %d pages after reads of the big one", pass, m)
+		}
+	}
+	if e.Stats().DecodeHits == h0 {
+		t.Fatal("no re-scan was served from a resident page's cached decode")
 	}
 }
 

@@ -197,3 +197,40 @@ func TestIteratorIsASnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolShrinksBackAfterPinsDrain: a pool that grew past its budget
+// while every frame was pinned shrinks back to it at the next
+// allocation once the pins drain.
+func TestPoolShrinksBackAfterPinsDrain(t *testing.T) {
+	e := openTestEngine(t, t.TempDir(), 2*PageSize)
+	defer e.Close()
+	tab, err := e.CreateTable("demo", mixedCols, mixedTypes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Append(mixedRows(2000)); err != nil {
+		t.Fatal(err)
+	}
+	var pinned []*frame
+	for pg := uint32(0); pg < 3; pg++ {
+		fr, _, err := e.pool.Pin(tab.file(), pg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, fr)
+	}
+	if got := e.Stats().Resident; got != 3 {
+		t.Fatalf("%d frames resident with 3 pinned, want 3", got)
+	}
+	for _, fr := range pinned {
+		e.pool.Unpin(fr, false)
+	}
+	fr, _, err := e.pool.Pin(tab.file(), 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.pool.Unpin(fr, false)
+	if got := e.Stats().Resident; got != 2 {
+		t.Fatalf("%d frames resident after the pins drained, want the budget's 2", got)
+	}
+}

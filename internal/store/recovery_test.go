@@ -358,7 +358,7 @@ func TestUndecodableWALRecordFailsOpen(t *testing.T) {
 			t.Errorf("%s: reopen: %v, want ErrCorrupt", name, err)
 			continue
 		}
-		if got := openFDs(t); got > fds {
+		if got := openFDs(t); got != fds {
 			t.Errorf("%s: the failed Open left %d file descriptors open", name, got-fds)
 		}
 		if got, err := os.ReadFile(filepath.Join(crash, "wal.log")); err != nil || !bytes.Equal(got, log) {

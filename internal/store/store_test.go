@@ -21,6 +21,14 @@ func openTestEngine(t *testing.T, dir string, poolBytes int64) *Engine {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	// Release crash-style, so a test that leaves its engine open on
+	// purpose keeps its pages dirty until it ends; after Close this
+	// finds nothing left to release.
+	t.Cleanup(func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.release(false)
+	})
 	return e
 }
 
