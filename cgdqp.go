@@ -163,9 +163,12 @@ type Options struct {
 	// log is deterministic: replaying the same run (same data, plan and
 	// chaos seed) produces byte-identical text.
 	Audit bool
-	// NoVectorKernels disables the compiled columnar expression kernels
-	// and runs every expression through the row interpreter. Results
-	// are identical either way; only speed differs.
+	// NoVectorKernels compiles every expression as one interpreter
+	// node: filters, projections, aggregate arguments and sort keys run
+	// the row interpreter over each column batch's row view instead of
+	// the columnar kernels; the operators and their data form stay the
+	// same. Results, shipped bytes and audit logs are identical either
+	// way; only speed differs.
 	NoVectorKernels bool
 	// ResultCacheBytes enables the compliance-aware result-set cache,
 	// bounded to this many bytes of estimated result payload (LRU).

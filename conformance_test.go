@@ -4,21 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"cgdqp/internal/network"
+	"cgdqp/internal/refeval"
 	"cgdqp/internal/tpch"
+	"cgdqp/internal/workload"
 )
 
-// This file is the cross-engine conformance oracle: one table-driven
-// suite that runs every golden TPC-H query across the full execution
-// matrix — {vector kernels, row interpreter} × {result cache cold,
-// warm, disabled} — under a sweep of chaos seeds, and requires
-// byte-identical rows, shipping statistics and audit logs against a
-// single fault-free interpreter reference. Any divergence between
-// expression paths, cache states or fault recoveries is a conformance
-// bug, not an acceptable variation.
+// This file is the conformance oracle: one table-driven suite that runs
+// every golden TPC-H query across the execution matrix — result cache
+// cold, warm, disabled — under a sweep of chaos seeds, and requires the
+// rows the independent reference evaluator (internal/refeval) finds
+// from the bound query, and byte-identical shipping statistics and
+// audit logs against the fault-free, cache-less engine run. Any
+// divergence between cache states, fault recoveries or the reference is
+// a conformance bug, not an acceptable variation.
 
 // conformOutcome is one observed query execution through the public API.
 type conformOutcome struct {
@@ -44,9 +47,9 @@ func runConform(t *testing.T, label string, sys *System, sql string) conformOutc
 	}
 }
 
-// conformGolden is the fault-free interpreter reference for
-// one query: canonical rows, shipping statistics and the rendered audit
-// log.
+// conformGolden is the reference for one query: the reference
+// evaluator's canonical rows, and the shipping statistics and rendered
+// audit log of a fault-free, cache-less engine run.
 type conformGolden struct {
 	rows  []string
 	bytes int64
@@ -57,9 +60,9 @@ type conformGolden struct {
 // newConformSystem builds a fully loaded TPC-H system for one matrix
 // cell. Each cell gets its own system over identically generated data so
 // cells cannot contaminate each other through shared caches or epochs.
-func newConformSystem(t *testing.T, interp, cached bool) *System {
+func newConformSystem(t *testing.T, cached bool) *System {
 	t.Helper()
-	opts := Options{NoVectorKernels: interp, Audit: true}
+	opts := Options{Audit: true}
 	if cached {
 		opts.ResultCacheBytes = 32 << 20
 	}
@@ -72,6 +75,27 @@ func newConformSystem(t *testing.T, interp, cached bool) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// newConformGolden runs sql on the fault-free, cache-less system ref and
+// takes its rows from the reference evaluator.
+func newConformGolden(t *testing.T, ref *System, label, sql string) *conformGolden {
+	t.Helper()
+	ref.AuditLog().Reset()
+	out := runConform(t, label, ref, sql)
+	if out.err != nil {
+		t.Fatalf("%s: %v", label, out.err)
+	}
+	rows, err := refeval.Query(sql, ref.Schema, ref.Cluster())
+	if err != nil {
+		t.Fatalf("%s: reference evaluator: %v", label, err)
+	}
+	return &conformGolden{
+		rows:  renderRows(rows),
+		bytes: out.res.ShippedBytes,
+		cost:  out.res.ShipCost,
+		audit: ref.AuditLog().String(),
+	}
 }
 
 // conformCompare asserts one successful run against the golden
@@ -102,31 +126,20 @@ func conformCompare(t *testing.T, label string, out conformOutcome, auditText st
 }
 
 // TestConformanceMatrix is the acceptance oracle of the execution
-// matrix. For every golden TPC-H query, every combination of
-// expression path and cache state, and every chaos seed (seed 0 =
-// fault-free), each run must either succeed byte-identical to the
-// reference or fail with a typed *network.ShipError. Cache-enabled
+// matrix. For every golden TPC-H query, every cache state, and every
+// chaos seed (seed 0 = fault-free), each run must either succeed
+// byte-identical to the reference or fail with a typed
+// *network.ShipError. Cache-enabled
 // cells additionally pin the warm-hit contract: after a successful cold
 // run the second run is served from the cache with the cold run's exact
 // rows, statistics and replayed audit records.
 func TestConformanceMatrix(t *testing.T) {
 	names := tpch.QueryNames()
 
-	// Golden reference: row interpreter, no cache, fault-free.
-	ref := newConformSystem(t, true, false)
+	ref := newConformSystem(t, false)
 	goldens := map[string]*conformGolden{}
 	for _, name := range names {
-		ref.AuditLog().Reset()
-		out := runConform(t, "reference/"+name, ref, tpch.Queries[name])
-		if out.err != nil {
-			t.Fatalf("reference %s: %v", name, out.err)
-		}
-		goldens[name] = &conformGolden{
-			rows:  renderRows(out.res.Rows),
-			bytes: out.res.ShippedBytes,
-			cost:  out.res.ShipCost,
-			audit: ref.AuditLog().String(),
-		}
+		goldens[name] = newConformGolden(t, ref, "reference/"+name, tpch.Queries[name])
 	}
 
 	seeds := []int64{0, 1, 2, 3, 4, 5, 6, 7}
@@ -141,30 +154,9 @@ func TestConformanceMatrix(t *testing.T) {
 		JitterFrac:  0.2,
 	}
 
-	type combo struct {
-		name           string
-		interp, cached bool
-	}
-	var combos []combo
-	for _, interp := range []bool{false, true} {
-		for _, cached := range []bool{false, true} {
-			kern, cache := "kernels", "off"
-			if interp {
-				kern = "interp"
-			}
-			if cached {
-				cache = "on"
-			}
-			combos = append(combos, combo{
-				name:   fmt.Sprintf("%s/cache=%s", kern, cache),
-				interp: interp, cached: cached,
-			})
-		}
-	}
-
 	recovered, failed, warmHits := 0, 0, 0
-	for _, c := range combos {
-		sys := newConformSystem(t, c.interp, c.cached)
+	for _, cached := range []bool{false, true} {
+		sys := newConformSystem(t, cached)
 		cl := sys.Cluster()
 		for _, seed := range seeds {
 			if seed == 0 {
@@ -176,14 +168,14 @@ func TestConformanceMatrix(t *testing.T) {
 				}))
 				cl.SetRetry(retry)
 			}
-			if c.cached {
+			if cached {
 				// Every seed starts cold: entries surviving from the
 				// previous seed would mask the faulted execution path.
 				sys.ResultCache().Purge()
 			}
 			for _, name := range names {
 				g := goldens[name]
-				label := fmt.Sprintf("%s seed=%d %s", c.name, seed, name)
+				label := fmt.Sprintf("cache=%v seed=%d %s", cached, seed, name)
 
 				sys.AuditLog().Reset()
 				cold := runConform(t, label+" cold", sys, tpch.Queries[name])
@@ -205,7 +197,7 @@ func TestConformanceMatrix(t *testing.T) {
 				sys.AuditLog().Reset()
 				warm := runConform(t, label+" warm", sys, tpch.Queries[name])
 				warmAudit := sys.AuditLog().String()
-				if c.cached && cold.err == nil {
+				if cached && cold.err == nil {
 					// The cold run filled the cache; the warm run must be a
 					// hit regardless of the fault plan (hits do not touch
 					// the WAN) and byte-identical to the cold run.
@@ -236,7 +228,7 @@ func TestConformanceMatrix(t *testing.T) {
 					failed++
 					continue
 				}
-				if !c.cached && warm.res.Cached {
+				if !cached && warm.res.Cached {
 					t.Fatalf("%s warm: cache hit with the cache disabled", label)
 				}
 				conformCompare(t, label+" warm", warm, warmAudit, g)
@@ -263,9 +255,9 @@ func TestConformanceMatrix(t *testing.T) {
 // the memory-pager reference — declares the same B+ tree indexes so
 // index access paths (IndexScan, IndexLookupJoin) are planned
 // identically on both pagers.
-func newStoreConformSystem(t *testing.T, interp bool, dataDir string) *System {
+func newStoreConformSystem(t *testing.T, dataDir string) *System {
 	t.Helper()
-	opts := Options{NoVectorKernels: interp, Audit: true, DataDir: dataDir}
+	opts := Options{Audit: true, DataDir: dataDir}
 	sys := NewSystemWith(opts)
 	sys.Schema = tpch.NewCatalog(0.001)
 	for _, tab := range sys.Schema.Tables() {
@@ -282,28 +274,18 @@ func newStoreConformSystem(t *testing.T, interp bool, dataDir string) *System {
 
 // TestConformanceStoreAxis extends the conformance matrix along the
 // pager axis: every golden TPC-H query runs with its pages on the file
-// pager (a DataDir) across {kernels, interp} × chaos seeds and must be
-// byte-identical — rows, shipping statistics, audit log — to a
-// memory-pager interpreter reference over the same data
-// and the same declared indexes. The pager must be invisible to every
+// pager (a DataDir) across chaos seeds and must be byte-identical —
+// shipping statistics, audit log — to a memory-pager run over the same
+// data and the same declared indexes, with the reference evaluator's
+// rows. The pager must be invisible to every
 // layer above it: plan choice, shipping, compliance accounting.
 func TestConformanceStoreAxis(t *testing.T) {
 	names := tpch.QueryNames()
 
-	ref := newStoreConformSystem(t, true, "")
+	ref := newStoreConformSystem(t, "")
 	goldens := map[string]*conformGolden{}
 	for _, name := range names {
-		ref.AuditLog().Reset()
-		out := runConform(t, "memory-pager reference/"+name, ref, tpch.Queries[name])
-		if out.err != nil {
-			t.Fatalf("memory-pager reference %s: %v", name, out.err)
-		}
-		goldens[name] = &conformGolden{
-			rows:  renderRows(out.res.Rows),
-			bytes: out.res.ShippedBytes,
-			cost:  out.res.ShipCost,
-			audit: ref.AuditLog().String(),
-		}
+		goldens[name] = newConformGolden(t, ref, "memory-pager reference/"+name, tpch.Queries[name])
 	}
 
 	seeds := []int64{0, 3, 5}
@@ -318,42 +300,40 @@ func TestConformanceStoreAxis(t *testing.T) {
 		JitterFrac:  0.2,
 	}
 	compared := 0
-	for _, interp := range []bool{false, true} {
-		dir := t.TempDir()
-		sys := newStoreConformSystem(t, interp, dir)
-		if pages, _ := filepath.Glob(filepath.Join(dir, "*", "*.tbl")); len(pages) == 0 {
-			t.Fatal("pager axis cell wrote no page files")
+	dir := t.TempDir()
+	sys := newStoreConformSystem(t, dir)
+	if pages, _ := filepath.Glob(filepath.Join(dir, "*", "*.tbl")); len(pages) == 0 {
+		t.Fatal("pager axis cell wrote no page files")
+	}
+	cl := sys.Cluster()
+	for _, seed := range seeds {
+		if seed == 0 {
+			cl.SetFaults(nil)
+		} else {
+			cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
+				DropProb:      0.08,
+				TransientProb: 0.05,
+			}))
+			cl.SetRetry(retry)
 		}
-		cl := sys.Cluster()
-		for _, seed := range seeds {
-			if seed == 0 {
-				cl.SetFaults(nil)
-			} else {
-				cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
-					DropProb:      0.08,
-					TransientProb: 0.05,
-				}))
-				cl.SetRetry(retry)
-			}
-			for _, name := range names {
-				label := fmt.Sprintf("file pager interp=%v seed=%d %s", interp, seed, name)
-				sys.AuditLog().Reset()
-				out := runConform(t, label, sys, tpch.Queries[name])
-				if out.err != nil {
-					var se *network.ShipError
-					if !errors.As(out.err, &se) {
-						t.Fatalf("%s: untyped error: %v", label, out.err)
-					}
-					continue
+		for _, name := range names {
+			label := fmt.Sprintf("file pager seed=%d %s", seed, name)
+			sys.AuditLog().Reset()
+			out := runConform(t, label, sys, tpch.Queries[name])
+			if out.err != nil {
+				var se *network.ShipError
+				if !errors.As(out.err, &se) {
+					t.Fatalf("%s: untyped error: %v", label, out.err)
 				}
-				conformCompare(t, label, out, sys.AuditLog().String(), goldens[name])
-				compared++
+				continue
 			}
+			conformCompare(t, label, out, sys.AuditLog().String(), goldens[name])
+			compared++
 		}
-		cl.SetFaults(nil)
-		if err := sys.Close(); err != nil {
-			t.Fatalf("pager axis close: %v", err)
-		}
+	}
+	cl.SetFaults(nil)
+	if err := sys.Close(); err != nil {
+		t.Fatalf("pager axis close: %v", err)
 	}
 	if compared == 0 {
 		t.Error("no run exercised the pager-axis parity comparison")
@@ -365,13 +345,11 @@ func TestConformanceStoreAxis(t *testing.T) {
 // data of declared types: every column mixes in NULLs, and the idf and
 // vali columns, NULL outside a band in the middle of Events (and a few
 // Users rows), hold the other-lane values that fallbackViews swaps in —
-// a DOUBLE id, an INTEGER val. Batches from that band cannot build
-// column vectors, so the vectorized operators demote exactly those
-// chunks to the row interpreter while the surrounding chunks stay
-// columnar — the mixed-path regime the null-free TPC-H data never
-// reaches.
-func newFallbackSystem(interp bool) *System {
-	sys := NewSystemWith(Options{NoVectorKernels: interp, Audit: true})
+// a DOUBLE id, an INTEGER val — so CASE coerces INTEGER values to its
+// DOUBLE type in that band only: the regime the null-free TPC-H data
+// never reaches.
+func newFallbackSystem() *System {
+	sys := NewSystemWith(Options{Audit: true})
 	sys.MustDefineTable("Users", "db-n", "NorthAmerica", 150,
 		Col("id", TInt), Col("name", TString), Col("idf", TFloat))
 	sys.MustDefineTable("Events", "db-e", "Europe", 2600,
@@ -443,13 +421,14 @@ const (
 		FROM Events E0) E`
 )
 
-// TestConformanceFallbackParity pins the columnar-vs-row axis where its
-// mechanisms actually diverge: chunks that demote to the interpreter
-// mid-stream (NULL-heavy data, computed columns mixing lanes), NULL
-// join keys and group keys, and aggregates over mixed int/float lanes.
-// Both expression-path cells must match the interpreter reference byte
-// for byte — rows, shipping statistics and the audit log — fault-free
-// and under chaos seeds.
+// TestConformanceFallbackParity pins the shapes where the engine's
+// mechanisms meet their edge cases: NULL-heavy data, computed columns
+// that coerce INTEGER to DOUBLE mid-stream, NULL join keys and group
+// keys, aggregates over coerced lanes, a join fed directly by a partial
+// aggregate, grouping on date arithmetic, and a CASE with no common type,
+// which both the engine and the reference refuse at bind. Every run must
+// match the reference byte for byte — rows, shipping statistics and the
+// audit log — fault-free and under chaos seeds.
 func TestConformanceFallbackParity(t *testing.T) {
 	queries := []struct{ name, sql string }{
 		{"filter-project", `SELECT E.id, E.val * 2 + 1 AS v, E.note FROM ` + fallbackEvents + `
@@ -461,26 +440,26 @@ func TestConformanceFallbackParity(t *testing.T) {
 			FROM ` + fallbackEvents + ` GROUP BY E.grp ORDER BY E.grp`},
 		{"join-agg-limit", `SELECT U.name, SUM(E.val) AS s, COUNT(*) AS n FROM ` + fallbackUsers + `, ` + fallbackEvents + `
 			WHERE U.id = E.id GROUP BY U.name ORDER BY U.name LIMIT 40`},
+		{"join-over-partial-agg", `SELECT t.g, COUNT(*) AS n FROM (SELECT E0.qty AS g FROM Events E0) t, Users b
+			WHERE t.g = b.id GROUP BY t.g`},
+		{"group-by-date-arith", `SELECT DATE '1995-01-01' + E.qty AS d, COUNT(*) AS n, SUM(E.val) AS s
+			FROM Events E GROUP BY DATE '1995-01-01' + E.qty`},
 	}
 
-	// Golden reference: row interpreter, fault-free.
-	ref := newFallbackSystem(true)
+	ref := newFallbackSystem()
 	goldens := map[string]*conformGolden{}
 	for _, q := range queries {
-		ref.AuditLog().Reset()
-		out := runConform(t, "reference/"+q.name, ref, q.sql)
-		if out.err != nil {
-			t.Fatalf("reference %s: %v", q.name, out.err)
-		}
-		if len(out.res.Rows) == 0 {
+		goldens[q.name] = newConformGolden(t, ref, "reference/"+q.name, q.sql)
+		if len(goldens[q.name].rows) == 0 {
 			t.Fatalf("reference %s: empty result exercises nothing", q.name)
 		}
-		goldens[q.name] = &conformGolden{
-			rows:  renderRows(out.res.Rows),
-			bytes: out.res.ShippedBytes,
-			cost:  out.res.ShipCost,
-			audit: ref.AuditLog().String(),
-		}
+	}
+	mixedCase := `SELECT CASE WHEN E.qty > 0 THEN E.note ELSE E.qty END AS x FROM Events E`
+	if _, err := ref.Query(mixedCase); !errors.Is(err, ErrIncomparable) {
+		t.Errorf("a CASE of strings and integers: engine error %v, want ErrIncomparable", err)
+	}
+	if _, err := refeval.Query(mixedCase, ref.Schema, ref.Cluster()); !errors.Is(err, ErrIncomparable) {
+		t.Errorf("a CASE of strings and integers: reference error %v, want ErrIncomparable", err)
 	}
 
 	seeds := []int64{0, 3}
@@ -495,38 +474,71 @@ func TestConformanceFallbackParity(t *testing.T) {
 		JitterFrac:  0.2,
 	}
 	compared := 0
-	for _, interp := range []bool{false, true} {
-		sys := newFallbackSystem(interp)
-		cl := sys.Cluster()
-		for _, seed := range seeds {
-			if seed == 0 {
-				cl.SetFaults(nil)
-			} else {
-				cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
-					DropProb:      0.08,
-					TransientProb: 0.05,
-				}))
-				cl.SetRetry(retry)
-			}
-			for _, q := range queries {
-				label := fmt.Sprintf("interp=%v seed=%d %s", interp, seed, q.name)
-				sys.AuditLog().Reset()
-				out := runConform(t, label, sys, q.sql)
-				if out.err != nil {
-					var se *network.ShipError
-					if !errors.As(out.err, &se) {
-						t.Fatalf("%s: untyped error: %v", label, out.err)
-					}
-					continue
-				}
-				conformCompare(t, label, out, sys.AuditLog().String(), goldens[q.name])
-				compared++
-			}
+	sys := newFallbackSystem()
+	cl := sys.Cluster()
+	for _, seed := range seeds {
+		if seed == 0 {
+			cl.SetFaults(nil)
+		} else {
+			cl.SetFaults(NewFaultPlan(seed).SetDefault(EdgeFaults{
+				DropProb:      0.08,
+				TransientProb: 0.05,
+			}))
+			cl.SetRetry(retry)
 		}
-		cl.SetFaults(nil)
+		for _, q := range queries {
+			label := fmt.Sprintf("seed=%d %s", seed, q.name)
+			sys.AuditLog().Reset()
+			out := runConform(t, label, sys, q.sql)
+			if out.err != nil {
+				var se *network.ShipError
+				if !errors.As(out.err, &se) {
+					t.Fatalf("%s: untyped error: %v", label, out.err)
+				}
+				continue
+			}
+			conformCompare(t, label, out, sys.AuditLog().String(), goldens[q.name])
+			compared++
+		}
 	}
+	cl.SetFaults(nil)
 	if compared == 0 {
 		t.Error("no run exercised the fallback parity comparison")
 	}
 	t.Logf("fallback parity: %d compared runs", compared)
+}
+
+// TestConformancePolicySets: under each of the four policy sets the
+// compliance rewrites change plans, never answers — every golden TPC-H
+// query the optimizer can place returns the reference evaluator's rows.
+func TestConformancePolicySets(t *testing.T) {
+	for _, set := range []workload.SetName{workload.SetT, workload.SetC, workload.SetCR, workload.SetCRA} {
+		sys := NewSystemWith(Options{})
+		sys.Schema = tpch.NewCatalog(0.001)
+		pc := workload.TPCHSet(set)
+		for _, db := range pc.Databases() {
+			for _, e := range pc.ForDB(db) {
+				sys.MustAddPolicy(e.String())
+			}
+		}
+		if err := tpch.Generate(sys.Schema, sys.Cluster()); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range tpch.QueryNames() {
+			res, err := sys.Query(tpch.Queries[name])
+			if errors.Is(err, ErrNoCompliantPlan) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", set, name, err)
+			}
+			want, err := refeval.Query(tpch.Queries[name], sys.Schema, sys.Cluster())
+			if err != nil {
+				t.Fatalf("%s %s: reference: %v", set, name, err)
+			}
+			if got, want := renderRows(res.Rows), renderRows(want); !slices.Equal(got, want) {
+				t.Errorf("%s %s: %d rows differ from the reference's %d:\n%v\n%v", set, name, len(got), len(want), got, want)
+			}
+		}
+	}
 }

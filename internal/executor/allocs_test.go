@@ -9,6 +9,7 @@ import (
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
 	"cgdqp/internal/plan"
+	"cgdqp/internal/refeval"
 	"cgdqp/internal/schema"
 )
 
@@ -20,9 +21,8 @@ import (
 // pooled engine batches, so a regression here is an allocation in the
 // per-batch loop itself, not pool or GC noise.
 
-// allocSource builds a lane-pure, null-free row-backed batch bound to
-// its types, with every column vector pre-built so the measured loops
-// see the steady-state columnar view.
+// allocSource builds a null-free column batch, the steady-state input
+// of the measured loops.
 func allocSource(tb testing.TB, n int) (*expr.Batch, []expr.Type) {
 	tb.Helper()
 	types := []expr.Type{expr.TInt, expr.TFloat, expr.TString}
@@ -35,26 +35,20 @@ func allocSource(tb testing.TB, n int) (*expr.Batch, []expr.Type) {
 		}
 	}
 	b := &expr.Batch{}
-	b.SetRows(rows)
-	b.Bind(types)
-	for i := range types {
-		if _, ok := b.ColVec(i); !ok {
-			tb.Fatalf("column %d did not vectorize", i)
-		}
-	}
+	fillCols(tb, b, rows, types)
 	return b, types
 }
 
 // selectRows runs the compiled predicate over a dense source the way
 // filterOp does, into a scratch that stands in for the batch-owned
 // selection storage.
-func (p *vecPred) selectRows(src expr.VecSource) ([]int32, bool) {
-	sel, err := p.kern.Select(src, nil, selScratch[:0])
+func selectRows(t *testing.T, p *expr.PredKernel, src expr.VecSource) []int32 {
+	sel, err := p.Select(src, nil, selScratch[:0])
 	if err != nil {
-		return nil, false
+		t.Fatal(err)
 	}
 	selScratch = sel
-	return sel, true
+	return sel
 }
 
 var selScratch []int32
@@ -70,31 +64,22 @@ func TestFilterProjectZeroAlloc(t *testing.T) {
 		expr.NewCmp(expr.GT, &expr.Col{Name: "a", Index: 0}, expr.NewConst(expr.NewInt(7))),
 		expr.NewCmp(expr.LT, &expr.Col{Name: "b", Index: 1}, expr.NewConst(expr.NewFloat(20))),
 	)
-	p := compilePred(pred, types, true)
-	if p == nil {
-		t.Fatal("predicate did not compile")
-	}
+	p := expr.CompilePred(pred, types)
 	exprs := []expr.Expr{
 		expr.NewArith(expr.Add, &expr.Col{Name: "a", Index: 0}, &expr.Col{Name: "b", Index: 1}),
 		&expr.Col{Name: "c", Index: 2},
 		expr.NewConst(expr.NewInt(42)),
 	}
-	proj := compileProj(exprs, types, true)
-	if proj == nil {
-		t.Fatal("projection did not compile")
-	}
+	proj := compileProj(exprs, types, ExecOptions{})
 
 	var out expr.Batch
 	run := func() {
-		sel, ok := p.selectRows(in)
-		if !ok {
-			t.Fatal("predicate fell back to the interpreter")
-		}
+		sel := selectRows(t, p, in)
 		if len(sel) == 0 {
 			t.Fatal("selection is empty; the loop under test is idle")
 		}
-		if !proj.applyCols(in, sel, &out) {
-			t.Fatal("projection fell back to the interpreter")
+		if err := proj.apply(in, sel, &out); err != nil {
+			t.Fatal(err)
 		}
 	}
 	run() // warm the operator-owned scratch
@@ -103,41 +88,39 @@ func TestFilterProjectZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAggAbsorbZeroAlloc pins vectorized aggregate absorption: once
-// every group exists and the accumulator lanes are grown, absorbing
-// another chunk — key encoding, group-id assignment, and all typed
-// accumulator updates — must not allocate.
+// TestAggAbsorbZeroAlloc pins aggregate absorption: once every group
+// exists and the accumulator lanes are grown, absorbing another chunk —
+// key encoding, group-id assignment, and all typed accumulator updates
+// — must not allocate.
 func TestAggAbsorbZeroAlloc(t *testing.T) {
 	in, types := allocSource(t, 1024)
 	var chunk Batch
 	chunk.data = *in
 
-	op := &hashAggOp{
-		keys:    []expr.Expr{&expr.Col{Name: "c", Index: 2}},
-		args:    []expr.Expr{&expr.Col{Name: "b", Index: 1}, nil, &expr.Col{Name: "a", Index: 0}, &expr.Col{Name: "c", Index: 2}, &expr.Col{Name: "b", Index: 1}},
-		fns:     []expr.AggFn{expr.AggSum, expr.AggCount, expr.AggAvg, expr.AggMax, expr.AggMin},
-		inTypes: types,
-		lookup:  make(map[string]int32),
-		vec:     true,
-		keyCols: []int{2}, keyKerns: make([]*expr.Kernel, 1),
-		argCols: []int{1, -1, 0, 2, 1}, argKerns: make([]*expr.Kernel, 5),
-		keyVecs: make([]*expr.Vec, 1), keyDense: make([]bool, 1),
-		argVecs: make([]*expr.Vec, 5), argDense: make([]bool, 5),
+	child := &plan.Node{}
+	for i, ty := range types {
+		child.Cols = append(child.Cols, plan.ColRef{Table: "t", Name: string(rune('a' + i)), Type: ty})
 	}
-	for _, fn := range op.fns {
-		op.accs = append(op.accs, &accCol{fn: fn})
+	col := func(name string) expr.Expr { return expr.NewCol("t", name) }
+	node := plan.NewAggregate(child, []*expr.Col{expr.NewCol("t", "c")}, []plan.NamedAgg{
+		{Fn: expr.AggSum, Arg: col("b"), Name: "s"}, {Fn: expr.AggCount, Name: "n"}, {Fn: expr.AggAvg, Arg: col("a"), Name: "av"},
+		{Fn: expr.AggMax, Arg: col("c"), Name: "mx"}, {Fn: expr.AggMin, Arg: col("b"), Name: "mn"}})
+	op, err := newHashAgg(node, nil, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	a := op.(*hashAggOp)
+	a.start()
 	// Warm up: the first chunk registers every group and grows the lanes.
-	if !op.absorbVecChunk(&chunk) {
-		t.Fatal("chunk did not absorb vectorized")
+	if err := a.absorbChunk(&chunk); err != nil {
+		t.Fatal(err)
 	}
-	if len(op.groupVals) == 0 {
+	if a.groups == 0 {
 		t.Fatal("no groups formed")
 	}
 	run := func() {
-		if !op.absorbVecChunk(&chunk) {
-			t.Fatal("chunk fell back to the row path")
+		if err := a.absorbChunk(&chunk); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
@@ -145,44 +128,24 @@ func TestAggAbsorbZeroAlloc(t *testing.T) {
 	}
 }
 
-// colSource is allocSource's batch rebuilt column-backed: owned vectors,
-// no row view.
-func colSource(tb testing.TB, n int) (*expr.Batch, []expr.Type) {
-	tb.Helper()
-	rows, types := allocSource(tb, n)
-	b := &expr.Batch{}
-	b.StartCols(len(types), n)
-	for c, t := range types {
-		if !expr.BuildColVec(rows.Rows(), c, t, b.OwnCol(c)) {
-			tb.Fatalf("column %d did not vectorize", c)
-		}
-	}
-	b.FinishCols()
-	return b, types
-}
-
 // TestPassthroughProjectZeroAlloc pins the column-pruning projection
 // that sits on every base table: a list of bare columns, alone or behind
-// a filter's selection, gathers vectors — zero allocations per batch,
-// and the column-backed input never grows a row view.
+// a filter's selection, gathers vectors — zero allocations per batch.
 func TestPassthroughProjectZeroAlloc(t *testing.T) {
-	in, types := colSource(t, 1024)
-	proj := compileProj([]expr.Expr{&expr.Col{Name: "c", Index: 2}, &expr.Col{Name: "a", Index: 0}}, types, true)
-	if proj == nil {
-		t.Fatal("a passthrough-only projection did not compile")
-	}
-	p := compilePred(expr.NewCmp(expr.GT, &expr.Col{Name: "a", Index: 0}, expr.NewConst(expr.NewInt(60))), types, true)
+	in, types := allocSource(t, 1024)
+	proj := compileProj([]expr.Expr{&expr.Col{Name: "c", Index: 2}, &expr.Col{Name: "a", Index: 0}}, types, ExecOptions{})
+	p := expr.CompilePred(expr.NewCmp(expr.GT, &expr.Col{Name: "a", Index: 0}, expr.NewConst(expr.NewInt(60))), types)
 	var out expr.Batch
 	for name, run := range map[string]func(){
 		"project": func() {
-			if !proj.applyCols(in, nil, &out) || out.Len() != in.Len() {
-				t.Fatal("projection fell back to rows")
+			if err := proj.apply(in, nil, &out); err != nil || out.Len() != in.Len() {
+				t.Fatalf("projection: %d rows, %v", out.Len(), err)
 			}
 		},
 		"filter+project": func() {
-			sel, ok := p.selectRows(in)
-			if !ok || len(sel) == 0 || !proj.applyCols(in, sel, &out) || out.Len() != len(sel) {
-				t.Fatal("filter+projection fell back to rows")
+			sel := selectRows(t, p, in)
+			if err := proj.apply(in, sel, &out); err != nil || len(sel) == 0 || out.Len() != len(sel) {
+				t.Fatalf("filter+projection: %d rows, %v", out.Len(), err)
 			}
 		},
 	} {
@@ -191,14 +154,11 @@ func TestPassthroughProjectZeroAlloc(t *testing.T) {
 			t.Errorf("%s allocates %.1f per batch, want 0", name, avg)
 		}
 	}
-	if in.RowBacked() || out.RowBacked() {
-		t.Error("a row view was materialized")
-	}
 }
 
 // nlAllocJoin opens an NL join of 512 × 512 rows whose keys never meet
 // and returns it with its one left chunk current.
-func nlAllocJoin(t *testing.T, vec bool) *nlJoinOp {
+func nlAllocJoin(t *testing.T) *nlJoinOp {
 	t.Helper()
 	types := []expr.Type{expr.TInt, expr.TString}
 	side := func(base int) [][]expr.Row {
@@ -213,7 +173,7 @@ func nlAllocJoin(t *testing.T, vec bool) *nlJoinOp {
 			expr.NewCmp(expr.EQ, expr.NewCol("a", "c0"), expr.NewCol("b", "c0")),
 			expr.NewCmp(expr.EQ, expr.NewCol("a", "c1"), expr.NewCol("b", "c1")))}
 	op, err := newNLJoin(c.node(plan.NLJoin),
-		&chunkSrc{chunks: c.left, types: types, cols: true}, &chunkSrc{chunks: c.right, types: types, cols: true}, vec)
+		&chunkSrc{tb: t, chunks: c.left, types: types}, &chunkSrc{tb: t, chunks: c.right, types: types})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +189,17 @@ func nlAllocJoin(t *testing.T, vec bool) *nlJoinOp {
 
 // TestNLJoinZeroAllocPerPair pins that no candidate pair is built to be
 // tested: sweeping 512 left rows over 512 right rows that never match
-// allocates nothing, whether the lanes are compared directly, the
-// condition is interpreted over the scratch row filled from vectors, or
-// (kernels off) over the scratch row copied from rows.
+// allocates nothing, whether the lanes are compared directly or the
+// condition is interpreted over the scratch row filled from vectors.
 func TestNLJoinZeroAllocPerPair(t *testing.T) {
 	for _, mode := range []struct {
-		name         string
-		vec, scratch bool
-	}{{"lanes", true, false}, {"scratch row over columns", true, true}, {"scratch row over rows", false, true}} {
-		j := nlAllocJoin(t, mode.vec)
+		name    string
+		scratch bool
+	}{{"lanes", false}, {"scratch row over columns", true}} {
+		j := nlAllocJoin(t)
 		if mode.scratch {
 			j.eq = nil
-		} else if j.eq == nil || !j.out.cols {
+		} else if j.eq == nil {
 			t.Fatalf("%s: the typed path is off", mode.name)
 		}
 		sweep := func() {
@@ -282,8 +241,8 @@ func TestHashJoinAllocsNotPerMatch(t *testing.T) {
 		probe, build := chunks(4096, 1), chunks(4096, copies)
 		avg := testing.AllocsPerRun(5, func() {
 			op, err := newHashJoin(c.node(plan.HashJoin),
-				&chunkSrc{chunks: probe, types: types, cols: true},
-				&chunkSrc{chunks: build, types: types, cols: true}, true)
+				&chunkSrc{tb: t, chunks: probe, types: types},
+				&chunkSrc{tb: t, chunks: build, types: types})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,9 +257,6 @@ func TestHashJoinAllocsNotPerMatch(t *testing.T) {
 				}
 				if b == nil {
 					break
-				}
-				if b.Data().RowBacked() {
-					t.Fatal("the join emitted rows")
 				}
 				matches += b.Len()
 				b.Release()
@@ -376,9 +332,6 @@ func TestMaskedScanAllocatesNoDroppedStrings(t *testing.T) {
 						t.Fatalf("scanned %d rows, want %d", got, n)
 					}
 					return
-				}
-				if b.RowBacked() {
-					t.Fatal("the page decoded through the row path")
 				}
 			}
 		}
@@ -464,56 +417,54 @@ func TestIndexScanAllocsPerBatch(t *testing.T) {
 	t.Logf("allocations: 1 batch %.0f, 20 batches %.0f", small, large)
 }
 
-// TestGlobalAggVecMatchesRows: a global aggregation absorbed
-// vectorized (every row in group 0, no key lookup) yields the row
-// path's result row, over several column-backed chunks under a
-// selection vector, over zero rows, and over arguments that are all
-// NULL.
+// TestGlobalAggVecMatchesRows: a global aggregation (every row in
+// group 0, no key lookup) yields the reference evaluator's result row,
+// over several chunks under a filter's selection vector, over zero
+// rows, and over arguments that are all NULL.
 func TestGlobalAggVecMatchesRows(t *testing.T) {
-	types := []expr.Type{expr.TInt, expr.TFloat}
-	child := &plan.Node{Cols: []plan.ColRef{{Table: "t", Name: "a", Type: expr.TInt}, {Table: "t", Name: "b", Type: expr.TFloat}}}
-	var aggs []plan.NamedAgg
-	for _, fn := range []expr.AggFn{expr.AggSum, expr.AggCount, expr.AggAvg, expr.AggMin, expr.AggMax} {
-		for _, col := range []string{"a", "b"} {
-			aggs = append(aggs, plan.NamedAgg{Fn: fn, Arg: expr.NewCol("t", col)})
-		}
-	}
-	aggs = append(aggs, plan.NamedAgg{Fn: expr.AggCount}) // COUNT(*)
-	node := &plan.Node{Children: []*plan.Node{child}, Aggs: aggs}
-
-	chunks := func(n int, val func(i int) expr.Row) [][]expr.Row {
-		out := make([][]expr.Row, n)
-		for c := range out {
-			for i := 0; i < 100; i++ {
-				out[c] = append(out[c], val(c*100+i))
-			}
-		}
-		return out
-	}
-	for name, in := range map[string][][]expr.Row{
-		"chunks under a selection": chunks(4, func(i int) expr.Row {
+	for name, val := range map[string]func(i int) expr.Row{
+		"chunks under a selection": func(i int) expr.Row {
 			return expr.Row{expr.NewInt(int64(i%37 - 10)), expr.NewFloat(float64(i) / 8)}
-		}),
+		},
 		"zero rows": nil,
-		"all-NULL arguments": chunks(3, func(int) expr.Row {
+		"all-NULL arguments": func(int) expr.Row {
 			return expr.Row{expr.TypedNull(expr.TInt), expr.TypedNull(expr.TFloat)}
-		}),
+		},
 	} {
-		var got [2][]expr.Row
-		for k, vec := range []bool{false, true} {
-			op, err := newHashAgg(node, &chunkSrc{chunks: in, types: types, cols: true, sel: true}, vec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vec != op.(*hashAggOp).vec {
-				t.Fatalf("%s: vectorized %v, want %v", name, op.(*hashAggOp).vec, vec)
-			}
-			if got[k], err = drain(op); err != nil {
-				t.Fatal(err)
+		tab := schema.NewTable("T", "d", "L", 3000,
+			schema.Column{Name: "a", Type: expr.TInt}, schema.Column{Name: "b", Type: expr.TFloat})
+		cat := schema.NewCatalog()
+		cat.MustAddTable(tab)
+		cl := cluster.New(cat, network.NewCostModel(1, 1e-6))
+		var rows []expr.Row
+		for i := 0; val != nil && i < 3000; i++ {
+			rows = append(rows, val(i))
+		}
+		if err := cl.LoadFragment(tab, 0, rows); err != nil {
+			t.Fatal(err)
+		}
+		var aggs []plan.NamedAgg
+		for _, fn := range []expr.AggFn{expr.AggSum, expr.AggCount, expr.AggAvg, expr.AggMin, expr.AggMax} {
+			for _, col := range []string{"a", "b"} {
+				aggs = append(aggs, plan.NamedAgg{Fn: fn, Arg: expr.NewCol("t", col), Name: fmt.Sprintf("%s_%s", fn, col)})
 			}
 		}
-		if len(got[0]) != 1 || !reflect.DeepEqual(got[0], got[1]) {
-			t.Errorf("%s: row path %v, vectorized %v", name, got[0], got[1])
+		aggs = append(aggs, plan.NamedAgg{Fn: expr.AggCount, Name: "n"}) // COUNT(*)
+		filter := plan.NewFilter(plan.NewScan(tab, "t", -1), expr.NewOr(
+			expr.NewIsNull(expr.NewCol("t", "a")),
+			expr.NewCmp(expr.NE, expr.NewCol("t", "a"), expr.NewConst(expr.NewInt(3)))))
+		agg := plan.NewAggregate(filter, nil, aggs)
+		agg.Kind = plan.HashAgg
+		got, _, err := Run(agg, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refeval.Eval(agg, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: executor %v, reference %v", name, got, want)
 		}
 	}
 }

@@ -17,11 +17,9 @@ const BatchSize = 1024
 // no rows move — and downstream kernels evaluate only the selected
 // rows; the row view a consumer asks for applies the selection.
 //
-// Lifetime: pooled containers hold only row HEADERS and column
-// storage. The Value arrays headers point into are owned by stable
-// producers (table fragments, projection arenas, join slabs) and are
-// never pooled, so rows extracted from a batch stay valid after the
-// container is released.
+// Lifetime: pooled containers hold column storage and row HEADERS. The
+// Value arenas a row view materializes are never pooled, so rows
+// extracted from a batch stay valid after the container is released.
 type Batch struct {
 	data expr.Batch
 	// sel is the surviving row indexes into data; nil selects all rows.
@@ -30,9 +28,6 @@ type Batch struct {
 	// iteration is safe.
 	sel    []int32
 	selBuf []int32
-	// rowBuf is batch-owned row-header storage for operators that
-	// assemble a row-backed batch (interpreter fallbacks, rowOut).
-	rowBuf []expr.Row
 	// gathered caches the selection-applied row view.
 	gathered []expr.Row
 	rowsOK   bool
@@ -55,7 +50,6 @@ func (b *Batch) Release() {
 	}
 	b.data.Reset()
 	b.sel = nil
-	b.rowBuf = clearRows(b.rowBuf)
 	b.gathered = clearRows(b.gathered)
 	b.rowsOK = false
 	batchPool.Put(b)
@@ -84,15 +78,6 @@ func (b *Batch) Data() *expr.Batch { return &b.data }
 // Sel returns the selection vector (nil: all rows).
 func (b *Batch) Sel() []int32 { return b.sel }
 
-// SetRows makes the batch row-backed over rows, aliasing the slice, and
-// clears any selection. The rows must stay valid and immutable for the
-// batch's lifetime.
-func (b *Batch) SetRows(rows []expr.Row) {
-	b.data.SetRows(rows)
-	b.sel = nil
-	b.rowsOK = false
-}
-
 // setSel installs a fresh dense-origin selection. The slice is adopted
 // as the batch's selection storage when it has capacity (producers pass
 // SelBuf-backed slices, so this is alias-safe), and the row cache is
@@ -116,11 +101,9 @@ func (b *Batch) compactSel(sel []int32) {
 	b.rowsOK = false
 }
 
-// Rows returns the selection-applied row view. Dense batches hand out
-// the underlying rows directly (aliased for row-backed batches, a
-// stable arena for column-backed ones); a selected view is gathered
-// into batch-owned header storage and cached, and a column-backed batch
-// materializes only the selected rows for it.
+// Rows returns the selection-applied row view: a dense batch's rows, or
+// only the selected rows, gathered into batch-owned header storage and
+// cached.
 func (b *Batch) Rows() []expr.Row {
 	if b.sel == nil {
 		return b.data.Rows()
@@ -133,7 +116,7 @@ func (b *Batch) Rows() []expr.Row {
 }
 
 // RowValue returns the value at (selected row r, column col) without
-// forcing row materialization on column-backed batches.
+// materializing rows.
 func (b *Batch) RowValue(r, col int) expr.Value {
 	if b.sel != nil {
 		r = int(b.sel[r])
@@ -154,16 +137,6 @@ func (b *Batch) Truncate(k int) {
 	if b.rowsOK {
 		b.gathered = b.gathered[:k]
 	}
-}
-
-// Bytes returns the summed encoded width of the batch's rows — what a
-// shipment of this batch is billed for.
-func (b *Batch) Bytes() int64 {
-	var n int64
-	for _, r := range b.Rows() {
-		n += int64(r.Width())
-	}
-	return n
 }
 
 // BatchOperator is the iterator contract of the operator tree: Open

@@ -104,12 +104,13 @@ func (p *exchangeProducer) produce() (err error) {
 	if err := c.SleepWire(p.env.ctx, c.Net.Alpha(from, to)); err != nil {
 		return err
 	}
+	types := colTypes(p.node)
 	var pend framePacker
 	frameIdx := 0
 	flush := func() error {
 		// The encoder reuses its buffer; the delivered frame must own
 		// its bytes.
-		buf := append([]byte(nil), pend.encode(&p.enc)...)
+		buf := append([]byte(nil), p.enc.EncodeCols(pend.cols, pend.n)...)
 		// The resilient shipping path injects faults, retries with
 		// backoff, and charges the shipment only when the frame lands,
 		// so retried runs keep ledger parity with a fault-free one.
@@ -120,7 +121,7 @@ func (p *exchangeProducer) produce() (err error) {
 		p.sentRows += int64(pend.n)
 		p.sentBytes += int64(len(buf))
 		p.sentBatches++
-		pend.n, pend.asRows = 0, false
+		pend.n = 0
 		return p.deliver(buf)
 	}
 	for {
@@ -134,68 +135,60 @@ func (p *exchangeProducer) produce() (err error) {
 			}
 			return nil
 		}
-		for off, n := 0, b.Len(); off < n; {
+		err = pend.bind(b, types)
+		for off, n := 0, b.Len(); err == nil && off < n; {
 			take := min(BatchSize-pend.n, n-off)
 			pend.add(b, off, take)
 			off += take
 			if pend.n == BatchSize {
-				if err := flush(); err != nil {
-					b.Release()
-					return err
-				}
+				err = flush()
 			}
 		}
 		b.Release()
+		if err != nil {
+			return err
+		}
 	}
 }
 
 // framePacker holds the frame an exchange producer is filling from its
 // fragment's batches, BatchSize rows to the frame whatever sizes they
-// arrive in. Column-backed batches append column-wise to cols and the
-// frame is encoded from those vectors — no row is built to ship it. A
-// batch that cannot join them (row-backed, or a lane or NULL type the
-// vectors so far do not have) turns the frame into rows, until it is
-// flushed.
+// arrive in: each batch appends column-wise to cols, and the frame is
+// encoded from those vectors — no row is built to ship it.
 type framePacker struct {
-	n      int
-	cols   []expr.Vec
-	asRows bool
-	rows   []expr.Row
-	src    []*expr.Vec // scratch: the arriving batch's columns
-	iota   []int32     // scratch: 0, 1, 2, … for ranges of a dense batch
+	n    int
+	cols []expr.Vec
+	src  []*expr.Vec // scratch: the arriving batch's columns
+	iota []int32     // scratch: 0, 1, 2, … for ranges of a dense batch
 }
 
-// add appends rows [off, off+take) of b's selection to the frame.
-func (f *framePacker) add(b *Batch, off, take int) {
-	if !f.asRows && !f.addCols(b, off, take) {
-		f.asRows = true
-		f.rows = append(f.rows[:0], colRows(f.cols, f.n)...)
-	}
-	if f.asRows {
-		f.rows = append(f.rows, b.Rows()[off:off+take]...)
-	}
-	f.n += take
-}
-
-func (f *framePacker) addCols(b *Batch, off, take int) bool {
+// bind binds b to the stream's column types and leaves its columns in
+// src.
+func (f *framePacker) bind(b *Batch, types []expr.Type) error {
 	d := b.Data()
-	w := d.Width()
-	if d.RowBacked() || f.n > 0 && w != len(f.cols) {
-		return false
+	if err := d.Bind(types); err != nil {
+		return err
 	}
+	w := d.Width()
 	if f.n == 0 {
 		f.cols = slices.Grow(f.cols[:0], w)[:w]
 		f.src = slices.Grow(f.src[:0], w)[:w]
 	}
 	for c := range f.src {
 		v, ok := d.ColVec(c)
-		if p := &f.cols[c]; !ok || f.n > 0 && (p.T != v.T || p.Null != nil && v.Null != nil && p.NullT != v.NullT) {
-			return false
+		if !ok {
+			return fmt.Errorf("executor: shipped column %d not produced", c)
 		}
 		f.src[c] = v
 	}
+	return nil
+}
+
+// add appends rows [off, off+take) of b's selection, bound by bind, to
+// the frame.
+func (f *framePacker) add(b *Batch, off, take int) {
 	sel := b.Sel()
-	if sel == nil && take < d.Len() {
+	if sel == nil && take < b.Len() {
 		for len(f.iota) < off+take {
 			f.iota = append(f.iota, int32(len(f.iota)))
 		}
@@ -209,19 +202,9 @@ func (f *framePacker) addCols(b *Batch, off, take int) bool {
 		if f.n == 0 {
 			p.Reset(v.T, 0)
 		}
-		if p.Null == nil {
-			p.NullT = v.NullT
-		}
 		p.AppendGather(v, sel)
 	}
-	return true
-}
-
-func (f *framePacker) encode(enc *network.WireEncoder) []byte {
-	if f.asRows {
-		return enc.Encode(f.rows)
-	}
-	return enc.EncodeCols(f.cols, f.n)
+	f.n += take
 }
 
 // deliver hands one landed frame to the consumer, stopping at a
@@ -252,8 +235,7 @@ func (e *exchangeOp) NextBatch() (*Batch, error) {
 		return nil, e.prod.err
 	}
 	// Frames decode straight into column vectors: downstream kernels run
-	// on the decoded lanes with no row materialization, and the row view
-	// (when an operator does need it) reproduces the encoded tuples exactly.
+	// on the decoded lanes with no row materialization.
 	b := NewBatch()
 	if err := network.DecodeBatchCols(frame, b.Data()); err != nil {
 		b.Release()

@@ -15,6 +15,7 @@ import (
 	"cgdqp/internal/network"
 	"cgdqp/internal/obs"
 	"cgdqp/internal/plan"
+	"cgdqp/internal/refeval"
 	"cgdqp/internal/schema"
 )
 
@@ -133,14 +134,14 @@ func observedRun(root *plan.Node, cl *cluster.Cluster, opt ExecOptions) (cellRes
 	return cellResult{rows: rows, stats: *stats, ordered: ordered.String(), audit: o.Audit.String(), profile: pb.String()}, nil
 }
 
-// runCell executes the plan once with kernels or the row interpreter
-// and checks it left no goroutine behind.
-func runCell(t *testing.T, root *plan.Node, cl *cluster.Cluster, noKernels bool) cellResult {
+// runCell executes the plan once and checks it left no goroutine
+// behind.
+func runCell(t *testing.T, root *plan.Node, cl *cluster.Cluster) cellResult {
 	t.Helper()
 	before := runtime.NumGoroutine()
-	r, err := observedRun(root, cl, ExecOptions{NoKernels: noKernels})
+	r, err := observedRun(root, cl, ExecOptions{})
 	if err != nil {
-		t.Fatalf("interp=%v: %v\n%s", noKernels, err, root.Format(true))
+		t.Fatalf("%v\n%s", err, root.Format(true))
 	}
 	settleGoroutines(t, before)
 	return r
@@ -164,16 +165,16 @@ func sameCell(t *testing.T, label string, got, want cellResult) {
 	}
 }
 
-// parityRepeats is how often each (case, kernel gate) cell of the
-// repeat-parity table runs.
+// parityRepeats is how often each case of the repeat-parity table runs.
 const parityRepeats = 3
 
 // TestExchangeModeParity runs hand-built plans covering every plan.Kind
-// the builder accepts, parityRepeats times each with kernels and with
-// the row interpreter. Every SHIP's producer runs on its own goroutine,
-// so the runs interleave differently, yet rows and their order,
-// RunStats, the rendered audit log and the per-node profile counts must
-// be byte-identical across all of them.
+// the builder accepts, parityRepeats times each. Every SHIP's producer
+// runs on its own goroutine, so the runs interleave differently, yet
+// rows and their order, RunStats, the rendered audit log and the
+// per-node profile counts must be byte-identical across all of them,
+// and the rows — of a plan without a LIMIT, which may keep any of them
+// — the multiset the reference evaluator finds.
 func TestExchangeModeParity(t *testing.T) {
 	a, b, c, e, cl := parityCluster(t)
 	multiShip, multiShipCl := chaosPlan(t)
@@ -300,7 +301,7 @@ func TestExchangeModeParity(t *testing.T) {
 		{"index scan", cl, indexScan(a, "a", 10, 20), func(t *testing.T, r cellResult) {
 			// Index reads come in row-ID order: the filtered full scan's
 			// rows, in the same order.
-			want := runCell(t, plan.NewFilter(scan(a, "a"), indexScan(a, "a", 10, 20).Pred), cl, false)
+			want := runCell(t, plan.NewFilter(scan(a, "a"), indexScan(a, "a", 10, 20).Pred), cl)
 			if len(r.rows) == 0 || r.ordered != want.ordered {
 				t.Errorf("index scan returned %d rows, want the filtered scan's %d in its order", len(r.rows), len(want.rows))
 			}
@@ -315,7 +316,7 @@ func TestExchangeModeParity(t *testing.T) {
 			// The same multiset as the hash join of the filtered outer.
 			h := lookupJoin(a)
 			h.Kind, h.Children[0] = plan.HashJoin, plan.NewFilter(h.Children[0], expr.NewCmp(expr.GE, col("l", "w"), ci(100)))
-			got, want := strings.Split(r.ordered, "\n"), strings.Split(runCell(t, h, cl, false).ordered, "\n")
+			got, want := strings.Split(r.ordered, "\n"), strings.Split(runCell(t, h, cl).ordered, "\n")
 			slices.Sort(got)
 			slices.Sort(want)
 			if len(r.rows) == 0 || !slices.Equal(got, want) {
@@ -358,18 +359,19 @@ func TestExchangeModeParity(t *testing.T) {
 	for _, tc := range cases {
 		tc.root.Walk(func(n *plan.Node) bool { covered[n.Kind] = true; return true })
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runCell(t, tc.root, tc.cl, false)
+			ref := runCell(t, tc.root, tc.cl)
 			if tc.check != nil {
 				tc.check(t, ref)
 			}
-			for _, interp := range []bool{false, true} {
-				for rep := 0; rep < parityRepeats; rep++ {
-					if !interp && rep == 0 {
-						continue // the reference run
-					}
-					got := runCell(t, tc.root, tc.cl, interp)
-					sameCell(t, fmt.Sprintf("interp=%v run %d", interp, rep), got, ref)
-				}
+			limited := false
+			tc.root.Walk(func(n *plan.Node) bool { limited = limited || n.Kind == plan.Limit; return true })
+			if want, err := refeval.Eval(tc.root, tc.cl); err != nil {
+				t.Fatalf("reference: %v", err)
+			} else if got := canon(ref.rows); !limited && !slices.Equal(got, canon(want)) {
+				t.Errorf("%d rows differ from the reference's %d", len(got), len(want))
+			}
+			for rep := 1; rep < parityRepeats; rep++ {
+				sameCell(t, fmt.Sprintf("run %d", rep), runCell(t, tc.root, tc.cl), ref)
 			}
 		})
 	}
@@ -450,7 +452,7 @@ func TestCancelShiplessPlan(t *testing.T) {
 							cancel()
 						}()
 					}
-					out, _, err := RunParallelOpts(ctx, root, cl, o, ExecOptions{NoKernels: true})
+					out, _, err := RunParallelOpts(ctx, root, cl, o, ExecOptions{})
 					<-watcher
 					if !errors.Is(err, context.Canceled) || out != nil {
 						t.Fatalf("got %d rows, error %v; want context.Canceled", len(out), err)

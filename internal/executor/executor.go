@@ -189,7 +189,6 @@ func build(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 		}
 		children[i] = op
 	}
-	vec := env.opt.kernels()
 	var op BatchOperator
 	switch n.Kind {
 	case plan.TableScan, plan.Scan:
@@ -199,17 +198,17 @@ func build(n *plan.Node, env *execEnv, need []bool) (BatchOperator, error) {
 	case plan.IndexLookupJoin:
 		op, err = newIndexLookupJoin(n, children[0], env, need)
 	case plan.FilterExec, plan.Filter:
-		op = newFilter(children[0], bound[0], colTypes(n.Children[0]), vec)
+		op = newFilter(children[0], bound[0], colTypes(n.Children[0]), env.opt)
 	case plan.ProjectExec, plan.Project:
-		op = newProject(n, children[0], bound, vec)
+		op = newProject(n, children[0], bound, env.opt)
 	case plan.HashJoin:
-		op, err = newHashJoin(n, children[0], children[1], vec)
+		op, err = newHashJoin(n, children[0], children[1])
 	case plan.NLJoin, plan.Join:
-		op, err = newNLJoin(n, children[0], children[1], vec)
+		op, err = newNLJoin(n, children[0], children[1])
 	case plan.HashAgg, plan.Aggregate:
-		op, err = newHashAgg(n, children[0], vec)
+		op, err = newHashAgg(n, children[0], env.opt)
 	case plan.SortExec, plan.Sort:
-		op, err = newSort(n, children[0], vec)
+		op, err = newSort(n, children[0], env.opt)
 	case plan.LimitExec, plan.Limit:
 		op = &limitOp{src: children[0], n: n.LimitN}
 	case plan.UnionAll, plan.Union:
@@ -335,110 +334,39 @@ func equiKeys(n *plan.Node, what string) (lk, rk []expr.Expr, residual expr.Expr
 	return lk, rk, residual, nil
 }
 
-// rowOut is the output side of the operators that produce rows rather
-// than columns (aggregate, sort): it hands the rows in buf out
-// BatchSize at a time, copying their headers into the pooled batch's
-// own storage so buf can be reused.
-type rowOut struct {
-	buf []expr.Row
-	pos int
-}
-
-func (o *rowOut) reset() { o.buf, o.pos = o.buf[:0], 0 }
-
-// nextBatch fills one batch from buf, calling refill for more rows
-// whenever buf runs dry. refill resets and repopulates buf and reports
-// false at end of stream (nil: buf is the whole result).
-func (o *rowOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
-	b := NewBatch()
-	rows := b.rowBuf[:0]
-	for len(rows) < BatchSize {
-		if o.pos == len(o.buf) {
-			if refill == nil {
-				break
-			}
-			more, err := refill()
-			if err != nil {
-				b.rowBuf = rows
-				b.Release()
-				return nil, err
-			}
-			if !more {
-				break
-			}
-			continue
-		}
-		end := o.pos + BatchSize - len(rows)
-		if end > len(o.buf) {
-			end = len(o.buf)
-		}
-		rows = append(rows, o.buf[o.pos:end]...)
-		o.pos = end
-	}
-	b.rowBuf = rows
-	if len(rows) == 0 {
-		b.Release()
-		return nil, nil
-	}
-	b.SetRows(rows)
-	return b, nil
-}
-
 // --- join output ----------------------------------------------------------
 
-// pairOut is the output side hashJoinOp and nlJoinOp share, and the only
-// place a join builds rows: the operator appends its build side chunk by
-// chunk, reports matches against the current probe chunk as (probe row,
-// build row) index pairs, and nextBatch materializes them BatchSize at a
-// time. It runs in the strongest mode every chunk so far allowed:
-//
-//   - cols: both sides arrive column-backed and exact; pairs gather
-//     column-wise into the pooled output batch's own vectors and no row
-//     is built at all;
-//   - keys: a chunk was row-backed (its rows are there for the taking)
-//     or inexact outside the columns the operator matches on; those
-//     columns stay vectors, the rest is rows — the build side
-//     materialized once if it was columnar — and each run of output
-//     rows is one value slab;
-//   - neither: rows only, what a kernels-off join starts in and the
-//     interpreter reads.
+// pairOut is the output side hashJoinOp and nlJoinOp share: the operator
+// appends its build side chunk by chunk into column vectors, reports
+// matches against the current probe chunk as (probe row, build row)
+// index pairs, and nextBatch gathers them column-wise into the pooled
+// output batch's own vectors, BatchSize at a time. No row is built.
 type pairOut struct {
 	types          []expr.Type // output schema: lTypes then rTypes
 	lTypes, rTypes []expr.Type
-	lkeys, rkeys   []int // columns the operator matches on
-	lall, rall     []int // every column
-	cols, keys     bool
 	bcols          []expr.Vec  // build side vectors, in arrival order
-	brows          []expr.Row  // build side rows (!cols)
 	bn             int32       // build rows
 	chunk          *Batch      // current probe chunk
 	vecs           []*expr.Vec // column scratch; the probe chunk's vectors
-	prows          []expr.Row  // the probe chunk's rows (!cols)
-	pi, bi         []int32     // matches; pi is pre-selection while cols
+	pi, bi         []int32     // matches; pi indexes the probe vectors
 	pos            int         // next pair to hand out
 
 	// scratch is the one concatenated row a join predicate is evaluated
-	// over: load* fill the columns the predicate reads (lneed, rneed)
-	// from the vectors, or copy whole rows once there are rows.
+	// over: loadProbe and loadBuild fill the columns it reads (lneed,
+	// rneed) from the vectors.
 	scratch      expr.Row
-	plen         int
 	lneed, rneed []int
 }
 
-// newPairOut sizes the emitter for join node n. The operator matches on
-// columns lkeys and rkeys of the two sides; pred is the bound predicate
-// it evaluates over loadBuild's row (nil: none).
-func newPairOut(n *plan.Node, lkeys, rkeys []int, pred expr.Expr) pairOut {
+// newPairOut sizes the emitter for join node n; pred is the bound
+// predicate it evaluates over loadBuild's row (nil: none).
+func newPairOut(n *plan.Node, pred expr.Expr) pairOut {
 	lw, rw := len(n.Children[0].Cols), len(n.Children[1].Cols)
-	o := pairOut{types: append(colTypes(n.Children[0]), colTypes(n.Children[1])...), lkeys: lkeys, rkeys: rkeys}
+	o := pairOut{types: append(colTypes(n.Children[0]), colTypes(n.Children[1])...)}
 	o.lTypes, o.rTypes = o.types[:lw:lw], o.types[lw:]
 	o.bcols = make([]expr.Vec, rw)
 	o.vecs = make([]*expr.Vec, max(lw, rw))
 	o.scratch = make(expr.Row, lw+rw)
-	for c := 0; c < max(lw, rw); c++ {
-		o.lall = append(o.lall, c)
-	}
-	o.lall, o.rall = o.lall[:lw], o.lall[:rw]
 	for _, c := range expr.Columns(pred) {
 		if c.Index < lw {
 			o.lneed = append(o.lneed, c.Index)
@@ -449,95 +377,60 @@ func newPairOut(n *plan.Node, lkeys, rkeys []int, pred expr.Expr) pairOut {
 	return o
 }
 
-// reset empties both sides; vec false starts the join in rows only.
-func (o *pairOut) reset(vec bool) {
-	o.cols, o.keys, o.bn, o.brows = vec, vec, 0, nil
+// reset empties both sides.
+func (o *pairOut) reset() {
+	o.bn = 0
 	for c := range o.bcols {
 		o.bcols[c].Reset(o.rTypes[c], 0)
 	}
-	o.chunk, o.prows = nil, nil
+	o.chunk = nil
 	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
 }
 
-// exactCols resolves the listed columns of chunk into vecs[c]. It
-// reports false unless each is an exact vector whose NULLs carry the
-// lane's own type: only then do appended copies materialize the chunk's
-// values verbatim.
-func exactCols(chunk *Batch, types []expr.Type, which []int, vecs []*expr.Vec) bool {
+// bindCols binds chunk to a side's column types and leaves its vectors
+// in vecs.
+func bindCols(chunk *Batch, types []expr.Type, vecs []*expr.Vec) error {
 	d := chunk.Data()
-	d.Bind(types)
-	for _, c := range which {
+	if err := d.Bind(types); err != nil {
+		return err
+	}
+	for c := range types {
 		v, ok := d.ColVec(c)
-		if !ok || !v.Exact || v.Null != nil && v.NullT != v.T {
-			return false
+		if !ok {
+			return fmt.Errorf("executor: join input column %d not produced", c)
 		}
 		vecs[c] = v
 	}
-	return true
-}
-
-// resolve settles the mode a chunk of one side allows and leaves its
-// vectors — all of them, or the key columns — in vecs. It reports the
-// columns to take as vectors and whether to take the chunk's rows.
-func (o *pairOut) resolve(chunk *Batch, types []expr.Type, all, keys []int) (vecs []int, rows bool) {
-	if o.cols && (chunk.Data().RowBacked() || !exactCols(chunk, types, all, o.vecs)) {
-		// The build side so far is exact vectors: these are its rows.
-		o.cols, o.brows = false, colRows(o.bcols, int(o.bn))
-	}
-	if o.cols {
-		return all, false
-	}
-	if o.keys = o.keys && exactCols(chunk, types, keys, o.vecs); o.keys {
-		return keys, true
-	}
-	return nil, true
-}
-
-// colRows materializes the first n rows of column vectors.
-func colRows(cols []expr.Vec, n int) []expr.Row {
-	var d expr.Batch
-	d.StartCols(len(cols), n)
-	for c := range cols {
-		*d.OwnCol(c) = cols[c]
-	}
-	d.FinishCols()
-	return d.Rows()
+	return nil
 }
 
 // addBuild appends the chunk's (selected) rows to the build side.
-func (o *pairOut) addBuild(chunk *Batch) {
-	vecs, rows := o.resolve(chunk, o.rTypes, o.rall, o.rkeys)
-	for _, c := range vecs {
+func (o *pairOut) addBuild(chunk *Batch) error {
+	if err := bindCols(chunk, o.rTypes, o.vecs); err != nil {
+		return err
+	}
+	for c := range o.bcols {
 		o.bcols[c].AppendGather(o.vecs[c], chunk.Sel())
 	}
-	if rows {
-		o.brows = append(o.brows, chunk.Rows()...)
-	}
 	o.bn += int32(chunk.Len())
+	return nil
 }
 
 // setProbe makes chunk the one new pairs refer to; the previous chunk's
 // pairs have all been handed out.
-func (o *pairOut) setProbe(chunk *Batch) {
+func (o *pairOut) setProbe(chunk *Batch) error {
 	o.chunk = chunk
 	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
-	if _, rows := o.resolve(chunk, o.lTypes, o.lall, o.lkeys); rows {
-		o.prows = chunk.Rows()
-	}
+	return bindCols(chunk, o.lTypes, o.vecs)
 }
 
-// probeAt maps position r of the probe chunk to v, its index in the
-// chunk's vectors (pre-selection), and p, the index pairs and loadProbe
-// take: v while cols, r itself over rows.
-func (o *pairOut) probeAt(r int) (v int, p int32) {
-	v = r
+// probeAt maps position r of the probe chunk to its index in the
+// chunk's vectors (pre-selection), the index pairs take.
+func (o *pairOut) probeAt(r int) int32 {
 	if sel := o.chunk.Sel(); sel != nil {
-		v = int(sel[r])
+		return sel[r]
 	}
-	if o.cols {
-		return v, int32(v)
-	}
-	return v, int32(r)
+	return int32(r)
 }
 
 func (o *pairOut) add(p, b int32) {
@@ -547,11 +440,6 @@ func (o *pairOut) add(p, b int32) {
 
 // loadProbe puts probe row p into the scratch row.
 func (o *pairOut) loadProbe(p int32) {
-	if !o.cols {
-		o.scratch = append(o.scratch[:0], o.prows[p]...)
-		o.plen = len(o.scratch)
-		return
-	}
 	for _, c := range o.lneed {
 		o.scratch[c] = o.vecs[c].Value(int(p))
 	}
@@ -560,12 +448,7 @@ func (o *pairOut) loadProbe(p int32) {
 // loadBuild puts build row b behind the loaded probe row and returns
 // the scratch row, valid until the next load.
 func (o *pairOut) loadBuild(b int32) expr.Row {
-	if !o.cols {
-		o.scratch = append(o.scratch[:o.plen], o.brows[b]...)
-		return o.scratch
-	}
 	lw := len(o.lTypes)
-	o.scratch = o.scratch[:len(o.types)]
 	for _, c := range o.rneed {
 		o.scratch[lw+c] = o.bcols[c].Value(int(b))
 	}
@@ -579,32 +462,20 @@ func (o *pairOut) loadBuild(b int32) expr.Row {
 func (o *pairOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
 	b := NewBatch()
 	d := b.Data()
-	lw := len(o.lTypes)
-	cols, n := o.cols, 0
-	rows := b.rowBuf[:0]
-	if cols {
-		d.StartCols(len(o.types), 0)
-		for c, t := range o.types {
-			d.OwnCol(c).Reset(t, 0)
-		}
+	lw, n := len(o.lTypes), 0
+	d.StartCols(len(o.types), 0)
+	for c, t := range o.types {
+		d.OwnCol(c).Reset(t, 0)
 	}
 	for n < BatchSize {
 		if o.pos == len(o.pi) {
 			more, err := refill()
 			if err != nil {
-				b.rowBuf = rows
 				b.Release()
 				return nil, err
 			}
 			if !more {
 				break
-			}
-			if cols && !o.cols {
-				// Demoted under a part-filled batch: it continues as rows.
-				cols = false
-				d.SetLen(n)
-				d.FinishCols()
-				rows = append(rows, d.Rows()...)
 			}
 			continue
 		}
@@ -612,78 +483,43 @@ func (o *pairOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
 		pi, bi := o.pi[o.pos:o.pos+k], o.bi[o.pos:o.pos+k]
 		o.pos += k
 		n += k
-		if cols {
-			for c := 0; c < lw; c++ {
-				d.OwnCol(c).AppendGather(o.vecs[c], pi)
-			}
-			for c := range o.bcols {
-				d.OwnCol(lw+c).AppendGather(&o.bcols[c], bi)
-			}
-			continue
+		for c := 0; c < lw; c++ {
+			d.OwnCol(c).AppendGather(o.vecs[c], pi)
 		}
-		if !o.keys {
-			// The reference: one materialized row per match.
-			for i := range pi {
-				rows = append(rows, concatRow(o.prows[pi[i]], o.brows[bi[i]]))
-			}
-			continue
-		}
-		need := 0
-		for i := range pi {
-			need += len(o.prows[pi[i]]) + len(o.brows[bi[i]])
-		}
-		slab := make([]expr.Value, 0, need)
-		for i := range pi {
-			start := len(slab)
-			slab = append(append(slab, o.prows[pi[i]]...), o.brows[bi[i]]...)
-			rows = append(rows, slab[start:len(slab):len(slab)])
+		for c := range o.bcols {
+			d.OwnCol(lw+c).AppendGather(&o.bcols[c], bi)
 		}
 	}
-	b.rowBuf = rows
-	switch {
-	case n == 0:
+	if n == 0 {
 		b.Release()
 		return nil, nil
-	case cols:
-		d.SetLen(n)
-		d.FinishCols()
-	default:
-		b.SetRows(rows)
 	}
+	d.SetLen(n)
 	return b, nil
 }
 
 // --- hash join ----------------------------------------------------------
 
 // hashJoinOp joins a probe stream (left) against a hash table built from
-// the right child, both consumed a batch at a time. With kernels on and
-// every equi-key a bare column it works on key vectors while pairOut
-// keeps them (out.keys): hashing reads the key columns directly
-// (bit-identical to hashKey), build rows link into per-hash chains by
-// index, and hash-collision rechecks compare lanes. Otherwise — kernels
-// off, computed keys, or from the first chunk with an inexact key
-// column — it is the row reference.
+// the right child, both consumed a batch at a time, on key vectors: its
+// equi-keys are bare columns, hashing reads them directly, build rows
+// link into per-hash chains by index, and hash-collision rechecks
+// compare lanes.
 type hashJoinOp struct {
 	node         *plan.Node
 	probe, build feed
-	leftKeys     []expr.Expr // bound against left schema
-	rightKeys    []expr.Expr // bound against right schema
-	residual     expr.Expr   // bound against concatenated schema
+	residual     expr.Expr // bound against concatenated schema
 
-	vec    bool        // kernels on and all equi-keys are bare columns
+	lkeys  []int       // probe key columns
 	bKeys  []*expr.Vec // build key columns (into out.bcols)
 	pKeys  []*expr.Vec // probe key columns of the current chunk
 	eqMode []keyEqMode
 
-	// Key-vector mode: table maps a key hash to its chain's first and
-	// last build row; next links rows within one, so chain iteration
-	// order is arrival order, as in the reference's buckets.
+	// table maps a key hash to its chain's first and last build row;
+	// next links rows within one, so chain iteration order is arrival
+	// order.
 	table chainTable
 	next  []int32
-	// Row mode: the reference hash table, the build rows of one key hash
-	// in arrival order. Kept deliberately simple — it is the baseline the
-	// vector mode is measured and checked against.
-	rowBuckets map[uint64][]int32
 
 	// pending is the first probe chunk, peeked at Open (to skip the
 	// hash-table build when the probe side is provably empty) and
@@ -808,51 +644,25 @@ func (t *chainTable) grow() {
 	}
 }
 
-func newHashJoin(n *plan.Node, left, right BatchOperator, vec bool) (BatchOperator, error) {
+func newHashJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 	lk, rk, res, err := equiKeys(n, "hash join")
 	if err != nil {
 		return nil, err
 	}
-	j := &hashJoinOp{
-		node: n, probe: feed{src: left}, build: feed{src: right},
-		leftKeys: lk, rightKeys: rk, residual: res, vec: vec,
-	}
-	var lCols, rCols []int
+	j := &hashJoinOp{node: n, probe: feed{src: left}, build: feed{src: right}, residual: res}
+	j.out = newPairOut(n, res)
+	j.pKeys = make([]*expr.Vec, len(lk))
 	for i := range lk {
-		lc, lok := lk[i].(*expr.Col)
-		rc, rok := rk[i].(*expr.Col)
-		if !j.vec || !lok || !rok {
-			j.vec = false
-			break
-		}
-		lCols, rCols = append(lCols, lc.Index), append(rCols, rc.Index)
-	}
-	j.out = newPairOut(n, lCols, rCols, res)
-	j.pKeys = make([]*expr.Vec, len(lCols))
-	for i := range j.pKeys {
-		j.bKeys = append(j.bKeys, &j.out.bcols[rCols[i]])
-		j.eqMode = append(j.eqMode, keyMode(j.out.lTypes[lCols[i]], j.out.rTypes[rCols[i]]))
+		l, r := lk[i].(*expr.Col).Index, rk[i].(*expr.Col).Index
+		j.lkeys = append(j.lkeys, l)
+		j.bKeys = append(j.bKeys, &j.out.bcols[r])
+		j.eqMode = append(j.eqMode, keyMode(j.out.lTypes[l], j.out.rTypes[r]))
 	}
 	return j, nil
 }
 
-func hashKey(keys []expr.Expr, row expr.Row) (uint64, bool, error) {
-	var h uint64 = 1469598103934665603
-	for _, k := range keys {
-		v, err := expr.Eval(k, row)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() {
-			return 0, false, nil // NULL keys never match
-		}
-		h = h*1099511628211 ^ v.Hash()
-	}
-	return h, true, nil
-}
-
-// hashVecKeys combines the key hashes of row i of the key columns,
-// bit-identical to hashKey over the row.
+// hashVecKeys combines the key hashes of row i of the key columns, the
+// way Value.Hash hashes each value.
 func hashVecKeys(keys []*expr.Vec, i int) (uint64, bool) {
 	var h uint64 = 1469598103934665603
 	for _, v := range keys {
@@ -865,7 +675,7 @@ func hashVecKeys(keys []*expr.Vec, i int) (uint64, bool) {
 }
 
 func (j *hashJoinOp) Open() error {
-	j.out.reset(j.vec)
+	j.out.reset()
 	j.pendErr = nil
 	// Peek the first probe chunk before building: when the probe side is
 	// provably empty, the join produces nothing and the hash-table build
@@ -882,10 +692,8 @@ func (j *hashJoinOp) Open() error {
 	if err := j.build.open(); err != nil {
 		return err
 	}
-	j.next, j.rowBuckets = j.next[:0], nil
-	if j.vec {
-		j.table.reset(j.buildSizeHint())
-	}
+	j.next = j.next[:0]
+	j.table.reset(j.buildSizeHint())
 	if j.pending != nil {
 		if err := j.buildTable(); err != nil {
 			return err
@@ -894,54 +702,25 @@ func (j *hashJoinOp) Open() error {
 	return j.build.close()
 }
 
-// buildTable drains the build feed into the hash table.
+// buildTable drains the build feed into the hash table. NULL keys
+// never match and are left out.
 func (j *hashJoinOp) buildTable() error {
 	for {
 		chunk, err := j.build.nextChunk()
-		if err != nil {
+		if err != nil || chunk == nil {
 			return err
 		}
-		if chunk == nil {
-			return nil
-		}
-		if chunk.Len() == 0 {
-			continue
-		}
-		from, hadKeys := j.out.bn, j.out.keys
-		j.out.addBuild(chunk)
-		if err := j.index(from, hadKeys); err != nil {
+		from := j.out.bn
+		if err := j.out.addBuild(chunk); err != nil {
 			return err
 		}
-	}
-}
-
-// index enters build rows [from, bn) into the hash table: the chains
-// while out keeps key vectors, the reference map over rows — every row
-// so far, if out had key vectors until the last chunk. NULL keys never
-// match and are left out.
-func (j *hashJoinOp) index(from int32, hadKeys bool) error {
-	if j.out.keys {
 		for i := from; i < j.out.bn; i++ {
 			j.next = append(j.next, -1)
 			if h, valid := hashVecKeys(j.bKeys, int(i)); valid {
 				j.link(h, i)
 			}
 		}
-		return nil
 	}
-	if hadKeys || j.rowBuckets == nil {
-		from, j.rowBuckets = 0, make(map[uint64][]int32, j.buildSizeHint())
-	}
-	for i, row := range j.out.brows[from:] {
-		h, valid, err := hashKey(j.rightKeys, row)
-		if err != nil {
-			return err
-		}
-		if valid {
-			j.rowBuckets[h] = append(j.rowBuckets[h], from+int32(i))
-		}
-	}
-	return nil
 }
 
 // link appends build row idx to hash h's chain.
@@ -988,30 +767,24 @@ func (j *hashJoinOp) probeNext() (bool, error) {
 	if err != nil || chunk == nil {
 		return false, err
 	}
-	hadKeys := j.out.keys
-	if j.out.setProbe(chunk); hadKeys && !j.out.keys {
-		if err := j.index(0, true); err != nil {
-			return false, err
-		}
+	if err := j.out.setProbe(chunk); err != nil {
+		return false, err
 	}
-	if j.out.keys {
-		j.pendErr = j.probeVecs(chunk.Len())
-	} else {
-		j.pendErr = j.probeRows()
-	}
+	j.pendErr = j.probeVecs(chunk.Len())
 	return true, nil
 }
 
 // probeVecs matches the n (selected) rows of the probe chunk against
-// the chains, reading keys from the two sides' key vectors.
+// the chains, reading keys from the two sides' key vectors. The
+// residual runs before the key recheck (its errors surface first).
 func (j *hashJoinOp) probeVecs(n int) error {
 	o := &j.out
-	for k, c := range o.lkeys {
+	for k, c := range j.lkeys {
 		j.pKeys[k] = o.vecs[c]
 	}
 	for r := 0; r < n; r++ {
-		v, p := o.probeAt(r)
-		h, valid := hashVecKeys(j.pKeys, v)
+		p := o.probeAt(r)
+		h, valid := hashVecKeys(j.pKeys, int(p))
 		if !valid {
 			continue
 		}
@@ -1028,52 +801,12 @@ func (j *hashJoinOp) probeVecs(n int) error {
 					continue
 				}
 			}
-			eq, err := j.recheck(v, int(b))
+			eq, err := j.recheck(int(p), int(b))
 			if err != nil {
 				return err
 			}
 			if eq {
 				o.add(p, b)
-			}
-		}
-	}
-	return nil
-}
-
-// probeRows is the row-mode reference probe: per-row hashing through
-// the interpreter, bucket-map candidates, interpreted residual and key
-// comparison. The vector mode must be value- and order-identical to
-// this path. The residual runs before the key recheck (its errors
-// surface first).
-func (j *hashJoinOp) probeRows() error {
-	o := &j.out
-	for r, row := range o.prows {
-		h, valid, err := hashKey(j.leftKeys, row)
-		if err != nil {
-			return err
-		}
-		if !valid {
-			continue
-		}
-		if j.residual != nil {
-			o.loadProbe(int32(r))
-		}
-		for _, b := range j.rowBuckets[h] {
-			if j.residual != nil {
-				keep, err := expr.EvalBool(j.residual, o.loadBuild(b))
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
-			}
-			eq, err := j.keysEqual(row, o.brows[b])
-			if err != nil {
-				return err
-			}
-			if eq {
-				o.add(int32(r), b)
 			}
 		}
 	}
@@ -1118,38 +851,11 @@ func vecFloat(v *expr.Vec, i int) float64 {
 	return float64(v.I[i])
 }
 
-func (j *hashJoinOp) keysEqual(l, r expr.Row) (bool, error) {
-	for i := range j.leftKeys {
-		lv, err := expr.Eval(j.leftKeys[i], l)
-		if err != nil {
-			return false, err
-		}
-		rv, err := expr.Eval(j.rightKeys[i], r)
-		if err != nil {
-			return false, err
-		}
-		if lv.IsNull() || rv.IsNull() {
-			return false, nil
-		}
-		c, err := lv.Compare(rv)
-		if err != nil || c != 0 {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 func (j *hashJoinOp) Close() error {
-	j.out.reset(false)
+	j.out.reset()
 	j.table = chainTable{}
-	j.next, j.rowBuckets, j.pending = nil, nil, nil
+	j.next, j.pending = nil, nil
 	return j.probe.close()
-}
-
-func concatRow(l, r expr.Row) expr.Row {
-	out := make(expr.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
 }
 
 // --- nested-loop join ---------------------------------------------------
@@ -1158,12 +864,11 @@ func concatRow(l, r expr.Row) expr.Row {
 // each left row is paired with every right row and kept when the join
 // condition holds. No candidate pair is built to find that out: a
 // condition that is all typed column equalities (eq) compares the two
-// sides' lanes directly while pairOut keeps those columns as vectors,
-// and anything else is evaluated over pairOut's one scratch row.
+// sides' lanes directly, and anything else is evaluated over pairOut's
+// one scratch row.
 type nlJoinOp struct {
 	left, right feed
 	cond        expr.Expr
-	vec         bool
 	eq          []eqCols // nil: cond needs the interpreter
 	out         pairOut
 	li, ln      int // next row and row count of the current left chunk
@@ -1177,7 +882,7 @@ type eqCols struct {
 	str  bool
 }
 
-func newNLJoin(n *plan.Node, left, right BatchOperator, vec bool) (BatchOperator, error) {
+func newNLJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 	var cond expr.Expr
 	if n.Pred != nil {
 		bound, err := expr.Bind(n.Pred, resolver(n))
@@ -1186,15 +891,11 @@ func newNLJoin(n *plan.Node, left, right BatchOperator, vec bool) (BatchOperator
 		}
 		cond = bound
 	}
-	j := &nlJoinOp{left: feed{src: left}, right: feed{src: right}, cond: cond, vec: vec}
-	var lkeys, rkeys []int
-	if vec && cond != nil {
+	j := &nlJoinOp{left: feed{src: left}, right: feed{src: right}, cond: cond}
+	if cond != nil {
 		j.eq = typedEq(cond, colTypes(n.Children[0]), colTypes(n.Children[1]))
-		for _, e := range j.eq {
-			lkeys, rkeys = append(lkeys, e.l), append(rkeys, e.r)
-		}
 	}
-	j.out = newPairOut(n, lkeys, rkeys, cond)
+	j.out = newPairOut(n, cond)
 	return j, nil
 }
 
@@ -1229,7 +930,7 @@ func typedEq(cond expr.Expr, lTypes, rTypes []expr.Type) []eqCols {
 }
 
 func (j *nlJoinOp) Open() error {
-	j.out.reset(j.vec)
+	j.out.reset()
 	j.li, j.ln, j.pendErr = 0, 0, nil
 	if err := j.right.open(); err != nil {
 		return err
@@ -1242,7 +943,9 @@ func (j *nlJoinOp) Open() error {
 		if chunk == nil {
 			break
 		}
-		j.out.addBuild(chunk)
+		if err := j.out.addBuild(chunk); err != nil {
+			return err
+		}
 	}
 	if err := j.right.close(); err != nil {
 		return err
@@ -1272,11 +975,13 @@ func (j *nlJoinOp) joinNext() (bool, error) {
 	}
 	// The last refill's pairs are all handed out: start over, on the
 	// same chunk while it has rows left.
-	o.setProbe(chunk)
+	if err := o.setProbe(chunk); err != nil {
+		return false, err
+	}
 	for ; j.li < j.ln && len(o.pi) < BatchSize; j.li++ {
-		v, p := o.probeAt(j.li)
-		if j.eq != nil && o.keys {
-			j.matchLanes(v, p)
+		p := o.probeAt(j.li)
+		if j.eq != nil {
+			j.matchLanes(p)
 			continue
 		}
 		mark := len(o.pi)
@@ -1296,10 +1001,11 @@ func (j *nlJoinOp) joinNext() (bool, error) {
 	return true, nil
 }
 
-// matchLanes pairs the left row at v (p to out) with every right row
-// equal on all eq columns; NULLs equal nothing.
-func (j *nlJoinOp) matchLanes(v int, p int32) {
+// matchLanes pairs the left row at p with every right row equal on all
+// eq columns; NULLs equal nothing.
+func (j *nlJoinOp) matchLanes(p int32) {
 	o := &j.out
+	v := int(p)
 build:
 	for b := 0; b < int(o.bn); b++ {
 		for _, e := range j.eq {
@@ -1313,130 +1019,85 @@ build:
 }
 
 func (j *nlJoinOp) Close() error {
-	j.out.reset(false)
+	j.out.reset()
 	return j.left.close()
 }
 
 // --- hash aggregate -----------------------------------------------------
 
 // hashAggOp groups its input and folds each row into per-group
-// accumulator lanes, consuming its input a batch at a time. Group
-// identity is the binary expr.AppendKey encoding and groups are
-// numbered densely in first-appearance order, so the output rows (and
-// their order) are independent of the evaluation path.
+// accumulator lanes, consuming its input a batch at a time: the group
+// key columns and the aggregate arguments (each a bare column or a
+// kernel) are evaluated a chunk at a time, every row gets its dense
+// group id, and the accumulators update their group lanes straight from
+// the argument vectors. Group identity is the binary expr.AppendKey
+// encoding and groups are numbered densely in first-appearance order,
+// which is the order the groups are emitted in, as vector batches.
 type hashAggOp struct {
-	node    *plan.Node
-	feed    feed
-	keys    []expr.Expr // bound group-by columns
-	args    []expr.Expr // bound aggregate arguments (nil for COUNT(*))
-	fns     []expr.AggFn
-	inTypes []expr.Type
+	node     *plan.Node
+	feed     feed
+	keyCols  []int          // group-by columns
+	args     []expr.Expr    // bound aggregate arguments (nil for COUNT(*))
+	argCols  []int          // >= 0: the argument is that bare column
+	argKerns []*expr.Kernel // the argument's kernel otherwise
+	inTypes  []expr.Type
+	outTypes []expr.Type
 
-	lookup    map[string]int32 // AppendKey encoding -> dense group id
-	groupVals []expr.Row       // per group id, in first-appearance order
-	accs      []*accCol        // per aggregate: typed group-slot lanes
-	pos       int              // next group to hand out
-	out       rowOut
-
-	// Vectorized absorption (vec true): group keys and aggregate
-	// arguments are evaluated column-at-a-time per input chunk, each a
-	// bare column or a compiled kernel; the accumulators then update
-	// their group lanes straight from the vectors. Any chunk that does
-	// not vectorize exactly is re-run through the row path with
-	// identical results.
-	vec      bool
-	keyCols  []int
-	keyKerns []*expr.Kernel
-	argCols  []int
-	argKerns []*expr.Kernel
-
-	// Per-chunk scratch, operator-owned so steady-state absorption does
-	// not allocate.
-	keyVecs, argVecs   []*expr.Vec
-	keyDense, argDense []bool // kernel outputs are dense over the selection
-	gids               []int32
-	keyBuf             []byte
+	lookup   map[string]int32 // AppendKey encoding -> dense group id
+	groups   int32
+	keyOut   []expr.Vec // group key values, by group id
+	accs     []*accCol  // per aggregate: typed group-slot lanes
+	pos      int32      // next group to hand out
+	iota     []int32    // 0, 1, 2, …: the selection of a run of groups
+	keyVecs  []*expr.Vec
+	argVecs  []*expr.Vec
+	argDense []bool // the argument vector is a kernel's, dense over the selection
+	gids     []int32
+	keyBuf   []byte
 }
 
-func newHashAgg(n *plan.Node, src BatchOperator, vec bool) (BatchOperator, error) {
+func newHashAgg(n *plan.Node, src BatchOperator, opt ExecOptions) (BatchOperator, error) {
 	res := resolver(n.Children[0])
-	keys := make([]expr.Expr, len(n.GroupBy))
-	for i, g := range n.GroupBy {
+	op := &hashAggOp{node: n, feed: feed{src: src}, inTypes: colTypes(n.Children[0]), outTypes: colTypes(n)}
+	for _, g := range n.GroupBy {
 		bound, err := expr.Bind(g, res)
 		if err != nil {
 			return nil, fmt.Errorf("executor: group-by bind %s: %w", g, err)
 		}
-		keys[i] = bound
+		op.keyCols = append(op.keyCols, bound.(*expr.Col).Index)
 	}
-	args := make([]expr.Expr, len(n.Aggs))
-	fns := make([]expr.AggFn, len(n.Aggs))
-	for i, a := range n.Aggs {
-		fns[i] = a.Fn
-		if a.Arg != nil {
-			bound, err := expr.Bind(a.Arg, res)
-			if err != nil {
-				return nil, fmt.Errorf("executor: aggregate bind %s: %w", a.Arg, err)
-			}
-			args[i] = bound
+	for _, a := range n.Aggs {
+		op.accs = append(op.accs, &accCol{fn: a.Fn})
+		op.argCols = append(op.argCols, -1)
+		op.argKerns = append(op.argKerns, nil)
+		op.args = append(op.args, nil)
+		if a.Arg == nil {
+			continue
+		}
+		bound, err := expr.Bind(a.Arg, res)
+		if err != nil {
+			return nil, fmt.Errorf("executor: aggregate bind %s: %w", a.Arg, err)
+		}
+		i := len(op.args) - 1
+		op.args[i] = bound
+		if c, ok := bound.(*expr.Col); ok {
+			op.argCols[i] = c.Index
+		} else {
+			op.argKerns[i] = opt.kernel(bound, op.inTypes)
 		}
 	}
-	op := &hashAggOp{
-		node: n, feed: feed{src: src}, keys: keys, args: args, fns: fns,
-		inTypes: colTypes(n.Children[0]),
-	}
-	op.accs = make([]*accCol, len(fns))
-	for i, fn := range fns {
-		op.accs[i] = &accCol{fn: fn}
-	}
-	if vec {
-		op.vec = true
-		op.keyCols, op.keyKerns = classifyExprs(keys, op.inTypes, &op.vec)
-		op.argCols, op.argKerns = classifyExprs(args, op.inTypes, &op.vec)
-		if op.vec {
-			op.keyVecs = make([]*expr.Vec, len(keys))
-			op.keyDense = make([]bool, len(keys))
-			op.argVecs = make([]*expr.Vec, len(args))
-			op.argDense = make([]bool, len(args))
-		}
-	}
+	op.keyOut = make([]expr.Vec, len(op.keyCols))
+	op.keyVecs = make([]*expr.Vec, len(op.keyCols))
+	op.argVecs = make([]*expr.Vec, len(op.args))
+	op.argDense = make([]bool, len(op.args))
 	return op, nil
-}
-
-// classifyExprs sorts each expression into bare-column or compiled-
-// kernel evaluation; anything else clears vec (nil entries — COUNT(*)
-// arguments — are fine and stay nil on both sides).
-func classifyExprs(exprs []expr.Expr, types []expr.Type, vec *bool) ([]int, []*expr.Kernel) {
-	cols := make([]int, len(exprs))
-	kerns := make([]*expr.Kernel, len(exprs))
-	for i, e := range exprs {
-		cols[i] = -1
-		if e == nil {
-			continue
-		}
-		if c, ok := e.(*expr.Col); ok {
-			cols[i] = c.Index
-			continue
-		}
-		if k, ok := expr.Compile(e, types); ok {
-			kerns[i] = k
-			continue
-		}
-		*vec = false
-	}
-	return cols, kerns
 }
 
 func (a *hashAggOp) Open() error {
 	if err := a.feed.open(); err != nil {
 		return err
 	}
-	a.lookup = make(map[string]int32)
-	a.groupVals = a.groupVals[:0]
-	for _, acc := range a.accs {
-		acc.reset()
-	}
-	a.pos = 0
-	a.out.reset()
+	a.start()
 	for {
 		chunk, err := a.feed.nextChunk()
 		if err != nil {
@@ -1456,17 +1117,29 @@ func (a *hashAggOp) Open() error {
 		return err
 	}
 	// A global aggregation over zero rows still yields one row.
-	if len(a.keys) == 0 && len(a.groupVals) == 0 {
-		a.newGroup("", nil)
+	if len(a.keyCols) == 0 && a.groups == 0 {
+		a.newGroup("")
 	}
 	return nil
 }
 
+// start empties the groups.
+func (a *hashAggOp) start() {
+	a.lookup = make(map[string]int32)
+	a.groups, a.pos = 0, 0
+	for i := range a.keyOut {
+		a.keyOut[i].Reset(a.outTypes[i], 0)
+	}
+	for _, acc := range a.accs {
+		acc.reset()
+	}
+}
+
 // newGroup registers a group and grows every accumulator's lanes by one
 // slot; the new dense group id is returned.
-func (a *hashAggOp) newGroup(key string, vals expr.Row) int32 {
-	gid := int32(len(a.groupVals))
-	a.groupVals = append(a.groupVals, vals)
+func (a *hashAggOp) newGroup(key string) int32 {
+	gid := a.groups
+	a.groups++
 	a.lookup[key] = gid
 	for _, acc := range a.accs {
 		acc.grow()
@@ -1474,61 +1147,52 @@ func (a *hashAggOp) newGroup(key string, vals expr.Row) int32 {
 	return gid
 }
 
-// absorbChunk folds one input chunk into the groups, vectorized when
-// possible and row by row otherwise.
-func (a *hashAggOp) absorbChunk(chunk *Batch) error {
-	if a.vec && a.absorbVecChunk(chunk) {
-		return nil
-	}
-	for _, row := range chunk.Rows() {
-		if err := a.absorbRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// absorbVecChunk evaluates all key/argument columns of the chunk at
+// absorbChunk evaluates all key and argument columns of the chunk at
 // once, assigns every row its dense group id, and lets each accumulator
 // update its typed group lanes straight from the argument vector — no
-// per-row Value boxing. It reports false when a vector could not be
-// resolved (a lane-impure or inexact column, a kernel error): the
-// caller re-runs the chunk row by row, reproducing interpreter behavior
-// exactly.
-func (a *hashAggOp) absorbVecChunk(chunk *Batch) bool {
+// per-row Value boxing.
+func (a *hashAggOp) absorbChunk(chunk *Batch) error {
 	d := chunk.Data()
-	d.Bind(a.inTypes)
+	if err := d.Bind(a.inTypes); err != nil {
+		return err
+	}
 	sel := chunk.Sel()
 	n := chunk.Len()
-	for i := range a.keys {
-		v, dense, ok := a.evalVec(d, sel, a.keyCols[i], a.keyKerns[i])
+	for i, c := range a.keyCols {
+		v, ok := d.ColVec(c)
 		if !ok {
-			return false
+			return fmt.Errorf("executor: group-by column %d not produced", c)
 		}
-		a.keyVecs[i], a.keyDense[i] = v, dense
+		a.keyVecs[i] = v
 	}
 	for i := range a.args {
-		if a.args[i] == nil {
-			continue
+		switch {
+		case a.argCols[i] >= 0:
+			v, ok := d.ColVec(a.argCols[i])
+			if !ok {
+				return fmt.Errorf("executor: aggregate column %d not produced", a.argCols[i])
+			}
+			a.argVecs[i], a.argDense[i] = v, false
+		case a.argKerns[i] != nil:
+			v, err := a.argKerns[i].EvalVec(d, sel)
+			if err != nil {
+				return err
+			}
+			a.argVecs[i], a.argDense[i] = v, true
 		}
-		v, dense, ok := a.evalVec(d, sel, a.argCols[i], a.argKerns[i])
-		if !ok {
-			return false
-		}
-		a.argVecs[i], a.argDense[i] = v, dense
 	}
 	if cap(a.gids) < n {
 		a.gids = make([]int32, n)
 	}
 	a.gids = a.gids[:n]
-	if len(a.keys) == 0 {
+	if len(a.keyCols) == 0 {
 		// A global aggregation has one group: no key to encode or look up.
-		if len(a.groupVals) == 0 {
-			a.newGroup("", nil)
+		if a.groups == 0 {
+			a.newGroup("")
 		}
 		clear(a.gids)
 	} else {
-		a.assignGroups(chunk, sel)
+		a.assignGroups(sel)
 	}
 	for i, acc := range a.accs {
 		if a.args[i] == nil {
@@ -1541,113 +1205,67 @@ func (a *hashAggOp) absorbVecChunk(chunk *Batch) bool {
 		}
 		acc.addVec(a.gids, a.argVecs[i], sel, a.argDense[i], n)
 	}
-	return true
+	return nil
 }
 
 // assignGroups gives every row of the chunk its dense group id in
-// a.gids by its encoded key, registering groups on first appearance.
-func (a *hashAggOp) assignGroups(chunk *Batch, sel []int32) {
+// a.gids by its encoded key, registering groups — and their key values
+// — on first appearance.
+func (a *hashAggOp) assignGroups(sel []int32) {
 	for r := range a.gids {
+		vi := r
+		if sel != nil {
+			vi = int(sel[r])
+		}
 		a.keyBuf = a.keyBuf[:0]
-		for i, v := range a.keyVecs {
-			vi := r
-			if !a.keyDense[i] && sel != nil {
-				vi = int(sel[r])
-			}
+		for _, v := range a.keyVecs {
 			a.keyBuf = v.AppendKeyAt(a.keyBuf, vi)
 		}
 		gid, ok := a.lookup[string(a.keyBuf)]
 		if !ok {
-			vals := make(expr.Row, len(a.keys))
+			gid = a.newGroup(string(a.keyBuf))
+			one := [1]int32{int32(vi)}
 			for i, v := range a.keyVecs {
-				// Bare columns take the row's value as-is (exact NULL
-				// type preservation); kernel NULLs materialize with the
-				// operator's NullT, matching the interpreter.
-				if a.keyCols[i] >= 0 {
-					vals[i] = chunk.RowValue(r, a.keyCols[i])
-				} else {
-					vals[i] = v.Value(r)
-				}
+				a.keyOut[i].AppendGather(v, one[:])
 			}
-			gid = a.newGroup(string(a.keyBuf), vals)
 		}
 		a.gids[r] = gid
 	}
 }
 
-// evalVec resolves one classified expression over the chunk. dense
-// reports kernel outputs, which are indexed by selection position;
-// column vectors are indexed by pre-selection row. Bare columns must be
-// exact: an inexact vector canonicalizes payloads the row path feeds to
-// the accumulators and key encoder verbatim.
-func (a *hashAggOp) evalVec(d *expr.Batch, sel []int32, col int, kern *expr.Kernel) (*expr.Vec, bool, bool) {
-	if col >= 0 {
-		v, ok := d.ColVec(col)
-		if !ok || !v.Exact {
-			return nil, false, false
-		}
-		return v, false, true
+// NextBatch emits the next BatchSize groups: key columns gathered from
+// the groups' key values, aggregate columns from the accumulators.
+func (a *hashAggOp) NextBatch() (*Batch, error) {
+	k := min(int32(BatchSize), a.groups-a.pos)
+	if k <= 0 {
+		return nil, nil
 	}
-	v, err := kern.EvalVec(d, sel)
-	if err != nil {
-		return nil, false, false
+	for int32(len(a.iota)) < a.pos+k {
+		a.iota = append(a.iota, int32(len(a.iota)))
 	}
-	return v, true, true
-}
-
-func (a *hashAggOp) absorbRow(row expr.Row) error {
-	a.keyBuf = a.keyBuf[:0]
-	vals := make(expr.Row, len(a.keys))
-	for i, k := range a.keys {
-		v, err := expr.Eval(k, row)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-		a.keyBuf = expr.AppendKey(a.keyBuf, v)
-	}
-	gid, ok := a.lookup[string(a.keyBuf)]
-	if !ok {
-		gid = a.newGroup(string(a.keyBuf), vals)
+	b := NewBatch()
+	d := b.Data()
+	nk := len(a.keyCols)
+	d.StartCols(len(a.outTypes), int(k))
+	for i := range a.keyOut {
+		d.OwnCol(i).GatherFrom(&a.keyOut[i], a.iota[a.pos:a.pos+k])
 	}
 	for i, acc := range a.accs {
-		if a.args[i] == nil {
-			acc.addCountStar(gid)
-			continue
+		v := d.OwnCol(nk + i)
+		v.Reset(a.outTypes[nk+i], 0)
+		for g := a.pos; g < a.pos+k; g++ {
+			if x := acc.result(g); !v.Append(x) {
+				b.Release()
+				return nil, fmt.Errorf("%w: %s yields %s, typed %s", expr.ErrLane, a.node.Aggs[i], x.T, v.T)
+			}
 		}
-		v, err := expr.Eval(a.args[i], row)
-		if err != nil {
-			return err
-		}
-		acc.addVal(gid, v)
 	}
-	return nil
-}
-
-func (a *hashAggOp) NextBatch() (*Batch, error) { return a.out.nextBatch(a.emitGroups) }
-
-// emitGroups refills out with the result rows of the next BatchSize
-// groups.
-func (a *hashAggOp) emitGroups() (bool, error) {
-	if a.pos >= len(a.groupVals) {
-		return false, nil
-	}
-	a.out.reset()
-	for ; a.pos < len(a.groupVals) && len(a.out.buf) < BatchSize; a.pos++ {
-		vals := a.groupVals[a.pos]
-		row := make(expr.Row, 0, len(vals)+len(a.accs))
-		row = append(row, vals...)
-		for _, acc := range a.accs {
-			row = append(row, acc.result(int32(a.pos)))
-		}
-		a.out.buf = append(a.out.buf, row)
-	}
-	return true, nil
+	a.pos += k
+	return b, nil
 }
 
 func (a *hashAggOp) Close() error {
 	a.lookup = nil
-	a.groupVals = nil
 	return nil
 }
 
@@ -1689,57 +1307,6 @@ func (a *accCol) grow() {
 	case expr.AggMin, expr.AggMax:
 		a.seen = append(a.seen, false)
 		a.best = append(a.best, expr.Value{})
-	}
-}
-
-func (a *accCol) addCountStar(g int32) {
-	if len(a.count) > 0 {
-		a.count[g]++
-	}
-}
-
-// addVal folds one value into group g, the row-path twin of addVec.
-func (a *accCol) addVal(g int32, v expr.Value) {
-	if v.IsNull() {
-		return // SQL aggregates skip NULLs
-	}
-	switch a.fn {
-	case expr.AggCount:
-		a.count[g]++
-	case expr.AggSum:
-		a.count[g]++
-		switch v.T {
-		case expr.TInt, expr.TBool, expr.TDate:
-			a.sumI[g] += v.Int()
-			a.sumF[g] += float64(v.Int())
-		default:
-			a.floaty[g] = true
-			a.sumF[g] += v.Float()
-		}
-	case expr.AggAvg:
-		a.count[g]++
-		switch v.T {
-		case expr.TInt, expr.TBool, expr.TDate:
-			a.sumF[g] += float64(v.Int())
-		default:
-			a.sumF[g] += v.Float()
-		}
-	case expr.AggMin:
-		if !a.seen[g] {
-			a.seen[g], a.best[g] = true, v
-			return
-		}
-		if c, err := v.Compare(a.best[g]); err == nil && c < 0 {
-			a.best[g] = v
-		}
-	case expr.AggMax:
-		if !a.seen[g] {
-			a.seen[g], a.best[g] = true, v
-			return
-		}
-		if c, err := v.Compare(a.best[g]); err == nil && c > 0 {
-			a.best[g] = v
-		}
 	}
 }
 
@@ -1854,8 +1421,8 @@ func (a *accCol) addVec(gids []int32, v *expr.Vec, sel []int32, dense bool, n in
 // mergeMinMax updates the per-group best value row by row. The typed
 // fast paths mirror Value.Compare exactly — in particular the float
 // comparison is strict < / >, so a NaN candidate never replaces the
-// best and a NaN best is never replaced, matching the row path's
-// per-row Compare behavior (a chunk-local reduce-then-merge would not).
+// best and a NaN best is never replaced, matching a per-row Compare
+// (a chunk-local reduce-then-merge would not).
 func (a *accCol) mergeMinMax(gids []int32, v *expr.Vec, sel []int32, dense bool, n int, min bool) {
 	mapped := !dense && sel != nil
 	for r := 0; r < n; r++ {
@@ -1926,39 +1493,31 @@ func (a *accCol) result(g int32) expr.Value {
 
 // --- sort ---------------------------------------------------------------
 
-// sortOp materializes its input, evaluates every sort key once per row
-// — through the key's compiled kernel when kernels are on, the
-// interpreter otherwise — and stably sorts a permutation over the key
-// values. NULLs sort first ascending, last descending.
+// sortOp materializes its input column-wise, evaluates every sort key
+// once per row through the key's kernel, and stably sorts a permutation
+// over the key values, which NextBatch gathers the columns by, BatchSize
+// rows at a time. NULLs sort first ascending, last descending.
 type sortOp struct {
 	child BatchOperator
-	keys  []expr.Expr
+	kerns []*expr.Kernel
 	descs []bool
-	kerns []*expr.Kernel // per key; nil: interpreter
 	types []expr.Type
-	out   rowOut
+	cols  []expr.Vec // the input, every batch appended
+	perm  []int32
+	pos   int
 }
 
-func newSort(n *plan.Node, child BatchOperator, vec bool) (BatchOperator, error) {
+func newSort(n *plan.Node, child BatchOperator, opt ExecOptions) (BatchOperator, error) {
 	res := resolver(n.Children[0])
-	s := &sortOp{
-		child: child,
-		keys:  make([]expr.Expr, len(n.SortKeys)),
-		descs: make([]bool, len(n.SortKeys)),
-		kerns: make([]*expr.Kernel, len(n.SortKeys)),
-		types: colTypes(n.Children[0]),
-	}
-	for i, k := range n.SortKeys {
+	s := &sortOp{child: child, types: colTypes(n.Children[0])}
+	s.cols = make([]expr.Vec, len(s.types))
+	for _, k := range n.SortKeys {
 		bound, err := expr.Bind(k.E, res)
 		if err != nil {
 			return nil, fmt.Errorf("executor: sort bind %s: %w", k.E, err)
 		}
-		s.keys[i], s.descs[i] = bound, k.Desc
-		if _, bare := bound.(*expr.Col); vec && !bare {
-			if kern, ok := expr.Compile(bound, s.types); ok {
-				s.kerns[i] = kern
-			}
-		}
+		s.kerns = append(s.kerns, opt.kernel(bound, s.types))
+		s.descs = append(s.descs, k.Desc)
 	}
 	return s, nil
 }
@@ -1967,8 +1526,10 @@ func (s *sortOp) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	nk := len(s.keys)
-	var rows []expr.Row
+	for c := range s.cols {
+		s.cols[c].Reset(s.types[c], 0)
+	}
+	nk, n := len(s.kerns), 0
 	var vals []expr.Value // key k of row r at vals[r*nk+k]
 	for {
 		b, err := s.child.NextBatch()
@@ -1978,8 +1539,8 @@ func (s *sortOp) Open() error {
 		if b == nil {
 			break
 		}
-		rows = append(rows, b.Rows()...)
-		vals, err = s.appendKeys(vals, b)
+		n += b.Len()
+		vals, err = s.absorb(vals, b)
 		b.Release()
 		if err != nil {
 			return err
@@ -1988,7 +1549,7 @@ func (s *sortOp) Open() error {
 	if err := s.child.Close(); err != nil {
 		return err
 	}
-	perm := make([]int32, len(rows))
+	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -2017,50 +1578,58 @@ func (s *sortOp) Open() error {
 		}
 		return false
 	})
-	if sortErr != nil {
-		return sortErr
-	}
-	sorted := make([]expr.Row, len(rows))
-	for i, p := range perm {
-		sorted[i] = rows[p]
-	}
-	s.out = rowOut{buf: sorted}
-	return nil
+	s.perm, s.pos = perm, 0
+	return sortErr
 }
 
-// appendKeys evaluates the sort keys over one input batch. A batch a
-// kernel cannot handle is re-run through the interpreter, so key values
-// and error behavior match it exactly.
-func (s *sortOp) appendKeys(vals []expr.Value, b *Batch) ([]expr.Value, error) {
-	rows := b.Rows()
-	nk := len(s.keys)
-	base := len(vals)
-	vals = slices.Grow(vals, len(rows)*nk)[:base+len(rows)*nk]
-	for k, key := range s.keys {
-		if kern := s.kerns[k]; kern != nil {
-			d := b.Data()
-			d.Bind(s.types)
-			if v, err := kern.EvalVec(d, b.Sel()); err == nil {
-				for r := range rows {
-					vals[base+r*nk+k] = v.Value(r)
-				}
-				continue
-			}
+// absorb appends one input batch's (selected) rows to the columns and
+// their sort key values to vals.
+func (s *sortOp) absorb(vals []expr.Value, b *Batch) ([]expr.Value, error) {
+	d := b.Data()
+	if err := d.Bind(s.types); err != nil {
+		return vals, err
+	}
+	for c := range s.cols {
+		v, ok := d.ColVec(c)
+		if !ok {
+			return vals, fmt.Errorf("executor: sort input column %d not produced", c)
 		}
-		for r, row := range rows {
-			v, err := expr.Eval(key, row)
-			if err != nil {
-				return vals, fmt.Errorf("executor: sort eval: %w", err)
-			}
-			vals[base+r*nk+k] = v
+		s.cols[c].AppendGather(v, b.Sel())
+	}
+	nk, n := len(s.kerns), b.Len()
+	base := len(vals)
+	vals = slices.Grow(vals, n*nk)[:base+n*nk]
+	for k, kern := range s.kerns {
+		v, err := kern.EvalVec(d, b.Sel())
+		if err != nil {
+			return vals, fmt.Errorf("executor: sort eval: %w", err)
+		}
+		for r := 0; r < n; r++ {
+			vals[base+r*nk+k] = v.Value(r)
 		}
 	}
 	return vals, nil
 }
 
-func (s *sortOp) NextBatch() (*Batch, error) { return s.out.nextBatch(nil) }
+func (s *sortOp) NextBatch() (*Batch, error) {
+	k := min(BatchSize, len(s.perm)-s.pos)
+	if k <= 0 {
+		return nil, nil
+	}
+	b := NewBatch()
+	d := b.Data()
+	d.StartCols(len(s.cols), k)
+	for c := range s.cols {
+		d.OwnCol(c).GatherFrom(&s.cols[c], s.perm[s.pos:s.pos+k])
+	}
+	s.pos += k
+	return b, nil
+}
 
 func (s *sortOp) Close() error {
-	s.out = rowOut{}
+	s.perm = nil
+	for c := range s.cols {
+		s.cols[c] = expr.Vec{}
+	}
 	return nil
 }

@@ -35,7 +35,7 @@ func filtered(src BatchOperator, n *plan.Node, need *[]bool, off int, env *execE
 			}
 		}
 	}
-	return newFilter(src, pred, colTypes(n), env.opt.kernels()), nil
+	return newFilter(src, pred, colTypes(n), env.opt), nil
 }
 
 // --- index scan ---------------------------------------------------------
@@ -108,9 +108,8 @@ type indexLookupJoinOp struct {
 	node   *plan.Node
 	env    *execEnv
 	outer  feed
-	key    expr.Expr   // probe key, bound against the outer schema
+	key    int         // probe key column of the outer schema
 	oTypes []expr.Type // outer schema
-	oall   []int       // every outer column
 	need   []bool      // inner columns to fetch
 
 	g     *store.Gather
@@ -132,11 +131,8 @@ func newIndexLookupJoin(n *plan.Node, outer BatchOperator, env *execEnv, need []
 		return nil, fmt.Errorf("executor: index lookup key bind: %w", err)
 	}
 	lw := len(n.Children[0].Cols)
-	j := &indexLookupJoinOp{node: n, env: env, outer: feed{src: outer}, key: key,
+	j := &indexLookupJoinOp{node: n, env: env, outer: feed{src: outer}, key: key.(*expr.Col).Index,
 		oTypes: colTypes(n.Children[0]), ovecs: make([]*expr.Vec, lw)}
-	for c := range lw {
-		j.oall = append(j.oall, c)
-	}
 	if need != nil {
 		j.need = need[lw:]
 	}
@@ -151,7 +147,7 @@ func (j *indexLookupJoinOp) Open() error {
 	}
 	j.g, j.pos, j.nl = g, 0, nil
 	if _, ok := g.Lookup(j.node.IdxCol, nil); !ok {
-		if j.nl, err = newNLJoin(j.node, j.outer.src, &scanOp{node: inner, env: j.env}, j.env.opt.kernels()); err != nil {
+		if j.nl, err = newNLJoin(j.node, j.outer.src, &scanOp{node: inner, env: j.env}); err != nil {
 			return err
 		}
 		return j.nl.Open()
@@ -169,7 +165,7 @@ func (j *indexLookupJoinOp) NextBatch() (*Batch, error) {
 			return nil, err
 		}
 		if more {
-			return j.pairs(), nil
+			return j.pairs()
 		}
 		if err = j.probe(); err != nil || j.outer.cur == nil {
 			return nil, err
@@ -188,36 +184,22 @@ func (j *indexLookupJoinOp) probe() error {
 		return err
 	}
 	j.keys = j.keys[:0]
-	col, bare := j.key.(*expr.Col)
 	for r := 0; r < cur.Len(); r++ {
-		k := expr.Value{}
-		if bare {
-			k = cur.RowValue(r, col.Index)
-		} else if k, err = expr.Eval(j.key, cur.Rows()[r]); err != nil {
-			return err
-		}
-		j.keys = append(j.keys, k)
+		j.keys = append(j.keys, cur.RowValue(r, j.key))
 	}
 	j.from, _ = j.g.Lookup(j.node.IdxCol, j.keys)
 	j.pos = 0
 	return nil
 }
 
-// pairs builds the candidate batch of the fetched rows: column-backed
-// when the fetch is and the outer batch has exact vectors, otherwise
-// one concatenated row per pair.
-func (j *indexLookupJoinOp) pairs() *Batch {
+// pairs builds the candidate batch of the fetched rows: the outer
+// columns gathered by pair, the inner ones as fetched.
+func (j *indexLookupJoinOp) pairs() (*Batch, error) {
 	cur, n, lw := j.outer.cur, j.inner.Len(), len(j.oTypes)
 	from := j.from[j.pos : j.pos+n]
 	j.pos += n
-	out := NewBatch()
-	if j.inner.RowBacked() || cur.Data().RowBacked() || !exactCols(cur, j.oTypes, j.oall, j.ovecs) {
-		orows, irows := cur.Rows(), j.inner.Rows()
-		for i, r := range from {
-			out.rowBuf = append(out.rowBuf, concatRow(orows[r], irows[i]))
-		}
-		out.SetRows(out.rowBuf)
-		return out
+	if err := bindCols(cur, j.oTypes, j.ovecs); err != nil {
+		return nil, err
 	}
 	j.osel = j.osel[:0]
 	for _, r := range from {
@@ -226,9 +208,10 @@ func (j *indexLookupJoinOp) pairs() *Batch {
 		}
 		j.osel = append(j.osel, r)
 	}
+	out := NewBatch()
 	d := out.Data()
 	d.StartCols(lw+j.inner.Width(), n)
-	for c, v := range j.ovecs {
+	for c, v := range j.ovecs[:lw] {
 		d.OwnCol(c).GatherFrom(v, j.osel)
 	}
 	for c := range j.inner.Width() {
@@ -236,8 +219,7 @@ func (j *indexLookupJoinOp) pairs() *Batch {
 			d.OwnCol(lw + c).CopyFrom(v)
 		}
 	}
-	d.FinishCols()
-	return out
+	return out, nil
 }
 
 func (j *indexLookupJoinOp) Close() error {

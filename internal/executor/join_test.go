@@ -9,23 +9,38 @@ import (
 	"cgdqp/internal/plan"
 )
 
-// This file holds the joins to one contract: whatever representation
-// their inputs arrive in and whichever matching strategy that selects —
-// lanes compared directly, the scratch row, the kernels-off reference —
-// a join returns the rows, in the order, and fails at the point, of the
-// per-pair interpreter both operators used to be: pair every left row
-// with every right row in arrival order, concatenate, evaluate.
+// This file holds the joins to one contract: whatever selection their
+// inputs arrive under and whichever matching strategy that selects —
+// lanes compared directly or the scratch row — a join returns the rows,
+// in the order, and fails at the point, of the per-pair interpreter:
+// pair every left row with every right row in arrival order,
+// concatenate, evaluate.
 
-// chunkSrc replays fixed chunks as an operator. With cols set a chunk
-// goes out column-backed (vectors filled through the producer protocol)
-// whenever vectors reproduce its rows exactly, row-backed otherwise; with sel set
-// every chunk carries two decoy rows its selection vector leaves out.
+// chunkSrc replays fixed chunks as an operator, each chunk one column
+// batch of the given types; with sel set every chunk carries two decoy
+// rows its selection vector leaves out.
 type chunkSrc struct {
+	tb     testing.TB
 	chunks [][]expr.Row
 	types  []expr.Type
-	cols   bool
 	sel    bool
 	pos    int
+}
+
+// fillCols makes d the column batch of rows under types; a value
+// outside its column's type fails the test.
+func fillCols(tb testing.TB, d *expr.Batch, rows []expr.Row, types []expr.Type) {
+	tb.Helper()
+	d.StartCols(len(types), len(rows))
+	for c, t := range types {
+		v := d.OwnCol(c)
+		v.Reset(t, 0)
+		for _, r := range rows {
+			if !v.Append(r[c]) {
+				tb.Fatalf("column %d: %v is no %s", c, r[c], t)
+			}
+		}
+	}
 }
 
 func (s *chunkSrc) Open() error  { s.pos = 0; return nil }
@@ -42,21 +57,7 @@ func (s *chunkSrc) NextBatch() (*Batch, error) {
 		decoy := rows[len(rows)-1]
 		rows = append(append([]expr.Row{decoy}, rows...), decoy)
 	}
-	b.SetRows(rows)
-	if s.cols {
-		var d expr.Batch
-		d.StartCols(len(s.types), len(rows))
-		pure := true
-		for c, t := range s.types {
-			if v := d.OwnCol(c); !expr.BuildColVec(rows, c, t, v) || !v.Exact {
-				pure = false
-			}
-		}
-		if pure {
-			d.FinishCols()
-			*b.Data() = d
-		}
-	}
+	fillCols(s.tb, b.Data(), rows, s.types)
 	if s.sel && len(rows) > 0 {
 		sel := b.SelBuf()
 		for i := 1; i < len(rows)-1; i++ {
@@ -107,7 +108,7 @@ func (c *joinCase) reference(t *testing.T) (rows []expr.Row, beforeRow int, err 
 			beforeRow = len(rows)
 			for _, rc := range c.right {
 				for _, r := range rc {
-					row := concatRow(l, r)
+					row := append(l.Clone(), r...)
 					keep, err := expr.EvalBool(cond, row)
 					if err != nil {
 						return rows, beforeRow, err
@@ -211,10 +212,8 @@ func joinCases() []joinCase {
 	}
 	strs := []expr.Type{expr.TString, expr.TInt}
 	cases = append(cases, joinCase{name: "string keys", lTypes: strs, rTypes: strs, left: str(l), right: str(r), cond: eq0})
-	// A chunk in mid-stream whose NULL carries another type's tag: its
-	// vector would not be exact, so the join goes on in rows from there —
-	// by the interpreter when it is a key column, still on key vectors
-	// when it is not.
+	// A chunk in mid-stream whose NULL carries another type's tag than
+	// the chunks before it: each side's vectors keep the tags apart.
 	li := [][]expr.Row{l[0], {{expr.NewInt(2), expr.NewInt(0)}, {expr.NullValue(), expr.NewInt(1)}}, l[2]}
 	lp := [][]expr.Row{l[0], {{expr.NewInt(2), expr.NewInt(0)}, {expr.NewInt(5), expr.NullValue()}}, l[2]}
 	cases = append(cases, joinCase{name: "inexact probe chunk", lTypes: ints, rTypes: ints, left: li, right: r, cond: eq0})
@@ -227,9 +226,6 @@ func joinCases() []joinCase {
 // joinEngines builds every way the two operators can run a case.
 func joinEngines(t *testing.T, c *joinCase) map[string]BatchOperator {
 	t.Helper()
-	src := func(chunks [][]expr.Row, types []expr.Type, cols, sel bool) BatchOperator {
-		return &chunkSrc{chunks: chunks, types: types, cols: cols, sel: sel}
-	}
 	must := func(op BatchOperator, err error) BatchOperator {
 		if err != nil {
 			t.Fatal(err)
@@ -238,27 +234,24 @@ func joinEngines(t *testing.T, c *joinCase) map[string]BatchOperator {
 	}
 	out := map[string]BatchOperator{}
 	for _, in := range []struct {
-		name      string
-		cols, sel bool
-	}{{"columns", true, false}, {"columns+sel", true, true}, {"rows", false, false}} {
+		name string
+		sel  bool
+	}{{"columns", false}, {"columns+sel", true}} {
 		sides := func() (BatchOperator, BatchOperator) {
-			return src(c.left, c.lTypes, in.cols, in.sel), src(c.right, c.rTypes, in.cols, in.sel)
+			return &chunkSrc{tb: t, chunks: c.left, types: c.lTypes, sel: in.sel},
+				&chunkSrc{tb: t, chunks: c.right, types: c.rTypes, sel: in.sel}
 		}
 		lo, ro := sides()
-		out["nl/"+in.name] = must(newNLJoin(c.node(plan.NLJoin), lo, ro, true))
+		out["nl/"+in.name] = must(newNLJoin(c.node(plan.NLJoin), lo, ro))
 		lo, ro = sides()
-		scratch := must(newNLJoin(c.node(plan.NLJoin), lo, ro, true)).(*nlJoinOp)
+		scratch := must(newNLJoin(c.node(plan.NLJoin), lo, ro)).(*nlJoinOp)
 		scratch.eq = nil
 		out["nl-scratch/"+in.name] = scratch
-		lo, ro = sides()
-		out["nl-interp/"+in.name] = must(newNLJoin(c.node(plan.NLJoin), lo, ro, false))
 		if c.nlOnly {
 			continue
 		}
 		lo, ro = sides()
-		out["hash/"+in.name] = must(newHashJoin(c.node(plan.HashJoin), lo, ro, true))
-		lo, ro = sides()
-		out["hash-interp/"+in.name] = must(newHashJoin(c.node(plan.HashJoin), lo, ro, false))
+		out["hash/"+in.name] = must(newHashJoin(c.node(plan.HashJoin), lo, ro))
 	}
 	return out
 }
@@ -315,7 +308,7 @@ func TestJoinTypedPathTaken(t *testing.T) {
 		"inexact probe payload": true, "inexact build payload": true,
 	}
 	for _, c := range joinCases() {
-		op, err := newNLJoin(c.node(plan.NLJoin), &chunkSrc{}, &chunkSrc{}, true)
+		op, err := newNLJoin(c.node(plan.NLJoin), &chunkSrc{}, &chunkSrc{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,49 +80,16 @@ func (s *scanOp) Close() error {
 	return nil
 }
 
-// runSelect narrows a batch's selection through a compiled predicate,
-// in place: the surviving selection lives in batch-owned storage either
-// way. ok is false when the kernel could not evaluate the batch — the
-// selection is left exactly as before then (a partially compacted
-// selection is restored from scratch), so the interpreter fallback sees
-// the original rows.
-func runSelect(kern *expr.PredKernel, b *Batch, d *expr.Batch, scratch *[]int32) ([]int32, bool) {
-	if cur := b.Sel(); cur != nil {
-		// Select compacts a non-nil selection in place as it goes; keep a
-		// copy so an error can undo the partial compaction.
-		*scratch = append((*scratch)[:0], cur...)
-		sel, err := kern.Select(d, cur, nil)
-		if err != nil {
-			copy(cur, *scratch)
-			b.compactSel(cur)
-			return nil, false
-		}
-		b.compactSel(sel)
-		return sel, true
-	}
-	sel, err := kern.Select(d, nil, b.SelBuf())
-	if err != nil {
-		return nil, false
-	}
-	b.setSel(sel)
-	return sel, true
-}
-
-// filterOp narrows each batch to its qualifying rows. With a compiled
-// predicate only the selection vector changes — no rows move and no
-// columns rebuild; a batch the kernel cannot handle is re-run row by
-// row into batch-owned row storage (never compacted in place:
-// row-backed batches may alias upstream rows).
+// filterOp narrows each batch to its qualifying rows: only the
+// selection vector changes — no rows move and no columns rebuild.
 type filterOp struct {
-	src     BatchOperator
-	pred    expr.Expr
-	kern    *vecPred
-	types   []expr.Type
-	selCopy []int32
+	src   BatchOperator
+	kern  *expr.PredKernel
+	types []expr.Type
 }
 
-func newFilter(src BatchOperator, pred expr.Expr, types []expr.Type, vec bool) BatchOperator {
-	return &filterOp{src: src, pred: pred, kern: compilePred(pred, types, vec), types: types}
+func newFilter(src BatchOperator, pred expr.Expr, types []expr.Type, opt ExecOptions) BatchOperator {
+	return &filterOp{src: src, kern: opt.pred(pred, types), types: types}
 }
 
 func (f *filterOp) Open() error { return f.src.Open() }
@@ -133,33 +100,15 @@ func (f *filterOp) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if f.kern != nil {
-			d := b.Data()
-			d.Bind(f.types)
-			if sel, ok := runSelect(f.kern.kern, b, d, &f.selCopy); ok {
-				if len(sel) > 0 {
-					return b, nil
-				}
-				b.Release()
-				continue
-			}
+		d := b.Data()
+		err = d.Bind(f.types)
+		if err == nil {
+			err = f.narrow(b, d)
 		}
-		// Interpreter re-run over the (selected) row view; survivors are
-		// gathered into the batch's own row storage.
-		rows := b.Rows()
-		kept := b.rowBuf[:0]
-		for _, row := range rows {
-			keep, err := expr.EvalBool(f.pred, row)
-			if err != nil {
-				b.Release()
-				return nil, err
-			}
-			if keep {
-				kept = append(kept, row)
-			}
+		if err != nil {
+			b.Release()
+			return nil, err
 		}
-		b.rowBuf = kept
-		b.SetRows(kept)
 		if b.Len() > 0 {
 			return b, nil
 		}
@@ -167,24 +116,35 @@ func (f *filterOp) NextBatch() (*Batch, error) {
 	}
 }
 
+// narrow runs the predicate over b's selection; the surviving selection
+// lives in batch-owned storage either way.
+func (f *filterOp) narrow(b *Batch, d *expr.Batch) error {
+	if cur := b.Sel(); cur != nil {
+		sel, err := f.kern.Select(d, cur, nil) // compacts cur in place
+		b.compactSel(sel)
+		return err
+	}
+	sel, err := f.kern.Select(d, nil, b.SelBuf())
+	b.setSel(sel)
+	return err
+}
+
 func (f *filterOp) Close() error { return f.src.Close() }
 
-// projectOp evaluates the projection over each input batch. The fast
-// path is fully columnar: kernel outputs, gathered passthroughs and
-// broadcast constants land in the output batch's own vectors, and no
-// row materializes — a filter below it only narrowed the batch's
-// selection, which drives the kernels over the same columnar view.
-// Batches that path cannot handle exactly fall back to the interpreter.
+// projectOp evaluates the projection over each input batch fully
+// columnar: kernel outputs, gathered passthroughs and broadcast
+// constants land in the output batch's own vectors, and no row
+// materializes — a filter below it only narrowed the batch's selection,
+// which drives the kernels over the same columnar view.
 type projectOp struct {
 	src   BatchOperator
-	exprs []expr.Expr
 	proj  *vecProj
 	types []expr.Type
 }
 
-func newProject(n *plan.Node, src BatchOperator, exprs []expr.Expr, vec bool) BatchOperator {
+func newProject(n *plan.Node, src BatchOperator, exprs []expr.Expr, opt ExecOptions) BatchOperator {
 	types := colTypes(n.Children[0])
-	return &projectOp{src: src, exprs: exprs, proj: compileProj(exprs, types, vec), types: types}
+	return &projectOp{src: src, proj: compileProj(exprs, types, opt), types: types}
 }
 
 func (p *projectOp) Open() error { return p.src.Open() }
@@ -195,28 +155,16 @@ func (p *projectOp) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	out := NewBatch()
-	if p.proj != nil {
-		d := in.Data()
-		d.Bind(p.types)
-		if p.proj.applyCols(d, in.Sel(), out.Data()) {
-			in.Release()
-			return out, nil
-		}
+	d := in.Data()
+	err = d.Bind(p.types)
+	if err == nil {
+		err = p.proj.apply(d, in.Sel(), out.Data())
 	}
-	buf := out.rowBuf[:0]
-	for _, row := range in.Rows() {
-		proj, err := projectRow(p.exprs, row)
-		if err != nil {
-			in.Release()
-			out.rowBuf = buf
-			out.Release()
-			return nil, err
-		}
-		buf = append(buf, proj)
-	}
-	out.rowBuf = buf
-	out.SetRows(buf)
 	in.Release()
+	if err != nil {
+		out.Release()
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -1,14 +1,30 @@
 package executor
 
-// ExecOptions tune one execution. The zero value is the default:
-// kernels on.
+import "cgdqp/internal/expr"
+
+// ExecOptions tune one execution. The zero value is the default.
 type ExecOptions struct {
-	// NoKernels forces the whole-chunk row interpreter even where
-	// compiled columnar kernels are available — the reference path the
-	// conformance matrix compares against. Results, shipped bytes and
-	// audit logs are identical either way; only speed differs.
+	// NoKernels compiles every expression — filter predicates,
+	// projections, aggregate arguments, sort keys — as one interpreter
+	// node, which runs the row interpreter over each batch's row view,
+	// instead of the columnar kernels. Results, shipped bytes and audit
+	// logs are identical either way; only speed differs.
 	NoKernels bool
 }
 
-// kernels reports whether compiled kernels should be used.
-func (o ExecOptions) kernels() bool { return !o.NoKernels }
+// kernel compiles e over input columns of the given types.
+func (o ExecOptions) kernel(e expr.Expr, types []expr.Type) *expr.Kernel {
+	if o.NoKernels {
+		return expr.Interpret(e, types)
+	}
+	return expr.Compile(e, types)
+}
+
+// pred compiles a filter predicate over input columns of the given
+// types.
+func (o ExecOptions) pred(e expr.Expr, types []expr.Type) *expr.PredKernel {
+	if o.NoKernels {
+		return expr.InterpretPred(e, types)
+	}
+	return expr.CompilePred(e, types)
+}

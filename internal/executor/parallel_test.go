@@ -1,8 +1,8 @@
 package executor
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,39 +11,31 @@ import (
 	"cgdqp/internal/optimizer"
 	"cgdqp/internal/plan"
 	"cgdqp/internal/policy"
+	"cgdqp/internal/refeval"
 )
 
-// runTwice executes the plan twice, with kernels and with the row
-// interpreter, and checks rows and shipping stats are identical.
-// Hand-built plans are compared run by run, order included, in
-// TestExchangeModeParity; this helper serves the optimizer-built ones.
-func runTwice(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]expr.Row, *RunStats) {
+// runChecked executes the plan and checks its rows are the multiset
+// the reference evaluator finds. Hand-built plans are compared run by
+// run, order included, in TestExchangeModeParity; this helper serves the
+// optimizer-built ones.
+func runChecked(t *testing.T, p *plan.Node, cl *cluster.Cluster, label string) ([]expr.Row, *RunStats) {
 	t.Helper()
 	rows, stats, err := Run(p, cl)
 	if err != nil {
 		t.Fatalf("%s: run: %v\n%s", label, err, p.Format(true))
 	}
-	iRows, iStats, err := RunParallelOpts(context.Background(), p, cl, nil, ExecOptions{NoKernels: true})
+	want, err := refeval.Eval(p, cl)
 	if err != nil {
-		t.Fatalf("%s: interpreter run: %v\n%s", label, err, p.Format(true))
+		t.Fatalf("%s: reference: %v", label, err)
 	}
-	if len(rows) != len(iRows) {
-		t.Fatalf("%s: row counts differ: kernels %d, interpreter %d", label, len(rows), len(iRows))
-	}
-	kc, ic := canon(rows), canon(iRows)
-	for i := range kc {
-		if kc[i] != ic[i] {
-			t.Fatalf("%s: row %d differs:\nkernels     %s\ninterpreter %s", label, i, kc[i], ic[i])
-		}
-	}
-	if *stats != *iStats {
-		t.Fatalf("%s: stats differ:\nkernels     %+v\ninterpreter %+v", label, stats, iStats)
+	if got, want := canon(rows), canon(want); !slices.Equal(got, want) {
+		t.Fatalf("%s: %d rows differ from the reference's %d:\n%v\n%v", label, len(got), len(want), got, want)
 	}
 	return rows, stats
 }
 
 // TestParallelOptimizedPlansAgree runs the optimizer end-to-end (the
-// executor package's e2e queries) with kernels and the interpreter.
+// executor package's e2e queries) against the reference evaluator.
 func TestParallelOptimizedPlansAgree(t *testing.T) {
 	cat, cl := carco(t)
 	queries := []string{
@@ -61,7 +53,7 @@ func TestParallelOptimizedPlansAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("optimize q%d (compliant=%v): %v", i, compliant, err)
 			}
-			runTwice(t, res.Plan, cl, fmt.Sprintf("optimized q%d compliant=%v", i, compliant))
+			runChecked(t, res.Plan, cl, fmt.Sprintf("optimized q%d compliant=%v", i, compliant))
 		}
 	}
 }
@@ -89,7 +81,7 @@ func TestParallelPermissivePlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("optimize q%d: %v", i, err)
 		}
-		runTwice(t, res.Plan, cl, fmt.Sprintf("permissive q%d", i))
+		runChecked(t, res.Plan, cl, fmt.Sprintf("permissive q%d", i))
 	}
 }
 
@@ -139,7 +131,7 @@ func TestHashJoinEmptyProbeShortCircuit(t *testing.T) {
 	buildShip := plan.NewShip(o, "E", "N")
 	join := plan.NewJoin(noC, buildShip, expr.NewCmp(expr.EQ, expr.NewCol("C", "custkey"), expr.NewCol("O", "custkey")))
 	join.Kind = plan.HashJoin
-	rows, stats := runTwice(t, join, cl, "empty probe")
+	rows, stats := runChecked(t, join, cl, "empty probe")
 	if len(rows) != 0 {
 		t.Errorf("rows: %d, want 0", len(rows))
 	}

@@ -1,17 +1,16 @@
 package executor
 
 import (
+	"fmt"
+
 	"cgdqp/internal/expr"
 	"cgdqp/internal/plan"
 )
 
 // This file is the glue between the operators and the compiled columnar
-// kernels of internal/expr: the filter/projection evaluators and the
-// feed that lets blocking operators (hash join, hash aggregate, NL and
-// index-lookup join) consume their input a batch at a time. Every
-// helper falls back to the row interpreter — per batch — whenever a
-// column is not lane-pure or a kernel reports an error, so results (and
-// error behavior) match the interpreter exactly.
+// kernels of internal/expr: the projection evaluator and the feed that
+// lets blocking operators (hash join, hash aggregate, NL and
+// index-lookup join) consume their input a batch at a time.
 
 // colTypes returns the static lane types of a node's output columns,
 // indexed the way bound Col.Index values address them.
@@ -54,57 +53,24 @@ func (f *feed) close() error {
 	return f.src.Close()
 }
 
-// --- predicate evaluation -------------------------------------------------
-
-// vecPred is a compiled filter predicate.
-type vecPred struct {
-	kern *expr.PredKernel
-}
-
-// compilePred compiles a predicate when kernels are enabled; nil means
-// the caller keeps the plain interpreter.
-func compilePred(pred expr.Expr, types []expr.Type, vec bool) *vecPred {
-	if !vec {
-		return nil
-	}
-	k, ok := expr.CompilePred(pred, types)
-	if !ok {
-		return nil
-	}
-	return &vecPred{kern: k}
-}
-
 // --- projection evaluation ------------------------------------------------
 
 // vecProj evaluates one projection list over a columnar batch, every
-// output column a bare-column passthrough, a constant or a compiled
-// kernel.
+// output column a bare-column passthrough, a constant or a kernel.
 type vecProj struct {
 	colIdx []int          // >= 0: bare column passthrough
 	consts []*expr.Value  // non-nil: constant output
-	kerns  []*expr.Kernel // non-nil: compiled kernel
+	kerns  []*expr.Kernel // non-nil: kernel
 	outs   []*expr.Vec    // kernel results for the current batch
-	pass   []*expr.Vec    // passthrough sources for the current batch
 }
 
-// compileProj compiles a projection list. It reports nil — the caller
-// keeps the row interpreter — when kernels are disabled, an expression
-// does not compile, or a constant does not reproduce itself through a
-// vector (payload residue a columnar broadcast would drop). A list of
-// nothing but passthroughs does compile: it gathers columns and never
-// builds an input row.
-func compileProj(exprs []expr.Expr, types []expr.Type, vec bool) *vecProj {
-	if !vec {
-		return nil
-	}
+func compileProj(exprs []expr.Expr, types []expr.Type, opt ExecOptions) *vecProj {
 	p := &vecProj{
 		colIdx: make([]int, len(exprs)),
 		consts: make([]*expr.Value, len(exprs)),
 		kerns:  make([]*expr.Kernel, len(exprs)),
 		outs:   make([]*expr.Vec, len(exprs)),
-		pass:   make([]*expr.Vec, len(exprs)),
 	}
-	var probe expr.Vec
 	for i, e := range exprs {
 		p.colIdx[i] = -1
 		switch n := e.(type) {
@@ -113,58 +79,41 @@ func compileProj(exprs []expr.Expr, types []expr.Type, vec bool) *vecProj {
 		case *expr.Const:
 			v := n.Val
 			p.consts[i] = &v
-			if probe.Broadcast(v, 1); !probe.Exact {
-				return nil
-			}
 		default:
-			k, ok := expr.Compile(e, types)
-			if !ok {
-				return nil
-			}
-			p.kerns[i] = k
+			p.kerns[i] = opt.kernel(e, types)
 		}
 	}
 	return p
 }
 
-// applyCols projects the selected rows of in fully columnar: kernel
+// apply projects the selected rows of in into out's own vectors: kernel
 // outputs are copied, passthrough columns gathered, and constants
-// broadcast into out's owned vectors — no row is materialized. ok is
-// false when the batch cannot be projected columnar with row-identical
-// results: a kernel error, or a passthrough column that is unavailable
-// or not exact (its vector would canonicalize values the row path
-// passes through verbatim). The caller then runs the interpreter.
-func (p *vecProj) applyCols(in *expr.Batch, sel []int32, out *expr.Batch) bool {
+// broadcast.
+func (p *vecProj) apply(in *expr.Batch, sel []int32, out *expr.Batch) error {
 	for i, k := range p.kerns {
 		if k == nil {
 			continue
 		}
 		v, err := k.EvalVec(in, sel)
 		if err != nil {
-			return false
+			return err
 		}
 		p.outs[i] = v
-	}
-	for i, idx := range p.colIdx {
-		if idx < 0 {
-			continue
-		}
-		v, ok := in.ColVec(idx)
-		if !ok || !v.Exact {
-			return false
-		}
-		p.pass[i] = v
 	}
 	n := in.Len()
 	if sel != nil {
 		n = len(sel)
 	}
 	out.StartCols(len(p.colIdx), n)
-	for i := range p.colIdx {
+	for i, idx := range p.colIdx {
 		dst := out.OwnCol(i)
 		switch {
-		case p.colIdx[i] >= 0:
-			dst.GatherFrom(p.pass[i], sel)
+		case idx >= 0:
+			src, ok := in.ColVec(idx)
+			if !ok {
+				return fmt.Errorf("executor: projected column %d not produced", idx)
+			}
+			dst.GatherFrom(src, sel)
 		case p.consts[i] != nil:
 			dst.Broadcast(*p.consts[i], n)
 		default:
@@ -173,19 +122,5 @@ func (p *vecProj) applyCols(in *expr.Batch, sel []int32, out *expr.Batch) bool {
 			dst.CopyFrom(p.outs[i])
 		}
 	}
-	out.FinishCols()
-	return true
-}
-
-// projectRow is the interpreter path shared by the fallback branches.
-func projectRow(exprs []expr.Expr, row expr.Row) (expr.Row, error) {
-	out := make(expr.Row, len(exprs))
-	for i, e := range exprs {
-		v, err := expr.Eval(e, row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return nil
 }

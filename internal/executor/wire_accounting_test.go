@@ -2,7 +2,6 @@ package executor
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"cgdqp/internal/cluster"
@@ -135,8 +134,8 @@ func runKernelModes(t *testing.T, root *plan.Node, cl *cluster.Cluster, label st
 	}
 }
 
-// TestKernelInterpreterEngineParity: the golden cross-check of the
-// vectorized path — kernels and the row interpreter produce
+// TestKernelInterpreterEngineParity: the one end-to-end check of
+// ExecOptions.NoKernels — kernels and the interpreter nodes produce
 // byte-identical rows, shipping statistics, and audit logs.
 func TestKernelInterpreterEngineParity(t *testing.T) {
 	root, cl := chaosPlan(t)
@@ -150,60 +149,6 @@ func TestKernelInterpreterEngineParity(t *testing.T) {
 		{E: expr.NewArith(expr.Mul, expr.NewCol("C", "acctbal"), expr.NewConst(expr.NewInt(3))), Name: "tri"},
 	})
 	runKernelModes(t, plan.NewShip(project, "N", "E"), cl2, "filter+project")
-}
-
-// TestKernelInterpreterChaosParity: under injected faults the kernel
-// and interpreter paths must still agree run for run — same seed, same
-// rows, same ledger, same audit text (or the same typed failure).
-func TestKernelInterpreterChaosParity(t *testing.T) {
-	root, cl := chaosPlan(t)
-	cl.SetRetry(chaosRetry())
-	for seed := int64(1); seed <= 8; seed++ {
-		cl.SetFaults(network.NewFaultPlan(seed).SetDefault(network.EdgeFaults{
-			DropProb: 0.15, TransientProb: 0.1, DelayProb: 0.2, DelayMS: 10,
-		}))
-		type outcome struct {
-			rows   []string
-			stats  RunStats
-			audit  string
-			failed bool
-		}
-		run := func(opt ExecOptions) outcome {
-			audit := obs.NewAuditLog()
-			rows, stats, err := RunParallelOpts(context.Background(), root, cl, &obs.Observer{Audit: audit}, opt)
-			if err != nil {
-				var se *network.ShipError
-				if !errors.As(err, &se) {
-					t.Fatalf("seed %d: untyped chaos error: %v", seed, err)
-				}
-				return outcome{failed: true}
-			}
-			return outcome{rows: canon(rows), stats: *stats, audit: audit.String()}
-		}
-		kern := run(ExecOptions{})
-		interp := run(ExecOptions{NoKernels: true})
-		if kern.failed != interp.failed {
-			t.Fatalf("seed %d: kernel failed=%v but interpreter failed=%v", seed, kern.failed, interp.failed)
-		}
-		if kern.failed {
-			continue
-		}
-		if len(kern.rows) != len(interp.rows) {
-			t.Fatalf("seed %d: %d kernel rows vs %d interpreter rows", seed, len(kern.rows), len(interp.rows))
-		}
-		for i := range kern.rows {
-			if kern.rows[i] != interp.rows[i] {
-				t.Fatalf("seed %d: row %d differs:\nkernel      %s\ninterpreter %s", seed, i, kern.rows[i], interp.rows[i])
-			}
-		}
-		if kern.stats.ShippedBytes != interp.stats.ShippedBytes || kern.stats.ShippedRows != interp.stats.ShippedRows || kern.stats.ShipCost != interp.stats.ShipCost {
-			t.Fatalf("seed %d: shipping stats differ:\nkernel      %+v\ninterpreter %+v", seed, kern.stats, interp.stats)
-		}
-		if kern.audit != interp.audit {
-			t.Fatalf("seed %d: audit logs differ:\nkernel:\n%s\ninterpreter:\n%s", seed, kern.audit, interp.audit)
-		}
-	}
-	cl.SetFaults(nil)
 }
 
 // TestFusedFilterRejectsAllRows: a kernel filter that keeps zero rows

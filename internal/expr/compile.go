@@ -3,30 +3,21 @@ package expr
 // Compiled columnar expression kernels. Compile translates a bound
 // expression tree once into a graph of typed vector operators that
 // evaluate a whole batch per call, using the static column types of the
-// operator's input schema to pick int64/float64/string/bool lanes. Any
-// node the compiler cannot type statically (CASE, aggregates, mixed or
-// incomparable operand types, unresolved columns) becomes a fallback
-// node that calls the row interpreter, so a compiled kernel always
-// produces exactly the values Eval would — including the type tags of
-// NULL results — or reports ErrNotVectorizable when a batch turns out
-// not to be lane-pure at runtime, in which case the caller re-evaluates
-// the whole batch with the interpreter.
+// operator's input schema to pick int64/float64/string/bool lanes (TypeOf
+// states the type of every node). A node the compiler has no vector
+// operator for (CASE, mixed or incomparable operand types) becomes an
+// interpreter node that runs the row interpreter over the batch's row
+// view, so a kernel always produces exactly the values Eval would —
+// including the type tags of NULL results — and fails where Eval fails.
 
 import (
-	"errors"
+	"fmt"
 	"strings"
 )
 
-// ErrNotVectorizable reports that a batch cannot be evaluated by the
-// compiled kernel — a column is not lane-pure, or a fallback node
-// produced a value outside its static type. It is a per-batch verdict,
-// not an error: callers must re-evaluate the batch with the interpreter.
-var ErrNotVectorizable = errors.New("expr: batch not vectorizable")
-
-// VecSource is the columnar view a kernel evaluates against: a batch of
-// rows exposing per-column vectors (built lazily and cached by the
-// executor) plus row access for fallback nodes. ColVec reports false
-// when the column cannot be converted (out of range, or not lane-pure).
+// VecSource is the columnar view a kernel evaluates against: per-column
+// vectors plus the row view interpreter nodes read. ColVec reports
+// false for a column the source does not carry.
 type VecSource interface {
 	ColVec(idx int) (*Vec, bool)
 	Row(i int) Row
@@ -45,24 +36,15 @@ type kNode interface {
 type Kernel struct{ root kNode }
 
 // Compile compiles a bound expression against the static column types
-// of the input schema (indexed by Col.Index). It reports false when
-// nothing would be gained: the whole tree is a fallback, or the
-// expression is a bare column or literal (callers handle those leaves
-// directly and exactly).
-func Compile(e Expr, types []Type) (*Kernel, bool) {
-	if e == nil {
-		return nil, false
-	}
-	switch e.(type) {
-	case *Col, *Const:
-		return nil, false
-	}
-	c := compiler{types: types}
-	node := c.compile(e)
-	if isFallback(node) {
-		return nil, false
-	}
-	return &Kernel{root: node}, true
+// of the input schema (indexed by Col.Index).
+func Compile(e Expr, types []Type) *Kernel {
+	return &Kernel{root: compiler{types: types}.compile(e)}
+}
+
+// Interpret compiles e as one interpreter node: the kernel that runs
+// the row interpreter over the whole expression.
+func Interpret(e Expr, types []Type) *Kernel {
+	return &Kernel{root: compiler{types: types}.fallback(e)}
 }
 
 // EvalVec evaluates the kernel over the selected rows of src, returning
@@ -75,44 +57,41 @@ func (k *Kernel) EvalVec(src VecSource, sel []int32) (*Vec, error) {
 	return k.root.eval(src, sel, n)
 }
 
-// predConj is one conjunct of a compiled predicate: vectorized when k is
-// non-nil, interpreted row-by-row otherwise.
-type predConj struct {
-	k *Kernel
-	e Expr
-}
-
 // PredKernel is a compiled filter predicate evaluated conjunct at a
 // time: each conjunct shrinks the selection before the next runs, so
 // later conjuncts only touch surviving rows. Rows are kept only when
 // every conjunct is TRUE (SQL WHERE semantics: NULL drops the row),
 // which matches the interpreter's short-circuit conjunction exactly.
-type PredKernel struct{ conjs []predConj }
+type PredKernel struct{ conjs []kNode }
 
-// CompilePred compiles a filter predicate. It reports false when no
-// conjunct vectorizes (the caller should keep the plain interpreter).
-func CompilePred(e Expr, types []Type) (*PredKernel, bool) {
-	if e == nil {
-		return nil, false
-	}
+// CompilePred compiles a filter predicate, one kernel per conjunct.
+func CompilePred(e Expr, types []Type) *PredKernel {
 	c := compiler{types: types}
-	cs := Conjuncts(e)
-	out := &PredKernel{conjs: make([]predConj, 0, len(cs))}
-	vectorized := false
-	for _, cj := range cs {
-		if c.staticType(cj) == TBool {
-			if k, ok := Compile(cj, types); ok {
-				out.conjs = append(out.conjs, predConj{k: k})
-				vectorized = true
-				continue
-			}
-		}
-		out.conjs = append(out.conjs, predConj{e: cj})
+	p := &PredKernel{}
+	for _, cj := range Conjuncts(e) {
+		p.conjs = append(p.conjs, c.truth(cj))
 	}
-	if !vectorized {
-		return nil, false
+	return p
+}
+
+// InterpretPred compiles a filter predicate as one interpreter node.
+func InterpretPred(e Expr, types []Type) *PredKernel {
+	if e == nil {
+		return &PredKernel{}
 	}
-	return out, true
+	return &PredKernel{conjs: []kNode{&kFallback{e: e, t: TBool, truth: true}}}
+}
+
+// truth compiles a conjunct onto the bool lane: a NULL-typed one is all
+// NULL, one of another type is read by EvalBool's rule.
+func (c compiler) truth(e Expr) kNode {
+	switch c.typeOf(e) {
+	case TBool:
+		return c.compile(e)
+	case TNull:
+		return &kAllNull{children: []kNode{c.compile(e)}, t: TBool}
+	}
+	return &kFallback{e: e, t: TBool, truth: true}
 }
 
 // emptySel is the canonical non-nil empty selection: Select must never
@@ -125,59 +104,28 @@ var emptySel = make([]int32, 0)
 // selects nothing); the result is then built in buf. A non-nil sel is
 // compacted in place. The returned selection is never nil.
 func (p *PredKernel) Select(src VecSource, sel []int32, buf []int32) ([]int32, error) {
-	cur, dense := sel, sel == nil
+	cur := sel
 	for _, cj := range p.conjs {
-		if cj.k != nil {
-			var pass *Vec
-			var err error
-			if dense {
-				pass, err = cj.k.EvalVec(src, nil)
-			} else {
-				pass, err = cj.k.EvalVec(src, cur)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if dense {
-				n := src.Len()
-				out := buf[:0]
-				for i := 0; i < n; i++ {
-					if pass.B.Get(i) && !pass.IsNullAt(i) {
-						out = append(out, int32(i))
-					}
-				}
-				cur, dense = out, false
-			} else {
-				w := 0
-				for j, si := range cur {
-					if pass.B.Get(j) && !pass.IsNullAt(j) {
-						cur[w] = si
-						w++
-					}
-				}
-				cur = cur[:w]
-			}
-		} else if dense {
-			n := src.Len()
+		n := len(cur)
+		if cur == nil {
+			n = src.Len()
+		}
+		pass, err := cj.eval(src, cur, n)
+		if err != nil {
+			return nil, err
+		}
+		if cur == nil {
 			out := buf[:0]
-			for i := 0; i < n; i++ {
-				ok, err := EvalBool(cj.e, src.Row(i))
-				if err != nil {
-					return nil, err
-				}
-				if ok {
+			for i := 0; i < pass.N; i++ {
+				if pass.B.Get(i) && !pass.IsNullAt(i) {
 					out = append(out, int32(i))
 				}
 			}
-			cur, dense = out, false
+			cur = out
 		} else {
 			w := 0
-			for _, si := range cur {
-				ok, err := EvalBool(cj.e, src.Row(int(si)))
-				if err != nil {
-					return nil, err
-				}
-				if ok {
+			for j, si := range cur {
+				if pass.B.Get(j) && !pass.IsNullAt(j) {
 					cur[w] = si
 					w++
 				}
@@ -189,16 +137,14 @@ func (p *PredKernel) Select(src VecSource, sel []int32, buf []int32) ([]int32, e
 		}
 	}
 	if cur == nil {
-		// Unreachable with CompilePred's >=1-conjunct guarantee, but a
-		// conjunct-free predicate passes everything.
-		out := buf[:0]
+		// A conjunct-free predicate passes everything.
+		cur = buf[:0]
 		for i, n := 0, src.Len(); i < n; i++ {
-			out = append(out, int32(i))
+			cur = append(cur, int32(i))
 		}
-		if out == nil {
-			out = emptySel
+		if cur == nil {
+			cur = emptySel
 		}
-		cur = out
 	}
 	return cur, nil
 }
@@ -213,55 +159,10 @@ func (c compiler) colType(col *Col) Type {
 	return c.types[col.Index]
 }
 
-// staticType mirrors the interpreter's *runtime* result types, which
-// differ from TypeOf's estimates in two ways that matter for lane
-// selection: arithmetic stays integral only when BOTH operands are
-// exactly TInt (a date+int lands on the float lane, like evalArith),
-// and a NULL literal is TNull no matter which type tag it carries.
-func (c compiler) staticType(e Expr) Type {
-	switch n := e.(type) {
-	case *Col:
-		return c.colType(n)
-	case *Const:
-		if n.Val.IsNull() {
-			return TNull
-		}
-		return n.Val.T
-	case *Cmp, *And, *Or, *Not, *Like, *In, *Between, *IsNull:
-		return TBool
-	case *Arith:
-		lt, rt := c.staticType(n.L), c.staticType(n.R)
-		if n.Op != Div && lt == TInt && rt == TInt {
-			return TInt
-		}
-		return TFloat
-	case *Concat:
-		return TString
-	case *Call:
-		// evalCall's ABS returns TFloat for a float argument and TInt for
-		// every other numeric one (including dates); YEAR/MONTH/DAY are TInt.
-		if n.Fn == FnAbs && c.staticType(n.Arg) == TFloat {
-			return TFloat
-		}
-		return TInt
-	case *Case:
-		for _, w := range n.Whens {
-			if t := c.staticType(w.Result); t != TNull {
-				return t
-			}
-		}
-		if n.Else != nil {
-			return c.staticType(n.Else)
-		}
-		return TNull
-	case *Agg:
-		return TypeOf(e, c.colType)
-	}
-	return TNull
-}
+func (c compiler) typeOf(e Expr) Type { return TypeOf(e, c.colType) }
 
 func (c compiler) fallback(e Expr) kNode {
-	return &kFallback{e: e, t: c.staticType(e)}
+	return &kFallback{e: e, t: c.typeOf(e)}
 }
 
 func isFallback(n kNode) bool {
@@ -292,7 +193,7 @@ func (c compiler) compile(e Expr) kNode {
 		}
 		return &kOr{l: l, r: r}
 	case *Not:
-		switch c.staticType(n.E) {
+		switch c.typeOf(n.E) {
 		case TBool:
 			return &kNot{c: c.compile(n.E)}
 		case TNull:
@@ -304,7 +205,7 @@ func (c compiler) compile(e Expr) kNode {
 	case *Concat:
 		return c.compileConcat(n)
 	case *Like:
-		switch c.staticType(n.E) {
+		switch c.typeOf(n.E) {
 		case TString:
 			return newKLike(c.compile(n.E), n.Pattern, n.Negated)
 		case TNull:
@@ -335,7 +236,7 @@ func (c compiler) compile(e Expr) kNode {
 // FALSE-or-NULL, which the kernels do not model).
 func (c compiler) compileBoolPair(l, r Expr) (kNode, kNode, bool) {
 	boolish := func(t Type) bool { return t == TBool || t == TNull }
-	lt, rt := c.staticType(l), c.staticType(r)
+	lt, rt := c.typeOf(l), c.typeOf(r)
 	if !boolish(lt) || !boolish(rt) {
 		return nil, nil, false
 	}
@@ -350,7 +251,7 @@ func (c compiler) compileBoolPair(l, r Expr) (kNode, kNode, bool) {
 }
 
 func (c compiler) compileCmp(n *Cmp) kNode {
-	lt, rt := c.staticType(n.L), c.staticType(n.R)
+	lt, rt := c.typeOf(n.L), c.typeOf(n.R)
 	if lt == TNull || rt == TNull {
 		return &kAllNull{children: []kNode{c.compile(n.L), c.compile(n.R)}, t: TBool}
 	}
@@ -371,7 +272,7 @@ func (c compiler) compileCmp(n *Cmp) kNode {
 }
 
 func (c compiler) compileArith(n *Arith) kNode {
-	lt, rt := c.staticType(n.L), c.staticType(n.R)
+	lt, rt := c.typeOf(n.L), c.typeOf(n.R)
 	if lt == TNull || rt == TNull {
 		return &kAllNull{children: []kNode{c.compile(n.L), c.compile(n.R)}, t: TFloat}
 	}
@@ -387,7 +288,7 @@ func (c compiler) compileArith(n *Arith) kNode {
 }
 
 func (c compiler) compileConcat(n *Concat) kNode {
-	lt, rt := c.staticType(n.L), c.staticType(n.R)
+	lt, rt := c.typeOf(n.L), c.typeOf(n.R)
 	if lt == TNull || rt == TNull {
 		return &kAllNull{children: []kNode{c.compile(n.L), c.compile(n.R)}, t: TString}
 	}
@@ -399,7 +300,7 @@ func (c compiler) compileConcat(n *Concat) kNode {
 }
 
 func (c compiler) compileIn(n *In) kNode {
-	t := c.staticType(n.E)
+	t := c.typeOf(n.E)
 	if t == TNull {
 		return &kAllNull{children: []kNode{c.compile(n.E)}, t: TBool}
 	}
@@ -440,7 +341,7 @@ func (c compiler) compileIn(n *In) kNode {
 }
 
 func (c compiler) compileBetween(n *Between) kNode {
-	t := c.staticType(n.E)
+	t := c.typeOf(n.E)
 	if t == TNull {
 		return &kAllNull{children: []kNode{c.compile(n.E)}, t: TBool}
 	}
@@ -473,7 +374,7 @@ func (c compiler) compileBetween(n *Between) kNode {
 }
 
 func (c compiler) compileCall(n *Call) kNode {
-	t := c.staticType(n.Arg)
+	t := c.typeOf(n.Arg)
 	if t == TNull {
 		return &kAllNull{children: []kNode{c.compile(n.Arg)}, t: TInt}
 	}
@@ -508,8 +409,11 @@ type kCol struct {
 
 func (k *kCol) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 	col, ok := src.ColVec(k.idx)
-	if !ok {
-		return nil, ErrNotVectorizable
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("expr: column %d not available", k.idx)
+	case col.T != k.t && k.t != TNull:
+		return nil, fmt.Errorf("%w: column %d holds %s values, typed %s", ErrLane, k.idx, col.T, k.t)
 	}
 	if sel == nil {
 		return col, nil
@@ -1047,7 +951,7 @@ func (k *kIn) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 type likeMode int
 
 const (
-	likeExact likeMode = iota
+	likeWhole likeMode = iota
 	likePrefix
 	likeSuffix
 	likeContains
@@ -1071,7 +975,7 @@ func newKLike(child kNode, pattern string, negated bool) *kLike {
 	plain := func(s string) bool { return !strings.ContainsAny(s, "%_") }
 	switch {
 	case plain(pattern):
-		k.mode, k.needle = likeExact, pattern
+		k.mode, k.needle = likeWhole, pattern
 	case len(pattern) >= 2 && pattern[0] == '%' && pattern[len(pattern)-1] == '%' &&
 		plain(pattern[1:len(pattern)-1]):
 		k.mode, k.needle = likeContains, pattern[1:len(pattern)-1]
@@ -1092,7 +996,7 @@ func (k *kLike) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 	for i := 0; i < n; i++ {
 		var m bool
 		switch k.mode {
-		case likeExact:
+		case likeWhole:
 			m = cv.S[i] == k.needle
 		case likePrefix:
 			m = strings.HasPrefix(cv.S[i], k.needle)
@@ -1268,13 +1172,15 @@ func (k *kAllNull) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 	return &k.out, nil
 }
 
-// kFallback evaluates an unsupported subtree with the row interpreter.
-// Results must stay within the node's static type; a stray value turns
-// the whole batch over to the interpreter via ErrNotVectorizable.
+// kFallback is the interpreter node: it evaluates its subtree with the
+// row interpreter, row by row over the source's row view, into the
+// subtree's static type. A value of another type fails with ErrLane.
+// With truth set it stores EvalBool's verdict instead, on the bool lane.
 type kFallback struct {
-	e   Expr
-	t   Type
-	out Vec
+	e     Expr
+	t     Type
+	truth bool
+	out   Vec
 }
 
 func (k *kFallback) eval(src VecSource, sel []int32, n int) (*Vec, error) {
@@ -1289,6 +1195,9 @@ func (k *kFallback) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 		if err != nil {
 			return nil, err
 		}
+		if k.truth {
+			v = NewBool(!v.IsNull() && v.Bool())
+		}
 		if v.IsNull() {
 			if nulls == nil {
 				nulls = k.out.ensureNull()
@@ -1297,7 +1206,7 @@ func (k *kFallback) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 			continue
 		}
 		if v.T != k.t {
-			return nil, ErrNotVectorizable
+			return nil, fmt.Errorf("%w: %s yields %s, typed %s", ErrLane, k.e, v.T, k.t)
 		}
 		switch k.t {
 		case TInt, TDate:

@@ -9,41 +9,25 @@ import (
 	"testing"
 )
 
-// sliceSource adapts a plain row slice to the VecSource interface,
-// building column vectors lazily like the executor's batch source does.
-type sliceSource struct {
-	rows  []Row
-	types []Type
-	vecs  []*Vec
-	state []int8 // 0 unknown, 1 built, 2 not lane-pure
+// batchOf builds the columns-only batch of rows under the declared
+// types, the form every executor batch takes: a value outside its
+// column's type has no place in a vector and is loaded as NULL, and
+// each column's NULLs carry one type tag (its first NULL's). The
+// batch's row view is then what the interpreter sees.
+func batchOf(rows []Row, types []Type) *Batch {
+	b := &Batch{}
+	b.StartCols(len(types), len(rows))
+	for c, t := range types {
+		v := b.OwnCol(c)
+		v.Reset(t, 0)
+		for _, r := range rows {
+			if !v.Append(r[c]) {
+				v.Append(NullValue())
+			}
+		}
+	}
+	return b
 }
-
-func (s *sliceSource) ColVec(idx int) (*Vec, bool) {
-	if idx < 0 || idx >= len(s.types) {
-		return nil, false
-	}
-	if s.vecs == nil {
-		s.vecs = make([]*Vec, len(s.types))
-		s.state = make([]int8, len(s.types))
-	}
-	switch s.state[idx] {
-	case 1:
-		return s.vecs[idx], true
-	case 2:
-		return nil, false
-	}
-	v := &Vec{}
-	if !BuildColVec(s.rows, idx, s.types[idx], v) {
-		s.state[idx] = 2
-		return nil, false
-	}
-	s.vecs[idx] = v
-	s.state[idx] = 1
-	return v, true
-}
-
-func (s *sliceSource) Row(i int) Row { return s.rows[i] }
-func (s *sliceSource) Len() int      { return len(s.rows) }
 
 // valuesIdentical compares values structurally, with floats compared by
 // bit pattern so NaN payloads and signed zeros must coincide too.
@@ -193,14 +177,15 @@ func checkKernelParity(t *testing.T, seed int64) {
 	}
 	n := rng.Intn(150)
 	impure := rng.Intn(8) == 0
-	rows := genRows(rng, types, n, impure)
+	src := batchOf(genRows(rng, types, n, impure), types)
+	rows := src.Rows()
 	g := &exprGen{rng: rng, types: types}
+	colType := func(c *Col) Type { return types[c.Index] }
 
 	for round := 0; round < 6; round++ {
 		e := g.anyExpr(3)
-		kern, ok := Compile(e, types)
-		if ok {
-			src := &sliceSource{rows: rows, types: types}
+		if CheckCases(e, colType) == nil {
+			kern := Compile(e, types)
 			vec, err := kern.EvalVec(src, nil)
 			var iErr error
 			want := make([]Value, len(rows))
@@ -213,8 +198,6 @@ func checkKernelParity(t *testing.T, seed int64) {
 				want[i] = v
 			}
 			switch {
-			case errors.Is(err, ErrNotVectorizable):
-				// Batch not lane-pure: the caller re-runs the interpreter.
 			case iErr != nil:
 				if err == nil {
 					t.Fatalf("seed %d: interpreter failed (%v) but kernel succeeded for %s", seed, iErr, e)
@@ -241,10 +224,10 @@ func checkKernelParity(t *testing.T, seed int64) {
 		}
 
 		p := g.boolExpr(3)
-		pk, ok := CompilePred(p, types)
-		if !ok {
+		if CheckCases(p, colType) != nil {
 			continue
 		}
+		pk := CompilePred(p, types)
 		var want []int32
 		interpOK := true
 		for i, r := range rows {
@@ -260,11 +243,10 @@ func checkKernelParity(t *testing.T, seed int64) {
 		if !interpOK {
 			continue
 		}
-		src := &sliceSource{rows: rows, types: types}
 		got, err := pk.Select(src, nil, make([]int32, len(rows)))
 		if err != nil {
-			// Lane-impure batch or an eagerly-surfaced error; the engine
-			// falls back to the interpreter in both cases.
+			// Kernels evaluate eagerly: an error the interpreter's
+			// short-circuit skipped is acceptable.
 			continue
 		}
 		if len(got) != len(want) {
@@ -291,12 +273,11 @@ func checkKernelParity(t *testing.T, seed int64) {
 					wantSub = append(wantSub, si)
 				}
 			}
-			src2 := &sliceSource{rows: rows, types: types}
 			// The copy must stay non-nil when the subset is empty: a
 			// nil selection means "all rows", an empty one means none.
 			subCopy := make([]int32, len(sub))
 			copy(subCopy, sub)
-			gotSub, err := pk.Select(src2, subCopy, nil)
+			gotSub, err := pk.Select(src, subCopy, nil)
 			if err != nil {
 				continue
 			}
@@ -355,12 +336,7 @@ func TestKernelKleeneLogic(t *testing.T) {
 	a := &Col{Name: "a", Index: 0}
 	b := &Col{Name: "b", Index: 1}
 	for _, e := range []Expr{NewAnd(a, b), NewOr(a, b), NewNot(a)} {
-		kern, ok := Compile(e, types)
-		if !ok {
-			t.Fatalf("Compile(%s) not vectorized", e)
-		}
-		src := &sliceSource{rows: rows, types: types}
-		vec, err := kern.EvalVec(src, nil)
+		vec, err := Compile(e, types).EvalVec(batchOf(rows, types), nil)
 		if err != nil {
 			t.Fatalf("EvalVec(%s): %v", e, err)
 		}
@@ -376,20 +352,57 @@ func TestKernelKleeneLogic(t *testing.T) {
 	}
 }
 
-// TestKernelFallbackImpureBatch checks that a batch holding values
-// outside the declared column type reports ErrNotVectorizable instead
-// of producing wrong results.
+// TestKernelFallbackImpureBatch checks that a column holding values
+// outside its declared type fails a kernel with ErrLane instead of
+// producing wrong results, and that a batch bound to types its
+// columns do not hold refuses, unless the column is all NULL.
 func TestKernelFallbackImpureBatch(t *testing.T) {
-	types := []Type{TInt}
-	rows := []Row{{NewInt(1)}, {NewString("oops")}, {NewInt(3)}}
 	e := NewCmp(GT, &Col{Name: "c0", Index: 0}, NewConst(NewInt(1)))
-	kern, ok := Compile(e, types)
-	if !ok {
-		t.Fatal("Compile not vectorized")
+	src := batchOf([]Row{{NewString("a")}, {NewString("oops")}}, []Type{TString})
+	if _, err := Compile(e, []Type{TInt}).EvalVec(src, nil); !errors.Is(err, ErrLane) {
+		t.Fatalf("EvalVec error = %v, want ErrLane", err)
 	}
-	src := &sliceSource{rows: rows, types: types}
-	if _, err := kern.EvalVec(src, nil); !errors.Is(err, ErrNotVectorizable) {
-		t.Fatalf("EvalVec error = %v, want ErrNotVectorizable", err)
+	if err := src.Bind([]Type{TInt}); !errors.Is(err, ErrLane) {
+		t.Fatalf("Bind error = %v, want ErrLane", err)
+	}
+	nulls := batchOf([]Row{{TypedNull(TFloat)}, {NullValue()}}, []Type{TFloat})
+	if err := nulls.Bind([]Type{TInt}); err != nil {
+		t.Fatal(err)
+	}
+	vec, err := Compile(e, []Type{TInt}).EvalVec(nulls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vec.Value(1); !valuesIdentical(got, TypedNull(TBool)) || nulls.RowValue(1, 0) != TypedNull(TFloat) {
+		t.Fatalf("all-NULL column: %#v, row value %#v", got, nulls.RowValue(1, 0))
+	}
+}
+
+// TestTypeOfStatesEvalType: every non-NULL value the interpreter
+// produces for a generated expression has the type TypeOf states,
+// which is the lane its kernel writes.
+func TestTypeOfStatesEvalType(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		types := make([]Type, 1+rng.Intn(5))
+		for i := range types {
+			types[i] = Type(1 + rng.Intn(5))
+		}
+		rows := batchOf(genRows(rng, types, rng.Intn(150), false), types).Rows()
+		g := &exprGen{rng: rng, types: types}
+		colType := func(c *Col) Type { return types[c.Index] }
+		for round := 0; round < 6; round++ {
+			e := g.anyExpr(3)
+			if CheckCases(e, colType) != nil {
+				continue
+			}
+			want := TypeOf(e, colType)
+			for _, r := range rows {
+				if v, err := Eval(e, r); err == nil && !v.IsNull() && v.T != want {
+					t.Fatalf("seed %d: %s yields %s, TypeOf states %s", seed, e, v.T, want)
+				}
+			}
+		}
 	}
 }
 
@@ -398,12 +411,7 @@ func TestKernelDivisionByZero(t *testing.T) {
 	types := []Type{TFloat, TFloat}
 	rows := []Row{{NewFloat(4), NewFloat(2)}, {NewFloat(4), NewFloat(0)}, {NewFloat(4), NewFloat(math.Copysign(0, -1))}}
 	e := NewArith(Div, &Col{Name: "a", Index: 0}, &Col{Name: "b", Index: 1})
-	kern, ok := Compile(e, types)
-	if !ok {
-		t.Fatal("Compile not vectorized")
-	}
-	src := &sliceSource{rows: rows, types: types}
-	vec, err := kern.EvalVec(src, nil)
+	vec, err := Compile(e, types).EvalVec(batchOf(rows, types), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,6 +378,10 @@ func MatchLike(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
+// ErrLane reports a value outside the type its column or kernel was
+// typed with.
+var ErrLane = errors.New("expr: value outside its static type")
+
 // ErrIncomparable marks a predicate that compares values of types
 // Value.Compare cannot order against each other.
 var ErrIncomparable = errors.New("expr: incomparable types")
@@ -412,8 +416,9 @@ func CheckComparisons(e Expr, colType func(*Col) Type) error {
 	return err
 }
 
-// TypeOf infers the result type of a bound or unbound expression given a
-// column-type resolver. Unresolvable columns yield TNull.
+// TypeOf is the type of e's non-NULL values, the type the interpreter
+// produces at run time, given a column-type resolver; the kernels pick
+// their lanes by it. Unresolvable columns and NULL literals yield TNull.
 func TypeOf(e Expr, colType func(*Col) Type) Type {
 	switch n := e.(type) {
 	case *Col:
@@ -422,16 +427,18 @@ func TypeOf(e Expr, colType func(*Col) Type) Type {
 		}
 		return colType(n)
 	case *Const:
+		if n.Val.IsNull() {
+			return TNull
+		}
 		return n.Val.T
 	case *Cmp, *And, *Or, *Not, *Like, *In, *Between, *IsNull:
 		return TBool
 	case *Arith:
-		lt := TypeOf(n.L, colType)
-		rt := TypeOf(n.R, colType)
-		if n.Op == Div || lt == TFloat || rt == TFloat {
-			return TFloat
+		// Integer arithmetic stays integral, except for division.
+		if n.Op != Div && TypeOf(n.L, colType) == TInt && TypeOf(n.R, colType) == TInt {
+			return TInt
 		}
-		return TInt
+		return TFloat
 	case *Concat:
 		return TString
 	case *Agg:
@@ -441,28 +448,65 @@ func TypeOf(e Expr, colType func(*Col) Type) Type {
 		case AggAvg:
 			return TFloat
 		case AggSum:
-			if TypeOf(n.Arg, colType) == TInt {
+			switch TypeOf(n.Arg, colType) {
+			case TInt, TDate, TBool:
 				return TInt
 			}
 			return TFloat
-		default:
-			return TypeOf(n.Arg, colType)
 		}
+		return TypeOf(n.Arg, colType)
 	case *Call:
-		if n.Fn == FnAbs {
-			return TypeOf(n.Arg, colType)
+		if n.Fn == FnAbs && TypeOf(n.Arg, colType) == TFloat {
+			return TFloat
 		}
 		return TInt
 	case *Case:
-		for _, w := range n.Whens {
-			if t := TypeOf(w.Result, colType); t != TNull {
-				return t
-			}
-		}
-		if n.Else != nil {
-			return TypeOf(n.Else, colType)
-		}
-		return TNull
+		t, _ := caseType(n, colType)
+		return t
 	}
 	return TNull
+}
+
+// caseType is the common type of a CASE's results: their one type, or
+// DOUBLE for INT or DATE results beside DOUBLE ones. TNull results
+// (NULL literals, unknown columns) join any type. ok is false for
+// every other mix.
+func caseType(n *Case, colType func(*Col) Type) (t Type, ok bool) {
+	results := make([]Expr, 0, len(n.Whens)+1)
+	for _, w := range n.Whens {
+		results = append(results, w.Result)
+	}
+	if n.Else != nil {
+		results = append(results, n.Else)
+	}
+	ok = true
+	for _, r := range results {
+		switch rt := TypeOf(r, colType); {
+		case rt == TNull || rt == t:
+		case t == TNull:
+			t = rt
+		case t == TFloat && intClass(rt) || rt == TFloat && intClass(t):
+			t = TFloat
+		default:
+			ok = false
+		}
+	}
+	return t, ok
+}
+
+// CheckCases types every CASE in e with column types from colType,
+// recording its common type for evalCase, and refuses a CASE whose
+// results have none with an error wrapping ErrIncomparable.
+func CheckCases(e Expr, colType func(*Col) Type) error {
+	var err error
+	Walk(e, func(x Expr) bool {
+		if n, ok := x.(*Case); ok && err == nil {
+			var fits bool
+			if n.T, fits = caseType(n, colType); !fits {
+				err = fmt.Errorf("%w: CASE results of types that have no common type: %s", ErrIncomparable, n)
+			}
+		}
+		return err == nil
+	})
+	return err
 }

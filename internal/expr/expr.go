@@ -607,7 +607,7 @@ func Transform(e Expr, fn func(Expr) Expr) Expr {
 		if n.Else != nil {
 			els = Transform(n.Else, fn)
 		}
-		return fn(&Case{Whens: whens, Else: els})
+		return fn(&Case{Whens: whens, Else: els, T: n.T})
 	}
 	return fn(e)
 }

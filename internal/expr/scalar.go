@@ -80,6 +80,9 @@ type When struct {
 type Case struct {
 	Whens []When
 	Else  Expr // nil = NULL
+	// T is the results' common type, which every value the CASE picks
+	// is coerced to; CheckCases sets it at bind.
+	T Type
 }
 
 // NewCase builds a CASE expression.
@@ -172,19 +175,32 @@ func evalCall(n *Call, row Row) (Value, error) {
 }
 
 // evalCase evaluates a CASE expression: the first WHEN whose condition is
-// TRUE wins; otherwise ELSE (or NULL).
+// TRUE wins; otherwise ELSE (or NULL). The value is coerced to the
+// CASE's type: a number to DOUBLE, a NULL to that type's NULL.
 func evalCase(n *Case, row Row) (Value, error) {
+	res := n.Else
 	for _, w := range n.Whens {
 		ok, err := EvalBool(w.Cond, row)
 		if err != nil {
 			return NullValue(), err
 		}
 		if ok {
-			return Eval(w.Result, row)
+			res = w.Result
+			break
 		}
 	}
-	if n.Else != nil {
-		return Eval(n.Else, row)
+	v := TypedNull(n.T)
+	if res != nil {
+		var err error
+		if v, err = Eval(res, row); err != nil {
+			return NullValue(), err
+		}
 	}
-	return NullValue(), nil
+	switch {
+	case v.IsNull():
+		return TypedNull(n.T), nil
+	case n.T == TFloat && v.T != TFloat && v.T.Numeric():
+		return NewFloat(v.Float()), nil
+	}
+	return v, nil
 }

@@ -4,10 +4,8 @@ import "slices"
 
 // Columnar value vectors. A Vec is the column-at-a-time counterpart of a
 // Row slice: one typed lane (int64/float64/string/bool) plus a null
-// bitmap. Vectors are the currency of the compiled expression kernels
-// (see compile.go); the executor builds them lazily from row batches and
-// caches them per batch so a filter and the projection behind it share
-// one row-to-column conversion.
+// bitmap. Vectors are the executor's one data form and the currency of
+// the compiled expression kernels (see compile.go).
 
 // Bitmap is a fixed-size bitset backed by 64-bit words. Bits beyond the
 // logical length may hold garbage; all readers index individual bits.
@@ -56,7 +54,7 @@ func (b Bitmap) word(w int) uint64 {
 // (TInt, TDate) live in I, floats in F, strings in S and booleans in B.
 // Null is nil when no value is null. NullT is the type that materialized
 // NULLs carry (kernels fix it per operator, mirroring the interpreter's
-// TypedNull results); it is only meaningful for computed vectors.
+// TypedNull results): one per vector.
 type Vec struct {
 	T     Type
 	NullT Type
@@ -66,14 +64,6 @@ type Vec struct {
 	S     []string
 	B     Bitmap
 	Null  Bitmap
-	// Exact reports that Value(i) reproduces the source value bit for bit
-	// for every element. Kernel-computed vectors are always exact (what
-	// Value materializes IS the result); vectors built from rows lose
-	// exactness when a NULL carried a different type tag than the lane or
-	// a value carried payload residue outside its lane. Operators that
-	// forward column data without re-evaluating (projection passthrough)
-	// require exactness for row/columnar parity.
-	Exact bool
 }
 
 // reset prepares the vector to hold n values of lane type t, reusing
@@ -83,7 +73,6 @@ func (v *Vec) reset(t Type, n int) {
 	v.NullT = t
 	v.N = n
 	v.Null = nil
-	v.Exact = true
 	switch t {
 	case TInt, TDate:
 		if cap(v.I) < n {
@@ -154,71 +143,60 @@ func (v *Vec) Value(i int) Value {
 	return NullValue()
 }
 
-// BuildColVec converts column idx of rows into a vector with declared
-// lane type t. It reports false when the column is not lane-pure: some
-// row is too narrow, or a non-NULL value's runtime type differs from t.
-// NULL values of any type set the null bit (their payload is ignored by
-// every kernel). Callers fall back to the row interpreter for the whole
-// batch when conversion fails.
-func BuildColVec(rows []Row, idx int, t Type, v *Vec) bool {
-	n := len(rows)
-	v.reset(t, n)
-	v.NullT = t
-	exact := true
-	var nulls Bitmap
-	for i, r := range rows {
-		if idx < 0 || idx >= len(r) {
+// allNull reports whether every element is NULL.
+func (v *Vec) allNull() bool {
+	if v.Null == nil {
+		return v.N == 0
+	}
+	for i := 0; i < v.N; i++ {
+		if !v.Null.Get(i) {
 			return false
-		}
-		val := r[idx]
-		if val.IsNull() {
-			if nulls == nil {
-				nulls = v.ensureNull()
-			}
-			nulls.Set(i)
-			if exact && val != (Value{T: t, Null: true}) {
-				exact = false
-			}
-			continue
-		}
-		if val.T != t {
-			return false
-		}
-		switch t {
-		case TInt, TDate:
-			v.I[i] = val.I
-			if exact && (val.F != 0 || val.S != "") {
-				exact = false
-			}
-		case TFloat:
-			v.F[i] = val.F
-			if exact && (val.I != 0 || val.S != "") {
-				exact = false
-			}
-		case TString:
-			v.S[i] = val.S
-			if exact && (val.I != 0 || val.F != 0) {
-				exact = false
-			}
-		case TBool:
-			if val.I != 0 {
-				v.B.Set(i)
-			}
-			if exact && ((val.I != 0 && val.I != 1) || val.F != 0 || val.S != "") {
-				exact = false
-			}
 		}
 	}
-	v.Exact = exact
+	return true
+}
+
+// Append appends x, a NULL or a value of v's lane type, and reports
+// whether it could: a value of another type has no place in the lane.
+// The first NULL sets the type the vector's NULLs carry.
+func (v *Vec) Append(x Value) bool {
+	if !x.IsNull() && x.T != v.T {
+		return false
+	}
+	i := v.N
+	v.N++
+	switch v.T {
+	case TInt, TDate:
+		v.I = append(v.I, x.I)
+	case TFloat:
+		v.F = append(v.F, x.F)
+	case TString:
+		v.S = append(v.S, x.S)
+	case TBool:
+		v.B = v.B.extend(v.N)
+		if x.I != 0 && !x.IsNull() {
+			v.B.Set(i)
+		}
+	}
+	if v.Null != nil {
+		v.Null = v.Null.extend(v.N)
+	}
+	if x.IsNull() {
+		if v.Null == nil {
+			v.NullT = x.T
+		}
+		v.ensureNull()
+		v.Null = v.Null.extend(v.N)
+		v.Null.Set(i)
+	}
 	return true
 }
 
 // CopyFrom makes v an owned deep copy of src: lane contents, null
-// bitmap, null-materialization type and exactness.
+// bitmap and null-materialization type.
 func (v *Vec) CopyFrom(src *Vec) {
 	v.reset(src.T, src.N)
 	v.NullT = src.NullT
-	v.Exact = src.Exact
 	switch src.T {
 	case TInt, TDate:
 		copy(v.I, src.I[:src.N])
@@ -243,15 +221,14 @@ func (v *Vec) GatherFrom(src *Vec, sel []int32) {
 	}
 	v.reset(src.T, 0)
 	v.NullT = src.NullT
-	v.Exact = src.Exact
 	v.AppendGather(src, sel)
 }
 
 // AppendGather appends element sel[j] of src — every element, in
-// order, when sel is nil — to v, which must hold src's lane type (and
-// materialize NULLs as src does, if src has any). It is how the joins
-// grow a build side chunk by chunk and fill an output batch from
-// several probe chunks.
+// order, when sel is nil — to v, which must hold src's lane type. NULLs
+// keep the type v's NULLs carry, src's when v has none yet. It is how
+// the joins grow a build side chunk by chunk and fill an output batch
+// from several probe chunks.
 func (v *Vec) AppendGather(src *Vec, sel []int32) {
 	base, k := v.N, len(sel)
 	if sel == nil {
@@ -283,6 +260,9 @@ func (v *Vec) AppendGather(src *Vec, sel []int32) {
 		v.Null = v.Null.extend(v.N)
 	}
 	if src.Null != nil {
+		if v.Null == nil {
+			v.NullT = src.NullT
+		}
 		for j := 0; j < k; j++ {
 			if src.Null.Get(at(j)) {
 				v.ensureNull().Set(base + j)
@@ -303,9 +283,7 @@ func appendLane[T any](dst, src []T, sel []int32) []T {
 	return dst
 }
 
-// Broadcast fills v with n copies of val. Exactness is computed from
-// whether materializing an element reproduces val bit for bit (a NULL
-// or bool carrying payload residue canonicalizes, for example).
+// Broadcast fills v with n copies of val.
 func (v *Vec) Broadcast(val Value, n int) {
 	v.reset(val.T, n)
 	v.NullT = val.T
@@ -336,5 +314,4 @@ func (v *Vec) Broadcast(val Value, n int) {
 			}
 		}
 	}
-	v.Exact = n == 0 || v.Value(0) == val
 }

@@ -135,25 +135,47 @@ func dims(body []byte) (nRows, nCols, pos int, err error) {
 	return int(rows), int(cols), pos, nil
 }
 
-// DecodeBatch parses one frame produced by Encode and returns the rows:
-// the row view of the batch DecodeBatchCols decodes.
+// DecodeBatch parses one frame produced by Encode and returns the rows.
+// Unlike DecodeBatchCols it takes a frame with mixed columns too: Encode
+// writes one for rows whose values disagree on their type.
 func DecodeBatch(frame []byte) ([]expr.Row, error) {
 	var b expr.Batch
-	if err := DecodeBatchCols(frame, &b); err != nil {
+	type column struct {
+		c    int
+		vals []expr.Value
+	}
+	var mixed []column
+	if err := decode(frame, &b, func(c int, vals []expr.Value) {
+		mixed = append(mixed, column{c, vals})
+	}); err != nil {
 		return nil, err
 	}
-	return b.Rows(), nil
+	rows := b.Rows()
+	for _, m := range mixed {
+		for i, v := range m.vals {
+			rows[i][m.c] = v
+		}
+	}
+	return rows, nil
 }
 
-// DecodeBatchCols parses one frame directly into dst as owned column
-// vectors, with no intermediate row materialization: the batch engine's
-// exchange operators feed decoded SHIP frames straight into columnar
-// pipelines. Every decoded vector reproduces the encoded values exactly
-// (lane payloads, NULL type tags), so a consumer that does materialize
-// rows gets the encoded tuples bit for bit. A mixed (not lane-pure)
-// column has no vector form: a frame containing one is decoded by
-// columns all the same and dst left row-backed over the result.
+// ErrWireMixed reports a frame holding a mixed column, which has no
+// vector form.
+var ErrWireMixed = errors.New("network: wire frame holds a mixed column")
+
+// DecodeBatchCols parses one frame directly into dst as column vectors,
+// with no row materialization: the exchange operators feed decoded SHIP
+// frames straight into columnar pipelines. Every decoded vector
+// reproduces the encoded values exactly (lane payloads, NULL type
+// tags). A frame holding a mixed column fails with ErrWireMixed.
 func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
+	return decode(frame, dst, nil)
+}
+
+// decode parses frame's lane-pure columns into dst's vectors and hands
+// each mixed column's values to mixed, leaving it unset in dst; with
+// mixed nil, a mixed column fails the frame with ErrWireMixed.
+func decode(frame []byte, dst *expr.Batch, mixed func(c int, vals []expr.Value)) error {
 	body, err := decodeBody(frame)
 	if err != nil {
 		return err
@@ -164,14 +186,16 @@ func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
 	}
 	dst.StartCols(nCols, nRows)
 	var d colcodec.Decoder
-	var mixed [][]expr.Value // per column; nil for a lane-pure one
 	for c := 0; c < nCols; c++ {
 		var used int
-		if pos < len(body) && body[pos] == colcodec.TagMixed { // no vector form
+		if pos < len(body) && body[pos] == colcodec.TagMixed {
 			if mixed == nil {
-				mixed = make([][]expr.Value, nCols)
+				return fmt.Errorf("%w: column %d", ErrWireMixed, c)
 			}
-			mixed[c], used, err = colcodec.DecodeMixed(body[pos:], nRows)
+			var vals []expr.Value
+			if vals, used, err = colcodec.DecodeMixed(body[pos:], nRows); err == nil {
+				mixed(c, vals)
+			}
 		} else {
 			used, err = d.Decode(body[pos:], nRows, dst.OwnCol(c))
 		}
@@ -182,16 +206,6 @@ func DecodeBatchCols(frame []byte, dst *expr.Batch) error {
 	}
 	if pos != len(body) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrWireCorrupt, len(body)-pos)
-	}
-	dst.FinishCols()
-	if mixed != nil {
-		rows := dst.Rows()
-		for c, vals := range mixed {
-			for i, v := range vals {
-				rows[i][c] = v
-			}
-		}
-		dst.SetRows(rows)
 	}
 	return nil
 }

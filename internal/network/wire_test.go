@@ -190,14 +190,14 @@ func TestWireDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// checkEncodeCols decodes a frame into column vectors and, when it has
-// a vector form, requires encoding those vectors to produce the bytes
+// checkEncodeCols decodes a frame into column vectors and, unless it
+// holds a mixed column (which has none), requires encoding those vectors to produce the bytes
 // that encoding the batch's rows does — shipped bytes are billed by
 // frame length, so the columnar encoder may not differ by a byte.
 func checkEncodeCols(t *testing.T, frame []byte) {
 	t.Helper()
 	var b expr.Batch
-	if err := DecodeBatchCols(frame, &b); err != nil || b.RowBacked() {
+	if err := DecodeBatchCols(frame, &b); err != nil {
 		return
 	}
 	cols := make([]expr.Vec, b.Width())
@@ -216,9 +216,20 @@ func checkEncodeCols(t *testing.T, frame []byte) {
 }
 
 // TestWireEncodeColsMatchesRows runs checkEncodeCols over every fixture.
+// A frame with a mixed column decodes to rows only: DecodeBatchCols
+// refuses it with ErrWireMixed.
 func TestWireEncodeColsMatchesRows(t *testing.T) {
 	for _, name := range []string{"typical", "dict_overflow", "mixed", "mixed_between", "empty", "all_null"} {
-		checkEncodeCols(t, EncodeBatch(fixtureRows(name), WireOptions{}))
+		frame := EncodeBatch(fixtureRows(name), WireOptions{})
+		checkEncodeCols(t, frame)
+		var b expr.Batch
+		err := DecodeBatchCols(frame, &b)
+		if rows, rerr := DecodeBatch(frame); rerr != nil || len(rows) != len(fixtureRows(name)) {
+			t.Fatalf("%s: DecodeBatch: %d rows, %v", name, len(rows), rerr)
+		}
+		if mixed := name == "mixed" || name == "mixed_between"; mixed != errors.Is(err, ErrWireMixed) {
+			t.Errorf("%s: DecodeBatchCols error %v", name, err)
+		}
 	}
 }
 

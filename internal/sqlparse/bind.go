@@ -217,7 +217,21 @@ func (b *binder) resolveColumns(e expr.Expr, scope *plan.Node) (expr.Expr, error
 	if resolveErr != nil {
 		return nil, resolveErr
 	}
+	if err := expr.CheckCases(out, scopeType(scope)); err != nil {
+		return nil, fmt.Errorf("sqlparse: %w", err)
+	}
 	return out, nil
+}
+
+// scopeType resolves a column's type against the scope's schema (TNull
+// when it does not resolve).
+func scopeType(scope *plan.Node) func(*expr.Col) expr.Type {
+	return func(c *expr.Col) expr.Type {
+		if i := scope.ColIndex(c); i >= 0 {
+			return scope.Cols[i].Type
+		}
+		return expr.TNull
+	}
 }
 
 // expandItems expands * / t.* items and resolves column references.
@@ -391,13 +405,7 @@ func (b *binder) bindAggregate(stmt *SelectStmt, items []SelectItem, tree *plan.
 // from the scope's schema, so a query fails at bind, before optimizing,
 // rather than at run time or on some data only.
 func checkComparisons(pred expr.Expr, scope *plan.Node) error {
-	err := expr.CheckComparisons(pred, func(c *expr.Col) expr.Type {
-		if i := scope.ColIndex(c); i >= 0 {
-			return scope.Cols[i].Type
-		}
-		return expr.TNull
-	})
-	if err != nil {
+	if err := expr.CheckComparisons(pred, scopeType(scope)); err != nil {
 		return fmt.Errorf("sqlparse: %w", err)
 	}
 	return nil

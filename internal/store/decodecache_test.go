@@ -368,9 +368,6 @@ func TestGatherAcrossPageShapes(t *testing.T) {
 			}
 			return
 		}
-		if b.RowBacked() {
-			t.Fatalf("batch at row %d is row-backed", i)
-		}
 		for c := 0; c < b.Width(); c++ {
 			if v, ok := b.ColVec(c); !ok || v.N != b.Len() {
 				t.Fatalf("batch at row %d: column %d is not a vector as long as the batch (%d rows)", i, c, b.Len())

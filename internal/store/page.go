@@ -167,7 +167,7 @@ func columnErr(c int, err error) error {
 
 // startBatch makes b a column-backed batch of n rows whose columns need
 // selects (nil: all) are reset to their types' lanes for decodePage to
-// fill; the others stay unset. The caller finishes b with FinishCols.
+// fill; the others stay unset.
 func startBatch(b *expr.Batch, types []expr.Type, need []bool, n int) {
 	b.StartCols(len(types), n)
 	for c, t := range types {
@@ -233,7 +233,6 @@ func (d *pageDecode) copyInto(b *expr.Batch, need []bool) {
 			b.OwnCol(c).CopyFrom(v)
 		}
 	}
-	b.FinishCols()
 }
 
 // mergeDecode publishes the columns of b, just decoded from the frame's

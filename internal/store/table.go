@@ -395,7 +395,6 @@ func (it *Iterator) decodeFrame(fr *frame, hit bool, n int, b *expr.Batch) error
 	if err := decodePage(fr.buf, it.t.types, it.need, nil, b, 0, &it.d); err != nil {
 		return fmt.Errorf("store: page %d of %s: %w", it.page, it.t.name, err)
 	}
-	b.FinishCols()
 	if hit {
 		fr.mergeDecode(n, b, it.need)
 	}
@@ -503,7 +502,6 @@ func (g *Gather) NextBatch(b *expr.Batch, max int) (bool, error) {
 		k += len(g.slots)
 	}
 	g.pos += len(ids)
-	b.FinishCols()
 	return true, nil
 }
 

@@ -174,7 +174,6 @@ func decodeWALRecord(buf []byte, typesOf func(string) []expr.Type) (walRecord, i
 			}
 			p += used
 		}
-		b.FinishCols()
 		rec.rows = append(rec.rows, b.Rows()...)
 		rec.chunks = append(rec.chunks, m)
 	}
