@@ -206,10 +206,115 @@ func (b *Builder) Append(dst []byte) []byte {
 	return dst
 }
 
-// AppendVec appends the encoding of v's first n values: the values
-// v.Value(i) materializes.
+// AppendVec appends the encoding of v's first n values: the bytes Add
+// and Append write for the values v.Value(i) materializes, encoded
+// straight from the lanes. NULL slots and bits past n of v's bitmaps
+// may hold anything.
 func (b *Builder) AppendVec(dst []byte, v *expr.Vec, n int) []byte {
-	return b.appendEach(dst, n, v.Value)
+	if v.T < expr.TInt || v.T > expr.TDate {
+		return b.appendEach(dst, n, v.Value) // every value NULL
+	}
+	nulls := 0
+	for i := 0; v.Null != nil && i < n; i += 64 {
+		nulls += bits.OnesCount64(v.Null[i/64] & lowBits(n-i))
+	}
+	values, null := n-nulls, v.Null
+	if nulls == 0 {
+		null = nil
+	}
+	lane, flags := v.T, byte(0)
+	if values == 0 {
+		lane = expr.TNull // tagAllNull
+	}
+	if nulls > 0 {
+		flags |= flagNulls
+	}
+	dst = append(dst, byte(lane), flags)
+	flagAt := len(dst) - 1
+	if nulls > 0 {
+		dst = appendBits(append(dst, byte(v.NullT)), null, nil, n)
+	}
+	switch {
+	case values == 0:
+	case v.T == expr.TBool:
+		dst = appendBits(dst, v.B, null, n)
+	case v.T == expr.TFloat:
+		for i := 0; i < n; i++ {
+			if null == nil || !null.Get(i) {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F[i]))
+			}
+		}
+	case v.T == expr.TString && b.dictOf(v.S, null, n, values):
+		dst[flagAt] |= flagDict
+		dst = binary.AppendUvarint(dst, uint64(len(b.words)))
+		for _, w := range b.words {
+			dst = appendString(dst, w)
+		}
+		dst = append(dst, b.idx...)
+	case v.T == expr.TString:
+		for i := 0; i < n; i++ {
+			if null == nil || !null.Get(i) {
+				dst = appendString(dst, v.S[i])
+			}
+		}
+	default: // TInt, TDate
+		for i := 0; i < n; i++ {
+			if null == nil || !null.Get(i) {
+				dst = binary.AppendUvarint(dst, uint64(v.I[i]<<1)^uint64(v.I[i]>>63))
+			}
+		}
+	}
+	return dst
+}
+
+// dictOf builds in b the dictionary of the first n strings of s, values
+// of them not NULL, and reports whether the dictionary rule keeps it. It
+// gives up at the first entry past what the rule allows.
+func (b *Builder) dictOf(s []string, null expr.Bitmap, n, values int) bool {
+	b.Reset()
+	limit := min(dictMax, values*3/4)
+	for i := 0; i < n; i++ {
+		if null != nil && null.Get(i) {
+			continue
+		}
+		ix, ok := b.dict[s[i]]
+		if !ok {
+			if ix = len(b.words); ix == limit {
+				return false
+			}
+			b.dict[s[i]] = ix
+			b.words = append(b.words, s[i])
+		}
+		b.idx = binary.AppendUvarint(b.idx, uint64(ix))
+	}
+	return true
+}
+
+// appendBits appends the first n bits of bm, cleared where clear (if
+// not nil) is set, as (n+7)/8 packed bytes.
+func appendBits(dst []byte, bm, clear expr.Bitmap, n int) []byte {
+	for i := 0; i < n; i += 64 {
+		x := bm[i/64] & lowBits(n-i)
+		if clear != nil {
+			x &^= clear[i/64]
+		}
+		if n-i >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, x)
+			continue
+		}
+		for k := n - i; k > 0; k -= 8 {
+			dst, x = append(dst, byte(x)), x>>8
+		}
+	}
+	return dst
+}
+
+// lowBits returns a word of the low min(k, 64) bits set.
+func lowBits(k int) uint64 {
+	if k >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(k) - 1
 }
 
 // AppendRows appends the encoding of column c of rows, a row too short

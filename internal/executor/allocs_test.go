@@ -156,9 +156,12 @@ func TestPassthroughProjectZeroAlloc(t *testing.T) {
 	}
 }
 
-// nlAllocJoin opens an NL join of 512 × 512 rows whose keys never meet
-// and returns it with its one left chunk current.
-func nlAllocJoin(t *testing.T) *nlJoinOp {
+// noMatchJoin opens the join newNLJoin builds for 512 × 512 rows whose
+// keys never meet — the hash join, its condition being two column
+// equalities — or, with loop set, the nested loop over the same
+// condition. It returns a sweep over its one left chunk, the operator's
+// pairs and its Close.
+func noMatchJoin(t *testing.T, loop bool) (sweep func() (bool, error), out *pairOut, closeJoin func() error) {
 	t.Helper()
 	types := []expr.Type{expr.TInt, expr.TString}
 	side := func(base int) [][]expr.Row {
@@ -172,46 +175,57 @@ func nlAllocJoin(t *testing.T) *nlJoinOp {
 		cond: expr.NewAnd(
 			expr.NewCmp(expr.EQ, expr.NewCol("a", "c0"), expr.NewCol("b", "c0")),
 			expr.NewCmp(expr.EQ, expr.NewCol("a", "c1"), expr.NewCol("b", "c1")))}
-	op, err := newNLJoin(c.node(plan.NLJoin),
-		&chunkSrc{tb: t, chunks: c.left, types: types}, &chunkSrc{tb: t, chunks: c.right, types: types})
-	if err != nil {
+	node := c.node(plan.NLJoin)
+	l, r := &chunkSrc{tb: t, chunks: c.left, types: types}, &chunkSrc{tb: t, chunks: c.right, types: types}
+	var op BatchOperator
+	var next func() (*Batch, error)
+	var match func(int32) error
+	if loop {
+		j := newNLLoop(node, l, r, c.bound(t))
+		op, out, next, match = j, &j.out, j.left.nextChunk, j.match
+	} else {
+		o, err := newNLJoin(node, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ok := o.(*hashJoinOp)
+		if !ok {
+			t.Fatalf("column equalities run on %T, not the hash join", o)
+		}
+		op, out, next, match = j, &j.out, j.nextProbe, j.match
+	}
+	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	j := op.(*nlJoinOp)
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
+	if more, err := out.refill(next, match); !more || err != nil || out.rows != 512 {
+		t.Fatalf("first left chunk: more=%v err=%v rows=%d", more, err, out.rows)
 	}
-	if more, err := j.joinNext(); !more || err != nil || j.ln != 512 {
-		t.Fatalf("first left chunk: more=%v err=%v rows=%d", more, err, j.ln)
-	}
-	return j
+	return func() (bool, error) {
+		out.r = 0
+		return out.refill(next, match)
+	}, out, op.Close
 }
 
 // TestNLJoinZeroAllocPerPair pins that no candidate pair is built to be
 // tested: sweeping 512 left rows over 512 right rows that never match
-// allocates nothing, whether the lanes are compared directly or the
-// condition is interpreted over the scratch row filled from vectors.
+// allocates nothing, whether the keys are looked up in the hash join's
+// index or the condition is interpreted over the nested loop's scratch
+// row filled from vectors.
 func TestNLJoinZeroAllocPerPair(t *testing.T) {
 	for _, mode := range []struct {
-		name    string
-		scratch bool
-	}{{"lanes", false}, {"scratch row over columns", true}} {
-		j := nlAllocJoin(t)
-		if mode.scratch {
-			j.eq = nil
-		} else if j.eq == nil {
-			t.Fatalf("%s: the typed path is off", mode.name)
-		}
-		sweep := func() {
-			j.li = 0
-			if more, err := j.joinNext(); !more || err != nil || j.li != j.ln || len(j.out.pi) != 0 {
-				t.Fatalf("%s: sweep stopped at row %d of %d with %d matches: %v", mode.name, j.li, j.ln, len(j.out.pi), err)
+		name string
+		loop bool
+	}{{"hash join", false}, {"scratch row over columns", true}} {
+		sweep, out, closeJoin := noMatchJoin(t, mode.loop)
+		run := func() {
+			if more, err := sweep(); !more || err != nil || out.r != out.rows || len(out.pi) != 0 {
+				t.Fatalf("%s: sweep stopped at row %d of %d with %d matches: %v", mode.name, out.r, out.rows, len(out.pi), err)
 			}
 		}
-		if avg := testing.AllocsPerRun(10, sweep); avg != 0 {
+		if avg := testing.AllocsPerRun(10, run); avg != 0 {
 			t.Errorf("%s: %.1f allocations per %d candidate pairs, want 0", mode.name, avg, 512*512)
 		}
-		j.Close()
+		closeJoin()
 	}
 }
 

@@ -31,7 +31,8 @@ const exchangeDepth = 4
 // newExchange builds the Ship operator over src and registers its
 // producer with the environment.
 func newExchange(n *plan.Node, src BatchOperator, env *execEnv) BatchOperator {
-	p := &exchangeProducer{node: n, src: src, env: env, ch: make(chan []byte, exchangeDepth)}
+	p := &exchangeProducer{node: n, src: src, env: env, ch: make(chan []byte, exchangeDepth),
+		free: make(chan []byte, exchangeDepth)}
 	env.producers = append(env.producers, p)
 	return &exchangeOp{prod: p}
 }
@@ -51,6 +52,11 @@ type exchangeProducer struct {
 	// after setting err if it failed.
 	ch  chan []byte
 	err error
+	// free carries decoded frames back for the producer to encode into
+	// again. Neither side waits on it: a full list drops the frame, an
+	// empty one makes the producer allocate. Its size is ch's, the
+	// frames that can be in flight besides the one being encoded.
+	free chan []byte
 	// sent* accumulate what the producer actually delivered; only the
 	// producer touches them. On a clean end of stream they become the
 	// fragment's compliance audit record — a producer that errors out
@@ -108,9 +114,12 @@ func (p *exchangeProducer) produce() (err error) {
 	var pend framePacker
 	frameIdx := 0
 	flush := func() error {
-		// The encoder reuses its buffer; the delivered frame must own
-		// its bytes.
-		buf := append([]byte(nil), p.enc.EncodeCols(pend.cols, pend.n)...)
+		var buf []byte
+		select {
+		case buf = <-p.free:
+		default:
+		}
+		buf = p.enc.EncodeCols(buf[:0], pend.cols, pend.n)
 		// The resilient shipping path injects faults, retries with
 		// backoff, and charges the shipment only when the frame lands,
 		// so retried runs keep ledger parity with a fault-free one.
@@ -235,9 +244,16 @@ func (e *exchangeOp) NextBatch() (*Batch, error) {
 		return nil, e.prod.err
 	}
 	// Frames decode straight into column vectors: downstream kernels run
-	// on the decoded lanes with no row materialization.
+	// on the decoded lanes with no row materialization. The decode copies
+	// every string out of the frame, so the frame goes back to the
+	// producer to be encoded into again.
 	b := NewBatch()
-	if err := network.DecodeBatchCols(frame, b.Data()); err != nil {
+	err := network.DecodeBatchCols(frame, b.Data())
+	select {
+	case e.prod.free <- frame:
+	default:
+	}
+	if err != nil {
 		b.Release()
 		return nil, fmt.Errorf("executor: exchange frame decode: %w", err)
 	}

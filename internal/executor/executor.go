@@ -292,29 +292,34 @@ func resolver(n *plan.Node) expr.Resolver {
 }
 
 // equiKeys splits a join predicate into its column = column conjuncts,
-// bound per side (either operand order), and the residual conjuncts
-// bound against the concatenated schema.
-func equiKeys(n *plan.Node, what string) (lk, rk []expr.Expr, residual expr.Expr, err error) {
+// as the column indexes of each side (either operand order), and the
+// residual conjuncts bound against the concatenated schema.
+func equiKeys(n *plan.Node, what string) (lk, rk []int, residual expr.Expr, err error) {
 	lres := resolver(n.Children[0])
 	rres := resolver(n.Children[1])
+	index := func(c *expr.Col, res expr.Resolver) (int, bool) {
+		b, err := expr.Bind(c, res)
+		if err != nil {
+			return 0, false
+		}
+		return b.(*expr.Col).Index, true
+	}
 	var rest []expr.Expr
 	for _, c := range expr.Conjuncts(n.Pred) {
 		if cmp, ok := c.(*expr.Cmp); ok && cmp.Op == expr.EQ {
 			lc, lok := cmp.L.(*expr.Col)
 			rc, rok := cmp.R.(*expr.Col)
 			if lok && rok {
-				if bl, err := expr.Bind(lc, lres); err == nil {
-					if br, err := expr.Bind(rc, rres); err == nil {
-						lk = append(lk, bl)
-						rk = append(rk, br)
+				if l, ok := index(lc, lres); ok {
+					if r, ok := index(rc, rres); ok {
+						lk, rk = append(lk, l), append(rk, r)
 						continue
 					}
 				}
 				// Reversed sides.
-				if bl, err := expr.Bind(rc, lres); err == nil {
-					if br, err := expr.Bind(lc, rres); err == nil {
-						lk = append(lk, bl)
-						rk = append(rk, br)
+				if l, ok := index(rc, lres); ok {
+					if r, ok := index(lc, rres); ok {
+						lk, rk = append(lk, l), append(rk, r)
 						continue
 					}
 				}
@@ -338,7 +343,7 @@ func equiKeys(n *plan.Node, what string) (lk, rk []expr.Expr, residual expr.Expr
 
 // pairOut is the output side hashJoinOp and nlJoinOp share: the operator
 // appends its build side chunk by chunk into column vectors, reports
-// matches against the current probe chunk as (probe row, build row)
+// matches of the current probe chunk's rows as (probe row, build row)
 // index pairs, and nextBatch gathers them column-wise into the pooled
 // output batch's own vectors, BatchSize at a time. No row is built.
 type pairOut struct {
@@ -347,9 +352,13 @@ type pairOut struct {
 	bcols          []expr.Vec  // build side vectors, in arrival order
 	bn             int32       // build rows
 	chunk          *Batch      // current probe chunk
+	r, rows        int         // its next row to match, its row count
 	vecs           []*expr.Vec // column scratch; the probe chunk's vectors
 	pi, bi         []int32     // matches; pi indexes the probe vectors
 	pos            int         // next pair to hand out
+	// err is a failure found mid-refill: the pairs found before it are
+	// handed out first.
+	err error
 
 	// scratch is the one concatenated row a join predicate is evaluated
 	// over: loadProbe and loadBuild fill the columns it reads (lneed,
@@ -383,7 +392,7 @@ func (o *pairOut) reset() {
 	for c := range o.bcols {
 		o.bcols[c].Reset(o.rTypes[c], 0)
 	}
-	o.chunk = nil
+	o.chunk, o.r, o.rows, o.err = nil, 0, 0, nil
 	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
 }
 
@@ -414,14 +423,6 @@ func (o *pairOut) addBuild(chunk *Batch) error {
 	}
 	o.bn += int32(chunk.Len())
 	return nil
-}
-
-// setProbe makes chunk the one new pairs refer to; the previous chunk's
-// pairs have all been handed out.
-func (o *pairOut) setProbe(chunk *Batch) error {
-	o.chunk = chunk
-	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
-	return bindCols(chunk, o.lTypes, o.vecs)
 }
 
 // probeAt maps position r of the probe chunk to its index in the
@@ -455,11 +456,41 @@ func (o *pairOut) loadBuild(b int32) expr.Row {
 	return o.scratch
 }
 
-// nextBatch fills one batch with the next BatchSize pairs, calling
-// refill for the next probe chunk's worth whenever the pairs run dry;
-// refill reports false at end of stream. An error discards the rows
-// gathered so far, so what a consumer saw before it is whole batches.
-func (o *pairOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
+// refill starts the pairs over with the matches of the next probe rows:
+// the current chunk's while it has rows left, else those of the chunk
+// next returns (nil at end of stream, when refill reports false). It
+// stops after the first row that leaves BatchSize pairs pending, so at
+// most BatchSize plus one row's matches are. An error from match ends
+// the refill and waits in err until the pairs before it are handed out.
+func (o *pairOut) refill(next func() (*Batch, error), match func(p int32) error) (bool, error) {
+	if o.err != nil {
+		return false, o.err
+	}
+	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
+	if o.r == o.rows {
+		chunk, err := next()
+		if err != nil || chunk == nil {
+			return false, err
+		}
+		if err := bindCols(chunk, o.lTypes, o.vecs); err != nil {
+			return false, err
+		}
+		o.chunk, o.r, o.rows = chunk, 0, chunk.Len()
+	}
+	for ; o.r < o.rows && len(o.pi) < BatchSize; o.r++ {
+		if err := match(o.probeAt(o.r)); err != nil {
+			o.err = err
+			break
+		}
+	}
+	return true, nil
+}
+
+// nextBatch fills one batch with the next BatchSize pairs, refilling
+// from next and match whenever the pairs run dry. An error discards the
+// rows gathered so far, so what a consumer saw before it is whole
+// batches.
+func (o *pairOut) nextBatch(next func() (*Batch, error), match func(p int32) error) (*Batch, error) {
 	b := NewBatch()
 	d := b.Data()
 	lw, n := len(o.lTypes), 0
@@ -469,7 +500,7 @@ func (o *pairOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
 	}
 	for n < BatchSize {
 		if o.pos == len(o.pi) {
-			more, err := refill()
+			more, err := o.refill(next, match)
 			if err != nil {
 				b.Release()
 				return nil, err
@@ -500,13 +531,12 @@ func (o *pairOut) nextBatch(refill func() (bool, error)) (*Batch, error) {
 
 // --- hash join ----------------------------------------------------------
 
-// hashJoinOp joins a probe stream (left) against a hash table built from
-// the right child, both consumed a batch at a time, on key vectors: its
-// equi-keys are bare columns, hashing reads them directly, build rows
-// link into per-hash chains by index, and hash-collision rechecks
-// compare lanes.
+// hashJoinOp joins a probe stream (left) against a hash index over the
+// right child's rows, both consumed a batch at a time, on key vectors:
+// its equi-keys are bare columns, hashing reads them directly, and
+// hash-collision rechecks compare lanes. It also runs every NL join
+// whose condition is column equalities alone (newNLJoin).
 type hashJoinOp struct {
-	node         *plan.Node
 	probe, build feed
 	residual     expr.Expr // bound against concatenated schema
 
@@ -515,20 +545,20 @@ type hashJoinOp struct {
 	pKeys  []*expr.Vec // probe key columns of the current chunk
 	eqMode []keyEqMode
 
-	// table maps a key hash to its chain's first and last build row;
-	// next links rows within one, so chain iteration order is arrival
-	// order.
-	table chainTable
-	next  []int32
+	// The index, built once the build side is in: hashes holds each
+	// build row's key hash, heads each bucket's first row (-1: none; a
+	// power of two of buckets, mask selecting one) and next the bucket's
+	// following row, so a bucket lists its rows, and a key its matches,
+	// in arrival order.
+	hashes      []uint64
+	heads, next []int32
+	mask        uint64
 
 	// pending is the first probe chunk, peeked at Open (to skip the
-	// hash-table build when the probe side is provably empty) and
-	// replayed on the first NextBatch.
+	// index build when the probe side is provably empty) and replayed on
+	// the first NextBatch.
 	pending *Batch
 	out     pairOut
-	// pendErr is an error found mid-chunk: matches found before the
-	// failing pair are handed out first.
-	pendErr error
 }
 
 // keyEqMode is the recheck strategy for one equi-key pair, fixed from
@@ -556,109 +586,25 @@ func keyMode(lt, rt expr.Type) keyEqMode {
 	return eqSlow
 }
 
-// chainTable is the columnar join's hash index: an open-addressed
-// (linear probing) table from a 64-bit key hash to that hash's chain of
-// build rows. The chain's first and last row indexes live in the slot
-// itself, so a probe hit resolves in one 16-byte slot read — no chain-id
-// indirection through side arrays.
-type chainSlot struct {
-	hash       uint64
-	head, tail int32 // head -1: empty slot
-}
-
-type chainTable struct {
-	slots []chainSlot
-	mask  uint64
-	used  int
-	limit int // grow past this occupancy (¾ load)
-}
-
-// reset empties the table, sized for about `hint` distinct keys.
-func (t *chainTable) reset(hint int) {
-	need := 1024
-	for need < hint*2 {
-		need <<= 1
-	}
-	if cap(t.slots) >= need {
-		t.slots = t.slots[:need]
-	} else {
-		t.slots = make([]chainSlot, need)
-	}
-	for i := range t.slots {
-		t.slots[i] = chainSlot{head: -1}
-	}
-	t.mask = uint64(need - 1)
-	t.used = 0
-	t.limit = need * 3 / 4
-}
-
-// lookup returns the first build row chained under h, or -1.
-func (t *chainTable) lookup(h uint64) int32 {
-	i := h & t.mask
-	for {
-		s := &t.slots[i]
-		if s.head < 0 || s.hash == h {
-			return s.head
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// slot returns the position holding h, claiming an empty slot (head
-// still -1) if the hash is new. The caller fills head/tail.
-func (t *chainTable) slot(h uint64) uint64 {
-	if t.used >= t.limit {
-		t.grow()
-	}
-	i := h & t.mask
-	for {
-		s := &t.slots[i]
-		if s.head < 0 || s.hash == h {
-			return i
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// grow rehashes into a table 8× larger: the hint is often missing, so
-// steep growth keeps the total reinsertion work a small fraction of
-// the build.
-func (t *chainTable) grow() {
-	old := t.slots
-	need := 8 * len(old)
-	t.slots = make([]chainSlot, need)
-	for i := range t.slots {
-		t.slots[i].head = -1
-	}
-	t.mask = uint64(need - 1)
-	t.limit = need * 3 / 4
-	for _, s := range old {
-		if s.head < 0 {
-			continue
-		}
-		j := s.hash & t.mask
-		for t.slots[j].head >= 0 {
-			j = (j + 1) & t.mask
-		}
-		t.slots[j] = s
-	}
-}
-
 func newHashJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 	lk, rk, res, err := equiKeys(n, "hash join")
 	if err != nil {
 		return nil, err
 	}
-	j := &hashJoinOp{node: n, probe: feed{src: left}, build: feed{src: right}, residual: res}
-	j.out = newPairOut(n, res)
+	return newKeyJoin(n, left, right, lk, rk, res), nil
+}
+
+// newKeyJoin builds the hash join of n on left columns lk equal to
+// right columns rk, keeping the pairs residual (nil: none) holds for.
+func newKeyJoin(n *plan.Node, left, right BatchOperator, lk, rk []int, residual expr.Expr) *hashJoinOp {
+	j := &hashJoinOp{probe: feed{src: left}, build: feed{src: right}, residual: residual, lkeys: lk}
+	j.out = newPairOut(n, residual)
 	j.pKeys = make([]*expr.Vec, len(lk))
-	for i := range lk {
-		l, r := lk[i].(*expr.Col).Index, rk[i].(*expr.Col).Index
-		j.lkeys = append(j.lkeys, l)
-		j.bKeys = append(j.bKeys, &j.out.bcols[r])
-		j.eqMode = append(j.eqMode, keyMode(j.out.lTypes[l], j.out.rTypes[r]))
+	for i, l := range lk {
+		j.bKeys = append(j.bKeys, &j.out.bcols[rk[i]])
+		j.eqMode = append(j.eqMode, keyMode(j.out.lTypes[l], j.out.rTypes[rk[i]]))
 	}
-	return j, nil
+	return j
 }
 
 // hashVecKeys combines the key hashes of row i of the key columns, the
@@ -676,12 +622,11 @@ func hashVecKeys(keys []*expr.Vec, i int) (uint64, bool) {
 
 func (j *hashJoinOp) Open() error {
 	j.out.reset()
-	j.pendErr = nil
 	// Peek the first probe chunk before building: when the probe side is
-	// provably empty, the join produces nothing and the hash-table build
-	// is wasted work. The build side is still opened and closed (Ship
+	// provably empty, the join produces nothing and the index build is
+	// wasted work. The build side is still opened and closed (Ship
 	// inputs materialize at Open, so transfer accounting is unchanged);
-	// only the hashing and insertion are skipped.
+	// only the draining and indexing are skipped.
 	if err := j.probe.open(); err != nil {
 		return err
 	}
@@ -692,8 +637,6 @@ func (j *hashJoinOp) Open() error {
 	if err := j.build.open(); err != nil {
 		return err
 	}
-	j.next = j.next[:0]
-	j.table.reset(j.buildSizeHint())
 	if j.pending != nil {
 		if err := j.buildTable(); err != nil {
 			return err
@@ -702,112 +645,88 @@ func (j *hashJoinOp) Open() error {
 	return j.build.close()
 }
 
-// buildTable drains the build feed into the hash table. NULL keys
-// never match and are left out.
+// buildTable drains the build feed, then indexes its rows in reverse,
+// each at the front of its bucket, in as many buckets as rows (rounded
+// up to a power of two). NULL keys never match and are left out.
 func (j *hashJoinOp) buildTable() error {
 	for {
 		chunk, err := j.build.nextChunk()
-		if err != nil || chunk == nil {
+		if err != nil {
 			return err
 		}
-		from := j.out.bn
+		if chunk == nil {
+			break
+		}
 		if err := j.out.addBuild(chunk); err != nil {
 			return err
 		}
-		for i := from; i < j.out.bn; i++ {
-			j.next = append(j.next, -1)
-			if h, valid := hashVecKeys(j.bKeys, int(i)); valid {
-				j.link(h, i)
-			}
+	}
+	n, size := int(j.out.bn), 1
+	for size < n {
+		size <<= 1
+	}
+	j.heads = slices.Grow(j.heads[:0], size)[:size]
+	for b := range j.heads {
+		j.heads[b] = -1
+	}
+	j.next = slices.Grow(j.next[:0], n)[:n]
+	j.hashes = slices.Grow(j.hashes[:0], n)[:n]
+	j.mask = uint64(size - 1)
+	for i := n - 1; i >= 0; i-- {
+		if h, valid := hashVecKeys(j.bKeys, i); valid {
+			b := h & j.mask
+			j.hashes[i], j.next[i], j.heads[b] = h, j.heads[b], int32(i)
 		}
 	}
+	return nil
 }
 
-// link appends build row idx to hash h's chain.
-func (j *hashJoinOp) link(h uint64, idx int32) {
-	si := j.table.slot(h)
-	s := &j.table.slots[si]
-	if s.head >= 0 {
-		j.next[s.tail] = idx
-		s.tail = idx
-		return
+func (j *hashJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.nextProbe, j.match) }
+
+// nextProbe returns the peeked chunk first, then the probe side's.
+func (j *hashJoinOp) nextProbe() (*Batch, error) {
+	if chunk := j.pending; chunk != nil {
+		j.pending = nil
+		return chunk, nil
 	}
-	s.hash, s.head, s.tail = h, idx, idx
-	j.table.used++
+	return j.probe.nextChunk()
 }
 
-// buildSizeHint pre-sizes the hash table from the build child's
-// cardinality estimate, capped to keep a wild estimate from allocating
-// an outsized table up front.
-func (j *hashJoinOp) buildSizeHint() int {
-	const maxHint = 1 << 20
-	card := j.node.Children[1].Card
-	switch {
-	case card <= 0:
-		return 0
-	case card >= maxHint:
-		return maxHint
-	}
-	return int(card)
-}
-
-func (j *hashJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.probeNext) }
-
-// probeNext reports the matches of the next probe chunk to out. Errors
-// found mid-chunk land in pendErr so matches found before the failing
-// pair are handed out first.
-func (j *hashJoinOp) probeNext() (bool, error) {
-	if j.pendErr != nil {
-		return false, j.pendErr
-	}
-	chunk, err := j.pending, error(nil)
-	if j.pending = nil; chunk == nil {
-		chunk, err = j.probe.nextChunk()
-	}
-	if err != nil || chunk == nil {
-		return false, err
-	}
-	if err := j.out.setProbe(chunk); err != nil {
-		return false, err
-	}
-	j.pendErr = j.probeVecs(chunk.Len())
-	return true, nil
-}
-
-// probeVecs matches the n (selected) rows of the probe chunk against
-// the chains, reading keys from the two sides' key vectors. The
-// residual runs before the key recheck (its errors surface first).
-func (j *hashJoinOp) probeVecs(n int) error {
+// match reports probe row p's pairs: the build rows of its bucket with
+// its hash and equal keys for which the residual holds. The residual runs
+// before the key recheck (its errors surface first); the pairs found
+// before a failing one are kept.
+func (j *hashJoinOp) match(p int32) error {
 	o := &j.out
 	for k, c := range j.lkeys {
 		j.pKeys[k] = o.vecs[c]
 	}
-	for r := 0; r < n; r++ {
-		p := o.probeAt(r)
-		h, valid := hashVecKeys(j.pKeys, int(p))
-		if !valid {
+	h, valid := hashVecKeys(j.pKeys, int(p))
+	if !valid {
+		return nil
+	}
+	if j.residual != nil {
+		o.loadProbe(p)
+	}
+	for b := j.heads[h&j.mask]; b >= 0; b = j.next[b] {
+		if j.hashes[b] != h {
 			continue
 		}
 		if j.residual != nil {
-			o.loadProbe(p)
-		}
-		for b := j.table.lookup(h); b >= 0; b = j.next[b] {
-			if j.residual != nil {
-				keep, err := expr.EvalBool(j.residual, o.loadBuild(b))
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
-			}
-			eq, err := j.recheck(int(p), int(b))
+			keep, err := expr.EvalBool(j.residual, o.loadBuild(b))
 			if err != nil {
 				return err
 			}
-			if eq {
-				o.add(p, b)
+			if !keep {
+				continue
 			}
+		}
+		eq, err := j.recheck(int(p), int(b))
+		if err != nil {
+			return err
+		}
+		if eq {
+			o.add(p, b)
 		}
 	}
 	return nil
@@ -853,8 +772,7 @@ func vecFloat(v *expr.Vec, i int) float64 {
 
 func (j *hashJoinOp) Close() error {
 	j.out.reset()
-	j.table = chainTable{}
-	j.next, j.pending = nil, nil
+	j.hashes, j.heads, j.next, j.pending = nil, nil, nil, nil
 	return j.probe.close()
 }
 
@@ -862,26 +780,19 @@ func (j *hashJoinOp) Close() error {
 
 // nlJoinOp materializes its right input at Open and streams the left:
 // each left row is paired with every right row and kept when the join
-// condition holds. No candidate pair is built to find that out: a
-// condition that is all typed column equalities (eq) compares the two
-// sides' lanes directly, and anything else is evaluated over pairOut's
-// one scratch row.
+// condition, evaluated over pairOut's one scratch row, holds. No
+// candidate pair is built to find that out.
 type nlJoinOp struct {
 	left, right feed
 	cond        expr.Expr
-	eq          []eqCols // nil: cond needs the interpreter
 	out         pairOut
-	li, ln      int // next row and row count of the current left chunk
-	pendErr     error
 }
 
-// eqCols is one leftCol = rightCol conjunct over lanes on which = cannot
-// fail: both integer-class, or (str) both strings.
-type eqCols struct {
-	l, r int
-	str  bool
-}
-
+// newNLJoin builds the NL join of n: on the hash join when its condition
+// is column equalities alone, on either order of two integer-class or
+// two string columns, where = cannot fail and the hash join's output
+// order (left rows in order, each with its matches in right arrival
+// order) is the nested loop's; else on nlJoinOp.
 func newNLJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 	var cond expr.Expr
 	if n.Pred != nil {
@@ -891,47 +802,51 @@ func newNLJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error) {
 		}
 		cond = bound
 	}
-	j := &nlJoinOp{left: feed{src: left}, right: feed{src: right}, cond: cond}
-	if cond != nil {
-		j.eq = typedEq(cond, colTypes(n.Children[0]), colTypes(n.Children[1]))
+	if lk, rk := typedEq(cond, colTypes(n.Children[0]), colTypes(n.Children[1])); lk != nil {
+		return newKeyJoin(n, left, right, lk, rk, nil), nil
 	}
-	j.out = newPairOut(n, cond)
-	return j, nil
+	return newNLLoop(n, left, right, cond), nil
 }
 
-// typedEq reads cond as a conjunction of eqCols, or returns nil.
-func typedEq(cond expr.Expr, lTypes, rTypes []expr.Type) []eqCols {
-	var eq []eqCols
+// newNLLoop builds the nested loop of n over the bound condition cond
+// (nil: a cross join).
+func newNLLoop(n *plan.Node, left, right BatchOperator, cond expr.Expr) *nlJoinOp {
+	return &nlJoinOp{left: feed{src: left}, right: feed{src: right}, cond: cond, out: newPairOut(n, cond)}
+}
+
+// typedEq reads cond as a conjunction of left column = right column
+// conjuncts over lanes on which = cannot fail, both integer-class or
+// both strings, and returns the columns of each side; nil if it is not
+// one.
+func typedEq(cond expr.Expr, lTypes, rTypes []expr.Type) (lk, rk []int) {
 	lw := len(lTypes)
 	for _, c := range expr.Conjuncts(cond) {
 		cmp, ok := c.(*expr.Cmp)
 		if !ok || cmp.Op != expr.EQ {
-			return nil
+			return nil, nil
 		}
 		lc, lok := cmp.L.(*expr.Col)
 		rc, rok := cmp.R.(*expr.Col)
 		if !lok || !rok {
-			return nil
+			return nil, nil
 		}
 		l, r := lc.Index, rc.Index
 		if l > r {
 			l, r = r, l
 		}
 		if l >= lw || r < lw {
-			return nil // both columns on one side
+			return nil, nil // both columns on one side
 		}
-		mode := keyMode(lTypes[l], rTypes[r-lw])
-		if mode != eqInt && mode != eqStr {
-			return nil
+		if mode := keyMode(lTypes[l], rTypes[r-lw]); mode != eqInt && mode != eqStr {
+			return nil, nil
 		}
-		eq = append(eq, eqCols{l: l, r: r - lw, str: mode == eqStr})
+		lk, rk = append(lk, l), append(rk, r-lw)
 	}
-	return eq
+	return lk, rk
 }
 
 func (j *nlJoinOp) Open() error {
 	j.out.reset()
-	j.li, j.ln, j.pendErr = 0, 0, nil
 	if err := j.right.open(); err != nil {
 		return err
 	}
@@ -953,69 +868,26 @@ func (j *nlJoinOp) Open() error {
 	return j.left.open()
 }
 
-func (j *nlJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.joinNext) }
+func (j *nlJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.left.nextChunk, j.match) }
 
-// joinNext reports the matches of the next left rows to out, stopping
-// at the first row that takes them past BatchSize — that bounds the
-// buffered pairs by one batch plus the right side. A failing left row
-// keeps none of its matches; the error waits in pendErr until the rows
-// before it have been handed out.
-func (j *nlJoinOp) joinNext() (bool, error) {
-	if j.pendErr != nil {
-		return false, j.pendErr
-	}
+// match pairs left row p with every right row the condition holds for.
+// A failing pair takes back the row's matches: what is handed out
+// before the error is the matches of the rows before it.
+func (j *nlJoinOp) match(p int32) error {
 	o := &j.out
-	chunk := o.chunk
-	if j.li == j.ln {
-		var err error
-		if chunk, err = j.left.nextChunk(); err != nil || chunk == nil {
-			return false, err
+	mark := len(o.pi)
+	o.loadProbe(p)
+	for b := int32(0); b < o.bn; b++ {
+		keep, err := expr.EvalBool(j.cond, o.loadBuild(b))
+		if err != nil {
+			o.pi, o.bi = o.pi[:mark], o.bi[:mark]
+			return err
 		}
-		j.li, j.ln = 0, chunk.Len()
-	}
-	// The last refill's pairs are all handed out: start over, on the
-	// same chunk while it has rows left.
-	if err := o.setProbe(chunk); err != nil {
-		return false, err
-	}
-	for ; j.li < j.ln && len(o.pi) < BatchSize; j.li++ {
-		p := o.probeAt(j.li)
-		if j.eq != nil {
-			j.matchLanes(p)
-			continue
-		}
-		mark := len(o.pi)
-		o.loadProbe(p)
-		for b := int32(0); b < o.bn; b++ {
-			keep, err := expr.EvalBool(j.cond, o.loadBuild(b))
-			if err != nil {
-				o.pi, o.bi = o.pi[:mark], o.bi[:mark]
-				j.pendErr = err
-				return true, nil
-			}
-			if keep {
-				o.add(p, b)
-			}
+		if keep {
+			o.add(p, b)
 		}
 	}
-	return true, nil
-}
-
-// matchLanes pairs the left row at p with every right row equal on all
-// eq columns; NULLs equal nothing.
-func (j *nlJoinOp) matchLanes(p int32) {
-	o := &j.out
-	v := int(p)
-build:
-	for b := 0; b < int(o.bn); b++ {
-		for _, e := range j.eq {
-			lv, rv := o.vecs[e.l], &o.bcols[e.r]
-			if lv.IsNullAt(v) || rv.IsNullAt(b) || e.str && lv.S[v] != rv.S[b] || !e.str && lv.I[v] != rv.I[b] {
-				continue build
-			}
-		}
-		o.add(p, int32(b))
-	}
+	return nil
 }
 
 func (j *nlJoinOp) Close() error {

@@ -91,18 +91,26 @@ func (c *joinCase) node(kind plan.Kind) *plan.Node {
 	return j
 }
 
+// bound returns the condition bound against the joined schema (nil:
+// none).
+func (c *joinCase) bound(t testing.TB) expr.Expr {
+	t.Helper()
+	if c.cond == nil {
+		return nil
+	}
+	cond, err := expr.Bind(c.cond, resolver(c.node(plan.NLJoin)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cond
+}
+
 // reference is the per-pair interpreter. It returns every match found
 // before the first failing pair, how many of those belong to earlier
 // left rows, and the failure.
 func (c *joinCase) reference(t *testing.T) (rows []expr.Row, beforeRow int, err error) {
 	t.Helper()
-	var cond expr.Expr
-	if c.cond != nil {
-		var bindErr error
-		if cond, bindErr = expr.Bind(c.cond, resolver(c.node(plan.NLJoin))); bindErr != nil {
-			t.Fatal(bindErr)
-		}
-	}
+	cond := c.bound(t)
 	for _, lc := range c.left {
 		for _, l := range lc {
 			beforeRow = len(rows)
@@ -244,9 +252,7 @@ func joinEngines(t *testing.T, c *joinCase) map[string]BatchOperator {
 		lo, ro := sides()
 		out["nl/"+in.name] = must(newNLJoin(c.node(plan.NLJoin), lo, ro))
 		lo, ro = sides()
-		scratch := must(newNLJoin(c.node(plan.NLJoin), lo, ro)).(*nlJoinOp)
-		scratch.eq = nil
-		out["nl-scratch/"+in.name] = scratch
+		out["nl-scratch/"+in.name] = newNLLoop(c.node(plan.NLJoin), lo, ro, c.bound(t))
 		if c.nlOnly {
 			continue
 		}
@@ -298,9 +304,9 @@ func sameRows(t *testing.T, label string, got, want []expr.Row) {
 	}
 }
 
-// TestJoinTypedPathTaken pins which conditions the NL join compares
-// lane against lane: column equalities over integer-class or string
-// lanes, and nothing = could fail on.
+// TestJoinTypedPathTaken pins which NL join conditions run on the hash
+// join: column equalities over integer-class or string lanes, and
+// nothing = could fail on.
 func TestJoinTypedPathTaken(t *testing.T) {
 	want := map[string]bool{
 		"null and duplicate keys": true, "int = date keys": true, "string keys": true,
@@ -312,9 +318,59 @@ func TestJoinTypedPathTaken(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := op.(*nlJoinOp).eq != nil; got != want[c.name] {
-			t.Errorf("%s: typed path %v, want %v", c.name, got, want[c.name])
+		if _, got := op.(*hashJoinOp); got != want[c.name] {
+			t.Errorf("%s: on the hash join %v, want %v", c.name, got, want[c.name])
 		}
+	}
+}
+
+// TestHashJoinProbeBounded: a many-to-many join whose every probe chunk
+// matches far more than BatchSize pairs keeps at most BatchSize plus one
+// probe row's matches pending, resumes mid-chunk, and returns the
+// reference's rows in its order.
+func TestHashJoinProbeBounded(t *testing.T) {
+	const keys, perRow = 3, 40 // every probe row matches perRow build rows
+	var left, right []expr.Row
+	for i := 0; i < 300; i++ {
+		left = append(left, expr.Row{expr.NewInt(int64(i % keys)), expr.NewInt(int64(i))})
+	}
+	for i := 0; i < keys*perRow; i++ {
+		right = append(right, expr.Row{expr.NewInt(int64(i % keys)), expr.NewInt(int64(i))})
+	}
+	ints := []expr.Type{expr.TInt, expr.TInt}
+	c := joinCase{lTypes: ints, rTypes: ints, left: [][]expr.Row{left, left[:7]}, right: [][]expr.Row{right[:50], right[50:]},
+		cond: expr.NewCmp(expr.EQ, expr.NewCol("a", "c0"), expr.NewCol("b", "c0"))}
+	want, _, err := c.reference(t)
+	if err != nil || len(want) != 307*perRow {
+		t.Fatalf("reference: %d rows, %v", len(want), err)
+	}
+	for _, sel := range []bool{false, true} {
+		op, err := newHashJoin(c.node(plan.HashJoin),
+			&chunkSrc{tb: t, chunks: c.left, types: ints, sel: sel}, &chunkSrc{tb: t, chunks: c.right, types: ints, sel: sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := op.(*hashJoinOp)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		var got []expr.Row
+		for {
+			b, err := j.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pending := len(j.out.pi); pending > BatchSize+perRow {
+				t.Fatalf("sel %v: %d pairs pending, want at most %d", sel, pending, BatchSize+perRow)
+			}
+			if b == nil {
+				break
+			}
+			got = append(got, b.Rows()...)
+			b.Release()
+		}
+		j.Close()
+		sameRows(t, fmt.Sprintf("sel %v", sel), got, want)
 	}
 }
 

@@ -6,8 +6,7 @@ import "fmt"
 // fixed number of rows as column vectors, which a producer (a page
 // decode, a wire decode, an operator) fills through StartCols/OwnCol,
 // and a row view materialized lazily into a fresh arena only for the
-// consumers that read rows: the result surface and the interpreter
-// node of a compiled kernel.
+// consumer that reads rows, the result surface.
 //
 // Column storage is retained across Reset so pooled batches reach a
 // zero-allocation steady state. The row arena is never pooled: rows
@@ -83,12 +82,6 @@ func (b *Batch) ColVec(idx int) (*Vec, bool) {
 		return nil, false
 	}
 	return &b.cols[idx], true
-}
-
-// Row returns row i, materializing the row view on first use.
-func (b *Batch) Row(i int) Row {
-	b.ensureRows()
-	return b.rows[i]
 }
 
 // Rows returns the full row view, materializing it on first use. The

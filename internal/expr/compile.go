@@ -6,21 +6,20 @@ package expr
 // operator's input schema to pick int64/float64/string/bool lanes (TypeOf
 // states the type of every node). A node the compiler has no vector
 // operator for (CASE, mixed or incomparable operand types) becomes an
-// interpreter node that runs the row interpreter over the batch's row
-// view, so a kernel always produces exactly the values Eval would —
-// including the type tags of NULL results — and fails where Eval fails.
+// interpreter node that runs the row interpreter one row at a time, so
+// a kernel always produces exactly the values Eval would — including
+// the type tags of NULL results — and fails where Eval fails.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // VecSource is the columnar view a kernel evaluates against: per-column
-// vectors plus the row view interpreter nodes read. ColVec reports
-// false for a column the source does not carry.
+// vectors. ColVec reports false for a column the source does not carry.
 type VecSource interface {
 	ColVec(idx int) (*Vec, bool)
-	Row(i int) Row
 	Len() int
 }
 
@@ -79,7 +78,7 @@ func InterpretPred(e Expr, types []Type) *PredKernel {
 	if e == nil {
 		return &PredKernel{}
 	}
-	return &PredKernel{conjs: []kNode{&kFallback{e: e, t: TBool, truth: true}}}
+	return &PredKernel{conjs: []kNode{newFallback(e, TBool, true)}}
 }
 
 // truth compiles a conjunct onto the bool lane: a NULL-typed one is all
@@ -91,7 +90,7 @@ func (c compiler) truth(e Expr) kNode {
 	case TNull:
 		return &kAllNull{children: []kNode{c.compile(e)}, t: TBool}
 	}
-	return &kFallback{e: e, t: TBool, truth: true}
+	return newFallback(e, TBool, true)
 }
 
 // emptySel is the canonical non-nil empty selection: Select must never
@@ -162,7 +161,7 @@ func (c compiler) colType(col *Col) Type {
 func (c compiler) typeOf(e Expr) Type { return TypeOf(e, c.colType) }
 
 func (c compiler) fallback(e Expr) kNode {
-	return &kFallback{e: e, t: c.typeOf(e)}
+	return newFallback(e, c.typeOf(e), false)
 }
 
 func isFallback(n kNode) bool {
@@ -1173,17 +1172,42 @@ func (k *kAllNull) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 }
 
 // kFallback is the interpreter node: it evaluates its subtree with the
-// row interpreter, row by row over the source's row view, into the
-// subtree's static type. A value of another type fails with ErrLane.
-// With truth set it stores EvalBool's verdict instead, on the bool lane.
+// row interpreter, one row at a time over a scratch row holding only the
+// columns the subtree reads, into the subtree's static type. A value of
+// another type fails with ErrLane. With truth set it stores EvalBool's
+// verdict instead, on the bool lane.
 type kFallback struct {
 	e     Expr
 	t     Type
 	truth bool
+	cols  []int  // the columns e reads
+	vecs  []*Vec // scratch: the source's vectors of cols
+	row   Row    // scratch: one row's values of cols, at their indexes
 	out   Vec
 }
 
+func newFallback(e Expr, t Type, truth bool) *kFallback {
+	k := &kFallback{e: e, t: t, truth: truth}
+	width := 0
+	Walk(e, func(x Expr) bool {
+		if c, ok := x.(*Col); ok && c.Index >= 0 && !slices.Contains(k.cols, c.Index) {
+			k.cols = append(k.cols, c.Index)
+			width = max(width, c.Index+1)
+		}
+		return true
+	})
+	k.vecs, k.row = make([]*Vec, len(k.cols)), make(Row, width)
+	return k
+}
+
 func (k *kFallback) eval(src VecSource, sel []int32, n int) (*Vec, error) {
+	for i, c := range k.cols {
+		v, ok := src.ColVec(c)
+		if !ok {
+			return nil, fmt.Errorf("expr: column %d not available", c)
+		}
+		k.vecs[i] = v
+	}
 	k.out.reset(k.t, n)
 	var nulls Bitmap
 	for j := 0; j < n; j++ {
@@ -1191,7 +1215,10 @@ func (k *kFallback) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 		if sel != nil {
 			ri = int(sel[j])
 		}
-		v, err := Eval(k.e, src.Row(ri))
+		for i, c := range k.cols {
+			k.row[c] = k.vecs[i].Value(ri)
+		}
+		v, err := Eval(k.e, k.row)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // batchOf builds the columns-only batch of rows under the declared
@@ -422,5 +424,54 @@ func TestKernelDivisionByZero(t *testing.T) {
 		if got := vec.Value(i); !valuesIdentical(got, TypedNull(TFloat)) {
 			t.Fatalf("4/0 row %d = %#v, want NULL::float", i, got)
 		}
+	}
+}
+
+// TestFallbackAllocatesPerSelectedRow: an interpreter node reads the
+// columns its expression names of the rows its selection names, nothing
+// more — a CASE over 3 selected rows of a 1024-row, 8-column batch,
+// evaluated on a batch refilled each time as a pooled one is, allocates
+// far less than one value per row and column of the batch.
+func TestFallbackAllocatesPerSelectedRow(t *testing.T) {
+	const rows, width = 1024, 8
+	types := make([]Type, width)
+	src := make([]Vec, width)
+	for c := range types {
+		types[c] = TInt
+		src[c].Reset(TInt, rows)
+		for i := range src[c].I {
+			src[c].I[i] = int64(i * (c + 1))
+		}
+	}
+	col := func(i int) *Col { return &Col{Table: "t", Name: fmt.Sprintf("c%d", i), Index: i} }
+	e := &Case{Whens: []When{{Cond: NewCmp(GT, col(0), NewConst(NewInt(5))), Result: col(1)}},
+		Else: col(7), T: TInt}
+	k := Compile(e, types)
+	if !isFallback(k.root) {
+		t.Fatalf("CASE compiled to %T, not the interpreter node", k.root)
+	}
+	var b Batch
+	sel := []int32{3, 500, 1023}
+	eval := func() {
+		b.StartCols(width, rows)
+		for c := range src {
+			b.OwnCol(c).CopyFrom(&src[c])
+		}
+		v, err := k.EvalVec(&b, sel)
+		if err != nil || v.N != len(sel) || v.I[0] != 3*8 || v.I[1] != 500*2 || v.I[2] != 1023*2 {
+			t.Fatalf("CASE over the selection: %+v, %v", v, err)
+		}
+	}
+	eval()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	perEval := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(len(sel) * width * int(unsafe.Sizeof(Value{}))); perEval > limit {
+		t.Errorf("%d B allocated per evaluation of %d selected rows, want at most %d", perEval, len(sel), limit)
 	}
 }

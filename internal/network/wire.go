@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cgdqp/internal/colcodec"
 	"cgdqp/internal/expr"
@@ -43,13 +44,16 @@ var ErrWireCorrupt = errors.New("network: corrupt wire frame")
 // and EncodeBatch's parameter stay for the benchmark module's call sites.
 type WireOptions struct{}
 
-// WireEncoder encodes row batches into wire frames, reusing its buffers
+// WireEncoder encodes batches into wire frames, reusing its scratch
 // across calls. Not safe for concurrent use; each shipping operator
 // owns one.
 type WireEncoder struct {
-	buf  []byte
-	body []byte
+	buf  []byte // Encode's frame
 	col  colcodec.Builder
+	hdr  int // the last frame's header length: where the next body starts
+	last int // the last frame's length
+	// size is scratch for the body length varint.
+	size [binary.MaxVarintLen64]byte
 }
 
 // Encode serializes the batch into a frame. The returned slice is valid
@@ -59,38 +63,52 @@ func (e *WireEncoder) Encode(rows []expr.Row) []byte {
 	for _, r := range rows {
 		nCols = max(nCols, len(r))
 	}
-	e.body = e.dims(len(rows), nCols)
+	e.buf = e.appendFrame(e.buf[:0], len(rows), nCols, func(dst []byte, c int) []byte {
+		return e.col.AppendRows(dst, rows, c)
+	})
+	return e.buf
+}
+
+// EncodeCols appends to dst the frame of the first n rows of column
+// vectors: the bytes Encode writes for the rows they materialize.
+func (e *WireEncoder) EncodeCols(dst []byte, cols []expr.Vec, n int) []byte {
+	return e.appendFrame(dst, n, len(cols), func(dst []byte, c int) []byte {
+		return e.col.AppendVec(dst, &cols[c], n)
+	})
+}
+
+// appendFrame appends a frame of nRows rows whose nCols columns col
+// appends. The body is written where the last frame's body started, so
+// it moves only when its length varint takes another number of bytes.
+// dst first grows to hold the last frame's length, or a byte per value,
+// rather than doubling its way up.
+func (e *WireEncoder) appendFrame(dst []byte, nRows, nCols int, col func(dst []byte, c int) []byte) []byte {
+	start := len(dst)
+	guess := max(e.hdr, 4)
+	dst = append(slices.Grow(dst, max(e.last, guess+nRows*nCols)), make([]byte, guess)...)
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(nRows)), uint64(nCols))
 	for c := 0; c < nCols; c++ {
-		e.body = e.col.AppendRows(e.body, rows, c)
+		dst = col(dst, c)
 	}
-	return e.frame()
-}
-
-// EncodeCols is Encode over the first n rows of column vectors: the
-// bytes Encode would produce from the rows they materialize.
-func (e *WireEncoder) EncodeCols(cols []expr.Vec, n int) []byte {
-	e.body = e.dims(n, len(cols))
-	for c := range cols {
-		e.body = e.col.AppendVec(e.body, &cols[c], n)
+	body := len(dst) - start - guess
+	e.hdr = 3 + binary.PutUvarint(e.size[:], uint64(body))
+	if e.hdr != guess {
+		if e.hdr > guess {
+			dst = slices.Grow(dst, e.hdr-guess)
+		}
+		dst = dst[:start+e.hdr+body]
+		copy(dst[start+e.hdr:], dst[start+guess:start+guess+body])
 	}
-	return e.frame()
-}
-
-func (e *WireEncoder) dims(nRows, nCols int) []byte {
-	return binary.AppendUvarint(binary.AppendUvarint(e.body[:0], uint64(nRows)), uint64(nCols))
-}
-
-func (e *WireEncoder) frame() []byte {
-	e.buf = append(e.buf[:0], wireMagic, wireVersion, 0)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(e.body)))
-	return append(e.buf, e.body...)
+	dst[start], dst[start+1], dst[start+2] = wireMagic, wireVersion, 0
+	copy(dst[start+3:start+e.hdr], e.size[:])
+	e.last = len(dst) - start
+	return dst
 }
 
 // EncodeBatch serializes one batch with a throwaway encoder and returns
 // a fresh buffer.
 func EncodeBatch(rows []expr.Row, _ WireOptions) []byte {
-	var e WireEncoder
-	return append([]byte(nil), e.Encode(rows)...)
+	return new(WireEncoder).Encode(rows)
 }
 
 // ---- decoding ----

@@ -8,8 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"cgdqp/internal/colcodec"
 	"cgdqp/internal/expr"
 )
 
@@ -209,9 +211,14 @@ func checkEncodeCols(t *testing.T, frame []byte) {
 		cols[c] = *v
 	}
 	var colEnc, rowEnc WireEncoder
-	got := colEnc.EncodeCols(cols, b.Len())
-	if want := rowEnc.Encode(b.Rows()); !bytes.Equal(got, want) {
-		t.Fatalf("EncodeCols wrote %d bytes, Encode of the same batch's rows %d:\n%x\n%x", len(got), len(want), got, want)
+	want := rowEnc.Encode(b.Rows())
+	// Twice into one buffer, after a prefix: the second frame starts
+	// where the first one's header length left it.
+	prefix := []byte("prefix")
+	got := colEnc.EncodeCols(append([]byte(nil), prefix...), cols, b.Len())
+	got = colEnc.EncodeCols(got, cols, b.Len())
+	if !bytes.Equal(got, append(append(prefix, want...), want...)) {
+		t.Fatalf("EncodeCols wrote %d bytes after a %d-byte prefix, Encode of the same batch's rows twice %d:\n%x\n%x", len(got), len(prefix), 2*len(want), got, want)
 	}
 }
 
@@ -251,4 +258,91 @@ func FuzzWireDecode(f *testing.F) {
 			checkEncodeCols(t, data)
 		}
 	})
+}
+
+// TestFrameReuseKeepsDecodedValues: a frame buffer may be overwritten
+// once DecodeBatchCols returns — by junk or by the next frame encoded
+// into it — without moving a decoded value, plain and dictionary
+// strings included; one encoder's frames shrinking and growing between
+// header lengths stay the bytes Encode writes.
+func TestFrameReuseKeepsDecodedValues(t *testing.T) {
+	col := func(n int, val func(i int) expr.Value) expr.Vec {
+		var v expr.Vec
+		v.Reset(val(0).T, 0)
+		for i := 0; i < n; i++ {
+			v.Append(val(i))
+		}
+		return v
+	}
+	batch := func(n int) []expr.Vec {
+		return []expr.Vec{
+			col(n, func(i int) expr.Value { return expr.NewString(fmt.Sprintf("plain-%d", i)) }),
+			col(n, func(i int) expr.Value { return expr.NewString(fmt.Sprintf("dict-%d", i%3)) }),
+			col(n, func(i int) expr.Value { return expr.NewInt(int64(i)) }),
+		}
+	}
+	var enc WireEncoder
+	var buf []byte
+	for _, n := range []int{2000, 3, 700, 2000, 1} {
+		cols := batch(n)
+		buf = enc.EncodeCols(buf[:0], cols, n)
+		var b expr.Batch
+		if err := DecodeBatchCols(buf, &b); err != nil {
+			t.Fatalf("%d rows: %v", n, err)
+		}
+		if flags := columnFlags(t, buf); flags[0]&dictFlag != 0 || (n >= 4) != (flags[1]&dictFlag != 0) {
+			t.Fatalf("%d rows: column flags %v", n, flags)
+		}
+		want := b.Rows()
+		var rowEnc WireEncoder
+		if frame := rowEnc.Encode(want); !bytes.Equal(frame, buf) {
+			t.Fatalf("%d rows: EncodeCols and Encode differ (%d vs %d bytes)", n, len(buf), len(frame))
+		}
+		before := make([]expr.Row, len(want))
+		for i, r := range want {
+			before[i] = r.Clone()
+			for c := range r {
+				before[i][c].S = strings.Clone(r[c].S)
+			}
+		}
+		for i := range buf {
+			buf[i] = 'x'
+		}
+		buf = enc.EncodeCols(buf[:0], batch(n+1), n+1)
+		for i := range before {
+			for c := range before[i] {
+				if got := b.RowValue(i, c); !sameValue(got, before[i][c]) {
+					t.Fatalf("%d rows: row %d col %d moved to %#v from %#v", n, i, c, got, before[i][c])
+				}
+			}
+		}
+	}
+}
+
+// dictFlag is colcodec's flag of a dictionary-encoded string column.
+const dictFlag = 0x02
+
+// columnFlags returns the flags byte of every column of a frame.
+func columnFlags(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	body, err := decodeBody(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nRows, nCols, pos, err := dims(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d colcodec.Decoder
+	var flags []byte
+	for c := 0; c < nCols; c++ {
+		flags = append(flags, body[pos+1])
+		var v expr.Vec
+		used, err := d.Decode(body[pos:], nRows, &v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos += used
+	}
+	return flags
 }

@@ -111,9 +111,7 @@ func TestIteratorColumnarDecode(t *testing.T) {
 		if !more {
 			break
 		}
-		for i := 0; i < b.Len(); i++ {
-			got = append(got, append(expr.Row(nil), b.Row(i)...))
-		}
+		got = append(got, b.Rows()...)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("iterator mismatch: got %d rows", len(got))
