@@ -149,10 +149,6 @@ type Options struct {
 	// catalogs and the cost model, so a change to any of them is never
 	// answered from the cache.
 	PlanCacheSize int
-	// Trace records query-lifecycle spans (parse/bind, optimizer phases,
-	// fragment pipelines, every shipment attempt with retries) into the
-	// tracer returned by System.Tracer().
-	Trace bool
 	// Metrics collects counters/gauges/histograms (plan-cache and
 	// policy-cache stats, per-edge shipping volume, retry and fault
 	// counts, optimize/execute latency) into System.Metrics().
@@ -180,12 +176,15 @@ type Options struct {
 	// package rescache). Servers from Serve share the cache and coalesce
 	// concurrent identical executions onto one run. 0 disables caching.
 	ResultCacheBytes int64
-	// SlowQueryLog, when set, receives one JSON line per query whose
-	// end-to-end latency is at or above SlowQueryThreshold: SQL and plan
-	// digests, latency, shipped bytes, retry count, cache disposition and
-	// the worst per-operator q-errors. Setting it profiles every
-	// executed query, to compare each operator's estimate with its
-	// actual rows.
+	// SlowQueryLog, when set, receives the account of every query whose
+	// end-to-end latency is at or above SlowQueryThreshold, one JSON line
+	// each (obs.QueryRecord): SQL and plan digests, outcome (failed and
+	// refused queries included), latency and per-phase times, result-
+	// and plan-cache dispositions, policy-evaluator calls and η, the
+	// policy version, shipped bytes, retry count and the worst
+	// per-operator q-errors. Setting it profiles every executed query,
+	// to compare each operator's estimate with its actual rows; with a
+	// threshold of 0 it is the per-query trace.
 	SlowQueryLog io.Writer
 	// SlowQueryThreshold is the slow-query latency floor (0 logs every
 	// query).
@@ -208,7 +207,6 @@ type Options struct {
 
 // Observability handle types re-exported for embedders.
 type (
-	Tracer          = obs.Tracer
 	MetricsRegistry = obs.Registry
 	AuditLog        = obs.AuditLog
 	AuditRecord     = obs.AuditRecord
@@ -234,7 +232,7 @@ type System struct {
 	// lc is the query lifecycle and the system's one copy of its parts:
 	// the optimizer (nil until built), the cluster (nil until opened),
 	// the sinks enabled by
-	// Options.Trace/Metrics/Audit (a nil Obs keeps execution hooks free),
+	// Options.Metrics/Audit (a nil Obs keeps execution hooks free),
 	// the result cache with its view and the slow-query log (each nil
 	// unless its option is set).
 	lc sched.Lifecycle
@@ -255,11 +253,8 @@ func NewSystemWith(opts Options) *System {
 	}
 	lc := &s.lc
 	lc.Exec = executor.ExecOptions{NoKernels: opts.NoVectorKernels}
-	if opts.Trace || opts.Metrics || opts.Audit {
+	if opts.Metrics || opts.Audit {
 		lc.Obs = &obs.Observer{}
-		if opts.Trace {
-			lc.Obs.Tracer = obs.NewTracer()
-		}
 		if opts.Metrics {
 			lc.Obs.Metrics = obs.NewRegistry()
 		}
@@ -286,14 +281,6 @@ func NewSystemWith(opts Options) *System {
 		lc.SlowLog = obs.NewSlowQueryLog(opts.SlowQueryLog, opts.SlowQueryThreshold)
 	}
 	return s
-}
-
-// Tracer returns the span tracer (nil unless Options.Trace).
-func (s *System) Tracer() *Tracer {
-	if s.lc.Obs == nil {
-		return nil
-	}
-	return s.lc.Obs.Tracer
 }
 
 // Metrics returns the metrics registry (nil unless Options.Metrics).
@@ -653,15 +640,16 @@ func (p *Plan) JSON() (string, error) { return p.Root.JSON() }
 func (s *System) Explain(sql string) (*Plan, error) {
 	// Planning needs only the optimizer; the cluster stays unopened.
 	lc := sched.Lifecycle{Opt: s.Optimizer()}
-	return explain(&lc, sql)
-}
-
-func explain(lc *sched.Lifecycle, sql string) (*Plan, error) {
 	res, cols, err := lc.Plan(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: res.Plan, Columns: cols, EstShipCost: res.ShipCost, Stats: res.Stats}, nil
+	return newPlan(res, cols), nil
+}
+
+// newPlan describes an optimization as a Plan.
+func newPlan(res *optimizer.Result, cols []string) *Plan {
+	return &Plan{Root: res.Plan, Columns: cols, EstShipCost: res.ShipCost, Stats: res.Stats}
 }
 
 // Result is the outcome of an executed query.
@@ -723,33 +711,41 @@ func (s *System) lifecycle() sched.Lifecycle {
 func (s *System) query(ctx context.Context, sql string, prof *obs.PlanProfile) (*Result, error) {
 	lc := s.lifecycle()
 	q := &sched.Query{SQL: sql, Start: time.Now()}
-	p, err := explain(&lc, sql)
+	r, hit, err := runSteps(ctx, &lc, q, prof)
+	how := obs.OutcomeOK
+	if hit {
+		how = obs.OutcomeCacheHit
+	}
+	lc.Note(q, r, how, err)
 	if err != nil {
-		lc.Note(q, nil, false, err)
 		return nil, err
 	}
-	q.Root, q.Columns, q.EstShipCost = p.Root, p.Columns, p.EstShipCost
-	var r *rescache.Result
-	hit := false
-	if prof == nil {
-		r, hit = lc.Probe(q)
-	}
-	if !hit {
-		if r, err = lc.Execute(ctx, q, prof); err != nil {
-			lc.Note(q, nil, false, err)
-			return nil, err
-		}
-	}
-	lc.Note(q, r, hit, nil)
 	return &Result{
-		Plan:         p,
+		Plan:         newPlan(q.Res, q.Columns),
 		Rows:         r.Rows,
-		Columns:      p.Columns,
+		Columns:      q.Columns,
 		ShippedBytes: r.Stats.ShippedBytes,
 		ShipCost:     r.Stats.ShipCost,
 		Retries:      r.Stats.Retries,
 		Cached:       hit,
 	}, nil
+}
+
+// runSteps plans, probes and executes q back to back, reporting
+// whether the result came from the cache.
+func runSteps(ctx context.Context, lc *sched.Lifecycle, q *sched.Query, prof *obs.PlanProfile) (*rescache.Result, bool, error) {
+	res, cols, err := lc.Plan(q.SQL)
+	if err != nil {
+		return nil, false, err
+	}
+	q.SetPlan(res, cols, false)
+	if prof == nil {
+		if r, hit, err := lc.Probe(q); err != nil || hit {
+			return r, hit, err
+		}
+	}
+	r, err := lc.Execute(ctx, q, prof)
+	return r, false, err
 }
 
 // --- concurrent query serving -------------------------------------------

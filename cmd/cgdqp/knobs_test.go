@@ -7,33 +7,43 @@ import (
 	"testing"
 
 	"cgdqp"
+	"cgdqp/internal/obs"
 )
 
-// The knob surface: every field of cgdqp.Options and every flag of the
-// command. Adding or removing a knob means editing these lists, so the
-// change shows up in review; ROADMAP item 12 quotes their lengths.
+// The knob surface: every field of cgdqp.Options, every flag of the
+// command and every sink an obs.Observer carries. Adding or removing a
+// knob or a sink means editing these lists, so the change shows up in
+// review; ROADMAP item 12 quotes their lengths.
 var (
 	wantOptions = []string{
 		"ResultLocation", "Parallel", "Faults", "PlanCacheSize",
-		"Trace", "Metrics", "Audit", "NoVectorKernels", "ResultCacheBytes",
+		"Metrics", "Audit", "NoVectorKernels", "ResultCacheBytes",
 		"SlowQueryLog", "SlowQueryThreshold", "DataDir", "BufferPoolBytes", "Fsync",
 	}
 	wantFlags = []string{
 		"at", "audit-out", "buffer-pool", "chaos-delay", "chaos-drop",
 		"chaos-error", "chaos-seed", "data-dir", "explain", "explain-analyze",
 		"metrics-out", "obs-addr", "plan-cache", "q", "result-cache",
-		"set", "sf", "slow-query-log", "slow-query-threshold", "trace-out",
+		"set", "sf", "slow-query-log", "slow-query-threshold",
 	}
+	wantSinks = []string{"Metrics", "Audit", "Profile"}
 )
 
-func TestKnobSurface(t *testing.T) {
+func fieldNames(v any) []string {
 	var fields []string
-	typ := reflect.TypeOf(cgdqp.Options{})
+	typ := reflect.TypeOf(v)
 	for i := 0; i < typ.NumField(); i++ {
 		fields = append(fields, typ.Field(i).Name)
 	}
-	if !reflect.DeepEqual(fields, wantOptions) {
+	return fields
+}
+
+func TestKnobSurface(t *testing.T) {
+	if fields := fieldNames(cgdqp.Options{}); !reflect.DeepEqual(fields, wantOptions) {
 		t.Errorf("cgdqp.Options has %d fields %v, want %d %v", len(fields), fields, len(wantOptions), wantOptions)
+	}
+	if sinks := fieldNames(obs.Observer{}); !reflect.DeepEqual(sinks, wantSinks) {
+		t.Errorf("obs.Observer has %d sinks %v, want %d %v", len(sinks), sinks, len(wantSinks), wantSinks)
 	}
 
 	// -h prints the FlagSet's defaults, one "  -name" line per flag,

@@ -87,7 +87,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	resultCache := fs.Int64("result-cache", 64<<20, "result-set cache budget in bytes (0 = off); repeated queries are served from cached results while their tables and policies are unchanged")
 	explainAnalyze := fs.Bool("explain-analyze", false, "execute and print the plan annotated with per-operator actual rows/batches/time")
 	metricsOut := fs.String("metrics-out", "", "write Prometheus-text metrics to this file at exit (- for stdout)")
-	traceOut := fs.String("trace-out", "", "write query-lifecycle spans as JSON to this file at exit (- for stdout)")
 	auditOut := fs.String("audit-out", "", "write the compliance audit log of cross-site shipments to this file at exit (- for stdout)")
 	slowLogPath := fs.String("slow-query-log", "", "append one JSON line per slow query to this file (- for stdout)")
 	slowThreshold := fs.Duration("slow-query-threshold", 100*time.Millisecond, "latency floor for -slow-query-log (0 logs every query)")
@@ -105,7 +104,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		ResultLocation:     *resultLoc,
 		PlanCacheSize:      *planCache,
 		ResultCacheBytes:   *resultCache,
-		Trace:              *traceOut != "",
 		Metrics:            *metricsOut != "" || *obsAddr != "",
 		Audit:              *auditOut != "",
 		SlowQueryThreshold: *slowThreshold,
@@ -153,7 +151,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	defer func() {
 		sh.writeOut(*metricsOut, "metrics", sys.Metrics().WritePrometheus)
-		sh.writeOut(*traceOut, "trace", sys.Tracer().WriteJSON)
 		sh.writeOut(*auditOut, "audit", sys.AuditLog().WriteText)
 	}()
 

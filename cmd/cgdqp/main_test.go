@@ -147,7 +147,7 @@ func TestShellSession(t *testing.T) {
 		"\\explain SELECT n.name FROM nation n;\n"+
 		"SELECT nonsense FROM nowhere;\n"+
 		"\\quit\n"+stmt,
-		"-set", "CR")
+		"-set", "CR", "-slow-query-log", "-", "-slow-query-threshold", "0")
 	footers := footerRE.FindAllString(out, -1)
 	if len(footers) != 2 {
 		t.Fatalf("want 2 executed statements (\\quit ends the session), got %d:\n%s", len(footers), out)
@@ -166,6 +166,17 @@ func TestShellSession(t *testing.T) {
 		"statistics recomputed from loaded data",
 		"-- optimization: ")
 	wantContains(t, "stderr", errw, "error: ")
+
+	// One account line per statement run (the prompt precedes it): the
+	// two executions and the statement that failed to bind.
+	lines := regexp.MustCompile(`(?m)\{"ts".*\}$`).FindAllString(out, -1)
+	if len(lines) != 3 {
+		t.Fatalf("want 3 account lines, got %d:\n%s", len(lines), out)
+	}
+	for i, want := range []string{`"outcome":"ok"`, `"outcome":"cache_hit"`, `"outcome":"error"`} {
+		wantContains(t, "account line", lines[i], want, `"phases":{"parse_ms":`, `"execute_ms":`)
+	}
+	wantContains(t, "first account line", lines[0], `"cache":"miss"`, `"plan_cache":"miss"`)
 }
 
 func TestChaosParallel(t *testing.T) {
@@ -221,6 +232,7 @@ func TestBadArguments(t *testing.T) {
 		{"-site-slots", "4"}, // removed with the slot table
 		{"-parallel"},        // removed with the inline exchange mode
 		{"-feedback"},        // removed with the execution-feedback loop
+		{"-trace-out", "-"},  // removed with the span tracer
 	} {
 		if code, _, errw := cli(t, "", args...); code != 2 || errw == "" {
 			t.Errorf("cgdqp %v: exit %d, stderr %q; want exit 2 with a message", args, code, errw)

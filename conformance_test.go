@@ -1,14 +1,18 @@
 package cgdqp
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"cgdqp/internal/network"
+	"cgdqp/internal/obs"
 	"cgdqp/internal/refeval"
 	"cgdqp/internal/tpch"
 	"cgdqp/internal/workload"
@@ -16,7 +20,7 @@ import (
 
 // This file is the conformance oracle: one table-driven suite that runs
 // every golden TPC-H query across the execution matrix — result cache
-// cold, warm, disabled — under a sweep of chaos seeds, and requires the
+// cold, warm, disabled; observed or not — under a sweep of chaos seeds, and requires the
 // rows the independent reference evaluator (internal/refeval) finds
 // from the bound query, and byte-identical shipping statistics and
 // audit logs against the fault-free, cache-less engine run. Any
@@ -57,14 +61,26 @@ type conformGolden struct {
 	audit string
 }
 
+// conformCell is one column of the execution matrix. An observed cell
+// turns every remaining observability sink on — metrics, and the
+// slow-query log at threshold 0, so each query writes its account —
+// besides the audit log every cell keeps.
+type conformCell struct {
+	cached, observed bool
+}
+
 // newConformSystem builds a fully loaded TPC-H system for one matrix
-// cell. Each cell gets its own system over identically generated data so
-// cells cannot contaminate each other through shared caches or epochs.
-func newConformSystem(t *testing.T, cached bool) *System {
+// cell; an observed cell's accounts go to slow. Each cell gets its own
+// system over identically generated data so cells cannot contaminate
+// each other through shared caches or epochs.
+func newConformSystem(t *testing.T, cell conformCell, slow *bytes.Buffer) *System {
 	t.Helper()
 	opts := Options{Audit: true}
-	if cached {
+	if cell.cached {
 		opts.ResultCacheBytes = 32 << 20
+	}
+	if cell.observed {
+		opts.Metrics, opts.SlowQueryLog = true, slow
 	}
 	sys := NewSystemWith(opts)
 	sys.Schema = tpch.NewCatalog(0.001)
@@ -125,18 +141,52 @@ func conformCompare(t *testing.T, label string, out conformOutcome, auditText st
 	}
 }
 
+// conformAccount checks, and consumes, the one account line a run in an
+// observed cell wrote: a failed run says so, and a successful one
+// reports the run's shipped bytes and the digest of the plan it
+// executed.
+func conformAccount(t *testing.T, label string, slow *bytes.Buffer, out conformOutcome) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(slow.String()), "\n")
+	slow.Reset()
+	if len(lines) != 1 {
+		t.Fatalf("%s: %d account lines, want 1", label, len(lines))
+	}
+	var rec obs.QueryRecord
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("%s: account line: %v\n%s", label, err, lines[0])
+	}
+	if out.err != nil {
+		if rec.Outcome != obs.OutcomeError || rec.Error == "" {
+			t.Fatalf("%s: failed run accounted as %s", label, lines[0])
+		}
+		return
+	}
+	want := obs.OutcomeOK
+	if out.res.Cached {
+		want = obs.OutcomeCacheHit
+	}
+	if rec.Outcome != want || rec.ShipBytes != out.res.ShippedBytes ||
+		rec.PlanDigest != obs.ShortDigest(out.res.Plan.Root.Digest()) {
+		t.Fatalf("%s: account %s does not describe the run (outcome %s, %d bytes shipped)",
+			label, lines[0], want, out.res.ShippedBytes)
+	}
+}
+
 // TestConformanceMatrix is the acceptance oracle of the execution
-// matrix. For every golden TPC-H query, every cache state, and every
-// chaos seed (seed 0 = fault-free), each run must either succeed
+// matrix. For every golden TPC-H query, every cell, and every chaos
+// seed (seed 0 = fault-free), each run must either succeed
 // byte-identical to the reference or fail with a typed
 // *network.ShipError. Cache-enabled
 // cells additionally pin the warm-hit contract: after a successful cold
 // run the second run is served from the cache with the cold run's exact
-// rows, statistics and replayed audit records.
+// rows, statistics and replayed audit records. In the observed cell,
+// observing changes none of that, and every run writes exactly one
+// account of itself.
 func TestConformanceMatrix(t *testing.T) {
 	names := tpch.QueryNames()
 
-	ref := newConformSystem(t, false)
+	ref := newConformSystem(t, conformCell{}, nil)
 	goldens := map[string]*conformGolden{}
 	for _, name := range names {
 		goldens[name] = newConformGolden(t, ref, "reference/"+name, tpch.Queries[name])
@@ -155,9 +205,12 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 
 	recovered, failed, warmHits := 0, 0, 0
-	for _, cached := range []bool{false, true} {
-		sys := newConformSystem(t, cached)
+	for _, cell := range []conformCell{{}, {cached: true}, {cached: true, observed: true}} {
+		cached := cell.cached
+		var slow bytes.Buffer
+		sys := newConformSystem(t, cell, &slow)
 		cl := sys.Cluster()
+		ok := 0 // successful runs
 		for _, seed := range seeds {
 			if seed == 0 {
 				cl.SetFaults(nil)
@@ -175,11 +228,14 @@ func TestConformanceMatrix(t *testing.T) {
 			}
 			for _, name := range names {
 				g := goldens[name]
-				label := fmt.Sprintf("cache=%v seed=%d %s", cached, seed, name)
+				label := fmt.Sprintf("cache=%v observed=%v seed=%d %s", cached, cell.observed, seed, name)
 
 				sys.AuditLog().Reset()
 				cold := runConform(t, label+" cold", sys, tpch.Queries[name])
 				coldAudit := sys.AuditLog().String()
+				if cell.observed {
+					conformAccount(t, label+" cold", &slow, cold)
+				}
 				if cold.err != nil {
 					var se *network.ShipError
 					if !errors.As(cold.err, &se) {
@@ -194,9 +250,19 @@ func TestConformanceMatrix(t *testing.T) {
 					recovered++
 				}
 
+				if cold.err == nil {
+					ok++
+				}
+
 				sys.AuditLog().Reset()
 				warm := runConform(t, label+" warm", sys, tpch.Queries[name])
 				warmAudit := sys.AuditLog().String()
+				if cell.observed {
+					conformAccount(t, label+" warm", &slow, warm)
+				}
+				if warm.err == nil {
+					ok++
+				}
 				if cached && cold.err == nil {
 					// The cold run filled the cache; the warm run must be a
 					// hit regardless of the fault plan (hits do not touch
@@ -236,6 +302,11 @@ func TestConformanceMatrix(t *testing.T) {
 			}
 		}
 		cl.SetFaults(nil)
+		if cell.observed {
+			if n := sys.Metrics().CounterValue("cgdqp_queries_total", "status", "ok"); n != int64(ok) {
+				t.Errorf("observed cell counted %d successful queries, ran %d", n, ok)
+			}
+		}
 	}
 	if recovered == 0 {
 		t.Error("no run exercised the parity comparison")

@@ -44,7 +44,7 @@ type Cluster struct {
 	faults *network.FaultPlan
 	retry  network.RetryPolicy
 
-	// obs receives shipping spans and per-edge metrics (see ship.go).
+	// obs receives per-edge shipping, retry and fault metrics (see ship.go).
 	// nil disables observation; set before execution like the fields
 	// above (exchange producers read it without locks).
 	obs *obs.Observer

@@ -44,11 +44,11 @@ func (r *RunScope) OpenShipment(from, to string) *network.Shipment {
 // ends bit-identical to a fault-free run's. The returned error is nil,
 // ctx.Err(), or a typed *network.ShipError.
 func (r *RunScope) ShipBatch(ctx context.Context, ship *network.Shipment, from, to string, batch int, rows, bytes int64) error {
-	sp := r.c.obs.StartSpan("ship.batch").
-		Tag("from", from).Tag("to", to).TagInt("batch", int64(batch)).TagInt("rows", rows)
 	err := r.c.send(ctx, r, from, to, batch, bytes, func(extraMS float64) error {
 		return r.c.SleepWire(ctx, ship.Add(rows, bytes)+extraMS)
 	})
-	r.c.finishShip(sp, from, to, rows, bytes, err)
+	if err == nil {
+		r.c.countShip(from, to, rows, bytes)
+	}
 	return err
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cgdqp/internal/network"
-	"cgdqp/internal/obs"
 )
 
 // This file is the cluster's resilient shipping path: the executor's
@@ -36,40 +35,13 @@ func (c *Cluster) SetRetry(r network.RetryPolicy) { c.retry = r }
 // Retry returns the shipment retry policy in effect.
 func (c *Cluster) Retry() network.RetryPolicy { return c.retry }
 
-// finishShip closes the shipment span with its outcome and, on success,
-// bumps the per-edge shipping counters. Every step is guarded so a
-// disabled observer costs pointer checks only.
-func (c *Cluster) finishShip(sp obs.Span, from, to string, rows, bytes int64, err error) {
-	if sp.Enabled() {
-		sp.Tag("outcome", shipOutcome(err)).End()
-	}
-	if err != nil {
-		return
-	}
+// countShip bumps the per-edge shipping counters of a delivered batch;
+// a disabled observer costs a pointer check.
+func (c *Cluster) countShip(from, to string, rows, bytes int64) {
 	if m := c.obs.Reg(); m != nil {
 		m.Counter("cgdqp_ship_rows_total", "from", from, "to", to).Add(rows)
 		m.Counter("cgdqp_ship_bytes_total", "from", from, "to", to).Add(bytes)
 		m.Counter("cgdqp_ship_batches_total", "from", from, "to", to).Inc()
-	}
-}
-
-// shipOutcome classifies a shipping error for span tags.
-func shipOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, network.ErrPartitioned):
-		return "partitioned"
-	case errors.Is(err, network.ErrShipTimeout):
-		return "timeout"
-	case errors.Is(err, network.ErrBatchDropped):
-		return "dropped"
-	case errors.Is(err, network.ErrTransient):
-		return "transient"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "cancelled"
-	default:
-		return "error"
 	}
 }
 
@@ -146,16 +118,7 @@ func (c *Cluster) send(ctx context.Context, scope *RunScope, from, to string, ba
 			m.Counter("cgdqp_ship_retries_total", "from", from, "to", to).Inc()
 		}
 		if attempt < attempts {
-			// The retry span covers the backoff wait for the next attempt.
-			rsp := c.obs.StartSpan("ship.retry").
-				Tag("from", from).Tag("to", to).TagInt("batch", int64(batch)).
-				TagInt("attempt", int64(attempt))
-			if rsp.Enabled() {
-				rsp = rsp.Tag("fault", faultKind(lastErr))
-			}
-			err := sleepCtx(ctx, c.retry.Backoff(attempt, faults.Jitter(from, to, batch, attempt)))
-			rsp.End()
-			if err != nil {
+			if err := sleepCtx(ctx, c.retry.Backoff(attempt, faults.Jitter(from, to, batch, attempt))); err != nil {
 				return err
 			}
 		}

@@ -65,25 +65,13 @@ type exchangeProducer struct {
 	sentRows, sentBytes, sentBatches int64
 }
 
-// run executes the fragment under its span and, on a clean end of
-// stream, records its audit entry.
+// run executes the fragment and, on a clean end of stream, records its
+// audit entry.
 func (p *exchangeProducer) run() error {
-	o := p.env.obsv
-	sp := o.StartSpan("exec.fragment").
-		Tag("from", p.node.FromLoc).Tag("to", p.node.ToLoc)
-	err := p.produce()
-	if sp.Enabled() {
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		}
-		sp.TagInt("rows", p.sentRows).TagInt("batches", p.sentBatches).
-			Tag("outcome", outcome).End()
-	}
-	if err != nil {
+	if err := p.produce(); err != nil {
 		return err
 	}
-	if a := o.AuditSink(); a != nil {
+	if a := p.env.obsv.AuditSink(); a != nil {
 		rec := auditRecFor(p.node)
 		rec.Rows, rec.Bytes, rec.Batches = p.sentRows, p.sentBytes, p.sentBatches
 		a.Record(rec)

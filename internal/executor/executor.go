@@ -51,13 +51,12 @@ func Run(p *plan.Node, c *cluster.Cluster) ([]expr.Row, *RunStats, error) {
 // batch, frame send, wire sleep or retry backoff, and the call returns
 // that error only after all of them have exited, so no goroutine or
 // ledger entry is left dangling. Cancelling ctx does the same. The
-// observer receives an execution span and latency histogram around the
-// run, a fragment span plus compliance audit record per exchange, and
-// per-operator actuals when it carries a PlanProfile. Run statistics
-// come from a private ledger scope, so concurrent executions over one
-// Cluster each report exactly their own transfers.
+// observer receives the execution counter and latency histogram of the
+// run, a compliance audit record per exchange, and per-operator actuals
+// when it carries a PlanProfile. Run statistics come from a private
+// ledger scope, so concurrent executions over one Cluster each report
+// exactly their own transfers.
 func RunParallelOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *obs.Observer, opt ExecOptions) ([]expr.Row, *RunStats, error) {
-	sp := o.StartSpan("execute")
 	m := o.Reg()
 	var t0 time.Time
 	if m != nil {
@@ -68,7 +67,7 @@ func RunParallelOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *o
 	env := &execEnv{c: c, scope: c.NewRun(), ctx: ctx, cancel: cancel, obsv: o, opt: opt}
 	root, err := build(p, env, nil)
 	if err != nil {
-		finishExec(sp, m, t0, 0, err)
+		finishExec(m, t0, err)
 		return nil, nil, err
 	}
 	env.start()
@@ -76,11 +75,11 @@ func RunParallelOpts(ctx context.Context, p *plan.Node, c *cluster.Cluster, o *o
 	cancel()
 	env.wg.Wait()
 	if err != nil {
-		finishExec(sp, m, t0, 0, err)
+		finishExec(m, t0, err)
 		return nil, nil, err
 	}
 	stats := scopeStats(env.scope, int64(len(rows)))
-	finishExec(sp, m, t0, stats.RowsOut, nil)
+	finishExec(m, t0, nil)
 	return rows, stats, nil
 }
 

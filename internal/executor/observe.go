@@ -10,10 +10,9 @@ import (
 )
 
 // This file is the executor's observability layer: ledger-derived
-// shipping stats from one consistent snapshot, the execution span and
-// metrics around a run, the per-operator profiling wrapper behind
-// EXPLAIN ANALYZE, and the compliance audit record each Ship boundary
-// emits. Every hook is nil-guarded so the unobserved paths keep their
+// shipping stats from one consistent snapshot, the metrics around a
+// run, the per-operator profiling wrapper behind EXPLAIN ANALYZE, and
+// the compliance audit record each Ship boundary emits. Every hook is nil-guarded so the unobserved paths keep their
 // old cost.
 
 // scopeStats derives a run's statistics from its private ledger scope.
@@ -28,21 +27,18 @@ func scopeStats(scope *cluster.RunScope, rowsOut int64) *RunStats {
 	}
 }
 
-// finishExec closes an execution span and records the execution
-// counter and latency histogram.
-func finishExec(sp obs.Span, m *obs.Registry, t0 time.Time, rowsOut int64, err error) {
+// finishExec records the execution counter and latency histogram.
+func finishExec(m *obs.Registry, t0 time.Time, err error) {
+	if m == nil {
+		return
+	}
 	status := "ok"
 	if err != nil {
 		status = "error"
 	}
-	if sp.Enabled() {
-		sp.TagInt("rows_out", rowsOut).Tag("outcome", status).End()
-	}
-	if m != nil {
-		m.Counter("cgdqp_executions_total", "status", status).Inc()
-		if err == nil {
-			m.Histogram("cgdqp_execute_seconds").Observe(time.Since(t0).Seconds())
-		}
+	m.Counter("cgdqp_executions_total", "status", status).Inc()
+	if err == nil {
+		m.Histogram("cgdqp_execute_seconds").Observe(time.Since(t0).Seconds())
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package obs is the observability subsystem threaded through the
-// optimizer, the executors and the shipping layer: a lightweight span
-// tracer recording the query lifecycle, a concurrent-safe metrics
-// registry (counters, gauges, fixed-bucket histograms) with Prometheus
-// text and JSON exports, a deterministic compliance audit log of every
-// cross-site shipment, and a per-operator execution profile behind
-// EXPLAIN ANALYZE.
+// optimizer, the executors and the shipping layer: a concurrent-safe
+// metrics registry (counters, gauges, fixed-bucket histograms) with
+// Prometheus text and JSON exports, a deterministic compliance audit
+// log of every cross-site shipment, a per-operator execution profile
+// behind EXPLAIN ANALYZE, and the per-query account the slow-query log
+// writes (QueryRecord).
 //
 // Everything is built around one invariant: when observability is off it
 // costs ~nothing. A nil *Observer (and nil sinks inside a non-nil one)
@@ -19,9 +19,6 @@ package obs
 // observer is shared (optimizer and cluster read them without locks);
 // the sinks themselves are safe for concurrent use.
 type Observer struct {
-	// Tracer records query-lifecycle spans (parse/bind, optimize
-	// phases, fragment pipelines, every ship attempt).
-	Tracer *Tracer
 	// Metrics is the counters/gauges/histograms registry.
 	Metrics *Registry
 	// Audit is the append-only compliance audit log of cross-site
@@ -31,15 +28,6 @@ type Observer struct {
 	// the cumulative sinks above it is per-execution: callers install a
 	// fresh one for each analyzed run.
 	Profile *PlanProfile
-}
-
-// StartSpan opens a span on the observer's tracer; it is the nil-safe,
-// zero-alloc-when-disabled entry point hooks use.
-func (o *Observer) StartSpan(name string) Span {
-	if o == nil {
-		return Span{}
-	}
-	return o.Tracer.Start(name)
 }
 
 // Reg returns the metrics registry (nil when metrics are off). Hooks
@@ -81,7 +69,7 @@ func (o *Observer) WithProfile(p *PlanProfile) *Observer {
 }
 
 // WithAudit returns a shallow copy of the observer whose audit records
-// land in the given log instead of the shared one (tracer/metrics stay
+// land in the given log instead of the shared one (metrics stay
 // shared). The result-set cache uses it to capture one execution's
 // audit records for replay to later cache hits. Works on a nil
 // receiver: the copy then observes only the audit log.

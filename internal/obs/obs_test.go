@@ -18,19 +18,9 @@ import (
 
 func TestDisabledObserverIsInert(t *testing.T) {
 	var o *Observer
-	sp := o.StartSpan("x")
-	if sp.Enabled() {
-		t.Fatal("span from nil observer should be disabled")
-	}
-	sp.Tag("k", "v").TagInt("n", 7).End() // must not panic
 	if o.Reg() != nil || o.AuditSink() != nil || o.Prof() != nil {
 		t.Fatal("nil observer must expose nil sinks")
 	}
-	var tr *Tracer
-	if tr.Len() != 0 || tr.Spans() != nil {
-		t.Fatal("nil tracer should report no spans")
-	}
-	tr.Reset()
 	var c *Counter
 	c.Add(3)
 	c.Inc()
@@ -65,18 +55,14 @@ func TestDisabledObserverIsInert(t *testing.T) {
 
 func TestDisabledHooksAllocateNothing(t *testing.T) {
 	var o *Observer
+	var slow *SlowQueryLog
 	allocs := testing.AllocsPerRun(200, func() {
-		sp := o.StartSpan("ship.batch")
-		if sp.Enabled() {
-			sp.Tag("from", "EU")
-		}
-		sp.TagInt("rows", 128)
-		sp.End()
 		if m := o.Reg(); m != nil {
 			m.Counter("cgdqp_ship_rows_total", "from", "EU", "to", "NA").Add(128)
 		}
 		o.AuditSink().Record(AuditRecord{})
 		o.Prof().Stats(nil).AddTime(time.Microsecond)
+		slow.Maybe(time.Second, QueryRecord{})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocated %.1f per op, want 0", allocs)
@@ -93,63 +79,8 @@ func TestWithProfileOnNilObserver(t *testing.T) {
 	if o2.Prof() != p {
 		t.Fatal("WithProfile should carry the profile")
 	}
-	if o2.Reg() != nil || o2.AuditSink() != nil || o2.StartSpan("x").Enabled() {
+	if o2.Reg() != nil || o2.AuditSink() != nil {
 		t.Fatal("WithProfile on nil observer must not enable other sinks")
-	}
-}
-
-// --- tracer --------------------------------------------------------------
-
-func TestTracerRecordsAndSorts(t *testing.T) {
-	tr := NewTracer()
-	s1 := tr.Start("optimize")
-	s1.Tag("cache", "miss").TagInt("eta", 14).End()
-	tr.Start("execute").End()
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].Name != "optimize" {
-		t.Fatalf("spans not sorted by start: %q first", spans[0].Name)
-	}
-	if spans[0].Attr("cache") != "miss" || spans[0].Attr("eta") != "14" {
-		t.Fatalf("attrs lost: %+v", spans[0].Attrs)
-	}
-	if spans[0].Attr("absent") != "" {
-		t.Fatal("missing attr should read empty")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []SpanRec
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("trace JSON does not parse: %v", err)
-	}
-	if len(decoded) != 2 || decoded[0].Name != "optimize" {
-		t.Fatalf("JSON round-trip mismatch: %+v", decoded)
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset should drop spans")
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tr.Start("ship.batch").TagInt("i", int64(i)).End()
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Len() != 800 {
-		t.Fatalf("got %d spans, want 800", tr.Len())
 	}
 }
 
@@ -396,9 +327,6 @@ func BenchmarkObsDisabledHooks(b *testing.B) {
 	var o *Observer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := o.StartSpan("ship.batch")
-		sp.TagInt("rows", int64(i))
-		sp.End()
 		if m := o.Reg(); m != nil {
 			m.Counter("cgdqp_ship_rows_total", "from", "EU", "to", "NA").Add(1)
 		}

@@ -93,30 +93,85 @@ func ShortDigest(s string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// QueryRecord is one completed query as the slow-query log sees it.
+// QueryRecord is a query's account, as the slow-query log writes it:
+// what the query was, how it ended, what each cache did, where its time
+// went and what it shipped. A failed or refused query has one too.
 type QueryRecord struct {
-	TS         string     `json:"ts,omitempty"` // RFC3339Nano wall time
-	SQLDigest  string     `json:"sql_digest"`
-	PlanDigest string     `json:"plan_digest"`
-	LatencyMS  float64    `json:"latency_ms"`
-	RowsOut    int64      `json:"rows_out"`
-	ShipBytes  int64      `json:"ship_bytes"`
-	ShipCostMS float64    `json:"ship_cost_ms"`
-	Retries    int64      `json:"retries"`
-	Cache      string     `json:"cache"` // hit | miss | off
-	Coalesced  bool       `json:"coalesced,omitempty"`
-	QErrors    []OpQError `json:"qerrors,omitempty"`
+	TS         string  `json:"ts,omitempty"` // RFC3339Nano wall time
+	SQLDigest  string  `json:"sql_digest"`
+	PlanDigest string  `json:"plan_digest"` // of the query's plan; "" without one
+	LatencyMS  float64 `json:"latency_ms"`
+	RowsOut    int64   `json:"rows_out"`
+	ShipBytes  int64   `json:"ship_bytes"`
+	ShipCostMS float64 `json:"ship_cost_ms"`
+	Retries    int64   `json:"retries"`
+	// Cache is the result cache's disposition: hit, miss, or off when
+	// the query did not consult it.
+	Cache string `json:"cache"`
+	// Coalesced marks an optimization shared with an identical
+	// in-flight one.
+	Coalesced bool `json:"coalesced,omitempty"`
+	// Outcome is how the query ended (see the Outcome constants); Error
+	// says why one that failed did.
+	Outcome string `json:"outcome"`
+	Error   string `json:"error,omitempty"`
+	// PlanCache is the plan cache's disposition (hit, miss or off), and
+	// ExploreReused marks a miss that reused a cached exploration.
+	PlanCache     string `json:"plan_cache"`
+	ExploreReused bool   `json:"explore_reused,omitempty"`
+	// PolicyVersion is the policy-catalog version the plan was made
+	// under.
+	PolicyVersion uint64 `json:"policy_version"`
+	// EvalCalls, EvalHits and Eta are the policy evaluator's calls,
+	// cache hits and policy expressions considered (η); Truncated marks
+	// a search the memo budget cut short. On a plan-cache hit they
+	// describe the optimization that filled the entry.
+	EvalCalls int64      `json:"eval_calls"`
+	EvalHits  int64      `json:"eval_hits"`
+	Eta       int64      `json:"eta"`
+	Truncated bool       `json:"truncated,omitempty"`
+	Phases    Phases     `json:"phases"`
+	QErrors   []OpQError `json:"qerrors,omitempty"`
 }
 
-// Cache dispositions for QueryRecord.Cache.
+// Phases are a query's stage times in milliseconds. A stage the query
+// skipped reads 0: a plan-cache hit skips parse through site
+// selection, a result served without executing skips execute.
+type Phases struct {
+	ParseMS      float64 `json:"parse_ms"`
+	NormalizeMS  float64 `json:"normalize_ms"`
+	ExploreMS    float64 `json:"explore_ms"`
+	ImplementMS  float64 `json:"implement_ms"`
+	SiteSelectMS float64 `json:"site_select_ms"`
+	ExecuteMS    float64 `json:"execute_ms"`
+	// QueueWaitMS is a served query's wait for a worker.
+	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`
+}
+
+// Cache dispositions for QueryRecord.Cache and PlanCache.
 const (
 	CacheHit  = "hit"
 	CacheMiss = "miss"
 	CacheOff  = "off"
 )
 
-// SlowQueryLog emits one JSON line per query whose end-to-end latency
-// meets a threshold. A threshold of 0 logs every query. Safe for
+// Outcomes for QueryRecord.Outcome. A query answered without executing
+// is a cache_hit (from the result cache) or exec_coalesced (by an
+// identical in-flight execution); refused means no compliant plan.
+const (
+	OutcomeOK            = "ok"
+	OutcomeCacheHit      = "cache_hit"
+	OutcomeExecCoalesced = "exec_coalesced"
+	OutcomeRefused       = "refused"
+	OutcomeError         = "error"
+	OutcomeCancelled     = "cancelled"
+)
+
+// Millis converts a duration to the milliseconds a record carries.
+func Millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// SlowQueryLog emits one JSON line — the query's account — per query
+// whose end-to-end latency meets a threshold. A threshold of 0 logs every query. Safe for
 // concurrent use; a nil log ignores everything.
 type SlowQueryLog struct {
 	mu        sync.Mutex
@@ -138,7 +193,7 @@ func (l *SlowQueryLog) Maybe(lat time.Duration, rec QueryRecord) {
 	if l == nil || lat < l.threshold {
 		return
 	}
-	rec.LatencyMS = float64(lat.Nanoseconds()) / 1e6
+	rec.LatencyMS = Millis(lat)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.now != nil {
@@ -149,6 +204,6 @@ func (l *SlowQueryLog) Maybe(lat time.Duration, rec QueryRecord) {
 		return
 	}
 	// A failed write loses one diagnostic line; the query it describes
-	// has already succeeded, so there is no one to report it to.
+	// has already ended, so there is no one to report it to.
 	_, _ = l.w.Write(append(line, '\n'))
 }

@@ -84,9 +84,9 @@ type Optimizer struct {
 	// locs is Schema.Locations() as of the version it was read at.
 	locs atomic.Pointer[locationList]
 
-	// obsv receives per-phase optimization spans and optimizer metrics
-	// (latency histogram, plan-cache and policy-cache gauges). nil
-	// disables observation. Set it before sharing the optimizer.
+	// obsv receives optimizer metrics (latency histogram, plan-cache and
+	// policy-cache gauges). nil disables observation. Set it before
+	// sharing the optimizer.
 	obsv *obs.Observer
 }
 
@@ -143,6 +143,9 @@ func (o *Optimizer) locations() []string {
 	return l.list
 }
 
+// PlanCacheEnabled reports whether the optimizer keeps a plan cache.
+func (o *Optimizer) PlanCacheEnabled() bool { return o.planCache != nil }
+
 // PlanCacheStats reports plan-cache effectiveness (zero value when the
 // cache is disabled).
 func (o *Optimizer) PlanCacheStats() PlanCacheStats {
@@ -154,6 +157,9 @@ func (o *Optimizer) PlanCacheStats() PlanCacheStats {
 
 // Stats reports what one optimization did.
 type Stats struct {
+	// ParseTime is OptimizeSQL's parse and bind (0 when the query text
+	// reached the plan cache without them).
+	ParseTime     time.Duration
 	NormalizeTime time.Duration
 	ExploreTime   time.Duration
 	ImplementTime time.Duration
@@ -201,16 +207,21 @@ type Result struct {
 	PlanCost float64
 	// ShipCost is the phase-2 estimated communication cost.
 	ShipCost float64
-	Stats    Stats
+	// PolicyVer is the policy-catalog version read before the plan was
+	// derived — for a plan-cache hit, the version its key carries: the
+	// plan is compliant under the catalog at that version.
+	PolicyVer uint64
+	Stats     Stats
 }
 
-// cachedResult turns a plan-cache entry into a Result.
-func cachedResult(e *planCacheEntry, normTime time.Duration, start time.Time) *Result {
+// cachedResult turns a plan-cache entry found under key into a Result.
+func cachedResult(e *planCacheEntry, key planCacheKey, normTime time.Duration, start time.Time) *Result {
 	return &Result{
 		Plan:      e.located,
 		Annotated: e.annotated,
 		PlanCost:  e.planCost,
 		ShipCost:  e.shipCost,
+		PolicyVer: key.policyVer,
 		Stats: Stats{
 			NormalizeTime: normTime,
 			TotalTime:     time.Since(start),
@@ -238,45 +249,37 @@ func (o *Optimizer) Optimize(logical *plan.Node) (*Result, error) {
 func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 	start := time.Now()
 	var evStats policy.EvalStats
-	osp := o.obsv.StartSpan("optimize")
-
-	t0 := time.Now()
-	nsp := o.obsv.StartSpan("optimize.normalize")
 	norm := Normalize(logical.Clone())
-	nsp.End()
-	normTime := time.Since(t0)
+	normTime := time.Since(start)
 
 	var cacheKey planCacheKey
 	if o.planCache != nil {
 		cacheKey = o.cacheKey(norm.Digest())
 		if e, ok := o.planCache.get(cacheKey); ok {
-			o.finishOptimize(osp, start, "hit", false, nil)
-			return cachedResult(e, normTime, start), cacheKey.planDigest, nil
+			o.finishOptimize(start, "hit", false, nil)
+			return cachedResult(e, cacheKey, normTime, start), cacheKey.planDigest, nil
 		}
 		o.planCache.misses.Add(1)
+	} else {
+		// Read before the evaluator reads the catalog, as cacheKey does.
+		cacheKey.policyVer = o.Policies.Version()
 	}
 	// An unknown result location is a configuration error, not a policy
 	// verdict: no plan could ever be delivered there. Failures are never
 	// cached, so the hit path above needs no check.
 	if loc := o.Opts.ResultLocation; loc != "" && !slices.Contains(o.locations(), loc) {
 		err := fmt.Errorf("optimizer: unknown result location %q", loc)
-		o.finishOptimize(osp, start, "miss", false, err)
+		o.finishOptimize(start, "miss", false, err)
 		return nil, "", err
 	}
 
 	// Phase 1: plan annotator. Exploration reads no policy and no price,
 	// so it is shared across their versions (see explore).
 	t1 := time.Now()
-	esp := o.obsv.StartSpan("optimize.explore")
 	x, exploreHit := o.explore(norm, cacheKey)
-	if exploreHit {
-		esp.Tag("cache", "hit")
-	}
-	esp.End()
 	exploreTime := time.Since(t1)
 
 	t2 := time.Now()
-	isp := o.obsv.StartSpan("optimize.implement")
 	cfg := &memo.ImplConfig{
 		Est:          x.est,
 		Compliant:    o.Opts.Compliant,
@@ -286,11 +289,10 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 		Stats:        &evStats,
 	}
 	best := memo.Best(x.m.Implement(x.root, cfg), o.Opts.Compliant, o.Opts.ResultLocation)
-	isp.End()
 	implementTime := time.Since(t2)
 	truncated := x.m.Budget()
 	if best == nil {
-		o.finishOptimize(osp, start, "miss", truncated, ErrNoCompliantPlan)
+		o.finishOptimize(start, "miss", truncated, ErrNoCompliantPlan)
 		return nil, "", ErrNoCompliantPlan
 	}
 	annotated := best.Tree
@@ -299,7 +301,6 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 	// (memo alternatives share subtrees). Adjacent projections are
 	// merged first.
 	t3 := time.Now()
-	ssp := o.obsv.StartSpan("optimize.site_select")
 	located := o.mergeProjections(annotated.Clone(), &evStats)
 	var shipCost float64
 	var err error
@@ -308,13 +309,12 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 	} else {
 		located, shipCost, err = SelectSites(located, o.Net, o.Opts.ResultLocation)
 	}
-	ssp.End()
 	siteTime := time.Since(t3)
 	if err != nil {
 		if o.Opts.Compliant {
 			err = fmt.Errorf("%w: %v", ErrNoCompliantPlan, err)
 		}
-		o.finishOptimize(osp, start, "miss", truncated, err)
+		o.finishOptimize(start, "miss", truncated, err)
 		return nil, "", err
 	}
 
@@ -334,12 +334,13 @@ func (o *Optimizer) optimize(logical *plan.Node) (*Result, string, error) {
 		})
 	}
 
-	o.finishOptimize(osp, start, "miss", truncated, nil)
+	o.finishOptimize(start, "miss", truncated, nil)
 	return &Result{
 		Plan:      located,
 		Annotated: annotated,
 		PlanCost:  best.Cost,
 		ShipCost:  shipCost,
+		PolicyVer: cacheKey.policyVer,
 		Stats: Stats{
 			NormalizeTime: normTime,
 			ExploreTime:   exploreTime,
@@ -388,30 +389,23 @@ func (o *Optimizer) explore(norm *plan.Node, key planCacheKey) (*explored, bool)
 	return x, false
 }
 
-// finishOptimize closes the optimization span and refreshes the
-// optimizer metrics: the latency histogram, the outcome counter, the
+// finishOptimize refreshes the optimizer metrics: the latency histogram, the outcome counter, the
 // plan-cache / policy-evaluator gauges (cumulative values sampled at
 // each optimization, so exports always reflect the latest state) and
 // the versions the plan cache keys on, so a flush can be attributed to
 // the one that moved. truncated marks a search the memo budget cut
 // short.
-func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, truncated bool, err error) {
+func (o *Optimizer) finishOptimize(start time.Time, cache string, truncated bool, err error) {
+	m := o.obsv.Reg()
+	if m == nil {
+		return
+	}
 	if o.planCache == nil {
 		cache = "off"
 	}
 	status := "ok"
 	if err != nil {
 		status = "error"
-	}
-	if sp.Enabled() {
-		if truncated {
-			sp.Tag("truncated", "true")
-		}
-		sp.Tag("cache", cache).Tag("outcome", status).End()
-	}
-	m := o.obsv.Reg()
-	if m == nil {
-		return
 	}
 	m.Counter("cgdqp_optimizations_total", "cache", cache, "status", status).Inc()
 	if truncated {
@@ -446,28 +440,29 @@ func (o *Optimizer) finishOptimize(sp obs.Span, start time.Time, cache string, t
 func (o *Optimizer) OptimizeSQL(sql string) (*Result, error) {
 	if o.planCache != nil {
 		start := time.Now()
-		sp := o.obsv.StartSpan("optimize.sql_fast_path")
 		if d, ok := o.planCache.digest(sql); ok {
-			if e, ok := o.planCache.get(o.cacheKey(d)); ok {
-				o.finishOptimize(sp, start, "hit", false, nil)
-				return cachedResult(e, 0, start), nil
+			key := o.cacheKey(d)
+			if e, ok := o.planCache.get(key); ok {
+				o.finishOptimize(start, "hit", false, nil)
+				return cachedResult(e, key, 0, start), nil
 			}
 		}
-		// Not served from the fast path; the full optimize() below
-		// records its own "optimize" span.
-		sp.Tag("cache", "miss").End()
 	}
-	psp := o.obsv.StartSpan("sql.parse_bind")
+	t0 := time.Now()
 	logical, err := sqlparse.ParseAndBind(sql, o.Schema)
-	psp.End()
 	if err != nil {
 		return nil, err
 	}
+	parseTime := time.Since(t0)
 	res, digest, err := o.optimize(logical)
-	if err == nil && o.planCache != nil && digest != "" {
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.ParseTime = parseTime
+	if o.planCache != nil && digest != "" {
 		o.planCache.putDigest(sql, digest)
 	}
-	return res, err
+	return res, nil
 }
 
 // CachedDigest returns the memoized normalized-plan digest for query

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"cgdqp/internal/cluster"
@@ -13,16 +14,16 @@ import (
 )
 
 // Lifecycle is the system's one query path — plan → probe → execute
-// (which fills the result cache) → note — and the only code that
-// performs those steps. System.Query and ExplainAnalyze call the steps
-// back to back; a Server calls the same steps and wraps what is the
-// scheduler's own around them: admission and the worker pool in front,
-// the optimization singleflight around Plan, the execution singleflight
-// around Execute.
+// (which fills the result cache) → note, which closes the query's
+// account — and the only code that performs those steps. System.Query
+// and ExplainAnalyze call the steps back to back; a Server calls the
+// same steps and wraps what is the scheduler's own around them:
+// admission and the worker pool in front, the optimization singleflight
+// around Plan, the execution singleflight around Execute.
 type Lifecycle struct {
 	Opt     *optimizer.Optimizer
 	Cluster *cluster.Cluster
-	// Obs bundles the tracer, metrics and audit sinks (nil = unobserved).
+	// Obs bundles the metrics and audit sinks (nil = unobserved).
 	Obs *obs.Observer
 	// Cache is the result-set cache and View its validity oracles. With a
 	// nil Cache every Probe misses and Execute fills nothing.
@@ -30,7 +31,8 @@ type Lifecycle struct {
 	View  rescache.View
 	// Exec are the execution options.
 	Exec executor.ExecOptions
-	// SlowLog receives one JSON line per slow query (nil = off).
+	// SlowLog receives the account of every query at or above its
+	// threshold, one JSON line each (nil = off).
 	SlowLog *obs.SlowQueryLog
 }
 
@@ -40,17 +42,33 @@ type Query struct {
 	// Start is where end-to-end latency is measured from (admission, for
 	// a served query).
 	Start time.Time
+	// Res is the optimization that made the plan. Followers of a shared
+	// optimization share it: it is read-only.
+	Res *optimizer.Result
 	// Root is the located plan this query executes. It is private to the
 	// query: a follower of a shared optimization holds a clone.
-	Root        *plan.Node
-	Columns     []string
-	EstShipCost float64
+	Root    *plan.Node
+	Columns []string
 	// Coalesced marks an optimization shared with an identical in-flight
 	// one.
 	Coalesced bool
+	// QueueWait is a served query's wait for a worker.
+	QueueWait time.Duration
 
-	fill  *rescache.Fill // set by Probe: Execute fills the cache under it
-	qerrs []obs.OpQError // set by Execute when the slow-query log is on
+	policyVer uint64         // the policy version Root was last verified under
+	fill      *rescache.Fill // set by Probe: Execute fills the cache under it
+	execTime  time.Duration  // set by Execute when the slow-query log is on
+	qerrs     []obs.OpQError // set by Execute when the slow-query log is on
+}
+
+// SetPlan makes an optimization the query's plan, with its output
+// columns. A follower of a shared optimization (shared) executes a
+// private clone of the plan.
+func (q *Query) SetPlan(res *optimizer.Result, cols []string, shared bool) {
+	q.Res, q.Root, q.Columns, q.Coalesced, q.policyVer = res, res.Plan, cols, shared, res.PolicyVer
+	if shared {
+		q.Root = q.Root.Clone()
+	}
 }
 
 // Plan parses, binds and optimizes a statement into a compliant located
@@ -72,25 +90,68 @@ func columnNames(p *plan.Node) []string {
 	return cols
 }
 
-// Probe snapshots the query's cache key and validity epochs — it must
-// run before the execution it describes — and looks the result up. On a
-// hit the stored audit records are replayed into the audit log, so a
-// cache-served query leaves the same compliance trail as the execution
-// that filled the entry. A query that is never probed (EXPLAIN ANALYZE)
-// bypasses the cache altogether.
-func (lc *Lifecycle) Probe(q *Query) (*rescache.Result, bool) {
-	if lc.Cache == nil {
-		return nil, false
+// verify keeps the query's plan compliant under the policy catalog as
+// it is now. A plan is verified under the version read before it was
+// derived; when the catalog has moved since, the plan is checked
+// against Definition 1 again (the check View.Recheck runs for a cached
+// result), and one that fails is re-planned once. The version is read
+// again after a check, so a plan is only ever marked verified under a
+// version that held throughout its check. A re-planned plan that fails
+// too fails the query with ErrNoCompliantPlan.
+func (lc *Lifecycle) verify(q *Query) error {
+	replanned := false
+	for {
+		v := lc.Opt.Policies.Version()
+		if v == q.policyVer {
+			return nil
+		}
+		if len(lc.Opt.Check(q.Root)) == 0 {
+			q.policyVer = v
+			continue
+		}
+		if replanned {
+			return optimizer.ErrNoCompliantPlan
+		}
+		res, cols, err := lc.Plan(q.SQL)
+		if err != nil {
+			return err
+		}
+		q.SetPlan(res, cols, false)
+		replanned = true
 	}
-	// No execution option changes rows, RunStats or audit log (the
-	// conformance suite pins this for the kernel mode), so every
-	// execution of a plan shares one entry: the options fingerprint is "".
-	q.fill = rescache.Prepare(q.Root, "", lc.View)
+}
+
+// Probe verifies the query's plan, snapshots its cache key and validity
+// epochs — it must run before the execution it describes — and looks
+// the result up. The snapshot's policy epoch is the version the plan
+// was verified under: the catalog is read on both sides of it. On a hit
+// the stored audit records are replayed into the audit log, so a
+// cache-served query leaves the same compliance trail as the execution
+// that filled the entry. A query that is never probed (EXPLAIN
+// ANALYZE) bypasses the cache altogether.
+func (lc *Lifecycle) Probe(q *Query) (*rescache.Result, bool, error) {
+	if lc.Cache == nil {
+		return nil, false, nil
+	}
+	for {
+		if err := lc.verify(q); err != nil {
+			return nil, false, err
+		}
+		v := q.policyVer
+		// No execution option changes rows, RunStats or audit log (the
+		// conformance suite pins this for the kernel mode), so every
+		// execution of a plan shares one entry: the options fingerprint
+		// is "".
+		q.fill = rescache.Prepare(q.Root, "", lc.View)
+		if lc.Opt.Policies.Version() == v {
+			break
+		}
+	}
 	r, ok := lc.Cache.Get(q.fill.Key, lc.View)
 	if ok {
 		lc.replay(r.Audit)
 	}
-	return r, ok
+	return r, ok, nil
 }
 
 // replay appends audit records captured elsewhere — by the execution
@@ -104,36 +165,51 @@ func (lc *Lifecycle) replay(recs []obs.AuditRecord) {
 	}
 }
 
-// Execute runs the query's plan and returns its rows, statistics and
-// audit records. A probed query captures its audit records privately
-// (replayed into the shared log on success) and fills the cache. A
-// per-operator profile is installed when the caller brings one (EXPLAIN
-// ANALYZE) or the slow-query log needs actuals — after the cache gate,
-// so cache-served queries never pay for profiling.
+// Execute verifies the query's plan and runs it, returning its rows,
+// statistics and audit records. A probed query captures its audit
+// records privately (replayed into the shared log on success) and fills
+// the cache — unless verification replaced the plan its snapshot
+// describes. A per-operator profile is installed when the caller brings
+// one (EXPLAIN ANALYZE) or the slow-query log needs actuals — after the
+// cache gate, so cache-served queries never pay for profiling.
 func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfile) (*rescache.Result, error) {
+	planned := q.Root
+	if err := lc.verify(q); err != nil {
+		return nil, err
+	}
+	if q.Root != planned {
+		q.fill = nil // the snapshot describes the replaced plan
+	}
 	runObs := lc.Obs
 	var capture *obs.AuditLog
 	if q.fill != nil && lc.Obs.AuditSink() != nil {
 		capture = obs.NewAuditLog()
 		runObs = runObs.WithAudit(capture)
 	}
-	if prof == nil && lc.SlowLog != nil {
-		prof = obs.NewPlanProfile()
+	var t0 time.Time
+	if lc.SlowLog != nil {
+		t0 = time.Now()
+		if prof == nil {
+			prof = obs.NewPlanProfile()
+		}
 	}
 	if prof != nil {
 		runObs = runObs.WithProfile(prof)
 	}
 	rows, stats, err := executor.RunParallelOpts(ctx, q.Root, lc.Cluster, runObs, lc.Exec)
+	if lc.SlowLog != nil {
+		q.execTime = time.Since(t0)
+	}
 	if err != nil {
 		return nil, err
 	}
-	r := &rescache.Result{Rows: rows, Columns: q.Columns, Stats: *stats, ShipCost: q.EstShipCost}
+	r := &rescache.Result{Rows: rows, Columns: q.Columns, Stats: *stats, ShipCost: q.Res.ShipCost}
 	if capture != nil {
 		r.Audit = capture.Records()
 		lc.replay(r.Audit)
 	}
 	if q.fill != nil {
-		lc.Cache.Put(q.fill, rows, q.Columns, *stats, r.Audit, q.EstShipCost)
+		lc.Cache.Put(q.fill, rows, q.Columns, *stats, r.Audit, q.Res.ShipCost)
 	}
 	if lc.SlowLog != nil {
 		q.qerrs = prof.QErrors(q.Root)
@@ -142,9 +218,11 @@ func (lc *Lifecycle) Execute(ctx context.Context, q *Query, prof *obs.PlanProfil
 }
 
 // Note closes a query's account: the query counter and store-pool
-// gauges, and — for a successful query — its slow-query record. hit marks a result that was
-// served (from the cache or a coalesced execution) rather than executed.
-func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
+// gauges and, with the slow-query log on, the record it writes. how is
+// the outcome of a query that succeeded (obs.OutcomeOK for an
+// execution, OutcomeCacheHit or OutcomeExecCoalesced for a result
+// served without one); a failed query's comes from err.
+func (lc *Lifecycle) Note(q *Query, r *rescache.Result, how string, err error) {
 	if m := lc.Obs.Reg(); m != nil {
 		status := "ok"
 		if err != nil {
@@ -159,28 +237,63 @@ func (lc *Lifecycle) Note(q *Query, r *rescache.Result, hit bool, err error) {
 		m.Gauge("cgdqp_store_pool_resident").Set(float64(st.Resident))
 		m.Gauge("cgdqp_store_pool_decode_hits").Set(float64(st.DecodeHits))
 	}
-	if err != nil {
-		return
+	if lc.SlowLog != nil {
+		lc.SlowLog.Maybe(time.Since(q.Start), lc.account(q, r, how, err))
 	}
-	if lc.SlowLog == nil {
-		return
+}
+
+// account assembles a query's record from what the lifecycle's steps
+// returned.
+func (lc *Lifecycle) account(q *Query, r *rescache.Result, how string, err error) obs.QueryRecord {
+	rec := obs.QueryRecord{
+		SQLDigest: obs.ShortDigest(q.SQL),
+		Cache:     obs.CacheOff,
+		Coalesced: q.Coalesced,
+		Outcome:   how,
+		PlanCache: obs.CacheOff,
+		Phases:    obs.Phases{ExecuteMS: obs.Millis(q.execTime), QueueWaitMS: obs.Millis(q.QueueWait)},
+		QErrors:   q.qerrs,
 	}
-	disp := obs.CacheOff
 	switch {
-	case hit:
-		disp = obs.CacheHit
+	case err == nil && how != obs.OutcomeOK:
+		rec.Cache = obs.CacheHit
 	case q.fill != nil:
-		disp = obs.CacheMiss
+		rec.Cache = obs.CacheMiss
 	}
-	lc.SlowLog.Maybe(time.Since(q.Start), obs.QueryRecord{
-		SQLDigest:  obs.ShortDigest(q.SQL),
-		PlanDigest: obs.ShortDigest(q.Root.Digest()),
-		RowsOut:    r.Stats.RowsOut,
-		ShipBytes:  r.Stats.ShippedBytes,
-		ShipCostMS: r.Stats.ShipCost,
-		Retries:    r.Stats.Retries,
-		Cache:      disp,
-		Coalesced:  q.Coalesced,
-		QErrors:    q.qerrs,
-	})
+	if err != nil {
+		rec.Outcome, rec.Error = failure(err), err.Error()
+	}
+	if lc.Opt.PlanCacheEnabled() {
+		rec.PlanCache = obs.CacheMiss
+	}
+	if r != nil {
+		rec.RowsOut, rec.ShipBytes = r.Stats.RowsOut, r.Stats.ShippedBytes
+		rec.ShipCostMS, rec.Retries = r.Stats.ShipCost, r.Stats.Retries
+	}
+	if q.Res == nil {
+		return rec
+	}
+	st := &q.Res.Stats
+	if st.PlanCacheHit {
+		rec.PlanCache = obs.CacheHit
+	}
+	rec.PlanDigest = obs.ShortDigest(q.Root.Digest())
+	rec.ExploreReused, rec.PolicyVersion = st.ExploreHit, q.Res.PolicyVer
+	rec.EvalCalls, rec.EvalHits, rec.Eta, rec.Truncated = st.ACalls, st.AHits, st.Eta, st.Truncated
+	rec.Phases.ParseMS, rec.Phases.NormalizeMS = obs.Millis(st.ParseTime), obs.Millis(st.NormalizeTime)
+	rec.Phases.ExploreMS, rec.Phases.ImplementMS = obs.Millis(st.ExploreTime), obs.Millis(st.ImplementTime)
+	rec.Phases.SiteSelectMS = obs.Millis(st.SiteTime)
+	return rec
+}
+
+// failure names the outcome of a query that failed with err.
+func failure(err error) string {
+	switch {
+	case isCancellation(err):
+		return obs.OutcomeCancelled
+	case errors.Is(err, optimizer.ErrNoCompliantPlan):
+		return obs.OutcomeRefused
+	default:
+		return obs.OutcomeError
+	}
 }

@@ -87,14 +87,19 @@ func TestSubmitSameQuerySingleExecution(t *testing.T) {
 		t.Fatalf("completed %d of %d", c.Completed, n)
 	}
 	// Cache hits and coalesced followers log the digest of the plan whose
-	// execution answered them.
-	digests := map[string]int{}
+	// execution answered them, and say how they were answered.
+	digests, outcomes := map[string]int{}, map[string]int64{}
 	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
 		var rec obs.QueryRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("slow-query line: %v\n%s", err, line)
 		}
 		digests[rec.PlanDigest]++
+		outcomes[rec.Outcome]++
+	}
+	if outcomes[obs.OutcomeOK] != 1 || outcomes[obs.OutcomeCacheHit] != c.ResultCacheHits ||
+		outcomes[obs.OutcomeExecCoalesced] != c.ExecCoalesced {
+		t.Fatalf("outcomes %v, counters %+v", outcomes, c)
 	}
 	if len(digests) != 1 || digests[""] != 0 || digests[obs.ShortDigest(mustPlanDigest(t, opt))] != n {
 		t.Fatalf("plan digests logged for %d submissions of one query: %v", n, digests)

@@ -30,6 +30,7 @@ import (
 
 	"cgdqp/internal/executor"
 	"cgdqp/internal/expr"
+	"cgdqp/internal/obs"
 	"cgdqp/internal/rescache"
 )
 
@@ -178,8 +179,7 @@ type task struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	enq       time.Time
-	queueWait time.Duration
+	enq time.Time
 
 	once sync.Once
 	done chan struct{}
@@ -366,7 +366,7 @@ func (s *Server) abandon(t *task) {
 // serve runs one admitted query through the lifecycle and delivers its
 // outcome.
 func (s *Server) serve(t *task) {
-	t.queueWait = time.Since(t.enq)
+	q := &Query{SQL: t.sql, Start: t.enq, QueueWait: time.Since(t.enq)}
 	defer func() {
 		s.mu.Lock()
 		s.running--
@@ -374,35 +374,22 @@ func (s *Server) serve(t *task) {
 		s.mu.Unlock()
 	}()
 	if m := s.lc.Obs.Reg(); m != nil {
-		m.Histogram("cgdqp_sched_queue_wait_seconds").Observe(t.queueWait.Seconds())
+		m.Histogram("cgdqp_sched_queue_wait_seconds").Observe(q.QueueWait.Seconds())
 	}
-	sp := s.lc.Obs.StartSpan("sched.serve")
-	q := &Query{SQL: t.sql, Start: t.enq}
 	r, how, err := s.run(t, q)
+	s.lc.Note(q, r, how, err)
 	if err != nil {
-		how = "exec_error"
-		switch {
-		case isCancellation(err):
-			how = "cancelled"
-		case q.Root == nil: // never got a plan
-			how = "optimize_error"
-		}
-		sp.Tag("outcome", how).End()
-		s.lc.Note(q, nil, false, err)
 		s.finish(t, nil, err)
 		return
 	}
-	sp.TagInt("rows", r.Stats.RowsOut).Tag("outcome", how).End()
-	hit := how != "ok"
-	s.lc.Note(q, r, hit, nil)
 	s.finish(t, &Response{
 		Rows:        r.Rows,
 		Columns:     r.Columns,
 		Stats:       r.Stats,
 		EstShipCost: r.ShipCost,
 		Coalesced:   q.Coalesced,
-		CacheHit:    hit,
-		QueueWait:   t.queueWait,
+		CacheHit:    how != obs.OutcomeOK,
+		QueueWait:   q.QueueWait,
 	}, nil)
 }
 

@@ -623,7 +623,8 @@ func TestCloseDrainsQueue(t *testing.T) {
 
 // TestServerSlowQueryLog runs a server whose lifecycle has a
 // zero-threshold slow log: every execution must emit a parseable
-// slow-log line carrying its operators' q-errors.
+// slow-log line carrying its operators' q-errors, its execution time
+// and its wait for a worker.
 func TestServerSlowQueryLog(t *testing.T) {
 	defer leakcheck.Check(t)()
 	cat, cl := carco(t)
@@ -649,6 +650,9 @@ func TestServerSlowQueryLog(t *testing.T) {
 		}
 		if len(rec.QErrors) == 0 {
 			t.Fatalf("slow-log line %q reports no operator actuals", line)
+		}
+		if rec.Outcome != obs.OutcomeOK || rec.Phases.ExecuteMS <= 0 || rec.Phases.QueueWaitMS <= 0 {
+			t.Fatalf("slow-log line %q: want an executed query with its queue wait", line)
 		}
 	}
 }

@@ -18,8 +18,10 @@ type lifecycleRun struct {
 	pool    float64  // cgdqp_store_pool_hits + misses
 }
 
-// normalizeSlowLine drops the fields of a slow-query line that
-// legitimately differ between front ends or runs.
+// normalizeSlowLine masks the fields of a slow-query line that
+// legitimately differ between front ends or runs: wall times and
+// latency, every phase time (their names stay), and a served query's
+// queue wait and coalescing.
 func normalizeSlowLine(t *testing.T, line string) string {
 	t.Helper()
 	var rec map[string]any
@@ -28,6 +30,11 @@ func normalizeSlowLine(t *testing.T, line string) string {
 	}
 	for _, k := range []string{"ts", "latency_ms", "coalesced"} {
 		delete(rec, k)
+	}
+	phases, _ := rec["phases"].(map[string]any)
+	delete(phases, "queue_wait_ms")
+	for k := range phases {
+		phases[k] = 0
 	}
 	out, err := json.Marshal(rec) // map keys marshal sorted
 	if err != nil {

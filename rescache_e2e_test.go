@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"cgdqp/internal/policy"
+	"cgdqp/internal/sched"
 )
 
 // End-to-end contracts of the result-set cache through the public API:
@@ -205,6 +207,98 @@ func TestServeObservesPolicyRevocation(t *testing.T) {
 	// The revocation is table-scoped: Orders-only queries still serve.
 	if _, err := srv.Do(ctx, rcAggQuery); err != nil {
 		t.Fatalf("Orders aggregate after unrelated revocation: %v", err)
+	}
+}
+
+// TestRevocationBetweenPlanAndExecute closes the window between
+// planning a query and running it: a grant revoked in between must not
+// let the query run on the plan it licensed, nor stamp a cache fill with
+// a policy version that plan was never verified under. The lifecycle
+// rechecks the plan against Definition 1 when the catalog has moved,
+// re-plans once when it fails, and refuses the query when no compliant
+// plan is left — with the result cache off and on.
+func TestRevocationBetweenPlanAndExecute(t *testing.T) {
+	ctx := context.Background()
+	// planned runs the lifecycle's Plan step for rcJoinQuery.
+	planned := func(t *testing.T, sys *System) (sched.Lifecycle, *sched.Query) {
+		t.Helper()
+		lc := sys.lifecycle()
+		res, cols, err := lc.Plan(rcJoinQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := &sched.Query{SQL: rcJoinQuery, Start: time.Now()}
+		q.SetPlan(res, cols, false)
+		return lc, q
+	}
+	// probeAndExecute runs the rest of the lifecycle.
+	probeAndExecute := func(lc sched.Lifecycle, q *sched.Query) ([]Row, error) {
+		r, hit, err := lc.Probe(q)
+		if err == nil && !hit {
+			r, err = lc.Execute(ctx, q, nil)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return r.Rows, nil
+	}
+	for _, cache := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			// Customer's only grant goes: nothing may bring its rows to
+			// Asia any more.
+			sys := rcFixture(t, Options{ResultCacheBytes: cache})
+			lc, q := planned(t, sys)
+			if !sys.RemovePolicy("p1") {
+				t.Fatal("RemovePolicy(p1) found nothing")
+			}
+			rows, err := probeAndExecute(lc, q)
+			if !errors.Is(err, ErrNoCompliantPlan) {
+				t.Fatalf("query ran on a revoked grant: %d rows, err %v", len(rows), err)
+			}
+			if st := sys.ResultCacheStats(); st.Fills != 0 {
+				t.Fatalf("refused query filled the cache: %+v", st)
+			}
+
+			// Orders keeps a narrower grant to Asia: the plan that
+			// shipped Orders to NorthAmerica fails its recheck, and the
+			// query re-plans onto one that meets at Asia.
+			sys = rcFixture(t, Options{ResultCacheBytes: cache})
+			sys.MustAddPolicy("ship custkey, ordkey, totprice from Orders to Asia") // p3
+			want, err := sys.Query(rcJoinQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lc, q = planned(t, sys)
+			stale := q.Root
+			if !sys.RemovePolicy("p2") {
+				t.Fatal("RemovePolicy(p2) found nothing")
+			}
+			if len(sys.Optimizer().Check(stale)) == 0 {
+				t.Fatal("fixture: the revocation leaves the planned query compliant")
+			}
+			rows, err = probeAndExecute(lc, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.Root == stale || len(sys.Optimizer().Check(q.Root)) != 0 {
+				t.Fatalf("query ran on a plan the revocation made non-compliant:\n%s", q.Root.Format(true))
+			}
+			if fmt.Sprint(renderRows(rows)) != fmt.Sprint(renderRows(want.Rows)) {
+				t.Fatalf("re-planned query answered %v, want %v", rows, want.Rows)
+			}
+			if cache == 0 {
+				return
+			}
+			// The fill was stamped under the version its plan was
+			// verified under, so the next run hits without a recheck.
+			again, err := sys.Query(rcJoinQuery)
+			if err != nil || !again.Cached {
+				t.Fatalf("repeat after the re-planned fill: cached=%v, err %v", again != nil && again.Cached, err)
+			}
+			if st := sys.ResultCacheStats(); st.Rechecked != 0 {
+				t.Fatalf("a fill stamped with an unverified policy version needed a recheck: %+v", st)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ package cgdqp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -67,7 +68,8 @@ const misestimatedQuery = `
 
 // TestSlowQueryLogE2E pins the structured slow-query log through the
 // public API: one parseable JSON line per query above the threshold,
-// with digests, per-operator q-errors and the cache disposition.
+// with digests, per-operator q-errors and the cache disposition — and
+// one for a query that fails or is refused, saying so.
 func TestSlowQueryLogE2E(t *testing.T) {
 	// The second run is a result-cache hit; the slow log profiles the
 	// first execution and reports its q-errors.
@@ -126,6 +128,37 @@ func TestSlowQueryLogE2E(t *testing.T) {
 	if second.ShipBytes != first.ShipBytes {
 		t.Fatalf("hit replayed %d ship bytes, filling run had %d",
 			second.ShipBytes, first.ShipBytes)
+	}
+	if first.Outcome != obs.OutcomeOK || second.Outcome != obs.OutcomeCacheHit || second.Phases.ExecuteMS != 0 {
+		t.Fatalf("outcomes %q, %q; a hit executed for %v ms", first.Outcome, second.Outcome, second.Phases.ExecuteMS)
+	}
+
+	// Without either grant the two sites cannot meet: the query is
+	// refused. A statement that does not parse is an error.
+	buf.Reset()
+	for _, id := range []string{"p1", "p2"} {
+		if !sys.RemovePolicy(id) {
+			t.Fatalf("no policy %s", id)
+		}
+	}
+	if _, err := sys.Query(misestimatedQuery); !errors.Is(err, ErrNoCompliantPlan) {
+		t.Fatalf("query without grants: %v, want ErrNoCompliantPlan", err)
+	}
+	if _, err := sys.Query("SELEC 1"); err == nil {
+		t.Fatal("malformed statement ran")
+	}
+	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("failed queries logged %d lines, want 2:\n%s", len(lines), buf.String())
+	}
+	for i, want := range []string{obs.OutcomeRefused, obs.OutcomeError} {
+		var rec obs.QueryRecord
+		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
+			t.Fatalf("line %d is not JSON: %v\n%s", i, err, lines[i])
+		}
+		if rec.Outcome != want || rec.Error == "" || rec.SQLDigest == "" || rec.PlanDigest != "" || rec.LatencyMS <= 0 {
+			t.Fatalf("failed query %d: want outcome %q with an error and no plan, got %s", i, want, lines[i])
+		}
 	}
 }
 
