@@ -5,7 +5,7 @@ GO ?= go
 # Tier-1 verification gate: build, lint (vet + gofmt), full test suite
 # (cmd/cgdqp included), the race detector over every internal package,
 # the commands and the whole root package, a 1-iteration pass over the optimizer
-# benchmarks so they cannot rot, the nested benchmark module, which
+# and hash join benchmarks so they cannot rot, the nested benchmark module, which
 # compiles against the engine, and last the line count ROADMAP item 12
 # tracks.
 verify: build lint test race benchsmoke benchcheck loc
@@ -30,6 +30,7 @@ race:
 
 benchsmoke:
 	$(GO) test -run NONE -bench Optimize -benchtime 1x .
+	$(GO) test -run NONE -bench HashJoin -benchtime 1x -benchmem ./internal/executor
 
 # benchmark/ is a module of its own, invisible to ./... above: vet it
 # and run its smoke tests (15-20 s) against this checkout's engine.

@@ -86,6 +86,7 @@ func (b *Builder) Reset() {
 		b.dict = make(map[string]int)
 	}
 	clear(b.dict)
+	clear(b.words)
 	*b = Builder{nullBits: b.nullBits[:0], boolBit: b.boolBit[:0], payload: b.payload[:0],
 		dict: b.dict, words: b.words[:0], idx: b.idx[:0]}
 }

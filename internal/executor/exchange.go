@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"cgdqp/internal/expr"
 	"cgdqp/internal/network"
@@ -31,8 +32,7 @@ const exchangeDepth = 4
 // newExchange builds the Ship operator over src and registers its
 // producer with the environment.
 func newExchange(n *plan.Node, src BatchOperator, env *execEnv) BatchOperator {
-	p := &exchangeProducer{node: n, src: src, env: env, ch: make(chan []byte, exchangeDepth),
-		free: make(chan []byte, exchangeDepth)}
+	p := &exchangeProducer{node: n, src: src, env: env, ch: make(chan *frame, exchangeDepth)}
 	env.producers = append(env.producers, p)
 	return &exchangeOp{prod: p}
 }
@@ -47,16 +47,10 @@ type exchangeProducer struct {
 	node *plan.Node
 	src  BatchOperator
 	env  *execEnv
-	enc  network.WireEncoder
 	// ch carries the frames; the producer closes it when it exits,
 	// after setting err if it failed.
-	ch  chan []byte
+	ch  chan *frame
 	err error
-	// free carries decoded frames back for the producer to encode into
-	// again. Neither side waits on it: a full list drops the frame, an
-	// empty one makes the producer allocate. Its size is ch's, the
-	// frames that can be in flight besides the one being encoded.
-	free chan []byte
 	// sent* accumulate what the producer actually delivered; only the
 	// producer touches them. On a clean end of stream they become the
 	// fragment's compliance audit record — a producer that errors out
@@ -99,27 +93,25 @@ func (p *exchangeProducer) produce() (err error) {
 		return err
 	}
 	types := colTypes(p.node)
-	var pend framePacker
+	s := shipperPool.Get().(*shipper)
+	defer s.release()
+	pend := &s.pend
 	frameIdx := 0
 	flush := func() error {
-		var buf []byte
-		select {
-		case buf = <-p.free:
-		default:
-		}
-		buf = p.enc.EncodeCols(buf[:0], pend.cols, pend.n)
+		f := framePool.Get().(*frame)
+		f.b = s.enc.EncodeCols(f.b[:0], pend.cols, pend.n)
 		// The resilient shipping path injects faults, retries with
 		// backoff, and charges the shipment only when the frame lands,
 		// so retried runs keep ledger parity with a fault-free one.
-		if err := p.env.scope.ShipBatch(p.env.ctx, ship, from, to, frameIdx, int64(pend.n), int64(len(buf))); err != nil {
+		if err := p.env.scope.ShipBatch(p.env.ctx, ship, from, to, frameIdx, int64(pend.n), int64(len(f.b))); err != nil {
 			return err
 		}
 		frameIdx++
 		p.sentRows += int64(pend.n)
-		p.sentBytes += int64(len(buf))
+		p.sentBytes += int64(len(f.b))
 		p.sentBatches++
 		pend.n = 0
-		return p.deliver(buf)
+		return p.deliver(f)
 	}
 	for {
 		b, err := p.src.NextBatch()
@@ -146,6 +138,42 @@ func (p *exchangeProducer) produce() (err error) {
 			return err
 		}
 	}
+}
+
+// frame is one encoded wire frame, from framePool to its consumer,
+// which puts it back once decoded.
+type frame struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// putFrame pools a frame nothing reads any more, unless it is too big.
+func putFrame(f *frame) {
+	if cap(f.b) <= maxPooledBytes {
+		framePool.Put(f)
+	}
+}
+
+// shipper is a producer's encoding scratch, pooled: the encoder and the
+// frame being packed, both bounded by a frame of BatchSize rows.
+type shipper struct {
+	enc  network.WireEncoder
+	pend framePacker
+}
+
+var shipperPool = sync.Pool{New: func() any { return new(shipper) }}
+
+// release pools the scratch, holding no value of the run: the packed
+// strings are cleared up to capacity (a short last frame leaves an
+// earlier one's past its length), and so are the encoder's dictionary
+// and the columns last read.
+func (s *shipper) release() {
+	for c := range s.pend.cols {
+		clear(s.pend.cols[c].S[:cap(s.pend.cols[c].S)])
+	}
+	clear(s.pend.src)
+	s.pend.n = 0
+	s.enc.DropValues()
+	shipperPool.Put(s)
 }
 
 // framePacker holds the frame an exchange producer is filling from its
@@ -206,10 +234,10 @@ func (f *framePacker) add(b *Batch, off, take int) {
 
 // deliver hands one landed frame to the consumer, stopping at a
 // cancelled context.
-func (p *exchangeProducer) deliver(frame []byte) error {
+func (p *exchangeProducer) deliver(f *frame) error {
 	ctx := p.env.ctx
 	select {
-	case p.ch <- frame:
+	case p.ch <- f:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -227,20 +255,17 @@ type exchangeOp struct {
 func (e *exchangeOp) Open() error { return nil }
 
 func (e *exchangeOp) NextBatch() (*Batch, error) {
-	frame, ok := <-e.prod.ch
+	f, ok := <-e.prod.ch
 	if !ok {
 		return nil, e.prod.err
 	}
 	// Frames decode straight into column vectors: downstream kernels run
 	// on the decoded lanes with no row materialization. The decode copies
-	// every string out of the frame, so the frame goes back to the
-	// producer to be encoded into again.
+	// every string out of the frame, so the frame goes back to the pool
+	// to be encoded into again.
 	b := NewBatch()
-	err := network.DecodeBatchCols(frame, b.Data())
-	select {
-	case e.prod.free <- frame:
-	default:
-	}
+	err := network.DecodeBatchCols(f.b, b.Data())
+	putFrame(f)
 	if err != nil {
 		b.Release()
 		return nil, fmt.Errorf("executor: exchange frame decode: %w", err)
@@ -253,7 +278,8 @@ func (e *exchangeOp) NextBatch() (*Batch, error) {
 // fragment. After a failure the run's context is already cancelled and
 // the producer stops at its next send or wire sleep.
 func (e *exchangeOp) Close() error {
-	for range e.prod.ch {
+	for f := range e.prod.ch {
+		putFrame(f)
 	}
 	return nil
 }

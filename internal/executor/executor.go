@@ -12,6 +12,9 @@ package executor
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -346,14 +349,13 @@ func equiKeys(n *plan.Node, what string) (lk, rk []int, residual expr.Expr, err 
 // index pairs, and nextBatch gathers them column-wise into the pooled
 // output batch's own vectors, BatchSize at a time. No row is built.
 type pairOut struct {
+	*joinBufs
 	types          []expr.Type // output schema: lTypes then rTypes
 	lTypes, rTypes []expr.Type
-	bcols          []expr.Vec  // build side vectors, in arrival order
 	bn             int32       // build rows
 	chunk          *Batch      // current probe chunk
 	r, rows        int         // its next row to match, its row count
 	vecs           []*expr.Vec // column scratch; the probe chunk's vectors
-	pi, bi         []int32     // matches; pi indexes the probe vectors
 	pos            int         // next pair to hand out
 	// err is a failure found mid-refill: the pairs found before it are
 	// handed out first.
@@ -372,7 +374,6 @@ func newPairOut(n *plan.Node, pred expr.Expr) pairOut {
 	lw, rw := len(n.Children[0].Cols), len(n.Children[1].Cols)
 	o := pairOut{types: append(colTypes(n.Children[0]), colTypes(n.Children[1])...)}
 	o.lTypes, o.rTypes = o.types[:lw:lw], o.types[lw:]
-	o.bcols = make([]expr.Vec, rw)
 	o.vecs = make([]*expr.Vec, max(lw, rw))
 	o.scratch = make(expr.Row, lw+rw)
 	for _, c := range expr.Columns(pred) {
@@ -385,14 +386,49 @@ func newPairOut(n *plan.Node, pred expr.Expr) pairOut {
 	return o
 }
 
-// reset empties both sides.
-func (o *pairOut) reset() {
-	o.bn = 0
-	for c := range o.bcols {
-		o.bcols[c].Reset(o.rTypes[c], 0)
+// joinBufs is a join's run storage, from joinPool: its build side's
+// vectors in arrival order, its pending pairs (pi indexes the probe
+// vectors) and, for the hash join, its index and key hashes.
+type joinBufs struct {
+	bcols         []expr.Vec
+	pi, bi        []int32
+	hashes, phash []uint64 // build rows' and the probe chunk's key hashes
+	heads, next   []int32
+}
+
+// maxPooledBytes caps what a pooled buffer may hold, a join's run
+// storage or a wire frame: a larger one is dropped, not kept.
+const maxPooledBytes = 16 << 20
+
+var joinPool = sync.Pool{New: func() any { return new(joinBufs) }}
+
+// open takes run storage from the pool (a reopened join keeps its own)
+// and empties both sides.
+func (o *pairOut) open() {
+	if o.joinBufs == nil {
+		o.joinBufs = joinPool.Get().(*joinBufs)
 	}
-	o.chunk, o.r, o.rows, o.err = nil, 0, 0, nil
+	o.bcols = slices.Grow(o.bcols[:0], len(o.rTypes))[:len(o.rTypes)]
+	for c, t := range o.rTypes {
+		o.bcols[c].Reset(t, 0)
+	}
+	o.bn, o.chunk, o.r, o.rows, o.err = 0, nil, 0, 0, nil
 	o.pi, o.bi, o.pos = o.pi[:0], o.bi[:0], 0
+}
+
+// release puts the run storage back in the pool with its string lanes
+// cleared, so it pins no value of the run, unless the run's build side
+// took more than maxPooledBytes (8 bytes a value, hash and chain link).
+func (o *pairOut) release() {
+	b := o.joinBufs
+	o.joinBufs, o.chunk = nil, nil
+	if b == nil || int(o.bn)*(len(b.bcols)+2)*8 > maxPooledBytes {
+		return
+	}
+	for c := range b.bcols {
+		clear(b.bcols[c].S)
+	}
+	joinPool.Put(b)
 }
 
 // bindCols binds chunk to a side's column types and leaves its vectors
@@ -539,19 +575,17 @@ type hashJoinOp struct {
 	probe, build feed
 	residual     expr.Expr // bound against concatenated schema
 
-	lkeys  []int       // probe key columns
-	bKeys  []*expr.Vec // build key columns (into out.bcols)
-	pKeys  []*expr.Vec // probe key columns of the current chunk
-	eqMode []keyEqMode
+	lkeys, rkeys []int       // probe and build key columns
+	bKeys        []*expr.Vec // build key columns (into out.bcols)
+	pKeys        []*expr.Vec // probe key columns of the current chunk
+	eqMode       []keyEqMode
 
-	// The index, built once the build side is in: hashes holds each
-	// build row's key hash, heads each bucket's first row (-1: none; a
-	// power of two of buckets, mask selecting one) and next the bucket's
-	// following row, so a bucket lists its rows, and a key its matches,
-	// in arrival order.
-	hashes      []uint64
-	heads, next []int32
-	mask        uint64
+	// The index, in out's run storage once the build side is in: hashes
+	// holds each build row's key hash, heads each bucket's first row
+	// (-1: none; a power of two of buckets, mask selecting one) and next
+	// the bucket's following row, so a bucket lists its rows, and a key
+	// its matches, in arrival order; phash the probe chunk's hashes.
+	mask uint64
 
 	// pending is the first probe chunk, peeked at Open (to skip the
 	// index build when the probe side is provably empty) and replayed on
@@ -596,31 +630,70 @@ func newHashJoin(n *plan.Node, left, right BatchOperator) (BatchOperator, error)
 // newKeyJoin builds the hash join of n on left columns lk equal to
 // right columns rk, keeping the pairs residual (nil: none) holds for.
 func newKeyJoin(n *plan.Node, left, right BatchOperator, lk, rk []int, residual expr.Expr) *hashJoinOp {
-	j := &hashJoinOp{probe: feed{src: left}, build: feed{src: right}, residual: residual, lkeys: lk}
+	j := &hashJoinOp{probe: feed{src: left}, build: feed{src: right}, residual: residual, lkeys: lk, rkeys: rk}
 	j.out = newPairOut(n, residual)
-	j.pKeys = make([]*expr.Vec, len(lk))
+	j.pKeys, j.bKeys = make([]*expr.Vec, len(lk)), make([]*expr.Vec, len(rk))
 	for i, l := range lk {
-		j.bKeys = append(j.bKeys, &j.out.bcols[rk[i]])
 		j.eqMode = append(j.eqMode, keyMode(j.out.lTypes[l], j.out.rTypes[rk[i]]))
 	}
 	return j
 }
 
-// hashVecKeys combines the key hashes of row i of the key columns, the
-// way Value.Hash hashes each value.
-func hashVecKeys(keys []*expr.Vec, i int) (uint64, bool) {
-	var h uint64 = 1469598103934665603
-	for _, v := range keys {
-		if v.IsNullAt(i) {
-			return 0, false
-		}
-		h = h*1099511628211 ^ v.HashAt(i)
+// noKey is the hash of a row with a NULL key, never indexed nor probed;
+// every other hash has its top bit clear.
+const noKey = ^uint64(0)
+
+var strSeed = maphash.MakeSeed() // hashes live for one run
+
+// hashKeys sets hs[i], for each row i of sel (each row of hs when sel is
+// nil), to the hash of row i of the key columns, noKey when one is
+// NULL. Each column is hashed a lane at a time as its key pair's mode
+// reads it, so keys recheck finds equal hash equal: the int64, the
+// float64's bits with -0 folded to +0 and every NaN to one, the string,
+// else Value.Hash; each folded in with one 64×64→128-bit multiply.
+func hashKeys(hs []uint64, keys []*expr.Vec, modes []keyEqMode, sel []int32) {
+	n := len(hs)
+	if sel != nil {
+		n = len(sel)
 	}
-	return h, true
+	clear(hs)
+	for k, v := range keys {
+		for j := 0; j < n; j++ {
+			i := j
+			if sel != nil {
+				i = int(sel[j])
+			}
+			h := hs[i]
+			if h == noKey || v.IsNullAt(i) {
+				hs[i] = noKey
+				continue
+			}
+			var x uint64
+			switch modes[k] {
+			case eqInt:
+				x = uint64(v.I[i])
+			case eqFloat:
+				if f := vecFloat(v, i) + 0; f == f { // + 0 turns -0 into 0
+					x = math.Float64bits(f)
+				} else {
+					x = 0x7ff8000000000001 // every NaN as math.NaN()
+				}
+			case eqStr:
+				x = maphash.String(strSeed, v.S[i])
+			default:
+				x = v.Value(i).Hash()
+			}
+			hi, lo := bits.Mul64(h^x, 0x9e3779b97f4a7c15)
+			hs[i] = (hi ^ lo) &^ (1 << 63)
+		}
+	}
 }
 
 func (j *hashJoinOp) Open() error {
-	j.out.reset()
+	j.out.open()
+	for i, r := range j.rkeys {
+		j.bKeys[i] = &j.out.bcols[r]
+	}
 	// Peek the first probe chunk before building: when the probe side is
 	// provably empty, the join produces nothing and the index build is
 	// wasted work. The build side is still opened and closed (Ship
@@ -660,21 +733,22 @@ func (j *hashJoinOp) buildTable() error {
 			return err
 		}
 	}
-	n, size := int(j.out.bn), 1
+	o, n, size := &j.out, int(j.out.bn), 1
 	for size < n {
 		size <<= 1
 	}
-	j.heads = slices.Grow(j.heads[:0], size)[:size]
-	for b := range j.heads {
-		j.heads[b] = -1
+	o.heads = slices.Grow(o.heads[:0], size)[:size]
+	for b := range o.heads {
+		o.heads[b] = -1
 	}
-	j.next = slices.Grow(j.next[:0], n)[:n]
-	j.hashes = slices.Grow(j.hashes[:0], n)[:n]
+	o.next = slices.Grow(o.next[:0], n)[:n]
+	o.hashes = slices.Grow(o.hashes[:0], n)[:n]
+	hashKeys(o.hashes, j.bKeys, j.eqMode, nil)
 	j.mask = uint64(size - 1)
 	for i := n - 1; i >= 0; i-- {
-		if h, valid := hashVecKeys(j.bKeys, i); valid {
+		if h := o.hashes[i]; h != noKey {
 			b := h & j.mask
-			j.hashes[i], j.next[i], j.heads[b] = h, j.heads[b], int32(i)
+			o.next[i], o.heads[b] = o.heads[b], int32(i)
 		}
 	}
 	return nil
@@ -682,13 +756,25 @@ func (j *hashJoinOp) buildTable() error {
 
 func (j *hashJoinOp) NextBatch() (*Batch, error) { return j.out.nextBatch(j.nextProbe, j.match) }
 
-// nextProbe returns the peeked chunk first, then the probe side's.
-func (j *hashJoinOp) nextProbe() (*Batch, error) {
-	if chunk := j.pending; chunk != nil {
-		j.pending = nil
-		return chunk, nil
+// nextProbe returns the peeked chunk first, then the probe side's, and
+// hashes its key columns over its selection.
+func (j *hashJoinOp) nextProbe() (chunk *Batch, err error) {
+	if chunk, j.pending = j.pending, nil; chunk == nil {
+		if chunk, err = j.probe.nextChunk(); chunk == nil || err != nil {
+			return nil, err
+		}
 	}
-	return j.probe.nextChunk()
+	o := &j.out
+	if err := bindCols(chunk, o.lTypes, o.vecs); err != nil {
+		return nil, err
+	}
+	for k, c := range j.lkeys {
+		j.pKeys[k] = o.vecs[c]
+	}
+	n := chunk.Data().Len()
+	o.phash = slices.Grow(o.phash[:0], n)[:n]
+	hashKeys(o.phash, j.pKeys, j.eqMode, chunk.Sel())
+	return chunk, nil
 }
 
 // match reports probe row p's pairs: the build rows of its bucket with
@@ -697,18 +783,15 @@ func (j *hashJoinOp) nextProbe() (*Batch, error) {
 // before a failing one are kept.
 func (j *hashJoinOp) match(p int32) error {
 	o := &j.out
-	for k, c := range j.lkeys {
-		j.pKeys[k] = o.vecs[c]
-	}
-	h, valid := hashVecKeys(j.pKeys, int(p))
-	if !valid {
+	h := o.phash[p]
+	if h == noKey {
 		return nil
 	}
 	if j.residual != nil {
 		o.loadProbe(p)
 	}
-	for b := j.heads[h&j.mask]; b >= 0; b = j.next[b] {
-		if j.hashes[b] != h {
+	for b := o.heads[h&j.mask]; b >= 0; b = o.next[b] {
+		if o.hashes[b] != h {
 			continue
 		}
 		if j.residual != nil {
@@ -770,8 +853,8 @@ func vecFloat(v *expr.Vec, i int) float64 {
 }
 
 func (j *hashJoinOp) Close() error {
-	j.out.reset()
-	j.hashes, j.heads, j.next, j.pending = nil, nil, nil, nil
+	j.out.release()
+	j.pending = nil
 	return j.probe.close()
 }
 
@@ -845,7 +928,7 @@ func typedEq(cond expr.Expr, lTypes, rTypes []expr.Type) (lk, rk []int) {
 }
 
 func (j *nlJoinOp) Open() error {
-	j.out.reset()
+	j.out.open()
 	if err := j.right.open(); err != nil {
 		return err
 	}
@@ -890,7 +973,7 @@ func (j *nlJoinOp) match(p int32) error {
 }
 
 func (j *nlJoinOp) Close() error {
-	j.out.reset()
+	j.out.release()
 	return j.left.close()
 }
 

@@ -81,41 +81,3 @@ func (v *Vec) AppendKeyAt(dst []byte, i int) []byte {
 	}
 	return append(dst, keyNull)
 }
-
-// HashAt returns Value.Hash of element i of the vector without
-// materializing the Value: identical bytes feed the same FNV-1a mix.
-func (v *Vec) HashAt(i int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	if v.IsNullAt(i) {
-		return (h ^ 0xff) * prime64
-	}
-	switch v.T {
-	case TString:
-		s := v.S[i]
-		for j := 0; j < len(s); j++ {
-			h = (h ^ uint64(s[j])) * prime64
-		}
-	case TBool:
-		b := uint64(0)
-		if v.B.Get(i) {
-			b = 1
-		}
-		h = (h ^ b) * prime64
-	default:
-		var f float64
-		if v.T == TFloat {
-			f = v.F[i]
-		} else {
-			f = float64(v.I[i])
-		}
-		bits := math.Float64bits(f)
-		for j := 0; j < 8; j++ {
-			h = (h ^ uint64(byte(bits>>(8*j)))) * prime64
-		}
-	}
-	return h
-}

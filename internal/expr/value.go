@@ -241,9 +241,9 @@ func (v Value) Width() int {
 	}
 }
 
-// Hash returns a 64-bit hash of the value, used by hash joins and hash
-// aggregation. Values that compare equal hash equally (ints, dates and
-// integral floats coincide in float space).
+// Hash returns a 64-bit hash of the value, for ANALYZE's distinct count
+// and the hash join's fallback keys. Values that compare equal hash
+// equally: ints, dates and integral floats coincide in float space.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -264,7 +264,7 @@ func (v Value) Hash() uint64 {
 		mix(byte(v.I & 1))
 	default:
 		// Hash numerics through float64 so 1 (int) == 1.0 (float).
-		bits := math.Float64bits(v.Float())
+		bits := math.Float64bits(v.Float() + 0) // + 0 turns -0 into 0
 		for i := 0; i < 8; i++ {
 			mix(byte(bits >> (8 * i)))
 		}

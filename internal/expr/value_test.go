@@ -160,6 +160,17 @@ func TestHashNumericCoherenceProperty(t *testing.T) {
 	}
 }
 
+// Zero's two signs compare equal, so they hash equally.
+func TestHashNegativeZero(t *testing.T) {
+	negZero := NewFloat(math.Copysign(0, -1))
+	if c, err := negZero.Compare(NewInt(0)); err != nil || c != 0 {
+		t.Fatalf("-0 vs 0: %d, %v", c, err)
+	}
+	if negZero.Hash() != NewFloat(0).Hash() || negZero.Hash() != NewInt(0).Hash() {
+		t.Error("-0.0 and 0 hash differently")
+	}
+}
+
 // Property: equal values hash equally for strings.
 func TestHashStringProperty(t *testing.T) {
 	f := func(s string) bool {

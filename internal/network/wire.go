@@ -69,6 +69,10 @@ func (e *WireEncoder) Encode(rows []expr.Row) []byte {
 	return e.buf
 }
 
+// DropValues lets go of the strings the encoder holds from its last
+// frame, its dictionary, keeping its storage.
+func (e *WireEncoder) DropValues() { e.col.Reset() }
+
 // EncodeCols appends to dst the frame of the first n rows of column
 // vectors: the bytes Encode writes for the rows they materialize.
 func (e *WireEncoder) EncodeCols(dst []byte, cols []expr.Vec, n int) []byte {

@@ -2,8 +2,12 @@ package cgdqp
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"cgdqp/internal/refeval"
 )
 
 // typedSystem declares T(id INT, v VARCHAR) with a B+ tree on id, the
@@ -103,5 +107,43 @@ func TestIncomparablePredicatesFailAtBind(t *testing.T) {
 	}
 	if len(sys.PolicyIDs()) != n {
 		t.Error("a refused policy was registered")
+	}
+}
+
+// TestHashJoinNegativeZeroKey: -0.0 = 0.0 holds, so an equi-join of a
+// DOUBLE key -0.0 with 0.0 matches whichever way it runs. The hash join
+// used to hash the float's bits and file the two under different
+// hashes, answering [] where the nested loop and the reference
+// evaluator return the match.
+func TestHashJoinNegativeZeroKey(t *testing.T) {
+	const n = 5_000
+	sys := NewSystem()
+	sys.MustDefineTable("A", "db-a", "Europe", n, Col("k", TFloat), Col("v", TInt))
+	sys.MustDefineTable("B", "db-b", "Asia", n, Col("k", TFloat), Col("v", TInt))
+	sys.MustAddPolicy("ship * from A to *")
+	sys.MustAddPolicy("ship * from B to *")
+	a, b := make([]Row, n), make([]Row, n)
+	for i := range a {
+		a[i] = Row{Float(float64(i) + 0.5), Int(int64(i))}
+		b[i] = Row{Float(float64(i) + 10_000.25), Int(int64(i))}
+	}
+	a[n/2][0], b[n/3][0] = Float(math.Copysign(0, -1)), Float(0)
+	sys.MustLoad("A", a)
+	sys.MustLoad("B", b)
+	const q = "SELECT B.v FROM A, B WHERE A.k = B.k"
+	p, err := sys.Explain(q)
+	if err != nil || !strings.Contains(p.String(), "HashJoin") {
+		t.Fatalf("not planned as a hash join (%v):\n%v", err, p)
+	}
+	res, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refeval.Query(q, sys.Schema, sys.Cluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 1 || !slices.EqualFunc(res.Rows, want, func(x, y Row) bool { return slices.Equal(x, y) }) {
+		t.Errorf("rows %v, reference %v, want the one match [[%d]]", res.Rows, want, n/3)
 	}
 }
