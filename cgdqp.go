@@ -90,8 +90,8 @@ func Col(name string, t Type) Column { return Column{Name: name, Type: t} }
 var ErrNoCompliantPlan = optimizer.ErrNoCompliantPlan
 
 // ErrColumnType is returned by Load when a row holds a non-NULL value
-// of another type than its column's: the whole batch is refused, and
-// the table and its data epoch stay as they were.
+// of another type than its column's, or a NaN: the whole batch is
+// refused, and the table and its data epoch stay as they were.
 var ErrColumnType = store.ErrColumnType
 
 // ErrIncomparable is returned by Explain, Legal, Query and AddPolicy
@@ -459,8 +459,9 @@ func (s *System) PolicyList() []string {
 
 // Load inserts rows into a table (fragment 0). Every non-NULL value
 // must have its column's type — a DOUBLE is not an INT, nothing is
-// coerced — or the whole batch is refused with ErrColumnType; a NULL
-// is stored as a NULL of its column's type.
+// coerced — and a DOUBLE is never NaN, or the whole batch is refused
+// with ErrColumnType; a NULL is stored as a NULL of its column's type,
+// a DOUBLE −0 as 0.
 func (s *System) Load(table string, rows []Row) error {
 	return s.LoadFragment(table, 0, rows)
 }

@@ -649,8 +649,8 @@ var strSeed = maphash.MakeSeed() // hashes live for one run
 // nil), to the hash of row i of the key columns, noKey when one is
 // NULL. Each column is hashed a lane at a time as its key pair's mode
 // reads it, so keys recheck finds equal hash equal: the int64, the
-// float64's bits with -0 folded to +0 and every NaN to one, the string,
-// else Value.Hash; each folded in with one 64×64→128-bit multiply.
+// float64's bits (a DOUBLE is never −0, expr.Double), the string, else
+// Value.Hash; each folded in with one 64×64→128-bit multiply.
 func hashKeys(hs []uint64, keys []*expr.Vec, modes []keyEqMode, sel []int32) {
 	n := len(hs)
 	if sel != nil {
@@ -673,11 +673,7 @@ func hashKeys(hs []uint64, keys []*expr.Vec, modes []keyEqMode, sel []int32) {
 			case eqInt:
 				x = uint64(v.I[i])
 			case eqFloat:
-				if f := vecFloat(v, i) + 0; f == f { // + 0 turns -0 into 0
-					x = math.Float64bits(f)
-				} else {
-					x = 0x7ff8000000000001 // every NaN as math.NaN()
-				}
+				x = math.Float64bits(vecFloat(v, i))
 			case eqStr:
 				x = maphash.String(strSeed, v.S[i])
 			default:
@@ -826,10 +822,7 @@ func (j *hashJoinOp) recheck(p, b int) (bool, error) {
 				return false, nil
 			}
 		case eqFloat:
-			x, y := vecFloat(pv, p), vecFloat(bv, b)
-			// Compare's float equality is !(x < y) && !(x > y), which is
-			// not the same as == when NaN is involved.
-			if x < y || x > y {
+			if vecFloat(pv, p) != vecFloat(bv, b) {
 				return false, nil
 			}
 		case eqStr:
@@ -1208,7 +1201,12 @@ func (a *hashAggOp) NextBatch() (*Batch, error) {
 		v := d.OwnCol(nk + i)
 		v.Reset(a.outTypes[nk+i], 0)
 		for g := a.pos; g < a.pos+k; g++ {
-			if x := acc.result(g); !v.Append(x) {
+			x, ok := acc.result(g)
+			if !ok {
+				b.Release()
+				return nil, fmt.Errorf("executor: %s sums +Inf and -Inf in a group, which no DOUBLE holds", a.node.Aggs[i])
+			}
+			if !v.Append(x) {
 				b.Release()
 				return nil, fmt.Errorf("%w: %s yields %s, typed %s", expr.ErrLane, a.node.Aggs[i], x.T, v.T)
 			}
@@ -1372,11 +1370,8 @@ func (a *accCol) addVec(gids []int32, v *expr.Vec, sel []int32, dense bool, n in
 	}
 }
 
-// mergeMinMax updates the per-group best value row by row. The typed
-// fast paths mirror Value.Compare exactly — in particular the float
-// comparison is strict < / >, so a NaN candidate never replaces the
-// best and a NaN best is never replaced, matching a per-row Compare
-// (a chunk-local reduce-then-merge would not).
+// mergeMinMax updates the per-group best value row by row; the typed
+// fast paths mirror Value.Compare.
 func (a *accCol) mergeMinMax(gids []int32, v *expr.Vec, sel []int32, dense bool, n int, min bool) {
 	mapped := !dense && sel != nil
 	for r := 0; r < n; r++ {
@@ -1419,30 +1414,33 @@ func (a *accCol) mergeMinMax(gids []int32, v *expr.Vec, sel []int32, dense bool,
 	}
 }
 
-func (a *accCol) result(g int32) expr.Value {
+// result is group g's aggregate, not ok for a float SUM or AVG of +Inf
+// and −Inf (no DOUBLE): a failure, since AggPushdown's final SUM would
+// skip it as a NULL partial and the answer hang on the plan.
+func (a *accCol) result(g int32) (v expr.Value, ok bool) {
 	switch a.fn {
 	case expr.AggCount:
-		return expr.NewInt(a.count[g])
-	case expr.AggSum:
+		return expr.NewInt(a.count[g]), true
+	case expr.AggSum, expr.AggAvg:
 		if a.count[g] == 0 {
-			return expr.TypedNull(expr.TFloat)
+			return expr.TypedNull(expr.TFloat), true
 		}
-		if !a.floaty[g] {
-			return expr.NewInt(a.sumI[g])
+		if a.fn == expr.AggSum && !a.floaty[g] {
+			return expr.NewInt(a.sumI[g]), true
 		}
-		return expr.NewFloat(a.sumF[g])
-	case expr.AggAvg:
-		if a.count[g] == 0 {
-			return expr.TypedNull(expr.TFloat)
+		f := a.sumF[g]
+		if a.fn == expr.AggAvg {
+			f /= float64(a.count[g])
 		}
-		return expr.NewFloat(a.sumF[g] / float64(a.count[g]))
+		f, ok = expr.Double(f)
+		return expr.NewFloat(f), ok
 	case expr.AggMin, expr.AggMax:
 		if !a.seen[g] {
-			return expr.NullValue()
+			return expr.NullValue(), true
 		}
-		return a.best[g]
+		return a.best[g], true
 	}
-	return expr.NullValue()
+	return expr.NullValue(), true
 }
 
 // --- sort ---------------------------------------------------------------

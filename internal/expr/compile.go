@@ -602,10 +602,8 @@ func (k *kCmp) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 	return &k.out, nil
 }
 
-// cmpSetBits sets out bit i when a[i] op b[i]. Every operator is spelled
-// with < and > only so that float comparisons reproduce Value.Compare
-// exactly: NaN is neither less nor greater than anything, so it compares
-// "equal" to everything, as the interpreter's three-way compare does.
+// cmpSetBits sets out bit i when a[i] op b[i], every operator spelled
+// with < and > as Value.Compare's three-way compare is.
 func cmpSetBits[T int64 | float64 | string](op CmpOp, a, b []T, out Bitmap) {
 	switch op {
 	case EQ:
@@ -807,6 +805,13 @@ func (k *kArith) eval(src VecSource, sel []int32, n int) (*Vec, error) {
 					continue
 				}
 				k.out.F[i] = a[i] / b[i]
+			}
+		}
+		// A NaN has no DOUBLE (Double): its slot is NULL, like ÷0's.
+		for i, f := range k.out.F[:n] {
+			var ok bool
+			if k.out.F[i], ok = Double(f); !ok {
+				k.out.ensureNull().Set(i)
 			}
 		}
 	}

@@ -219,6 +219,7 @@ func checkKernelParity(t *testing.T, seed int64) {
 							seed, i, gk, wk, e)
 					}
 				}
+				checkArithDomain(t, seed, e, types, src)
 			}
 		}
 
@@ -309,8 +310,32 @@ func TestKernelParityRandom(t *testing.T) {
 	}
 }
 
+// checkArithDomain requires every arithmetic node of e to leave no NaN
+// and no −0 in a float slot outside its NULLs, whatever NaN, ±Inf or −0
+// its inputs hold: a DOUBLE is neither (Double).
+func checkArithDomain(t *testing.T, seed int64, e Expr, types []Type, src *Batch) {
+	t.Helper()
+	Walk(e, func(x Expr) bool {
+		a, ok := x.(*Arith)
+		if !ok {
+			return true
+		}
+		vec, err := Compile(a, types).EvalVec(src, nil)
+		if err != nil || vec.T != TFloat {
+			return true
+		}
+		for i, f := range vec.F[:vec.N] {
+			if !vec.IsNullAt(i) && (math.IsNaN(f) || f == 0 && math.Signbit(f)) {
+				t.Fatalf("seed %d row %d: %s yields %v", seed, i, a, f)
+			}
+		}
+		return true
+	})
+}
+
 // FuzzKernelParity is the satellite fuzz target: kernel and interpreter
-// must agree (value and null-ness) on randomized expressions & batches.
+// must agree (value and null-ness) on randomized expressions & batches,
+// and arithmetic stays in the DOUBLE domain.
 func FuzzKernelParity(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)

@@ -290,20 +290,26 @@ func evalArith(n *Arith, row Row) (Value, error) {
 		}
 	}
 	a, b := l.Float(), r.Float()
+	var f float64
 	switch n.Op {
 	case Add:
-		return NewFloat(a + b), nil
+		f = a + b
 	case Sub:
-		return NewFloat(a - b), nil
+		f = a - b
 	case Mul:
-		return NewFloat(a * b), nil
+		f = a * b
 	case Div:
 		if b == 0 {
 			return TypedNull(TFloat), nil
 		}
-		return NewFloat(a / b), nil
+		f = a / b
+	default:
+		return NullValue(), fmt.Errorf("expr: unknown arithmetic op %v", n.Op)
 	}
-	return NullValue(), fmt.Errorf("expr: unknown arithmetic op %v", n.Op)
+	if d, ok := Double(f); ok {
+		return NewFloat(d), nil
+	}
+	return TypedNull(TFloat), nil
 }
 
 func evalConcat(n *Concat, row Row) (Value, error) {

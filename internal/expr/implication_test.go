@@ -1,18 +1,19 @@
 package expr
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
 
-func col(name string) *Col                { return NewCol("T", name) }
-func cint(v int64) *Const                 { return NewConst(NewInt(v)) }
-func cstr(s string) *Const                { return NewConst(NewString(s)) }
-func cmp(op CmpOp, c string, v Expr) *Cmp { return NewCmp(op, col(c), v) }
+func col(name string) *Col                   { return NewCol("T", name) }
+func cint(v int64) *Const                    { return NewConst(NewInt(v)) }
+func cstr(s string) *Const                   { return NewConst(NewString(s)) }
+func colCmp(op CmpOp, c string, v Expr) *Cmp { return NewCmp(op, col(c), v) }
 
 func TestImpliesBasics(t *testing.T) {
-	bGT15 := cmp(GT, "B", cint(15))
-	bGT10 := cmp(GT, "B", cint(10))
+	bGT15 := colCmp(GT, "B", cint(15))
+	bGT10 := colCmp(GT, "B", cint(10))
 
 	// Nil policy predicate (TRUE) is implied by everything.
 	if !Implies(bGT15, nil) {
@@ -44,29 +45,29 @@ func TestImpliesRangeOperators(t *testing.T) {
 		q, e Expr
 		want bool
 	}{
-		{cmp(EQ, "A", cint(5)), cmp(GE, "A", cint(5)), true},
-		{cmp(EQ, "A", cint(5)), cmp(GT, "A", cint(4)), true},
-		{cmp(EQ, "A", cint(5)), cmp(GT, "A", cint(5)), false},
-		{cmp(EQ, "A", cint(5)), cmp(LE, "A", cint(5)), true},
-		{cmp(EQ, "A", cint(5)), cmp(NE, "A", cint(6)), true},
-		{cmp(EQ, "A", cint(5)), cmp(NE, "A", cint(5)), false},
-		{cmp(GE, "A", cint(5)), cmp(GT, "A", cint(4)), true},
-		{cmp(GE, "A", cint(5)), cmp(GE, "A", cint(5)), true},
-		{cmp(GT, "A", cint(5)), cmp(GE, "A", cint(5)), true},
-		{cmp(GT, "A", cint(5)), cmp(GT, "A", cint(5)), true},
-		{cmp(LT, "A", cint(5)), cmp(LE, "A", cint(5)), true},
-		{cmp(LE, "A", cint(5)), cmp(LT, "A", cint(5)), false},
-		{cmp(LT, "A", cint(5)), cmp(NE, "A", cint(5)), true},
-		{cmp(GT, "A", cint(5)), cmp(NE, "A", cint(5)), true},
-		{cmp(GT, "A", cint(4)), cmp(NE, "A", cint(5)), false},
+		{colCmp(EQ, "A", cint(5)), colCmp(GE, "A", cint(5)), true},
+		{colCmp(EQ, "A", cint(5)), colCmp(GT, "A", cint(4)), true},
+		{colCmp(EQ, "A", cint(5)), colCmp(GT, "A", cint(5)), false},
+		{colCmp(EQ, "A", cint(5)), colCmp(LE, "A", cint(5)), true},
+		{colCmp(EQ, "A", cint(5)), colCmp(NE, "A", cint(6)), true},
+		{colCmp(EQ, "A", cint(5)), colCmp(NE, "A", cint(5)), false},
+		{colCmp(GE, "A", cint(5)), colCmp(GT, "A", cint(4)), true},
+		{colCmp(GE, "A", cint(5)), colCmp(GE, "A", cint(5)), true},
+		{colCmp(GT, "A", cint(5)), colCmp(GE, "A", cint(5)), true},
+		{colCmp(GT, "A", cint(5)), colCmp(GT, "A", cint(5)), true},
+		{colCmp(LT, "A", cint(5)), colCmp(LE, "A", cint(5)), true},
+		{colCmp(LE, "A", cint(5)), colCmp(LT, "A", cint(5)), false},
+		{colCmp(LT, "A", cint(5)), colCmp(NE, "A", cint(5)), true},
+		{colCmp(GT, "A", cint(5)), colCmp(NE, "A", cint(5)), true},
+		{colCmp(GT, "A", cint(4)), colCmp(NE, "A", cint(5)), false},
 		// Interval from two conjuncts.
-		{NewAnd(cmp(GE, "A", cint(3)), cmp(LE, "A", cint(4))), NewBetween(col("A"), NewInt(1), NewInt(5)), true},
-		{NewBetween(col("A"), NewInt(3), NewInt(4)), cmp(GT, "A", cint(2)), true},
-		{NewBetween(col("A"), NewInt(3), NewInt(4)), cmp(GT, "A", cint(3)), false},
+		{NewAnd(colCmp(GE, "A", cint(3)), colCmp(LE, "A", cint(4))), NewBetween(col("A"), NewInt(1), NewInt(5)), true},
+		{NewBetween(col("A"), NewInt(3), NewInt(4)), colCmp(GT, "A", cint(2)), true},
+		{NewBetween(col("A"), NewInt(3), NewInt(4)), colCmp(GT, "A", cint(3)), false},
 		// Equality pinning implies BETWEEN.
-		{cmp(EQ, "A", cint(3)), NewBetween(col("A"), NewInt(1), NewInt(5)), true},
+		{colCmp(EQ, "A", cint(3)), NewBetween(col("A"), NewInt(1), NewInt(5)), true},
 		// Flipped comparisons (const on the left).
-		{NewCmp(LT, cint(10), col("A")), cmp(GT, "A", cint(5)), true},
+		{NewCmp(LT, cint(10), col("A")), colCmp(GT, "A", cint(5)), true},
 	}
 	for i, c := range cases {
 		if got := Implies(c.q, c.e); got != c.want {
@@ -77,10 +78,10 @@ func TestImpliesRangeOperators(t *testing.T) {
 
 func TestImpliesInAndLike(t *testing.T) {
 	// eq value within IN list.
-	if !Implies(cmp(EQ, "S", cstr("AUTO")), NewIn(col("S"), []Value{NewString("AUTO"), NewString("BUILDING")})) {
+	if !Implies(colCmp(EQ, "S", cstr("AUTO")), NewIn(col("S"), []Value{NewString("AUTO"), NewString("BUILDING")})) {
 		t.Error("S='AUTO' ⇒ S IN ('AUTO','BUILDING')")
 	}
-	if Implies(cmp(EQ, "S", cstr("SHIP")), NewIn(col("S"), []Value{NewString("AUTO")})) {
+	if Implies(colCmp(EQ, "S", cstr("SHIP")), NewIn(col("S"), []Value{NewString("AUTO")})) {
 		t.Error("S='SHIP' ⇏ S IN ('AUTO')")
 	}
 	// IN subset.
@@ -91,10 +92,10 @@ func TestImpliesInAndLike(t *testing.T) {
 		t.Error("IN non-subset")
 	}
 	// Equality satisfying LIKE.
-	if !Implies(cmp(EQ, "S", cstr("COPPER TUBE")), NewLike(col("S"), "%COPPER%")) {
+	if !Implies(colCmp(EQ, "S", cstr("COPPER TUBE")), NewLike(col("S"), "%COPPER%")) {
 		t.Error("S='COPPER TUBE' ⇒ S LIKE '%COPPER%'")
 	}
-	if Implies(cmp(EQ, "S", cstr("BRASS")), NewLike(col("S"), "%COPPER%")) {
+	if Implies(colCmp(EQ, "S", cstr("BRASS")), NewLike(col("S"), "%COPPER%")) {
 		t.Error("S='BRASS' ⇏ LIKE COPPER")
 	}
 	// Identical LIKE is a structural match.
@@ -109,28 +110,28 @@ func TestImpliesInAndLike(t *testing.T) {
 }
 
 func TestImpliesDisjunction(t *testing.T) {
-	sizeGT40 := cmp(GT, "size", cint(40))
+	sizeGT40 := colCmp(GT, "size", cint(40))
 	copper := NewLike(col("type"), "%COPPER%")
 	pe := NewOr(sizeGT40, copper) // e4's predicate from Table 3
 
 	// Query pinning size > 50 implies the disjunction.
-	if !Implies(cmp(GT, "size", cint(50)), pe) {
+	if !Implies(colCmp(GT, "size", cint(50)), pe) {
 		t.Error("size>50 ⇒ size>40 OR type LIKE COPPER")
 	}
 	// Query with the LIKE conjunct implies it too.
-	if !Implies(NewAnd(copper, cmp(EQ, "size", cint(1))), pe) {
+	if !Implies(NewAnd(copper, colCmp(EQ, "size", cint(1))), pe) {
 		t.Error("type LIKE COPPER ⇒ disjunction")
 	}
 	// A query that guarantees neither does not imply it.
-	if Implies(cmp(EQ, "size", cint(10)), pe) {
+	if Implies(colCmp(EQ, "size", cint(10)), pe) {
 		t.Error("size=10 ⇏ disjunction")
 	}
 	// Disjunctive query predicate: every disjunct implies some disjunct.
-	q := NewOr(cmp(GT, "size", cint(50)), cmp(EQ, "type", cstr("COPPER ROD")))
+	q := NewOr(colCmp(GT, "size", cint(50)), colCmp(EQ, "type", cstr("COPPER ROD")))
 	if !Implies(q, pe) {
 		t.Error("case-split disjunction implication")
 	}
-	q2 := NewOr(cmp(GT, "size", cint(50)), cmp(EQ, "type", cstr("BRASS ROD")))
+	q2 := NewOr(colCmp(GT, "size", cint(50)), colCmp(EQ, "type", cstr("BRASS ROD")))
 	if Implies(q2, pe) {
 		t.Error("one failing disjunct kills case split")
 	}
@@ -138,7 +139,7 @@ func TestImpliesDisjunction(t *testing.T) {
 
 func TestImpliesSoundIncompleteness(t *testing.T) {
 	// The paper's example: Pq ≡ (A = 5 ∧ B = 3), Pe ≡ A + B = 8 fails.
-	pq := NewAnd(cmp(EQ, "A", cint(5)), cmp(EQ, "B", cint(3)))
+	pq := NewAnd(colCmp(EQ, "A", cint(5)), colCmp(EQ, "B", cint(3)))
 	pe := NewCmp(EQ, NewArith(Add, col("A"), col("B")), cint(8))
 	if Implies(pq, pe) {
 		t.Error("implication over arithmetic must (soundly) fail")
@@ -146,12 +147,12 @@ func TestImpliesSoundIncompleteness(t *testing.T) {
 }
 
 func TestImpliesMultiConjunct(t *testing.T) {
-	pq := AndAll(cmp(GT, "B", cint(15)), cmp(EQ, "mktseg", cstr("commercial")), cmp(LT, "B", cint(20)))
-	pe := AndAll(cmp(GT, "B", cint(10)), cmp(EQ, "mktseg", cstr("commercial")))
+	pq := AndAll(colCmp(GT, "B", cint(15)), colCmp(EQ, "mktseg", cstr("commercial")), colCmp(LT, "B", cint(20)))
+	pe := AndAll(colCmp(GT, "B", cint(10)), colCmp(EQ, "mktseg", cstr("commercial")))
 	if !Implies(pq, pe) {
 		t.Error("multi-conjunct implication")
 	}
-	pe2 := AndAll(cmp(GT, "B", cint(10)), cmp(EQ, "mktseg", cstr("retail")))
+	pe2 := AndAll(colCmp(GT, "B", cint(10)), colCmp(EQ, "mktseg", cstr("retail")))
 	if Implies(pq, pe2) {
 		t.Error("mismatched equality must fail")
 	}
@@ -159,10 +160,10 @@ func TestImpliesMultiConjunct(t *testing.T) {
 
 func TestImpliesIsNotNull(t *testing.T) {
 	// Any range constraint on a column implies IS NOT NULL.
-	if !Implies(cmp(GT, "A", cint(1)), &IsNull{E: col("A"), Negated: true}) {
+	if !Implies(colCmp(GT, "A", cint(1)), &IsNull{E: col("A"), Negated: true}) {
 		t.Error("A>1 ⇒ A IS NOT NULL")
 	}
-	if Implies(cmp(GT, "B", cint(1)), &IsNull{E: col("A"), Negated: true}) {
+	if Implies(colCmp(GT, "B", cint(1)), &IsNull{E: col("A"), Negated: true}) {
 		t.Error("B>1 ⇏ A IS NOT NULL")
 	}
 }
@@ -170,14 +171,14 @@ func TestImpliesIsNotNull(t *testing.T) {
 func TestImpliesUnsatisfiableQuery(t *testing.T) {
 	// A contradictory query predicate implies anything (vacuous truth).
 	pq := NewAnd(NewIn(col("A"), []Value{NewInt(1)}), NewIn(col("A"), []Value{NewInt(2)}))
-	if !Implies(pq, cmp(EQ, "A", cint(99))) {
+	if !Implies(pq, colCmp(EQ, "A", cint(99))) {
 		t.Error("empty range implies anything")
 	}
 }
 
 func TestImpliesSyntacticMode(t *testing.T) {
-	bGT15 := cmp(GT, "B", cint(15))
-	bGT10 := cmp(GT, "B", cint(10))
+	bGT15 := colCmp(GT, "B", cint(15))
+	bGT10 := colCmp(GT, "B", cint(10))
 	if !ImpliesMode(bGT15, bGT15, ImplicationSyntactic) {
 		t.Error("syntactic self-implication")
 	}
@@ -196,7 +197,7 @@ func TestImpliesSyntacticMode(t *testing.T) {
 func TestImpliesSoundnessProperty(t *testing.T) {
 	mkPred := func(opSel uint8, v int8) Expr {
 		ops := []CmpOp{EQ, LT, LE, GT, GE}
-		return cmp(ops[int(opSel)%len(ops)], "A", cint(int64(v)))
+		return colCmp(ops[int(opSel)%len(ops)], "A", cint(int64(v)))
 	}
 	f := func(op1, op2 uint8, v1, v2 int8, probe int8) bool {
 		pq := mkPred(op1, v1)
@@ -221,12 +222,12 @@ func TestImpliesSoundnessProperty(t *testing.T) {
 // breaks an implication (monotonicity).
 func TestImpliesMonotonicityProperty(t *testing.T) {
 	f := func(v1, v2, v3 int8) bool {
-		pq := cmp(GT, "A", cint(int64(v1)))
-		pe := cmp(GT, "A", cint(int64(v2)))
+		pq := colCmp(GT, "A", cint(int64(v1)))
+		pe := colCmp(GT, "A", cint(int64(v2)))
 		if !Implies(pq, pe) {
 			return true
 		}
-		stronger := NewAnd(pq, cmp(LT, "B", cint(int64(v3))))
+		stronger := NewAnd(pq, colCmp(LT, "B", cint(int64(v3))))
 		return Implies(stronger, pe)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -302,7 +303,8 @@ func genConst(c int, b byte) Value {
 
 // impliesGrid is every row of A in [-5, 5], B in a superset of
 // genStrings with the strings between them, C in quarter steps over
-// [-5, 5], each column also NULL.
+// [-5, 5] and −0, +Inf and −Inf, each column also NULL. C holds no NaN:
+// a DOUBLE is never NaN (Double), so Implies need not reason about one.
 func impliesGrid() []Row {
 	as := []Value{NullValue()}
 	for a := -5; a <= 5; a++ {
@@ -312,7 +314,7 @@ func impliesGrid() []Row {
 	for _, s := range []string{"", "a", "aa", "ab", "abc", "b", "ba", "bb", "c"} {
 		bs = append(bs, NewString(s))
 	}
-	cs := []Value{NullValue()}
+	cs := []Value{NullValue(), NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1))}
 	for k := -20; k <= 20; k++ {
 		cs = append(cs, NewFloat(float64(k)/4))
 	}

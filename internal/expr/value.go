@@ -5,6 +5,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -68,6 +69,12 @@ func NewInt(v int64) Value { return Value{T: TInt, I: v} }
 
 // NewFloat returns a DOUBLE value.
 func NewFloat(v float64) Value { return Value{T: TFloat, F: v} }
+
+// Double decides the DOUBLE domain: no NaN and no −0, so < orders it
+// totally (±Inf too) and equal DOUBLEs have equal bits. It returns f
+// with −0 made +0, or ok false for a NaN: arithmetic makes that NULL (as
+// ÷0), SUM or AVG an error, a load refuses it. No literal is NaN or −0.
+func Double(f float64) (d float64, ok bool) { return f + 0, f == f }
 
 // NewString returns a VARCHAR value.
 func NewString(v string) Value { return Value{T: TString, S: v} }
@@ -177,21 +184,9 @@ func (v Value) Compare(o Value) (int, error) {
 	}
 	switch {
 	case v.T == TString:
-		switch {
-		case v.S < o.S:
-			return -1, nil
-		case v.S > o.S:
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(v.S, o.S), nil
 	case v.T == TBool:
-		switch {
-		case v.I < o.I:
-			return -1, nil
-		case v.I > o.I:
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(v.I, o.I), nil
 	case v.T == TFloat || o.T == TFloat:
 		a, b := v.Float(), o.Float()
 		switch {
@@ -202,13 +197,7 @@ func (v Value) Compare(o Value) (int, error) {
 		}
 		return 0, nil
 	default: // TInt / TDate cross-comparisons stay in integer space
-		switch {
-		case v.I < o.I:
-			return -1, nil
-		case v.I > o.I:
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(v.I, o.I), nil
 	}
 }
 
@@ -243,7 +232,8 @@ func (v Value) Width() int {
 
 // Hash returns a 64-bit hash of the value, for ANALYZE's distinct count
 // and the hash join's fallback keys. Values that compare equal hash
-// equally: ints, dates and integral floats coincide in float space.
+// equally: ints, dates and integral floats coincide in float space, and
+// a DOUBLE is never −0 (Double).
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -264,7 +254,7 @@ func (v Value) Hash() uint64 {
 		mix(byte(v.I & 1))
 	default:
 		// Hash numerics through float64 so 1 (int) == 1.0 (float).
-		bits := math.Float64bits(v.Float() + 0) // + 0 turns -0 into 0
+		bits := math.Float64bits(v.Float())
 		for i := 0; i < 8; i++ {
 			mix(byte(bits >> (8 * i)))
 		}

@@ -160,14 +160,21 @@ func TestHashNumericCoherenceProperty(t *testing.T) {
 	}
 }
 
-// Zero's two signs compare equal, so they hash equally.
-func TestHashNegativeZero(t *testing.T) {
-	negZero := NewFloat(math.Copysign(0, -1))
-	if c, err := negZero.Compare(NewInt(0)); err != nil || c != 0 {
-		t.Fatalf("-0 vs 0: %d, %v", c, err)
+// Double maps a float onto the DOUBLE domain: NaN has no DOUBLE, −0
+// becomes the 0 that hashes like INT 0, and every other float, ±Inf
+// included, stays as it is.
+func TestDouble(t *testing.T) {
+	if _, ok := Double(math.NaN()); ok {
+		t.Error("NaN is a DOUBLE")
 	}
-	if negZero.Hash() != NewFloat(0).Hash() || negZero.Hash() != NewInt(0).Hash() {
-		t.Error("-0.0 and 0 hash differently")
+	d, ok := Double(math.Copysign(0, -1))
+	if !ok || math.Signbit(d) || NewFloat(d).Hash() != NewInt(0).Hash() {
+		t.Errorf("-0 maps to %v (%v), hashing as %x", d, ok, NewFloat(d).Hash())
+	}
+	for _, f := range []float64{0, 1.5, -2.25, math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.SmallestNonzeroFloat64} {
+		if d, ok := Double(f); !ok || math.Float64bits(d) != math.Float64bits(f) {
+			t.Errorf("%v maps to %v (%v)", f, d, ok)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@
 package refeval
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -148,10 +148,7 @@ func project(n *plan.Node, c *cluster.Cluster) ([]expr.Row, error) {
 }
 
 // keyed is an input row with the values of some expressions over it.
-type keyed struct {
-	row, vals expr.Row
-	key       []byte // the values' binary grouping key
-}
+type keyed struct{ row, vals expr.Row }
 
 // keyRows evaluates in and, over each of its rows, exprs bound against
 // its columns.
@@ -173,7 +170,6 @@ func keyRows(in *plan.Node, exprs []expr.Expr, c *cluster.Cluster) ([]keyed, err
 			if ks[i].vals[j], err = expr.Eval(e, r); err != nil {
 				return nil, err
 			}
-			ks[i].key = expr.AppendKey(ks[i].key, ks[i].vals[j])
 		}
 	}
 	return ks, nil
@@ -385,10 +381,9 @@ func crossEq(e expr.Expr, start, end int) (l, r int, ok bool) {
 	return l, r, l < start && r >= start && r < end
 }
 
-// eqKey is a lookup key under which values that Value.Compare finds
-// equal coincide: numbers in float space (NaN equals NaN there, and
-// -0 equals 0), strings and booleans as themselves. NULL, which equals
-// nothing, has none.
+// eqKey is a lookup key under which equal values coincide: numbers in
+// float space (−0 equals 0 there), strings and booleans as themselves.
+// NULL, which equals nothing, has none.
 func eqKey(v expr.Value) (string, bool) {
 	switch {
 	case v.IsNull():
@@ -399,18 +394,15 @@ func eqKey(v expr.Value) (string, bool) {
 		return fmt.Sprintf("b%d", v.I), true
 	}
 	f := v.Float()
-	switch {
-	case math.IsNaN(f):
-		f = math.NaN()
-	case f == 0:
-		f = 0
+	if f == 0 {
+		f = 0 // −0 too
 	}
 	return fmt.Sprintf("n%x", math.Float64bits(f)), true
 }
 
-// aggregate groups by sorting the rows on their binary group keys (a
-// stable sort: each group keeps its rows' input order) and folds each
-// run of equal keys.
+// aggregate groups by sorting the rows on their group keys under
+// compare (a stable sort: each group keeps its rows' input order) and
+// folds each run of equal keys.
 func aggregate(n *plan.Node, c *cluster.Cluster) ([]expr.Row, error) {
 	keys := make([]expr.Expr, len(n.GroupBy))
 	for i, g := range n.GroupBy {
@@ -428,11 +420,11 @@ func aggregate(n *plan.Node, c *cluster.Cluster) ([]expr.Row, error) {
 			}
 		}
 	}
-	sort.SliceStable(ks, func(i, j int) bool { return bytes.Compare(ks[i].key, ks[j].key) < 0 })
+	sort.SliceStable(ks, func(i, j int) bool { return compareRows(ks[i].vals, ks[j].vals, nil, &err) < 0 })
 	var out []expr.Row
 	// A global aggregation is one group, of no rows perhaps.
 	for lo, hi := 0, 0; lo < len(ks) || len(keys) == 0 && out == nil; lo = hi {
-		for hi = lo + 1; hi < len(ks) && (len(keys) == 0 || bytes.Equal(ks[hi].key, ks[lo].key)); hi++ {
+		for hi = lo + 1; hi < len(ks) && compareRows(ks[hi].vals, ks[lo].vals, nil, &err) == 0; hi++ {
 		}
 		hi = min(hi, len(ks))
 		var row expr.Row
@@ -450,18 +442,24 @@ func aggregate(n *plan.Node, c *cluster.Cluster) ([]expr.Row, error) {
 				}
 				vals = append(vals, v)
 			}
-			row = append(row, fold(a.Fn, vals))
+			agg, err := fold(a.Fn, vals)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, agg)
 		}
 		out = append(out, row)
 	}
-	return out, nil
+	return out, err
 }
 
 // fold computes one aggregate over a group's argument values. NULLs
 // are skipped; SUM stays integral while every value is an integer,
 // date or boolean; an empty SUM or AVG is a DOUBLE NULL, an empty MIN
-// or MAX an untyped one.
-func fold(fn expr.AggFn, vals []expr.Value) expr.Value {
+// or MAX an untyped one. A float SUM or AVG over +Inf and −Inf is no
+// real and has no DOUBLE: an error, so that no plan can read it as a
+// NULL its final SUM skips; a −0 one is 0.
+func fold(fn expr.AggFn, vals []expr.Value) (expr.Value, error) {
 	var n, sumI int64
 	var sumF float64
 	integral := true
@@ -483,32 +481,39 @@ func fold(fn expr.AggFn, vals []expr.Value) expr.Value {
 			best = v
 			continue
 		}
-		if c, err := v.Compare(best); err == nil && (fn == expr.AggMin && c < 0 || fn == expr.AggMax && c > 0) {
+		c, err := compare(v, best)
+		if err != nil {
+			return expr.Value{}, err
+		}
+		if fn == expr.AggMin && c < 0 || fn == expr.AggMax && c > 0 {
 			best = v
 		}
 	}
 	switch fn {
 	case expr.AggCount:
-		return expr.NewInt(n)
+		return expr.NewInt(n), nil
 	case expr.AggSum, expr.AggAvg:
 		switch {
 		case n == 0:
-			return expr.TypedNull(expr.TFloat)
+			return expr.TypedNull(expr.TFloat), nil
 		case fn == expr.AggAvg:
-			return expr.NewFloat(sumF / float64(n))
+			sumF /= float64(n)
 		case integral:
-			return expr.NewInt(sumI)
+			return expr.NewInt(sumI), nil
 		}
-		return expr.NewFloat(sumF)
+		if math.IsNaN(sumF) {
+			return expr.Value{}, fmt.Errorf("refeval: %v sums +Inf and -Inf, which no DOUBLE holds", fn)
+		}
+		return expr.NewFloat(sumF + 0), nil // + 0: an AVG of tiny negatives may be −0
 	}
 	if n == 0 {
-		return expr.NullValue()
+		return expr.NullValue(), nil
 	}
-	return best
+	return best, nil
 }
 
-// sortRows stably sorts on the keys: NULLs first ascending, last
-// descending.
+// sortRows stably sorts on the keys under compare: NULLs first
+// ascending, last descending.
 func sortRows(n *plan.Node, c *cluster.Cluster) ([]expr.Row, error) {
 	keys := make([]expr.Expr, len(n.SortKeys))
 	for i, k := range n.SortKeys {
@@ -518,28 +523,57 @@ func sortRows(n *plan.Node, c *cluster.Cluster) ([]expr.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(ks, func(i, j int) bool {
-		a, b := ks[i].vals, ks[j].vals
-		for k, key := range n.SortKeys {
-			switch {
-			case a[k].IsNull() && b[k].IsNull():
-				continue
-			case a[k].IsNull() || b[k].IsNull():
-				return a[k].IsNull() != key.Desc
-			}
-			c, cerr := a[k].Compare(b[k])
-			if cerr != nil && err == nil {
-				err = cerr
-			}
-			if c != 0 {
-				return c < 0 != key.Desc
-			}
-		}
-		return false
-	})
+	sort.SliceStable(ks, func(i, j int) bool { return compareRows(ks[i].vals, ks[j].vals, n.SortKeys, &err) < 0 })
 	out := make([]expr.Row, len(ks))
 	for i, k := range ks {
 		out[i] = k.row
 	}
 	return out, err
+}
+
+// compareRows orders two rows of keys lexicographically under compare,
+// key k descending when keys[k] says so; the first error is kept in
+// *err.
+func compareRows(a, b expr.Row, keys []plan.SortKey, err *error) int {
+	for k := range a {
+		c, cerr := compare(a[k], b[k])
+		if cerr != nil && *err == nil {
+			*err = cerr
+		}
+		if keys != nil && keys[k].Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// compare orders two values by the definitions the engine must meet,
+// written out here rather than taken from expr: NULL before every value
+// and equal to NULL; strings bytewise; FALSE before TRUE; INTs and
+// DATEs against each other as integers; other numbers as reals, where
+// −0 is 0 and a DOUBLE is never NaN — a NaN is an error, as is a pair
+// of values that do not order against each other.
+func compare(a, b expr.Value) (int, error) {
+	switch {
+	case a.IsNull() && b.IsNull():
+		return 0, nil
+	case a.IsNull():
+		return -1, nil
+	case b.IsNull():
+		return 1, nil
+	case a.T == expr.TString && b.T == expr.TString:
+		return cmp.Compare(a.S, b.S), nil
+	case a.T == expr.TBool && b.T == expr.TBool:
+		return cmp.Compare(a.I, b.I), nil
+	case !a.T.Numeric() || !b.T.Numeric():
+		return 0, fmt.Errorf("refeval: %w: %s against %s", expr.ErrIncomparable, a.T, b.T)
+	case a.T != expr.TFloat && b.T != expr.TFloat:
+		return cmp.Compare(a.I, b.I), nil
+	case math.IsNaN(a.Float()) || math.IsNaN(b.Float()):
+		return 0, fmt.Errorf("refeval: NaN is no DOUBLE")
+	}
+	return cmp.Compare(a.Float(), b.Float()), nil
 }

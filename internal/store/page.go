@@ -24,7 +24,8 @@ import (
 // PAX page layout (fixed PageSize bytes):
 //
 //	[0:4)    magic "CGSP"
-//	[4:6)    format version
+//	[4:6)    format version: 3 since a DOUBLE is never NaN or −0
+//	         (expr.Double); pages of 2 may hold either and are refused
 //	[6:8)    nRows
 //	[8:12)   end — first byte past the last minipage
 //	[12:16)  crc32 (IEEE) over the whole page with this field zeroed
@@ -41,7 +42,7 @@ import (
 const (
 	PageSize    = 8192
 	pageMagic   = 0x43475350 // "CGSP"
-	pageVersion = 2
+	pageVersion = 3
 	pageHdrSize = 20
 
 	// maxRowsPerPage bounds a page of very narrow rows.
@@ -50,8 +51,8 @@ const (
 
 var (
 	// ErrColumnType marks a value, a page or a column whose type is not
-	// its column's declared type: a refused load batch or an unreadable
-	// page.
+	// its column's declared type, or a NaN, which no DOUBLE holds: a
+	// refused load batch or an unreadable page.
 	ErrColumnType = errors.New("store: value does not match its column type")
 	// ErrCorrupt marks a page or a WAL record that passed its checksum
 	// but does not decode: written in another format version or damaged

@@ -307,10 +307,10 @@ func openFDs(t *testing.T) int {
 }
 
 // TestUndecodableWALRecordFailsOpen: a checksummed WAL record that does
-// not decode — one of the row codec (op 1), of an unknown table, or one
-// that leaves a gap after the rows before it — fails the reopen with
-// ErrCorrupt instead of being cut as a torn tail with every record after
-// it. The log keeps every byte, and the failed Open closes every file
+// not decode — one of the row codec (op 1), one whose DOUBLEs may be
+// NaN or −0 (op 2), one of an unknown table, or one that leaves a gap
+// after the rows before it — fails the reopen with ErrCorrupt instead
+// of being cut as a torn tail with every record after it. The log keeps every byte, and the failed Open closes every file
 // it opened.
 func TestUndecodableWALRecordFailsOpen(t *testing.T) {
 	dir := t.TempDir()
@@ -339,9 +339,12 @@ func TestUndecodableWALRecordFailsOpen(t *testing.T) {
 	next, _ := walRecordOf("demo", 13, mixedRows(3))
 	op1 := append([]byte(nil), next...)
 	op1[8] = 1
+	op2 := append([]byte(nil), next...)
+	op2[8] = 2
 	gap, _ := walRecordOf("demo", 40, mixedRows(3))
 	for name, rec := range map[string][]byte{
 		"row codec":     restamp(op1),
+		"NaN doubles":   restamp(op2),
 		"unknown table": restamp(bytes.Replace(next, []byte("demo"), []byte("gone"), 1)),
 		"gap":           gap,
 	} {

@@ -53,7 +53,7 @@ func (t *Table) file() *tableFile { return t.eng.files[lower(t.name)] }
 // Append logs rows to the WAL, applies them to the pages through the
 // buffer pool, and maintains the indexes. A batch holding a row of the
 // wrong width, too wide for a page, or with a non-NULL value of another
-// type than its column's (ErrColumnType) is refused whole. The engine
+// type than its column's or a NaN (ErrColumnType) is refused whole. The engine
 // may checkpoint afterwards when the WAL has grown past its threshold.
 func (t *Table) Append(rows []expr.Row) error {
 	if len(rows) == 0 {
@@ -98,11 +98,12 @@ type chunk struct{ m, k, body, end int }
 
 // layout lays the batch out on pages before the WAL or any page sees
 // it, refusing it when a row has the wrong width, a non-NULL value of
-// another type than its column's, or does not fit a page; every NULL is
-// stored as a NULL of its column's type. It returns the batch's WAL
-// record, whose chunks are a fresh page's minipages as they are; it
-// leaves the chunks in t.chunks and t.offs, the extended tail page's
-// minipages in t.img and t.imgOffs, and the last page in t.tail.
+// another type than its column's, a NaN, or does not fit a page; every
+// NULL is stored as a NULL of its column's type and every −0 as +0
+// (expr.Double). It returns the batch's WAL record, whose chunks are a
+// fresh page's minipages as they are; it leaves the chunks in t.chunks
+// and t.offs, the extended tail page's minipages in t.img and
+// t.imgOffs, and the last page in t.tail.
 func (t *Table) layout(rows []expr.Row) ([]byte, error) {
 	nc := len(t.types)
 	t.chunks, t.offs = t.chunks[:0], t.offs[:0]
@@ -165,6 +166,11 @@ func (t *Table) fit(rows []expr.Row, pos, k int, extra []colcodec.Builder) (m in
 				x = expr.TypedNull(ct)
 			case x.T != ct:
 				return 0, false, fmt.Errorf("%w: table %s column %s row %d holds %s, declared %s", ErrColumnType, t.name, t.cols[c], pos+m, x.T, ct)
+			case ct == expr.TFloat:
+				var ok bool
+				if x.F, ok = expr.Double(x.F); !ok {
+					return 0, false, fmt.Errorf("%w: table %s column %s row %d holds NaN, which is no DOUBLE", ErrColumnType, t.name, t.cols[c], pos+m)
+				}
 			}
 			t.tail[c].Add(x)
 			if k > 0 {

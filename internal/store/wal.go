@@ -25,7 +25,7 @@ import (
 //	u32 payload length
 //	u32 crc32 (IEEE) of the payload
 //	payload:
-//	  u8  op (2 = insert)
+//	  u8  op (3 = insert, a DOUBLE never NaN or −0)
 //	  u16 table-name length, then the name bytes
 //	  u64 afterRows — the table's total row count AFTER this record
 //	  u32 nRows — rows carried by this record
@@ -40,10 +40,11 @@ import (
 // failing its CRC — is truncated away: the record's load then simply
 // never happened, which is the "pre-state" arm of the crash contract.
 // A checksummed record that does not decode (op 1, the row format of
-// version 1 pages, or columns other than the encoder writes) is not torn:
-// the open fails with ErrCorrupt and leaves the log as it is.
+// version 1 pages; op 2, whose DOUBLEs may be NaN or −0; or columns
+// other than the encoder writes) is not torn: the open fails with
+// ErrCorrupt and leaves the log as it is.
 const (
-	walOpInsert   = 2
+	walOpInsert   = 3
 	walMinPayload = 15
 )
 

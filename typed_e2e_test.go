@@ -1,12 +1,17 @@
 package cgdqp
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"cgdqp/internal/executor"
+	"cgdqp/internal/optimizer"
+	"cgdqp/internal/policy"
 	"cgdqp/internal/refeval"
 )
 
@@ -146,4 +151,124 @@ func TestHashJoinNegativeZeroKey(t *testing.T) {
 	if len(want) != 1 || !slices.EqualFunc(res.Rows, want, func(x, y Row) bool { return slices.Equal(x, y) }) {
 		t.Errorf("rows %v, reference %v, want the one match [[%d]]", res.Rows, want, n/3)
 	}
+}
+
+// eachEvaluator runs f on a fresh system once with the vector kernels
+// and once with the interpreter (Options.NoVectorKernels).
+func eachEvaluator(t *testing.T, opts Options, f func(t *testing.T, sys *System)) {
+	for _, interp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("NoVectorKernels=%v", interp), func(t *testing.T) {
+			opts.NoVectorKernels = interp
+			f(t, NewSystemWith(opts))
+		})
+	}
+}
+
+// queryReads requires sql to return want, printed, as the reference
+// evaluator does.
+func queryReads(t *testing.T, sys *System, sql, want string) {
+	t.Helper()
+	res, err := sys.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	ref, err := refeval.Query(sql, sys.Schema, sys.Cluster())
+	if err != nil {
+		t.Fatalf("%s: reference: %v", sql, err)
+	}
+	if got := fmt.Sprint(res.Rows); got != want || fmt.Sprint(ref) != want {
+		t.Errorf("%s: %s, reference %v, want %s", sql, got, ref, want)
+	}
+}
+
+// TestLoadRefusesNaN: a DOUBLE is never NaN, so Load refuses one with
+// ErrColumnType. It closes a leak: a NaN compared equal to every
+// number, so under a grant scoped by `k > 0.5` the query `k = 1`
+// shipped the NaN row to L1, an order Implies does not reason over.
+func TestLoadRefusesNaN(t *testing.T) {
+	eachEvaluator(t, Options{ResultLocation: "L1"}, func(t *testing.T, sys *System) {
+		sys.MustDefineTable("A", "db-a", "L2", 3, Col("k", TFloat), Col("v", TInt))
+		sys.MustDefineTable("B", "db-b", "L1", 1, Col("w", TInt))
+		sys.MustAddPolicy("ship k, v from A to L1 where k > 0.5")
+		rows := []Row{{Float(0), Int(2)}, {Float(1), Int(3)}, {Float(math.NaN()), Int(4)}}
+		if err := sys.Load("A", rows); !errors.Is(err, ErrColumnType) || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("Load of a NaN: %v, want ErrColumnType", err)
+		}
+		queryReads(t, sys, "SELECT A.k, A.v FROM A WHERE A.k = 1", "[]")
+		sys.MustLoad("A", rows[:2])
+		queryReads(t, sys, "SELECT A.k, A.v FROM A WHERE A.k = 1", "[[1 3]]")
+	})
+}
+
+// TestNaNArithmeticIsNull: float arithmetic that comes to NaN (+Inf −
+// +Inf) is a DOUBLE NULL, as x / 0 is, so it matches nothing and sums
+// to NULL; before, the NaN compared equal to 7 and SUM returned NaN.
+func TestNaNArithmeticIsNull(t *testing.T) {
+	eachEvaluator(t, Options{}, func(t *testing.T, sys *System) {
+		sys.MustDefineTable("A", "db-a", "L2", 2, Col("k", TFloat), Col("v", TInt))
+		sys.MustAddPolicy("ship * from A to *")
+		sys.MustLoad("A", []Row{{Float(math.Inf(1)), Int(1)}, {Float(2), Int(2)}})
+		queryReads(t, sys, "SELECT A.v FROM A WHERE A.k - A.k = 7", "[]")
+		queryReads(t, sys, "SELECT SUM(A.k - A.k) AS s FROM A WHERE A.v = 1", "[[NULL]]")
+		queryReads(t, sys, "SELECT AVG(A.k) AS s FROM A WHERE A.k > 1 AND A.k - A.k IS NULL", "[[+Inf]]")
+	})
+}
+
+// TestNegativeZeroGroupsWithZero: Load stores a DOUBLE −0 as 0, so it
+// groups with 0 (−0 = 0 holds); before, GROUP BY kept three groups.
+func TestNegativeZeroGroupsWithZero(t *testing.T) {
+	eachEvaluator(t, Options{}, func(t *testing.T, sys *System) {
+		sys.MustDefineTable("A", "db-a", "L2", 3, Col("k", TFloat), Col("v", TInt))
+		sys.MustAddPolicy("ship * from A to *")
+		sys.MustLoad("A", []Row{{Float(math.Copysign(0, -1)), Int(1)}, {Float(0), Int(2)}, {Float(1), Int(3)}})
+		queryReads(t, sys, "SELECT A.k, COUNT(*) AS n FROM A GROUP BY A.k ORDER BY A.k", "[[0 2] [1 1]]")
+	})
+}
+
+// TestInfiniteSumFailsOnEveryPlan: a SUM over +Inf and −Inf has no
+// DOUBLE, so the query fails whether AggPushdown pre-sums A per join
+// key or not, and the reference fails too. Were it NULL, the final SUM
+// of the pushed plan would skip key 1's NULL partial and read 5 where
+// the plan without the rule reads NULL.
+func TestInfiniteSumFailsOnEveryPlan(t *testing.T) {
+	eachEvaluator(t, Options{ResultLocation: "L1"}, func(t *testing.T, sys *System) {
+		sys.MustDefineTable("A", "db-a", "L2", 3, Col("k", TInt), Col("x", TFloat))
+		sys.MustDefineTable("B", "db-b", "L1", 2, Col("k", TInt), Col("g", TString))
+		// A.x leaves L2 only summed per k, so the plan pushes SUM(A.x).
+		sys.MustAddPolicy("ship k from A to *")
+		sys.MustAddPolicy("ship x as aggregates sum from A to L1 group by k")
+		sys.MustAddPolicy("ship * from B to *")
+		sys.MustLoad("A", []Row{{Int(1), Float(math.Inf(1))}, {Int(1), Float(math.Inf(-1))}, {Int(2), Float(5)}})
+		sys.MustLoad("B", []Row{{Int(1), String("g")}, {Int(2), String("g")}})
+		free := policy.NewCatalog()
+		free.AddAll(policy.MustParse("ship * from A to *", "a", "db-a"), policy.MustParse("ship * from B to *", "b", "db-b"))
+		unpushed := optimizer.New(sys.Schema, free, sys.network(), optimizer.Options{Compliant: true, ResultLocation: "L1", DisableAggPushdown: true})
+		const q = "SELECT B.g, SUM(A.x) AS s FROM A, B WHERE A.k = B.k %s GROUP BY B.g"
+		for _, c := range []struct{ where, want string }{{"", ""}, {"AND A.k = 2", "[['g' 5]]"}} {
+			sql := fmt.Sprintf(q, c.where)
+			p, err := sys.Explain(sql)
+			if err != nil || !strings.Contains(p.String(), "_p_") {
+				t.Fatalf("%s: the plan does not push SUM(A.x) (%v):\n%v", sql, err, p)
+			}
+			res, err := sys.Query(sql)
+			ref, rerr := refeval.Query(sql, sys.Schema, sys.Cluster())
+			o, oerr := unpushed.OptimizeSQL(sql)
+			if oerr != nil {
+				t.Fatalf("%s without AggPushdown: %v", sql, oerr)
+			}
+			rows, _, uerr := executor.RunParallelOpts(context.Background(), o.Plan, sys.Cluster(), nil, executor.ExecOptions{NoKernels: sys.opts.NoVectorKernels})
+			if c.want == "" {
+				if err == nil || rerr == nil || uerr == nil {
+					t.Errorf("%s: pushed %v, %v; reference %v, %v; unpushed %v, %v; want three errors", sql, res, err, ref, rerr, rows, uerr)
+				}
+				continue
+			}
+			if err != nil || rerr != nil || uerr != nil {
+				t.Fatalf("%s: %v, reference %v, unpushed %v", sql, err, rerr, uerr)
+			}
+			if got := fmt.Sprint(res.Rows); got != c.want || fmt.Sprint(ref) != c.want || fmt.Sprint(rows) != c.want {
+				t.Errorf("%s: pushed %s, reference %v, unpushed %v; want %s", sql, got, ref, rows, c.want)
+			}
+		}
+	})
 }
